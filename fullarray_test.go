@@ -45,10 +45,11 @@ func newScaleRunner(tb testing.TB, nDPU int) *gemm.Runner {
 }
 
 func scaleOperands(m int) (a, b []int16) {
-	// Every row of A is identical: operation cycle costs are
-	// operand-dependent (a wider multiplicand costs more), so identical
-	// rows make every DPU's work — and thus every wave's maximum —
-	// exactly equal, which TestScalingShape relies on.
+	// Operation cycle costs key on the operation kind and width, never
+	// on operand values (the planner's exact cost mirrors rely on it),
+	// so every DPU's work — and thus every wave's maximum — is exactly
+	// equal whatever the rows hold, which TestScalingShape relies on.
+	// The rows repeat only to keep the operands cheap to describe.
 	a = make([]int16, m*scaleK)
 	for i := range a {
 		a[i] = int16((i%scaleK)%13 - 6)
@@ -379,6 +380,68 @@ func TestFullArrayAllocBounded(t *testing.T) {
 		t.Errorf("full-array Multiply allocates %.0f per wave — O(nDPU) allocation regressed", avg)
 	}
 	t.Logf("full-array Multiply: %.0f allocs per op", avg)
+}
+
+// TestForwardBatchAllocBounded pins the bytes a steady-state batch
+// forward allocates, at one rank's width so it is cheap. What a pass
+// must allocate is its outputs (every layer's activations per image);
+// what it must not is an im2col matrix: the lowering goes straight into
+// the scatter staging buffer. A single K×N int16 matrix of the largest
+// conv layer per image already exceeds the whole budget (it used to be
+// more than half of a pass's bytes).
+func TestForwardBatchAllocBounded(t *testing.T) {
+	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nImg = dpu.DPUsPerRank
+	sys, err := host.NewSystem(nImg, host.DefaultConfig(dpu.O3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	maxK, maxN := net.GEMMBounds()
+	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
+		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableBatch(net.MaxFilters()); err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]*yolo.Tensor, nImg)
+	for i := range inputs {
+		inputs[i] = yolo.SyntheticScene(32, int64(i+1))
+	}
+	pass := func() {
+		if _, _, err := net.ForwardBatch(inputs, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // warm the runner's staging and gather buffers
+	const passes = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	perImage := float64(after.TotalAlloc-before.TotalAlloc) / passes / nImg
+
+	var im2col int // bytes of the largest layer's K×N int16 matrix
+	c := 3
+	for i, def := range net.Defs {
+		oc, oh, ow := net.Shape(i)
+		if def.Kind == yolo.Conv {
+			im2col = max(im2col, c*def.Size*def.Size*oh*ow*2)
+		}
+		c = oc
+	}
+	if perImage >= float64(im2col) {
+		t.Errorf("batch forward allocates %.0f B per image per pass, want < %d (one im2col matrix of the largest layer)", perImage, im2col)
+	}
+	t.Logf("batch forward: %.0f B per image per pass; largest im2col matrix %d B", perImage, im2col)
 }
 
 // itoa4 renders small positive integers (the DPU-count sweep) without

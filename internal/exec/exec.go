@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"pimdnn/internal/dpu"
@@ -224,13 +225,15 @@ type Engine struct {
 
 	// Reused scratch: re-dispatch input descriptors (and the resident
 	// entries riding along with them, for retry-target invalidation),
-	// queued re-dispatch pending handles, streaming-gather buffers and
-	// queued-launch stats (RunStream).
-	insBuf  []Xfer
-	entBuf  []*ResidentEntry
-	pendBuf []host.Pending
-	raw     [2][]byte
-	lstats  host.LaunchStats
+	// queued re-dispatch pending handles, and RunStream's per-shard
+	// gather errors and free list of gather buffers (the one piece of
+	// engine state its parallel ranges share, hence the lock).
+	insBuf     []Xfer
+	entBuf     []*ResidentEntry
+	pendBuf    []host.Pending
+	gatherErrs []error
+	rawMu      sync.Mutex
+	rawFree    [][]byte
 
 	// waveStats backs LaunchStats.PerDPU for the synchronous wave loop
 	// (host.LaunchOnInto): the loop reads only scalar aggregates, so one

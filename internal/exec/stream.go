@@ -12,13 +12,11 @@ import (
 // DPU at a time (the gemm image-per-DPU batch: each DPU computes a full
 // M×N product). The engine broadcasts Pre payloads, scatters the
 // per-shard inputs, broadcasts Post payloads, launches one wave over
-// all shards, then gathers shard outputs serially — pipelined mode
-// ping-pongs two gather buffers through the command queue so shard i's
-// Deliver overlaps shard i+1's queued gather. On the first fault the
-// engine diverts to a buffered completion: intact shards are gathered
-// into a private buffer first (so re-dispatch launches can safely reuse
-// any surviving DPU), failed shards are re-run on survivors, and
-// everything is delivered in input order.
+// all shards, then gathers and delivers the intact shards — one
+// single-DPU read each, in parallel ranges over the host's worker pool
+// at sharded widths, inline below them. Only once every intact shard
+// has been delivered are the failed shards re-run on survivors, one at
+// a time, so a re-dispatch launch can safely reuse any surviving DPU.
 type StreamSet struct {
 	// Shards is the wave width: one shard per DPU, Shards <= NumDPUs.
 	Shards int
@@ -38,9 +36,11 @@ type StreamSet struct {
 	// Ins returns shard i's input transfers for a re-dispatch onto
 	// another DPU. The returned slice is read immediately.
 	Ins func(i int) []Xfer
-	// Deliver consumes shard i's raw output. The buffer is engine-owned
-	// and reused; Deliver must copy or decode before returning. Shards
-	// are always delivered in input order.
+	// Deliver consumes shard i's raw output. It is called exactly once
+	// per shard, concurrently for distinct shards and in no particular
+	// order, so it may touch only per-shard state. The buffer is
+	// engine-owned and reused; Deliver must copy or decode before
+	// returning.
 	Deliver func(i int, raw []byte)
 }
 
@@ -67,33 +67,47 @@ func (e *Engine) gatherFault(i int, failed []bool, err error) error {
 	return nil
 }
 
-// copyFromShard gathers shard i's full output, queued in pipelined mode
-// so the read stays serialized behind any in-flight commands.
-func (e *Engine) copyFromShard(ss *StreamSet, i int, dst []byte) error {
-	if e.pipe {
-		return e.sys.EnqueueCopyFrom(i, ss.OutRef, ss.OutOff, dst).Wait()
+// takeRaw returns a gather buffer of n bytes from the engine's free
+// list, and putRaw hands it back: each range of the parallel gather
+// holds one for its duration, so the list settles at one buffer per
+// pool worker and the steady state allocates nothing.
+func (e *Engine) takeRaw(n int) []byte {
+	var buf []byte
+	e.rawMu.Lock()
+	if last := len(e.rawFree) - 1; last >= 0 {
+		buf, e.rawFree = e.rawFree[last], e.rawFree[:last]
 	}
-	return e.sys.CopyFromDPURefInto(i, ss.OutRef, ss.OutOff, dst)
+	e.rawMu.Unlock()
+	return growBytes(buf, n)
+}
+
+func (e *Engine) putRaw(buf []byte) {
+	e.rawMu.Lock()
+	e.rawFree = append(e.rawFree, buf)
+	e.rawMu.Unlock()
 }
 
 // RunStream dispatches ss as one wave with streamed gather. st
-// accumulates like Run's.
+// accumulates like Run's. The stream runs outside the command queue
+// (its transfers are per-DPU and fan out over the worker pool instead);
+// a pipelined engine drains the queue first, so the stream stays
+// ordered behind everything enqueued before it.
 func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 	pre := *st
 	st.Tasklets = ss.Tasklets
-	var err error
-	if e.pipe {
-		err = e.runStreamPipelined(ss, st)
-	} else {
-		err = e.runStreamSync(ss, st)
-	}
+	err := e.runStream(ss, st)
 	if e.met != nil || e.ev != nil {
 		e.account(pre, st, err)
 	}
 	return err
 }
 
-func (e *Engine) runStreamSync(ss *StreamSet, st *Stats) error {
+func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
+	if e.pipe {
+		if err := e.sys.Sync(); err != nil {
+			return err
+		}
+	}
 	e.waveSeq++
 	seq := e.waveSeq
 	t0 := e.now()
@@ -133,196 +147,63 @@ func (e *Engine) runStreamSync(ss *StreamSet, st *Stats) error {
 	}
 	t2 := e.span("launch", seq, ss.Shards, t1)
 
-	// Stream each intact shard's output through one reused buffer; at
-	// the first failed shard, switch to the buffered completion path so
-	// re-dispatch launches cannot clobber a not-yet-gathered result.
-	e.raw[0] = growBytes(e.raw[0], ss.OutBytes)
-	raw := e.raw[0][:ss.OutBytes]
+	err := e.gatherStream(ss, failed, st)
+	e.span("gather", seq, ss.Shards, t2)
+	return err
+}
+
+// gatherStream reads and delivers every intact shard, then re-runs the
+// failed ones. The reads are the same single-DPU CopyFromDPURefInto
+// whatever the fan-out, and what each charges (one transfer, its bytes,
+// latency plus bytes over bandwidth) is added to integer counters under
+// the System's lock, so the simulated transfer clock does not depend on
+// the order the shards are read in; fault draws are per-DPU streams and
+// do not either. Gather faults are only recorded in the parallel phase
+// and folded into failed/markDown serially, in index order, afterwards.
+func (e *Engine) gatherStream(ss *StreamSet, failed []bool, st *Stats) error {
+	if cap(e.gatherErrs) < ss.Shards {
+		e.gatherErrs = make([]error, ss.Shards)
+	}
+	errs := e.gatherErrs[:ss.Shards]
+	e.sys.ParallelFor(ss.Shards, func(lo, hi int) {
+		raw := e.takeRaw(ss.OutBytes)
+		for i := lo; i < hi; i++ {
+			var err error
+			if !failed[i] {
+				if err = e.sys.CopyFromDPURefInto(i, ss.OutRef, ss.OutOff, raw); err == nil {
+					ss.Deliver(i, raw)
+				}
+			}
+			errs[i] = err
+		}
+		e.putRaw(raw)
+	})
+	retry := false
+	for i, err := range errs {
+		if err != nil {
+			if ferr := e.gatherFault(i, failed, err); ferr != nil {
+				return ferr
+			}
+		}
+		retry = retry || failed[i]
+	}
+	if !retry {
+		return nil
+	}
+	raw := e.takeRaw(ss.OutBytes)
+	defer e.putRaw(raw)
 	for i := 0; i < ss.Shards; i++ {
 		if !failed[i] {
-			err := e.sys.CopyFromDPURefInto(i, ss.OutRef, ss.OutOff, raw)
-			if err == nil {
-				ss.Deliver(i, raw)
-				continue
-			}
-			if ferr := e.gatherFault(i, failed, err); ferr != nil {
-				return ferr
-			}
-		}
-		err := e.finishStreamBuffered(ss, i, failed, st)
-		e.span("gather", seq, ss.Shards, t2)
-		return err
-	}
-	e.span("gather", seq, ss.Shards, t2)
-	return nil
-}
-
-// runStreamPipelined queues Pre → scatter → Post → launch, then
-// ping-pongs two raw gather buffers so shard i's Deliver overlaps shard
-// i+1's queued gather. Faults divert to the buffered completion path; a
-// fault-free run streams without ever blocking the queue.
-func (e *Engine) runStreamPipelined(ss *StreamSet, st *Stats) error {
-	sys := e.sys
-	e.waveSeq++
-	seq := e.waveSeq
-	t0 := e.now()
-	// Resident broadcasts deliver (or skip) through the cache's
-	// generation stamps up front; their queued ops serialize like any
-	// other command, so ordering against the scatter below holds.
-	pPre := make([]host.Pending, len(ss.Pre))
-	for i, b := range ss.Pre {
-		if b.Resident != nil {
-			if err := e.broadcastResident(b); err != nil {
-				sys.Sync()
-				return err
-			}
 			continue
 		}
-		pPre[i] = sys.EnqueueCopyTo(b.Ref, b.Off, b.Data)
-	}
-	pSc := make([]host.Pending, len(ss.Scatter))
-	for i, s := range ss.Scatter {
-		pSc[i] = sys.EnqueuePushXfer(s.Ref, s.Off, s.Bufs)
-	}
-	pPost := make([]host.Pending, len(ss.Post))
-	for i, b := range ss.Post {
-		if b.Resident != nil {
-			if err := e.broadcastResident(b); err != nil {
-				sys.Sync()
-				return err
-			}
-			continue
-		}
-		pPost[i] = sys.EnqueueCopyTo(b.Ref, b.Off, b.Data)
-	}
-	// Claim the broadcast handles before the launch joins the queue: a
-	// DPU the redelivery cannot reach must be marked down — its shard
-	// re-dispatched — rather than compute on stale data.
-	for i, b := range ss.Pre {
-		if b.Resident != nil {
-			continue
-		}
-		if err := e.finishBroadcast(pPre[i].Wait(), b); err != nil {
-			sys.Sync()
+		// A StreamSet's per-shard inputs never overlap a resident region
+		// (resident payloads are the wave-invariant Pre/Post broadcasts,
+		// delivered to every live DPU), so there are no entries to
+		// invalidate on the retry target.
+		if err := e.redispatch(i, ss.Ins(i), nil, Xfer{Ref: ss.OutRef, Off: ss.OutOff, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
 			return err
 		}
-	}
-	failed := e.seedFailed(ss.Shards)
-	for _, p := range pSc {
-		if err := e.mergeFailed(failed, p.Wait()); err != nil {
-			sys.Sync()
-			return err
-		}
-	}
-	for i, b := range ss.Post {
-		if b.Resident != nil {
-			continue
-		}
-		if err := e.finishBroadcast(pPost[i].Wait(), b); err != nil {
-			sys.Sync()
-			return err
-		}
-	}
-	e.reseedDown(failed)
-	t1 := e.span("scatter", seq, ss.Shards, t0)
-
-	pL := sys.EnqueueLaunch(ss.Shards, ss.Tasklets, ss.Kernel, &e.lstats)
-	if err := e.mergeFailed(failed, pL.Wait()); err != nil {
-		sys.Sync()
-		return err
-	}
-	st.Waves++
-	st.Cycles += e.lstats.Cycles
-	st.Seconds += e.lstats.Seconds
-	if ss.Shards > st.DPUsUsed {
-		st.DPUsUsed = ss.Shards
-	}
-	if e.tsp != nil {
-		e.tspLS, e.tspLSOK = e.lstats, true
-	}
-	t2 := e.span("launch", seq, ss.Shards, t1)
-
-	for i := range failed {
-		if failed[i] {
-			err := e.finishStreamBuffered(ss, 0, failed, st)
-			e.span("gather", seq, ss.Shards, t2)
-			return err
-		}
-	}
-
-	e.raw[0] = growBytes(e.raw[0], ss.OutBytes)
-	e.raw[1] = growBytes(e.raw[1], ss.OutBytes)
-	var pend [2]host.Pending
-	for i := 0; i < ss.Shards; i++ {
-		pend[i&1] = sys.EnqueueCopyFrom(i, ss.OutRef, ss.OutOff, e.raw[i&1][:ss.OutBytes])
-		if i > 0 {
-			if err := pend[(i-1)&1].Wait(); err != nil {
-				if ferr := e.gatherFault(i-1, failed, err); ferr != nil {
-					sys.Sync()
-					return ferr
-				}
-				// Claim the in-flight gather for shard i as well, then
-				// finish shards [i-1, Shards) through the buffered path.
-				if gerr := pend[i&1].Wait(); gerr != nil {
-					if ferr := e.gatherFault(i, failed, gerr); ferr != nil {
-						sys.Sync()
-						return ferr
-					}
-				}
-				err := e.finishStreamBuffered(ss, i-1, failed, st)
-				e.span("gather", seq, ss.Shards, t2)
-				return err
-			}
-			ss.Deliver(i-1, e.raw[(i-1)&1][:ss.OutBytes])
-		}
-	}
-	last := ss.Shards - 1
-	if err := pend[last&1].Wait(); err != nil {
-		if ferr := e.gatherFault(last, failed, err); ferr != nil {
-			sys.Sync()
-			return ferr
-		}
-		err := e.finishStreamBuffered(ss, last, failed, st)
-		e.span("gather", seq, ss.Shards, t2)
-		return err
-	}
-	ss.Deliver(last, e.raw[last&1][:ss.OutBytes])
-	e.span("gather", seq, ss.Shards, t2)
-	return nil
-}
-
-// finishStreamBuffered completes shards [from, Shards) after a fault
-// broke the streaming gather. The intact shards are gathered into a
-// private buffer FIRST, so the re-dispatch launches that follow can
-// safely reuse any surviving DPU — including one whose own shard had
-// not been delivered yet — then the failed shards are re-run on
-// survivors, and finally everything is delivered in order.
-func (e *Engine) finishStreamBuffered(ss *StreamSet, from int, failed []bool, st *Stats) error {
-	rawFull := make([]byte, (ss.Shards-from)*ss.OutBytes)
-	slot := func(i int) []byte { return rawFull[(i-from)*ss.OutBytes : (i-from+1)*ss.OutBytes] }
-	for i := from; i < ss.Shards; i++ {
-		if failed[i] {
-			continue
-		}
-		if err := e.copyFromShard(ss, i, slot(i)); err != nil {
-			if ferr := e.gatherFault(i, failed, err); ferr != nil {
-				return ferr
-			}
-		}
-	}
-	for i := from; i < ss.Shards; i++ {
-		if failed[i] {
-			// A StreamSet's per-shard inputs never overlap a resident
-			// region (resident payloads are the wave-invariant Pre/Post
-			// broadcasts, delivered to every live DPU), so there are no
-			// entries to invalidate on the retry target.
-			if err := e.redispatch(i, ss.Ins(i), nil, Xfer{Ref: ss.OutRef, Off: ss.OutOff, Data: slot(i)}, ss.Tasklets, ss.Kernel, st); err != nil {
-				return err
-			}
-		}
-	}
-	for i := from; i < ss.Shards; i++ {
-		ss.Deliver(i, slot(i))
+		ss.Deliver(i, raw)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"pimdnn/internal/exec"
 	"pimdnn/internal/fixed"
 	"pimdnn/internal/host"
+	"pimdnn/internal/tensor"
 )
 
 // Image-per-DPU mapping — the thesis's future-work alternative (§6.1):
@@ -320,12 +321,33 @@ func (r *Runner) MultiplyBatch(m, n, k int, alpha int16, a []int16, bs [][]int16
 }
 
 // MultiplyBatchEach is MultiplyBatch delivering each image's freshly
-// allocated product through each(i, c) as soon as it is decoded. In
-// pipelined mode each(i) runs while image i+1's gather is still in
-// flight, so per-image post-processing (bias/activation in the YOLO
-// batch path) overlaps the remaining transfers. Images are delivered in
-// order.
+// allocated product through each(i, c) as soon as it is decoded. each
+// is called exactly once per image, on the host's worker pool:
+// concurrently for distinct images and in no particular order, so
+// per-image post-processing (bias/activation in the YOLO batch path)
+// runs on every host core. It may touch only image i's state.
 func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]int16, each func(i int, c []int16)) (Stats, error) {
+	for i, b := range bs {
+		if len(b) != k*n {
+			return Stats{}, fmt.Errorf("gemm: B[%d] has %d elements, want %d", i, len(b), k*n)
+		}
+	}
+	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i int, dst []byte, stride int) {
+		for kk := 0; kk < k; kk++ {
+			tensor.PackLE(dst[kk*stride*2:], bs[i][kk*n:kk*n+n])
+		}
+	}, each)
+}
+
+// MultiplyBatchFill is MultiplyBatchEach with the B operands produced in
+// place instead of passed in: fill(i, dst, stride) writes image i's K×N
+// matrix straight into the scatter staging buffer, as little-endian
+// int16 with row kk starting at byte kk*stride*2 (stride >= n elements;
+// the runner zeroes the padding columns). A producer that computes B —
+// the YOLO batch path's im2col — thereby skips the intermediate K×N
+// int16 matrix per image. fill runs under the same contract as each:
+// once per image, concurrently for distinct images, in no order.
+func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i int, dst []byte, stride int), each func(i int, c []int16)) (Stats, error) {
 	var st Stats
 	if r.maxM == 0 {
 		return st, fmt.Errorf("gemm: batch mode not enabled (call EnableBatch)")
@@ -333,20 +355,15 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 	if m > r.maxM {
 		return st, fmt.Errorf("gemm: M=%d exceeds batch bound %d", m, r.maxM)
 	}
-	if len(bs) < 1 || len(bs) > r.sys.NumDPUs() {
-		return st, fmt.Errorf("gemm: batch of %d images for %d DPUs", len(bs), r.sys.NumDPUs())
+	if images < 1 || images > r.sys.NumDPUs() {
+		return st, fmt.Errorf("gemm: batch of %d images for %d DPUs", images, r.sys.NumDPUs())
 	}
-	if err := checkDims(m, n, k, a, bs[0]); err != nil {
+	if err := checkA(m, n, k, a); err != nil {
 		return st, err
 	}
 	if k > r.cfg.MaxK || n > r.cfg.MaxN {
 		return st, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
 			k, n, r.cfg.MaxK, r.cfg.MaxN)
-	}
-	for i, b := range bs {
-		if len(b) != k*n {
-			return st, fmt.Errorf("gemm: B[%d] has %d elements, want %d", i, len(b), k*n)
-		}
 	}
 
 	if parent := r.eng.TraceSpan(); parent != nil {
@@ -354,7 +371,7 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 		bsp.SetAttr("m", int64(m))
 		bsp.SetAttr("n", int64(n))
 		bsp.SetAttr("k", int64(k))
-		bsp.SetAttr("images", int64(len(bs)))
+		bsp.SetAttr("images", int64(images))
 		r.eng.SetTraceSpan(bsp)
 		defer func() {
 			r.eng.SetTraceSpan(parent)
@@ -363,8 +380,7 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 	}
 
 	// Encode the weight matrix A at the padded row stride the kernel
-	// stages from. The engine broadcasts it ahead of the image scatter
-	// (queued in pipelined mode, so the scatter overlaps it).
+	// stages from. The engine broadcasts it ahead of the image scatter.
 	aRowBytes := (k*2 + 7) &^ 7
 	r.aFullStage = growBytes(r.aFullStage, m*aRowBytes)
 	aBytes := r.aFullStage
@@ -385,29 +401,29 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 	if len(r.batchBufs) != nd {
 		r.batchBufs = make([][]byte, nd)
 	}
-	r.batchStage = growBytes(r.batchStage, len(bs)*imgBytes)
+	r.batchStage = growBytes(r.batchStage, images*imgBytes)
 	r.emptyB = growBytes(r.emptyB, imgBytes)
 	for bb := range r.emptyB {
 		r.emptyB[bb] = 0
 	}
 	bufs := r.batchBufs
 	for i := range bufs {
-		if i < len(bs) {
-			buf := r.batchStage[i*imgBytes : (i+1)*imgBytes]
-			for kk := 0; kk < k; kk++ {
-				row := buf[kk*stride*2 : (kk*stride+stride)*2]
-				for j := 0; j < n; j++ {
-					binary.LittleEndian.PutUint16(row[j*2:], uint16(bs[i][kk*n+j]))
-				}
-				for j := n; j < stride; j++ {
-					binary.LittleEndian.PutUint16(row[j*2:], 0)
-				}
-			}
-			bufs[i] = buf
+		if i < images {
+			bufs[i] = r.batchStage[i*imgBytes : (i+1)*imgBytes]
 		} else {
 			bufs[i] = r.emptyB
 		}
 	}
+	r.sys.ParallelFor(images, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fill(i, bufs[i], stride)
+			if stride > n {
+				for kk := 0; kk < k; kk++ {
+					clear(bufs[i][(kk*stride+n)*2 : (kk+1)*stride*2])
+				}
+			}
+		}
+	})
 	// An armed SetWeightLayer makes the whole weight matrix resident:
 	// the broadcast below is skipped for every DPU whose arena copy is
 	// current, and the kernel stages A rows from the arena slot.
@@ -441,7 +457,7 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 	}
 	if r.planner != nil {
 		psp := r.eng.TraceSpan().StartChild("plan")
-		mp := r.planner.GEMMBatch(m, n, k, len(bs), r.planOpts(true))
+		mp := r.planner.GEMMBatch(m, n, k, images, r.planOpts(true))
 		tasklets = mp.Tasklets
 		r.lastPlan, r.hasPlan = mp, true
 		psp.SetAttr("tasklets", int64(mp.Tasklets))
@@ -451,10 +467,10 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 
 	// Dispatch through the execution engine's streamed single-wave path:
 	// A broadcast → image scatter → params broadcast → launch → per-DPU
-	// streaming gather, with pipelining and retry-and-remap owned by the
-	// engine (internal/exec).
+	// gather and decode fanned out over the worker pool, with
+	// retry-and-remap owned by the engine (internal/exec).
 	ss := exec.StreamSet{
-		Shards:   len(bs),
+		Shards:   images,
 		Tasklets: tasklets,
 		Kernel:   r.batchKernel,
 		Pre:      []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},

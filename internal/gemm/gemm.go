@@ -62,12 +62,19 @@ func ReferenceFloat(m, n, k int, alpha float64, a, b []float64) ([]float64, erro
 	return c, nil
 }
 
-func checkDims(m, n, k int, a, b []int16) error {
+func checkA(m, n, k int, a []int16) error {
 	if m < 1 || n < 1 || k < 1 {
 		return fmt.Errorf("gemm: non-positive dims M=%d N=%d K=%d", m, n, k)
 	}
 	if len(a) != m*k {
 		return fmt.Errorf("gemm: A has %d elements, want M*K=%d", len(a), m*k)
+	}
+	return nil
+}
+
+func checkDims(m, n, k int, a, b []int16) error {
+	if err := checkA(m, n, k, a); err != nil {
+		return err
 	}
 	if len(b) != k*n {
 		return fmt.Errorf("gemm: B has %d elements, want K*N=%d", len(b), k*n)

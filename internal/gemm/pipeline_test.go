@@ -66,49 +66,6 @@ func TestMultiplyNaivePipelinedMatchesSync(t *testing.T) {
 	runModes(t, true, dpu.O0, 9, 24, 16)
 }
 
-func TestMultiplyBatchPipelinedMatchesSync(t *testing.T) {
-	const m, n, k = 6, 20, 12
-	a, _ := pipelineProblem(m, 1, k)
-	bs := make([][]int16, 3)
-	for i := range bs {
-		bs[i] = make([]int16, k*n)
-		for j := range bs[i] {
-			bs[i][j] = int16((i*31+j)%11 - 5)
-		}
-	}
-	run := func(mode host.PipelineMode) ([][]int16, Stats) {
-		sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.EnableBatch(m); err != nil {
-			t.Fatal(err)
-		}
-		cs, st, err := r.MultiplyBatch(m, n, k, 2, a, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs, st
-	}
-	csSync, stSync := run(host.PipelineOff)
-	csPipe, stPipe := run(host.PipelineOn)
-	for i := range csSync {
-		for j := range csSync[i] {
-			if csSync[i][j] != csPipe[i][j] {
-				t.Fatalf("image %d element %d: sync %d, pipelined %d", i, j, csSync[i][j], csPipe[i][j])
-			}
-		}
-	}
-	if stSync != stPipe {
-		t.Errorf("stats diverge: sync %+v, pipelined %+v", stSync, stPipe)
-	}
-}
-
 // A multi-call sequence on one pipelined runner: later calls must not
 // observe stale queue state from earlier ones.
 func TestMultiplyPipelinedRepeatedCalls(t *testing.T) {

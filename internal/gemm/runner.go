@@ -11,6 +11,7 @@ import (
 	"pimdnn/internal/fixed"
 	"pimdnn/internal/host"
 	"pimdnn/internal/plan"
+	"pimdnn/internal/tensor"
 	"pimdnn/internal/trace"
 )
 
@@ -997,19 +998,8 @@ func (r *Runner) stageB(n, k int, b []int16) []byte {
 	buf := r.bStage[:need]
 	for kk := 0; kk < k; kk++ {
 		row := buf[kk*stride*2 : (kk*stride+stride)*2]
-		src := b[kk*n : kk*n+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			v := uint64(uint16(src[j])) | uint64(uint16(src[j+1]))<<16 |
-				uint64(uint16(src[j+2]))<<32 | uint64(uint16(src[j+3]))<<48
-			binary.LittleEndian.PutUint64(row[j*2:], v)
-		}
-		for ; j < n; j++ {
-			binary.LittleEndian.PutUint16(row[j*2:], uint16(src[j]))
-		}
-		for j = n; j < stride; j++ {
-			binary.LittleEndian.PutUint16(row[j*2:], 0)
-		}
+		tensor.PackLE(row, b[kk*n:kk*n+n])
+		clear(row[n*2:])
 	}
 	return buf
 }

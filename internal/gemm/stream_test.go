@@ -1,0 +1,129 @@
+package gemm
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
+	"pimdnn/internal/host"
+)
+
+// batchOutcome is everything a batch run may be observed by.
+type batchOutcome struct {
+	Stats     [2]Stats
+	DPUCycles []uint64
+	Xfer      host.XferStats
+}
+
+// TestBatchInvariance is internal/exec's TestStreamInvariance at the
+// gemm level: MultiplyBatch with one image per DPU of a sharded-width
+// (64-DPU) system, twice per runner so the second call is the warm one,
+// with the weight matrix re-broadcast or MRAM-resident, in both
+// dispatch modes, clean, with a quarter of the DPUs dying at the first
+// launch, and with transient transfer faults — at GOMAXPROCS 1, 2 and
+// 4. Every product must equal the host reference, and Stats, per-DPU
+// cycles and all of TransferStats must equal the GOMAXPROCS=1 row,
+// where staging, gather and decode run inline on the caller.
+func TestBatchInvariance(t *testing.T) {
+	const m, n, k = 4, 22, 10 // n is not a multiple of 4: padded row stride
+	const nImg = 64
+	a := make([]int16, m*k)
+	for i := range a {
+		a[i] = int16(i%11 - 5)
+	}
+	bs := make([][]int16, nImg)
+	want := make([][]int16, nImg)
+	for img := range bs {
+		bs[img] = make([]int16, k*n)
+		for i := range bs[img] {
+			bs[img][i] = int16((i+img*7)%9 - 4)
+		}
+		var err error
+		if want[img], err = Reference(m, n, k, 2, a, bs[img]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(t *testing.T, procs int, resident bool, mode host.PipelineMode, plan *dpu.FaultPlan) batchOutcome {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 8, Exec: exec.Config{Pipeline: mode}}
+		var r *Runner
+		if resident {
+			r, _, _ = newResidentRunner(t, nImg, host.Topology{}, cfg, 4096, "m")
+			if err := r.EnableBatch(m); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			r = newBatchRunner(t, nImg, m, cfg)
+			t.Cleanup(r.sys.Close)
+		}
+		if plan != nil {
+			r.sys.InjectFaults(*plan)
+		}
+		var o batchOutcome
+		for call := range o.Stats {
+			if resident {
+				r.SetWeightLayer(0)
+			}
+			got, st, err := r.MultiplyBatch(m, n, k, 2, a, bs)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d call %d: %v", procs, call, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS=%d call %d: products differ from the host reference", procs, call)
+			}
+			o.Stats[call] = st
+		}
+		o.Xfer = r.sys.TransferStats()
+		o.DPUCycles = make([]uint64, nImg)
+		for i := range o.DPUCycles {
+			o.DPUCycles[i] = r.sys.DPU(i).TotalCycles()
+		}
+		return o
+	}
+	// A clean pipelined run must also account exactly like the clean
+	// synchronous one: the stream runs the same loop behind a queue
+	// barrier.
+	cleanSync := map[bool]batchOutcome{}
+	for _, res := range []struct {
+		name     string
+		resident bool
+	}{{"rebroadcast", false}, {"resident", true}} {
+		for _, md := range []struct {
+			name string
+			mode host.PipelineMode
+		}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
+			for _, fc := range []struct {
+				name string
+				plan *dpu.FaultPlan
+			}{
+				{"clean", nil},
+				{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}},
+				{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.05}},
+			} {
+				t.Run(res.name+"/"+md.name+"/"+fc.name, func(t *testing.T) {
+					base := run(t, 1, res.resident, md.mode, fc.plan)
+					if retried := base.Stats[0].Retries > 0; retried != (fc.plan != nil) {
+						t.Errorf("first call retries = %d under plan %v", base.Stats[0].Retries, fc.plan)
+					}
+					if fc.plan == nil {
+						if md.mode == host.PipelineOff {
+							cleanSync[res.resident] = base
+						} else if !reflect.DeepEqual(base, cleanSync[res.resident]) {
+							t.Errorf("pipelined diverges from sync:\n got %+v %+v\nwant %+v %+v",
+								base.Stats, base.Xfer, cleanSync[res.resident].Stats, cleanSync[res.resident].Xfer)
+						}
+					}
+					for _, procs := range []int{2, 4} {
+						if got := run(t, procs, res.resident, md.mode, fc.plan); !reflect.DeepEqual(got, base) {
+							t.Errorf("GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n got %+v %+v\nwant %+v %+v",
+								procs, got.Stats, got.Xfer, base.Stats, base.Xfer)
+						}
+					}
+				})
+			}
+		}
+	}
+}

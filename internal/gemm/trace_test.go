@@ -4,14 +4,17 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
 // runWithTracing runs one multi-wave Multiply on a fresh system,
 // optionally with a request span installed on the runner, and returns
-// the product, stats, and the completed trace (nil when untraced).
-func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan) ([]int16, Stats, *trace.Trace) {
+// the product, stats, and the completed trace (nil when untraced). The
+// dispatch mode is the caller's: PipelineAuto follows the host's core
+// count, so only mode-agnostic assertions may use it.
+func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan, mode host.PipelineMode) ([]int16, Stats, *trace.Trace) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
 	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
@@ -21,7 +24,8 @@ func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan) ([]int16, St
 	if plan != nil {
 		sys.InjectFaults(*plan)
 	}
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
+	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16,
+		Exec: exec.Config{Pipeline: mode}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +62,8 @@ func TestTracingBitIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cOff, stOff, _ := runWithTracing(t, false, tc.plan)
-			cOn, stOn, tr := runWithTracing(t, true, tc.plan)
+			cOff, stOff, _ := runWithTracing(t, false, tc.plan, host.PipelineAuto)
+			cOn, stOn, tr := runWithTracing(t, true, tc.plan, host.PipelineAuto)
 			if len(cOff) != len(cOn) {
 				t.Fatalf("output lengths differ: %d vs %d", len(cOff), len(cOn))
 			}
@@ -78,51 +82,70 @@ func TestTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTracingSpanTree checks the shape a traced Multiply records:
-// a gemm.multiply child under the request root, engine wave phases
-// under it, and per-DPU kernel spans with cycle attributes.
+// TestTracingSpanTree checks the shape a traced Multiply records in
+// each dispatch mode: a gemm.multiply child under the request root, the
+// engine's wave phases under it — discrete scatter/launch/gather spans
+// synchronously, one fused wave span over a queued q.wave command when
+// pipelined — and per-DPU kernel spans with cycle attributes. The mode
+// is pinned per row, so the shape does not depend on the host's cores.
 func TestTracingSpanTree(t *testing.T) {
-	_, st, tr := runWithTracing(t, true, nil)
-	spans := tr.Spans()
-	count := map[string]int{}
-	var kernelCycles int64
-	for _, n := range spans {
-		count[n.Name]++
-		if n.Name == "dpu_kernel" {
-			for _, a := range n.Attrs {
-				if a.Key == "cycles" {
-					kernelCycles += a.Val
+	for _, tc := range []struct {
+		name         string
+		mode         host.PipelineMode
+		want, absent []string
+	}{
+		{"sync", host.PipelineOff, []string{"scatter", "launch", "gather"}, []string{"wave", "q.wave"}},
+		{"pipelined", host.PipelineOn, []string{"wave", "q.wave"}, []string{"scatter", "launch", "gather"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, st, tr := runWithTracing(t, true, nil, tc.mode)
+			spans := tr.Spans()
+			count := map[string]int{}
+			var kernelCycles int64
+			for _, n := range spans {
+				count[n.Name]++
+				if n.Name == "dpu_kernel" {
+					for _, a := range n.Attrs {
+						if a.Key == "cycles" {
+							kernelCycles += a.Val
+						}
+					}
 				}
 			}
-		}
-	}
-	if count["gemm.multiply"] != 1 {
-		t.Errorf("gemm.multiply spans = %d, want 1 (have %v)", count["gemm.multiply"], count)
-	}
-	if count["launch"] == 0 && count["wave"] == 0 {
-		t.Errorf("no launch/wave spans recorded: %v", count)
-	}
-	if count["scatter"] == 0 {
-		t.Errorf("no scatter spans recorded: %v", count)
-	}
-	if count["dpu_kernel"] == 0 {
-		t.Errorf("no per-DPU kernel spans recorded: %v", count)
-	}
-	// Stats.Cycles is the simulated wall clock (max per wave); kernel
-	// spans sum cycles across all 8 DPUs, so the total lands between the
-	// wall clock and 8x it.
-	if uint64(kernelCycles) < st.Cycles || uint64(kernelCycles) > st.Cycles*8 {
-		t.Errorf("kernel span cycles %d implausible vs stats cycles %d", kernelCycles, st.Cycles)
-	}
-	// Structural integrity: every span's parent exists (or is the root's 0).
-	ids := map[trace.SpanID]bool{}
-	for _, n := range spans {
-		ids[n.ID] = true
-	}
-	for _, n := range spans {
-		if n.Parent != 0 && !ids[n.Parent] {
-			t.Errorf("span %q (id %d) has dangling parent %d", n.Name, n.ID, n.Parent)
-		}
+			if count["gemm.multiply"] != 1 {
+				t.Errorf("gemm.multiply spans = %d, want 1 (have %v)", count["gemm.multiply"], count)
+			}
+			for _, name := range tc.want {
+				if count[name] != st.Waves {
+					t.Errorf("%s spans = %d, want one per wave (%d): %v", name, count[name], st.Waves, count)
+				}
+			}
+			for _, name := range tc.absent {
+				if count[name] != 0 {
+					t.Errorf("%d %s spans recorded in %s mode: %v", count[name], name, tc.name, count)
+				}
+			}
+			if count["dpu_kernel"] == 0 {
+				t.Errorf("no per-DPU kernel spans recorded: %v", count)
+			}
+			// Stats.Cycles is the simulated wall clock (max per wave); kernel
+			// spans sum cycles across all 8 DPUs, so the total lands between
+			// the wall clock and 8x it.
+			if uint64(kernelCycles) < st.Cycles || uint64(kernelCycles) > st.Cycles*8 {
+				t.Errorf("kernel span cycles %d implausible vs stats cycles %d", kernelCycles, st.Cycles)
+			}
+			// Structural integrity: every span's parent exists (or is the
+			// root's 0).
+			ids := map[trace.SpanID]bool{}
+			for _, n := range spans {
+				ids[n.ID] = true
+			}
+			for _, n := range spans {
+				if n.Parent != 0 && !ids[n.Parent] {
+					t.Errorf("span %q (id %d) has dangling parent %d", n.Name, n.ID, n.Parent)
+				}
+			}
+		})
 	}
 }
 

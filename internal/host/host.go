@@ -166,7 +166,7 @@ func NewSystem(n int, cfg Config) (*System, error) {
 		cfg:     cfg,
 		dpus:    dpus,
 		prof:    prof,
-		pool:    newWorkerPool(),
+		pool:    newWorkerPool(runtime.GOMAXPROCS(0)),
 		perRank: perRank,
 		ranks:   ranks,
 		symbols: make(map[string]dpu.Symbol),
@@ -343,6 +343,27 @@ func (s *System) shardErrs(n int, errs []error, fn func(i int) error) {
 			errs[i] = fn(i)
 		}
 	})
+}
+
+// ParallelFor runs fn over [0, n) in contiguous, rank-aligned ranges on
+// the system's worker pool and returns when every range has finished —
+// the fan-out the sharded transfers and launches use, for host-side
+// per-DPU work that sits between them (staging a shard's input,
+// gathering and decoding its output). Below the sharding threshold, and
+// on a single worker, it is the plain call fn(0, n) on the caller's
+// goroutine. fn must be safe for concurrent invocation on disjoint
+// ranges. It may use the pool itself — a nested ParallelFor, single-DPU
+// transfers from any range, multi-DPU transfers from one range at a
+// time (those share the System's per-DPU error scratch).
+func (s *System) ParallelFor(n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if !s.sharded(n) {
+		fn(0, n)
+		return
+	}
+	s.pool.runAligned(n, s.perRank, fn)
 }
 
 // xferErrSlice returns the reusable transfer error slice, cleared, with

@@ -1,8 +1,8 @@
 package host
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pimdnn/internal/metrics"
 )
@@ -17,10 +17,10 @@ const parallelThreshold = 32
 // workerPool is a persistent set of worker goroutines sized to
 // GOMAXPROCS. It replaces the previous goroutine-per-DPU launch spawn
 // (up to 2,560 goroutines re-created per conv layer) with long-lived
-// workers that pull sharded index ranges off a channel.
+// workers that claim sharded index ranges of the runs posted to them.
 type workerPool struct {
 	workers int
-	jobs    chan poolJob
+	jobs    chan *poolRun
 
 	// shards, when non-nil, observes the shard count of every run — the
 	// pool-utilization histogram (System.EnableMetrics wires it before
@@ -30,28 +30,52 @@ type workerPool struct {
 	closeOnce sync.Once
 }
 
-type poolJob struct {
-	fn     func(lo, hi int)
-	lo, hi int
-	wg     *sync.WaitGroup
+// poolRun is one run's shared descriptor. Shards are not handed out as
+// separate channel messages but claimed by index from next, by the
+// workers that pulled the run off the channel and by the caller itself:
+// the caller keeps claiming until no shard is left and then waits only
+// for shards that are already executing on another goroutine. A range
+// function may therefore itself call into the pool (a sharded transfer
+// or a nested ParallelFor issued from user code running on a worker)
+// without every worker ending up parked behind work nobody will start.
+type poolRun struct {
+	fn             func(lo, hi int)
+	n, per, shards int
+	next           atomic.Int32
+	wg             sync.WaitGroup
 }
 
-func newWorkerPool() *workerPool {
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
+// help claims and executes shards until none is left.
+func (r *poolRun) help() {
+	for {
+		s := int(r.next.Add(1)) - 1
+		if s >= r.shards {
+			return
+		}
+		lo := s * r.per
+		hi := lo + r.per
+		if hi > r.n {
+			hi = r.n
+		}
+		// Ceil division can leave the last shards empty.
+		if lo < hi {
+			r.fn(lo, hi)
+		}
+		r.wg.Done()
 	}
-	p := &workerPool{workers: w, jobs: make(chan poolJob, w)}
-	for i := 0; i < w; i++ {
+}
+
+func newWorkerPool(workers int) *workerPool {
+	p := &workerPool{workers: workers, jobs: make(chan *poolRun, workers)}
+	for i := 0; i < workers; i++ {
 		go p.worker()
 	}
 	return p
 }
 
 func (p *workerPool) worker() {
-	for j := range p.jobs {
-		j.fn(j.lo, j.hi)
-		j.wg.Done()
+	for r := range p.jobs {
+		r.help()
 	}
 }
 
@@ -63,9 +87,8 @@ func (p *workerPool) close() {
 }
 
 // run partitions [0, n) into contiguous shards and executes fn over them
-// on the workers, blocking until all shards finish. The caller executes
-// the first shard inline so a fully-busy pool cannot stall progress. fn
-// must be safe for concurrent invocation on disjoint ranges.
+// on the workers, blocking until all shards finish. fn must be safe for
+// concurrent invocation on disjoint ranges.
 func (p *workerPool) run(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -74,39 +97,18 @@ func (p *workerPool) run(n int, fn func(lo, hi int)) {
 	if shards > n {
 		shards = n
 	}
-	p.shards.Observe(uint64(shards))
-	if shards <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(shards - 1)
 	// Ceil division keeps shard sizes within one element of each other.
-	per := (n + shards - 1) / shards
-	for s := 1; s < shards; s++ {
-		lo := s * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		if lo >= n {
-			wg.Done()
-			continue
-		}
-		p.jobs <- poolJob{fn: fn, lo: lo, hi: hi, wg: &wg}
-	}
-	fn(0, per)
-	wg.Wait()
+	p.dispatch(n, (n+shards-1)/shards, shards, fn)
 }
 
 // runAligned is run with shard boundaries rounded up to a multiple of
 // align, so one shard never straddles an alignment group. The host
 // transfer and wave paths pass the rank width: the fan-out is then
-// rank-first (whole ranks per worker, DPUs within the rank inside one
+// rank-first (whole ranks per shard, DPUs within the rank inside one
 // shard), which keeps a rank's DPUs — whose simulated memory pages sit
-// together — on one worker's cache, and means a worker's shard
-// corresponds to whole rank channels of the modeled transfer. align <= 1
-// (or a single alignment group) degenerates to run.
+// together — on one worker's cache, and means a shard corresponds to
+// whole rank channels of the modeled transfer. align <= 1 (or a single
+// alignment group) degenerates to run.
 func (p *workerPool) runAligned(n, align int, fn func(lo, hi int)) {
 	if align <= 1 || n <= align {
 		p.run(n, fn)
@@ -117,32 +119,29 @@ func (p *workerPool) runAligned(n, align int, fn func(lo, hi int)) {
 	if shards > groups {
 		shards = groups
 	}
+	// Ceil division over whole groups: shard sizes stay within one
+	// group of each other and every boundary is a multiple of align.
+	p.dispatch(n, (groups+shards-1)/shards*align, shards, fn)
+}
+
+// dispatch executes fn over the shards [s*per, (s+1)*per) ∩ [0, n). One
+// token per extra shard wakes a worker; a token that cannot be queued
+// (every worker already has one waiting) is dropped, because the caller
+// covers whatever the workers do not claim.
+func (p *workerPool) dispatch(n, per, shards int, fn func(lo, hi int)) {
 	p.shards.Observe(uint64(shards))
 	if shards <= 1 {
 		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(shards - 1)
-	// Ceil division over whole groups: shard sizes stay within one
-	// group of each other and every boundary is a multiple of align.
-	per := (groups + shards - 1) / shards * align
+	r := &poolRun{fn: fn, n: n, per: per, shards: shards}
+	r.wg.Add(shards)
 	for s := 1; s < shards; s++ {
-		lo := s * per
-		hi := lo + per
-		if hi > n {
-			hi = n
+		select {
+		case p.jobs <- r:
+		default:
 		}
-		if lo >= n {
-			wg.Done()
-			continue
-		}
-		p.jobs <- poolJob{fn: fn, lo: lo, hi: hi, wg: &wg}
 	}
-	hi0 := per
-	if hi0 > n {
-		hi0 = n
-	}
-	fn(0, hi0)
-	wg.Wait()
+	r.help()
+	r.wg.Wait()
 }

@@ -166,10 +166,7 @@ func TestRankParallelTransferCharge(t *testing.T) {
 // several workers and checks every shard boundary is rank-aligned and
 // the shards tile [0, n) exactly.
 func TestRunAlignedBoundaries(t *testing.T) {
-	p := &workerPool{workers: 4, jobs: make(chan poolJob, 4)}
-	for i := 0; i < p.workers; i++ {
-		go p.worker()
-	}
+	p := newWorkerPool(4)
 	defer p.close()
 
 	for _, c := range []struct{ n, align int }{

@@ -6,7 +6,10 @@
 // activations flow through conv layers without further rescaling.
 package tensor
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // QShift is the fixed-point scale: values are stored as round(x * 32).
 const QShift = 5
@@ -95,67 +98,120 @@ func Im2Col(in *Tensor, size, stride, pad int) (b []int16, k, n int) {
 // enough, so per-layer loops avoid reallocating the (often large) patch
 // matrix. Every element of the returned slice is overwritten.
 func Im2ColInto(buf []int16, in *Tensor, size, stride, pad int) (b []int16, k, n int) {
-	outH := ConvOut(in.H, size, stride, pad)
-	outW := ConvOut(in.W, size, stride, pad)
-	k = in.C * size * size
-	n = outH * outW
+	k, n = Im2ColDims(in, size, stride, pad)
 	if cap(buf) < k*n {
 		b = make([]int16, k*n)
 	} else {
 		b = buf[:k*n]
 	}
+	im2col(patch{w: b}, n, in, size, stride, pad)
+	return b, k, n
+}
+
+// Im2ColBytes writes the im2col matrix into dst as little-endian int16
+// — the form DPU transfers stage — with row r starting at element
+// r*rowStride (rowStride >= N). Columns N..rowStride of a row are left
+// untouched. A caller that scatters the matrix to a DPU lowers straight
+// into its staging buffer and never holds the K×N int16 form.
+func Im2ColBytes(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
+	im2col(patch{b: dst}, rowStride, in, size, stride, pad)
+}
+
+// Im2ColDims returns the im2col matrix shape: K = C·size² rows by
+// N = outH·outW columns.
+func Im2ColDims(in *Tensor, size, stride, pad int) (k, n int) {
+	return in.C * size * size, ConvOut(in.H, size, stride, pad) * ConvOut(in.W, size, stride, pad)
+}
+
+// patch is an im2col destination addressed in elements: int16 values
+// (w), or their little-endian bytes (b) when w is nil.
+type patch struct {
+	w []int16
+	b []byte
+}
+
+func (p patch) zero(off, n int) {
+	if p.w != nil {
+		clear(p.w[off : off+n])
+		return
+	}
+	clear(p.b[2*off : 2*(off+n)])
+}
+
+// PackLE writes src into d as little-endian int16 — the layout DPU
+// transfers stage — four elements per store.
+func PackLE(d []byte, src []int16) {
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		binary.LittleEndian.PutUint64(d[2*i:], uint64(uint16(src[i]))|uint64(uint16(src[i+1]))<<16|
+			uint64(uint16(src[i+2]))<<32|uint64(uint16(src[i+3]))<<48)
+	}
+	for ; i < len(src); i++ {
+		binary.LittleEndian.PutUint16(d[2*i:], uint16(src[i]))
+	}
+}
+
+// im2col is the one lowering loop behind Im2ColInto and Im2ColBytes.
+// Each kernel tap (c, dy, dx) is one matrix row, written an output row
+// (outW columns) at a time: the taps that fall inside the image are the
+// columns [lo, hi), a strided run of one source row, and the rest are
+// zeros. Only the stores differ between the two forms.
+func im2col(dst patch, rowStride int, in *Tensor, size, stride, pad int) {
+	outH := ConvOut(in.H, size, stride, pad)
+	outW := ConvOut(in.W, size, stride, pad)
 	row := 0
 	for c := 0; c < in.C; c++ {
 		for dy := 0; dy < size; dy++ {
 			for dx := 0; dx < size; dx++ {
+				// Column ox reads source pixel ox*stride+base.
+				base := dx - pad
+				lo := 0
+				if base < 0 {
+					lo = (-base + stride - 1) / stride
+				}
+				hi := max(lo, min((in.W-base+stride-1)/stride, outW))
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*stride + dy - pad
-					dst := b[row*n+oy*outW : row*n+oy*outW+outW]
+					off := row*rowStride + oy*outW
 					if iy < 0 || iy >= in.H {
-						for i := range dst {
-							dst[i] = 0
-						}
+						dst.zero(off, outW)
 						continue
 					}
-					if stride == 1 {
-						// Unit stride: the source pixels ix = ox+dx-pad are
-						// contiguous, so the row is a copy with zeroed
-						// out-of-image edges.
-						src := in.Data[(c*in.H+iy)*in.W : (c*in.H+iy+1)*in.W]
-						lo := 0
-						if dx-pad < 0 {
-							lo = pad - dx
-						}
-						hi := outW
-						if dx-pad+outW > in.W {
-							hi = in.W - dx + pad
-						}
-						if hi < lo {
-							hi = lo
-						}
+					src := in.Data[(c*in.H+iy)*in.W : (c*in.H+iy+1)*in.W]
+					if dst.w != nil {
+						d := dst.w[off : off+outW]
+						// The edges are a tap or two wide: plain loops beat a
+						// clear call here.
 						for i := 0; i < lo; i++ {
-							dst[i] = 0
+							d[i] = 0
 						}
-						copy(dst[lo:hi], src[lo+dx-pad:])
+						if stride == 1 {
+							copy(d[lo:hi], src[lo+base:])
+						} else {
+							for ox := lo; ox < hi; ox++ {
+								d[ox] = src[ox*stride+base]
+							}
+						}
 						for i := hi; i < outW; i++ {
-							dst[i] = 0
+							d[i] = 0
 						}
 						continue
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride + dx - pad
-						var v int16
-						if ix >= 0 && ix < in.W {
-							v = in.At(c, iy, ix)
+					d := dst.b[2*off : 2*(off+outW)]
+					clear(d[:2*lo])
+					if stride == 1 {
+						PackLE(d[2*lo:], src[lo+base:hi+base])
+					} else {
+						for ox := lo; ox < hi; ox++ {
+							binary.LittleEndian.PutUint16(d[2*ox:], uint16(src[ox*stride+base]))
 						}
-						dst[ox] = v
 					}
+					clear(d[2*hi:])
 				}
 				row++
 			}
 		}
 	}
-	return b, k, n
 }
 
 // ConvOut is the convolution/pooling output-size rule.

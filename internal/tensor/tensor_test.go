@@ -99,6 +99,73 @@ func TestIm2ColStrideNoPad(t *testing.T) {
 	}
 }
 
+// TestIm2ColForms checks both forms of the lowering against the
+// definition (tap (c,dy,dx) of output (oy,ox) is input pixel
+// (oy*stride+dy-pad, ox*stride+dx-pad), zero outside the image): the
+// int16 matrix, and the staged form — the same matrix as little-endian
+// int16 at a padded row stride, negative values and all, with the
+// padding columns left alone. The buffer Im2ColInto reuses is dirty, so
+// a zero it fails to write shows.
+func TestIm2ColForms(t *testing.T) {
+	in := New(2, 5, 7)
+	for i := range in.Data {
+		in.Data[i] = int16(i*37%1001 - 500)
+	}
+	for _, c := range []struct{ size, stride, pad int }{
+		{3, 1, 1}, {1, 1, 0}, {3, 2, 1}, {2, 2, 0}, {5, 1, 2}, {3, 4, 0}, {5, 3, 2},
+	} {
+		outH, outW := ConvOut(in.H, c.size, c.stride, c.pad), ConvOut(in.W, c.size, c.stride, c.pad)
+		k, n := Im2ColDims(in, c.size, c.stride, c.pad)
+		if k != in.C*c.size*c.size || n != outH*outW {
+			t.Fatalf("%+v: Im2ColDims = %dx%d", c, k, n)
+		}
+		want := make([]int16, k*n)
+		for r := 0; r < k; r++ {
+			ch, dy, dx := r/(c.size*c.size), r/c.size%c.size, r%c.size
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					iy, ix := oy*c.stride+dy-c.pad, ox*c.stride+dx-c.pad
+					if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
+						want[r*n+oy*outW+ox] = in.At(ch, iy, ix)
+					}
+				}
+			}
+		}
+		dirty := make([]int16, k*n)
+		for i := range dirty {
+			dirty[i] = -1
+		}
+		got, gk, gn := Im2ColInto(dirty, in, c.size, c.stride, c.pad)
+		if gk != k || gn != n {
+			t.Fatalf("%+v: Im2ColInto shape %dx%d, want %dx%d", c, gk, gn, k, n)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: int16 element (%d,%d) = %d, want %d", c, i/n, i%n, got[i], want[i])
+			}
+		}
+		rowStride := n + 3
+		dst := make([]byte, k*rowStride*2)
+		for i := range dst {
+			dst[i] = 0xEE
+		}
+		Im2ColBytes(dst, rowStride, in, c.size, c.stride, c.pad)
+		for r := 0; r < k; r++ {
+			for j := 0; j < rowStride; j++ {
+				at := (r*rowStride + j) * 2
+				got := int16(uint16(dst[at]) | uint16(dst[at+1])<<8)
+				if j >= n {
+					if dst[at] != 0xEE || dst[at+1] != 0xEE {
+						t.Fatalf("%+v: padding column (%d,%d) overwritten", c, r, j)
+					}
+				} else if got != want[r*n+j] {
+					t.Fatalf("%+v: staged element (%d,%d) = %d, want %d", c, r, j, got, want[r*n+j])
+				}
+			}
+		}
+	}
+}
+
 func TestQuantizeTensorValidation(t *testing.T) {
 	if _, err := QuantizeTensor(1, 2, 2, []float64{1}); err == nil {
 		t.Error("short data accepted")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pimdnn/internal/gemm"
+	"pimdnn/internal/tensor"
 )
 
 // ForwardBatch runs a batch of images with the image-per-DPU mapping the
@@ -39,23 +40,27 @@ func (n *Network) ForwardBatch(inputs []*Tensor, r *gemm.Runner) ([]*Result, *Fo
 		results[i] = &Result{}
 	}
 	stats := &ForwardStats{}
-	// Per-image im2col matrices reused across conv layers; MultiplyBatch
-	// stages them into DPU MRAM before returning, so the next layer may
-	// overwrite them.
-	im2colBufs := make([][]int16, nImg)
-	bs := make([][]int16, nImg)
+	// perImage runs the host-side layers on every host core at sharded
+	// widths: each image's tensors are its own, so images are
+	// independent.
+	perImage := func(fn func(i int)) {
+		r.System().ParallelFor(nImg, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		})
+	}
 
 	for li, def := range n.Defs {
 		switch def.Kind {
 		case Conv:
-			var k, cols int
-			for i := range curs {
-				b, kk, cc := Im2ColInto(im2colBufs[i], curs[i], def.Size, def.Stride)
-				bs[i], im2colBufs[i], k, cols = b, b, kk, cc
-			}
-			// MultiplyBatchEach delivers image i's product while later
-			// images' gathers are still queued, so the bias/activation
-			// pass overlaps the remaining transfers in pipelined mode.
+			// Both callbacks run per image on the runner's worker pool,
+			// concurrently for distinct images: im2col lowers straight
+			// into the scatter staging buffer (no K×N int16 matrix per
+			// image), and the bias/activation pass is fused behind the
+			// decode of the image's product.
+			pad := def.Size / 2
+			k, cols := tensor.Im2ColDims(curs[0], def.Size, def.Stride, pad)
 			s := n.shapes[li]
 			if r.MetricsOn() {
 				r.SetScope(fmt.Sprintf("yolo_conv%03d", li))
@@ -69,7 +74,10 @@ func (n *Network) ForwardBatch(inputs []*Tensor, r *gemm.Runner) ([]*Result, *Fo
 				lsp.SetAttr("layer", int64(li))
 				r.SetTraceSpan(lsp)
 			}
-			st, err := r.MultiplyBatchEach(def.Filters, cols, k, 1, n.Weights[li].W, bs,
+			st, err := r.MultiplyBatchFill(def.Filters, cols, k, 1, n.Weights[li].W, nImg,
+				func(i int, dst []byte, stride int) {
+					tensor.Im2ColBytes(dst, stride, curs[i], def.Size, def.Stride, pad)
+				},
 				func(i int, c []int16) {
 					applyBiasAct(c, def.Filters, cols, n.Weights[li].Bias, def.Activation)
 					curs[i] = &Tensor{C: s.c, H: s.h, W: s.w, Data: c}
@@ -93,13 +101,13 @@ func (n *Network) ForwardBatch(inputs []*Tensor, r *gemm.Runner) ([]*Result, *Fo
 			stats.Cycles += st.Cycles
 			stats.Seconds += st.Seconds
 		case Shortcut:
-			for i := range curs {
+			perImage(func(i int) {
 				out := curs[i].Clone()
 				shortcutAdd(out, outputs[i][li+def.From])
 				curs[i] = out
-			}
+			})
 		case Route:
-			for i := range curs {
+			perImage(func(i int) {
 				srcs := make([]*Tensor, len(def.Layers))
 				for j, ref := range def.Layers {
 					src := ref
@@ -109,25 +117,25 @@ func (n *Network) ForwardBatch(inputs []*Tensor, r *gemm.Runner) ([]*Result, *Fo
 					srcs[j] = outputs[i][src]
 				}
 				curs[i] = routeConcat(srcs)
-			}
+			})
 		case Upsample:
-			for i := range curs {
+			perImage(func(i int) {
 				curs[i] = upsample(curs[i], def.Stride)
-			}
+			})
 		case Yolo:
-			for i := range curs {
+			perImage(func(i int) {
 				results[i].YoloOutputs = append(results[i].YoloOutputs, curs[i])
 				results[i].Detections = append(results[i].Detections,
 					n.decodeScale(curs[i], def.Mask)...)
-			}
+			})
 		}
 		for i := range curs {
 			outputs[i][li] = curs[i]
 		}
 	}
-	for i := range results {
+	perImage(func(i int) {
 		results[i].Detections = NMS(results[i].Detections, 0.45)
-	}
+	})
 	return results, stats, nil
 }
 

@@ -1,6 +1,7 @@
 package yolo
 
 import (
+	"runtime"
 	"testing"
 
 	"pimdnn/internal/dpu"
@@ -30,32 +31,41 @@ func newBatchRunner(t *testing.T, n *Network, nDPU, tasklets int, mode host.Pipe
 // TestForwardBatchMatchesForward: the image-per-DPU batch path must be
 // bit-exact against the per-image row-per-DPU path for every image.
 func TestForwardBatchMatchesForward(t *testing.T) {
-	testForwardBatchMatchesForward(t, host.PipelineOff)
+	testForwardBatchMatchesForward(t, host.PipelineOff, 4, 3)
 }
 
-// TestForwardBatchPipelinedMatchesForward: routing the batch GEMMs
-// through the asynchronous queue (overlapped result drain) must not
-// change a single output element or the simulated layer times.
+// TestForwardBatchPipelinedMatchesForward: a pipelined runner's batch
+// GEMMs (run behind a queue barrier) must not change a single output
+// element or the simulated layer times.
 func TestForwardBatchPipelinedMatchesForward(t *testing.T) {
-	testForwardBatchMatchesForward(t, host.PipelineOn)
+	testForwardBatchMatchesForward(t, host.PipelineOn, 4, 3)
 }
 
-func testForwardBatchMatchesForward(t *testing.T, mode host.PipelineMode) {
+// TestForwardBatchShardedMatchesForward: at a sharded width the
+// staging, gather → decode → bias/activation and the per-image host
+// layers all run on pool workers (two of them, whatever the host has);
+// results stay bit-exact. Under -race (make ci) this is the race gate
+// for ForwardBatch's callbacks.
+func TestForwardBatchShardedMatchesForward(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	testForwardBatchMatchesForward(t, host.PipelineOff, 40, 36)
+}
+
+func testForwardBatchMatchesForward(t *testing.T, mode host.PipelineMode, nDPU, nImg int) {
 	n, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := []*Tensor{
-		SyntheticScene(32, 1),
-		SyntheticScene(32, 2),
-		SyntheticScene(32, 3),
+	inputs := make([]*Tensor, nImg)
+	for i := range inputs {
+		inputs[i] = SyntheticScene(32, int64(i+1))
 	}
-	r := newBatchRunner(t, n, 4, 8, mode)
+	r := newBatchRunner(t, n, nDPU, 8, mode)
 	batchRes, stats, err := n.ForwardBatch(inputs, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batchRes) != 3 {
+	if len(batchRes) != nImg {
 		t.Fatalf("results = %d", len(batchRes))
 	}
 	if len(stats.Layers) != 75 || stats.Seconds <= 0 {
