@@ -2,23 +2,20 @@
 # (at GOMAXPROCS=1 and at the host's width), a race pass over the
 # packages with cross-goroutine state (the host runtime's worker pool,
 # sharded transfers, and async command queue, the trace profile, the
-# metrics registry, the execution engine, the
-# softfloat slice kernels and compiled ISA dispatch shared across
-# concurrently launched DPUs, and the gemm/ebnn/yolo and alexnet/resnet
-# runners that drive parallel and pipelined launches, including the
-# fault-injection recovery paths, plus the upmem-top renderer and the
-# upmem-serve batching/backpressure server), and
-# a check that this PR's benchmark trajectory record exists (see
-# DESIGN.md, "Simulator performance"). bench.sh additionally fails the
-# record step if any hot-path benchmark's allocs/op grew over the
-# baseline.
+# metrics registry, the execution engine, the softfloat slice kernels
+# and compiled ISA dispatch shared across concurrently launched DPUs,
+# the gemm/ebnn runners and the nn executor — whose batch fill/decode
+# callbacks run on pool workers — with the three networks over it,
+# including the fault-injection recovery paths, plus the upmem-top
+# renderer and the upmem-serve batching/backpressure server), and the
+# non-test line count per package (`make lines`), the number ROADMAP
+# asks every PR to report next to ns/op. `make bench` (scripts/bench.sh)
+# regenerates the legacy BENCH_pr10.json record and fails if any
+# hot-path benchmark's allocs/op grew over the baseline.
 
 GO ?= go
 
-# The perf trajectory record this PR must ship (regenerate: make bench).
-BENCH_RECORD ?= BENCH_pr10.json
-
-.PHONY: all build vet test race bench bench-record profile profile-array ci
+.PHONY: all build vet test race bench lines profile profile-array ci
 
 all: ci
 
@@ -37,15 +34,21 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve
+	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve
 
-# Regenerate $(BENCH_RECORD) and diff it against the previous PR's
-# record (see DESIGN.md, "Simulator performance").
+# Regenerate the legacy BENCH_pr10.json record and diff it against the
+# previous one (see DESIGN.md, "Simulator performance").
 bench:
 	scripts/bench.sh
 
-bench-record:
-	@test -f $(BENCH_RECORD) || { echo "FAIL: $(BENCH_RECORD) missing — run 'make bench' and commit it"; exit 1; }
+# Non-test Go lines per package and in total, bench/ excluded: run it at
+# the parent commit and at the change to report a PR's net line delta.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -k2
 
 # CPU-profile the simulator hot path and print the top cumulative
 # functions (cpu.prof is left behind for `go tool pprof -http`).
@@ -59,4 +62,4 @@ profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 
-ci: vet build test race bench-record
+ci: vet build test race lines

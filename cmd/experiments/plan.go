@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pimdnn/internal/alexnet"
 	"pimdnn/internal/core"
@@ -17,6 +18,7 @@ import (
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/plan"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
@@ -93,100 +95,51 @@ func planReport() error {
 			return fmt.Errorf("full-array auto-mapped detection %d diverged", i)
 		}
 	}
-	fullMaxT := func(st *yolo.ForwardStats) int {
-		m := 0
-		for _, l := range st.Layers {
-			if l.Tasklets > m {
-				m = l.Tasklets
-			}
-		}
-		return m
-	}
 	fmt.Printf("| YOLOv3-lite, full array (%d DPUs) | %.4g | %.4g | %.2fx | 8 → ≤%d |\n",
 		dpu.SystemDPUs, fullFixedSt.Seconds, fullPlanSt.Seconds,
-		fullFixedSt.Seconds/fullPlanSt.Seconds, fullMaxT(fullPlanSt))
+		fullFixedSt.Seconds/fullPlanSt.Seconds, fullPlanSt.MaxTasklets())
 
 	// AlexNet and ResNet-18: classify the same image under both
 	// deployments and require identical logits.
-	maxTasklets := func(n int, get func(int) int) int {
-		m := 0
-		for i := 0; i < n; i++ {
-			if t := get(i); t > m {
-				m = t
+	for _, c := range []struct {
+		label    string
+		classify func(*core.Accelerator, core.YOLOOptions) ([]int16, *nn.ForwardStats, error)
+	}{
+		{"AlexNet-lite", func(acc *core.Accelerator, opts core.YOLOOptions) ([]int16, *nn.ForwardStats, error) {
+			app, err := acc.DeployAlexNet(alexnet.LiteConfig(), opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 31))
+			return logits, st, err
+		}},
+		{"ResNet-18-lite", func(acc *core.Accelerator, opts core.YOLOOptions) ([]int16, *nn.ForwardStats, error) {
+			app, err := acc.DeployResNet(resnet.LiteConfig(), opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 32))
+			return logits, st, err
+		}},
+	} {
+		var logits [2][]int16
+		var st [2]*nn.ForwardStats
+		for i, auto := range []bool{false, true} {
+			acc, err := core.NewAccelerator(core.Options{DPUs: dpus, Opt: dpu.O3})
+			if err != nil {
+				return err
+			}
+			if logits[i], st[i], err = c.classify(acc, core.YOLOOptions{AutoMap: auto}); err != nil {
+				return fmt.Errorf("%s: %w", c.label, err)
 			}
 		}
-		return m
+		if !slices.Equal(logits[0], logits[1]) {
+			return fmt.Errorf("%s: auto-mapped logits diverged from fixed mapping", c.label)
+		}
+		fmt.Printf("| %s | %.4g | %.4g | %.2fx | %d → ≤%d |\n",
+			c.label, st[0].Seconds, st[1].Seconds, st[0].Seconds/st[1].Seconds,
+			st[0].MaxTasklets(), st[1].MaxTasklets())
 	}
-	type classifyRun struct {
-		logits   []int16
-		seconds  float64
-		tasklets int
-	}
-	classifyBoth := func(run func(auto bool) (classifyRun, error)) (classifyRun, classifyRun, error) {
-		fixed, err := run(false)
-		if err != nil {
-			return classifyRun{}, classifyRun{}, err
-		}
-		auto, err := run(true)
-		if err != nil {
-			return classifyRun{}, classifyRun{}, err
-		}
-		if len(fixed.logits) != len(auto.logits) {
-			return classifyRun{}, classifyRun{}, fmt.Errorf("auto-mapped forward diverged from fixed mapping")
-		}
-		for i := range fixed.logits {
-			if fixed.logits[i] != auto.logits[i] {
-				return classifyRun{}, classifyRun{}, fmt.Errorf("auto-mapped logit %d diverged", i)
-			}
-		}
-		return fixed, auto, nil
-	}
-
-	alexFixed, alexAuto, err := classifyBoth(func(auto bool) (classifyRun, error) {
-		acc, err := core.NewAccelerator(core.Options{DPUs: dpus, Opt: dpu.O3})
-		if err != nil {
-			return classifyRun{}, err
-		}
-		app, err := acc.DeployAlexNet(alexnet.LiteConfig(), core.YOLOOptions{AutoMap: auto})
-		if err != nil {
-			return classifyRun{}, err
-		}
-		_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 31))
-		if err != nil {
-			return classifyRun{}, err
-		}
-		return classifyRun{logits, st.Seconds,
-			maxTasklets(len(st.Layers), func(i int) int { return st.Layers[i].Tasklets })}, nil
-	})
-	if err != nil {
-		return fmt.Errorf("alexnet: %w", err)
-	}
-	fmt.Printf("| AlexNet-lite | %.4g | %.4g | %.2fx | %d → ≤%d |\n",
-		alexFixed.seconds, alexAuto.seconds, alexFixed.seconds/alexAuto.seconds,
-		alexFixed.tasklets, alexAuto.tasklets)
-
-	resFixed, resAuto, err := classifyBoth(func(auto bool) (classifyRun, error) {
-		acc, err := core.NewAccelerator(core.Options{DPUs: dpus, Opt: dpu.O3})
-		if err != nil {
-			return classifyRun{}, err
-		}
-		app, err := acc.DeployResNet(resnet.LiteConfig(), core.YOLOOptions{AutoMap: auto})
-		if err != nil {
-			return classifyRun{}, err
-		}
-		_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 32))
-		if err != nil {
-			return classifyRun{}, err
-		}
-		return classifyRun{logits, st.Seconds,
-			maxTasklets(len(st.Layers), func(i int) int { return st.Layers[i].Tasklets })}, nil
-	})
-	if err != nil {
-		return fmt.Errorf("resnet: %w", err)
-	}
-	fmt.Printf("| ResNet-18-lite | %.4g | %.4g | %.2fx | %d → ≤%d |\n",
-		resFixed.seconds, resAuto.seconds, resFixed.seconds/resAuto.seconds,
-		resFixed.tasklets, resAuto.tasklets)
 
 	// eBNN: the multi-image-per-DPU mapping. tasklets=0 deploys through
 	// the planner.

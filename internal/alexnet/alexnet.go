@@ -16,45 +16,27 @@ package alexnet
 
 import (
 	"fmt"
-	"math/rand"
 
-	"pimdnn/internal/fixed"
 	"pimdnn/internal/gemm"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/tensor"
 )
 
-// LayerKind enumerates AlexNet layer types.
-type LayerKind int
+// The layer vocabulary and forward statistics are the shared ones
+// (internal/nn), under the names this package has always exported.
+type (
+	LayerKind    = nn.Kind
+	LayerDef     = nn.Layer
+	LayerStat    = nn.LayerStat
+	ForwardStats = nn.ForwardStats
+)
 
 // Layer kinds.
 const (
-	Conv LayerKind = iota + 1
-	MaxPool
-	FC
+	Conv    = nn.Conv
+	MaxPool = nn.MaxPool
+	FC      = nn.FC
 )
-
-func (k LayerKind) String() string {
-	switch k {
-	case Conv:
-		return "conv"
-	case MaxPool:
-		return "maxpool"
-	case FC:
-		return "fc"
-	default:
-		return "layer?"
-	}
-}
-
-// LayerDef describes one layer.
-type LayerDef struct {
-	Kind    LayerKind
-	Filters int // Conv: output channels; FC: output units
-	Size    int // Conv/MaxPool: kernel edge
-	Stride  int // Conv/MaxPool
-	Pad     int // Conv
-	ReLU    bool
-}
 
 // Config parameterizes the build.
 type Config struct {
@@ -103,34 +85,25 @@ func BuildLayers(cfg Config) ([]LayerDef, error) {
 		return nil, fmt.Errorf("alexnet: bad config %+v", cfg)
 	}
 	return []LayerDef{
-		{Kind: Conv, Filters: cfg.chans(96), Size: 11, Stride: 4, Pad: 0, ReLU: true},
+		{Kind: Conv, Filters: cfg.chans(96), Size: 11, Stride: 4, Act: nn.ReLU},
 		{Kind: MaxPool, Size: 3, Stride: 2},
-		{Kind: Conv, Filters: cfg.chans(256), Size: 5, Stride: 1, Pad: 2, ReLU: true},
+		{Kind: Conv, Filters: cfg.chans(256), Size: 5, Stride: 1, Pad: 2, Act: nn.ReLU},
 		{Kind: MaxPool, Size: 3, Stride: 2},
-		{Kind: Conv, Filters: cfg.chans(384), Size: 3, Stride: 1, Pad: 1, ReLU: true},
-		{Kind: Conv, Filters: cfg.chans(384), Size: 3, Stride: 1, Pad: 1, ReLU: true},
-		{Kind: Conv, Filters: cfg.chans(256), Size: 3, Stride: 1, Pad: 1, ReLU: true},
+		{Kind: Conv, Filters: cfg.chans(384), Size: 3, Stride: 1, Pad: 1, Act: nn.ReLU},
+		{Kind: Conv, Filters: cfg.chans(384), Size: 3, Stride: 1, Pad: 1, Act: nn.ReLU},
+		{Kind: Conv, Filters: cfg.chans(256), Size: 3, Stride: 1, Pad: 1, Act: nn.ReLU},
 		{Kind: MaxPool, Size: 3, Stride: 2},
-		{Kind: FC, Filters: cfg.units(4096), ReLU: true},
-		{Kind: FC, Filters: cfg.units(4096), ReLU: true},
+		{Kind: FC, Filters: cfg.units(4096), Act: nn.ReLU},
+		{Kind: FC, Filters: cfg.units(4096), Act: nn.ReLU},
 		{Kind: FC, Filters: cfg.Classes},
 	}, nil
 }
 
-// Weights holds one GEMM-shaped layer's parameters.
-type Weights struct {
-	W    []int16 // M×K
-	Bias []int16
-}
-
-type shape struct{ c, h, w int }
-
-// Network is a built AlexNet.
+// Network is a built AlexNet: the shared layer graph (shapes, weights,
+// executor; GEMMBounds also returns the largest row count).
 type Network struct {
-	Cfg     Config
-	Defs    []LayerDef
-	Weights []Weights
-	shapes  []shape
+	*nn.Network
+	Cfg Config
 }
 
 // New builds the network, validating the geometry and generating seeded
@@ -140,190 +113,11 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, Defs: defs}
-	n.Weights = make([]Weights, len(defs))
-	n.shapes = make([]shape, len(defs))
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cur := shape{c: 3, h: cfg.InputSize, w: cfg.InputSize}
-	for i, def := range defs {
-		switch def.Kind {
-		case Conv:
-			if cur.h+2*def.Pad < def.Size || cur.w+2*def.Pad < def.Size {
-				return nil, fmt.Errorf("alexnet: conv %d kernel %d exceeds %dx%d input (input size %d too small)",
-					i, def.Size, cur.h, cur.w, cfg.InputSize)
-			}
-			outH := tensor.ConvOut(cur.h, def.Size, def.Stride, def.Pad)
-			outW := tensor.ConvOut(cur.w, def.Size, def.Stride, def.Pad)
-			k := cur.c * def.Size * def.Size
-			n.Weights[i] = synthWeights(rng, def.Filters, k)
-			cur = shape{c: def.Filters, h: outH, w: outW}
-		case MaxPool:
-			if cur.h < def.Size || cur.w < def.Size {
-				return nil, fmt.Errorf("alexnet: pool %d window %d exceeds %dx%d input (input size %d too small)",
-					i, def.Size, cur.h, cur.w, cfg.InputSize)
-			}
-			outH := tensor.ConvOut(cur.h, def.Size, def.Stride, 0)
-			outW := tensor.ConvOut(cur.w, def.Size, def.Stride, 0)
-			cur = shape{c: cur.c, h: outH, w: outW}
-		case FC:
-			k := cur.c * cur.h * cur.w
-			n.Weights[i] = synthWeights(rng, def.Filters, k)
-			cur = shape{c: def.Filters, h: 1, w: 1}
-		}
-		n.shapes[i] = cur
+	g, err := nn.New(3, cfg.InputSize, cfg.InputSize, defs, cfg.Seed, "alexnet_layer%02d")
+	if err != nil {
+		return nil, fmt.Errorf("alexnet: input size %d: %w", cfg.InputSize, err)
 	}
-	return n, nil
-}
-
-func synthWeights(rng *rand.Rand, m, k int) Weights {
-	w := make([]int16, m*k)
-	std := 1.0
-	if k > 0 {
-		std = 1.0 / float64sqrt(float64(k))
-	}
-	for i := range w {
-		w[i] = tensor.Quantize(rng.NormFloat64() * std)
-	}
-	bias := make([]int16, m)
-	for i := range bias {
-		bias[i] = tensor.Quantize(rng.NormFloat64() * 0.1)
-	}
-	return Weights{W: w, Bias: bias}
-}
-
-func float64sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 24; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// Shape returns layer i's output (C, H, W).
-func (n *Network) Shape(i int) (c, h, w int) {
-	s := n.shapes[i]
-	return s.c, s.h, s.w
-}
-
-// MACs returns the network's multiply-accumulate count.
-func (n *Network) MACs() int64 {
-	var total int64
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		switch def.Kind {
-		case Conv:
-			k := int64(cur.c) * int64(def.Size) * int64(def.Size)
-			total += k * int64(s.c) * int64(s.h) * int64(s.w)
-		case FC:
-			total += int64(cur.c) * int64(cur.h) * int64(cur.w) * int64(s.c)
-		}
-		cur = s
-	}
-	return total
-}
-
-// GEMMBounds returns the largest K and N any layer needs and the largest
-// row count, for sizing a gemm.Runner.
-func (n *Network) GEMMBounds() (maxK, maxN, maxM int) {
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		var k, cols, m int
-		switch def.Kind {
-		case Conv:
-			k = cur.c * def.Size * def.Size
-			cols = s.h * s.w
-			m = s.c
-		case FC:
-			k = cur.c * cur.h * cur.w
-			cols = 1
-			m = s.c
-		}
-		if k > maxK {
-			maxK = k
-		}
-		if cols > maxN {
-			maxN = cols
-		}
-		if m > maxM {
-			maxM = m
-		}
-		cur = s
-	}
-	return maxK, maxN, maxM
-}
-
-// maxPool applies a size×stride max pooling.
-func maxPool(in *tensor.Tensor, size, stride int) *tensor.Tensor {
-	outH := tensor.ConvOut(in.H, size, stride, 0)
-	outW := tensor.ConvOut(in.W, size, stride, 0)
-	out := tensor.New(in.C, outH, outW)
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				best := int16(-32768)
-				for dy := 0; dy < size; dy++ {
-					for dx := 0; dx < size; dx++ {
-						iy, ix := oy*stride+dy, ox*stride+dx
-						if iy >= in.H || ix >= in.W {
-							continue
-						}
-						if v := in.At(c, iy, ix); v > best {
-							best = v
-						}
-					}
-				}
-				out.Set(c, oy, ox, best)
-			}
-		}
-	}
-	return out
-}
-
-// applyBiasReLU adds bias with saturation and applies ReLU in place.
-func applyBiasReLU(c []int16, m, n int, bias []int16, relu bool) {
-	for f := 0; f < m; f++ {
-		b := bias[f]
-		row := c[f*n : (f+1)*n]
-		for j, v := range row {
-			s := fixed.SatAdd16(v, b)
-			if relu && s < 0 {
-				s = 0
-			}
-			row[j] = s
-		}
-	}
-}
-
-// LayerStat records one delegated layer.
-type LayerStat struct {
-	Layer    int
-	Kind     LayerKind
-	DPUsUsed int
-	Cycles   uint64
-	Seconds  float64
-	// Retries counts row shards re-dispatched after injected faults.
-	Retries int
-	// Tasklets is the per-DPU tasklet count the layer launched with.
-	Tasklets int
-	// PredictedSeconds is the planner's analytic latency for the layer;
-	// zero when the runner runs a fixed mapping.
-	PredictedSeconds float64
-}
-
-// ForwardStats aggregates a DPU forward pass.
-type ForwardStats struct {
-	Layers  []LayerStat
-	Cycles  uint64
-	Seconds float64
-	// Retries sums the layers' fault re-dispatches; nonzero only
-	// when the system runs under a fault plan.
-	Retries int
+	return &Network{Network: g, Cfg: cfg}, nil
 }
 
 // Forward runs one image. If runner is nil every GEMM uses the host
@@ -331,80 +125,11 @@ type ForwardStats struct {
 // system. Both paths are bit-exact. The returned slice is the logits
 // (one per class, Q10.5).
 func (n *Network) Forward(input *tensor.Tensor, runner *gemm.Runner) ([]int16, *ForwardStats, error) {
-	if input.C != 3 || input.H != n.Cfg.InputSize || input.W != n.Cfg.InputSize {
-		return nil, nil, fmt.Errorf("alexnet: input %dx%dx%d, want 3x%dx%d",
-			input.C, input.H, input.W, n.Cfg.InputSize, n.Cfg.InputSize)
+	out, stats, err := n.Network.Forward(input, runner)
+	if err != nil {
+		return nil, nil, fmt.Errorf("alexnet: %w", err)
 	}
-	stats := &ForwardStats{}
-	cur := input
-	runGEMM := func(layer, m, cols, k int, b []int16) ([]int16, error) {
-		if runner == nil {
-			return gemm.Reference(m, cols, k, 1, n.Weights[layer].W, b)
-		}
-		if runner.MetricsOn() {
-			runner.SetScope(fmt.Sprintf("alexnet_layer%02d", layer))
-		}
-		if runner.ResidencyOn() {
-			runner.SetWeightLayer(layer)
-		}
-		reqSp := runner.TraceSpan()
-		if reqSp != nil {
-			lsp := reqSp.StartChild(fmt.Sprintf("alexnet_layer%02d", layer))
-			lsp.SetAttr("layer", int64(layer))
-			runner.SetTraceSpan(lsp)
-		}
-		c, st, err := runner.Multiply(m, cols, k, 1, n.Weights[layer].W, b)
-		if reqSp != nil {
-			runner.TraceSpan().End()
-			runner.SetTraceSpan(reqSp)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ls := LayerStat{
-			Layer: layer, Kind: n.Defs[layer].Kind, DPUsUsed: st.DPUsUsed,
-			Cycles: st.Cycles, Seconds: st.Seconds, Retries: st.Retries,
-			Tasklets: st.Tasklets,
-		}
-		if mp, ok := runner.LastMapping(); ok {
-			ls.PredictedSeconds = mp.PredictedSeconds
-		}
-		stats.Layers = append(stats.Layers, ls)
-		stats.Cycles += st.Cycles
-		stats.Seconds += st.Seconds
-		stats.Retries += st.Retries
-		return c, nil
-	}
-
-	// One im2col patch matrix reused across conv layers; the GEMM stages
-	// it into DPU MRAM (or consumes it host-side) before returning.
-	var im2colBuf []int16
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		switch def.Kind {
-		case Conv:
-			b, k, cols := tensor.Im2ColInto(im2colBuf, cur, def.Size, def.Stride, def.Pad)
-			im2colBuf = b
-			c, err := runGEMM(i, def.Filters, cols, k, b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("alexnet: layer %d: %w", i, err)
-			}
-			applyBiasReLU(c, def.Filters, cols, n.Weights[i].Bias, def.ReLU)
-			cur = &tensor.Tensor{C: s.c, H: s.h, W: s.w, Data: c}
-		case MaxPool:
-			cur = maxPool(cur, def.Size, def.Stride)
-		case FC:
-			// The flattened activations form a K×1 B matrix.
-			k := cur.Len()
-			c, err := runGEMM(i, def.Filters, 1, k, cur.Data)
-			if err != nil {
-				return nil, nil, fmt.Errorf("alexnet: layer %d: %w", i, err)
-			}
-			applyBiasReLU(c, def.Filters, 1, n.Weights[i].Bias, def.ReLU)
-			cur = &tensor.Tensor{C: s.c, H: 1, W: 1, Data: c}
-		}
-	}
-	return cur.Data, stats, nil
+	return out.Out.Data, stats, nil
 }
 
 // Predict returns the argmax class of the logits.

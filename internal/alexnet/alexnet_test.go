@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/model"
@@ -78,28 +79,6 @@ func TestGeometryValidation(t *testing.T) {
 	}
 	if _, err := New(Config{InputSize: 0, Classes: 10, WidthDiv: 8}); err == nil {
 		t.Error("zero input accepted")
-	}
-}
-
-func TestMaxPool(t *testing.T) {
-	in := tensor.New(1, 4, 4)
-	for i := range in.Data {
-		in.Data[i] = int16(i)
-	}
-	out := maxPool(in, 3, 2) // 4 -> (4-3)/2+1 = 1... no: (4-3)/2+1 = 1
-	if out.H != 1 || out.W != 1 {
-		t.Fatalf("pool out %dx%d", out.H, out.W)
-	}
-	if out.At(0, 0, 0) != 10 { // max of the 3x3 window = index 10
-		t.Errorf("pool max = %d, want 10", out.At(0, 0, 0))
-	}
-	// 2x2 stride 2 over the same input.
-	out = maxPool(in, 2, 2)
-	want := []int16{5, 7, 13, 15}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Errorf("pool[%d] = %d, want %d", i, out.Data[i], w)
-		}
 	}
 }
 
@@ -197,7 +176,7 @@ func TestForwardFaultRecovery(t *testing.T) {
 			}
 			defer sys.Close()
 			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-				MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Pipeline: mode.mode,
+				MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Exec: exec.Config{Pipeline: mode.mode},
 			})
 			if err != nil {
 				t.Fatal(err)

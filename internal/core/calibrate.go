@@ -16,6 +16,7 @@ import (
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/ebnn"
 	"pimdnn/internal/mnist"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/plan"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
@@ -63,9 +64,9 @@ func randTensor(size int, seed int64) *tensor.Tensor {
 	return t
 }
 
-func (r *CalibrationReport) add(network string, layer int, ls yolo.LayerStat) {
+func (r *CalibrationReport) add(network string, ls nn.LayerStat) {
 	r.addRow(CalibrationRow{
-		Network: network, Layer: layer,
+		Network: network, Layer: ls.Layer,
 		Tasklets: ls.Tasklets, DPUsUsed: ls.DPUsUsed,
 		PredictedSeconds: ls.PredictedSeconds,
 		SimulatedSeconds: ls.Seconds,
@@ -96,71 +97,50 @@ func Calibrate(opts CalibrateOptions) (*CalibrationReport, error) {
 		return NewAccelerator(Options{DPUs: opts.DPUs, Opt: opts.Opt})
 	}
 
-	// YOLOv3: the 75-conv graph at bench scale.
-	{
+	// The three GEMM-backed networks, all through the same row-per-DPU
+	// runner: YOLOv3's 75-conv graph at bench scale, AlexNet (conv + FC
+	// layers) and ResNet-18 (residual blocks, projections included).
+	auto := YOLOOptions{AutoMap: true}
+	for _, w := range []struct {
+		name    string
+		forward func(*Accelerator) (*nn.ForwardStats, error)
+	}{
+		{"yolov3", func(acc *Accelerator) (*nn.ForwardStats, error) {
+			cfg := yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}
+			app, err := acc.DeployYOLO(cfg, auto)
+			if err != nil {
+				return nil, err
+			}
+			_, st, err := app.Detect(randTensor(cfg.InputSize, 1))
+			return st, err
+		}},
+		{"alexnet", func(acc *Accelerator) (*nn.ForwardStats, error) {
+			app, err := acc.DeployAlexNet(alexnet.LiteConfig(), auto)
+			if err != nil {
+				return nil, err
+			}
+			_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 2))
+			return st, err
+		}},
+		{"resnet18", func(acc *Accelerator) (*nn.ForwardStats, error) {
+			app, err := acc.DeployResNet(resnet.LiteConfig(), auto)
+			if err != nil {
+				return nil, err
+			}
+			_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 3))
+			return st, err
+		}},
+	} {
 		acc, err := newAcc()
 		if err != nil {
 			return nil, err
 		}
-		cfg := yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}
-		app, err := acc.DeployYOLO(cfg, YOLOOptions{AutoMap: true})
+		st, err := w.forward(acc)
 		if err != nil {
-			return nil, err
-		}
-		_, st, err := app.Detect(randTensor(cfg.InputSize, 1))
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrate yolo: %w", err)
+			return nil, fmt.Errorf("core: calibrate %s: %w", w.name, err)
 		}
 		for _, ls := range st.Layers {
-			rep.add("yolov3", ls.Layer, ls)
-		}
-	}
-
-	// AlexNet: conv + FC layers through the same row-per-DPU runner.
-	{
-		acc, err := newAcc()
-		if err != nil {
-			return nil, err
-		}
-		app, err := acc.DeployAlexNet(alexnet.LiteConfig(), YOLOOptions{AutoMap: true})
-		if err != nil {
-			return nil, err
-		}
-		_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 2))
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrate alexnet: %w", err)
-		}
-		for _, ls := range st.Layers {
-			rep.addRow(CalibrationRow{
-				Network: "alexnet", Layer: ls.Layer,
-				Tasklets: ls.Tasklets, DPUsUsed: ls.DPUsUsed,
-				PredictedSeconds: ls.PredictedSeconds,
-				SimulatedSeconds: ls.Seconds,
-			})
-		}
-	}
-
-	// ResNet-18: residual blocks, projections included.
-	{
-		acc, err := newAcc()
-		if err != nil {
-			return nil, err
-		}
-		app, err := acc.DeployResNet(resnet.LiteConfig(), YOLOOptions{AutoMap: true})
-		if err != nil {
-			return nil, err
-		}
-		_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 3))
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrate resnet: %w", err)
-		}
-		for _, ls := range st.Layers {
-			rep.addRow(CalibrationRow{
-				Network: "resnet18", Layer: ls.Layer,
-				Tasklets: ls.Tasklets, DPUsUsed: ls.DPUsUsed,
-				PredictedSeconds: ls.PredictedSeconds,
-				SimulatedSeconds: ls.Seconds,
-			})
+			rep.add(w.name, ls)
 		}
 	}
 
@@ -222,18 +202,6 @@ func (c MappingComparison) Speedup() float64 {
 	return c.FixedSeconds / c.PlannedSeconds
 }
 
-// maxTaskletsOf returns the largest per-layer tasklet count (the
-// planner varies it per shape; the fixed path pins one value).
-func maxTaskletsOf(layers []yolo.LayerStat) int {
-	m := 0
-	for _, l := range layers {
-		if l.Tasklets > m {
-			m = l.Tasklets
-		}
-	}
-	return m
-}
-
 // CompareYOLOMappings runs the same YOLO forward twice — fixed
 // constants vs auto-mapper — on equal-sized fresh systems, checks the
 // detections match bit-for-bit, and returns both latencies.
@@ -269,7 +237,7 @@ func CompareYOLOMappings(cfg yolo.Config, dpus int, opt dpu.OptLevel) (MappingCo
 		Network:         "yolov3",
 		FixedSeconds:    fixedSt.Seconds,
 		PlannedSeconds:  planSt.Seconds,
-		FixedTasklets:   maxTaskletsOf(fixedSt.Layers),
-		PlannedTasklets: maxTaskletsOf(planSt.Layers),
+		FixedTasklets:   fixedSt.MaxTasklets(),
+		PlannedTasklets: planSt.MaxTasklets(),
 	}, nil
 }

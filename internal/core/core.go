@@ -23,6 +23,7 @@ import (
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/plan"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
@@ -155,9 +156,12 @@ type YOLOOptions struct {
 	AutoMap bool
 }
 
-// gemmRunner sizes a GEMM runner for a network's largest layer,
-// applying the fixed-constant fallback or the auto-mapper per opts.
-func (a *Accelerator) gemmRunner(maxK, maxN int, opts YOLOOptions) (*gemm.Runner, error) {
+// gemmRunner sizes a GEMM runner for a built network's largest layer,
+// applying the fixed-constant fallback or the auto-mapper per opts —
+// the multi-DPU-per-image deployment all three GEMM-backed networks
+// share.
+func (a *Accelerator) gemmRunner(net *nn.Network, opts YOLOOptions) (*gemm.Runner, error) {
+	maxK, maxN, _ := net.GEMMBounds()
 	cfg := gemm.RunnerConfig{
 		MaxK:     maxK,
 		MaxN:     maxN,
@@ -173,15 +177,14 @@ func (a *Accelerator) gemmRunner(maxK, maxN int, opts YOLOOptions) (*gemm.Runner
 	return gemm.NewRunner(a.sys, cfg)
 }
 
-// DeployYOLO builds the network and sizes a GEMM runner for its largest
-// layer, using the multi-DPU-per-image scheme.
+// DeployYOLO builds the network and deploys it with the
+// multi-DPU-per-image scheme.
 func (a *Accelerator) DeployYOLO(cfg yolo.Config, opts YOLOOptions) (*YOLOApp, error) {
 	net, err := yolo.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	maxK, maxN := net.GEMMBounds()
-	runner, err := a.gemmRunner(maxK, maxN, opts)
+	runner, err := a.gemmRunner(net.Network, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -210,15 +213,14 @@ type AlexNetApp struct {
 }
 
 // DeployAlexNet builds the §6.1 extension workload — the network the
-// chapter 5 model prices — and sizes a GEMM runner for it, using the
-// multi-DPU-per-image scheme for both conv and FC layers.
+// chapter 5 model prices — with the multi-DPU-per-image scheme for both
+// conv and FC layers.
 func (a *Accelerator) DeployAlexNet(cfg alexnet.Config, opts YOLOOptions) (*AlexNetApp, error) {
 	net, err := alexnet.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	maxK, maxN, _ := net.GEMMBounds()
-	runner, err := a.gemmRunner(maxK, maxN, opts)
+	runner, err := a.gemmRunner(net.Network, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -245,14 +247,13 @@ type ResNetApp struct {
 }
 
 // DeployResNet builds the residual network that completes the §6.1
-// "AlexNet to ResNet" span, sized like the other GEMM-backed workloads.
+// "AlexNet to ResNet" span, deployed like the other GEMM-backed workloads.
 func (a *Accelerator) DeployResNet(cfg resnet.Config, opts YOLOOptions) (*ResNetApp, error) {
 	net, err := resnet.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	maxK, maxN := net.GEMMBounds()
-	runner, err := a.gemmRunner(maxK, maxN, opts)
+	runner, err := a.gemmRunner(net.Network, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
 )
@@ -126,7 +127,7 @@ func benchInferWave(b *testing.B, mode host.PipelineMode) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.SetPipeline(mode)
+	r.Configure(exec.Config{Pipeline: mode})
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {

@@ -60,14 +60,8 @@ func TestBlockChargingParity(t *testing.T) {
 						sysBlock.Profile().Snapshot(), sysLegacy.Profile().Snapshot())
 				}
 				for d := 0; d < 2; d++ {
-					rawB, err := sysBlock.CopyFromDPU(d, symResults, 0, BatchSize*ResultSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rawL, err := sysLegacy.CopyFromDPU(d, symResults, 0, BatchSize*ResultSize)
-					if err != nil {
-						t.Fatal(err)
-					}
+					rawB := readResults(t, rBlock, d, BatchSize*ResultSize)
+					rawL := readResults(t, rLegacy, d, BatchSize*ResultSize)
 					if !bytes.Equal(rawB, rawL) {
 						t.Errorf("DPU %d result bytes diverge", d)
 					}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
 )
@@ -55,7 +56,7 @@ func TestInferFaultRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetPipeline(mode.mode)
+			r.Configure(exec.Config{Pipeline: mode.mode})
 			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1})
 			for call := 0; call < 2; call++ {
 				got, st, err := r.Infer(images)

@@ -250,15 +250,6 @@ func (r *Runner) Configure(ec exec.Config) {
 	r.eng.Configure(ec)
 }
 
-// SetPipeline overrides the runner's pipelining mode (PipelineAuto is
-// resolved at NewRunner). Call it between Infer calls only.
-//
-// Deprecated: use Configure with an exec.Config — the unified dispatch
-// configuration shared by every runner. This shim forwards to it.
-func (r *Runner) SetPipeline(m host.PipelineMode) {
-	r.Configure(exec.Config{Pipeline: m})
-}
-
 // SetScope names the workload phase the next Infer calls belong to for
 // telemetry decomposition (see exec.Engine.SetScope). A plain field
 // store when no metrics registry is wired.

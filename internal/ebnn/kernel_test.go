@@ -33,6 +33,16 @@ func newRunner(t *testing.T, nDPU int, m *Model, useLUT bool, tasklets int) *Run
 	return r
 }
 
+// readResults reads n bytes of DPU d's raw result buffer.
+func readResults(t *testing.T, r *Runner, d, n int) []byte {
+	t.Helper()
+	raw := make([]byte, n)
+	if err := r.sys.CopyFromDPURefInto(d, r.refResults, 0, raw); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestRunnerValidation(t *testing.T) {
 	m, _ := trainForKernel(t)
 	sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O0))
@@ -66,10 +76,7 @@ func TestDPUMatchesHostLUT(t *testing.T) {
 		}
 	}
 	// Bit-level check through the raw result buffer.
-	raw, err := r.sys.CopyFromDPU(0, symResults, 0, len(imgs)*ResultSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readResults(t, r, 0, len(imgs)*ResultSize)
 	for i := range imgs {
 		gotF := DecodeFeatures(raw[i*ResultSize:(i+1)*ResultSize], m.F)
 		wantF := m.FeaturesViaLUT(&imgs[i], lut)
@@ -91,10 +98,7 @@ func TestDPUMatchesHostFloat(t *testing.T) {
 	if _, _, err := r.Infer(imgs); err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	raw, err := r.sys.CopyFromDPU(0, symResults, 0, len(imgs)*ResultSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := readResults(t, r, 0, len(imgs)*ResultSize)
 	for i := range imgs {
 		gotF := DecodeFeatures(raw[i*ResultSize:(i+1)*ResultSize], m.F)
 		wantF := m.Features(&imgs[i])

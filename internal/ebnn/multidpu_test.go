@@ -80,10 +80,7 @@ func TestFilterCountGenerality(t *testing.T) {
 			}
 		}
 		// Unused filter bits in the result byte must be zero.
-		raw, err := r.sys.CopyFromDPU(0, symResults, 0, ResultSize)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := readResults(t, r, 0, ResultSize)
 		for cell := 0; cell < PoolCells; cell++ {
 			if raw[cell]>>uint(f) != 0 {
 				t.Fatalf("F=%d: cell %d has bits above filter count: %08b", f, cell, raw[cell])

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
 )
@@ -32,7 +33,7 @@ func TestInferPipelinedMatchesSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.SetPipeline(mode)
+		r.Configure(exec.Config{Pipeline: mode})
 		preds, st, err := r.Infer(images)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +85,7 @@ func TestInferPipelinedRepeatedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetPipeline(host.PipelineOn)
+	r.Configure(exec.Config{Pipeline: host.PipelineOn})
 	lut := m.BuildLUT()
 	for _, n := range []int{32, 7, 20} {
 		preds, _, err := r.Infer(ds.Test[:n])

@@ -30,6 +30,10 @@ func TestMultiRankPipelinedStress(t *testing.T) {
 	if err := w.sys.AllocMRAM("stress_buf", 64); err != nil {
 		t.Fatal(err)
 	}
+	stressBuf, err := w.sys.Resolve("stress_buf")
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := exec.New(w.sys, exec.Config{Pipeline: host.PipelineOn})
 
 	stop := make(chan struct{})
@@ -49,11 +53,11 @@ func TestMultiRankPipelinedStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := w.sys.PushXfer("stress_buf", 0, bufs); err != nil {
+			if err := w.sys.PushXferRef(stressBuf, 0, bufs); err != nil {
 				t.Errorf("concurrent PushXfer: %v", err)
 				return
 			}
-			if err := w.sys.GatherXferInto("stress_buf", 0, 64, dst); err != nil {
+			if err := w.sys.GatherXferRefInto(stressBuf, 0, 64, dst); err != nil {
 				t.Errorf("concurrent GatherXferInto: %v", err)
 				return
 			}

@@ -106,7 +106,7 @@ func benchMultiWave(b *testing.B, mode host.PipelineMode) {
 	am, bm := benchProblem(m, n, k)
 	sys, _ := host.NewSystem(4, host.DefaultConfig(dpu.O3))
 	r, err := NewRunner(sys, RunnerConfig{
-		MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256, Pipeline: mode,
+		MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256, Exec: exec.Config{Pipeline: mode},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 )
 
@@ -51,7 +52,7 @@ func TestMultiplyFaultRecovery(t *testing.T) {
 				}
 				defer sys.Close()
 				r, err := NewRunner(sys, RunnerConfig{
-					MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: mode.mode,
+					MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -149,7 +150,7 @@ func TestMultiplyBatchFaultRecovery(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			r := newBatchRunner(t, 4, m, RunnerConfig{
-				MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, Pipeline: mode.mode,
+				MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode},
 			})
 			// Dooms DPU 1 of 4; it dies at its first batch launch.
 			r.sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})

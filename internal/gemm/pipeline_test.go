@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 )
 
@@ -34,7 +35,7 @@ func runModes(t *testing.T, naive bool, opt dpu.OptLevel, m, n, k int) {
 		}
 		defer sys.Close()
 		r, err := NewRunner(sys, RunnerConfig{
-			MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Naive: naive, Pipeline: mode,
+			MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Naive: naive, Exec: exec.Config{Pipeline: mode},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +76,7 @@ func TestMultiplyPipelinedRepeatedCalls(t *testing.T) {
 	}
 	defer sys.Close()
 	const n, k = 16, 8
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 2, TileCols: 8, Pipeline: host.PipelineOn})
+	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 2, TileCols: 8, Exec: exec.Config{Pipeline: host.PipelineOn}})
 	if err != nil {
 		t.Fatal(err)
 	}

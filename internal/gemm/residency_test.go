@@ -89,7 +89,7 @@ func TestResidencyBitIdentity(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, mode := range modes {
 			t.Run(sc.name+"/"+mode.name, func(t *testing.T) {
-				cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: mode.mode}
+				cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode}}
 				res, _, _ := newResidentRunner(t, 8, sc.topo, cfg, 64, "bitid")
 				sc.arm(res.System())
 
@@ -148,7 +148,7 @@ func TestResidencyWarmSkipsWeightTransfer(t *testing.T) {
 		mode host.PipelineMode
 	}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: mode.mode}
+			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode}}
 			r, _, reg := newResidentRunner(t, 8, host.Topology{}, cfg, 64, "warm")
 			delivered := reg.Counter("pim_wcache_delivered_bytes_total")
 			hits := reg.Counter("pim_wcache_hits_total")
@@ -216,7 +216,7 @@ func TestResidencyRemapNeverServesStale(t *testing.T) {
 		mode host.PipelineMode
 	}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
 		t.Run(mode.name, func(t *testing.T) {
-			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: mode.mode}
+			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode}}
 			r, _, reg := newResidentRunner(t, 8, host.Topology{}, cfg, 64, "remap")
 			r.System().InjectFaults(deadPlan)
 			retries := 0
@@ -352,7 +352,7 @@ func TestBatchResidency(t *testing.T) {
 		{"pipelined-dead", host.PipelineOn, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, Pipeline: tc.mode}
+			cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, Exec: exec.Config{Pipeline: tc.mode}}
 			r, _, reg := newResidentRunner(t, 4, host.Topology{}, cfg, 256, "yolo")
 			if err := r.EnableBatch(m); err != nil {
 				t.Fatal(err)

@@ -57,23 +57,18 @@ type RunnerConfig struct {
 	// differential tests launch both and compare — so the flag exists
 	// only for those tests and for profiling the old path.
 	LegacyCharging bool
-	// Pipeline selects double-buffered wave pipelining through the host's
-	// asynchronous command queue. Results and simulated-time accounting
-	// are identical in both modes; pipelining only overlaps host
-	// encode/decode wall-clock time with queued device work.
-	//
-	// Deprecated shorthand for Exec.Pipeline, kept so existing configs
-	// keep working; Exec.Pipeline wins when it is not PipelineAuto.
-	Pipeline host.PipelineMode
 	// Exec is the unified execution-engine configuration (pipelining,
 	// trace timeline) shared with every other runner; see internal/exec
-	// and DESIGN.md, "Execution engine".
+	// and DESIGN.md, "Execution engine". Results and simulated-time
+	// accounting are identical in both pipeline modes; pipelining only
+	// overlaps host encode/decode wall-clock time with queued device
+	// work.
 	Exec exec.Config
 	// Mapping, when non-nil, seeds the hand-tunable fields from a
 	// planner-produced mapping: Tasklets and TileCols when left zero,
-	// and the engine's pipeline mode when both Pipeline fields are
-	// PipelineAuto. The kernel family (Naive) stays the caller's choice
-	// — it is an allocation-time runner property, not a per-shape axis.
+	// and the engine's pipeline mode when Exec.Pipeline is PipelineAuto.
+	// The kernel family (Naive) stays the caller's choice — it is an
+	// allocation-time runner property, not a per-shape axis.
 	Mapping *plan.Mapping
 	// Planner, when non-nil, re-plans the mapping for every problem
 	// shape Multiply/MultiplyBatchEach sees: the tasklet count (and wave
@@ -270,7 +265,7 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 		if cfg.TileCols == 0 {
 			cfg.TileCols = mp.TileCols
 		}
-		if cfg.Exec.Pipeline == host.PipelineAuto && cfg.Pipeline == host.PipelineAuto {
+		if cfg.Exec.Pipeline == host.PipelineAuto {
 			cfg.Exec.Pipeline = mp.Pipeline
 		}
 	}
@@ -357,20 +352,9 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 			rowBuf: make([]byte, int(maxStride)*2),
 		}
 	}
-	r.eng = exec.New(sys, cfg.execConfig())
+	r.eng = exec.New(sys, cfg.Exec)
 	r.mws.r = r
 	return r, nil
-}
-
-// execConfig resolves the effective engine configuration: Exec wins,
-// with the deprecated Pipeline field honored when Exec leaves the mode
-// at PipelineAuto.
-func (cfg RunnerConfig) execConfig() exec.Config {
-	ec := cfg.Exec
-	if ec.Pipeline == host.PipelineAuto {
-		ec.Pipeline = cfg.Pipeline
-	}
-	return ec
 }
 
 // Configure re-applies the unified execution-engine configuration

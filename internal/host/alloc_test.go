@@ -42,13 +42,13 @@ func TestPushXferAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("PushXferRef allocates %.1f per call, want 0", avg)
 	}
-	// The string-keyed entry point adds only the symbol-cache lookup.
+	// Resolving per call adds only the symbol-cache lookup.
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := s.PushXfer("buf", 0, buffers); err != nil {
+		if err := s.PushXferRef(resolve(t, s, "buf"), 0, buffers); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("PushXfer allocates %.1f per call, want 0", avg)
+		t.Errorf("Resolve + PushXferRef allocates %.1f per call, want 0", avg)
 	}
 }
 
@@ -70,11 +70,11 @@ func TestGatherXferIntoAllocFree(t *testing.T) {
 		t.Errorf("GatherXferRefInto allocates %.1f per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := s.GatherXferInto("buf", 0, 64, dst); err != nil {
+		if err := s.GatherXferRefInto(resolve(t, s, "buf"), 0, 64, dst); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("GatherXferInto allocates %.1f per call, want 0", avg)
+		t.Errorf("Resolve + GatherXferRefInto allocates %.1f per call, want 0", avg)
 	}
 }
 

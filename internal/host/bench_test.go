@@ -16,9 +16,10 @@ func BenchmarkBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := make([]byte, 2048)
+	ref := resolve(b, s, "buf")
 	b.SetBytes(2048 * 8)
 	for i := 0; i < b.N; i++ {
-		if err := s.CopyToSymbol("buf", 0, data); err != nil {
+		if err := s.CopyToSymbolRef(ref, 0, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,9 +38,10 @@ func BenchmarkPushXfer(b *testing.B) {
 	for i := range bufs {
 		bufs[i] = make([]byte, 2048)
 	}
+	ref := resolve(b, s, "buf")
 	b.SetBytes(2048 * 8)
 	for i := 0; i < b.N; i++ {
-		if err := s.PushXfer("buf", 0, bufs); err != nil {
+		if err := s.PushXferRef(ref, 0, bufs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,8 +51,13 @@ func TestLaunchTrapOnOneDPU(t *testing.T) {
 
 func TestGatherUnknownSymbol(t *testing.T) {
 	s := newTestSystem(t, 2)
-	if _, err := s.GatherXfer("missing", 0, 8); err == nil {
-		t.Error("unknown symbol accepted")
+	if _, err := s.Resolve("missing"); err == nil {
+		t.Error("unknown symbol resolved")
+	}
+	// The zero handle — what a caller ignoring that error would hold —
+	// is refused by the transfer itself.
+	if _, err := gatherAll(s, SymbolRef{}, 0, 8); err == nil {
+		t.Error("gather through an unresolved handle accepted")
 	}
 }
 
@@ -62,7 +67,7 @@ func TestPushXferOverflowsSymbol(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := [][]byte{make([]byte, 16), make([]byte, 16)}
-	if err := s.PushXfer("small", 0, bufs); err == nil {
+	if err := s.PushXferRef(resolve(t, s, "small"), 0, bufs); err == nil {
 		t.Error("overflowing push accepted")
 	}
 }

@@ -394,20 +394,10 @@ func (s *System) finishXfer(op string, perDPU int, errs []error) error {
 	return s.noteFaults(faultsFrom(op, errs))
 }
 
-// CopyToSymbol broadcasts the same data to the named symbol on every DPU
+// CopyToSymbolRef broadcasts the same data to the symbol on every DPU
 // (dpu_copy_to, Eq 3.1). Data destined for MRAM must be 8-byte padded;
-// use Pad8 for arbitrary payloads.
-func (s *System) CopyToSymbol(symbol string, offset int64, data []byte) error {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return err
-	}
-	return s.CopyToSymbolRef(ref, offset, data)
-}
-
-// CopyToSymbolRef is CopyToSymbol for a pre-resolved symbol. It is
-// best-effort: every DPU is attempted, and per-DPU failures come back
-// as a *FaultReport.
+// use Pad8 for arbitrary payloads. It is best-effort: every DPU is
+// attempted, and per-DPU failures come back as a *FaultReport.
 func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error {
 	if err := checkRef(ref, offset, len(data)); err != nil {
 		return err
@@ -426,16 +416,7 @@ func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error
 	return s.finishXfer("copy_to", len(data), errs)
 }
 
-// CopyToDPU writes data to the named symbol on a single DPU.
-func (s *System) CopyToDPU(dpuIdx int, symbol string, offset int64, data []byte) error {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return err
-	}
-	return s.CopyToDPURef(dpuIdx, ref, offset, data)
-}
-
-// CopyToDPURef is CopyToDPU for a pre-resolved symbol. Device-level
+// CopyToDPURef writes data to the symbol on a single DPU. Device-level
 // failures come back as a one-entry *FaultReport; nothing is charged
 // for a failed transfer.
 func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []byte) error {
@@ -453,20 +434,11 @@ func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []by
 	return nil
 }
 
-// PushXfer scatters per-DPU buffers to the named symbol: buffers[i] goes
-// to DPU i (dpu_prepare_xfer + dpu_push_xfer, Eqs 3.2–3.3). All buffers
+// PushXferRef scatters per-DPU buffers to the symbol: buffers[i] goes to
+// DPU i (dpu_prepare_xfer + dpu_push_xfer, Eqs 3.2–3.3). All buffers
 // must share one length, the transfer length of the push; pad shorter
 // payloads with Pad8 and communicate true sizes separately, as §3.2
 // prescribes.
-func (s *System) PushXfer(symbol string, offset int64, buffers [][]byte) error {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return err
-	}
-	return s.PushXferRef(ref, offset, buffers)
-}
-
-// PushXferRef is PushXfer for a pre-resolved symbol.
 func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) error {
 	if len(buffers) != len(s.dpus) {
 		return fmt.Errorf("host: PushXfer got %d buffers for %d DPUs", len(buffers), len(s.dpus))
@@ -496,35 +468,10 @@ func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) erro
 	return s.finishXfer("push_xfer", n, errs)
 }
 
-// GatherXfer reads n bytes from the named symbol on every DPU and returns
-// one freshly-allocated buffer per DPU. Hot paths should use
-// GatherXferInto (or GatherXferRefInto) with reused buffers instead.
-func (s *System) GatherXfer(symbol string, offset int64, n int) ([][]byte, error) {
-	out := make([][]byte, len(s.dpus))
-	flat := make([]byte, n*len(s.dpus))
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	if err := s.GatherXferInto(symbol, offset, n, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GatherXferInto reads n bytes from the named symbol on the first
-// len(dst) DPUs into the caller's buffers, each of length n. Passing
-// fewer buffers than DPUs gathers a partial wave — the counterpart of
-// LaunchOn's first-n launch. The simulated transfer accounting is
-// identical to GatherXfer over the same DPU count.
-func (s *System) GatherXferInto(symbol string, offset int64, n int, dst [][]byte) error {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return err
-	}
-	return s.GatherXferRefInto(ref, offset, n, dst)
-}
-
-// GatherXferRefInto is GatherXferInto for a pre-resolved symbol.
+// GatherXferRefInto reads n bytes from the symbol on the first len(dst)
+// DPUs into the caller's buffers, each of length n. Passing fewer
+// buffers than DPUs gathers a partial wave — the counterpart of
+// LaunchOn's first-n launch.
 func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]byte) error {
 	if len(dst) < 1 || len(dst) > len(s.dpus) {
 		return fmt.Errorf("host: GatherXferInto got %d buffers for %d DPUs", len(dst), len(s.dpus))
@@ -550,27 +497,8 @@ func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]b
 	return s.finishXfer("gather", n, errs)
 }
 
-// CopyFromDPU reads n bytes from the named symbol on one DPU.
-func (s *System) CopyFromDPU(dpuIdx int, symbol string, offset int64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := s.CopyFromDPUInto(dpuIdx, symbol, offset, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CopyFromDPUInto reads len(dst) bytes from the named symbol on one DPU
-// into dst, without allocating.
-func (s *System) CopyFromDPUInto(dpuIdx int, symbol string, offset int64, dst []byte) error {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return err
-	}
-	return s.CopyFromDPURefInto(dpuIdx, ref, offset, dst)
-}
-
-// CopyFromDPURefInto is CopyFromDPUInto for a pre-resolved symbol.
-// Device-level failures come back as a one-entry *FaultReport; nothing
+// CopyFromDPURefInto reads len(dst) bytes from the symbol on one DPU
+// into dst, without allocating. Device-level failures come back as a one-entry *FaultReport; nothing
 // is charged for a failed transfer.
 func (s *System) CopyFromDPURefInto(dpuIdx int, ref SymbolRef, offset int64, dst []byte) error {
 	if err := s.checkIdx(dpuIdx); err != nil {

@@ -16,6 +16,31 @@ func newTestSystem(t *testing.T, n int) *System {
 	return s
 }
 
+// resolve returns the transfer handle of an allocated symbol.
+func resolve(t testing.TB, s *System, name string) SymbolRef {
+	t.Helper()
+	ref, err := s.Resolve(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// gatherAll reads n bytes of ref from every DPU into fresh buffers.
+func gatherAll(s *System, ref SymbolRef, offset int64, n int) ([][]byte, error) {
+	out := make([][]byte, s.NumDPUs())
+	for i := range out {
+		out[i] = make([]byte, n)
+	}
+	return out, s.GatherXferRefInto(ref, offset, n, out)
+}
+
+// copyFrom reads n bytes of ref from one DPU.
+func copyFrom(s *System, dpuIdx int, ref SymbolRef, offset int64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	return out, s.CopyFromDPURefInto(dpuIdx, ref, offset, out)
+}
+
 func TestNewSystemValidation(t *testing.T) {
 	cfg := DefaultConfig(dpu.O0)
 	if _, err := NewSystem(0, cfg); err == nil {
@@ -37,10 +62,10 @@ func TestBroadcastCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{0xAB}, 32)
-	if err := s.CopyToSymbol("weights", 0, data); err != nil {
+	if err := s.CopyToSymbolRef(resolve(t, s, "weights"), 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GatherXfer("weights", 0, 32)
+	got, err := gatherAll(s, resolve(t, s, "weights"), 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +86,11 @@ func TestPushXferScatters(t *testing.T) {
 		bytes.Repeat([]byte{2}, 16),
 		bytes.Repeat([]byte{3}, 16),
 	}
-	if err := s.PushXfer("input", 0, buffers); err != nil {
+	if err := s.PushXferRef(resolve(t, s, "input"), 0, buffers); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		b, err := s.CopyFromDPU(i, "input", 0, 16)
+		b, err := copyFrom(s, i, resolve(t, s, "input"), 0, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +105,10 @@ func TestPushXferValidation(t *testing.T) {
 	if err := s.AllocMRAM("input", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PushXfer("input", 0, [][]byte{make([]byte, 8)}); err == nil {
+	if err := s.PushXferRef(resolve(t, s, "input"), 0, [][]byte{make([]byte, 8)}); err == nil {
 		t.Error("buffer-count mismatch accepted")
 	}
-	if err := s.PushXfer("input", 0, [][]byte{make([]byte, 8), make([]byte, 16)}); err == nil {
+	if err := s.PushXferRef(resolve(t, s, "input"), 0, [][]byte{make([]byte, 8), make([]byte, 16)}); err == nil {
 		t.Error("ragged buffer lengths accepted")
 	}
 }
@@ -93,13 +118,13 @@ func TestSymbolBounds(t *testing.T) {
 	if err := s.AllocMRAM("buf", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CopyToSymbol("buf", 16, make([]byte, 24)); err == nil {
+	if err := s.CopyToSymbolRef(resolve(t, s, "buf"), 16, make([]byte, 24)); err == nil {
 		t.Error("overflow of symbol accepted")
 	}
-	if err := s.CopyToSymbol("nosuch", 0, make([]byte, 8)); err == nil {
-		t.Error("unknown symbol accepted")
+	if _, err := s.Resolve("nosuch"); err == nil {
+		t.Error("unknown symbol resolved")
 	}
-	if _, err := s.GatherXfer("buf", -8, 8); err == nil {
+	if _, err := gatherAll(s, resolve(t, s, "buf"), -8, 8); err == nil {
 		t.Error("negative offset accepted")
 	}
 }
@@ -110,10 +135,10 @@ func TestWRAMSymbolTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// WRAM host variables do not need 8-byte granularity.
-	if err := s.CopyToSymbol("nimages", 0, []byte{16, 0, 0, 0}); err != nil {
+	if err := s.CopyToSymbolRef(resolve(t, s, "nimages"), 0, []byte{16, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.CopyFromDPU(1, "nimages", 0, 4)
+	b, err := copyFrom(s, 1, resolve(t, s, "nimages"), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +211,7 @@ func TestClocksAccumulate(t *testing.T) {
 	if err := s.AllocMRAM("x", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CopyToSymbol("x", 0, make([]byte, 1024)); err != nil {
+	if err := s.CopyToSymbolRef(resolve(t, s, "x"), 0, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	if s.HostTransferTime() <= 0 {
@@ -212,7 +237,7 @@ func TestTransferStats(t *testing.T) {
 	if err := s.AllocMRAM("x", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CopyToSymbol("x", 0, make([]byte, 512)); err != nil {
+	if err := s.CopyToSymbolRef(resolve(t, s, "x"), 0, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
 	st := s.TransferStats()
@@ -225,7 +250,7 @@ func TestTransferStats(t *testing.T) {
 	if st.Time <= 0 {
 		t.Error("no transfer time")
 	}
-	if _, err := s.GatherXfer("x", 0, 64); err != nil {
+	if _, err := gatherAll(s, resolve(t, s, "x"), 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	st = s.TransferStats()
@@ -300,10 +325,10 @@ func TestCopyToDPUIndexValidation(t *testing.T) {
 	if err := s.AllocMRAM("x", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CopyToDPU(5, "x", 0, make([]byte, 8)); err == nil {
+	if err := s.CopyToDPURef(5, resolve(t, s, "x"), 0, make([]byte, 8)); err == nil {
 		t.Error("out-of-range DPU index accepted")
 	}
-	if _, err := s.CopyFromDPU(-1, "x", 0, 8); err == nil {
+	if _, err := copyFrom(s, -1, resolve(t, s, "x"), 0, 8); err == nil {
 		t.Error("negative DPU index accepted")
 	}
 }

@@ -240,22 +240,6 @@ func (s *System) EnqueueLaunch(n, tasklets int, kernel dpu.KernelFunc, stats *La
 	return s.enqueue(asyncOp{kind: opLaunch, n: n, tasklets: tasklets, kernel: kernel, stats: stats})
 }
 
-// LaunchAsync queues a kernel launch on every DPU — dpu_launch with
-// DPU_ASYNCHRONOUS. Errors surface at Wait or Sync.
-func (s *System) LaunchAsync(tasklets int, kernel dpu.KernelFunc, stats *LaunchStats) Pending {
-	return s.EnqueueLaunch(len(s.dpus), tasklets, kernel, stats)
-}
-
-// PushXferAsync is the string-keyed EnqueuePushXfer; the symbol resolves
-// eagerly so an unknown name fails at enqueue time rather than at Sync.
-func (s *System) PushXferAsync(symbol string, offset int64, buffers [][]byte) (Pending, error) {
-	ref, err := s.Resolve(symbol)
-	if err != nil {
-		return Pending{}, err
-	}
-	return s.EnqueuePushXfer(ref, offset, buffers), nil
-}
-
 // Wave is one fused scatter→launch→gather command for EnqueueWave: the
 // per-wave unit of the double-buffered runners. The executor interleaves
 // the three phases per DPU (scatter DPU i, launch DPU i, gather DPU i)

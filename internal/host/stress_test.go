@@ -6,6 +6,7 @@ import (
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/ebnn"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
@@ -36,7 +37,7 @@ func TestConcurrentPipelinedRunners(t *testing.T) {
 
 	const m, n, k = 9, 32, 16
 	gr, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Pipeline: host.PipelineOn,
+		MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: host.PipelineOn},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func TestConcurrentPipelinedRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	er.SetPipeline(host.PipelineOn)
+	er.Configure(exec.Config{Pipeline: host.PipelineOn})
 
 	a := make([]int16, m*k)
 	b := make([]int16, k*n)

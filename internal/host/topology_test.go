@@ -134,7 +134,7 @@ func TestRankParallelTransferCharge(t *testing.T) {
 		if err := s.AllocMRAM("in", perDPU); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PushXfer("in", 0, bufs); err != nil {
+		if err := s.PushXferRef(resolve(t, s, "in"), 0, bufs); err != nil {
 			t.Fatal(err)
 		}
 		return s.HostTransferTime()

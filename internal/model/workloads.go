@@ -31,7 +31,7 @@ func Workloads() []Workload {
 		{Name: "eBNN", MACs: 4.87e5, Bits: 8},   // 26x26x9x8 binary MACs
 		{Name: "LeNet-5", MACs: 4.2e5, Bits: 8}, // classic MNIST CNN
 		{Name: "AlexNet", MACs: AlexNetTOPs, Bits: 8},
-		{Name: "ResNet-18", MACs: 1.814e9, Bits: 8}, // matches internal/resnet.MACs()
+		{Name: "ResNet-18", MACs: 1.814e9, Bits: 8}, // matches resnet.New(FullConfig()).MACs() (internal/nn.Network.MACs)
 		{Name: "ResNet-50", MACs: 4.1e9, Bits: 8},
 		{Name: "VGG-16", MACs: 1.55e10, Bits: 8},
 		{Name: "YOLOv3-416", MACs: 3.29e10, Bits: 8},

@@ -11,59 +11,32 @@ package resnet
 
 import (
 	"fmt"
-	"math/rand"
 
-	"pimdnn/internal/fixed"
 	"pimdnn/internal/gemm"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/tensor"
 )
 
-// LayerKind enumerates ResNet layer types.
-type LayerKind int
+// The layer vocabulary and forward statistics are the shared ones
+// (internal/nn), under the names this package has always exported.
+type (
+	LayerKind    = nn.Kind
+	LayerDef     = nn.Layer
+	LayerStat    = nn.LayerStat
+	ForwardStats = nn.ForwardStats
+)
 
 // Layer kinds. BlockStart/BlockEnd bracket a basic block: BlockStart
 // remembers the residual input (and owns the optional 1×1 projection);
 // BlockEnd performs the saturating residual add followed by ReLU.
 const (
-	Conv LayerKind = iota + 1
-	MaxPool
-	GlobalAvgPool
-	FC
-	BlockStart
-	BlockEnd
+	Conv          = nn.Conv
+	MaxPool       = nn.MaxPool
+	GlobalAvgPool = nn.GlobalAvgPool
+	FC            = nn.FC
+	BlockStart    = nn.BlockStart
+	BlockEnd      = nn.BlockEnd
 )
-
-func (k LayerKind) String() string {
-	switch k {
-	case Conv:
-		return "conv"
-	case MaxPool:
-		return "maxpool"
-	case GlobalAvgPool:
-		return "avgpool"
-	case FC:
-		return "fc"
-	case BlockStart:
-		return "block-start"
-	case BlockEnd:
-		return "block-end"
-	default:
-		return "layer?"
-	}
-}
-
-// LayerDef describes one layer.
-type LayerDef struct {
-	Kind    LayerKind
-	Filters int
-	Size    int
-	Stride  int
-	Pad     int
-	ReLU    bool
-	// Project marks a BlockStart whose shortcut needs a 1×1 strided
-	// projection (channel or resolution change).
-	Project bool
-}
 
 // Config parameterizes the build.
 type Config struct {
@@ -106,17 +79,17 @@ func BuildLayers(cfg Config) ([]LayerDef, error) {
 		return nil, fmt.Errorf("resnet: bad config %+v", cfg)
 	}
 	var ls []LayerDef
-	conv := func(filters, size, stride, pad int, relu bool) {
-		ls = append(ls, LayerDef{Kind: Conv, Filters: filters, Size: size, Stride: stride, Pad: pad, ReLU: relu})
+	conv := func(filters, size, stride, pad int, act nn.Activation) {
+		ls = append(ls, LayerDef{Kind: Conv, Filters: filters, Size: size, Stride: stride, Pad: pad, Act: act})
 	}
 	block := func(filters, stride int, project bool) {
 		ls = append(ls, LayerDef{Kind: BlockStart, Filters: filters, Stride: stride, Project: project})
-		conv(filters, 3, stride, 1, true)
-		conv(filters, 3, 1, 1, false) // ReLU comes after the residual add
+		conv(filters, 3, stride, 1, nn.ReLU)
+		conv(filters, 3, 1, 1, nn.Linear) // ReLU comes after the residual add
 		ls = append(ls, LayerDef{Kind: BlockEnd})
 	}
 
-	conv(cfg.chans(64), 7, 2, 3, true)
+	conv(cfg.chans(64), 7, 2, 3, nn.ReLU)
 	ls = append(ls, LayerDef{Kind: MaxPool, Size: 3, Stride: 2, Pad: 1})
 	block(cfg.chans(64), 1, false)
 	block(cfg.chans(64), 1, false)
@@ -131,21 +104,12 @@ func BuildLayers(cfg Config) ([]LayerDef, error) {
 	return ls, nil
 }
 
-// Weights holds one GEMM-shaped layer's parameters; for BlockStart with
-// projection it holds the 1×1 shortcut conv.
-type Weights struct {
-	W    []int16
-	Bias []int16
-}
-
-type shape struct{ c, h, w int }
-
-// Network is a built ResNet-18.
+// Network is a built ResNet-18: the shared layer graph (shapes, weights,
+// executor). A projecting BlockStart's Weights entry holds its 1×1
+// shortcut conv.
 type Network struct {
-	Cfg     Config
-	Defs    []LayerDef
-	Weights []Weights
-	shapes  []shape
+	*nn.Network
+	Cfg Config
 }
 
 // New builds the network with inferred shapes and seeded weights.
@@ -154,320 +118,27 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, Defs: defs}
-	n.Weights = make([]Weights, len(defs))
-	n.shapes = make([]shape, len(defs))
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cur := shape{c: 3, h: cfg.InputSize, w: cfg.InputSize}
-	for i, def := range defs {
-		switch def.Kind {
-		case Conv:
-			k := cur.c * def.Size * def.Size
-			n.Weights[i] = synthWeights(rng, def.Filters, k)
-			cur = shape{
-				c: def.Filters,
-				h: tensor.ConvOut(cur.h, def.Size, def.Stride, def.Pad),
-				w: tensor.ConvOut(cur.w, def.Size, def.Stride, def.Pad),
-			}
-		case MaxPool:
-			cur = shape{
-				c: cur.c,
-				h: tensor.ConvOut(cur.h, def.Size, def.Stride, def.Pad),
-				w: tensor.ConvOut(cur.w, def.Size, def.Stride, def.Pad),
-			}
-		case GlobalAvgPool:
-			cur = shape{c: cur.c, h: 1, w: 1}
-		case FC:
-			k := cur.c * cur.h * cur.w
-			n.Weights[i] = synthWeights(rng, def.Filters, k)
-			cur = shape{c: def.Filters, h: 1, w: 1}
-		case BlockStart:
-			if def.Project {
-				// 1×1 strided projection for the shortcut.
-				n.Weights[i] = synthWeights(rng, def.Filters, cur.c)
-			}
-			// Shape unchanged; the block's convs advance it.
-		case BlockEnd:
-			// Shape unchanged.
-		}
-		n.shapes[i] = cur
+	g, err := nn.New(3, cfg.InputSize, cfg.InputSize, defs, cfg.Seed, "resnet_layer%02d")
+	if err != nil {
+		return nil, fmt.Errorf("resnet: %w", err)
 	}
-	return n, nil
-}
-
-func synthWeights(rng *rand.Rand, m, k int) Weights {
-	w := make([]int16, m*k)
-	std := 1.0
-	if k > 0 {
-		std = 1.0 / sqrt(float64(k))
-	}
-	for i := range w {
-		w[i] = tensor.Quantize(rng.NormFloat64() * std)
-	}
-	bias := make([]int16, m)
-	for i := range bias {
-		bias[i] = tensor.Quantize(rng.NormFloat64() * 0.1)
-	}
-	return Weights{W: w, Bias: bias}
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 24; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// Shape returns layer i's output (C, H, W).
-func (n *Network) Shape(i int) (c, h, w int) {
-	s := n.shapes[i]
-	return s.c, s.h, s.w
-}
-
-// MACs returns the multiply-accumulate count (including projections).
-func (n *Network) MACs() int64 {
-	var total int64
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		switch def.Kind {
-		case Conv:
-			total += int64(cur.c) * int64(def.Size*def.Size) * int64(s.c) * int64(s.h) * int64(s.w)
-		case FC:
-			total += int64(cur.c) * int64(s.c)
-		case BlockStart:
-			if def.Project {
-				// 1×1 stride-s projection runs over the block's output
-				// resolution.
-				outH := tensor.ConvOut(cur.h, 1, def.Stride, 0)
-				outW := tensor.ConvOut(cur.w, 1, def.Stride, 0)
-				total += int64(cur.c) * int64(def.Filters) * int64(outH) * int64(outW)
-			}
-		}
-		cur = s
-	}
-	return total
+	return &Network{Network: g, Cfg: cfg}, nil
 }
 
 // GEMMBounds returns the largest K and N any GEMM needs.
 func (n *Network) GEMMBounds() (maxK, maxN int) {
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	consider := func(k, cols int) {
-		if k > maxK {
-			maxK = k
-		}
-		if cols > maxN {
-			maxN = cols
-		}
-	}
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		switch def.Kind {
-		case Conv:
-			consider(cur.c*def.Size*def.Size, s.h*s.w)
-		case FC:
-			consider(cur.c*cur.h*cur.w, 1)
-		case BlockStart:
-			if def.Project {
-				outH := tensor.ConvOut(cur.h, 1, def.Stride, 0)
-				consider(cur.c, outH*outH)
-			}
-		}
-		cur = s
-	}
+	maxK, maxN, _ = n.Network.GEMMBounds()
 	return maxK, maxN
-}
-
-func maxPoolPad(in *tensor.Tensor, size, stride, pad int) *tensor.Tensor {
-	outH := tensor.ConvOut(in.H, size, stride, pad)
-	outW := tensor.ConvOut(in.W, size, stride, pad)
-	out := tensor.New(in.C, outH, outW)
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				best := int16(-32768)
-				for dy := 0; dy < size; dy++ {
-					for dx := 0; dx < size; dx++ {
-						iy, ix := oy*stride+dy-pad, ox*stride+dx-pad
-						if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
-							continue // padding cells never win a max
-						}
-						if v := in.At(c, iy, ix); v > best {
-							best = v
-						}
-					}
-				}
-				out.Set(c, oy, ox, best)
-			}
-		}
-	}
-	return out
-}
-
-func globalAvgPool(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.C, 1, 1)
-	area := int32(in.H * in.W)
-	for c := 0; c < in.C; c++ {
-		var sum int32
-		for y := 0; y < in.H; y++ {
-			for x := 0; x < in.W; x++ {
-				sum += int32(in.At(c, y, x))
-			}
-		}
-		out.Set(c, 0, 0, fixed.ClampInt16(sum/area))
-	}
-	return out
-}
-
-func applyBiasAct(c []int16, m, n int, bias []int16, relu bool) {
-	for f := 0; f < m; f++ {
-		b := bias[f]
-		row := c[f*n : (f+1)*n]
-		for j, v := range row {
-			s := fixed.SatAdd16(v, b)
-			if relu && s < 0 {
-				s = 0
-			}
-			row[j] = s
-		}
-	}
-}
-
-// LayerStat records one delegated GEMM.
-type LayerStat struct {
-	Layer    int
-	Kind     LayerKind
-	DPUsUsed int
-	Cycles   uint64
-	Seconds  float64
-	// Retries counts row shards re-dispatched after injected faults.
-	Retries int
-	// Tasklets is the per-DPU tasklet count the layer launched with.
-	Tasklets int
-	// PredictedSeconds is the planner's analytic latency for the layer;
-	// zero when the runner runs a fixed mapping.
-	PredictedSeconds float64
-}
-
-// ForwardStats aggregates a DPU forward pass.
-type ForwardStats struct {
-	Layers  []LayerStat
-	Cycles  uint64
-	Seconds float64
-	// Retries sums the layers' fault re-dispatches; nonzero only
-	// when the system runs under a fault plan.
-	Retries int
 }
 
 // Forward runs one image; runner nil = host reference, otherwise GEMMs
 // are delegated to the DPU system. Returns the class logits (Q10.5).
 func (n *Network) Forward(input *tensor.Tensor, runner *gemm.Runner) ([]int16, *ForwardStats, error) {
-	if input.C != 3 || input.H != n.Cfg.InputSize || input.W != n.Cfg.InputSize {
-		return nil, nil, fmt.Errorf("resnet: input %dx%dx%d, want 3x%dx%d",
-			input.C, input.H, input.W, n.Cfg.InputSize, n.Cfg.InputSize)
+	out, stats, err := n.Network.Forward(input, runner)
+	if err != nil {
+		return nil, nil, fmt.Errorf("resnet: %w", err)
 	}
-	stats := &ForwardStats{}
-	runGEMM := func(layer, m, cols, k int, w []int16, b []int16) ([]int16, error) {
-		if runner == nil {
-			return gemm.Reference(m, cols, k, 1, w, b)
-		}
-		if runner.MetricsOn() {
-			runner.SetScope(fmt.Sprintf("resnet_layer%02d", layer))
-		}
-		if runner.ResidencyOn() {
-			runner.SetWeightLayer(layer)
-		}
-		reqSp := runner.TraceSpan()
-		if reqSp != nil {
-			lsp := reqSp.StartChild(fmt.Sprintf("resnet_layer%02d", layer))
-			lsp.SetAttr("layer", int64(layer))
-			runner.SetTraceSpan(lsp)
-		}
-		c, st, err := runner.Multiply(m, cols, k, 1, w, b)
-		if reqSp != nil {
-			runner.TraceSpan().End()
-			runner.SetTraceSpan(reqSp)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ls := LayerStat{
-			Layer: layer, Kind: n.Defs[layer].Kind, DPUsUsed: st.DPUsUsed,
-			Cycles: st.Cycles, Seconds: st.Seconds, Retries: st.Retries,
-			Tasklets: st.Tasklets,
-		}
-		if mp, ok := runner.LastMapping(); ok {
-			ls.PredictedSeconds = mp.PredictedSeconds
-		}
-		stats.Layers = append(stats.Layers, ls)
-		stats.Cycles += st.Cycles
-		stats.Seconds += st.Seconds
-		stats.Retries += st.Retries
-		return c, nil
-	}
-
-	cur := input
-	var residual *tensor.Tensor
-	for i, def := range n.Defs {
-		s := n.shapes[i]
-		switch def.Kind {
-		case Conv:
-			b, k, cols := tensor.Im2Col(cur, def.Size, def.Stride, def.Pad)
-			c, err := runGEMM(i, def.Filters, cols, k, n.Weights[i].W, b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("resnet: layer %d: %w", i, err)
-			}
-			applyBiasAct(c, def.Filters, cols, n.Weights[i].Bias, def.ReLU)
-			cur = &tensor.Tensor{C: s.c, H: s.h, W: s.w, Data: c}
-		case MaxPool:
-			cur = maxPoolPad(cur, def.Size, def.Stride, def.Pad)
-		case GlobalAvgPool:
-			cur = globalAvgPool(cur)
-		case FC:
-			k := cur.Len()
-			c, err := runGEMM(i, def.Filters, 1, k, n.Weights[i].W, cur.Data)
-			if err != nil {
-				return nil, nil, fmt.Errorf("resnet: layer %d: %w", i, err)
-			}
-			applyBiasAct(c, def.Filters, 1, n.Weights[i].Bias, false)
-			cur = &tensor.Tensor{C: s.c, H: 1, W: 1, Data: c}
-		case BlockStart:
-			if def.Project {
-				// 1×1 strided projection of the shortcut path.
-				b, k, cols := tensor.Im2Col(cur, 1, def.Stride, 0)
-				c, err := runGEMM(i, def.Filters, cols, k, n.Weights[i].W, b)
-				if err != nil {
-					return nil, nil, fmt.Errorf("resnet: projection %d: %w", i, err)
-				}
-				applyBiasAct(c, def.Filters, cols, n.Weights[i].Bias, false)
-				outH := tensor.ConvOut(cur.H, 1, def.Stride, 0)
-				outW := tensor.ConvOut(cur.W, 1, def.Stride, 0)
-				residual = &tensor.Tensor{C: def.Filters, H: outH, W: outW, Data: c}
-			} else {
-				residual = cur
-			}
-		case BlockEnd:
-			if residual == nil || residual.Len() != cur.Len() {
-				return nil, nil, fmt.Errorf("resnet: layer %d: residual shape mismatch", i)
-			}
-			out := cur.Clone()
-			for j := range out.Data {
-				v := fixed.SatAdd16(out.Data[j], residual.Data[j])
-				if v < 0 {
-					v = 0 // post-add ReLU
-				}
-				out.Data[j] = v
-			}
-			cur = out
-			residual = nil
-		}
-	}
-	return cur.Data, stats, nil
+	return out.Out.Data, stats, nil
 }
 
 // Predict returns the argmax class.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/tensor"
@@ -83,29 +84,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{InputSize: 64, Classes: 0, WidthDiv: 8}); err == nil {
 		t.Error("zero classes accepted")
-	}
-}
-
-func TestMaxPoolPad(t *testing.T) {
-	in := tensor.New(1, 2, 2)
-	in.Data = []int16{-5, -3, -8, -1}
-	// 3x3 pool, stride 2, pad 1 over 2x2: one output = max of all (pads
-	// never win, even with all-negative inputs).
-	out := maxPoolPad(in, 3, 2, 1)
-	if out.H != 1 || out.W != 1 || out.At(0, 0, 0) != -1 {
-		t.Errorf("pool = %+v", out)
-	}
-}
-
-func TestGlobalAvgPool(t *testing.T) {
-	in := tensor.New(2, 2, 2)
-	in.Data = []int16{1, 2, 3, 4, -8, -8, -8, -8}
-	out := globalAvgPool(in)
-	if out.At(0, 0, 0) != 2 { // (1+2+3+4)/4 = 2 (trunc)
-		t.Errorf("avg ch0 = %d", out.At(0, 0, 0))
-	}
-	if out.At(1, 0, 0) != -8 {
-		t.Errorf("avg ch1 = %d", out.At(1, 0, 0))
 	}
 }
 
@@ -195,7 +173,7 @@ func TestForwardFaultRecovery(t *testing.T) {
 			}
 			defer sys.Close()
 			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-				MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Pipeline: mode.mode,
+				MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Exec: exec.Config{Pipeline: mode.mode},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -2,9 +2,11 @@ package yolo
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 )
@@ -17,7 +19,7 @@ func newBatchRunner(t *testing.T, n *Network, nDPU, tasklets int, mode host.Pipe
 	}
 	maxK, maxN := n.GEMMBounds()
 	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64, Pipeline: mode,
+		MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64, Exec: exec.Config{Pipeline: mode},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +90,48 @@ func testForwardBatchMatchesForward(t *testing.T, mode host.PipelineMode, nDPU, 
 		if len(want.Detections) != len(batchRes[i].Detections) {
 			t.Errorf("image %d: detections %d vs %d", i, len(batchRes[i].Detections), len(want.Detections))
 		}
+	}
+}
+
+// TestForwardBatchCountsRetries: a batch forward with a quarter of the
+// DPUs killed after their first launch re-dispatches the dead DPUs'
+// images, stays bit-identical to the host reference, and reports every
+// re-dispatch in ForwardStats — per layer and in total.
+func TestForwardBatchCountsRetries(t *testing.T) {
+	n, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]*Tensor, 6)
+	for i := range inputs {
+		inputs[i] = SyntheticScene(32, int64(i+1))
+	}
+	r := newBatchRunner(t, n, 8, 8, host.PipelineOff)
+	r.System().InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1})
+	got, stats, err := n.ForwardBatch(inputs, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range inputs {
+		want, _, err := n.Forward(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range want.YoloOutputs {
+			if !slices.Equal(got[i].YoloOutputs[s].Data, want.YoloOutputs[s].Data) {
+				t.Fatalf("image %d scale %d: degraded batch differs from the host reference", i, s)
+			}
+		}
+	}
+	if stats.Retries == 0 {
+		t.Error("no re-dispatches recorded; the fault plan kills DPUs after the first conv")
+	}
+	var layerRetries int
+	for _, ls := range stats.Layers {
+		layerRetries += ls.Retries
+	}
+	if layerRetries != stats.Retries {
+		t.Errorf("layer retries sum %d != total %d", layerRetries, stats.Retries)
 	}
 }
 

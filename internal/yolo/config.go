@@ -1,57 +1,34 @@
 package yolo
 
-import "fmt"
+import (
+	"fmt"
 
-// LayerKind enumerates the YOLOv3 layer types.
-type LayerKind int
-
-// Layer kinds.
-const (
-	Conv LayerKind = iota + 1
-	Shortcut
-	Route
-	Upsample
-	Yolo
+	"pimdnn/internal/nn"
 )
 
-func (k LayerKind) String() string {
-	switch k {
-	case Conv:
-		return "conv"
-	case Shortcut:
-		return "shortcut"
-	case Route:
-		return "route"
-	case Upsample:
-		return "upsample"
-	case Yolo:
-		return "yolo"
-	default:
-		return "layer?"
-	}
-}
-
-// Activation selects the post-convolution nonlinearity.
-type Activation int
-
-// Activations: Leaky is the darknet leaky ReLU (quantized here as x>>3
-// for negative inputs); Linear is identity (detection heads).
-const (
-	Leaky Activation = iota + 1
-	Linear
+// The layer vocabulary is the shared one (internal/nn), under the
+// names this package has always exported.
+type (
+	LayerKind  = nn.Kind
+	Activation = nn.Activation
+	LayerDef   = nn.Layer
 )
 
-// LayerDef describes one layer of the network graph.
-type LayerDef struct {
-	Kind       LayerKind
-	Filters    int        // Conv: output channels
-	Size       int        // Conv: kernel edge (1 or 3)
-	Stride     int        // Conv: stride; Upsample: factor
-	Activation Activation // Conv only
-	From       int        // Shortcut: relative source (e.g. -3)
-	Layers     []int      // Route: relative (<0) or absolute source indices
-	Mask       []int      // Yolo: anchor indices used at this scale
-}
+// Layer kinds of the yolov3.cfg graph; Yolo is a detection head.
+const (
+	Conv     = nn.Conv
+	Shortcut = nn.Shortcut
+	Route    = nn.Route
+	Upsample = nn.Upsample
+	Yolo     = nn.Head
+)
+
+// Activations: Leaky is the darknet leaky ReLU; Linear is identity
+// (detection heads).
+const (
+	Leaky  = nn.Leaky
+	Linear = nn.Linear
+)
 
 // Anchor is a prior box size in input pixels.
 type Anchor struct{ W, H float64 }
@@ -126,7 +103,8 @@ func BuildLayers(cfg Config) ([]LayerDef, error) {
 	}
 	var ls []LayerDef
 	conv := func(filters, size, stride int, act Activation) {
-		ls = append(ls, LayerDef{Kind: Conv, Filters: filters, Size: size, Stride: stride, Activation: act})
+		// darknet same-padding: pad = size/2.
+		ls = append(ls, LayerDef{Kind: Conv, Filters: filters, Size: size, Stride: stride, Pad: size / 2, Act: act})
 	}
 	residual := func(mid, out int, repeats int) {
 		for i := 0; i < repeats; i++ {

@@ -4,50 +4,14 @@ import (
 	"fmt"
 
 	"pimdnn/internal/gemm"
+	"pimdnn/internal/nn"
 )
 
-// LayerStat records one layer's DPU execution.
-type LayerStat struct {
-	Layer    int
-	Kind     LayerKind
-	DPUsUsed int
-	Cycles   uint64
-	Seconds  float64
-	// Retries counts row shards re-dispatched after injected faults.
-	Retries int
-	// Tasklets is the per-DPU tasklet count the layer launched with —
-	// the auto-mapper's per-shape choice when the runner plans, the
-	// hand-tuned constant otherwise.
-	Tasklets int
-	// PredictedSeconds is the planner's analytic latency for the layer;
-	// zero when the runner runs a fixed mapping. Comparing it against
-	// Seconds is the calibration loop (cmd/upmem-profile -calibrate).
-	PredictedSeconds float64
-}
-
-// ForwardStats aggregates a DPU forward pass.
-type ForwardStats struct {
-	Layers []LayerStat
-	// Cycles and Seconds sum the conv layers' DPU time (the host-side
-	// layers are not part of the delegated workload, §4.2.3).
-	Cycles  uint64
-	Seconds float64
-	// Retries sums the conv layers' fault re-dispatches; nonzero only
-	// when fault injection is armed on the underlying system.
-	Retries int
-}
-
-// MaxLayerSeconds returns the slowest single layer (the thesis reports a
-// ~6 s max layer within the 65 s total, §4.3.1).
-func (s ForwardStats) MaxLayerSeconds() float64 {
-	var m float64
-	for _, l := range s.Layers {
-		if l.Seconds > m {
-			m = l.Seconds
-		}
-	}
-	return m
-}
+// The forward statistics are the shared executor's.
+type (
+	LayerStat    = nn.LayerStat
+	ForwardStats = nn.ForwardStats
+)
 
 // Result carries the network outputs.
 type Result struct {
@@ -62,94 +26,43 @@ type Result struct {
 // system with the Fig 4.6 row-per-DPU mapping. Both paths are bit-exact
 // against each other.
 func (n *Network) Forward(input *Tensor, runner *gemm.Runner) (*Result, *ForwardStats, error) {
-	if input.C != 3 || input.H != n.Cfg.InputSize || input.W != n.Cfg.InputSize {
-		return nil, nil, fmt.Errorf("yolo: input %dx%dx%d, want 3x%dx%d",
-			input.C, input.H, input.W, n.Cfg.InputSize, n.Cfg.InputSize)
+	out, stats, err := n.Network.Forward(input, runner)
+	if err != nil {
+		return nil, nil, fmt.Errorf("yolo: %w", err)
 	}
-	outputs := make([]*Tensor, len(n.Defs))
-	stats := &ForwardStats{}
-	res := &Result{}
-	cur := input
-	// One im2col patch matrix reused across conv layers; Multiply and
-	// Reference both consume it before returning, so the next layer may
-	// overwrite it.
-	var im2colBuf []int16
+	return n.detect(out.Heads), stats, nil
+}
 
-	for i, def := range n.Defs {
-		switch def.Kind {
-		case Conv:
-			b, k, cols := Im2ColInto(im2colBuf, cur, def.Size, def.Stride)
-			im2colBuf = b
-			var (
-				c   []int16
-				err error
-			)
-			if runner == nil {
-				c, err = gemm.Reference(def.Filters, cols, k, 1, n.Weights[i].W, b)
-				if err != nil {
-					return nil, nil, fmt.Errorf("yolo: layer %d: %w", i, err)
-				}
-			} else {
-				if runner.MetricsOn() {
-					runner.SetScope(fmt.Sprintf("yolo_conv%03d", i))
-				}
-				if runner.ResidencyOn() {
-					runner.SetWeightLayer(i)
-				}
-				reqSp := runner.TraceSpan()
-				if reqSp != nil {
-					lsp := reqSp.StartChild(fmt.Sprintf("yolo_conv%03d", i))
-					lsp.SetAttr("layer", int64(i))
-					runner.SetTraceSpan(lsp)
-				}
-				var st gemm.Stats
-				c, st, err = runner.Multiply(def.Filters, cols, k, 1, n.Weights[i].W, b)
-				if reqSp != nil {
-					runner.TraceSpan().End()
-					runner.SetTraceSpan(reqSp)
-				}
-				if err != nil {
-					return nil, nil, fmt.Errorf("yolo: layer %d: %w", i, err)
-				}
-				ls := LayerStat{
-					Layer: i, Kind: Conv, DPUsUsed: st.DPUsUsed,
-					Cycles: st.Cycles, Seconds: st.Seconds, Retries: st.Retries,
-					Tasklets: st.Tasklets,
-				}
-				if mp, ok := runner.LastMapping(); ok {
-					ls.PredictedSeconds = mp.PredictedSeconds
-				}
-				stats.Layers = append(stats.Layers, ls)
-				stats.Cycles += st.Cycles
-				stats.Seconds += st.Seconds
-				stats.Retries += st.Retries
-			}
-			applyBiasAct(c, def.Filters, cols, n.Weights[i].Bias, def.Activation)
-			s := n.shapes[i]
-			cur = &Tensor{C: s.c, H: s.h, W: s.w, Data: c}
-		case Shortcut:
-			out := cur.Clone()
-			shortcutAdd(out, outputs[i+def.From])
-			cur = out
-		case Route:
-			srcs := make([]*Tensor, len(def.Layers))
-			for j, ref := range def.Layers {
-				src := ref
-				if ref < 0 {
-					src = i + ref
-				}
-				srcs[j] = outputs[src]
-			}
-			cur = routeConcat(srcs)
-		case Upsample:
-			cur = upsample(cur, def.Stride)
-		case Yolo:
-			res.YoloOutputs = append(res.YoloOutputs, cur)
-			dets := n.decodeScale(cur, def.Mask)
-			res.Detections = append(res.Detections, dets...)
+// ForwardBatch runs a batch of images with the image-per-DPU mapping
+// (§6.1, nn.Network.ForwardBatch); the runner must have batch mode
+// enabled with maxM >= Network.MaxFilters. The detection decode runs
+// per image on every host core. Results are bit-exact against per-image
+// Forward.
+func (n *Network) ForwardBatch(inputs []*Tensor, r *gemm.Runner) ([]*Result, *ForwardStats, error) {
+	outs, stats, err := n.Network.ForwardBatch(inputs, r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("yolo: %w", err)
+	}
+	results := make([]*Result, len(outs))
+	r.System().ParallelFor(len(outs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			results[i] = n.detect(outs[i].Heads)
 		}
-		outputs[i] = cur
+	})
+	return results, stats, nil
+}
+
+// detect decodes the three head tensors (in layer order) into boxes and
+// filters them with NMS.
+func (n *Network) detect(heads []*Tensor) *Result {
+	res := &Result{YoloOutputs: heads}
+	scale := 0
+	for _, def := range n.Defs {
+		if def.Kind == Yolo {
+			res.Detections = append(res.Detections, n.decodeScale(heads[scale], def.Mask)...)
+			scale++
+		}
 	}
 	res.Detections = NMS(res.Detections, 0.45)
-	return res, stats, nil
+	return res
 }

@@ -2,129 +2,35 @@ package yolo
 
 import (
 	"fmt"
-	"math/rand"
 
-	"pimdnn/internal/fixed"
-	"pimdnn/internal/gemm"
+	"pimdnn/internal/nn"
 )
 
-// ConvWeights holds one convolution's quantized parameters: W is the
-// M×K GEMM operand (M = filters, K = inChannels*size*size), Bias is one
-// Q10.5 value per filter.
-type ConvWeights struct {
-	W    []int16
-	Bias []int16
-}
-
-type shape struct{ c, h, w int }
-
-// Network is a built YOLOv3 with weights and inferred shapes.
+// Network is a built YOLOv3: the shared layer graph (shapes, weights,
+// executor) plus the anchors its detection decode needs.
 type Network struct {
+	*nn.Network
 	Cfg     Config
-	Defs    []LayerDef
-	Weights []ConvWeights // indexed by layer; empty for non-conv layers
-	shapes  []shape
 	anchors []Anchor
 }
 
 // New builds the network graph, infers every layer's output shape, and
-// generates seeded synthetic weights (std 1/sqrt(K), which keeps
-// activations in range through the /32 GEMM rescale).
+// generates seeded synthetic weights.
 func New(cfg Config) (*Network, error) {
 	defs, err := BuildLayers(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{Cfg: cfg, Defs: defs, anchors: scaleAnchors(cfg)}
-	n.Weights = make([]ConvWeights, len(defs))
-	n.shapes = make([]shape, len(defs))
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cur := shape{c: 3, h: cfg.InputSize, w: cfg.InputSize}
+	g, err := nn.New(3, cfg.InputSize, cfg.InputSize, defs, cfg.Seed, "yolo_conv%03d")
+	if err != nil {
+		return nil, fmt.Errorf("yolo: %w", err)
+	}
 	for i, def := range defs {
-		switch def.Kind {
-		case Conv:
-			k := cur.c * def.Size * def.Size
-			outH := convOut(cur.h, def.Size, def.Stride)
-			outW := convOut(cur.w, def.Size, def.Stride)
-			n.Weights[i] = synthWeights(rng, def.Filters, k)
-			cur = shape{c: def.Filters, h: outH, w: outW}
-		case Shortcut:
-			src := i + def.From
-			if src < 0 || src >= i {
-				return nil, fmt.Errorf("yolo: layer %d: bad shortcut source %d", i, src)
-			}
-			if n.shapes[src] != cur {
-				return nil, fmt.Errorf("yolo: layer %d: shortcut shape mismatch %v vs %v", i, n.shapes[src], cur)
-			}
-		case Route:
-			var c int
-			var hw shape
-			for _, ref := range def.Layers {
-				src := ref
-				if ref < 0 {
-					src = i + ref
-				}
-				if src < 0 || src >= i {
-					return nil, fmt.Errorf("yolo: layer %d: bad route source %d", i, ref)
-				}
-				s := n.shapes[src]
-				if c == 0 {
-					hw = s
-				} else if s.h != hw.h || s.w != hw.w {
-					return nil, fmt.Errorf("yolo: layer %d: route spatial mismatch", i)
-				}
-				c += s.c
-			}
-			cur = shape{c: c, h: hw.h, w: hw.w}
-		case Upsample:
-			cur = shape{c: cur.c, h: cur.h * def.Stride, w: cur.w * def.Stride}
-		case Yolo:
-			if cur.c != cfg.headFilters() {
-				return nil, fmt.Errorf("yolo: layer %d: head depth %d, want %d", i, cur.c, cfg.headFilters())
-			}
-			// Yolo layers pass their input through unchanged.
-		default:
-			return nil, fmt.Errorf("yolo: layer %d: unknown kind %v", i, def.Kind)
+		if c, _, _ := g.Shape(i); def.Kind == Yolo && c != cfg.headFilters() {
+			return nil, fmt.Errorf("yolo: layer %d: head depth %d, want %d", i, c, cfg.headFilters())
 		}
-		n.shapes[i] = cur
 	}
-	return n, nil
-}
-
-// convOut is the darknet output-size rule with same-padding: pad = k/2.
-func convOut(in, size, stride int) int {
-	pad := size / 2
-	return (in+2*pad-size)/stride + 1
-}
-
-func synthWeights(rng *rand.Rand, m, k int) ConvWeights {
-	w := make([]int16, m*k)
-	std := 1.0
-	if k > 0 {
-		std = 1.0 / sqrtFloat(float64(k))
-	}
-	for i := range w {
-		w[i] = Quantize(rng.NormFloat64() * std)
-	}
-	bias := make([]int16, m)
-	for i := range bias {
-		bias[i] = Quantize(rng.NormFloat64() * 0.1)
-	}
-	return ConvWeights{W: w, Bias: bias}
-}
-
-func sqrtFloat(x float64) float64 {
-	// Newton iterations; avoids importing math for one call site and is
-	// exact enough for weight scaling.
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 24; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return &Network{Network: g, Cfg: cfg, anchors: scaleAnchors(cfg)}, nil
 }
 
 func scaleAnchors(cfg Config) []Anchor {
@@ -137,160 +43,17 @@ func scaleAnchors(cfg Config) []Anchor {
 	return out
 }
 
-// Shape returns layer i's output (C, H, W).
-func (n *Network) Shape(i int) (c, h, w int) {
-	s := n.shapes[i]
-	return s.c, s.h, s.w
-}
-
-// MACs returns the multiply-accumulate count of all convolutions (the
-// TOPs input of the chapter 5 model).
-func (n *Network) MACs() int64 {
-	var total int64
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	for i, def := range n.Defs {
-		if def.Kind == Conv {
-			k := int64(cur.c) * int64(def.Size) * int64(def.Size)
-			s := n.shapes[i]
-			total += k * int64(s.c) * int64(s.h) * int64(s.w)
-		}
-		cur = n.shapes[i]
-	}
-	return total
-}
-
 // GEMMBounds returns the largest K and N any convolution needs, for
 // sizing a gemm.Runner.
 func (n *Network) GEMMBounds() (maxK, maxN int) {
-	cur := shape{c: 3, h: n.Cfg.InputSize, w: n.Cfg.InputSize}
-	for i, def := range n.Defs {
-		if def.Kind == Conv {
-			k := cur.c * def.Size * def.Size
-			s := n.shapes[i]
-			nn := s.h * s.w
-			if k > maxK {
-				maxK = k
-			}
-			if nn > maxN {
-				maxN = nn
-			}
-		}
-		cur = n.shapes[i]
-	}
+	maxK, maxN, _ = n.Network.GEMMBounds()
 	return maxK, maxN
 }
 
 // MaxFilters returns the largest conv filter count — the DPU count the
-// Fig 4.6 row-per-DPU mapping wants available.
+// Fig 4.6 row-per-DPU mapping wants available, and the EnableBatch bound
+// ForwardBatch needs.
 func (n *Network) MaxFilters() int {
-	m := 0
-	for _, def := range n.Defs {
-		if def.Kind == Conv && def.Filters > m {
-			m = def.Filters
-		}
-	}
-	return m
-}
-
-// applyBiasAct adds the per-filter bias (saturating) and applies the
-// activation in place on the M×N GEMM output.
-func applyBiasAct(c []int16, m, n int, bias []int16, act Activation) {
-	for f := 0; f < m; f++ {
-		b := bias[f]
-		row := c[f*n : (f+1)*n]
-		for j, v := range row {
-			s := fixed.SatAdd16(v, b)
-			if act == Leaky && s < 0 {
-				// Quantized leaky ReLU: slope 1/8 via arithmetic shift.
-				s = s >> 3
-			}
-			row[j] = s
-		}
-	}
-}
-
-// ConvHost computes one convolution entirely on the host (the reference
-// the DPU path must match bit-for-bit).
-func (n *Network) ConvHost(layer int, in *Tensor) (*Tensor, error) {
-	def := n.Defs[layer]
-	b, k, cols := Im2Col(in, def.Size, def.Stride)
-	c, err := gemm.Reference(def.Filters, cols, k, 1, n.Weights[layer].W, b)
-	if err != nil {
-		return nil, fmt.Errorf("yolo: layer %d: %w", layer, err)
-	}
-	applyBiasAct(c, def.Filters, cols, n.Weights[layer].Bias, def.Activation)
-	s := n.shapes[layer]
-	return &Tensor{C: s.c, H: s.h, W: s.w, Data: c}, nil
-}
-
-// ConvDirect is a naive convolution used only by tests to validate the
-// im2col+GEMM lowering.
-func (n *Network) ConvDirect(layer int, in *Tensor) *Tensor {
-	def := n.Defs[layer]
-	s := n.shapes[layer]
-	out := NewTensor(s.c, s.h, s.w)
-	pad := def.Size / 2
-	wts := n.Weights[layer]
-	for f := 0; f < def.Filters; f++ {
-		for oy := 0; oy < s.h; oy++ {
-			for ox := 0; ox < s.w; ox++ {
-				var acc int32
-				for c := 0; c < in.C; c++ {
-					for dy := 0; dy < def.Size; dy++ {
-						for dx := 0; dx < def.Size; dx++ {
-							iy := oy*def.Stride + dy - pad
-							ix := ox*def.Stride + dx - pad
-							if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
-								continue
-							}
-							wi := (c*def.Size+dy)*def.Size + dx
-							acc += int32(wts.W[f*(in.C*def.Size*def.Size)+wi]) * int32(in.At(c, iy, ix))
-						}
-					}
-				}
-				v := fixed.GEMMOutputClamp(acc)
-				v = fixed.SatAdd16(v, wts.Bias[f])
-				if def.Activation == Leaky && v < 0 {
-					v = v >> 3
-				}
-				out.Set(f, oy, ox, v)
-			}
-		}
-	}
-	return out
-}
-
-// shortcutAdd element-wise saturating-adds src into dst.
-func shortcutAdd(dst, src *Tensor) {
-	for i := range dst.Data {
-		dst.Data[i] = fixed.SatAdd16(dst.Data[i], src.Data[i])
-	}
-}
-
-// routeConcat concatenates tensors along channels.
-func routeConcat(ts []*Tensor) *Tensor {
-	c := 0
-	for _, t := range ts {
-		c += t.C
-	}
-	out := NewTensor(c, ts[0].H, ts[0].W)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	return out
-}
-
-// upsample2 nearest-neighbor upsamples by the integer factor.
-func upsample(in *Tensor, factor int) *Tensor {
-	out := NewTensor(in.C, in.H*factor, in.W*factor)
-	for c := 0; c < in.C; c++ {
-		for y := 0; y < out.H; y++ {
-			for x := 0; x < out.W; x++ {
-				out.Set(c, y, x, in.At(c, y/factor, x/factor))
-			}
-		}
-	}
-	return out
+	_, _, maxM := n.Network.GEMMBounds()
+	return maxM
 }

@@ -11,11 +11,7 @@ import (
 // positionally) so a tuned or externally imported weight set can be
 // reloaded into the same graph.
 func (n *Network) SaveWeights(w io.Writer) error {
-	layers := make([]tensor.LayerWeights, len(n.Weights))
-	for i, cw := range n.Weights {
-		layers[i] = tensor.LayerWeights{W: cw.W, Bias: cw.Bias}
-	}
-	return tensor.WriteWeights(w, layers)
+	return tensor.WriteWeights(w, n.Weights)
 }
 
 // LoadWeights replaces the network's parameters with a saved set,
@@ -34,8 +30,6 @@ func (n *Network) LoadWeights(r io.Reader) error {
 				i, len(layers[i].W), len(layers[i].Bias), len(n.Weights[i].W), len(n.Weights[i].Bias))
 		}
 	}
-	for i := range layers {
-		n.Weights[i] = ConvWeights{W: layers[i].W, Bias: layers[i].Bias}
-	}
+	copy(n.Weights, layers)
 	return nil
 }

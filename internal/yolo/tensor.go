@@ -38,15 +38,3 @@ func Quantize(x float64) int16 { return tensor.Quantize(x) }
 func QuantizeTensor(c, h, w int, data []float64) (*Tensor, error) {
 	return tensor.QuantizeTensor(c, h, w, data)
 }
-
-// Im2Col lowers the convolution input into the B matrix of Algorithm 2
-// using darknet's same-padding rule (pad = size/2).
-func Im2Col(in *Tensor, size, stride int) (b []int16, k, n int) {
-	return tensor.Im2Col(in, size, stride, size/2)
-}
-
-// Im2ColInto is Im2Col reusing buf's backing array when large enough, so
-// the per-layer forward loop keeps one patch matrix across conv layers.
-func Im2ColInto(buf []int16, in *Tensor, size, stride int) (b []int16, k, n int) {
-	return tensor.Im2ColInto(buf, in, size, stride, size/2)
-}

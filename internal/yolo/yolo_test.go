@@ -2,12 +2,14 @@ package yolo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/fixed"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
+	"pimdnn/internal/nn"
+	"pimdnn/internal/tensor"
 )
 
 // tinyConfig is a full 75-conv graph small enough to simulate end to end.
@@ -94,37 +96,12 @@ func TestFullNetworkMACs(t *testing.T) {
 	t.Logf("YOLOv3-416 MACs = %.4g", float64(macs))
 }
 
-func TestIm2ColMatchesDirectConv(t *testing.T) {
-	n, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := SyntheticScene(32, 5)
-	for _, layer := range []int{0, 1} { // stride 1 and stride 2 convs
-		viaGEMM, err := n.ConvHost(layer, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := n.ConvDirect(layer, in)
-		if viaGEMM.C != direct.C || viaGEMM.H != direct.H || viaGEMM.W != direct.W {
-			t.Fatalf("layer %d shape mismatch", layer)
-		}
-		for i := range direct.Data {
-			if viaGEMM.Data[i] != direct.Data[i] {
-				t.Fatalf("layer %d element %d: gemm %d, direct %d",
-					layer, i, viaGEMM.Data[i], direct.Data[i])
-			}
-		}
-		in = viaGEMM
-	}
-}
-
 func TestIm2ColShape(t *testing.T) {
 	in := NewTensor(2, 6, 6)
 	for i := range in.Data {
 		in.Data[i] = int16(i)
 	}
-	b, k, n := Im2Col(in, 3, 2)
+	b, k, n := tensor.Im2Col(in, 3, 2, 1)
 	if k != 18 || n != 9 {
 		t.Fatalf("K=%d N=%d, want 18, 9", k, n)
 	}
@@ -139,44 +116,6 @@ func TestIm2ColShape(t *testing.T) {
 	// Top-left tap of output (0,0) reads padding (zero).
 	if b[0*n+0] != 0 {
 		t.Errorf("padded tap = %d, want 0", b[0])
-	}
-}
-
-func TestUpsample(t *testing.T) {
-	in := NewTensor(1, 2, 2)
-	in.Data = []int16{1, 2, 3, 4}
-	out := upsample(in, 2)
-	want := []int16{1, 1, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3, 3, 4, 4}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Fatalf("upsample[%d] = %d, want %d", i, out.Data[i], w)
-		}
-	}
-}
-
-func TestRouteConcat(t *testing.T) {
-	a := NewTensor(1, 2, 2)
-	b := NewTensor(2, 2, 2)
-	for i := range a.Data {
-		a.Data[i] = 1
-	}
-	for i := range b.Data {
-		b.Data[i] = 2
-	}
-	out := routeConcat([]*Tensor{a, b})
-	if out.C != 3 || out.At(0, 0, 0) != 1 || out.At(1, 0, 0) != 2 || out.At(2, 1, 1) != 2 {
-		t.Errorf("route concat wrong: %+v", out)
-	}
-}
-
-func TestShortcutSaturates(t *testing.T) {
-	a := NewTensor(1, 1, 2)
-	b := NewTensor(1, 1, 2)
-	a.Data = []int16{32000, -32000}
-	b.Data = []int16{32000, -32000}
-	shortcutAdd(a, b)
-	if a.Data[0] != 32767 || a.Data[1] != -32768 {
-		t.Errorf("shortcut = %v, want saturated", a.Data)
 	}
 }
 
@@ -481,21 +420,85 @@ func TestTensorAccessors(t *testing.T) {
 	}
 }
 
-func TestSqrtFloat(t *testing.T) {
-	for _, x := range []float64{1, 2, 9, 100, 576} {
-		if got := sqrtFloat(x); math.Abs(got-math.Sqrt(x)) > 1e-9 {
-			t.Errorf("sqrtFloat(%v) = %v", x, got)
+// convDirect is a naive convolution of layer li: the oracle for the
+// im2col+GEMM lowering.
+func convDirect(n *Network, li int, in *Tensor) *Tensor {
+	def := n.Defs[li]
+	c, h, w := n.Shape(li)
+	out := NewTensor(c, h, w)
+	wts := n.Weights[li]
+	for f := 0; f < def.Filters; f++ {
+		for oy := 0; oy < h; oy++ {
+			for ox := 0; ox < w; ox++ {
+				var acc int32
+				for ch := 0; ch < in.C; ch++ {
+					for dy := 0; dy < def.Size; dy++ {
+						for dx := 0; dx < def.Size; dx++ {
+							iy := oy*def.Stride + dy - def.Pad
+							ix := ox*def.Stride + dx - def.Pad
+							if iy < 0 || iy >= in.H || ix < 0 || ix >= in.W {
+								continue
+							}
+							wi := (ch*def.Size+dy)*def.Size + dx
+							acc += int32(wts.W[f*(in.C*def.Size*def.Size)+wi]) * int32(in.At(ch, iy, ix))
+						}
+					}
+				}
+				v := fixed.GEMMOutputClamp(acc)
+				v = fixed.SatAdd16(v, wts.Bias[f])
+				if def.Act == Leaky && v < 0 {
+					v = v >> 3
+				}
+				out.Set(f, oy, ox, v)
+			}
 		}
 	}
-	if sqrtFloat(0) != 0 || sqrtFloat(-1) != 0 {
-		t.Error("sqrtFloat edge cases")
+	return out
+}
+
+// TestIm2ColMatchesDirectConv: the executor's im2col → GEMM → bias/
+// activation lowering of the first two convolutions (stride 1 and
+// stride 2) matches a direct convolution.
+func TestIm2ColMatchesDirectConv(t *testing.T) {
+	n, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := SyntheticScene(32, 5)
+	direct := in
+	for layer := 0; layer < 2; layer++ {
+		direct = convDirect(n, layer, direct)
+		// The graph cut after this layer, carrying the full network's
+		// weights.
+		cut, err := nn.New(3, 32, 32, n.Defs[:layer+1], 0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(cut.Weights, n.Weights)
+		out, _, err := cut.Forward(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaGEMM := out.Out
+		if viaGEMM.C != direct.C || viaGEMM.H != direct.H || viaGEMM.W != direct.W {
+			t.Fatalf("layer %d shape mismatch", layer)
+		}
+		for i := range direct.Data {
+			if viaGEMM.Data[i] != direct.Data[i] {
+				t.Fatalf("layer %d element %d: gemm %d, direct %d",
+					layer, i, viaGEMM.Data[i], direct.Data[i])
+			}
+		}
 	}
 }
 
+// TestWeightsScaleWithK: synthetic weights are drawn with std 1/sqrt(K),
+// so a layer with a larger K has smaller weights.
 func TestWeightsScaleWithK(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	small := synthWeights(rng, 4, 9)
-	big := synthWeights(rng, 4, 576)
+	n, err := New(Config{InputSize: 32, Classes: 1, WidthDiv: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	meanAbs := func(w []int16) float64 {
 		var s float64
 		for _, v := range w {
@@ -503,8 +506,12 @@ func TestWeightsScaleWithK(t *testing.T) {
 		}
 		return s / float64(len(w))
 	}
-	if meanAbs(big.W) >= meanAbs(small.W) {
-		t.Errorf("weight magnitude should shrink with K: %v vs %v",
-			meanAbs(big.W), meanAbs(small.W))
+	_, kSmall, _ := n.GEMMShape(0)
+	_, kBig, _ := n.GEMMShape(1)
+	if kSmall >= kBig {
+		t.Fatalf("K %d vs %d: pick layers with growing K", kSmall, kBig)
+	}
+	if small, big := meanAbs(n.Weights[0].W), meanAbs(n.Weights[1].W); big >= small {
+		t.Errorf("weight magnitude should shrink with K: %v vs %v", big, small)
 	}
 }
