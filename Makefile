@@ -7,7 +7,8 @@
 # the gemm/ebnn runners and the nn executor — whose batch fill/decode
 # callbacks run on pool workers — with the three networks over it,
 # including the fault-injection recovery paths, plus the upmem-top
-# renderer and the upmem-serve batching/backpressure server), and the
+# renderer and the upmem-serve batching/backpressure server), the
+# simulated-clock core-count check (`make sim-invariant`), and the
 # non-test line count per package (`make lines`), the number ROADMAP
 # asks every PR to report next to ns/op. `make bench` (scripts/bench.sh)
 # regenerates the legacy BENCH_pr10.json record and fails if any
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench lines profile profile-array ci
+.PHONY: all build vet test race sim-invariant bench lines profile profile-array ci
 
 all: ci
 
@@ -25,16 +26,23 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Two legs: the worker pool, PipelineAuto and every sharded path change
-# shape with the core count, so a suite that is green on one host width
-# says nothing about the other. -count=1 on the pinned leg because the
-# test cache does not key on GOMAXPROCS.
+# Two legs: the core count changes the worker pool's fan-out and the
+# dispatch depth PipelineAuto picks (never span names, transfer
+# accounting or any simulated clock: both depths run the same wave), so
+# a suite that is green on one host width says nothing about the other's
+# scheduling. -count=1 on the pinned leg because the test cache does not
+# key on GOMAXPROCS.
 test:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve
+
+# rows_zoo and ebnn_stream at GOMAXPROCS=1 and at the host's width must
+# report identical sim_cycles_per_op and sim_xfer_bytes_per_op.
+sim-invariant:
+	GO=$(GO) scripts/sim-invariant.sh
 
 # Regenerate the legacy BENCH_pr10.json record and diff it against the
 # previous one (see DESIGN.md, "Simulator performance").
@@ -62,4 +70,4 @@ profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 
-ci: vet build test race lines
+ci: vet build test race sim-invariant lines

@@ -658,9 +658,9 @@ func (st *inferStage) ensure(nd int) {
 // inferWorkSet adapts the §4.1.3 multiple-images-per-DPU mapping to the
 // execution engine: one shard per 16-image batch, the packed images and
 // the per-DPU image counts as scatter streams, the activation buffers
-// as the gather stream (read serially DPU by DPU on the synchronous
-// path, per the thesis), and the softmax layer run on the host as each
-// shard is decoded.
+// as the gather stream (one uniform length per wave, the fused wave's
+// contract), and the softmax layer run on the host as each shard is
+// decoded.
 type inferWorkSet struct {
 	r      *Runner
 	images []mnist.Image
@@ -674,11 +674,6 @@ func (w *inferWorkSet) Shards() int {
 func (w *inferWorkSet) Tasklets() int                { return w.r.tasklets }
 func (w *inferWorkSet) Kernel() dpu.KernelFunc       { return w.r.kernelFn }
 func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return w.r.resBcasts }
-
-// SerialGather selects the §4.1.3 synchronous gather order: "After all
-// temporary results for all images in a single DPU are inferred, the
-// next DPU's result is read."
-func (w *inferWorkSet) SerialGather() bool { return true }
 
 func (w *inferWorkSet) Encode(slot, start, n int) {
 	st := &w.r.stages[slot]
@@ -715,19 +710,11 @@ func (w *inferWorkSet) Scatter(slot, n int) []exec.Stream {
 
 func (w *inferWorkSet) Gather(slot, n int) exec.Stream {
 	st := &w.r.stages[slot]
-	if w.r.eng.Pipelined() {
-		// The fused wave gather reads a uniform length from every DPU:
-		// images fill DPUs in order, so DPU 0 always holds the largest
-		// count.
-		resLen := st.counts[0] * ResultSize
-		for d := 0; d < n; d++ {
-			st.resBufs[d] = st.resStage[d*BatchSize*ResultSize : d*BatchSize*ResultSize+resLen]
-		}
-	} else {
-		// The serial gather reads exactly each DPU's result bytes.
-		for d := 0; d < n; d++ {
-			st.resBufs[d] = st.resStage[d*BatchSize*ResultSize : d*BatchSize*ResultSize+st.counts[d]*ResultSize]
-		}
+	// The wave's gather reads one length from every DPU: images fill
+	// DPUs in order, so DPU 0 always holds the largest count.
+	resLen := st.counts[0] * ResultSize
+	for d := 0; d < n; d++ {
+		st.resBufs[d] = st.resStage[d*BatchSize*ResultSize : d*BatchSize*ResultSize+resLen]
 	}
 	return exec.Stream{Ref: w.r.refResults, Bufs: st.resBufs}
 }
@@ -745,10 +732,10 @@ func (w *inferWorkSet) Decode(slot, shard, i int) {
 // the DPUs, launches the kernel, gathers the activation buffers, and runs
 // the softmax layer serially per image (§4.1.3). Wave construction,
 // pipelining, and fault recovery are the execution engine's
-// (internal/exec); in pipelined mode the waves flow through the host's
+// (internal/exec); at depth 2 the waves flow through the host's
 // asynchronous command queue so the pack/classify host work overlaps the
-// simulated launches. Predictions, cycle counts, and wave statistics are
-// identical either way.
+// simulated launches. Predictions, cycle counts, transfer accounting
+// and wave statistics are identical either way.
 func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	if len(images) == 0 {
 		return nil, BatchStats{}, fmt.Errorf("ebnn: no images")

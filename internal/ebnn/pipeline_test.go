@@ -9,11 +9,11 @@ import (
 	"pimdnn/internal/mnist"
 )
 
-// The pipelined (double-buffered, queue-fused) Infer must match the
-// synchronous wave loop in everything observable except wall-clock:
-// identical predictions in identical order and identical simulated-time
-// statistics, including when the image count forces partial waves and
-// unevenly filled DPUs.
+// Infer at depth 2 (double-buffered through the queue) must match depth
+// 1 in everything observable except wall-clock: identical predictions
+// in identical order, identical simulated-time statistics and identical
+// transfer accounting (operations, bytes, time), including when the
+// image count forces partial waves and unevenly filled DPUs.
 func TestInferPipelinedMatchesSync(t *testing.T) {
 	ds := mnist.Load(180, 64, 47)
 	cfg := DefaultTrainConfig()
@@ -23,7 +23,7 @@ func TestInferPipelinedMatchesSync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(mode host.PipelineMode, images []mnist.Image) ([]int, BatchStats) {
+	run := func(mode host.PipelineMode, images []mnist.Image) ([]int, BatchStats, host.XferStats) {
 		sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O0))
 		if err != nil {
 			t.Fatal(err)
@@ -38,19 +38,20 @@ func TestInferPipelinedMatchesSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return preds, st
+		return preds, st, sys.TransferStats()
 	}
 
 	// 64 test images on 4 DPUs at batch size 16: one full wave. 150
 	// images: two full waves plus a ragged 22-image wave where DPU 1
-	// holds fewer images than DPU 0 and DPUs 2-3 are idle.
-	for _, n := range []int{64, 150} {
+	// holds fewer images than DPU 0 and DPUs 2-3 are idle. 1,000 images:
+	// fifteen full waves and a 40-image one (16, 16 and 8 on three DPUs).
+	for _, n := range []int{64, 150, 1000} {
 		images := ds.Test[:0:0]
 		for len(images) < n {
 			images = append(images, ds.Test[:min(n-len(images), len(ds.Test))]...)
 		}
-		pSync, stSync := run(host.PipelineOff, images)
-		pPipe, stPipe := run(host.PipelineOn, images)
+		pSync, stSync, xSync := run(host.PipelineOff, images)
+		pPipe, stPipe, xPipe := run(host.PipelineOn, images)
 		if len(pSync) != len(pPipe) {
 			t.Fatalf("n=%d: sync returned %d predictions, pipelined %d", n, len(pSync), len(pPipe))
 		}
@@ -61,6 +62,9 @@ func TestInferPipelinedMatchesSync(t *testing.T) {
 		}
 		if stSync != stPipe {
 			t.Errorf("n=%d: stats diverge: sync %+v, pipelined %+v", n, stSync, stPipe)
+		}
+		if xSync != xPipe {
+			t.Errorf("n=%d: transfer accounting diverges: sync %+v, pipelined %+v", n, xSync, xPipe)
 		}
 	}
 }

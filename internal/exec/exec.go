@@ -1,22 +1,24 @@
 // Package exec is the workload-agnostic execution engine for the DPU
 // system: one scheduler owning the thesis's host/DPU dispatch pattern
 // (§3.2, Fig 4.6) — shard work across DPUs, scatter inputs, launch the
-// kernel, gather results — plus the two layers PRs 2–3 added on top of
-// it: double-buffered wave pipelining through the host's asynchronous
-// command queue, and retry-and-remap of failed shards onto surviving
-// DPUs under fault injection.
+// kernel, gather results — plus retry-and-remap of failed shards onto
+// surviving DPUs under fault injection.
 //
 // Workloads adapt to the engine through the WorkSet interface (wave
 // dispatch: gemm row-per-DPU, ebnn images-per-DPU) or a StreamSet value
-// (single-wave streaming dispatch: gemm image-per-DPU batch). The
-// engine produces one unified Stats struct for all of them, and its
-// accounting invariant is inherited from the host queue: simulated
-// cycles, seconds, and per-wave statistics are bit-identical whether a
-// workload runs synchronously or pipelined — pipelining only overlaps
-// host encode/decode wall-clock time with queued device work.
+// (single-wave streaming dispatch: gemm image-per-DPU batch). A WorkSet
+// runs through one wave loop (Engine.run) over one wave primitive, the
+// host's fused scatter→launch→gather wave. The dispatch depth only
+// picks how that wave is issued: depth 1 runs it on the caller
+// (host.System.RunWave) and completes it before the next wave is
+// encoded, depth 2 queues it (EnqueueWave) and completes it while the
+// next one runs. Both depths issue the same commands with the same
+// arguments, so results, Stats and every simulated clock — cycles,
+// transfer bytes, operations and time — are the same at both; depth 2
+// only overlaps host encode/decode wall-clock time with device work.
 //
 // See DESIGN.md, "Execution engine", for the interface contract,
-// accounting invariants, and retry semantics.
+// accounting, and retry semantics.
 package exec
 
 import (
@@ -33,14 +35,15 @@ import (
 
 // Config is the unified dispatch configuration shared by every runner.
 type Config struct {
-	// Pipeline selects double-buffered dispatch through the host's
-	// asynchronous command queue. Results and simulated-time accounting
-	// are identical in both modes.
+	// Pipeline selects the dispatch depth: 2 (double-buffered through
+	// the host's asynchronous command queue) or 1 (each wave completes
+	// on the caller before the next is encoded). Results and simulated
+	// accounting are identical at both depths.
 	Pipeline host.PipelineMode
-	// Timeline, when non-nil, receives wall-clock span events for each
-	// wave phase (scatter/launch/gather/retry synchronously, the fused
-	// wave command when pipelined), so tools can render a dispatch
-	// timeline. Nil disables span recording entirely.
+	// Timeline, when non-nil, receives wall-clock span events (one
+	// "wave" per wave and a "retry" when shards were re-dispatched, at
+	// either depth; scatter/launch/gather for a RunStream), so tools can
+	// render a dispatch timeline. Nil disables span recording entirely.
 	Timeline *trace.Timeline
 	// Events, when non-nil, receives structured dispatch events (runs,
 	// waves, DPUs marked down) with layer/wave/dpu attributes — the
@@ -73,9 +76,11 @@ type Stats struct {
 }
 
 // Stream names one per-shard transfer stream: Bufs[i] is DPU i's buffer
-// in the current staging slot. Scatter streams cover every DPU of the
-// system (full-system push, matching dpu_push_xfer); the engine
-// launches and gathers only the wave's first n shards.
+// in the current staging slot. A wave's primary scatter stream and its
+// gather stream move Bufs[:n], one equal-length buffer per wave shard,
+// inside the fused wave; a workset's later scatter streams (and a
+// StreamSet's) are pushed on their own and cover every DPU of the
+// system (matching dpu_push_xfer).
 //
 // A non-nil Resident entry makes the stream weight-resident: the
 // engine delivers Bufs[d] only to DPUs whose per-DPU generation stamp
@@ -118,15 +123,15 @@ type Broadcast struct {
 // WorkSet adapts one workload's shard mapping to the engine's wave
 // dispatch. A workset is Shards() shards, at most one per DPU per wave;
 // the engine plans waves of consecutive shards, has the workset encode
-// each wave into per-DPU staging buffers, runs scatter → launch →
-// gather (synchronously, or double-buffered through the async queue),
-// re-dispatches failed shards onto survivors, and hands every shard
-// back through Decode in input order.
+// each wave into per-DPU staging buffers, issues it as one fused
+// scatter → launch → gather wave, re-dispatches failed shards onto
+// survivors, and hands every shard back through Decode in input order.
 //
-// slot is the staging-slot index: always 0 on the synchronous path,
-// alternating 0/1 when pipelined — a workset that supports pipelining
-// must keep the two slots' buffers disjoint, because slot buffers are
-// queue-owned from enqueue until the engine flushes the wave.
+// slot is the staging-slot index: always 0 at depth 1, alternating 0/1
+// at depth 2 (Engine.Pipelined reports which, so a workset can size one
+// slot or two) — the two slots' buffers must be disjoint, because a
+// slot's buffers belong to its wave from Encode until the engine has
+// decoded it.
 type WorkSet interface {
 	// Shards is the total number of shards to dispatch.
 	Shards() int
@@ -140,11 +145,12 @@ type WorkSet interface {
 	// Encode stages shards [start, start+n) into the slot's buffers.
 	Encode(slot, start, n int)
 	// Scatter returns the slot's input streams for an n-shard wave.
-	// Stream 0 is the primary stream (fused into the pipelined wave
-	// command); later streams are pushed separately. Returned slices
+	// Stream 0 is the primary stream (fused into the wave command);
+	// later streams are pushed separately, ahead of it. Returned slices
 	// are read immediately and may be reused by the next call.
 	Scatter(slot, n int) []Stream
-	// Gather returns the slot's output stream for an n-shard wave.
+	// Gather returns the slot's output stream for an n-shard wave; its
+	// first n buffers share one length.
 	Gather(slot, n int) Stream
 	// Decode consumes shard start+i (wave position i) from the slot's
 	// gather buffer. Called for every shard of a wave in input order,
@@ -152,21 +158,10 @@ type WorkSet interface {
 	Decode(slot, shard, i int)
 }
 
-// SerialGatherer is implemented by worksets whose synchronous gather
-// reads result buffers one DPU at a time (the eBNN §4.1.3 contract:
-// "After all temporary results for all images in a single DPU are
-// inferred, the next DPU's result is read") instead of as one sharded
-// gather; per-DPU gather buffer lengths may then differ.
-type SerialGatherer interface {
-	SerialGather() bool
-}
-
 // WidthLimiter is implemented by worksets whose mapping caps the wave
 // width below the system's DPU count (a planner-produced mapping that
 // pins an explicit DPU budget). MaxWaveDPUs <= 0 means no cap. Capping
-// never changes results — later shards just queue into further waves —
-// and synchronous scatters still push the full system width (the
-// dpu_push_xfer contract); only the launch/gather width shrinks.
+// never changes results — later shards just queue into further waves.
 type WidthLimiter interface {
 	MaxWaveDPUs() int
 }
@@ -219,25 +214,25 @@ type Engine struct {
 	retryCur int
 	failSet  []bool
 
-	// Ping-pong wave slots for the pipelined path.
+	// The wave loop's in-flight wave records: slot 0 at depth 1, both
+	// (ping-pong) at depth 2.
 	slots   [2]waveSlot
 	waveSeq int
 
 	// Reused scratch: re-dispatch input descriptors (and the resident
 	// entries riding along with them, for retry-target invalidation),
-	// queued re-dispatch pending handles, and RunStream's per-shard
-	// gather errors and free list of gather buffers (the one piece of
-	// engine state its parallel ranges share, hence the lock).
+	// and RunStream's per-shard gather errors and free list of gather
+	// buffers (the one piece of engine state its parallel ranges share,
+	// hence the lock).
 	insBuf     []Xfer
 	entBuf     []*ResidentEntry
-	pendBuf    []host.Pending
 	gatherErrs []error
 	rawMu      sync.Mutex
 	rawFree    [][]byte
 
-	// waveStats backs LaunchStats.PerDPU for the synchronous wave loop
-	// (host.LaunchOnInto): the loop reads only scalar aggregates, so one
-	// buffer serves every wave.
+	// waveStats backs LaunchStats.PerDPU for RunStream's launch
+	// (host.LaunchOnInto): it reads only scalar aggregates, so one
+	// buffer serves every stream.
 	waveStats []dpu.Stats
 }
 
@@ -249,20 +244,32 @@ func (e *Engine) perDPUBuf(n int) []dpu.Stats {
 	return e.waveStats[:n]
 }
 
-// waveSlot is one of the two in-flight wave records of the pipelined
-// path: the queue owns the slot's staging buffers from enqueue until
-// the engine flushes the wave.
+// waveSlot is one in-flight wave record of the wave loop: the wave owns
+// the slot's staging buffers from Encode until flush has decoded it.
 type waveSlot struct {
 	idx      int // staging-slot index handed to the workset
 	seq      int // engine-global wave number (timeline spans)
 	start, n int
 	stats    host.LaunchStats
-	pend     host.Pending
-	extras   []host.Pending
-	errs     []error
-	forced   []bool // shards failed by resident delivery at enqueue time
+	cmds     []issued // the extra-stream pushes, then the wave itself
+	forced   []bool   // shards failed by resident delivery at issue time
 	t0       time.Time
 	busy     bool
+}
+
+// issued is one command the wave loop has issued without claiming its
+// outcome yet: err holds it when the command ran inline (depth 1), pend
+// resolves to it when the command was queued (depth 2).
+type issued struct {
+	pend host.Pending
+	err  error
+}
+
+func (c issued) wait() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.pend.Wait()
 }
 
 // New builds an engine over sys. One engine per runner: down-DPU state
@@ -289,7 +296,8 @@ func (e *Engine) Configure(cfg Config) {
 	}
 }
 
-// Pipelined reports whether dispatch goes through the async queue.
+// Pipelined reports whether dispatch goes through the async queue at
+// depth 2, i.e. whether the wave loop uses both staging slots.
 func (e *Engine) Pipelined() bool { return e.pipe }
 
 // System returns the underlying DPU system.
@@ -369,16 +377,6 @@ func (e *Engine) reseedDown(failed []bool) {
 	}
 }
 
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // mergeFailed folds a best-effort operation's *FaultReport into the
 // wave's failed-shard set (indices beyond the wave width are ignored: a
 // scatter fault on a DPU not launched this wave is harmless). DPUs that
@@ -403,17 +401,10 @@ func (e *Engine) mergeFailed(failed []bool, err error) error {
 	return nil
 }
 
-// redeliver retries a broadcast payload on one DPU that missed it. In
-// pipelined mode the redelivery goes through the command queue, keeping
-// it serialized against other runners sharing the System.
+// redeliver retries a broadcast payload on one DPU that missed it.
 func (e *Engine) redeliver(i int, b Broadcast) bool {
 	for a := 0; a < maxRedispatch; a++ {
-		var err error
-		if e.pipe {
-			err = e.sys.EnqueueCopyToDPU(i, b.Ref, b.Off, b.Data).Wait()
-		} else {
-			err = e.sys.CopyToDPURef(i, b.Ref, b.Off, b.Data)
-		}
+		err := e.copyToDPU(i, b.Ref, b.Off, b.Data)
 		if err == nil {
 			return true
 		}
@@ -454,7 +445,9 @@ func (e *Engine) finishBroadcast(err error, b Broadcast) error {
 // down-marking on partial failure. Used for setup-time payloads (the
 // eBNN model deploy); dispatch-time broadcasts belong to the WorkSet
 // or StreamSet instead. A resident broadcast goes through the weight
-// cache's generation stamps and is skipped for current DPUs.
+// cache's generation stamps and is skipped for current DPUs. The copy
+// itself runs on the caller at either depth: setup and RunStream, the
+// two users, hold no queued work of their own.
 func (e *Engine) Broadcast(b Broadcast) error {
 	if b.Resident != nil {
 		return e.broadcastResident(b)
@@ -462,17 +455,22 @@ func (e *Engine) Broadcast(b Broadcast) error {
 	return e.finishBroadcast(e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data), b)
 }
 
+// broadcast is Broadcast for the wave loop's prologue: the copy goes
+// through copyAll, so at depth 2 it is serialized with whatever other
+// runners sharing the System have queued.
+func (e *Engine) broadcast(b Broadcast) error {
+	if b.Resident != nil {
+		return e.broadcastResident(b)
+	}
+	return e.finishBroadcast(e.copyAll(b.Ref, b.Off, b.Data), b)
+}
+
 // deliverOne pushes one resident payload to DPU d with bounded retries,
 // stamping the entry on success. An unreachable DPU is marked down (its
 // stale copy must never contribute results) and reported false.
 func (e *Engine) deliverOne(d int, ref host.SymbolRef, off int64, data []byte, ent *ResidentEntry, catchup bool) bool {
 	for a := 0; a < maxRedispatch; a++ {
-		var err error
-		if e.pipe {
-			err = e.sys.EnqueueCopyToDPU(d, ref, off, data).Wait()
-		} else {
-			err = e.sys.CopyToDPURef(d, ref, off, data)
-		}
+		err := e.copyToDPU(d, ref, off, data)
 		if err == nil {
 			ent.markDelivered(d)
 			ent.noteDelivered(len(data), catchup)
@@ -587,7 +585,7 @@ func (e *Engine) scatterResident(s Stream, n int, failed []bool) error {
 	if stale == n && e.nDown == 0 && len(s.Bufs) == e.sys.NumDPUs() {
 		// Cold path: one rank-parallel full-system push (the same
 		// operation the re-broadcast path issues every dispatch).
-		err := e.pushAll(s.Ref, s.Off, s.Bufs)
+		err := e.push(s.Ref, s.Off, s.Bufs).wait()
 		perDPU := len(s.Bufs[0])
 		if err == nil {
 			for d := 0; d < n; d++ {
@@ -632,8 +630,14 @@ func (e *Engine) scatterResident(s Stream, n int, failed []bool) error {
 	return nil
 }
 
-// copyAll broadcasts data to every DPU, through the command queue when
-// pipelined so the write is serialized with any in-flight waves.
+// The inline-or-enqueue helpers: every device command the wave loop,
+// the broadcast prologue and the recovery paths issue goes through one
+// of these, which run it on the caller at depth 1 and through the
+// command queue at depth 2 — there serialized with any wave in flight
+// and with other runners sharing the System. Everything but push and
+// wave claims the outcome before returning.
+
+// copyAll broadcasts data to every DPU.
 func (e *Engine) copyAll(ref host.SymbolRef, off int64, data []byte) error {
 	if e.pipe {
 		return e.sys.EnqueueCopyTo(ref, off, data).Wait()
@@ -641,22 +645,55 @@ func (e *Engine) copyAll(ref host.SymbolRef, off int64, data []byte) error {
 	return e.sys.CopyToSymbolRef(ref, off, data)
 }
 
-// pushAll scatters per-DPU buffers to every DPU, through the command
-// queue when pipelined.
-func (e *Engine) pushAll(ref host.SymbolRef, off int64, bufs [][]byte) error {
+// push scatters per-DPU buffers to every DPU.
+func (e *Engine) push(ref host.SymbolRef, off int64, bufs [][]byte) issued {
 	if e.pipe {
-		return e.sys.EnqueuePushXfer(ref, off, bufs).Wait()
+		return issued{pend: e.sys.EnqueuePushXfer(ref, off, bufs)}
 	}
-	return e.sys.PushXferRef(ref, off, bufs)
+	return issued{err: e.sys.PushXferRef(ref, off, bufs)}
+}
+
+// wave issues one fused scatter→launch→gather wave.
+func (e *Engine) wave(w host.Wave) issued {
+	if e.pipe {
+		return issued{pend: e.sys.EnqueueWave(w)}
+	}
+	return issued{err: e.sys.RunWave(w)}
+}
+
+// copyToDPU, launchDPU and copyFromDPU are the single-DPU commands of a
+// redelivery or a re-dispatch.
+func (e *Engine) copyToDPU(d int, ref host.SymbolRef, off int64, data []byte) error {
+	if e.pipe {
+		return e.sys.EnqueueCopyToDPU(d, ref, off, data).Wait()
+	}
+	return e.sys.CopyToDPURef(d, ref, off, data)
+}
+
+func (e *Engine) launchDPU(d, tasklets int, kernel dpu.KernelFunc) (host.LaunchStats, error) {
+	if e.pipe {
+		var ls host.LaunchStats
+		err := e.sys.EnqueueLaunchDPU(d, tasklets, kernel, &ls).Wait()
+		return ls, err
+	}
+	return e.sys.LaunchDPU(d, tasklets, kernel)
+}
+
+func (e *Engine) copyFromDPU(d int, ref host.SymbolRef, off int64, dst []byte) error {
+	if e.pipe {
+		return e.sys.EnqueueCopyFrom(d, ref, off, dst).Wait()
+	}
+	return e.sys.CopyFromDPURefInto(d, ref, off, dst)
 }
 
 // redispatch re-runs one failed shard on a surviving DPU: push its
 // input buffers, launch the kernel on that DPU alone, and gather its
 // output. from is the DPU the shard failed on — targets in its rank are
 // preferred (nextTarget). The retry's cycles are added to st, so the
-// stats reflect the degraded run's real cost. In pipelined mode the
-// steps are queued commands, serialized with any waves already
-// enqueued. ents carries the resident entries of the input streams
+// stats reflect the degraded run's real cost. Each step is claimed
+// before the next is issued — an attempt stops at its first failed
+// step at either depth, so what a degraded run is charged does not
+// depend on the depth. ents carries the resident entries of the input streams
 // (nil entries for non-resident ones): every attempted target has its
 // generation stamp invalidated, because even a failed attempt may have
 // partially overwritten the target's resident slot with this shard's
@@ -678,31 +715,16 @@ func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfe
 		}
 		var ls host.LaunchStats
 		var err error
-		if e.pipe {
-			pends := e.pendBuf[:0]
-			for _, in := range ins {
-				pends = append(pends, e.sys.EnqueueCopyToDPU(t, in.Ref, in.Off, in.Data))
+		for _, in := range ins {
+			if err = e.copyToDPU(t, in.Ref, in.Off, in.Data); err != nil {
+				break
 			}
-			pends = append(pends, e.sys.EnqueueLaunchDPU(t, tasklets, kernel, &ls))
-			pends = append(pends, e.sys.EnqueueCopyFrom(t, out.Ref, out.Off, out.Data))
-			// Keep the grown backing array for the next retry; the
-			// handles are value types, so nothing is pinned.
-			e.pendBuf = pends[:0]
-			for _, p := range pends {
-				err = firstErr(err, p.Wait())
-			}
-		} else {
-			for _, in := range ins {
-				if err = e.sys.CopyToDPURef(t, in.Ref, in.Off, in.Data); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				ls, err = e.sys.LaunchDPU(t, tasklets, kernel)
-			}
-			if err == nil {
-				err = e.sys.CopyFromDPURefInto(t, out.Ref, out.Off, out.Data)
-			}
+		}
+		if err == nil {
+			ls, err = e.launchDPU(t, tasklets, kernel)
+		}
+		if err == nil {
+			err = e.copyFromDPU(t, out.Ref, out.Off, out.Data)
 		}
 		if err == nil {
 			st.Retries++
@@ -737,16 +759,19 @@ func (e *Engine) shardIns(streams []Stream, i int) ([]Xfer, []*ResidentEntry) {
 	return ins, ents
 }
 
-// Run dispatches every shard of ws, synchronously or pipelined per the
-// engine's configuration. st accumulates: callers zero it (or carry it
-// across layers) themselves.
+// Run dispatches every shard of ws at the engine's configured depth. st
+// accumulates: callers zero it (or carry it across layers) themselves.
 func (e *Engine) Run(ws WorkSet, st *Stats) error {
 	pre := *st
-	var err error
-	if e.pipe {
-		err = e.runPipelined(ws, st)
-	} else {
-		err = e.runSync(ws, st)
+	err := e.run(ws, st)
+	if err != nil {
+		// A fatal error abandons the waves still in flight: drain the
+		// queue so the next run starts clean. What the drain reports is
+		// those waves' outcome; err is already the one to return.
+		if e.pipe {
+			_ = e.sys.Sync()
+		}
+		e.slots[0].busy, e.slots[1].busy = false, false
 	}
 	if e.met != nil || e.ev != nil {
 		e.account(pre, st, err)
@@ -754,154 +779,26 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 	return err
 }
 
-// serialGather reports whether ws gathers one DPU at a time.
-func serialGather(ws WorkSet) bool {
-	if sg, ok := ws.(SerialGatherer); ok {
-		return sg.SerialGather()
-	}
-	return false
-}
-
-// runSync is the synchronous wave loop: per wave of up to NumDPUs
-// shards — encode, full-system scatter of every stream, launch on the
-// wave's shards, gather (sharded, or serial per-DPU for SerialGatherer
-// worksets), re-dispatch failed shards onto survivors, decode in input
-// order.
-func (e *Engine) runSync(ws WorkSet, st *Stats) error {
+// run is the wave loop, the only one: per wave of up to waveWidth
+// shards — complete the wave that last used the slot, encode, issue the
+// extra scatter streams, issue the fused wave — and complete what is
+// still in flight at the end. At depth 1 there is one slot, so every
+// wave is completed before the next is encoded; at depth 2 wave w is
+// queued and wave w-1 is completed — claimed, retried, decoded — while
+// it runs. The commands issued and their arguments are the same at
+// both depths, and so are Stats and all simulated clocks.
+func (e *Engine) run(ws WorkSet, st *Stats) error {
+	// Every broadcast is delivered — redelivered, or its DPU marked
+	// down and its shards forced onto survivors — before the first wave
+	// is issued, so no DPU computes on stale data.
 	for _, b := range ws.Broadcasts() {
-		if err := e.Broadcast(b); err != nil {
+		if err := e.broadcast(b); err != nil {
 			return err
 		}
 	}
-	nd := e.waveWidth(ws)
-	total := ws.Shards()
-	tasklets := ws.Tasklets()
-	st.Tasklets = tasklets
-	kernel := ws.Kernel()
-	serial := serialGather(ws)
-
-	for start := 0; start < total; start += nd {
-		n := total - start
-		if n > nd {
-			n = nd
-		}
-		e.waveSeq++
-		seq := e.waveSeq
-		ws.Encode(0, start, n)
-		failed := e.seedFailed(n)
-
-		t0 := e.now()
-		streams := ws.Scatter(0, n)
-		for _, s := range streams {
-			if s.Resident != nil {
-				if err := e.scatterResident(s, n, failed); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, s.Off, s.Bufs)); err != nil {
-				return err
-			}
-		}
-		t1 := e.span("scatter", seq, n, t0)
-
-		ls, lerr := e.sys.LaunchOnInto(n, tasklets, kernel, e.perDPUBuf(n))
-		if err := e.mergeFailed(failed, lerr); err != nil {
-			return err
-		}
-		st.Waves++
-		st.Cycles += ls.Cycles
-		st.Seconds += ls.Seconds
-		if n > st.DPUsUsed {
-			st.DPUsUsed = n
-		}
-		if e.tsp != nil {
-			e.tspLS, e.tspLSOK = ls, true
-		}
-		t2 := e.span("launch", seq, n, t1)
-
-		g := ws.Gather(0, n)
-		if serial {
-			// Intact shards are gathered before any re-dispatch runs, so
-			// a retry launch can safely reuse a DPU whose own results
-			// were not yet read.
-			for i := 0; i < n; i++ {
-				if failed[i] {
-					continue
-				}
-				if err := e.sys.CopyFromDPURefInto(i, g.Ref, g.Off, g.Bufs[i]); err != nil {
-					if _, ok := host.AsFaultReport(err); !ok {
-						return err
-					}
-					if errors.Is(err, dpu.ErrDPUDead) {
-						e.markDown(i)
-					}
-					failed[i] = true
-				}
-			}
-		} else {
-			if err := e.mergeFailed(failed, e.sys.GatherXferRefInto(g.Ref, g.Off, len(g.Bufs[0]), g.Bufs[:n])); err != nil {
-				return err
-			}
-		}
-		t3 := e.span("gather", seq, n, t2)
-
-		retried := false
-		for i := 0; i < n; i++ {
-			if failed[i] {
-				retried = true
-				ins, ents := e.shardIns(streams, i)
-				if err := e.redispatch(i, ins, ents, Xfer{Ref: g.Ref, Off: g.Off, Data: g.Bufs[i]}, tasklets, kernel, st); err != nil {
-					return err
-				}
-			}
-		}
-		if retried {
-			e.span("retry", seq, n, t3)
-		}
-		for i := 0; i < n; i++ {
-			ws.Decode(0, start+i, i)
-		}
-	}
-	return nil
-}
-
-// runPipelined is the double-buffered wave loop: wave w is enqueued as
-// one fused scatter→launch→gather command (extra scatter streams as
-// separate queued pushes ahead of it) and wave w-1 is flushed — waited,
-// retried, decoded — while it runs. The per-wave launch statistics are
-// identical to the synchronous loop's, so Stats and all simulated
-// clocks match the synchronous path bit for bit.
-func (e *Engine) runPipelined(ws WorkSet, st *Stats) error {
-	sys := e.sys
-	bcasts := ws.Broadcasts()
-	// Claim every broadcast handle before the first wave is enqueued: a
-	// DPU the redelivery cannot reach must be marked down — its shards
-	// forced onto survivors — before it computes on stale data.
-	if len(bcasts) > 0 {
-		pends := make([]host.Pending, len(bcasts))
-		for i, b := range bcasts {
-			if b.Resident != nil {
-				// Resident broadcasts deliver (or skip) synchronously
-				// through the cache's generation stamps; the queued ops
-				// inside are serialized like any other command.
-				if err := e.broadcastResident(b); err != nil {
-					sys.Sync()
-					return err
-				}
-				continue
-			}
-			pends[i] = sys.EnqueueCopyTo(b.Ref, b.Off, b.Data)
-		}
-		for i, b := range bcasts {
-			if b.Resident != nil {
-				continue
-			}
-			if err := e.finishBroadcast(pends[i].Wait(), b); err != nil {
-				sys.Sync()
-				return err
-			}
-		}
+	depth := 1
+	if e.pipe {
+		depth = 2
 	}
 	nd := e.waveWidth(ws)
 	total := ws.Shards()
@@ -915,16 +812,16 @@ func (e *Engine) runPipelined(ws WorkSet, st *Stats) error {
 		if n > nd {
 			n = nd
 		}
-		sl := &e.slots[w&1]
-		// The slot's buffers are queue-owned until its wave completes;
-		// flush (wait, retry, decode) before re-encoding into them.
+		sl := &e.slots[w%depth]
+		// The slot's buffers belong to its previous wave until that wave
+		// has been decoded.
 		if err := e.flush(ws, sl, st); err != nil {
 			return err
 		}
 		e.waveSeq++
 		ws.Encode(sl.idx, start, n)
 		streams := ws.Scatter(sl.idx, n)
-		sl.extras = sl.extras[:0]
+		sl.cmds = sl.cmds[:0]
 		if cap(sl.forced) < n {
 			sl.forced = make([]bool, n)
 		}
@@ -935,12 +832,11 @@ func (e *Engine) runPipelined(ws WorkSet, st *Stats) error {
 		for _, s := range streams[1:] {
 			if s.Resident != nil {
 				if err := e.scatterResident(s, n, sl.forced); err != nil {
-					sys.Sync()
 					return err
 				}
 				continue
 			}
-			sl.extras = append(sl.extras, sys.EnqueuePushXfer(s.Ref, s.Off, s.Bufs))
+			sl.cmds = append(sl.cmds, e.push(s.Ref, s.Off, s.Bufs))
 		}
 		g := ws.Gather(sl.idx, n)
 		sl.t0 = e.now()
@@ -956,59 +852,50 @@ func (e *Engine) runPipelined(ws WorkSet, st *Stats) error {
 		if s0 := streams[0]; s0.Resident != nil {
 			// The primary stream is weight-resident: deliver (or skip)
 			// it now through the cache and leave the wave's scatter ref
-			// zero so the queue skips that phase entirely.
+			// zero so the wave skips that phase entirely.
 			if err := e.scatterResident(s0, n, sl.forced); err != nil {
-				sys.Sync()
 				return err
 			}
 		} else {
 			wv.Scatter, wv.ScatterOff, wv.In = s0.Ref, s0.Off, s0.Bufs[:n]
 		}
-		sl.pend = sys.EnqueueWave(wv)
+		sl.cmds = append(sl.cmds, e.wave(wv))
 		sl.seq = e.waveSeq
 		sl.start, sl.n = start, n
 		sl.busy = true
 		w++
 	}
-	// Drain the in-flight waves, older slot first (decode order).
-	if err := e.flush(ws, &e.slots[w&1], st); err != nil {
-		return err
+	// Complete the in-flight waves, oldest first (decode order).
+	for i := 0; i < depth; i++ {
+		if err := e.flush(ws, &e.slots[(w+i)%depth], st); err != nil {
+			return err
+		}
 	}
-	return e.flush(ws, &e.slots[(w+1)&1], st)
+	return nil
 }
 
-// flush completes one in-flight wave: claim its queue handles, fold
+// flush completes one issued wave: claim its commands' outcomes, fold
 // partial failures into the failed-shard set, account the launch,
-// re-dispatch failed shards through the queue (serialized behind the
-// already-enqueued next wave: that wave's fused gather runs before the
-// retry overwrites any of its DPUs' symbols, and the wave after it
-// re-scatters everything the retry clobbered), then decode the wave in
-// input order.
+// re-dispatch failed shards, then decode the wave in input order. At
+// depth 2 the re-dispatch is serialized behind the already-queued next
+// wave: that wave's fused gather runs before the retry overwrites any
+// of its DPUs' symbols, and the wave after it re-scatters everything
+// the retry clobbered.
 func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 	if !sl.busy {
 		return nil
 	}
 	sl.busy = false
-	sl.errs = sl.errs[:0]
-	for _, p := range sl.extras {
-		sl.errs = append(sl.errs, p.Wait())
-	}
-	waveErr := sl.pend.Wait()
 	failed := e.seedFailed(sl.n)
-	for i := 0; i < sl.n && i < len(sl.forced); i++ {
-		if sl.forced[i] {
+	for i, f := range sl.forced {
+		if f {
 			failed[i] = true
 		}
 	}
-	for _, err := range sl.errs {
-		if ferr := e.mergeFailed(failed, err); ferr != nil {
-			e.sys.Sync() // drain the queue before reporting a fatal error
-			return ferr
+	for _, c := range sl.cmds {
+		if err := e.mergeFailed(failed, c.wait()); err != nil {
+			return err
 		}
-	}
-	if ferr := e.mergeFailed(failed, waveErr); ferr != nil {
-		e.sys.Sync()
-		return ferr
 	}
 	st.Waves++
 	st.Cycles += sl.stats.Cycles
@@ -1028,7 +915,6 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 			retried = true
 			ins, ents := e.shardIns(streams, i)
 			if err := e.redispatch(i, ins, ents, Xfer{Ref: g.Ref, Off: g.Off, Data: g.Bufs[i]}, ws.Tasklets(), ws.Kernel(), st); err != nil {
-				e.sys.Sync()
 				return err
 			}
 		}

@@ -2,7 +2,10 @@ package exec_test
 
 import (
 	"encoding/binary"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
@@ -12,20 +15,33 @@ import (
 
 // toySet is a minimal WorkSet: shard i carries one uint32, the kernel
 // computes v*3+7, and Decode collects the transformed values. Buffers
-// are 8 bytes per DPU (the MRAM DMA granularity).
+// are 8 bytes per DPU (the MRAM DMA granularity). With toyOpts it also
+// caps its wave width (exec.WidthLimiter) and carries a second scatter
+// stream, a per-shard addend the kernel adds to the result.
 type toySet struct {
 	sys    *host.System
 	refIn  host.SymbolRef
+	refAdd host.SymbolRef
 	refOut host.SymbolRef
 	kern   dpu.KernelFunc
 
 	vals []uint32
 	got  []uint32
+	opts toyOpts
 
 	inBufs  [2][][]byte
+	addBufs [2][][]byte
 	outBufs [2][][]byte
 	streams []exec.Stream
 }
+
+type toyOpts struct {
+	maxWave   int  // wave-width cap, 0 for none
+	twoStream bool // scatter the addend stream too
+}
+
+// toyAddend is shard i's addend on the second stream.
+func toyAddend(shard int) uint32 { return uint32(5*shard + 1) }
 
 func newToySet(t *testing.T, nd int, vals []uint32) *toySet {
 	t.Helper()
@@ -33,6 +49,11 @@ func newToySet(t *testing.T, nd int, vals []uint32) *toySet {
 }
 
 func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toySet {
+	t.Helper()
+	return newToySetOpts(t, nd, vals, topo, toyOpts{})
+}
+
+func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts toyOpts) *toySet {
 	t.Helper()
 	cfg := host.DefaultConfig(dpu.O3)
 	cfg.Topology = topo
@@ -44,9 +65,9 @@ func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toy
 	for _, sym := range []struct {
 		name string
 		wram bool
-	}{{"toy_in", false}, {"toy_out", false}, {"toy_wram", true}} {
+	}{{"toy_in", false}, {"toy_add", false}, {"toy_out", false}, {"toy_wram", true}} {
 		if sym.wram {
-			err = sys.AllocWRAM(sym.name, 8)
+			err = sys.AllocWRAM(sym.name, 16)
 		} else {
 			err = sys.AllocMRAM(sym.name, 8)
 		}
@@ -54,8 +75,11 @@ func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toy
 			t.Fatal(err)
 		}
 	}
-	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals))}
+	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), opts: opts}
 	if w.refIn, err = sys.Resolve("toy_in"); err != nil {
+		t.Fatal(err)
+	}
+	if w.refAdd, err = sys.Resolve("toy_add"); err != nil {
 		t.Fatal(err)
 	}
 	if w.refOut, err = sys.Resolve("toy_out"); err != nil {
@@ -65,26 +89,43 @@ func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toy
 		s, _ := sys.DPU(0).Symbol(name)
 		return s.Offset
 	}
-	inOff, outOff, wramOff := look("toy_in"), look("toy_out"), look("toy_wram")
+	inOff, addOff, outOff, wramOff := look("toy_in"), look("toy_add"), look("toy_out"), look("toy_wram")
 	w.kern = func(tk *dpu.Tasklet) error {
 		if tk.ID() != 0 {
 			return nil
 		}
 		tk.MRAMToWRAM(wramOff, inOff, 8)
-		v := tk.Load32(wramOff)
-		tk.Store32(wramOff, v*3+7)
+		out := tk.Load32(wramOff)*3 + 7
+		if opts.twoStream {
+			tk.MRAMToWRAM(wramOff+8, addOff, 8)
+			out += tk.Load32(wramOff + 8)
+		}
+		tk.Store32(wramOff, out)
 		tk.WRAMToMRAM(outOff, wramOff, 8)
 		return nil
 	}
 	for slot := 0; slot < 2; slot++ {
 		w.inBufs[slot] = make([][]byte, nd)
+		w.addBufs[slot] = make([][]byte, nd)
 		w.outBufs[slot] = make([][]byte, nd)
 		for d := 0; d < nd; d++ {
 			w.inBufs[slot][d] = make([]byte, 8)
+			w.addBufs[slot][d] = make([]byte, 8)
 			w.outBufs[slot][d] = make([]byte, 8)
 		}
 	}
 	return w
+}
+
+// want is the expected Decode output.
+func (w *toySet) want() []uint32 {
+	want := toyWant(w.vals)
+	if w.opts.twoStream {
+		for i := range want {
+			want[i] += toyAddend(i)
+		}
+	}
+	return want
 }
 
 func toyWant(vals []uint32) []uint32 {
@@ -100,14 +141,21 @@ func (w *toySet) Tasklets() int                { return 2 }
 func (w *toySet) Kernel() dpu.KernelFunc       { return w.kern }
 func (w *toySet) Broadcasts() []exec.Broadcast { return nil }
 
+// MaxWaveDPUs implements exec.WidthLimiter.
+func (w *toySet) MaxWaveDPUs() int { return w.opts.maxWave }
+
 func (w *toySet) Encode(slot, start, n int) {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(w.inBufs[slot][i], w.vals[start+i])
+		binary.LittleEndian.PutUint32(w.addBufs[slot][i], toyAddend(start+i))
 	}
 }
 
 func (w *toySet) Scatter(slot, n int) []exec.Stream {
 	w.streams = append(w.streams[:0], exec.Stream{Ref: w.refIn, Bufs: w.inBufs[slot]})
+	if w.opts.twoStream {
+		w.streams = append(w.streams, exec.Stream{Ref: w.refAdd, Bufs: w.addBufs[slot]})
+	}
 	return w.streams
 }
 
@@ -119,15 +167,16 @@ func (w *toySet) Decode(slot, shard, i int) {
 	w.got[shard] = binary.LittleEndian.Uint32(w.outBufs[slot][i])
 }
 
-// TestEngineModes runs the same toy WorkSet through every dispatch path
-// — serial transfers (below the host pool's parallel threshold), sharded
-// transfers (a DPU count above it), pipelined dispatch, and both paths
-// under a dead-DPU fault plan — each in the default single-rank topology
-// AND split across several small ranks. Outputs must be identical
-// everywhere; simulated launch accounting and transfer BYTES must be
-// identical between a topology and its single-rank twin (rank grouping
-// must never change what ran, only the modeled transfer time, which the
-// rank-parallel model strictly shrinks).
+// TestEngineModes runs the same toy WorkSet at every dispatch shape —
+// depth 1 on a system below the host pool's parallel threshold and on
+// one above it, depth 2, and both depths under a dead-DPU fault plan
+// (TestRunInvariance is the full depth × fault × core-count table) —
+// each in the default single-rank topology AND split across several
+// small ranks. Outputs must be identical everywhere; simulated launch
+// accounting and transfer BYTES must be identical between a topology
+// and its single-rank twin (rank grouping must never change what ran,
+// only the modeled transfer time, which the rank-parallel model
+// strictly shrinks).
 func TestEngineModes(t *testing.T) {
 	const shards = 24 // 3 full waves on 8 DPUs, 1 partial wave on 40
 	vals := make([]uint32, shards)
@@ -194,8 +243,8 @@ func TestEngineModes(t *testing.T) {
 		})
 	}
 
-	// The pipelined path must account exactly like the synchronous one:
-	// same waves, same cycles, same transfer traffic, same DPU clock.
+	// Depth 2 must account exactly like depth 1: same waves, same
+	// cycles, same transfer traffic, same DPU clock.
 	if stats["serial"] != stats["pipelined"] {
 		t.Errorf("sync stats %+v != pipelined stats %+v", stats["serial"], stats["pipelined"])
 	}
@@ -323,73 +372,186 @@ func TestEngineDownDPUSticky(t *testing.T) {
 	}
 }
 
-// TestSyncSpansSequential: the synchronous path's scatter/launch/gather
-// spans never overlap.
-func TestSyncSpansSequential(t *testing.T) {
-	vals := make([]uint32, 24)
-	want := toyWant(vals)
-	w := newToySet(t, 8, vals)
-	tl := trace.NewTimeline()
-	eng := exec.New(w.sys, exec.Config{Pipeline: host.PipelineOff, Timeline: tl})
-	var st exec.Stats
-	if err := eng.Run(w, &st); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if w.got[i] != want[i] {
-			t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
-		}
-	}
-	spans := tl.Spans()
-	if len(spans) != 9 { // 3 waves x scatter/launch/gather
-		t.Fatalf("spans = %d, want 9: %+v", len(spans), spans)
-	}
-	order := []string{"scatter", "launch", "gather"}
-	for i, s := range spans {
-		if s.Name != order[i%3] {
-			t.Errorf("span %d = %q, want %q", i, s.Name, order[i%3])
-		}
-		if s.Shards != 8 {
-			t.Errorf("span %d shards = %d", i, s.Shards)
-		}
-	}
-	if mc := tl.MaxConcurrent(); mc != 1 {
-		t.Errorf("synchronous MaxConcurrent = %d, want 1", mc)
+// TestWaveSpans: Engine.Run records one "wave" span per wave at either
+// depth, and a "retry" span only when shards were re-dispatched. At
+// depth 1 every wave is completed before the next is issued, so spans
+// never overlap. At depth 2 wave w+1 is queued while wave w drains, so
+// their spans must overlap — deterministically: wave w+1's span opens
+// when it is issued, strictly before wave w's flush closes wave w's.
+func TestWaveSpans(t *testing.T) {
+	deadPlan := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1}
+	for _, tc := range []struct {
+		name string
+		mode host.PipelineMode
+		plan *dpu.FaultPlan
+	}{
+		{"depth1", host.PipelineOff, nil},
+		{"depth2", host.PipelineOn, nil},
+		{"depth1-faulted", host.PipelineOff, deadPlan},
+		{"depth2-faulted", host.PipelineOn, deadPlan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vals := make([]uint32, 24) // 3 waves on 8 DPUs
+			want := toyWant(vals)
+			w := newToySet(t, 8, vals)
+			if tc.plan != nil {
+				w.sys.InjectFaults(*tc.plan)
+			}
+			tl := trace.NewTimeline()
+			eng := exec.New(w.sys, exec.Config{Pipeline: tc.mode, Timeline: tl})
+			var st exec.Stats
+			if err := eng.Run(w, &st); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if w.got[i] != want[i] {
+					t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
+				}
+			}
+			count := map[string]int{}
+			for _, s := range tl.Spans() {
+				count[s.Name]++
+				if s.Shards != 8 {
+					t.Errorf("span %q wave %d shards = %d, want 8", s.Name, s.Wave, s.Shards)
+				}
+			}
+			if count["wave"] != 3 || len(count) > 2 {
+				t.Errorf("spans %v, want 3 wave spans and nothing but wave/retry", count)
+			}
+			if got := count["retry"]; (got > 0) != (st.Retries > 0) || (tc.plan != nil) != (got > 0) {
+				t.Errorf("%d retry spans with %d retries (fault plan: %v)", got, st.Retries, tc.plan != nil)
+			}
+			mc := tl.MaxConcurrent()
+			if tc.mode == host.PipelineOff && mc != 1 {
+				t.Errorf("depth-1 MaxConcurrent = %d, want 1", mc)
+			}
+			if tc.mode == host.PipelineOn && tc.plan == nil && mc < 2 {
+				t.Errorf("depth-2 MaxConcurrent = %d, want >= 2 (waves must overlap)", mc)
+			}
+			if r := tl.Render(40); r == "" {
+				t.Error("empty render")
+			}
+		})
 	}
 }
 
-// TestPipelinedSpansOverlap: with at least two waves the pipelined path
-// keeps wave w+1 enqueued while wave w drains, so their timeline spans
-// must overlap. The overlap is deterministic — wave w+1's span opens at
-// enqueue time, strictly before wave w's flush closes wave w's span.
-func TestPipelinedSpansOverlap(t *testing.T) {
-	vals := make([]uint32, 24) // 3 waves on 8 DPUs
-	want := toyWant(vals)
-	w := newToySet(t, 8, vals)
-	tl := trace.NewTimeline()
-	eng := exec.New(w.sys, exec.Config{Pipeline: host.PipelineOn, Timeline: tl})
+// runOutcome is everything an Engine.Run may be observed by.
+type runOutcome struct {
+	Got       []uint32
+	Stats     exec.Stats
+	DPUCycles []uint64
+	Xfer      host.XferStats
+	DPUTime   time.Duration
+	Down      int
+}
+
+// TestRunInvariance is the Engine.Run twin of TestStreamInvariance: one
+// toy WorkSet — twice per engine, so the second run starts from the
+// first's down set — over the shapes where the two dispatch paths used
+// to account differently (a partial single wave on a sharded system, a
+// partial last wave, a WidthLimiter cap, a second scatter stream), at
+// both dispatch depths, under each fault class, at GOMAXPROCS 1, 2 and
+// 4. Outputs, exec.Stats, per-DPU cycles, all of TransferStats, the DPU
+// clock and the down count must equal the depth-1/GOMAXPROCS=1 row.
+//
+// One cell is weaker by construction. Depth 2 issues wave w+1 before
+// wave w's re-dispatches, so under a probabilistic plan a multi-wave
+// run consumes each DPU's fault stream in a different order than depth
+// 1 does and fails different operations. There the outputs must still
+// match depth 1 and everything must match depth 2 at GOMAXPROCS=1.
+func TestRunInvariance(t *testing.T) {
+	shapes := []struct {
+		name       string
+		nd, shards int
+		opts       toyOpts
+	}{
+		{"24on40", 40, 24, toyOpts{}},
+		{"20on8", 8, 20, toyOpts{}},
+		{"20on8-cap5", 8, 20, toyOpts{maxWave: 5}},
+		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true}},
+	}
+	faults := []struct {
+		name          string
+		plan          *dpu.FaultPlan
+		probabilistic bool
+	}{
+		{"clean", nil, false},
+		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}, false},
+		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1}, false},
+		{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.2}, true},
+	}
+	modes := []host.PipelineMode{host.PipelineOff, host.PipelineOn}
+	for _, sh := range shapes {
+		for _, fc := range faults {
+			t.Run(sh.name+"/"+fc.name, func(t *testing.T) {
+				var base runOutcome
+				for depth, mode := range modes {
+					var first runOutcome
+					for _, procs := range []int{1, 2, 4} {
+						got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, mode)
+						if procs == 1 {
+							first = got
+						}
+						if depth == 0 && procs == 1 {
+							base = got
+							if (fc.plan != nil) != (got.Stats.Retries > 0) {
+								t.Errorf("fault plan %v but %d re-dispatches", fc.plan != nil, got.Stats.Retries)
+							}
+							continue
+						}
+						want := base
+						if fc.probabilistic && depth == 1 && got.Stats.Waves > 2 {
+							if !reflect.DeepEqual(got.Got, base.Got) {
+								t.Errorf("depth %d GOMAXPROCS=%d: outputs diverge from depth 1", depth+1, procs)
+							}
+							want = first
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("depth %d GOMAXPROCS=%d diverges:\n got %s\nwant %s",
+								depth+1, procs, got.summary(), want.summary())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func (o runOutcome) summary() string {
+	return summarize(streamOutcome{Stats: o.Stats, DPUCycles: o.DPUCycles, Xfer: o.Xfer, DPUTime: o.DPUTime, Down: o.Down})
+}
+
+func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, mode host.PipelineMode) runOutcome {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	vals := make([]uint32, shards)
+	for i := range vals {
+		vals[i] = uint32(1000 + 17*i)
+	}
+	w := newToySetOpts(t, nd, vals, host.Topology{}, opts)
+	if plan != nil {
+		w.sys.InjectFaults(*plan)
+	}
+	eng := exec.New(w.sys, exec.Config{Pipeline: mode})
+	want := w.want()
 	var st exec.Stats
-	if err := eng.Run(w, &st); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if w.got[i] != want[i] {
-			t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
+	for run := 1; run <= 2; run++ {
+		for i := range w.got {
+			w.got[i] = 0
+		}
+		if err := eng.Run(w, &st); err != nil {
+			t.Fatalf("GOMAXPROCS=%d run %d: %v", procs, run, err)
+		}
+		if !reflect.DeepEqual(w.got, want) {
+			t.Fatalf("GOMAXPROCS=%d run %d: got %v, want %v", procs, run, w.got, want)
 		}
 	}
-	spans := tl.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("spans = %d, want 3: %+v", len(spans), spans)
+	o := runOutcome{
+		Got: w.got, Stats: st, DPUCycles: make([]uint64, nd),
+		Xfer: w.sys.TransferStats(), DPUTime: w.sys.DPUTime(), Down: eng.NumDown(),
 	}
-	for _, s := range spans {
-		if s.Name != "wave" {
-			t.Errorf("pipelined span %q, want \"wave\"", s.Name)
-		}
+	for i := range o.DPUCycles {
+		o.DPUCycles[i] = w.sys.DPU(i).TotalCycles()
 	}
-	if mc := tl.MaxConcurrent(); mc < 2 {
-		t.Errorf("pipelined MaxConcurrent = %d, want >= 2 (waves must overlap)", mc)
-	}
-	if r := tl.Render(40); r == "" {
-		t.Error("empty render")
-	}
+	return o
 }

@@ -12,8 +12,8 @@ import (
 // nil-safe; the engine gates the whole block on one e.met nil check, so
 // an unwired engine's dispatch loop is telemetry-free.
 type engineMetrics struct {
-	// Wall-clock phase histograms (nanoseconds): scatter/launch/gather/
-	// retry on the synchronous path, the fused wave command pipelined.
+	// Wall-clock phase histograms (nanoseconds): wave and retry for a
+	// Run at either depth, scatter/launch/gather for a RunStream.
 	scatter *metrics.Histogram
 	launch  *metrics.Histogram
 	gather  *metrics.Histogram

@@ -8,9 +8,9 @@ import (
 
 // Request-tracing integration. A runner that dispatches on behalf of a
 // traced request installs the request's span on its engine; the
-// engine's existing wave phases (scatter/launch/gather/retry
-// synchronously, the fused wave when pipelined) then double as child
-// spans of that request, launch spans carry the wave's simulated
+// engine's existing phase spans (wave/retry for a Run at either depth,
+// scatter/launch/gather for a RunStream) then double as child spans of
+// that request, launch and wave spans carry the launch's simulated
 // cycle/energy attributes, and each launch fans out per-DPU
 // "dpu_kernel" child spans whose extents are the *simulated* kernel
 // windows — so a Perfetto view shows wall-clock dispatch machinery and

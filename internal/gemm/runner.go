@@ -57,19 +57,13 @@ type RunnerConfig struct {
 	// differential tests launch both and compare — so the flag exists
 	// only for those tests and for profiling the old path.
 	LegacyCharging bool
-	// Exec is the unified execution-engine configuration (pipelining,
-	// trace timeline) shared with every other runner; see internal/exec
-	// and DESIGN.md, "Execution engine". Results and simulated-time
-	// accounting are identical in both pipeline modes; pipelining only
+	// Exec is the unified execution-engine configuration (dispatch
+	// depth, trace timeline) shared with every other runner; see
+	// internal/exec and DESIGN.md, "Execution engine". Results and
+	// simulated accounting are identical at both depths; depth 2 only
 	// overlaps host encode/decode wall-clock time with queued device
 	// work.
 	Exec exec.Config
-	// Mapping, when non-nil, seeds the hand-tunable fields from a
-	// planner-produced mapping: Tasklets and TileCols when left zero,
-	// and the engine's pipeline mode when Exec.Pipeline is PipelineAuto.
-	// The kernel family (Naive) stays the caller's choice — it is an
-	// allocation-time runner property, not a per-shape axis.
-	Mapping *plan.Mapping
 	// Planner, when non-nil, re-plans the mapping for every problem
 	// shape Multiply/MultiplyBatchEach sees: the tasklet count (and wave
 	// width) of each dispatch comes from the analytic cost model instead
@@ -216,9 +210,9 @@ type Runner struct {
 	paramsBuf [24]byte
 
 	// eng is the shared execution engine: it owns wave construction,
-	// double-buffered pipelining, and retry-and-remap (internal/exec).
-	// mws and mulStages are the row-mode WorkSet adapter and its staging
-	// sets (stage 0 for synchronous dispatch, both when pipelined).
+	// the dispatch depth, and retry-and-remap (internal/exec). mws and
+	// mulStages are the row-mode WorkSet adapter and its staging sets
+	// (stage 0 at depth 1, both at depth 2).
 	eng       *exec.Engine
 	mws       mulWorkSet
 	mulStages [2]mulStage
@@ -257,17 +251,6 @@ type Runner struct {
 func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	if cfg.MaxK < 1 || cfg.MaxN < 1 {
 		return nil, fmt.Errorf("gemm: bad bounds MaxK=%d MaxN=%d", cfg.MaxK, cfg.MaxN)
-	}
-	if mp := cfg.Mapping; mp != nil {
-		if cfg.Tasklets == 0 {
-			cfg.Tasklets = mp.Tasklets
-		}
-		if cfg.TileCols == 0 {
-			cfg.TileCols = mp.TileCols
-		}
-		if cfg.Exec.Pipeline == host.PipelineAuto {
-			cfg.Exec.Pipeline = mp.Pipeline
-		}
 	}
 	tileCols := cfg.TileCols
 	if tileCols == 0 {
@@ -1029,11 +1012,10 @@ func decodeCRow(c []int16, base int, raw []byte, n int) {
 }
 
 // mulStage is one staging set of the row-per-DPU mapping: per-DPU A-row
-// scatter buffers and C-row gather buffers. Synchronous dispatch uses
-// stage 0 at full system width; pipelined dispatch uses both stages as
-// the engine's ping-pong slots (a wave's buffers stay queue-owned until
-// the engine flushes it, so the host encodes the next wave into the
-// other stage meanwhile).
+// scatter buffers and C-row gather buffers, min(M, NumDPUs) of each.
+// Depth 1 uses stage 0; depth 2 uses both as the engine's ping-pong
+// slots (a wave's buffers stay its own until the engine has decoded it,
+// so the host encodes the next wave into the other stage meanwhile).
 type mulStage struct {
 	aStage []byte
 	aBufs  [][]byte
@@ -1042,7 +1024,7 @@ type mulStage struct {
 }
 
 // ensureMulStages sizes the staging for waves of up to width DPUs at
-// the given row sizes (one stage synchronously, both when pipelined).
+// the given row sizes (one stage at depth 1, both at depth 2).
 func (r *Runner) ensureMulStages(width, rowBytes, cBytes int) {
 	nStages := 1
 	if r.eng.Pipelined() {
@@ -1157,14 +1139,8 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 		aoff = ent.Abs()
 	}
 	r.encodeParams(n, k, 0, alpha, aoff)
-	// Synchronous scatter pushes the full system width (stale tails on
-	// partial waves, matching dpu_push_xfer); pipelined waves carry only
-	// the wave's rows.
-	width := r.sys.NumDPUs()
-	if r.eng.Pipelined() && m < width {
-		width = m
-	}
-	r.ensureMulStages(width, rowBytes, cBytes)
+	// A wave carries only its own rows.
+	r.ensureMulStages(min(m, r.sys.NumDPUs()), rowBytes, cBytes)
 
 	w := &r.mws
 	w.a, w.c = a, c

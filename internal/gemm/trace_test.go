@@ -82,20 +82,22 @@ func TestTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTracingSpanTree checks the shape a traced Multiply records in
-// each dispatch mode: a gemm.multiply child under the request root, the
-// engine's wave phases under it — discrete scatter/launch/gather spans
-// synchronously, one fused wave span over a queued q.wave command when
-// pipelined — and per-DPU kernel spans with cycle attributes. The mode
-// is pinned per row, so the shape does not depend on the host's cores.
+// TestTracingSpanTree checks the shape a traced Multiply records, the
+// same at both dispatch depths: a gemm.multiply child under the request
+// root, one engine wave span per wave under it (never the discrete
+// scatter/launch/gather phases, which only a RunStream records), and
+// per-DPU kernel spans with cycle attributes. Depth 2 additionally
+// stamps one queued q.wave command span per wave; depth 1 runs the wave
+// on the caller and records no queue command. The depth is pinned per
+// row, so the shape does not depend on the host's cores.
 func TestTracingSpanTree(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		mode         host.PipelineMode
-		want, absent []string
+		name   string
+		mode   host.PipelineMode
+		qWaves bool
 	}{
-		{"sync", host.PipelineOff, []string{"scatter", "launch", "gather"}, []string{"wave", "q.wave"}},
-		{"pipelined", host.PipelineOn, []string{"wave", "q.wave"}, []string{"scatter", "launch", "gather"}},
+		{"sync", host.PipelineOff, false},
+		{"pipelined", host.PipelineOn, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, st, tr := runWithTracing(t, true, nil, tc.mode)
@@ -115,14 +117,19 @@ func TestTracingSpanTree(t *testing.T) {
 			if count["gemm.multiply"] != 1 {
 				t.Errorf("gemm.multiply spans = %d, want 1 (have %v)", count["gemm.multiply"], count)
 			}
-			for _, name := range tc.want {
-				if count[name] != st.Waves {
-					t.Errorf("%s spans = %d, want one per wave (%d): %v", name, count[name], st.Waves, count)
-				}
+			if count["wave"] != st.Waves {
+				t.Errorf("wave spans = %d, want one per wave (%d): %v", count["wave"], st.Waves, count)
 			}
-			for _, name := range tc.absent {
+			wantQ := 0
+			if tc.qWaves {
+				wantQ = st.Waves
+			}
+			if count["q.wave"] != wantQ {
+				t.Errorf("q.wave spans = %d, want %d: %v", count["q.wave"], wantQ, count)
+			}
+			for _, name := range []string{"scatter", "launch", "gather", "retry"} {
 				if count[name] != 0 {
-					t.Errorf("%d %s spans recorded in %s mode: %v", count[name], name, tc.name, count)
+					t.Errorf("%d %s spans recorded by a fault-free Multiply: %v", count[name], name, count)
 				}
 			}
 			if count["dpu_kernel"] == 0 {

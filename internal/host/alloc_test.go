@@ -135,7 +135,7 @@ func TestAsyncEnqueueSyncAllocFree(t *testing.T) {
 // A steady-state fused wave allocates only what the underlying per-DPU
 // launches themselves allocate (the same op-mix bookkeeping a
 // synchronous LaunchOn pays); the wave's stats reuse the caller's PerDPU
-// backing and the queue machinery adds nothing.
+// backing and neither the queue machinery nor RunWave adds anything.
 func TestWaveSteadyStateAllocBound(t *testing.T) {
 	s := allocSystem(t, 2)
 	ref, err := s.Resolve("buf")
@@ -149,19 +149,29 @@ func TestWaveSteadyStateAllocBound(t *testing.T) {
 		return nil
 	}
 	var ws LaunchStats
-	avg := testing.AllocsPerRun(100, func() {
-		p := s.EnqueueWave(Wave{
-			DPUs: 2, Tasklets: 1, Kernel: kernel, Stats: &ws,
-			Scatter: ref, In: in, Gather: ref, Out: out,
-		})
-		if err := p.Wait(); err != nil {
+	wave := Wave{
+		DPUs: 2, Tasklets: 1, Kernel: kernel, Stats: &ws,
+		Scatter: ref, In: in, Gather: ref, Out: out,
+	}
+	queued := testing.AllocsPerRun(100, func() {
+		if err := s.EnqueueWave(wave).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// Per DPU launch: op-mix map + breakdown slice (+ map bucket churn).
 	// Anything beyond ~8 per DPU means the queue started allocating.
-	if avg > 16 {
-		t.Errorf("steady-state wave allocates %.1f per call, want <= 16", avg)
+	if queued > 16 {
+		t.Errorf("steady-state wave allocates %.1f per call, want <= 16", queued)
+	}
+	// The same wave run on the caller allocates no more: its command
+	// lives in the System, not in a local the range function captures.
+	inline := testing.AllocsPerRun(100, func() {
+		if err := s.RunWave(wave); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if inline > queued {
+		t.Errorf("RunWave allocates %.1f per call, the queued wave %.1f", inline, queued)
 	}
 }
 

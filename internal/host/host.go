@@ -63,12 +63,11 @@ type System struct {
 	pool *workerPool
 
 	// perRank/ranks are the resolved Config.Topology (topology.go);
-	// xferTally and waveTally are the per-rank tally scratches of the
-	// transfer and wave charging paths.
+	// xferTally is the per-rank tally scratch of the transfer charging
+	// path (the wave paths carry theirs in a waveScratch).
 	perRank   int
 	ranks     int
 	xferTally []int
-	waveTally []int
 
 	// symbols caches the uniform symbol table built by AllocMRAM /
 	// AllocWRAM so transfers resolve names with one map lookup per call
@@ -98,10 +97,10 @@ type System struct {
 	// enqueued commands in FIFO order; qNext/qDone are the enqueue and
 	// completion tickets; qErr/qErrTicket capture the first total
 	// failure until Sync clears it, while qFaults holds per-command
-	// partial-failure reports awaiting their Wait or Sync. waveErrs and
-	// wavePhase are the executor's per-DPU scratch, kept separate from
-	// launchErrs so a synchronous launch on another goroutine cannot
-	// collide with a queued wave.
+	// partial-failure reports awaiting their Wait or Sync. qwave is the
+	// executor's per-DPU wave scratch, kept separate from launchErrs so
+	// a synchronous launch on another goroutine cannot collide with a
+	// queued wave.
 	qmu        sync.Mutex
 	qcond      *sync.Cond
 	qring      []asyncOp
@@ -114,8 +113,7 @@ type System struct {
 	qRunning   bool
 	qClosed    bool
 	qFaults    []queuedFault
-	waveErrs   []error
-	wavePhase  []uint8
+	qwave      waveScratch
 	// qcur is the executor's in-flight command. Popping into a System
 	// field (rather than a local whose address flows into the worker
 	// shards) keeps command execution allocation-free.
@@ -126,6 +124,13 @@ type System struct {
 	// qspan, when non-nil, parents queue-command trace spans
 	// (queuetrace.go); commands capture it at enqueue time.
 	qspan *trace.Span
+
+	// rcur and rwave are RunWave's in-flight command and per-DPU scratch:
+	// the caller-goroutine twins of qcur and qwave, so an inline wave and
+	// a queued one (another runner sharing the System) never share
+	// scratch, and neither allocates its command per call.
+	rcur  asyncOp
+	rwave waveScratch
 }
 
 // XferStats summarizes host<->PIM traffic since the last reset.

@@ -240,15 +240,15 @@ func (s *System) EnqueueLaunch(n, tasklets int, kernel dpu.KernelFunc, stats *La
 	return s.enqueue(asyncOp{kind: opLaunch, n: n, tasklets: tasklets, kernel: kernel, stats: stats})
 }
 
-// Wave is one fused scatter→launch→gather command for EnqueueWave: the
-// per-wave unit of the double-buffered runners. The executor interleaves
-// the three phases per DPU (scatter DPU i, launch DPU i, gather DPU i)
-// instead of sweeping all DPUs per phase — each DPU's staging buffers
-// and memory stay cache-hot across its three touches, and on the worker
-// pool no barrier separates the phases. The simulated accounting is
-// phase-granular exactly like the discrete commands: one transfer charge
-// for the scatter, one launch (max-over-DPUs cycles into Stats), one
-// transfer charge for the gather.
+// Wave is one fused scatter→launch→gather command — the per-wave unit
+// of the execution engine, run on the calling goroutine by RunWave or
+// queued by EnqueueWave. Its three phases are interleaved per DPU
+// (scatter DPU i, launch DPU i, gather DPU i) instead of sweeping all
+// DPUs per phase — each DPU's staging buffers and memory stay cache-hot
+// across its three touches, and on the worker pool no barrier separates
+// the phases. The simulated accounting is phase-granular exactly like
+// the discrete commands: one transfer charge for the scatter, one launch
+// (max-over-DPUs cycles into Stats), one transfer charge for the gather.
 type Wave struct {
 	// DPUs is the launch width: the wave runs on the first DPUs DPUs.
 	DPUs     int
@@ -278,11 +278,31 @@ type Wave struct {
 // other DPU completes its full scatter→launch→gather and is charged
 // normally.
 func (s *System) EnqueueWave(w Wave) Pending {
-	return s.enqueue(asyncOp{
+	return s.enqueue(w.op())
+}
+
+// RunWave runs the same fused wave on the calling goroutine, outside the
+// command queue: the same validation, best-effort per-DPU contract,
+// charges and *FaultReport as EnqueueWave(w).Wait(), with no handoff.
+// Like the other synchronous System methods it is not safe for
+// concurrent use with itself; it may run beside the queue executor (its
+// scratch is its own), the caller keeping the two off the same symbols.
+func (s *System) RunWave(w Wave) error {
+	// The command lives in a System field, not a local: execWave's range
+	// function captures it, and a captured local would be heap-allocated
+	// on every wave.
+	s.rcur = w.op()
+	err := s.execWave(&s.rcur, &s.rwave)
+	s.rcur = asyncOp{} // release buffer/kernel references
+	return err
+}
+
+func (w *Wave) op() asyncOp {
+	return asyncOp{
 		kind: opWave, n: w.DPUs, tasklets: w.Tasklets, kernel: w.Kernel, stats: w.Stats,
 		ref: w.Scatter, off: w.ScatterOff, bufs: w.In,
 		gref: w.Gather, goff: w.GatherOff, gbufs: w.Out,
-	})
+	}
 }
 
 // enqueue appends op to the ring and wakes (or starts) the executor.
@@ -429,16 +449,38 @@ func (s *System) execOp(op *asyncOp) error {
 		}
 		return nil
 	case opWave:
-		return s.execWave(op)
+		return s.execWave(op, &s.qwave)
 	}
 	return fmt.Errorf("host: unknown async command kind %d", op.kind)
+}
+
+// waveScratch is one wave caller's reusable per-DPU (errs, phase) and
+// per-rank (tally) scratch. The queue executor and RunWave each own one.
+type waveScratch struct {
+	errs  []error
+	phase []uint8
+	tally []int
+}
+
+// reset returns the scratch's per-DPU slices sized to n and cleared.
+func (sc *waveScratch) reset(n int) ([]error, []uint8) {
+	if cap(sc.errs) < n {
+		sc.errs = make([]error, n)
+		sc.phase = make([]uint8, n)
+	}
+	sc.errs, sc.phase = sc.errs[:n], sc.phase[:n]
+	for i := range sc.errs {
+		sc.errs[i] = nil
+		sc.phase[i] = 0
+	}
+	return sc.errs, sc.phase
 }
 
 // execWave runs one fused wave. Validation happens up front for every
 // DPU (a total failure: nothing runs, nothing is charged) so per-DPU
 // failures can only come from the device itself, matching where the
 // discrete command sequence would fail.
-func (s *System) execWave(op *asyncOp) error {
+func (s *System) execWave(op *asyncOp, sc *waveScratch) error {
 	n := op.n
 	if n < 1 || n > len(s.dpus) {
 		return fmt.Errorf("host: wave on %d DPUs, system has %d", n, len(s.dpus))
@@ -488,13 +530,6 @@ func (s *System) execWave(op *asyncOp) error {
 	} else {
 		per = make([]dpu.Stats, n)
 	}
-	if cap(s.waveErrs) < n {
-		s.waveErrs = make([]error, n)
-	}
-	errs := s.waveErrs[:n]
-	for i := range errs {
-		errs[i] = nil
-	}
 	// phase records how far each DPU got, so the wave charges exactly
 	// what ran: scatter bytes for the DPUs that scattered, max cycles
 	// over the DPUs that launched, gather bytes for those that gathered.
@@ -503,13 +538,7 @@ func (s *System) execWave(op *asyncOp) error {
 		waveLaunched
 		waveGathered
 	)
-	if cap(s.wavePhase) < n {
-		s.wavePhase = make([]uint8, n)
-	}
-	phase := s.wavePhase[:n]
-	for i := range phase {
-		phase[i] = 0
-	}
+	errs, phase := sc.reset(n)
 	run := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if scatter {
@@ -519,12 +548,10 @@ func (s *System) execWave(op *asyncOp) error {
 				}
 				phase[i] |= waveScattered
 			}
-			st, err := s.dpus[i].Launch(op.tasklets, op.kernel)
-			if err != nil {
+			if err := s.dpus[i].LaunchInto(op.tasklets, op.kernel, &per[i]); err != nil {
 				errs[i] = err
 				continue
 			}
-			per[i] = st
 			phase[i] |= waveLaunched
 			if gather {
 				if err := s.copyFromOneInto(i, op.gref, op.goff, op.gbufs[i]); err != nil {
@@ -544,7 +571,7 @@ func (s *System) execWave(op *asyncOp) error {
 	// fuses: scatter transfer (rank-parallel, like finishXfer), launch
 	// time, gather transfer.
 	if scatter {
-		nS, busiest := s.rankOKPhase(phase, waveScattered)
+		nS, busiest := s.rankOKPhase(sc, waveScattered)
 		if nS > 0 {
 			s.chargeTransferRanks(inLen, nS, busiest)
 			s.meterXfer(true, inLen*nS)
@@ -570,7 +597,7 @@ func (s *System) execWave(op *asyncOp) error {
 	s.dpuTime += lt
 	s.mu.Unlock()
 	if gather {
-		nG, busiest := s.rankOKPhase(phase, waveGathered)
+		nG, busiest := s.rankOKPhase(sc, waveGathered)
 		if nG > 0 {
 			s.chargeTransferRanks(outLen, nG, busiest)
 			s.meterXfer(false, outLen*nG)
@@ -579,15 +606,16 @@ func (s *System) execWave(op *asyncOp) error {
 	return s.noteFaults(faultsFrom("wave", errs))
 }
 
-// PipelineMode selects whether a runner double-buffers waves through the
-// async queue or runs each wave to completion synchronously. Both modes
-// produce identical results and identical simulated-time accounting.
+// PipelineMode selects a runner's dispatch depth: 2 double-buffers waves
+// through the async queue (EnqueueWave), 1 runs each wave to completion
+// on the caller (RunWave). It is the same fused wave either way, so both
+// depths produce identical results and identical simulated accounting.
 type PipelineMode int
 
 const (
 	// PipelineAuto pipelines when more than one CPU is available to
 	// overlap host staging with queued device work; on a single CPU the
-	// overlap cannot pay for the handoff, so runners stay synchronous.
+	// overlap cannot pay for the handoff, so runners stay at depth 1.
 	PipelineAuto PipelineMode = iota
 	PipelineOn
 	PipelineOff

@@ -232,6 +232,84 @@ func TestWaveFaultSurfacesDPU(t *testing.T) {
 	}
 }
 
+// TestRunWaveMatchesEnqueueWave: RunWave is the queued wave run on the
+// caller — same bytes moved, same launch statistics, same transfer and
+// DPU clocks, same fault report — with and without a trapping DPU, on a
+// one-rank and a multi-rank system.
+func TestRunWaveMatchesEnqueueWave(t *testing.T) {
+	type outcome struct {
+		out     [][]byte
+		cycles  uint64
+		seconds float64
+		xfer    XferStats
+		dpuTime string
+		err     string
+	}
+	run := func(inline, trap bool, topo Topology) outcome {
+		cfg := DefaultConfig(dpu.O0)
+		cfg.Topology = topo
+		s, err := NewSystem(6, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.AllocMRAM("qbuf", 64); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := s.Resolve("qbuf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := s.DPU(3)
+		in := make([][]byte, 5)
+		out := make([][]byte, 5)
+		for i := range in {
+			in[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)
+			out[i] = make([]byte, 16)
+		}
+		var ls LaunchStats
+		w := Wave{
+			DPUs: 5, Tasklets: 2, Stats: &ls,
+			Kernel: func(tk *dpu.Tasklet) error {
+				if trap && tk.DPU() == bad {
+					tk.Load8(-1) // memory trap
+				}
+				tk.ChargeBulk(dpu.OpAddInt, 16)
+				return nil
+			},
+			Scatter: ref, In: in, Gather: ref, Out: out,
+		}
+		// Twice, so the second wave runs on reused scratch.
+		for i := 0; i < 2; i++ {
+			if inline {
+				err = s.RunWave(w)
+			} else {
+				err = s.EnqueueWave(w).Wait()
+			}
+		}
+		o := outcome{out: out, cycles: ls.Cycles, seconds: ls.Seconds,
+			xfer: s.TransferStats(), dpuTime: s.DPUTime().String()}
+		if err != nil {
+			if _, ok := AsFaultReport(err); !ok {
+				t.Fatalf("wave failed totally: %v", err)
+			}
+			o.err = err.Error()
+		}
+		return o
+	}
+	for _, topo := range []Topology{{}, {DPUsPerRank: 2}} {
+		for _, trap := range []bool{false, true} {
+			queued, inline := run(false, trap, topo), run(true, trap, topo)
+			if fmt.Sprint(queued) != fmt.Sprint(inline) {
+				t.Errorf("topology %+v trap=%v:\n queued %+v\n inline %+v", topo, trap, queued, inline)
+			}
+			if trap != (queued.err != "") || queued.cycles == 0 {
+				t.Errorf("topology %+v trap=%v: err %q, %d cycles", topo, trap, queued.err, queued.cycles)
+			}
+		}
+	}
+}
+
 // TestDoubleCloseWithQueuedWork: Close must drain a non-empty queue,
 // resolve the stranded handles with ErrClosed, and stay idempotent.
 func TestDoubleCloseWithQueuedWork(t *testing.T) {

@@ -99,7 +99,8 @@ func (s *System) rankOKErrs(errs []error) (nOK, busiest int) {
 
 // rankOKPhase is rankOKErrs over a wave's per-DPU phase bits: it counts
 // the DPUs whose phase has bit set and the busiest rank's share.
-func (s *System) rankOKPhase(phase []uint8, bit uint8) (nOK, busiest int) {
+func (s *System) rankOKPhase(sc *waveScratch, bit uint8) (nOK, busiest int) {
+	phase := sc.phase
 	for _, p := range phase {
 		if p&bit != 0 {
 			nOK++
@@ -108,7 +109,7 @@ func (s *System) rankOKPhase(phase []uint8, bit uint8) (nOK, busiest int) {
 	if s.ranks == 1 || nOK == 0 {
 		return nOK, nOK
 	}
-	tally := s.rankTally(&s.waveTally)
+	tally := s.rankTally(&sc.tally)
 	for i, p := range phase {
 		if p&bit == 0 {
 			continue
@@ -122,10 +123,10 @@ func (s *System) rankOKPhase(phase []uint8, bit uint8) (nOK, busiest int) {
 	return nOK, busiest
 }
 
-// rankTally returns *buf sized to the rank count and cleared. Two
-// scratches exist (xferTally, waveTally) for the same reason waveErrs is
-// separate from xferErrs: the queue executor may run a wave while
-// another goroutine performs a synchronous transfer.
+// rankTally returns *buf sized to the rank count and cleared. The wave
+// paths tally into their own waveScratch rather than xferTally: the
+// queue executor may run a wave while another goroutine performs a
+// synchronous transfer.
 func (s *System) rankTally(buf *[]int) []int {
 	if cap(*buf) < s.ranks {
 		*buf = make([]int, s.ranks)

@@ -111,10 +111,10 @@ func TestRankOKPhase(t *testing.T) {
 	s := topoSystem(t, 6, Topology{DPUsPerRank: 2})
 	const bit = uint8(1)
 	phase := []uint8{1, 0, 1, 1, 0, 0}
-	if nOK, busiest := s.rankOKPhase(phase, bit); nOK != 3 || busiest != 2 {
+	if nOK, busiest := s.rankOKPhase(&waveScratch{phase: phase}, bit); nOK != 3 || busiest != 2 {
 		t.Errorf("got nOK=%d busiest=%d, want 3/2", nOK, busiest)
 	}
-	if nOK, busiest := s.rankOKPhase(make([]uint8, 6), bit); nOK != 0 || busiest != 0 {
+	if nOK, busiest := s.rankOKPhase(&waveScratch{phase: make([]uint8, 6)}, bit); nOK != 0 || busiest != 0 {
 		t.Errorf("empty: got nOK=%d busiest=%d, want 0/0", nOK, busiest)
 	}
 }

@@ -34,8 +34,12 @@ type mapping struct {
 var (
 	rowsSync      = mapping{name: "rows-sync", pipeline: host.PipelineOff, dpus: 8}
 	rowsPipelined = mapping{name: "rows-pipelined", pipeline: host.PipelineOn, dpus: 8}
-	rowsPlanned   = mapping{name: "rows-planned", planned: true, dpus: 8}
-	batchInline   = mapping{name: "batch-inline", pipeline: host.PipelineOff, images: 6, dpus: 8}
+	// PipelineAuto is depth 1 on one core and depth 2 on more, so this
+	// row's equality across core counts is the statement that the depth
+	// chosen behind the caller's back changes nothing observable.
+	rowsAuto    = mapping{name: "rows-auto", pipeline: host.PipelineAuto, dpus: 8}
+	rowsPlanned = mapping{name: "rows-planned", planned: true, dpus: 8}
+	batchInline = mapping{name: "batch-inline", pipeline: host.PipelineOff, images: 6, dpus: 8}
 	// 40 DPUs is above the host's sharding threshold: staging, gather →
 	// decode → bias/activation and the per-image host layers run on pool
 	// workers. Under -race this is the race gate for those callbacks.
@@ -51,9 +55,16 @@ func randomImage(size int, seed int64) *tensor.Tensor {
 	return t
 }
 
+// observed is what a run is compared by across core counts and depths:
+// the executor's stats and the system's simulated transfer accounting.
+type observed struct {
+	Stats *nn.ForwardStats
+	Xfer  host.XferStats
+}
+
 // run executes net under m on a fresh system (created after the caller
 // pinned GOMAXPROCS: the worker pool is sized at creation).
-func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs []*tensor.Tensor) ([]nn.Output, *nn.ForwardStats) {
+func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs []*tensor.Tensor) ([]nn.Output, observed) {
 	t.Helper()
 	sys, err := host.NewSystem(m.dpus, host.DefaultConfig(dpu.O3))
 	if err != nil {
@@ -79,7 +90,7 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []nn.Output{out}, stats
+		return []nn.Output{out}, observed{stats, sys.TransferStats()}
 	}
 	if err := r.EnableBatch(maxM); err != nil {
 		t.Fatal(err)
@@ -88,7 +99,7 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outs, stats
+	return outs, observed{stats, sys.TransferStats()}
 }
 
 func sameTensor(a, b *tensor.Tensor) bool {
@@ -97,8 +108,9 @@ func sameTensor(a, b *tensor.Tensor) bool {
 
 // TestExecutor is the executor's invariance table: every network ×
 // mapping × fault plan, at three host widths. Outputs must equal the
-// host reference Forward(img, nil) bit for bit; ForwardStats must not
-// depend on the core count, nor on the pipeline mode; and the per-layer
+// host reference Forward(img, nil) bit for bit; ForwardStats and the
+// system's TransferStats must not depend on the core count, nor on the
+// dispatch depth (pinned, or picked by PipelineAuto); and the per-layer
 // retry counts must add up to the total — with retries actually
 // happening under the fault plan, on the batch path too.
 func TestExecutor(t *testing.T) {
@@ -123,9 +135,9 @@ func TestExecutor(t *testing.T) {
 		layers   int // GEMM layers
 		mappings []mapping
 	}{
-		{"yolo-tiny", ynet.Network, 32, 75, []mapping{rowsSync, rowsPipelined, rowsPlanned, batchInline, batchSharded}},
-		{"alexnet-lite", anet.Network, anet.Cfg.InputSize, 8, []mapping{rowsSync, rowsPipelined, rowsPlanned, batchInline}},
-		{"resnet-lite", rnet.Network, rnet.Cfg.InputSize, 21, []mapping{rowsSync, rowsPipelined, rowsPlanned, batchInline}},
+		{"yolo-tiny", ynet.Network, 32, 75, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline, batchSharded}},
+		{"alexnet-lite", anet.Network, anet.Cfg.InputSize, 8, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline}},
+		{"resnet-lite", rnet.Network, rnet.Cfg.InputSize, 21, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline}},
 	} {
 		inputs := make([]*tensor.Tensor, batchSharded.images)
 		want := make([]nn.Output, len(inputs))
@@ -136,16 +148,17 @@ func TestExecutor(t *testing.T) {
 			}
 		}
 		for _, faults := range []*dpu.FaultPlan{nil, dead} {
-			// byMapping holds each mapping's stats at the first width:
-			// the reference for the other widths and for the
-			// sync-vs-pipelined comparison.
-			byMapping := map[string]*nn.ForwardStats{}
+			// byMapping holds what each mapping observed at the first
+			// width: the reference for the other widths and for the
+			// comparison across depths.
+			byMapping := map[string]observed{}
 			for _, m := range nc.mappings {
 				for _, procs := range []int{1, 2, 4} {
 					name := fmt.Sprintf("%s/%s/faults=%v/procs%d", nc.name, m.name, faults != nil, procs)
 					t.Run(name, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						outs, stats := run(t, nc.net, m, faults, inputs)
+						outs, obs := run(t, nc.net, m, faults, inputs)
+						stats := obs.Stats
 						for i, out := range outs {
 							if !sameTensor(out.Out, want[i].Out) {
 								t.Fatalf("image %d: output differs from the host reference", i)
@@ -177,16 +190,20 @@ func TestExecutor(t *testing.T) {
 							t.Errorf("retries = %d with faults=%v", stats.Retries, faults != nil)
 						}
 						if ref, ok := byMapping[m.name]; !ok {
-							byMapping[m.name] = stats
-						} else if !reflect.DeepEqual(ref, stats) {
-							t.Errorf("ForwardStats depend on the core count:\nprocs1 %+v\nprocs%d %+v", ref, procs, stats)
+							byMapping[m.name] = obs
+						} else if !reflect.DeepEqual(ref, obs) {
+							t.Errorf("ForwardStats or TransferStats depend on the core count:\nprocs1 %+v %+v\nprocs%d %+v %+v",
+								ref.Stats, ref.Xfer, procs, stats, obs.Xfer)
 						}
 					})
 				}
 			}
-			if s, p := byMapping[rowsSync.name], byMapping[rowsPipelined.name]; !reflect.DeepEqual(s, p) {
-				t.Errorf("%s faults=%v: ForwardStats depend on the pipeline mode:\nsync      %+v\npipelined %+v",
-					nc.name, faults != nil, s, p)
+			s := byMapping[rowsSync.name]
+			for _, m := range []mapping{rowsPipelined, rowsAuto} {
+				if p := byMapping[m.name]; !reflect.DeepEqual(s, p) {
+					t.Errorf("%s faults=%v: ForwardStats or TransferStats depend on the dispatch depth:\n%s %+v %+v\n%s %+v %+v",
+						nc.name, faults != nil, rowsSync.name, s.Stats, s.Xfer, m.name, p.Stats, p.Xfer)
+				}
 			}
 		}
 	}

@@ -79,11 +79,6 @@ type Mapping struct {
 	DPUs int
 	// Waves is the number of sequential launches at that width.
 	Waves int
-	// Pipeline is advisory: PipelineOn when the dispatch spans multiple
-	// waves (host staging can overlap queued device work), PipelineOff
-	// otherwise. Simulated time is identical either way (see
-	// host.PipelineMode); only host wall-clock differs.
-	Pipeline host.PipelineMode
 	// PredictedWaveCycles is the analytic per-DPU cycle count of one
 	// full wave; PredictedSeconds is the whole dispatch through the DPU
 	// clock (all waves).
@@ -319,10 +314,6 @@ func (p *Planner) finish(mp *Mapping, shards int) {
 	}
 	mp.DPUs = width
 	mp.Waves = (shards + width - 1) / width
-	mp.Pipeline = host.PipelineOff
-	if mp.Waves > 1 {
-		mp.Pipeline = host.PipelineOn
-	}
 	mp.PredictedSeconds = float64(mp.PredictedWaveCycles) * float64(mp.Waves) / p.cfg.FrequencyHz
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 	"pimdnn/internal/model"
 )
 
@@ -78,16 +77,16 @@ func TestExhaustiveVsBeam(t *testing.T) {
 }
 
 // TestWaveGeometry pins the derived axes: wave width is min(shards,
-// system), waves cover all shards, pipeline turns on only for
-// multi-wave dispatches, and predicted latency scales with waves.
+// system), waves cover all shards, and predicted latency scales with
+// waves.
 func TestWaveGeometry(t *testing.T) {
 	p := testPlanner()
 	one := p.GEMM(16, 256, 64, GEMMOptions{})
-	if one.DPUs != 16 || one.Waves != 1 || one.Pipeline != host.PipelineOff {
+	if one.DPUs != 16 || one.Waves != 1 {
 		t.Errorf("16 rows on 64 DPUs: %+v", one)
 	}
 	multi := p.GEMM(130, 256, 64, GEMMOptions{})
-	if multi.DPUs != 64 || multi.Waves != 3 || multi.Pipeline != host.PipelineOn {
+	if multi.DPUs != 64 || multi.Waves != 3 {
 		t.Errorf("130 rows on 64 DPUs: %+v", multi)
 	}
 	if multi.PredictedWaveCycles != one.PredictedWaveCycles {

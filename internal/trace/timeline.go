@@ -11,21 +11,20 @@ import (
 // Wave-timeline support for the execution engine (internal/exec). The
 // Profile in this package counts simulated occurrences and cycles; a
 // Timeline instead records *wall-clock* spans of the host-side dispatch
-// machinery — when each wave's scatter/launch/gather (and any retry)
-// occupied the host or its command queue. Simulated clocks are identical
-// between the synchronous and pipelined dispatch paths by construction,
-// so overlap is only ever visible on this wall-clock axis: a pipelined
-// run shows wave w+1's span starting before wave w's has ended, a
-// synchronous run shows strictly sequential spans.
+// machinery — when each wave (and any retry) occupied the host or its
+// command queue. Simulated clocks are identical at both dispatch depths
+// by construction, so overlap is only ever visible on this wall-clock
+// axis: a depth-2 run shows wave w+1's span starting before wave w's
+// has ended, a depth-1 run shows strictly sequential spans.
 
 // WaveSpan is one timed phase of an execution-engine wave. The JSON tags
 // serve upmem-profile's -json exposition; Start and End marshal as
 // nanoseconds (time.Duration's underlying int64).
 type WaveSpan struct {
-	// Name is the phase: "scatter", "launch", "gather" and "retry" on
-	// the synchronous path, "wave" for a pipelined fused
-	// scatter→launch→gather command (one queue command, not separately
-	// timeable), "retry" for re-dispatches on either path.
+	// Name is the phase: "wave" for one fused scatter→launch→gather
+	// wave of an Engine.Run (one command, not separately timeable),
+	// "scatter", "launch" and "gather" for a RunStream's discrete
+	// phases, "retry" for re-dispatches.
 	Name string `json:"name"`
 	// Wave is the engine-global wave sequence number the span belongs
 	// to (retry spans carry the wave they repair).
