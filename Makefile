@@ -8,15 +8,16 @@
 # callbacks run on pool workers — with the three networks over it,
 # including the fault-injection recovery paths, plus the upmem-top
 # renderer and the upmem-serve batching/backpressure server), the
-# simulated-clock core-count check (`make sim-invariant`), and the
-# non-test line count per package (`make lines`), the number ROADMAP
-# asks every PR to report next to ns/op. `make bench` (scripts/bench.sh)
+# simulated-clock core-count check (`make sim-invariant`), the report
+# byte-identity check (`make report-check`), and the non-test line count
+# per package (`make lines`), the number ROADMAP asks every PR to report
+# next to ns/op. `make bench` (scripts/bench.sh)
 # regenerates the legacy BENCH_pr10.json record and fails if any
 # hot-path benchmark's allocs/op grew over the baseline.
 
 GO ?= go
 
-.PHONY: all build vet test race sim-invariant bench lines profile profile-array ci
+.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array ci
 
 all: ci
 
@@ -44,6 +45,20 @@ race:
 sim-invariant:
 	GO=$(GO) scripts/sim-invariant.sh
 
+# cmd/experiments prints only simulated quantities, so its stdout is
+# byte-identical across runs, core counts and any change that leaves the
+# simulated clock alone: compare the full report and the -plan report
+# against the checked-in goldens (~15 s). A PR that means to move a
+# simulated number regenerates them with `make report-update` and says
+# which rows moved.
+report-check:
+	$(GO) run ./cmd/experiments | cmp - testdata/experiments.golden
+	$(GO) run ./cmd/experiments -plan | cmp - testdata/experiments-plan.golden
+
+report-update:
+	$(GO) run ./cmd/experiments > testdata/experiments.golden
+	$(GO) run ./cmd/experiments -plan > testdata/experiments-plan.golden
+
 # Regenerate the legacy BENCH_pr10.json record and diff it against the
 # previous one (see DESIGN.md, "Simulator performance").
 bench:
@@ -70,4 +85,4 @@ profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 
-ci: vet build test race sim-invariant lines
+ci: vet build test race sim-invariant report-check lines

@@ -275,9 +275,12 @@ func runJSON(opt dpu.OptLevel, timeline bool) error {
 // runCalibrate closes the auto-mapper's validation loop: every network
 // is deployed with planner-chosen mappings, executed through the
 // simulator, and each layer's analytic prediction is held against the
-// simulated latency. The model mirrors the kernels charge by charge, so
-// the error column should read as zeros; a nonzero row means model and
-// kernel have drifted apart.
+// simulated latency. The planner evaluates the very cost functions the
+// kernels charge (internal/model), so per-wave cycles cannot disagree
+// and the error column reads as zeros; a nonzero row means the wave
+// accounting around them has — the planner's wave count or partial last
+// wave against what the engine dispatched, or re-dispatched waves of a
+// faulted run landing in the simulated total.
 func runCalibrate(opt dpu.OptLevel, dpus int, asJSON bool) error {
 	rep, err := core.Calibrate(core.CalibrateOptions{DPUs: dpus, Opt: opt})
 	if err != nil {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,6 +110,11 @@ type server struct {
 	runner *gemm.Runner
 	cache  *exec.WeightCache
 	models map[string]*model
+	// names is the sorted model list (stable listings); maxBody bounds an
+	// /v1/infer body: the largest model's input as JSON int16s (at most 7
+	// bytes each, 8 allowed) plus 1 KB for the other fields.
+	names   []string
+	maxBody int64
 
 	// engineMu serializes DPU-system access across model batchers.
 	engineMu sync.Mutex
@@ -211,7 +218,10 @@ func newServer(cfg serveConfig) (*server, error) {
 			m.depth = cfg.reg.LabeledGauge("pim_serve_queue_depth", "model", spec.name)
 		}
 		s.models[spec.name] = m
+		s.names = append(s.names, spec.name)
+		s.maxBody = max(s.maxBody, 3*int64(spec.size)*int64(spec.size)*8+1024)
 	}
+	sort.Strings(s.names)
 	rcfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN}
 	if cfg.autoMap {
 		rcfg.Planner = plan.New(sys)
@@ -423,8 +433,13 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&in); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpErr(w, code, "bad request body: %v", err)
 		return
 	}
 	m := s.models[in.Model]
@@ -580,7 +595,8 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 		CacheResident: s.cache.ResidentBytes(),
 		CacheLRU:      s.cache.Models(),
 	}
-	for _, m := range s.models {
+	for _, name := range s.names {
+		m := s.models[name]
 		out.Models = append(out.Models, modelJSON{
 			Name:       m.spec.name,
 			InputSize:  m.spec.size,
@@ -626,7 +642,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return 0
 	}
 	var out []statJSON
-	for name := range s.models {
+	for _, name := range s.names {
 		st := statJSON{
 			Model:    name,
 			Requests: counter("pim_serve_requests_total", name),

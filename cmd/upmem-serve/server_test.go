@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -368,6 +370,78 @@ func TestParseModels(t *testing.T) {
 	for _, bad := range []string{"tiny", "tiny=64", "tiny=ax32", "tiny=64xb"} {
 		if _, err := parseModels(bad); err == nil {
 			t.Errorf("parseModels(%q) accepted", bad)
+		}
+	}
+}
+
+// paddedInfer is a well-formed /v1/infer body of exactly n bytes.
+func paddedInfer(n int64) []byte {
+	head, tail := `{"model":"tiny","seed":1`, `}`
+	return []byte(head + strings.Repeat(" ", int(n)-len(head)-len(tail)) + tail)
+}
+
+// TestInferBodyBounded: the request body is read through a bound sized
+// from the largest configured model's input, so an oversized upload is
+// answered 413 instead of being buffered whole.
+func TestInferBodyBounded(t *testing.T) {
+	big := tinySpec("big")
+	big.size = 64
+	s, ts := newTestServer(t, serveConfig{specs: []modelSpec{tinySpec("tiny"), big}})
+	if want := int64(3*64*64*8 + 1024); s.maxBody != want {
+		t.Fatalf("maxBody = %d, want %d (the 64x64 model's input)", s.maxBody, want)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		code int
+	}{
+		{"well under", paddedInfer(64), http.StatusOK},
+		{"at the bound", paddedInfer(s.maxBody), http.StatusOK},
+		{"one byte over", paddedInfer(s.maxBody + 1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Errorf("%s (%d bytes): status %d, want %d", c.name, len(c.body), resp.StatusCode, c.code)
+		}
+	}
+}
+
+// TestListingsSorted: /v1/models and /v1/stats list models by name, the
+// same way on every call, whatever order -models gave them in.
+func TestListingsSorted(t *testing.T) {
+	_, ts := newTestServer(t, serveConfig{specs: []modelSpec{tinySpec("zeta"), tinySpec("alpha"), tinySpec("mid")}})
+	want := []string{"alpha", "mid", "zeta"}
+	for i := 0; i < 20; i++ {
+		var models struct {
+			Models []modelJSON `json:"models"`
+		}
+		var stats struct {
+			Stats []statJSON `json:"stats"`
+		}
+		for path, into := range map[string]any{"/v1/models": &models, "/v1/stats": &stats} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(into)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var gotModels, gotStats []string
+		for _, m := range models.Models {
+			gotModels = append(gotModels, m.Name)
+		}
+		for _, st := range stats.Stats {
+			gotStats = append(gotStats, st.Model)
+		}
+		if !slices.Equal(gotModels, want) || !slices.Equal(gotStats, want) {
+			t.Fatalf("call %d: /v1/models lists %v, /v1/stats lists %v, want %v", i, gotModels, gotStats, want)
 		}
 	}
 }

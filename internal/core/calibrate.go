@@ -1,10 +1,11 @@
 // Calibration closes the auto-mapper's loop: deploy each workload with
 // the planner on, execute it through the simulator, and hold the
 // planner's analytic prediction (plan.Mapping.PredictedSeconds) against
-// the simulated latency (exec.Stats.Seconds) layer by layer. Because
-// the cost functions in internal/model mirror the kernels charge by
-// charge, the fault-free error should be ~0; the report makes that
-// verifiable instead of assumed (cmd/upmem-profile -calibrate).
+// the simulated latency (exec.Stats.Seconds) layer by layer. The
+// planner evaluates the cost functions the kernels themselves charge
+// (internal/model), so per-wave cycles agree by construction; what the
+// report still checks is the wave arithmetic around them — the
+// fault-free error must be 0 (cmd/upmem-profile -calibrate).
 package core
 
 import (

@@ -8,8 +8,8 @@ import "fmt"
 // operation counts and the optimization level. A CostBlock precomputes
 // that total once — issue slots (including per-statement overhead),
 // per-class operation counts, subroutine occurrence records, and DMA
-// stall cycles — so a tasklet can account for one or many executions of
-// the sequence in O(1) with ChargeBlock/ChargeBlockN.
+// stall cycles — so a tasklet can account for an execution of the
+// sequence in O(1) with ChargeBlock.
 //
 // The charge is constructed from the same cost.go tables the per-op
 // helpers use, so cycle totals, instruction mixes, perfcounter values
@@ -112,39 +112,31 @@ func (b *CostBlock) AddDMA(n uint64, size int) *CostBlock {
 	return b
 }
 
-// Slots returns the block's issue-slot total at the given level,
-// exposed for analytic estimators and tests.
-func (b *CostBlock) Slots(opt OptLevel) uint64 { return b.lv[opt].slots }
+// ChargeBulk and ChargeDMA are AddOp and AddDMA under the names
+// Tasklet charges by, so one kernel cost function (internal/model) can
+// emit into a tasklet's meters or into a block a runner caches.
+func (b *CostBlock) ChargeBulk(op Op, n uint64) { b.AddOp(op, n) }
 
-// DMACycles returns the block's DMA stall cycles.
-func (b *CostBlock) DMACycles() uint64 { return b.dmaCyc }
+// ChargeDMA is AddDMA; see ChargeBulk.
+func (b *CostBlock) ChargeDMA(n uint64, size int) { b.AddDMA(n, size) }
 
-// ChargeBlock accounts for one execution of the block.
-func (t *Tasklet) ChargeBlock(b *CostBlock) { t.ChargeBlockN(b, 1) }
-
-// ChargeBlockN accounts for n executions of the block in O(1) simulator
+// ChargeBlock accounts for one execution of the block in O(1) simulator
 // time: cycle totals, operation counts, subroutine occurrences and DMA
-// accounting are identical to charging every operation individually n
-// times.
-func (t *Tasklet) ChargeBlockN(b *CostBlock, n uint64) {
-	if b == nil || n == 0 {
-		return
-	}
+// accounting are identical to charging every operation individually.
+func (t *Tasklet) ChargeBlock(b *CostBlock) {
 	lv := &b.lv[t.dpu.cfg.Opt]
-	t.slots += n * lv.slots
+	t.slots += lv.slots
 	for _, o := range b.ops {
 		if t.opCounts[o.op] == 0 {
 			t.touched[t.nTouched] = o.op
 			t.nTouched++
 		}
-		t.opCounts[o.op] += n * o.n
+		t.opCounts[o.op] += o.n
 	}
 	for _, s := range lv.subs {
-		t.dpu.prof.RecordN(s.name, n*s.n, s.slotsEach)
+		t.dpu.prof.RecordN(s.name, s.n, s.slotsEach)
 	}
-	if b.dmaOps != 0 {
-		t.dma += n * b.dmaCyc
-		t.dmaBytes += n * b.dmaBytes
-		t.dmaOps += n * b.dmaOps
-	}
+	t.dma += b.dmaCyc
+	t.dmaBytes += b.dmaBytes
+	t.dmaOps += b.dmaOps
 }

@@ -98,6 +98,22 @@ type TaskletBreakdown struct {
 	DMACycles  uint64
 }
 
+// PipelineCycles is the DPU pipeline law over a launch's per-tasklet
+// tallies: cycles = max(Σ slots, max_t(slots_t·PipelineDepth + dma_t),
+// Σ dma) — total issue slots, the critical tasklet's pipelined path, and
+// the serialized DMA port. Launch applies it to what the tasklets
+// charged, the analytic model (internal/model) to what a kernel's cost
+// function says they will charge.
+func PipelineCycles(per []TaskletBreakdown) uint64 {
+	var slots, dma, crit uint64
+	for _, t := range per {
+		slots += t.IssueSlots
+		dma += t.DMACycles
+		crit = max(crit, t.IssueSlots*PipelineDepth+t.DMACycles)
+	}
+	return max(slots, crit, dma)
+}
+
 // Imbalance returns max/mean of per-tasklet work (slots + DMA); 1.0 is
 // perfectly balanced. Zero-work launches report 1.0.
 func (s Stats) Imbalance() float64 {
@@ -449,7 +465,6 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 	var (
 		sumSlots uint64
 		sumDMA   uint64
-		crit     uint64
 		mix      OpMix
 		dmaBytes uint64
 		dmaOps   uint64
@@ -458,9 +473,6 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 	for i, t := range tasklets {
 		sumSlots += t.slots
 		sumDMA += t.dma
-		if c := t.slots*PipelineDepth + t.dma; c > crit {
-			crit = c
-		}
 		// Merge only the op classes this tasklet actually charged
 		// (tracked first-touch in t.touched) instead of scanning the
 		// full opCounts array — at high tasklet counts the full scan
@@ -475,13 +487,7 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		dmaOps += t.dmaOps
 		breakdown[i] = TaskletBreakdown{IssueSlots: t.slots, DMACycles: t.dma}
 	}
-	cycles := sumSlots
-	if crit > cycles {
-		cycles = crit
-	}
-	if sumDMA > cycles {
-		cycles = sumDMA
-	}
+	cycles := PipelineCycles(breakdown)
 
 	d.mu.Lock()
 	d.totalCycles += cycles

@@ -1,0 +1,99 @@
+package ebnn
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"pimdnn/internal/dpu"
+	"pimdnn/internal/host"
+	"pimdnn/internal/model"
+)
+
+// launchCount writes the per-DPU image count and launches the runner's
+// current kernel on DPU 0 over whatever the image buffer holds.
+func launchCount(r *Runner, tasklets, images int) (dpu.Stats, error) {
+	var cnt [8]byte
+	binary.LittleEndian.PutUint32(cnt[:], uint32(int32(images)))
+	d := r.sys.DPU(0)
+	if err := d.CopyToWRAM(r.layout.nimages, cnt[:]); err != nil {
+		return dpu.Stats{}, err
+	}
+	return d.Launch(tasklets, r.kernelFn)
+}
+
+// TestKernelChargesTheCostFunction holds every tasklet of the eBNN
+// kernel — LUT and float, O0–O3, tasklet counts on both sides of the
+// batch size, an empty, a one-image, a partial and a full batch — to
+// model.EBNNCost and to the legacy per-operation kernel. The calibration
+// report compares only the slowest DPU's cycles per wave, so a charge on
+// the wrong tasklet could hide there.
+func TestKernelChargesTheCostFunction(t *testing.T) {
+	m, _ := trainForKernel(t)
+	for _, useLUT := range []bool{true, false} {
+		for opt := dpu.O0; opt <= dpu.O3; opt++ {
+			t.Run(fmt.Sprintf("lut=%v/O%d", useLUT, int(opt)), func(t *testing.T) {
+				sys, err := host.NewSystem(1, host.DefaultConfig(opt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRunner(sys, m, useLUT, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh := CostShape(m.F, useLUT)
+				for _, T := range []int{1, 2, 8, 11, 16, 24} {
+					for _, images := range []int{0, 1, 5, BatchSize} {
+						id := fmt.Sprintf("T=%d images=%d", T, images)
+						want := model.Tally(opt, T, func(mt model.Meter, tk int) {
+							model.EBNNCost(mt, tk, T, images, sh)
+						})
+						r.SetLegacyCharging(false)
+						got, err := launchCount(r, T, images)
+						if err != nil {
+							t.Fatalf("%s: %v", id, err)
+						}
+						got.PerTasklet = append([]dpu.TaskletBreakdown(nil), got.PerTasklet...)
+						r.SetLegacyCharging(true)
+						ref, err := launchCount(r, T, images)
+						if err != nil {
+							t.Fatalf("%s: legacy: %v", id, err)
+						}
+						for tk := 0; tk < T; tk++ {
+							if got.PerTasklet[tk] != want[tk] {
+								t.Errorf("%s: tasklet %d charged %+v, cost function says %+v", id, tk, got.PerTasklet[tk], want[tk])
+							}
+							if ref.PerTasklet[tk] != want[tk] {
+								t.Errorf("%s: tasklet %d: legacy kernel charged %+v, cost function says %+v", id, tk, ref.PerTasklet[tk], want[tk])
+							}
+						}
+						if c := model.EBNNWaveCycles(sh, images, T, opt); got.Cycles != c || ref.Cycles != c {
+							t.Errorf("%s: %d cycles (legacy %d), evaluation says %d", id, got.Cycles, ref.Cycles, c)
+						}
+						if got.OpCounts != ref.OpCounts {
+							t.Errorf("%s: instruction mix diverges from legacy:\nblock:  %v\nlegacy: %v", id, got.OpCounts, ref.OpCounts)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestKernelRejectsHostileImageCount: an image count the host could not
+// have written fails the launch with an error, not a panic or a read
+// past the image buffer.
+func TestKernelRejectsHostileImageCount(t *testing.T) {
+	m, _ := trainForKernel(t)
+	for _, useLUT := range []bool{true, false} {
+		r := newRunner(t, 1, m, useLUT, 16)
+		for _, images := range []int{-1, BatchSize + 1} {
+			if _, err := launchCount(r, 16, images); err == nil {
+				t.Errorf("lut=%v: image count %d: launch succeeded", useLUT, images)
+			}
+		}
+		if _, err := launchCount(r, 16, BatchSize); err != nil {
+			t.Errorf("lut=%v: full batch rejected after a bad launch: %v", useLUT, err)
+		}
+	}
+}

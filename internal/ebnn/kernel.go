@@ -11,6 +11,7 @@ import (
 	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
+	"pimdnn/internal/model"
 	"pimdnn/internal/softfloat"
 	"pimdnn/internal/trace"
 )
@@ -65,18 +66,9 @@ type Runner struct {
 	tasklets int
 	layout   kernelLayout
 
-	// kernelFn is the kernel closure, built once at NewRunner and reused
-	// for every launch.
+	// kernelFn is the kernel closure, built once at NewRunner (or by
+	// SetLegacyCharging) and reused for every launch.
 	kernelFn dpu.KernelFunc
-
-	// legacy selects the per-op charging kernel (kernelLegacy) instead of
-	// the block-charged one; the differential tests flip it to prove the
-	// two produce identical cycle counts, profiles, and outputs.
-	legacy bool
-
-	// preBlock/imgBlock are the precomputed per-tasklet preamble and
-	// per-image cost of the block-charged kernel (see ebnnBlocks).
-	preBlock, imgBlock *dpu.CostBlock
 
 	// launchScratch pools the per-launch decoded model state; one entry
 	// is live per concurrently launching DPU.
@@ -233,7 +225,6 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 
 	r.stages[0].ensure(sys.NumDPUs())
 	r.featBuf = make([]byte, PoolCells*m.F)
-	r.preBlock, r.imgBlock = ebnnBlocks(m.F, useLUT)
 	r.launchScratch.New = func() interface{} { return new(ebnnScratch) }
 	r.kernelFn = r.kernel()
 	r.eng.Configure(exec.Config{Pipeline: host.PipelineAuto})
@@ -305,7 +296,6 @@ func (r *Runner) Tasklets() int { return r.tasklets }
 // cycle counts, instruction mixes, subroutine profiles and result bytes.
 // Call it between Infer calls only.
 func (r *Runner) SetLegacyCharging(v bool) {
-	r.legacy = v
 	if v {
 		r.kernelFn = r.kernelLegacy()
 	} else {
@@ -319,78 +309,44 @@ type filtRows struct{ f0, f1, f2 uint32 }
 // ebnnScratch is the model state the block-charged kernel decodes once
 // per launch: tasklet 0 fills it and publishes it through the
 // launch-local slot; the other tasklets (which run serially after it)
-// read it instead of re-deriving the same values, while still charging
-// the preamble block so the cycle accounting matches the legacy kernel's
-// per-tasklet recomputation.
+// read it instead of re-deriving the same values (each is still charged
+// for deriving them: model.EBNNCost).
 type ebnnScratch struct {
 	n          int
 	filters    [8]filtRows
 	thresholds [8]uint32
 }
 
-// ebnnBlocks precomputes the per-tasklet preamble cost and the per-image
-// cost of the §4.1.3 kernel for a filter count and activation mode. The
-// operation counts mirror kernelLegacy statement by statement — the
-// differential tests enforce the equivalence. The two real DMA transfers
-// per image (packed pixels in, activation bytes out) are excluded: the
-// block kernel still issues them through the DMA engine.
-func ebnnBlocks(nf int, useLUT bool) (pre, img *dpu.CostBlock) {
-	fn := uint64(nf)
-	pre = dpu.NewCostBlock().
-		AddOp(dpu.OpLoad, 1+fn).  // image count + filter words
-		AddOp(dpu.OpLogic, 3*fn). // filter row masks
-		AddOp(dpu.OpShift, 2*fn)  // filter row extraction
-	if !useLUT {
-		pre.AddOp(dpu.OpLoad, 5*fn). // BN parameters
-						AddOp(dpu.OpFDiv, 2*fn). // scale, correction
-						AddOp(dpu.OpFSub, 2*fn)  // difference, threshold
-	}
-	cells := uint64(PoolCells)
-	img = dpu.NewCostBlock().
-		AddOp(dpu.OpMul16, 2).         // image and result MRAM offsets
-		AddOp(dpu.OpLoad, mnist.Side). // row fetch into registers
-		// Per pooled cell and filter: 4 conv windows of 6 shifts and
-		// 9 logic ops each, plus the activation-bit accumulate.
-		AddOp(dpu.OpShift, cells*fn*25).
-		AddOp(dpu.OpLogic, cells*fn*37).
-		AddOp(dpu.OpSubInt, cells*fn*4).
-		AddOp(dpu.OpBranch, cells*fn*4). // max-pool compares
-		AddOp(dpu.OpStore, cells)        // result bytes
-	if useLUT {
-		img.AddOp(dpu.OpAddInt, cells*fn*2).
-			AddOp(dpu.OpMul16, cells*fn).
-			AddOp(dpu.OpLoad, cells*fn) // LUT index + WRAM load
-	} else {
-		img.AddOp(dpu.OpFloatFromInt, cells*fn).
-			AddOp(dpu.OpFCmp, cells*fn) // threshold compare
-	}
-	return pre, img
-}
-
-// kernel builds the block-charged DPU program: the same per-image work
-// as kernelLegacy — packed pixels DMAed in, XNOR-popcount convolution +
+// kernel builds the bulk-charged DPU program: the same per-image work
+// as kernelLegacy — packed pixels copied in, XNOR-popcount convolution +
 // max-pool, BN-BinAct via software float or the WRAM LUT, activations
-// DMAed out — computed natively on the host with the cycle cost charged
-// through the precomputed blocks. Tasklet 0 decodes the model state
-// (filters, batched-softfloat threshold fold) once per launch and shares
-// it launch-locally; every tasklet charges the preamble block, matching
-// the legacy kernel's per-tasklet recomputation.
+// copied out — computed natively on the host. Each tasklet charges
+// exactly what model.EBNNCost states for it (the function the planner
+// evaluates) and otherwise only moves data. Tasklet 0 stages the LUT and
+// decodes the model state (filters, batched-softfloat threshold fold)
+// once per launch and shares it launch-locally.
 func (r *Runner) kernel() dpu.KernelFunc {
 	l := r.layout
 	nf := l.f
-	pre, per := r.preBlock, r.imgBlock
+	shape := CostShape(nf, l.useLUT)
 	return func(t *dpu.Tasklet) error {
+		d := t.DPU()
 		lutWRAM := l.scratch + dpu.MaxTasklets*perTaskletScratch
 
 		var sc *ebnnScratch
 		if t.ID() == 0 {
+			n := int(int32(binary.LittleEndian.Uint32(t.WRAMWindow(l.nimages, 4))))
+			if n < 0 || n > BatchSize {
+				return fmt.Errorf("ebnn kernel: bad image count %d", n)
+			}
 			if l.useLUT {
-				// Real DMA, charged on tasklet 0 as in the legacy kernel
-				// (§4.1.4: the DPU stages the LUT into WRAM first).
-				t.MRAMToWRAM(lutWRAM, l.lutMRAM, lutWRAMSize)
+				// §4.1.4: the DPU stages the LUT into WRAM first.
+				if err := d.CopyFromMRAMRawInto(l.lutMRAM, t.WRAMWindow(lutWRAM, lutWRAMSize)); err != nil {
+					return err
+				}
 			}
 			sc = r.launchScratch.Get().(*ebnnScratch)
-			sc.n = int(int32(binary.LittleEndian.Uint32(t.WRAMWindow(l.nimages, 4))))
+			sc.n = n
 			fw := t.WRAMWindow(l.filters, int64(nf)*2)
 			for f := 0; f < nf; f++ {
 				w := uint32(binary.LittleEndian.Uint16(fw[f*2:]))
@@ -421,25 +377,21 @@ func (r *Runner) kernel() dpu.KernelFunc {
 		if t.ID() == t.Count()-1 {
 			defer r.launchScratch.Put(sc)
 		}
-		t.ChargeBlock(pre)
-
-		n := sc.n
-		if n < 0 || n > BatchSize {
-			return fmt.Errorf("ebnn kernel: bad image count %d", n)
-		}
+		n, T := sc.n, t.Count()
+		model.EBNNCost(t, t.ID(), T, n, shape)
 
 		imgBuf := l.scratch + int64(t.ID())*perTaskletScratch
-		outBuf := imgBuf + mnist.PackedSize
 		imgWin := t.WRAMWindow(imgBuf, mnist.PackedSize)
-		outWin := t.WRAMWindow(outBuf, ResultSize)
+		outWin := t.WRAMWindow(imgBuf+mnist.PackedSize, ResultSize)
 		var lutWin []byte
 		if l.useLUT {
 			lutWin = t.WRAMWindow(lutWRAM, lutWRAMSize)
 		}
 
-		T := t.Count()
 		for img := t.ID(); img < n; img += T {
-			t.MRAMToWRAM(imgBuf, l.images+int64(img)*mnist.PackedSize, mnist.PackedSize)
+			if err := d.CopyFromMRAMRawInto(l.images+int64(img)*mnist.PackedSize, imgWin); err != nil {
+				return err
+			}
 
 			var rows [mnist.Side]uint32
 			for row := range rows {
@@ -478,8 +430,9 @@ func (r *Runner) kernel() dpu.KernelFunc {
 					outWin[pr*PoolSize+pc] = byte(acc)
 				}
 			}
-			t.WRAMToMRAM(l.results+int64(img)*ResultSize, outBuf, ResultSize)
-			t.ChargeBlock(per)
+			if err := d.CopyToMRAMRaw(l.results+int64(img)*ResultSize, outWin); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

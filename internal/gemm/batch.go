@@ -93,28 +93,23 @@ func (r *Runner) EnableBatch(maxM int) error {
 // kernelBatch computes the full M×N product for the B matrix resident in
 // this DPU's MRAM. Work units are (row, tile) pairs claimed round-robin
 // by tasklets; each tasklet caches the current A row in its private WRAM
-// slot so consecutive tiles of the same row reuse it. This is the
-// block-accounted form: each tile's operation sequence is charged with
-// one ChargeBlock call and the B column block is fetched with strided
-// bulk reads (see runner.go's tiled kernel; the per-tile cost structure
-// is identical).
+// slot so consecutive tiles of the same row reuse it. Like the tiled row
+// kernel (runner.go) it computes natively over in-place B column blocks
+// and charges only its tasklet's cached block of model.GEMMBatchCost.
 func (r *Runner) kernelBatch() dpu.KernelFunc {
 	tileCols := r.tileCols
 	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		m := int(t.LoadI32(r.paramsOff + 12))
-		aBase := int64(t.LoadI32(r.paramsOff + 16))
+		p := r.readParams(t)
+		n, k, m := p.n, p.k, p.m
 		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
 			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
 		}
+		t.ChargeBlock(&r.launchCost(launchShape{m, n, k, t.Count()})[t.ID()])
 		d := t.DPU()
 
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
 
-		blocks := r.blocksFor(n, k)
 		stride := pad4(n)
 		rowStride := int64(stride) * 2
 		tiles := (n + tileCols - 1) / tileCols
@@ -142,41 +137,23 @@ func (r *Runner) kernelBatch() dpu.KernelFunc {
 			tile := u % tiles
 
 			if row != cachedRow {
-				// Stage this A row into the tasklet's WRAM cache (real
-				// DMA) and precompute APART (Algorithm 2 line 5). The
-				// matrix base comes from the parameter block — the
-				// gemm_a_full symbol, or an arena slot when resident.
-				for off := 0; off < aBytes; off += dpu.MaxDMATransfer {
-					chunk := aBytes - off
-					if chunk > dpu.MaxDMATransfer {
-						chunk = dpu.MaxDMATransfer
-					}
-					t.MRAMToWRAM(aSlot+int64(off), aBase+int64(row)*int64(aBytes)+int64(off), chunk)
+				// Stage this A row into the tasklet's WRAM cache and
+				// precompute APART (Algorithm 2 line 5). The matrix base
+				// comes from the parameter block — the gemm_a_full
+				// symbol, or an arena slot when resident.
+				aw, err := stageARow(t, aSlot, p.aoff+int64(row)*int64(aBytes), k)
+				if err != nil {
+					return err
 				}
-				t.ChargeBulk(dpu.OpLoad, uint64(k))
-				t.ChargeBulk(dpu.OpMul16, uint64(k))
-				aw := t.WRAMWindow(aSlot, int64(k*2))
-				for i := 0; i < k; i++ {
-					apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aw[i*2:])))
-				}
+				decodeAPart(apart, aw, p.alpha)
 				cachedRow = row
 			}
 
 			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
+			cols := min(n-j0, tileCols)
 			chunkBytes := (cols*2 + 7) &^ 7
-			blk := blocks.full
-			if cols != tileCols {
-				blk = blocks.tail
-			}
-			t.ChargeBlock(blk)
 
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
+			clear(ctmp[:cols])
 			tileN = cols
 			if err := d.ForEachMRAMRowRuns(r.bOff+int64(j0*2), rowStride, chunkBytes, k, mac); err != nil {
 				return err

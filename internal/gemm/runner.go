@@ -10,6 +10,7 @@ import (
 	"pimdnn/internal/exec"
 	"pimdnn/internal/fixed"
 	"pimdnn/internal/host"
+	"pimdnn/internal/model"
 	"pimdnn/internal/plan"
 	"pimdnn/internal/tensor"
 	"pimdnn/internal/trace"
@@ -54,8 +55,10 @@ type RunnerConfig struct {
 	// tasklet call and one simulated DMA round trip per chunk) instead
 	// of the block-accounted fast kernels. Cycle totals, instruction
 	// mixes, profiles and outputs are identical either way — the
-	// differential tests launch both and compare — so the flag exists
-	// only for those tests and for profiling the old path.
+	// differential tests launch both and compare: the legacy kernels are
+	// the independent derivation the one cost statement in
+	// internal/model is held to — so the flag exists only for those
+	// tests and for profiling the old path.
 	LegacyCharging bool
 	// Exec is the unified execution-engine configuration (dispatch
 	// depth, trace timeline) shared with every other runner; see
@@ -90,87 +93,55 @@ type kernelScratch struct {
 	rowBuf []byte  // naive kernel MRAM row staging (pad4(MaxN)*2)
 
 	// Launch-shared state of the tiled block kernel: tasklet 0 reads the
-	// parameter block and resolves the cost blocks once per launch.
-	// aoff is the MRAM address the A row was staged from (the default
-	// gemm_a_row symbol, or a weight-cache arena slot when resident).
-	n, k   int
-	aoff   int64
-	blocks *tileBlocks
-}
-
-// tileBlocks caches the per-tile cost blocks for one (n, k) problem
-// shape: every full tile of a launch costs the same, so the block is
-// built once and charged once per tile (see dpu.CostBlock).
-// shapeEntry is one (n, k) → cost-block binding of the shape cache.
-type shapeEntry struct {
+	// parameter block and resolves the launch's cost blocks once.
 	n, k int
-	tb   *tileBlocks
+	cost []dpu.CostBlock
 }
 
-type tileBlocks struct {
-	n, k       int
-	full, tail *dpu.CostBlock
-	// aT0/aRest are the per-launch A-row charges of the tiled kernel:
-	// k loads + k APART multiplies for every tasklet, plus the 4
-	// parameter-block loads for tasklets other than 0 (tasklet 0 charges
-	// those through its real LoadI32 calls).
-	aT0, aRest *dpu.CostBlock
+// launchShape keys the cost cache: the parameters a kernel's per-tasklet
+// charge is a function of. m is 0 for the row kernels (one output row
+// per launch), the row count for the batch kernel.
+type launchShape struct{ m, n, k, tasklets int }
+
+// shapeCost is one launch shape's cached charge: one block per tasklet.
+type shapeCost struct {
+	launchShape
+	blocks []dpu.CostBlock
 }
 
-// tileCost is the complete per-tile charge of the tiled kernels: zero
-// ctmp, K iterations of B-chunk DMA + load/multiply/accumulate/store,
-// the rescale-clamp output pass, and the C write-back DMA — exactly
-// the sequence the legacy kernel charges per operation.
-func tileCost(cols, k int) *dpu.CostBlock {
-	chunk := (cols*2 + 7) &^ 7
-	b := dpu.NewCostBlock()
-	b.AddOp(dpu.OpStore, uint64(k*cols+2*cols))
-	b.AddOp(dpu.OpLoad, uint64(2*k*cols))
-	b.AddOp(dpu.OpMul16, uint64(k*cols))
-	b.AddOp(dpu.OpAddInt, uint64(k*cols))
-	b.AddOp(dpu.OpShift, uint64(cols))
-	b.AddOp(dpu.OpBranch, uint64(cols))
-	b.AddDMA(uint64(k+1), chunk)
-	return b
-}
-
-// blocksFor returns the cached cost blocks for the (n, k) shape. The
-// cache holds every shape seen (a network has one per layer, and the
-// pipelined engine interleaves waves of adjacent layers, so a
-// single-shape cache would thrash); it is a copy-on-write slice so
-// kernels on different DPUs only read the published pointer. A racing
-// rebuild produces an identical block, and losing the publish race just
-// rebuilds once more on the next miss.
-func (r *Runner) blocksFor(n, k int) *tileBlocks {
-	cached := r.tileBlk.Load()
-	if cached != nil {
-		for i := range *cached {
-			e := &(*cached)[i]
-			if e.n == n && e.k == k {
-				return e.tb
-			}
+// launchCost returns what each tasklet of a launch of the given shape
+// charges, one dpu.CostBlock per tasklet, filled by running the kernel's
+// cost function (internal/model — the same function the planner
+// evaluates) into it. The cache holds every shape seen (a network has
+// one per layer, and at depth 2 the engine interleaves waves of adjacent
+// layers, so a single-shape cache would thrash); it is a copy-on-write
+// slice with inline keys so kernels on different DPUs only read the
+// published pointer. A racing rebuild produces identical blocks, and
+// losing the publish race just rebuilds once more on the next miss.
+func (r *Runner) launchCost(sh launchShape) []dpu.CostBlock {
+	var seen []shapeCost
+	if p := r.costs.Load(); p != nil {
+		seen = *p
+	}
+	for i := range seen {
+		if e := &seen[i]; e.launchShape == sh {
+			return e.blocks
 		}
 	}
-	tb := &tileBlocks{n: n, k: k}
-	if n >= r.tileCols {
-		tb.full = tileCost(r.tileCols, k)
+	blocks := make([]dpu.CostBlock, sh.tasklets)
+	for t := range blocks {
+		switch {
+		case sh.m > 0:
+			model.GEMMBatchCost(&blocks[t], t, sh.tasklets, sh.m, sh.n, sh.k, r.tileCols)
+		case r.cfg.Naive:
+			model.GEMMNaiveCost(&blocks[t], t, sh.tasklets, sh.n, sh.k)
+		default:
+			model.GEMMRowCost(&blocks[t], t, sh.tasklets, sh.n, sh.k, r.tileCols)
+		}
 	}
-	if rem := n % r.tileCols; rem != 0 {
-		tb.tail = tileCost(rem, k)
-	}
-	tb.aT0 = dpu.NewCostBlock()
-	tb.aT0.AddOp(dpu.OpLoad, uint64(k))
-	tb.aT0.AddOp(dpu.OpMul16, uint64(k))
-	tb.aRest = dpu.NewCostBlock()
-	tb.aRest.AddOp(dpu.OpLoad, uint64(k+4))
-	tb.aRest.AddOp(dpu.OpMul16, uint64(k))
-	var next []shapeEntry
-	if cached != nil {
-		next = append(next, *cached...)
-	}
-	next = append(next, shapeEntry{n: n, k: k, tb: tb})
-	r.tileBlk.Store(&next)
-	return tb
+	next := append(seen[:len(seen):len(seen)], shapeCost{sh, blocks}) // full slice: always copies
+	r.costs.Store(&next)
+	return blocks
 }
 
 // Runner distributes Algorithm 2 GEMMs across a DPU system with the
@@ -189,14 +160,12 @@ type Runner struct {
 
 	// Cached kernel closures (built once; kernels are stateless between
 	// launches apart from the pooled scratch).
-	tiledKernel dpu.KernelFunc
-	naiveKernel dpu.KernelFunc
+	rowKernel   dpu.KernelFunc
 	batchKernel dpu.KernelFunc
 
-	// tileBlk caches the per-tile cost blocks of every problem shape
-	// seen, for the block-accounted kernels (copy-on-write slice with
-	// inline keys, so the per-launch scan chases no pointers).
-	tileBlk atomic.Pointer[[]shapeEntry]
+	// costs caches the per-tasklet charge of every launch shape seen
+	// (see launchCost).
+	costs atomic.Pointer[[]shapeCost]
 
 	// scratch pools per-tasklet kernel buffers. A sync.Pool (rather than
 	// an array indexed by tasklet ID) because the same tasklet ID runs
@@ -502,91 +471,96 @@ func packClamped(out []byte, ctmp []int32, cols, chunkBytes int) {
 	}
 }
 
+// kernelParams is the decoded kernel parameter block (see encodeParams).
+type kernelParams struct {
+	n, k, m int
+	alpha   int32
+	aoff    int64 // MRAM address of the A payload
+}
+
+// readParams decodes the parameter block in place. The block kernels
+// read it uncharged — the parameter loads are part of the charge their
+// cost function states — and validate it before anything indexes by it.
+func (r *Runner) readParams(t *dpu.Tasklet) kernelParams {
+	w := t.WRAMWindow(r.paramsOff, int64(len(r.paramsBuf)))
+	word := func(i int) int32 { return int32(binary.LittleEndian.Uint32(w[i*4:])) }
+	return kernelParams{n: int(word(0)), k: int(word(1)), alpha: int32(int16(word(2))),
+		m: int(word(3)), aoff: int64(word(4))}
+}
+
+// stageARow copies the k-element A row at MRAM address off into the WRAM
+// area at wram and returns the staged bytes. The raw copy checks bounds
+// and DMA alignment like the tile loop's B and C copies; the DMA
+// transfers it stands for are in the kernel's cost function.
+func stageARow(t *dpu.Tasklet, wram, off int64, k int) ([]byte, error) {
+	aw := t.WRAMWindow(wram, int64((k*2+7)&^7))
+	return aw, t.DPU().CopyFromMRAMRawInto(off, aw)
+}
+
+// decodeAPart fills apart[i] = alpha·A[i] (Algorithm 2 line 5) from the
+// staged little-endian A row, four lanes per 8-byte load.
+func decodeAPart(apart []int32, aw []byte, alpha int32) {
+	k := len(apart)
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		v := binary.LittleEndian.Uint64(aw[i*2:])
+		apart[i] = alpha * int32(int16(v))
+		apart[i+1] = alpha * int32(int16(v>>16))
+		apart[i+2] = alpha * int32(int16(v>>32))
+		apart[i+3] = alpha * int32(int16(v>>48))
+	}
+	for ; i < k; i++ {
+		apart[i] = alpha * int32(int16(binary.LittleEndian.Uint16(aw[i*2:])))
+	}
+}
+
 // kernel computes one row of C for the row of A resident in this DPU's
-// MRAM with block cycle accounting: tasklets claim column tiles
-// round-robin, each tile's complete operation sequence is charged in
-// one ChargeBlock call (see tileCost), and the B column block is
-// fetched with a handful of strided bulk reads instead of one simulated
-// round trip per k-iteration. Tasklet 0 stages the A row into WRAM
-// (real DMA) and decodes APART once per launch into launch-shared
-// scratch; every tasklet still charges its own A loads, so per-tasklet
-// cycle accounting matches the legacy kernel exactly.
+// MRAM: tasklets claim column tiles round-robin and compute them
+// natively, walking the B column block in place instead of one simulated
+// round trip per k-iteration. It charges only what model.GEMMRowCost
+// states for its tasklet — one ChargeBlock of the launch shape's cached
+// block — and otherwise just moves data. Tasklet 0 stages the A row into
+// WRAM and decodes APART once per launch into launch-shared scratch.
 func (r *Runner) kernel() dpu.KernelFunc {
 	tileCols := r.tileCols
 	return func(t *dpu.Tasklet) error {
 		d := t.DPU()
 		var sc *kernelScratch
 		if t.ID() == 0 {
-			n := int(t.LoadI32(r.paramsOff))
-			k := int(t.LoadI32(r.paramsOff + 4))
-			alpha := int16(t.LoadI32(r.paramsOff + 8))
-			aoff := int64(t.LoadI32(r.paramsOff + 16))
-			if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-				return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
+			p := r.readParams(t)
+			if p.n < 1 || p.k < 1 || p.n > r.cfg.MaxN || p.k > r.cfg.MaxK {
+				return fmt.Errorf("gemm kernel: bad params N=%d K=%d", p.n, p.k)
+			}
+			// The A row comes from the address the parameter block names:
+			// the gemm_a_row symbol normally, a weight-cache arena slot
+			// when the row is resident.
+			aw, err := stageARow(t, r.aWRAM, p.aoff, p.k)
+			if err != nil {
+				return err
 			}
 			sc = r.getScratch()
-			sc.n, sc.k = n, k
-			sc.aoff = aoff
-			sc.blocks = r.blocksFor(n, k)
+			sc.n, sc.k = p.n, p.k
+			sc.cost = r.launchCost(launchShape{n: p.n, k: p.k, tasklets: t.Count()})
+			decodeAPart(sc.apart[:p.k], aw, p.alpha)
 			t.SetLaunchLocal(sc)
-			// Stage the A row into WRAM in DMA-sized chunks (real DMA,
-			// identical to the legacy kernel) from the address the
-			// parameter block names — the gemm_a_row symbol normally, a
-			// weight-cache arena slot when the row is resident — then
-			// decode APART once for the whole launch.
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
-			}
-			aw := t.WRAMWindow(r.aWRAM, int64(k*2))
-			apart := sc.apart[:k]
-			al := int32(alpha)
-			i := 0
-			for ; i+4 <= k; i += 4 {
-				v := binary.LittleEndian.Uint64(aw[i*2:])
-				apart[i] = al * int32(int16(v))
-				apart[i+1] = al * int32(int16(v>>16))
-				apart[i+2] = al * int32(int16(v>>32))
-				apart[i+3] = al * int32(int16(v>>48))
-			}
-			for ; i < k; i++ {
-				apart[i] = al * int32(int16(binary.LittleEndian.Uint16(aw[i*2:])))
-			}
 		} else {
 			sc = t.LaunchLocal().(*kernelScratch)
-		}
-		n, k := sc.n, sc.k
-		// Loading A[kk] each outer iteration (one WRAM load per k plus
-		// the APART multiply, Algorithm 2 line 5) is charged per tasklet
-		// as in the legacy kernel; non-zero tasklets also charge the 4
-		// parameter loads their legacy counterparts perform (tasklet 0
-		// charged those through LoadI32 above).
-		if t.ID() == 0 {
-			t.ChargeBlock(sc.blocks.aT0)
-		} else {
-			t.ChargeBlock(sc.blocks.aRest)
-		}
-		tiles := (n + tileCols - 1) / tileCols
-		if t.ID() >= tiles {
-			// No tiles for this tasklet (tasklet count exceeds tile
-			// count): all its cycles are charged above, so skip the
-			// loop preamble — at 16+ tasklets on small layers the idle
-			// tasklets' setup dominated per-launch host overhead.
-			if t.ID() == t.Count()-1 {
-				r.scratch.Put(sc)
-			}
-			return nil
 		}
 		if t.ID() == t.Count()-1 {
 			defer r.scratch.Put(sc)
 		}
-		apart := sc.apart[:k]
+		t.ChargeBlock(&sc.cost[t.ID()])
 
-		blocks := sc.blocks
+		n, k := sc.n, sc.k
+		tiles := (n + tileCols - 1) / tileCols
+		if t.ID() >= tiles {
+			// No tiles for this tasklet (tasklet count exceeds tile
+			// count): skip the loop preamble — at 16+ tasklets on small
+			// layers the idle tasklets' setup dominated per-launch host
+			// overhead.
+			return nil
+		}
+		apart := sc.apart[:k]
 		ctmp := sc.ctmp[:tileCols]
 		stride := int64(pad4(n)) * 2
 
@@ -604,23 +578,12 @@ func (r *Runner) kernel() dpu.KernelFunc {
 
 		for tile := t.ID(); tile < tiles; tile += t.Count() {
 			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
+			cols := min(n-j0, tileCols)
 			chunkBytes := (cols*2 + 7) &^ 7
-			blk := blocks.full
-			if cols != tileCols {
-				blk = blocks.tail
-			}
-			t.ChargeBlock(blk)
 
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
+			clear(ctmp[:cols])
 			// Walk the K-deep column block in place (zero-copy page runs)
-			// and multiply-accumulate natively; the modeled per-k DMA and
-			// MAC costs are in the block charge above.
+			// and multiply-accumulate natively.
 			tileN = cols
 			if err := d.ForEachMRAMRowRuns(r.bOff+int64(j0*2), stride, chunkBytes, k, mac); err != nil {
 				return err
@@ -751,86 +714,52 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 // This is the block-accounted form: tasklet 0 computes the whole C row
 // natively once per launch (the column partition only affects which
 // tasklet's meter the work lands on, not the values), and every tasklet
-// charges its own strided column share in bulk — cycle totals,
-// per-tasklet breakdowns and memory state identical to the legacy
-// per-operation kernel.
+// charges what model.GEMMNaiveCost states for its strided column share.
 func (r *Runner) kernelNaive() dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		aoff := int64(t.LoadI32(r.paramsOff + 16))
+		p := r.readParams(t)
+		n, k := p.n, p.k
 		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
 			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
 		}
+		t.ChargeBlock(&r.launchCost(launchShape{n: n, k: k, tasklets: t.Count()})[t.ID()])
+		if t.ID() != 0 {
+			return nil
+		}
 		d := t.DPU()
 		stride := pad4(n)
-
-		if t.ID() == 0 {
-			sc := r.getScratch()
-			defer r.scratch.Put(sc)
-			// Stage the A row (real DMA, as in the legacy kernel).
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
+		sc := r.getScratch()
+		defer r.scratch.Put(sc)
+		aw, err := stageARow(t, r.aWRAM, p.aoff, k)
+		if err != nil {
+			return err
+		}
+		// Compute the full C row once: accumulate every column over k,
+		// rescale-clamp, and write it back. The legacy kernel arrives at
+		// the same bytes through T interleaved read-modify-write passes.
+		acc := sc.acc[:n]
+		clear(acc)
+		for kk := 0; kk < k; kk++ {
+			apart := p.alpha * int32(int16(binary.LittleEndian.Uint16(aw[kk*2:])))
+			if apart == 0 {
+				continue
 			}
-			aw := t.WRAMWindow(r.aWRAM, int64(k*2))
-			// Compute the full C row once: accumulate every column over
-			// k, rescale-clamp, and write it back. The legacy kernel
-			// arrives at the same bytes through T interleaved
-			// read-modify-write passes.
-			acc := sc.acc[:n]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for kk := 0; kk < k; kk++ {
-				apart := int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aw[kk*2:])))
-				if apart == 0 {
-					continue
-				}
-				bRow := sc.rowBuf[:stride*2]
-				if err := d.CopyFromMRAMRawInto(r.bOff+int64(kk*stride)*2, bRow); err != nil {
-					return err
-				}
-				for j := 0; j < n; j++ {
-					acc[j] += apart * int32(int16(binary.LittleEndian.Uint16(bRow[j*2:])))
-				}
-			}
-			cRow := sc.rowBuf[:stride*2]
-			if err := d.CopyFromMRAMRawInto(r.cOff, cRow); err != nil {
+			bRow := sc.rowBuf[:stride*2]
+			if err := d.CopyFromMRAMRawInto(r.bOff+int64(kk*stride)*2, bRow); err != nil {
 				return err
 			}
 			for j := 0; j < n; j++ {
-				binary.LittleEndian.PutUint16(cRow[j*2:], uint16(fixed.GEMMOutputClamp(acc[j])))
-			}
-			if err := d.CopyToMRAMRaw(r.cOff, cRow); err != nil {
-				return err
+				acc[j] += apart * int32(int16(binary.LittleEndian.Uint16(bRow[j*2:])))
 			}
 		}
-
-		// The tasklet's strided column set: charge its share of the
-		// modeled work (identical totals to the legacy per-k charges).
-		nCols := (n - t.ID() + t.Count() - 1) / t.Count()
-		if nCols <= 0 {
-			return nil
+		cRow := sc.rowBuf[:stride*2]
+		if err := d.CopyFromMRAMRawInto(r.cOff, cRow); err != nil {
+			return err
 		}
-		// Per k: APART load+multiply; per element: three 8-byte MRAM
-		// round trips (ctmp read, B read, ctmp write), the
-		// multiply-accumulate and index arithmetic.
-		t.ChargeBulk(dpu.OpLoad, uint64(k))
-		t.ChargeBulk(dpu.OpMul16, uint64(k))
-		t.ChargeDMA(uint64(3*nCols)*uint64(k), 8)
-		t.ChargeBulk(dpu.OpMul16, uint64(nCols)*uint64(k))
-		t.ChargeBulk(dpu.OpAddInt, uint64(2*nCols)*uint64(k))
-		// Output pass (Algorithm 2 lines 8-10).
-		t.ChargeDMA(uint64(2*nCols), 8)
-		t.ChargeBulk(dpu.OpShift, uint64(nCols))
-		t.ChargeBulk(dpu.OpBranch, uint64(nCols))
-		return nil
+		for j := 0; j < n; j++ {
+			binary.LittleEndian.PutUint16(cRow[j*2:], uint16(fixed.GEMMOutputClamp(acc[j])))
+		}
+		return d.CopyToMRAMRaw(r.cOff, cRow)
 	}
 }
 
@@ -929,24 +858,19 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 // launch it directly on a bare DPU for profiling. The closure is built
 // once and reused across launches.
 func (r *Runner) Kernel() dpu.KernelFunc {
-	if r.cfg.Naive {
-		if r.naiveKernel == nil {
-			if r.cfg.LegacyCharging {
-				r.naiveKernel = r.kernelNaiveLegacy()
-			} else {
-				r.naiveKernel = r.kernelNaive()
-			}
-		}
-		return r.naiveKernel
-	}
-	if r.tiledKernel == nil {
-		if r.cfg.LegacyCharging {
-			r.tiledKernel = r.kernelLegacy()
-		} else {
-			r.tiledKernel = r.kernel()
+	if r.rowKernel == nil {
+		switch {
+		case r.cfg.Naive && r.cfg.LegacyCharging:
+			r.rowKernel = r.kernelNaiveLegacy()
+		case r.cfg.Naive:
+			r.rowKernel = r.kernelNaive()
+		case r.cfg.LegacyCharging:
+			r.rowKernel = r.kernelLegacy()
+		default:
+			r.rowKernel = r.kernel()
 		}
 	}
-	return r.tiledKernel
+	return r.rowKernel
 }
 
 // Stats describes one distributed GEMM. It is the execution engine's

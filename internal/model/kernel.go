@@ -1,19 +1,32 @@
-// Kernel-granularity latency model: exact analytic mirrors of the
-// simulated GEMM and eBNN kernel charge structures, at the per-wave
-// (per-DPU-launch) level. Where the chapter-5 model (model.go) works at
-// MAC granularity across PIM architectures, these functions reproduce
-// this simulator's own kernels charge by charge — the same per-tasklet
-// slot/DMA tallies the interpreter accumulates, combined through the
-// same pipeline law — so a planner can rank candidate mappings without
-// running the simulator, and a calibration pass can hold the prediction
-// against `exec.Stats` per layer (see internal/plan and
-// cmd/upmem-profile -calibrate).
+// Kernel-granularity cost: the one statement of what each simulated DPU
+// kernel charges. Where the chapter-5 model (model.go) works at MAC
+// granularity across PIM architectures, the *Cost functions here are
+// this simulator's own kernels' per-tasklet charges — Algorithm 2's
+// per-k load/multiply/accumulate (§4.3.3), Eq 3.4's DMA transfers — as
+// functions of the launch shape that emit into a Meter. The gemm and
+// ebnn kernels charge exactly what these functions emit (into a tasklet,
+// or into a dpu.CostBlock cached per launch shape) and otherwise only
+// move data; the *Cycles functions evaluate the same functions with a
+// tally and the pipeline law (dpu.PipelineCycles), so a planner can rank
+// candidate mappings without running the simulator (internal/plan) and
+// the prediction equals the simulated per-wave cycles by construction.
+// The per-operation legacy kernels the differential tests launch are the
+// independent derivation these statements are held to.
 package model
 
 import "pimdnn/internal/dpu"
 
+// Meter is the sink a kernel cost function emits into: n operations of
+// one class, or n MRAM<->WRAM transfers of size bytes each. *dpu.Tasklet
+// and *dpu.CostBlock implement it, as does the planner's tally.
+type Meter interface {
+	ChargeBulk(op dpu.Op, n uint64)
+	ChargeDMA(n uint64, size int)
+}
+
 // KernelConfig selects the GEMM kernel variant and mapping parameters
-// the cost functions mirror (gemm.RunnerConfig's cost-relevant subset).
+// the *Cycles functions evaluate (gemm.RunnerConfig's cost-relevant
+// subset).
 type KernelConfig struct {
 	Opt      dpu.OptLevel
 	Tasklets int
@@ -24,182 +37,114 @@ type KernelConfig struct {
 	Naive bool
 }
 
-// DPUCycles applies the DPU pipeline law to per-tasklet slot and DMA
-// tallies: cycles = max(Σ slots, max_t(slots_t·depth + dma_t), Σ dma) —
-// total issue slots, the critical tasklet's pipelined path, and the
-// serialized DMA port.
-func DPUCycles(slots, dma []uint64) uint64 {
-	var busy, port, crit uint64
-	for i := range slots {
-		busy += slots[i]
-		port += dma[i]
-		if c := slots[i]*dpu.PipelineDepth + dma[i]; c > crit {
-			crit = c
-		}
-	}
-	cycles := busy
-	if crit > cycles {
-		cycles = crit
-	}
-	if port > cycles {
-		cycles = port
-	}
-	return cycles
-}
-
-// chunkedDMA is the cost of staging bytes through DMA-limit-sized
-// transfers (the kernels' A-row staging loops).
-func chunkedDMA(bytes int) uint64 {
-	var c uint64
-	for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-		chunk := bytes - off
-		if chunk > dpu.MaxDMATransfer {
-			chunk = dpu.MaxDMATransfer
-		}
-		c += dpu.DMACost(chunk)
-	}
-	return c
-}
-
 func pad8(n int) int { return (n + 7) &^ 7 }
 
-// GEMMRowCycles is the per-DPU cycle count of one wave of the Fig 4.6
-// row-per-DPU mapping: one DPU computing one n-wide output row over k.
-// It mirrors gemm.Runner's tiled and naive kernels charge by charge
-// (parameter loads, A-row staging DMA, per-tile or per-column-set
-// compute, output pass), so on the fault-free path it matches the
-// simulated per-wave cycles exactly.
-func GEMMRowCycles(n, k int, kc KernelConfig) uint64 {
-	if kc.Naive {
-		return gemmNaiveRowCycles(n, k, kc)
+// stageCost emits count stagings of one k-element int16 A row from MRAM
+// into WRAM: the row padded to the DMA granularity, split into transfers
+// of at most the DMA limit.
+func stageCost(m Meter, count uint64, k int) {
+	bytes := pad8(k * 2)
+	m.ChargeDMA(count*uint64(bytes/dpu.MaxDMATransfer), dpu.MaxDMATransfer)
+	if rest := bytes % dpu.MaxDMATransfer; rest != 0 {
+		m.ChargeDMA(count, rest)
 	}
-	return gemmTiledRowCycles(n, k, kc)
 }
 
-func gemmTiledRowCycles(n, k int, kc KernelConfig) uint64 {
-	var (
-		loadS  = dpu.OpSlots(dpu.OpLoad, kc.Opt)
-		storeS = dpu.OpSlots(dpu.OpStore, kc.Opt)
-		mulS   = dpu.OpSlots(dpu.OpMul16, kc.Opt)
-		addS   = dpu.OpSlots(dpu.OpAddInt, kc.Opt)
-		shiftS = dpu.OpSlots(dpu.OpShift, kc.Opt)
-		brS    = dpu.OpSlots(dpu.OpBranch, kc.Opt)
-	)
-	T := kc.Tasklets
-	var slots, dma [dpu.MaxTasklets]uint64
-
-	// Per-launch A-row work: every tasklet charges k+4 loads (the four
-	// parameter reads plus one A load per k) and k APART multiplies;
-	// tasklet 0 additionally stages the A row from MRAM in DMA-sized
-	// chunks (real DMA).
-	setup := uint64(k+4)*loadS + uint64(k)*mulS
-	for t := 0; t < T; t++ {
-		slots[t] = setup
+// tileCost emits count executions of one cols-wide output tile of the
+// tiled kernels: zero ctmp, k iterations of B-chunk DMA plus
+// load/multiply/accumulate/store per element (Algorithm 2 line 7), the
+// rescale-clamp output pass (lines 8-10) and the C write-back DMA.
+func tileCost(m Meter, count uint64, cols, k int) {
+	if count == 0 {
+		return
 	}
-	dma[0] += chunkedDMA(pad8(k * 2))
-
-	// Column tiles round-robin across tasklets; each tile's complete
-	// operation sequence (gemm.tileCost) lands on its owner's meter.
-	tiles := (n + kc.TileCols - 1) / kc.TileCols
-	for tile := 0; tile < tiles; tile++ {
-		t := tile % T
-		c := n - tile*kc.TileCols
-		if c > kc.TileCols {
-			c = kc.TileCols
-		}
-		chunkBytes := pad8(c * 2)
-		slots[t] += uint64(k*c+2*c) * storeS
-		slots[t] += uint64(2*k*c) * loadS
-		slots[t] += uint64(k*c) * (mulS + addS)
-		slots[t] += uint64(c) * (shiftS + brS)
-		dma[t] += uint64(k+1) * dpu.DMACost(chunkBytes)
-	}
-	return DPUCycles(slots[:T], dma[:T])
+	c := count * uint64(cols)
+	kc := c * uint64(k)
+	m.ChargeBulk(dpu.OpStore, kc+2*c)
+	m.ChargeBulk(dpu.OpLoad, 2*kc)
+	m.ChargeBulk(dpu.OpMul16, kc)
+	m.ChargeBulk(dpu.OpAddInt, kc)
+	m.ChargeBulk(dpu.OpShift, c)
+	m.ChargeBulk(dpu.OpBranch, c)
+	m.ChargeDMA(count*uint64(k+1), pad8(cols*2))
 }
 
-func gemmNaiveRowCycles(n, k int, kc KernelConfig) uint64 {
-	var (
-		loadS  = dpu.OpSlots(dpu.OpLoad, kc.Opt)
-		mulS   = dpu.OpSlots(dpu.OpMul16, kc.Opt)
-		addS   = dpu.OpSlots(dpu.OpAddInt, kc.Opt)
-		shiftS = dpu.OpSlots(dpu.OpShift, kc.Opt)
-		brS    = dpu.OpSlots(dpu.OpBranch, kc.Opt)
-	)
-	T := kc.Tasklets
-	var slots, dma [dpu.MaxTasklets]uint64
-
-	dma[0] += chunkedDMA(pad8(k * 2))
-	for t := 0; t < T; t++ {
-		// Four parameter loads, then the tasklet's strided column share.
-		slots[t] = 4 * loadS
-		nCols := (n - t + T - 1) / T
-		if nCols <= 0 {
-			continue
-		}
-		// Per k: APART load+multiply; per element: three 8-byte MRAM
-		// round trips (ctmp read, B read, ctmp write), the MAC and
-		// index arithmetic; then the output pass.
-		slots[t] += uint64(k) * (loadS + mulS)
-		slots[t] += uint64(k) * uint64(nCols) * (mulS + 2*addS)
-		slots[t] += uint64(nCols) * (shiftS + brS)
-		dma[t] += (uint64(3*nCols)*uint64(k) + uint64(2*nCols)) * dpu.DMACost(8)
+// GEMMRowCost emits what tasklet t of `tasklets` charges in one launch
+// of the tiled row kernel (gemm.Runner's default: one DPU computing one
+// n-wide output row over k): the four parameter loads, one A load and
+// one APART multiply per k (Algorithm 2 line 5), the A-row staging on
+// tasklet 0, and the column tiles t, t+tasklets, ... it owns.
+func GEMMRowCost(m Meter, t, tasklets, n, k, tileCols int) {
+	m.ChargeBulk(dpu.OpLoad, uint64(k+4))
+	m.ChargeBulk(dpu.OpMul16, uint64(k))
+	if t == 0 {
+		stageCost(m, 1, k)
 	}
-	return DPUCycles(slots[:T], dma[:T])
+	tiles := (n + tileCols - 1) / tileCols
+	if t >= tiles {
+		return
+	}
+	owned := uint64((tiles - t + tasklets - 1) / tasklets)
+	// The last tile is the only one that can be narrower; it belongs to
+	// tasklet (tiles-1) mod tasklets.
+	if tail := n - (tiles-1)*tileCols; tail != tileCols && (tiles-1)%tasklets == t {
+		tileCost(m, 1, tail, k)
+		owned--
+	}
+	tileCost(m, owned, tileCols, k)
 }
 
-// GEMMBatchCycles is the per-DPU cycle count of the image-per-DPU
-// mapping (gemm.Runner.kernelBatch): one DPU computing the whole m×n
-// product for its resident B matrix. Work units are (row, tile) pairs
-// claimed round-robin; a tasklet re-stages the A row (DMA + APART)
-// whenever its next unit lands on a new row. The walk mirrors the
-// kernel's unit loop exactly.
-func GEMMBatchCycles(m, n, k int, kc KernelConfig) uint64 {
-	var (
-		loadS  = dpu.OpSlots(dpu.OpLoad, kc.Opt)
-		storeS = dpu.OpSlots(dpu.OpStore, kc.Opt)
-		mulS   = dpu.OpSlots(dpu.OpMul16, kc.Opt)
-		addS   = dpu.OpSlots(dpu.OpAddInt, kc.Opt)
-		shiftS = dpu.OpSlots(dpu.OpShift, kc.Opt)
-		brS    = dpu.OpSlots(dpu.OpBranch, kc.Opt)
-	)
-	T := kc.Tasklets
-	var slots, dma [dpu.MaxTasklets]uint64
-
-	tiles := (n + kc.TileCols - 1) / kc.TileCols
-	units := m * tiles
-	aDMA := chunkedDMA(pad8(k * 2))
-	fullChunk := pad8(kc.TileCols * 2)
-	tailCols := n - (tiles-1)*kc.TileCols
-	tailChunk := pad8(tailCols * 2)
-
-	tileSlots := func(c int) uint64 {
-		return uint64(k*c+2*c)*storeS + uint64(2*k*c)*loadS +
-			uint64(k*c)*(mulS+addS) + uint64(c)*(shiftS+brS)
+// GEMMNaiveCost is GEMMRowCost for the thesis-faithful kernel (§4.2.3):
+// tasklet t owns output columns t, t+tasklets, ... and ctmp lives in
+// MRAM, so every multiply-accumulate pays three 8-byte MRAM round trips
+// (ctmp read, B read, ctmp write; §4.3.3) besides the MAC and index
+// arithmetic, and the output pass one more round trip per column.
+func GEMMNaiveCost(m Meter, t, tasklets, n, k int) {
+	m.ChargeBulk(dpu.OpLoad, 4)
+	if t == 0 {
+		stageCost(m, 1, k)
 	}
-	fullSlots, tailSlots := tileSlots(kc.TileCols), tileSlots(tailCols)
+	cols := uint64((n - t + tasklets - 1) / tasklets)
+	if cols == 0 {
+		return
+	}
+	kc := cols * uint64(k)
+	m.ChargeBulk(dpu.OpLoad, uint64(k))
+	m.ChargeBulk(dpu.OpMul16, uint64(k)+kc)
+	m.ChargeBulk(dpu.OpAddInt, 2*kc)
+	m.ChargeBulk(dpu.OpShift, cols)
+	m.ChargeBulk(dpu.OpBranch, cols)
+	m.ChargeDMA(3*kc+2*cols, 8)
+}
 
-	for t := 0; t < T; t++ {
-		// Five parameter loads (n, k, alpha, m, aBase).
-		slots[t] = 5 * loadS
-		cachedRow := -1
-		for u := t; u < units; u += T {
-			row := u / tiles
-			tile := u % tiles
-			if row != cachedRow {
-				dma[t] += aDMA
-				slots[t] += uint64(k) * (loadS + mulS)
-				cachedRow = row
-			}
-			if tile == tiles-1 && tailCols != kc.TileCols {
-				slots[t] += tailSlots
-				dma[t] += uint64(k+1) * dpu.DMACost(tailChunk)
-			} else {
-				slots[t] += fullSlots
-				dma[t] += uint64(k+1) * dpu.DMACost(fullChunk)
-			}
+// GEMMBatchCost emits what tasklet t charges in one launch of the
+// image-per-DPU kernel (gemm.Runner.kernelBatch): one DPU computing the
+// whole rows×n product for its resident B matrix. Work units are
+// (row, tile) pairs claimed round-robin; a tasklet re-stages the A row
+// (DMA, k loads, k APART multiplies) whenever its next unit lands on a
+// new row.
+func GEMMBatchCost(m Meter, t, tasklets, rows, n, k, tileCols int) {
+	tiles := (n + tileCols - 1) / tileCols
+	tail := n - (tiles-1)*tileCols
+	var staged, full, narrow uint64
+	last := -1
+	for u := t; u < rows*tiles; u += tasklets {
+		if row := u / tiles; row != last {
+			staged++
+			last = row
+		}
+		if u%tiles == tiles-1 && tail != tileCols {
+			narrow++
+		} else {
+			full++
 		}
 	}
-	return DPUCycles(slots[:T], dma[:T])
+	// Five parameter loads (n, k, alpha, m, A base).
+	m.ChargeBulk(dpu.OpLoad, 5+staged*uint64(k))
+	m.ChargeBulk(dpu.OpMul16, staged*uint64(k))
+	stageCost(m, staged, k)
+	tileCost(m, full, tileCols, k)
+	tileCost(m, narrow, tail, k)
 }
 
 // EBNNShape carries the eBNN workload's cost-relevant geometry so this
@@ -220,59 +165,100 @@ type EBNNShape struct {
 	UseLUT bool
 }
 
-// EBNNWaveCycles is the per-DPU cycle count of one eBNN wave with
-// `images` images resident on the DPU (up to ebnn.BatchSize), mirroring
-// ebnn.Runner's kernel: every tasklet charges the preamble block, then
-// its strided image share (per-image compute block plus the packed-image
-// in / result out DMAs); tasklet 0 stages the LUT.
-func EBNNWaveCycles(sh EBNNShape, images, tasklets int, opt dpu.OptLevel) uint64 {
-	var (
-		loadS  = dpu.OpSlots(dpu.OpLoad, opt)
-		storeS = dpu.OpSlots(dpu.OpStore, opt)
-		mulS   = dpu.OpSlots(dpu.OpMul16, opt)
-		addS   = dpu.OpSlots(dpu.OpAddInt, opt)
-		subS   = dpu.OpSlots(dpu.OpSubInt, opt)
-		shiftS = dpu.OpSlots(dpu.OpShift, opt)
-		brS    = dpu.OpSlots(dpu.OpBranch, opt)
-		logicS = dpu.OpSlots(dpu.OpLogic, opt)
-	)
+// EBNNCost emits what tasklet t charges in one launch of the §4.1.3
+// eBNN kernel with `images` images resident on the DPU: tasklet 0 stages
+// the LUT (§4.1.4); every tasklet reads the image count and unpacks the
+// filters (and, without the LUT, folds BN-BinAct into a float threshold
+// per filter, Fig 4.2a); then per image t, t+tasklets, ... the packed
+// pixels come in by DMA, each pooled cell and filter costs 4 conv
+// windows of 6 shifts and 9 logic ops plus the max-pool compares and
+// the activation (LUT index and load, or int-to-float and compare), and
+// the activation bytes go out by DMA.
+func EBNNCost(m Meter, t, tasklets, images int, sh EBNNShape) {
 	fn := uint64(sh.Filters)
-	cells := uint64(sh.Cells)
-
-	// Preamble (ebnnBlocks pre): image count + filter unpack, plus the
-	// BN fold when running without the LUT.
-	pre := (1+fn)*loadS + 3*fn*logicS + 2*fn*shiftS
+	if sh.UseLUT && t == 0 {
+		m.ChargeDMA(1, sh.LUTBytes)
+	}
+	m.ChargeBulk(dpu.OpLoad, 1+fn) // image count + filter words
+	m.ChargeBulk(dpu.OpLogic, 3*fn)
+	m.ChargeBulk(dpu.OpShift, 2*fn)
 	if !sh.UseLUT {
-		pre += 5*fn*loadS +
-			2*fn*dpu.OpSlots(dpu.OpFDiv, opt) +
-			2*fn*dpu.OpSlots(dpu.OpFSub, opt)
+		m.ChargeBulk(dpu.OpLoad, 5*fn) // BN parameters
+		m.ChargeBulk(dpu.OpFDiv, 2*fn) // scale, correction
+		m.ChargeBulk(dpu.OpFSub, 2*fn) // difference, threshold
 	}
-
-	// Per-image compute block (ebnnBlocks img).
-	img := 2*mulS + uint64(sh.Side)*loadS +
-		cells*fn*25*shiftS + cells*fn*37*logicS +
-		cells*fn*4*subS + cells*fn*4*brS + cells*storeS
+	if t >= images {
+		return
+	}
+	imgs := uint64((images - t + tasklets - 1) / tasklets)
+	acts := imgs * uint64(sh.Cells) * fn
+	m.ChargeDMA(imgs, sh.PackedBytes)
+	m.ChargeBulk(dpu.OpMul16, 2*imgs) // image and result MRAM offsets
+	m.ChargeBulk(dpu.OpLoad, imgs*uint64(sh.Side))
+	m.ChargeBulk(dpu.OpShift, 25*acts)
+	m.ChargeBulk(dpu.OpLogic, 37*acts)
+	m.ChargeBulk(dpu.OpSubInt, 4*acts)
+	m.ChargeBulk(dpu.OpBranch, 4*acts)
 	if sh.UseLUT {
-		img += cells*fn*2*addS + cells*fn*mulS + cells*fn*loadS
+		m.ChargeBulk(dpu.OpAddInt, 2*acts)
+		m.ChargeBulk(dpu.OpMul16, acts)
+		m.ChargeBulk(dpu.OpLoad, acts)
 	} else {
-		img += cells*fn*dpu.OpSlots(dpu.OpFloatFromInt, opt) +
-			cells*fn*dpu.OpSlots(dpu.OpFCmp, opt)
+		m.ChargeBulk(dpu.OpFloatFromInt, acts)
+		m.ChargeBulk(dpu.OpFCmp, acts)
 	}
-	imgDMA := dpu.DMACost(sh.PackedBytes) + dpu.DMACost(sh.ResultBytes)
+	m.ChargeBulk(dpu.OpStore, imgs*uint64(sh.Cells)) // result bytes
+	m.ChargeDMA(imgs, sh.ResultBytes)
+}
 
-	T := tasklets
-	var slots, dma [dpu.MaxTasklets]uint64
-	if sh.UseLUT {
-		dma[0] += dpu.DMACost(sh.LUTBytes)
+// tally is the planner-side Meter: it prices what a cost function emits
+// at one optimization level into the live tasklet's slot and DMA totals.
+type tally struct {
+	opt dpu.OptLevel
+	cur *dpu.TaskletBreakdown
+	per [dpu.MaxTasklets]dpu.TaskletBreakdown
+}
+
+func (c *tally) ChargeBulk(op dpu.Op, n uint64) { c.cur.IssueSlots += n * dpu.OpSlots(op, c.opt) }
+func (c *tally) ChargeDMA(n uint64, size int)   { c.cur.DMACycles += n * dpu.DMACost(size) }
+
+// Tally evaluates a per-tasklet cost function for every tasklet of a
+// launch at one optimization level: the breakdown dpu.Stats.PerTasklet
+// reports for a launch of the kernel the function states.
+func Tally(opt dpu.OptLevel, tasklets int, cost func(m Meter, t int)) []dpu.TaskletBreakdown {
+	c := &tally{opt: opt}
+	for t := 0; t < tasklets; t++ {
+		c.cur = &c.per[t]
+		cost(c, t)
 	}
-	for t := 0; t < T; t++ {
-		slots[t] += pre
-		nImg := uint64(0)
-		if t < images {
-			nImg = uint64((images - t + T - 1) / T)
+	return c.per[:tasklets]
+}
+
+// GEMMRowCycles is the per-DPU cycle count of one wave of the Fig 4.6
+// row-per-DPU mapping: one DPU computing one n-wide output row over k
+// with gemm.Runner's tiled or naive kernel.
+func GEMMRowCycles(n, k int, kc KernelConfig) uint64 {
+	return dpu.PipelineCycles(Tally(kc.Opt, kc.Tasklets, func(m Meter, t int) {
+		if kc.Naive {
+			GEMMNaiveCost(m, t, kc.Tasklets, n, k)
+		} else {
+			GEMMRowCost(m, t, kc.Tasklets, n, k, kc.TileCols)
 		}
-		slots[t] += nImg * img
-		dma[t] += nImg * imgDMA
-	}
-	return DPUCycles(slots[:T], dma[:T])
+	}))
+}
+
+// GEMMBatchCycles is the per-DPU cycle count of the image-per-DPU
+// mapping: one DPU computing the whole m×n product.
+func GEMMBatchCycles(m, n, k int, kc KernelConfig) uint64 {
+	return dpu.PipelineCycles(Tally(kc.Opt, kc.Tasklets, func(mt Meter, t int) {
+		GEMMBatchCost(mt, t, kc.Tasklets, m, n, k, kc.TileCols)
+	}))
+}
+
+// EBNNWaveCycles is the per-DPU cycle count of one eBNN wave with
+// `images` images resident on the DPU (up to ebnn.BatchSize).
+func EBNNWaveCycles(sh EBNNShape, images, tasklets int, opt dpu.OptLevel) uint64 {
+	return dpu.PipelineCycles(Tally(opt, tasklets, func(m Meter, t int) {
+		EBNNCost(m, t, tasklets, images, sh)
+	}))
 }
