@@ -80,9 +80,13 @@ profile:
 	$(GO) tool pprof -top -cum -nodecount=10 pimdnn.test cpu.prof
 
 # The same for the steady-state full-array batch forward (one image per
-# DPU on all 2,560): the profile behind the array_yolo workload.
+# DPU on all 2,560): the profile behind the array_yolo workload. The last
+# line is the batch kernel's cumulative share of the profile, the "kernel
+# share" a PR cites: `make profile-array | grep '^kernel-share'`.
 profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
+	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
+		| awk '/kernelBatch/ { print "kernel-share kernelBatch cum " $$5; exit }'
 
 ci: vet build test race sim-invariant report-check lines

@@ -203,7 +203,7 @@ func BenchmarkFig47aTaskletSpeedup(b *testing.B) {
 		b.Fatal(err)
 	}
 	img := yolo.SyntheticScene(32, 5)
-	for _, tl := range []int{1, 4, 8, 11, 16} {
+	for _, tl := range []int{1, 4, 8, 11, 16, 24} {
 		b.Run("YOLO/tasklets="+itoa(tl), func(b *testing.B) {
 			b.ReportAllocs()
 			var cycles uint64

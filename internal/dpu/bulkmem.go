@@ -48,101 +48,17 @@ func (d *DPU) CopyToMRAMRaw(off int64, data []byte) error {
 	return nil
 }
 
-// CopyFromMRAMStridedInto reads rows of rowBytes bytes spaced stride
-// bytes apart, starting at off, packing them contiguously into dst
-// (len(dst) must be a multiple of rowBytes; len(dst)/rowBytes rows are
-// read). The lock is taken once for the whole strided read — this is
-// what lets a tiled kernel fetch a K-deep column block in one call
-// instead of K round trips.
-func (d *DPU) CopyFromMRAMStridedInto(off, stride int64, rowBytes int, dst []byte) error {
-	if rowBytes <= 0 || len(dst)%rowBytes != 0 {
-		return fmt.Errorf("dpu: strided MRAM read: dst %d bytes not a multiple of row size %d", len(dst), rowBytes)
-	}
-	rows := len(dst) / rowBytes
-	if rows == 0 {
-		return nil
-	}
-	if off%DMAAlignment != 0 || stride%DMAAlignment != 0 || rowBytes%DMAAlignment != 0 {
-		return fmt.Errorf("dpu: strided MRAM read off=%d stride=%d row=%d violates %d-byte alignment",
-			off, stride, rowBytes, DMAAlignment)
-	}
-	last := off + int64(rows-1)*stride
-	if off < 0 || stride < 0 || last+int64(rowBytes) > d.cfg.MRAMSize {
-		return fmt.Errorf("dpu: strided MRAM read [%d, %d) outside [0, %d)", off, last+int64(rowBytes), d.cfg.MRAMSize)
-	}
-	d.mu.Lock()
-	for i := 0; i < rows; i++ {
-		d.mramRead(off+int64(i)*stride, dst[i*rowBytes:(i+1)*rowBytes])
-	}
-	d.mu.Unlock()
-	return nil
-}
-
-// ForEachMRAMRowStrided invokes fn(i, row) for rows rows of rowBytes
-// bytes spaced stride bytes apart starting at off, under one lock, with
-// row aliasing the MRAM page directly whenever the row does not cross a
-// page boundary (boundary-crossing rows — at most one per 64 KB — are
-// staged through a small internal buffer). The zero-copy variant of
-// CopyFromMRAMStridedInto for kernels that consume each row once. fn
-// must not retain row and must not call other DPU methods (the lock is
-// held).
-func (d *DPU) ForEachMRAMRowStrided(off, stride int64, rowBytes, rows int, fn func(i int, row []byte)) error {
-	if rowBytes <= 0 || rows < 0 {
-		return fmt.Errorf("dpu: strided MRAM walk: bad row size %d / count %d", rowBytes, rows)
-	}
-	if rows == 0 {
-		return nil
-	}
-	if off%DMAAlignment != 0 || stride%DMAAlignment != 0 || rowBytes%DMAAlignment != 0 {
-		return fmt.Errorf("dpu: strided MRAM walk off=%d stride=%d row=%d violates %d-byte alignment",
-			off, stride, rowBytes, DMAAlignment)
-	}
-	last := off + int64(rows-1)*stride
-	if off < 0 || stride < 0 || last+int64(rowBytes) > d.cfg.MRAMSize {
-		return fmt.Errorf("dpu: strided MRAM walk [%d, %d) outside [0, %d)", off, last+int64(rowBytes), d.cfg.MRAMSize)
-	}
-	d.mu.Lock()
-	if cap(d.rowScratch) < rowBytes {
-		d.rowScratch = make([]byte, rowBytes)
-	}
-	// The page index and intra-page offset advance incrementally with
-	// the stride: per row this costs an add and a compare, with the page
-	// lookup re-done only on page change.
-	page := off / mramPageSize
-	po := off % mramPageSize
-	pageBuf := d.mramPages[page]
-	for i := 0; i < rows; i++ {
-		if po+int64(rowBytes) <= mramPageSize && pageBuf != nil {
-			fn(i, pageBuf[po:po+int64(rowBytes)])
-		} else {
-			// Page boundary crossing or untouched (all-zero) page: stage.
-			buf := d.rowScratch[:rowBytes]
-			d.mramRead(off+int64(i)*stride, buf)
-			fn(i, buf)
-		}
-		if po += stride; po >= mramPageSize {
-			adv := po / mramPageSize
-			page += adv
-			po -= adv * mramPageSize
-			if page < int64(len(d.mramPages)) {
-				pageBuf = d.mramPages[page]
-			} else {
-				pageBuf = nil
-			}
-		}
-	}
-	d.mu.Unlock()
-	return nil
-}
-
-// ForEachMRAMRowRuns is ForEachMRAMRowStrided with the callback invoked
-// once per run of page-resident rows instead of once per row: fn
-// receives the index of the run's first row, the row count, a block
-// aliasing MRAM (or staging) where row first+r starts at
-// block[r*blockStride], and that stride. Runs cover all rows in order.
-// A blockStride of 0 means every row of the run aliases the same bytes
-// (the shared zero row of an untouched page). fn must not write block
-// or retain it, and must not call other DPU methods (the lock is held).
+// ForEachMRAMRowRuns walks rows rows of rowBytes bytes spaced stride
+// bytes apart starting at off, in place and under one lock, invoking fn
+// once per run of rows that lie in one MRAM page: fn receives the index
+// of the run's first row, the row count, a block aliasing the page where
+// row first+r starts at block[r*blockStride], and that stride. Runs
+// cover all rows in order. A row that crosses a page boundary (at most
+// one per 64 KB) is staged through a small internal buffer and passed as
+// a run of one; the rows of an untouched page are passed as one run with
+// a blockStride of 0, every row aliasing the same zero bytes. fn must
+// not write block or retain it, and must not call other DPU methods (the
+// lock is held).
 func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
 	if rowBytes <= 0 || rows < 0 {
 		return fmt.Errorf("dpu: strided MRAM walk: bad row size %d / count %d", rowBytes, rows)

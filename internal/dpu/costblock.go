@@ -124,8 +124,22 @@ func (b *CostBlock) ChargeDMA(n uint64, size int) { b.AddDMA(n, size) }
 // time: cycle totals, operation counts, subroutine occurrences and DMA
 // accounting are identical to charging every operation individually.
 func (t *Tasklet) ChargeBlock(b *CostBlock) {
-	lv := &b.lv[t.dpu.cfg.Opt]
-	t.slots += lv.slots
+	t.chargeCycles(b)
+	t.chargeMix(b)
+}
+
+// chargeCycles adds the block's issue slots and DMA traffic to the
+// tasklet's meters — what a launch reports per tasklet.
+func (t *Tasklet) chargeCycles(b *CostBlock) {
+	t.slots += b.lv[t.dpu.cfg.Opt].slots
+	t.dma += b.dmaCyc
+	t.dmaBytes += b.dmaBytes
+	t.dmaOps += b.dmaOps
+}
+
+// chargeMix adds the block's operation counts and subroutine records —
+// what a launch reports in total only.
+func (t *Tasklet) chargeMix(b *CostBlock) {
 	for _, o := range b.ops {
 		if t.opCounts[o.op] == 0 {
 			t.touched[t.nTouched] = o.op
@@ -133,10 +147,36 @@ func (t *Tasklet) ChargeBlock(b *CostBlock) {
 		}
 		t.opCounts[o.op] += o.n
 	}
-	for _, s := range lv.subs {
+	for _, s := range b.lv[t.dpu.cfg.Opt].subs {
 		t.dpu.prof.RecordN(s.name, s.n, s.slotsEach)
 	}
-	t.dma += b.dmaCyc
-	t.dmaBytes += b.dmaBytes
-	t.dmaOps += b.dmaOps
+}
+
+// SumBlocks returns one block holding the operations, subroutine records
+// and DMA traffic of all of blocks together.
+func SumBlocks(blocks []CostBlock) *CostBlock {
+	sum := &CostBlock{}
+	for i := range blocks {
+		b := &blocks[i]
+		for _, o := range b.ops {
+			sum.AddOp(o.op, o.n)
+		}
+		sum.dmaOps += b.dmaOps
+		sum.dmaBytes += b.dmaBytes
+		sum.dmaCyc += b.dmaCyc
+	}
+	return sum
+}
+
+// ChargeLaunch charges a whole launch from one tasklet: tasklet i's cycle
+// meters get blocks[i] (one block per tasklet of the launch), and the
+// operation counts and subroutine records of all of them — sum, from
+// SumBlocks — land once, on the caller. The statistics are those of
+// every tasklet calling ChargeBlock on its own block, for one walk of
+// the op list instead of one per tasklet.
+func (t *Tasklet) ChargeLaunch(blocks []CostBlock, sum *CostBlock) {
+	for i, u := range t.dpu.scratch.ptrs[:t.count] {
+		u.chargeCycles(&blocks[i])
+	}
+	t.chargeMix(sum)
 }

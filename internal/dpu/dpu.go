@@ -208,8 +208,8 @@ type DPU struct {
 	// slot is cleared at launch boundaries.
 	launchLocal interface{}
 
-	// rowScratch stages page-boundary-crossing rows for
-	// ForEachMRAMRowStrided. Guarded by mu.
+	// rowScratch stages page-boundary-crossing rows (and the zero row of
+	// untouched pages) for ForEachMRAMRowRuns. Guarded by mu.
 	rowScratch []byte
 
 	// scratch holds the per-launch tasklet state, reused so Launch does

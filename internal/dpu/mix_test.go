@@ -1,6 +1,7 @@
 package dpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,5 +122,52 @@ func TestCyclesMonotoneInWork(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChargeLaunchEquivalence: tasklet 0 charging the whole launch is
+// indistinguishable, in every launch statistic and in the subroutine
+// profile, from each tasklet charging its own block — the invariant the
+// gemm block kernels' one-charge-per-launch accounting rests on.
+func TestChargeLaunchEquivalence(t *testing.T) {
+	const tasklets = 11
+	blocks := make([]CostBlock, tasklets)
+	for i := range blocks {
+		// Uneven shares, an idle tasklet, float and integer subroutines.
+		n := uint64(i % 4 * 7)
+		blocks[i].AddOp(OpLoad, 3+n).AddOp(OpMul16, n).AddOp(OpFAdd, n/2).AddOp(OpDivInt, uint64(i%2))
+		blocks[i].AddDMA(n, 64).AddDMA(1, 2048)
+	}
+	sum := SumBlocks(blocks)
+	for _, opt := range []OptLevel{O0, O1, O2, O3} {
+		each := MustNew(DefaultConfig(opt))
+		want, err := each.Launch(tasklets, func(tk *Tasklet) error {
+			tk.ChargeBlock(&blocks[tk.ID()])
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		once := MustNew(DefaultConfig(opt))
+		got, err := once.Launch(tasklets, func(tk *Tasklet) error {
+			if tk.ID() == 0 {
+				tk.ChargeLaunch(blocks, sum)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: launch statistics differ:\nChargeLaunch: %+v\nChargeBlock:  %+v", opt, got, want)
+		}
+		if g, w := once.Profile().Snapshot(), each.Profile().Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%v: profiles differ:\nChargeLaunch: %v\nChargeBlock:  %v", opt, g, w)
+		}
+		for _, name := range each.Profile().Subroutines() {
+			if g, w := once.Profile().Cycles(name), each.Profile().Cycles(name); g != w {
+				t.Errorf("%v: %s: %d profile cycles, want %d", opt, name, g, w)
+			}
+		}
 	}
 }

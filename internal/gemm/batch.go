@@ -90,84 +90,11 @@ func (r *Runner) EnableBatch(maxM int) error {
 	return nil
 }
 
-// kernelBatch computes the full M×N product for the B matrix resident in
-// this DPU's MRAM. Work units are (row, tile) pairs claimed round-robin
-// by tasklets; each tasklet caches the current A row in its private WRAM
-// slot so consecutive tiles of the same row reuse it. Like the tiled row
-// kernel (runner.go) it computes natively over in-place B column blocks
-// and charges only its tasklet's cached block of model.GEMMBatchCost.
-func (r *Runner) kernelBatch() dpu.KernelFunc {
-	tileCols := r.tileCols
-	return func(t *dpu.Tasklet) error {
-		p := r.readParams(t)
-		n, k, m := p.n, p.k, p.m
-		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
-			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
-		}
-		t.ChargeBlock(&r.launchCost(launchShape{m, n, k, t.Count()})[t.ID()])
-		d := t.DPU()
-
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-
-		stride := pad4(n)
-		rowStride := int64(stride) * 2
-		tiles := (n + tileCols - 1) / tileCols
-		units := m * tiles
-		aSlot := r.aCacheOff + int64(t.ID())*int64((r.cfg.MaxK*2+7)&^7)
-		aBytes := (k*2 + 7) &^ 7
-
-		cachedRow := -1
-		apart := sc.apart[:k]
-		ctmp := sc.ctmp[:tileCols]
-
-		// One MAC closure per launch; tileN is the live tile's column
-		// count (see runner.go's tiled kernel).
-		tileN := 0
-		mac := func(first, count int, block []byte, bstride int) {
-			for ri := 0; ri < count; ri++ {
-				if ap := apart[first+ri]; ap != 0 {
-					macRow(ctmp, block[ri*bstride:], ap, tileN)
-				}
-			}
-		}
-
-		for u := t.ID(); u < units; u += t.Count() {
-			row := u / tiles
-			tile := u % tiles
-
-			if row != cachedRow {
-				// Stage this A row into the tasklet's WRAM cache and
-				// precompute APART (Algorithm 2 line 5). The matrix base
-				// comes from the parameter block — the gemm_a_full
-				// symbol, or an arena slot when resident.
-				aw, err := stageARow(t, aSlot, p.aoff+int64(row)*int64(aBytes), k)
-				if err != nil {
-					return err
-				}
-				decodeAPart(apart, aw, p.alpha)
-				cachedRow = row
-			}
-
-			j0 := tile * tileCols
-			cols := min(n-j0, tileCols)
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			clear(ctmp[:cols])
-			tileN = cols
-			if err := d.ForEachMRAMRowRuns(r.bOff+int64(j0*2), rowStride, chunkBytes, k, mac); err != nil {
-				return err
-			}
-
-			out := sc.out[:chunkBytes]
-			packClamped(out, ctmp, cols, chunkBytes)
-			if err := d.CopyToMRAMRaw(r.cFullOff+int64(row*stride+j0)*2, out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
+// kernelBatch is the block-accounted kernel of the image-per-DPU mapping:
+// the full M×N product for the B matrix resident in this DPU's MRAM, in
+// one functional pass (see blockKernel), with each tasklet charging its
+// block of model.GEMMBatchCost.
+func (r *Runner) kernelBatch() dpu.KernelFunc { return r.blockKernel(true) }
 
 // kernelBatchLegacy is the per-operation-charging batch kernel, kept
 // behind RunnerConfig.LegacyCharging as the reference side of the

@@ -38,11 +38,18 @@ const (
 // of them.
 func costRunner(t *testing.T, opt dpu.OptLevel, naive, legacy bool) *Runner {
 	t.Helper()
+	return costRunnerFor(t, opt, naive, legacy, costMaxTasklets)
+}
+
+// costRunnerFor is costRunner with WRAM allocated for the given tasklet
+// count only.
+func costRunnerFor(t *testing.T, opt dpu.OptLevel, naive, legacy bool, tasklets int) *Runner {
+	t.Helper()
 	sys, err := host.NewSystem(1, host.DefaultConfig(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(sys, RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: costMaxTasklets,
+	r, err := NewRunner(sys, RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: tasklets,
 		TileCols: costTileCols, Naive: naive, LegacyCharging: legacy})
 	if err != nil {
 		t.Fatal(err)
@@ -137,19 +144,29 @@ func TestKernelsChargeTheCostFunction(t *testing.T) {
 }
 
 // TestKernelsRejectHostileParams: a parameter block the host did not
-// write must fail the launch with an error — never a panic, never a
-// silent out-of-range read — on every block kernel.
+// write, or a launch wider than the WRAM slots the runner allocated (tile
+// slots in row mode, A-row cache slots in batch mode — the staging the
+// cost function models would land in stack space), must fail the launch
+// with an error — never a panic, never a silent out-of-range access — on
+// every block kernel.
 func TestKernelsRejectHostileParams(t *testing.T) {
 	const n, k, m = 40, 18, 3
 	for _, kind := range []string{"tiled", "naive", "batch"} {
 		t.Run(kind, func(t *testing.T) {
 			r := costRunner(t, dpu.O3, kind == "naive", false)
 			kernel, aoff, rows := r.Kernel(), r.aOff, 0
+			// tight is the same runner with slots for 4 tasklets only.
+			tight := costRunnerFor(t, dpu.O3, kind == "naive", false, 4)
+			tightKernel := tight.Kernel()
 			if kind == "batch" {
 				kernel, aoff, rows = r.kernelBatch(), r.aFullOff, m
+				tightKernel = tight.kernelBatch()
 			}
 			if _, err := launchRaw(r, kernel, 8, n, k, rows, aoff); err != nil {
 				t.Fatalf("well-formed block rejected: %v", err)
+			}
+			if _, err := launchRaw(tight, tightKernel, 4, n, k, rows, aoff); err != nil {
+				t.Fatalf("well-formed launch at the allocated width rejected: %v", err)
 			}
 			mram := r.sys.DPU(0).Config().MRAMSize
 			type block struct {
@@ -180,6 +197,9 @@ func TestKernelsRejectHostileParams(t *testing.T) {
 				if _, err := launchRaw(r, kernel, 8, b.n, b.k, b.m, b.aoff); err == nil {
 					t.Errorf("%s: launch succeeded", b.name)
 				}
+			}
+			if _, err := launchRaw(tight, tightKernel, 8, n, k, rows, aoff); err == nil {
+				t.Errorf("8 tasklets on WRAM slots for 4: launch succeeded")
 			}
 		})
 	}

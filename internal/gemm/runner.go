@@ -77,25 +77,19 @@ type RunnerConfig struct {
 	Planner *plan.Planner
 }
 
-// kernelScratch is the per-tasklet working set of the GEMM kernels. The
-// kernels pull one from the runner's pool per tasklet invocation instead
-// of allocating fresh slices per launch (and, before this existed, per
-// k-iteration for the B chunk), which kept the Go garbage collector in
-// the simulator's hot path. Scratch is host-side memory only; all
-// simulated data movement still goes through the WRAM/MRAM helpers.
+// kernelScratch is the host-side working set of one kernel invocation:
+// the block kernels take one per launch (tasklet 0's functional pass),
+// the legacy kernels one per tasklet. Pooled on the runner so a launch
+// allocates nothing in steady state. Scratch is never simulated memory;
+// what the kernel's WRAM staging costs is in its cost function.
 type kernelScratch struct {
-	aRow   []byte  // staged A row ((MaxK*2+7)&^7 bytes)
+	aRow   []byte  // A bytes at the padded row stride; the batch pass grows it to m rows
 	apart  []int32 // alpha*A[k] (MaxK)
-	ctmp   []int32 // tile accumulator (tileCols)
-	chunk  []byte  // B chunk / C output staging (tileCols*2)
-	out    []byte  // clamped C output chunk (tileCols*2)
-	acc    []int32 // naive kernel accumulator (MaxN)
-	rowBuf []byte  // naive kernel MRAM row staging (pad4(MaxN)*2)
-
-	// Launch-shared state of the tiled block kernel: tasklet 0 reads the
-	// parameter block and resolves the launch's cost blocks once.
-	n, k int
-	cost []dpu.CostBlock
+	ctmp   []int32 // legacy tile accumulator (tileCols)
+	chunk  []byte  // legacy B chunk staging (tileCols*2)
+	out    []byte  // legacy clamped C output chunk (tileCols*2)
+	acc    []int32 // full-row accumulator (MaxN)
+	rowBuf []byte  // packed C row (pad4(MaxN)*2); the batch pass grows it to m rows
 }
 
 // launchShape keys the cost cache: the parameters a kernel's per-tasklet
@@ -103,10 +97,12 @@ type kernelScratch struct {
 // per launch), the row count for the batch kernel.
 type launchShape struct{ m, n, k, tasklets int }
 
-// shapeCost is one launch shape's cached charge: one block per tasklet.
+// shapeCost is one launch shape's cached charge: one block per tasklet,
+// and their sum (what dpu.Tasklet.ChargeLaunch takes).
 type shapeCost struct {
 	launchShape
 	blocks []dpu.CostBlock
+	sum    *dpu.CostBlock
 }
 
 // launchCost returns what each tasklet of a launch of the given shape
@@ -116,16 +112,17 @@ type shapeCost struct {
 // one per layer, and at depth 2 the engine interleaves waves of adjacent
 // layers, so a single-shape cache would thrash); it is a copy-on-write
 // slice with inline keys so kernels on different DPUs only read the
-// published pointer. A racing rebuild produces identical blocks, and
-// losing the publish race just rebuilds once more on the next miss.
-func (r *Runner) launchCost(sh launchShape) []dpu.CostBlock {
+// published pointer (an entry's address stays valid after later
+// publishes). A racing rebuild produces identical blocks, and losing the
+// publish race just rebuilds once more on the next miss.
+func (r *Runner) launchCost(sh launchShape) *shapeCost {
 	var seen []shapeCost
 	if p := r.costs.Load(); p != nil {
 		seen = *p
 	}
 	for i := range seen {
 		if e := &seen[i]; e.launchShape == sh {
-			return e.blocks
+			return e
 		}
 	}
 	blocks := make([]dpu.CostBlock, sh.tasklets)
@@ -139,9 +136,9 @@ func (r *Runner) launchCost(sh launchShape) []dpu.CostBlock {
 			model.GEMMRowCost(&blocks[t], t, sh.tasklets, sh.n, sh.k, r.tileCols)
 		}
 	}
-	next := append(seen[:len(seen):len(seen)], shapeCost{sh, blocks}) // full slice: always copies
+	next := append(seen[:len(seen):len(seen)], shapeCost{sh, blocks, dpu.SumBlocks(blocks)}) // full slice: always copies
 	r.costs.Store(&next)
-	return blocks
+	return &next[len(next)-1]
 }
 
 // Runner distributes Algorithm 2 GEMMs across a DPU system with the
@@ -452,6 +449,42 @@ func macRow(ctmp []int32, row []byte, ap int32, cols int) {
 	}
 }
 
+// narrowRowBytes is the B row size up to which macNarrow beats a macRow
+// per row: rows no wider than a cache line, where the walk down a column
+// group is a walk through contiguous memory and macRow's per-row set-up
+// outweighs its few lanes (the 1- and 4-column late layers of a CNN).
+const narrowRowBytes = 64
+
+// macNarrow multiply-accumulates the len(apart) rows of block, spaced
+// bstride bytes apart and len(acc) lanes wide, into acc: per group of
+// four columns one loop down the rows with the accumulators in
+// registers. Wrap-around int32 addition commutes, so the result is
+// bit-identical to accumulating row by row.
+func macNarrow(acc, apart []int32, block []byte, bstride int) {
+	for j := 0; j+4 <= len(acc); j += 4 {
+		c := acc[j : j+4 : j+4]
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		o := j * 2
+		for _, ap := range apart {
+			v := binary.LittleEndian.Uint64(block[o:])
+			c0 += ap * int32(int16(v))
+			c1 += ap * int32(int16(v>>16))
+			c2 += ap * int32(int16(v>>32))
+			c3 += ap * int32(int16(v>>48))
+			o += bstride
+		}
+		c[0], c[1], c[2], c[3] = c0, c1, c2, c3
+	}
+	for j := len(acc) &^ 3; j < len(acc); j++ {
+		c, o := acc[j], j*2
+		for _, ap := range apart {
+			c += ap * int32(int16(binary.LittleEndian.Uint16(block[o:])))
+			o += bstride
+		}
+		acc[j] = c
+	}
+}
+
 // packClamped rescale-clamps ctmp[:cols] into little-endian int16 output
 // bytes, four lanes per 8-byte store, zeroing the padding tail.
 func packClamped(out []byte, ctmp []int32, cols, chunkBytes int) {
@@ -488,15 +521,6 @@ func (r *Runner) readParams(t *dpu.Tasklet) kernelParams {
 		m: int(word(3)), aoff: int64(word(4))}
 }
 
-// stageARow copies the k-element A row at MRAM address off into the WRAM
-// area at wram and returns the staged bytes. The raw copy checks bounds
-// and DMA alignment like the tile loop's B and C copies; the DMA
-// transfers it stands for are in the kernel's cost function.
-func stageARow(t *dpu.Tasklet, wram, off int64, k int) ([]byte, error) {
-	aw := t.WRAMWindow(wram, int64((k*2+7)&^7))
-	return aw, t.DPU().CopyFromMRAMRawInto(off, aw)
-}
-
 // decodeAPart fills apart[i] = alpha·A[i] (Algorithm 2 line 5) from the
 // staged little-endian A row, four lanes per 8-byte load.
 func decodeAPart(apart []int32, aw []byte, alpha int32) {
@@ -514,90 +538,101 @@ func decodeAPart(apart []int32, aw []byte, alpha int32) {
 	}
 }
 
-// kernel computes one row of C for the row of A resident in this DPU's
-// MRAM: tasklets claim column tiles round-robin and compute them
-// natively, walking the B column block in place instead of one simulated
-// round trip per k-iteration. It charges only what model.GEMMRowCost
-// states for its tasklet — one ChargeBlock of the launch shape's cached
-// block — and otherwise just moves data. Tasklet 0 stages the A row into
-// WRAM and decodes APART once per launch into launch-shared scratch.
-func (r *Runner) kernel() dpu.KernelFunc {
-	tileCols := r.tileCols
+// A block kernel is its cost function times one functional pass per DPU:
+// tasklet 0 validates the launch, computes the whole product (flatPass)
+// and charges every tasklet its block of the launch shape's cost; the
+// other tasklets do nothing. The tasklet partition, tileCols and the
+// A-row cache are inputs of the cost function (internal/model) and of
+// flatPass's precondition checks only — nothing executes by tasklet, so
+// host time does not depend on the tasklet count a caller or the planner
+// picks.
+func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		d := t.DPU()
-		var sc *kernelScratch
-		if t.ID() == 0 {
-			p := r.readParams(t)
-			if p.n < 1 || p.k < 1 || p.n > r.cfg.MaxN || p.k > r.cfg.MaxK {
-				return fmt.Errorf("gemm kernel: bad params N=%d K=%d", p.n, p.k)
-			}
-			// The A row comes from the address the parameter block names:
-			// the gemm_a_row symbol normally, a weight-cache arena slot
-			// when the row is resident.
-			aw, err := stageARow(t, r.aWRAM, p.aoff, p.k)
-			if err != nil {
-				return err
-			}
-			sc = r.getScratch()
-			sc.n, sc.k = p.n, p.k
-			sc.cost = r.launchCost(launchShape{n: p.n, k: p.k, tasklets: t.Count()})
-			decodeAPart(sc.apart[:p.k], aw, p.alpha)
-			t.SetLaunchLocal(sc)
-		} else {
-			sc = t.LaunchLocal().(*kernelScratch)
-		}
-		if t.ID() == t.Count()-1 {
-			defer r.scratch.Put(sc)
-		}
-		t.ChargeBlock(&sc.cost[t.ID()])
-
-		n, k := sc.n, sc.k
-		tiles := (n + tileCols - 1) / tileCols
-		if t.ID() >= tiles {
-			// No tiles for this tasklet (tasklet count exceeds tile
-			// count): skip the loop preamble — at 16+ tasklets on small
-			// layers the idle tasklets' setup dominated per-launch host
-			// overhead.
+		if t.ID() != 0 {
 			return nil
 		}
-		apart := sc.apart[:k]
-		ctmp := sc.ctmp[:tileCols]
-		stride := int64(pad4(n)) * 2
-
-		// One MAC closure per launch (not per tile) so the strided walk
-		// below costs no per-tile allocation. tileN is the live tile's
-		// column count.
-		tileN := 0
-		mac := func(first, count int, block []byte, bstride int) {
-			for ri := 0; ri < count; ri++ {
-				if ap := apart[first+ri]; ap != 0 {
-					macRow(ctmp, block[ri*bstride:], ap, tileN)
-				}
-			}
+		lc, err := r.flatPass(t, batch)
+		if err != nil {
+			return err
 		}
-
-		for tile := t.ID(); tile < tiles; tile += t.Count() {
-			j0 := tile * tileCols
-			cols := min(n-j0, tileCols)
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			clear(ctmp[:cols])
-			// Walk the K-deep column block in place (zero-copy page runs)
-			// and multiply-accumulate natively.
-			tileN = cols
-			if err := d.ForEachMRAMRowRuns(r.bOff+int64(j0*2), stride, chunkBytes, k, mac); err != nil {
-				return err
-			}
-
-			out := sc.out[:chunkBytes]
-			packClamped(out, ctmp, cols, chunkBytes)
-			if err := d.CopyToMRAMRaw(r.cOff+int64(j0*2), out); err != nil {
-				return err
-			}
-		}
+		t.ChargeLaunch(lc.blocks, lc.sum)
 		return nil
 	}
 }
+
+// flatPass validates the launch and computes its whole product once: the
+// C row of the A row at the parameter block's address in row mode, all
+// p.m rows of the weight matrix there in batch mode. A arrives in one
+// bounds- and alignment-checked MRAM read (from the runner's A symbol,
+// or an arena slot when the weights are resident), each row is decoded
+// to APART once (Algorithm 2 line 5) and multiply-accumulated over whole
+// B rows in place in the MRAM pages, and the packed C rows leave in one
+// MRAM write. It returns the launch's per-tasklet charge.
+func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
+	p := r.readParams(t)
+	n, k := p.n, p.k
+	// Row mode models a B/ctmp/C tile slot per tasklet, batch mode an
+	// A-row cache slot.
+	m, maxM, cOff := 1, 1, r.cOff
+	slots, slotBytes, allocT := r.tileOff, int64(r.tileCols)*8, r.cfg.Tasklets
+	if batch {
+		m, maxM, cOff = p.m, r.maxM, r.cFullOff
+		slots, slotBytes, allocT = r.aCacheOff, int64((r.cfg.MaxK*2+7)&^7), r.batchAllocT
+	}
+	if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > maxM {
+		return nil, fmt.Errorf("gemm kernel: bad params M=%d N=%d K=%d", m, n, k)
+	}
+	if t.Count() > allocT {
+		return nil, fmt.Errorf("gemm kernel: %d tasklets launched, WRAM slots allocated for %d", t.Count(), allocT)
+	}
+	t.WRAMWindow(slots, int64(t.Count())*slotBytes)
+	d := t.DPU()
+	sc := r.getScratch()
+	defer r.scratch.Put(sc)
+
+	aBytes := (k*2 + 7) &^ 7
+	sc.aRow = growBytes(sc.aRow, m*aBytes)
+	if err := d.CopyFromMRAMRawInto(p.aoff, sc.aRow); err != nil {
+		return nil, err
+	}
+	rowBytes := pad4(n) * 2
+	sc.rowBuf = growBytes(sc.rowBuf, m*rowBytes)
+	apart, acc := sc.apart[:k], sc.acc[:n]
+	mac := func(first, count int, block []byte, bstride int) {
+		ap := apart[first : first+count]
+		if rowBytes <= narrowRowBytes {
+			macNarrow(acc, ap, block, bstride)
+			return
+		}
+		for ri, a := range ap {
+			if a != 0 {
+				macRow(acc, block[ri*bstride:], a, n)
+			}
+		}
+	}
+	for row := 0; row < m; row++ {
+		decodeAPart(apart, sc.aRow[row*aBytes:], p.alpha)
+		clear(acc)
+		if err := d.ForEachMRAMRowRuns(r.bOff, int64(rowBytes), rowBytes, k, mac); err != nil {
+			return nil, err
+		}
+		packClamped(sc.rowBuf[row*rowBytes:], acc, n, rowBytes)
+	}
+	if err := d.CopyToMRAMRaw(cOff, sc.rowBuf); err != nil {
+		return nil, err
+	}
+	shape := launchShape{n: n, k: k, tasklets: t.Count()}
+	if batch {
+		shape.m = m
+	}
+	return r.launchCost(shape), nil
+}
+
+// kernel is the block-accounted kernel of the Fig 4.6 row-per-DPU
+// mapping, tiled or naive: both compute the same C row, so they share
+// the functional pass and differ only in the cost function launchCost
+// runs for them (model.GEMMRowCost or model.GEMMNaiveCost).
+func (r *Runner) kernel() dpu.KernelFunc { return r.blockKernel(false) }
 
 // kernelLegacy is the per-operation-charging tiled kernel the block
 // kernel above replaced. It is kept (behind RunnerConfig.LegacyCharging)
@@ -704,65 +739,6 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 	}
 }
 
-// kernelNaive reproduces the thesis's own GEMM kernel (§4.2.3):
-// Algorithm 2's loop order is preserved (k outer so APART is computed
-// once per k, line 5), tasklet j owns output columns j, j+T, ..., and
-// the ctmp accumulator array — far too large for the tasklet's WRAM
-// share — lives in MRAM, so the modeled cost includes three per-element
-// MRAM transfers per multiply-accumulate (§4.3.3).
-//
-// This is the block-accounted form: tasklet 0 computes the whole C row
-// natively once per launch (the column partition only affects which
-// tasklet's meter the work lands on, not the values), and every tasklet
-// charges what model.GEMMNaiveCost states for its strided column share.
-func (r *Runner) kernelNaive() dpu.KernelFunc {
-	return func(t *dpu.Tasklet) error {
-		p := r.readParams(t)
-		n, k := p.n, p.k
-		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
-		}
-		t.ChargeBlock(&r.launchCost(launchShape{n: n, k: k, tasklets: t.Count()})[t.ID()])
-		if t.ID() != 0 {
-			return nil
-		}
-		d := t.DPU()
-		stride := pad4(n)
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-		aw, err := stageARow(t, r.aWRAM, p.aoff, k)
-		if err != nil {
-			return err
-		}
-		// Compute the full C row once: accumulate every column over k,
-		// rescale-clamp, and write it back. The legacy kernel arrives at
-		// the same bytes through T interleaved read-modify-write passes.
-		acc := sc.acc[:n]
-		clear(acc)
-		for kk := 0; kk < k; kk++ {
-			apart := p.alpha * int32(int16(binary.LittleEndian.Uint16(aw[kk*2:])))
-			if apart == 0 {
-				continue
-			}
-			bRow := sc.rowBuf[:stride*2]
-			if err := d.CopyFromMRAMRawInto(r.bOff+int64(kk*stride)*2, bRow); err != nil {
-				return err
-			}
-			for j := 0; j < n; j++ {
-				acc[j] += apart * int32(int16(binary.LittleEndian.Uint16(bRow[j*2:])))
-			}
-		}
-		cRow := sc.rowBuf[:stride*2]
-		if err := d.CopyFromMRAMRawInto(r.cOff, cRow); err != nil {
-			return err
-		}
-		for j := 0; j < n; j++ {
-			binary.LittleEndian.PutUint16(cRow[j*2:], uint16(fixed.GEMMOutputClamp(acc[j])))
-		}
-		return d.CopyToMRAMRaw(r.cOff, cRow)
-	}
-}
-
 // kernelNaiveLegacy is the per-operation-charging naive kernel, kept
 // behind RunnerConfig.LegacyCharging as the reference side of the
 // differential tests. Every inner-loop iteration performs the
@@ -860,14 +836,12 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 func (r *Runner) Kernel() dpu.KernelFunc {
 	if r.rowKernel == nil {
 		switch {
-		case r.cfg.Naive && r.cfg.LegacyCharging:
-			r.rowKernel = r.kernelNaiveLegacy()
-		case r.cfg.Naive:
-			r.rowKernel = r.kernelNaive()
-		case r.cfg.LegacyCharging:
-			r.rowKernel = r.kernelLegacy()
-		default:
+		case !r.cfg.LegacyCharging:
 			r.rowKernel = r.kernel()
+		case r.cfg.Naive:
+			r.rowKernel = r.kernelNaiveLegacy()
+		default:
+			r.rowKernel = r.kernelLegacy()
 		}
 	}
 	return r.rowKernel

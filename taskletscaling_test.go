@@ -1,15 +1,21 @@
-// Regression guard for the tasklet-scaling wall-clock anomaly: host-side
-// simulation overhead must stay roughly flat as the tasklet count grows.
-// BENCH_pr5 recorded BenchmarkFig47aTaskletSpeedup/YOLO *slowing down*
-// 2.4ms→5.1ms from 1 to 16 tasklets — pure simulator overhead (per-
-// tasklet launch bookkeeping and per-op charging), since the modeled
-// cycles shrink with more tasklets. With block accounting and reusable
-// launch stats the measured ratio is ~1.6x; the bound below is generous
-// for timer noise on loaded CI machines but far below the 2.1x
-// regression it guards against.
+// Regression guard for host wall-clock growing with the tasklet count.
+// A block kernel is one functional pass per DPU and one launch-wide
+// charge, both run by tasklet 0, so the only per-tasklet host work left
+// in a launch is the DPU's own bookkeeping (resetting and merging a
+// tasklet's meters, one no-op kernel call): modelled cycles fall as
+// tasklets are added and host time must not rise with them. Measured on
+// 2 cores (go1.24), fastest single forward relative to 1 tasklet —
+// Forward (row kernel, 472 launches of one C row each, the worst case
+// for per-launch overhead): 8 → 1.07×, 16 → 1.10×, 24 → 1.15×;
+// ForwardBatch (batch kernel, 75 launches): 8 → 1.03×, 16 → 1.05×,
+// 24 → 1.06×. The tasklet-strided tile walk this replaced measured
+// 1.11×, 1.21×, 1.31× and 1.12×, 1.21×, 1.31×. The bounds sit between
+// the two: headroom for timer noise, none for an O(tasklets) functional
+// cost per launch.
 package pimdnn_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -28,69 +34,73 @@ func TestTaskletScalingHostOverheadFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := yolo.SyntheticScene(32, 5)
+	imgs := []*yolo.Tensor{img, yolo.SyntheticScene(32, 6)}
 	maxK, maxN := net.GEMMBounds()
 
-	mkRunner := func(tasklets int) (*host.System, *gemm.Runner) {
+	counts := []int{1, 8, 16, 24}
+	runners := make([]*gemm.Runner, len(counts))
+	for i, tasklets := range counts {
 		sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer sys.Close()
 		r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
 			MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm the runner's reusable staging buffers.
-		if _, _, err := net.Forward(img, r); err != nil {
+		if err := r.EnableBatch(net.MaxFilters()); err != nil {
 			t.Fatal(err)
 		}
-		return sys, r
+		runners[i] = r
 	}
-	sys1, r1 := mkRunner(1)
-	defer sys1.Close()
-	sys8, r8 := mkRunner(8)
-	defer sys8.Close()
-	sys16, r16 := mkRunner(16)
-	defer sys16.Close()
 
-	// Time batches of 8 forwards, alternating the two runners so machine
-	// load drifts hit both sides, and keep the minimum batch per side —
-	// the trial least disturbed by scheduler noise.
-	batch := func(r *gemm.Runner) time.Duration {
-		start := time.Now()
-		for i := 0; i < 8; i++ {
-			if _, _, err := net.Forward(img, r); err != nil {
-				t.Fatal(err)
+	arms := []struct {
+		name    string
+		forward func(r *gemm.Runner) error
+	}{
+		{"Forward", func(r *gemm.Runner) error { _, _, err := net.Forward(img, r); return err }},
+		{"ForwardBatch", func(r *gemm.Runner) error { _, _, err := net.ForwardBatch(imgs, r); return err }},
+	}
+	// over reports the first bound the per-runner minima break: any
+	// count against 1 tasklet, and each step on its own so a slow
+	// 1-tasklet arm cannot hide a jump between two wider ones.
+	over := func(best []time.Duration) string {
+		for i := 1; i < len(counts); i++ {
+			if r := float64(best[i]) / float64(best[0]); r > 1.25 {
+				return fmt.Sprintf("%d tasklets take %.2fx the 1-tasklet wall clock (want <= 1.25x)", counts[i], r)
+			}
+			if r := float64(best[i]) / float64(best[i-1]); r > 1.2 {
+				return fmt.Sprintf("%d tasklets take %.2fx the %d-tasklet wall clock (want <= 1.2x)", counts[i], r, counts[i-1])
 			}
 		}
-		return time.Since(start)
+		return ""
 	}
-	const maxDur = time.Duration(1<<63 - 1)
-	t1, t8, t16 := maxDur, maxDur, maxDur
-	for trial := 0; trial < 4; trial++ {
-		if d := batch(r1); d < t1 {
-			t1 = d
+	for _, arm := range arms {
+		// Time single forwards, round-robin over the runners so machine
+		// load drifts hit every side, and keep the minimum per side — the
+		// forward least disturbed by scheduler noise. Round 0 warms each
+		// runner's reusable staging buffers. On a loaded machine (go test
+		// ./... runs packages side by side) a minimum needs more samples
+		// to reach an undisturbed one, so keep sampling while a bound is
+		// broken: noise converges under it, an O(tasklets) cost never does.
+		best := make([]time.Duration, len(counts))
+		for round := 0; round <= 1000 && (round <= 40 || over(best) != ""); round++ {
+			for i, r := range runners {
+				start := time.Now()
+				if err := arm.forward(r); err != nil {
+					t.Fatal(err)
+				}
+				if d := time.Since(start); round > 0 && (best[i] == 0 || d < best[i]) {
+					best[i] = d
+				}
+			}
 		}
-		if d := batch(r8); d < t8 {
-			t8 = d
+		t.Logf("%s: %v per forward at %v tasklets", arm.name, best, counts)
+		if msg := over(best); msg != "" {
+			t.Errorf("%s: %s: per-tasklet host overhead regressed", arm.name, msg)
 		}
-		if d := batch(r16); d < t16 {
-			t16 = d
-		}
-	}
-	ratio := float64(t16) / float64(t1)
-	t.Logf("1 tasklet: %v, 8 tasklets: %v, 16 tasklets: %v per 8 forwards (1->16 ratio %.2fx)", t1, t8, t16, ratio)
-	if ratio > 1.9 {
-		t.Errorf("16-tasklet forward is %.2fx the 1-tasklet wall clock (want <= 1.9x): per-tasklet host overhead regressed", ratio)
-	}
-	// Guard the 8->16 step specifically: BENCH_pr6 recorded the YOLO
-	// forward slowing 1.00ms -> 1.23ms from 8 to 16 tasklets (~1.2x)
-	// from per-tasklet launch bookkeeping alone; with touched-op mix
-	// merging and the idle-tasklet kernel fast path it is ~1.1x. The
-	// bound leaves headroom for timer noise, not for an O(tasklets)
-	// host cost per launch.
-	if r := float64(t16) / float64(t8); r > 1.5 {
-		t.Errorf("16-tasklet forward is %.2fx the 8-tasklet wall clock (want <= 1.5x): per-tasklet host overhead regressed", r)
 	}
 }
