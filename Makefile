@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array ci
+.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array profile-ebnn ci
 
 all: ci
 
@@ -88,5 +88,17 @@ profile-array:
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
 		| awk '/kernelBatch/ { print "kernel-share kernelBatch cum " $$5; exit }'
+
+# And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
+# x 16 images x 4 waves, PipelineAuto). The last two lines are the
+# cumulative shares of the DPU kernel and of the host classifier
+# (inferWorkSet.Decode and everything under it):
+# `make profile-ebnn | grep -e '^kernel-share' -e '^classify-share'`.
+profile-ebnn:
+	$(GO) test -run xxx -bench 'BenchmarkEBNNStream$$' -benchtime 200x -cpuprofile cpu.prof -o ebnn.test ./internal/ebnn
+	$(GO) tool pprof -top -cum -nodecount=25 ebnn.test cpu.prof
+	@$(GO) tool pprof -top -cum ebnn.test cpu.prof 2>/dev/null \
+		| awk '/\(\*Runner\)\.kernel\.func[0-9]+$$/ { print "kernel-share ebnn.kernel cum " $$5 } \
+			/ebnn\.\(\*inferWorkSet\)\.Decode$$/ { print "classify-share ebnn.Decode cum " $$5 }'
 
 ci: vet build test race sim-invariant report-check lines

@@ -112,16 +112,3 @@ func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(
 	d.mu.Unlock()
 	return nil
 }
-
-// --- per-launch shared state ---
-
-// SetLaunchLocal stashes host-side state shared by the tasklets of the
-// current launch (tasklets run serially in ID order, so no locking is
-// needed). Kernels use it so per-launch work — decoding a staged
-// operand row, say — happens once per DPU instead of once per tasklet.
-// The slot is cleared when the launch ends.
-func (t *Tasklet) SetLaunchLocal(v interface{}) { t.dpu.launchLocal = v }
-
-// LaunchLocal returns the state stored by SetLaunchLocal, or nil if no
-// tasklet of this launch has stored any.
-func (t *Tasklet) LaunchLocal() interface{} { return t.dpu.launchLocal }

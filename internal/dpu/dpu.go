@@ -203,11 +203,6 @@ type DPU struct {
 	launches    int
 	log         []byte
 
-	// launchLocal is the per-launch shared state slot (see
-	// Tasklet.SetLaunchLocal). Tasklets run serially, so no lock; the
-	// slot is cleared at launch boundaries.
-	launchLocal interface{}
-
 	// rowScratch stages page-boundary-crossing rows (and the zero row of
 	// untouched pages) for ForEachMRAMRowRuns. Guarded by mu.
 	rowScratch []byte
@@ -451,8 +446,6 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		t.dmaBytes, t.dmaOps = 0, 0
 		t.pcSlots, t.pcDMA = 0, 0
 	}
-	d.launchLocal = nil
-	defer func() { d.launchLocal = nil }()
 	if err := d.runTasklets(tasklets, kernel); err != nil {
 		for _, t2 := range tasklets {
 			clear(t2.opCounts[:])

@@ -143,3 +143,37 @@ func benchInferWave(b *testing.B, mode host.PipelineMode) {
 
 func BenchmarkInferWaveSync(b *testing.B)      { benchInferWave(b, host.PipelineOff) }
 func BenchmarkInferWavePipelined(b *testing.B) { benchInferWave(b, host.PipelineOn) }
+
+// BenchmarkEBNNStream is the ebnn_stream benchmark workload's shape as a
+// profilable benchmark (`make profile-ebnn`): one iteration classifies
+// 32 DPUs × 16 images × 4 waves through the LUT runner and through the
+// float runner, 16 tasklets, O3, PipelineAuto.
+func BenchmarkEBNNStream(b *testing.B) {
+	const dpus, waves = 32, 4
+	m, imgs := benchModel(b)
+	many := make([]mnist.Image, dpus*BatchSize*waves)
+	for i := range many {
+		many[i] = imgs[i%len(imgs)]
+	}
+	var runners [2]*Runner
+	for i, useLUT := range []bool{true, false} {
+		sys, err := host.NewSystem(dpus, host.DefaultConfig(dpu.O3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sys.Close()
+		if runners[i], err = NewRunner(sys, m, useLUT, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runners {
+			if _, _, err := r.Infer(many); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(2*len(many)), "images")
+}

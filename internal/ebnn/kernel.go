@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
@@ -70,17 +69,8 @@ type Runner struct {
 	// SetLegacyCharging) and reused for every launch.
 	kernelFn dpu.KernelFunc
 
-	// launchScratch pools the per-launch decoded model state; one entry
-	// is live per concurrently launching DPU.
-	launchScratch sync.Pool
-
 	// Resolved symbol handles for the per-wave transfer loops.
 	refImages, refNImages, refResults host.SymbolRef
-
-	// featBuf is the decoded feature vector for one image, reused across
-	// the per-image softmax loop; Infer is not safe for concurrent use
-	// on one Runner (the DPU symbols are shared state).
-	featBuf []byte
 
 	// eng is the shared execution engine: it owns wave construction,
 	// double-buffered pipelining, and retry-and-remap (internal/exec).
@@ -224,8 +214,6 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	}
 
 	r.stages[0].ensure(sys.NumDPUs())
-	r.featBuf = make([]byte, PoolCells*m.F)
-	r.launchScratch.New = func() interface{} { return new(ebnnScratch) }
 	r.kernelFn = r.kernel()
 	r.eng.Configure(exec.Config{Pipeline: host.PipelineAuto})
 	return r, nil
@@ -303,140 +291,150 @@ func (r *Runner) SetLegacyCharging(v bool) {
 	}
 }
 
-// filtRows is one 3×3 binary filter pre-sliced into its three rows.
-type filtRows struct{ f0, f1, f2 uint32 }
-
-// ebnnScratch is the model state the block-charged kernel decodes once
-// per launch: tasklet 0 fills it and publishes it through the
-// launch-local slot; the other tasklets (which run serially after it)
-// read it instead of re-deriving the same values (each is still charged
-// for deriving them: model.EBNNCost).
-type ebnnScratch struct {
-	n          int
-	filters    [8]filtRows
-	thresholds [8]uint32
-}
-
-// kernel builds the bulk-charged DPU program: the same per-image work
-// as kernelLegacy — packed pixels copied in, XNOR-popcount convolution +
-// max-pool, BN-BinAct via software float or the WRAM LUT, activations
-// copied out — computed natively on the host. Each tasklet charges
-// exactly what model.EBNNCost states for it (the function the planner
-// evaluates) and otherwise only moves data. Tasklet 0 stages the LUT and
-// decodes the model state (filters, batched-softfloat threshold fold)
-// once per launch and shares it launch-locally.
+// kernel builds the block-charged DPU program: cost function × one
+// functional pass per DPU. Every tasklet reads and bounds the image count
+// and charges exactly what model.EBNNCost states for it — the function
+// the planner evaluates, and the only part that touches the simulated
+// clock. The data is then moved once, by tasklet 0, in one flat pass over
+// the launch (tasklets run in ID order, and nothing a later tasklet does
+// depends on it): the tasklet partition, like the per-tasklet WRAM image
+// and result slots, is modelled in EBNNCost and in NewRunner's WRAM
+// allocation, not re-enacted on the host. The result bytes, cycles,
+// instruction mix and subroutine profile are kernelLegacy's
+// (TestFunctionIndependentOfPartition).
 func (r *Runner) kernel() dpu.KernelFunc {
 	l := r.layout
-	nf := l.f
-	shape := CostShape(nf, l.useLUT)
+	shape := CostShape(l.f, l.useLUT)
 	return func(t *dpu.Tasklet) error {
-		d := t.DPU()
-		lutWRAM := l.scratch + dpu.MaxTasklets*perTaskletScratch
-
-		var sc *ebnnScratch
-		if t.ID() == 0 {
-			n := int(int32(binary.LittleEndian.Uint32(t.WRAMWindow(l.nimages, 4))))
-			if n < 0 || n > BatchSize {
-				return fmt.Errorf("ebnn kernel: bad image count %d", n)
-			}
-			if l.useLUT {
-				// §4.1.4: the DPU stages the LUT into WRAM first.
-				if err := d.CopyFromMRAMRawInto(l.lutMRAM, t.WRAMWindow(lutWRAM, lutWRAMSize)); err != nil {
-					return err
-				}
-			}
-			sc = r.launchScratch.Get().(*ebnnScratch)
-			sc.n = n
-			fw := t.WRAMWindow(l.filters, int64(nf)*2)
-			for f := 0; f < nf; f++ {
-				w := uint32(binary.LittleEndian.Uint16(fw[f*2:]))
-				sc.filters[f] = filtRows{f0: w & 7, f1: (w >> 3) & 7, f2: (w >> 6) & 7}
-			}
-			if !l.useLUT {
-				// Fold BN-BinAct into one threshold per filter, batched
-				// across filters: scale = w3/w2, thr = (w1-w0) - w4/scale.
-				bw := t.WRAMWindow(l.bn, int64(nf)*5*4)
-				var w0, w1, w2, w3, w4, scale, diff [8]uint32
-				for f := 0; f < nf; f++ {
-					base := f * 5 * 4
-					w0[f] = binary.LittleEndian.Uint32(bw[base:])
-					w1[f] = binary.LittleEndian.Uint32(bw[base+4:])
-					w2[f] = binary.LittleEndian.Uint32(bw[base+8:])
-					w3[f] = binary.LittleEndian.Uint32(bw[base+12:])
-					w4[f] = binary.LittleEndian.Uint32(bw[base+16:])
-				}
-				softfloat.DivSlice(scale[:nf], w3[:nf], w2[:nf])
-				softfloat.SubSlice(diff[:nf], w1[:nf], w0[:nf])
-				softfloat.DivSlice(w4[:nf], w4[:nf], scale[:nf])
-				softfloat.SubSlice(sc.thresholds[:nf], diff[:nf], w4[:nf])
-			}
-			t.SetLaunchLocal(sc)
-		} else {
-			sc = t.LaunchLocal().(*ebnnScratch)
+		n := int(int32(binary.LittleEndian.Uint32(t.WRAMWindow(l.nimages, 4))))
+		if n < 0 || n > BatchSize {
+			return fmt.Errorf("ebnn kernel: bad image count %d", n)
 		}
-		if t.ID() == t.Count()-1 {
-			defer r.launchScratch.Put(sc)
+		model.EBNNCost(t, t.ID(), t.Count(), n, shape)
+		if t.ID() != 0 {
+			return nil
 		}
-		n, T := sc.n, t.Count()
-		model.EBNNCost(t, t.ID(), T, n, shape)
-
-		imgBuf := l.scratch + int64(t.ID())*perTaskletScratch
-		imgWin := t.WRAMWindow(imgBuf, mnist.PackedSize)
-		outWin := t.WRAMWindow(imgBuf+mnist.PackedSize, ResultSize)
-		var lutWin []byte
-		if l.useLUT {
-			lutWin = t.WRAMWindow(lutWRAM, lutWRAMSize)
-		}
-
-		for img := t.ID(); img < n; img += T {
-			if err := d.CopyFromMRAMRawInto(l.images+int64(img)*mnist.PackedSize, imgWin); err != nil {
-				return err
-			}
-
-			var rows [mnist.Side]uint32
-			for row := range rows {
-				rows[row] = binary.LittleEndian.Uint32(imgWin[row*4:])
-			}
-
-			for pr := 0; pr < PoolSize; pr++ {
-				for pc := 0; pc < PoolSize; pc++ {
-					var acc uint32
-					for f := 0; f < nf; f++ {
-						fr := sc.filters[f]
-						best := int32(math.MinInt32)
-						for dr := 0; dr < 2; dr++ {
-							row := pr*2 + dr
-							r0, r1, r2 := rows[row], rows[row+1], rows[row+2]
-							for dc := 0; dc < 2; dc++ {
-								c := uint(pc*2 + dc)
-								x := (uint32(int32(r0)>>c)&7 ^ fr.f0) |
-									((uint32(int32(r1)>>c)&7 ^ fr.f1) << 3) |
-									((uint32(int32(r2)>>c)&7 ^ fr.f2) << 6)
-								v := 9 - int32(bits.OnesCount32(x))<<1
-								if v > best {
-									best = v
-								}
-							}
-						}
-						var bit uint32
-						if l.useLUT {
-							idx := int(best-ConvMin)*nf + f
-							bit = uint32(lutWin[idx]) & 1
-						} else if softfloat.Ge(softfloat.FromInt32(best), sc.thresholds[f]) {
-							bit = 1
-						}
-						acc |= bit << uint(f)
-					}
-					outWin[pr*PoolSize+pc] = byte(acc)
-				}
-			}
-			if err := d.CopyToMRAMRaw(l.results+int64(img)*ResultSize, outWin); err != nil {
-				return err
-			}
-		}
-		return nil
+		return l.flatPass(t, n)
 	}
 }
+
+// flatPass is the functional half of the block kernel: all n resident
+// images, start to finish, on one tasklet, from two tables resolved once
+// per launch out of the model state in WRAM.
+//
+// A cell's pooled value is 9 − 2·pop, pop the smallest
+// popcount(window XOR filter) of its four windows, so it takes ten
+// values: bit pop of act[f] is filter f's BN-BinAct output for it — read
+// from the LUT after staging it MRAM→WRAM (§4.1.4), or, without the LUT,
+// the software-float threshold fold and compare of Fig 4.2a, evaluated
+// ten times per filter instead of once per cell. And a window's popcount
+// is the sum of its three rows': rowPops[j][v] holds, for all filters at
+// once (byte lane f), the popcount of the three pixels v against row j
+// of filter f, so a window costs three lookups and two additions for
+// every filter together and the 2×2 max-pool is three lane-wise minima.
+//
+// Per image the packed pixels come in and the activation bytes go out by
+// MRAM copies checked against the DMA engine's bounds and alignment rules.
+func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
+	d, nf := t.DPU(), l.f
+
+	var rowPops [FilterSize][8]uint64
+	fw := t.WRAMWindow(l.filters, int64(nf)*2)
+	for f := 0; f < nf; f++ {
+		filt := uint32(binary.LittleEndian.Uint16(fw[f*2:]))
+		for j := range rowPops {
+			for v := range rowPops[j] {
+				pop := bits.OnesCount32((filt>>uint(3*j) ^ uint32(v)) & 7)
+				rowPops[j][v] |= uint64(pop) << uint(8*f)
+			}
+		}
+	}
+
+	var act [8]uint32
+	if l.useLUT {
+		lut := t.WRAMWindow(l.scratch+dpu.MaxTasklets*perTaskletScratch, lutWRAMSize)
+		if err := d.CopyFromMRAMRawInto(l.lutMRAM, lut); err != nil {
+			return err
+		}
+		for f := 0; f < nf; f++ {
+			for pop := 0; pop <= FilterSize*FilterSize; pop++ {
+				best := ConvMax - 2*pop
+				act[f] |= uint32(lut[(best-ConvMin)*nf+f]&1) << uint(pop)
+			}
+		}
+	} else {
+		// Fold BN-BinAct into one threshold per filter, batched across
+		// filters: scale = w3/w2, thr = (w1-w0) - w4/scale.
+		bw := t.WRAMWindow(l.bn, int64(nf)*5*4)
+		var w [5][8]uint32
+		for f := 0; f < nf; f++ {
+			for j := range w {
+				w[j][f] = binary.LittleEndian.Uint32(bw[(f*5+j)*4:])
+			}
+		}
+		var scale, diff, thr [8]uint32
+		softfloat.DivSlice(scale[:nf], w[3][:nf], w[2][:nf])
+		softfloat.SubSlice(diff[:nf], w[1][:nf], w[0][:nf])
+		softfloat.DivSlice(w[4][:nf], w[4][:nf], scale[:nf])
+		softfloat.SubSlice(thr[:nf], diff[:nf], w[4][:nf])
+		for pop := 0; pop <= FilterSize*FilterSize; pop++ {
+			best := softfloat.FromInt32(int32(ConvMax - 2*pop))
+			for f := 0; f < nf; f++ {
+				if softfloat.Ge(best, thr[f]) {
+					act[f] |= 1 << uint(pop)
+				}
+			}
+		}
+	}
+
+	var (
+		packed [mnist.PackedSize]byte
+		out    [ResultSize]byte
+		rows   [mnist.Side]uint32
+	)
+	p0, p1, p2 := &rowPops[0], &rowPops[1], &rowPops[2]
+	for img := 0; img < n; img++ {
+		if err := d.CopyFromMRAMRawInto(l.images+int64(img)*mnist.PackedSize, packed[:]); err != nil {
+			return err
+		}
+		for row := range rows {
+			rows[row] = binary.LittleEndian.Uint32(packed[row*4:])
+		}
+		for pr := 0; pr < PoolSize; pr++ {
+			r0, r1, r2, r3 := rows[pr*2], rows[pr*2+1], rows[pr*2+2], rows[pr*2+3]
+			for pc := 0; pc < PoolSize; pc++ {
+				// The cell's 4×4 pixel patch, one row per word; its four
+				// windows are rows 0-2 and 1-3 at columns 0-2 and 1-3.
+				c := uint(pc * 2)
+				a0, a1, a2, a3 := r0>>c, r1>>c, r2>>c, r3>>c
+				pops := minBytes(
+					minBytes(p0[a0&7]+p1[a1&7]+p2[a2&7], p0[a0>>1&7]+p1[a1>>1&7]+p2[a2>>1&7]),
+					minBytes(p0[a1&7]+p1[a2&7]+p2[a3&7], p0[a1>>1&7]+p1[a2>>1&7]+p2[a3>>1&7]))
+				var acc uint32
+				for f := 0; f < nf; f++ {
+					acc |= (act[f] >> (pops >> uint(8*f) & 0xFF) & 1) << uint(f)
+				}
+				out[pr*PoolSize+pc] = byte(acc)
+			}
+		}
+		if err := d.CopyToMRAMRaw(l.results+int64(img)*ResultSize, out[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// minBytes returns the lane-wise minimum of two words of eight bytes,
+// each below 128: with the top bit of every lane of x set, subtracting y
+// borrows out of no lane and leaves that bit set exactly where x >= y.
+func minBytes(x, y uint64) uint64 {
+	const top = 0x8080808080808080
+	ge := ((x | top) - y) & top >> 7 * 0xFF // 0xFF in the lanes where x >= y
+	return y&ge | x&^ge
+}
+
+// filtRows is one 3×3 binary filter pre-sliced into its three rows.
+type filtRows struct{ f0, f1, f2 uint32 }
 
 // kernelLegacy is the per-op charging form of the DPU program, retained
 // behind SetLegacyCharging as the reference the differential tests hold
@@ -582,14 +580,6 @@ func (s BatchStats) Throughput() float64 {
 	return float64(s.Images) / s.Seconds
 }
 
-// waveEnd returns the smaller of a and b (the end of the current wave).
-func waveEnd(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ensure sizes one staging set for a system of nd DPUs.
 func (st *inferStage) ensure(nd int) {
 	if len(st.imgBufs) == nd {
@@ -630,21 +620,17 @@ func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return w.r.resBcasts }
 
 func (w *inferWorkSet) Encode(slot, start, n int) {
 	st := &w.r.stages[slot]
-	wave := w.images[start*BatchSize : waveEnd((start+n)*BatchSize, len(w.images))]
+	wave := w.images[start*BatchSize : min((start+n)*BatchSize, len(w.images))]
 	// The staging buffers are reused across waves; only the counts need
 	// resetting (stale image bytes in unused slots are never read by
 	// the kernel).
 	counts := st.counts[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range st.cntStage {
-		st.cntStage[i] = 0
-	}
-	for i, img := range wave {
+	clear(counts)
+	clear(st.cntStage)
+	for i := range wave {
 		d := i / BatchSize
 		slot := i % BatchSize
-		packed := img.Pack()
+		packed := wave[i].Pack()
 		copy(st.imgBufs[d][slot*mnist.PackedSize:], packed[:])
 		counts[d]++
 	}
@@ -672,23 +658,28 @@ func (w *inferWorkSet) Gather(slot, n int) exec.Stream {
 	return exec.Stream{Ref: w.r.refResults, Bufs: st.resBufs}
 }
 
+// Decode runs the host softmax layer on shard's gathered activation
+// bytes and writes its predictions at the shard's own positions, so the
+// order Decode is called in does not matter.
 func (w *inferWorkSet) Decode(slot, shard, i int) {
 	st := &w.r.stages[slot]
-	raw := st.resBufs[i]
+	raw, preds := st.resBufs[i], w.preds[shard*BatchSize:]
 	for s := 0; s < st.counts[i]; s++ {
-		DecodeFeaturesInto(w.r.featBuf, raw[s*ResultSize:(s+1)*ResultSize], w.r.model.F)
-		w.preds = append(w.preds, w.r.model.PredictFeatures(w.r.featBuf))
+		preds[s] = w.r.model.predictPacked(raw[s*ResultSize : (s+1)*ResultSize])
 	}
 }
 
-// Infer classifies the images: the host scatters 16-image batches across
-// the DPUs, launches the kernel, gathers the activation buffers, and runs
-// the softmax layer serially per image (§4.1.3). Wave construction,
-// pipelining, and fault recovery are the execution engine's
-// (internal/exec); at depth 2 the waves flow through the host's
+// Infer classifies the images: the host packs 16-image batches and
+// scatters them across the DPUs, launches the kernel, gathers the
+// activation bytes, and runs the softmax layer serially per image
+// straight from those packed bytes (§4.1.3; predictPacked). Wave
+// construction, pipelining, and fault recovery are the execution
+// engine's (internal/exec); at depth 2 the waves flow through the host's
 // asynchronous command queue so the pack/classify host work overlaps the
 // simulated launches. Predictions, cycle counts, transfer accounting
-// and wave statistics are identical either way.
+// and wave statistics are identical either way. Infer is not safe for
+// concurrent use on one Runner: the staging buffers and the DPU symbols
+// are shared state.
 func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	if len(images) == 0 {
 		return nil, BatchStats{}, fmt.Errorf("ebnn: no images")
@@ -710,7 +701,7 @@ func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	stats := BatchStats{Images: len(images)}
 	w := &r.iws
 	w.images = images
-	w.preds = make([]int, 0, len(images))
+	w.preds = make([]int, len(images))
 	err := r.eng.Run(w, &stats.Stats)
 	preds := w.preds
 	w.images, w.preds = nil, nil
@@ -718,6 +709,37 @@ func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 		return nil, stats, err
 	}
 	return preds, stats, nil
+}
+
+// predictPacked classifies one DPU result buffer (one byte per pooled
+// cell, bit f = filter f) without expanding it: every set bit adds its
+// feature's weight to the ten class sums, features in ascending index
+// order, so each sum is the same sequence of float32 additions as
+// Logits and the answer is PredictFeatures(DecodeFeatures(result, F)).
+func (m *Model) predictPacked(result []byte) int {
+	// The class sums are scalars, not an array, so they stay in registers
+	// across the loop (an array's elements are loaded and stored around
+	// every addition: 2.5x slower on this function).
+	b, w := m.Bias[:mnist.NumClasses], m.Weights[:mnist.NumClasses]
+	s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9]
+	w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8], w[9]
+	mask := byte(uint(1)<<uint(m.F) - 1)
+	for cell := 0; cell < PoolCells; cell++ {
+		for set := result[cell] & mask; set != 0; set &= set - 1 {
+			i := cell*m.F + bits.TrailingZeros8(set)
+			s0 += w0[i]
+			s1 += w1[i]
+			s2 += w2[i]
+			s3 += w3[i]
+			s4 += w4[i]
+			s5 += w5[i]
+			s6 += w6[i]
+			s7 += w7[i]
+			s8 += w8[i]
+			s9 += w9[i]
+		}
+	}
+	return argmax([]float32{s0, s1, s2, s3, s4, s5, s6, s7, s8, s9})
 }
 
 // DecodeFeatures expands one DPU result buffer (one byte per pooled cell,

@@ -265,3 +265,27 @@ func TestDPUAccuracyEndToEnd(t *testing.T) {
 		t.Errorf("DPU hits %d != host hits %d", dpuHits, hostHits)
 	}
 }
+
+// TestMinBytes holds the lane-wise minimum to the scalar one on every
+// pair of lane values it is specified for, at every lane.
+func TestMinBytes(t *testing.T) {
+	for x := uint64(0); x < 128; x++ {
+		for y := uint64(0); y < 128; y++ {
+			// Lane k holds (x, y); its neighbours hold the swapped pair,
+			// so a borrow or a mask leaking across lanes shows.
+			var a, b, want uint64
+			for k := uint(0); k < 8; k++ {
+				p, q := x, y
+				if k%2 == 1 {
+					p, q = y, x
+				}
+				a |= p << (8 * k)
+				b |= q << (8 * k)
+				want |= min(p, q) << (8 * k)
+			}
+			if got := minBytes(a, b); got != want {
+				t.Fatalf("minBytes(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@
 package mnist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 )
@@ -201,21 +202,16 @@ func (im *Image) Binarize() [PixelCount]byte {
 const PackedSize = 128
 
 // Pack binarizes and bit-packs the image for DPU transfer: row r occupies
-// bytes [4r, 4r+4) as a little-endian uint32 whose bit c is pixel (r, c).
+// bytes [4r, 4r+4) as a little-endian uint32 whose bit c is pixel (r, c)
+// thresholded as Binarize does (p >= 128 is the pixel's top bit).
 func (im *Image) Pack() [PackedSize]byte {
 	var out [PackedSize]byte
-	bits := im.Binarize()
 	for r := 0; r < Side; r++ {
 		var w uint32
-		for c := 0; c < Side; c++ {
-			if bits[r*Side+c] != 0 {
-				w |= 1 << uint(c)
-			}
+		for c, p := range im.Pixels[r*Side : (r+1)*Side] {
+			w |= uint32(p>>7) << uint(c)
 		}
-		out[r*4] = byte(w)
-		out[r*4+1] = byte(w >> 8)
-		out[r*4+2] = byte(w >> 16)
-		out[r*4+3] = byte(w >> 24)
+		binary.LittleEndian.PutUint32(out[r*4:], w)
 	}
 	return out
 }

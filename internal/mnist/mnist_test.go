@@ -151,6 +151,51 @@ func TestPackLayout(t *testing.T) {
 	}
 }
 
+// TestPackMatchesBinarize holds Pack, which reads Pixels directly, to
+// the formulation it replaced — Binarize, then one bit per nonzero byte
+// — on random images and on the threshold's neighbours in every column.
+func TestPackMatchesBinarize(t *testing.T) {
+	viaBinarize := func(im *Image) [PackedSize]byte {
+		var out [PackedSize]byte
+		bits := im.Binarize()
+		for r := 0; r < Side; r++ {
+			for c := 0; c < Side; c++ {
+				if bits[r*Side+c] != 0 {
+					out[r*4+c/8] |= 1 << uint(c%8)
+				}
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	imgs := make([]Image, 40)
+	for i := range imgs {
+		rng.Read(imgs[i].Pixels[:])
+	}
+	// One image per (column, value): every other pixel keeps its random
+	// value, the column's pixels sit on the threshold's edges.
+	for c := 0; c < Side; c++ {
+		for _, v := range []byte{0, 127, 128, 255} {
+			im := imgs[c]
+			for r := 0; r < Side; r++ {
+				im.Pixels[r*Side+c] = v
+			}
+			imgs = append(imgs, im)
+		}
+	}
+	for i := range imgs {
+		got, want := imgs[i].Pack(), viaBinarize(&imgs[i])
+		if got != want {
+			t.Fatalf("image %d: Pack = %x, via Binarize %x", i, got, want)
+		}
+		for b := Side * 4; b < PackedSize; b++ {
+			if got[b] != 0 {
+				t.Fatalf("image %d: padding byte %d = %d", i, b, got[b])
+			}
+		}
+	}
+}
+
 func TestPackedBatchFillsOneDMATransfer(t *testing.T) {
 	// 16 images at PackedSize bytes must exactly fill the 2048-byte DMA
 	// limit (§4.1.3).

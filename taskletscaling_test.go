@@ -11,7 +11,10 @@
 // 24 → 1.06×. The tasklet-strided tile walk this replaced measured
 // 1.11×, 1.21×, 1.31× and 1.12×, 1.21×, 1.31×. The bounds sit between
 // the two: headroom for timer noise, none for an O(tasklets) functional
-// cost per launch.
+// cost per launch. The eBNN row holds its block kernel to the same
+// reading: its activation tables are resolved once per launch by tasklet
+// 0 (the float model's, ten softfloat compares per filter, is the
+// costliest), never once per tasklet.
 package pimdnn_test
 
 import (
@@ -20,8 +23,10 @@ import (
 	"time"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/ebnn"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
+	"pimdnn/internal/mnist"
 	"pimdnn/internal/yolo"
 )
 
@@ -37,14 +42,27 @@ func TestTaskletScalingHostOverheadFlat(t *testing.T) {
 	imgs := []*yolo.Tensor{img, yolo.SyntheticScene(32, 6)}
 	maxK, maxN := net.GEMMBounds()
 
+	ds := mnist.Load(60, 2*ebnn.BatchSize, 9)
+	ecfg := ebnn.DefaultTrainConfig()
+	ecfg.Epochs = 2
+	em, err := ebnn.Train(ds, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	counts := []int{1, 8, 16, 24}
-	runners := make([]*gemm.Runner, len(counts))
-	for i, tasklets := range counts {
+	newSystem := func() *host.System {
 		sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
+		t.Cleanup(sys.Close)
+		return sys
+	}
+	runners := make([]*gemm.Runner, len(counts))
+	erunners := make([]*ebnn.Runner, len(counts))
+	for i, tasklets := range counts {
+		sys := newSystem()
 		r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
 			MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64,
 		})
@@ -55,14 +73,18 @@ func TestTaskletScalingHostOverheadFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		runners[i] = r
+		if erunners[i], err = ebnn.NewRunner(newSystem(), em, false, tasklets); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	arms := []struct {
 		name    string
-		forward func(r *gemm.Runner) error
+		forward func(i int) error
 	}{
-		{"Forward", func(r *gemm.Runner) error { _, _, err := net.Forward(img, r); return err }},
-		{"ForwardBatch", func(r *gemm.Runner) error { _, _, err := net.ForwardBatch(imgs, r); return err }},
+		{"Forward", func(i int) error { _, _, err := net.Forward(img, runners[i]); return err }},
+		{"ForwardBatch", func(i int) error { _, _, err := net.ForwardBatch(imgs, runners[i]); return err }},
+		{"eBNN Infer", func(i int) error { _, _, err := erunners[i].Infer(ds.Test); return err }},
 	}
 	// over reports the first bound the per-runner minima break: any
 	// count against 1 tasklet, and each step on its own so a slow
@@ -88,9 +110,9 @@ func TestTaskletScalingHostOverheadFlat(t *testing.T) {
 		// broken: noise converges under it, an O(tasklets) cost never does.
 		best := make([]time.Duration, len(counts))
 		for round := 0; round <= 1000 && (round <= 40 || over(best) != ""); round++ {
-			for i, r := range runners {
+			for i := range counts {
 				start := time.Now()
-				if err := arm.forward(r); err != nil {
+				if err := arm.forward(i); err != nil {
 					t.Fatal(err)
 				}
 				if d := time.Since(start); round > 0 && (best[i] == 0 || d < best[i]) {
