@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array profile-ebnn ci
+.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array profile-ebnn profile-rows ci
 
 all: ci
 
@@ -100,5 +100,17 @@ profile-ebnn:
 	@$(GO) tool pprof -top -cum ebnn.test cpu.prof 2>/dev/null \
 		| awk '/\(\*Runner\)\.kernel\.func[0-9]+$$/ { print "kernel-share ebnn.kernel cum " $$5 } \
 			/ebnn\.\(\*inferWorkSet\)\.Decode$$/ { print "classify-share ebnn.Decode cum " $$5 }'
+
+# And for the rows_zoo workload's shape (the three lite networks,
+# planner-mapped row-per-DPU Multiply on 64 DPUs). The last two lines are
+# the cumulative shares of the host's broadcast of each GEMM's B matrix and
+# of the gemm kernel's functional pass:
+# `make profile-rows | grep -e '^broadcast-share' -e '^kernel-share'`.
+profile-rows:
+	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 300x -cpuprofile cpu.prof .
+	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
+	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
+		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
+			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
 
 ci: vet build test race sim-invariant report-check lines

@@ -7,13 +7,17 @@
 package pimdnn_test
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"pimdnn/internal/alexnet"
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/plan"
+	"pimdnn/internal/resnet"
+	"pimdnn/internal/tensor"
 	"pimdnn/internal/yolo"
 )
 
@@ -147,6 +151,80 @@ func BenchmarkFullArrayYOLOForwardPlanned(b *testing.B) {
 		cycles = st.Cycles
 	}
 	b.ReportMetric(float64(sys.Ranks()), "ranks")
+	b.ReportMetric(float64(cycles), "sim-cycles")
+}
+
+// BenchmarkRowsZoo is the rows_zoo workload's operation as bench/wl_rows.go
+// sets it up: one single-image forward of each of the three LiteConfig
+// networks, planner-mapped row-per-DPU Multiply (Alg 2) on its own
+// 64-DPU system. Every GEMM broadcasts its whole B matrix first, so this
+// is the profile in which the host's broadcast shows (make profile-rows).
+func BenchmarkRowsZoo(b *testing.B) {
+	b.ReportAllocs()
+	ynet, err := yolo.New(yolo.LiteConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	anet, err := alexnet.New(alexnet.LiteConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rnet, err := resnet.New(resnet.LiteConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	image := func(size int) *tensor.Tensor {
+		t := tensor.New(3, size, size)
+		for i := range t.Data {
+			t.Data[i] = tensor.Quantize(rng.Float64())
+		}
+		return t
+	}
+	yk, yn := ynet.GEMMBounds()
+	ak, an, _ := anet.GEMMBounds()
+	rk, rn := rnet.GEMMBounds()
+	yimg, aimg, rimg := yolo.SyntheticScene(ynet.Cfg.InputSize, 1), image(anet.Cfg.InputSize), image(rnet.Cfg.InputSize)
+	nets := []struct {
+		maxK, maxN int
+		forward    func(r *gemm.Runner) (uint64, error)
+	}{
+		{yk, yn, func(r *gemm.Runner) (uint64, error) {
+			_, st, err := ynet.Forward(yimg, r)
+			return st.Cycles, err
+		}},
+		{ak, an, func(r *gemm.Runner) (uint64, error) {
+			_, st, err := anet.Forward(aimg, r)
+			return st.Cycles, err
+		}},
+		{rk, rn, func(r *gemm.Runner) (uint64, error) {
+			_, st, err := rnet.Forward(rimg, r)
+			return st.Cycles, err
+		}},
+	}
+	runners := make([]*gemm.Runner, len(nets))
+	for i, n := range nets {
+		sys, err := host.NewSystem(dpu.DPUsPerRank, host.DefaultConfig(dpu.O3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sys.Close()
+		if runners[i], err = gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: n.maxK, MaxN: n.maxN, Planner: plan.New(sys)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycles = 0
+		for j, n := range nets {
+			c, err := n.forward(runners[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles += c
+		}
+	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 

@@ -90,14 +90,12 @@ func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(
 					count = fit
 				}
 			}
-			if buf := d.mramPages[page]; buf != nil {
-				fn(i, count, buf[po:], int(stride))
+			if p := d.mramPages[page]; p != nil {
+				fn(i, count, p.data[po:], int(stride))
 			} else {
 				// Untouched page: every row reads as zero.
 				zero := d.rowScratch[:rowBytes]
-				for b := range zero {
-					zero[b] = 0
-				}
+				clear(zero)
 				fn(i, count, zero, 0)
 			}
 			i += count

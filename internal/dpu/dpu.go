@@ -17,11 +17,6 @@ import (
 // discussing why YOLOv3's buffers cannot live in WRAM (§4.3.4).
 const MinStackBytes = 256
 
-// mramPageSize is the granularity of lazy MRAM allocation. 64 MB per DPU
-// across thousands of simulated DPUs cannot be allocated eagerly; pages
-// materialize on first touch.
-const mramPageSize = 64 << 10
-
 // SymbolKind distinguishes where a program symbol lives.
 type SymbolKind int
 
@@ -177,9 +172,10 @@ type DPU struct {
 	progCache    interface{}
 	progCacheGen uint64
 	// mramPages is the lazily-allocated MRAM, indexed by page number
-	// (nil entry = untouched page, reads as zero). A dense slice rather
-	// than a map: page lookup is on the hot path of every MRAM access.
-	mramPages [][]byte
+	// (nil entry = untouched page, reads as zero; see mram.go for pages
+	// shared between DPUs). A dense slice rather than a map: page lookup
+	// is on the hot path of every MRAM access.
+	mramPages []*mramPage
 	symbols   map[string]Symbol
 	// wramUsed is the WRAM data-segment size. Written under mu (symbol
 	// definition); read via atomic load so the per-launch stack check
@@ -230,7 +226,7 @@ func New(cfg Config) (*DPU, error) {
 	d := &DPU{
 		cfg:       cfg,
 		wram:      make([]byte, cfg.WRAMSize),
-		mramPages: make([][]byte, (cfg.MRAMSize+mramPageSize-1)/mramPageSize),
+		mramPages: make([]*mramPage, (cfg.MRAMSize+mramPageSize-1)/mramPageSize),
 		symbols:   make(map[string]Symbol),
 		prof:      trace.NewProfile(),
 	}
@@ -311,7 +307,10 @@ func (d *DPU) ResetClock() {
 
 // AllocMRAM reserves size bytes of MRAM under the given symbol name.
 // Sizes are rounded up to the 8-byte DMA granularity, mirroring the
-// padding requirement of §3.2.
+// padding requirement of §3.2. A symbol of a page or more starts on a
+// page boundary and the rest of its last page stays unused, so that the
+// pages a broadcast to it shares (mram.go) hold no other symbol's bytes;
+// when MRAM has no room for that padding it packs like a small one.
 func (d *DPU) AllocMRAM(name string, size int64) (Symbol, error) {
 	if size <= 0 {
 		return Symbol{}, fmt.Errorf("dpu: AllocMRAM(%q): non-positive size %d", name, size)
@@ -322,13 +321,19 @@ func (d *DPU) AllocMRAM(name string, size int64) (Symbol, error) {
 	if _, ok := d.symbols[name]; ok {
 		return Symbol{}, fmt.Errorf("dpu: symbol %q already defined", name)
 	}
-	if d.mramUsed+size > d.cfg.MRAMSize {
+	off, end := d.mramUsed, d.mramUsed+size
+	if size >= mramPageSize {
+		if o, e := roundUpPage(off), roundUpPage(off)+roundUpPage(size); e <= d.cfg.MRAMSize {
+			off, end = o, e
+		}
+	}
+	if end > d.cfg.MRAMSize {
 		return Symbol{}, fmt.Errorf("dpu: MRAM exhausted: %d used + %d requested > %d",
 			d.mramUsed, size, d.cfg.MRAMSize)
 	}
-	s := Symbol{Name: name, Kind: SymbolMRAM, Offset: d.mramUsed, Size: size}
+	s := Symbol{Name: name, Kind: SymbolMRAM, Offset: off, Size: size}
 	d.symbols[name] = s
-	d.mramUsed += size
+	d.mramUsed = end
 	return s, nil
 }
 
@@ -637,45 +642,10 @@ func (d *DPU) checkDMAArgs(off int64, n int) error {
 	return nil
 }
 
-// mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu.
-
-func (d *DPU) mramWrite(off int64, data []byte) {
-	for len(data) > 0 {
-		page := off / mramPageSize
-		po := off % mramPageSize
-		buf := d.mramPages[page]
-		if buf == nil {
-			buf = make([]byte, mramPageSize)
-			d.mramPages[page] = buf
-		}
-		n := copy(buf[po:], data)
-		data = data[n:]
-		off += int64(n)
-	}
-}
-
-func (d *DPU) mramRead(off int64, dst []byte) {
-	for len(dst) > 0 {
-		page := off / mramPageSize
-		po := off % mramPageSize
-		var n int
-		if buf := d.mramPages[page]; buf != nil {
-			n = copy(dst, buf[po:])
-		} else {
-			// Untouched MRAM reads as zero.
-			n = len(dst)
-			if max := int(mramPageSize - po); n > max {
-				n = max
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
-		}
-		dst = dst[n:]
-		off += int64(n)
-	}
-}
-
 func roundUp8(n int64) int64 {
 	return (n + 7) &^ 7
+}
+
+func roundUpPage(n int64) int64 {
+	return (n + mramPageSize - 1) &^ (mramPageSize - 1)
 }

@@ -1,0 +1,366 @@
+package dpu
+
+import (
+	"bytes"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// The copy-on-write MRAM against the plainest model there is: one []byte
+// per DPU. Broadcasts, per-DPU writes and reads are interleaved at random;
+// after every step every DPU's whole MRAM must equal its model, which is
+// also what shows that a private write on one DPU reaches no other.
+
+const (
+	diffDPUs = 5
+	// Four whole pages and a partial fifth, so the last page table entry
+	// is shorter than a page.
+	diffMRAM = 4*mramPageSize + 8<<10
+)
+
+func serialFor(n int, fn func(lo, hi int)) { fn(0, n) }
+
+// splitFor runs fn over two halves on two goroutines: the fallback's
+// range function must be safe on disjoint ranges at once.
+func splitFor(n int, fn func(lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fn(0, n/2)
+	}()
+	fn(n/2, n)
+	wg.Wait()
+}
+
+type mramModel struct {
+	t     *testing.T
+	dpus  []*DPU
+	bytes [][]byte
+	bc    MRAMBroadcast
+	buf   []byte
+}
+
+func newMRAMModel(t *testing.T) *mramModel {
+	t.Helper()
+	cfg := DefaultConfig(O0)
+	cfg.MRAMSize = diffMRAM
+	m := &mramModel{t: t, buf: make([]byte, diffMRAM)}
+	for i := 0; i < diffDPUs; i++ {
+		m.dpus = append(m.dpus, MustNew(cfg))
+		m.bytes = append(m.bytes, make([]byte, diffMRAM))
+	}
+	return m
+}
+
+// check compares every DPU's MRAM with its model, and every page's
+// reference count with the number of page tables that point at it.
+func (m *mramModel) check(step int, what string) {
+	m.t.Helper()
+	holders := map[*mramPage]int32{}
+	for i, d := range m.dpus {
+		if err := d.CopyFromMRAMInto(0, m.buf); err != nil {
+			m.t.Fatal(err)
+		}
+		if !bytes.Equal(m.buf, m.bytes[i]) {
+			at := 0
+			for m.buf[at] == m.bytes[i][at] {
+				at++
+			}
+			m.t.Fatalf("step %d (%s): DPU %d differs from the model at byte %d (page %d)", step, what, i, at, at/mramPageSize)
+		}
+		for _, p := range d.mramPages {
+			if p != nil {
+				holders[p]++
+			}
+		}
+	}
+	for p, n := range holders {
+		if got := p.refs.Load(); got != n {
+			m.t.Fatalf("step %d (%s): a page held by %d DPUs counts %d references", step, what, n, got)
+		}
+	}
+}
+
+// span draws an 8-byte-aligned range of one of the shapes the broadcast
+// rules tell apart.
+func span(rng *rand.Rand) (off int64, n int) {
+	pages := diffMRAM / mramPageSize
+	switch rng.Intn(5) {
+	case 0: // inside one page
+		n = 8 * (1 + rng.Intn(512))
+		off = int64(rng.Intn(pages))*mramPageSize + int64(8*rng.Intn((mramPageSize-n)/8+1))
+	case 1: // across a page boundary
+		n = 16 * (1 + rng.Intn(256))
+		off = int64(1+rng.Intn(pages-1))*mramPageSize - int64(n/2)
+	case 2: // whole pages
+		first := rng.Intn(pages)
+		off, n = int64(first)*mramPageSize, (1+rng.Intn(pages-first))*mramPageSize
+	case 3: // whole pages with a ragged head and tail
+		first := rng.Intn(pages - 2)
+		off = int64(first)*mramPageSize + int64(8*(1+rng.Intn(1024)))
+		n = mramPageSize + 8*rng.Intn(2048)
+	default: // anything
+		off = int64(8 * rng.Intn(diffMRAM/8))
+		n = 8 * (1 + rng.Intn(int(diffMRAM-off)/8))
+	}
+	return off, n
+}
+
+func TestMRAMCopyOnWriteDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := newMRAMModel(t)
+		payload := make([]byte, diffMRAM)
+		for step := 0; step < 400; step++ {
+			off, n := span(rng)
+			data := payload[:n]
+			rng.Read(data)
+			var what string
+			switch op := rng.Intn(10); {
+			case op < 4:
+				what = "broadcast"
+				var targets []*DPU
+				var into [][]byte
+				all := rng.Intn(3) > 0
+				for i, d := range m.dpus {
+					if all || rng.Intn(2) == 0 {
+						targets, into = append(targets, d), append(into, m.bytes[i])
+					}
+				}
+				par := serialFor
+				if rng.Intn(2) == 0 {
+					par = splitFor
+				}
+				if err := m.bc.Write(targets, off, data, par); err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range into {
+					copy(b[off:], data)
+				}
+			case op < 6:
+				what = "CopyToMRAM"
+				i := rng.Intn(diffDPUs)
+				if err := m.dpus[i].CopyToMRAM(off, data); err != nil {
+					t.Fatal(err)
+				}
+				copy(m.bytes[i][off:], data)
+			case op < 8:
+				what = "CopyToMRAMRaw"
+				i := rng.Intn(diffDPUs)
+				if err := m.dpus[i].CopyToMRAMRaw(off, data); err != nil {
+					t.Fatal(err)
+				}
+				copy(m.bytes[i][off:], data)
+			case op < 9:
+				what = "CopyFromMRAMInto"
+				i := rng.Intn(diffDPUs)
+				if err := m.dpus[i].CopyFromMRAMInto(off, data); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, m.bytes[i][off:off+int64(n)]) {
+					t.Fatalf("seed %d step %d: DPU %d read [%d, %d) differs from the model", seed, step, i, off, off+int64(n))
+				}
+			default:
+				what = "ForEachMRAMRowRuns"
+				i := rng.Intn(diffDPUs)
+				rowBytes := 8 * (1 + rng.Intn(96))
+				stride := int64(rowBytes + 8*rng.Intn(64))
+				rows := 1 + rng.Intn(int((diffMRAM-off-int64(rowBytes))/stride)+1)
+				next := 0
+				err := m.dpus[i].ForEachMRAMRowRuns(off, stride, rowBytes, rows, func(first, count int, block []byte, blockStride int) {
+					if first != next {
+						t.Fatalf("seed %d step %d: run starts at row %d, want %d", seed, step, first, next)
+					}
+					next += count
+					for r := 0; r < count; r++ {
+						at := off + int64(first+r)*stride
+						if !bytes.Equal(block[r*blockStride:r*blockStride+rowBytes], m.bytes[i][at:at+int64(rowBytes)]) {
+							t.Fatalf("seed %d step %d: DPU %d row %d (at %d, page offset %d) differs from the model",
+								seed, step, i, first+r, at, at%mramPageSize)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next != rows {
+					t.Fatalf("seed %d step %d: runs covered %d of %d rows", seed, step, next, rows)
+				}
+			}
+			m.check(step, what)
+		}
+	}
+}
+
+// The three broadcast rules and the private write, one at a time, seen
+// through the page tables.
+func TestMRAMBroadcastPageSharing(t *testing.T) {
+	m := newMRAMModel(t)
+	page := func(i int) *mramPage { return m.dpus[i].mramPages[1] }
+	shared := func(dpus ...int) *mramPage {
+		t.Helper()
+		p := page(dpus[0])
+		for _, i := range dpus {
+			if page(i) != p {
+				t.Fatalf("DPU %d holds a different page than DPU %d", i, dpus[0])
+			}
+		}
+		if p == nil || int(p.refs.Load()) != len(dpus) {
+			t.Fatalf("shared page %v, want one held by exactly %d DPUs", p, len(dpus))
+		}
+		return p
+	}
+	noFallback := func(int, func(lo, hi int)) { t.Fatal("broadcast took the per-DPU path") }
+	write := func(targets []*DPU, off int64, n int, par func(int, func(lo, hi int))) {
+		t.Helper()
+		data := make([]byte, n)
+		rand.New(rand.NewSource(off + int64(n))).Read(data)
+		if err := m.bc.Write(targets, off, data, par); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range m.dpus {
+			for _, x := range targets {
+				if x == d {
+					copy(m.bytes[i][off:], data)
+				}
+			}
+		}
+		m.check(0, "broadcast")
+	}
+
+	// Untouched everywhere, part of a page: one fresh page for all.
+	write(m.dpus, mramPageSize+64, 128, noFallback)
+	first := shared(0, 1, 2, 3, 4)
+	// Every holder is a target: written where it is.
+	write(m.dpus, mramPageSize+512, 1024, noFallback)
+	if shared(0, 1, 2, 3, 4) != first {
+		t.Error("a broadcast to all holders of a shared page replaced it")
+	}
+	// A private write takes one DPU off the page and leaves the rest on it.
+	if err := m.dpus[2].CopyToMRAMRaw(mramPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	copy(m.bytes[2][mramPageSize+8:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	m.check(0, "private write")
+	if shared(0, 1, 3, 4) != first || page(2) == first || page(2).refs.Load() != 1 {
+		t.Error("a private write did not take exactly its own DPU off the shared page")
+	}
+	// Part of a page, targets on different pages: the per-DPU path, which
+	// still leaves the private DPU's other bytes alone.
+	fellBack := false
+	write(m.dpus, mramPageSize+2048, 64, func(n int, fn func(lo, hi int)) { fellBack = true; fn(0, n) })
+	if !fellBack {
+		t.Error("a sub-page broadcast over differing pages did not take the per-DPU path")
+	}
+	// A subset of a page's holders, part of the page: the subset moves to
+	// one new page that carries the old bytes, the others keep the old one.
+	write(m.dpus, 2*mramPageSize, mramPageSize, noFallback)
+	page = func(i int) *mramPage { return m.dpus[i].mramPages[2] }
+	old := shared(0, 1, 2, 3, 4)
+	write(m.dpus[1:4], 2*mramPageSize+8, 8, noFallback)
+	if shared(1, 2, 3) == old || shared(0, 4) != old {
+		t.Error("a sub-page broadcast to some holders of a shared page did not split it in two")
+	}
+	// The whole page, whatever the targets held: one fresh page for all,
+	// and the pages let go are reused.
+	write(m.dpus, 2*mramPageSize, mramPageSize, noFallback)
+	shared(0, 1, 2, 3, 4)
+}
+
+// DPUs sharing a page take their private copies at the same moment while
+// another reads it: the race detector's view of the reference count.
+func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
+	m := newMRAMModel(t)
+	data := make([]byte, 2*mramPageSize)
+	rand.New(rand.NewSource(7)).Read(data)
+	for round := 0; round < 20; round++ {
+		if err := m.bc.Write(m.dpus, 0, data, serialFor); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range m.bytes {
+			copy(b, data)
+		}
+		var wg sync.WaitGroup
+		for i, d := range m.dpus {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i == 0 {
+					got := make([]byte, len(data))
+					if err := d.CopyFromMRAMRawInto(0, got); err != nil || !bytes.Equal(got, data) {
+						t.Errorf("reader saw another DPU's private write (err %v)", err)
+					}
+					return
+				}
+				own := bytes.Repeat([]byte{byte(i)}, 64)
+				off := int64(mramPageSize - 32) // both pages
+				if err := d.CopyToMRAMRaw(off, own); err != nil {
+					t.Error(err)
+				}
+				copy(m.bytes[i][off:], own)
+			}()
+		}
+		wg.Wait()
+		m.check(round, "concurrent private writes")
+	}
+}
+
+func TestAllocMRAMPageAlignment(t *testing.T) {
+	d := newTestDPU(t, O0)
+	alloc := func(name string, size int64) Symbol {
+		t.Helper()
+		s, err := d.AllocMRAM(name, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Small symbols pack as they always did.
+	a, b := alloc("a", 100), alloc("b", 64)
+	if a.Offset != 0 || b.Offset != 104 {
+		t.Errorf("small symbols at %d and %d, want 0 and 104", a.Offset, b.Offset)
+	}
+	// A symbol of a page or more starts on a page and owns its last one.
+	big := alloc("big", mramPageSize+8)
+	if big.Offset != mramPageSize || big.Size != mramPageSize+8 {
+		t.Errorf("page-sized symbol = %+v, want offset %d and its own size", big, mramPageSize)
+	}
+	if c := alloc("c", 8); c.Offset != 3*mramPageSize {
+		t.Errorf("symbol after a padded one at %d, want %d", c.Offset, 3*mramPageSize)
+	}
+	if exact := alloc("exact", mramPageSize); exact.Offset != 4*mramPageSize {
+		t.Errorf("one-page symbol at %d, want %d", exact.Offset, 4*mramPageSize)
+	}
+	if e := alloc("e", 8); e.Offset != 5*mramPageSize {
+		t.Errorf("symbol after a one-page one at %d, want %d", e.Offset, 5*mramPageSize)
+	}
+}
+
+// What filled MRAM exactly before page alignment still does: when the
+// padding does not fit, a large symbol packs like a small one.
+func TestAllocMRAMExactFill(t *testing.T) {
+	d := newTestDPU(t, O0)
+	if _, err := d.AllocMRAM("head", 24); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := d.AllocMRAM("rest", DefaultMRAMSize-24)
+	if err != nil {
+		t.Fatalf("a sequence that exactly fills MRAM failed: %v", err)
+	}
+	if rest.Offset != 24 {
+		t.Errorf("packed fallback at %d, want 24", rest.Offset)
+	}
+	if _, err := d.AllocMRAM("over", 8); err == nil {
+		t.Error("allocation past a full MRAM accepted")
+	}
+	src := bytes.Repeat([]byte{0xa5}, 16)
+	if err := d.CopyToMRAM(DefaultMRAMSize-16, src); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.CopyFromMRAM(DefaultMRAMSize-16, 16)
+	if err != nil || !bytes.Equal(got, src) {
+		t.Errorf("last bytes of a full MRAM read %v (err %v)", got, err)
+	}
+}

@@ -196,3 +196,29 @@ func TestShardedPushXferAllocBound(t *testing.T) {
 		t.Errorf("sharded PushXferRef allocates %.1f per call, want <= 16", avg)
 	}
 }
+
+// A broadcast repeated over the same MRAM range finds every DPU on the
+// pages the first one shared and writes them in place: no page, no pool
+// dispatch and no closure per call, on either side of the sharding
+// threshold.
+func TestRepeatedBroadcastAllocFree(t *testing.T) {
+	for _, n := range []int{4, parallelThreshold + 8} {
+		s := allocSystem(t, n)
+		if err := s.AllocMRAM("big", 3<<16); err != nil {
+			t.Fatal(err)
+		}
+		ref := resolve(t, s, "big")
+		// A ragged head, a whole page, a ragged tail.
+		data := make([]byte, 2<<16)
+		if err := s.CopyToSymbolRef(ref, 512, data); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(50, func() {
+			if err := s.CopyToSymbolRef(ref, 512, data); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%d DPUs: repeated CopyToSymbolRef allocates %.1f per call, want 0", n, avg)
+		}
+	}
+}

@@ -93,6 +93,12 @@ type System struct {
 	launchErrs []error
 	xferErrs   []error
 
+	// bcast and bcastTargets are the MRAM broadcast's reusable state: the
+	// page-sharing write and the DPUs that passed their fault check. Same
+	// sequencing as xferErrs.
+	bcast        dpu.MRAMBroadcast
+	bcastTargets []*dpu.DPU
+
 	// Asynchronous command queue state (queue.go). The ring holds
 	// enqueued commands in FIFO order; qNext/qDone are the enqueue and
 	// completion tickets; qErr/qErrTicket capture the first total
@@ -402,14 +408,18 @@ func (s *System) finishXfer(op string, perDPU int, errs []error) error {
 // CopyToSymbolRef broadcasts the same data to the symbol on every DPU
 // (dpu_copy_to, Eq 3.1). Data destined for MRAM must be 8-byte padded;
 // use Pad8 for arbitrary payloads. It is best-effort: every DPU is
-// attempted, and per-DPU failures come back as a *FaultReport.
+// attempted, and per-DPU failures come back as a *FaultReport. The
+// simulated transfer is charged per DPU reached; the simulator stores an
+// MRAM payload once for all of them where it can (dpu.MRAMBroadcast).
 func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error {
 	if err := checkRef(ref, offset, len(data)); err != nil {
 		return err
 	}
 	n := len(s.dpus)
 	errs := s.xferErrSlice(n)
-	if s.sharded(n) {
+	if ref.kind == dpu.SymbolMRAM {
+		s.broadcastMRAM(ref.off+offset, data, errs)
+	} else if s.sharded(n) {
 		s.shardErrs(n, errs, func(i int) error {
 			return s.copyToOne(i, ref, offset, data)
 		})
@@ -419,6 +429,26 @@ func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error
 		}
 	}
 	return s.finishXfer("copy_to", len(data), errs)
+}
+
+// broadcastMRAM is CopyToSymbolRef's MRAM arm: every DPU's injector is
+// consulted once, as copyToOne would, and the DPUs that pass take the
+// write together. An argument the DMA rules reject fails on each of them.
+func (s *System) broadcastMRAM(off int64, data []byte, errs []error) {
+	targets := s.bcastTargets[:0]
+	for i, d := range s.dpus {
+		if errs[i] = d.TransferFault(); errs[i] == nil {
+			targets = append(targets, d)
+		}
+	}
+	s.bcastTargets = targets
+	if err := s.bcast.Write(targets, off, data, s.ParallelFor); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
 }
 
 // CopyToDPURef writes data to the symbol on a single DPU. Device-level
