@@ -7,13 +7,14 @@
 # the gemm/ebnn runners and the nn executor — whose batch fill/decode
 # callbacks run on pool workers — with the three networks over it,
 # including the fault-injection recovery paths, plus the upmem-top
-# renderer and the upmem-serve batching/backpressure server), the
-# simulated-clock core-count check (`make sim-invariant`), the report
-# byte-identity check (`make report-check`), and the non-test line count
-# per package (`make lines`), the number ROADMAP asks every PR to report
-# next to ns/op. `make bench` (scripts/bench.sh)
-# regenerates the legacy BENCH_pr10.json record and fails if any
-# hot-path benchmark's allocs/op grew over the baseline.
+# renderer, the upmem-serve batching/backpressure server and
+# upmem-profile, whose test reads a trace the depth-2 queue executor
+# goroutine writes), the simulated-clock core-count check (`make
+# sim-invariant`), the report byte-identity check (`make report-check`),
+# and the non-test line count per package (`make lines`), the number
+# ROADMAP asks every PR to report next to ns/op. `make bench`
+# (scripts/bench.sh) regenerates the legacy BENCH_pr10.json record and
+# fails if any hot-path benchmark's allocs/op grew over the baseline.
 
 GO ?= go
 
@@ -38,7 +39,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve
+	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
 
 # rows_zoo and ebnn_stream at GOMAXPROCS=1 and at the host's width must
 # report identical sim_cycles_per_op and sim_xfer_bytes_per_op.

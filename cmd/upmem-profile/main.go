@@ -7,9 +7,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -24,59 +26,63 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "upmem-profile:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	optFlag := flag.Int("O", 0, "optimization level 0-3 (dpu-clang -O flag)")
-	timelineFlag := flag.Bool("timeline", false,
-		"render the execution engine's wall-clock wave timeline for a pipelined GEMM")
-	jsonFlag := flag.Bool("json", false,
-		"emit the characterization as one JSON document (metrics snapshot + timeline spans) instead of text")
-	calibrateFlag := flag.Bool("calibrate", false,
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("upmem-profile", flag.ExitOnError)
+	optFlag := fs.Int("O", 0, "optimization level 0-3 (dpu-clang -O flag)")
+	timelineFlag := fs.Bool("timeline", false,
+		"dispatch a pipelined demo GEMM under a request trace and render its wave spans as a wall-clock Gantt chart")
+	jsonFlag := fs.Bool("json", false,
+		"emit the characterization as one JSON document (metrics snapshot, plus the traced demo GEMM's wave spans with -timeline) instead of text")
+	calibrateFlag := fs.Bool("calibrate", false,
 		"run the auto-mapper calibration loop: execute every network with planner-chosen mappings and compare predicted vs simulated latency per layer")
-	dpusFlag := flag.Int("dpus", 64, "system size for -calibrate")
-	perfettoFlag := flag.String("perfetto", "",
-		"write a Chrome trace-event (Perfetto) JSON file for the demo GEMM: the request span tree down to per-DPU kernels, or the engine wave timeline when combined with -timeline")
-	flag.Parse()
+	dpusFlag := fs.Int("dpus", 64, "system size for -calibrate")
+	perfettoFlag := fs.String("perfetto", "",
+		"run only the traced demo GEMM (the one -timeline charts) and write its span tree — waves, queue commands, per-DPU kernels — to this file as Chrome trace-event (Perfetto) JSON")
+	fs.Parse(args)
 	opt := dpu.OptLevel(*optFlag)
+	if opt < dpu.O0 || opt > dpu.O3 {
+		return fmt.Errorf("-O %d: optimization level must be 0-3", *optFlag)
+	}
 	if *calibrateFlag {
-		return runCalibrate(opt, *dpusFlag, *jsonFlag)
+		return runCalibrate(w, opt, *dpusFlag, *jsonFlag)
 	}
 	if *perfettoFlag != "" {
-		return runPerfetto(opt, *perfettoFlag, *timelineFlag)
+		return runPerfetto(w, opt, *perfettoFlag)
 	}
 	if *jsonFlag {
-		return runJSON(opt, *timelineFlag)
+		return runJSON(w, opt, *timelineFlag)
 	}
 
-	fmt.Printf("== Table 3.1: cycles per operation (single DPU, 1 tasklet, %v) ==\n", opt)
-	fmt.Printf("%-24s %10s %12s\n", "operation", "cycles", "paper (O0)")
+	fmt.Fprintf(w, "== Table 3.1: cycles per operation (single DPU, 1 tasklet, %v) ==\n", opt)
+	fmt.Fprintf(w, "%-24s %10s %12s\n", "operation", "cycles", "paper (O0)")
 	for _, b := range profileBenches() {
 		cycles, err := profile(opt, b.body)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-24s %10d %12s\n", b.name, cycles, b.paper)
+		fmt.Fprintf(w, "%-24s %10d %12s\n", b.name, cycles, b.paper)
 	}
 
-	fmt.Printf("\n== Eq 3.4: MRAM access cycles (25 + bytes/2) ==\n")
+	fmt.Fprintf(w, "\n== Eq 3.4: MRAM access cycles (25 + bytes/2) ==\n")
 	for _, n := range []int{8, 64, 512, 1024, 2048} {
-		fmt.Printf("%5d bytes -> %5d cycles\n", n, dpu.DMACost(n))
+		fmt.Fprintf(w, "%5d bytes -> %5d cycles\n", n, dpu.DMACost(n))
 	}
 
-	fmt.Printf("\n== Fig 3.1 microbenchmark as an assembled DPU program ==\n")
+	fmt.Fprintf(w, "\n== Fig 3.1 microbenchmark as an assembled DPU program ==\n")
 	cycles, listing, err := isaBench(opt)
 	if err != nil {
 		return err
 	}
-	fmt.Print(listing)
-	fmt.Printf("perfcounter: %d cycles around the float multiply\n", cycles)
+	fmt.Fprint(w, listing)
+	fmt.Fprintf(w, "perfcounter: %d cycles around the float multiply\n", cycles)
 
-	fmt.Printf("\n== Fig 3.2: subroutine profile of a float-heavy kernel ==\n")
+	fmt.Fprintf(w, "\n== Fig 3.2: subroutine profile of a float-heavy kernel ==\n")
 	d, err := dpu.New(dpu.DefaultConfig(opt))
 	if err != nil {
 		return err
@@ -84,108 +90,57 @@ func run() error {
 	if _, err := d.Launch(4, floatHeavyKernel); err != nil {
 		return err
 	}
-	fmt.Print(d.Profile().Report())
+	fmt.Fprint(w, d.Profile().Report())
 
 	if *timelineFlag {
-		fmt.Printf("\n== Execution engine: pipelined wave timeline (wall clock) ==\n")
-		if err := waveTimeline(opt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// waveTimeline dispatches a multi-wave GEMM through the execution engine
-// with span recording armed and renders the wall-clock Gantt chart:
-// pipelined waves overlap (wave w+1 is enqueued while wave w drains),
-// which is visible as interleaved bars. Simulated DPU time is identical
-// to a synchronous run; only this host-side wall-clock axis changes.
-func waveTimeline(opt dpu.OptLevel) error {
-	tl, desc, err := runWaveGEMM(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Println(desc)
-	fmt.Print(tl.Render(64))
-	return nil
-}
-
-// runWaveGEMM dispatches the timeline demo GEMM and returns the
-// recorded timeline plus a one-line description of the workload.
-func runWaveGEMM(opt dpu.OptLevel) (*trace.Timeline, string, error) {
-	const m, n, k, dpus = 24, 32, 16, 8 // 3 waves of 8 row-shards
-	sys, err := host.NewSystem(dpus, host.DefaultConfig(opt))
-	if err != nil {
-		return nil, "", err
-	}
-	defer sys.Close()
-	tl := trace.NewTimeline()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16,
-		Exec: exec.Config{Pipeline: host.PipelineOn, Timeline: tl},
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	rng := rand.New(rand.NewSource(1))
-	a := make([]int16, m*k)
-	b := make([]int16, k*n)
-	for i := range a {
-		a[i] = int16(rng.Intn(64) - 32)
-	}
-	for i := range b {
-		b[i] = int16(rng.Intn(64) - 32)
-	}
-	if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
-		return nil, "", err
-	}
-	desc := fmt.Sprintf("%d x %d x %d GEMM, %d DPUs, pipeline on", m, n, k, dpus)
-	return tl, desc, nil
-}
-
-// runPerfetto exports the demo GEMM for chrome://tracing / ui.perfetto.dev.
-// Two views of the same workload: the default is the request span tree
-// (plan, scatter/launch/gather waves, per-DPU kernel spans) recorded
-// through the tracing subsystem; with -timeline it is the execution
-// engine's wall-clock wave timeline instead.
-func runPerfetto(opt dpu.OptLevel, path string, timeline bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if timeline {
-		tl, desc, err := runWaveGEMM(opt)
+		fmt.Fprintf(w, "\n== Execution engine: pipelined wave timeline (wall clock) ==\n")
+		// Pipelined waves overlap (wave w+1 is enqueued while wave w
+		// drains), which shows as interleaved bars. Simulated DPU time is
+		// identical to a synchronous run; only this host-side wall-clock
+		// axis changes.
+		tr, err := runTracedGEMM(opt)
 		if err != nil {
-			f.Close()
 			return err
 		}
-		if err := trace.TimelinePerfetto(f, tl); err != nil {
-			f.Close()
-			return err
-		}
-		fmt.Printf("wrote wave timeline (%s) to %s\n", desc, path)
-		return f.Close()
+		fmt.Fprintln(w, demoGEMM)
+		fmt.Fprint(w, trace.Render(tr.WaveSpans(), 64))
 	}
-	tr, desc, err := runTracedGEMM(opt)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := trace.WritePerfetto(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	fmt.Printf("wrote span tree (%s, %d spans) to %s\n", desc, len(tr.Spans()), path)
-	return f.Close()
+	return nil
 }
 
-// runTracedGEMM dispatches the timeline demo GEMM with a request trace
-// attached to the runner and returns the completed trace.
-func runTracedGEMM(opt dpu.OptLevel) (*trace.Trace, string, error) {
-	const m, n, k, dpus = 24, 32, 16, 8
+// The one workload behind -timeline and -perfetto: 3 waves of 8
+// row-shards at depth 2.
+const demoM, demoN, demoK, demoDPUs = 24, 32, 16, 8
+
+var demoGEMM = fmt.Sprintf("%d x %d x %d GEMM, %d DPUs, pipeline on", demoM, demoN, demoK, demoDPUs)
+
+// runPerfetto exports the demo GEMM's request span tree (plan, waves,
+// queue commands, per-DPU kernel spans) for chrome://tracing /
+// ui.perfetto.dev. The file is created only once the run has succeeded.
+func runPerfetto(w io.Writer, opt dpu.OptLevel, path string) error {
+	tr, err := runTracedGEMM(opt)
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := trace.WritePerfetto(&buf, tr); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote span tree (%s, %d spans) to %s\n", demoGEMM, len(tr.Spans()), path)
+	return nil
+}
+
+// runTracedGEMM dispatches the demo GEMM with a request trace attached
+// to the runner and returns the completed trace: the one record the
+// Gantt chart, the JSON "timeline" and the Perfetto export all read.
+func runTracedGEMM(opt dpu.OptLevel) (*trace.Trace, error) {
+	const m, n, k, dpus = demoM, demoN, demoK, demoDPUs
 	sys, err := host.NewSystem(dpus, host.DefaultConfig(opt))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer sys.Close()
 	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
@@ -193,7 +148,7 @@ func runTracedGEMM(opt dpu.OptLevel) (*trace.Trace, string, error) {
 		Exec: exec.Config{Pipeline: host.PipelineOn},
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	tracer := trace.NewTracer(trace.TracerConfig{})
 	root := tracer.StartTrace("profile_gemm")
@@ -208,20 +163,19 @@ func runTracedGEMM(opt dpu.OptLevel) (*trace.Trace, string, error) {
 		b[i] = int16(rng.Intn(64) - 32)
 	}
 	if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	r.SetTraceSpan(nil)
 	root.End()
-	desc := fmt.Sprintf("%d x %d x %d GEMM, %d DPUs, pipeline on", m, n, k, dpus)
-	return root.Trace(), desc, nil
+	return root.Trace(), nil
 }
 
 // runJSON emits the same characterization as one JSON document on
 // stdout: every measured quantity lands in a metrics.Registry (labeled
 // counters) whose snapshot encoder — the same one behind -metrics-addr
 // and upmem-top — renders the "metrics" field, and -timeline adds the
-// wave spans under "timeline".
-func runJSON(opt dpu.OptLevel, timeline bool) error {
+// traced demo GEMM's wave spans under "timeline".
+func runJSON(w io.Writer, opt dpu.OptLevel, timeline bool) error {
 	reg := metrics.NewRegistry()
 	for _, b := range profileBenches() {
 		cycles, err := profile(opt, b.body)
@@ -260,14 +214,14 @@ func runJSON(opt dpu.OptLevel, timeline bool) error {
 		Timeline []trace.WaveSpan `json:"timeline,omitempty"`
 	}{Opt: fmt.Sprint(opt), Metrics: reg.Snapshot()}
 	if timeline {
-		tl, desc, err := runWaveGEMM(opt)
+		tr, err := runTracedGEMM(opt)
 		if err != nil {
 			return err
 		}
-		out.Workload = desc
-		out.Timeline = tl.Spans()
+		out.Workload = demoGEMM
+		out.Timeline = tr.WaveSpans()
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
@@ -281,25 +235,25 @@ func runJSON(opt dpu.OptLevel, timeline bool) error {
 // accounting around them has — the planner's wave count or partial last
 // wave against what the engine dispatched, or re-dispatched waves of a
 // faulted run landing in the simulated total.
-func runCalibrate(opt dpu.OptLevel, dpus int, asJSON bool) error {
+func runCalibrate(w io.Writer, opt dpu.OptLevel, dpus int, asJSON bool) error {
 	rep, err := core.Calibrate(core.CalibrateOptions{DPUs: dpus, Opt: opt})
 	if err != nil {
 		return err
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("== Auto-mapper calibration: predicted vs simulated latency (%d DPUs, %v) ==\n", dpus, opt)
-	fmt.Printf("%-9s %6s %9s %6s %14s %14s %9s\n",
+	fmt.Fprintf(w, "== Auto-mapper calibration: predicted vs simulated latency (%d DPUs, %v) ==\n", dpus, opt)
+	fmt.Fprintf(w, "%-9s %6s %9s %6s %14s %14s %9s\n",
 		"network", "layer", "tasklets", "dpus", "predicted", "simulated", "error")
 	for _, r := range rep.Rows {
-		fmt.Printf("%-9s %6d %9d %6d %14.6g %14.6g %+8.4f%%\n",
+		fmt.Fprintf(w, "%-9s %6d %9d %6d %14.6g %14.6g %+8.4f%%\n",
 			r.Network, r.Layer, r.Tasklets, r.DPUsUsed,
 			r.PredictedSeconds, r.SimulatedSeconds, r.Error*100)
 	}
-	fmt.Printf("\n%d layers, max |error| %.4f%%\n", len(rep.Rows), rep.MaxAbsError*100)
+	fmt.Fprintf(w, "\n%d layers, max |error| %.4f%%\n", len(rep.Rows), rep.MaxAbsError*100)
 	return nil
 }
 

@@ -664,12 +664,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	body := struct {
 		Stats []statJSON `json:"stats"`
 		// Slowest summarizes the flight recorder's worst retained
-		// requests; Dumps lists SLO/fault freeze events.
-		Slowest []trace.TraceSummary `json:"slowest_requests,omitempty"`
-		Dumps   []*trace.DumpRecord  `json:"dumps,omitempty"`
+		// requests; Dumps lists SLO/fault freeze events. The two loss
+		// counts say what the recorder no longer holds: spans cut by
+		// the per-trace cap, summed over the retained traces, and
+		// traces ring rotation has overwritten.
+		Slowest           []trace.TraceSummary `json:"slowest_requests,omitempty"`
+		SpansDropped      int                  `json:"spans_dropped"`
+		TracesOverwritten uint64               `json:"traces_overwritten"`
+		Dumps             []*trace.DumpRecord  `json:"dumps,omitempty"`
 	}{Stats: out}
 	if rec := s.tracer.Recorder(); rec != nil {
 		body.Slowest = rec.Slowest(8)
+		for _, tr := range rec.Traces() {
+			body.SpansDropped += tr.Dropped()
+		}
+		body.TracesOverwritten = rec.Overwritten()
 		body.Dumps = rec.Dumps()
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -109,6 +109,46 @@ func TestServeTracingEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeStatsRecorderLoss: /v1/stats counts what the flight recorder
+// no longer holds — traces overwritten by ring rotation, and spans cut
+// by the per-trace cap in the traces it still has.
+func TestServeStatsRecorderLoss(t *testing.T) {
+	s, ts := newTestServer(t, serveConfig{traceSample: 1, traceRing: 2})
+	for i := 0; i < 3; i++ {
+		if resp, _ := postInfer(t, ts.URL, inferRequest{Model: "tiny", Seed: int64(i)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	// A fourth trace that hit a span cap of 2: three of its five children
+	// are dropped (the root always lands).
+	capped := trace.NewTracer(trace.TracerConfig{MaxSpans: 2}).StartTrace("capped")
+	for i := 0; i < 5; i++ {
+		capped.StartChild("c").End()
+	}
+	capped.End()
+	s.tracer.Recorder().Add(capped.Trace())
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		SpansDropped      *int    `json:"spans_dropped"`
+		TracesOverwritten *uint64 `json:"traces_overwritten"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpansDropped == nil || stats.TracesOverwritten == nil {
+		t.Fatal("stats endpoint omits spans_dropped or traces_overwritten")
+	}
+	if *stats.SpansDropped != 3 || *stats.TracesOverwritten != 2 {
+		t.Errorf("spans_dropped %d, traces_overwritten %d; want 3 and 2 (4 traces through a ring of 2)",
+			*stats.SpansDropped, *stats.TracesOverwritten)
+	}
+}
+
 // TestServeTracingDisabled: the default config keeps tracing off —
 // no trace IDs, 404 on the trace endpoint.
 func TestServeTracingDisabled(t *testing.T) {

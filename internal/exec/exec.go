@@ -40,11 +40,6 @@ type Config struct {
 	// on the caller before the next is encoded). Results and simulated
 	// accounting are identical at both depths.
 	Pipeline host.PipelineMode
-	// Timeline, when non-nil, receives wall-clock span events (one
-	// "wave" per wave and a "retry" when shards were re-dispatched, at
-	// either depth; scatter/launch/gather for a RunStream), so tools can
-	// render a dispatch timeline. Nil disables span recording entirely.
-	Timeline *trace.Timeline
 	// Events, when non-nil, receives structured dispatch events (runs,
 	// waves, DPUs marked down) with layer/wave/dpu attributes — the
 	// JSONL event log. Nil disables event logging entirely.
@@ -187,7 +182,6 @@ const maxRedispatch = 8
 type Engine struct {
 	sys  *host.System
 	pipe bool
-	tl   *trace.Timeline
 
 	// Telemetry: instruments resolved from the System's registry at
 	// Configure time, the optional structured event logger, and the
@@ -248,7 +242,7 @@ func (e *Engine) perDPUBuf(n int) []dpu.Stats {
 // the slot's staging buffers from Encode until flush has decoded it.
 type waveSlot struct {
 	idx      int // staging-slot index handed to the workset
-	seq      int // engine-global wave number (timeline spans)
+	seq      int // engine-global wave number (trace spans, event log)
 	start, n int
 	stats    host.LaunchStats
 	cmds     []issued // the extra-stream pushes, then the wave itself
@@ -287,7 +281,6 @@ func New(sys *host.System, cfg Config) *Engine {
 // dispatches only, never while a run is in flight.
 func (e *Engine) Configure(cfg Config) {
 	e.pipe = cfg.Pipeline.Enabled()
-	e.tl = cfg.Timeline
 	e.ev = cfg.Events
 	if reg := e.sys.MetricsRegistry(); reg != nil {
 		e.met = newEngineMetrics(reg)
@@ -907,6 +900,7 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 		e.tspLS, e.tspLSOK = sl.stats, true
 	}
 	t1 := e.span("wave", sl.seq, sl.n, sl.t0)
+	e.eventWave(sl.seq, sl.n)
 	streams := ws.Scatter(sl.idx, sl.n)
 	g := ws.Gather(sl.idx, sl.n)
 	retried := false
@@ -929,37 +923,26 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 }
 
 // now returns the wall clock only when span recording is armed (a
-// timeline, a metrics registry, or a request span; all consume phase
-// timings).
+// metrics registry or a request span; both consume phase timings).
 func (e *Engine) now() time.Time {
-	if e.tl == nil && e.met == nil && e.tsp == nil {
+	if e.met == nil && e.tsp == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// span records [t0, now] under name — into the timeline, the phase
-// histogram, the request trace, and the per-wave event log, whichever
-// are armed — and returns its end instant.
+// span records [t0, now] under name — into the phase histogram and the
+// request trace, whichever are armed — and returns its end instant.
 func (e *Engine) span(name string, wave, shards int, t0 time.Time) time.Time {
-	if e.tl == nil && e.met == nil && e.tsp == nil {
-		if name == "gather" || name == "wave" {
-			e.eventWave(wave, shards)
-		}
+	if e.met == nil && e.tsp == nil {
 		return time.Time{}
 	}
 	t1 := time.Now()
-	if e.tl != nil {
-		e.tl.Record(name, wave, shards, t0, t1)
-	}
 	if e.met != nil {
 		e.met.phase(name).Observe(uint64(t1.Sub(t0)))
 	}
 	if e.tsp != nil {
 		e.traceSpan(name, wave, shards, t0, t1)
-	}
-	if name == "gather" || name == "wave" {
-		e.eventWave(wave, shards)
 	}
 	return t1
 }

@@ -373,11 +373,15 @@ func TestEngineDownDPUSticky(t *testing.T) {
 }
 
 // TestWaveSpans: Engine.Run records one "wave" span per wave at either
-// depth, and a "retry" span only when shards were re-dispatched. At
-// depth 1 every wave is completed before the next is issued, so spans
-// never overlap. At depth 2 wave w+1 is queued while wave w drains, so
-// their spans must overlap — deterministically: wave w+1's span opens
-// when it is issued, strictly before wave w's flush closes wave w's.
+// depth, and a "retry" span only when shards were re-dispatched, as
+// children of the request span installed on the engine; the wave
+// timeline is trace.WaveSpans' view of that trace. At depth 1 every wave
+// is completed before the next is issued, so spans never overlap. At
+// depth 2 wave w+1 is queued while wave w drains, so their spans must
+// overlap — deterministically: wave w+1's span opens when it is issued,
+// strictly before wave w's flush closes wave w's. The queue commands
+// ("q.wave") and per-DPU kernels ("dpu_kernel") recorded under the same
+// root are in the trace and not in the view.
 func TestWaveSpans(t *testing.T) {
 	deadPlan := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1}
 	for _, tc := range []struct {
@@ -397,19 +401,23 @@ func TestWaveSpans(t *testing.T) {
 			if tc.plan != nil {
 				w.sys.InjectFaults(*tc.plan)
 			}
-			tl := trace.NewTimeline()
-			eng := exec.New(w.sys, exec.Config{Pipeline: tc.mode, Timeline: tl})
+			eng := exec.New(w.sys, exec.Config{Pipeline: tc.mode})
+			root := trace.NewTracer(trace.TracerConfig{}).StartTrace("run")
+			eng.SetTraceSpan(root)
 			var st exec.Stats
 			if err := eng.Run(w, &st); err != nil {
 				t.Fatal(err)
 			}
+			eng.SetTraceSpan(nil)
+			root.End()
 			for i := range want {
 				if w.got[i] != want[i] {
 					t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
 				}
 			}
+			spans := root.Trace().WaveSpans()
 			count := map[string]int{}
-			for _, s := range tl.Spans() {
+			for _, s := range spans {
 				count[s.Name]++
 				if s.Shards != 8 {
 					t.Errorf("span %q wave %d shards = %d, want 8", s.Name, s.Wave, s.Shards)
@@ -421,15 +429,27 @@ func TestWaveSpans(t *testing.T) {
 			if got := count["retry"]; (got > 0) != (st.Retries > 0) || (tc.plan != nil) != (got > 0) {
 				t.Errorf("%d retry spans with %d retries (fault plan: %v)", got, st.Retries, tc.plan != nil)
 			}
-			mc := tl.MaxConcurrent()
+			mc := trace.MaxConcurrent(spans)
 			if tc.mode == host.PipelineOff && mc != 1 {
 				t.Errorf("depth-1 MaxConcurrent = %d, want 1", mc)
 			}
 			if tc.mode == host.PipelineOn && tc.plan == nil && mc < 2 {
 				t.Errorf("depth-2 MaxConcurrent = %d, want >= 2 (waves must overlap)", mc)
 			}
-			if r := tl.Render(40); r == "" {
+			if r := trace.Render(spans, 40); r == "" {
 				t.Error("empty render")
+			}
+			if tc.mode == host.PipelineOn {
+				all := map[string]int{}
+				for _, n := range root.Trace().Spans() {
+					all[n.Name]++
+				}
+				if all["q.wave"] == 0 || all["dpu_kernel"] == 0 {
+					t.Errorf("trace spans %v, want q.wave and dpu_kernel children under the root", all)
+				}
+				if count["q.wave"] != 0 || count["dpu_kernel"] != 0 {
+					t.Errorf("view holds queue or kernel spans: %v", count)
+				}
 			}
 		})
 	}

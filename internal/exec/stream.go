@@ -149,6 +149,7 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 
 	err := e.gatherStream(ss, failed, st)
 	e.span("gather", seq, ss.Shards, t2)
+	e.eventWave(seq, ss.Shards)
 	return err
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Request-tracing integration. A runner that dispatches on behalf of a
 // traced request installs the request's span on its engine; the
-// engine's existing phase spans (wave/retry for a Run at either depth,
-// scatter/launch/gather for a RunStream) then double as child spans of
+// engine's phase spans (wave/retry for a Run at either depth,
+// scatter/launch/gather for a RunStream, each with its wave number and
+// shard count: what trace.WaveSpans reads back) become child spans of
 // that request, launch and wave spans carry the launch's simulated
 // cycle/energy attributes, and each launch fans out per-DPU
 // "dpu_kernel" child spans whose extents are the *simulated* kernel

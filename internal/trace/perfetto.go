@@ -181,47 +181,3 @@ func WritePerfetto(w io.Writer, traces ...*Trace) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(perfettoFile{TraceEvents: events, DisplayTimeUnit: "ns"})
 }
-
-// TimelinePerfetto converts a wave Timeline (the pre-span profiling
-// surface) to trace-event JSON: each span becomes a complete slice on
-// pid 0, one lane per concurrent wave. upmem-profile uses it so
-// existing Gantt data exports to the same viewer.
-func TimelinePerfetto(w io.Writer, tl *Timeline) error {
-	spans := tl.Spans()
-	events := make([]TraceEvent, 0, len(spans)+2)
-	events = append(events, TraceEvent{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]any{"name": "wave timeline"},
-	})
-	var laneEnd []time.Duration
-	for _, s := range spans {
-		lane := -1
-		for l := range laneEnd {
-			if laneEnd[l] <= s.Start {
-				lane = l
-				break
-			}
-		}
-		if lane == -1 {
-			lane = len(laneEnd)
-			laneEnd = append(laneEnd, 0)
-			events = append(events, TraceEvent{
-				Name: "thread_name", Ph: "M", Pid: 0, Tid: uint64(lane),
-				Args: map[string]any{"name": fmt.Sprintf("lane.%d", lane)},
-			})
-		}
-		laneEnd[lane] = s.End
-		events = append(events, TraceEvent{
-			Name: fmt.Sprintf("w%03d %s", s.Wave, s.Name),
-			Ph:   "X",
-			Ts:   float64(s.Start.Nanoseconds()) / 1e3,
-			Dur:  float64((s.End - s.Start).Nanoseconds()) / 1e3,
-			Pid:  0,
-			Tid:  uint64(lane),
-			Args: map[string]any{"wave": s.Wave, "shards": s.Shards},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(perfettoFile{TraceEvents: events, DisplayTimeUnit: "ns"})
-}

@@ -138,34 +138,3 @@ func TestPerfettoSchema(t *testing.T) {
 		t.Errorf("displayTimeUnit %q", doc.Unit)
 	}
 }
-
-// TestTimelinePerfetto: the wave-timeline export emits valid slices
-// with wave/shard args.
-func TestTimelinePerfetto(t *testing.T) {
-	tl := NewTimeline()
-	base := time.Now()
-	tl.Record("scatter", 0, 4, base, base.Add(5*time.Microsecond))
-	tl.Record("launch", 0, 4, base.Add(5*time.Microsecond), base.Add(20*time.Microsecond))
-	var buf bytes.Buffer
-	if err := TimelinePerfetto(&buf, tl); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	var found int
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			found++
-			if ev.Args["wave"] == nil || ev.Args["shards"] == nil {
-				t.Errorf("slice %q missing wave/shards args", ev.Name)
-			}
-		}
-	}
-	if found != 2 {
-		t.Errorf("%d slices, want 2", found)
-	}
-}

@@ -56,6 +56,18 @@ func (r *FlightRecorder) Add(tr *Trace) {
 	r.ring[i%uint64(len(r.ring))].Store(tr)
 }
 
+// Overwritten returns how many completed traces ring rotation has
+// evicted: everything Add was handed beyond the ring's capacity.
+func (r *FlightRecorder) Overwritten() uint64 {
+	if r == nil {
+		return 0
+	}
+	if n, c := r.pos.Load(), uint64(len(r.ring)); n > c {
+		return n - c
+	}
+	return 0
+}
+
 // Traces returns the retained traces, newest first.
 func (r *FlightRecorder) Traces() []*Trace {
 	if r == nil {

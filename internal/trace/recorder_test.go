@@ -19,6 +19,12 @@ func TestRecorderRingEviction(t *testing.T) {
 	tr := NewTracer(TracerConfig{Ring: 4})
 	for i := 0; i < 6; i++ {
 		mkTrace(tr, "r", time.Millisecond)
+		if got := tr.Recorder().Overwritten(); i == 3 && got != 0 {
+			t.Errorf("Overwritten = %d with the ring of 4 just full, want 0", got)
+		}
+	}
+	if got := tr.Recorder().Overwritten(); got != 2 {
+		t.Errorf("Overwritten = %d after 6 traces in a ring of 4, want 2", got)
 	}
 	got := tr.Recorder().Traces()
 	if len(got) != 4 {

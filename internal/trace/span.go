@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -400,22 +399,4 @@ func (t *Tracer) deliver(tr *Trace) {
 		return
 	}
 	t.rec.Add(tr)
-}
-
-// ctxKey is the context key for span propagation.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying sp. A nil sp is carried as-is so
-// FromContext stays a plain nil on disabled paths.
-func NewContext(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp
 }

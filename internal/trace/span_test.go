@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -219,23 +218,6 @@ func findSpan(tr *Trace, name string) (SpanNode, bool) {
 		}
 	}
 	return SpanNode{}, false
-}
-
-// TestContextPropagation round-trips a span through a context.
-func TestContextPropagation(t *testing.T) {
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatal("empty context produced a span")
-	}
-	tr := NewTracer(TracerConfig{})
-	sp := tr.StartTrace("r")
-	ctx := NewContext(context.Background(), sp)
-	if got := FromContext(ctx); got != sp {
-		t.Error("span did not round-trip through context")
-	}
-	// A nil span is carried as a plain nil, not a typed non-nil value.
-	if got := FromContext(NewContext(context.Background(), nil)); got != nil {
-		t.Error("nil span round-tripped as non-nil")
-	}
 }
 
 // TestConcurrentSpanHammer exercises the documented concurrency

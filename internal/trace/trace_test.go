@@ -189,19 +189,34 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
+// TestSpansStableOrder: the wave view of a trace is in (Start, Wave,
+// Name) order whatever order the spans ended in, and holds only the
+// spans that carry the engine's wave attribute.
 func TestSpansStableOrder(t *testing.T) {
-	tl := NewTimeline()
-	epoch := tl.epoch
+	root := NewTracer(TracerConfig{}).StartTrace("r")
+	epoch := root.Trace().Epoch()
 	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	record := func(name string, wave, shards, from, to int) {
+		c := root.StartChildAt(name, at(from))
+		c.SetAttr("wave", int64(wave))
+		c.SetAttr("shards", int64(shards))
+		c.EndAt(at(to))
+	}
 	// Record out of time order, as interleaved engines would.
-	tl.Record("launch", 2, 4, at(30), at(40))
-	tl.Record("scatter", 1, 4, at(0), at(10))
-	tl.Record("gather", 1, 4, at(20), at(30))
-	tl.Record("launch", 1, 4, at(10), at(20))
+	record("launch", 2, 4, 30, 40)
+	record("scatter", 1, 4, 0, 10)
+	record("gather", 1, 4, 20, 30)
+	record("launch", 1, 4, 10, 20)
 	// Equal Start: wave breaks the tie, then name.
-	tl.Record("scatter", 3, 4, at(30), at(35))
-	tl.Record("gather", 2, 4, at(30), at(45))
-	got := tl.Spans()
+	record("scatter", 3, 4, 30, 35)
+	record("gather", 2, 4, 30, 45)
+	// Spans without the attribute (queue commands, kernels, the root)
+	// are not wave spans.
+	q := root.StartChildAt("q.wave", at(0))
+	q.SetAttr("ticket", 1)
+	q.EndAt(at(50))
+	root.EndAt(at(50))
+	got := root.Trace().WaveSpans()
 	want := []struct {
 		name string
 		wave int
@@ -210,17 +225,31 @@ func TestSpansStableOrder(t *testing.T) {
 		{"gather", 2}, {"launch", 2}, {"scatter", 3},
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Spans len = %d, want %d", len(got), len(want))
+		t.Fatalf("WaveSpans len = %d, want %d", len(got), len(want))
 	}
 	for i, w := range want {
-		if got[i].Name != w.name || got[i].Wave != w.wave {
-			t.Errorf("span %d = %s/w%d, want %s/w%d",
-				i, got[i].Name, got[i].Wave, w.name, w.wave)
+		if got[i].Name != w.name || got[i].Wave != w.wave || got[i].Shards != 4 {
+			t.Errorf("span %d = %s/w%d/%d shards, want %s/w%d/4 shards",
+				i, got[i].Name, got[i].Wave, got[i].Shards, w.name, w.wave)
 		}
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Start < got[i-1].Start {
 			t.Errorf("span %d starts before span %d", i, i-1)
 		}
+	}
+	if got[0].Start != 0 || got[0].End != 10*time.Millisecond {
+		t.Errorf("span 0 = [%v, %v], want [0s, 10ms]", got[0].Start, got[0].End)
+	}
+	// w1's three phases are back to back; w2's launch and gather and
+	// w3's scatter all start at 30ms.
+	if mc := MaxConcurrent(got); mc != 3 {
+		t.Errorf("MaxConcurrent = %d, want 3", mc)
+	}
+	if r := Render(got, 40); !strings.Contains(r, "w003 scatter") || !strings.Contains(r, "max concurrent spans: 3") {
+		t.Errorf("render:\n%s", r)
+	}
+	if r := Render(nil, 40); r != "(no spans recorded)\n" {
+		t.Errorf("empty render = %q", r)
 	}
 }
