@@ -3,14 +3,15 @@
 # packages with cross-goroutine state (the host runtime's worker pool,
 # sharded transfers, and async command queue, the trace profile, the
 # metrics registry, the execution engine, the softfloat slice kernels
-# and compiled ISA dispatch shared across concurrently launched DPUs,
-# the gemm/ebnn runners and the nn executor — whose batch fill/decode
+# and isa.Kernel closures shared across concurrently launched DPUs, the
+# gemm/ebnn runners and the nn executor — whose batch fill/decode
 # callbacks run on pool workers — with the three networks over it,
 # including the fault-injection recovery paths, plus the upmem-top
 # renderer, the upmem-serve batching/backpressure server and
 # upmem-profile, whose test reads a trace the depth-2 queue executor
-# goroutine writes), the simulated-clock core-count check (`make
-# sim-invariant`), the report byte-identity check (`make report-check`),
+# goroutine writes), one iteration of each benchmark a `make profile*`
+# target names (`make bench-smoke`), the simulated-clock core-count
+# check (`make sim-invariant`), the report byte-identity check (`make report-check`),
 # and the non-test line count per package (`make lines`), the number
 # ROADMAP asks every PR to report next to ns/op. `make bench`
 # (scripts/bench.sh) regenerates the legacy BENCH_pr10.json record and
@@ -18,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race sim-invariant report-check report-update bench lines profile profile-array profile-ebnn profile-rows ci
+.PHONY: all build vet test race bench-smoke sim-invariant report-check report-update bench lines profile profile-array profile-ebnn profile-rows ci
 
 all: ci
 
@@ -41,7 +42,14 @@ test:
 race:
 	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
 
-# rows_zoo and ebnn_stream at GOMAXPROCS=1 and at the host's width must
+# The four benchmarks the profile, profile-array, profile-rows and
+# profile-ebnn targets name, one iteration each: nothing else in ci
+# executes them, so a benchmark that no longer builds or runs shows here
+# (~4 s).
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorWallClock$$|BenchmarkFullArrayYOLOForward$$|BenchmarkRowsZoo$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEBNNStream$$' -benchtime 1x ./internal/ebnn
+
 # report identical sim_cycles_per_op and sim_xfer_bytes_per_op.
 sim-invariant:
 	GO=$(GO) scripts/sim-invariant.sh
@@ -114,4 +122,4 @@ profile-rows:
 		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
 			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
 
-ci: vet build test race sim-invariant report-check lines
+ci: vet build test race bench-smoke sim-invariant report-check lines

@@ -163,14 +163,9 @@ type KernelFunc func(t *Tasklet) error
 type DPU struct {
 	cfg Config
 
-	mu      sync.Mutex
-	wram    []byte
-	iram    []byte
-	iramGen uint64
-	// progCache holds a host-side decoded form of the loaded program,
-	// valid while progCacheGen matches iramGen (see ProgramCache).
-	progCache    interface{}
-	progCacheGen uint64
+	mu   sync.Mutex
+	wram []byte
+	iram []byte
 	// mramPages is the lazily-allocated MRAM, indexed by page number
 	// (nil entry = untouched page, reads as zero; see mram.go for pages
 	// shared between DPUs). A dense slice rather than a map: page lookup

@@ -28,41 +28,7 @@ func (d *DPU) LoadIRAM(image []byte) error {
 		d.iram[i] = 0
 	}
 	copy(d.iram, image)
-	d.iramGen++
 	return nil
-}
-
-// IRAMGeneration returns a counter incremented on every LoadIRAM.
-// Program caches (the predecoded dispatch tables in internal/isa) key
-// on it to avoid re-reading and re-decoding an unchanged program every
-// launch.
-func (d *DPU) IRAMGeneration() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.iramGen
-}
-
-// ProgramCache returns the host-side decoded-program slot if one was
-// stored for the given IRAM generation. The interpreter in internal/isa
-// keeps its compiled dispatch table here so an unchanged program is
-// decoded once per load, not once per tasklet per launch.
-func (d *DPU) ProgramCache(gen uint64) (interface{}, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.progCache != nil && d.progCacheGen == gen {
-		return d.progCache, true
-	}
-	return nil, false
-}
-
-// SetProgramCache associates v with IRAM generation gen. A LoadIRAM
-// between the caller's generation read and this store simply leaves a
-// stale entry that the next ProgramCache lookup misses.
-func (d *DPU) SetProgramCache(gen uint64, v interface{}) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.progCache = v
-	d.progCacheGen = gen
 }
 
 // ReadIRAM returns n bytes of IRAM starting at off.

@@ -48,13 +48,13 @@ func TestKernelChargesTheCostFunction(t *testing.T) {
 						want := model.Tally(opt, T, func(mt model.Meter, tk int) {
 							model.EBNNCost(mt, tk, T, images, sh)
 						})
-						r.SetLegacyCharging(false)
+						r.setLegacyCharging(false)
 						got, err := launchCount(r, T, images)
 						if err != nil {
 							t.Fatalf("%s: %v", id, err)
 						}
 						got.PerTasklet = append([]dpu.TaskletBreakdown(nil), got.PerTasklet...)
-						r.SetLegacyCharging(true)
+						r.setLegacyCharging(true)
 						ref, err := launchCount(r, T, images)
 						if err != nil {
 							t.Fatalf("%s: legacy: %v", id, err)

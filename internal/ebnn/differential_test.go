@@ -36,7 +36,7 @@ func TestBlockChargingParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r.SetLegacyCharging(legacy)
+					r.setLegacyCharging(legacy)
 					return r, sys
 				}
 				rBlock, sysBlock := mk(false)
@@ -142,7 +142,7 @@ func TestFunctionIndependentOfPartition(t *testing.T) {
 				var arms [2]*Runner // block, legacy
 				for i := range arms {
 					arms[i] = newRunner(t, 1, m, useLUT, 16)
-					arms[i].SetLegacyCharging(i == 1)
+					arms[i].setLegacyCharging(i == 1)
 					if err := arms[i].sys.DPU(0).CopyToMRAM(arms[i].layout.lutMRAM, lut); err != nil {
 						t.Fatal(err)
 					}

@@ -29,7 +29,7 @@ func CostShape(f int, useLUT bool) model.EBNNShape {
 // PlanMapping asks the auto-mapper for this model's
 // multiple-images-per-DPU mapping over `images` images.
 func PlanMapping(p *plan.Planner, m *Model, useLUT bool, images int) plan.Mapping {
-	return p.EBNN(CostShape(m.F, useLUT), images, BatchSize, plan.Exhaustive)
+	return p.EBNN(CostShape(m.F, useLUT), images, BatchSize)
 }
 
 // NewRunnerMapped deploys the model with a planner-produced mapping:

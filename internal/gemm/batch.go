@@ -6,7 +6,6 @@ import (
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
-	"pimdnn/internal/fixed"
 	"pimdnn/internal/host"
 	"pimdnn/internal/tensor"
 )
@@ -95,110 +94,6 @@ func (r *Runner) EnableBatch(maxM int) error {
 // one functional pass (see blockKernel), with each tasklet charging its
 // block of model.GEMMBatchCost.
 func (r *Runner) kernelBatch() dpu.KernelFunc { return r.blockKernel(true) }
-
-// kernelBatchLegacy is the per-operation-charging batch kernel, kept
-// behind RunnerConfig.LegacyCharging as the reference side of the
-// differential tests.
-func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
-	tileCols := r.tileCols
-	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		m := int(t.LoadI32(r.paramsOff + 12))
-		aBase := int64(t.LoadI32(r.paramsOff + 16))
-		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
-			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
-		}
-		d := t.DPU()
-
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-
-		stride := pad4(n)
-		tiles := (n + tileCols - 1) / tileCols
-		units := m * tiles
-		tileBase := r.tileOff + int64(t.ID())*int64(tileCols)*8
-		aSlot := r.aCacheOff + int64(t.ID())*int64((r.cfg.MaxK*2+7)&^7)
-		aBytes := (k*2 + 7) &^ 7
-
-		cachedRow := -1
-		apart := sc.apart[:k]
-		ctmp := sc.ctmp[:tileCols]
-
-		for u := t.ID(); u < units; u += t.Count() {
-			row := u / tiles
-			tile := u % tiles
-
-			if row != cachedRow {
-				// Stage this A row into the tasklet's WRAM cache and
-				// precompute APART (Algorithm 2 line 5). Rows sit at
-				// the padded stride so every transfer stays aligned.
-				for off := 0; off < aBytes; off += dpu.MaxDMATransfer {
-					chunk := aBytes - off
-					if chunk > dpu.MaxDMATransfer {
-						chunk = dpu.MaxDMATransfer
-					}
-					t.MRAMToWRAM(aSlot+int64(off), aBase+int64(row)*int64(aBytes)+int64(off), chunk)
-				}
-				aRow := sc.aRow[:k*2]
-				if err := d.CopyFromWRAMInto(aSlot, aRow); err != nil {
-					return err
-				}
-				t.ChargeBulk(dpu.OpLoad, uint64(k))
-				t.ChargeBulk(dpu.OpMul16, uint64(k))
-				for i := 0; i < k; i++ {
-					apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
-				}
-				cachedRow = row
-			}
-
-			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-
-			for kk := 0; kk < k; kk++ {
-				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
-				bChunk := sc.chunk[:cols*2]
-				if err := d.CopyFromWRAMInto(tileBase, bChunk); err != nil {
-					return err
-				}
-				ap := apart[kk]
-				for j := 0; j < cols; j++ {
-					ctmp[j] += ap * int32(int16(binary.LittleEndian.Uint16(bChunk[j*2:])))
-				}
-				t.ChargeBulk(dpu.OpLoad, uint64(2*cols))
-				t.ChargeBulk(dpu.OpMul16, uint64(cols))
-				t.ChargeBulk(dpu.OpAddInt, uint64(cols))
-				t.ChargeBulk(dpu.OpStore, uint64(cols))
-			}
-
-			out := sc.out[:chunkBytes]
-			for j := 0; j < cols; j++ {
-				binary.LittleEndian.PutUint16(out[j*2:], uint16(fixed.GEMMOutputClamp(ctmp[j])))
-			}
-			for b := cols * 2; b < chunkBytes; b++ {
-				out[b] = 0
-			}
-			t.ChargeBulk(dpu.OpShift, uint64(cols))
-			t.ChargeBulk(dpu.OpBranch, uint64(cols))
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			if err := d.CopyToWRAM(tileBase, out); err != nil {
-				return err
-			}
-			t.WRAMToMRAM(r.cFullOff+int64(row*stride+j0)*2, tileBase, chunkBytes)
-		}
-		return nil
-	}
-}
 
 // growBytes returns buf resliced to n bytes, reallocating only when the
 // capacity is insufficient. Contents are unspecified; callers overwrite.
@@ -346,11 +241,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	}
 	r.encodeParams(n, k, m, alpha, aBase)
 	if r.batchKernel == nil {
-		if r.cfg.LegacyCharging {
-			r.batchKernel = r.kernelBatchLegacy()
-		} else {
-			r.batchKernel = r.kernelBatch()
-		}
+		r.batchKernel = r.kernelBatch()
 	}
 
 	// An auto-mapping runner re-plans the image-per-DPU dispatch for

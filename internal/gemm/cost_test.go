@@ -50,9 +50,12 @@ func costRunnerFor(t *testing.T, opt dpu.OptLevel, naive, legacy bool, tasklets 
 		t.Fatal(err)
 	}
 	r, err := NewRunner(sys, RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: tasklets,
-		TileCols: costTileCols, Naive: naive, LegacyCharging: legacy})
+		TileCols: costTileCols, Naive: naive})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if legacy {
+		r.installLegacy()
 	}
 	if err := r.EnableBatch(costMaxM); err != nil {
 		t.Fatal(err)
@@ -80,17 +83,17 @@ func TestKernelsChargeTheCostFunction(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/O%d", kind.name, int(opt)), func(t *testing.T) {
 				blk := costRunner(t, opt, kind.naive, false)
 				leg := costRunner(t, opt, kind.naive, true)
-				kernels := func(r *Runner) (dpu.KernelFunc, int64) {
+				kernels := func(r *Runner, legacy bool) (dpu.KernelFunc, int64) {
 					if kind.batch {
-						if r.cfg.LegacyCharging {
+						if legacy {
 							return r.kernelBatchLegacy(), r.aFullOff
 						}
 						return r.kernelBatch(), r.aFullOff
 					}
 					return r.Kernel(), r.aOff
 				}
-				blkKernel, blkA := kernels(blk)
-				legKernel, legA := kernels(leg)
+				blkKernel, blkA := kernels(blk, false)
+				legKernel, legA := kernels(leg, true)
 				// Widest first: a cost cache that forgot the tasklet count
 				// in its key would serve the 24-tasklet blocks to the rest.
 				for _, T := range []int{24, 16, 11, 8, 2, 1} {

@@ -11,9 +11,9 @@ import (
 
 // Differential harness for block-level cycle accounting: every GEMM
 // kernel variant (tiled, naive, batch) must be bit-identical between the
-// legacy per-operation charging path (RunnerConfig.LegacyCharging) and
-// the block-charged fast path — same outputs, same simulated cycles,
-// same per-DPU clocks, same subroutine profiles.
+// legacy per-operation kernels (legacy_test.go, installLegacy) and the
+// block-charged kernels the runner ships — same outputs, same simulated
+// cycles, same per-DPU clocks, same subroutine profiles.
 
 // diffRun is one side's observable state after a GEMM workload.
 type diffRun struct {
@@ -32,13 +32,16 @@ func runDifferential(t *testing.T, opt dpu.OptLevel, legacy bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, LegacyCharging: legacy}
+	cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16}
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
 	r, err := NewRunner(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if legacy {
+		r.installLegacy()
 	}
 	out, outs, st := workload(t, r)
 	cyc := make([]uint64, sys.NumDPUs())

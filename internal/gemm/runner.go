@@ -51,15 +51,6 @@ type RunnerConfig struct {
 	// default (tiled) kernel is the §4.3.4-style improvement that
 	// maximizes WRAM accesses.
 	Naive bool
-	// LegacyCharging selects the per-operation charging kernels (one
-	// tasklet call and one simulated DMA round trip per chunk) instead
-	// of the block-accounted fast kernels. Cycle totals, instruction
-	// mixes, profiles and outputs are identical either way — the
-	// differential tests launch both and compare: the legacy kernels are
-	// the independent derivation the one cost statement in
-	// internal/model is held to — so the flag exists only for those
-	// tests and for profiling the old path.
-	LegacyCharging bool
 	// Exec is the unified execution-engine configuration (dispatch
 	// depth, trace timeline) shared with every other runner; see
 	// internal/exec and DESIGN.md, "Execution engine". Results and
@@ -78,16 +69,13 @@ type RunnerConfig struct {
 }
 
 // kernelScratch is the host-side working set of one kernel invocation:
-// the block kernels take one per launch (tasklet 0's functional pass),
-// the legacy kernels one per tasklet. Pooled on the runner so a launch
-// allocates nothing in steady state. Scratch is never simulated memory;
-// what the kernel's WRAM staging costs is in its cost function.
+// a launch takes one (tasklet 0's functional pass). Pooled on the runner
+// so a launch allocates nothing in steady state. Scratch is never
+// simulated memory; what the kernel's WRAM staging costs is in its cost
+// function.
 type kernelScratch struct {
 	aRow   []byte  // A bytes at the padded row stride; the batch pass grows it to m rows
 	apart  []int32 // alpha*A[k] (MaxK)
-	ctmp   []int32 // legacy tile accumulator (tileCols)
-	chunk  []byte  // legacy B chunk staging (tileCols*2)
-	out    []byte  // legacy clamped C output chunk (tileCols*2)
 	acc    []int32 // full-row accumulator (MaxN)
 	rowBuf []byte  // packed C row (pad4(MaxN)*2); the batch pass grows it to m rows
 }
@@ -294,9 +282,6 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 		return &kernelScratch{
 			aRow:   make([]byte, aRowBytes),
 			apart:  make([]int32, cfg.MaxK),
-			ctmp:   make([]int32, tileCols),
-			chunk:  make([]byte, tileCols*2),
-			out:    make([]byte, tileCols*2),
 			acc:    make([]int32, cfg.MaxN),
 			rowBuf: make([]byte, int(maxStride)*2),
 		}
@@ -634,215 +619,12 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
 // runs for them (model.GEMMRowCost or model.GEMMNaiveCost).
 func (r *Runner) kernel() dpu.KernelFunc { return r.blockKernel(false) }
 
-// kernelLegacy is the per-operation-charging tiled kernel the block
-// kernel above replaced. It is kept (behind RunnerConfig.LegacyCharging)
-// as the reference side of the differential tests: per tile it streams
-// each B row chunk from MRAM (Eq 3.4 cost per transfer) into a private
-// WRAM buffer, multiply-accumulates into a WRAM ctmp buffer with bulk
-// charges per k-iteration, and writes the clamped outputs back to MRAM.
-func (r *Runner) kernelLegacy() dpu.KernelFunc {
-	tileCols := r.tileCols
-	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		aoff := int64(t.LoadI32(r.paramsOff + 16))
-		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
-		}
-
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-
-		d := t.DPU()
-		// Tasklet 0 stages the A row into WRAM in DMA-sized chunks;
-		// later tasklets (run in ID order) read it shared.
-		if t.ID() == 0 {
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
-			}
-		}
-		aRow := sc.aRow[:k*2]
-		if err := d.CopyFromWRAMInto(r.aWRAM, aRow); err != nil {
-			return err
-		}
-		// Loading A[kk] each outer iteration: one WRAM load per k, plus
-		// the APART multiply (Algorithm 2 line 5).
-		t.ChargeBulk(dpu.OpLoad, uint64(k))
-		t.ChargeBulk(dpu.OpMul16, uint64(k))
-		apart := sc.apart[:k]
-		for i := range apart {
-			apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
-		}
-
-		tiles := (n + tileCols - 1) / tileCols
-		tileBase := r.tileOff + int64(t.ID())*int64(tileCols)*8
-		ctmp := sc.ctmp[:tileCols]
-
-		for tile := t.ID(); tile < tiles; tile += t.Count() {
-			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
-			t.ChargeBulk(dpu.OpStore, uint64(cols)) // zeroing ctmp
-
-			stride := pad4(n)
-			for kk := 0; kk < k; kk++ {
-				// Stream B[kk, j0:j0+cols] from MRAM.
-				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
-				bChunk := sc.chunk[:cols*2]
-				if err := d.CopyFromWRAMInto(tileBase, bChunk); err != nil {
-					return err
-				}
-				ap := apart[kk]
-				for j := 0; j < cols; j++ {
-					bv := int16(binary.LittleEndian.Uint16(bChunk[j*2:]))
-					ctmp[j] += ap * int32(bv)
-				}
-				// Per element: load B, load ctmp, 16-bit multiply,
-				// accumulate, store ctmp (Algorithm 2 line 7).
-				t.ChargeBulk(dpu.OpLoad, uint64(2*cols))
-				t.ChargeBulk(dpu.OpMul16, uint64(cols))
-				t.ChargeBulk(dpu.OpAddInt, uint64(cols))
-				t.ChargeBulk(dpu.OpStore, uint64(cols))
-			}
-
-			// Output rescale and clamp (Algorithm 2 lines 8-10), then
-			// write the C chunk back to MRAM.
-			out := sc.out[:chunkBytes]
-			for j := 0; j < cols; j++ {
-				binary.LittleEndian.PutUint16(out[j*2:], uint16(fixed.GEMMOutputClamp(ctmp[j])))
-			}
-			for b := cols * 2; b < chunkBytes; b++ {
-				out[b] = 0 // keep the padding tail deterministic
-			}
-			t.ChargeBulk(dpu.OpShift, uint64(cols))  // /32
-			t.ChargeBulk(dpu.OpBranch, uint64(cols)) // clamp compare
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			if err := d.CopyToWRAM(tileBase, out); err != nil {
-				return err
-			}
-			t.WRAMToMRAM(r.cOff+int64(j0*2), tileBase, chunkBytes)
-		}
-		return nil
-	}
-}
-
-// kernelNaiveLegacy is the per-operation-charging naive kernel, kept
-// behind RunnerConfig.LegacyCharging as the reference side of the
-// differential tests. Every inner-loop iteration performs the
-// per-element MRAM accounting inline, and every tasklet independently
-// re-reads the staged A row and the B rows.
-func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
-	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		aoff := int64(t.LoadI32(r.paramsOff + 16))
-		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
-		}
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-
-		d := t.DPU()
-		if t.ID() == 0 {
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
-			}
-		}
-		aRow := sc.aRow[:k*2]
-		if err := d.CopyFromWRAMInto(r.aWRAM, aRow); err != nil {
-			return err
-		}
-
-		// The tasklet's strided column set.
-		nCols := (n - t.ID() + t.Count() - 1) / t.Count()
-		if nCols <= 0 {
-			return nil
-		}
-		acc := sc.acc[:nCols]
-		for i := range acc {
-			acc[i] = 0
-		}
-		stride := pad4(n)
-
-		for kk := 0; kk < k; kk++ {
-			av := int16(binary.LittleEndian.Uint16(aRow[kk*2:]))
-			apart := int32(alpha) * int32(av)
-			// APART: one WRAM load and one 16-bit multiply per k
-			// (Algorithm 2 line 5).
-			t.Charge(dpu.OpLoad, 1)
-			t.Charge(dpu.OpMul16, 1)
-
-			bRow := sc.rowBuf[:stride*2]
-			if err := d.CopyFromMRAMInto(r.bOff+int64(kk*stride)*2, bRow); err != nil {
-				return err
-			}
-			ci := 0
-			for j := t.ID(); j < n; j += t.Count() {
-				bv := int16(binary.LittleEndian.Uint16(bRow[j*2:]))
-				acc[ci] += apart * int32(bv)
-				ci++
-			}
-			// Per element: MRAM read of ctmp[j], MRAM read of B[k*N+j],
-			// MRAM write of ctmp[j] (8-byte minimum transfers), plus the
-			// multiply-accumulate and address arithmetic.
-			t.ChargeDMA(uint64(3*nCols), 8)
-			t.ChargeBulk(dpu.OpMul16, uint64(nCols))
-			t.ChargeBulk(dpu.OpAddInt, uint64(2*nCols)) // accumulate + index
-		}
-
-		// Output pass (Algorithm 2 lines 8-10): read ctmp, rescale,
-		// clamp, write C — one more element-wise MRAM round trip.
-		cRow := sc.rowBuf[:stride*2]
-		if err := d.CopyFromMRAMInto(r.cOff, cRow); err != nil {
-			return err
-		}
-		ci := 0
-		for j := t.ID(); j < n; j += t.Count() {
-			binary.LittleEndian.PutUint16(cRow[j*2:], uint16(fixed.GEMMOutputClamp(acc[ci])))
-			ci++
-		}
-		if err := d.CopyToMRAM(r.cOff, cRow); err != nil {
-			return err
-		}
-		t.ChargeDMA(uint64(2*nCols), 8) // ctmp read + C write
-		t.ChargeBulk(dpu.OpShift, uint64(nCols))
-		t.ChargeBulk(dpu.OpBranch, uint64(nCols))
-		return nil
-	}
-}
-
 // Kernel returns the configured kernel variant, exposed so callers can
 // launch it directly on a bare DPU for profiling. The closure is built
 // once and reused across launches.
 func (r *Runner) Kernel() dpu.KernelFunc {
 	if r.rowKernel == nil {
-		switch {
-		case !r.cfg.LegacyCharging:
-			r.rowKernel = r.kernel()
-		case r.cfg.Naive:
-			r.rowKernel = r.kernelNaiveLegacy()
-		default:
-			r.rowKernel = r.kernelLegacy()
-		}
+		r.rowKernel = r.kernel()
 	}
 	return r.rowKernel
 }

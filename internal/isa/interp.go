@@ -15,61 +15,31 @@ type Regs [NumRegs]uint32
 
 // Load stores a program into the DPU's IRAM, enforcing the 24 KB limit.
 func Load(d *dpu.DPU, p Program) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	return d.LoadIRAM(p.Image())
+}
+
+// validate rejects a program holding an instruction whose opcode or
+// register fields are out of range (a hand-built Program; the assembler
+// and FromImage produce none).
+func (p Program) validate() error {
 	for i, in := range p.Ins {
 		if !in.Valid() {
 			return fmt.Errorf("isa: instruction %d invalid: %+v", i, in)
 		}
 	}
-	return d.LoadIRAM(p.Image())
+	return nil
 }
 
 // Kernel returns a dpu.KernelFunc that executes the program currently
-// loaded in the DPU's IRAM through the compiled-closure dispatcher
-// (Compile). The compiled form is cached on the DPU keyed by IRAM
-// generation, so an unchanged program is decoded once per LoadIRAM
-// instead of once per tasklet per launch. init, if non-nil, seeds each
-// tasklet's registers; final, if non-nil, receives each tasklet's
-// register file after HALT.
+// loaded in the DPU's IRAM: each tasklet reads the image, decodes it
+// (FromImage) and interprets it (Exec), so one closure runs whatever was
+// loaded last, on any DPU. init, if non-nil, seeds each tasklet's
+// registers; final, if non-nil, receives each tasklet's register file
+// after HALT.
 func Kernel(init func(tid int, r *Regs), final func(tid int, r Regs)) dpu.KernelFunc {
-	return func(t *dpu.Tasklet) error {
-		d := t.DPU()
-		gen := d.IRAMGeneration()
-		var c *Compiled
-		if v, ok := d.ProgramCache(gen); ok {
-			c = v.(*Compiled)
-		} else {
-			img, err := d.ReadIRAM(0, d.Config().IRAMSize)
-			if err != nil {
-				return err
-			}
-			prog, err := FromImage(img)
-			if err != nil {
-				return err
-			}
-			if c, err = Compile(prog); err != nil {
-				return err
-			}
-			d.SetProgramCache(gen, c)
-		}
-		var regs Regs
-		if init != nil {
-			init(t.ID(), &regs)
-		}
-		if err := c.Exec(t, &regs); err != nil {
-			return err
-		}
-		if final != nil {
-			final(t.ID(), regs)
-		}
-		return nil
-	}
-}
-
-// LegacyKernel is the switch-interpreter form of Kernel: it re-reads and
-// re-decodes IRAM on every tasklet and dispatches through Exec. Retained
-// as the reference the differential tests hold the compiled dispatcher
-// to.
-func LegacyKernel(init func(tid int, r *Regs), final func(tid int, r Regs)) dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
 		img, err := t.DPU().ReadIRAM(0, t.DPU().Config().IRAMSize)
 		if err != nil {
@@ -97,8 +67,13 @@ func LegacyKernel(init func(tid int, r *Regs), final func(tid int, r Regs)) dpu.
 // with the given register file, until HALT or the end of the program.
 // Every instruction charges the DPU cost model; because programs are
 // already instruction streams, per-statement compiler overhead does not
-// apply — run the DPU at O2/O3 for assembly-faithful accounting.
+// apply — run the DPU at O2/O3 for assembly-faithful accounting. The
+// program is validated first, so a register field outside the file is an
+// error here, not an index panic mid-run.
 func Exec(t *dpu.Tasklet, p Program, regs *Regs) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
 	pc := 0
 	for steps := 0; ; steps++ {
 		if steps > MaxSteps {

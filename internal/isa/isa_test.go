@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -355,6 +356,78 @@ func TestInterpreterFaults(t *testing.T) {
 				t.Error("fault not reported")
 			}
 		})
+	}
+}
+
+// TestExecRejectsInvalidInstruction: a hand-built program whose register
+// field is outside the file never went through Load or FromImage, so
+// Exec is the only place left to refuse it — with an error from Launch,
+// not an index panic that takes the process down.
+func TestExecRejectsInvalidInstruction(t *testing.T) {
+	for _, in := range []Instruction{
+		{Op: OpMOVI, Rd: 200},
+		{Op: OpADD, Rd: 1, Rs1: NumRegs},
+		{Op: OpSW, Rs2: 255},
+		{Op: opEnd},
+	} {
+		prog := Program{Ins: []Instruction{{Op: OpNOP}, in}}
+		d := dpu.MustNew(dpu.DefaultConfig(dpu.O2))
+		_, err := d.Launch(1, func(tk *dpu.Tasklet) error {
+			var regs Regs
+			return Exec(tk, prog, &regs)
+		})
+		if err == nil || !strings.Contains(err.Error(), "isa: instruction 1 invalid") {
+			t.Errorf("%+v: Launch returned %v, want an invalid-instruction error", in, err)
+		}
+	}
+}
+
+// TestReloadedProgramRuns: a Kernel closure holds no program — it reads
+// IRAM on every launch — so the same closure must run a reloaded image.
+func TestReloadedProgramRuns(t *testing.T) {
+	d := dpu.MustNew(dpu.DefaultConfig(dpu.O2))
+	k := Kernel(nil, nil)
+
+	load := func(src string) {
+		t.Helper()
+		if err := Load(d, MustAssemble(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readWord := func(off int) int32 {
+		raw, err := d.CopyFromWRAM(int64(off), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int32(binary.LittleEndian.Uint32(raw))
+	}
+
+	load(`
+		movi r1, 41
+		movi r2, 0
+		sw   r1, 0(r2)
+		halt
+	`)
+	for i := 0; i < 3; i++ {
+		if _, err := d.Launch(2, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := readWord(0); got != 41 {
+		t.Fatalf("first program wrote %d, want 41", got)
+	}
+
+	load(`
+		movi r1, 97
+		movi r2, 0
+		sw   r1, 0(r2)
+		halt
+	`)
+	if _, err := d.Launch(2, k); err != nil {
+		t.Fatal(err)
+	}
+	if got := readWord(0); got != 97 {
+		t.Fatalf("after IRAM reload the first program ran (got %d, want 97)", got)
 	}
 }
 

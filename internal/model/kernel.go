@@ -10,8 +10,10 @@
 // tally and the pipeline law (dpu.PipelineCycles), so a planner can rank
 // candidate mappings without running the simulator (internal/plan) and
 // the prediction equals the simulated per-wave cycles by construction.
-// The per-operation legacy kernels the differential tests launch are the
-// independent derivation these statements are held to.
+// The per-operation legacy kernels are the independent derivation these
+// statements are held to; they are test code (legacy_test.go in
+// internal/gemm and internal/ebnn), installed by the cost and
+// differential tests there, and no shipped option selects them.
 package model
 
 import "pimdnn/internal/dpu"

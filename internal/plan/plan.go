@@ -86,19 +86,6 @@ type Mapping struct {
 	PredictedSeconds    float64
 }
 
-// Strategy selects the candidate-search algorithm.
-type Strategy uint8
-
-const (
-	// Exhaustive scores every feasible tasklet count (at most
-	// dpu.MaxTasklets candidates per shape — cheap, and the default).
-	Exhaustive Strategy = iota
-	// Beam hill-climbs from a small seed set; equivalent to Exhaustive
-	// on the shapes the tests cover, kept for sweeps where the candidate
-	// axis is wider than one DPU's tasklet range.
-	Beam
-)
-
 // GEMMOptions carries the per-runner configuration the planner must
 // honor (the axes it does NOT choose: kernel family and tile width are
 // allocation-time runner properties) plus search bounds.
@@ -116,8 +103,6 @@ type GEMMOptions struct {
 	// Batch plans the image-per-DPU mapping's WRAM footprint (the
 	// per-tasklet A-row cache) into the tasklet cap.
 	Batch bool
-	// Strategy selects Exhaustive (default) or Beam search.
-	Strategy Strategy
 }
 
 // Planner scores candidate mappings against one system topology. It is
@@ -273,7 +258,7 @@ func (p *Planner) Plan(m, n, k, images int, o GEMMOptions) Mapping {
 // batchSize images per DPU. The tasklet choice targets the dominant
 // (full-batch) wave; the predicted latency sums every wave, including a
 // final partial one.
-func (p *Planner) EBNN(sh model.EBNNShape, images, batchSize int, strategy Strategy) Mapping {
+func (p *Planner) EBNN(sh model.EBNNShape, images, batchSize int) Mapping {
 	if images < 1 {
 		images = batchSize
 	}
@@ -281,7 +266,7 @@ func (p *Planner) EBNN(sh model.EBNNShape, images, batchSize int, strategy Strat
 	if perDPU > batchSize {
 		perDPU = batchSize
 	}
-	tasklets, cycles := searchTasklets(dpu.MaxTasklets, strategy, func(t int) uint64 {
+	tasklets, cycles := searchTasklets(dpu.MaxTasklets, func(t int) uint64 {
 		return model.EBNNWaveCycles(sh, perDPU, t, p.cfg.Opt)
 	})
 	shards := (images + batchSize - 1) / batchSize
@@ -331,7 +316,7 @@ func (p *Planner) searched(mode Mode, m, n, k int, o GEMMOptions, cost func(int)
 			}
 		}
 	}
-	tasklets, cycles := searchTasklets(o.MaxTasklets, o.Strategy, cost)
+	tasklets, cycles := searchTasklets(o.MaxTasklets, cost)
 	next := make([]cacheEntry, 0, 8)
 	if cached != nil {
 		next = append(next, *cached...)
@@ -347,50 +332,15 @@ func (p *Planner) searched(mode Mode, m, n, k int, o GEMMOptions, cost func(int)
 
 // searchTasklets finds the tasklet count in [1, maxT] minimizing cost,
 // breaking ties toward fewer tasklets (less WRAM pressure, identical
-// latency). Exhaustive scans every candidate; Beam hill-climbs from
-// three seeds (1, the pipeline depth, maxT) — the cost curve is
-// piecewise monotone in practice, and the equivalence is asserted on
-// small shapes by the tests.
-func searchTasklets(maxT int, s Strategy, cost func(int) uint64) (int, uint64) {
+// latency), by scoring every candidate: at most dpu.MaxTasklets of them
+// per shape.
+func searchTasklets(maxT int, cost func(int) uint64) (int, uint64) {
 	if maxT < 1 {
 		maxT = 1
-	}
-	if s == Beam {
-		return beamSearch(maxT, cost)
 	}
 	best, bestC := 1, cost(1)
 	for t := 2; t <= maxT; t++ {
 		if c := cost(t); c < bestC {
-			best, bestC = t, c
-		}
-	}
-	return best, bestC
-}
-
-func beamSearch(maxT int, cost func(int) uint64) (int, uint64) {
-	seeds := [3]int{1, dpu.PipelineDepth, maxT}
-	best, bestC := 0, ^uint64(0)
-	for _, s := range seeds {
-		if s < 1 || s > maxT {
-			continue
-		}
-		t, c := s, cost(s)
-		for {
-			moved := false
-			for _, nb := range [2]int{t - 1, t + 1} {
-				if nb < 1 || nb > maxT {
-					continue
-				}
-				if nc := cost(nb); nc < c || (nc == c && nb < t) {
-					t, c = nb, nc
-					moved = true
-				}
-			}
-			if !moved {
-				break
-			}
-		}
-		if c < bestC || (c == bestC && t < best) {
 			best, bestC = t, c
 		}
 	}

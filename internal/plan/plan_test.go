@@ -48,34 +48,6 @@ func TestGEMMDeterminism(t *testing.T) {
 	}
 }
 
-// TestExhaustiveVsBeam: on small shapes the hill-climbing beam search
-// must land on the exhaustive optimum (same cycles; ties broken the
-// same way, so the same tasklet count too).
-func TestExhaustiveVsBeam(t *testing.T) {
-	p := testPlanner()
-	shapes := [][3]int{
-		{8, 64, 27}, {16, 256, 27}, {2, 500, 64}, {32, 1024, 288},
-		{1, 16, 9}, {10, 300, 1152}, {5, 2048, 64},
-	}
-	for _, naive := range []bool{false, true} {
-		for _, sh := range shapes {
-			ex := p.GEMM(sh[0], sh[1], sh[2], GEMMOptions{Naive: naive, Strategy: Exhaustive})
-			bm := p.GEMM(sh[0], sh[1], sh[2], GEMMOptions{Naive: naive, Strategy: Beam})
-			if ex.Tasklets != bm.Tasklets || ex.PredictedWaveCycles != bm.PredictedWaveCycles {
-				t.Errorf("naive=%v shape %v: exhaustive (T=%d, %d cyc) != beam (T=%d, %d cyc)",
-					naive, sh, ex.Tasklets, ex.PredictedWaveCycles, bm.Tasklets, bm.PredictedWaveCycles)
-			}
-		}
-		for _, sh := range shapes {
-			ex := p.GEMMBatch(sh[0], sh[1], sh[2], 8, GEMMOptions{Strategy: Exhaustive})
-			bm := p.GEMMBatch(sh[0], sh[1], sh[2], 8, GEMMOptions{Strategy: Beam})
-			if ex.Tasklets != bm.Tasklets || ex.PredictedWaveCycles != bm.PredictedWaveCycles {
-				t.Errorf("batch shape %v: exhaustive (T=%d) != beam (T=%d)", sh, ex.Tasklets, bm.Tasklets)
-			}
-		}
-	}
-}
-
 // TestWaveGeometry pins the derived axes: wave width is min(shards,
 // system), waves cover all shards, and predicted latency scales with
 // waves.
@@ -153,7 +125,7 @@ func TestEBNNPlan(t *testing.T) {
 	p := testPlanner()
 	sh := model.EBNNShape{Filters: 8, Cells: 49, Side: 28, PackedBytes: 128, ResultBytes: 176, LUTBytes: 152, UseLUT: true}
 
-	full := p.EBNN(sh, 96, 16, Exhaustive)
+	full := p.EBNN(sh, 96, 16)
 	if full.DPUs != 6 || full.Waves != 1 {
 		t.Errorf("96 images / 16 per DPU: %+v", full)
 	}
@@ -163,7 +135,7 @@ func TestEBNNPlan(t *testing.T) {
 
 	// A partial shard sharing the only wave with full shards costs
 	// nothing extra — the full shards dominate the wave maximum.
-	mixed := p.EBNN(sh, 40, 16, Exhaustive)
+	mixed := p.EBNN(sh, 40, 16)
 	if mixed.DPUs != 3 || mixed.Waves != 1 {
 		t.Errorf("40 images: %+v", mixed)
 	}
@@ -173,7 +145,7 @@ func TestEBNNPlan(t *testing.T) {
 
 	// 64 DPUs * 16 + 8 images: the second wave holds only the 8-image
 	// shard and must be priced at the partial cost.
-	tail := p.EBNN(sh, 64*16+8, 16, Exhaustive)
+	tail := p.EBNN(sh, 64*16+8, 16)
 	if tail.DPUs != 64 || tail.Waves != 2 {
 		t.Errorf("tail case: %+v", tail)
 	}
@@ -183,7 +155,7 @@ func TestEBNNPlan(t *testing.T) {
 	}
 
 	// Determinism across repeated plans.
-	if again := p.EBNN(sh, 96, 16, Exhaustive); again != full {
+	if again := p.EBNN(sh, 96, 16); again != full {
 		t.Errorf("repeat eBNN plan changed: %+v vs %+v", again, full)
 	}
 }
