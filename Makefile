@@ -12,14 +12,16 @@
 # goroutine writes), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
-# and the non-test line count per package (`make lines`), the number
-# ROADMAP asks every PR to report next to ns/op. `make bench`
+# the non-test line count per package (`make lines`), the number
+# ROADMAP asks every PR to report next to ns/op, and the funcs under
+# internal/ that no shipped program links (`make reach`, report-only
+# like lines). `make bench`
 # (scripts/bench.sh) regenerates the legacy BENCH_pr10.json record and
 # fails if any hot-path benchmark's allocs/op grew over the baseline.
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke sim-invariant report-check report-update bench lines profile profile-array profile-ebnn profile-rows ci
+.PHONY: all build vet test race bench-smoke sim-invariant report-check report-update bench lines reach profile profile-array profile-ebnn profile-rows ci
 
 all: ci
 
@@ -50,7 +52,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorWallClock$$|BenchmarkFullArrayYOLOForward$$|BenchmarkRowsZoo$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkEBNNStream$$' -benchtime 1x ./internal/ebnn
 
-# report identical sim_cycles_per_op and sim_xfer_bytes_per_op.
+# The simulated clock must not depend on the host's core count: rows_zoo
+# and ebnn_stream at GOMAXPROCS=1 (depth 1) and at the host's width
+# (depth 2) report identical sim_cycles_per_op and sim_xfer_bytes_per_op.
 sim-invariant:
 	GO=$(GO) scripts/sim-invariant.sh
 
@@ -82,6 +86,12 @@ lines:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 
+# Every top-level func in a non-test file under internal/ that no main
+# package (cmd/*, examples/*, bench) and no exported function of package
+# pimdnn links, then the count: what only tests reach. Report-only.
+reach:
+	@GO=$(GO) scripts/reach.sh
+
 # CPU-profile the simulator hot path and print the top cumulative
 # functions (cpu.prof is left behind for `go tool pprof -http`).
 profile:
@@ -90,13 +100,14 @@ profile:
 
 # The same for the steady-state full-array batch forward (one image per
 # DPU on all 2,560): the profile behind the array_yolo workload. The last
-# line is the batch kernel's cumulative share of the profile, the "kernel
-# share" a PR cites: `make profile-array | grep '^kernel-share'`.
+# line is the cumulative share of the gemm kernel's functional pass
+# (flatPass, under the batch blockKernel closure), the "kernel share" a
+# PR cites: `make profile-array | grep '^kernel-share'`.
 profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
-		| awk '/kernelBatch/ { print "kernel-share kernelBatch cum " $$5; exit }'
+		| awk '/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
 # x 16 images x 4 waves, PipelineAuto). The last two lines are the
@@ -122,4 +133,4 @@ profile-rows:
 		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
 			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
 
-ci: vet build test race bench-smoke sim-invariant report-check lines
+ci: vet build test race bench-smoke sim-invariant report-check lines reach

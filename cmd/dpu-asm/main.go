@@ -116,9 +116,6 @@ func runProgram(prog isa.Program, tasklets int, opt dpu.OptLevel) error {
 			}
 		}
 	}
-	if log := d.ReadLog(); log != "" {
-		fmt.Printf("log:\n%s", log)
-	}
 	if rep := d.Profile().Report(); rep != "" {
 		fmt.Printf("subroutines:\n%s", rep)
 	}

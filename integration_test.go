@@ -3,7 +3,6 @@
 package pimdnn_test
 
 import (
-	"bytes"
 	"testing"
 
 	"pimdnn"
@@ -65,20 +64,6 @@ func TestIntegrationEBNNAllPaths(t *testing.T) {
 		}
 	}
 
-	// Serialized round trip predicts identically.
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ebnn.ReadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ds.Test {
-		if got := m2.Predict(&ds.Test[i]); got != want[i] {
-			t.Fatalf("round trip: image %d = %d, want %d", i, got, want[i])
-		}
-	}
 }
 
 // TestIntegrationYOLOAllKernels runs one scene through the host

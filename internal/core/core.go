@@ -60,8 +60,12 @@ func (s Scheme) String() string {
 // eBNN-vs-YOLOv3 split the thesis describes ("eBNN's image sizes were so
 // small, there was plenty of memory space within the DPUs. YOLOv3
 // contained large convolution buffers ... that made it difficult to do
-// the same", §6.1).
+// the same", §6.1). A tasklet count below 1 has no WRAM share to fit
+// anything in.
 func ChooseScheme(workingSetBytes int64, tasklets int, cfg dpu.Config) Scheme {
+	if tasklets < 1 {
+		return MultiDPUPerImage
+	}
 	share := int64(cfg.WRAMSize) / int64(tasklets)
 	if workingSetBytes <= share {
 		return MultiImagePerDPU

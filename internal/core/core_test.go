@@ -31,6 +31,12 @@ func TestChooseScheme(t *testing.T) {
 	if got := ChooseScheme(ws, 11, cfg); got != MultiDPUPerImage {
 		t.Errorf("YOLO scheme = %v, want multi-DPU-per-image", got)
 	}
+	// No tasklets, no WRAM share (and no division by zero).
+	for _, tasklets := range []int{0, -3} {
+		if got := ChooseScheme(300, tasklets, cfg); got != MultiDPUPerImage {
+			t.Errorf("scheme at %d tasklets = %v, want multi-DPU-per-image", tasklets, got)
+		}
+	}
 }
 
 func TestSchemeString(t *testing.T) {
@@ -222,6 +228,23 @@ func TestAdvisorThreadAndOptRules(t *testing.T) {
 	recs = NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O3})
 	if Has(recs, RuleIncreaseThreads) || Has(recs, RuleEnableOpt) {
 		t.Errorf("rules fired at the recommended configuration: %+v", recs)
+	}
+}
+
+func TestAdvisorBalanceRule(t *testing.T) {
+	recs := NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O3, Imbalance: 1.4})
+	if !Has(recs, RuleBalanceWork) {
+		t.Errorf("balance rule not triggered at 1.4x: %+v", recs)
+	}
+	// The Fig 4.7(a) dip: 16 images on 11 tasklets, O0, as
+	// ebnn.TestImbalanceDetectsEBNNDip measures it through Stats.Imbalance.
+	recs = NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O0, Imbalance: 1.375})
+	if !Has(recs, RuleBalanceWork) {
+		t.Errorf("advisor missed the eBNN dip: recs %+v", recs)
+	}
+	recs = NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O3, Imbalance: 1.05})
+	if Has(recs, RuleBalanceWork) {
+		t.Errorf("balance rule fired on a balanced run: %+v", recs)
 	}
 }
 

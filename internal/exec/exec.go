@@ -293,9 +293,6 @@ func (e *Engine) Configure(cfg Config) {
 // depth 2, i.e. whether the wave loop uses both staging slots.
 func (e *Engine) Pipelined() bool { return e.pipe }
 
-// System returns the underlying DPU system.
-func (e *Engine) System() *host.System { return e.sys }
-
 // Down reports whether DPU i has been excluded from dispatch.
 func (e *Engine) Down(i int) bool { return e.down[i] }
 

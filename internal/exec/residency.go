@@ -34,10 +34,7 @@ import (
 // byte budget on every DPU, and reserving space for a new entry evicts
 // whole least-recently-used models (never the one being reserved for)
 // until the range fits. Evicted entries lose their arena range and all
-// their generation stamps; re-use re-reserves and re-delivers. External
-// entries (payloads living in their own symbols, like the eBNN model
-// parameters) participate in the same LRU bookkeeping without
-// consuming arena bytes — eviction just invalidates their stamps.
+// their generation stamps; re-use re-reserves and re-delivers.
 
 // ArenaSymbol is the MRAM symbol backing a WeightCache's arena.
 const ArenaSymbol = "exec_w_arena"
@@ -120,8 +117,7 @@ func NewWeightCache(sys *host.System, capacity int64) (*WeightCache, error) {
 // Capacity returns the modeled per-DPU arena budget in bytes.
 func (c *WeightCache) Capacity() int64 { return c.cap }
 
-// ResidentBytes returns the per-DPU bytes currently reserved (arena
-// entries plus external registrations).
+// ResidentBytes returns the per-DPU arena bytes currently reserved.
 func (c *WeightCache) ResidentBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,37 +224,6 @@ func (m *ResidentModel) Entry(key int, size int64, hash uint64) (*ResidentEntry,
 	return e, true
 }
 
-// External registers a resident entry whose payload lives in its own
-// symbol (outside the arena) at [off, off+size): the entry participates
-// in generation tracking and model-level LRU/eviction, but consumes no
-// arena range — eviction simply outdates its stamps, forcing the next
-// dispatch to re-deliver into the fixed location. A repeated call with
-// the same key returns the existing entry (re-keyed content should go
-// through hash-free invalidation via Outdate).
-func (m *ResidentModel) External(key int, ref host.SymbolRef, off, size int64) *ResidentEntry {
-	c := m.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m.touch()
-	if e := m.entries[key]; e != nil {
-		return e
-	}
-	c.genSeq++
-	e := &ResidentEntry{
-		c: c, m: m, key: key,
-		ref: ref, off: off, abs: 0,
-		size: size, external: true,
-		gen: c.genSeq,
-		per: make([]uint64, c.nd),
-	}
-	m.entries[key] = e
-	m.bytes += size
-	if c.met != nil {
-		c.met.resident.Set(c.residentLocked())
-	}
-	return e
-}
-
 // residentLocked sums reserved bytes. Caller holds c.mu.
 func (c *WeightCache) residentLocked() int64 {
 	var n int64
@@ -322,9 +287,7 @@ func (m *ResidentModel) dropEntry(e *ResidentEntry) {
 	delete(m.entries, e.key)
 	m.bytes -= e.size
 	e.gen = 0 // stamps can never match again
-	if !e.external {
-		m.c.release(arenaSpan{e.off, e.size})
-	}
+	m.c.release(arenaSpan{e.off, e.size})
 }
 
 // release returns a span to the free list, keeping it sorted and
@@ -346,18 +309,17 @@ func (c *WeightCache) release(s arenaSpan) {
 }
 
 // ResidentEntry is one layer's resident weight payload: an arena range
-// (or external symbol range) plus the per-DPU delivery stamps.
+// plus the per-DPU delivery stamps.
 type ResidentEntry struct {
 	c   *WeightCache
 	m   *ResidentModel
 	key int
 
-	ref      host.SymbolRef
-	off      int64 // offset within ref
-	abs      int64 // absolute MRAM address (kernel parameter); 0 for external
-	size     int64
-	hash     uint64
-	external bool
+	ref  host.SymbolRef
+	off  int64 // offset within ref
+	abs  int64 // absolute MRAM address (kernel parameter)
+	size int64
+	hash uint64
 
 	gen uint64   // current content generation; 0 = dropped/evicted
 	per []uint64 // per-DPU delivered generation
@@ -398,15 +360,6 @@ func (e *ResidentEntry) markDelivered(d int) { e.per[d] = e.gen }
 // shard's input push, in the engine's retry path — so the next dispatch
 // re-delivers before d computes with this entry again.
 func (e *ResidentEntry) InvalidateDPU(d int) { e.per[d] = 0 }
-
-// Outdate invalidates every DPU's stamp at once (content replaced
-// outside the hash guard's view).
-func (e *ResidentEntry) Outdate() {
-	e.c.mu.Lock()
-	e.c.genSeq++
-	e.gen = e.c.genSeq
-	e.c.mu.Unlock()
-}
 
 // Touch advances the owning model's LRU stamp; dispatch paths call it
 // once per use so eviction order tracks real traffic.

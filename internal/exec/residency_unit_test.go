@@ -136,8 +136,8 @@ func TestWeightCacheTooLarge(t *testing.T) {
 }
 
 // TestWeightCacheGenerations pins the stamp protocol: delivery stamps
-// one DPU, invalidation clears it, a content-hash change or Outdate
-// bumps the generation so every stamp goes stale at once.
+// one DPU, invalidation clears it, a content-hash change bumps
+// the generation so every stamp goes stale at once.
 func TestWeightCacheGenerations(t *testing.T) {
 	sys := newCacheSys(t, 4)
 	c, err := NewWeightCache(sys, 64)
@@ -171,12 +171,6 @@ func TestWeightCacheGenerations(t *testing.T) {
 		t.Error("hash change left a stale stamp current")
 	}
 
-	e.markDelivered(3)
-	e.Outdate()
-	if e.Current(3) {
-		t.Error("Outdate left a stamp current")
-	}
-
 	// Size change reallocates: the old entry dies, a fresh one replaces it.
 	e.markDelivered(1)
 	e3, ok := m.Entry(0, 32, 0x3333)
@@ -191,46 +185,5 @@ func TestWeightCacheGenerations(t *testing.T) {
 	}
 	if got := c.ResidentBytes(); got != 32 {
 		t.Errorf("ResidentBytes() = %d, want 32 after realloc", got)
-	}
-}
-
-// TestWeightCacheExternal: external entries join LRU bookkeeping
-// without consuming arena bytes, and eviction outdates their stamps
-// instead of freeing arena.
-func TestWeightCacheExternal(t *testing.T) {
-	sys := newCacheSys(t, 2)
-	if err := sys.AllocMRAM("ext_payload", 128); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := sys.Resolve("ext_payload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewWeightCache(sys, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := c.Model("ebnn").External(0, ref, 0, 128)
-	if ext.Abs() != 0 || ext.Size() != 128 {
-		t.Errorf("external entry abs=%d size=%d, want abs 0 size 128", ext.Abs(), ext.Size())
-	}
-	if again := c.Model("ebnn").External(0, ref, 0, 128); again != ext {
-		t.Error("repeated External did not return the existing entry")
-	}
-	// The external model holds no arena, so the full 16 bytes are free.
-	if _, ok := c.Model("m").Entry(0, 16, 0); !ok {
-		t.Fatal("arena entry rejected despite external-only occupancy")
-	}
-	// Forcing an eviction with the external model as LRU drops its
-	// stamps (Live false) without touching arena accounting.
-	ext.markDelivered(1)
-	if _, ok := c.Model("m2").Entry(0, 16, 0); !ok {
-		t.Fatal("entry rejected despite two evictable models")
-	}
-	if ext.Live() {
-		t.Error("external LRU model survived eviction")
-	}
-	if ext.Current(1) {
-		t.Error("evicted external entry still current on DPU 1")
 	}
 }

@@ -3,65 +3,11 @@
 //
 // The UPMEM DPU has no floating-point hardware (thesis §3.3), so every
 // network that runs inside a DPU is quantized. This package supplies the
-// quantization helpers, saturating integer arithmetic, and the specific
-// output clamp used by the thesis's YOLOv3 GEMM kernel (Algorithm 2):
+// saturating integer arithmetic and the specific output clamp used by
+// the thesis's YOLOv3 GEMM kernel (Algorithm 2):
 //
 //	C[i*N+j] = absolutemax(ctmp[j]/32, 32767)
 package fixed
-
-// Q describes a signed fixed-point format with an implicit binary point.
-type Q struct {
-	// Frac is the number of fractional bits in the fixed-point format.
-	Frac uint
-}
-
-// Q78 is the 16-bit Q7.8 format used by the quantized YOLOv3 layers.
-var Q78 = Q{Frac: 8}
-
-// Q07 is the 8-bit Q0.7 format used for normalized activations.
-var Q07 = Q{Frac: 7}
-
-// FromFloat quantizes a float64 into the Q format with round-to-nearest,
-// saturating to the int32 range.
-func (q Q) FromFloat(f float64) int32 {
-	scaled := f * float64(int64(1)<<q.Frac)
-	if scaled >= 0 {
-		scaled += 0.5
-	} else {
-		scaled -= 0.5
-	}
-	if scaled > 2147483647 {
-		return 2147483647
-	}
-	if scaled < -2147483648 {
-		return -2147483648
-	}
-	return int32(scaled)
-}
-
-// ToFloat dequantizes a fixed-point value back to float64.
-func (q Q) ToFloat(v int32) float64 {
-	return float64(v) / float64(int64(1)<<q.Frac)
-}
-
-// Mul multiplies two values in the Q format, rescaling the double-width
-// product back into the format with truncation (matching the DPU kernel's
-// shift-based rescale).
-func (q Q) Mul(a, b int32) int32 {
-	return int32((int64(a) * int64(b)) >> q.Frac)
-}
-
-// SatAdd8 adds two int8 values, saturating at the type bounds.
-func SatAdd8(a, b int8) int8 {
-	s := int16(a) + int16(b)
-	if s > 127 {
-		return 127
-	}
-	if s < -128 {
-		return -128
-	}
-	return int8(s)
-}
 
 // SatAdd16 adds two int16 values, saturating at the type bounds.
 func SatAdd16(a, b int16) int16 {
@@ -73,30 +19,6 @@ func SatAdd16(a, b int16) int16 {
 		return -32768
 	}
 	return int16(s)
-}
-
-// SatAdd32 adds two int32 values, saturating at the type bounds.
-func SatAdd32(a, b int32) int32 {
-	s := int64(a) + int64(b)
-	if s > 2147483647 {
-		return 2147483647
-	}
-	if s < -2147483648 {
-		return -2147483648
-	}
-	return int32(s)
-}
-
-// SatMul16 multiplies two int16 values, saturating at the type bounds.
-func SatMul16(a, b int16) int16 {
-	p := int32(a) * int32(b)
-	if p > 32767 {
-		return 32767
-	}
-	if p < -32768 {
-		return -32768
-	}
-	return int16(p)
 }
 
 // AbsoluteMax clamps v to [-limit, limit]. It is the `absolutemax`
@@ -116,43 +38,6 @@ func AbsoluteMax(v int32, limit int32) int32 {
 // accumulator by 32 (arithmetic shift) and clamp into int16 range.
 func GEMMOutputClamp(acc int32) int16 {
 	return int16(AbsoluteMax(acc/32, 32767))
-}
-
-// QuantizeSlice quantizes a float64 slice into int16 values in the Q
-// format, saturating each element to the int16 range.
-func (q Q) QuantizeSlice(fs []float64) []int16 {
-	out := make([]int16, len(fs))
-	for i, f := range fs {
-		v := q.FromFloat(f)
-		if v > 32767 {
-			v = 32767
-		}
-		if v < -32768 {
-			v = -32768
-		}
-		out[i] = int16(v)
-	}
-	return out
-}
-
-// DequantizeSlice converts int16 fixed-point values back to float64.
-func (q Q) DequantizeSlice(vs []int16) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = q.ToFloat(int32(v))
-	}
-	return out
-}
-
-// ClampInt8 saturates an int32 into the int8 range.
-func ClampInt8(v int32) int8 {
-	if v > 127 {
-		return 127
-	}
-	if v < -128 {
-		return -128
-	}
-	return int8(v)
 }
 
 // ClampInt16 saturates an int32 into the int16 range.

@@ -44,24 +44,6 @@ func Reference(m, n, k int, alpha int16, a, b []int16) ([]int16, error) {
 	return c, nil
 }
 
-// ReferenceFloat is a float64 GEMM used by tests to sanity-check the
-// fixed-point path on small inputs (before any clamping can trigger).
-func ReferenceFloat(m, n, k int, alpha float64, a, b []float64) ([]float64, error) {
-	if len(a) != m*k || len(b) != k*n {
-		return nil, fmt.Errorf("gemm: dims %dx%dx%d do not match inputs %d, %d", m, n, k, len(a), len(b))
-	}
-	c := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		for kk := 0; kk < k; kk++ {
-			apart := alpha * a[i*k+kk]
-			for j := 0; j < n; j++ {
-				c[i*n+j] += apart * b[kk*n+j]
-			}
-		}
-	}
-	return c, nil
-}
-
 func checkA(m, n, k int, a []int16) error {
 	if m < 1 || n < 1 || k < 1 {
 		return fmt.Errorf("gemm: non-positive dims M=%d N=%d K=%d", m, n, k)

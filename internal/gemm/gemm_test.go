@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,24 @@ func randMat(rng *rand.Rand, n int, lim int) []int16 {
 		out[i] = int16(rng.Intn(2*lim+1) - lim)
 	}
 	return out
+}
+
+// ReferenceFloat is a float64 GEMM used by tests to sanity-check the
+// fixed-point path on small inputs (before any clamping can trigger).
+func ReferenceFloat(m, n, k int, alpha float64, a, b []float64) ([]float64, error) {
+	if len(a) != m*k || len(b) != k*n {
+		return nil, fmt.Errorf("gemm: dims %dx%dx%d do not match inputs %d, %d", m, n, k, len(a), len(b))
+	}
+	c := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk++ {
+			apart := alpha * a[i*k+kk]
+			for j := 0; j < n; j++ {
+				c[i*n+j] += apart * b[kk*n+j]
+			}
+		}
+	}
+	return c, nil
 }
 
 func TestReferenceAgainstFloat(t *testing.T) {

@@ -291,12 +291,6 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	return r, nil
 }
 
-// Configure re-applies the unified execution-engine configuration
-// (pipelining, trace timeline). Call it between Multiply calls only.
-func (r *Runner) Configure(ec exec.Config) {
-	r.eng.Configure(ec)
-}
-
 // SetScope names the layer the next Multiply calls belong to for
 // telemetry decomposition (see exec.Engine.SetScope). A plain field
 // store when no metrics registry is wired.
@@ -377,15 +371,9 @@ func hashInt16s(v []int16) uint64 {
 // registry wired, so callers can skip formatting scope names.
 func (r *Runner) MetricsOn() bool { return r.eng.MetricsOn() }
 
-// Naive reports whether the runner uses the thesis-faithful kernel.
-func (r *Runner) Naive() bool { return r.cfg.Naive }
-
 // Tasklets returns the configured per-DPU tasklet count — the planner's
 // sweep bound (and WRAM allocation size) when auto-mapping is on.
 func (r *Runner) Tasklets() int { return r.cfg.Tasklets }
-
-// PlannerOn reports whether the runner auto-maps each problem shape.
-func (r *Runner) PlannerOn() bool { return r.planner != nil }
 
 // LastMapping returns the planner decision behind the most recent
 // Multiply/MultiplyBatchEach, for calibration reporting; ok is false
@@ -662,12 +650,6 @@ func (r *Runner) encodeParams(n, k, m int, alpha int16, aoff int64) {
 	binary.LittleEndian.PutUint32(r.paramsBuf[12:], uint32(m))
 	binary.LittleEndian.PutUint32(r.paramsBuf[16:], uint32(aoff))
 	binary.LittleEndian.PutUint32(r.paramsBuf[20:], 0) // 8-byte pad
-}
-
-// pushParams broadcasts the kernel parameter block.
-func (r *Runner) pushParams(n, k, m int, alpha int16) error {
-	r.encodeParams(n, k, m, alpha, r.aOff)
-	return r.sys.CopyToSymbolRef(r.refParams, 0, r.paramsBuf[:])
 }
 
 // encodeARows packs rows A[start..start+rows) into the per-DPU scatter

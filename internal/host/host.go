@@ -765,17 +765,3 @@ func Pad8(data []byte) (padded []byte, origLen int) {
 	copy(padded, data)
 	return padded, origLen
 }
-
-// PadTo returns data zero-padded to exactly n bytes. It errors if data is
-// longer than n.
-func PadTo(data []byte, n int) ([]byte, error) {
-	if len(data) > n {
-		return nil, fmt.Errorf("host: PadTo: data length %d exceeds target %d", len(data), n)
-	}
-	if len(data) == n {
-		return data, nil
-	}
-	out := make([]byte, n)
-	copy(out, data)
-	return out, nil
-}

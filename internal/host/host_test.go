@@ -306,20 +306,6 @@ func TestPad8PreservesContent(t *testing.T) {
 	}
 }
 
-func TestPadTo(t *testing.T) {
-	p, err := PadTo([]byte{1, 2}, 8)
-	if err != nil || len(p) != 8 || p[0] != 1 || p[7] != 0 {
-		t.Errorf("PadTo = %v, %v", p, err)
-	}
-	if _, err := PadTo(make([]byte, 9), 8); err == nil {
-		t.Error("PadTo overflow accepted")
-	}
-	same := []byte{1, 2}
-	if p, _ := PadTo(same, 2); &p[0] != &same[0] {
-		t.Error("PadTo copied when length already matches")
-	}
-}
-
 func TestCopyToDPUIndexValidation(t *testing.T) {
 	s := newTestSystem(t, 2)
 	if err := s.AllocMRAM("x", 16); err != nil {

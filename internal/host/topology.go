@@ -54,9 +54,6 @@ func resolveTopology(n int, t Topology) (perRank, ranks int, err error) {
 // Ranks returns the number of DIMM ranks the system's DPUs span.
 func (s *System) Ranks() int { return s.ranks }
 
-// DPUsPerRank returns the rank width (the last rank may hold fewer).
-func (s *System) DPUsPerRank() int { return s.perRank }
-
 // RankOf returns the rank DPU i belongs to.
 func (s *System) RankOf(i int) int { return i / s.perRank }
 

@@ -57,8 +57,8 @@ func TestResolveTopology(t *testing.T) {
 
 func TestTopologyAccessors(t *testing.T) {
 	s := topoSystem(t, 10, Topology{DPUsPerRank: 4})
-	if s.Ranks() != 3 || s.DPUsPerRank() != 4 {
-		t.Fatalf("got %d ranks of %d, want 3 of 4", s.Ranks(), s.DPUsPerRank())
+	if s.Ranks() != 3 || s.perRank != 4 {
+		t.Fatalf("got %d ranks of %d, want 3 of 4", s.Ranks(), s.perRank)
 	}
 	if r := s.RankOf(0); r != 0 {
 		t.Errorf("RankOf(0) = %d", r)

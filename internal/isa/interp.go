@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pimdnn/internal/dpu"
@@ -199,16 +198,6 @@ func Exec(t *dpu.Tasklet, p Program, regs *Regs) error {
 			return fmt.Errorf("isa: pc %d: invalid opcode %d", pc-1, in.Op)
 		}
 	}
-}
-
-// ReadWord is a host-side helper to fetch one encoded instruction word
-// from an IRAM image.
-func ReadWord(img []byte, idx int) (uint64, error) {
-	off := idx * WordSize
-	if off < 0 || off+WordSize > len(img) {
-		return 0, fmt.Errorf("isa: word %d outside image of %d bytes", idx, len(img))
-	}
-	return binary.LittleEndian.Uint64(img[off:]), nil
 }
 
 func memAddr(regs *Regs, in Instruction) int64 {

@@ -438,21 +438,6 @@ func TestFallOffEndHalts(t *testing.T) {
 	}
 }
 
-func TestReadWord(t *testing.T) {
-	p := MustAssemble("movi r1, 5\nhalt")
-	img := p.Image()
-	w, err := ReadWord(img, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Decode(w).Op != OpMOVI {
-		t.Error("ReadWord decoded wrong instruction")
-	}
-	if _, err := ReadWord(img, 5); err == nil {
-		t.Error("out-of-range word accepted")
-	}
-}
-
 func TestOpcodeString(t *testing.T) {
 	if OpFADD.String() != "fadd" {
 		t.Error("OpFADD name")

@@ -16,10 +16,7 @@
 // benchmarking of seven PIM devices on eBNN and YOLOv3.
 package model
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // AlexNetTOPs is the MAC count of AlexNet used throughout chapter 5
 // (Table 5.1 row 9).
@@ -235,14 +232,4 @@ func DRISA() PIM {
 // order for Tables 5.1-5.3.
 func Architectures() []PIM {
 	return []PIM{PPIM(), DRISA(), UPMEM()}
-}
-
-// ByName returns the named architecture model.
-func ByName(name string) (PIM, error) {
-	for _, p := range Architectures() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return PIM{}, fmt.Errorf("model: unknown PIM %q", name)
 }

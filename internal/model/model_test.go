@@ -268,15 +268,6 @@ func TestOverlapBrackets(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, err := ByName("UPMEM"); err != nil {
-		t.Error(err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown PIM accepted")
-	}
-}
-
 func TestGranularityString(t *testing.T) {
 	if Bitwise.String() != "bitwise" || LUT.String() != "LUT" || PipelinedCPU.String() != "pipelined-CPU" {
 		t.Error("granularity names")

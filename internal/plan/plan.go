@@ -141,9 +141,6 @@ func NewFromConfig(dpus int, cfg dpu.Config) *Planner {
 	return &Planner{dpus: dpus, cfg: cfg}
 }
 
-// DPUs returns the topology size the planner scores against.
-func (p *Planner) DPUs() int { return p.dpus }
-
 // Frequency returns the DPU clock the planner converts cycles with.
 func (p *Planner) Frequency() float64 { return p.cfg.FrequencyHz }
 

@@ -49,35 +49,3 @@ func DivSlice(dst, a, b []uint32) {
 		dst[i] = Div(a[i], b[i])
 	}
 }
-
-// MACSlice computes acc[i] = acc[i] + a[i]*b[i] with the product rounded
-// before the add, exactly as the scalar __mulsf3/__addsf3 pair computes
-// it (the DPU has no fused multiply-add).
-func MACSlice(acc, a, b []uint32) {
-	checkLanes(len(acc), a, b)
-	for i := range acc {
-		acc[i] = Add(acc[i], Mul(a[i], b[i]))
-	}
-}
-
-// ScaleSlice computes dst[i] = a[i] * s for a scalar s (one __mulsf3 per
-// lane), the broadcast form used by normalization layers.
-func ScaleSlice(dst, a []uint32, s uint32) {
-	if len(a) != len(dst) {
-		panic("softfloat: slice operands of unequal length")
-	}
-	for i := range dst {
-		dst[i] = Mul(a[i], s)
-	}
-}
-
-// FromInt32Slice converts each lane of v to binary32 (one __floatsisf
-// per lane).
-func FromInt32Slice(dst []uint32, v []int32) {
-	if len(v) != len(dst) {
-		panic("softfloat: slice operands of unequal length")
-	}
-	for i := range dst {
-		dst[i] = FromInt32(v[i])
-	}
-}

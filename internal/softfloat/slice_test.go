@@ -1,7 +1,6 @@
 package softfloat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -91,56 +90,6 @@ func TestSlicesMatchScalar(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMACSliceMatchesScalar checks the accumulate form: the product must
-// round through __mulsf3 before the __addsf3, never fusing.
-func TestMACSliceMatchesScalar(t *testing.T) {
-	a, b := corpusPair(t)
-	n := len(a)
-	// Accumulator seeds drawn from the same corpus, shifted so lanes mix
-	// edge values with random ones.
-	acc := make([]uint32, n)
-	want := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		acc[i] = b[(i+n/2)%n]
-		want[i] = Add(acc[i], Mul(a[i], b[i]))
-	}
-	MACSlice(acc, a, b)
-	for i := 0; i < n; i++ {
-		if acc[i] != want[i] {
-			t.Fatalf("MAC lane %d: acc=%#08x a=%#08x b=%#08x got %#08x want %#08x",
-				i, b[(i+n/2)%n], a[i], b[i], acc[i], want[i])
-		}
-	}
-}
-
-// TestScaleAndFromInt32Slices covers the broadcast-multiply and int
-// conversion forms.
-func TestScaleAndFromInt32Slices(t *testing.T) {
-	a, _ := corpusPair(t)
-	dst := make([]uint32, len(a))
-	for _, s := range []uint32{0x3F800000, 0x00000001, 0x7F800000, 0x7FC00000, 0xBF000000} {
-		ScaleSlice(dst, a, s)
-		for i := range a {
-			if want := Mul(a[i], s); dst[i] != want {
-				t.Fatalf("ScaleSlice lane %d by %#08x: got %#08x want %#08x", i, s, dst[i], want)
-			}
-		}
-	}
-
-	ints := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, 1 << 24, (1 << 24) + 1, -(1 << 24) - 1, 16777217, 33554433}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		ints = append(ints, int32(rng.Uint32()))
-	}
-	got := make([]uint32, len(ints))
-	FromInt32Slice(got, ints)
-	for i, v := range ints {
-		if want := FromInt32(v); got[i] != want {
-			t.Fatalf("FromInt32Slice lane %d (%d): got %#08x want %#08x", i, v, got[i], want)
-		}
 	}
 }
 

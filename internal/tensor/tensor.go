@@ -6,10 +6,7 @@
 // activations flow through conv layers without further rescaling.
 package tensor
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // QShift is the fixed-point scale: values are stored as round(x * 32).
 const QShift = 5
@@ -75,28 +72,12 @@ func Quantize(x float64) int16 {
 	return int16(v)
 }
 
-// QuantizeTensor builds a tensor from float64 data in (C, H, W) order.
-func QuantizeTensor(c, h, w int, data []float64) (*Tensor, error) {
-	if len(data) != c*h*w {
-		return nil, fmt.Errorf("tensor: %d values for %dx%dx%d tensor", len(data), c, h, w)
-	}
-	t := New(c, h, w)
-	for i, x := range data {
-		t.Data[i] = Quantize(x)
-	}
-	return t, nil
-}
-
-// Im2Col lowers a convolution input into the Algorithm 2 B matrix with
-// explicit padding and stride: rows are the K = C·size² kernel taps,
-// columns the N = outH·outW output pixels.
-func Im2Col(in *Tensor, size, stride, pad int) (b []int16, k, n int) {
-	return Im2ColInto(nil, in, size, stride, pad)
-}
-
-// Im2ColInto is Im2Col reusing buf's backing array when it is large
-// enough, so per-layer loops avoid reallocating the (often large) patch
-// matrix. Every element of the returned slice is overwritten.
+// Im2ColInto lowers a convolution input into the Algorithm 2 B matrix
+// with explicit padding and stride: rows are the K = C·size² kernel
+// taps, columns the N = outH·outW output pixels. It reuses buf's backing
+// array when it is large enough, so per-layer loops avoid reallocating
+// the (often large) patch matrix. Every element of the returned slice is
+// overwritten.
 func Im2ColInto(buf []int16, in *Tensor, size, stride, pad int) (b []int16, k, n int) {
 	k, n = Im2ColDims(in, size, stride, pad)
 	if cap(buf) < k*n {

@@ -69,7 +69,7 @@ func TestIm2ColZeroPad(t *testing.T) {
 		in.Data[i] = int16(i + 1)
 	}
 	// 3x3 kernel, stride 1, pad 1: out 3x3; K=9, N=9.
-	b, k, n := Im2Col(in, 3, 1, 1)
+	b, k, n := Im2ColInto(nil, in, 3, 1, 1)
 	if k != 9 || n != 9 {
 		t.Fatalf("K=%d N=%d", k, n)
 	}
@@ -89,7 +89,7 @@ func TestIm2ColStrideNoPad(t *testing.T) {
 		in.Data[i] = int16(i)
 	}
 	// 2x2 kernel, stride 2, no pad: out 2x2.
-	b, k, n := Im2Col(in, 2, 2, 0)
+	b, k, n := Im2ColInto(nil, in, 2, 2, 0)
 	if k != 4 || n != 4 {
 		t.Fatalf("K=%d N=%d", k, n)
 	}
@@ -163,15 +163,5 @@ func TestIm2ColForms(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestQuantizeTensorValidation(t *testing.T) {
-	if _, err := QuantizeTensor(1, 2, 2, []float64{1}); err == nil {
-		t.Error("short data accepted")
-	}
-	tt, err := QuantizeTensor(1, 1, 2, []float64{1, -0.5})
-	if err != nil || tt.Data[0] != 32 || tt.Data[1] != -16 {
-		t.Errorf("QuantizeTensor = %+v, %v", tt, err)
 	}
 }

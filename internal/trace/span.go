@@ -119,15 +119,6 @@ func (tr *Trace) Root() (SpanNode, bool) {
 	return SpanNode{}, false
 }
 
-// Duration returns the root span's duration, or 0 if the trace has not
-// completed.
-func (tr *Trace) Duration() time.Duration {
-	if root, ok := tr.Root(); ok {
-		return root.End - root.Start
-	}
-	return 0
-}
-
 // record appends one finished node, enforcing the per-trace cap. The
 // root node always lands (it carries the trace's identity).
 func (tr *Trace) record(n SpanNode) {

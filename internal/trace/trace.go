@@ -130,32 +130,6 @@ func (p *Profile) Reset() {
 	p.mu.Unlock()
 }
 
-// Merge adds the counts from other into p.
-func (p *Profile) Merge(other *Profile) {
-	if p == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	occ := make(map[string]uint64, len(other.occ))
-	cyc := make(map[string]uint64, len(other.cycles))
-	for k, v := range other.occ {
-		occ[k] = v
-	}
-	for k, v := range other.cycles {
-		cyc[k] = v
-	}
-	other.mu.Unlock()
-
-	p.mu.Lock()
-	for k, v := range occ {
-		p.occ[k] += v
-	}
-	for k, v := range cyc {
-		p.cycles[k] += v
-	}
-	p.mu.Unlock()
-}
-
 // DiffRow is one subroutine's change between two profiles.
 type DiffRow struct {
 	Name         string
@@ -205,36 +179,6 @@ func FormatDiff(rows []DiffRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-16s %10d %10d %12d %12d\n",
 			r.Name, r.BeforeOcc, r.AfterOcc, r.BeforeCycles, r.AfterCycles)
-	}
-	return b.String()
-}
-
-// CSV renders the profile as `subroutine,occ,cycles` rows sorted by
-// descending cycles, for machine consumption by plotting scripts.
-func (p *Profile) CSV() string {
-	if p == nil {
-		return ""
-	}
-	p.mu.Lock()
-	type row struct {
-		name        string
-		occ, cycles uint64
-	}
-	rows := make([]row, 0, len(p.occ))
-	for n, o := range p.occ {
-		rows = append(rows, row{name: n, occ: o, cycles: p.cycles[n]})
-	}
-	p.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].cycles != rows[j].cycles {
-			return rows[i].cycles > rows[j].cycles
-		}
-		return rows[i].name < rows[j].name
-	})
-	var b strings.Builder
-	b.WriteString("subroutine,occ,cycles\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d\n", r.name, r.occ, r.cycles)
 	}
 	return b.String()
 }

@@ -76,22 +76,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewProfile()
-	b := NewProfile()
-	a.Record("x", 10)
-	b.Record("x", 5)
-	b.Record("y", 1)
-	a.Merge(b)
-	if a.Occ("x") != 2 || a.Cycles("x") != 15 || a.Occ("y") != 1 {
-		t.Errorf("merge wrong: x occ=%d cyc=%d, y occ=%d", a.Occ("x"), a.Cycles("x"), a.Occ("y"))
-	}
-	// b unchanged
-	if b.Occ("x") != 1 {
-		t.Error("merge mutated source")
-	}
-}
-
 func TestReportOrderingAndContent(t *testing.T) {
 	p := NewProfile()
 	p.Record("cheap", 1)
@@ -132,31 +116,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	p := NewProfile()
-	p.Record("__addsf3", 57)
-	p.Record("__addsf3", 57)
-	p.Record("__divsf3", 1072)
-	csv := p.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d: %q", len(lines), csv)
-	}
-	if lines[0] != "subroutine,occ,cycles" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "__divsf3,1,1072" {
-		t.Errorf("first row = %q (sorted by cycles)", lines[1])
-	}
-	if lines[2] != "__addsf3,2,114" {
-		t.Errorf("second row = %q", lines[2])
-	}
-	var nilP *Profile
-	if nilP.CSV() != "" {
-		t.Error("nil CSV not empty")
-	}
-}
-
 func TestNilProfileSafe(t *testing.T) {
 	var p *Profile
 	p.Record("x", 1) // must not panic
@@ -165,7 +124,6 @@ func TestNilProfileSafe(t *testing.T) {
 		t.Error("nil profile not inert")
 	}
 	p.Reset()
-	p.Merge(NewProfile())
 }
 
 func TestConcurrentRecord(t *testing.T) {

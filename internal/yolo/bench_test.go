@@ -15,7 +15,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.SetBytes(int64(in.Len() * 2))
 	var sink []int16
 	for i := 0; i < b.N; i++ {
-		sink, _, _ = tensor.Im2Col(in, 3, 1, 1)
+		sink, _, _ = tensor.Im2ColInto(nil, in, 3, 1, 1)
 	}
 	_ = sink
 }

@@ -33,8 +33,3 @@ func NewTensor(c, h, w int) *Tensor { return tensor.New(c, h, w) }
 
 // Quantize converts a float64 value into Q10.5 with saturation.
 func Quantize(x float64) int16 { return tensor.Quantize(x) }
-
-// QuantizeTensor builds a tensor from float64 data in (C, H, W) order.
-func QuantizeTensor(c, h, w int, data []float64) (*Tensor, error) {
-	return tensor.QuantizeTensor(c, h, w, data)
-}

@@ -101,7 +101,7 @@ func TestIm2ColShape(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = int16(i)
 	}
-	b, k, n := tensor.Im2Col(in, 3, 2, 1)
+	b, k, n := tensor.Im2ColInto(nil, in, 3, 2, 1)
 	if k != 18 || n != 9 {
 		t.Fatalf("K=%d N=%d, want 18, 9", k, n)
 	}
@@ -136,16 +136,6 @@ func TestQuantize(t *testing.T) {
 		if got := Quantize(tt.give); got != tt.want {
 			t.Errorf("Quantize(%v) = %d, want %d", tt.give, got, tt.want)
 		}
-	}
-}
-
-func TestQuantizeTensorValidation(t *testing.T) {
-	if _, err := QuantizeTensor(1, 2, 2, []float64{1}); err == nil {
-		t.Error("short data accepted")
-	}
-	tt, err := QuantizeTensor(1, 1, 2, []float64{1, -1})
-	if err != nil || tt.Data[0] != 32 || tt.Data[1] != -32 {
-		t.Errorf("QuantizeTensor = %+v, %v", tt, err)
 	}
 }
 

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# What ships is what a program links: list every top-level func declared
+# in a non-test file under internal/ that no main package (cmd/*,
+# examples/*, bench) and no exported function of package pimdnn reaches.
+# Each main package, plus a throw-away probe main that references every
+# exported func of pimdnn.go, is built with inlining off (so a reached
+# function keeps its symbol); the union of their `go tool nm` symbols
+# under pimdnn/internal/ is the reached set. Report-only: prints
+# `file:line symbol` per unreached func, then the count. What remains is
+# reached by tests alone; CHANGES.md (PR 22) gives each one's reason.
+#
+# Usage:  scripts/reach.sh   (or `make reach`)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+GO="${GO:-go}"
+# Inside the module, so the probe may import pimdnn; dot-prefixed, so
+# ./... does not see it.
+tmp="$(mktemp -d "$PWD/.reach.XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir "$tmp/probe"
+{
+	echo 'package main'
+	echo 'import "pimdnn"'
+	echo 'var exported = []any{'
+	sed -nE 's/^func ([A-Z][A-Za-z0-9_]*)\(.*/\tpimdnn.\1,/p' pimdnn.go
+	echo '}'
+	echo 'func main() { println(len(exported)) }'
+} >"$tmp/probe/main.go"
+
+for pkg in $("$GO" list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) "./${tmp#"$PWD"/}/probe"; do
+	"$GO" build -gcflags=all=-l -o "$tmp/bin" "$pkg"
+	"$GO" tool nm "$tmp/bin"
+done | awk '$3 ~ /^pimdnn\/internal\// { print $3 }' | sort -u >"$tmp/reached"
+
+# gofmt'd declarations: `func Name(`, `func (r T) Name(`, `func (r *T) Name(`
+# in package pimdnn/<dir> link as <dir>.Name, <dir>.T.Name, <dir>.(*T).Name.
+find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 grep -n '^func ' |
+	awk -v reached="$tmp/reached" '
+		BEGIN { while ((getline s < reached) > 0) live[s] = 1 }
+		{
+			split($0, loc, ":")
+			pkg = loc[1]; sub(/\/[^\/]*$/, "", pkg)
+			decl = $0; sub(/^[^:]*:[^:]*:func /, "", decl)
+			recv = ""
+			if (decl ~ /^\(/) {
+				recv = decl; sub(/\).*/, "", recv); sub(/^\([^ ]* /, "", recv)
+				recv = (recv ~ /^\*/) ? "(" recv ")." : recv "."
+				sub(/^\([^)]*\) /, "", decl)
+			}
+			sub(/\(.*/, "", decl)
+			sym = "pimdnn/" pkg "." recv decl
+			if (!(sym in live)) { print loc[1] ":" loc[2] " " sym; dead++ }
+		}
+		END { printf "%d unreached of %d funcs\n", dead, NR }'
