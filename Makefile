@@ -12,6 +12,9 @@
 # goroutine writes), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
+# the portable build (`make portable`: the packages under the gemm
+# kernel tested as GOARCH=386, where its MAC is the Go loops, and the
+# tree cross-built for arm64),
 # the non-test line count per package (`make lines`), the number
 # ROADMAP asks every PR to report next to ns/op, and the funcs under
 # internal/ that no shipped program links (`make reach`, report-only
@@ -21,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke sim-invariant report-check report-update bench lines reach profile profile-array profile-ebnn profile-rows ci
+.PHONY: all build vet test race portable bench-smoke sim-invariant report-check report-update bench lines reach profile profile-array profile-ebnn profile-rows ci
 
 all: ci
 
@@ -43,6 +46,17 @@ test:
 
 race:
 	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
+
+# internal/gemm's block MAC is assembly where the host has AVX2 and Go
+# loops everywhere else, and no amd64 CI host runs the loops through the
+# kernels. As a 386 binary (which an amd64 Linux host executes natively)
+# the gemm, nn and tensor suites — every functional and differential test
+# over flatPass — run on the loops end to end; the arm64 leg is a
+# cross-build and a vet of the one package with per-arch files.
+portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn ./internal/tensor
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/gemm
 
 # The four benchmarks the profile, profile-array, profile-rows and
 # profile-ebnn targets name, one iteration each: nothing else in ci
@@ -77,10 +91,11 @@ report-update:
 bench:
 	scripts/bench.sh
 
-# Non-test Go lines per package and in total, bench/ excluded: run it at
-# the parent commit and at the change to report a PR's net line delta.
+# Non-test Go lines (and assembly: *.s is code) per package and in total,
+# bench/ excluded: run it at the parent commit and at the change to
+# report a PR's net line delta.
 lines:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
@@ -102,12 +117,15 @@ profile:
 # DPU on all 2,560): the profile behind the array_yolo workload. The last
 # line is the cumulative share of the gemm kernel's functional pass
 # (flatPass, under the batch blockKernel closure), the "kernel share" a
-# PR cites: `make profile-array | grep '^kernel-share'`.
+# PR cites, and then the share of its multiply-accumulate (gemm.macBlock
+# and everything under it: the assembly, or the Go loops where that is
+# what runs): `make profile-array | grep -e '^kernel-share' -e '^mac-share'`.
 profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
-		| awk '/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
+		| awk '/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
+			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
 # x 16 images x 4 waves, PipelineAuto). The last two lines are the
@@ -122,15 +140,17 @@ profile-ebnn:
 			/ebnn\.\(\*inferWorkSet\)\.Decode$$/ { print "classify-share ebnn.Decode cum " $$5 }'
 
 # And for the rows_zoo workload's shape (the three lite networks,
-# planner-mapped row-per-DPU Multiply on 64 DPUs). The last two lines are
-# the cumulative shares of the host's broadcast of each GEMM's B matrix and
-# of the gemm kernel's functional pass:
-# `make profile-rows | grep -e '^broadcast-share' -e '^kernel-share'`.
+# planner-mapped row-per-DPU Multiply on 64 DPUs). The last three lines
+# are the cumulative shares of the host's broadcast of each GEMM's B
+# matrix, of the gemm kernel's functional pass and of its
+# multiply-accumulate:
+# `make profile-rows | grep -e '^broadcast-share' -e '^kernel-share' -e '^mac-share'`.
 profile-rows:
 	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 300x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
 		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
-			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 }'
+			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
+			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
 
-ci: vet build test race bench-smoke sim-invariant report-check lines reach
+ci: vet build test race portable bench-smoke sim-invariant report-check lines reach

@@ -1,7 +1,6 @@
 package gemm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pimdnn/internal/dpu"
@@ -183,14 +182,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	aRowBytes := (k*2 + 7) &^ 7
 	r.aFullStage = growBytes(r.aFullStage, m*aRowBytes)
 	aBytes := r.aFullStage
-	for row := 0; row < m; row++ {
-		for kk := 0; kk < k; kk++ {
-			binary.LittleEndian.PutUint16(aBytes[row*aRowBytes+kk*2:], uint16(a[row*k+kk]))
-		}
-		for bb := row*aRowBytes + k*2; bb < (row+1)*aRowBytes; bb++ {
-			aBytes[bb] = 0
-		}
-	}
+	packRows(aBytes, aRowBytes, a, m, k)
 
 	// Scatter each image's B matrix, row-stride padded. The staging
 	// buffers persist on the runner across calls.
@@ -291,9 +283,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 func decodeBatchC(raw []byte, m, n, stride int) []int16 {
 	c := make([]int16, m*n)
 	for row := 0; row < m; row++ {
-		for j := 0; j < n; j++ {
-			c[row*n+j] = int16(binary.LittleEndian.Uint16(raw[(row*stride+j)*2:]))
-		}
+		tensor.UnpackLE(c[row*n:(row+1)*n], raw[row*stride*2:])
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -180,3 +181,35 @@ func benchRepeatForward(b *testing.B, resident bool) {
 
 func BenchmarkResidentForward(b *testing.B)    { benchRepeatForward(b, true) }
 func BenchmarkRebroadcastForward(b *testing.B) { benchRepeatForward(b, false) }
+
+// BenchmarkMACBlock is the multiply-accumulate rung by itself: one page
+// run of packed B rows (as many as a 64 KB MRAM page holds, at most 512)
+// MAC'd into one accumulator row, by the Go loops and by the kernel this
+// host selected (the same loops where there is no AVX2), at the widths
+// of an early conv layer, a late one and a 1-to-4-column FC layer. The
+// metric is ns per multiply-accumulate.
+func BenchmarkMACBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, lanes := range []int{1024, 64, 4} {
+		rowBytes := lanes * 2
+		rows := min(65536/rowBytes, 512)
+		block := make([]byte, rows*rowBytes)
+		rng.Read(block)
+		apart := make([]int32, rows)
+		for i := range apart {
+			apart[i] = int32(rng.Uint32())
+		}
+		acc := make([]int32, lanes)
+		for _, k := range []struct {
+			name string
+			mac  func(acc, apart []int32, block []byte, bstride int)
+		}{{"go", macBlockGo}, {"selected", macBlock}} {
+			b.Run(fmt.Sprintf("lanes=%d/%s", lanes, k.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.mac(acc, apart, block, rowBytes)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*lanes), "ns/MAC")
+			})
+		}
+	}
+}

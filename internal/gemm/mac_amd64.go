@@ -1,0 +1,56 @@
+package gemm
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax uint32) // XCR0's low half
+
+// macBlockAVX2 is macBlock's contract for lanes (a positive multiple of
+// 4) columns and rows >= 1 rows, with no bounds checks of its own.
+//
+//go:noescape
+func macBlockAVX2(acc *int32, lanes int, apart *int32, rows int, block *byte, bstride int)
+
+// useAVX2 selects the assembly: the CPU has AVX2 and the OS saves the
+// YMM registers. Written once, here; nothing sets it.
+var useAVX2 = func() bool {
+	const osxsaveAVX, avx2, ymmState = 1<<27 | 1<<28, 1 << 5, 6
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if _, _, c, _ := cpuid(1, 0); maxLeaf < 7 || c&osxsaveAVX != osxsaveAVX {
+		return false
+	}
+	lo := xgetbv() // legal: OSXSAVE is set
+	_, b, _, _ := cpuid(7, 0)
+	return lo&ymmState == ymmState && b&avx2 != 0
+}()
+
+// macExtent is the only guard between macBlock's slices and the
+// assembly, which drops Go's per-access bounds checks: it proves that
+// rows rows of rowBytes bytes, bstride apart, lie inside block, or
+// panics (slice bounds: a programmer error). The quotient keeps the proof
+// free of a product that could overflow. One row fits at any stride,
+// which is how the zero row and a page-straddling row arrive: block is
+// what ForEachMRAMRowRuns passes, count rows of rowBytes at blockStride
+// inside one page, or one rowBytes-long buffer at stride 0. acc and apart
+// are kernelScratch's, cut to the launch's validated n and k; macBlock's
+// &acc[0], &apart[0] and lanes <= len(acc) cover them.
+func macExtent(block []byte, rows, rowBytes, bstride int) {
+	slack := block[rowBytes:] // how far into block the last row may start
+	if rows > 1 {
+		_ = slack[bstride : len(slack)/(rows-1)]
+	}
+}
+
+// macBlock is macBlockGo with whole groups of four lanes in assembly
+// where the host has AVX2. Wrap-around int32 sums commute, so the two
+// agree bit for bit.
+func macBlock(acc, apart []int32, block []byte, bstride int) {
+	lanes := len(acc) &^ 3
+	if !useAVX2 || lanes == 0 || len(apart) == 0 {
+		macBlockGo(acc, apart, block, bstride)
+		return
+	}
+	macExtent(block, len(apart), lanes*2, bstride)
+	macBlockAVX2(&acc[0], lanes, &apart[0], len(apart), &block[0], bstride)
+	if lanes < len(acc) {
+		macNarrow(acc[lanes:], apart, block[lanes*2:], bstride)
+	}
+}

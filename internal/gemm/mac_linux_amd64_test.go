@@ -1,0 +1,96 @@
+package gemm
+
+import (
+	"math/rand"
+	"os"
+	"regexp"
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// The hand-rolled CPUID + XGETBV check agrees with the kernel's own
+// reading of the same bits.
+func TestUseAVX2MatchesProcCPUInfo(t *testing.T) {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo to compare with: %v", err)
+	}
+	if want := regexp.MustCompile(`(?m)^flags\s*:.*\bavx2\b`).Match(info); useAVX2 != want {
+		t.Errorf("useAVX2 = %v, /proc/cpuinfo lists avx2: %v", useAVX2, want)
+	}
+}
+
+// guarded maps n data pages with an inaccessible page on either side, so
+// a load or store one byte outside the data faults instead of passing.
+func guarded(t *testing.T, n int) []byte {
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, (n+2)*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // test memory: nothing to do about a failed unmap
+	for _, g := range [][]byte{mem[:page], mem[(n+1)*page:]} {
+		if err := syscall.Mprotect(g, syscall.PROT_NONE); err != nil {
+			t.Fatalf("mprotect: %v", err)
+		}
+	}
+	return mem[page : (n+1)*page]
+}
+
+// The assembly stays inside the extents the wrapper proved: acc, apart
+// and block each sit flush against a PROT_NONE page — first ending at
+// the page after them, then starting at the page before — on every
+// width through two 32-lane strips, and the result is still the Go
+// loops'. A fault surfaces as a panic (SetPanicOnFault) and fails the
+// shape that caused it.
+func TestMACBlockStaysInsideGuardPages(t *testing.T) {
+	needVectorMAC(t)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const maxRows, maxStride = 5, 2048
+	accMem, apartMem, blockMem := guarded(t, 1), guarded(t, 1), guarded(t, 3)
+	rng := rand.New(rand.NewSource(5))
+	rng.Read(blockMem)
+	// place cuts size bytes from the end or the start of mem.
+	place := func(mem []byte, size int, atEnd bool) []byte {
+		if atEnd {
+			return mem[len(mem)-size:]
+		}
+		return mem[:size:size]
+	}
+	for n := 1; n <= 70; n++ {
+		rowBytes := pad4(n) * 2
+		for rows := 1; rows <= maxRows; rows++ {
+			for _, bstride := range []int{0, rowBytes, rowBytes + 8, maxStride} {
+				for _, atEnd := range []bool{true, false} {
+					acc := unsafe.Slice((*int32)(unsafe.Pointer(&place(accMem, n*4, atEnd)[0])), n)
+					apart := unsafe.Slice((*int32)(unsafe.Pointer(&place(apartMem, rows*4, atEnd)[0])), rows)
+					block := place(blockMem, (rows-1)*bstride+rowBytes, atEnd)
+					want := make([]int32, n)
+					for j := range acc {
+						acc[j] = rng.Int31()
+						want[j] = acc[j]
+					}
+					for i := range apart {
+						apart[i] = int32(rng.Uint32())
+					}
+					macBlockGo(want, apart, block, bstride)
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								t.Fatalf("n=%d rows=%d bstride=%d atEnd=%v: touched a guard page: %v", n, rows, bstride, atEnd, p)
+							}
+						}()
+						macBlock(acc, apart, block, bstride)
+					}()
+					for j := range want {
+						if acc[j] != want[j] {
+							t.Fatalf("n=%d rows=%d bstride=%d atEnd=%v: lane %d = %#x, Go loops %#x", n, rows, bstride, atEnd, j, acc[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -76,7 +76,7 @@ type RunnerConfig struct {
 type kernelScratch struct {
 	aRow   []byte  // A bytes at the padded row stride; the batch pass grows it to m rows
 	apart  []int32 // alpha*A[k] (MaxK)
-	acc    []int32 // full-row accumulator (MaxN)
+	acc    []int32 // full-row accumulator (pad4(MaxN): B's padding lanes accumulate too, unread)
 	rowBuf []byte  // packed C row (pad4(MaxN)*2); the batch pass grows it to m rows
 }
 
@@ -282,7 +282,7 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 		return &kernelScratch{
 			aRow:   make([]byte, aRowBytes),
 			apart:  make([]int32, cfg.MaxK),
-			acc:    make([]int32, cfg.MaxN),
+			acc:    make([]int32, pad4(cfg.MaxN)),
 			rowBuf: make([]byte, int(maxStride)*2),
 		}
 	}
@@ -405,59 +405,6 @@ func (r *Runner) getScratch() *kernelScratch {
 	return r.scratch.Get().(*kernelScratch)
 }
 
-// macRow multiply-accumulates ap times the little-endian int16 lanes of
-// row into ctmp[:cols], four lanes per 8-byte load. Rows are padded to 8
-// bytes (chunkBytes), so the 4-wide reads never run past the slice.
-func macRow(ctmp []int32, row []byte, ap int32, cols int) {
-	j := 0
-	for ; j+4 <= cols; j += 4 {
-		v := binary.LittleEndian.Uint64(row[j*2:])
-		ctmp[j] += ap * int32(int16(v))
-		ctmp[j+1] += ap * int32(int16(v>>16))
-		ctmp[j+2] += ap * int32(int16(v>>32))
-		ctmp[j+3] += ap * int32(int16(v>>48))
-	}
-	for ; j < cols; j++ {
-		ctmp[j] += ap * int32(int16(binary.LittleEndian.Uint16(row[j*2:])))
-	}
-}
-
-// narrowRowBytes is the B row size up to which macNarrow beats a macRow
-// per row: rows no wider than a cache line, where the walk down a column
-// group is a walk through contiguous memory and macRow's per-row set-up
-// outweighs its few lanes (the 1- and 4-column late layers of a CNN).
-const narrowRowBytes = 64
-
-// macNarrow multiply-accumulates the len(apart) rows of block, spaced
-// bstride bytes apart and len(acc) lanes wide, into acc: per group of
-// four columns one loop down the rows with the accumulators in
-// registers. Wrap-around int32 addition commutes, so the result is
-// bit-identical to accumulating row by row.
-func macNarrow(acc, apart []int32, block []byte, bstride int) {
-	for j := 0; j+4 <= len(acc); j += 4 {
-		c := acc[j : j+4 : j+4]
-		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-		o := j * 2
-		for _, ap := range apart {
-			v := binary.LittleEndian.Uint64(block[o:])
-			c0 += ap * int32(int16(v))
-			c1 += ap * int32(int16(v>>16))
-			c2 += ap * int32(int16(v>>32))
-			c3 += ap * int32(int16(v>>48))
-			o += bstride
-		}
-		c[0], c[1], c[2], c[3] = c0, c1, c2, c3
-	}
-	for j := len(acc) &^ 3; j < len(acc); j++ {
-		c, o := acc[j], j*2
-		for _, ap := range apart {
-			c += ap * int32(int16(binary.LittleEndian.Uint16(block[o:])))
-			o += bstride
-		}
-		acc[j] = c
-	}
-}
-
 // packClamped rescale-clamps ctmp[:cols] into little-endian int16 output
 // bytes, four lanes per 8-byte store, zeroing the padding tail.
 func packClamped(out []byte, ctmp []int32, cols, chunkBytes int) {
@@ -570,18 +517,11 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
 	}
 	rowBytes := pad4(n) * 2
 	sc.rowBuf = growBytes(sc.rowBuf, m*rowBytes)
-	apart, acc := sc.apart[:k], sc.acc[:n]
+	// acc spans B's whole padded row, so the MAC runs in whole groups of
+	// four lanes; packClamped reads the first n.
+	apart, acc := sc.apart[:k], sc.acc[:pad4(n)]
 	mac := func(first, count int, block []byte, bstride int) {
-		ap := apart[first : first+count]
-		if rowBytes <= narrowRowBytes {
-			macNarrow(acc, ap, block, bstride)
-			return
-		}
-		for ri, a := range ap {
-			if a != 0 {
-				macRow(acc, block[ri*bstride:], a, n)
-			}
-		}
+		macBlock(acc, apart[first:first+count], block, bstride)
 	}
 	for row := 0; row < m; row++ {
 		decodeAPart(apart, sc.aRow[row*aBytes:], p.alpha)
@@ -631,12 +571,18 @@ func (r *Runner) stageB(n, k int, b []int16) []byte {
 		r.bStage = make([]byte, need)
 	}
 	buf := r.bStage[:need]
-	for kk := 0; kk < k; kk++ {
-		row := buf[kk*stride*2 : (kk*stride+stride)*2]
-		tensor.PackLE(row, b[kk*n:kk*n+n])
-		clear(row[n*2:])
-	}
+	packRows(buf, stride*2, b, k, n)
 	return buf
+}
+
+// packRows packs rows rows of k int16 from src into dst as little-endian
+// bytes at a stride of rowBytes, zeroing each row's alignment tail.
+func packRows(dst []byte, rowBytes int, src []int16, rows, k int) {
+	for i := 0; i < rows; i++ {
+		row := dst[i*rowBytes : (i+1)*rowBytes]
+		tensor.PackLE(row, src[i*k:(i+1)*k])
+		clear(row[k*2:])
+	}
 }
 
 // encodeParams fills the kernel parameter block staging buffer. aoff is
@@ -650,27 +596,6 @@ func (r *Runner) encodeParams(n, k, m int, alpha int16, aoff int64) {
 	binary.LittleEndian.PutUint32(r.paramsBuf[12:], uint32(m))
 	binary.LittleEndian.PutUint32(r.paramsBuf[16:], uint32(aoff))
 	binary.LittleEndian.PutUint32(r.paramsBuf[20:], 0) // 8-byte pad
-}
-
-// encodeARows packs rows A[start..start+rows) into the per-DPU scatter
-// buffers, zeroing each buffer's alignment tail.
-func encodeARows(bufs [][]byte, a []int16, start, rows, k, rowBytes int) {
-	for i := 0; i < rows; i++ {
-		buf := bufs[i]
-		for kk := 0; kk < k; kk++ {
-			binary.LittleEndian.PutUint16(buf[kk*2:], uint16(a[(start+i)*k+kk]))
-		}
-		for bb := k * 2; bb < rowBytes; bb++ {
-			buf[bb] = 0
-		}
-	}
-}
-
-// decodeCRow unpacks one gathered C row into c[base:base+n].
-func decodeCRow(c []int16, base int, raw []byte, n int) {
-	for j := 0; j < n; j++ {
-		c[base+j] = int16(binary.LittleEndian.Uint16(raw[j*2:]))
-	}
 }
 
 // mulStage is one staging set of the row-per-DPU mapping: per-DPU A-row
@@ -733,7 +658,7 @@ func (w *mulWorkSet) Broadcasts() []exec.Broadcast { return w.bcasts }
 func (w *mulWorkSet) MaxWaveDPUs() int { return w.r.curWidth }
 
 func (w *mulWorkSet) Encode(slot, start, n int) {
-	encodeARows(w.r.mulStages[slot].aBufs, w.a, start, n, w.k, w.rowBytes)
+	packRows(w.r.mulStages[slot].aStage, w.rowBytes, w.a[start*w.k:], n, w.k)
 }
 
 func (w *mulWorkSet) Scatter(slot, n int) []exec.Stream {
@@ -750,7 +675,7 @@ func (w *mulWorkSet) Gather(slot, n int) exec.Stream {
 }
 
 func (w *mulWorkSet) Decode(slot, shard, i int) {
-	decodeCRow(w.c, shard*w.n, w.r.mulStages[slot].cBufs[i], w.n)
+	tensor.UnpackLE(w.c[shard*w.n:(shard+1)*w.n], w.r.mulStages[slot].cBufs[i])
 }
 
 // Multiply runs C = clamp((alpha·A·B)/32) with A of M×K, B of K×N,

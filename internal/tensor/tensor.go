@@ -132,6 +132,19 @@ func PackLE(d []byte, src []int16) {
 	}
 }
 
+// UnpackLE is PackLE's inverse: dst[i] is the little-endian int16 at
+// s[2i], four elements per load.
+func UnpackLE(dst []int16, s []byte) {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v := binary.LittleEndian.Uint64(s[2*i:])
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = int16(v), int16(v>>16), int16(v>>32), int16(v>>48)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = int16(binary.LittleEndian.Uint16(s[2*i:]))
+	}
+}
+
 // im2col is the one lowering loop behind Im2ColInto and Im2ColBytes.
 // Each kernel tap (c, dy, dx) is one matrix row, written an output row
 // (outW columns) at a time: the taps that fall inside the image are the

@@ -165,3 +165,31 @@ func TestIm2ColForms(t *testing.T) {
 		}
 	}
 }
+
+// UnpackLE inverts PackLE at every length around the four-lane grouping,
+// extreme values included, and neither touches bytes or elements past
+// the source's length.
+func TestPackUnpackLE(t *testing.T) {
+	vals := []int16{-32768, 32767, -1, 0, 1, 0x1234, -0x1234, 255, -256, 7, -7}
+	for n := 0; n <= len(vals); n++ {
+		raw := make([]byte, 2*n+2)
+		raw[2*n], raw[2*n+1] = 0xAA, 0xAA
+		PackLE(raw, vals[:n])
+		for i, v := range vals[:n] {
+			if got := int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8); got != v {
+				t.Fatalf("n=%d: PackLE lane %d = %d, want %d", n, i, got, v)
+			}
+		}
+		got := make([]int16, n+1)
+		got[n] = 99
+		UnpackLE(got[:n], raw)
+		for i, v := range vals[:n] {
+			if got[i] != v {
+				t.Fatalf("n=%d: UnpackLE lane %d = %d, want %d", n, i, got[i], v)
+			}
+		}
+		if raw[2*n] != 0xAA || raw[2*n+1] != 0xAA || got[n] != 99 {
+			t.Fatalf("n=%d: wrote past the source's length", n)
+		}
+	}
+}

@@ -5,7 +5,8 @@
 # Each main package, plus a throw-away probe main that references every
 # exported func of pimdnn.go, is built with inlining off (so a reached
 # function keeps its symbol); the union of their `go tool nm` symbols
-# under pimdnn/internal/ is the reached set. Report-only: prints
+# under pimdnn/internal/ (an assembly body links as <name>.abi0 and counts
+# for its Go declaration) is the reached set. Report-only: prints
 # `file:line symbol` per unreached func, then the count. What remains is
 # reached by tests alone; CHANGES.md (PR 22) gives each one's reason.
 #
@@ -32,7 +33,7 @@ mkdir "$tmp/probe"
 for pkg in $("$GO" list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) "./${tmp#"$PWD"/}/probe"; do
 	"$GO" build -gcflags=all=-l -o "$tmp/bin" "$pkg"
 	"$GO" tool nm "$tmp/bin"
-done | awk '$3 ~ /^pimdnn\/internal\// { print $3 }' | sort -u >"$tmp/reached"
+done | awk '$3 ~ /^pimdnn\/internal\// { sub(/\.abi0$/, "", $3); print $3 }' | sort -u >"$tmp/reached"
 
 # gofmt'd declarations: `func Name(`, `func (r T) Name(`, `func (r *T) Name(`
 # in package pimdnn/<dir> link as <dir>.Name, <dir>.T.Name, <dir>.(*T).Name.
