@@ -1,14 +1,14 @@
 # Build/test entry points. `make ci` is the full gate: vet, build, tests
 # (at GOMAXPROCS=1 and at the host's width), a race pass over the
-# packages with cross-goroutine state (the host runtime's worker pool,
-# sharded transfers, and async command queue, the trace profile, the
-# metrics registry, the execution engine, the softfloat slice kernels
+# packages with cross-goroutine state (the host runtime's worker pool
+# and sharded transfers, the trace profile, the metrics registry, the
+# execution engine and its depth-2 in-flight wave, the softfloat slice kernels
 # and isa.Kernel closures shared across concurrently launched DPUs, the
 # gemm/ebnn runners and the nn executor — whose batch fill/decode
 # callbacks run on pool workers — with the three networks over it,
 # including the fault-injection recovery paths, plus the upmem-top
 # renderer, the upmem-serve batching/backpressure server and
-# upmem-profile, whose test reads a trace the depth-2 queue executor
+# upmem-profile, whose test reads a trace the depth-2 in-flight wave's
 # goroutine writes), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),

@@ -32,9 +32,9 @@ func main() {
 }
 
 // execCfg is the one execution-engine configuration threaded through
-// every runner: pipelining through the asynchronous double-buffered
-// queue ("on"), the synchronous loop ("off"), or whatever the host picks
-// for this machine ("auto"). Every number the experiments print is
+// every runner: double-buffered dispatch with one wave in flight
+// ("on"), the synchronous loop ("off"), or whatever the host picks for
+// this machine ("auto"). Every number the experiments print is
 // simulated time, which is identical in all three modes; the flag only
 // changes how long the report takes.
 var execCfg exec.Config
@@ -46,32 +46,34 @@ var execCfg exec.Config
 var metricsReg *metrics.Registry
 
 // traceTracer, when non-nil (-trace-out), roots one request trace per
-// System the report creates; the System's queue-command spans land
-// under it and the lot is written as Perfetto trace-event JSON at
-// exit. Same contract as metricsReg: tracing observes, the report on
-// stdout is byte-identical with it on or off.
+// System the report creates; the runners built on that System install
+// the root, so their dispatch spans land under it, and the lot is
+// written as Perfetto trace-event JSON at exit. Same contract as
+// metricsReg: tracing observes, the report on stdout is byte-identical
+// with it on or off.
 var (
 	traceTracer *trace.Tracer
 	traceRoots  []*trace.Span
 )
 
-// newSystem builds a System and wires the shared telemetry registry
-// and, when -trace-out armed one, a per-System trace root into it.
-func newSystem(n int, cfg host.Config) (*host.System, error) {
+// newSystem builds a System, wires the shared telemetry registry into
+// it and, when -trace-out armed one, opens the System's trace root for
+// its runners to install (nil otherwise, which installs nothing).
+func newSystem(n int, cfg host.Config) (*host.System, *trace.Span, error) {
 	sys, err := host.NewSystem(n, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if metricsReg != nil {
 		sys.EnableMetrics(metricsReg)
 	}
+	var root *trace.Span
 	if traceTracer != nil {
-		root := traceTracer.StartTrace(fmt.Sprintf("system%03d", len(traceRoots)))
+		root = traceTracer.StartTrace(fmt.Sprintf("system%03d", len(traceRoots)))
 		root.SetAttr("dpus", int64(n))
-		sys.SetTraceSpan(root)
 		traceRoots = append(traceRoots, root)
 	}
-	return sys, nil
+	return sys, root, nil
 }
 
 // writeTraces ends every per-System root and writes all completed
@@ -105,7 +107,7 @@ func run() error {
 	planCmp := flag.Bool("plan", false, "append the auto-mapper vs hand-tuned mapping comparison (P1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry at this address (e.g. localhost:9100); Prometheus text at /metrics, JSON with ?format=json")
 	logJSONL := flag.String("log-jsonl", "", "write structured JSONL run/wave/fault events to this file (\"-\" = stderr)")
-	traceOut := flag.String("trace-out", "", "write a Perfetto trace of the report's DPU command activity to this file (load at ui.perfetto.dev); the report itself is unchanged")
+	traceOut := flag.String("trace-out", "", "write a Perfetto trace of the report's DPU dispatch activity to this file (load at ui.perfetto.dev); the report itself is unchanged")
 	flag.Parse()
 	switch *pipeline {
 	case "auto":
@@ -243,7 +245,7 @@ func faultDemo(plan dpu.FaultPlan) error {
 	scene := yolo.SyntheticScene(32, 5)
 	maxK, maxN := net.GEMMBounds()
 	runForward := func(armed bool) (*yolo.Result, *yolo.ForwardStats, *host.System, error) {
-		sys, err := newSystem(8, host.DefaultConfig(dpu.O3))
+		sys, root, err := newSystem(8, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -256,6 +258,7 @@ func faultDemo(plan dpu.FaultPlan) error {
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		r.SetTraceSpan(root)
 		res, st, err := net.Forward(scene, r)
 		return res, st, sys, err
 	}
@@ -292,7 +295,7 @@ func faultDemo(plan dpu.FaultPlan) error {
 	}
 	images := ds.Train[:128]
 	runInfer := func(armed bool) ([]int, ebnn.BatchStats, *host.System, error) {
-		sys, err := newSystem(4, host.DefaultConfig(dpu.O0))
+		sys, root, err := newSystem(4, host.DefaultConfig(dpu.O0))
 		if err != nil {
 			return nil, ebnn.BatchStats{}, nil, err
 		}
@@ -304,6 +307,7 @@ func faultDemo(plan dpu.FaultPlan) error {
 			return nil, ebnn.BatchStats{}, nil, err
 		}
 		r.Configure(execCfg)
+		r.SetTraceSpan(root)
 		preds, st, err := r.Infer(images)
 		return preds, st, sys, err
 	}
@@ -372,13 +376,14 @@ func extensions() error {
 		inputs[i] = yolo.SyntheticScene(32, int64(i+30))
 	}
 	maxK, maxN := net.GEMMBounds()
-	sysRow, _ := newSystem(4, host.DefaultConfig(dpu.O3))
+	sysRow, rowRoot, _ := newSystem(4, host.DefaultConfig(dpu.O3))
 	rowRunner, err := gemm.NewRunner(sysRow, gemm.RunnerConfig{
 		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Exec: execCfg,
 	})
 	if err != nil {
 		return err
 	}
+	rowRunner.SetTraceSpan(rowRoot)
 	var rowTotal float64
 	for _, in := range inputs {
 		_, st, err := net.Forward(in, rowRunner)
@@ -387,7 +392,7 @@ func extensions() error {
 		}
 		rowTotal += st.Seconds
 	}
-	sysBatch, _ := newSystem(4, host.DefaultConfig(dpu.O3))
+	sysBatch, batchRoot, _ := newSystem(4, host.DefaultConfig(dpu.O3))
 	batchRunner, err := gemm.NewRunner(sysBatch, gemm.RunnerConfig{
 		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Exec: execCfg,
 	})
@@ -397,6 +402,7 @@ func extensions() error {
 	if err := batchRunner.EnableBatch(net.MaxFilters()); err != nil {
 		return err
 	}
+	batchRunner.SetTraceSpan(batchRoot)
 	_, stBatch, err := net.ForwardBatch(inputs, batchRunner)
 	if err != nil {
 		return err
@@ -532,7 +538,7 @@ func chapter4() error {
 	imgs := ds.Test
 
 	runEBNN := func(useLUT bool, tasklets int) (ebnn.BatchStats, *host.System, error) {
-		sys, err := newSystem(1, host.DefaultConfig(dpu.O0))
+		sys, root, err := newSystem(1, host.DefaultConfig(dpu.O0))
 		if err != nil {
 			return ebnn.BatchStats{}, nil, err
 		}
@@ -541,6 +547,7 @@ func chapter4() error {
 			return ebnn.BatchStats{}, nil, err
 		}
 		r.Configure(execCfg)
+		r.SetTraceSpan(root)
 		_, st, err := r.Infer(imgs)
 		return st, sys, err
 	}
@@ -577,7 +584,7 @@ func chapter4() error {
 	// the whole-network lite forward is dominated by tiny head layers.
 	yoloLayer := func(tasklets int) (uint64, error) {
 		const k, n = 288, 52 * 52
-		sys, err := newSystem(1, host.DefaultConfig(dpu.O3))
+		sys, root, err := newSystem(1, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			return 0, err
 		}
@@ -587,6 +594,7 @@ func chapter4() error {
 		if err != nil {
 			return 0, err
 		}
+		r.SetTraceSpan(root)
 		a := make([]int16, k)
 		b := make([]int16, k*n)
 		for i := range a {
@@ -622,7 +630,7 @@ func chapter4() error {
 	}
 	scene := yolo.SyntheticScene(32, 5)
 	runYOLO := func(opt dpu.OptLevel, tasklets int, naive bool) (*yolo.ForwardStats, error) {
-		sys, err := newSystem(2, host.DefaultConfig(opt))
+		sys, root, err := newSystem(2, host.DefaultConfig(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -633,6 +641,7 @@ func chapter4() error {
 		if err != nil {
 			return nil, err
 		}
+		r.SetTraceSpan(root)
 		_, st, err := net.Forward(scene, r)
 		return st, err
 	}

@@ -1,0 +1,111 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pimdnn/internal/dpu"
+	"pimdnn/internal/exec"
+	"pimdnn/internal/host"
+	"pimdnn/internal/trace"
+)
+
+// faultReport runs the F1 fault-injection experiment (a YOLO-lite
+// forward on gemm runners, an eBNN inference on ebnn runners) at the
+// given depth, with -trace-out armed when traced. It returns the
+// report's stdout and, when traced, the per-name slice counts of the
+// written Perfetto file, plus each System root's engine dispatch spans.
+func faultReport(t *testing.T, mode host.PipelineMode, traced bool) (string, map[string]int, []int) {
+	t.Helper()
+	execCfg = exec.Config{Pipeline: mode}
+	traceTracer, traceRoots = nil, nil
+	if traced {
+		traceTracer = trace.NewTracer(trace.TracerConfig{Ring: 1024})
+	}
+	defer func() { execCfg, traceTracer = exec.Config{}, nil }()
+
+	dir := t.TempDir()
+	stdout, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = stdout
+	err = faultDemo(dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1})
+	os.Stdout = saved
+	stdout.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !traced {
+		return string(out), nil, nil
+	}
+
+	path := filepath.Join(dir, "trace.json")
+	if err := writeTraces(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []trace.TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("not trace-event JSON: %v", err)
+	}
+	slices := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			slices[ev.Name]++
+		}
+	}
+	var dispatch []int
+	for _, root := range traceRoots {
+		dispatch = append(dispatch, len(root.Trace().WaveSpans()))
+	}
+	return string(out), slices, dispatch
+}
+
+// TestTraceOut: -trace-out records the engine's dispatch spans under
+// every System root at both depths — the same wave spans at each, depth
+// 2 adding one q.wave per wave — and never changes the report.
+func TestTraceOut(t *testing.T) {
+	waves := map[host.PipelineMode]int{}
+	for _, mode := range []host.PipelineMode{host.PipelineOff, host.PipelineOn} {
+		plain, _, _ := faultReport(t, mode, false)
+		out, slices, dispatch := faultReport(t, mode, true)
+		if out != plain {
+			t.Errorf("mode %d: traced stdout differs from untraced:\n%s\nvs\n%s", mode, out, plain)
+		}
+		if slices["wave"] == 0 || slices["dpu_kernel"] == 0 {
+			t.Errorf("mode %d: slices %v, want wave and dpu_kernel spans", mode, slices)
+		}
+		wantQ := 0
+		if mode == host.PipelineOn {
+			wantQ = slices["wave"]
+		}
+		if slices["q.wave"] != wantQ {
+			t.Errorf("mode %d: %d q.wave spans, want %d", mode, slices["q.wave"], wantQ)
+		}
+		if len(dispatch) != 4 {
+			t.Errorf("mode %d: %d System roots, want 4", mode, len(dispatch))
+		}
+		for i, n := range dispatch {
+			if n == 0 {
+				t.Errorf("mode %d: System root %d holds no dispatch span", mode, i)
+			}
+		}
+		waves[mode] = slices["wave"]
+	}
+	if waves[host.PipelineOff] != waves[host.PipelineOn] {
+		t.Errorf("wave spans: %d at depth 1, %d at depth 2", waves[host.PipelineOff], waves[host.PipelineOn])
+	}
+}

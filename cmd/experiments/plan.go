@@ -61,7 +61,7 @@ func planReport() error {
 	}
 	fullInput := yolo.SyntheticScene(32, 99)
 	runFull := func(planned bool) (*yolo.Result, *yolo.ForwardStats, error) {
-		sys, err := newSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
+		sys, root, err := newSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -77,6 +77,7 @@ func planReport() error {
 		if err != nil {
 			return nil, nil, err
 		}
+		r.SetTraceSpan(root)
 		return fullNet.Forward(fullInput, r)
 	}
 	fullFixedRes, fullFixedSt, err := runFull(false)

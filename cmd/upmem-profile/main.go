@@ -43,7 +43,7 @@ func run(args []string, w io.Writer) error {
 		"run the auto-mapper calibration loop: execute every network with planner-chosen mappings and compare predicted vs simulated latency per layer")
 	dpusFlag := fs.Int("dpus", 64, "system size for -calibrate")
 	perfettoFlag := fs.String("perfetto", "",
-		"run only the traced demo GEMM (the one -timeline charts) and write its span tree — waves, queue commands, per-DPU kernels — to this file as Chrome trace-event (Perfetto) JSON")
+		"run only the traced demo GEMM (the one -timeline charts) and write its span tree — waves, in-flight waves, per-DPU kernels — to this file as Chrome trace-event (Perfetto) JSON")
 	fs.Parse(args)
 	opt := dpu.OptLevel(*optFlag)
 	if opt < dpu.O0 || opt > dpu.O3 {
@@ -94,7 +94,7 @@ func run(args []string, w io.Writer) error {
 
 	if *timelineFlag {
 		fmt.Fprintf(w, "\n== Execution engine: pipelined wave timeline (wall clock) ==\n")
-		// Pipelined waves overlap (wave w+1 is enqueued while wave w
+		// Pipelined waves overlap (wave w+1 is issued while wave w
 		// drains), which shows as interleaved bars. Simulated DPU time is
 		// identical to a synchronous run; only this host-side wall-clock
 		// axis changes.
@@ -115,7 +115,7 @@ const demoM, demoN, demoK, demoDPUs = 24, 32, 16, 8
 var demoGEMM = fmt.Sprintf("%d x %d x %d GEMM, %d DPUs, pipeline on", demoM, demoN, demoK, demoDPUs)
 
 // runPerfetto exports the demo GEMM's request span tree (plan, waves,
-// queue commands, per-DPU kernel spans) for chrome://tracing /
+// in-flight "q.wave" spans, per-DPU kernel spans) for chrome://tracing /
 // ui.perfetto.dev. The file is created only once the run has succeeded.
 func runPerfetto(w io.Writer, opt dpu.OptLevel, path string) error {
 	tr, err := runTracedGEMM(opt)

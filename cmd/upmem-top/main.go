@@ -2,7 +2,7 @@
 // It polls the JSON snapshot endpoint a -metrics-addr process serves
 // (cmd/experiments, or anything that wires metrics.Serve) and renders
 // per-DPU utilization bars from pim_dpu_cycles_total deltas plus a
-// one-screen summary of transfers, queue depth, waves, and faults.
+// one-screen summary of transfers, waves, and faults.
 //
 // At full-array scale 2,560 per-DPU bars do not fit a screen; -by-rank
 // folds them into one row per DIMM rank (64 DPUs by default, see
@@ -278,10 +278,9 @@ func Render(prev, cur metrics.Snapshot, interval time.Duration, width, rankSize 
 		fmt.Fprintf(&b, "\ntotal Δcycles: %d across %d DPUs\n", totD, len(cyc))
 	}
 
-	fmt.Fprintf(&b, "\nhost: xfer to_dpu=%dB from_dpu=%dB  queue_depth=%d  pool_shard_runs=%d\n",
+	fmt.Fprintf(&b, "\nhost: xfer to_dpu=%dB from_dpu=%dB  pool_shard_runs=%d\n",
 		counterLabeled(cur, "pim_host_xfer_bytes_total", "to_dpu"),
 		counterLabeled(cur, "pim_host_xfer_bytes_total", "from_dpu"),
-		gaugeVal(cur, "pim_host_queue_depth"),
 		histCount(cur, "pim_host_pool_shards"))
 	fmt.Fprintf(&b, "exec: waves=%d retries=%d down_dpus=%d  fault_reports=%d\n",
 		counterSum(cur, "pim_exec_waves_total"),

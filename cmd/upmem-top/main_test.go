@@ -29,7 +29,6 @@ func snap(cycles []uint64, launches []uint64) metrics.Snapshot {
 		metrics.CounterSnap{Name: "pim_layer_cycles_total", LabelKey: "layer", LabelVal: "yolo_conv000", Value: 5000},
 	)
 	s.Gauges = append(s.Gauges,
-		metrics.GaugeSnap{Name: "pim_host_queue_depth", Value: 2},
 		metrics.GaugeSnap{Name: "pim_exec_down_dpus", Value: 1},
 	)
 	return s

@@ -111,10 +111,9 @@ func BenchmarkConvPool(b *testing.B) {
 }
 
 // BenchmarkInferWaveSync / BenchmarkInferWavePipelined compare the
-// synchronous wave loop against the double-buffered asynchronous path on
-// 16 waves of images across 4 DPUs — enough in-flight waves for the
-// queue to overlap host-side packing and decoding with simulated device
-// time. Simulated dpu-cycles are identical by construction.
+// synchronous wave loop against the double-buffered depth-2 path on 16
+// waves of images across 4 DPUs — enough waves for the one in flight to
+// overlap host-side packing and decoding with simulated device time. Simulated dpu-cycles are identical by construction.
 func benchInferWave(b *testing.B, mode host.PipelineMode) {
 	m, imgs := benchModel(b)
 	// 4 DPUs x 16 images/DPU = 64 images per wave; 1024 images = 16 waves.

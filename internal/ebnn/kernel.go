@@ -12,6 +12,7 @@ import (
 	"pimdnn/internal/mnist"
 	"pimdnn/internal/model"
 	"pimdnn/internal/softfloat"
+	"pimdnn/internal/trace"
 )
 
 // DPU-side layout constants (§4.1.3 mapping).
@@ -82,7 +83,7 @@ type Runner struct {
 
 // inferStage is one staging set of the multiple-images-per-DPU mapping:
 // per-DPU packed-image and image-count scatter buffers plus result
-// gather views. A pipelined wave's buffers stay queue-owned until the
+// gather views. A pipelined wave's buffers belong to it until the
 // engine flushes it, so the host packs the next wave into the other
 // stage meanwhile.
 type inferStage struct {
@@ -150,9 +151,8 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	// Broadcast the model parameters through the execution engine: a DPU
 	// that misses a broadcast gets it redelivered; one that cannot be
 	// reached is marked down so its stale model never contributes
-	// predictions (internal/exec). The engine starts unpipelined so the
-	// deploy-time redeliveries stay synchronous.
-	r.eng = exec.New(sys, exec.Config{Pipeline: host.PipelineOff})
+	// predictions (internal/exec).
+	r.eng = exec.New(sys, exec.Config{})
 	r.iws.r = r
 	broadcast := func(sym string, data []byte) error {
 		ref, err := sys.Resolve(sym)
@@ -200,7 +200,6 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 
 	r.stages[0].ensure(sys.NumDPUs())
 	r.kernelFn = r.kernel()
-	r.eng.Configure(exec.Config{Pipeline: host.PipelineAuto})
 	return r, nil
 }
 
@@ -208,11 +207,15 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 // (pipelining, trace timeline; see internal/exec and DESIGN.md,
 // "Execution engine"). Call it between Infer calls only. Results and
 // simulated-time accounting are identical in both pipeline modes;
-// pipelining overlaps host pack/classify wall-clock time with queued
-// device work.
+// pipelining overlaps host pack/classify wall-clock time with the wave
+// in flight.
 func (r *Runner) Configure(ec exec.Config) {
 	r.eng.Configure(ec)
 }
+
+// SetTraceSpan attaches the request span the next Infer calls run under
+// (see exec.Engine.SetTraceSpan); nil detaches.
+func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
 
 // Tasklets returns the configured tasklet count.
 func (r *Runner) Tasklets() int { return r.tasklets }
@@ -471,12 +474,12 @@ func (w *inferWorkSet) Decode(slot, shard, i int) {
 // activation bytes, and runs the softmax layer serially per image
 // straight from those packed bytes (§4.1.3; predictPacked). Wave
 // construction, pipelining, and fault recovery are the execution
-// engine's (internal/exec); at depth 2 the waves flow through the host's
-// asynchronous command queue so the pack/classify host work overlaps the
-// simulated launches. Predictions, cycle counts, transfer accounting
-// and wave statistics are identical either way. Infer is not safe for
-// concurrent use on one Runner: the staging buffers and the DPU symbols
-// are shared state.
+// engine's (internal/exec); at depth 2 one wave is in flight while the
+// host packs the next and classifies the previous, so that host work
+// overlaps the simulated launches. Predictions, cycle counts, transfer
+// accounting and wave statistics are identical either way. Infer is not
+// safe for concurrent use on one Runner: the staging buffers and the DPU
+// symbols are shared state.
 func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	if len(images) == 0 {
 		return nil, BatchStats{}, fmt.Errorf("ebnn: no images")

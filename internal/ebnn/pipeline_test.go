@@ -9,7 +9,7 @@ import (
 	"pimdnn/internal/mnist"
 )
 
-// Infer at depth 2 (double-buffered through the queue) must match depth
+// Infer at depth 2 (double-buffered, one wave in flight) must match depth
 // 1 in everything observable except wall-clock: identical predictions
 // in identical order, identical simulated-time statistics and identical
 // transfer accounting (operations, bytes, time), including when the

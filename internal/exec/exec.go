@@ -8,14 +8,16 @@
 // dispatch: gemm row-per-DPU, ebnn images-per-DPU) or a StreamSet value
 // (single-wave streaming dispatch: gemm image-per-DPU batch). A WorkSet
 // runs through one wave loop (Engine.run) over one wave primitive, the
-// host's fused scatter→launch→gather wave. The dispatch depth only
-// picks how that wave is issued: depth 1 runs it on the caller
-// (host.System.RunWave) and completes it before the next wave is
-// encoded, depth 2 queues it (EnqueueWave) and completes it while the
-// next one runs. Both depths issue the same commands with the same
-// arguments, so results, Stats and every simulated clock — cycles,
-// transfer bytes, operations and time — are the same at both; depth 2
-// only overlaps host encode/decode wall-clock time with device work.
+// host's fused scatter→launch→gather wave (host.System.RunWave). The
+// dispatch depth only picks where that wave runs: depth 1 runs it on
+// the caller and completes it before the next wave is encoded, depth 2
+// keeps it in flight on one goroutine while the caller decodes the
+// previous wave and encodes the next. Every other System call joins the
+// wave in flight first, so the System sees the same calls in the same
+// order at both depths; results, Stats and every simulated clock —
+// cycles, transfer bytes, operations and time — are the same at both,
+// and depth 2 only overlaps host encode/decode wall-clock time with
+// device work. A System serves one dispatching engine at a time.
 //
 // See DESIGN.md, "Execution engine", for the interface contract,
 // accounting, and retry semantics.
@@ -35,9 +37,9 @@ import (
 
 // Config is the unified dispatch configuration shared by every runner.
 type Config struct {
-	// Pipeline selects the dispatch depth: 2 (double-buffered through
-	// the host's asynchronous command queue) or 1 (each wave completes
-	// on the caller before the next is encoded). Results and simulated
+	// Pipeline selects the dispatch depth: 2 (double-buffered, one wave
+	// in flight on its own goroutine) or 1 (each wave completes on the
+	// caller before the next is encoded). Results and simulated
 	// accounting are identical at both depths.
 	Pipeline host.PipelineMode
 	// Events, when non-nil, receives structured dispatch events (runs,
@@ -208,10 +210,17 @@ type Engine struct {
 	retryCur int
 	failSet  []bool
 
-	// The wave loop's in-flight wave records: slot 0 at depth 1, both
+	// The wave loop's issued-wave records: slot 0 at depth 1, both
 	// (ping-pong) at depth 2.
 	slots   [2]waveSlot
 	waveSeq int
+
+	// The wave in flight at depth 2: fly is its slot, run by flyFn (the
+	// bound method runFly, stored once so the handoff allocates nothing)
+	// on its own goroutine, which releases landed when it is done.
+	fly    *waveSlot
+	flyFn  func()
+	landed sync.WaitGroup
 
 	// Reused scratch: re-dispatch input descriptors (and the resident
 	// entries riding along with them, for retry-target invalidation),
@@ -238,32 +247,22 @@ func (e *Engine) perDPUBuf(n int) []dpu.Stats {
 	return e.waveStats[:n]
 }
 
-// waveSlot is one in-flight wave record of the wave loop: the wave owns
-// the slot's staging buffers from Encode until flush has decoded it.
+// waveSlot is one issued wave record of the wave loop: the wave owns the
+// slot's staging buffers from Encode until flush has decoded it.
 type waveSlot struct {
 	idx      int // staging-slot index handed to the workset
 	seq      int // engine-global wave number (trace spans, event log)
 	start, n int
 	stats    host.LaunchStats
-	cmds     []issued // the extra-stream pushes, then the wave itself
-	forced   []bool   // shards failed by resident delivery at issue time
+	pushes   []Stream  // extra-stream pushes not yet run, in issue order
+	wave     host.Wave // the fused wave, run after the pushes
+	errs     []error   // each run command's outcome, in issue order
+	forced   []bool    // shards failed by resident delivery at issue time
 	t0       time.Time
-	busy     bool
-}
-
-// issued is one command the wave loop has issued without claiming its
-// outcome yet: err holds it when the command ran inline (depth 1), pend
-// resolves to it when the command was queued (depth 2).
-type issued struct {
-	pend host.Pending
-	err  error
-}
-
-func (c issued) wait() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.pend.Wait()
+	// sp parents the in-flight wave's "q.wave" span: the request span
+	// installed at issue time, captured then (nil at depth 1).
+	sp   *trace.Span
+	busy bool
 }
 
 // New builds an engine over sys. One engine per runner: down-DPU state
@@ -273,6 +272,7 @@ func New(sys *host.System, cfg Config) *Engine {
 	e.down = make([]bool, sys.NumDPUs())
 	e.failSet = make([]bool, sys.NumDPUs())
 	e.slots[1].idx = 1
+	e.flyFn = e.runFly
 	e.Configure(cfg)
 	return e
 }
@@ -289,8 +289,8 @@ func (e *Engine) Configure(cfg Config) {
 	}
 }
 
-// Pipelined reports whether dispatch goes through the async queue at
-// depth 2, i.e. whether the wave loop uses both staging slots.
+// Pipelined reports whether dispatch runs at depth 2, i.e. whether the
+// wave loop uses both staging slots.
 func (e *Engine) Pipelined() bool { return e.pipe }
 
 // Down reports whether DPU i has been excluded from dispatch.
@@ -394,7 +394,7 @@ func (e *Engine) mergeFailed(failed []bool, err error) error {
 // redeliver retries a broadcast payload on one DPU that missed it.
 func (e *Engine) redeliver(i int, b Broadcast) bool {
 	for a := 0; a < maxRedispatch; a++ {
-		err := e.copyToDPU(i, b.Ref, b.Off, b.Data)
+		err := e.sys.CopyToDPURef(i, b.Ref, b.Off, b.Data)
 		if err == nil {
 			return true
 		}
@@ -433,11 +433,11 @@ func (e *Engine) finishBroadcast(err error, b Broadcast) error {
 
 // Broadcast delivers b to every DPU immediately, with redelivery and
 // down-marking on partial failure. Used for setup-time payloads (the
-// eBNN model deploy); dispatch-time broadcasts belong to the WorkSet
-// or StreamSet instead. A resident broadcast goes through the weight
-// cache's generation stamps and is skipped for current DPUs. The copy
-// itself runs on the caller at either depth: setup and RunStream, the
-// two users, hold no queued work of their own.
+// eBNN model deploy) and for the wave loop's and RunStream's
+// dispatch-time broadcasts. A resident broadcast goes through the
+// weight cache's generation stamps and is skipped for current DPUs. No
+// wave is ever in flight here: Run returns with none, and its prologue
+// runs before its first.
 func (e *Engine) Broadcast(b Broadcast) error {
 	if b.Resident != nil {
 		return e.broadcastResident(b)
@@ -445,22 +445,12 @@ func (e *Engine) Broadcast(b Broadcast) error {
 	return e.finishBroadcast(e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data), b)
 }
 
-// broadcast is Broadcast for the wave loop's prologue: the copy goes
-// through copyAll, so at depth 2 it is serialized with whatever other
-// runners sharing the System have queued.
-func (e *Engine) broadcast(b Broadcast) error {
-	if b.Resident != nil {
-		return e.broadcastResident(b)
-	}
-	return e.finishBroadcast(e.copyAll(b.Ref, b.Off, b.Data), b)
-}
-
 // deliverOne pushes one resident payload to DPU d with bounded retries,
 // stamping the entry on success. An unreachable DPU is marked down (its
 // stale copy must never contribute results) and reported false.
 func (e *Engine) deliverOne(d int, ref host.SymbolRef, off int64, data []byte, ent *ResidentEntry, catchup bool) bool {
 	for a := 0; a < maxRedispatch; a++ {
-		err := e.copyToDPU(d, ref, off, data)
+		err := e.sys.CopyToDPURef(d, ref, off, data)
 		if err == nil {
 			ent.markDelivered(d)
 			ent.noteDelivered(len(data), catchup)
@@ -504,7 +494,7 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 		// Cold path: one rank-parallel broadcast, then stamp everything
 		// the fault report doesn't name; named DPUs get the usual
 		// redeliver-or-mark-down treatment, which stamps on success.
-		err := e.copyAll(b.Ref, b.Off, b.Data)
+		err := e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data)
 		if err == nil {
 			for d := 0; d < nd; d++ {
 				ent.markDelivered(d)
@@ -575,7 +565,7 @@ func (e *Engine) scatterResident(s Stream, n int, failed []bool) error {
 	if stale == n && e.nDown == 0 && len(s.Bufs) == e.sys.NumDPUs() {
 		// Cold path: one rank-parallel full-system push (the same
 		// operation the re-broadcast path issues every dispatch).
-		err := e.push(s.Ref, s.Off, s.Bufs).wait()
+		err := e.sys.PushXferRef(s.Ref, s.Off, s.Bufs)
 		perDPU := len(s.Bufs[0])
 		if err == nil {
 			for d := 0; d < n; d++ {
@@ -620,75 +610,92 @@ func (e *Engine) scatterResident(s Stream, n int, failed []bool) error {
 	return nil
 }
 
-// The inline-or-enqueue helpers: every device command the wave loop,
-// the broadcast prologue and the recovery paths issue goes through one
-// of these, which run it on the caller at depth 1 and through the
-// command queue at depth 2 — there serialized with any wave in flight
-// and with other runners sharing the System. Everything but push and
-// wave claims the outcome before returning.
+// The wave in flight. start runs a slot's pending pushes and its fused
+// wave — on the caller at depth 1, on one goroutine at depth 2 — and
+// every other System call of the wave loop, re-dispatch and RunStream
+// is preceded by join, so the System sees the same calls in the same
+// order at both depths. Run returns with no wave in flight, so
+// Broadcast never meets one.
 
-// copyAll broadcasts data to every DPU.
-func (e *Engine) copyAll(ref host.SymbolRef, off int64, data []byte) error {
-	if e.pipe {
-		return e.sys.EnqueueCopyTo(ref, off, data).Wait()
+// start runs sl's pending pushes and wave, at depth 2 as the wave in
+// flight.
+func (e *Engine) start(sl *waveSlot) {
+	sl.sp = nil
+	if !e.pipe {
+		e.runSlot(sl)
+		return
 	}
-	return e.sys.CopyToSymbolRef(ref, off, data)
+	sl.sp = e.tsp
+	e.fly = sl
+	e.landed.Add(1)
+	go e.flyFn()
 }
 
-// push scatters per-DPU buffers to every DPU.
-func (e *Engine) push(ref host.SymbolRef, off int64, bufs [][]byte) issued {
-	if e.pipe {
-		return issued{pend: e.sys.EnqueuePushXfer(ref, off, bufs)}
-	}
-	return issued{err: e.sys.PushXferRef(ref, off, bufs)}
+// runFly is the in-flight goroutine.
+func (e *Engine) runFly() {
+	e.runSlot(e.fly)
+	e.landed.Done()
 }
 
-// wave issues one fused scatter→launch→gather wave.
-func (e *Engine) wave(w host.Wave) issued {
-	if e.pipe {
-		return issued{pend: e.sys.EnqueueWave(w)}
+// join waits for the wave in flight, if any, and returns its first
+// total (non-*FaultReport) failure, which stops the loop before
+// anything else is issued. Partial failures stay in the slot for flush.
+func (e *Engine) join() error {
+	sl := e.fly
+	if sl == nil {
+		return nil
 	}
-	return issued{err: e.sys.RunWave(w)}
+	e.landed.Wait()
+	e.fly = nil
+	for _, err := range sl.errs {
+		if err == nil {
+			continue
+		}
+		if _, ok := host.AsFaultReport(err); !ok {
+			return err
+		}
+	}
+	return nil
 }
 
-// copyToDPU, launchDPU and copyFromDPU are the single-DPU commands of a
-// redelivery or a re-dispatch.
-func (e *Engine) copyToDPU(d int, ref host.SymbolRef, off int64, data []byte) error {
-	if e.pipe {
-		return e.sys.EnqueueCopyToDPU(d, ref, off, data).Wait()
+// runPushes runs the slot's pending extra-stream pushes in issue order.
+func (e *Engine) runPushes(sl *waveSlot) {
+	for _, s := range sl.pushes {
+		sl.errs = append(sl.errs, e.sys.PushXferRef(s.Ref, s.Off, s.Bufs))
 	}
-	return e.sys.CopyToDPURef(d, ref, off, data)
+	sl.pushes = sl.pushes[:0]
 }
 
-func (e *Engine) launchDPU(d, tasklets int, kernel dpu.KernelFunc) (host.LaunchStats, error) {
-	if e.pipe {
-		var ls host.LaunchStats
-		err := e.sys.EnqueueLaunchDPU(d, tasklets, kernel, &ls).Wait()
-		return ls, err
+// runSlot runs the slot's pending pushes, then its wave; in flight
+// under a request span it stamps the wave's "q.wave" span too.
+func (e *Engine) runSlot(sl *waveSlot) {
+	e.runPushes(sl)
+	var t0 time.Time
+	if sl.sp != nil {
+		t0 = time.Now()
 	}
-	return e.sys.LaunchDPU(d, tasklets, kernel)
-}
-
-func (e *Engine) copyFromDPU(d int, ref host.SymbolRef, off int64, dst []byte) error {
-	if e.pipe {
-		return e.sys.EnqueueCopyFrom(d, ref, off, dst).Wait()
+	sl.errs = append(sl.errs, e.sys.RunWave(sl.wave))
+	if sl.sp != nil {
+		traceInFlight(sl.sp, &sl.wave, t0)
 	}
-	return e.sys.CopyFromDPURefInto(d, ref, off, dst)
 }
 
 // redispatch re-runs one failed shard on a surviving DPU: push its
 // input buffers, launch the kernel on that DPU alone, and gather its
 // output. from is the DPU the shard failed on — targets in its rank are
 // preferred (nextTarget). The retry's cycles are added to st, so the
-// stats reflect the degraded run's real cost. Each step is claimed
-// before the next is issued — an attempt stops at its first failed
-// step at either depth, so what a degraded run is charged does not
-// depend on the depth. ents carries the resident entries of the input streams
-// (nil entries for non-resident ones): every attempted target has its
-// generation stamp invalidated, because even a failed attempt may have
-// partially overwritten the target's resident slot with this shard's
-// row — a remapped DPU must re-receive the layer before serving it.
+// stats reflect the degraded run's real cost. The wave in flight lands
+// first, and an attempt stops at its first failed step, so what a
+// degraded run is charged does not depend on the depth. ents carries
+// the resident entries of the input streams (nil entries for
+// non-resident ones): every attempted target has its generation stamp
+// invalidated, because even a failed attempt may have partially
+// overwritten the target's resident slot with this shard's row — a
+// remapped DPU must re-receive the layer before serving it.
 func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
+	if err := e.join(); err != nil {
+		return err
+	}
 	near := from
 	for a := 0; a < maxRedispatch; a++ {
 		t := e.nextTarget(near)
@@ -706,15 +713,15 @@ func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfe
 		var ls host.LaunchStats
 		var err error
 		for _, in := range ins {
-			if err = e.copyToDPU(t, in.Ref, in.Off, in.Data); err != nil {
+			if err = e.sys.CopyToDPURef(t, in.Ref, in.Off, in.Data); err != nil {
 				break
 			}
 		}
 		if err == nil {
-			ls, err = e.launchDPU(t, tasklets, kernel)
+			ls, err = e.sys.LaunchDPU(t, tasklets, kernel)
 		}
 		if err == nil {
-			err = e.copyFromDPU(t, out.Ref, out.Off, out.Data)
+			err = e.sys.CopyFromDPURefInto(t, out.Ref, out.Off, out.Data)
 		}
 		if err == nil {
 			st.Retries++
@@ -755,12 +762,10 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 	pre := *st
 	err := e.run(ws, st)
 	if err != nil {
-		// A fatal error abandons the waves still in flight: drain the
-		// queue so the next run starts clean. What the drain reports is
-		// those waves' outcome; err is already the one to return.
-		if e.pipe {
-			_ = e.sys.Sync()
-		}
+		// A fatal error abandons the issued waves: let the one in flight
+		// land so the next run starts clean. What it reports is that
+		// wave's outcome; err is already the one to return.
+		_ = e.join()
 		e.slots[0].busy, e.slots[1].busy = false, false
 	}
 	if e.met != nil || e.ev != nil {
@@ -771,18 +776,18 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 
 // run is the wave loop, the only one: per wave of up to waveWidth
 // shards — complete the wave that last used the slot, encode, issue the
-// extra scatter streams, issue the fused wave — and complete what is
-// still in flight at the end. At depth 1 there is one slot, so every
-// wave is completed before the next is encoded; at depth 2 wave w is
-// queued and wave w-1 is completed — claimed, retried, decoded — while
-// it runs. The commands issued and their arguments are the same at
-// both depths, and so are Stats and all simulated clocks.
+// extra scatter streams and the fused wave — and complete what is still
+// issued at the end. At depth 1 there is one slot, so every wave is
+// completed before the next is encoded; at depth 2 wave w is in flight
+// while wave w-1 is completed — retried, decoded — and wave w+1
+// encoded. The commands run and their arguments are the same at both
+// depths, and so are Stats and all simulated clocks.
 func (e *Engine) run(ws WorkSet, st *Stats) error {
 	// Every broadcast is delivered — redelivered, or its DPU marked
 	// down and its shards forced onto survivors — before the first wave
 	// is issued, so no DPU computes on stale data.
 	for _, b := range ws.Broadcasts() {
-		if err := e.broadcast(b); err != nil {
+		if err := e.Broadcast(b); err != nil {
 			return err
 		}
 	}
@@ -810,8 +815,13 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		}
 		e.waveSeq++
 		ws.Encode(sl.idx, start, n)
+		// One wave in flight at most: the previous one lands before any
+		// command of this one reaches the System.
+		if err := e.join(); err != nil {
+			return err
+		}
 		streams := ws.Scatter(sl.idx, n)
-		sl.cmds = sl.cmds[:0]
+		sl.errs, sl.pushes = sl.errs[:0], sl.pushes[:0]
 		if cap(sl.forced) < n {
 			sl.forced = make([]bool, n)
 		}
@@ -819,18 +829,21 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		for i := range sl.forced {
 			sl.forced[i] = false
 		}
+		// Non-resident pushes ride with the wave; a resident delivery
+		// runs here, after the pushes issued before it.
 		for _, s := range streams[1:] {
-			if s.Resident != nil {
-				if err := e.scatterResident(s, n, sl.forced); err != nil {
-					return err
-				}
+			if s.Resident == nil {
+				sl.pushes = append(sl.pushes, s)
 				continue
 			}
-			sl.cmds = append(sl.cmds, e.push(s.Ref, s.Off, s.Bufs))
+			e.runPushes(sl)
+			if err := e.scatterResident(s, n, sl.forced); err != nil {
+				return err
+			}
 		}
 		g := ws.Gather(sl.idx, n)
 		sl.t0 = e.now()
-		wv := host.Wave{
+		sl.wave = host.Wave{
 			DPUs:      n,
 			Tasklets:  tasklets,
 			Kernel:    kernel,
@@ -843,19 +856,20 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 			// The primary stream is weight-resident: deliver (or skip)
 			// it now through the cache and leave the wave's scatter ref
 			// zero so the wave skips that phase entirely.
+			e.runPushes(sl)
 			if err := e.scatterResident(s0, n, sl.forced); err != nil {
 				return err
 			}
 		} else {
-			wv.Scatter, wv.ScatterOff, wv.In = s0.Ref, s0.Off, s0.Bufs[:n]
+			sl.wave.Scatter, sl.wave.ScatterOff, sl.wave.In = s0.Ref, s0.Off, s0.Bufs[:n]
 		}
-		sl.cmds = append(sl.cmds, e.wave(wv))
 		sl.seq = e.waveSeq
 		sl.start, sl.n = start, n
 		sl.busy = true
+		e.start(sl)
 		w++
 	}
-	// Complete the in-flight waves, oldest first (decode order).
+	// Complete the issued waves, oldest first (decode order).
 	for i := 0; i < depth; i++ {
 		if err := e.flush(ws, &e.slots[(w+i)%depth], st); err != nil {
 			return err
@@ -864,26 +878,31 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 	return nil
 }
 
-// flush completes one issued wave: claim its commands' outcomes, fold
-// partial failures into the failed-shard set, account the launch,
-// re-dispatch failed shards, then decode the wave in input order. At
-// depth 2 the re-dispatch is serialized behind the already-queued next
-// wave: that wave's fused gather runs before the retry overwrites any
-// of its DPUs' symbols, and the wave after it re-scatters everything
-// the retry clobbered.
+// flush completes one issued wave: land it if it is in flight, fold its
+// commands' partial failures into the failed-shard set, account the
+// launch, re-dispatch failed shards, then decode the wave in input
+// order. At depth 2 the next wave is in flight by then, and the
+// re-dispatch lands it first: that wave's fused gather runs before the
+// retry overwrites any of its DPUs' symbols, and the wave after it
+// re-scatters everything the retry clobbered.
 func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 	if !sl.busy {
 		return nil
 	}
 	sl.busy = false
+	if sl == e.fly {
+		if err := e.join(); err != nil {
+			return err
+		}
+	}
 	failed := e.seedFailed(sl.n)
 	for i, f := range sl.forced {
 		if f {
 			failed[i] = true
 		}
 	}
-	for _, c := range sl.cmds {
-		if err := e.mergeFailed(failed, c.wait()); err != nil {
+	for _, err := range sl.errs {
+		if err := e.mergeFailed(failed, err); err != nil {
 			return err
 		}
 	}

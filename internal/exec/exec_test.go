@@ -377,11 +377,11 @@ func TestEngineDownDPUSticky(t *testing.T) {
 // children of the request span installed on the engine; the wave
 // timeline is trace.WaveSpans' view of that trace. At depth 1 every wave
 // is completed before the next is issued, so spans never overlap. At
-// depth 2 wave w+1 is queued while wave w drains, so their spans must
+// depth 2 wave w+1 is in flight while wave w drains, so their spans must
 // overlap — deterministically: wave w+1's span opens when it is issued,
-// strictly before wave w's flush closes wave w's. The queue commands
-// ("q.wave") and per-DPU kernels ("dpu_kernel") recorded under the same
-// root are in the trace and not in the view.
+// strictly before wave w's flush closes wave w's. The in-flight waves'
+// device runs ("q.wave") and per-DPU kernels ("dpu_kernel") recorded
+// under the same root are in the trace and not in the view.
 func TestWaveSpans(t *testing.T) {
 	deadPlan := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1}
 	for _, tc := range []struct {
@@ -448,7 +448,7 @@ func TestWaveSpans(t *testing.T) {
 					t.Errorf("trace spans %v, want q.wave and dpu_kernel children under the root", all)
 				}
 				if count["q.wave"] != 0 || count["dpu_kernel"] != 0 {
-					t.Errorf("view holds queue or kernel spans: %v", count)
+					t.Errorf("view holds q.wave or kernel spans: %v", count)
 				}
 			}
 		})

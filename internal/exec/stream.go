@@ -87,11 +87,10 @@ func (e *Engine) putRaw(buf []byte) {
 	e.rawMu.Unlock()
 }
 
-// RunStream dispatches ss as one wave with streamed gather. st
-// accumulates like Run's. The stream runs outside the command queue
-// (its transfers are per-DPU and fan out over the worker pool instead);
-// a pipelined engine drains the queue first, so the stream stays
-// ordered behind everything enqueued before it.
+// RunStream dispatches ss as one wave with streamed gather, on the
+// caller at either depth (its transfers are per-DPU and fan out over
+// the worker pool instead), after any wave in flight has landed. st
+// accumulates like Run's.
 func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 	pre := *st
 	st.Tasklets = ss.Tasklets
@@ -103,10 +102,8 @@ func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 }
 
 func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
-	if e.pipe {
-		if err := e.sys.Sync(); err != nil {
-			return err
-		}
+	if err := e.join(); err != nil {
+		return err
 	}
 	e.waveSeq++
 	seq := e.waveSeq

@@ -10,12 +10,14 @@ import (
 
 // TestMultiRankPipelinedStress drives a pipelined engine over a
 // multi-rank system while another goroutine performs synchronous
-// transfers on its own symbol. The queued waves tally rank occupancy in
-// the executor goroutine and the synchronous path tallies it in the
-// caller's — the same split the host keeps for its per-DPU error
-// scratch — so run under -race (make ci does) this is the data-race
-// gate for the rank accounting. Results must stay bit-identical on
-// every iteration regardless of interleaving.
+// transfers on its own symbol — the one kind of sharing a System allows
+// beside its dispatching engine. The wave in flight tallies rank
+// occupancy on the engine's goroutine and the synchronous path tallies
+// it in the caller's — the same split the host keeps for its per-DPU
+// error scratch — so run under -race (make ci does) this is the
+// data-race gate for the rank accounting and the in-flight handoff.
+// Results must stay bit-identical on every iteration regardless of
+// interleaving.
 func TestMultiRankPipelinedStress(t *testing.T) {
 	const (
 		nd     = 32

@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
@@ -15,9 +16,10 @@ import (
 // cycle/energy attributes, and each launch fans out per-DPU
 // "dpu_kernel" child spans whose extents are the *simulated* kernel
 // windows — so a Perfetto view shows wall-clock dispatch machinery and
-// modeled device time on one tree. With no span installed the engine's
-// fast path is unchanged: one nil check, zero allocations, identical
-// results.
+// modeled device time on one tree. At depth 2 the in-flight goroutine
+// adds one "q.wave" span per wave around its device run. With no span
+// installed the engine's fast path is unchanged: one nil check, zero
+// allocations, identical results.
 
 // maxKernelSpans caps per-DPU kernel child spans per launch. A
 // full-array wave has 2,560 DPUs; tracing them all would dwarf the
@@ -25,14 +27,9 @@ import (
 // notes how many were elided (the aggregate attrs still cover all).
 const maxKernelSpans = 64
 
-// SetTraceSpan installs sp as the parent for dispatch spans — on the
-// engine and on the underlying System's command queue, so queued
-// commands issued for this work are attributed to the same request.
-// nil uninstalls both. Call between dispatches only, like Configure.
-func (e *Engine) SetTraceSpan(sp *trace.Span) {
-	e.tsp = sp
-	e.sys.SetTraceSpan(sp)
-}
+// SetTraceSpan installs sp as the parent for dispatch spans; nil
+// uninstalls it. Call between dispatches only, like Configure.
+func (e *Engine) SetTraceSpan(sp *trace.Span) { e.tsp = sp }
 
 // TraceSpan returns the installed request span (nil when untraced).
 func (e *Engine) TraceSpan() *trace.Span { return e.tsp }
@@ -66,4 +63,20 @@ func (e *Engine) traceSpan(name string, wave, shards int, t0, t1 time.Time) {
 		}
 	}
 	c.EndAt(t1)
+}
+
+// traceInFlight stamps a depth-2 wave's "q.wave" span on the in-flight
+// goroutine: a child of sp, the request span captured when the wave was
+// issued, covering [t0, now], with the bytes the wave moved.
+func traceInFlight(sp *trace.Span, w *host.Wave, t0 time.Time) {
+	var b int64
+	for _, buf := range w.In {
+		b += int64(len(buf))
+	}
+	for _, buf := range w.Out {
+		b += int64(len(buf))
+	}
+	c := sp.StartChildAt("q.wave", t0)
+	c.SetAttr("bytes", b)
+	c.EndAt(time.Now())
 }

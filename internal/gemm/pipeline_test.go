@@ -8,7 +8,7 @@ import (
 	"pimdnn/internal/host"
 )
 
-// The pipelined (double-buffered, queue-fused) Multiply must be
+// The pipelined (double-buffered, one wave in flight) Multiply must be
 // indistinguishable from the synchronous loop in everything but
 // wall-clock: identical results and identical simulated-time statistics,
 // including on partial final waves and on the naive kernel.
@@ -68,7 +68,7 @@ func TestMultiplyNaivePipelinedMatchesSync(t *testing.T) {
 }
 
 // A multi-call sequence on one pipelined runner: later calls must not
-// observe stale queue state from earlier ones.
+// observe stale in-flight state from earlier ones.
 func TestMultiplyPipelinedRepeatedCalls(t *testing.T) {
 	sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
 	if err != nil {

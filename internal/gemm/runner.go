@@ -55,8 +55,8 @@ type RunnerConfig struct {
 	// depth, trace timeline) shared with every other runner; see
 	// internal/exec and DESIGN.md, "Execution engine". Results and
 	// simulated accounting are identical at both depths; depth 2 only
-	// overlaps host encode/decode wall-clock time with queued device
-	// work.
+	// overlaps host encode/decode wall-clock time with the wave in
+	// flight.
 	Exec exec.Config
 	// Planner, when non-nil, re-plans the mapping for every problem
 	// shape Multiply/MultiplyBatchEach sees: the tasklet count (and wave
@@ -299,7 +299,7 @@ func (r *Runner) SetScope(name string) { r.eng.SetScope(name) }
 // SetTraceSpan attaches the request span the next Multiply calls run
 // under (see exec.Engine.SetTraceSpan): each multiply opens a
 // "gemm.multiply"/"gemm.batch" child carrying the engine's wave and
-// per-DPU kernel spans. nil detaches. Two pointer stores when tracing
+// per-DPU kernel spans. nil detaches. One pointer store when tracing
 // is off.
 func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
 

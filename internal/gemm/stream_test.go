@@ -84,8 +84,8 @@ func TestBatchInvariance(t *testing.T) {
 		return o
 	}
 	// A clean pipelined run must also account exactly like the clean
-	// synchronous one: the stream runs the same loop behind a queue
-	// barrier.
+	// synchronous one: the stream runs the same loop on the caller at
+	// either depth.
 	cleanSync := map[bool]batchOutcome{}
 	for _, res := range []struct {
 		name     string

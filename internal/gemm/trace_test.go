@@ -87,8 +87,8 @@ func TestTracingBitIdentity(t *testing.T) {
 // root, one engine wave span per wave under it (never the discrete
 // scatter/launch/gather phases, which only a RunStream records), and
 // per-DPU kernel spans with cycle attributes. Depth 2 additionally
-// stamps one queued q.wave command span per wave; depth 1 runs the wave
-// on the caller and records no queue command. The depth is pinned per
+// stamps one q.wave span per wave around its in-flight device run;
+// depth 1 runs the wave on the caller and records none. The depth is pinned per
 // row, so the shape does not depend on the host's cores.
 func TestTracingSpanTree(t *testing.T) {
 	for _, tc := range []struct {

@@ -101,41 +101,11 @@ func TestBroadcastAndPerDPUCopyAllocFree(t *testing.T) {
 	}
 }
 
-// The steady-state asynchronous path must not allocate per wave after
-// warm-up: the command ring, ticket counters, and Pending handles are
-// all reused or value types, so a transfer-only enqueue+sync cycle is
-// allocation-free exactly like its synchronous counterparts. (The first
-// cycle grows the ring and warms the executor; AllocsPerRun's warm-up
-// run absorbs it.)
-func TestAsyncEnqueueSyncAllocFree(t *testing.T) {
-	s := allocSystem(t, 4)
-	ref, err := s.Resolve("buf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffers := make([][]byte, 4)
-	dst := make([][]byte, 4)
-	for i := range buffers {
-		buffers[i] = make([]byte, 64)
-		dst[i] = make([]byte, 64)
-	}
-	data := make([]byte, 64)
-	if avg := testing.AllocsPerRun(100, func() {
-		s.EnqueueCopyTo(ref, 0, data)
-		s.EnqueuePushXfer(ref, 0, buffers)
-		s.EnqueueGather(ref, 0, 64, dst)
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("async enqueue+sync allocates %.1f per cycle, want 0", avg)
-	}
-}
-
 // A steady-state fused wave allocates only what the underlying per-DPU
 // launches themselves allocate (the same op-mix bookkeeping a
-// synchronous LaunchOn pays); the wave's stats reuse the caller's PerDPU
-// backing and neither the queue machinery nor RunWave adds anything.
+// synchronous LaunchOn pays): the wave's stats reuse the caller's PerDPU
+// backing, and RunWave keeps its wave in the System rather than in a
+// local the range function captures.
 func TestWaveSteadyStateAllocBound(t *testing.T) {
 	s := allocSystem(t, 2)
 	ref, err := s.Resolve("buf")
@@ -153,25 +123,15 @@ func TestWaveSteadyStateAllocBound(t *testing.T) {
 		DPUs: 2, Tasklets: 1, Kernel: kernel, Stats: &ws,
 		Scatter: ref, In: in, Gather: ref, Out: out,
 	}
-	queued := testing.AllocsPerRun(100, func() {
-		if err := s.EnqueueWave(wave).Wait(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Per DPU launch: op-mix map + breakdown slice (+ map bucket churn).
-	// Anything beyond ~8 per DPU means the queue started allocating.
-	if queued > 16 {
-		t.Errorf("steady-state wave allocates %.1f per call, want <= 16", queued)
-	}
-	// The same wave run on the caller allocates no more: its command
-	// lives in the System, not in a local the range function captures.
-	inline := testing.AllocsPerRun(100, func() {
+	avg := testing.AllocsPerRun(100, func() {
 		if err := s.RunWave(wave); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if inline > queued {
-		t.Errorf("RunWave allocates %.1f per call, the queued wave %.1f", inline, queued)
+	// Per DPU launch: op-mix map + breakdown slice (+ map bucket churn).
+	// Anything beyond ~8 per DPU means the wave itself started allocating.
+	if avg > 16 {
+		t.Errorf("steady-state wave allocates %.1f per call, want <= 16", avg)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestBroadcastFaultKeepsOldBytes(t *testing.T) {
 // A broadcast the DMA rules reject fails on every DPU, as the per-DPU
 // copies it replaces did, and moves nothing.
 func TestBroadcastMisalignedFailsEverywhere(t *testing.T) {
-	s, ref := queueSystem(t, 4)
+	s, ref := waveSystem(t, 4)
 	before := s.TransferStats()
 	err := s.CopyToSymbolRef(ref, 0, make([]byte, 12))
 	rep, ok := AsFaultReport(err)

@@ -99,19 +99,6 @@ func AsFaultReport(err error) (*FaultReport, bool) {
 	return nil, false
 }
 
-// isFaultReport reports whether err is (or wraps) a *FaultReport, i.e.
-// a partial failure whose completed DPUs carry valid state.
-func isFaultReport(err error) bool {
-	_, ok := AsFaultReport(err)
-	return ok
-}
-
-// isTotalError reports whether err is a non-nil total failure (nothing
-// ran, nothing was charged).
-func isTotalError(err error) bool {
-	return err != nil && !isFaultReport(err)
-}
-
 // faultsFrom converts a per-DPU error slice into a *FaultReport, or nil
 // when every entry is nil. The error values are copied out of errs, so
 // callers may reuse the slice immediately.

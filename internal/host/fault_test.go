@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +59,7 @@ func TestTransferFaultMatrix(t *testing.T) {
 	for _, mode := range matrixModes {
 		for _, kind := range kinds {
 			t.Run(mode.name+"/"+kind.name, func(t *testing.T) {
-				s, ref := queueSystem(t, mode.n)
+				s, ref := waveSystem(t, mode.n)
 				kind.arm(t, s, bad)
 				data := bytes.Repeat([]byte{0xAB}, perDPU)
 
@@ -157,7 +155,7 @@ func TestTransferFaultMatrix(t *testing.T) {
 // TestTransferAllFailedNoCharge: when every DPU faults, nothing moved,
 // so the transfer clock must not advance at all.
 func TestTransferAllFailedNoCharge(t *testing.T) {
-	s, ref := queueSystem(t, 2)
+	s, ref := waveSystem(t, 2)
 	s.InjectFaults(dpu.FaultPlan{Seed: 3, TransferProb: 1})
 	before := s.TransferStats()
 	err := s.CopyToSymbolRef(ref, 0, make([]byte, 64))
@@ -191,7 +189,7 @@ func TestLaunchFaultMatrix(t *testing.T) {
 	for _, mode := range matrixModes {
 		for _, kind := range kinds {
 			t.Run(mode.name+"/"+kind.name, func(t *testing.T) {
-				s, _ := queueSystem(t, mode.n)
+				s, _ := waveSystem(t, mode.n)
 				armOne(s, bad, kind.plan)
 
 				cyclesBefore := make([]uint64, mode.n)
@@ -255,7 +253,7 @@ func TestLaunchFaultMatrix(t *testing.T) {
 
 				if kind.dead {
 					// Death is permanent: transfers now fail too.
-					if err := s.CopyToDPURef(bad, mustRef(t, s, "qbuf"), 0, make([]byte, 8)); !errors.Is(err, dpu.ErrDPUDead) {
+					if err := s.CopyToDPURef(bad, mustRef(t, s, "wbuf"), 0, make([]byte, 8)); !errors.Is(err, dpu.ErrDPUDead) {
 						t.Errorf("transfer to dead DPU: %v", err)
 					}
 				}
@@ -303,7 +301,7 @@ func TestWaveFaultMatrix(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
-			s, ref := queueSystem(t, n)
+			s, ref := waveSystem(t, n)
 			kind.arm(t, s, bad)
 
 			in := make([][]byte, n)
@@ -320,11 +318,11 @@ func TestWaveFaultMatrix(t *testing.T) {
 			timeBefore := s.DPUTime()
 
 			var ws LaunchStats
-			err := s.EnqueueWave(Wave{
+			err := s.RunWave(Wave{
 				DPUs: n, Tasklets: 1, Kernel: kernel, Stats: &ws,
 				Scatter: ref, In: in,
 				Gather: ref, Out: out,
-			}).Wait()
+			})
 			rep, ok := AsFaultReport(err)
 			if !ok || rep.Op != "wave" || rep.Attempted != n {
 				t.Fatalf("wave report: %v", err)
@@ -378,10 +376,6 @@ func TestWaveFaultMatrix(t *testing.T) {
 			if got := s.DPUTime() - timeBefore; got != ws.Time {
 				t.Errorf("DPUTime advanced %v, wave charged %v", got, ws.Time)
 			}
-			// A partial wave never poisons the queue.
-			if err := s.Sync(); err != nil {
-				t.Errorf("Sync after claimed wave report: %v", err)
-			}
 		})
 	}
 }
@@ -405,7 +399,7 @@ func TestZeroFaultPlanBitIdentity(t *testing.T) {
 		return d.CopyToMRAM(0, buf)
 	}
 	run := func(arm bool) ([][]byte, []uint64, time.Duration, XferStats) {
-		s, ref := queueSystem(t, n)
+		s, ref := waveSystem(t, n)
 		if arm {
 			s.InjectFaults(dpu.FaultPlan{})
 		}
@@ -424,11 +418,11 @@ func TestZeroFaultPlanBitIdentity(t *testing.T) {
 		if err := s.GatherXferRefInto(ref, 0, perDPU, out); err != nil {
 			t.Fatal(err)
 		}
-		// A queued wave too, so the async path is covered.
-		if err := s.EnqueueWave(Wave{
+		// A fused wave too, so the wave path is covered.
+		if err := s.RunWave(Wave{
 			DPUs: n, Tasklets: 2, Kernel: kernel,
 			Scatter: ref, In: in, Gather: ref, Out: out,
-		}).Wait(); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		cycles := make([]uint64, n)
@@ -455,63 +449,10 @@ func TestZeroFaultPlanBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSyncScopedToProducer is the regression test for the two-producer
-// Sync bug: a Sync whose target precedes another producer's failing
-// command must neither return nor clear that command's error. Run with
-// -race; the two producers genuinely overlap.
-func TestSyncScopedToProducer(t *testing.T) {
-	for iter := 0; iter < 50; iter++ {
-		s, ref := queueSystem(t, 1)
-		gate := make(chan struct{})
-		blocker := func(tk *dpu.Tasklet) error {
-			<-gate
-			return nil
-		}
-		// Ticket 1: a launch that parks the executor until released.
-		p1 := s.EnqueueLaunch(1, 1, blocker, nil)
-		syncErr := make(chan error, 1)
-		var entered atomic.Bool
-		go func() {
-			entered.Store(true)
-			// Target is ticket 1 only: nothing else is enqueued yet, and
-			// the executor is parked inside ticket 1's kernel.
-			syncErr <- s.Sync()
-		}()
-		// Second producer enqueues a malformed wave (total failure,
-		// sticky) behind the blocked launch, then the launch is released
-		// so ticket 2's failure races with the first producer's Sync.
-		for !entered.Load() {
-			runtime.Gosched()
-		}
-		time.Sleep(2 * time.Millisecond)
-		p2 := s.EnqueueWave(Wave{DPUs: 0, Tasklets: 1, Kernel: blocker, Scatter: ref})
-		close(gate)
-
-		if err := <-syncErr; err != nil {
-			t.Fatalf("iter %d: Sync scoped to ticket 1 returned ticket 2's error: %v", iter, err)
-		}
-		if err := p1.Wait(); err != nil {
-			t.Fatalf("iter %d: blocked launch failed: %v", iter, err)
-		}
-		if err := p2.Wait(); err == nil {
-			t.Fatalf("iter %d: malformed wave reported no error", iter)
-		}
-		// The sticky error survived the early Sync and is cleared by a
-		// covering one, exactly once.
-		if err := s.Sync(); err == nil {
-			t.Fatalf("iter %d: covering Sync did not surface the sticky error", iter)
-		}
-		if err := s.Sync(); err != nil {
-			t.Fatalf("iter %d: sticky error not cleared: %v", iter, err)
-		}
-		s.Close()
-	}
-}
-
 // TestCheckRefOverflow: a huge offset must be rejected, not wrap
 // int64 arithmetic into an accepted range.
 func TestCheckRefOverflow(t *testing.T) {
-	s, ref := queueSystem(t, 2)
+	s, ref := waveSystem(t, 2)
 	data := make([]byte, 8)
 	for _, off := range []int64{math.MaxInt64, math.MaxInt64 - 4, -1, ref.size + 1} {
 		if err := s.CopyToSymbolRef(ref, off, data); err == nil {

@@ -99,43 +99,10 @@ type System struct {
 	bcast        dpu.MRAMBroadcast
 	bcastTargets []*dpu.DPU
 
-	// Asynchronous command queue state (queue.go). The ring holds
-	// enqueued commands in FIFO order; qNext/qDone are the enqueue and
-	// completion tickets; qErr/qErrTicket capture the first total
-	// failure until Sync clears it, while qFaults holds per-command
-	// partial-failure reports awaiting their Wait or Sync. qwave is the
-	// executor's per-DPU wave scratch, kept separate from launchErrs so
-	// a synchronous launch on another goroutine cannot collide with a
-	// queued wave.
-	qmu        sync.Mutex
-	qcond      *sync.Cond
-	qring      []asyncOp
-	qhead      int
-	qcount     int
-	qNext      uint64
-	qDone      uint64
-	qErr       error
-	qErrTicket uint64
-	qRunning   bool
-	qClosed    bool
-	qFaults    []queuedFault
-	qwave      waveScratch
-	// qcur is the executor's in-flight command. Popping into a System
-	// field (rather than a local whose address flows into the worker
-	// shards) keeps command execution allocation-free.
-	qcur asyncOp
-	// qrunFn is the executor entry point, allocated once so restarting
-	// the executor after an idle period doesn't allocate a closure.
-	qrunFn func()
-	// qspan, when non-nil, parents queue-command trace spans
-	// (queuetrace.go); commands capture it at enqueue time.
-	qspan *trace.Span
-
-	// rcur and rwave are RunWave's in-flight command and per-DPU scratch:
-	// the caller-goroutine twins of qcur and qwave, so an inline wave and
-	// a queued one (another runner sharing the System) never share
-	// scratch, and neither allocates its command per call.
-	rcur  asyncOp
+	// rcur and rwave are RunWave's wave and per-DPU scratch (wave.go),
+	// kept apart from launchErrs/xferErrs so a wave and a synchronous
+	// transfer on another symbol may run side by side.
+	rcur  Wave
 	rwave waveScratch
 }
 
@@ -182,28 +149,18 @@ func NewSystem(n int, cfg Config) (*System, error) {
 		ranks:   ranks,
 		symbols: make(map[string]dpu.Symbol),
 	}
-	s.qcond = sync.NewCond(&s.qmu)
-	s.qrunFn = s.qrun
 	// Dropped systems release their worker goroutines at GC time; Close
 	// makes the release deterministic.
 	runtime.SetFinalizer(s, (*System).Close)
 	return s, nil
 }
 
-// Close drains the asynchronous command queue and stops the system's
-// worker pool. Commands still queued (or enqueued afterwards) resolve
-// with ErrClosed. The System must not be used for launches or transfers
-// afterwards. Closing is optional — garbage collection of an unreachable
-// System has the same effect — and idempotent.
+// Close stops the system's worker pool. The System must not be used for
+// launches or transfers afterwards. Closing is optional — garbage
+// collection of an unreachable System has the same effect — and
+// idempotent.
 func (s *System) Close() {
 	runtime.SetFinalizer(s, nil)
-	s.qmu.Lock()
-	s.qClosed = true
-	s.qcond.Broadcast()
-	for s.qRunning {
-		s.qcond.Wait()
-	}
-	s.qmu.Unlock()
 	s.pool.close()
 }
 
@@ -753,8 +710,8 @@ func (s *System) ResetClocks() {
 //
 // When len(data) is already a multiple of 8, Pad8 returns data itself —
 // the padded slice ALIASES the input, unlike the unaligned case, which
-// copies. Callers that mutate the padded buffer (or hand it to an async
-// command while still writing the original) must copy first.
+// copies. Callers that mutate the padded buffer (or hand it to a wave in
+// flight while still writing the original) must copy first.
 func Pad8(data []byte) (padded []byte, origLen int) {
 	origLen = len(data)
 	rem := origLen % dpu.DMAAlignment

@@ -1,8 +1,6 @@
 package host
 
 import (
-	"time"
-
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/metrics"
 )
@@ -26,11 +24,6 @@ type sysMetrics struct {
 	// Worker-pool utilization: shards actually used per parallel run
 	// (pool width bounds the top bucket).
 	poolShards *metrics.Histogram
-
-	// Async command queue: instantaneous depth and per-command
-	// wall-clock latency from enqueue to completion.
-	queueDepth *metrics.Gauge
-	cmdLatency *metrics.Histogram
 
 	// Partial-failure reporting: FaultReports returned to callers and
 	// the per-DPU fault entries they carried.
@@ -83,11 +76,8 @@ func (s *System) EnableMetrics(reg *metrics.Registry) {
 		xferOpsFrom:   reg.LabeledCounter("pim_host_xfer_ops_total", "dir", "from_dpu"),
 		xferBytesFrom: reg.LabeledCounter("pim_host_xfer_bytes_total", "dir", "from_dpu"),
 		poolShards:    s.pool.shards,
-		queueDepth:    reg.Gauge("pim_host_queue_depth"),
-		cmdLatency: reg.Histogram("pim_host_cmd_latency_ns",
-			metrics.ExpBuckets(1000, 4, 12)),
-		faultReports: reg.Counter("pim_host_fault_reports_total"),
-		dpuFaults:    reg.Counter("pim_host_dpu_faults_total"),
+		faultReports:  reg.Counter("pim_host_fault_reports_total"),
+		dpuFaults:     reg.Counter("pim_host_dpu_faults_total"),
 	}
 }
 
@@ -127,22 +117,4 @@ func (s *System) noteFaults(err error) error {
 		s.met.dpuFaults.Add(uint64(len(fr.Faults)))
 	}
 	return err
-}
-
-// meterQueueDepth publishes the current ring depth; callers hold qmu.
-func (s *System) meterQueueDepth() {
-	if s.met != nil {
-		s.met.queueDepth.Set(int64(s.qcount))
-	}
-}
-
-// meterCmdLatency records one command's enqueue-to-completion wall
-// time; enqNS is 0 when the command was enqueued without telemetry.
-func (s *System) meterCmdLatency(enqNS int64) {
-	if s.met == nil || enqNS == 0 {
-		return
-	}
-	if d := time.Now().UnixNano() - enqNS; d > 0 {
-		s.met.cmdLatency.Observe(uint64(d))
-	}
 }

@@ -1,0 +1,176 @@
+package host
+
+import (
+	"bytes"
+	"strings"
+	"sync"
+	"testing"
+
+	"pimdnn/internal/dpu"
+)
+
+// waveSystem allocates a small system with one MRAM scratch symbol.
+func waveSystem(t *testing.T, n int) (*System, SymbolRef) {
+	t.Helper()
+	s := newTestSystem(t, n)
+	t.Cleanup(s.Close)
+	if err := s.AllocMRAM("wbuf", 256); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.Resolve("wbuf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, ref
+}
+
+// TestWaveMatchesDiscreteCommands: one fused wave must move the same
+// data and report the same launch statistics as the discrete
+// scatter/launch/gather sequence.
+func TestWaveMatchesDiscreteCommands(t *testing.T) {
+	s, ref := waveSystem(t, 4)
+	if err := s.AllocMRAM("wout", 64); err != nil {
+		t.Fatal(err)
+	}
+	oref, err := s.Resolve("wout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Kernel: copy the first 16 bytes of qbuf into qout, negated.
+	kernel := func(tk *dpu.Tasklet) error {
+		d := tk.DPU()
+		buf := make([]byte, 16)
+		if err := d.CopyFromMRAMInto(ref.off, buf); err != nil {
+			return err
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		tk.ChargeBulk(dpu.OpAddInt, 16)
+		return d.CopyToMRAM(oref.off, buf)
+	}
+	in := make([][]byte, 3)
+	out := make([][]byte, 3)
+	for i := range in {
+		in[i] = bytes.Repeat([]byte{byte(0x10 * (i + 1))}, 16)
+		out[i] = make([]byte, 16)
+	}
+	var ws LaunchStats
+	if err := s.RunWave(Wave{
+		DPUs: 3, Tasklets: 1, Kernel: kernel, Stats: &ws,
+		Scatter: ref, In: in,
+		Gather: oref, Out: out,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		for j, b := range out[i] {
+			if b != ^in[i][j] {
+				t.Fatalf("DPU %d byte %d: got %#x want %#x", i, j, b, ^in[i][j])
+			}
+		}
+	}
+	// Discrete replay on the same system: identical stats.
+	full := [][]byte{in[0], in[1], in[2], make([]byte, 16)}
+	if err := s.PushXferRef(ref, 0, full); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := s.LaunchOn(3, 1, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Cycles != direct.Cycles || ws.Seconds != direct.Seconds {
+		t.Errorf("wave stats (%d cycles) != discrete stats (%d cycles)", ws.Cycles, direct.Cycles)
+	}
+	if len(ws.PerDPU) != 3 {
+		t.Errorf("wave PerDPU has %d entries, want 3", len(ws.PerDPU))
+	}
+}
+
+// TestWaveFaultSurfacesDPU: a wave whose kernel traps on one DPU
+// reports that DPU in a *FaultReport, while the other DPUs complete
+// their full scatter→launch→gather.
+func TestWaveFaultSurfacesDPU(t *testing.T) {
+	s, ref := waveSystem(t, 3)
+	bad := s.DPU(2)
+	in := make([][]byte, 3)
+	out := make([][]byte, 3)
+	for i := range in {
+		in[i] = bytes.Repeat([]byte{byte(i + 1)}, 8)
+		out[i] = make([]byte, 8)
+	}
+	err := s.RunWave(Wave{
+		DPUs: 3, Tasklets: 1,
+		Kernel: func(tk *dpu.Tasklet) error {
+			if tk.DPU() == bad {
+				tk.Load8(-1) // memory trap
+			}
+			return nil
+		},
+		Scatter: ref, In: in, Gather: ref, Out: out,
+	})
+	if err == nil || !strings.Contains(err.Error(), "DPU 2") || !strings.Contains(err.Error(), "memory fault") {
+		t.Errorf("wave trap not attributed: %v", err)
+	}
+	rep, ok := AsFaultReport(err)
+	if !ok || len(rep.Faults) != 1 || rep.Faults[0].DPU != 2 {
+		t.Errorf("wave fault report: %v", err)
+	}
+	// The surviving DPUs finished their round trip.
+	for i := 0; i < 2; i++ {
+		if !bytes.Equal(out[i], in[i]) {
+			t.Errorf("surviving DPU %d did not complete its wave", i)
+		}
+	}
+}
+
+// TestDoubleClose: Close is idempotent, including two concurrent
+// calls after work has run.
+func TestDoubleClose(t *testing.T) {
+	s, err := NewSystem(2, DefaultConfig(dpu.O0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LaunchOn(2, 1, func(tk *dpu.Tasklet) error {
+		tk.ChargeBulk(dpu.OpAddInt, 1000)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer wg.Done()
+			s.Close()
+		}()
+	}
+	wg.Wait()
+	s.Close() // third close: still a no-op
+}
+
+// TestWaveValidation: malformed waves fail with a clear error, and
+// nothing runs, rather than panicking mid-wave.
+func TestWaveValidation(t *testing.T) {
+	s, ref := waveSystem(t, 2)
+	nop := func(tk *dpu.Tasklet) error { return nil }
+	cases := []Wave{
+		{DPUs: 0, Tasklets: 1, Kernel: nop},
+		{DPUs: 3, Tasklets: 1, Kernel: nop},
+		{DPUs: 2, Tasklets: 1, Kernel: nop, Scatter: ref, In: [][]byte{make([]byte, 8)}},
+		{DPUs: 2, Tasklets: 1, Kernel: nop, Scatter: ref, In: [][]byte{make([]byte, 8), make([]byte, 16)}},
+		{DPUs: 2, Tasklets: 1, Kernel: nop, Gather: ref, Out: [][]byte{make([]byte, 512), make([]byte, 512)}},
+	}
+	for i, w := range cases {
+		err := s.RunWave(w)
+		if err == nil {
+			t.Errorf("malformed wave %d accepted", i)
+		}
+		if _, ok := AsFaultReport(err); ok {
+			t.Errorf("malformed wave %d reported as a partial failure: %v", i, err)
+		}
+	}
+	if s.TransferStats() != (XferStats{}) || s.DPUTime() != 0 {
+		t.Errorf("malformed waves charged %+v, DPU time %v", s.TransferStats(), s.DPUTime())
+	}
+}

@@ -20,7 +20,7 @@ import (
 //
 // Everything the budget depends on is pinned, so the test reads the
 // same on every host: the dispatch mode (PipelineAuto resolves on at
-// two or more cores, and the queued path allocates per fused wave) and
+// two or more cores) and
 // the worker-pool width (with a second worker every launch fans out,
 // which costs a run descriptor and its range closures: ~3 per conv
 // layer, ~700 in all).

@@ -37,7 +37,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 }
 
 // TestForwardBatchPipelinedMatchesForward: a pipelined runner's batch
-// GEMMs (run behind a queue barrier) must not change a single output
+// GEMMs (run after the wave in flight lands) must not change a single output
 // element or the simulated layer times.
 func TestForwardBatchPipelinedMatchesForward(t *testing.T) {
 	testForwardBatchMatchesForward(t, host.PipelineOn, 4, 3)
