@@ -15,12 +15,12 @@
 # the portable build (`make portable`: the packages under the gemm
 # kernel tested as GOARCH=386, where its MAC is the Go loops, and the
 # tree cross-built for arm64),
-# the non-test line count per package (`make lines`), the number
-# ROADMAP asks every PR to report next to ns/op, and the funcs under
-# internal/ that no shipped program links (`make reach`, report-only
-# like lines). `make bench`
-# (scripts/bench.sh) regenerates the legacy BENCH_pr10.json record and
-# fails if any hot-path benchmark's allocs/op grew over the baseline.
+# the funcs under internal/ that no shipped program links and
+# scripts/reach.allow does not list (`make reach`), and the non-test line
+# count per package (`make lines`, report-only), the number ROADMAP asks
+# every PR to report. Each paper number has one reproduction,
+# cmd/experiments (pinned by report-check); each wall-clock number has
+# one harness, `go run ./bench` (`make bench`).
 
 GO ?= go
 
@@ -86,10 +86,10 @@ report-update:
 	$(GO) run ./cmd/experiments > testdata/experiments.golden
 	$(GO) run ./cmd/experiments -plan > testdata/experiments-plan.golden
 
-# Regenerate the legacy BENCH_pr10.json record and diff it against the
-# previous one (see DESIGN.md, "Simulator performance").
+# The repo benchmark (BENCHMARK.json's four workloads), three runs each,
+# medians on stdout; bench/README.md describes the metrics.
 bench:
-	scripts/bench.sh
+	$(GO) run ./bench -repeat 3
 
 # Non-test Go lines (and assembly: *.s is code) per package and in total,
 # bench/ excluded: run it at the parent commit and at the change to
@@ -103,7 +103,8 @@ lines:
 
 # Every top-level func in a non-test file under internal/ that no main
 # package (cmd/*, examples/*, bench) and no exported function of package
-# pimdnn links, then the count: what only tests reach. Report-only.
+# pimdnn links, then the count: what only tests reach. Fails on any such
+# func scripts/reach.allow does not list with its reason.
 reach:
 	@GO=$(GO) scripts/reach.sh
 
@@ -153,4 +154,4 @@ profile-rows:
 			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
 
-ci: vet build test race portable bench-smoke sim-invariant report-check lines reach
+ci: vet build test race portable bench-smoke sim-invariant report-check reach lines

@@ -1,9 +1,8 @@
-// Full-array scale-out benchmarks and tests: the simulator driving all
-// 2,560 DPUs (40 ranks of 64) the evaluated UPMEM system populates.
-// The benchmarks track the host runtime's wall-clock health at full
-// width; TestScalingShape pins the simulated strong/weak-scaling
-// quantities, which are deterministic and must match the rank-parallel
-// transfer model exactly.
+// Full-array scale-out tests and the profiling benchmarks of two
+// benchmark workloads: the simulator driving all 2,560 DPUs (40 ranks
+// of 64) the evaluated UPMEM system populates. TestScalingShape pins the
+// simulated strong/weak-scaling quantities, which are deterministic and
+// must match the rank-parallel transfer model exactly.
 package pimdnn_test
 
 import (
@@ -70,8 +69,8 @@ func scaleOperands(m int) (a, b []int16) {
 // BenchmarkFullArrayYOLOForward drives one image per DPU through the
 // batch forward path on the full 2,560-DPU array: every conv layer is a
 // single wave spanning all 40 ranks. This is the workload the
-// rank-parallel transfer model and the aligned fan-out exist for; run
-// it with a small -benchtime (scripts/bench.sh uses 1x).
+// rank-parallel transfer model and the aligned fan-out exist for, and
+// the array_yolo workload's shape (make profile-array).
 func BenchmarkFullArrayYOLOForward(b *testing.B) {
 	b.ReportAllocs()
 	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
@@ -86,50 +85,6 @@ func BenchmarkFullArrayYOLOForward(b *testing.B) {
 	maxK, maxN := net.GEMMBounds()
 	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
 		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := r.EnableBatch(net.MaxFilters()); err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([]*yolo.Tensor, dpu.SystemDPUs)
-	for i := range inputs {
-		inputs[i] = yolo.SyntheticScene(32, int64(i+1))
-	}
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, st, err := net.ForwardBatch(inputs, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = st.Cycles
-	}
-	b.ReportMetric(float64(sys.Ranks()), "ranks")
-	b.ReportMetric(float64(cycles), "sim-cycles")
-}
-
-// BenchmarkFullArrayYOLOForwardPlanned is the auto-mapped counterpart:
-// the same batch forward with the cost-model planner choosing each
-// layer's tasklet count instead of the hand-tuned constant. The same
-// tile width keeps the WRAM layout identical, so the delta against
-// BenchmarkFullArrayYOLOForward isolates the planner's choices (and its
-// per-layer re-planning overhead on the host side).
-func BenchmarkFullArrayYOLOForwardPlanned(b *testing.B) {
-	b.ReportAllocs()
-	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := host.NewSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	maxK, maxN := net.GEMMBounds()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, TileCols: 64, Planner: plan.New(sys),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -284,70 +239,6 @@ func TestFullArrayPlannerNeverSlower(t *testing.T) {
 	}
 	t.Logf("full-array forward: fixed %.6gs -> planned %.6gs (%.2fx)",
 		fixedSt.Seconds, planSt.Seconds, fixedSt.Seconds/planSt.Seconds)
-}
-
-// --- Strong and weak scaling sweeps (PrIM-style) ---
-
-// BenchmarkScalingStrong fixes the problem (2,560 GEMM rows) and widens
-// the array: more DPUs mean fewer waves over the same total work, so
-// the host wall-clock per op should stay roughly flat (the kernel work
-// is identical) while simulated time falls linearly.
-func BenchmarkScalingStrong(b *testing.B) {
-	a, mb := scaleOperands(fullM)
-	for _, nd := range scaleDPUs {
-		b.Run("dpus="+itoa4(nd), func(b *testing.B) {
-			b.ReportAllocs()
-			r := newScaleRunner(b, nd)
-			// One untimed warmup pages the fresh system's MRAM and grows
-			// the staging buffers; then collect the previous
-			// sub-benchmark's dead multi-GB system, whose garbage
-			// otherwise inflates GC scan time inside the timed loop
-			// severalfold. The loop then measures the steady state.
-			if _, _, err := r.Multiply(fullM, scaleN, scaleK, 1, a, mb); err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			var sec float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := r.Multiply(fullM, scaleN, scaleK, 1, a, mb)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sec = st.Seconds
-			}
-			b.ReportMetric(sec, "sim-seconds")
-		})
-	}
-}
-
-// BenchmarkScalingWeak grows the problem with the array (one GEMM row
-// per DPU, always a single wave): host wall-clock per op should grow
-// sublinearly in the 40x width increase because the per-wave fixed
-// costs amortize and the modeled transfers stream rank-parallel.
-func BenchmarkScalingWeak(b *testing.B) {
-	for _, nd := range scaleDPUs {
-		a, mb := scaleOperands(nd)
-		b.Run("dpus="+itoa4(nd), func(b *testing.B) {
-			b.ReportAllocs()
-			r := newScaleRunner(b, nd)
-			// Warmup + GC: see BenchmarkScalingStrong.
-			if _, _, err := r.Multiply(nd, scaleN, scaleK, 1, a, mb); err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			var sec float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, st, err := r.Multiply(nd, scaleN, scaleK, 1, a, mb)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sec = st.Seconds
-			}
-			b.ReportMetric(sec, "sim-seconds")
-		})
-	}
 }
 
 // --- Deterministic scaling shape ---
@@ -520,20 +411,4 @@ func TestForwardBatchAllocBounded(t *testing.T) {
 		t.Errorf("batch forward allocates %.0f B per image per pass, want < %d (one im2col matrix of the largest layer)", perImage, im2col)
 	}
 	t.Logf("batch forward: %.0f B per image per pass; largest im2col matrix %d B", perImage, im2col)
-}
-
-// itoa4 renders small positive integers (the DPU-count sweep) without
-// fmt, matching the itoa helper's style.
-func itoa4(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [4]byte
-	i := len(buf)
-	for v > 0 && i > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

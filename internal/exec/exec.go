@@ -391,46 +391,6 @@ func (e *Engine) mergeFailed(failed []bool, err error) error {
 	return nil
 }
 
-// redeliver retries a broadcast payload on one DPU that missed it.
-func (e *Engine) redeliver(i int, b Broadcast) bool {
-	for a := 0; a < maxRedispatch; a++ {
-		err := e.sys.CopyToDPURef(i, b.Ref, b.Off, b.Data)
-		if err == nil {
-			return true
-		}
-		if errors.Is(err, dpu.ErrDPUDead) {
-			return false
-		}
-		if _, ok := host.AsFaultReport(err); !ok {
-			return false
-		}
-	}
-	return false
-}
-
-// finishBroadcast completes a best-effort broadcast: DPUs named in the
-// report get the payload redelivered; those that cannot be reached are
-// marked down, so their stale copy never contributes results. A
-// non-report error is fatal.
-func (e *Engine) finishBroadcast(err error, b Broadcast) error {
-	if err == nil {
-		return nil
-	}
-	rep, ok := host.AsFaultReport(err)
-	if !ok {
-		return err
-	}
-	for _, f := range rep.Faults {
-		if e.down[f.DPU] {
-			continue
-		}
-		if !e.redeliver(f.DPU, b) {
-			e.markDown(f.DPU)
-		}
-	}
-	return nil
-}
-
 // Broadcast delivers b to every DPU immediately, with redelivery and
 // down-marking on partial failure. Used for setup-time payloads (the
 // eBNN model deploy) and for the wave loop's and RunStream's
@@ -442,18 +402,53 @@ func (e *Engine) Broadcast(b Broadcast) error {
 	if b.Resident != nil {
 		return e.broadcastResident(b)
 	}
-	return e.finishBroadcast(e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data), b)
+	return e.broadcastAll(b, nil)
 }
 
-// deliverOne pushes one resident payload to DPU d with bounded retries,
-// stamping the entry on success. An unreachable DPU is marked down (its
-// stale copy must never contribute results) and reported false.
+// broadcastAll is one rank-parallel broadcast of b to the whole system.
+// Every DPU the fault report names that is not already down gets the
+// payload redelivered or is marked down, so its stale copy never
+// contributes results. A non-nil ent is stamped for every DPU the
+// payload reached. A non-report error is fatal.
+func (e *Engine) broadcastAll(b Broadcast, ent *ResidentEntry) error {
+	var faults []host.DPUFault
+	if err := e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data); err != nil {
+		rep, ok := host.AsFaultReport(err)
+		if !ok {
+			return err
+		}
+		faults = rep.Faults
+	}
+	if ent != nil {
+		nd := e.sys.NumDPUs()
+		for d := 0; d < nd; d++ {
+			ent.markDelivered(d)
+		}
+		for _, f := range faults {
+			ent.InvalidateDPU(f.DPU)
+		}
+		ent.noteDelivered(len(b.Data)*(nd-len(faults)), false)
+	}
+	for _, f := range faults {
+		if !e.down[f.DPU] {
+			e.deliverOne(f.DPU, b.Ref, b.Off, b.Data, ent, false)
+		}
+	}
+	return nil
+}
+
+// deliverOne pushes one payload to DPU d with bounded retries, stamping
+// a non-nil resident entry on success. An unreachable DPU is marked
+// down (its stale copy must never contribute results) and reported
+// false.
 func (e *Engine) deliverOne(d int, ref host.SymbolRef, off int64, data []byte, ent *ResidentEntry, catchup bool) bool {
 	for a := 0; a < maxRedispatch; a++ {
 		err := e.sys.CopyToDPURef(d, ref, off, data)
 		if err == nil {
-			ent.markDelivered(d)
-			ent.noteDelivered(len(data), catchup)
+			if ent != nil {
+				ent.markDelivered(d)
+				ent.noteDelivered(len(data), catchup)
+			}
 			return true
 		}
 		if errors.Is(err, dpu.ErrDPUDead) {
@@ -491,44 +486,9 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 	}
 	ent.noteMiss()
 	if stale == live && e.nDown == 0 {
-		// Cold path: one rank-parallel broadcast, then stamp everything
-		// the fault report doesn't name; named DPUs get the usual
-		// redeliver-or-mark-down treatment, which stamps on success.
-		err := e.sys.CopyToSymbolRef(b.Ref, b.Off, b.Data)
-		if err == nil {
-			for d := 0; d < nd; d++ {
-				ent.markDelivered(d)
-			}
-			ent.noteDelivered(len(b.Data)*nd, false)
-			return nil
-		}
-		rep, ok := host.AsFaultReport(err)
-		if !ok {
-			return err
-		}
-		faulted := e.failSet[:nd]
-		for i := range faulted {
-			faulted[i] = false
-		}
-		nOK := nd
-		for _, f := range rep.Faults {
-			if !faulted[f.DPU] {
-				faulted[f.DPU] = true
-				nOK--
-			}
-		}
-		for d := 0; d < nd; d++ {
-			if !faulted[d] {
-				ent.markDelivered(d)
-			}
-		}
-		ent.noteDelivered(len(b.Data)*nOK, false)
-		for d := 0; d < nd; d++ {
-			if faulted[d] && !e.down[d] {
-				e.deliverOne(d, b.Ref, b.Off, b.Data, ent, false)
-			}
-		}
-		return nil
+		// Cold path: the same full-system broadcast a non-resident
+		// payload gets, stamping every DPU it reaches.
+		return e.broadcastAll(b, ent)
 	}
 	for d := 0; d < nd; d++ {
 		if e.down[d] || ent.Current(d) {

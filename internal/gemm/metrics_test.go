@@ -154,51 +154,3 @@ func TestMetricsZeroExtraAllocs(t *testing.T) {
 		t.Errorf("telemetry added allocations: %.1f enabled vs %.1f disabled per Multiply", on, off)
 	}
 }
-
-// BenchmarkMetricsDisabledOverhead is the bench.sh allocation gate for
-// the disabled path: the gemm hot path with no registry wired must stay
-// allocation-free in steady state and within noise of the
-// pre-telemetry baseline.
-func BenchmarkMetricsDisabledOverhead(b *testing.B) {
-	const m, n, k = 2, 1024, 64
-	am, bm := benchProblem(m, n, k)
-	sys, _ := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the runner's reusable buffers out of the measurement.
-	if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMetricsEnabledOverhead measures the same hot path with a
-// live registry, for the ns/op delta report.
-func BenchmarkMetricsEnabledOverhead(b *testing.B) {
-	const m, n, k = 2, 1024, 64
-	am, bm := benchProblem(m, n, k)
-	sys, _ := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-	sys.EnableMetrics(metrics.NewRegistry())
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

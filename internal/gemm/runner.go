@@ -52,7 +52,7 @@ type RunnerConfig struct {
 	// maximizes WRAM accesses.
 	Naive bool
 	// Exec is the unified execution-engine configuration (dispatch
-	// depth, trace timeline) shared with every other runner; see
+	// depth, structured event log) shared with every other runner; see
 	// internal/exec and DESIGN.md, "Execution engine". Results and
 	// simulated accounting are identical at both depths; depth 2 only
 	// overlaps host encode/decode wall-clock time with the wave in

@@ -204,54 +204,3 @@ func TestTracingZeroExtraAllocs(t *testing.T) {
 		t.Errorf("disabled tracing allocates %.1f per Multiply, baseline %.1f — want zero extra", off, base)
 	}
 }
-
-// BenchmarkTracingDisabledOverhead is the bench.sh allocation gate for
-// the tracing-disabled path: no span installed, the hot path must stay
-// at the pre-tracing allocation count (the gate pins allocs/op).
-func BenchmarkTracingDisabledOverhead(b *testing.B) {
-	const m, n, k = 2, 1024, 64
-	am, bm := benchProblem(m, n, k)
-	sys, _ := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTracingEnabledOverhead measures the same hot path with a
-// fresh request trace per iteration — the serving pattern — for the
-// ns/op and allocs/op delta report.
-func BenchmarkTracingEnabledOverhead(b *testing.B) {
-	const m, n, k = 2, 1024, 64
-	am, bm := benchProblem(m, n, k)
-	sys, _ := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-		b.Fatal(err)
-	}
-	tracer := trace.NewTracer(trace.TracerConfig{Ring: 4})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		root := tracer.StartTrace("bench")
-		r.SetTraceSpan(root)
-		if _, _, err := r.Multiply(m, n, k, 1, am, bm); err != nil {
-			b.Fatal(err)
-		}
-		r.SetTraceSpan(nil)
-		root.End()
-	}
-}

@@ -128,7 +128,7 @@ func TestBroadcastFaultKeepsOldBytes(t *testing.T) {
 					}
 					check("after the faulted broadcast")
 
-					// What exec.finishBroadcast does next.
+					// What exec's broadcastAll does next.
 					err = s.CopyToDPURef(bad, ref, off, payload)
 					if kind == "dead" {
 						if !errors.Is(err, dpu.ErrDPUDead) {

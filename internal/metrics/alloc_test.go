@@ -49,31 +49,3 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkCounterAdd and friends give bench.sh allocation gates on the
-// enabled hot path.
-func BenchmarkCounterAdd(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("h", ExpBuckets(1000, 4, 12))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(uint64(i))
-	}
-}
-
-func BenchmarkNilCounterAdd(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}

@@ -187,3 +187,21 @@ func TestCacheConcurrency(t *testing.T) {
 		<-done
 	}
 }
+
+// TestWarmLookupAllocFree pins the serving path's planning cost: every
+// forward re-plans each layer's shape, so after the first pass every
+// GEMM and Plan call is a cache hit and must allocate nothing.
+func TestWarmLookupAllocFree(t *testing.T) {
+	p := NewFromConfig(dpu.SystemDPUs, dpu.DefaultConfig(dpu.O3))
+	shapes := [][3]int{{16, 1024, 27}, {32, 256, 144}, {64, 64, 288}, {18, 64, 864}}
+	lookup := func() {
+		for _, sh := range shapes {
+			p.GEMM(sh[0], sh[1], sh[2], GEMMOptions{})
+			p.Plan(sh[0], sh[1], sh[2], 4, GEMMOptions{})
+		}
+	}
+	lookup() // warm the shape cache
+	if n := testing.AllocsPerRun(100, lookup); n != 0 {
+		t.Errorf("warm GEMM+Plan lookups allocate %v per pass, want 0", n)
+	}
+}

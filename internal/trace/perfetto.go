@@ -16,8 +16,8 @@ import (
 //
 // Mapping: one trace = one Perfetto "process" (pid = trace ID), and
 // spans are packed onto "threads" (tid lanes) greedily so overlapping
-// spans — pipelined waves, concurrent queue commands — never share a
-// lane. Lane 0 always holds the root span.
+// spans — pipelined waves, a wave in flight beside the next — never
+// share a lane. Lane 0 always holds the root span.
 
 // TraceEvent is one Chrome trace-event record.
 type TraceEvent struct {

@@ -212,8 +212,9 @@ func (sp *Span) StartChild(name string) *Span {
 }
 
 // StartChildAt begins a child span with an explicit start instant —
-// used to stamp spans retroactively (queue commands, simulated kernel
-// windows) without observing the clock on the instrumented path.
+// used to stamp spans retroactively (the in-flight wave's "q.wave",
+// simulated kernel windows) without observing the clock on the
+// instrumented path.
 func (sp *Span) StartChildAt(name string, start time.Time) *Span {
 	if sp == nil {
 		return nil

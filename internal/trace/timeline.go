@@ -9,8 +9,9 @@ import (
 
 // The wave timeline: a read-only view of a request Trace. The execution
 // engine (internal/exec) records the *wall-clock* phases of its dispatch
-// machinery — when each wave (and any retry) occupied the host or its
-// command queue — as children of the request span installed on it.
+// machinery — when each wave (and any retry) occupied the host, and at
+// depth 2 the in-flight device run ("q.wave") — as children of the
+// request span installed on it.
 // Simulated clocks are identical at both dispatch depths by
 // construction, so overlap is only ever visible on this axis: a depth-2
 // run shows wave w+1's span starting before wave w's has ended, a
@@ -36,8 +37,8 @@ type WaveSpan struct {
 }
 
 // WaveSpans returns the trace's wave timeline: the finished spans that
-// carry the engine's "wave" attribute — its phase spans, not the queue
-// commands ("q.*") or per-DPU kernels ("dpu_kernel") beneath them — in
+// carry the engine's "wave" attribute — its phase spans, not the
+// in-flight "q.wave" spans or per-DPU kernels ("dpu_kernel") — in
 // stable (Start, Wave, Name) order. Span end order is scheduling-
 // dependent when several engines share the trace, so callers comparing
 // or rendering timelines get a reproducible sequence. Retention is the

@@ -168,7 +168,7 @@ func TestSpansStableOrder(t *testing.T) {
 	// Equal Start: wave breaks the tie, then name.
 	record("scatter", 3, 4, 30, 35)
 	record("gather", 2, 4, 30, 45)
-	// Spans without the attribute (queue commands, kernels, the root)
+	// Spans without the attribute (q.wave, kernels, the root)
 	// are not wave spans.
 	q := root.StartChildAt("q.wave", at(0))
 	q.SetAttr("ticket", 1)

@@ -17,6 +17,9 @@ import (
 // (~460 on this graph); it used to allocate ~2178 before the exec
 // engine's per-wave stats and the im2col staging were made reusable.
 // The bound fails loudly if per-wave or per-tile allocation returns.
+// The runner is the root package's BenchmarkSimulatorWallClock's (2
+// DPUs, O3, 11 tasklets, 64-column tiles), so this is that benchmark's
+// allocation gate.
 //
 // Everything the budget depends on is pinned, so the test reads the
 // same on every host: the dispatch mode (PipelineAuto resolves on at
@@ -46,7 +49,7 @@ func TestForwardSteadyStateAllocBound(t *testing.T) {
 			}
 			defer sys.Close()
 			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-				MaxK: maxK, MaxN: maxN, Tasklets: 16, TileCols: 64,
+				MaxK: maxK, MaxN: maxN, Tasklets: 11, TileCols: 64,
 				Exec: exec.Config{Pipeline: host.PipelineOff},
 			})
 			if err != nil {

@@ -6,9 +6,11 @@
 # exported func of pimdnn.go, is built with inlining off (so a reached
 # function keeps its symbol); the union of their `go tool nm` symbols
 # under pimdnn/internal/ (an assembly body links as <name>.abi0 and counts
-# for its Go declaration) is the reached set. Report-only: prints
-# `file:line symbol` per unreached func, then the count. What remains is
-# reached by tests alone; CHANGES.md (PR 22) gives each one's reason.
+# for its Go declaration) is the reached set. What remains is reached by
+# tests alone, and each such func is listed with its reason in
+# scripts/reach.allow. Prints `file:line symbol` per unreached func the
+# allowlist does not name, each allowlist entry that is now reached or
+# deleted, then the counts; exits 1 when an unreached func is unlisted.
 #
 # Usage:  scripts/reach.sh   (or `make reach`)
 set -euo pipefail
@@ -38,8 +40,12 @@ done | awk '$3 ~ /^pimdnn\/internal\// { sub(/\.abi0$/, "", $3); print $3 }' | s
 # gofmt'd declarations: `func Name(`, `func (r T) Name(`, `func (r *T) Name(`
 # in package pimdnn/<dir> link as <dir>.Name, <dir>.T.Name, <dir>.(*T).Name.
 find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 grep -n '^func ' |
-	awk -v reached="$tmp/reached" '
-		BEGIN { while ((getline s < reached) > 0) live[s] = 1 }
+	awk -v reached="$tmp/reached" -v allow=scripts/reach.allow '
+		BEGIN {
+			while ((getline s < reached) > 0) live[s] = 1
+			while ((getline s < allow) > 0)
+				if (s !~ /^(#|$)/) { split(s, f); listed[f[1]] = 1; order[++nAllow] = f[1] }
+		}
 		{
 			split($0, loc, ":")
 			pkg = loc[1]; sub(/\/[^\/]*$/, "", pkg)
@@ -52,6 +58,14 @@ find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 grep
 			}
 			sub(/\(.*/, "", decl)
 			sym = "pimdnn/" pkg "." recv decl
-			if (!(sym in live)) { print loc[1] ":" loc[2] " " sym; dead++ }
+			if (sym in live) next
+			dead++
+			if (sym in listed) { seen[sym] = 1; next }
+			print loc[1] ":" loc[2] " " sym " (not in " allow ")"; unlisted++
 		}
-		END { printf "%d unreached of %d funcs\n", dead, NR }'
+		END {
+			for (i = 1; i <= nAllow; i++)
+				if (!(order[i] in seen)) print allow ": " order[i] " is reached or deleted"
+			printf "%d unreached of %d funcs, %d of them unlisted; %d allowlist entries\n", dead, NR, unlisted, nAllow
+			exit unlisted > 0
+		}'
