@@ -52,7 +52,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 		}
 
 		// Load filters and pre-slice each into its three rows. nf <= 8
-		// is enforced by NewRunner, so fixed-size stack arrays avoid
+		// is checked by NewRunner, so fixed-size stack arrays avoid
 		// per-launch heap allocation.
 		var filters [8]filtRows
 		for f := 0; f < nf; f++ {

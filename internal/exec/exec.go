@@ -77,27 +77,20 @@ type Stats struct {
 // gather stream move Bufs[:n], one equal-length buffer per wave shard,
 // inside the fused wave; a workset's later scatter streams (and a
 // StreamSet's) are pushed on their own and cover every DPU of the
-// system (matching dpu_push_xfer).
-//
-// A non-nil Resident entry makes the stream weight-resident: the
-// engine delivers Bufs[d] only to DPUs whose per-DPU generation stamp
-// is stale (all of them on first use, none on a warm repeat, just the
-// remapped ones after fault recovery) and skips the push entirely when
-// every live wave DPU is current. Re-dispatch still carries the
-// stream's shard buffer to the retry target — and invalidates that
-// target's stamp, since the shard's row now occupies its arena slot.
+// system (matching dpu_push_xfer). A stream starts at its symbol's
+// base, and a re-dispatch pushes the shard's own buffer of every input
+// stream to the retry target. No stream is weight-resident: the only
+// resident payload is a Broadcast.
 type Stream struct {
-	Ref      host.SymbolRef
-	Off      int64
-	Bufs     [][]byte
-	Resident *ResidentEntry
+	Ref  host.SymbolRef
+	Bufs [][]byte
 }
 
-// Xfer names one single-DPU transfer (a shard's input or output buffer)
-// used when re-dispatching that shard onto another DPU.
+// Xfer names one single-DPU transfer (a shard's input or output buffer,
+// at its symbol's base) used when re-dispatching that shard onto
+// another DPU.
 type Xfer struct {
 	Ref  host.SymbolRef
-	Off  int64
 	Data []byte
 }
 
@@ -222,13 +215,10 @@ type Engine struct {
 	flyFn  func()
 	landed sync.WaitGroup
 
-	// Reused scratch: re-dispatch input descriptors (and the resident
-	// entries riding along with them, for retry-target invalidation),
-	// and RunStream's per-shard gather errors and free list of gather
-	// buffers (the one piece of engine state its parallel ranges share,
-	// hence the lock).
+	// Reused scratch: re-dispatch input descriptors, and RunStream's
+	// per-shard gather errors and free list of gather buffers (the one
+	// piece of engine state its parallel ranges share, hence the lock).
 	insBuf     []Xfer
-	entBuf     []*ResidentEntry
 	gatherErrs []error
 	rawMu      sync.Mutex
 	rawFree    [][]byte
@@ -257,7 +247,6 @@ type waveSlot struct {
 	pushes   []Stream  // extra-stream pushes not yet run, in issue order
 	wave     host.Wave // the fused wave, run after the pushes
 	errs     []error   // each run command's outcome, in issue order
-	forced   []bool    // shards failed by resident delivery at issue time
 	t0       time.Time
 	// sp parents the in-flight wave's "q.wave" span: the request span
 	// installed at issue time, captured then (nil at depth 1).
@@ -499,77 +488,6 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 	return nil
 }
 
-// scatterResident delivers a resident scatter stream for an n-shard
-// wave: shard buffers go only to stale live DPUs (all on first use,
-// none on a warm repeat), using one full-width push when the whole
-// wave is cold and the staging covers the system. Delivery failures
-// mark the DPU down and fail its shard, exactly like a scatter fault
-// on the re-broadcast path.
-func (e *Engine) scatterResident(s Stream, n int, failed []bool) error {
-	ent := s.Resident
-	ent.Touch()
-	stale := 0
-	for d := 0; d < n; d++ {
-		if e.down[d] {
-			continue
-		}
-		if !ent.Current(d) {
-			stale++
-		}
-	}
-	if stale == 0 {
-		ent.noteHit()
-		return nil
-	}
-	ent.noteMiss()
-	if stale == n && e.nDown == 0 && len(s.Bufs) == e.sys.NumDPUs() {
-		// Cold path: one rank-parallel full-system push (the same
-		// operation the re-broadcast path issues every dispatch).
-		err := e.sys.PushXferRef(s.Ref, s.Off, s.Bufs)
-		perDPU := len(s.Bufs[0])
-		if err == nil {
-			for d := 0; d < n; d++ {
-				ent.markDelivered(d)
-			}
-			ent.noteDelivered(perDPU*len(s.Bufs), false)
-			return nil
-		}
-		rep, ok := host.AsFaultReport(err)
-		if !ok {
-			return err
-		}
-		for d := 0; d < n; d++ {
-			ent.markDelivered(d)
-		}
-		nOK := len(s.Bufs)
-		for _, f := range rep.Faults {
-			nOK--
-			if errors.Is(f.Err, dpu.ErrDPUDead) {
-				e.markDown(f.DPU)
-			}
-			if f.DPU < n {
-				ent.InvalidateDPU(f.DPU)
-				if f.DPU < len(failed) {
-					failed[f.DPU] = true
-				}
-			}
-		}
-		if nOK > 0 {
-			ent.noteDelivered(perDPU*nOK, false)
-		}
-		return nil
-	}
-	for d := 0; d < n; d++ {
-		if e.down[d] || ent.Current(d) {
-			continue
-		}
-		if !e.deliverOne(d, s.Ref, s.Off, s.Bufs[d], ent, true) && d < len(failed) {
-			failed[d] = true
-		}
-	}
-	return nil
-}
-
 // The wave in flight. start runs a slot's pending pushes and its fused
 // wave — on the caller at depth 1, on one goroutine at depth 2 — and
 // every other System call of the wave loop, re-dispatch and RunStream
@@ -621,7 +539,7 @@ func (e *Engine) join() error {
 // runPushes runs the slot's pending extra-stream pushes in issue order.
 func (e *Engine) runPushes(sl *waveSlot) {
 	for _, s := range sl.pushes {
-		sl.errs = append(sl.errs, e.sys.PushXferRef(s.Ref, s.Off, s.Bufs))
+		sl.errs = append(sl.errs, e.sys.PushXferRef(s.Ref, 0, s.Bufs))
 	}
 	sl.pushes = sl.pushes[:0]
 }
@@ -646,13 +564,11 @@ func (e *Engine) runSlot(sl *waveSlot) {
 // preferred (nextTarget). The retry's cycles are added to st, so the
 // stats reflect the degraded run's real cost. The wave in flight lands
 // first, and an attempt stops at its first failed step, so what a
-// degraded run is charged does not depend on the depth. ents carries
-// the resident entries of the input streams (nil entries for
-// non-resident ones): every attempted target has its generation stamp
-// invalidated, because even a failed attempt may have partially
-// overwritten the target's resident slot with this shard's row — a
-// remapped DPU must re-receive the layer before serving it.
-func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
+// degraded run is charged does not depend on the depth. A retry writes
+// only the shard's own input and output symbols, never the weight
+// arena, so no resident stamp goes stale through it: a resident payload
+// is a Broadcast, delivered to every live DPU before the launch.
+func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
 	if err := e.join(); err != nil {
 		return err
 	}
@@ -665,15 +581,10 @@ func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfe
 		// A failed attempt moves the scan past its target, like the
 		// round-robin cursor always did.
 		near = t
-		for _, ent := range ents {
-			if ent != nil {
-				ent.InvalidateDPU(t)
-			}
-		}
 		var ls host.LaunchStats
 		var err error
 		for _, in := range ins {
-			if err = e.sys.CopyToDPURef(t, in.Ref, in.Off, in.Data); err != nil {
+			if err = e.sys.CopyToDPURef(t, in.Ref, 0, in.Data); err != nil {
 				break
 			}
 		}
@@ -681,7 +592,7 @@ func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfe
 			ls, err = e.sys.LaunchDPU(t, tasklets, kernel)
 		}
 		if err == nil {
-			err = e.sys.CopyFromDPURefInto(t, out.Ref, out.Off, out.Data)
+			err = e.sys.CopyFromDPURefInto(t, out.Ref, 0, out.Data)
 		}
 		if err == nil {
 			st.Retries++
@@ -702,18 +613,14 @@ func (e *Engine) redispatch(from int, ins []Xfer, ents []*ResidentEntry, out Xfe
 }
 
 // shardIns builds the re-dispatch input list for wave position i from
-// the workset's scatter streams, reusing the engine's scratch slices.
-// The parallel entry list keeps each stream's resident entry aligned
-// with its Xfer so redispatch can invalidate the targets it touches.
-func (e *Engine) shardIns(streams []Stream, i int) ([]Xfer, []*ResidentEntry) {
+// the workset's scatter streams, reusing the engine's scratch slice.
+func (e *Engine) shardIns(streams []Stream, i int) []Xfer {
 	ins := e.insBuf[:0]
-	ents := e.entBuf[:0]
 	for _, s := range streams {
-		ins = append(ins, Xfer{Ref: s.Ref, Off: s.Off, Data: s.Bufs[i]})
-		ents = append(ents, s.Resident)
+		ins = append(ins, Xfer{Ref: s.Ref, Data: s.Bufs[i]})
 	}
-	e.insBuf, e.entBuf = ins, ents
-	return ins, ents
+	e.insBuf = ins
+	return ins
 }
 
 // Run dispatches every shard of ws at the engine's configured depth. st
@@ -744,7 +651,7 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 // depths, and so are Stats and all simulated clocks.
 func (e *Engine) run(ws WorkSet, st *Stats) error {
 	// Every broadcast is delivered — redelivered, or its DPU marked
-	// down and its shards forced onto survivors — before the first wave
+	// down and its shards moved onto survivors — before the first wave
 	// is issued, so no DPU computes on stale data.
 	for _, b := range ws.Broadcasts() {
 		if err := e.Broadcast(b); err != nil {
@@ -780,48 +687,22 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		if err := e.join(); err != nil {
 			return err
 		}
+		// The later streams are pushed ahead of the wave; stream 0 rides
+		// in it.
 		streams := ws.Scatter(sl.idx, n)
-		sl.errs, sl.pushes = sl.errs[:0], sl.pushes[:0]
-		if cap(sl.forced) < n {
-			sl.forced = make([]bool, n)
-		}
-		sl.forced = sl.forced[:n]
-		for i := range sl.forced {
-			sl.forced[i] = false
-		}
-		// Non-resident pushes ride with the wave; a resident delivery
-		// runs here, after the pushes issued before it.
-		for _, s := range streams[1:] {
-			if s.Resident == nil {
-				sl.pushes = append(sl.pushes, s)
-				continue
-			}
-			e.runPushes(sl)
-			if err := e.scatterResident(s, n, sl.forced); err != nil {
-				return err
-			}
-		}
+		sl.errs = sl.errs[:0]
+		sl.pushes = append(sl.pushes[:0], streams[1:]...)
 		g := ws.Gather(sl.idx, n)
 		sl.t0 = e.now()
 		sl.wave = host.Wave{
-			DPUs:      n,
-			Tasklets:  tasklets,
-			Kernel:    kernel,
-			Stats:     &sl.stats,
-			Gather:    g.Ref,
-			GatherOff: g.Off,
-			Out:       g.Bufs[:n],
-		}
-		if s0 := streams[0]; s0.Resident != nil {
-			// The primary stream is weight-resident: deliver (or skip)
-			// it now through the cache and leave the wave's scatter ref
-			// zero so the wave skips that phase entirely.
-			e.runPushes(sl)
-			if err := e.scatterResident(s0, n, sl.forced); err != nil {
-				return err
-			}
-		} else {
-			sl.wave.Scatter, sl.wave.ScatterOff, sl.wave.In = s0.Ref, s0.Off, s0.Bufs[:n]
+			DPUs:     n,
+			Tasklets: tasklets,
+			Kernel:   kernel,
+			Stats:    &sl.stats,
+			Scatter:  streams[0].Ref,
+			In:       streams[0].Bufs[:n],
+			Gather:   g.Ref,
+			Out:      g.Bufs[:n],
 		}
 		sl.seq = e.waveSeq
 		sl.start, sl.n = start, n
@@ -856,11 +737,6 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 		}
 	}
 	failed := e.seedFailed(sl.n)
-	for i, f := range sl.forced {
-		if f {
-			failed[i] = true
-		}
-	}
 	for _, err := range sl.errs {
 		if err := e.mergeFailed(failed, err); err != nil {
 			return err
@@ -883,8 +759,7 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 	for i := 0; i < sl.n; i++ {
 		if failed[i] {
 			retried = true
-			ins, ents := e.shardIns(streams, i)
-			if err := e.redispatch(i, ins, ents, Xfer{Ref: g.Ref, Off: g.Off, Data: g.Bufs[i]}, ws.Tasklets(), ws.Kernel(), st); err != nil {
+			if err := e.redispatch(i, e.shardIns(streams, i), Xfer{Ref: g.Ref, Data: g.Bufs[i]}, ws.Tasklets(), ws.Kernel(), st); err != nil {
 				return err
 			}
 		}

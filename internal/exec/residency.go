@@ -11,21 +11,20 @@ import (
 
 // Weight residency — the scatter-once, serve-many fix.
 //
-// Every forward pass used to re-deliver its model weights to every DPU:
-// the row-per-DPU mapping re-scattered each layer's A rows and the
-// image-per-DPU mapping re-broadcast the full weight matrix, even
-// though the weights never change between requests. The WeightCache
-// turns weights into MRAM-resident state: a runner reserves an arena
-// range per (model, layer), delivers the payload once, and subsequent
-// dispatches skip the transfer entirely for every DPU whose copy is
-// still current.
+// The serving loop runs the image-per-DPU mapping, which broadcast the
+// full weight matrix on every forward pass even though the weights never
+// change between requests. The WeightCache turns that broadcast into
+// MRAM-resident state: a runner reserves an arena range per (model,
+// layer), delivers the payload once, and subsequent dispatches skip the
+// transfer entirely for every DPU whose copy is still current. The only
+// resident payload is a Broadcast (Engine.broadcastResident); no
+// per-shard stream writes the arena, re-dispatch included.
 //
 // Correctness under faults hinges on the per-DPU generation tokens. A
-// delivery (full push or per-DPU catch-up) stamps the DPU with the
+// delivery (full broadcast or per-DPU catch-up) stamps the DPU with the
 // entry's generation; anything that can leave a DPU holding different
-// bytes — a shard re-dispatched onto it (the retry writes that shard's
-// row over the arena slot), an eviction that reassigned the arena
-// range, or a content change caught by the hash guard — clears or
+// bytes — a broadcast that missed it, an eviction that reassigned the
+// arena range, or a content change caught by the hash guard — clears or
 // outdates the stamp, so the next dispatch re-delivers before the DPU
 // computes. This is the same stale-model hazard the eBNN deploy
 // broadcast guards against, generalized to per-DPU granularity.
@@ -355,10 +354,9 @@ func (e *ResidentEntry) Current(d int) bool {
 // markDelivered stamps DPU d with the current generation.
 func (e *ResidentEntry) markDelivered(d int) { e.per[d] = e.gen }
 
-// InvalidateDPU clears DPU d's stamp: something wrote over (or may
-// have written over) the entry's range on that DPU — a re-dispatched
-// shard's input push, in the engine's retry path — so the next dispatch
-// re-delivers before d computes with this entry again.
+// InvalidateDPU clears DPU d's stamp: the entry's range on that DPU may
+// not hold the current content — a broadcast that faulted on d — so the
+// next dispatch re-delivers before d computes with this entry again.
 func (e *ResidentEntry) InvalidateDPU(d int) { e.per[d] = 0 }
 
 // Touch advances the owning model's LRU stamp; dispatch paths call it

@@ -1,9 +1,9 @@
 package exec
 
 // White-box WeightCache tests: arena reservation, LRU eviction order,
-// free-list coalescing, and the generation-stamp protocol. The
-// end-to-end delivery paths (scatterResident/broadcastResident) are
-// exercised through the gemm and model packages.
+// free-list coalescing, and the generation-stamp protocol. The one
+// end-to-end delivery path (broadcastResident) is exercised through the
+// gemm batch tests and cmd/upmem-serve.
 
 import (
 	"testing"

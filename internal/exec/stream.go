@@ -29,9 +29,9 @@ type StreamSet struct {
 	// Scatter is the per-shard input streams, full-system width (DPUs
 	// beyond Shards receive padding, matching dpu_push_xfer).
 	Scatter []Stream
-	// OutRef/OutOff/OutBytes name each shard's output region.
+	// OutRef/OutBytes name each shard's output region, at the symbol's
+	// base.
 	OutRef   host.SymbolRef
-	OutOff   int64
 	OutBytes int
 	// Ins returns shard i's input transfers for a re-dispatch onto
 	// another DPU. The returned slice is read immediately.
@@ -117,7 +117,7 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 	// even when no operation reports an error for them.
 	failed := e.seedFailed(ss.Shards)
 	for _, s := range ss.Scatter {
-		if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, s.Off, s.Bufs)); err != nil {
+		if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, 0, s.Bufs)); err != nil {
 			return err
 		}
 	}
@@ -168,7 +168,7 @@ func (e *Engine) gatherStream(ss *StreamSet, failed []bool, st *Stats) error {
 		for i := lo; i < hi; i++ {
 			var err error
 			if !failed[i] {
-				if err = e.sys.CopyFromDPURefInto(i, ss.OutRef, ss.OutOff, raw); err == nil {
+				if err = e.sys.CopyFromDPURefInto(i, ss.OutRef, 0, raw); err == nil {
 					ss.Deliver(i, raw)
 				}
 			}
@@ -194,11 +194,7 @@ func (e *Engine) gatherStream(ss *StreamSet, failed []bool, st *Stats) error {
 		if !failed[i] {
 			continue
 		}
-		// A StreamSet's per-shard inputs never overlap a resident region
-		// (resident payloads are the wave-invariant Pre/Post broadcasts,
-		// delivered to every live DPU), so there are no entries to
-		// invalidate on the retry target.
-		if err := e.redispatch(i, ss.Ins(i), nil, Xfer{Ref: ss.OutRef, Off: ss.OutOff, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
+		if err := e.redispatch(i, ss.Ins(i), Xfer{Ref: ss.OutRef, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
 			return err
 		}
 		ss.Deliver(i, raw)

@@ -21,7 +21,7 @@ func needVectorMAC(t testing.TB) {
 // (the selected kernel) and macBlockGo (the Go loops) from the same
 // nonzero accumulators, and wants them equal lane for lane, the lanes
 // past acc[:n] untouched, and every byte in and around block unchanged.
-// Operands come from next, an eighth to a quarter of them forced to the
+// Operands come from next, an eighth to a quarter of them pinned to the
 // extremes: apart MinInt32 / MaxInt32 / 0, B lanes -32768 / 32767.
 func checkMACBlock(t *testing.T, n, rows, bstride, off int, next func() uint32) {
 	t.Helper()

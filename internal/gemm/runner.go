@@ -97,8 +97,8 @@ type shapeCost struct {
 // charges, one dpu.CostBlock per tasklet, filled by running the kernel's
 // cost function (internal/model — the same function the planner
 // evaluates) into it. The cache holds every shape seen (a network has
-// one per layer, and at depth 2 the engine interleaves waves of adjacent
-// layers, so a single-shape cache would thrash); it is a copy-on-write
+// one per layer and a forward alternates them layer by layer, so a
+// single-shape cache would miss on every call); it is a copy-on-write
 // slice with inline keys so kernels on different DPUs only read the
 // published pointer (an entry's address stays valid after later
 // publishes). A racing rebuild produces identical blocks, and losing the
@@ -182,8 +182,8 @@ type Runner struct {
 
 	// Weight residency (EnableResidency): wmodel is this runner's
 	// resident set in the shared cache; residKey/residArmed are the
-	// one-shot layer selector armed by SetWeightLayer and consumed by
-	// the next Multiply or MultiplyBatchEach.
+	// one-shot layer selector armed by SetWeightLayer, consumed by the
+	// next batch call and dropped by the next Multiply.
 	wmodel     *exec.ResidentModel
 	residKey   int
 	residArmed bool
@@ -308,10 +308,10 @@ func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
 func (r *Runner) TraceSpan() *trace.Span { return r.eng.TraceSpan() }
 
 // EnableResidency joins this runner to a weight cache under the given
-// model name: layers armed with SetWeightLayer scatter their weights
-// into the cache's MRAM arena once and skip the transfer on repeated
-// forwards. Runners sharing one System may share one cache; the LRU
-// budget then arbitrates between their models.
+// model name: batch-mode layers armed with SetWeightLayer broadcast
+// their weight matrix into the cache's MRAM arena once and skip the
+// transfer on repeated forwards. Runners sharing one System may share
+// one cache; the LRU budget then arbitrates between their models.
 func (r *Runner) EnableResidency(cache *exec.WeightCache, model string) {
 	r.wmodel = cache.Model(model)
 }
@@ -320,33 +320,14 @@ func (r *Runner) EnableResidency(cache *exec.WeightCache, model string) {
 // forward passes can skip arming layers when there is no cache.
 func (r *Runner) ResidencyOn() bool { return r.wmodel != nil }
 
-// SetWeightLayer arms weight residency for the next Multiply or
-// MultiplyBatchEach call: its A payload is cached under the given layer
-// key (one-shot — consumed by that call). Keys are small ints (layer
-// indices) so the per-call lookup allocates nothing.
+// SetWeightLayer arms weight residency for the next call, one-shot. A
+// MultiplyBatchEach (or MultiplyBatch/MultiplyBatchFill) consumes it
+// and caches its weight matrix under the given layer key; a row-mode
+// Multiply drops it and scatters its A rows as always. Keys are small
+// ints (layer indices) so the per-call lookup allocates nothing.
 func (r *Runner) SetWeightLayer(key int) {
 	r.residKey = key
 	r.residArmed = true
-}
-
-// takeResident consumes an armed SetWeightLayer for a row-mode Multiply
-// of m rows with the given per-DPU payload size. Returns nil — falling
-// back to plain re-scatter — when residency is off, the layer spans
-// multiple waves (each wave would overwrite the previous one's rows),
-// or the entry cannot fit the cache even after evictions.
-func (r *Runner) takeResident(m int, size int64, a []int16) *exec.ResidentEntry {
-	if !r.residArmed {
-		return nil
-	}
-	r.residArmed = false
-	if r.wmodel == nil || m > r.sys.NumDPUs() {
-		return nil
-	}
-	ent, ok := r.wmodel.Entry(r.residKey, size, hashInt16s(a))
-	if !ok {
-		return nil
-	}
-	return ent
 }
 
 // hashInt16s is FNV-1a over the little-endian bytes of v — the content
@@ -484,10 +465,11 @@ func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 // C row of the A row at the parameter block's address in row mode, all
 // p.m rows of the weight matrix there in batch mode. A arrives in one
 // bounds- and alignment-checked MRAM read (from the runner's A symbol,
-// or an arena slot when the weights are resident), each row is decoded
-// to APART once (Algorithm 2 line 5) and multiply-accumulated over whole
-// B rows in place in the MRAM pages, and the packed C rows leave in one
-// MRAM write. It returns the launch's per-tasklet charge.
+// or in batch mode an arena slot when the weights are resident), each
+// row is decoded to APART once (Algorithm 2 line 5) and
+// multiply-accumulated over whole B rows in place in the MRAM pages, and
+// the packed C rows leave in one MRAM write. It returns the launch's
+// per-tasklet charge.
 func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
 	p := r.readParams(t)
 	n, k := p.n, p.k
@@ -587,8 +569,8 @@ func packRows(dst []byte, rowBytes int, src []int16, rows, k int) {
 
 // encodeParams fills the kernel parameter block staging buffer. aoff is
 // the absolute MRAM address the kernel stages the A payload from: the
-// runner's own A symbol normally, a weight-cache arena slot when the
-// weights are resident.
+// runner's own A symbol normally, a weight-cache arena slot when a
+// batch call's weights are resident.
 func (r *Runner) encodeParams(n, k, m int, alpha int16, aoff int64) {
 	binary.LittleEndian.PutUint32(r.paramsBuf[0:], uint32(n))
 	binary.LittleEndian.PutUint32(r.paramsBuf[4:], uint32(k))
@@ -635,15 +617,12 @@ func (r *Runner) ensureMulStages(width, rowBytes, cBytes int) {
 // mulWorkSet adapts the Fig 4.6 row-per-DPU mapping to the execution
 // engine: one shard per row of A, the B matrix and parameter block as
 // wave-invariant broadcasts, A rows as the scatter stream, C rows as
-// the gather stream. ent, when non-nil, makes the A-row stream
-// weight-resident: rows scatter into the entry's arena slot and the
-// engine skips delivery for DPUs already holding the current content.
+// the gather stream.
 type mulWorkSet struct {
 	r        *Runner
 	a, c     []int16
 	m, n, k  int
 	rowBytes int
-	ent      *exec.ResidentEntry
 	bcasts   []exec.Broadcast
 	streams  []exec.Stream
 }
@@ -662,11 +641,7 @@ func (w *mulWorkSet) Encode(slot, start, n int) {
 }
 
 func (w *mulWorkSet) Scatter(slot, n int) []exec.Stream {
-	s := exec.Stream{Ref: w.r.refA, Bufs: w.r.mulStages[slot].aBufs}
-	if w.ent != nil {
-		s = exec.Stream{Ref: w.ent.Ref(), Off: w.ent.Off(), Bufs: w.r.mulStages[slot].aBufs, Resident: w.ent}
-	}
-	w.streams = append(w.streams[:0], s)
+	w.streams = append(w.streams[:0], exec.Stream{Ref: w.r.refA, Bufs: w.r.mulStages[slot].aBufs})
 	return w.streams
 }
 
@@ -684,6 +659,9 @@ func (w *mulWorkSet) Decode(slot, shard, i int) {
 // engine's (internal/exec); this method only stages the matrices and
 // adapts them through mulWorkSet.
 func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stats, error) {
+	// Residency is the batch path's: an arm set for this call must not
+	// reach a later batch call.
+	r.residArmed = false
 	var st Stats
 	if err := checkDims(m, n, k, a, b); err != nil {
 		return nil, st, err
@@ -720,12 +698,7 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 	rowBytes := (k*2 + 7) &^ 7
 	cBytes := pad4(n) * 2
 	bbuf := r.stageB(n, k, b)
-	ent := r.takeResident(m, int64(rowBytes), a)
-	aoff := r.aOff
-	if ent != nil {
-		aoff = ent.Abs()
-	}
-	r.encodeParams(n, k, 0, alpha, aoff)
+	r.encodeParams(n, k, 0, alpha, r.aOff)
 	// A wave carries only its own rows.
 	r.ensureMulStages(min(m, r.sys.NumDPUs()), rowBytes, cBytes)
 
@@ -733,7 +706,6 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 	w.a, w.c = a, c
 	w.m, w.n, w.k = m, n, k
 	w.rowBytes = rowBytes
-	w.ent = ent
 	w.bcasts = append(w.bcasts[:0],
 		exec.Broadcast{Ref: r.refB, Data: bbuf},
 		exec.Broadcast{Ref: r.refParams, Data: r.paramsBuf[:]})

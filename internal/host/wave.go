@@ -27,16 +27,16 @@ type Wave struct {
 	Stats *LaunchStats
 
 	// Scatter names the input symbol; In holds one equal-length buffer
-	// per participating DPU. A zero Scatter ref skips the phase.
-	Scatter    SymbolRef
-	ScatterOff int64
-	In         [][]byte
+	// per participating DPU, written at the symbol's base. A zero
+	// Scatter ref skips the phase.
+	Scatter SymbolRef
+	In      [][]byte
 
 	// Gather names the output symbol; Out holds one equal-length buffer
-	// per participating DPU. A zero Gather ref skips the phase.
-	Gather    SymbolRef
-	GatherOff int64
-	Out       [][]byte
+	// per participating DPU, read from the symbol's base. A zero Gather
+	// ref skips the phase.
+	Gather SymbolRef
+	Out    [][]byte
 }
 
 // RunWave runs one fused wave. It is best-effort per DPU: a DPU that
@@ -101,7 +101,7 @@ func (s *System) execWave(w *Wave, sc *waveScratch) error {
 				return fmt.Errorf("host: wave scatter buffer %d has length %d, want %d", i, len(b), inLen)
 			}
 		}
-		if err := checkRef(w.Scatter, w.ScatterOff, inLen); err != nil {
+		if err := checkRef(w.Scatter, 0, inLen); err != nil {
 			return err
 		}
 	}
@@ -117,7 +117,7 @@ func (s *System) execWave(w *Wave, sc *waveScratch) error {
 				return fmt.Errorf("host: wave gather buffer %d has length %d, want %d", i, len(b), outLen)
 			}
 		}
-		if err := checkRef(w.Gather, w.GatherOff, outLen); err != nil {
+		if err := checkRef(w.Gather, 0, outLen); err != nil {
 			return err
 		}
 	}
@@ -146,7 +146,7 @@ func (s *System) execWave(w *Wave, sc *waveScratch) error {
 	run := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if scatter {
-				if err := s.copyToOne(i, w.Scatter, w.ScatterOff, w.In[i]); err != nil {
+				if err := s.copyToOne(i, w.Scatter, 0, w.In[i]); err != nil {
 					errs[i] = err
 					continue
 				}
@@ -158,7 +158,7 @@ func (s *System) execWave(w *Wave, sc *waveScratch) error {
 			}
 			phase[i] |= waveLaunched
 			if gather {
-				if err := s.copyFromOneInto(i, w.Gather, w.GatherOff, w.Out[i]); err != nil {
+				if err := s.copyFromOneInto(i, w.Gather, 0, w.Out[i]); err != nil {
 					errs[i] = err
 					continue
 				}

@@ -13,7 +13,7 @@
 //     updates them unconditionally — no "is telemetry on" plumbing.
 //   - Bit-identity. Instruments observe the simulation, never steer it:
 //     no simulated clock, cycle count, or experiment output may depend
-//     on whether a registry is wired. The invariant is enforced by
+//     on whether a registry is wired. The invariant is pinned by
 //     tests in the instrumented packages.
 //   - Monotonic snapshots. Counter values and histogram bucket counts
 //     only grow; Snapshot loads each value atomically, so concurrent
