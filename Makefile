@@ -9,12 +9,13 @@
 # including the fault-injection recovery paths, plus the upmem-top
 # renderer, the upmem-serve batching/backpressure server and
 # upmem-profile, whose test reads a trace the depth-2 in-flight wave's
-# goroutine writes), one iteration of each benchmark a `make profile*`
+# goroutine writes; and internal/tensor, whose little-endian views
+# -race's checkptr instrumentation checks), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
 # the portable build (`make portable`: the packages under the gemm
-# kernel tested as GOARCH=386, where its MAC is the Go loops, and the
-# tree cross-built for arm64),
+# kernel tested as GOARCH=386, where its MAC is the Go loops, the tree
+# cross-built for arm64, and tensor and gemm vetted big-endian),
 # the funcs under internal/ that no shipped program links and
 # scripts/reach.allow does not list (`make reach`), and the non-test line
 # count per package (`make lines`, report-only), the number ROADMAP asks
@@ -45,18 +46,21 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dpu ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
+	$(GO) test -race ./internal/dpu ./internal/tensor ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
 
 # internal/gemm's block MAC is assembly where the host has AVX2 and Go
 # loops everywhere else, and no amd64 CI host runs the loops through the
 # kernels. As a 386 binary (which an amd64 Linux host executes natively)
 # the gemm, nn and tensor suites — every functional and differential test
 # over flatPass — run on the loops end to end; the arm64 leg is a
-# cross-build and a vet of the one package with per-arch files.
+# cross-build and a vet of gemm's per-arch files, and the s390x leg a
+# vet of tensor and gemm as a big-endian build (where internal/tensor
+# encodes int16 through byte stores, not through a view).
 portable:
 	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn ./internal/tensor
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/gemm
+	GOARCH=s390x $(GO) vet ./internal/tensor ./internal/gemm
 
 # The four benchmarks the profile, profile-array, profile-rows and
 # profile-ebnn targets name, one iteration each: nothing else in ci
@@ -146,17 +150,21 @@ profile-ebnn:
 			/ebnn\.\(\*inferWorkSet\)\.Decode$$/ { print "classify-share ebnn.Decode cum " $$5 }'
 
 # And for the rows_zoo workload's shape (the three lite networks,
-# planner-mapped row-per-DPU Multiply on 64 DPUs). The last three lines
+# planner-mapped row-per-DPU Multiply on 64 DPUs). The last five lines
 # are the cumulative shares of the host's broadcast of each GEMM's B
-# matrix, of the gemm kernel's functional pass and of its
-# multiply-accumulate:
-# `make profile-rows | grep -e '^broadcast-share' -e '^kernel-share' -e '^mac-share'`.
+# matrix, of host marshalling (that broadcast plus gemm.packRows, the
+# A-row encode), of the im2col lowering, of the gemm kernel's functional
+# pass and of its multiply-accumulate:
+# `make profile-rows | grep -e '-share '`.
 profile-rows:
 	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 300x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
-		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
+		| awk '/host\.\(\*System\)\.CopyToSymbolRef$$/ { bc = $$5 + 0; print "broadcast-share host.CopyToSymbolRef cum " $$5 } \
+			/gemm\.packRows( |$$)/ { pk = $$5 + 0 } \
+			/tensor\.im2col$$/ { print "im2col-share tensor.im2col cum " $$5 } \
 			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
-			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
+			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 } \
+			END { printf "marshal-share gemm.packRows+host.CopyToSymbolRef cum %.2f%%\n", pk + bc }'
 
 ci: vet build test race portable bench-smoke sim-invariant report-check reach lines

@@ -173,10 +173,13 @@ func SumBlocks(blocks []CostBlock) *CostBlock {
 // operation counts and subroutine records of all of them — sum, from
 // SumBlocks — land once, on the caller. The statistics are those of
 // every tasklet calling ChargeBlock on its own block, for one walk of
-// the op list instead of one per tasklet.
+// the op list instead of one per tasklet. The launch ends with the
+// caller: with every tasklet's part charged, the tasklets after it are
+// not run (a block kernel's other tasklets have nothing to do).
 func (t *Tasklet) ChargeLaunch(blocks []CostBlock, sum *CostBlock) {
 	for i, u := range t.dpu.scratch.ptrs[:t.count] {
 		u.chargeCycles(&blocks[i])
 	}
 	t.chargeMix(sum)
+	t.dpu.scratch.charged = true
 }

@@ -148,7 +148,8 @@ type DPU struct {
 	// inj, when non-nil, injects deterministic faults into host-side
 	// transfers and launches (see fault.go). Guarded by mu like the
 	// counters below.
-	inj *FaultInjector
+	inj   *FaultInjector
+	armed atomic.Bool // inj != nil, for TransferFault to read without mu
 
 	totalCycles uint64
 	launches    int
@@ -167,6 +168,7 @@ type DPU struct {
 // launchScratch is the reusable tasklet storage of one DPU. breakdown
 // backs Stats.PerTasklet (see its aliasing note).
 type launchScratch struct {
+	charged   bool // set by Tasklet.ChargeLaunch: the rest of the launch is not run
 	tasklets  [MaxTasklets]Tasklet
 	ptrs      [MaxTasklets]*Tasklet
 	breakdown [MaxTasklets]TaskletBreakdown
@@ -215,6 +217,7 @@ func (d *DPU) SetProfile(p *trace.Profile) { d.prof = p }
 func (d *DPU) InjectFaults(in *FaultInjector) {
 	d.mu.Lock()
 	d.inj = in
+	d.armed.Store(in != nil)
 	d.mu.Unlock()
 }
 
@@ -223,6 +226,9 @@ func (d *DPU) InjectFaults(in *FaultInjector) {
 // touching memory; a non-nil return means the transfer must be dropped.
 // Kernel-internal MRAM/WRAM traffic is not gated — only host DMA is.
 func (d *DPU) TransferFault() error {
+	if !d.armed.Load() {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.inj == nil {
@@ -381,22 +387,20 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 	}
 	d.mu.Unlock()
 
-	// Tasklet structs are reset field-by-field rather than by struct
-	// literal: the opCounts array (the bulk of the struct) is kept zero
-	// between launches — cleared in the mix merge below on success, and
-	// explicitly on the error path — so the per-launch reset does not
-	// memclr ~n×250 bytes.
+	// Tasklet structs are not reset by struct literal: their meters and
+	// the opCounts array (the bulk of the struct) are kept zero between
+	// launches — cleared in the merge below on success, and explicitly on
+	// the error path — so a launch neither memclrs ~n×250 bytes nor walks
+	// its tasklets an extra time.
 	tasklets := d.scratch.ptrs[:n]
 	for i, t := range tasklets {
 		t.dpu, t.id, t.count = d, i, n
-		t.slots, t.dma = 0, 0
-		t.dmaBytes, t.dmaOps = 0, 0
-		t.pcSlots, t.pcDMA = 0, 0
 	}
 	if err := d.runTasklets(tasklets, kernel); err != nil {
 		for _, t2 := range tasklets {
 			clear(t2.opCounts[:])
 			t2.nTouched = 0
+			t2.slots, t2.dma, t2.dmaBytes, t2.dmaOps, t2.pcSlots, t2.pcDMA = 0, 0, 0, 0, 0, 0
 		}
 		*out = Stats{}
 		return err
@@ -426,6 +430,7 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		dmaBytes += t.dmaBytes
 		dmaOps += t.dmaOps
 		breakdown[i] = TaskletBreakdown{IssueSlots: t.slots, DMACycles: t.dma}
+		t.slots, t.dma, t.dmaBytes, t.dmaOps, t.pcSlots, t.pcDMA = 0, 0, 0, 0, 0, 0
 	}
 	cycles := PipelineCycles(breakdown)
 
@@ -459,7 +464,8 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 	return nil
 }
 
-// runTasklets executes the launch's tasklets in ID order, converting
+// runTasklets executes the launch's tasklets in ID order, up to the
+// one that charges the whole launch (Tasklet.ChargeLaunch), converting
 // memory traps (panics of type trapError raised by out-of-bounds or
 // misaligned accesses) into errors, the way a hardware fault would abort
 // the DPU program. One recover scope covers the whole launch — a trap
@@ -476,10 +482,11 @@ func (d *DPU) runTasklets(tasklets []*Tasklet, kernel KernelFunc) (err error) {
 			panic(r)
 		}
 	}()
-	for i, t := range tasklets {
+	d.scratch.charged = false
+	for i := 0; i < len(tasklets) && !d.scratch.charged; i++ {
 		cur = i
-		if e := kernel(t); e != nil {
-			return fmt.Errorf("dpu: tasklet %d: %w", t.id, e)
+		if e := kernel(tasklets[i]); e != nil {
+			return fmt.Errorf("dpu: tasklet %d: %w", i, e)
 		}
 	}
 	return nil

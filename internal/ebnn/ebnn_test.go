@@ -1,6 +1,8 @@
 package ebnn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,6 +36,40 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(mnist.Dataset{}, DefaultTrainConfig()); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// TestTrainBitIdentical pins the trained readout: FNV-64a over the
+// little-endian float32 bits of Weights, then Bias. Any change to the
+// order or set of float32 operations in Train moves these hashes.
+func TestTrainBitIdentical(t *testing.T) {
+	for _, tt := range []struct {
+		seed int64
+		want uint64
+	}{
+		{1, 0x6ff9fa08ecdcd794}, {2, 0x36edbf1258fc1504}, {7, 0xbcd3ecd14f1be9a3},
+	} {
+		m, err := Train(mnist.Load(400, 256, tt.seed), DefaultTrainConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var w [4]byte
+		put := func(v float32) {
+			binary.LittleEndian.PutUint32(w[:], math.Float32bits(v))
+			h.Write(w[:])
+		}
+		for _, row := range m.Weights {
+			for _, v := range row {
+				put(v)
+			}
+		}
+		for _, v := range m.Bias {
+			put(v)
+		}
+		if got := h.Sum64(); got != tt.want {
+			t.Errorf("seed %d: model hash %016x, want %016x", tt.seed, got, tt.want)
+		}
 	}
 }
 

@@ -324,10 +324,15 @@ func Train(ds mnist.Dataset, cfg TrainConfig) (*Model, error) {
 		}
 	}
 
-	// Softmax readout on binary features.
-	features := make([][]byte, len(ds.Train))
+	// Softmax readout on binary features, held as ascending lists of set
+	// indices: the same float32 terms as Logits, in the same order.
+	active := make([][]int32, len(ds.Train))
 	for i := range ds.Train {
-		features[i] = m.Features(&ds.Train[i])
+		for j, b := range m.Features(&ds.Train[i]) {
+			if b != 0 {
+				active[i] = append(active[i], int32(j))
+			}
+		}
 	}
 	dim := m.FeatureLen()
 	m.Weights = make([][]float32, mnist.NumClasses)
@@ -337,11 +342,19 @@ func Train(ds mnist.Dataset, cfg TrainConfig) (*Model, error) {
 	m.Bias = make([]float32, mnist.NumClasses)
 
 	order := rng.Perm(len(ds.Train))
+	logits := make([]float32, mnist.NumClasses)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
-			x := features[idx]
-			probs := Softmax(m.Logits(x))
+			x := active[idx]
+			for c := range logits {
+				s, w := m.Bias[c], m.Weights[c]
+				for _, i := range x {
+					s += w[i]
+				}
+				logits[c] = s
+			}
+			probs := Softmax(logits)
 			for c := 0; c < mnist.NumClasses; c++ {
 				grad := probs[c]
 				if c == ds.Train[idx].Label {
@@ -350,10 +363,8 @@ func Train(ds mnist.Dataset, cfg TrainConfig) (*Model, error) {
 				step := cfg.LearningRate * grad
 				m.Bias[c] -= step
 				w := m.Weights[c]
-				for i, b := range x {
-					if b != 0 {
-						w[i] -= step
-					}
+				for _, i := range x {
+					w[i] -= step
 				}
 			}
 		}

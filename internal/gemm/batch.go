@@ -131,9 +131,7 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 		}
 	}
 	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i int, dst []byte, stride int) {
-		for kk := 0; kk < k; kk++ {
-			tensor.PackLE(dst[kk*stride*2:], bs[i][kk*n:kk*n+n])
-		}
+		packRows(dst, stride*2, bs[i], k, n)
 	}, each)
 }
 
@@ -208,11 +206,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	r.sys.ParallelFor(images, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fill(i, bufs[i], stride)
-			if stride > n {
-				for kk := 0; kk < k; kk++ {
-					clear(bufs[i][(kk*stride+n)*2 : (kk+1)*stride*2])
-				}
-			}
+			clearPadding(bufs[i], k, n, stride)
 		}
 	})
 	// An armed SetWeightLayer makes the whole weight matrix resident:

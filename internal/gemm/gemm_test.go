@@ -1,8 +1,10 @@
 package gemm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +212,61 @@ func TestDPUMatchesReference(t *testing.T) {
 		}
 		if st.DPUsUsed != wantDPUs {
 			t.Errorf("%dx%dx%d: used %d DPUs, want %d", s.m, s.n, s.k, st.DPUsUsed, wantDPUs)
+		}
+	}
+}
+
+// TestMultiplyFillMatchesMultiply: a fill that writes B and dirties the
+// padding columns with 0xEE must leave exactly what Multiply leaves — C,
+// Stats, TransferStats, per-DPU cycles and the B matrix in MRAM — for
+// the tiled and the naive kernel, over shapes with and without padding
+// and with more rows than DPUs.
+func TestMultiplyFillMatchesMultiply(t *testing.T) {
+	shapes := []struct{ m, n, k int }{{3, 30, 7}, {6, 64, 5}, {2, 513, 33}}
+	for _, naive := range []bool{false, true} {
+		cfg := RunnerConfig{MaxK: 64, MaxN: 600, Tasklets: 4, TileCols: 64, Naive: naive}
+		plain, filled := newGEMMRunner(t, 4, cfg), newGEMMRunner(t, 4, cfg)
+		rng := rand.New(rand.NewSource(5))
+		for _, s := range shapes {
+			a, b := randMat(rng, s.m*s.k, 300), randMat(rng, s.k*s.n, 300)
+			want, wst, err := plain.Multiply(s.m, s.n, s.k, 2, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gst, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, func(dst []byte, stride int) {
+				packRows(dst, stride*2, b, s.k, s.n)
+				for kk := 0; kk < s.k; kk++ {
+					for j := 2 * s.n; j < 2*stride; j++ {
+						dst[kk*stride*2+j] = 0xEE
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("naive=%v %dx%dx%d", naive, s.m, s.n, s.k)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gst, wst) {
+				t.Fatalf("%s: C or Stats differ: %+v, want %+v", name, gst, wst)
+			}
+			if gx, wx := filled.sys.TransferStats(), plain.sys.TransferStats(); gx != wx {
+				t.Fatalf("%s: TransferStats %+v, want %+v", name, gx, wx)
+			}
+			bBytes := s.k * pad4(s.n) * 2
+			gb, wb := make([]byte, bBytes), make([]byte, bBytes)
+			for i := 0; i < 4; i++ {
+				if g, w := filled.sys.DPU(i).TotalCycles(), plain.sys.DPU(i).TotalCycles(); g != w {
+					t.Fatalf("%s: DPU %d cycles %d, want %d", name, i, g, w)
+				}
+				if err := filled.sys.DPU(i).CopyFromMRAMRawInto(filled.bOff, gb); err != nil {
+					t.Fatal(err)
+				}
+				if err := plain.sys.DPU(i).CopyFromMRAMRawInto(plain.bOff, wb); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("%s: DPU %d holds a different B matrix", name, i)
+				}
+			}
 		}
 	}
 }

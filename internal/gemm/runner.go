@@ -441,12 +441,12 @@ func decodeAPart(apart []int32, aw []byte, alpha int32) {
 
 // A block kernel is its cost function times one functional pass per DPU:
 // tasklet 0 validates the launch, computes the whole product (flatPass)
-// and charges every tasklet its block of the launch shape's cost; the
-// other tasklets do nothing. The tasklet partition, tileCols and the
-// A-row cache are inputs of the cost function (internal/model) and of
-// flatPass's precondition checks only — nothing executes by tasklet, so
-// host time does not depend on the tasklet count a caller or the planner
-// picks.
+// and charges every tasklet its block of the launch shape's cost, which
+// ends the launch: the other tasklets, with nothing to do, are not run.
+// The tasklet partition, tileCols and the A-row cache are inputs of the
+// cost function (internal/model) and of flatPass's precondition checks
+// only — nothing executes by tasklet, so host time does not depend on
+// the tasklet count a caller or the planner picks.
 func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
 		if t.ID() != 0 {
@@ -544,19 +544,6 @@ func (r *Runner) Kernel() dpu.KernelFunc {
 // DPUsUsed, Cycles, Seconds, and Retries, identical across all runners.
 type Stats = exec.Stats
 
-// stageB packs B into the runner's broadcast buffer at the padded
-// 4-column row stride the kernels expect, zeroing the padding columns.
-func (r *Runner) stageB(n, k int, b []int16) []byte {
-	stride := pad4(n)
-	need := k * stride * 2
-	if cap(r.bStage) < need {
-		r.bStage = make([]byte, need)
-	}
-	buf := r.bStage[:need]
-	packRows(buf, stride*2, b, k, n)
-	return buf
-}
-
 // packRows packs rows rows of k int16 from src into dst as little-endian
 // bytes at a stride of rowBytes, zeroing each row's alignment tail.
 func packRows(dst []byte, rowBytes int, src []int16, rows, k int) {
@@ -564,6 +551,13 @@ func packRows(dst []byte, rowBytes int, src []int16, rows, k int) {
 		row := dst[i*rowBytes : (i+1)*rowBytes]
 		tensor.PackLE(row, src[i*k:(i+1)*k])
 		clear(row[k*2:])
+	}
+}
+
+// clearPadding zeroes columns n..stride of a k-row B matrix staged at stride.
+func clearPadding(b []byte, k, n, stride int) {
+	for kk := 0; stride > n && kk < k; kk++ {
+		clear(b[(kk*stride+n)*2 : (kk+1)*stride*2])
 	}
 }
 
@@ -655,15 +649,25 @@ func (w *mulWorkSet) Decode(slot, shard, i int) {
 
 // Multiply runs C = clamp((alpha·A·B)/32) with A of M×K, B of K×N,
 // distributing one row of A (and one row of C) per DPU as in Fig 4.6.
-// Wave construction, pipelining, and fault recovery are the execution
-// engine's (internal/exec); this method only stages the matrices and
-// adapts them through mulWorkSet.
 func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stats, error) {
+	if err := checkDims(m, n, k, a, b); err != nil {
+		return nil, Stats{}, err
+	}
+	return r.MultiplyFill(m, n, k, alpha, a, func(dst []byte, stride int) { packRows(dst, stride*2, b, k, n) })
+}
+
+// MultiplyFill is Multiply with B written in place by fill(dst, stride):
+// the K×N matrix as little-endian int16 in the broadcast staging buffer,
+// row kk at byte kk*stride*2 (stride >= n; the runner zeroes the padding
+// columns), so a producer such as im2col writes B once. fill runs once,
+// on the caller. Waves, pipelining and fault recovery are the execution
+// engine's (internal/exec); this method stages and adapts the matrices.
+func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst []byte, stride int)) ([]int16, Stats, error) {
 	// Residency is the batch path's: an arm set for this call must not
 	// reach a later batch call.
 	r.residArmed = false
 	var st Stats
-	if err := checkDims(m, n, k, a, b); err != nil {
+	if err := checkA(m, n, k, a); err != nil {
 		return nil, st, err
 	}
 	if k > r.cfg.MaxK || n > r.cfg.MaxN {
@@ -696,18 +700,20 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 
 	c := make([]int16, m*n)
 	rowBytes := (k*2 + 7) &^ 7
-	cBytes := pad4(n) * 2
-	bbuf := r.stageB(n, k, b)
+	stride := pad4(n)
+	r.bStage = growBytes(r.bStage, k*stride*2)
+	fill(r.bStage, stride)
+	clearPadding(r.bStage, k, n, stride)
 	r.encodeParams(n, k, 0, alpha, r.aOff)
 	// A wave carries only its own rows.
-	r.ensureMulStages(min(m, r.sys.NumDPUs()), rowBytes, cBytes)
+	r.ensureMulStages(min(m, r.sys.NumDPUs()), rowBytes, stride*2)
 
 	w := &r.mws
 	w.a, w.c = a, c
 	w.m, w.n, w.k = m, n, k
 	w.rowBytes = rowBytes
 	w.bcasts = append(w.bcasts[:0],
-		exec.Broadcast{Ref: r.refB, Data: bbuf},
+		exec.Broadcast{Ref: r.refB, Data: r.bStage},
 		exec.Broadcast{Ref: r.refParams, Data: r.paramsBuf[:]})
 	if err := r.eng.Run(w, &st); err != nil {
 		return nil, st, err

@@ -367,7 +367,10 @@ func (s *System) finishXfer(op string, perDPU int, errs []error) error {
 // use Pad8 for arbitrary payloads. It is best-effort: every DPU is
 // attempted, and per-DPU failures come back as a *FaultReport. The
 // simulated transfer is charged per DPU reached; the simulator stores an
-// MRAM payload once for all of them where it can (dpu.MRAMBroadcast).
+// MRAM payload once for all of them where it can (dpu.MRAMBroadcast). A
+// WRAM payload is a parameter block of at most a few hundred bytes, so
+// it is written DPU by DPU on the caller: a pool dispatch would cost
+// more than the copies.
 func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error {
 	if err := checkRef(ref, offset, len(data)); err != nil {
 		return err
@@ -376,10 +379,6 @@ func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error
 	errs := s.xferErrSlice(n)
 	if ref.kind == dpu.SymbolMRAM {
 		s.broadcastMRAM(ref.off+offset, data, errs)
-	} else if s.sharded(n) {
-		s.shardErrs(n, errs, func(i int) error {
-			return s.copyToOne(i, ref, offset, data)
-		})
 	} else {
 		for i := 0; i < n; i++ {
 			errs[i] = s.copyToOne(i, ref, offset, data)

@@ -115,8 +115,8 @@ func (n *Network) exec(inputs []*tensor.Tensor, r *gemm.Runner, batch bool) ([]O
 		}
 	}
 	stats := &ForwardStats{}
-	// One im2col patch matrix reused across the single-image GEMM
-	// layers; Multiply and Reference both consume it before returning.
+	// One im2col patch matrix reused across the host-reference GEMM
+	// layers; Reference consumes it before returning.
 	var im2colBuf []int16
 
 	for li := range n.Defs {
@@ -174,11 +174,11 @@ func (n *Network) hostLayer(li int, im *Output) {
 }
 
 // gemmLayer runs layer li's GEMM for every image: im2col, the product,
-// then finishGEMM. The product comes from the host reference (r == nil),
-// Runner.Multiply per image, or one Runner.MultiplyBatchFill for all
-// images, whose callbacks run per image on the runner's worker pool:
-// im2col lowers straight into the scatter staging buffer and the
-// bias/activation pass is fused behind the decode of the image's product.
+// then finishGEMM. The product comes from the host reference (r == nil)
+// over an int16 im2col matrix, or from Runner.MultiplyFill per image or
+// one Runner.MultiplyBatchFill for all images, whose fill lowers im2col
+// straight into the runner's staging bytes; the batch callbacks run per
+// image on the worker pool, with bias/activation fused behind the decode.
 func (n *Network) gemmLayer(li int, imgs []Output, r *gemm.Runner, batch bool, stats *ForwardStats, im2colBuf *[]int16) error {
 	g, a := n.gemms[li], n.Weights[li].W
 	if batch {
@@ -191,15 +191,17 @@ func (n *Network) gemmLayer(li int, imgs []Output, r *gemm.Runner, batch bool, s
 		})
 	}
 	for i := range imgs {
-		b, _, _ := tensor.Im2ColInto(*im2colBuf, imgs[i].Out, g.size, g.stride, g.pad)
-		*im2colBuf = b
 		var c []int16
 		var err error
 		if r == nil {
+			b, _, _ := tensor.Im2ColInto(*im2colBuf, imgs[i].Out, g.size, g.stride, g.pad)
+			*im2colBuf = b
 			c, err = gemm.Reference(g.m, g.cols, g.k, 1, a, b)
 		} else {
 			err = n.onDPUs(r, li, stats, func() (st gemm.Stats, err error) {
-				c, st, err = r.Multiply(g.m, g.cols, g.k, 1, a, b)
+				c, st, err = r.MultiplyFill(g.m, g.cols, g.k, 1, a, func(dst []byte, stride int) {
+					tensor.Im2ColBytes(dst, stride, imgs[i].Out, g.size, g.stride, g.pad)
+				})
 				return st, err
 			})
 		}

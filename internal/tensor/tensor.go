@@ -6,7 +6,10 @@
 // activations flow through conv layers without further rescaling.
 package tensor
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // QShift is the fixed-point scale: values are stored as round(x * 32).
 const QShift = 5
@@ -85,17 +88,8 @@ func Im2ColInto(buf []int16, in *Tensor, size, stride, pad int) (b []int16, k, n
 	} else {
 		b = buf[:k*n]
 	}
-	im2col(patch{w: b}, n, in, size, stride, pad)
+	im2col(b, n, in, size, stride, pad)
 	return b, k, n
-}
-
-// Im2ColBytes writes the im2col matrix into dst as little-endian int16
-// — the form DPU transfers stage — with row r starting at element
-// r*rowStride (rowStride >= N). Columns N..rowStride of a row are left
-// untouched. A caller that scatters the matrix to a DPU lowers straight
-// into its staging buffer and never holds the K×N int16 form.
-func Im2ColBytes(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
-	im2col(patch{b: dst}, rowStride, in, size, stride, pad)
 }
 
 // Im2ColDims returns the im2col matrix shape: K = C·size² rows by
@@ -104,24 +98,53 @@ func Im2ColDims(in *Tensor, size, stride, pad int) (k, n int) {
 	return in.C * size * size, ConvOut(in.H, size, stride, pad) * ConvOut(in.W, size, stride, pad)
 }
 
-// patch is an im2col destination addressed in elements: int16 values
-// (w), or their little-endian bytes (b) when w is nil.
-type patch struct {
-	w []int16
-	b []byte
-}
+// On a little-endian host an int16's memory is its little-endian
+// encoding, the form DPU transfers stage: PackLE and UnpackLE are a copy,
+// and Im2ColBytes lowers into the staging bytes viewed as []int16.
+// Elsewhere packLE, unpackLE and im2colBytesLoop encode through byte
+// stores; they are also the oracle the views are tested against.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-func (p patch) zero(off, n int) {
-	if p.w != nil {
-		clear(p.w[off : off+n])
+// PackLE writes src into d as little-endian int16.
+func PackLE(d []byte, src []int16) {
+	if !littleEndian {
+		packLE(d, src)
 		return
 	}
-	clear(p.b[2*off : 2*(off+n)])
+	copy(d[:2*len(src)], bytesOf(src))
 }
 
-// PackLE writes src into d as little-endian int16 — the layout DPU
-// transfers stage — four elements per store.
-func PackLE(d []byte, src []int16) {
+// UnpackLE is PackLE's inverse: dst[i] is the little-endian int16 at
+// s[2i].
+func UnpackLE(dst []int16, s []byte) {
+	if !littleEndian {
+		unpackLE(dst, s)
+		return
+	}
+	copy(bytesOf(dst), s[:2*len(dst)])
+}
+
+// Im2ColBytes writes the im2col matrix into dst as little-endian int16
+// with row r starting at element r*rowStride (rowStride >= N), leaving
+// columns N..rowStride alone: a caller that transfers the matrix lowers
+// straight into its staging buffer.
+func Im2ColBytes(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
+	p := unsafe.SliceData(dst)
+	if !littleEndian || uintptr(unsafe.Pointer(p))%2 != 0 { // an odd address holds no int16
+		im2colBytesLoop(dst, rowStride, in, size, stride, pad)
+		return
+	}
+	im2col(unsafe.Slice((*int16)(unsafe.Pointer(p)), len(dst)/2), rowStride, in, size, stride, pad)
+}
+
+// bytesOf views v's memory as bytes.
+func bytesOf(v []int16) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 2*len(v))
+}
+
+// packLE writes src into d as little-endian int16, four elements per
+// store.
+func packLE(d []byte, src []int16) {
 	i := 0
 	for ; i+4 <= len(src); i += 4 {
 		binary.LittleEndian.PutUint64(d[2*i:], uint64(uint16(src[i]))|uint64(uint16(src[i+1]))<<16|
@@ -132,9 +155,8 @@ func PackLE(d []byte, src []int16) {
 	}
 }
 
-// UnpackLE is PackLE's inverse: dst[i] is the little-endian int16 at
-// s[2i], four elements per load.
-func UnpackLE(dst []int16, s []byte) {
+// unpackLE is packLE's inverse, four elements per load.
+func unpackLE(dst []int16, s []byte) {
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		v := binary.LittleEndian.Uint64(s[2*i:])
@@ -145,12 +167,21 @@ func UnpackLE(dst []int16, s []byte) {
 	}
 }
 
-// im2col is the one lowering loop behind Im2ColInto and Im2ColBytes.
-// Each kernel tap (c, dy, dx) is one matrix row, written an output row
-// (outW columns) at a time: the taps that fall inside the image are the
-// columns [lo, hi), a strided run of one source row, and the rest are
-// zeros. Only the stores differ between the two forms.
-func im2col(dst patch, rowStride int, in *Tensor, size, stride, pad int) {
+// im2colBytesLoop is Im2ColBytes through the int16 matrix and packLE.
+func im2colBytesLoop(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
+	b, k, n := Im2ColInto(nil, in, size, stride, pad)
+	for r := 0; r < k; r++ {
+		packLE(dst[2*r*rowStride:], b[r*n:(r+1)*n])
+	}
+}
+
+// im2col is the one lowering loop behind Im2ColInto and Im2ColBytes,
+// writing row r of the matrix at dst[r*rowStride:] and leaving columns
+// N..rowStride alone. Each kernel tap (c, dy, dx) is one matrix row,
+// written an output row (outW columns) at a time: the taps that fall
+// inside the image are the columns [lo, hi), a strided run of one source
+// row, and the rest are zeros.
+func im2col(dst []int16, rowStride int, in *Tensor, size, stride, pad int) {
 	outH := ConvOut(in.H, size, stride, pad)
 	outW := ConvOut(in.W, size, stride, pad)
 	row := 0
@@ -167,40 +198,27 @@ func im2col(dst patch, rowStride int, in *Tensor, size, stride, pad int) {
 				for oy := 0; oy < outH; oy++ {
 					iy := oy*stride + dy - pad
 					off := row*rowStride + oy*outW
+					d := dst[off : off+outW]
 					if iy < 0 || iy >= in.H {
-						dst.zero(off, outW)
+						clear(d)
 						continue
 					}
 					src := in.Data[(c*in.H+iy)*in.W : (c*in.H+iy+1)*in.W]
-					if dst.w != nil {
-						d := dst.w[off : off+outW]
-						// The edges are a tap or two wide: plain loops beat a
-						// clear call here.
-						for i := 0; i < lo; i++ {
-							d[i] = 0
-						}
-						if stride == 1 {
-							copy(d[lo:hi], src[lo+base:])
-						} else {
-							for ox := lo; ox < hi; ox++ {
-								d[ox] = src[ox*stride+base]
-							}
-						}
-						for i := hi; i < outW; i++ {
-							d[i] = 0
-						}
-						continue
+					// The edges are a tap or two wide: plain loops beat a
+					// clear call here.
+					for i := 0; i < lo; i++ {
+						d[i] = 0
 					}
-					d := dst.b[2*off : 2*(off+outW)]
-					clear(d[:2*lo])
 					if stride == 1 {
-						PackLE(d[2*lo:], src[lo+base:hi+base])
+						copy(d[lo:hi], src[lo+base:])
 					} else {
 						for ox := lo; ox < hi; ox++ {
-							binary.LittleEndian.PutUint16(d[2*ox:], uint16(src[ox*stride+base]))
+							d[ox] = src[ox*stride+base]
 						}
 					}
-					clear(d[2*hi:])
+					for i := hi; i < outW; i++ {
+						d[i] = 0
+					}
 				}
 				row++
 			}

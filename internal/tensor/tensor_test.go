@@ -104,12 +104,17 @@ func TestIm2ColStrideNoPad(t *testing.T) {
 // (oy*stride+dy-pad, ox*stride+dx-pad), zero outside the image): the
 // int16 matrix, and the staged form — the same matrix as little-endian
 // int16 at a padded row stride, negative values and all, with the
-// padding columns left alone. The buffer Im2ColInto reuses is dirty, so
-// a zero it fails to write shows.
+// padding columns left alone — from Im2ColBytes and from the loop
+// oracle, into a buffer that starts at an even and at an odd address.
+// The buffer Im2ColInto reuses is dirty, so a zero it fails to write
+// shows.
 func TestIm2ColForms(t *testing.T) {
 	in := New(2, 5, 7)
 	for i := range in.Data {
 		in.Data[i] = int16(i*37%1001 - 500)
+	}
+	staged := map[string]func([]byte, int, *Tensor, int, int, int){
+		"native": Im2ColBytes, "loops": im2colBytesLoop,
 	}
 	for _, c := range []struct{ size, stride, pad int }{
 		{3, 1, 1}, {1, 1, 0}, {3, 2, 1}, {2, 2, 0}, {5, 1, 2}, {3, 4, 0}, {5, 3, 2},
@@ -145,21 +150,26 @@ func TestIm2ColForms(t *testing.T) {
 			}
 		}
 		rowStride := n + 3
-		dst := make([]byte, k*rowStride*2)
-		for i := range dst {
-			dst[i] = 0xEE
-		}
-		Im2ColBytes(dst, rowStride, in, c.size, c.stride, c.pad)
-		for r := 0; r < k; r++ {
-			for j := 0; j < rowStride; j++ {
-				at := (r*rowStride + j) * 2
-				got := int16(uint16(dst[at]) | uint16(dst[at+1])<<8)
-				if j >= n {
-					if dst[at] != 0xEE || dst[at+1] != 0xEE {
-						t.Fatalf("%+v: padding column (%d,%d) overwritten", c, r, j)
+		for name, fn := range staged {
+			for _, skew := range []int{0, 1} {
+				dst := make([]byte, k*rowStride*2+skew)
+				for i := range dst {
+					dst[i] = 0xEE
+				}
+				dst = dst[skew:]
+				fn(dst, rowStride, in, c.size, c.stride, c.pad)
+				for r := 0; r < k; r++ {
+					for j := 0; j < rowStride; j++ {
+						at := (r*rowStride + j) * 2
+						got := int16(uint16(dst[at]) | uint16(dst[at+1])<<8)
+						if j >= n {
+							if dst[at] != 0xEE || dst[at+1] != 0xEE {
+								t.Fatalf("%+v %s skew %d: padding column (%d,%d) overwritten", c, name, skew, r, j)
+							}
+						} else if got != want[r*n+j] {
+							t.Fatalf("%+v %s skew %d: staged element (%d,%d) = %d, want %d", c, name, skew, r, j, got, want[r*n+j])
+						}
 					}
-				} else if got != want[r*n+j] {
-					t.Fatalf("%+v: staged element (%d,%d) = %d, want %d", c, r, j, got, want[r*n+j])
 				}
 			}
 		}
@@ -167,29 +177,38 @@ func TestIm2ColForms(t *testing.T) {
 }
 
 // UnpackLE inverts PackLE at every length around the four-lane grouping,
-// extreme values included, and neither touches bytes or elements past
-// the source's length.
+// extreme values included, natively and through the loop oracle, with
+// the byte form at an even and at an odd address; neither touches bytes
+// or elements past the source's length.
 func TestPackUnpackLE(t *testing.T) {
 	vals := []int16{-32768, 32767, -1, 0, 1, 0x1234, -0x1234, 255, -256, 7, -7}
-	for n := 0; n <= len(vals); n++ {
-		raw := make([]byte, 2*n+2)
-		raw[2*n], raw[2*n+1] = 0xAA, 0xAA
-		PackLE(raw, vals[:n])
-		for i, v := range vals[:n] {
-			if got := int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8); got != v {
-				t.Fatalf("n=%d: PackLE lane %d = %d, want %d", n, i, got, v)
+	for _, impl := range []struct {
+		name   string
+		pack   func([]byte, []int16)
+		unpack func([]int16, []byte)
+	}{{"native", PackLE, UnpackLE}, {"loops", packLE, unpackLE}} {
+		for _, skew := range []int{0, 1} {
+			for n := 0; n <= len(vals); n++ {
+				raw := make([]byte, 2*n+2+skew)[skew:]
+				raw[2*n], raw[2*n+1] = 0xAA, 0xAA
+				impl.pack(raw, vals[:n])
+				for i, v := range vals[:n] {
+					if got := int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8); got != v {
+						t.Fatalf("%s skew %d n=%d: pack lane %d = %d, want %d", impl.name, skew, n, i, got, v)
+					}
+				}
+				got := make([]int16, n+1)
+				got[n] = 99
+				impl.unpack(got[:n], raw)
+				for i, v := range vals[:n] {
+					if got[i] != v {
+						t.Fatalf("%s skew %d n=%d: unpack lane %d = %d, want %d", impl.name, skew, n, i, got[i], v)
+					}
+				}
+				if raw[2*n] != 0xAA || raw[2*n+1] != 0xAA || got[n] != 99 {
+					t.Fatalf("%s skew %d n=%d: wrote past the source's length", impl.name, skew, n)
+				}
 			}
-		}
-		got := make([]int16, n+1)
-		got[n] = 99
-		UnpackLE(got[:n], raw)
-		for i, v := range vals[:n] {
-			if got[i] != v {
-				t.Fatalf("n=%d: UnpackLE lane %d = %d, want %d", n, i, got[i], v)
-			}
-		}
-		if raw[2*n] != 0xAA || raw[2*n+1] != 0xAA || got[n] != 99 {
-			t.Fatalf("n=%d: wrote past the source's length", n)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Regression guard for host wall-clock growing with the tasklet count.
 // A block kernel is one functional pass per DPU and one launch-wide
 // charge, both run by tasklet 0, so the only per-tasklet host work left
-// in a launch is the DPU's own bookkeeping (resetting and merging a
-// tasklet's meters, one no-op kernel call): modelled cycles fall as
+// in a launch is the DPU's own bookkeeping (charging, merging and
+// zeroing a tasklet's meters): modelled cycles fall as
 // tasklets are added and host time must not rise with them. Measured on
 // 2 cores (go1.24), fastest single forward relative to 1 tasklet —
 // Forward (row kernel, 472 launches of one C row each, the worst case
