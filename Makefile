@@ -97,9 +97,10 @@ bench:
 
 # Non-test Go lines (and assembly: *.s is code) per package and in total,
 # bench/ excluded, then the test lines (*_test.go, bench/ excluded; the
-# ROADMAP gate is test lines <= non-test lines) and the number of
-# tracked files: run it at the parent commit and at the change to report
-# a PR's net deltas. Report-only.
+# ROADMAP gate is test lines <= non-test lines), the number of func
+# Test*/Fuzz* in those files and the number of tracked files: run it at
+# the parent commit and at the change to report a PR's net deltas.
+# Report-only.
 lines:
 	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 wc -l \
@@ -107,7 +108,8 @@ lines:
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
 	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 cat | wc -l | awk '{ printf "%7d test lines\n", $$1 }'
+		| xargs -0 cat | awk '/^func (Test|Fuzz)/ { f++ } \
+			END { printf "%7d test lines\n%7d test functions\n", NR, f }'
 	@git ls-files 2>/dev/null | wc -l | awk '{ printf "%7d tracked files\n", $$1 }'
 
 # Every top-level func in a non-test file under internal/ that no main

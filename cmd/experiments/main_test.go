@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"pimdnn/internal/dpu"
@@ -74,9 +76,14 @@ func faultReport(t *testing.T, mode host.PipelineMode, traced bool) (string, map
 	return string(out), slices, dispatch
 }
 
+// deadColumn matches the F1 table's "dead DPUs" cells ("| 2/8 |"):
+// each armed System's len(DeadDPUs()).
+var deadColumn = regexp.MustCompile(`\| (\d+)/\d+ \|`)
+
 // TestTraceOut: -trace-out records the engine's dispatch spans under
 // every System root at both depths — the same wave spans at each, depth
-// 2 adding one q.wave per wave — and never changes the report.
+// 2 adding one q.wave per wave — plus one dpu_down span per DPU the
+// armed Systems lost, and never changes the report.
 func TestTraceOut(t *testing.T) {
 	waves := map[host.PipelineMode]int{}
 	for _, mode := range []host.PipelineMode{host.PipelineOff, host.PipelineOn} {
@@ -103,9 +110,41 @@ func TestTraceOut(t *testing.T) {
 				t.Errorf("mode %d: System root %d holds no dispatch span", mode, i)
 			}
 		}
+		dead := 0
+		for _, m := range deadColumn.FindAllStringSubmatch(out, -1) {
+			n, _ := strconv.Atoi(m[1])
+			dead += n
+		}
+		if dead == 0 || slices["dpu_down"] != dead {
+			t.Errorf("mode %d: %d dpu_down spans, want one per dead DPU (%d)", mode, slices["dpu_down"], dead)
+		}
 		waves[mode] = slices["wave"]
 	}
 	if waves[host.PipelineOff] != waves[host.PipelineOn] {
 		t.Errorf("wave spans: %d at depth 1, %d at depth 2", waves[host.PipelineOff], waves[host.PipelineOn])
+	}
+}
+
+// TestParseFaultPlan: -faults accepts exactly the plans dpu.FaultPlan
+// can act on. Probabilities and the dead fraction lie in [0, 1] (NaN
+// and the infinities are out) and the launch count is not negative;
+// anything else is an error, not a plan that injects nothing.
+func TestParseFaultPlan(t *testing.T) {
+	for in, want := range map[string]dpu.FaultPlan{
+		"":                                  {},
+		"dead=0.3,after=1,seed=1":           {Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1},
+		"transfer=0,trap=1, dead=1,after=0": {TrapProb: 1, DeadFrac: 1},
+	} {
+		if got, err := parseFaultPlan(in); err != nil || got != want {
+			t.Errorf("parseFaultPlan(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		"transfer=NaN", "trap=-0.1", "dead=1.5", "transfer=+Inf", "trap=-Inf",
+		"after=-1", "dead=x", "seed", "speed=1",
+	} {
+		if got, err := parseFaultPlan(in); err == nil {
+			t.Errorf("parseFaultPlan(%q) = %+v, want an error", in, got)
+		}
 	}
 }

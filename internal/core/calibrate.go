@@ -162,7 +162,7 @@ func Calibrate(opts CalibrateOptions) (*CalibrationReport, error) {
 		images := ds.Train[:96]
 		p := plan.New(acc.System())
 		mp := ebnn.PlanMapping(p, m, true, len(images))
-		r, err := ebnn.NewRunnerMapped(acc.System(), m, true, mp)
+		r, err := ebnn.NewRunner(acc.System(), m, true, mp.Tasklets)
 		if err != nil {
 			return nil, err
 		}

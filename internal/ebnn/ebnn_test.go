@@ -4,22 +4,42 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"pimdnn/internal/mnist"
 )
 
-func trainSmall(t *testing.T) (*Model, mnist.Dataset) {
-	t.Helper()
-	ds := mnist.Load(500, 100, 11)
-	cfg := DefaultTrainConfig()
-	m, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	return m, ds
+// trained is a model with the dataset it was trained on.
+type trained struct {
+	m  *Model
+	ds mnist.Dataset
 }
+
+// trainOnce memoizes a default-config training for the given epochs on
+// mnist.Load(train, test, seed): Train is deterministic and no test
+// mutates a trained model or its dataset, so the tests that share one
+// train it once per test binary.
+func trainOnce(train, test int, seed int64, epochs int) func(*testing.T) (*Model, mnist.Dataset) {
+	once := sync.OnceValues(func() (trained, error) {
+		ds := mnist.Load(train, test, seed)
+		cfg := DefaultTrainConfig()
+		cfg.Epochs = epochs
+		m, err := Train(ds, cfg)
+		return trained{m, ds}, err
+	})
+	return func(t *testing.T) (*Model, mnist.Dataset) {
+		t.Helper()
+		tr, err := once()
+		if err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		return tr.m, tr.ds
+	}
+}
+
+var trainSmall = trainOnce(500, 100, 11, DefaultTrainConfig().Epochs)
 
 func TestTrainValidation(t *testing.T) {
 	ds := mnist.Load(10, 5, 1)

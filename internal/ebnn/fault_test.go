@@ -6,7 +6,6 @@ import (
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
-	"pimdnn/internal/mnist"
 )
 
 // TestInferFaultRecovery: a DPU dying between inference waves must not
@@ -16,13 +15,7 @@ import (
 // the array); DeadAfterLaunches 1 lets it finish the first wave before
 // dying mid-run.
 func TestInferFaultRecovery(t *testing.T) {
-	ds := mnist.Load(260, 16, 41)
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 4
-	m, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ds := trainForKernel(t)
 	// 128 images on 4 DPUs = two full waves of 16-image batches.
 	images := ds.Train[:128]
 
@@ -30,6 +23,7 @@ func TestInferFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer clean.Close()
 	rClean, err := NewRunner(clean, m, true, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +46,7 @@ func TestInferFaultRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer sys.Close()
 			r, err := NewRunner(sys, m, true, 16)
 			if err != nil {
 				t.Fatal(err)
@@ -77,53 +72,5 @@ func TestInferFaultRecovery(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestInferTransientFaults: recoverable transfer and trap faults leave
-// every DPU alive; retried batches still classify identically.
-func TestInferTransientFaults(t *testing.T) {
-	ds := mnist.Load(220, 16, 42)
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 4
-	m, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := ds.Train[:96]
-
-	clean, err := host.NewSystem(3, host.DefaultConfig(dpu.O0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rClean, err := NewRunner(clean, m, true, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := rClean.Infer(images)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys, err := host.NewSystem(3, host.DefaultConfig(dpu.O0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(sys, m, true, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.InjectFaults(dpu.FaultPlan{Seed: 3, TransferProb: 0.1, TrapProb: 0.08})
-	got, st, err := r.Infer(images)
-	if err != nil {
-		t.Fatalf("Infer under transient faults: %v", err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("image %d: predicted %d, fault-free run predicted %d", i, got[i], want[i])
-		}
-	}
-	if st.Retries == 0 {
-		t.Error("transient plan produced no re-dispatches at these rates")
 	}
 }

@@ -204,8 +204,8 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 }
 
 // Configure re-applies the unified execution-engine configuration
-// (dispatch depth, structured event log; see internal/exec and DESIGN.md,
-// "Execution engine"). Call it between Infer calls only. Results and
+// (the dispatch depth; see internal/exec and DESIGN.md, "Execution
+// engine"). Call it between Infer calls only. Results and
 // simulated-time accounting are identical in both pipeline modes;
 // pipelining overlaps host pack/classify wall-clock time with the wave
 // in flight.

@@ -5,20 +5,9 @@ import (
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/host"
-	"pimdnn/internal/mnist"
 )
 
-func trainForKernel(t *testing.T) (*Model, mnist.Dataset) {
-	t.Helper()
-	ds := mnist.Load(200, 40, 21)
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 10
-	m, err := Train(ds, cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	return m, ds
-}
+var trainForKernel = trainOnce(200, 40, 21, 10)
 
 func newRunner(t *testing.T, nDPU int, m *Model, useLUT bool, tasklets int) *Runner {
 	t.Helper()

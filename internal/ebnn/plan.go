@@ -32,21 +32,16 @@ func PlanMapping(p *plan.Planner, m *Model, useLUT bool, images int) plan.Mappin
 	return p.EBNN(CostShape(m.F, useLUT), images, BatchSize)
 }
 
-// NewRunnerMapped deploys the model with a planner-produced mapping:
-// the mapping's tasklet count replaces the hand-tuned constant
-// (plan.FixedEBNNTasklets) the fixed path pins.
-func NewRunnerMapped(sys *host.System, m *Model, useLUT bool, mp plan.Mapping) (*Runner, error) {
-	return NewRunner(sys, m, useLUT, mp.Tasklets)
-}
-
 // NewPlannedRunner plans the mapping against the system's topology (for
-// full per-DPU batches — the steady-state shape) and deploys with it.
-// A nil planner plans against sys directly.
+// full per-DPU batches — the steady-state shape) and deploys with it:
+// the mapping's tasklet count replaces the hand-tuned constant
+// (plan.FixedEBNNTasklets) the fixed path pins. A nil planner plans
+// against sys directly.
 func NewPlannedRunner(sys *host.System, m *Model, useLUT bool, p *plan.Planner) (*Runner, plan.Mapping, error) {
 	if p == nil {
 		p = plan.New(sys)
 	}
 	mp := PlanMapping(p, m, useLUT, BatchSize*sys.NumDPUs())
-	r, err := NewRunnerMapped(sys, m, useLUT, mp)
+	r, err := NewRunner(sys, m, useLUT, mp.Tasklets)
 	return r, mp, err
 }

@@ -26,7 +26,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -42,10 +41,6 @@ type Config struct {
 	// caller before the next is encoded). Results and simulated
 	// accounting are identical at both depths.
 	Pipeline host.PipelineMode
-	// Events, when non-nil, receives structured dispatch events (runs,
-	// waves, DPUs marked down) with layer/wave/dpu attributes — the
-	// JSONL event log. Nil disables event logging entirely.
-	Events *slog.Logger
 }
 
 // Stats describes one dispatched work set — the single accounting
@@ -179,11 +174,10 @@ type Engine struct {
 	pipe bool
 
 	// Telemetry: instruments resolved from the System's registry at
-	// Configure time, the optional structured event logger, and the
-	// current per-layer scope label (metrics.go). All nil/empty when
-	// telemetry is off; dispatch results never depend on them.
+	// Configure time and the current per-layer scope label (metrics.go).
+	// Nil/empty when telemetry is off; dispatch results never depend on
+	// them.
 	met   *engineMetrics
-	ev    *slog.Logger
 	scope string
 
 	// Request tracing (trace.go): the span dispatches attach their
@@ -241,7 +235,7 @@ func (e *Engine) perDPUBuf(n int) []dpu.Stats {
 // slot's staging buffers from Encode until flush has decoded it.
 type waveSlot struct {
 	idx      int // staging-slot index handed to the workset
-	seq      int // engine-global wave number (trace spans, event log)
+	seq      int // engine-global wave number (trace spans)
 	start, n int
 	stats    host.LaunchStats
 	pushes   []Stream  // extra-stream pushes not yet run, in issue order
@@ -270,7 +264,6 @@ func New(sys *host.System, cfg Config) *Engine {
 // dispatches only, never while a run is in flight.
 func (e *Engine) Configure(cfg Config) {
 	e.pipe = cfg.Pipeline.Enabled()
-	e.ev = cfg.Events
 	if reg := e.sys.MetricsRegistry(); reg != nil {
 		e.met = newEngineMetrics(reg)
 	} else {
@@ -289,15 +282,23 @@ func (e *Engine) Down(i int) bool { return e.down[i] }
 func (e *Engine) NumDown() int { return e.nDown }
 
 // markDown removes DPU i from the re-dispatch target pool for the rest
-// of the engine's life.
+// of the engine's life. Under a request span it records a zero-length
+// "dpu_down" child naming the DPU and the new down count.
 func (e *Engine) markDown(i int) {
-	if !e.down[i] {
-		e.down[i] = true
-		e.nDown++
-		if e.met != nil {
-			e.met.down.Set(int64(e.nDown))
-		}
-		e.eventDown(i)
+	if e.down[i] {
+		return
+	}
+	e.down[i] = true
+	e.nDown++
+	if e.met != nil {
+		e.met.down.Set(int64(e.nDown))
+	}
+	if e.tsp != nil {
+		now := time.Now()
+		c := e.tsp.StartChildAt("dpu_down", now)
+		c.SetAttr("dpu", int64(i))
+		c.SetAttr("down_dpus", int64(e.nDown))
+		c.EndAt(now)
 	}
 }
 
@@ -635,8 +636,8 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 		_ = e.join()
 		e.slots[0].busy, e.slots[1].busy = false, false
 	}
-	if e.met != nil || e.ev != nil {
-		e.account(pre, st, err)
+	if e.met != nil {
+		e.account(pre, st)
 	}
 	return err
 }
@@ -752,7 +753,6 @@ func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
 		e.tspLS, e.tspLSOK = sl.stats, true
 	}
 	t1 := e.span("wave", sl.seq, sl.n, sl.t0)
-	e.eventWave(sl.seq, sl.n)
 	streams := ws.Scatter(sl.idx, sl.n)
 	g := ws.Gather(sl.idx, sl.n)
 	retried := false

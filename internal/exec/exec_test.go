@@ -10,6 +10,7 @@ import (
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
+	"pimdnn/internal/metrics"
 	"pimdnn/internal/trace"
 )
 
@@ -470,15 +471,19 @@ type runOutcome struct {
 // first's down set — over the shapes where the two dispatch paths used
 // to account differently (a partial single wave on a sharded system, a
 // partial last wave, a WidthLimiter cap, a second scatter stream), at
-// both dispatch depths, under each fault class, at GOMAXPROCS 1, 2 and
-// 4. Outputs, exec.Stats, per-DPU cycles, all of TransferStats, the DPU
-// clock and the down count must equal the depth-1/GOMAXPROCS=1 row.
+// both dispatch depths, under each fault class and an armed zero plan,
+// with each telemetry, at GOMAXPROCS 1, 2 and 4. Outputs, exec.Stats,
+// per-DPU cycles, all of TransferStats, the DPU clock and the down count
+// must equal the depth-1/telemetry-off/GOMAXPROCS=1 row; shards are
+// re-dispatched exactly when the plan injects something; and the zero
+// plan's row must equal the clean one.
 //
 // One cell is weaker by construction. Depth 2 issues wave w+1 before
 // wave w's re-dispatches, so under a probabilistic plan a multi-wave
 // run consumes each DPU's fault stream in a different order than depth
 // 1 does and fails different operations. There the outputs must still
-// match depth 1 and everything must match depth 2 at GOMAXPROCS=1.
+// match depth 1 and everything must match depth 2's telemetry-off row
+// at GOMAXPROCS=1.
 func TestRunInvariance(t *testing.T) {
 	shapes := []struct {
 		name       string
@@ -496,40 +501,52 @@ func TestRunInvariance(t *testing.T) {
 		probabilistic bool
 	}{
 		{"clean", nil, false},
+		{"zero", &dpu.FaultPlan{}, false},
 		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}, false},
 		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1}, false},
 		{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.2}, true},
 	}
 	modes := []host.PipelineMode{host.PipelineOff, host.PipelineOn}
+	clean := map[string]runOutcome{}
 	for _, sh := range shapes {
 		for _, fc := range faults {
 			t.Run(sh.name+"/"+fc.name, func(t *testing.T) {
 				var base runOutcome
 				for depth, mode := range modes {
 					var first runOutcome
-					for _, procs := range []int{1, 2, 4} {
-						got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, mode)
-						if procs == 1 {
-							first = got
-						}
-						if depth == 0 && procs == 1 {
-							base = got
-							if (fc.plan != nil) != (got.Stats.Retries > 0) {
-								t.Errorf("fault plan %v but %d re-dispatches", fc.plan != nil, got.Stats.Retries)
+					for _, tel := range telemetries {
+						for _, procs := range []int{1, 2, 4} {
+							got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, mode, tel)
+							if tel == "off" && procs == 1 {
+								first = got
+								if depth == 0 {
+									base = got
+									if injects(fc.plan) != (got.Stats.Retries > 0) {
+										t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
+									}
+									continue
+								}
 							}
-							continue
-						}
-						want := base
-						if fc.probabilistic && depth == 1 && got.Stats.Waves > 2 {
-							if !reflect.DeepEqual(got.Got, base.Got) {
-								t.Errorf("depth %d GOMAXPROCS=%d: outputs diverge from depth 1", depth+1, procs)
+							want := base
+							if fc.probabilistic && depth == 1 && got.Stats.Waves > 2 {
+								if !reflect.DeepEqual(got.Got, base.Got) {
+									t.Errorf("depth %d %s GOMAXPROCS=%d: outputs diverge from depth 1", depth+1, tel, procs)
+								}
+								want = first
 							}
-							want = first
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("depth %d telemetry %s GOMAXPROCS=%d diverges:\n got %s\nwant %s",
+									depth+1, tel, procs, got.summary(), want.summary())
+							}
 						}
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("depth %d GOMAXPROCS=%d diverges:\n got %s\nwant %s",
-								depth+1, procs, got.summary(), want.summary())
-						}
+					}
+				}
+				switch fc.name {
+				case "clean":
+					clean[sh.name] = base
+				case "zero":
+					if !reflect.DeepEqual(base, clean[sh.name]) {
+						t.Errorf("armed zero plan diverges from clean:\n got %s\nwant %s", base.summary(), clean[sh.name].summary())
 					}
 				}
 			})
@@ -537,11 +554,32 @@ func TestRunInvariance(t *testing.T) {
 	}
 }
 
+// telemetries is the observation axis of the invariance tables: nothing
+// wired, a metrics registry wired before exec.New, or a request span
+// installed on the engine.
+var telemetries = []string{"off", "metrics", "tracing"}
+
+// newEngine builds the engine an invariance row dispatches through,
+// with tel's telemetry wired.
+func newEngine(sys *host.System, mode host.PipelineMode, tel string) *exec.Engine {
+	if tel == "metrics" {
+		sys.EnableMetrics(metrics.NewRegistry())
+	}
+	eng := exec.New(sys, exec.Config{Pipeline: mode})
+	if tel == "tracing" {
+		eng.SetTraceSpan(trace.NewTracer(trace.TracerConfig{}).StartTrace("run"))
+	}
+	return eng
+}
+
+// injects reports whether plan is armed and not the zero plan.
+func injects(plan *dpu.FaultPlan) bool { return plan != nil && !plan.Zero() }
+
 func (o runOutcome) summary() string {
 	return summarize(streamOutcome{Stats: o.Stats, DPUCycles: o.DPUCycles, Xfer: o.Xfer, DPUTime: o.DPUTime, Down: o.Down})
 }
 
-func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, mode host.PipelineMode) runOutcome {
+func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, mode host.PipelineMode, tel string) runOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	vals := make([]uint32, shards)
@@ -552,7 +590,7 @@ func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.Faul
 	if plan != nil {
 		w.sys.InjectFaults(*plan)
 	}
-	eng := exec.New(w.sys, exec.Config{Pipeline: mode})
+	eng := newEngine(w.sys, mode, tel)
 	want := w.want()
 	var st exec.Stats
 	for run := 1; run <= 2; run++ {

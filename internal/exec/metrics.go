@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"context"
-	"log/slog"
-
-	"pimdnn/internal/metrics"
-)
+import "pimdnn/internal/metrics"
 
 // engineMetrics is the engine's resolved instrument set, built from the
 // host System's registry at Configure time. All instruments are
@@ -76,62 +71,19 @@ func (e *Engine) SetScope(name string) { e.scope = name }
 func (e *Engine) MetricsOn() bool { return e.met != nil }
 
 // account folds one Run/RunStream's Stats delta into the engine's
-// counters, the current layer scope, and the event log. err is the
-// run's outcome (fatal errors are logged, not counted as waves).
-func (e *Engine) account(pre Stats, st *Stats, err error) {
-	dWaves := st.Waves - pre.Waves
-	dRetries := st.Retries - pre.Retries
+// counters and the current layer scope.
+func (e *Engine) account(pre Stats, st *Stats) {
+	m := e.met
+	dWaves := uint64(st.Waves - pre.Waves)
+	dRetries := uint64(st.Retries - pre.Retries)
 	dCycles := st.Cycles - pre.Cycles
-	if m := e.met; m != nil {
-		m.waves.Add(uint64(dWaves))
-		m.retries.Add(uint64(dRetries))
-		m.cycles.Add(dCycles)
-		m.down.Set(int64(e.nDown))
-		if e.scope != "" {
-			m.reg.LabeledCounter("pim_layer_cycles_total", "layer", e.scope).Add(dCycles)
-			m.reg.LabeledCounter("pim_layer_waves_total", "layer", e.scope).Add(uint64(dWaves))
-			m.reg.LabeledCounter("pim_layer_retries_total", "layer", e.scope).Add(uint64(dRetries))
-		}
-	}
-	if e.ev != nil {
-		attrs := make([]slog.Attr, 0, 6)
-		if e.scope != "" {
-			attrs = append(attrs, slog.String("layer", e.scope))
-		}
-		attrs = append(attrs,
-			slog.Int("waves", dWaves),
-			slog.Uint64("cycles", dCycles),
-			slog.Int("retries", dRetries),
-			slog.Int("down_dpus", e.nDown),
-		)
-		if err != nil {
-			attrs = append(attrs, slog.String("error", err.Error()))
-			e.ev.LogAttrs(context.Background(), slog.LevelError, "run", attrs...)
-			return
-		}
-		e.ev.LogAttrs(context.Background(), slog.LevelInfo, "run", attrs...)
-	}
-}
-
-// eventWave logs one completed wave (dispatch phases done, before
-// decode) when an event logger is wired.
-func (e *Engine) eventWave(seq, shards int) {
-	if e.ev == nil {
-		return
-	}
-	attrs := make([]slog.Attr, 0, 3)
+	m.waves.Add(dWaves)
+	m.retries.Add(dRetries)
+	m.cycles.Add(dCycles)
+	m.down.Set(int64(e.nDown))
 	if e.scope != "" {
-		attrs = append(attrs, slog.String("layer", e.scope))
+		m.reg.LabeledCounter("pim_layer_cycles_total", "layer", e.scope).Add(dCycles)
+		m.reg.LabeledCounter("pim_layer_waves_total", "layer", e.scope).Add(dWaves)
+		m.reg.LabeledCounter("pim_layer_retries_total", "layer", e.scope).Add(dRetries)
 	}
-	attrs = append(attrs, slog.Int("wave", seq), slog.Int("shards", shards))
-	e.ev.LogAttrs(context.Background(), slog.LevelDebug, "wave", attrs...)
-}
-
-// eventDown logs one DPU leaving the dispatch pool.
-func (e *Engine) eventDown(i int) {
-	if e.ev == nil {
-		return
-	}
-	e.ev.LogAttrs(context.Background(), slog.LevelWarn, "dpu_down",
-		slog.Int("dpu", i), slog.Int("down_dpus", e.nDown))
 }

@@ -95,8 +95,8 @@ func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 	pre := *st
 	st.Tasklets = ss.Tasklets
 	err := e.runStream(ss, st)
-	if e.met != nil || e.ev != nil {
-		e.account(pre, st, err)
+	if e.met != nil {
+		e.account(pre, st)
 	}
 	return err
 }
@@ -146,7 +146,6 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 
 	err := e.gatherStream(ss, failed, st)
 	e.span("gather", seq, ss.Shards, t2)
-	e.eventWave(seq, ss.Shards)
 	return err
 }
 

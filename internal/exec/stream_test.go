@@ -122,14 +122,17 @@ type streamOutcome struct {
 // TestStreamInvariance runs one toy StreamSet — twice per engine, so
 // the second run starts from the first's down set — at one-rank and
 // two-rank sharded widths, in both dispatch modes, under each fault
-// class, at GOMAXPROCS 1, 2 and 4. Every shard must be delivered
-// exactly once per run with the right bytes, and everything observable
-// (delivered bytes, exec.Stats, per-DPU cycles, all of TransferStats,
-// the DPU clock, the down count) must equal the GOMAXPROCS=1 row: there
-// the gather runs inline on the caller in index order, so equality is
-// the statement that fanning the gather out changes nothing simulated.
-// Run under -race (make ci does) it is also the race gate for Deliver
-// on pool workers.
+// class and an armed zero plan, with each telemetry, at GOMAXPROCS 1, 2
+// and 4. Every shard must be delivered exactly once per run with the
+// right bytes, shards are re-dispatched exactly when the plan injects
+// something, and everything observable (delivered bytes, exec.Stats,
+// per-DPU cycles, all of TransferStats, the DPU clock, the down count)
+// must equal the telemetry-off GOMAXPROCS=1 row: there the gather runs
+// inline on the caller in index order, so equality is the statement
+// that fanning the gather out, or observing it, changes nothing
+// simulated. The zero plan's row must equal the clean one. Run under
+// -race (make ci does) it is also the race gate for Deliver on pool
+// workers.
 func TestStreamInvariance(t *testing.T) {
 	widths := []struct {
 		name string
@@ -144,6 +147,7 @@ func TestStreamInvariance(t *testing.T) {
 		plan *dpu.FaultPlan
 	}{
 		{"clean", nil},
+		{"zero", &dpu.FaultPlan{}},
 		// A quarter of the DPUs die at the wave's launch.
 		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}},
 		// Doomed DPUs outlive the wave's launch: the gather itself
@@ -157,26 +161,34 @@ func TestStreamInvariance(t *testing.T) {
 		mode host.PipelineMode
 	}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}}
 
+	clean := map[string]streamOutcome{}
 	for _, wd := range widths {
 		for _, fc := range faults {
 			for _, md := range modes {
 				t.Run(wd.name+"/"+fc.name+"/"+md.name, func(t *testing.T) {
 					var base streamOutcome
-					for _, procs := range []int{1, 2, 4} {
-						got := runToyStream(t, procs, wd.nd, wd.topo, fc.plan, md.mode)
-						if procs == 1 {
-							base = got
-							if fc.plan == nil && got.Stats.Retries != 0 {
-								t.Errorf("fault-free run recorded %d retries", got.Stats.Retries)
+					for _, tel := range telemetries {
+						for _, procs := range []int{1, 2, 4} {
+							got := runToyStream(t, procs, wd.nd, wd.topo, fc.plan, md.mode, tel)
+							if tel == "off" && procs == 1 {
+								base = got
+								if injects(fc.plan) != (got.Stats.Retries > 0) {
+									t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
+								}
+								continue
 							}
-							if fc.plan != nil && got.Stats.Retries == 0 {
-								t.Error("fault plan injected but no re-dispatches recorded")
+							if !reflect.DeepEqual(got, base) {
+								t.Errorf("telemetry %s GOMAXPROCS=%d diverges from the telemetry-off GOMAXPROCS=1 row:\n got %+v\nwant %+v",
+									tel, procs, summarize(got), summarize(base))
 							}
-							continue
 						}
-						if !reflect.DeepEqual(got, base) {
-							t.Errorf("GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n got %+v\nwant %+v",
-								procs, summarize(got), summarize(base))
+					}
+					switch key := wd.name + "/" + md.name; fc.name {
+					case "clean":
+						clean[key] = base
+					case "zero":
+						if !reflect.DeepEqual(base, clean[key]) {
+							t.Errorf("armed zero plan diverges from clean:\n got %+v\nwant %+v", summarize(base), summarize(clean[key]))
 						}
 					}
 				})
@@ -194,14 +206,14 @@ func summarize(o streamOutcome) string {
 	return fmt.Sprintf("stats=%+v xfer=%+v dpuTime=%v down=%d sumDPUCycles=%d", o.Stats, o.Xfer, o.DPUTime, o.Down, cyc)
 }
 
-func runToyStream(t *testing.T, procs, nd int, topo host.Topology, plan *dpu.FaultPlan, mode host.PipelineMode) streamOutcome {
+func runToyStream(t *testing.T, procs, nd int, topo host.Topology, plan *dpu.FaultPlan, mode host.PipelineMode, tel string) streamOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	ts := newToyStream(t, nd, topo)
 	if plan != nil {
 		ts.sys.InjectFaults(*plan)
 	}
-	eng := exec.New(ts.sys, exec.Config{Pipeline: mode})
+	eng := newEngine(ts.sys, mode, tel)
 	var st exec.Stats
 	for run := 1; run <= 2; run++ {
 		if err := eng.RunStream(&ts.ss, &st); err != nil {

@@ -20,6 +20,19 @@ func randMat(rng *rand.Rand, n int, lim int) []int16 {
 	return out
 }
 
+// pipelineProblem is a deterministic m×k by k×n operand pair.
+func pipelineProblem(m, n, k int) (a, b []int16) {
+	a = make([]int16, m*k)
+	b = make([]int16, k*n)
+	for i := range a {
+		a[i] = int16(i%13 - 6)
+	}
+	for i := range b {
+		b[i] = int16(i%9 - 4)
+	}
+	return a, b
+}
+
 // ReferenceFloat is a float64 GEMM used by tests to sanity-check the
 // fixed-point path on small inputs (before any clamping can trigger).
 func ReferenceFloat(m, n, k int, alpha float64, a, b []float64) ([]float64, error) {

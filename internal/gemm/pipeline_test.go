@@ -8,34 +8,22 @@ import (
 	"pimdnn/internal/host"
 )
 
-// The pipelined (double-buffered, one wave in flight) Multiply must be
-// indistinguishable from the synchronous loop in everything but
-// wall-clock: identical results and identical simulated-time statistics,
-// including on partial final waves and on the naive kernel.
-
-func pipelineProblem(m, n, k int) (a, b []int16) {
-	a = make([]int16, m*k)
-	b = make([]int16, k*n)
-	for i := range a {
-		a[i] = int16(i%13 - 6)
-	}
-	for i := range b {
-		b[i] = int16(i%9 - 4)
-	}
-	return a, b
-}
-
-func runModes(t *testing.T, naive bool, opt dpu.OptLevel, m, n, k int) {
-	t.Helper()
+// TestMultiplyPipelinedMatchesSync: the pipelined (one wave in flight)
+// Multiply must be indistinguishable from the synchronous loop in
+// everything but wall-clock — identical results and identical
+// simulated-time statistics, here on a partial final wave (11 rows on 4
+// DPUs: two full waves plus a 3-row one).
+func TestMultiplyPipelinedMatchesSync(t *testing.T) {
+	const m, n, k = 11, 40, 24
 	a, b := pipelineProblem(m, n, k)
 	run := func(mode host.PipelineMode) ([]int16, Stats) {
-		sys, err := host.NewSystem(4, host.DefaultConfig(opt))
+		sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sys.Close()
 		r, err := NewRunner(sys, RunnerConfig{
-			MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Naive: naive, Exec: exec.Config{Pipeline: mode},
+			MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,15 +44,6 @@ func runModes(t *testing.T, naive bool, opt dpu.OptLevel, m, n, k int) {
 	if stSync != stPipe {
 		t.Errorf("stats diverge: sync %+v, pipelined %+v", stSync, stPipe)
 	}
-}
-
-func TestMultiplyPipelinedMatchesSync(t *testing.T) {
-	// 11 rows on 4 DPUs: two full waves plus a 3-row partial wave.
-	runModes(t, false, dpu.O3, 11, 40, 24)
-}
-
-func TestMultiplyNaivePipelinedMatchesSync(t *testing.T) {
-	runModes(t, true, dpu.O0, 9, 24, 16)
 }
 
 // A multi-call sequence on one pipelined runner: later calls must not

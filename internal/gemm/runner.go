@@ -51,12 +51,11 @@ type RunnerConfig struct {
 	// default (tiled) kernel is the §4.3.4-style improvement that
 	// maximizes WRAM accesses.
 	Naive bool
-	// Exec is the unified execution-engine configuration (dispatch
-	// depth, structured event log) shared with every other runner; see
-	// internal/exec and DESIGN.md, "Execution engine". Results and
-	// simulated accounting are identical at both depths; depth 2 only
-	// overlaps host encode/decode wall-clock time with the wave in
-	// flight.
+	// Exec is the unified execution-engine configuration (the dispatch
+	// depth) shared with every other runner; see internal/exec and
+	// DESIGN.md, "Execution engine". Results and simulated accounting
+	// are identical at both depths; depth 2 only overlaps host
+	// encode/decode wall-clock time with the wave in flight.
 	Exec exec.Config
 	// Planner, when non-nil, re-plans the mapping for every problem
 	// shape Multiply/MultiplyBatchEach sees: the tasklet count (and wave

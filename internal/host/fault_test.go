@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"pimdnn/internal/dpu"
 )
@@ -39,8 +38,9 @@ var matrixModes = []struct {
 
 // TestTransferFaultMatrix: each transfer op (copy_to broadcast,
 // push_xfer scatter, gather, single-DPU copy) under an injected transfer
-// fault and under a dead DPU, in both serial and sharded modes. Every
-// surviving DPU completes, the FaultReport names exactly the armed DPU,
+// fault, under a dead DPU and with the zero plan armed on every DPU, in
+// both serial and sharded modes. Every surviving DPU completes, the
+// FaultReport names exactly the armed DPU (the zero plan fails none),
 // and the transfer clock is charged for exactly the DPUs that moved
 // bytes.
 func TestTransferFaultMatrix(t *testing.T) {
@@ -48,11 +48,13 @@ func TestTransferFaultMatrix(t *testing.T) {
 		name string
 		arm  func(t *testing.T, s *System, idx int)
 		dead bool
+		zero bool
 	}{
 		{"transfer", func(t *testing.T, s *System, idx int) {
 			armOne(s, idx, dpu.FaultPlan{Seed: 1, TransferProb: 1})
-		}, false},
-		{"dead", killDPU, true},
+		}, false, false},
+		{"dead", killDPU, true, false},
+		{"zero", func(t *testing.T, s *System, idx int) { s.InjectFaults(dpu.FaultPlan{}) }, false, true},
 	}
 	const bad = 1
 	const perDPU = 64
@@ -62,9 +64,19 @@ func TestTransferFaultMatrix(t *testing.T) {
 				s, ref := waveSystem(t, mode.n)
 				kind.arm(t, s, bad)
 				data := bytes.Repeat([]byte{0xAB}, perDPU)
+				nOK := mode.n - 1
+				if kind.zero {
+					nOK = mode.n
+				}
 
-				checkReport := func(err error, op string) *FaultReport {
+				checkReport := func(err error, op string) {
 					t.Helper()
+					if kind.zero {
+						if err != nil {
+							t.Fatalf("%s under the zero plan: %v", op, err)
+						}
+						return
+					}
 					rep, ok := AsFaultReport(err)
 					if !ok {
 						t.Fatalf("%s: error %v is not a *FaultReport", op, err)
@@ -85,7 +97,6 @@ func TestTransferFaultMatrix(t *testing.T) {
 					if rep.ErrFor(bad) == nil || rep.ErrFor(0) != nil {
 						t.Errorf("%s: ErrFor(bad)=%v ErrFor(0)=%v", op, rep.ErrFor(bad), rep.ErrFor(0))
 					}
-					return rep
 				}
 				checkCharge := func(op string, before XferStats, nOK int) {
 					t.Helper()
@@ -101,7 +112,7 @@ func TestTransferFaultMatrix(t *testing.T) {
 
 				before := s.TransferStats()
 				checkReport(s.CopyToSymbolRef(ref, 0, data), "copy_to")
-				checkCharge("copy_to", before, mode.n-1)
+				checkCharge("copy_to", before, nOK)
 
 				bufs := make([][]byte, mode.n)
 				for i := range bufs {
@@ -109,7 +120,7 @@ func TestTransferFaultMatrix(t *testing.T) {
 				}
 				before = s.TransferStats()
 				checkReport(s.PushXferRef(ref, 0, bufs), "push_xfer")
-				checkCharge("push_xfer", before, mode.n-1)
+				checkCharge("push_xfer", before, nOK)
 
 				dst := make([][]byte, mode.n)
 				for i := range dst {
@@ -117,12 +128,12 @@ func TestTransferFaultMatrix(t *testing.T) {
 				}
 				before = s.TransferStats()
 				checkReport(s.GatherXferRefInto(ref, 0, perDPU, dst), "gather")
-				checkCharge("gather", before, mode.n-1)
+				checkCharge("gather", before, nOK)
 				// Surviving DPUs round-tripped their scatter payload; the
 				// armed DPU's destination buffer is untouched.
 				for i := range dst {
 					want := bufs[i]
-					if i == bad {
+					if i == bad && !kind.zero {
 						want = bytes.Repeat([]byte{0xEE}, perDPU)
 					}
 					if !bytes.Equal(dst[i], want) {
@@ -132,13 +143,15 @@ func TestTransferFaultMatrix(t *testing.T) {
 
 				// Single-DPU copy: charged only on success.
 				before = s.TransferStats()
-				err := s.CopyToDPURef(bad, ref, 0, data)
-				rep, ok := AsFaultReport(err)
-				if !ok || rep.Op != "copy_to_dpu" || rep.Attempted != 1 {
-					t.Fatalf("copy_to_dpu: %v", err)
-				}
-				if after := s.TransferStats(); after != before {
-					t.Errorf("copy_to_dpu on faulted DPU changed stats: %+v -> %+v", before, after)
+				if !kind.zero {
+					err := s.CopyToDPURef(bad, ref, 0, data)
+					rep, ok := AsFaultReport(err)
+					if !ok || rep.Op != "copy_to_dpu" || rep.Attempted != 1 {
+						t.Fatalf("copy_to_dpu: %v", err)
+					}
+					if after := s.TransferStats(); after != before {
+						t.Errorf("copy_to_dpu on faulted DPU changed stats: %+v -> %+v", before, after)
+					}
 				}
 				if err := s.CopyToDPURef(0, ref, 0, data); err != nil {
 					t.Fatalf("copy_to_dpu on healthy DPU: %v", err)
@@ -168,10 +181,11 @@ func TestTransferAllFailedNoCharge(t *testing.T) {
 	}
 }
 
-// TestLaunchFaultMatrix: a trapped and a dying DPU under LaunchOn, in
-// serial and sharded modes. The failed DPU's cycle counter must not
-// move, the survivors are charged normally, and the system DPU clock
-// advances by exactly the surviving maximum.
+// TestLaunchFaultMatrix: a trapped and a dying DPU under LaunchOn, and
+// the zero plan armed on every DPU, in serial and sharded modes. The
+// failed DPU's cycle counter must not move (the zero plan fails none),
+// the survivors are charged normally, and the system DPU clock advances
+// by exactly the surviving maximum.
 func TestLaunchFaultMatrix(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -180,6 +194,7 @@ func TestLaunchFaultMatrix(t *testing.T) {
 	}{
 		{"trap", dpu.FaultPlan{Seed: 1, TrapProb: 1}, false},
 		{"dead", dpu.FaultPlan{Seed: 1, DeadFrac: 1, DeadAfterLaunches: 0}, true},
+		{"zero", dpu.FaultPlan{}, false},
 	}
 	const bad = 1
 	kernel := func(tk *dpu.Tasklet) error {
@@ -190,7 +205,12 @@ func TestLaunchFaultMatrix(t *testing.T) {
 		for _, kind := range kinds {
 			t.Run(mode.name+"/"+kind.name, func(t *testing.T) {
 				s, _ := waveSystem(t, mode.n)
-				armOne(s, bad, kind.plan)
+				zero := kind.plan.Zero()
+				if zero {
+					s.InjectFaults(kind.plan)
+				} else {
+					armOne(s, bad, kind.plan)
+				}
 
 				cyclesBefore := make([]uint64, mode.n)
 				for i := range cyclesBefore {
@@ -200,22 +220,28 @@ func TestLaunchFaultMatrix(t *testing.T) {
 				timeBefore := s.DPUTime()
 
 				ls, err := s.LaunchOn(mode.n, 2, kernel)
-				rep, ok := AsFaultReport(err)
-				if !ok || rep.Op != "launch" || rep.Attempted != mode.n {
-					t.Fatalf("launch report: %v", err)
-				}
-				if got := rep.FailedDPUs(); len(got) != 1 || got[0] != bad {
-					t.Fatalf("failed DPUs %v, want [%d]", got, bad)
-				}
-				if errors.Is(err, dpu.ErrDPUDead) != kind.dead {
-					t.Errorf("ErrDPUDead=%v, want %v", !kind.dead, kind.dead)
+				if zero {
+					if err != nil {
+						t.Fatalf("launch under the zero plan: %v", err)
+					}
+				} else {
+					rep, ok := AsFaultReport(err)
+					if !ok || rep.Op != "launch" || rep.Attempted != mode.n {
+						t.Fatalf("launch report: %v", err)
+					}
+					if got := rep.FailedDPUs(); len(got) != 1 || got[0] != bad {
+						t.Fatalf("failed DPUs %v, want [%d]", got, bad)
+					}
+					if errors.Is(err, dpu.ErrDPUDead) != kind.dead {
+						t.Errorf("ErrDPUDead=%v, want %v", !kind.dead, kind.dead)
+					}
 				}
 
 				// Per-DPU clocks: the armed DPU never ran, everyone else did.
 				var maxDelta uint64
 				for i := 0; i < mode.n; i++ {
 					delta := s.DPU(i).TotalCycles() - cyclesBefore[i]
-					if i == bad {
+					if i == bad && !zero {
 						if delta != 0 {
 							t.Errorf("faulted DPU advanced %d cycles", delta)
 						}
@@ -231,8 +257,8 @@ func TestLaunchFaultMatrix(t *testing.T) {
 				if ls.Cycles != maxDelta {
 					t.Errorf("LaunchStats.Cycles %d, want surviving max %d", ls.Cycles, maxDelta)
 				}
-				if len(ls.PerDPU) != mode.n || ls.PerDPU[bad].Cycles != 0 {
-					t.Errorf("PerDPU[bad] = %+v, want zero Stats", ls.PerDPU[bad])
+				if len(ls.PerDPU) != mode.n || (ls.PerDPU[bad].Cycles == 0) != !zero {
+					t.Errorf("PerDPU[bad] = %+v, want zero Stats exactly when it failed", ls.PerDPU[bad])
 				}
 				// System clock: advanced by the surviving maximum, not by a
 				// hypothetical full-width launch; transfer clock untouched.
@@ -245,9 +271,9 @@ func TestLaunchFaultMatrix(t *testing.T) {
 
 				// Single-DPU launch against the armed DPU reports, charges
 				// nothing.
-				if _, err := s.LaunchDPU(bad, 1, kernel); err == nil {
-					t.Error("LaunchDPU on armed DPU succeeded")
-				} else if rep, ok := AsFaultReport(err); !ok || rep.Op != "launch_dpu" {
+				if _, err := s.LaunchDPU(bad, 1, kernel); zero != (err == nil) {
+					t.Errorf("LaunchDPU on armed DPU: %v", err)
+				} else if rep, ok := AsFaultReport(err); !zero && (!ok || rep.Op != "launch_dpu") {
 					t.Errorf("LaunchDPU report: %v", err)
 				}
 
@@ -377,75 +403,6 @@ func TestWaveFaultMatrix(t *testing.T) {
 				t.Errorf("DPUTime advanced %v, wave charged %v", got, ws.Time)
 			}
 		})
-	}
-}
-
-// TestZeroFaultPlanBitIdentity: arming the zero FaultPlan consumes no
-// randomness and injects nothing, so an armed system's results, cycle
-// counts, and transfer accounting are bit-identical to an unarmed one.
-func TestZeroFaultPlanBitIdentity(t *testing.T) {
-	const n = 8
-	const perDPU = 64
-	kernel := func(tk *dpu.Tasklet) error {
-		d := tk.DPU()
-		buf := make([]byte, perDPU)
-		if err := d.CopyFromMRAMInto(0, buf); err != nil {
-			return err
-		}
-		for i := range buf {
-			buf[i] ^= 0x5A
-		}
-		tk.ChargeBulk(dpu.OpAddInt, perDPU)
-		return d.CopyToMRAM(0, buf)
-	}
-	run := func(arm bool) ([][]byte, []uint64, time.Duration, XferStats) {
-		s, ref := waveSystem(t, n)
-		if arm {
-			s.InjectFaults(dpu.FaultPlan{})
-		}
-		in := make([][]byte, n)
-		out := make([][]byte, n)
-		for i := range in {
-			in[i] = bytes.Repeat([]byte{byte(i * 17)}, perDPU)
-			out[i] = make([]byte, perDPU)
-		}
-		if err := s.PushXferRef(ref, 0, in); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.LaunchOn(n, 2, kernel); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.GatherXferRefInto(ref, 0, perDPU, out); err != nil {
-			t.Fatal(err)
-		}
-		// A fused wave too, so the wave path is covered.
-		if err := s.RunWave(Wave{
-			DPUs: n, Tasklets: 2, Kernel: kernel,
-			Scatter: ref, In: in, Gather: ref, Out: out,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		cycles := make([]uint64, n)
-		for i := range cycles {
-			cycles[i] = s.DPU(i).TotalCycles()
-		}
-		return out, cycles, s.DPUTime(), s.TransferStats()
-	}
-	outA, cycA, timeA, xferA := run(false)
-	outB, cycB, timeB, xferB := run(true)
-	for i := range outA {
-		if !bytes.Equal(outA[i], outB[i]) {
-			t.Errorf("DPU %d results diverge under zero plan", i)
-		}
-		if cycA[i] != cycB[i] {
-			t.Errorf("DPU %d cycles %d (unarmed) vs %d (zero plan)", i, cycA[i], cycB[i])
-		}
-	}
-	if timeA != timeB {
-		t.Errorf("DPUTime %v vs %v", timeA, timeB)
-	}
-	if xferA != xferB {
-		t.Errorf("TransferStats %+v vs %+v", xferA, xferB)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"pimdnn/internal/alexnet"
@@ -13,10 +14,12 @@ import (
 	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
+	"pimdnn/internal/metrics"
 	"pimdnn/internal/nn"
 	"pimdnn/internal/plan"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
+	"pimdnn/internal/trace"
 	"pimdnn/internal/yolo"
 )
 
@@ -25,10 +28,23 @@ type mapping struct {
 	name     string
 	pipeline host.PipelineMode
 	planned  bool
+	naive    bool
 	// images > 0 selects the image-per-DPU batch path with that many
 	// images; 0 is the row-per-DPU single-image path.
 	images int
 	dpus   int
+	// tel is the telemetry wired: "" for none, "metrics" for a registry
+	// on the System before the runner is built, "tracing" for a request
+	// span installed on the runner.
+	tel string
+}
+
+// with is m with tel's telemetry wired, named m.name+"+"+tel: a row
+// that must observe exactly what m does.
+func (m mapping) with(tel string) mapping {
+	m.name += "+" + tel
+	m.tel = tel
+	return m
 }
 
 var (
@@ -39,6 +55,9 @@ var (
 	// chosen behind the caller's back changes nothing observable.
 	rowsAuto    = mapping{name: "rows-auto", pipeline: host.PipelineAuto, dpus: 8}
 	rowsPlanned = mapping{name: "rows-planned", planned: true, dpus: 8}
+	// The thesis's own kernel (gemm.RunnerConfig.Naive), at whatever
+	// depth the core count picks.
+	rowsNaive   = mapping{name: "rows-naive", pipeline: host.PipelineAuto, naive: true, dpus: 8}
 	batchInline = mapping{name: "batch-inline", pipeline: host.PipelineOff, images: 6, dpus: 8}
 	// 40 DPUs is above the host's sharding threshold: staging, gather →
 	// decode → bias/activation and the per-image host layers run on pool
@@ -55,11 +74,13 @@ func randomImage(size int, seed int64) *tensor.Tensor {
 	return t
 }
 
-// observed is what a run is compared by across core counts and depths:
-// the executor's stats and the system's simulated transfer accounting.
+// observed is what a run is compared by across core counts, depths and
+// telemetry: the executor's stats, the system's simulated transfer
+// accounting and every DPU's cycle count.
 type observed struct {
-	Stats *nn.ForwardStats
-	Xfer  host.XferStats
+	Stats     *nn.ForwardStats
+	Xfer      host.XferStats
+	DPUCycles []uint64
 }
 
 // run executes net under m on a fresh system (created after the caller
@@ -71,8 +92,11 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	if m.tel == "metrics" {
+		sys.EnableMetrics(metrics.NewRegistry())
+	}
 	maxK, maxN, maxM := net.GEMMBounds()
-	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Exec: exec.Config{Pipeline: m.pipeline}}
+	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Naive: m.naive, Exec: exec.Config{Pipeline: m.pipeline}}
 	if m.planned {
 		cfg.Planner = plan.New(sys)
 	} else {
@@ -82,24 +106,32 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.tel == "tracing" {
+		r.SetTraceSpan(trace.NewTracer(trace.TracerConfig{}).StartTrace("forward"))
+	}
 	if faults != nil {
 		sys.InjectFaults(*faults)
 	}
+	var outs []nn.Output
+	var stats *nn.ForwardStats
 	if m.images == 0 {
-		out, stats, err := net.Forward(inputs[0], r)
-		if err != nil {
+		var out nn.Output
+		out, stats, err = net.Forward(inputs[0], r)
+		outs = []nn.Output{out}
+	} else {
+		if err := r.EnableBatch(maxM); err != nil {
 			t.Fatal(err)
 		}
-		return []nn.Output{out}, observed{stats, sys.TransferStats()}
+		outs, stats, err = net.ForwardBatch(inputs[:m.images], r)
 	}
-	if err := r.EnableBatch(maxM); err != nil {
-		t.Fatal(err)
-	}
-	outs, stats, err := net.ForwardBatch(inputs[:m.images], r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outs, observed{stats, sys.TransferStats()}
+	obs := observed{stats, sys.TransferStats(), make([]uint64, m.dpus)}
+	for i := range obs.DPUCycles {
+		obs.DPUCycles[i] = sys.DPU(i).TotalCycles()
+	}
+	return outs, obs
 }
 
 func sameTensor(a, b *tensor.Tensor) bool {
@@ -107,12 +139,16 @@ func sameTensor(a, b *tensor.Tensor) bool {
 }
 
 // TestExecutor is the executor's invariance table: every network ×
-// mapping × fault plan, at three host widths. Outputs must equal the
-// host reference Forward(img, nil) bit for bit; ForwardStats and the
-// system's TransferStats must not depend on the core count, nor on the
-// dispatch depth (pinned, or picked by PipelineAuto); and the per-layer
-// retry counts must add up to the total — with retries actually
-// happening under the fault plan, on the batch path too.
+// mapping × fault plan, at three host widths. The mappings cover both
+// depths (pinned, or picked by PipelineAuto), the planner, the thesis's
+// naive kernel, the batch path, and metrics and tracing twins of a row
+// and a batch mapping. Outputs must equal the host reference
+// Forward(img, nil) bit for bit (so the planned and naive rows compute
+// what the fixed tiled ones do); ForwardStats, the system's
+// TransferStats and per-DPU cycles must not depend on the core count,
+// the dispatch depth or the telemetry wired; and the per-layer retry
+// counts must add up to the total — with retries actually happening
+// under the fault plan, on the batch path too.
 func TestExecutor(t *testing.T) {
 	ynet, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
 	if err != nil {
@@ -127,6 +163,8 @@ func TestExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1}
+	common := []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, rowsNaive, batchInline,
+		rowsAuto.with("metrics"), rowsAuto.with("tracing"), batchInline.with("metrics"), batchInline.with("tracing")}
 
 	for _, nc := range []struct {
 		name     string
@@ -135,9 +173,9 @@ func TestExecutor(t *testing.T) {
 		layers   int // GEMM layers
 		mappings []mapping
 	}{
-		{"yolo-tiny", ynet.Network, 32, 75, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline, batchSharded}},
-		{"alexnet-lite", anet.Network, anet.Cfg.InputSize, 8, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline}},
-		{"resnet-lite", rnet.Network, rnet.Cfg.InputSize, 21, []mapping{rowsSync, rowsPipelined, rowsAuto, rowsPlanned, batchInline}},
+		{"yolo-tiny", ynet.Network, 32, 75, append(common, batchSharded)},
+		{"alexnet-lite", anet.Network, anet.Cfg.InputSize, 8, common},
+		{"resnet-lite", rnet.Network, rnet.Cfg.InputSize, 21, common},
 	} {
 		inputs := make([]*tensor.Tensor, batchSharded.images)
 		want := make([]nn.Output, len(inputs))
@@ -192,7 +230,7 @@ func TestExecutor(t *testing.T) {
 						if ref, ok := byMapping[m.name]; !ok {
 							byMapping[m.name] = obs
 						} else if !reflect.DeepEqual(ref, obs) {
-							t.Errorf("ForwardStats or TransferStats depend on the core count:\nprocs1 %+v %+v\nprocs%d %+v %+v",
+							t.Errorf("ForwardStats, TransferStats or DPU cycles depend on the core count:\nprocs1 %+v %+v\nprocs%d %+v %+v",
 								ref.Stats, ref.Xfer, procs, stats, obs.Xfer)
 						}
 					})
@@ -201,8 +239,15 @@ func TestExecutor(t *testing.T) {
 			s := byMapping[rowsSync.name]
 			for _, m := range []mapping{rowsPipelined, rowsAuto} {
 				if p := byMapping[m.name]; !reflect.DeepEqual(s, p) {
-					t.Errorf("%s faults=%v: ForwardStats or TransferStats depend on the dispatch depth:\n%s %+v %+v\n%s %+v %+v",
+					t.Errorf("%s faults=%v: ForwardStats, TransferStats or DPU cycles depend on the dispatch depth:\n%s %+v %+v\n%s %+v %+v",
 						nc.name, faults != nil, rowsSync.name, s.Stats, s.Xfer, m.name, p.Stats, p.Xfer)
+				}
+			}
+			for _, m := range nc.mappings {
+				twin, _, _ := strings.Cut(m.name, "+")
+				if o, off := byMapping[m.name], byMapping[twin]; m.tel != "" && !reflect.DeepEqual(o, off) {
+					t.Errorf("%s faults=%v: ForwardStats, TransferStats or DPU cycles depend on telemetry:\n%s %+v %+v\n%s %+v %+v",
+						nc.name, faults != nil, twin, off.Stats, off.Xfer, m.name, o.Stats, o.Xfer)
 				}
 			}
 		}
