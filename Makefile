@@ -2,14 +2,13 @@
 # (at GOMAXPROCS=1 and at the host's width), a race pass over the
 # packages with cross-goroutine state (the host runtime's worker pool
 # and sharded transfers, the trace profile, the metrics registry, the
-# execution engine and its depth-2 in-flight wave, the softfloat slice kernels
+# execution engine, the softfloat slice kernels
 # and isa.Kernel closures shared across concurrently launched DPUs, the
-# gemm/ebnn runners and the nn executor — whose batch fill/decode
-# callbacks run on pool workers — with the three networks over it,
-# including the fault-injection recovery paths, plus the upmem-top
-# renderer, the upmem-serve batching/backpressure server and
-# upmem-profile, whose test reads a trace the depth-2 in-flight wave's
-# goroutine writes; and internal/tensor, whose little-endian views
+# gemm/ebnn runners and the nn executor — whose batch fill/decode and
+# eBNN classify callbacks run on pool workers — with the three networks
+# over it, including the fault-injection recovery paths, plus the
+# upmem-top renderer, the upmem-serve batching/backpressure server and
+# upmem-profile; and internal/tensor, whose little-endian views
 # -race's checkptr instrumentation checks), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
@@ -35,10 +34,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Two legs: the core count changes the worker pool's fan-out and the
-# dispatch depth PipelineAuto picks (never span names, transfer
-# accounting or any simulated clock: both depths run the same wave), so
-# a suite that is green on one host width says nothing about the other's
+# Two legs: the core count changes the worker pool's fan-out (never
+# span names, transfer accounting or any simulated clock), so a suite
+# that is green on one host width says nothing about the other's
 # scheduling. -count=1 on the pinned leg because the test cache does not
 # key on GOMAXPROCS.
 test:
@@ -71,8 +69,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEBNNStream$$' -benchtime 1x ./internal/ebnn
 
 # The simulated clock must not depend on the host's core count: rows_zoo
-# and ebnn_stream at GOMAXPROCS=1 (depth 1) and at the host's width
-# (depth 2) report identical sim_cycles_per_op and sim_xfer_bytes_per_op.
+# and ebnn_stream at GOMAXPROCS=1 and at the host's width report
+# identical sim_cycles_per_op and sim_xfer_bytes_per_op.
 sim-invariant:
 	GO=$(GO) scripts/sim-invariant.sh
 
@@ -140,16 +138,16 @@ profile-array:
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
-# x 16 images x 4 waves, PipelineAuto). The last two lines are the
-# cumulative shares of the DPU kernel and of the host classifier
-# (inferWorkSet.Decode and everything under it):
+# x 16 images x 4 waves). The last two lines are the cumulative shares
+# of the DPU kernel and of the host classifier (Runner.classify, the
+# worker-pool body, and everything under it):
 # `make profile-ebnn | grep -e '^kernel-share' -e '^classify-share'`.
 profile-ebnn:
 	$(GO) test -run xxx -bench 'BenchmarkEBNNStream$$' -benchtime 200x -cpuprofile cpu.prof -o ebnn.test ./internal/ebnn
 	$(GO) tool pprof -top -cum -nodecount=25 ebnn.test cpu.prof
 	@$(GO) tool pprof -top -cum ebnn.test cpu.prof 2>/dev/null \
 		| awk '/\(\*Runner\)\.kernel\.func[0-9]+$$/ { print "kernel-share ebnn.kernel cum " $$5 } \
-			/ebnn\.\(\*inferWorkSet\)\.Decode$$/ { print "classify-share ebnn.Decode cum " $$5 }'
+			/ebnn\.\(\*Runner\)\.classify$$/ { print "classify-share ebnn.classify cum " $$5 }'
 
 # And for the rows_zoo workload's shape (the three lite networks,
 # planner-mapped row-per-DPU Multiply on 64 DPUs). The last five lines

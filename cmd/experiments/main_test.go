@@ -9,24 +9,21 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
-	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
 // faultReport runs the F1 fault-injection experiment (a YOLO-lite
-// forward on gemm runners, an eBNN inference on ebnn runners) at the
-// given depth, with -trace-out armed when traced. It returns the
-// report's stdout and, when traced, the per-name slice counts of the
-// written Perfetto file, plus each System root's engine dispatch spans.
-func faultReport(t *testing.T, mode host.PipelineMode, traced bool) (string, map[string]int, []int) {
+// forward on gemm runners, an eBNN inference on ebnn runners), with
+// -trace-out armed when traced. It returns the report's stdout and, when
+// traced, the per-name slice counts of the written Perfetto file, plus
+// each System root's engine dispatch spans.
+func faultReport(t *testing.T, traced bool) (string, map[string]int, []int) {
 	t.Helper()
-	execCfg = exec.Config{Pipeline: mode}
 	traceTracer, traceRoots = nil, nil
 	if traced {
 		traceTracer = trace.NewTracer(trace.TracerConfig{Ring: 1024})
 	}
-	defer func() { execCfg, traceTracer = exec.Config{}, nil }()
+	defer func() { traceTracer = nil }()
 
 	dir := t.TempDir()
 	stdout, err := os.Create(filepath.Join(dir, "stdout"))
@@ -81,47 +78,32 @@ func faultReport(t *testing.T, mode host.PipelineMode, traced bool) (string, map
 var deadColumn = regexp.MustCompile(`\| (\d+)/\d+ \|`)
 
 // TestTraceOut: -trace-out records the engine's dispatch spans under
-// every System root at both depths — the same wave spans at each, depth
-// 2 adding one q.wave per wave — plus one dpu_down span per DPU the
-// armed Systems lost, and never changes the report.
+// every System root, plus one dpu_down span per DPU the armed Systems
+// lost, and never changes the report.
 func TestTraceOut(t *testing.T) {
-	waves := map[host.PipelineMode]int{}
-	for _, mode := range []host.PipelineMode{host.PipelineOff, host.PipelineOn} {
-		plain, _, _ := faultReport(t, mode, false)
-		out, slices, dispatch := faultReport(t, mode, true)
-		if out != plain {
-			t.Errorf("mode %d: traced stdout differs from untraced:\n%s\nvs\n%s", mode, out, plain)
-		}
-		if slices["wave"] == 0 || slices["dpu_kernel"] == 0 {
-			t.Errorf("mode %d: slices %v, want wave and dpu_kernel spans", mode, slices)
-		}
-		wantQ := 0
-		if mode == host.PipelineOn {
-			wantQ = slices["wave"]
-		}
-		if slices["q.wave"] != wantQ {
-			t.Errorf("mode %d: %d q.wave spans, want %d", mode, slices["q.wave"], wantQ)
-		}
-		if len(dispatch) != 4 {
-			t.Errorf("mode %d: %d System roots, want 4", mode, len(dispatch))
-		}
-		for i, n := range dispatch {
-			if n == 0 {
-				t.Errorf("mode %d: System root %d holds no dispatch span", mode, i)
-			}
-		}
-		dead := 0
-		for _, m := range deadColumn.FindAllStringSubmatch(out, -1) {
-			n, _ := strconv.Atoi(m[1])
-			dead += n
-		}
-		if dead == 0 || slices["dpu_down"] != dead {
-			t.Errorf("mode %d: %d dpu_down spans, want one per dead DPU (%d)", mode, slices["dpu_down"], dead)
-		}
-		waves[mode] = slices["wave"]
+	plain, _, _ := faultReport(t, false)
+	out, slices, dispatch := faultReport(t, true)
+	if out != plain {
+		t.Errorf("traced stdout differs from untraced:\n%s\nvs\n%s", out, plain)
 	}
-	if waves[host.PipelineOff] != waves[host.PipelineOn] {
-		t.Errorf("wave spans: %d at depth 1, %d at depth 2", waves[host.PipelineOff], waves[host.PipelineOn])
+	if slices["wave"] == 0 || slices["dpu_kernel"] == 0 {
+		t.Errorf("slices %v, want wave and dpu_kernel spans", slices)
+	}
+	if len(dispatch) != 4 {
+		t.Errorf("%d System roots, want 4", len(dispatch))
+	}
+	for i, n := range dispatch {
+		if n == 0 {
+			t.Errorf("System root %d holds no dispatch span", i)
+		}
+	}
+	dead := 0
+	for _, m := range deadColumn.FindAllStringSubmatch(out, -1) {
+		n, _ := strconv.Atoi(m[1])
+		dead += n
+	}
+	if dead == 0 || slices["dpu_down"] != dead {
+		t.Errorf("%d dpu_down spans, want one per dead DPU (%d)", slices["dpu_down"], dead)
 	}
 }
 

@@ -67,7 +67,7 @@ func planReport() error {
 		}
 		defer sys.Close()
 		maxK, maxN := fullNet.GEMMBounds()
-		cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Exec: execCfg}
+		cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64}
 		if planned {
 			cfg.Planner = plan.New(sys)
 		} else {

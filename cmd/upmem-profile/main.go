@@ -17,7 +17,6 @@ import (
 
 	"pimdnn/internal/core"
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/isa"
@@ -36,14 +35,14 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("upmem-profile", flag.ExitOnError)
 	optFlag := fs.Int("O", 0, "optimization level 0-3 (dpu-clang -O flag)")
 	timelineFlag := fs.Bool("timeline", false,
-		"dispatch a pipelined demo GEMM under a request trace and render its wave spans as a wall-clock Gantt chart")
+		"dispatch a demo GEMM under a request trace and render its wave spans as a wall-clock Gantt chart")
 	jsonFlag := fs.Bool("json", false,
 		"emit the characterization as one JSON document (metrics snapshot, plus the traced demo GEMM's wave spans with -timeline) instead of text")
 	calibrateFlag := fs.Bool("calibrate", false,
 		"run the auto-mapper calibration loop: execute every network with planner-chosen mappings and compare predicted vs simulated latency per layer")
 	dpusFlag := fs.Int("dpus", 64, "system size for -calibrate")
 	perfettoFlag := fs.String("perfetto", "",
-		"run only the traced demo GEMM (the one -timeline charts) and write its span tree — waves, in-flight waves, per-DPU kernels — to this file as Chrome trace-event (Perfetto) JSON")
+		"run only the traced demo GEMM (the one -timeline charts) and write its span tree — waves, per-DPU kernels — to this file as Chrome trace-event (Perfetto) JSON")
 	fs.Parse(args)
 	opt := dpu.OptLevel(*optFlag)
 	if opt < dpu.O0 || opt > dpu.O3 {
@@ -93,11 +92,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprint(w, d.Profile().Report())
 
 	if *timelineFlag {
-		fmt.Fprintf(w, "\n== Execution engine: pipelined wave timeline (wall clock) ==\n")
-		// Pipelined waves overlap (wave w+1 is issued while wave w
-		// drains), which shows as interleaved bars. Simulated DPU time is
-		// identical to a synchronous run; only this host-side wall-clock
-		// axis changes.
+		fmt.Fprintf(w, "\n== Execution engine: wave timeline (wall clock) ==\n")
 		tr, err := runTracedGEMM(opt)
 		if err != nil {
 			return err
@@ -109,13 +104,13 @@ func run(args []string, w io.Writer) error {
 }
 
 // The one workload behind -timeline and -perfetto: 3 waves of 8
-// row-shards at depth 2.
+// row-shards.
 const demoM, demoN, demoK, demoDPUs = 24, 32, 16, 8
 
-var demoGEMM = fmt.Sprintf("%d x %d x %d GEMM, %d DPUs, pipeline on", demoM, demoN, demoK, demoDPUs)
+var demoGEMM = fmt.Sprintf("%d x %d x %d GEMM, %d DPUs", demoM, demoN, demoK, demoDPUs)
 
-// runPerfetto exports the demo GEMM's request span tree (plan, waves,
-// in-flight "q.wave" spans, per-DPU kernel spans) for chrome://tracing /
+// runPerfetto exports the demo GEMM's request span tree (waves, per-DPU
+// kernel spans) for chrome://tracing /
 // ui.perfetto.dev. The file is created only once the run has succeeded.
 func runPerfetto(w io.Writer, opt dpu.OptLevel, path string) error {
 	tr, err := runTracedGEMM(opt)
@@ -143,10 +138,7 @@ func runTracedGEMM(opt dpu.OptLevel) (*trace.Trace, error) {
 		return nil, err
 	}
 	defer sys.Close()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16,
-		Exec: exec.Config{Pipeline: host.PipelineOn},
-	})
+	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 	if err != nil {
 		return nil, err
 	}

@@ -23,8 +23,8 @@ func runOut(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// TestTimelineText: the demo GEMM's Gantt chart is three waves of the
-// depth-2 run, overlapping.
+// TestTimelineText: the demo GEMM's Gantt chart is three waves, one at a
+// time.
 func TestTimelineText(t *testing.T) {
 	out := runOut(t, "-timeline")
 	if !strings.Contains(out, "== Table 3.1") || !strings.Contains(out, demoGEMM) {
@@ -37,8 +37,8 @@ func TestTimelineText(t *testing.T) {
 	if m == nil {
 		t.Fatalf("no max concurrent spans line:\n%s", out)
 	}
-	if mc, _ := strconv.Atoi(m[1]); mc < 2 {
-		t.Errorf("max concurrent spans = %d, want >= 2 (pipelined waves overlap)", mc)
+	if mc, _ := strconv.Atoi(m[1]); mc != 1 {
+		t.Errorf("max concurrent spans = %d, want 1 (one wave at a time)", mc)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestPerfetto(t *testing.T) {
 			slices[ev.Name]++
 		}
 	}
-	if slices["profile_gemm"] != 1 || slices["wave"] != 3 || slices["q.wave"] != 3 || slices["dpu_kernel"] != 24 {
-		t.Errorf("slices %v, want the root, 3 wave, 3 q.wave and 24 dpu_kernel", slices)
+	if slices["profile_gemm"] != 1 || slices["wave"] != 3 || slices["dpu_kernel"] != 24 {
+		t.Errorf("slices %v, want the root, 3 wave and 24 dpu_kernel", slices)
 	}
 }
 

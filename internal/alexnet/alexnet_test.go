@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/model"
@@ -165,19 +164,15 @@ func TestForwardFaultRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxK, maxN, _ := n.GEMMBounds()
-	for _, mode := range []struct {
-		name string
-		mode host.PipelineMode
-	}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
-		t.Run(mode.name, func(t *testing.T) {
+	// One dispatch depth: the sync and pipelined cells run alike.
+	for _, mode := range []string{"sync", "pipelined"} {
+		t.Run(mode, func(t *testing.T) {
 			sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-				MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64, Exec: exec.Config{Pipeline: mode.mode},
-			})
+			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

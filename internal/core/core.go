@@ -154,7 +154,7 @@ type YOLOOptions struct {
 	// TileCols for the tiled kernel (default gemm.DefaultTileCols).
 	TileCols int
 	// AutoMap wires the cost-model planner into the runner: every
-	// layer's tasklet count, wave width and pipeline mode come from
+	// layer's tasklet count and wave width come from
 	// plan.Planner instead of the fixed constants above. Results stay
 	// bit-identical — the planner only picks among mapping axes.
 	AutoMap bool

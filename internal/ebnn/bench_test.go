@@ -11,7 +11,7 @@ import (
 // BenchmarkEBNNStream is the ebnn_stream benchmark workload's shape as a
 // profilable benchmark (`make profile-ebnn`): one iteration classifies
 // 32 DPUs × 16 images × 4 waves through the LUT runner and through the
-// float runner, 16 tasklets, O3, PipelineAuto.
+// float runner, 16 tasklets, O3.
 func BenchmarkEBNNStream(b *testing.B) {
 	const dpus, waves = 32, 4
 	ds := mnist.Load(150, 16, 21)

@@ -222,34 +222,12 @@ func TestPredictPackedMatchesLogits(t *testing.T) {
 				m.Weights[c][i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
 			}
 		}
-		raw := make([]byte, ResultSize)
+		raw, byFeature := make([]byte, ResultSize), m.softmaxByFeature()
 		for trial := 0; trial < 200; trial++ {
 			rng.Read(raw)
-			if got, want := m.predictPacked(raw), m.PredictFeatures(DecodeFeatures(raw, nf)); got != want {
+			if got, want := m.predictPacked(byFeature, raw), m.PredictFeatures(DecodeFeatures(raw, nf)); got != want {
 				t.Fatalf("F=%d trial %d: predictPacked = %d, PredictFeatures(DecodeFeatures) = %d", nf, trial, got, want)
 			}
 		}
-	}
-}
-
-// TestDecodeOrderIndependent: Decode writes a shard's predictions at the
-// shard's own positions, so decoding a wave's shards in reverse order
-// yields what Infer returned.
-func TestDecodeOrderIndependent(t *testing.T) {
-	m, ds := trainForKernel(t)
-	r := newRunner(t, 2, m, true, 8)
-	imgs := ds.Test[:19] // one wave of two shards: 16 + 3
-	want, _, err := r.Infer(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wave's gathered bytes and counts are still staged in slot 0.
-	w := &r.iws
-	w.images, w.preds = imgs, make([]int, len(imgs))
-	for shard := w.Shards() - 1; shard >= 0; shard-- {
-		w.Decode(0, shard, shard)
-	}
-	if !reflect.DeepEqual(w.preds, want) {
-		t.Errorf("reverse-order decode = %v, Infer returned %v", w.preds, want)
 	}
 }

@@ -72,24 +72,24 @@ type Runner struct {
 	// Resolved symbol handles for the per-wave transfer loops.
 	refImages, refNImages, refResults host.SymbolRef
 
-	// eng is the shared execution engine: it owns wave construction,
-	// double-buffered pipelining, and retry-and-remap (internal/exec).
-	// iws and stages are the WorkSet adapter and its staging sets
-	// (stage 0 for synchronous dispatch, both when pipelined).
-	eng    *exec.Engine
-	iws    inferWorkSet
-	stages [2]inferStage
+	// eng is the shared execution engine: it owns wave construction and
+	// retry-and-remap (internal/exec). iws and stage are the WorkSet
+	// adapter and its staging; classifyFn is the bound method classify,
+	// stored once so Infer's parallel classification allocates no
+	// closure, and byFeature the softmax weights it reads.
+	eng        *exec.Engine
+	iws        inferWorkSet
+	stage      inferStage
+	classifyFn func(lo, hi int)
+	byFeature  []float32
 }
 
-// inferStage is one staging set of the multiple-images-per-DPU mapping:
-// per-DPU packed-image and image-count scatter buffers plus result
-// gather views. A pipelined wave's buffers belong to it until the
-// engine flushes it, so the host packs the next wave into the other
-// stage meanwhile.
+// inferStage is the staging of the multiple-images-per-DPU mapping:
+// per-DPU packed-image and image-count scatter buffers, and the result
+// gather views into the Infer call's result buffer.
 type inferStage struct {
 	imgStage []byte
 	cntStage []byte
-	resStage []byte
 	imgBufs  [][]byte
 	cntBufs  [][]byte
 	resBufs  [][]byte
@@ -198,19 +198,11 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 		*ref.dst = res
 	}
 
-	r.stages[0].ensure(sys.NumDPUs())
+	r.stage.init(sys.NumDPUs())
 	r.kernelFn = r.kernel()
+	r.classifyFn = r.classify
+	r.byFeature = m.softmaxByFeature()
 	return r, nil
-}
-
-// Configure re-applies the unified execution-engine configuration
-// (the dispatch depth; see internal/exec and DESIGN.md, "Execution
-// engine"). Call it between Infer calls only. Results and
-// simulated-time accounting are identical in both pipeline modes;
-// pipelining overlaps host pack/classify wall-clock time with the wave
-// in flight.
-func (r *Runner) Configure(ec exec.Config) {
-	r.eng.Configure(ec)
 }
 
 // SetTraceSpan attaches the request span the next Infer calls run under
@@ -380,14 +372,10 @@ func (s BatchStats) Throughput() float64 {
 	return float64(s.Images) / s.Seconds
 }
 
-// ensure sizes one staging set for a system of nd DPUs.
-func (st *inferStage) ensure(nd int) {
-	if len(st.imgBufs) == nd {
-		return
-	}
+// init sizes the staging for a system of nd DPUs.
+func (st *inferStage) init(nd int) {
 	st.imgStage = make([]byte, nd*BatchSize*mnist.PackedSize)
 	st.cntStage = make([]byte, nd*4)
-	st.resStage = make([]byte, nd*BatchSize*ResultSize)
 	st.imgBufs = make([][]byte, nd)
 	st.cntBufs = make([][]byte, nd)
 	st.resBufs = make([][]byte, nd)
@@ -400,14 +388,18 @@ func (st *inferStage) ensure(nd int) {
 
 // inferWorkSet adapts the §4.1.3 multiple-images-per-DPU mapping to the
 // execution engine: one shard per 16-image batch, the packed images and
-// the per-DPU image counts as scatter streams, the activation buffers
+// the per-DPU image counts as scatter streams, and the activation bytes
 // as the gather stream (one uniform length per wave, the fused wave's
-// contract), and the softmax layer run on the host as each shard is
-// decoded.
+// contract), gathered straight into res: shard s at
+// s·BatchSize·ResultSize, so image i's bytes sit at i·ResultSize and a
+// re-dispatched shard lands in the same place. Decode has nothing to
+// do; Infer classifies res once every wave is in.
 type inferWorkSet struct {
 	r      *Runner
 	images []mnist.Image
 	preds  []int
+	res    []byte
+	start  int // the current wave's first shard
 	stream []exec.Stream
 }
 
@@ -418,8 +410,9 @@ func (w *inferWorkSet) Tasklets() int                { return w.r.tasklets }
 func (w *inferWorkSet) Kernel() dpu.KernelFunc       { return w.r.kernelFn }
 func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return nil }
 
-func (w *inferWorkSet) Encode(slot, start, n int) {
-	st := &w.r.stages[slot]
+func (w *inferWorkSet) Encode(_, start, n int) {
+	st := &w.r.stage
+	w.start = start
 	wave := w.images[start*BatchSize : min((start+n)*BatchSize, len(w.images))]
 	// The staging buffers are reused across waves; only the counts need
 	// resetting (stale image bytes in unused slots are never read by
@@ -439,61 +432,64 @@ func (w *inferWorkSet) Encode(slot, start, n int) {
 	}
 }
 
-func (w *inferWorkSet) Scatter(slot, n int) []exec.Stream {
-	st := &w.r.stages[slot]
+func (w *inferWorkSet) Scatter(_, n int) []exec.Stream {
+	st := &w.r.stage
 	w.stream = append(w.stream[:0],
 		exec.Stream{Ref: w.r.refImages, Bufs: st.imgBufs},
 		exec.Stream{Ref: w.r.refNImages, Bufs: st.cntBufs})
 	return w.stream
 }
 
-func (w *inferWorkSet) Gather(slot, n int) exec.Stream {
-	st := &w.r.stages[slot]
+func (w *inferWorkSet) Gather(_, n int) exec.Stream {
+	st := &w.r.stage
 	// The wave's gather reads one length from every DPU: images fill
 	// DPUs in order, so DPU 0 always holds the largest count.
 	resLen := st.counts[0] * ResultSize
 	for d := 0; d < n; d++ {
-		st.resBufs[d] = st.resStage[d*BatchSize*ResultSize : d*BatchSize*ResultSize+resLen]
+		off := (w.start + d) * BatchSize * ResultSize
+		st.resBufs[d] = w.res[off : off+resLen]
 	}
 	return exec.Stream{Ref: w.r.refResults, Bufs: st.resBufs}
 }
 
-// Decode runs the host softmax layer on shard's gathered activation
-// bytes and writes its predictions at the shard's own positions, so the
-// order Decode is called in does not matter.
-func (w *inferWorkSet) Decode(slot, shard, i int) {
-	st := &w.r.stages[slot]
-	raw, preds := st.resBufs[i], w.preds[shard*BatchSize:]
-	for s := 0; s < st.counts[i]; s++ {
-		preds[s] = w.r.model.predictPacked(raw[s*ResultSize : (s+1)*ResultSize])
+func (w *inferWorkSet) Decode(_, _, _ int) {}
+
+// classify runs the host softmax layer over shards [lo, hi) of the
+// gathered activation bytes, each prediction at its image's index.
+func (r *Runner) classify(lo, hi int) {
+	w := &r.iws
+	for i := lo * BatchSize; i < min(hi*BatchSize, len(w.preds)); i++ {
+		w.preds[i] = r.model.predictPacked(r.byFeature, w.res[i*ResultSize:(i+1)*ResultSize])
 	}
 }
 
 // Infer classifies the images: the host packs 16-image batches and
-// scatters them across the DPUs, launches the kernel, gathers the
-// activation bytes, and runs the softmax layer serially per image
-// straight from those packed bytes (§4.1.3; predictPacked). Wave
-// construction, pipelining, and fault recovery are the execution
-// engine's (internal/exec); at depth 2 one wave is in flight while the
-// host packs the next and classifies the previous, so that host work
-// overlaps the simulated launches. Predictions, cycle counts, transfer
-// accounting and wave statistics are identical either way. Infer is not
-// safe for concurrent use on one Runner: the staging buffers and the DPU
-// symbols are shared state.
+// scatters them across the DPUs, launches the kernel and gathers the
+// activation bytes, wave by wave, then runs the softmax layer straight
+// from those packed bytes (§4.1.3; predictPacked) over every shard at
+// once on the System's worker pool. Wave construction and fault recovery
+// are the execution engine's (internal/exec). Every prediction lands at
+// its image's index, so the result does not depend on the core count.
+// Infer is not safe for concurrent use on one Runner: the staging
+// buffers and the DPU symbols are shared state.
 func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	if len(images) == 0 {
 		return nil, BatchStats{}, fmt.Errorf("ebnn: no images")
-	}
-	nd := r.sys.NumDPUs()
-	r.stages[0].ensure(nd)
-	if r.eng.Pipelined() {
-		r.stages[1].ensure(nd)
 	}
 	stats := BatchStats{Images: len(images)}
 	w := &r.iws
 	w.images = images
 	w.preds = make([]int, len(images))
+	shards := w.Shards()
+	if need := shards * BatchSize * ResultSize; cap(w.res) < need {
+		w.res = make([]byte, need)
+	} else {
+		w.res = w.res[:need]
+	}
 	err := r.eng.Run(w, &stats.Stats)
+	if err == nil {
+		r.sys.ParallelFor(shards, r.classifyFn)
+	}
 	preds := w.preds
 	w.images, w.preds = nil, nil
 	if err != nil {
@@ -502,32 +498,45 @@ func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 	return preds, stats, nil
 }
 
+// softmaxByFeature returns the host softmax layer's weights
+// feature-major, the layout predictPacked reads: feature i's
+// NumClasses class weights at [i*NumClasses, (i+1)*NumClasses).
+func (m *Model) softmaxByFeature() []float32 {
+	w := make([]float32, m.FeatureLen()*mnist.NumClasses)
+	for c, row := range m.Weights {
+		for i, v := range row {
+			w[i*mnist.NumClasses+c] = v
+		}
+	}
+	return w
+}
+
 // predictPacked classifies one DPU result buffer (one byte per pooled
 // cell, bit f = filter f) without expanding it: every set bit adds its
-// feature's weight to the ten class sums, features in ascending index
-// order, so each sum is the same sequence of float32 additions as
-// Logits and the answer is PredictFeatures(DecodeFeatures(result, F)).
-func (m *Model) predictPacked(result []byte) int {
+// feature's weights (byFeature is m.softmaxByFeature()) to the ten class
+// sums, features in ascending index order, so each sum is the same
+// sequence of float32 additions as Logits and the answer is
+// PredictFeatures(DecodeFeatures(result, F)).
+func (m *Model) predictPacked(byFeature []float32, result []byte) int {
 	// The class sums are scalars, not an array, so they stay in registers
 	// across the loop (an array's elements are loaded and stored around
 	// every addition: 2.5x slower on this function).
-	b, w := m.Bias[:mnist.NumClasses], m.Weights[:mnist.NumClasses]
+	b := m.Bias[:mnist.NumClasses]
 	s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], b[9]
-	w0, w1, w2, w3, w4, w5, w6, w7, w8, w9 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8], w[9]
 	mask := byte(uint(1)<<uint(m.F) - 1)
-	for cell := 0; cell < PoolCells; cell++ {
-		for set := result[cell] & mask; set != 0; set &= set - 1 {
-			i := cell*m.F + bits.TrailingZeros8(set)
-			s0 += w0[i]
-			s1 += w1[i]
-			s2 += w2[i]
-			s3 += w3[i]
-			s4 += w4[i]
-			s5 += w5[i]
-			s6 += w6[i]
-			s7 += w7[i]
-			s8 += w8[i]
-			s9 += w9[i]
+	for cell, r := range result[:PoolCells] {
+		for set := r & mask; set != 0; set &= set - 1 {
+			w := (*[mnist.NumClasses]float32)(byFeature[(cell*m.F+bits.TrailingZeros8(set))*mnist.NumClasses:])
+			s0 += w[0]
+			s1 += w[1]
+			s2 += w[2]
+			s3 += w[3]
+			s4 += w[4]
+			s5 += w[5]
+			s6 += w[6]
+			s7 += w[7]
+			s8 += w[8]
+			s9 += w[9]
 		}
 	}
 	return argmax([]float32{s0, s1, s2, s3, s4, s5, s6, s7, s8, s9})

@@ -8,16 +8,10 @@
 // dispatch: gemm row-per-DPU, ebnn images-per-DPU) or a StreamSet value
 // (single-wave streaming dispatch: gemm image-per-DPU batch). A WorkSet
 // runs through one wave loop (Engine.run) over one wave primitive, the
-// host's fused scatter→launch→gather wave (host.System.RunWave). The
-// dispatch depth only picks where that wave runs: depth 1 runs it on
-// the caller and completes it before the next wave is encoded, depth 2
-// keeps it in flight on one goroutine while the caller decodes the
-// previous wave and encodes the next. Every other System call joins the
-// wave in flight first, so the System sees the same calls in the same
-// order at both depths; results, Stats and every simulated clock —
-// cycles, transfer bytes, operations and time — are the same at both,
-// and depth 2 only overlaps host encode/decode wall-clock time with
-// device work. A System serves one dispatching engine at a time.
+// host's fused scatter→launch→gather wave (host.System.RunWave), one
+// wave at a time on the caller: each wave is encoded, run, re-dispatched
+// where it failed and decoded before the next is encoded. A System
+// serves one dispatching engine at a time.
 //
 // See DESIGN.md, "Execution engine", for the interface contract,
 // accounting, and retry semantics.
@@ -34,14 +28,9 @@ import (
 	"pimdnn/internal/trace"
 )
 
-// Config is the unified dispatch configuration shared by every runner.
-type Config struct {
-	// Pipeline selects the dispatch depth: 2 (double-buffered, one wave
-	// in flight on its own goroutine) or 1 (each wave completes on the
-	// caller before the next is encoded). Results and simulated
-	// accounting are identical at both depths.
-	Pipeline host.PipelineMode
-}
+// Config and its Pipeline field are ignored by New: the engine runs one
+// wave at a time. They exist only so bench/ compiles.
+type Config struct{ Pipeline host.PipelineMode }
 
 // Stats describes one dispatched work set — the single accounting
 // struct produced by the engine for every workload.
@@ -67,15 +56,14 @@ type Stats struct {
 	Tasklets int
 }
 
-// Stream names one per-shard transfer stream: Bufs[i] is DPU i's buffer
-// in the current staging slot. A wave's primary scatter stream and its
-// gather stream move Bufs[:n], one equal-length buffer per wave shard,
-// inside the fused wave; a workset's later scatter streams (and a
-// StreamSet's) are pushed on their own and cover every DPU of the
-// system (matching dpu_push_xfer). A stream starts at its symbol's
-// base, and a re-dispatch pushes the shard's own buffer of every input
-// stream to the retry target. No stream is weight-resident: the only
-// resident payload is a Broadcast.
+// Stream names one per-shard transfer stream: Bufs[i] is DPU i's buffer.
+// A wave's primary scatter stream and its gather stream move Bufs[:n],
+// one equal-length buffer per wave shard, inside the fused wave; a
+// workset's later scatter streams (and a StreamSet's) are pushed on
+// their own and cover every DPU of the system (matching dpu_push_xfer).
+// A stream starts at its symbol's base, and a re-dispatch pushes the
+// shard's own buffer of every input stream to the retry target. No
+// stream is weight-resident: the only resident payload is a Broadcast.
 type Stream struct {
 	Ref  host.SymbolRef
 	Bufs [][]byte
@@ -112,10 +100,8 @@ type Broadcast struct {
 // scatter → launch → gather wave, re-dispatches failed shards onto
 // survivors, and hands every shard back through Decode in input order.
 //
-// slot is the staging-slot index: always 0 at depth 1, alternating 0/1
-// at depth 2 (Engine.Pipelined reports which, so a workset can size one
-// slot or two) — the two slots' buffers must be disjoint, because a
-// slot's buffers belong to its wave from Encode until the engine has
+// slot is the staging-slot index, always 0: one wave is issued at a
+// time, and its buffers belong to it from Encode until the engine has
 // decoded it.
 type WorkSet interface {
 	// Shards is the total number of shards to dispatch.
@@ -170,11 +156,10 @@ const maxRedispatch = 8
 // Engine owns shard dispatch for one runner. It is not safe for
 // concurrent use: the DPU symbols it scatters into are shared state.
 type Engine struct {
-	sys  *host.System
-	pipe bool
+	sys *host.System
 
 	// Telemetry: instruments resolved from the System's registry at
-	// Configure time and the current per-layer scope label (metrics.go).
+	// New and the current per-layer scope label (metrics.go).
 	// Nil/empty when telemetry is off; dispatch results never depend on
 	// them.
 	met   *engineMetrics
@@ -197,17 +182,10 @@ type Engine struct {
 	retryCur int
 	failSet  []bool
 
-	// The wave loop's issued-wave records: slot 0 at depth 1, both
-	// (ping-pong) at depth 2.
-	slots   [2]waveSlot
+	// The engine-global wave number (trace spans) and the launch
+	// statistics of the wave loop's current wave.
 	waveSeq int
-
-	// The wave in flight at depth 2: fly is its slot, run by flyFn (the
-	// bound method runFly, stored once so the handoff allocates nothing)
-	// on its own goroutine, which releases landed when it is done.
-	fly    *waveSlot
-	flyFn  func()
-	landed sync.WaitGroup
+	waveLS  host.LaunchStats
 
 	// Reused scratch: re-dispatch input descriptors, and RunStream's
 	// per-shard gather errors and free list of gather buffers (the one
@@ -231,49 +209,16 @@ func (e *Engine) perDPUBuf(n int) []dpu.Stats {
 	return e.waveStats[:n]
 }
 
-// waveSlot is one issued wave record of the wave loop: the wave owns the
-// slot's staging buffers from Encode until flush has decoded it.
-type waveSlot struct {
-	idx      int // staging-slot index handed to the workset
-	seq      int // engine-global wave number (trace spans)
-	start, n int
-	stats    host.LaunchStats
-	pushes   []Stream  // extra-stream pushes not yet run, in issue order
-	wave     host.Wave // the fused wave, run after the pushes
-	errs     []error   // each run command's outcome, in issue order
-	t0       time.Time
-	// sp parents the in-flight wave's "q.wave" span: the request span
-	// installed at issue time, captured then (nil at depth 1).
-	sp   *trace.Span
-	busy bool
-}
-
-// New builds an engine over sys. One engine per runner: down-DPU state
-// is scoped to the broadcasts that runner has delivered.
-func New(sys *host.System, cfg Config) *Engine {
-	e := &Engine{sys: sys}
-	e.down = make([]bool, sys.NumDPUs())
-	e.failSet = make([]bool, sys.NumDPUs())
-	e.slots[1].idx = 1
-	e.flyFn = e.runFly
-	e.Configure(cfg)
+// New builds an engine over sys, with telemetry when sys has a metrics
+// registry wired. One engine per runner: down-DPU state is scoped to the
+// broadcasts that runner has delivered.
+func New(sys *host.System, _ Config) *Engine {
+	e := &Engine{sys: sys, down: make([]bool, sys.NumDPUs()), failSet: make([]bool, sys.NumDPUs())}
+	if reg := sys.MetricsRegistry(); reg != nil {
+		e.met = newEngineMetrics(reg)
+	}
 	return e
 }
-
-// Configure re-applies the dispatch configuration. Call it between
-// dispatches only, never while a run is in flight.
-func (e *Engine) Configure(cfg Config) {
-	e.pipe = cfg.Pipeline.Enabled()
-	if reg := e.sys.MetricsRegistry(); reg != nil {
-		e.met = newEngineMetrics(reg)
-	} else {
-		e.met = nil
-	}
-}
-
-// Pipelined reports whether dispatch runs at depth 2, i.e. whether the
-// wave loop uses both staging slots.
-func (e *Engine) Pipelined() bool { return e.pipe }
 
 // Down reports whether DPU i has been excluded from dispatch.
 func (e *Engine) Down(i int) bool { return e.down[i] }
@@ -385,9 +330,7 @@ func (e *Engine) mergeFailed(failed []bool, err error) error {
 // down-marking on partial failure. Used for setup-time payloads (the
 // eBNN model deploy) and for the wave loop's and RunStream's
 // dispatch-time broadcasts. A resident broadcast goes through the
-// weight cache's generation stamps and is skipped for current DPUs. No
-// wave is ever in flight here: Run returns with none, and its prologue
-// runs before its first.
+// weight cache's generation stamps and is skipped for current DPUs.
 func (e *Engine) Broadcast(b Broadcast) error {
 	if b.Resident != nil {
 		return e.broadcastResident(b)
@@ -489,90 +432,16 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 	return nil
 }
 
-// The wave in flight. start runs a slot's pending pushes and its fused
-// wave — on the caller at depth 1, on one goroutine at depth 2 — and
-// every other System call of the wave loop, re-dispatch and RunStream
-// is preceded by join, so the System sees the same calls in the same
-// order at both depths. Run returns with no wave in flight, so
-// Broadcast never meets one.
-
-// start runs sl's pending pushes and wave, at depth 2 as the wave in
-// flight.
-func (e *Engine) start(sl *waveSlot) {
-	sl.sp = nil
-	if !e.pipe {
-		e.runSlot(sl)
-		return
-	}
-	sl.sp = e.tsp
-	e.fly = sl
-	e.landed.Add(1)
-	go e.flyFn()
-}
-
-// runFly is the in-flight goroutine.
-func (e *Engine) runFly() {
-	e.runSlot(e.fly)
-	e.landed.Done()
-}
-
-// join waits for the wave in flight, if any, and returns its first
-// total (non-*FaultReport) failure, which stops the loop before
-// anything else is issued. Partial failures stay in the slot for flush.
-func (e *Engine) join() error {
-	sl := e.fly
-	if sl == nil {
-		return nil
-	}
-	e.landed.Wait()
-	e.fly = nil
-	for _, err := range sl.errs {
-		if err == nil {
-			continue
-		}
-		if _, ok := host.AsFaultReport(err); !ok {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPushes runs the slot's pending extra-stream pushes in issue order.
-func (e *Engine) runPushes(sl *waveSlot) {
-	for _, s := range sl.pushes {
-		sl.errs = append(sl.errs, e.sys.PushXferRef(s.Ref, 0, s.Bufs))
-	}
-	sl.pushes = sl.pushes[:0]
-}
-
-// runSlot runs the slot's pending pushes, then its wave; in flight
-// under a request span it stamps the wave's "q.wave" span too.
-func (e *Engine) runSlot(sl *waveSlot) {
-	e.runPushes(sl)
-	var t0 time.Time
-	if sl.sp != nil {
-		t0 = time.Now()
-	}
-	sl.errs = append(sl.errs, e.sys.RunWave(sl.wave))
-	if sl.sp != nil {
-		traceInFlight(sl.sp, &sl.wave, t0)
-	}
-}
-
 // redispatch re-runs one failed shard on a surviving DPU: push its
 // input buffers, launch the kernel on that DPU alone, and gather its
 // output. from is the DPU the shard failed on — targets in its rank are
 // preferred (nextTarget). The retry's cycles are added to st, so the
-// stats reflect the degraded run's real cost. The wave in flight lands
-// first, and an attempt stops at its first failed step, so what a
-// degraded run is charged does not depend on the depth. A retry writes
-// only the shard's own input and output symbols, never the weight
-// arena, so no resident stamp goes stale through it: a resident payload
-// is a Broadcast, delivered to every live DPU before the launch.
+// stats reflect the degraded run's real cost. An attempt stops at its
+// first failed step. A retry writes only the shard's own input and
+// output symbols, never the weight arena, so no resident stamp goes
+// stale through it: a resident payload is a Broadcast, delivered to
+// every live DPU before the launch.
 func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
-	if err := e.join(); err != nil {
-		return err
-	}
 	near := from
 	for a := 0; a < maxRedispatch; a++ {
 		t := e.nextTarget(near)
@@ -624,32 +493,22 @@ func (e *Engine) shardIns(streams []Stream, i int) []Xfer {
 	return ins
 }
 
-// Run dispatches every shard of ws at the engine's configured depth. st
-// accumulates: callers zero it (or carry it across layers) themselves.
+// Run dispatches every shard of ws. st accumulates: callers zero it (or
+// carry it across layers) themselves.
 func (e *Engine) Run(ws WorkSet, st *Stats) error {
 	pre := *st
 	err := e.run(ws, st)
-	if err != nil {
-		// A fatal error abandons the issued waves: let the one in flight
-		// land so the next run starts clean. What it reports is that
-		// wave's outcome; err is already the one to return.
-		_ = e.join()
-		e.slots[0].busy, e.slots[1].busy = false, false
-	}
 	if e.met != nil {
 		e.account(pre, st)
 	}
 	return err
 }
 
-// run is the wave loop, the only one: per wave of up to waveWidth
-// shards — complete the wave that last used the slot, encode, issue the
-// extra scatter streams and the fused wave — and complete what is still
-// issued at the end. At depth 1 there is one slot, so every wave is
-// completed before the next is encoded; at depth 2 wave w is in flight
-// while wave w-1 is completed — retried, decoded — and wave w+1
-// encoded. The commands run and their arguments are the same at both
-// depths, and so are Stats and all simulated clocks.
+// run is the wave loop, the only one. Per wave of up to waveWidth
+// shards: encode it, push the extra scatter streams, run the fused wave,
+// fold every partial failure into the failed-shard set, account the
+// launch, re-dispatch the failed shards onto survivors, then decode the
+// wave in input order.
 func (e *Engine) run(ws WorkSet, st *Stats) error {
 	// Every broadcast is delivered — redelivered, or its DPU marked
 	// down and its shards moved onto survivors — before the first wave
@@ -659,116 +518,64 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 			return err
 		}
 	}
-	depth := 1
-	if e.pipe {
-		depth = 2
-	}
 	nd := e.waveWidth(ws)
 	total := ws.Shards()
 	tasklets := ws.Tasklets()
 	st.Tasklets = tasklets
 	kernel := ws.Kernel()
 
-	w := 0
 	for start := 0; start < total; start += nd {
-		n := total - start
-		if n > nd {
-			n = nd
-		}
-		sl := &e.slots[w%depth]
-		// The slot's buffers belong to its previous wave until that wave
-		// has been decoded.
-		if err := e.flush(ws, sl, st); err != nil {
-			return err
-		}
+		n := min(total-start, nd)
 		e.waveSeq++
-		ws.Encode(sl.idx, start, n)
-		// One wave in flight at most: the previous one lands before any
-		// command of this one reaches the System.
-		if err := e.join(); err != nil {
-			return err
+		ws.Encode(0, start, n)
+		streams := ws.Scatter(0, n)
+		g := ws.Gather(0, n)
+		t0 := e.now()
+		// Down DPUs hold stale broadcasts: their shards are re-dispatched
+		// even when no operation reports an error for them. The later
+		// streams are pushed ahead of the wave; stream 0 rides in it.
+		failed := e.seedFailed(n)
+		for _, s := range streams[1:] {
+			if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, 0, s.Bufs)); err != nil {
+				return err
+			}
 		}
-		// The later streams are pushed ahead of the wave; stream 0 rides
-		// in it.
-		streams := ws.Scatter(sl.idx, n)
-		sl.errs = sl.errs[:0]
-		sl.pushes = append(sl.pushes[:0], streams[1:]...)
-		g := ws.Gather(sl.idx, n)
-		sl.t0 = e.now()
-		sl.wave = host.Wave{
+		werr := e.sys.RunWave(host.Wave{
 			DPUs:     n,
 			Tasklets: tasklets,
 			Kernel:   kernel,
-			Stats:    &sl.stats,
+			Stats:    &e.waveLS,
 			Scatter:  streams[0].Ref,
 			In:       streams[0].Bufs[:n],
 			Gather:   g.Ref,
 			Out:      g.Bufs[:n],
-		}
-		sl.seq = e.waveSeq
-		sl.start, sl.n = start, n
-		sl.busy = true
-		e.start(sl)
-		w++
-	}
-	// Complete the issued waves, oldest first (decode order).
-	for i := 0; i < depth; i++ {
-		if err := e.flush(ws, &e.slots[(w+i)%depth], st); err != nil {
+		})
+		if err := e.mergeFailed(failed, werr); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// flush completes one issued wave: land it if it is in flight, fold its
-// commands' partial failures into the failed-shard set, account the
-// launch, re-dispatch failed shards, then decode the wave in input
-// order. At depth 2 the next wave is in flight by then, and the
-// re-dispatch lands it first: that wave's fused gather runs before the
-// retry overwrites any of its DPUs' symbols, and the wave after it
-// re-scatters everything the retry clobbered.
-func (e *Engine) flush(ws WorkSet, sl *waveSlot, st *Stats) error {
-	if !sl.busy {
-		return nil
-	}
-	sl.busy = false
-	if sl == e.fly {
-		if err := e.join(); err != nil {
-			return err
+		st.Waves++
+		st.Cycles += e.waveLS.Cycles
+		st.Seconds += e.waveLS.Seconds
+		st.DPUsUsed = max(st.DPUsUsed, n)
+		if e.tsp != nil {
+			e.tspLS, e.tspLSOK = e.waveLS, true
 		}
-	}
-	failed := e.seedFailed(sl.n)
-	for _, err := range sl.errs {
-		if err := e.mergeFailed(failed, err); err != nil {
-			return err
-		}
-	}
-	st.Waves++
-	st.Cycles += sl.stats.Cycles
-	st.Seconds += sl.stats.Seconds
-	if sl.n > st.DPUsUsed {
-		st.DPUsUsed = sl.n
-	}
-	if e.tsp != nil {
-		e.tspLS, e.tspLSOK = sl.stats, true
-	}
-	t1 := e.span("wave", sl.seq, sl.n, sl.t0)
-	streams := ws.Scatter(sl.idx, sl.n)
-	g := ws.Gather(sl.idx, sl.n)
-	retried := false
-	for i := 0; i < sl.n; i++ {
-		if failed[i] {
-			retried = true
-			if err := e.redispatch(i, e.shardIns(streams, i), Xfer{Ref: g.Ref, Data: g.Bufs[i]}, ws.Tasklets(), ws.Kernel(), st); err != nil {
-				return err
+		t1 := e.span("wave", e.waveSeq, n, t0)
+		retried := false
+		for i := 0; i < n; i++ {
+			if failed[i] {
+				retried = true
+				if err := e.redispatch(i, e.shardIns(streams, i), Xfer{Ref: g.Ref, Data: g.Bufs[i]}, tasklets, kernel, st); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if retried {
-		e.span("retry", sl.seq, sl.n, t1)
-	}
-	for i := 0; i < sl.n; i++ {
-		ws.Decode(sl.idx, sl.start+i, i)
+		if retried {
+			e.span("retry", e.waveSeq, n, t1)
+		}
+		for i := 0; i < n; i++ {
+			ws.Decode(0, start+i, i)
+		}
 	}
 	return nil
 }

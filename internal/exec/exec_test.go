@@ -30,9 +30,9 @@ type toySet struct {
 	got  []uint32
 	opts toyOpts
 
-	inBufs  [2][][]byte
-	addBufs [2][][]byte
-	outBufs [2][][]byte
+	inBufs  [][]byte
+	addBufs [][]byte
+	outBufs [][]byte
 	streams []exec.Stream
 }
 
@@ -105,15 +105,9 @@ func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts
 		tk.WRAMToMRAM(outOff, wramOff, 8)
 		return nil
 	}
-	for slot := 0; slot < 2; slot++ {
-		w.inBufs[slot] = make([][]byte, nd)
-		w.addBufs[slot] = make([][]byte, nd)
-		w.outBufs[slot] = make([][]byte, nd)
-		for d := 0; d < nd; d++ {
-			w.inBufs[slot][d] = make([]byte, 8)
-			w.addBufs[slot][d] = make([]byte, 8)
-			w.outBufs[slot][d] = make([]byte, 8)
-		}
+	w.inBufs, w.addBufs, w.outBufs = make([][]byte, nd), make([][]byte, nd), make([][]byte, nd)
+	for d := 0; d < nd; d++ {
+		w.inBufs[d], w.addBufs[d], w.outBufs[d] = make([]byte, 8), make([]byte, 8), make([]byte, 8)
 	}
 	return w
 }
@@ -145,35 +139,35 @@ func (w *toySet) Broadcasts() []exec.Broadcast { return nil }
 // MaxWaveDPUs implements exec.WidthLimiter.
 func (w *toySet) MaxWaveDPUs() int { return w.opts.maxWave }
 
-func (w *toySet) Encode(slot, start, n int) {
+func (w *toySet) Encode(_, start, n int) {
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(w.inBufs[slot][i], w.vals[start+i])
-		binary.LittleEndian.PutUint32(w.addBufs[slot][i], toyAddend(start+i))
+		binary.LittleEndian.PutUint32(w.inBufs[i], w.vals[start+i])
+		binary.LittleEndian.PutUint32(w.addBufs[i], toyAddend(start+i))
 	}
 }
 
-func (w *toySet) Scatter(slot, n int) []exec.Stream {
-	w.streams = append(w.streams[:0], exec.Stream{Ref: w.refIn, Bufs: w.inBufs[slot]})
+func (w *toySet) Scatter(_, n int) []exec.Stream {
+	w.streams = append(w.streams[:0], exec.Stream{Ref: w.refIn, Bufs: w.inBufs})
 	if w.opts.twoStream {
-		w.streams = append(w.streams, exec.Stream{Ref: w.refAdd, Bufs: w.addBufs[slot]})
+		w.streams = append(w.streams, exec.Stream{Ref: w.refAdd, Bufs: w.addBufs})
 	}
 	return w.streams
 }
 
-func (w *toySet) Gather(slot, n int) exec.Stream {
-	return exec.Stream{Ref: w.refOut, Bufs: w.outBufs[slot]}
+func (w *toySet) Gather(_, n int) exec.Stream {
+	return exec.Stream{Ref: w.refOut, Bufs: w.outBufs}
 }
 
-func (w *toySet) Decode(slot, shard, i int) {
-	w.got[shard] = binary.LittleEndian.Uint32(w.outBufs[slot][i])
+func (w *toySet) Decode(_, shard, i int) {
+	w.got[shard] = binary.LittleEndian.Uint32(w.outBufs[i])
 }
 
-// TestEngineModes runs the same toy WorkSet at every dispatch shape —
-// depth 1 on a system below the host pool's parallel threshold and on
-// one above it, depth 2, and both depths under a dead-DPU fault plan
-// (TestRunInvariance is the full depth × fault × core-count table) —
-// each in the default single-rank topology AND split across several
-// small ranks. Outputs must be identical everywhere; simulated launch
+// TestEngineModes runs the same toy WorkSet at every dispatch shape — a
+// system below the host pool's parallel threshold and one above it, the
+// ignored Pipeline setting bench/ passes to New, and a dead-DPU fault
+// plan (TestRunInvariance is the full fault × core-count table) — each
+// in the default single-rank topology AND split across several small
+// ranks. Outputs must be identical everywhere; simulated launch
 // accounting and transfer BYTES must be identical between a topology
 // and its single-rank twin (rank grouping must never change what ran,
 // only the modeled transfer time, which the rank-parallel model
@@ -244,8 +238,8 @@ func TestEngineModes(t *testing.T) {
 		})
 	}
 
-	// Depth 2 must account exactly like depth 1: same waves, same
-	// cycles, same transfer traffic, same DPU clock.
+	// The Pipeline setting must change nothing: same waves, same cycles,
+	// same transfer traffic, same DPU clock.
 	if stats["serial"] != stats["pipelined"] {
 		t.Errorf("sync stats %+v != pipelined stats %+v", stats["serial"], stats["pipelined"])
 	}
@@ -294,7 +288,7 @@ func TestEngineModes(t *testing.T) {
 // TestWholeRankKill kills every DPU of one rank before the first wave
 // and requires graceful degradation: every shard of the dead rank is
 // re-dispatched onto a surviving rank's DPUs and the outputs stay
-// bit-identical, in both dispatch modes.
+// bit-identical, with and without the ignored Pipeline setting.
 func TestWholeRankKill(t *testing.T) {
 	const nd, perRank = 8, 4
 	vals := make([]uint32, 16) // 2 waves on 8 DPUs
@@ -373,16 +367,13 @@ func TestEngineDownDPUSticky(t *testing.T) {
 	}
 }
 
-// TestWaveSpans: Engine.Run records one "wave" span per wave at either
-// depth, and a "retry" span only when shards were re-dispatched, as
-// children of the request span installed on the engine; the wave
-// timeline is trace.WaveSpans' view of that trace. At depth 1 every wave
-// is completed before the next is issued, so spans never overlap. At
-// depth 2 wave w+1 is in flight while wave w drains, so their spans must
-// overlap — deterministically: wave w+1's span opens when it is issued,
-// strictly before wave w's flush closes wave w's. The in-flight waves'
-// device runs ("q.wave") and per-DPU kernels ("dpu_kernel") recorded
-// under the same root are in the trace and not in the view.
+// TestWaveSpans: Engine.Run records one "wave" span per wave, with and
+// without the ignored Pipeline setting, and a "retry" span only when
+// shards were re-dispatched, as children of the request span installed
+// on the engine; the wave timeline is trace.WaveSpans' view of that
+// trace. Every wave is completed before the next is issued, so spans
+// never overlap. The per-DPU kernels ("dpu_kernel") recorded under the
+// same root are in the trace and not in the view.
 func TestWaveSpans(t *testing.T) {
 	deadPlan := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1}
 	for _, tc := range []struct {
@@ -430,27 +421,18 @@ func TestWaveSpans(t *testing.T) {
 			if got := count["retry"]; (got > 0) != (st.Retries > 0) || (tc.plan != nil) != (got > 0) {
 				t.Errorf("%d retry spans with %d retries (fault plan: %v)", got, st.Retries, tc.plan != nil)
 			}
-			mc := trace.MaxConcurrent(spans)
-			if tc.mode == host.PipelineOff && mc != 1 {
-				t.Errorf("depth-1 MaxConcurrent = %d, want 1", mc)
-			}
-			if tc.mode == host.PipelineOn && tc.plan == nil && mc < 2 {
-				t.Errorf("depth-2 MaxConcurrent = %d, want >= 2 (waves must overlap)", mc)
+			if mc := trace.MaxConcurrent(spans); mc != 1 {
+				t.Errorf("MaxConcurrent = %d, want 1", mc)
 			}
 			if r := trace.Render(spans, 40); r == "" {
 				t.Error("empty render")
 			}
-			if tc.mode == host.PipelineOn {
-				all := map[string]int{}
-				for _, n := range root.Trace().Spans() {
-					all[n.Name]++
-				}
-				if all["q.wave"] == 0 || all["dpu_kernel"] == 0 {
-					t.Errorf("trace spans %v, want q.wave and dpu_kernel children under the root", all)
-				}
-				if count["q.wave"] != 0 || count["dpu_kernel"] != 0 {
-					t.Errorf("view holds q.wave or kernel spans: %v", count)
-				}
+			all := map[string]int{}
+			for _, n := range root.Trace().Spans() {
+				all[n.Name]++
+			}
+			if all["dpu_kernel"] == 0 || count["dpu_kernel"] != 0 {
+				t.Errorf("trace spans %v, view %v: want dpu_kernel children under the root and not in the view", all, count)
 			}
 		})
 	}
@@ -470,20 +452,13 @@ type runOutcome struct {
 // toy WorkSet — twice per engine, so the second run starts from the
 // first's down set — over the shapes where the two dispatch paths used
 // to account differently (a partial single wave on a sharded system, a
-// partial last wave, a WidthLimiter cap, a second scatter stream), at
-// both dispatch depths, under each fault class and an armed zero plan,
-// with each telemetry, at GOMAXPROCS 1, 2 and 4. Outputs, exec.Stats,
-// per-DPU cycles, all of TransferStats, the DPU clock and the down count
-// must equal the depth-1/telemetry-off/GOMAXPROCS=1 row; shards are
-// re-dispatched exactly when the plan injects something; and the zero
-// plan's row must equal the clean one.
-//
-// One cell is weaker by construction. Depth 2 issues wave w+1 before
-// wave w's re-dispatches, so under a probabilistic plan a multi-wave
-// run consumes each DPU's fault stream in a different order than depth
-// 1 does and fails different operations. There the outputs must still
-// match depth 1 and everything must match depth 2's telemetry-off row
-// at GOMAXPROCS=1.
+// partial last wave, a WidthLimiter cap, a second scatter stream), under
+// each fault class and an armed zero plan, with each telemetry, at
+// GOMAXPROCS 1, 2 and 4. Outputs, exec.Stats, per-DPU cycles, all of
+// TransferStats, the DPU clock and the down count must equal the
+// telemetry-off/GOMAXPROCS=1 row; shards are re-dispatched exactly when
+// the plan injects something; and the zero plan's row must equal the
+// clean one.
 func TestRunInvariance(t *testing.T) {
 	shapes := []struct {
 		name       string
@@ -496,48 +471,33 @@ func TestRunInvariance(t *testing.T) {
 		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true}},
 	}
 	faults := []struct {
-		name          string
-		plan          *dpu.FaultPlan
-		probabilistic bool
+		name string
+		plan *dpu.FaultPlan
 	}{
-		{"clean", nil, false},
-		{"zero", &dpu.FaultPlan{}, false},
-		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}, false},
-		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1}, false},
-		{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.2}, true},
+		{"clean", nil},
+		{"zero", &dpu.FaultPlan{}},
+		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}},
+		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1}},
+		{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.2}},
 	}
-	modes := []host.PipelineMode{host.PipelineOff, host.PipelineOn}
 	clean := map[string]runOutcome{}
 	for _, sh := range shapes {
 		for _, fc := range faults {
 			t.Run(sh.name+"/"+fc.name, func(t *testing.T) {
 				var base runOutcome
-				for depth, mode := range modes {
-					var first runOutcome
-					for _, tel := range telemetries {
-						for _, procs := range []int{1, 2, 4} {
-							got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, mode, tel)
-							if tel == "off" && procs == 1 {
-								first = got
-								if depth == 0 {
-									base = got
-									if injects(fc.plan) != (got.Stats.Retries > 0) {
-										t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
-									}
-									continue
-								}
+				for _, tel := range telemetries {
+					for _, procs := range []int{1, 2, 4} {
+						got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, tel)
+						if tel == "off" && procs == 1 {
+							base = got
+							if injects(fc.plan) != (got.Stats.Retries > 0) {
+								t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
 							}
-							want := base
-							if fc.probabilistic && depth == 1 && got.Stats.Waves > 2 {
-								if !reflect.DeepEqual(got.Got, base.Got) {
-									t.Errorf("depth %d %s GOMAXPROCS=%d: outputs diverge from depth 1", depth+1, tel, procs)
-								}
-								want = first
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("depth %d telemetry %s GOMAXPROCS=%d diverges:\n got %s\nwant %s",
-									depth+1, tel, procs, got.summary(), want.summary())
-							}
+							continue
+						}
+						if !reflect.DeepEqual(got, base) {
+							t.Errorf("telemetry %s GOMAXPROCS=%d diverges:\n got %s\nwant %s",
+								tel, procs, got.summary(), base.summary())
 						}
 					}
 				}
@@ -560,12 +520,12 @@ func TestRunInvariance(t *testing.T) {
 var telemetries = []string{"off", "metrics", "tracing"}
 
 // newEngine builds the engine an invariance row dispatches through,
-// with tel's telemetry wired.
-func newEngine(sys *host.System, mode host.PipelineMode, tel string) *exec.Engine {
+// from cfg, with tel's telemetry wired.
+func newEngine(sys *host.System, cfg exec.Config, tel string) *exec.Engine {
 	if tel == "metrics" {
 		sys.EnableMetrics(metrics.NewRegistry())
 	}
-	eng := exec.New(sys, exec.Config{Pipeline: mode})
+	eng := exec.New(sys, cfg)
 	if tel == "tracing" {
 		eng.SetTraceSpan(trace.NewTracer(trace.TracerConfig{}).StartTrace("run"))
 	}
@@ -579,7 +539,7 @@ func (o runOutcome) summary() string {
 	return summarize(streamOutcome{Stats: o.Stats, DPUCycles: o.DPUCycles, Xfer: o.Xfer, DPUTime: o.DPUTime, Down: o.Down})
 }
 
-func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, mode host.PipelineMode, tel string) runOutcome {
+func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, tel string) runOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	vals := make([]uint32, shards)
@@ -590,7 +550,7 @@ func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.Faul
 	if plan != nil {
 		w.sys.InjectFaults(*plan)
 	}
-	eng := newEngine(w.sys, mode, tel)
+	eng := newEngine(w.sys, exec.Config{}, tel)
 	want := w.want()
 	var st exec.Stats
 	for run := 1; run <= 2; run++ {

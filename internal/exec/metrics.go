@@ -3,12 +3,12 @@ package exec
 import "pimdnn/internal/metrics"
 
 // engineMetrics is the engine's resolved instrument set, built from the
-// host System's registry at Configure time. All instruments are
+// host System's registry by New. All instruments are
 // nil-safe; the engine gates the whole block on one e.met nil check, so
 // an unwired engine's dispatch loop is telemetry-free.
 type engineMetrics struct {
 	// Wall-clock phase histograms (nanoseconds): wave and retry for a
-	// Run at either depth, scatter/launch/gather for a RunStream.
+	// Run, scatter/launch/gather for a RunStream.
 	scatter *metrics.Histogram
 	launch  *metrics.Histogram
 	gather  *metrics.Histogram

@@ -87,9 +87,8 @@ func (e *Engine) putRaw(buf []byte) {
 	e.rawMu.Unlock()
 }
 
-// RunStream dispatches ss as one wave with streamed gather, on the
-// caller at either depth (its transfers are per-DPU and fan out over
-// the worker pool instead), after any wave in flight has landed. st
+// RunStream dispatches ss as one wave with streamed gather (its
+// transfers are per-DPU and fan out over the worker pool). st
 // accumulates like Run's.
 func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 	pre := *st
@@ -102,9 +101,6 @@ func (e *Engine) RunStream(ss *StreamSet, st *Stats) error {
 }
 
 func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
-	if err := e.join(); err != nil {
-		return err
-	}
 	e.waveSeq++
 	seq := e.waveSeq
 	t0 := e.now()

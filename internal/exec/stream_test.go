@@ -121,8 +121,9 @@ type streamOutcome struct {
 
 // TestStreamInvariance runs one toy StreamSet — twice per engine, so
 // the second run starts from the first's down set — at one-rank and
-// two-rank sharded widths, in both dispatch modes, under each fault
-// class and an armed zero plan, with each telemetry, at GOMAXPROCS 1, 2
+// two-rank sharded widths, without and with the ignored Pipeline
+// setting (the sync and pipelined cells), under each fault class and an
+// armed zero plan, with each telemetry, at GOMAXPROCS 1, 2
 // and 4. Every shard must be delivered exactly once per run with the
 // right bytes, shards are re-dispatched exactly when the plan injects
 // something, and everything observable (delivered bytes, exec.Stats,
@@ -213,7 +214,7 @@ func runToyStream(t *testing.T, procs, nd int, topo host.Topology, plan *dpu.Fau
 	if plan != nil {
 		ts.sys.InjectFaults(*plan)
 	}
-	eng := newEngine(ts.sys, mode, tel)
+	eng := newEngine(ts.sys, exec.Config{Pipeline: mode}, tel)
 	var st exec.Stats
 	for run := 1; run <= 2; run++ {
 		if err := eng.RunStream(&ts.ss, &st); err != nil {
@@ -250,7 +251,7 @@ func TestStreamFaultAllocBounded(t *testing.T) {
 	// Shard 0's DPU dies at the first launch: the old path buffered all
 	// 64 shards on every later stream.
 	ts.sys.DPU(0).InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 1}.NewInjector(0))
-	eng := exec.New(ts.sys, exec.Config{Pipeline: host.PipelineOff})
+	eng := exec.New(ts.sys, exec.Config{})
 	var st exec.Stats
 	run := func() {
 		if err := eng.RunStream(&ts.ss, &st); err != nil {

@@ -8,16 +8,14 @@ import (
 	"pimdnn/internal/host"
 )
 
-// TestMultiRankPipelinedStress drives a pipelined engine over a
-// multi-rank system while another goroutine performs synchronous
-// transfers on its own symbol — the one kind of sharing a System allows
-// beside its dispatching engine. The wave in flight tallies rank
-// occupancy on the engine's goroutine and the synchronous path tallies
-// it in the caller's — the same split the host keeps for its per-DPU
-// error scratch — so run under -race (make ci does) this is the
-// data-race gate for the rank accounting and the in-flight handoff.
-// Results must stay bit-identical on every iteration regardless of
-// interleaving.
+// TestMultiRankPipelinedStress drives an engine over a multi-rank
+// system while another goroutine performs synchronous transfers on its
+// own symbol — the one kind of sharing a System allows beside its
+// dispatching engine. The engine's waves tally rank occupancy in the
+// wave scratch and the synchronous path in its own — the same split the
+// host keeps for its per-DPU error scratch — so run under -race (make ci
+// does) this is the data-race gate for the rank accounting. Results must
+// stay bit-identical on every iteration regardless of interleaving.
 func TestMultiRankPipelinedStress(t *testing.T) {
 	const (
 		nd     = 32
@@ -36,7 +34,7 @@ func TestMultiRankPipelinedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := exec.New(w.sys, exec.Config{Pipeline: host.PipelineOn})
+	eng := exec.New(w.sys, exec.Config{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

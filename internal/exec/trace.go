@@ -3,22 +3,19 @@ package exec
 import (
 	"time"
 
-	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
 // Request-tracing integration. A runner that dispatches on behalf of a
 // traced request installs the request's span on its engine; the
-// engine's phase spans (wave/retry for a Run at either depth,
-// scatter/launch/gather for a RunStream, each with its wave number and
+// engine's phase spans (wave/retry for a Run, scatter/launch/gather
+// for a RunStream, each with its wave number and
 // shard count: what trace.WaveSpans reads back) become child spans of
 // that request, launch and wave spans carry the launch's simulated
 // cycle/energy attributes, and each launch fans out per-DPU
 // "dpu_kernel" child spans whose extents are the *simulated* kernel
 // windows — so a Perfetto view shows wall-clock dispatch machinery and
-// modeled device time on one tree. At depth 2 the in-flight goroutine
-// adds one "q.wave" span per wave around its device run. With no span
-// installed the engine's fast path is unchanged: one nil check, zero
+// modeled device time on one tree. With no span installed the engine's fast path is unchanged: one nil check, zero
 // allocations, identical results.
 
 // maxKernelSpans caps per-DPU kernel child spans per launch. A
@@ -28,7 +25,7 @@ import (
 const maxKernelSpans = 64
 
 // SetTraceSpan installs sp as the parent for dispatch spans; nil
-// uninstalls it. Call between dispatches only, like Configure.
+// uninstalls it. Call between dispatches only.
 func (e *Engine) SetTraceSpan(sp *trace.Span) { e.tsp = sp }
 
 // TraceSpan returns the installed request span (nil when untraced).
@@ -63,20 +60,4 @@ func (e *Engine) traceSpan(name string, wave, shards int, t0, t1 time.Time) {
 		}
 	}
 	c.EndAt(t1)
-}
-
-// traceInFlight stamps a depth-2 wave's "q.wave" span on the in-flight
-// goroutine: a child of sp, the request span captured when the wave was
-// issued, covering [t0, now], with the bytes the wave moved.
-func traceInFlight(sp *trace.Span, w *host.Wave, t0 time.Time) {
-	var b int64
-	for _, buf := range w.In {
-		b += int64(len(buf))
-	}
-	for _, buf := range w.Out {
-		b += int64(len(buf))
-	}
-	c := sp.StartChildAt("q.wave", t0)
-	c.SetAttr("bytes", b)
-	c.EndAt(time.Now())
 }

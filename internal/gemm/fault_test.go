@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 )
 
@@ -36,24 +35,16 @@ func TestMultiplyFaultRecovery(t *testing.T) {
 		{"dead", deadPlan},
 		{"transient", transientPlan},
 	}
-	modes := []struct {
-		name string
-		mode host.PipelineMode
-	}{
-		{"sync", host.PipelineOff},
-		{"pipelined", host.PipelineOn},
-	}
 	for _, p := range plans {
-		for _, mode := range modes {
-			t.Run(p.name+"/"+mode.name, func(t *testing.T) {
+		// One dispatch depth: the sync and pipelined cells run alike.
+		for _, mode := range []string{"sync", "pipelined"} {
+			t.Run(p.name+"/"+mode, func(t *testing.T) {
 				sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer sys.Close()
-				r, err := NewRunner(sys, RunnerConfig{
-					MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode},
-				})
+				r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,18 +131,10 @@ func TestMultiplyBatchFaultRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	modes := []struct {
-		name string
-		mode host.PipelineMode
-	}{
-		{"sync", host.PipelineOff},
-		{"pipelined", host.PipelineOn},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			r := newBatchRunner(t, 4, m, RunnerConfig{
-				MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16, Exec: exec.Config{Pipeline: mode.mode},
-			})
+	// One dispatch depth: the sync and pipelined cells run alike.
+	for _, mode := range []string{"sync", "pipelined"} {
+		t.Run(mode, func(t *testing.T) {
+			r := newBatchRunner(t, 4, m, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 			// Dooms DPU 1 of 4; it dies at its first batch launch.
 			r.sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
 			for call := 0; call < 2; call++ {

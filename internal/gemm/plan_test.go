@@ -106,7 +106,7 @@ func TestPlannerPredictionExact(t *testing.T) {
 }
 
 // TestPlannerBitIdentity: the auto-mapper only picks among mapping axes
-// (tasklets, wave width, pipeline mode); the product must be
+// (tasklets, wave width); the product must be
 // bit-identical to the fixed hand-tuned mapping's.
 func TestPlannerBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

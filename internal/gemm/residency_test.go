@@ -237,27 +237,27 @@ func TestBatchResidency(t *testing.T) {
 	bs, wants := resImages(t, a, a2)
 	for _, tc := range []struct {
 		name string
-		mode host.PipelineMode
 		topo host.Topology
 		arm  func(sys *host.System)
 	}{
-		{name: "sync", mode: host.PipelineOff},
-		{name: "pipelined", mode: host.PipelineOn},
+		// One dispatch depth: each pipelined cell runs as its sync twin.
+		{name: "sync"},
+		{name: "pipelined"},
 		// Dooms DPU 1 of 4 at its first batch launch.
-		{name: "sync-dead", mode: host.PipelineOff, arm: func(sys *host.System) {
+		{name: "sync-dead", arm: func(sys *host.System) {
 			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
 		}},
-		{name: "pipelined-dead", mode: host.PipelineOn, arm: func(sys *host.System) {
+		{name: "pipelined-dead", arm: func(sys *host.System) {
 			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
 		}},
 		// Two ranks of two; rank 0 dies whole at its first launch, so both
 		// of its images move to rank 1, whose arena copies stay current.
-		{name: "rank-kill", mode: host.PipelineOff, topo: host.Topology{DPUsPerRank: 2}, arm: func(sys *host.System) {
+		{name: "rank-kill", topo: host.Topology{DPUsPerRank: 2}, arm: func(sys *host.System) {
 			killDPUs(sys, []int{0, 1})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := RunnerConfig{MaxK: resK, MaxN: resN, Tasklets: 8, TileCols: 16, Exec: exec.Config{Pipeline: tc.mode}}
+			cfg := RunnerConfig{MaxK: resK, MaxN: resN, Tasklets: 8, TileCols: 16}
 			r, _, reg := newResidentRunner(t, resImg, tc.topo, cfg, 256, "yolo")
 			if err := r.EnableBatch(resM); err != nil {
 				t.Fatal(err)

@@ -51,12 +51,6 @@ type RunnerConfig struct {
 	// default (tiled) kernel is the §4.3.4-style improvement that
 	// maximizes WRAM accesses.
 	Naive bool
-	// Exec is the unified execution-engine configuration (the dispatch
-	// depth) shared with every other runner; see internal/exec and
-	// DESIGN.md, "Execution engine". Results and simulated accounting
-	// are identical at both depths; depth 2 only overlaps host
-	// encode/decode wall-clock time with the wave in flight.
-	Exec exec.Config
 	// Planner, when non-nil, re-plans the mapping for every problem
 	// shape Multiply/MultiplyBatchEach sees: the tasklet count (and wave
 	// width) of each dispatch comes from the analytic cost model instead
@@ -162,13 +156,12 @@ type Runner struct {
 	bStage    []byte // padded B matrix broadcast buffer
 	paramsBuf [24]byte
 
-	// eng is the shared execution engine: it owns wave construction,
-	// the dispatch depth, and retry-and-remap (internal/exec). mws and
-	// mulStages are the row-mode WorkSet adapter and its staging sets
-	// (stage 0 at depth 1, both at depth 2).
-	eng       *exec.Engine
-	mws       mulWorkSet
-	mulStages [2]mulStage
+	// eng is the shared execution engine: it owns wave construction and
+	// retry-and-remap (internal/exec). mws and mul are the row-mode
+	// WorkSet adapter and its staging.
+	eng *exec.Engine
+	mws mulWorkSet
+	mul mulStage
 
 	// Batch (image-per-DPU) mode, set up by EnableBatch.
 	maxM                          int
@@ -285,7 +278,7 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 			rowBuf: make([]byte, int(maxStride)*2),
 		}
 	}
-	r.eng = exec.New(sys, cfg.Exec)
+	r.eng = exec.New(sys, exec.Config{})
 	r.mws.r = r
 	return r, nil
 }
@@ -573,11 +566,8 @@ func (r *Runner) encodeParams(n, k, m int, alpha int16, aoff int64) {
 	binary.LittleEndian.PutUint32(r.paramsBuf[20:], 0) // 8-byte pad
 }
 
-// mulStage is one staging set of the row-per-DPU mapping: per-DPU A-row
+// mulStage is the staging of the row-per-DPU mapping: per-DPU A-row
 // scatter buffers and C-row gather buffers, min(M, NumDPUs) of each.
-// Depth 1 uses stage 0; depth 2 uses both as the engine's ping-pong
-// slots (a wave's buffers stay its own until the engine has decoded it,
-// so the host encodes the next wave into the other stage meanwhile).
 type mulStage struct {
 	aStage []byte
 	aBufs  [][]byte
@@ -585,25 +575,21 @@ type mulStage struct {
 	cBufs  [][]byte
 }
 
-// ensureMulStages sizes the staging for waves of up to width DPUs at
-// the given row sizes (one stage at depth 1, both at depth 2).
-func (r *Runner) ensureMulStages(width, rowBytes, cBytes int) {
-	nStages := 1
-	if r.eng.Pipelined() {
-		nStages = 2
+// ensureMulStage sizes the staging for waves of up to width DPUs at the
+// given row sizes. The per-DPU slice headers are allocated once, for
+// every DPU of the system, and resliced to the width.
+func (r *Runner) ensureMulStage(width, rowBytes, cBytes int) {
+	sl := &r.mul
+	sl.aStage = growBytes(sl.aStage, width*rowBytes)
+	sl.cStage = growBytes(sl.cStage, width*cBytes)
+	if sl.aBufs == nil {
+		nd := r.sys.NumDPUs()
+		sl.aBufs, sl.cBufs = make([][]byte, nd), make([][]byte, nd)
 	}
-	for s := 0; s < nStages; s++ {
-		sl := &r.mulStages[s]
-		sl.aStage = growBytes(sl.aStage, width*rowBytes)
-		sl.cStage = growBytes(sl.cStage, width*cBytes)
-		if len(sl.aBufs) != width {
-			sl.aBufs = make([][]byte, width)
-			sl.cBufs = make([][]byte, width)
-		}
-		for i := 0; i < width; i++ {
-			sl.aBufs[i] = sl.aStage[i*rowBytes : (i+1)*rowBytes]
-			sl.cBufs[i] = sl.cStage[i*cBytes : (i+1)*cBytes]
-		}
+	sl.aBufs, sl.cBufs = sl.aBufs[:width], sl.cBufs[:width]
+	for i := 0; i < width; i++ {
+		sl.aBufs[i] = sl.aStage[i*rowBytes : (i+1)*rowBytes]
+		sl.cBufs[i] = sl.cStage[i*cBytes : (i+1)*cBytes]
 	}
 }
 
@@ -629,21 +615,21 @@ func (w *mulWorkSet) Broadcasts() []exec.Broadcast { return w.bcasts }
 // (exec.WidthLimiter); 0 — no cap — without a planner.
 func (w *mulWorkSet) MaxWaveDPUs() int { return w.r.curWidth }
 
-func (w *mulWorkSet) Encode(slot, start, n int) {
-	packRows(w.r.mulStages[slot].aStage, w.rowBytes, w.a[start*w.k:], n, w.k)
+func (w *mulWorkSet) Encode(_, start, n int) {
+	packRows(w.r.mul.aStage, w.rowBytes, w.a[start*w.k:], n, w.k)
 }
 
-func (w *mulWorkSet) Scatter(slot, n int) []exec.Stream {
-	w.streams = append(w.streams[:0], exec.Stream{Ref: w.r.refA, Bufs: w.r.mulStages[slot].aBufs})
+func (w *mulWorkSet) Scatter(_, n int) []exec.Stream {
+	w.streams = append(w.streams[:0], exec.Stream{Ref: w.r.refA, Bufs: w.r.mul.aBufs})
 	return w.streams
 }
 
-func (w *mulWorkSet) Gather(slot, n int) exec.Stream {
-	return exec.Stream{Ref: w.r.refC, Bufs: w.r.mulStages[slot].cBufs}
+func (w *mulWorkSet) Gather(_, n int) exec.Stream {
+	return exec.Stream{Ref: w.r.refC, Bufs: w.r.mul.cBufs}
 }
 
-func (w *mulWorkSet) Decode(slot, shard, i int) {
-	tensor.UnpackLE(w.c[shard*w.n:(shard+1)*w.n], w.r.mulStages[slot].cBufs[i])
+func (w *mulWorkSet) Decode(_, shard, i int) {
+	tensor.UnpackLE(w.c[shard*w.n:(shard+1)*w.n], w.r.mul.cBufs[i])
 }
 
 // Multiply runs C = clamp((alpha·A·B)/32) with A of M×K, B of K×N,
@@ -659,7 +645,7 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 // the K×N matrix as little-endian int16 in the broadcast staging buffer,
 // row kk at byte kk*stride*2 (stride >= n; the runner zeroes the padding
 // columns), so a producer such as im2col writes B once. fill runs once,
-// on the caller. Waves, pipelining and fault recovery are the execution
+// on the caller. Waves and fault recovery are the execution
 // engine's (internal/exec); this method stages and adapts the matrices.
 func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst []byte, stride int)) ([]int16, Stats, error) {
 	// Residency is the batch path's: an arm set for this call must not
@@ -705,7 +691,7 @@ func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst
 	clearPadding(r.bStage, k, n, stride)
 	r.encodeParams(n, k, 0, alpha, r.aOff)
 	// A wave carries only its own rows.
-	r.ensureMulStages(min(m, r.sys.NumDPUs()), rowBytes, stride*2)
+	r.ensureMulStage(min(m, r.sys.NumDPUs()), rowBytes, stride*2)
 
 	w := &r.mws
 	w.a, w.c = a, c

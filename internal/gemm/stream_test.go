@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 )
 
@@ -20,8 +19,9 @@ type batchOutcome struct {
 // TestBatchInvariance is internal/exec's TestStreamInvariance at the
 // gemm level: MultiplyBatch with one image per DPU of a sharded-width
 // (64-DPU) system, twice per runner so the second call is the warm one,
-// with the weight matrix re-broadcast or MRAM-resident, in both
-// dispatch modes, clean, with a quarter of the DPUs dying at the first
+// with the weight matrix re-broadcast or MRAM-resident (each under the
+// sync and pipelined names, which run alike: there is one dispatch
+// depth), clean, with a quarter of the DPUs dying at the first
 // launch, and with transient transfer faults — at GOMAXPROCS 1, 2 and
 // 4. Every product must equal the host reference, and Stats, per-DPU
 // cycles and all of TransferStats must equal the GOMAXPROCS=1 row,
@@ -45,10 +45,10 @@ func TestBatchInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run := func(t *testing.T, procs int, resident bool, mode host.PipelineMode, plan *dpu.FaultPlan) batchOutcome {
+	run := func(t *testing.T, procs int, resident bool, plan *dpu.FaultPlan) batchOutcome {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 8, Exec: exec.Config{Pipeline: mode}}
+		cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 8}
 		var r *Runner
 		if resident {
 			r, _, _ = newResidentRunner(t, nImg, host.Topology{}, cfg, 4096, "m")
@@ -83,18 +83,11 @@ func TestBatchInvariance(t *testing.T) {
 		}
 		return o
 	}
-	// A clean pipelined run must also account exactly like the clean
-	// synchronous one: the stream runs the same loop on the caller at
-	// either depth.
-	cleanSync := map[bool]batchOutcome{}
 	for _, res := range []struct {
 		name     string
 		resident bool
 	}{{"rebroadcast", false}, {"resident", true}} {
-		for _, md := range []struct {
-			name string
-			mode host.PipelineMode
-		}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
+		for _, md := range []string{"sync", "pipelined"} {
 			for _, fc := range []struct {
 				name string
 				plan *dpu.FaultPlan
@@ -103,21 +96,13 @@ func TestBatchInvariance(t *testing.T) {
 				{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}},
 				{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.05}},
 			} {
-				t.Run(res.name+"/"+md.name+"/"+fc.name, func(t *testing.T) {
-					base := run(t, 1, res.resident, md.mode, fc.plan)
+				t.Run(res.name+"/"+md+"/"+fc.name, func(t *testing.T) {
+					base := run(t, 1, res.resident, fc.plan)
 					if retried := base.Stats[0].Retries > 0; retried != (fc.plan != nil) {
 						t.Errorf("first call retries = %d under plan %v", base.Stats[0].Retries, fc.plan)
 					}
-					if fc.plan == nil {
-						if md.mode == host.PipelineOff {
-							cleanSync[res.resident] = base
-						} else if !reflect.DeepEqual(base, cleanSync[res.resident]) {
-							t.Errorf("pipelined diverges from sync:\n got %+v %+v\nwant %+v %+v",
-								base.Stats, base.Xfer, cleanSync[res.resident].Stats, cleanSync[res.resident].Xfer)
-						}
-					}
 					for _, procs := range []int{2, 4} {
-						if got := run(t, procs, res.resident, md.mode, fc.plan); !reflect.DeepEqual(got, base) {
+						if got := run(t, procs, res.resident, fc.plan); !reflect.DeepEqual(got, base) {
 							t.Errorf("GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n got %+v %+v\nwant %+v %+v",
 								procs, got.Stats, got.Xfer, base.Stats, base.Xfer)
 						}

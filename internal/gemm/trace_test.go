@@ -4,17 +4,14 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
 // runWithTracing runs one multi-wave Multiply on a fresh system,
 // optionally with a request span installed on the runner, and returns
-// the product, stats, and the completed trace (nil when untraced). The
-// dispatch mode is the caller's: PipelineAuto follows the host's core
-// count, so only mode-agnostic assertions may use it.
-func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan, mode host.PipelineMode) ([]int16, Stats, *trace.Trace) {
+// the product, stats, and the completed trace (nil when untraced).
+func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan) ([]int16, Stats, *trace.Trace) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
 	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
@@ -24,8 +21,7 @@ func runWithTracing(t testing.TB, traced bool, plan *dpu.FaultPlan, mode host.Pi
 	if plan != nil {
 		sys.InjectFaults(*plan)
 	}
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16,
-		Exec: exec.Config{Pipeline: mode}})
+	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +58,8 @@ func TestTracingBitIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cOff, stOff, _ := runWithTracing(t, false, tc.plan, host.PipelineAuto)
-			cOn, stOn, tr := runWithTracing(t, true, tc.plan, host.PipelineAuto)
+			cOff, stOff, _ := runWithTracing(t, false, tc.plan)
+			cOn, stOn, tr := runWithTracing(t, true, tc.plan)
 			if len(cOff) != len(cOn) {
 				t.Fatalf("output lengths differ: %d vs %d", len(cOff), len(cOn))
 			}
@@ -82,25 +78,16 @@ func TestTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTracingSpanTree checks the shape a traced Multiply records, the
-// same at both dispatch depths: a gemm.multiply child under the request
-// root, one engine wave span per wave under it (never the discrete
-// scatter/launch/gather phases, which only a RunStream records), and
-// per-DPU kernel spans with cycle attributes. Depth 2 additionally
-// stamps one q.wave span per wave around its in-flight device run;
-// depth 1 runs the wave on the caller and records none. The depth is pinned per
-// row, so the shape does not depend on the host's cores.
+// TestTracingSpanTree checks the shape a traced Multiply records: a
+// gemm.multiply child under the request root, one engine wave span per
+// wave under it (never the discrete scatter/launch/gather phases, which
+// only a RunStream records), and per-DPU kernel spans with cycle
+// attributes. The sync and pipelined cells run the same dispatch: there
+// is one wave at a time.
 func TestTracingSpanTree(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mode   host.PipelineMode
-		qWaves bool
-	}{
-		{"sync", host.PipelineOff, false},
-		{"pipelined", host.PipelineOn, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, st, tr := runWithTracing(t, true, nil, tc.mode)
+	for _, name := range []string{"sync", "pipelined"} {
+		t.Run(name, func(t *testing.T) {
+			_, st, tr := runWithTracing(t, true, nil)
 			spans := tr.Spans()
 			count := map[string]int{}
 			var kernelCycles int64
@@ -119,13 +106,6 @@ func TestTracingSpanTree(t *testing.T) {
 			}
 			if count["wave"] != st.Waves {
 				t.Errorf("wave spans = %d, want one per wave (%d): %v", count["wave"], st.Waves, count)
-			}
-			wantQ := 0
-			if tc.qWaves {
-				wantQ = st.Waves
-			}
-			if count["q.wave"] != wantQ {
-				t.Errorf("q.wave spans = %d, want %d: %v", count["q.wave"], wantQ, count)
 			}
 			for _, name := range []string{"scatter", "launch", "gather", "retry"} {
 				if count[name] != 0 {

@@ -297,7 +297,7 @@ func mustRef(t *testing.T, s *System, sym string) SymbolRef {
 	return ref
 }
 
-// TestWaveFaultMatrix: each fault kind inside a fused pipelined wave.
+// TestWaveFaultMatrix: each fault kind inside a fused wave.
 // The wave is best-effort per DPU and phase-granular: a DPU that fails
 // its scatter is neither launched nor gathered, a DPU that traps still
 // had its scatter charged, and the wave's transfer/launch charges cover

@@ -121,9 +121,8 @@ func (s *System) rankOKPhase(sc *waveScratch, bit uint8) (nOK, busiest int) {
 }
 
 // rankTally returns *buf sized to the rank count and cleared. The wave
-// path tallies into its own waveScratch rather than xferTally: a wave in
-// flight at dispatch depth 2 may run while another goroutine performs a
-// synchronous transfer.
+// path tallies into its own waveScratch rather than xferTally: a wave
+// may run while another goroutine performs a synchronous transfer.
 func (s *System) rankTally(buf *[]int) []int {
 	if cap(*buf) < s.ranks {
 		*buf = make([]int, s.ranks)

@@ -2,7 +2,6 @@ package host
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"pimdnn/internal/dpu"
@@ -46,8 +45,7 @@ type Wave struct {
 // total failure: nothing runs, nothing is charged. Like the other
 // synchronous System methods it is not safe for concurrent use with
 // itself; it may run beside synchronous transfers on other symbols (its
-// scratch is its own), which is how the execution engine keeps one wave
-// in flight at dispatch depth 2.
+// scratch is its own).
 func (s *System) RunWave(w Wave) error {
 	// The wave lives in a System field, not a local: execWave's range
 	// function captures it, and a captured local would be heap-allocated
@@ -210,30 +208,11 @@ func (s *System) execWave(w *Wave, sc *waveScratch) error {
 	return s.noteFaults(faultsFrom("wave", errs))
 }
 
-// PipelineMode selects a runner's dispatch depth: 2 keeps one wave in
-// flight on its own goroutine while the caller decodes the previous one
-// and encodes the next, 1 runs each wave to completion on the caller.
-// It is the same fused wave either way, so both depths produce
-// identical results and identical simulated accounting.
+// PipelineMode, PipelineOn and PipelineOff are ignored: the execution
+// engine runs one wave at a time. They exist only so bench/ compiles.
 type PipelineMode int
 
 const (
-	// PipelineAuto pipelines when more than one CPU is available to
-	// overlap host staging with device work; on a single CPU the overlap
-	// cannot pay for the handoff, so runners stay at depth 1.
-	PipelineAuto PipelineMode = iota
-	PipelineOn
+	PipelineOn PipelineMode = iota
 	PipelineOff
 )
-
-// Enabled resolves the mode against the running machine.
-func (m PipelineMode) Enabled() bool {
-	switch m {
-	case PipelineOn:
-		return true
-	case PipelineOff:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}

@@ -203,17 +203,28 @@ const PackedSize = 128
 
 // Pack binarizes and bit-packs the image for DPU transfer: row r occupies
 // bytes [4r, 4r+4) as a little-endian uint32 whose bit c is pixel (r, c)
-// thresholded as Binarize does (p >= 128 is the pixel's top bit).
+// thresholded as Binarize does (p >= 128 is the pixel's top bit). A row
+// is read as three 8-pixel words and one 4-pixel tail.
 func (im *Image) Pack() [PackedSize]byte {
 	var out [PackedSize]byte
 	for r := 0; r < Side; r++ {
-		var w uint32
-		for c, p := range im.Pixels[r*Side : (r+1)*Side] {
-			w |= uint32(p>>7) << uint(c)
-		}
+		row := im.Pixels[r*Side : (r+1)*Side]
+		w := topBits(binary.LittleEndian.Uint64(row)) |
+			topBits(binary.LittleEndian.Uint64(row[8:]))<<8 |
+			topBits(binary.LittleEndian.Uint64(row[16:]))<<16 |
+			topBits(uint64(binary.LittleEndian.Uint32(row[24:])))<<24
 		binary.LittleEndian.PutUint32(out[r*4:], w)
 	}
 	return out
+}
+
+// topBits gathers the top bit of byte i of x into bit i. After the mask
+// and shift, byte i holds its bit at 8i; the multiplier's byte j is
+// 1<<(7-j), so the product's term i+j = 7 lands at bit 56+i, and every
+// other term sits at a distinct bit below 56 or above 63, so nothing
+// carries into the top byte.
+func topBits(x uint64) uint32 {
+	return uint32((x & 0x8080808080808080 >> 7 * 0x0102040810204080) >> 56)
 }
 
 // String renders the image as ASCII art for debugging.

@@ -1,6 +1,7 @@
 package mnist
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -151,27 +152,42 @@ func TestPackLayout(t *testing.T) {
 	}
 }
 
-// TestPackMatchesBinarize holds Pack, which reads Pixels directly, to
-// the formulation it replaced — Binarize, then one bit per nonzero byte
-// — on random images and on the threshold's neighbours in every column.
-func TestPackMatchesBinarize(t *testing.T) {
-	viaBinarize := func(im *Image) [PackedSize]byte {
-		var out [PackedSize]byte
-		bits := im.Binarize()
-		for r := 0; r < Side; r++ {
-			for c := 0; c < Side; c++ {
-				if bits[r*Side+c] != 0 {
-					out[r*4+c/8] |= 1 << uint(c%8)
-				}
-			}
+// packLoop is Pack one pixel at a time: Binarize's threshold, one bit
+// per pixel. It is the oracle for Pack's word-at-a-time gather.
+func packLoop(im *Image) [PackedSize]byte {
+	var out [PackedSize]byte
+	for r := 0; r < Side; r++ {
+		var w uint32
+		for c, p := range im.Pixels[r*Side : (r+1)*Side] {
+			w |= uint32(p>>7) << uint(c)
 		}
-		return out
+		binary.LittleEndian.PutUint32(out[r*4:], w)
 	}
+	return out
+}
+
+// TestPackMatchesBinarize holds Pack to packLoop on random images, on
+// all-0 and all-255 images, and on the threshold's neighbours in every
+// column, and to Binarize's bits on the random ones.
+func TestPackMatchesBinarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	imgs := make([]Image, 40)
 	for i := range imgs {
 		rng.Read(imgs[i].Pixels[:])
+		bits := imgs[i].Binarize()
+		p := imgs[i].Pack()
+		for j, b := range bits {
+			r, c := j/Side, j%Side
+			if got := p[r*4+c/8] >> uint(c%8) & 1; got != b {
+				t.Fatalf("image %d pixel (%d, %d): packed bit %d, Binarize %d", i, r, c, got, b)
+			}
+		}
 	}
+	var full Image
+	for i := range full.Pixels {
+		full.Pixels[i] = 255
+	}
+	imgs = append(imgs, Image{}, full)
 	// One image per (column, value): every other pixel keeps its random
 	// value, the column's pixels sit on the threshold's edges.
 	for c := 0; c < Side; c++ {
@@ -184,9 +200,9 @@ func TestPackMatchesBinarize(t *testing.T) {
 		}
 	}
 	for i := range imgs {
-		got, want := imgs[i].Pack(), viaBinarize(&imgs[i])
+		got, want := imgs[i].Pack(), packLoop(&imgs[i])
 		if got != want {
-			t.Fatalf("image %d: Pack = %x, via Binarize %x", i, got, want)
+			t.Fatalf("image %d: Pack = %x, packLoop %x", i, got, want)
 		}
 		for b := Side * 4; b < PackedSize; b++ {
 			if got[b] != 0 {

@@ -11,7 +11,6 @@ import (
 
 	"pimdnn/internal/alexnet"
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/metrics"
@@ -25,10 +24,9 @@ import (
 
 // mapping is one way of running a network's GEMM layers on DPUs.
 type mapping struct {
-	name     string
-	pipeline host.PipelineMode
-	planned  bool
-	naive    bool
+	name    string
+	planned bool
+	naive   bool
 	// images > 0 selects the image-per-DPU batch path with that many
 	// images; 0 is the row-per-DPU single-image path.
 	images int
@@ -48,21 +46,19 @@ func (m mapping) with(tel string) mapping {
 }
 
 var (
-	rowsSync      = mapping{name: "rows-sync", pipeline: host.PipelineOff, dpus: 8}
-	rowsPipelined = mapping{name: "rows-pipelined", pipeline: host.PipelineOn, dpus: 8}
-	// PipelineAuto is depth 1 on one core and depth 2 on more, so this
-	// row's equality across core counts is the statement that the depth
-	// chosen behind the caller's back changes nothing observable.
-	rowsAuto    = mapping{name: "rows-auto", pipeline: host.PipelineAuto, dpus: 8}
-	rowsPlanned = mapping{name: "rows-planned", planned: true, dpus: 8}
-	// The thesis's own kernel (gemm.RunnerConfig.Naive), at whatever
-	// depth the core count picks.
-	rowsNaive   = mapping{name: "rows-naive", pipeline: host.PipelineAuto, naive: true, dpus: 8}
-	batchInline = mapping{name: "batch-inline", pipeline: host.PipelineOff, images: 6, dpus: 8}
+	// There is one dispatch depth: rows-sync, rows-pipelined and
+	// rows-auto are the same row mapping under three names.
+	rowsSync      = mapping{name: "rows-sync", dpus: 8}
+	rowsPipelined = mapping{name: "rows-pipelined", dpus: 8}
+	rowsAuto      = mapping{name: "rows-auto", dpus: 8}
+	rowsPlanned   = mapping{name: "rows-planned", planned: true, dpus: 8}
+	// The thesis's own kernel (gemm.RunnerConfig.Naive).
+	rowsNaive   = mapping{name: "rows-naive", naive: true, dpus: 8}
+	batchInline = mapping{name: "batch-inline", images: 6, dpus: 8}
 	// 40 DPUs is above the host's sharding threshold: staging, gather →
 	// decode → bias/activation and the per-image host layers run on pool
 	// workers. Under -race this is the race gate for those callbacks.
-	batchSharded = mapping{name: "batch-sharded", pipeline: host.PipelineOff, images: 36, dpus: 40}
+	batchSharded = mapping{name: "batch-sharded", images: 36, dpus: 40}
 )
 
 func randomImage(size int, seed int64) *tensor.Tensor {
@@ -74,7 +70,7 @@ func randomImage(size int, seed int64) *tensor.Tensor {
 	return t
 }
 
-// observed is what a run is compared by across core counts, depths and
+// observed is what a run is compared by across core counts and
 // telemetry: the executor's stats, the system's simulated transfer
 // accounting and every DPU's cycle count.
 type observed struct {
@@ -96,7 +92,7 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 		sys.EnableMetrics(metrics.NewRegistry())
 	}
 	maxK, maxN, maxM := net.GEMMBounds()
-	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Naive: m.naive, Exec: exec.Config{Pipeline: m.pipeline}}
+	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Naive: m.naive}
 	if m.planned {
 		cfg.Planner = plan.New(sys)
 	} else {
@@ -139,14 +135,13 @@ func sameTensor(a, b *tensor.Tensor) bool {
 }
 
 // TestExecutor is the executor's invariance table: every network ×
-// mapping × fault plan, at three host widths. The mappings cover both
-// depths (pinned, or picked by PipelineAuto), the planner, the thesis's
-// naive kernel, the batch path, and metrics and tracing twins of a row
-// and a batch mapping. Outputs must equal the host reference
-// Forward(img, nil) bit for bit (so the planned and naive rows compute
-// what the fixed tiled ones do); ForwardStats, the system's
-// TransferStats and per-DPU cycles must not depend on the core count,
-// the dispatch depth or the telemetry wired; and the per-layer retry
+// mapping × fault plan, at three host widths. The mappings cover the
+// row path, the planner, the thesis's naive kernel, the batch path, and
+// metrics and tracing twins of a row and a batch mapping. Outputs must
+// equal the host reference Forward(img, nil) bit for bit (so the
+// planned and naive rows compute what the fixed tiled ones do);
+// ForwardStats, the system's TransferStats and per-DPU cycles must not
+// depend on the core count or the telemetry wired; and the per-layer retry
 // counts must add up to the total — with retries actually happening
 // under the fault plan, on the batch path too.
 func TestExecutor(t *testing.T) {
@@ -187,8 +182,8 @@ func TestExecutor(t *testing.T) {
 		}
 		for _, faults := range []*dpu.FaultPlan{nil, dead} {
 			// byMapping holds what each mapping observed at the first
-			// width: the reference for the other widths and for the
-			// comparison across depths.
+			// width: the reference for the other widths and for its
+			// telemetry twins.
 			byMapping := map[string]observed{}
 			for _, m := range nc.mappings {
 				for _, procs := range []int{1, 2, 4} {
@@ -234,13 +229,6 @@ func TestExecutor(t *testing.T) {
 								ref.Stats, ref.Xfer, procs, stats, obs.Xfer)
 						}
 					})
-				}
-			}
-			s := byMapping[rowsSync.name]
-			for _, m := range []mapping{rowsPipelined, rowsAuto} {
-				if p := byMapping[m.name]; !reflect.DeepEqual(s, p) {
-					t.Errorf("%s faults=%v: ForwardStats, TransferStats or DPU cycles depend on the dispatch depth:\n%s %+v %+v\n%s %+v %+v",
-						nc.name, faults != nil, rowsSync.name, s.Stats, s.Xfer, m.name, p.Stats, p.Xfer)
 				}
 			}
 			for _, m := range nc.mappings {

@@ -1,7 +1,7 @@
 // Package plan is the cost-model-guided auto-mapper: given a layer's
 // GEMM/conv shape and the live system topology, it enumerates candidate
 // mappings (rows-per-DPU vs image-per-DPU, tasklet count up to the
-// WRAM-feasible limit, DPU count up to the full array, pipeline mode),
+// WRAM-feasible limit, DPU count up to the full array),
 // scores each with the kernel-granularity analytic latency model
 // (internal/model), and returns a Mapping the gemm/ebnn runners execute
 // directly. The planner only picks among existing mapping axes — every

@@ -16,8 +16,8 @@ import (
 //
 // Mapping: one trace = one Perfetto "process" (pid = trace ID), and
 // spans are packed onto "threads" (tid lanes) greedily so overlapping
-// spans — pipelined waves, a wave in flight beside the next — never
-// share a lane. Lane 0 always holds the root span.
+// spans — simulated kernel windows beside the next wave, waves of
+// engines sharing a trace — never share a lane. Lane 0 always holds the root span.
 
 // TraceEvent is one Chrome trace-event record.
 type TraceEvent struct {
@@ -68,7 +68,7 @@ func depthOf(nodes []SpanNode) map[SpanID]int {
 // each claims the lowest lane at or below its depth whose last
 // occupant ended before the span starts. The root keeps lane 0 and
 // children render beneath their ancestors while true overlaps
-// (pipelined waves in flight together) split onto separate lanes.
+// split onto separate lanes.
 func laneFor(nodes []SpanNode) map[SpanID]uint64 {
 	depth := depthOf(nodes)
 	order := make([]int, len(nodes))

@@ -37,7 +37,7 @@ func goldenTrace() *Trace {
 	k0.SetAttr("dpu", 0)
 	k0.EndAt(at(40))
 	w0.EndAt(at(50))
-	// Overlaps w0 (pipelined), so lane packing must split them.
+	// Overlaps w0, so lane packing must split them.
 	w1 := batch.StartChildAt("wave", at(45))
 	w1.SetAttr("wave", 1)
 	w1.EndAt(at(88))

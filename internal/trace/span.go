@@ -212,7 +212,7 @@ func (sp *Span) StartChild(name string) *Span {
 }
 
 // StartChildAt begins a child span with an explicit start instant —
-// used to stamp spans retroactively (the in-flight wave's "q.wave",
+// used to stamp spans retroactively (zero-length "dpu_down" marks,
 // simulated kernel windows) without observing the clock on the
 // instrumented path.
 func (sp *Span) StartChildAt(name string, start time.Time) *Span {

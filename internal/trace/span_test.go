@@ -134,7 +134,7 @@ func TestMaxSpansCap(t *testing.T) {
 }
 
 // TestRetroactiveSpans: StartChildAt/EndAt stamp historical windows
-// exactly (the in-flight q.wave, simulated kernel durations).
+// exactly (simulated kernel durations).
 func TestRetroactiveSpans(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	root := tr.StartTrace("r")

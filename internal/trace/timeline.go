@@ -9,13 +9,9 @@ import (
 
 // The wave timeline: a read-only view of a request Trace. The execution
 // engine (internal/exec) records the *wall-clock* phases of its dispatch
-// machinery — when each wave (and any retry) occupied the host, and at
-// depth 2 the in-flight device run ("q.wave") — as children of the
-// request span installed on it.
-// Simulated clocks are identical at both dispatch depths by
-// construction, so overlap is only ever visible on this axis: a depth-2
-// run shows wave w+1's span starting before wave w's has ended, a
-// depth-1 run shows strictly sequential spans.
+// machinery — when each wave (and any retry) occupied the host — as
+// children of the request span installed on it. The engine runs one
+// wave at a time, so one engine's spans are strictly sequential.
 
 // WaveSpan is one timed phase of an execution-engine wave. The JSON tags
 // serve upmem-profile's -json exposition; Start and End marshal as
@@ -38,7 +34,7 @@ type WaveSpan struct {
 
 // WaveSpans returns the trace's wave timeline: the finished spans that
 // carry the engine's "wave" attribute — its phase spans, not the
-// in-flight "q.wave" spans or per-DPU kernels ("dpu_kernel") — in
+// per-DPU kernels ("dpu_kernel") — in
 // stable (Start, Wave, Name) order. Span end order is scheduling-
 // dependent when several engines share the trace, so callers comparing
 // or rendering timelines get a reproducible sequence. Retention is the
@@ -77,7 +73,7 @@ func (tr *Trace) WaveSpans() []WaveSpan {
 
 // MaxConcurrent returns the largest number of spans in flight at one
 // instant — 1 for a fully serial timeline, >= 2 when dispatch phases
-// overlapped (the signature of a pipelined run).
+// overlapped (engines sharing one trace).
 func MaxConcurrent(spans []WaveSpan) int {
 	// The count only rises where a span starts, so the maximum is at one
 	// of the starts. A span ending at that instant is not in flight:
@@ -97,7 +93,7 @@ func MaxConcurrent(spans []WaveSpan) int {
 
 // Render draws a wave timeline as an ASCII Gantt chart, one row per
 // span in the order given (WaveSpans' stable order), width columns wide,
-// so a pipelined run shows bars whose horizontal extents interleave.
+// so overlapping spans show bars whose horizontal extents interleave.
 func Render(spans []WaveSpan, width int) string {
 	if len(spans) == 0 {
 		return "(no spans recorded)\n"

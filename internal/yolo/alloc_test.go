@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 )
@@ -22,9 +21,8 @@ import (
 // allocation gate.
 //
 // Everything the budget depends on is pinned, so the test reads the
-// same on every host: the dispatch mode (PipelineAuto resolves on at
-// two or more cores) and
-// the worker-pool width (with a second worker every launch fans out,
+// same on every host: the worker-pool width (with a second worker every
+// launch fans out,
 // which costs a run descriptor and its range closures: ~3 per conv
 // layer, ~700 in all).
 func TestForwardSteadyStateAllocBound(t *testing.T) {
@@ -48,10 +46,7 @@ func TestForwardSteadyStateAllocBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-				MaxK: maxK, MaxN: maxN, Tasklets: 11, TileCols: 64,
-				Exec: exec.Config{Pipeline: host.PipelineOff},
-			})
+			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: 11, TileCols: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

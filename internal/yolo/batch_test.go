@@ -6,21 +6,18 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 )
 
-func newBatchRunner(t *testing.T, n *Network, nDPU, tasklets int, mode host.PipelineMode) *gemm.Runner {
+func newBatchRunner(t *testing.T, n *Network, nDPU, tasklets int) *gemm.Runner {
 	t.Helper()
 	sys, err := host.NewSystem(nDPU, host.DefaultConfig(dpu.O3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxK, maxN := n.GEMMBounds()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64, Exec: exec.Config{Pipeline: mode},
-	})
+	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: tasklets, TileCols: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +30,14 @@ func newBatchRunner(t *testing.T, n *Network, nDPU, tasklets int, mode host.Pipe
 // TestForwardBatchMatchesForward: the image-per-DPU batch path must be
 // bit-exact against the per-image row-per-DPU path for every image.
 func TestForwardBatchMatchesForward(t *testing.T) {
-	testForwardBatchMatchesForward(t, host.PipelineOff, 4, 3)
+	testForwardBatchMatchesForward(t, 4, 3, false)
 }
 
-// TestForwardBatchPipelinedMatchesForward: a pipelined runner's batch
-// GEMMs (run after the wave in flight lands) must not change a single output
-// element or the simulated layer times.
+// TestForwardBatchPipelinedMatchesForward: batch GEMMs on a runner
+// whose row path has just dispatched a multi-wave forward on the same
+// engine must not change a single output element.
 func TestForwardBatchPipelinedMatchesForward(t *testing.T) {
-	testForwardBatchMatchesForward(t, host.PipelineOn, 4, 3)
+	testForwardBatchMatchesForward(t, 4, 3, true)
 }
 
 // TestForwardBatchShardedMatchesForward: at a sharded width the
@@ -50,10 +47,10 @@ func TestForwardBatchPipelinedMatchesForward(t *testing.T) {
 // for ForwardBatch's callbacks.
 func TestForwardBatchShardedMatchesForward(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	testForwardBatchMatchesForward(t, host.PipelineOff, 40, 36)
+	testForwardBatchMatchesForward(t, 40, 36, false)
 }
 
-func testForwardBatchMatchesForward(t *testing.T, mode host.PipelineMode, nDPU, nImg int) {
+func testForwardBatchMatchesForward(t *testing.T, nDPU, nImg int, rowsFirst bool) {
 	n, err := New(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +59,12 @@ func testForwardBatchMatchesForward(t *testing.T, mode host.PipelineMode, nDPU, 
 	for i := range inputs {
 		inputs[i] = SyntheticScene(32, int64(i+1))
 	}
-	r := newBatchRunner(t, n, nDPU, 8, mode)
+	r := newBatchRunner(t, n, nDPU, 8)
+	if rowsFirst {
+		if _, _, err := n.Forward(inputs[0], r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	batchRes, stats, err := n.ForwardBatch(inputs, r)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +108,7 @@ func TestForwardBatchCountsRetries(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = SyntheticScene(32, int64(i+1))
 	}
-	r := newBatchRunner(t, n, 8, 8, host.PipelineOff)
+	r := newBatchRunner(t, n, 8, 8)
 	r.System().InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1})
 	got, stats, err := n.ForwardBatch(inputs, r)
 	if err != nil {
@@ -137,7 +139,7 @@ func TestForwardBatchCountsRetries(t *testing.T) {
 
 func TestForwardBatchValidation(t *testing.T) {
 	n, _ := New(tinyConfig())
-	r := newBatchRunner(t, n, 2, 4, host.PipelineOff)
+	r := newBatchRunner(t, n, 2, 4)
 	if _, _, err := n.ForwardBatch(nil, r); err == nil {
 		t.Error("empty batch accepted")
 	}
@@ -182,7 +184,7 @@ func TestMappingComparison(t *testing.T) {
 	}
 
 	// Image-per-DPU, whole batch at once.
-	batchRunner := newBatchRunner(t, n, nDPU, 8, host.PipelineOff)
+	batchRunner := newBatchRunner(t, n, nDPU, 8)
 	_, stBatch, err := n.ForwardBatch(inputs, batchRunner)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The simulated clock must not depend on the host's core count: run the
-# two multi-wave benchmark workloads once at GOMAXPROCS=1 (where
-# PipelineAuto dispatches at depth 1) and once at the host's width
-# (depth 2; forced to 2 on a one-core host so the legs differ), and
-# fail unless sim_cycles_per_op and sim_xfer_bytes_per_op are identical
-# between the two legs. Wall-clock metrics are not compared.
+# two multi-wave benchmark workloads once at GOMAXPROCS=1 (where the
+# worker pool runs every range on the caller) and once at the host's
+# width (forced to 2 on a one-core host so the legs differ, and the
+# pool fans out), and fail unless sim_cycles_per_op and
+# sim_xfer_bytes_per_op are identical between the two legs. Wall-clock
+# metrics are not compared.
 #
 # Usage:  scripts/sim-invariant.sh   (or `make sim-invariant`)
 set -euo pipefail
