@@ -138,15 +138,19 @@ profile-array:
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
-# x 16 images x 4 waves). The last two lines are the cumulative shares
-# of the DPU kernel and of the host classifier (Runner.classify, the
-# worker-pool body, and everything under it):
-# `make profile-ebnn | grep -e '^kernel-share' -e '^classify-share'`.
+# x 16 images x 4 waves). The last three lines are the cumulative shares
+# of the DPU kernel (its EBNNCost charging plus the functional pass), of
+# the functional pass alone (flatPass: one cell-table load per pooled
+# cell) and of the host classifier (Runner.classify, the worker-pool
+# body, and everything under it); on a 2-core Xeon, go1.24.0, classify
+# reads about 69 % and flatPass about 15 %:
+# `make profile-ebnn | grep -e '-share '`.
 profile-ebnn:
 	$(GO) test -run xxx -bench 'BenchmarkEBNNStream$$' -benchtime 200x -cpuprofile cpu.prof -o ebnn.test ./internal/ebnn
 	$(GO) tool pprof -top -cum -nodecount=25 ebnn.test cpu.prof
 	@$(GO) tool pprof -top -cum ebnn.test cpu.prof 2>/dev/null \
 		| awk '/\(\*Runner\)\.kernel\.func[0-9]+$$/ { print "kernel-share ebnn.kernel cum " $$5 } \
+			/ebnn\.\(\*kernelLayout\)\.flatPass$$/ { print "cell-share ebnn.flatPass cum " $$5 } \
 			/ebnn\.\(\*Runner\)\.classify$$/ { print "classify-share ebnn.classify cum " $$5 }'
 
 # And for the rows_zoo workload's shape (the three lite networks,

@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pimdnn/internal/dpu"
@@ -19,31 +20,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ebnn-infer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ebnn-infer", flag.ExitOnError)
 	var (
-		dpus     = flag.Int("dpus", 4, "DPUs to allocate")
-		tasklets = flag.Int("tasklets", 16, "tasklets per DPU")
-		images   = flag.Int("images", 64, "test images to classify")
-		train    = flag.Int("train", 500, "training images")
-		optFlag  = flag.Int("O", 0, "optimization level 0-3")
-		sweep    = flag.Bool("sweep", false, "run the tasklet and DPU-count sweeps")
+		dpus     = fs.Int("dpus", 4, "DPUs to allocate")
+		tasklets = fs.Int("tasklets", 16, "tasklets per DPU")
+		images   = fs.Int("images", 64, "test images to classify")
+		train    = fs.Int("train", 500, "training images")
+		optFlag  = fs.Int("O", 0, "optimization level 0-3")
+		sweep    = fs.Bool("sweep", false, "run the tasklet and DPU-count sweeps")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	opt := dpu.OptLevel(*optFlag)
+	if *images < 1 || *train < 1 {
+		return fmt.Errorf("-images %d -train %d: both must be positive", *images, *train)
+	}
 
-	fmt.Println("training eBNN on synthetic digits...")
+	fmt.Fprintln(w, "training eBNN on synthetic digits...")
 	ds := mnist.Load(*train, *images, 11)
 	m, err := ebnn.Train(ds, ebnn.DefaultTrainConfig())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("host accuracy: train %.1f%%, test %.1f%%\n\n",
+	fmt.Fprintf(w, "host accuracy: train %.1f%%, test %.1f%%\n\n",
 		m.Accuracy(ds.Train)*100, m.Accuracy(ds.Test)*100)
 
 	// Fig 4.3 / 4.4: LUT vs default architecture on one DPU, 16 images.
@@ -91,24 +96,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Fig 4.3: subroutine change from the LUT architecture ==\n")
-	fmt.Printf("float subroutine kinds: %d -> %d\n", withFloat.floatOcc, withLUT.floatOcc)
-	fmt.Print(trace.FormatDiff(trace.Diff(withFloat.prof, withLUT.prof)))
-	fmt.Println()
+	fmt.Fprintf(w, "== Fig 4.3: subroutine change from the LUT architecture ==\n")
+	fmt.Fprintf(w, "float subroutine kinds: %d -> %d\n", withFloat.floatOcc, withLUT.floatOcc)
+	fmt.Fprint(w, trace.FormatDiff(trace.Diff(withFloat.prof, withLUT.prof)))
+	fmt.Fprintln(w)
 
-	fmt.Printf("== Fig 4.4: 16-image completion time ==\n")
-	fmt.Printf("default (float in DPU): %d cycles = %.4g s\n", withFloat.cycles, withFloat.seconds)
-	fmt.Printf("LUT architecture:       %d cycles = %.4g s\n", withLUT.cycles, withLUT.seconds)
-	fmt.Printf("LUT speedup: %.2fx (paper: 1.4x)\n\n", float64(withFloat.cycles)/float64(withLUT.cycles))
+	fmt.Fprintf(w, "== Fig 4.4: 16-image completion time ==\n")
+	fmt.Fprintf(w, "default (float in DPU): %d cycles = %.4g s\n", withFloat.cycles, withFloat.seconds)
+	fmt.Fprintf(w, "LUT architecture:       %d cycles = %.4g s\n", withLUT.cycles, withLUT.seconds)
+	fmt.Fprintf(w, "LUT speedup: %.2fx (paper: 1.4x)\n\n", float64(withFloat.cycles)/float64(withLUT.cycles))
 
 	// Headline batch on the requested system.
 	all, err := runArch(true, *dpus, *tasklets, ds.Test)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== batch inference: %d images, %d DPUs, %d tasklets, %v ==\n",
+	fmt.Fprintf(w, "== batch inference: %d images, %d DPUs, %d tasklets, %v ==\n",
 		len(ds.Test), *dpus, *tasklets, opt)
-	fmt.Printf("DPU accuracy %.1f%%, DPU time %.4g s, per-image %.4g s (paper single-DPU: 1.48e-3 s)\n\n",
+	fmt.Fprintf(w, "DPU accuracy %.1f%%, DPU time %.4g s, per-image %.4g s (paper single-DPU: 1.48e-3 s)\n\n",
 		float64(all.correct)/float64(len(ds.Test))*100, all.seconds,
 		all.seconds/float64((len(ds.Test)+15)/16*16/16)/16)
 
@@ -116,7 +121,7 @@ func run() error {
 		return nil
 	}
 
-	fmt.Printf("== Fig 4.7(a): tasklet speedup (16 images, LUT, 1 DPU) ==\n")
+	fmt.Fprintf(w, "== Fig 4.7(a): tasklet speedup (16 images, LUT, 1 DPU) ==\n")
 	var base uint64
 	for _, ntl := range []int{1, 2, 4, 8, 11, 12, 16, 20, 24} {
 		o, err := runArch(true, 1, ntl, batch)
@@ -126,11 +131,11 @@ func run() error {
 		if ntl == 1 {
 			base = o.cycles
 		}
-		fmt.Printf("%2d tasklets: %10d cycles, speedup %.2f\n",
+		fmt.Fprintf(w, "%2d tasklets: %10d cycles, speedup %.2f\n",
 			ntl, o.cycles, float64(base)/float64(o.cycles))
 	}
 
-	fmt.Printf("\n== Fig 4.7(c): speedup vs CPU for increasing DPU counts ==\n")
+	fmt.Fprintf(w, "\n== Fig 4.7(c): speedup vs CPU for increasing DPU counts ==\n")
 	one, err := runArch(true, 1, *tasklets, batch)
 	if err != nil {
 		return err
@@ -139,7 +144,7 @@ func run() error {
 	cpu := model.Xeon()
 	series := cpu.SpeedupSeries(perImageDPU, ebnnCPUOps(m), []int{1, 4, 16, 64, 256, 1024, 2560})
 	for _, pt := range series {
-		fmt.Printf("%5.0f DPUs: speedup %8.2fx over %s\n", pt.X, pt.Cycles, cpu.Name)
+		fmt.Fprintf(w, "%5.0f DPUs: speedup %8.2fx over %s\n", pt.X, pt.Cycles, cpu.Name)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
@@ -66,8 +67,9 @@ type Runner struct {
 	layout   kernelLayout
 
 	// kernelFn is the kernel closure, built once at NewRunner and reused
-	// for every launch.
+	// for every launch, and cells the cell table it last built (flatPass).
 	kernelFn dpu.KernelFunc
+	cells    atomic.Pointer[cellTable]
 
 	// Resolved symbol handles for the per-wave transfer loops.
 	refImages, refNImages, refResults host.SymbolRef
@@ -235,43 +237,30 @@ func (r *Runner) kernel() dpu.KernelFunc {
 		if t.ID() != 0 {
 			return nil
 		}
-		return l.flatPass(t, n)
+		return l.flatPass(t, n, &r.cells)
 	}
 }
 
 // flatPass is the functional half of the block kernel: all n resident
-// images, start to finish, on one tasklet, from two tables resolved once
-// per launch out of the model state in WRAM.
-//
-// A cell's pooled value is 9 − 2·pop, pop the smallest
-// popcount(window XOR filter) of its four windows, so it takes ten
-// values: bit pop of act[f] is filter f's BN-BinAct output for it — read
-// from the LUT after staging it MRAM→WRAM (§4.1.4), or, without the LUT,
-// the software-float threshold fold and compare of Fig 4.2a, evaluated
-// ten times per filter instead of once per cell. And a window's popcount
-// is the sum of its three rows': rowPops[j][v] holds, for all filters at
-// once (byte lane f), the popcount of the three pixels v against row j
-// of filter f, so a window costs three lookups and two additions for
-// every filter together and the 2×2 max-pool is three lane-wise minima.
+// images, start to finish, on one tasklet, one table load per pooled
+// cell. The launch first resolves the model state in this DPU's WRAM
+// into the table's key: the filter words, and per filter ten activation
+// bits act[f], bit pop being filter f's BN-BinAct output for the pooled
+// value 9 − 2·pop — read from the LUT staged MRAM→WRAM (§4.1.4) or,
+// without the LUT, from the software-float threshold fold and compare of
+// Fig 4.2a, ten times per filter instead of once per cell. A key cache
+// does not hold gets its table built (newCellTable) and published.
 //
 // Per image the packed pixels come in and the activation bytes go out by
 // MRAM copies checked against the DMA engine's bounds and alignment rules.
-func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
+func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cellTable]) error {
 	d, nf := t.DPU(), l.f
-
-	var rowPops [FilterSize][8]uint64
+	k := cellKey{nf: nf}
 	fw := t.WRAMWindow(l.filters, int64(nf)*2)
 	for f := 0; f < nf; f++ {
-		filt := uint32(binary.LittleEndian.Uint16(fw[f*2:]))
-		for j := range rowPops {
-			for v := range rowPops[j] {
-				pop := bits.OnesCount32((filt>>uint(3*j) ^ uint32(v)) & 7)
-				rowPops[j][v] |= uint64(pop) << uint(8*f)
-			}
-		}
+		k.filters[f] = binary.LittleEndian.Uint16(fw[f*2:])
 	}
 
-	var act [8]uint32
 	if l.useLUT {
 		lut := t.WRAMWindow(l.scratch+dpu.MaxTasklets*perTaskletScratch, lutWRAMSize)
 		if err := d.CopyFromMRAMRawInto(l.lutMRAM, lut); err != nil {
@@ -280,7 +269,7 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
 		for f := 0; f < nf; f++ {
 			for pop := 0; pop <= FilterSize*FilterSize; pop++ {
 				best := ConvMax - 2*pop
-				act[f] |= uint32(lut[(best-ConvMin)*nf+f]&1) << uint(pop)
+				k.act[f] |= uint32(lut[(best-ConvMin)*nf+f]&1) << uint(pop)
 			}
 		}
 	} else {
@@ -302,18 +291,22 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
 			best := softfloat.FromInt32(int32(ConvMax - 2*pop))
 			for f := 0; f < nf; f++ {
 				if softfloat.Ge(best, thr[f]) {
-					act[f] |= 1 << uint(pop)
+					k.act[f] |= 1 << uint(pop)
 				}
 			}
 		}
 	}
 
+	tab := cache.Load()
+	if tab == nil || tab.key != k {
+		tab = newCellTable(k)
+		cache.Store(tab)
+	}
 	var (
 		packed [mnist.PackedSize]byte
 		out    [ResultSize]byte
 		rows   [mnist.Side]uint32
 	)
-	p0, p1, p2 := &rowPops[0], &rowPops[1], &rowPops[2]
 	for img := 0; img < n; img++ {
 		if err := d.CopyFromMRAMRawInto(l.images+int64(img)*mnist.PackedSize, packed[:]); err != nil {
 			return err
@@ -324,18 +317,8 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
 		for pr := 0; pr < PoolSize; pr++ {
 			r0, r1, r2, r3 := rows[pr*2], rows[pr*2+1], rows[pr*2+2], rows[pr*2+3]
 			for pc := 0; pc < PoolSize; pc++ {
-				// The cell's 4×4 pixel patch, one row per word; its four
-				// windows are rows 0-2 and 1-3 at columns 0-2 and 1-3.
 				c := uint(pc * 2)
-				a0, a1, a2, a3 := r0>>c, r1>>c, r2>>c, r3>>c
-				pops := minBytes(
-					minBytes(p0[a0&7]+p1[a1&7]+p2[a2&7], p0[a0>>1&7]+p1[a1>>1&7]+p2[a2>>1&7]),
-					minBytes(p0[a1&7]+p1[a2&7]+p2[a3&7], p0[a1>>1&7]+p1[a2>>1&7]+p2[a3>>1&7]))
-				var acc uint32
-				for f := 0; f < nf; f++ {
-					acc |= (act[f] >> (pops >> uint(8*f) & 0xFF) & 1) << uint(f)
-				}
-				out[pr*PoolSize+pc] = byte(acc)
+				out[pr*PoolSize+pc] = tab.cells[uint16(r0>>c&15|(r1>>c&15)<<4|(r2>>c&15)<<8|(r3>>c&15)<<12)]
 			}
 		}
 		if err := d.CopyToMRAMRaw(l.results+int64(img)*ResultSize, out[:]); err != nil {
@@ -343,6 +326,55 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int) error {
 		}
 	}
 	return nil
+}
+
+// cellKey is the model state a pooled cell's activation byte depends on:
+// the filter count, the filter words and the activation bits per filter.
+type cellKey struct {
+	nf      int
+	filters [8]uint16
+	act     [8]uint32
+}
+
+// cellTable is the cell function of one model state, enumerated: cells[p]
+// is the activation byte of the cell whose 4×4 patch is p, nibble j
+// holding patch row j (bit 0 its leftmost pixel).
+type cellTable struct {
+	key   cellKey
+	cells [1 << 16]byte
+}
+
+// newCellTable evaluates the cell function on every patch. A window's
+// popcount is the sum of its three rows': rowPops[j][v] holds, for all
+// filters at once (byte lane f), the popcount of the three pixels v
+// against row j of filter f, so a window is three lookups and two
+// additions for every filter together, the 2×2 max-pool three lane-wise
+// minima, and filter f's bit the act[f] bit at its lane's popcount.
+func newCellTable(k cellKey) *cellTable {
+	var rowPops [FilterSize][8]uint64
+	for f := 0; f < k.nf; f++ {
+		for j := range rowPops {
+			for v := range rowPops[j] {
+				pop := bits.OnesCount32((uint32(k.filters[f])>>uint(3*j) ^ uint32(v)) & 7)
+				rowPops[j][v] |= uint64(pop) << uint(8*f)
+			}
+		}
+	}
+	tab := &cellTable{key: k}
+	p0, p1, p2 := &rowPops[0], &rowPops[1], &rowPops[2]
+	for p := range tab.cells {
+		// Its four windows: rows 0-2 and 1-3 at columns 0-2 and 1-3.
+		a0, a1, a2, a3 := p&15, p>>4&15, p>>8&15, p>>12
+		pops := minBytes(
+			minBytes(p0[a0&7]+p1[a1&7]+p2[a2&7], p0[a0>>1]+p1[a1>>1]+p2[a2>>1]),
+			minBytes(p0[a1&7]+p1[a2&7]+p2[a3&7], p0[a1>>1]+p1[a2>>1]+p2[a3>>1]))
+		var acc uint32
+		for f := 0; f < k.nf; f++ {
+			acc |= (k.act[f] >> (pops >> uint(8*f) & 0xFF) & 1) << uint(f)
+		}
+		tab.cells[p] = byte(acc)
+	}
+	return tab
 }
 
 // minBytes returns the lane-wise minimum of two words of eight bytes,

@@ -1,10 +1,12 @@
 package ebnn
 
 import (
+	"math/rand"
 	"testing"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/host"
+	"pimdnn/internal/mnist"
 )
 
 var trainForKernel = trainOnce(200, 40, 21, 10)
@@ -252,6 +254,48 @@ func TestDPUAccuracyEndToEnd(t *testing.T) {
 	// accuracy must match exactly.
 	if dpuHits != hostHits {
 		t.Errorf("DPU hits %d != host hits %d", dpuHits, hostHits)
+	}
+}
+
+// TestCellTableMatchesCellFormula: every entry of the cell table equals
+// the host reference on the patch it indexes — convPoolRows, then the
+// act bit at the pooled value's popcount — for random filter words (bits
+// above the ninth included) and activation masks no BN fold emits, not
+// monotone in the pooled value. Each reference image carries 49
+// patches, one per pooled cell at an even row and column: those cells'
+// patches share no pixel.
+func TestCellTableMatchesCellFormula(t *testing.T) {
+	const side = (PoolSize + 1) / 2 // disjoint patches per image row
+	rng := rand.New(rand.NewSource(29))
+	for _, nf := range []int{1, 3, 8} {
+		k := cellKey{nf: nf}
+		for f := 0; f < nf; f++ {
+			k.filters[f] = uint16(rng.Uint32())
+			k.act[f] = rng.Uint32() & 0x3FF
+		}
+		k.act[0] = 0x155 // set at popcounts 0, 2, 4, 6 and 8 only
+		tab := newCellTable(k)
+		for base := 0; base < len(tab.cells); base += side * side {
+			n := min(side*side, len(tab.cells)-base)
+			var rows [mnist.Side]uint32
+			for i := 0; i < n; i++ {
+				for j := 0; j < 4; j++ {
+					rows[i/side*4+j] |= uint32((base+i)>>(4*j)&15) << uint(i%side*4)
+				}
+			}
+			pooled := convPoolRows(&rows, k.filters[:nf])
+			for i := 0; i < n; i++ {
+				cell := i/side*2*PoolSize + i%side*2
+				var want byte
+				for f := 0; f < nf; f++ {
+					pop := (ConvMax - int(pooled[cell*nf+f])) / 2
+					want |= byte(k.act[f]>>uint(pop)&1) << uint(f)
+				}
+				if got := tab.cells[base+i]; got != want {
+					t.Fatalf("F=%d patch %#04x: table %#02x, reference %#02x", nf, base+i, got, want)
+				}
+			}
+		}
 	}
 }
 
