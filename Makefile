@@ -13,8 +13,9 @@
 # target names (`make bench-smoke`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
 # the portable build (`make portable`: the packages under the gemm
-# kernel tested as GOARCH=386, where its MAC is the Go loops, the tree
-# cross-built for arm64, and tensor and gemm vetted big-endian),
+# kernel and ebnn tested as GOARCH=386, where gemm's MAC and ebnn's
+# classifier are the Go loops, the tree cross-built for arm64, and
+# tensor and gemm vetted big-endian),
 # the funcs under internal/ that no shipped program links and
 # scripts/reach.allow does not list (`make reach`), and the non-test line
 # count per package (`make lines`, report-only), the number ROADMAP asks
@@ -46,18 +47,21 @@ test:
 race:
 	$(GO) test -race ./internal/dpu ./internal/tensor ./internal/softfloat ./internal/isa ./internal/host ./internal/trace ./internal/metrics ./internal/exec ./internal/gemm ./internal/ebnn ./internal/nn ./internal/yolo ./internal/alexnet ./internal/resnet ./internal/plan ./cmd/upmem-top ./cmd/upmem-serve ./cmd/upmem-profile
 
-# internal/gemm's block MAC is assembly where the host has AVX2 and Go
-# loops everywhere else, and no amd64 CI host runs the loops through the
-# kernels. As a 386 binary (which an amd64 Linux host executes natively)
-# the gemm, nn and tensor suites — every functional and differential test
-# over flatPass — run on the loops end to end; the arm64 leg is a
-# cross-build and a vet of gemm's per-arch files, and the s390x leg a
-# vet of tensor and gemm as a big-endian build (where internal/tensor
-# encodes int16 through byte stores, not through a view).
+# internal/gemm's block MAC and internal/ebnn's classifier are assembly
+# where the host has AVX2 (and POPCNT, for ebnn) and Go loops everywhere
+# else, and no amd64 CI host runs the loops through the kernels. As a 386
+# binary (which an amd64 Linux host executes natively) the gemm, nn,
+# tensor and ebnn suites — every functional and differential test over
+# gemm's flatPass, and TestInferInvariance and the eBNN differential
+# tests through predictPacked — run on the loops end to end; the arm64
+# leg is a cross-build and a vet of gemm's and ebnn's per-arch files,
+# and the s390x leg a vet of tensor and gemm as a big-endian build
+# (where internal/tensor encodes int16 through byte stores, not through
+# a view).
 portable:
-	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn ./internal/tensor
+	GOARCH=386 $(GO) test -count=1 ./internal/gemm ./internal/nn ./internal/tensor ./internal/ebnn
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/gemm
+	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/ebnn
 	GOARCH=s390x $(GO) vet ./internal/tensor ./internal/gemm
 
 # The four benchmarks the profile, profile-array, profile-rows and
@@ -143,7 +147,7 @@ profile-array:
 # the functional pass alone (flatPass: one cell-table load per pooled
 # cell) and of the host classifier (Runner.classify, the worker-pool
 # body, and everything under it); on a 2-core Xeon, go1.24.0, classify
-# reads about 69 % and flatPass about 15 %:
+# (the AVX2 class lanes) reads about 34 % and flatPass about 37 %:
 # `make profile-ebnn | grep -e '-share '`.
 profile-ebnn:
 	$(GO) test -run xxx -bench 'BenchmarkEBNNStream$$' -benchtime 200x -cpuprofile cpu.prof -o ebnn.test ./internal/ebnn

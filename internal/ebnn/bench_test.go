@@ -47,3 +47,37 @@ func BenchmarkEBNNStream(b *testing.B) {
 	}
 	b.ReportMetric(float64(2*len(many)), "images")
 }
+
+// BenchmarkClassify is the host softmax layer alone on one 16-image shard
+// of DPU results (BenchmarkEBNNStream's model and test digits): through
+// classify, the class lanes where the host has them, and through
+// classifyPacked, image by image.
+func BenchmarkClassify(b *testing.B) {
+	ds := mnist.Load(150, 16, 21)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 3
+	m, err := Train(ds, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := &Runner{model: m, byFeature: m.softmaxByFeature()}
+	r.iws.preds = make([]int, BatchSize)
+	r.iws.res = make([]byte, BatchSize*ResultSize)
+	lut := m.BuildLUT()
+	for i := range ds.Test[:BatchSize] {
+		f := m.FeaturesViaLUT(&ds.Test[i], lut)
+		for j, bit := range f {
+			r.iws.res[i*ResultSize+j/m.F] |= bit << (j % m.F)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		fn   func(lo, hi int)
+	}{{"classify", r.classify}, {"classifyPacked", r.classifyPacked}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.fn(0, 1)
+			}
+		})
+	}
+}

@@ -131,7 +131,10 @@ func TestFunctionIndependentOfPartition(t *testing.T) {
 	for _, nf := range []int{1, 3, 8} {
 		for _, useLUT := range []bool{true, false} {
 			t.Run(fmt.Sprintf("F=%d/lut=%v", nf, useLUT), func(t *testing.T) {
-				m := &Model{F: nf, Filters: make([]uint16, nf)}
+				m := &Model{F: nf, Filters: make([]uint16, nf), Bias: make([]float32, mnist.NumClasses)}
+				for range mnist.NumClasses { // NewRunner wants a whole softmax layer
+					m.Weights = append(m.Weights, make([]float32, m.FeatureLen()))
+				}
 				for f := 0; f < nf; f++ {
 					m.BN = append(m.BN, hostileBN[(f+nf)%len(hostileBN)])
 				}

@@ -86,6 +86,10 @@ type Runner struct {
 	byFeature  []float32
 }
 
+// laneStride is the floats per feature in byFeature: classes 0-7 fill a
+// YMM register of the class lanes (logits4), 8-9 the low half of an XMM.
+const laneStride = 16
+
 // inferStage is the staging of the multiple-images-per-DPU mapping:
 // per-DPU packed-image and image-count scatter buffers, and the result
 // gather views into the Infer call's result buffer.
@@ -102,8 +106,8 @@ type inferStage struct {
 // the MRAM/WRAM symbols and broadcasts the filters plus either the BN
 // parameters (default model, Fig 4.2a) or the host-built LUT (Fig 4.2b).
 func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, error) {
-	if m.F < 1 || m.F > 8 {
-		return nil, fmt.Errorf("ebnn: runner requires 1..8 filters (one result byte per cell), got %d", m.F)
+	if err := m.checkShape(); err != nil {
+		return nil, err
 	}
 	if tasklets < 1 || tasklets > dpu.MaxTasklets {
 		return nil, fmt.Errorf("ebnn: tasklet count %d outside 1..%d", tasklets, dpu.MaxTasklets)
@@ -205,6 +209,24 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	r.classifyFn = r.classify
 	r.byFeature = m.softmaxByFeature()
 	return r, nil
+}
+
+// checkShape rejects a model whose parts disagree with F or with the ten
+// classes: the runner's guard, and the only one between the softmax
+// weights and classify's unchecked loads.
+func (m *Model) checkShape() error {
+	if m.F < 1 || m.F > 8 {
+		return fmt.Errorf("ebnn: runner requires 1..8 filters (one result byte per cell), got %d", m.F)
+	}
+	ok := len(m.Filters) == m.F && len(m.BN) == m.F && len(m.Bias) == mnist.NumClasses && len(m.Weights) == mnist.NumClasses
+	for _, row := range m.Weights {
+		ok = ok && len(row) == m.FeatureLen()
+	}
+	if !ok {
+		return fmt.Errorf("ebnn: model with F = %d needs %d filters and BN sets, %d biases and %d weight rows of %d",
+			m.F, m.F, mnist.NumClasses, mnist.NumClasses, m.FeatureLen())
+	}
+	return nil
 }
 
 // SetTraceSpan attaches the request span the next Infer calls run under
@@ -486,9 +508,9 @@ func (w *inferWorkSet) Gather(_, n int) exec.Stream {
 
 func (w *inferWorkSet) Decode(_, _, _ int) {}
 
-// classify runs the host softmax layer over shards [lo, hi) of the
-// gathered activation bytes, each prediction at its image's index.
-func (r *Runner) classify(lo, hi int) {
+// classifyPacked is classify's portable path: predictPacked, image by
+// image.
+func (r *Runner) classifyPacked(lo, hi int) {
 	w := &r.iws
 	for i := lo * BatchSize; i < min(hi*BatchSize, len(w.preds)); i++ {
 		w.preds[i] = r.model.predictPacked(r.byFeature, w.res[i*ResultSize:(i+1)*ResultSize])
@@ -498,8 +520,8 @@ func (r *Runner) classify(lo, hi int) {
 // Infer classifies the images: the host packs 16-image batches and
 // scatters them across the DPUs, launches the kernel and gathers the
 // activation bytes, wave by wave, then runs the softmax layer straight
-// from those packed bytes (§4.1.3; predictPacked) over every shard at
-// once on the System's worker pool. Wave construction and fault recovery
+// from those packed bytes (§4.1.3; classify) over every shard at once
+// on the System's worker pool. Wave construction and fault recovery
 // are the execution engine's (internal/exec). Every prediction lands at
 // its image's index, so the result does not depend on the core count.
 // Infer is not safe for concurrent use on one Runner: the staging
@@ -531,25 +553,33 @@ func (r *Runner) Infer(images []mnist.Image) ([]int, BatchStats, error) {
 }
 
 // softmaxByFeature returns the host softmax layer's weights
-// feature-major, the layout predictPacked reads: feature i's
-// NumClasses class weights at [i*NumClasses, (i+1)*NumClasses).
+// feature-major, the layout predictPacked and logits4 read: feature i's
+// NumClasses class weights at [i*laneStride, i*laneStride+NumClasses),
+// the rest zero.
 func (m *Model) softmaxByFeature() []float32 {
-	w := make([]float32, m.FeatureLen()*mnist.NumClasses)
+	w := make([]float32, m.FeatureLen()*laneStride)
 	for c, row := range m.Weights {
 		for i, v := range row {
-			w[i*mnist.NumClasses+c] = v
+			w[i*laneStride+c] = v
 		}
 	}
 	return w
 }
 
 // predictPacked classifies one DPU result buffer (one byte per pooled
-// cell, bit f = filter f) without expanding it: every set bit adds its
-// feature's weights (byFeature is m.softmaxByFeature()) to the ten class
-// sums, features in ascending index order, so each sum is the same
-// sequence of float32 additions as Logits and the answer is
-// PredictFeatures(DecodeFeatures(result, F)).
+// cell, bit f = filter f) without expanding it: the argmax of
+// logitsPacked, so PredictFeatures(DecodeFeatures(result, F)).
 func (m *Model) predictPacked(byFeature []float32, result []byte) int {
+	l := m.logitsPacked(byFeature, result)
+	return argmax(l[:])
+}
+
+// logitsPacked is the softmax layer on one DPU result buffer: every set
+// bit adds its feature's weights (byFeature is m.softmaxByFeature()) to
+// the ten class sums, features in ascending index order, so each sum is
+// the same sequence of float32 additions as Logits. It is the oracle of
+// the class lanes (logits4).
+func (m *Model) logitsPacked(byFeature []float32, result []byte) [mnist.NumClasses]float32 {
 	// The class sums are scalars, not an array, so they stay in registers
 	// across the loop (an array's elements are loaded and stored around
 	// every addition: 2.5x slower on this function).
@@ -558,7 +588,7 @@ func (m *Model) predictPacked(byFeature []float32, result []byte) int {
 	mask := byte(uint(1)<<uint(m.F) - 1)
 	for cell, r := range result[:PoolCells] {
 		for set := r & mask; set != 0; set &= set - 1 {
-			w := (*[mnist.NumClasses]float32)(byFeature[(cell*m.F+bits.TrailingZeros8(set))*mnist.NumClasses:])
+			w := (*[mnist.NumClasses]float32)(byFeature[(cell*m.F+bits.TrailingZeros8(set))*laneStride:])
 			s0 += w[0]
 			s1 += w[1]
 			s2 += w[2]
@@ -571,7 +601,7 @@ func (m *Model) predictPacked(byFeature []float32, result []byte) int {
 			s9 += w[9]
 		}
 	}
-	return argmax([]float32{s0, s1, s2, s3, s4, s5, s6, s7, s8, s9})
+	return [mnist.NumClasses]float32{s0, s1, s2, s3, s4, s5, s6, s7, s8, s9}
 }
 
 // DecodeFeatures expands one DPU result buffer (one byte per pooled cell,

@@ -49,6 +49,36 @@ func TestRunnerValidation(t *testing.T) {
 	}
 }
 
+// TestNewRunnerRejectsMalformedModel: a model whose parts disagree with
+// F or with the ten classes is an error from NewRunner, not a panic on a
+// pool worker at the first Infer, nor a silently different model.
+func TestNewRunnerRejectsMalformedModel(t *testing.T) {
+	good, _ := trainForKernel(t)
+	sys, err := host.NewSystem(1, host.DefaultConfig(dpu.O0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	longRow := append([][]float32(nil), good.Weights...)
+	longRow[3] = append(append([]float32(nil), good.Weights[3]...), 1)
+	for _, c := range []struct {
+		name string
+		edit func(m *Model)
+	}{
+		{"bias shorter than the classes", func(m *Model) { m.Bias = m.Bias[:mnist.NumClasses-1] }},
+		{"weight row longer than the features", func(m *Model) { m.Weights = longRow }},
+		{"filters shorter than F", func(m *Model) { m.Filters = m.Filters[:m.F-1] }},
+		{"BN shorter than F", func(m *Model) { m.BN = m.BN[:m.F-1] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := *good
+			c.edit(&m)
+			if _, err := NewRunner(sys, &m, true, 4); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+}
+
 // TestDPUMatchesHostLUT: the LUT kernel's activation bits must equal the
 // host LUT reference bit-for-bit.
 func TestDPUMatchesHostLUT(t *testing.T) {

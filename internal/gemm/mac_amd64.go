@@ -1,26 +1,12 @@
 package gemm
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax uint32) // XCR0's low half
+import "pimdnn/internal/cpuid"
 
 // macBlockAVX2 is macBlock's contract for lanes (a positive multiple of
 // 4) columns and rows >= 1 rows, with no bounds checks of its own.
 //
 //go:noescape
 func macBlockAVX2(acc *int32, lanes int, apart *int32, rows int, block *byte, bstride int)
-
-// useAVX2 selects the assembly: the CPU has AVX2 and the OS saves the
-// YMM registers. Written once, here; nothing sets it.
-var useAVX2 = func() bool {
-	const osxsaveAVX, avx2, ymmState = 1<<27 | 1<<28, 1 << 5, 6
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if _, _, c, _ := cpuid(1, 0); maxLeaf < 7 || c&osxsaveAVX != osxsaveAVX {
-		return false
-	}
-	lo := xgetbv() // legal: OSXSAVE is set
-	_, b, _, _ := cpuid(7, 0)
-	return lo&ymmState == ymmState && b&avx2 != 0
-}()
 
 // macExtent is the only guard between macBlock's slices and the
 // assembly, which drops Go's per-access bounds checks: it proves that
@@ -44,7 +30,7 @@ func macExtent(block []byte, rows, rowBytes, bstride int) {
 // agree bit for bit.
 func macBlock(acc, apart []int32, block []byte, bstride int) {
 	lanes := len(acc) &^ 3
-	if !useAVX2 || lanes == 0 || len(apart) == 0 {
+	if !cpuid.AVX2 || lanes == 0 || len(apart) == 0 {
 		macBlockGo(acc, apart, block, bstride)
 		return
 	}

@@ -2,25 +2,11 @@ package gemm
 
 import (
 	"math/rand"
-	"os"
-	"regexp"
 	"runtime/debug"
 	"syscall"
 	"testing"
 	"unsafe"
 )
-
-// The hand-rolled CPUID + XGETBV check agrees with the kernel's own
-// reading of the same bits.
-func TestUseAVX2MatchesProcCPUInfo(t *testing.T) {
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no /proc/cpuinfo to compare with: %v", err)
-	}
-	if want := regexp.MustCompile(`(?m)^flags\s*:.*\bavx2\b`).Match(info); useAVX2 != want {
-		t.Errorf("useAVX2 = %v, /proc/cpuinfo lists avx2: %v", useAVX2, want)
-	}
-}
 
 // guarded maps n data pages with an inaccessible page on either side, so
 // a load or store one byte outside the data faults instead of passing.

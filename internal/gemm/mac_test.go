@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"pimdnn/internal/cpuid"
 )
 
 // needVectorMAC skips a test of the assembly where macBlock is the Go
 // loops: against themselves they prove nothing.
 func needVectorMAC(t testing.TB) {
-	if !useAVX2 {
+	if !cpuid.AVX2 {
 		t.Skip("macBlock is the portable Go loops on this host (not amd64, or no AVX2 / OS YMM state): nothing to compare")
 	}
 }
