@@ -183,7 +183,9 @@ type Engine struct {
 	failSet  []bool
 
 	// The engine-global wave number (trace spans) and the launch
-	// statistics of the wave loop's current wave.
+	// statistics of the current wave, Run's or RunStream's: both read
+	// only the scalar aggregates before the next wave reuses its PerDPU
+	// backing.
 	waveSeq int
 	waveLS  host.LaunchStats
 
@@ -194,19 +196,6 @@ type Engine struct {
 	gatherErrs []error
 	rawMu      sync.Mutex
 	rawFree    [][]byte
-
-	// waveStats backs LaunchStats.PerDPU for RunStream's launch
-	// (host.LaunchOnInto): it reads only scalar aggregates, so one
-	// buffer serves every stream.
-	waveStats []dpu.Stats
-}
-
-// perDPUBuf returns the reusable PerDPU backing, grown to n entries.
-func (e *Engine) perDPUBuf(n int) []dpu.Stats {
-	if cap(e.waveStats) < n {
-		e.waveStats = make([]dpu.Stats, n)
-	}
-	return e.waveStats[:n]
 }
 
 // New builds an engine over sys, with telemetry when sys has a metrics

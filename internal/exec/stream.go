@@ -125,18 +125,16 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 	e.reseedDown(failed)
 	t1 := e.span("scatter", seq, ss.Shards, t0)
 
-	ls, lerr := e.sys.LaunchOnInto(ss.Shards, ss.Tasklets, ss.Kernel, e.perDPUBuf(ss.Shards))
+	lerr := e.sys.RunWave(host.Wave{DPUs: ss.Shards, Tasklets: ss.Tasklets, Kernel: ss.Kernel, Stats: &e.waveLS})
 	if err := e.mergeFailed(failed, lerr); err != nil {
 		return err
 	}
 	st.Waves++
-	st.Cycles += ls.Cycles
-	st.Seconds += ls.Seconds
-	if ss.Shards > st.DPUsUsed {
-		st.DPUsUsed = ss.Shards
-	}
+	st.Cycles += e.waveLS.Cycles
+	st.Seconds += e.waveLS.Seconds
+	st.DPUsUsed = max(st.DPUsUsed, ss.Shards)
 	if e.tsp != nil {
-		e.tspLS, e.tspLSOK = ls, true
+		e.tspLS, e.tspLSOK = e.waveLS, true
 	}
 	t2 := e.span("launch", seq, ss.Shards, t1)
 

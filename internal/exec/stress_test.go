@@ -11,10 +11,10 @@ import (
 // TestMultiRankPipelinedStress drives an engine over a multi-rank
 // system while another goroutine performs synchronous transfers on its
 // own symbol — the one kind of sharing a System allows beside its
-// dispatching engine. The engine's waves tally rank occupancy in the
-// wave scratch and the synchronous path in its own — the same split the
-// host keeps for its per-DPU error scratch — so run under -race (make ci
-// does) this is the data-race gate for the rank accounting. Results must
+// dispatching engine. The engine's waves run on the host's wave runner
+// and the synchronous transfers on its other runner, each with its own
+// per-DPU and per-rank scratch, so run under -race (make ci does) this
+// is the data-race gate for that split. Results must
 // stay bit-identical on every iteration regardless of interleaving.
 func TestMultiRankPipelinedStress(t *testing.T) {
 	const (

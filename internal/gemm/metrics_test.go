@@ -10,7 +10,7 @@ import (
 
 // runWithTelemetry runs one multi-wave Multiply on a fresh system,
 // optionally with a registry wired, and returns the product and stats.
-func runWithTelemetry(t testing.TB, reg *metrics.Registry, plan *dpu.FaultPlan) ([]int16, Stats) {
+func runWithTelemetry(t testing.TB, reg *metrics.Registry) ([]int16, Stats) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
 	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
@@ -19,9 +19,6 @@ func runWithTelemetry(t testing.TB, reg *metrics.Registry, plan *dpu.FaultPlan) 
 	}
 	if reg != nil {
 		sys.EnableMetrics(reg)
-	}
-	if plan != nil {
-		sys.InjectFaults(*plan)
 	}
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 	if err != nil {
@@ -34,57 +31,11 @@ func runWithTelemetry(t testing.TB, reg *metrics.Registry, plan *dpu.FaultPlan) 
 	return c, st
 }
 
-// TestMetricsBitIdentity enforces the telemetry contract: wiring a
-// registry must not change a single output value, simulated cycle, or
-// retry count — with and without fault injection.
-func TestMetricsBitIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		plan *dpu.FaultPlan
-	}{
-		{"clean", nil},
-		{"dead", &deadPlan},
-		{"transient", &transientPlan},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cOff, stOff := runWithTelemetry(t, nil, tc.plan)
-			reg := metrics.NewRegistry()
-			cOn, stOn := runWithTelemetry(t, reg, tc.plan)
-			if len(cOff) != len(cOn) {
-				t.Fatalf("output lengths differ: %d vs %d", len(cOff), len(cOn))
-			}
-			for i := range cOff {
-				if cOff[i] != cOn[i] {
-					t.Fatalf("output[%d] = %d with telemetry, %d without", i, cOn[i], cOff[i])
-				}
-			}
-			if stOff != stOn {
-				t.Errorf("stats diverge: off=%+v on=%+v", stOff, stOn)
-			}
-			// The registry must actually have observed the run.
-			s := reg.Snapshot()
-			var cycles, waves uint64
-			for _, c := range s.Counters {
-				switch c.Name {
-				case "pim_dpu_cycles_total":
-					cycles += c.Value
-				case "pim_exec_waves_total":
-					waves += c.Value
-				}
-			}
-			if cycles == 0 || waves == 0 {
-				t.Errorf("registry empty after instrumented run: cycles=%d waves=%d", cycles, waves)
-			}
-		})
-	}
-}
-
 // TestMetricsAccountingConsistency cross-checks the instruments against
 // the Stats the runner already reports.
 func TestMetricsAccountingConsistency(t *testing.T) {
 	reg := metrics.NewRegistry()
-	_, st := runWithTelemetry(t, reg, nil)
+	_, st := runWithTelemetry(t, reg)
 	s := reg.Snapshot()
 	get := func(name string) uint64 {
 		var v uint64

@@ -105,45 +105,6 @@ func TestPlannerPredictionExact(t *testing.T) {
 	}
 }
 
-// TestPlannerBitIdentity: the auto-mapper only picks among mapping axes
-// (tasklets, wave width); the product must be
-// bit-identical to the fixed hand-tuned mapping's.
-func TestPlannerBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, n, k := 13, 470, 96
-	a := randOperand(rng, m*k)
-	b := randOperand(rng, k*n)
-
-	mul := func(planner bool) []int16 {
-		sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		cfg := RunnerConfig{MaxK: k, MaxN: n}
-		if planner {
-			cfg.Planner = plan.New(sys)
-		} else {
-			cfg.Tasklets = plan.FixedTasklets
-		}
-		r, err := NewRunner(sys, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, _, err := r.Multiply(m, n, k, 1, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	fixed, planned := mul(false), mul(true)
-	for i := range fixed {
-		if fixed[i] != planned[i] {
-			t.Fatalf("planned product diverged from fixed at %d: %d != %d", i, planned[i], fixed[i])
-		}
-	}
-}
-
 // TestPlannerWRAMCap: with no explicit tasklet count the planner-backed
 // runner sizes its WRAM allocation from the feasibility cap, and the
 // batch path lowers the cap for its per-tasklet A-row cache.

@@ -101,11 +101,10 @@ func TestBroadcastAndPerDPUCopyAllocFree(t *testing.T) {
 	}
 }
 
-// A steady-state fused wave allocates only what the underlying per-DPU
-// launches themselves allocate (the same op-mix bookkeeping a
-// synchronous LaunchOn pays): the wave's stats reuse the caller's PerDPU
-// backing, and RunWave keeps its wave in the System rather than in a
-// local the range function captures.
+// A steady-state fused wave allocates only the worker pool's run
+// descriptor (none on one core): the wave's stats reuse the caller's
+// PerDPU backing, and the runner's range function is bound once, so it
+// captures no per-call state.
 func TestWaveSteadyStateAllocBound(t *testing.T) {
 	s := allocSystem(t, 2)
 	ref, err := s.Resolve("buf")
@@ -123,21 +122,18 @@ func TestWaveSteadyStateAllocBound(t *testing.T) {
 		DPUs: 2, Tasklets: 1, Kernel: kernel, Stats: &ws,
 		Scatter: ref, In: in, Gather: ref, Out: out,
 	}
-	avg := testing.AllocsPerRun(100, func() {
+	if avg := testing.AllocsPerRun(100, func() {
 		if err := s.RunWave(wave); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Per DPU launch: op-mix map + breakdown slice (+ map bucket churn).
-	// Anything beyond ~8 per DPU means the wave itself started allocating.
-	if avg > 16 {
-		t.Errorf("steady-state wave allocates %.1f per call, want <= 16", avg)
+	}); avg > 1 {
+		t.Errorf("steady-state wave allocates %.1f per call, want <= 1", avg)
 	}
 }
 
-// Above the sharding threshold the transfer loops fan out across the
-// worker pool; a handful of scheduling allocations per call is the price
-// of the parallelism, but it must stay O(workers), not O(DPUs).
+// Above the sharding threshold a push and a gather fan out across the
+// worker pool; the pool's run descriptor is their one allocation per
+// call.
 func TestShardedPushXferAllocBound(t *testing.T) {
 	s := allocSystem(t, parallelThreshold)
 	ref, err := s.Resolve("buf")
@@ -152,8 +148,15 @@ func TestShardedPushXferAllocBound(t *testing.T) {
 		if err := s.PushXferRef(ref, 0, buffers); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 16 {
-		t.Errorf("sharded PushXferRef allocates %.1f per call, want <= 16", avg)
+	}); avg > 1 {
+		t.Errorf("sharded PushXferRef allocates %.1f per call, want <= 1", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := s.GatherXferRefInto(ref, 0, 64, buffers); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Errorf("sharded GatherXferRefInto allocates %.1f per call, want <= 1", avg)
 	}
 }
 

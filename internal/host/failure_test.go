@@ -14,7 +14,7 @@ import (
 func TestLaunchSingleDPUFailure(t *testing.T) {
 	s := newTestSystem(t, 4)
 	bad := s.DPU(2)
-	_, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	_, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		if tk.DPU() == bad {
 			return fmt.Errorf("injected failure")
 		}
@@ -28,7 +28,7 @@ func TestLaunchSingleDPUFailure(t *testing.T) {
 		t.Errorf("error does not name the failing DPU: %v", err)
 	}
 	// The system still works.
-	if _, err := s.Launch(1, func(tk *dpu.Tasklet) error { return nil }); err != nil {
+	if _, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error { return nil }); err != nil {
 		t.Errorf("system unusable after failure: %v", err)
 	}
 }
@@ -38,7 +38,7 @@ func TestLaunchSingleDPUFailure(t *testing.T) {
 func TestLaunchTrapOnOneDPU(t *testing.T) {
 	s := newTestSystem(t, 3)
 	bad := s.DPU(0)
-	_, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	_, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		if tk.DPU() == bad {
 			tk.Load8(-1) // trap
 		}
@@ -58,6 +58,9 @@ func TestGatherUnknownSymbol(t *testing.T) {
 	// is refused by the transfer itself.
 	if _, err := gatherAll(s, SymbolRef{}, 0, 8); err == nil {
 		t.Error("gather through an unresolved handle accepted")
+	}
+	if err := s.PushXferRef(SymbolRef{}, 0, nil); err == nil {
+		t.Error("push of no buffers through an unresolved handle accepted")
 	}
 }
 
@@ -91,7 +94,7 @@ func TestAllocFailurePropagatesPerDPU(t *testing.T) {
 // TestEnergyAccumulates: launch energy is per-DPU time x 120 mW.
 func TestEnergyAccumulates(t *testing.T) {
 	s := newTestSystem(t, 4)
-	ls, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	ls, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		tk.Charge(dpu.OpAddInt, 35000) // 385000 cycles = 1.1 ms per DPU
 		return nil
 	})

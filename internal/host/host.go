@@ -62,12 +62,9 @@ type System struct {
 	prof *trace.Profile
 	pool *workerPool
 
-	// perRank/ranks are the resolved Config.Topology (topology.go);
-	// xferTally is the per-rank tally scratch of the transfer charging
-	// path (the wave paths carry theirs in a waveScratch).
-	perRank   int
-	ranks     int
-	xferTally []int
+	// perRank/ranks are the resolved Config.Topology (topology.go).
+	perRank int
+	ranks   int
 
 	// symbols caches the uniform symbol table built by AllocMRAM /
 	// AllocWRAM so transfers resolve names with one map lookup per call
@@ -86,24 +83,19 @@ type System struct {
 	xferCount    uint64
 	xferBytes    uint64
 
-	// launchErrs and xferErrs are the reusable per-DPU error slices of
-	// the synchronous launch and transfer paths. Those paths are not
-	// safe for concurrent use on one System (the DPUs' memory is shared
-	// state between calls anyway), so plain fields suffice.
-	launchErrs []error
-	xferErrs   []error
+	// calls and waves are the two instances of the one best-effort
+	// multi-DPU loop (wave.go): calls serves the synchronous transfers
+	// and launches, waves serves RunWave, so a wave may run beside a
+	// synchronous transfer on another symbol. Neither is safe for
+	// concurrent use with itself (the DPUs' memory is shared state
+	// between calls anyway).
+	calls, waves phaseRunner
 
 	// bcast and bcastTargets are the MRAM broadcast's reusable state: the
 	// page-sharing write and the DPUs that passed their fault check. Same
-	// sequencing as xferErrs.
+	// sequencing as calls.
 	bcast        dpu.MRAMBroadcast
 	bcastTargets []*dpu.DPU
-
-	// rcur and rwave are RunWave's wave and per-DPU scratch (wave.go),
-	// kept apart from launchErrs/xferErrs so a wave and a synchronous
-	// transfer on another symbol may run side by side.
-	rcur  Wave
-	rwave waveScratch
 }
 
 // XferStats summarizes host<->PIM traffic since the last reset.
@@ -148,6 +140,9 @@ func NewSystem(n int, cfg Config) (*System, error) {
 		perRank: perRank,
 		ranks:   ranks,
 		symbols: make(map[string]dpu.Symbol),
+	}
+	for _, r := range []*phaseRunner{&s.calls, &s.waves} {
+		r.s, r.run = s, r.loop
 	}
 	// Dropped systems release their worker goroutines at GC time; Close
 	// makes the release deterministic.
@@ -293,26 +288,6 @@ func (s *System) copyFromOneInto(i int, ref SymbolRef, offset int64, dst []byte)
 	return d.CopyFromMRAMInto(ref.off+offset, dst)
 }
 
-// sharded reports whether a loop over n DPUs should run on the worker
-// pool. Small systems stay serial: the sharding dispatch costs a couple
-// of allocations per call, which only amortizes across many DPUs (and
-// the serial paths stay allocation-free for the regression tests).
-func (s *System) sharded(n int) bool { return n >= parallelThreshold }
-
-// shardErrs runs fn over [0, n) on the worker pool with rank-aligned
-// shard boundaries, recording each DPU's error in errs. Best-effort:
-// one DPU's failure never prevents another from being attempted (the
-// serial loops below keep the same contract inline, so post-error
-// device state does not depend on whether the system crossed the
-// sharding threshold).
-func (s *System) shardErrs(n int, errs []error, fn func(i int) error) {
-	s.pool.runAligned(n, s.perRank, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = fn(i)
-		}
-	})
-}
-
 // ParallelFor runs fn over [0, n) in contiguous, rank-aligned ranges on
 // the system's worker pool and returns when every range has finished —
 // the fan-out the sharded transfers and launches use, for host-side
@@ -322,44 +297,16 @@ func (s *System) shardErrs(n int, errs []error, fn func(i int) error) {
 // goroutine. fn must be safe for concurrent invocation on disjoint
 // ranges. It may use the pool itself — a nested ParallelFor, single-DPU
 // transfers from any range, multi-DPU transfers from one range at a
-// time (those share the System's per-DPU error scratch).
+// time (those share the System's synchronous runner).
 func (s *System) ParallelFor(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if !s.sharded(n) {
+	if n < parallelThreshold {
 		fn(0, n)
 		return
 	}
 	s.pool.runAligned(n, s.perRank, fn)
-}
-
-// xferErrSlice returns the reusable transfer error slice, cleared, with
-// room for n entries.
-func (s *System) xferErrSlice(n int) []error {
-	if cap(s.xferErrs) < n {
-		s.xferErrs = make([]error, n)
-	}
-	errs := s.xferErrs[:n]
-	for i := range errs {
-		errs[i] = nil
-	}
-	return errs
-}
-
-// finishXfer completes a best-effort multi-DPU transfer: it charges one
-// API-call transfer (latency counted once) covering perDPU bytes for
-// each DPU that actually moved data — timed as the busiest rank's
-// serial share, since ranks stream in parallel (topology.go) — and
-// converts the per-DPU errors into a *FaultReport. An all-failed
-// transfer charges nothing.
-func (s *System) finishXfer(op string, perDPU int, errs []error) error {
-	nOK, busiest := s.rankOKErrs(errs)
-	if nOK > 0 {
-		s.chargeTransferRanks(perDPU, nOK, busiest)
-		s.meterXfer(op != "gather", perDPU*nOK)
-	}
-	return s.noteFaults(faultsFrom(op, errs))
 }
 
 // CopyToSymbolRef broadcasts the same data to the symbol on every DPU
@@ -372,39 +319,11 @@ func (s *System) finishXfer(op string, perDPU int, errs []error) error {
 // it is written DPU by DPU on the caller: a pool dispatch would cost
 // more than the copies.
 func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error {
-	if err := checkRef(ref, offset, len(data)); err != nil {
-		return err
+	if data == nil {
+		data = []byte{} // an empty broadcast, not a missing one
 	}
-	n := len(s.dpus)
-	errs := s.xferErrSlice(n)
-	if ref.kind == dpu.SymbolMRAM {
-		s.broadcastMRAM(ref.off+offset, data, errs)
-	} else {
-		for i := 0; i < n; i++ {
-			errs[i] = s.copyToOne(i, ref, offset, data)
-		}
-	}
-	return s.finishXfer("copy_to", len(data), errs)
-}
-
-// broadcastMRAM is CopyToSymbolRef's MRAM arm: every DPU's injector is
-// consulted once, as copyToOne would, and the DPUs that pass take the
-// write together. An argument the DMA rules reject fails on each of them.
-func (s *System) broadcastMRAM(off int64, data []byte, errs []error) {
-	targets := s.bcastTargets[:0]
-	for i, d := range s.dpus {
-		if errs[i] = d.TransferFault(); errs[i] == nil {
-			targets = append(targets, d)
-		}
-	}
-	s.bcastTargets = targets
-	if err := s.bcast.Write(targets, off, data, s.ParallelFor); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
+	_, err := s.calls.do("copy_to", Wave{DPUs: len(s.dpus), Scatter: ref, off: offset, bcast: data}, phScattered)
+	return err
 }
 
 // CopyToDPURef writes data to the symbol on a single DPU. Device-level
@@ -431,32 +350,8 @@ func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []by
 // payloads with Pad8 and communicate true sizes separately, as §3.2
 // prescribes.
 func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) error {
-	if len(buffers) != len(s.dpus) {
-		return fmt.Errorf("host: PushXfer got %d buffers for %d DPUs", len(buffers), len(s.dpus))
-	}
-	if len(buffers) == 0 {
-		return nil
-	}
-	n := len(buffers[0])
-	for i, b := range buffers {
-		if len(b) != n {
-			return fmt.Errorf("host: PushXfer buffer %d has length %d, want %d (single transfer length)", i, len(b), n)
-		}
-	}
-	if err := checkRef(ref, offset, n); err != nil {
-		return err
-	}
-	errs := s.xferErrSlice(len(buffers))
-	if s.sharded(len(buffers)) {
-		s.shardErrs(len(buffers), errs, func(i int) error {
-			return s.copyToOne(i, ref, offset, buffers[i])
-		})
-	} else {
-		for i, b := range buffers {
-			errs[i] = s.copyToOne(i, ref, offset, b)
-		}
-	}
-	return s.finishXfer("push_xfer", n, errs)
+	_, err := s.calls.do("push_xfer", Wave{DPUs: len(s.dpus), Scatter: ref, In: buffers, off: offset}, phScattered)
+	return err
 }
 
 // GatherXferRefInto reads n bytes from the symbol on the first len(dst)
@@ -464,28 +359,11 @@ func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) erro
 // buffers than DPUs gathers a partial wave — the counterpart of
 // LaunchOn's first-n launch.
 func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]byte) error {
-	if len(dst) < 1 || len(dst) > len(s.dpus) {
-		return fmt.Errorf("host: GatherXferInto got %d buffers for %d DPUs", len(dst), len(s.dpus))
+	if len(dst) > 0 && len(dst[0]) != n {
+		return fmt.Errorf("host: gather buffer 0 has length %d, want %d", len(dst[0]), n)
 	}
-	for i, b := range dst {
-		if len(b) != n {
-			return fmt.Errorf("host: GatherXferInto buffer %d has length %d, want %d", i, len(b), n)
-		}
-	}
-	if err := checkRef(ref, offset, n); err != nil {
-		return err
-	}
-	errs := s.xferErrSlice(len(dst))
-	if s.sharded(len(dst)) {
-		s.shardErrs(len(dst), errs, func(i int) error {
-			return s.copyFromOneInto(i, ref, offset, dst[i])
-		})
-	} else {
-		for i, b := range dst {
-			errs[i] = s.copyFromOneInto(i, ref, offset, b)
-		}
-	}
-	return s.finishXfer("gather", n, errs)
+	_, err := s.calls.do("gather", Wave{DPUs: len(dst), Gather: ref, Out: dst, off: offset}, phGathered)
+	return err
 }
 
 // CopyFromDPURefInto reads len(dst) bytes from the symbol on one DPU
@@ -528,12 +406,6 @@ type LaunchStats struct {
 	EnergyJ float64
 }
 
-// Launch runs the kernel with the given tasklet count on every DPU in
-// parallel (dpu_launch with DPU_SYNCHRONOUS) and blocks until all finish.
-func (s *System) Launch(tasklets int, kernel dpu.KernelFunc) (LaunchStats, error) {
-	return s.LaunchOn(len(s.dpus), tasklets, kernel)
-}
-
 // LaunchOn runs the kernel on the first n DPUs only, which is how the
 // thesis's dynamic DPU assignment uses "an optimum number of DPUs for
 // processing each layer" (§4.2, Fig 4.6: one DPU per output row).
@@ -549,65 +421,8 @@ func (s *System) Launch(tasklets int, kernel dpu.KernelFunc) (LaunchStats, error
 // system DPU clock (an all-failed launch charges nothing, matching the
 // per-DPU clocks, which only advance on success).
 func (s *System) LaunchOn(n, tasklets int, kernel dpu.KernelFunc) (LaunchStats, error) {
-	// stats escapes to the caller through LaunchStats.PerDPU, so it must
-	// be fresh; callers with a reusable buffer use LaunchOnInto.
-	return s.LaunchOnInto(n, tasklets, kernel, nil)
-}
-
-// LaunchOnInto is LaunchOn with a caller-owned PerDPU backing: when
-// cap(per) covers the launch, the returned LaunchStats.PerDPU is
-// per[:n] and no per-launch slice is allocated. Wave loops (the exec
-// engine) pass the same buffer every wave; they read only the scalar
-// aggregates after the next wave starts, so the reuse is safe there.
-func (s *System) LaunchOnInto(n, tasklets int, kernel dpu.KernelFunc, per []dpu.Stats) (LaunchStats, error) {
-	if n < 1 || n > len(s.dpus) {
-		return LaunchStats{}, fmt.Errorf("host: launch on %d DPUs, system has %d", n, len(s.dpus))
-	}
-	var stats []dpu.Stats
-	if cap(per) >= n {
-		stats = per[:n]
-	} else {
-		stats = make([]dpu.Stats, n)
-	}
-	if cap(s.launchErrs) < n {
-		s.launchErrs = make([]error, n)
-	}
-	errs := s.launchErrs[:n]
-	for i := range errs {
-		errs[i] = nil
-	}
-	if n == 1 {
-		errs[0] = s.dpus[0].LaunchInto(tasklets, kernel, &stats[0])
-	} else {
-		s.pool.runAligned(n, s.perRank, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				errs[i] = s.dpus[i].LaunchInto(tasklets, kernel, &stats[i])
-			}
-		})
-	}
-	var maxCycles uint64
-	var energy float64
-	for i := range stats {
-		if errs[i] != nil {
-			continue
-		}
-		if stats[i].Cycles > maxCycles {
-			maxCycles = stats[i].Cycles
-		}
-		energy += stats[i].EnergyJ
-	}
-	sec := float64(maxCycles) / s.cfg.DPU.FrequencyHz
-	ls := LaunchStats{
-		PerDPU:  stats,
-		Cycles:  maxCycles,
-		Seconds: sec,
-		Time:    time.Duration(sec * float64(time.Second)),
-		EnergyJ: energy,
-	}
-	s.mu.Lock()
-	s.dpuTime += ls.Time
-	s.mu.Unlock()
-	return ls, s.noteFaults(faultsFrom("launch", errs))
+	// No Stats backing: PerDPU escapes to the caller, so it is fresh.
+	return s.calls.do("launch", Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel}, phLaunched)
 }
 
 // LaunchDPU runs the kernel on the single DPU at dpuIdx, charging its

@@ -150,7 +150,7 @@ func TestWRAMSymbolTransfer(t *testing.T) {
 func TestLaunchParallelMax(t *testing.T) {
 	s := newTestSystem(t, 4)
 	// DPU i does (i+1)*100 adds; system time is the max (DPU 3).
-	ls, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	ls, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		// Every DPU runs the same kernel; differentiate via WRAM state
 		// is overkill here — charge uniformly and check aggregation.
 		tk.Charge(dpu.OpAddInt, 100)
@@ -197,7 +197,7 @@ func TestLaunchOnSubset(t *testing.T) {
 
 func TestLaunchPropagatesKernelError(t *testing.T) {
 	s := newTestSystem(t, 2)
-	_, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	_, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		tk.Load8(-1) // traps
 		return nil
 	})
@@ -217,7 +217,7 @@ func TestClocksAccumulate(t *testing.T) {
 	if s.HostTransferTime() <= 0 {
 		t.Error("host clock did not advance")
 	}
-	if _, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	if _, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		tk.Charge(dpu.OpAddInt, 1000)
 		return nil
 	}); err != nil {
@@ -265,7 +265,7 @@ func TestTransferStats(t *testing.T) {
 
 func TestSharedProfile(t *testing.T) {
 	s := newTestSystem(t, 3)
-	if _, err := s.Launch(1, func(tk *dpu.Tasklet) error {
+	if _, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
 		tk.FAdd(1, 2)
 		return nil
 	}); err != nil {

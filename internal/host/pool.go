@@ -7,11 +7,12 @@ import (
 	"pimdnn/internal/metrics"
 )
 
-// parallelThreshold is the DPU count below which the sharded transfer and
-// launch loops stay serial: sharding work across workers costs a few
-// closure allocations and channel sends per call, which only pays off
-// once the per-call work spans enough DPUs. Below the threshold the hot
-// paths are allocation-free (see the AllocsPerRun regression tests).
+// parallelThreshold is the DPU count below which a transfer (and
+// ParallelFor) stays on the caller: a pool dispatch costs a run
+// descriptor and channel sends per call, which only pays off once the
+// per-call work spans enough DPUs. Below the threshold the transfer
+// paths are allocation-free (see the AllocsPerRun regression tests). A
+// launch, which costs far more per DPU, fans out from 2 DPUs.
 const parallelThreshold = 32
 
 // workerPool is a persistent set of worker goroutines sized to

@@ -67,69 +67,31 @@ func (s *System) RankSpan(r int) (lo, hi int) {
 	return lo, hi
 }
 
-// rankOKErrs counts the error-free entries of a per-DPU error slice and
-// the busiest rank's share of them (entry i belongs to DPU i). On a
-// single-rank system busiest == nOK without touching the tally scratch,
-// keeping the pre-topology fast path intact.
-func (s *System) rankOKErrs(errs []error) (nOK, busiest int) {
-	for _, e := range errs {
-		if e == nil {
-			nOK++
-		}
-	}
-	if s.ranks == 1 || nOK == 0 {
-		return nOK, nOK
-	}
-	tally := s.rankTally(&s.xferTally)
-	for i, e := range errs {
-		if e != nil {
-			continue
-		}
-		r := i / s.perRank
-		tally[r]++
-		if tally[r] > busiest {
-			busiest = tally[r]
-		}
-	}
-	return nOK, busiest
-}
-
-// rankOKPhase is rankOKErrs over a wave's per-DPU phase bits: it counts
-// the DPUs whose phase has bit set and the busiest rank's share.
-func (s *System) rankOKPhase(sc *waveScratch, bit uint8) (nOK, busiest int) {
-	phase := sc.phase
-	for _, p := range phase {
+// tallyRanks counts the DPUs of the runner's last run whose phase has
+// bit set, and the busiest rank's share of them: the DPUs a transfer
+// charge covers and the count its duration is timed by. On a
+// single-rank system busiest == nOK without touching the tally scratch.
+func (r *phaseRunner) tallyRanks(bit uint8) (nOK, busiest int) {
+	for _, p := range r.phase {
 		if p&bit != 0 {
 			nOK++
 		}
 	}
+	s := r.s
 	if s.ranks == 1 || nOK == 0 {
 		return nOK, nOK
 	}
-	tally := s.rankTally(&sc.tally)
-	for i, p := range phase {
-		if p&bit == 0 {
-			continue
-		}
-		r := i / s.perRank
-		tally[r]++
-		if tally[r] > busiest {
-			busiest = tally[r]
+	if cap(r.tally) < s.ranks {
+		r.tally = make([]int, s.ranks)
+	}
+	tally := r.tally[:s.ranks]
+	clear(tally)
+	for i, p := range r.phase {
+		if p&bit != 0 {
+			rk := i / s.perRank
+			tally[rk]++
+			busiest = max(busiest, tally[rk])
 		}
 	}
 	return nOK, busiest
-}
-
-// rankTally returns *buf sized to the rank count and cleared. The wave
-// path tallies into its own waveScratch rather than xferTally: a wave
-// may run while another goroutine performs a synchronous transfer.
-func (s *System) rankTally(buf *[]int) []int {
-	if cap(*buf) < s.ranks {
-		*buf = make([]int, s.ranks)
-	}
-	t := (*buf)[:s.ranks]
-	for i := range t {
-		t[i] = 0
-	}
-	return t
 }

@@ -75,46 +75,62 @@ func TestTopologyAccessors(t *testing.T) {
 	}
 }
 
+// tallyErrs runs the runner's rank tally over a transfer's per-DPU
+// errors, recorded as the runner records them: a DPU that moved its
+// bytes has its phase bit set.
+func tallyErrs(s *System, errs []error) (nOK, busiest int) {
+	r := &s.calls
+	r.reset(len(errs))
+	for i, e := range errs {
+		if e == nil {
+			r.phase[i] = phScattered
+		}
+	}
+	return r.tallyRanks(phScattered)
+}
+
 func TestRankOKErrs(t *testing.T) {
 	s := topoSystem(t, 6, Topology{DPUsPerRank: 2})
 	errBoom := errors.New("boom")
 
 	// All OK: three ranks of two, busiest share is 2.
 	errs := make([]error, 6)
-	if nOK, busiest := s.rankOKErrs(errs); nOK != 6 || busiest != 2 {
+	if nOK, busiest := tallyErrs(s, errs); nOK != 6 || busiest != 2 {
 		t.Errorf("all-ok: got nOK=%d busiest=%d, want 6/2", nOK, busiest)
 	}
 	// Kill one DPU of rank 0 and all of rank 1: rank 2 is now busiest.
 	errs[1] = errBoom
 	errs[2] = errBoom
 	errs[3] = errBoom
-	if nOK, busiest := s.rankOKErrs(errs); nOK != 3 || busiest != 2 {
+	if nOK, busiest := tallyErrs(s, errs); nOK != 3 || busiest != 2 {
 		t.Errorf("partial: got nOK=%d busiest=%d, want 3/2", nOK, busiest)
 	}
 	// Nothing OK short-circuits without touching the tally.
 	for i := range errs {
 		errs[i] = errBoom
 	}
-	if nOK, busiest := s.rankOKErrs(errs); nOK != 0 || busiest != 0 {
+	if nOK, busiest := tallyErrs(s, errs); nOK != 0 || busiest != 0 {
 		t.Errorf("none: got nOK=%d busiest=%d, want 0/0", nOK, busiest)
 	}
 
 	// A single-rank system reports busiest == nOK no matter the layout.
 	s1 := topoSystem(t, 6, Topology{})
 	errs = []error{nil, errBoom, nil, nil, errBoom, nil}
-	if nOK, busiest := s1.rankOKErrs(errs); nOK != 4 || busiest != 4 {
+	if nOK, busiest := tallyErrs(s1, errs); nOK != 4 || busiest != 4 {
 		t.Errorf("single rank: got nOK=%d busiest=%d, want 4/4", nOK, busiest)
 	}
 }
 
 func TestRankOKPhase(t *testing.T) {
 	s := topoSystem(t, 6, Topology{DPUsPerRank: 2})
-	const bit = uint8(1)
-	phase := []uint8{1, 0, 1, 1, 0, 0}
-	if nOK, busiest := s.rankOKPhase(&waveScratch{phase: phase}, bit); nOK != 3 || busiest != 2 {
+	r := &s.waves
+	r.reset(6)
+	copy(r.phase, []uint8{phGathered, 0, phGathered, phScattered | phGathered, phScattered, 0})
+	if nOK, busiest := r.tallyRanks(phGathered); nOK != 3 || busiest != 2 {
 		t.Errorf("got nOK=%d busiest=%d, want 3/2", nOK, busiest)
 	}
-	if nOK, busiest := s.rankOKPhase(&waveScratch{phase: make([]uint8, 6)}, bit); nOK != 0 || busiest != 0 {
+	r.reset(6)
+	if nOK, busiest := r.tallyRanks(phGathered); nOK != 0 || busiest != 0 {
 		t.Errorf("empty: got nOK=%d busiest=%d, want 0/0", nOK, busiest)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // pool no barrier separates the phases. The simulated accounting is
 // phase-granular exactly like the discrete calls: one transfer charge
 // for the scatter, one launch (max-over-DPUs cycles into Stats), one
-// transfer charge for the gather.
+// transfer charge for the gather. The synchronous multi-DPU calls are
+// the same command with phases left out (phaseRunner).
 type Wave struct {
 	// DPUs is the launch width: the wave runs on the first DPUs DPUs.
 	DPUs     int
@@ -27,185 +28,251 @@ type Wave struct {
 
 	// Scatter names the input symbol; In holds one equal-length buffer
 	// per participating DPU, written at the symbol's base. A zero
-	// Scatter ref skips the phase.
+	// Scatter ref with no In skips the phase.
 	Scatter SymbolRef
 	In      [][]byte
 
 	// Gather names the output symbol; Out holds one equal-length buffer
 	// per participating DPU, read from the symbol's base. A zero Gather
-	// ref skips the phase.
+	// ref with no Out skips the phase.
 	Gather SymbolRef
 	Out    [][]byte
+
+	// off is the transfer offset within Scatter and Gather (a push's or
+	// a gather's; a wave's is 0). bcast, when set, is scattered to every
+	// DPU in place of In (CopyToSymbolRef).
+	off   int64
+	bcast []byte
 }
 
 // RunWave runs one fused wave. It is best-effort per DPU: a DPU that
 // fails in any phase is reported in the returned *FaultReport (its Out
 // buffer is not written), while every other DPU completes its full
-// scatter→launch→gather and is charged normally. A malformed wave is a
-// total failure: nothing runs, nothing is charged. Like the other
-// synchronous System methods it is not safe for concurrent use with
-// itself; it may run beside synchronous transfers on other symbols (its
-// scratch is its own).
+// scatter→launch→gather and is charged normally. A malformed wave — a
+// width, buffer set, tasklet count or nil kernel the launch would
+// reject — is a total failure: nothing runs, nothing is charged. Like
+// the other synchronous System methods it is not safe for concurrent
+// use with itself; it may run beside synchronous transfers on other
+// symbols (its runner is its own).
 func (s *System) RunWave(w Wave) error {
-	// The wave lives in a System field, not a local: execWave's range
-	// function captures it, and a captured local would be heap-allocated
-	// on every wave.
-	s.rcur = w
-	err := s.execWave(&s.rcur, &s.rwave)
-	s.rcur = Wave{} // release buffer/kernel references
+	phases := phLaunched
+	if w.Scatter.valid() || w.In != nil {
+		phases |= phScattered
+	}
+	if w.Gather.valid() || w.Out != nil {
+		phases |= phGathered
+	}
+	_, err := s.waves.do("wave", w, phases)
 	return err
 }
 
-// waveScratch is RunWave's reusable per-DPU (errs, phase) and per-rank
-// (tally) scratch.
-type waveScratch struct {
+// Phase bits: the phases a request asks for, and per DPU how far it got.
+const (
+	phScattered uint8 = 1 << iota
+	phLaunched
+	phGathered
+)
+
+// phaseRunner is the host's one best-effort multi-DPU loop. On each of
+// the request's DPUs it runs the phases the request asks for — scatter,
+// launch, gather, in that order — stopping that DPU at its first
+// failure. phase records how far each DPU got, so the run charges exactly what
+// ran: the busiest rank's share of each transfer over the DPUs that
+// moved bytes (tallyRanks), the slowest DPU that completed for the
+// launch. Fan-out: the worker pool from 2 DPUs when the request
+// launches, from parallelThreshold when it only moves per-DPU buffers;
+// the caller otherwise, and for a broadcast, whose payload is a
+// parameter block a pool dispatch would cost more than. A System holds
+// two: waves serves RunWave, calls the synchronous transfers and
+// launches, so a wave may run beside a transfer on another symbol.
+type phaseRunner struct {
+	s *System
+	// The current request. It lives in the runner, and run is loop
+	// bound once at NewSystem, so the fan-out captures nothing per call:
+	// a per-call closure would be heap-allocated on every transfer.
+	w                       Wave
+	scatter, launch, gather bool
+	per                     []dpu.Stats
+	run                     func(lo, hi int)
+
 	errs  []error
 	phase []uint8
 	tally []int
 }
 
-// reset returns the scratch's per-DPU slices sized to n and cleared.
-func (sc *waveScratch) reset(n int) ([]error, []uint8) {
-	if cap(sc.errs) < n {
-		sc.errs = make([]error, n)
-		sc.phase = make([]uint8, n)
-	}
-	sc.errs, sc.phase = sc.errs[:n], sc.phase[:n]
-	for i := range sc.errs {
-		sc.errs[i] = nil
-		sc.phase[i] = 0
-	}
-	return sc.errs, sc.phase
-}
-
-// execWave runs one fused wave. Validation happens up front for every
-// DPU (a total failure: nothing runs, nothing is charged) so per-DPU
-// failures can only come from the device itself, matching where the
-// discrete call sequence would fail.
-func (s *System) execWave(w *Wave, sc *waveScratch) error {
+// do validates the request w, runs its phases on its first w.DPUs DPUs
+// and charges it in the order of the discrete calls: scatter, launch,
+// gather. A malformed request is an ordinary error: nothing runs,
+// nothing is charged. op names the call in a *FaultReport.
+func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
+	s := r.s
 	n := w.DPUs
 	if n < 1 || n > len(s.dpus) {
-		return fmt.Errorf("host: wave on %d DPUs, system has %d", n, len(s.dpus))
+		return LaunchStats{}, fmt.Errorf("host: %s on %d DPUs, system has %d", op, n, len(s.dpus))
 	}
-	scatter := w.Scatter.valid()
-	var inLen int
-	if scatter {
-		if len(w.In) != n {
-			return fmt.Errorf("host: wave scatter got %d buffers for %d DPUs", len(w.In), n)
+	launch := phases&phLaunched != 0
+	if launch && w.Kernel == nil {
+		return LaunchStats{}, fmt.Errorf("host: %s with a nil kernel", op)
+	}
+	if launch && (w.Tasklets < 1 || w.Tasklets > dpu.MaxTasklets) {
+		return LaunchStats{}, fmt.Errorf("host: %s tasklet count %d outside 1..%d", op, w.Tasklets, dpu.MaxTasklets)
+	}
+	var inLen, outLen int
+	var err error
+	r.scatter, r.gather = phases&phScattered != 0, phases&phGathered != 0
+	switch {
+	case w.bcast != nil:
+		inLen, err = len(w.bcast), checkRef(w.Scatter, w.off, len(w.bcast))
+	case r.scatter:
+		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
+	}
+	if r.gather && err == nil {
+		outLen, err = phaseLen(op, w.Gather, w.off, w.Out, n)
+	}
+	if err != nil {
+		return LaunchStats{}, err
+	}
+
+	r.w, r.launch = w, launch
+	r.reset(n)
+	if launch {
+		// Per-DPU stats land in the caller's PerDPU backing when it is
+		// large enough; it survives partial failures, so stale entries
+		// are cleared first.
+		if w.Stats != nil && cap(w.Stats.PerDPU) >= n {
+			r.per = w.Stats.PerDPU[:n]
+			clear(r.per)
+		} else {
+			r.per = make([]dpu.Stats, n)
 		}
-		inLen = len(w.In[0])
-		for i, b := range w.In {
-			if len(b) != inLen {
-				return fmt.Errorf("host: wave scatter buffer %d has length %d, want %d", i, len(b), inLen)
+	}
+	par := parallelThreshold
+	if launch {
+		par = 2
+	}
+	switch {
+	case w.bcast != nil && w.Scatter.kind == dpu.SymbolMRAM:
+		r.broadcastMRAM(w.Scatter.off+w.off, w.bcast)
+	case w.bcast != nil || n < par:
+		r.loop(0, n)
+	default:
+		s.pool.runAligned(n, s.perRank, r.run)
+	}
+
+	if r.scatter {
+		r.chargeXfer(phScattered, inLen, true)
+	}
+	var ls LaunchStats
+	if launch {
+		for i := range r.per {
+			if r.phase[i]&phLaunched != 0 {
+				ls.Cycles = max(ls.Cycles, r.per[i].Cycles)
+				ls.EnergyJ += r.per[i].EnergyJ
 			}
 		}
-		if err := checkRef(w.Scatter, 0, inLen); err != nil {
-			return err
+		ls.PerDPU = r.per
+		ls.Seconds = float64(ls.Cycles) / s.cfg.DPU.FrequencyHz
+		ls.Time = time.Duration(ls.Seconds * float64(time.Second))
+		if w.Stats != nil {
+			*w.Stats = ls
+		}
+		s.mu.Lock()
+		s.dpuTime += ls.Time
+		s.mu.Unlock()
+	}
+	if r.gather {
+		r.chargeXfer(phGathered, outLen, false)
+	}
+	r.w, r.per = Wave{}, nil // release buffer and kernel references
+	return ls, s.noteFaults(faultsFrom(op, r.errs))
+}
+
+// phaseLen validates one transfer phase — n buffers of one length,
+// inside ref at off — and returns the length.
+func phaseLen(op string, ref SymbolRef, off int64, bufs [][]byte, n int) (int, error) {
+	if len(bufs) != n {
+		return 0, fmt.Errorf("host: %s got %d buffers for %d DPUs", op, len(bufs), n)
+	}
+	l := len(bufs[0])
+	for i, b := range bufs {
+		if len(b) != l {
+			return 0, fmt.Errorf("host: %s buffer %d has length %d, want %d", op, i, len(b), l)
 		}
 	}
-	gather := w.Gather.valid()
-	var outLen int
-	if gather {
-		if len(w.Out) != n {
-			return fmt.Errorf("host: wave gather got %d buffers for %d DPUs", len(w.Out), n)
-		}
-		outLen = len(w.Out[0])
-		for i, b := range w.Out {
-			if len(b) != outLen {
-				return fmt.Errorf("host: wave gather buffer %d has length %d, want %d", i, len(b), outLen)
+	return l, checkRef(ref, off, l)
+}
+
+// reset sizes the per-DPU scratch to n entries and clears it.
+func (r *phaseRunner) reset(n int) {
+	if cap(r.errs) < n {
+		r.errs, r.phase = make([]error, n), make([]uint8, n)
+	}
+	r.errs, r.phase = r.errs[:n], r.phase[:n]
+	clear(r.errs)
+	clear(r.phase)
+}
+
+// loop runs the request's phases on DPUs [lo, hi).
+func (r *phaseRunner) loop(lo, hi int) {
+	s, w := r.s, &r.w
+	scatter, launch, gather := r.scatter, r.launch, r.gather
+	for i := lo; i < hi; i++ {
+		var p uint8
+		var err error
+		if scatter {
+			src := w.bcast
+			if src == nil {
+				src = w.In[i]
+			}
+			if err = s.copyToOne(i, w.Scatter, w.off, src); err == nil {
+				p |= phScattered
 			}
 		}
-		if err := checkRef(w.Gather, 0, outLen); err != nil {
-			return err
+		if launch && err == nil {
+			if err = s.dpus[i].LaunchInto(w.Tasklets, w.Kernel, &r.per[i]); err == nil {
+				p |= phLaunched
+			}
+		}
+		if gather && err == nil {
+			if err = s.copyFromOneInto(i, w.Gather, w.off, w.Out[i]); err == nil {
+				p |= phGathered
+			}
+		}
+		r.errs[i], r.phase[i] = err, p
+	}
+}
+
+// broadcastMRAM is the scatter phase of an MRAM broadcast: every DPU's
+// injector is consulted once, as copyToOne would, and the DPUs that pass
+// take the write together, sharing its pages (dpu.MRAMBroadcast). An
+// argument the DMA rules reject fails on each of them.
+func (r *phaseRunner) broadcastMRAM(off int64, data []byte) {
+	s := r.s
+	targets := s.bcastTargets[:0]
+	for i, d := range s.dpus {
+		if r.errs[i] = d.TransferFault(); r.errs[i] == nil {
+			targets = append(targets, d)
+			r.phase[i] = phScattered
 		}
 	}
-	// Per-DPU stats land in the caller's PerDPU backing array when it is
-	// large enough, so steady-state waves don't allocate it per call.
-	// The backing array is reused across waves and now survives partial
-	// failures, so stale entries must be cleared before the run.
-	var per []dpu.Stats
-	if w.Stats != nil && cap(w.Stats.PerDPU) >= n {
-		per = w.Stats.PerDPU[:n]
-		for i := range per {
-			per[i] = dpu.Stats{}
-		}
-	} else {
-		per = make([]dpu.Stats, n)
-	}
-	// phase records how far each DPU got, so the wave charges exactly
-	// what ran: scatter bytes for the DPUs that scattered, max cycles
-	// over the DPUs that launched, gather bytes for those that gathered.
-	const (
-		waveScattered = 1 << iota
-		waveLaunched
-		waveGathered
-	)
-	errs, phase := sc.reset(n)
-	run := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if scatter {
-				if err := s.copyToOne(i, w.Scatter, 0, w.In[i]); err != nil {
-					errs[i] = err
-					continue
-				}
-				phase[i] |= waveScattered
-			}
-			if err := s.dpus[i].LaunchInto(w.Tasklets, w.Kernel, &per[i]); err != nil {
-				errs[i] = err
-				continue
-			}
-			phase[i] |= waveLaunched
-			if gather {
-				if err := s.copyFromOneInto(i, w.Gather, 0, w.Out[i]); err != nil {
-					errs[i] = err
-					continue
-				}
-				phase[i] |= waveGathered
+	s.bcastTargets = targets
+	if err := s.bcast.Write(targets, off, data, s.ParallelFor); err != nil {
+		for i := range r.errs {
+			if r.errs[i] == nil {
+				r.errs[i], r.phase[i] = err, 0
 			}
 		}
 	}
-	if n == 1 {
-		run(0, 1)
-	} else {
-		s.pool.runAligned(n, s.perRank, run)
+}
+
+// chargeXfer charges one transfer API call of perDPU bytes to each DPU
+// whose phase has bit set, timed as the busiest rank's serial share
+// (topology.go). A phase no DPU completed charges nothing.
+func (r *phaseRunner) chargeXfer(bit uint8, perDPU int, toDPU bool) {
+	if nOK, busiest := r.tallyRanks(bit); nOK > 0 {
+		r.s.chargeTransferRanks(perDPU, nOK, busiest)
+		r.s.meterXfer(toDPU, perDPU*nOK)
 	}
-	// Charge in the same order as the discrete call sequence the wave
-	// fuses: scatter transfer (rank-parallel, like finishXfer), launch
-	// time, gather transfer.
-	if scatter {
-		nS, busiest := s.rankOKPhase(sc, waveScattered)
-		if nS > 0 {
-			s.chargeTransferRanks(inLen, nS, busiest)
-			s.meterXfer(true, inLen*nS)
-		}
-	}
-	var maxCycles uint64
-	var energy float64
-	for i := range per {
-		if phase[i]&waveLaunched == 0 {
-			continue
-		}
-		if per[i].Cycles > maxCycles {
-			maxCycles = per[i].Cycles
-		}
-		energy += per[i].EnergyJ
-	}
-	sec := float64(maxCycles) / s.cfg.DPU.FrequencyHz
-	lt := time.Duration(sec * float64(time.Second))
-	if w.Stats != nil {
-		*w.Stats = LaunchStats{PerDPU: per, Cycles: maxCycles, Seconds: sec, Time: lt, EnergyJ: energy}
-	}
-	s.mu.Lock()
-	s.dpuTime += lt
-	s.mu.Unlock()
-	if gather {
-		nG, busiest := s.rankOKPhase(sc, waveGathered)
-		if nG > 0 {
-			s.chargeTransferRanks(outLen, nG, busiest)
-			s.meterXfer(false, outLen*nG)
-		}
-	}
-	return s.noteFaults(faultsFrom("wave", errs))
 }
 
 // PipelineMode, PipelineOn and PipelineOff are ignored: the execution

@@ -174,3 +174,41 @@ func TestWaveValidation(t *testing.T) {
 		t.Errorf("malformed waves charged %+v, DPU time %v", s.TransferStats(), s.DPUTime())
 	}
 }
+
+// TestMalformedLaunchRunsNothing: a launch every DPU would reject — a
+// nil kernel, a tasklet count outside 1..MaxTasklets — is a validation
+// error through RunWave and LaunchOn alike: not a *FaultReport, nothing
+// charged, and no scatter byte written to MRAM.
+func TestMalformedLaunchRunsNothing(t *testing.T) {
+	s, ref := waveSystem(t, 4)
+	nop := func(tk *dpu.Tasklet) error { return nil }
+	in := make([][]byte, 4)
+	for i := range in {
+		in[i] = bytes.Repeat([]byte{0xA5}, 64)
+	}
+	for _, c := range []struct {
+		tasklets int
+		kernel   dpu.KernelFunc
+	}{{1, nil}, {0, nop}, {dpu.MaxTasklets + 1, nop}} {
+		werr := s.RunWave(Wave{DPUs: 4, Tasklets: c.tasklets, Kernel: c.kernel, Scatter: ref, In: in})
+		_, lerr := s.LaunchOn(4, c.tasklets, c.kernel)
+		for op, err := range map[string]error{"RunWave": werr, "LaunchOn": lerr} {
+			if _, ok := AsFaultReport(err); err == nil || ok {
+				t.Errorf("%s(%d tasklets, nil kernel %t): got %v, want a validation error",
+					op, c.tasklets, c.kernel == nil, err)
+			}
+		}
+	}
+	if s.TransferStats() != (XferStats{}) || s.DPUTime() != 0 {
+		t.Errorf("malformed launches charged %+v, DPU time %v", s.TransferStats(), s.DPUTime())
+	}
+	got := make([]byte, 64)
+	for d := 0; d < 4; d++ {
+		if err := s.DPU(d).CopyFromMRAMInto(ref.off, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, 64)) {
+			t.Errorf("DPU %d: a rejected wave scattered into MRAM", d)
+		}
+	}
+}
