@@ -131,15 +131,20 @@ profile:
 # DPU on all 2,560): the profile behind the array_yolo workload. The last
 # line is the cumulative share of the gemm kernel's functional pass
 # (flatPass, under the batch blockKernel closure), the "kernel share" a
-# PR cites, and then the share of its multiply-accumulate (gemm.macBlock
+# PR cites, then the share of its multiply-accumulate (gemm.macBlock
 # and everything under it: the assembly, or the Go loops where that is
-# what runs): `make profile-array | grep -e '^kernel-share' -e '^mac-share'`.
+# what runs), then the bytes one steady-state pass allocates (the
+# benchmark's B/op, which leaves out its warm-up pass; the run's output
+# is kept in bench-array.out):
+# `make profile-array | grep -e '-share ' -e '^alloc-per-pass'`.
 profile-array:
-	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof .
+	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof . > bench-array.out; \
+		status=$$?; cat bench-array.out; exit $$status
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
 		| awk '/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 }'
+	@awk '/^BenchmarkFullArrayYOLOForward/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print "alloc-per-pass " $$i " B/op" }' bench-array.out
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
 # x 16 images x 4 waves). The last three lines are the cumulative shares

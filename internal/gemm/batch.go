@@ -132,7 +132,7 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 	}
 	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i int, dst []byte, stride int) {
 		packRows(dst, stride*2, bs[i], k, n)
-	}, each)
+	}, func(int) []int16 { return make([]int16, m*n) }, each)
 }
 
 // MultiplyBatchFill is MultiplyBatchEach with the B operands produced in
@@ -141,9 +141,10 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 // int16 with row kk starting at byte kk*stride*2 (stride >= n elements;
 // the runner zeroes the padding columns). A producer that computes B —
 // the YOLO batch path's im2col — thereby skips the intermediate K×N
-// int16 matrix per image. fill runs under the same contract as each:
-// once per image, concurrently for distinct images, in no order.
-func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i int, dst []byte, stride int), each func(i int, c []int16)) (Stats, error) {
+// int16 matrix per image. Image i's product is decoded into c(i) (m·n
+// elements) and handed to each; fill, c and each run once per image,
+// concurrently for distinct images, in no order.
+func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i int, dst []byte, stride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
 	var st Stats
 	if r.maxM == 0 {
 		return st, fmt.Errorf("gemm: batch mode not enabled (call EnableBatch)")
@@ -263,7 +264,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 			return []exec.Xfer{{Ref: r.refB, Data: bufs[i]}}
 		},
 		Deliver: func(i int, raw []byte) {
-			each(i, decodeBatchC(raw, m, n, stride))
+			each(i, decodeBatchC(c(i), raw, m, n, stride))
 		},
 	}
 	if err := r.eng.RunStream(&ss, &st); err != nil {
@@ -272,10 +273,8 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	return st, nil
 }
 
-// decodeBatchC unpacks one DPU's full stride-padded C matrix into a
-// fresh caller-owned slice.
-func decodeBatchC(raw []byte, m, n, stride int) []int16 {
-	c := make([]int16, m*n)
+// decodeBatchC unpacks one DPU's full stride-padded C matrix into c.
+func decodeBatchC(c []int16, raw []byte, m, n, stride int) []int16 {
 	for row := 0; row < m; row++ {
 		tensor.UnpackLE(c[row*n:(row+1)*n], raw[row*stride*2:])
 	}

@@ -230,10 +230,11 @@ func TestDPUMatchesReference(t *testing.T) {
 }
 
 // TestMultiplyFillMatchesMultiply: a fill that writes B and dirties the
-// padding columns with 0xEE must leave exactly what Multiply leaves — C,
-// Stats, TransferStats, per-DPU cycles and the B matrix in MRAM — for
-// the tiled and the naive kernel, over shapes with and without padding
-// and with more rows than DPUs.
+// padding columns with 0xEE must leave exactly what Multiply leaves — C
+// (written over a stale destination), Stats, TransferStats, per-DPU
+// cycles and the B matrix in MRAM — for the tiled and the naive kernel,
+// over shapes with and without padding and with more rows than DPUs. A
+// destination of the wrong length is an error.
 func TestMultiplyFillMatchesMultiply(t *testing.T) {
 	shapes := []struct{ m, n, k int }{{3, 30, 7}, {6, 64, 5}, {2, 513, 33}}
 	for _, naive := range []bool{false, true} {
@@ -246,7 +247,14 @@ func TestMultiplyFillMatchesMultiply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gst, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, func(dst []byte, stride int) {
+			got := make([]int16, s.m*s.n)
+			for i := range got {
+				got[i] = 0x7777
+			}
+			if _, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, got[1:], nil); err == nil {
+				t.Fatal("short C accepted")
+			}
+			gst, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, got, func(dst []byte, stride int) {
 				packRows(dst, stride*2, b, s.k, s.n)
 				for kk := 0; kk < s.k; kk++ {
 					for j := 2 * s.n; j < 2*stride; j++ {

@@ -638,25 +638,34 @@ func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stat
 	if err := checkDims(m, n, k, a, b); err != nil {
 		return nil, Stats{}, err
 	}
-	return r.MultiplyFill(m, n, k, alpha, a, func(dst []byte, stride int) { packRows(dst, stride*2, b, k, n) })
+	c := make([]int16, m*n)
+	st, err := r.MultiplyFill(m, n, k, alpha, a, c, func(dst []byte, stride int) { packRows(dst, stride*2, b, k, n) })
+	if err != nil {
+		return nil, st, err
+	}
+	return c, st, nil
 }
 
 // MultiplyFill is Multiply with B written in place by fill(dst, stride):
 // the K×N matrix as little-endian int16 in the broadcast staging buffer,
 // row kk at byte kk*stride*2 (stride >= n; the runner zeroes the padding
 // columns), so a producer such as im2col writes B once. fill runs once,
-// on the caller. Waves and fault recovery are the execution
-// engine's (internal/exec); this method stages and adapts the matrices.
-func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst []byte, stride int)) ([]int16, Stats, error) {
+// on the caller. The product goes to c, which must hold m·n elements.
+// Waves and fault recovery are the execution engine's (internal/exec);
+// this method stages and adapts the matrices.
+func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a, c []int16, fill func(dst []byte, stride int)) (Stats, error) {
 	// Residency is the batch path's: an arm set for this call must not
 	// reach a later batch call.
 	r.residArmed = false
 	var st Stats
 	if err := checkA(m, n, k, a); err != nil {
-		return nil, st, err
+		return st, err
+	}
+	if len(c) != m*n {
+		return st, fmt.Errorf("gemm: C has %d elements, want M*N=%d", len(c), m*n)
 	}
 	if k > r.cfg.MaxK || n > r.cfg.MaxN {
-		return nil, st, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
+		return st, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
 			k, n, r.cfg.MaxK, r.cfg.MaxN)
 	}
 
@@ -683,7 +692,6 @@ func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst
 		psp.End()
 	}
 
-	c := make([]int16, m*n)
 	rowBytes := (k*2 + 7) &^ 7
 	stride := pad4(n)
 	r.bStage = growBytes(r.bStage, k*stride*2)
@@ -700,10 +708,8 @@ func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a []int16, fill func(dst
 	w.bcasts = append(w.bcasts[:0],
 		exec.Broadcast{Ref: r.refB, Data: r.bStage},
 		exec.Broadcast{Ref: r.refParams, Data: r.paramsBuf[:]})
-	if err := r.eng.Run(w, &st); err != nil {
-		return nil, st, err
-	}
-	return c, st, nil
+	err := r.eng.Run(w, &st)
+	return st, err
 }
 
 // pad4 rounds n up to a multiple of 4 (columns), keeping 2-byte element

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pimdnn/internal/alexnet"
@@ -236,6 +237,101 @@ func TestExecutor(t *testing.T) {
 				if o, off := byMapping[m.name], byMapping[twin]; m.tel != "" && !reflect.DeepEqual(o, off) {
 					t.Errorf("%s faults=%v: ForwardStats, TransferStats or DPU cycles depend on telemetry:\n%s %+v %+v\n%s %+v %+v",
 						nc.name, faults != nil, twin, off.Stats, off.Xfer, m.name, o.Stats, o.Xfer)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchOutputsCallerOwned: a pass's Out and Heads are the
+// caller's — a second ForwardBatch on the same network and runner, over
+// different images, leaves the first pass's results equal to the host
+// reference (they would change if they aliased the reused arena).
+func TestForwardBatchOutputsCallerOwned(t *testing.T) {
+	ynet, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ynet.Network
+	sys, err := host.NewSystem(batchInline.dpus, host.DefaultConfig(dpu.O3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	maxK, maxN, maxM := net.GEMMBounds()
+	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Tasklets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableBatch(maxM); err != nil {
+		t.Fatal(err)
+	}
+	first, second := make([]*tensor.Tensor, batchInline.images), make([]*tensor.Tensor, batchInline.images)
+	for i := range first {
+		first[i], second[i] = randomImage(32, int64(i+1)), randomImage(32, int64(i+100))
+	}
+	outs, _, err := net.ForwardBatch(first, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := net.ForwardBatch(second, r); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range first {
+		want, _, err := net.Forward(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTensor(outs[i].Out, want.Out) || len(outs[i].Heads) != len(want.Heads) {
+			t.Fatalf("image %d: output changed by a later pass", i)
+		}
+		for h := range want.Heads {
+			if !sameTensor(outs[i].Heads[h], want.Heads[h]) {
+				t.Fatalf("image %d head %d changed by a later pass", i, h)
+			}
+		}
+	}
+}
+
+// TestConcurrentHostForward: Forward(img, nil) only reads the network, so
+// goroutines may share one; each call takes its own arena, and the
+// results equal the serial ones. Under -race (make race) this is the
+// arena free list's race gate.
+func TestConcurrentHostForward(t *testing.T) {
+	for name, pn := range planNets(t) {
+		net := pn.net
+		imgs, want := make([]*tensor.Tensor, 4), make([]nn.Output, 4)
+		for i := range imgs {
+			imgs[i] = randomImage(pn.size, int64(i+1))
+			var err error
+			if want[i], _, err = net.Forward(imgs[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]nn.Output, len(imgs))
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(imgs); i += 2 {
+					out, _, err := net.Forward(imgs[i], nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[i] = out
+				}
+			}(g)
+		}
+		wg.Wait()
+		for i := range imgs {
+			if got[i].Out == nil || !sameTensor(got[i].Out, want[i].Out) || len(got[i].Heads) != len(want[i].Heads) {
+				t.Fatalf("%s image %d: concurrent output differs from the serial one", name, i)
+			}
+			for h := range want[i].Heads {
+				if !sameTensor(got[i].Heads[h], want[i].Heads[h]) {
+					t.Fatalf("%s image %d head %d: concurrent output differs", name, i, h)
 				}
 			}
 		}

@@ -58,22 +58,20 @@ func (s ForwardStats) MaxTasklets() int {
 	return m
 }
 
-// Output is one image's pass through the network.
+// Output is one image's pass through the network. Its tensors are the
+// caller's: the pass copies them out of its arena before it returns.
 type Output struct {
 	// Out is the last layer's activations.
 	Out *tensor.Tensor
 	// Heads are the inputs of the Head layers, in layer order.
 	Heads []*tensor.Tensor
-
-	// Executor state: Out doubles as the current activations.
-	residual *tensor.Tensor
-	layers   []*tensor.Tensor // every layer's output, kept for back references
 }
 
 // Forward runs one image. If r is nil every GEMM uses the host reference
 // and no runner is touched; otherwise GEMM layers are delegated to the
 // DPU system with the Fig 4.6 row-per-DPU mapping. Both paths are
-// bit-exact against each other.
+// bit-exact against each other. Concurrent calls with a nil r are
+// independent: each takes its own arena.
 func (n *Network) Forward(input *tensor.Tensor, r *gemm.Runner) (Output, *ForwardStats, error) {
 	outs, stats, err := n.exec([]*tensor.Tensor{input}, r, false)
 	if err != nil {
@@ -99,21 +97,19 @@ func (n *Network) ForwardBatch(inputs []*tensor.Tensor, r *gemm.Runner) ([]Outpu
 }
 
 // exec is the one layer loop: it walks the layer list once for all
-// images. GEMM layers go through gemmLayer; host-side layers run per
-// image — on every host core when batched, since each image's tensors
-// are its own.
+// images, writing every activation to its plan slot in the call's arena
+// (one slab per image). GEMM layers go through gemmLayer; host-side
+// layers run per image — on every host core when batched, since each
+// image's slab is its own. The heads and the output are copied out.
 func (n *Network) exec(inputs []*tensor.Tensor, r *gemm.Runner, batch bool) ([]Output, *ForwardStats, error) {
-	imgs := make([]Output, len(inputs))
 	for i, in := range inputs {
 		if s := (shape{in.C, in.H, in.W}); s != n.in {
 			return nil, nil, fmt.Errorf("nn: input %d is %dx%dx%d, want %dx%dx%d",
 				i, in.C, in.H, in.W, n.in.c, n.in.h, n.in.w)
 		}
-		imgs[i].Out = in
-		if n.backRefs {
-			imgs[i].layers = make([]*tensor.Tensor, len(n.Defs))
-		}
 	}
+	ar := n.takeArena(len(inputs))
+	defer n.putArena(ar)
 	stats := &ForwardStats{}
 	// One im2col patch matrix reused across the host-reference GEMM
 	// layers; Reference consumes it before returning.
@@ -122,110 +118,141 @@ func (n *Network) exec(inputs []*tensor.Tensor, r *gemm.Runner, batch bool) ([]O
 	for li := range n.Defs {
 		switch {
 		case n.gemms[li].m > 0: // Conv, FC or a projecting BlockStart
-			if err := n.gemmLayer(li, imgs, r, batch, stats, &im2colBuf); err != nil {
+			if err := n.gemmLayer(li, ar, inputs, r, batch, stats, &im2colBuf); err != nil {
 				return nil, nil, fmt.Errorf("nn: layer %d: %w", li, err)
 			}
+		case n.slots[li].n == 0: // Head, BlockStart: the input passes through
 		case batch:
-			r.System().ParallelFor(len(imgs), func(lo, hi int) {
+			r.System().ParallelFor(len(inputs), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					n.hostLayer(li, &imgs[i])
+					n.hostLayer(li, ar, inputs, i)
 				}
 			})
 		default:
-			n.hostLayer(li, &imgs[0])
+			n.hostLayer(li, ar, inputs, 0)
 		}
-		if n.backRefs {
-			for i := range imgs {
-				imgs[i].layers[li] = imgs[i].Out
+	}
+	outs := make([]Output, len(inputs))
+	for i := range outs {
+		outs[i] = n.copyOut(ar, inputs, i)
+	}
+	return outs, stats, nil
+}
+
+// takeArena takes an arena for a pass over images from the free list: a
+// concurrent call gets its own, and one too small for the batch is
+// dropped and replaced, so the arenas grow to the largest batch seen.
+func (n *Network) takeArena(images int) (ar []int16) {
+	n.mu.Lock()
+	if k := len(n.arenas); k > 0 {
+		ar, n.arenas = n.arenas[k-1], n.arenas[:k-1]
+	}
+	n.mu.Unlock()
+	if cap(ar) < images*n.slab {
+		ar = make([]int16, images*n.slab)
+	}
+	return ar[:images*n.slab]
+}
+
+func (n *Network) putArena(ar []int16) {
+	n.mu.Lock()
+	n.arenas = append(n.arenas, ar)
+	n.mu.Unlock()
+}
+
+// act is image i's activation held by producer p: a view of p's slot in
+// the image's slab, or the input image itself when p < 0.
+func (n *Network) act(ar []int16, inputs []*tensor.Tensor, i, p int) tensor.Tensor {
+	if p < 0 {
+		return *inputs[i]
+	}
+	s := &n.slots[p]
+	off := i*n.slab + s.off
+	return tensor.Tensor{C: s.c, H: s.h, W: s.w, Data: ar[off : off+s.n : off+s.n]}
+}
+
+// copyOut copies image i's heads and output out of the arena; Out shares
+// the copy of a head it aliases.
+func (n *Network) copyOut(ar []int16, inputs []*tensor.Tensor, i int) (o Output) {
+	clone := func(p int) *tensor.Tensor { t := n.act(ar, inputs, i, p); return t.Clone() }
+	for li, l := range n.Defs {
+		if p := n.reads[li]; l.Kind == Head {
+			if o.Heads = append(o.Heads, clone(p[0])); p[0] == n.fin {
+				o.Out = o.Heads[len(o.Heads)-1]
 			}
 		}
 	}
-	return imgs, stats, nil
+	if o.Out == nil {
+		o.Out = clone(n.fin)
+	}
+	return o
 }
 
-// hostLayer applies a layer without a GEMM to one image.
-func (n *Network) hostLayer(li int, im *Output) {
-	switch l := &n.Defs[li]; l.Kind {
-	case BlockStart:
-		im.residual = im.Out
-	case BlockEnd:
-		im.Out = addSat(im.Out, im.residual, true)
-		im.residual = nil
+// hostLayer applies layer li, which has no GEMM, to image i: it reads the
+// plan's producers and writes the layer's slot.
+func (n *Network) hostLayer(li int, ar []int16, inputs []*tensor.Tensor, i int) {
+	l, reads := &n.Defs[li], n.reads[li]
+	dst, in := n.act(ar, inputs, i, li), n.act(ar, inputs, i, reads[0])
+	switch l.Kind {
+	case BlockEnd, Shortcut:
+		other := n.act(ar, inputs, i, reads[1])
+		addSat(&dst, &in, &other, l.Kind == BlockEnd)
 	case MaxPool:
-		im.Out = maxPool(im.Out, l.Size, l.Stride, l.Pad)
+		maxPool(&dst, &in, l.Size, l.Stride, l.Pad)
 	case GlobalAvgPool:
-		im.Out = globalAvgPool(im.Out)
-	case Shortcut:
-		im.Out = addSat(im.Out, im.layers[li+l.From], false)
+		globalAvgPool(&dst, &in)
 	case Route:
-		srcs := make([]*tensor.Tensor, len(l.Layers))
-		for j, ref := range l.Layers {
-			if ref < 0 {
-				ref += li
-			}
-			srcs[j] = im.layers[ref]
+		off := 0
+		for _, p := range reads {
+			src := n.act(ar, inputs, i, p)
+			off += copy(dst.Data[off:], src.Data)
 		}
-		im.Out = concat(srcs)
 	case Upsample:
-		im.Out = upsample(im.Out, l.Stride)
-	case Head:
-		im.Heads = append(im.Heads, im.Out)
+		upsample(&dst, &in, l.Stride)
 	}
 }
 
-// gemmLayer runs layer li's GEMM for every image: im2col, the product,
-// then finishGEMM. The product comes from the host reference (r == nil)
-// over an int16 im2col matrix, or from Runner.MultiplyFill per image or
-// one Runner.MultiplyBatchFill for all images, whose fill lowers im2col
-// straight into the runner's staging bytes; the batch callbacks run per
-// image on the worker pool, with bias/activation fused behind the decode.
-func (n *Network) gemmLayer(li int, imgs []Output, r *gemm.Runner, batch bool, stats *ForwardStats, im2colBuf *[]int16) error {
-	g, a := n.gemms[li], n.Weights[li].W
+// gemmLayer runs layer li's GEMM for every image: im2col, the product
+// into the layer's slot, then bias/activation in place. The product is
+// the host reference's (r == nil) over an int16 im2col matrix, or one
+// Runner.MultiplyFill per image or Runner.MultiplyBatchFill for all,
+// whose fill lowers im2col straight into the runner's staging bytes; the
+// batch callbacks run per image on the worker pool.
+func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm.Runner, batch bool, stats *ForwardStats, im2colBuf *[]int16) error {
+	g, a, src := n.gemms[li], n.Weights[li].W, n.reads[li][0]
 	if batch {
 		return n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
-			return r.MultiplyBatchFill(g.m, g.cols, g.k, 1, a, len(imgs),
+			return r.MultiplyBatchFill(g.m, g.cols, g.k, 1, a, len(inputs),
 				func(i int, dst []byte, stride int) {
-					tensor.Im2ColBytes(dst, stride, imgs[i].Out, g.size, g.stride, g.pad)
+					in := n.act(ar, inputs, i, src)
+					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad)
 				},
-				func(i int, c []int16) { n.finishGEMM(li, &imgs[i], c) })
+				func(i int) []int16 { return n.act(ar, inputs, i, li).Data },
+				func(_ int, c []int16) { biasAct(c, g.m, g.cols, n.Weights[li].Bias, n.Defs[li].Act) })
 		})
 	}
-	for i := range imgs {
-		var c []int16
+	for i := range inputs {
+		in, c := n.act(ar, inputs, i, src), n.act(ar, inputs, i, li).Data
 		var err error
 		if r == nil {
-			b, _, _ := tensor.Im2ColInto(*im2colBuf, imgs[i].Out, g.size, g.stride, g.pad)
+			b, _, _ := tensor.Im2ColInto(*im2colBuf, &in, g.size, g.stride, g.pad)
 			*im2colBuf = b
-			c, err = gemm.Reference(g.m, g.cols, g.k, 1, a, b)
+			var p []int16
+			p, err = gemm.Reference(g.m, g.cols, g.k, 1, a, b)
+			copy(c, p)
 		} else {
-			err = n.onDPUs(r, li, stats, func() (st gemm.Stats, err error) {
-				c, st, err = r.MultiplyFill(g.m, g.cols, g.k, 1, a, func(dst []byte, stride int) {
-					tensor.Im2ColBytes(dst, stride, imgs[i].Out, g.size, g.stride, g.pad)
+			err = n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
+				return r.MultiplyFill(g.m, g.cols, g.k, 1, a, c, func(dst []byte, stride int) {
+					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad)
 				})
-				return st, err
 			})
 		}
 		if err != nil {
 			return err
 		}
-		n.finishGEMM(li, &imgs[i], c)
+		biasAct(c, g.m, g.cols, n.Weights[li].Bias, n.Defs[li].Act)
 	}
 	return nil
-}
-
-// finishGEMM turns layer li's raw product c into the layer's output:
-// bias and activation in place, then the image's new activations — or
-// its residual, when the layer is a block's shortcut projection (which
-// reads the block input like the block's first conv does).
-func (n *Network) finishGEMM(li int, im *Output, c []int16) {
-	g, l := &n.gemms[li], &n.Defs[li]
-	biasAct(c, g.m, g.cols, n.Weights[li].Bias, l.Act)
-	t := &tensor.Tensor{C: g.out.c, H: g.out.h, W: g.out.w, Data: c}
-	if l.Kind == BlockStart {
-		im.residual = t
-	} else {
-		im.Out = t
-	}
 }
 
 // onDPUs is the one instrumented dispatch: it names the layer's

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"pimdnn/internal/tensor"
 )
@@ -29,16 +30,22 @@ type Network struct {
 	in      shape
 	shapes  []shape
 	gemms   []lowering // indexed by layer; zero for layers without a GEMM
-	// backRefs is set when a Shortcut or Route reads an earlier layer's
-	// output, so the executor keeps every layer's output alive.
-	backRefs bool
-	scope    string
+	scope   string
+
+	// The activation plan (plan.go): per layer the producers it reads (-1:
+	// the input) and its slot; fin produces the output; slab is per image.
+	reads     [][]int
+	slots     []slot
+	fin, slab int
+	mu        sync.Mutex
+	arenas    [][]int16 // free list of pass arenas, each some number of slabs
 }
 
 // New infers every layer's output shape from a c×h×w input, validates
-// the graph, and draws seeded synthetic weights (W then bias, in layer
-// order; std 1/sqrt(K), which keeps activations in range through the /32
-// GEMM rescale). scope is the fmt format of a layer's telemetry scope
+// the graph (no layer's output and no image's activation slab may exceed
+// maxElems), plans its activations, and draws seeded synthetic weights
+// (W then bias, in layer order; std 1/sqrt(K), which keeps activations
+// in range through the /32 GEMM rescale). scope is the fmt format of a layer's telemetry scope
 // and trace span name, e.g. "yolo_conv%03d".
 func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error) {
 	if c < 1 || h < 1 || w < 1 {
@@ -97,7 +104,6 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 			if n.shapes[src] != cur {
 				return nil, fmt.Errorf("nn: layer %d: shortcut shape mismatch %v vs %v", i, n.shapes[src], cur)
 			}
-			n.backRefs = true
 		case Route:
 			if len(l.Layers) == 0 {
 				return nil, fmt.Errorf("nn: layer %d: route without sources", i)
@@ -117,13 +123,14 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 				} else if s.h != cur.h || s.w != cur.w {
 					return nil, fmt.Errorf("nn: layer %d: route spatial mismatch", i)
 				}
-				ch += s.c
+				if ch += s.c; ch > maxElems {
+					return nil, fmt.Errorf("nn: layer %d: route depth exceeds %d", i, maxElems)
+				}
 			}
 			cur.c = ch
-			n.backRefs = true
 		case Upsample:
-			if l.Stride < 1 {
-				return nil, fmt.Errorf("nn: layer %d: upsample factor %d < 1", i, l.Stride)
+			if l.Stride < 1 || cur.h > maxElems/l.Stride || cur.w > maxElems/l.Stride {
+				return nil, fmt.Errorf("nn: layer %d: upsample factor %d out of range", i, l.Stride)
 			}
 			cur.h *= l.Stride
 			cur.w *= l.Stride
@@ -132,7 +139,13 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 		default:
 			return nil, fmt.Errorf("nn: layer %d: unknown kind %v", i, l.Kind)
 		}
+		if cur.elems() == 0 {
+			return nil, fmt.Errorf("nn: layer %d: output %dx%dx%d exceeds %d elements", i, cur.c, cur.h, cur.w, maxElems)
+		}
 		n.shapes[i] = cur
+	}
+	if err := n.plan(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -161,6 +174,9 @@ func lower(l Layer, in shape) (lowering, error) {
 		c: g.m,
 		h: tensor.ConvOut(in.h, g.size, g.stride, g.pad),
 		w: tensor.ConvOut(in.w, g.size, g.stride, g.pad),
+	}
+	if g.out.elems() == 0 {
+		return g, fmt.Errorf("output %dx%dx%d exceeds %d elements", g.out.c, g.out.h, g.out.w, maxElems)
 	}
 	g.k = in.c * g.size * g.size
 	g.cols = g.out.h * g.out.w

@@ -6,8 +6,9 @@ import (
 )
 
 // The host-side layer operations: everything the thesis leaves off the
-// DPUs (§4.2.3). All are pure functions of their inputs, so the batch
-// executor runs them per image on every host core.
+// DPUs (§4.2.3). Each reads only its inputs and writes only the
+// destination it is given (an image's plan slot), so the batch executor
+// runs them per image on every host core.
 
 // biasAct adds the per-row bias (saturating) and applies the activation
 // in place on an m×n GEMM output.
@@ -31,14 +32,11 @@ func biasAct(c []int16, m, n int, bias []int16, act Activation) {
 	}
 }
 
-// maxPool applies a size×size max pooling; padding cells never win.
-func maxPool(in *tensor.Tensor, size, stride, pad int) *tensor.Tensor {
-	outH := tensor.ConvOut(in.H, size, stride, pad)
-	outW := tensor.ConvOut(in.W, size, stride, pad)
-	out := tensor.New(in.C, outH, outW)
+// maxPool writes in's size×size max pooling to out; pads never win.
+func maxPool(out, in *tensor.Tensor, size, stride, pad int) {
 	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
+		for oy := 0; oy < out.H; oy++ {
+			for ox := 0; ox < out.W; ox++ {
 				best := int16(-32768)
 				for dy := 0; dy < size; dy++ {
 					for dx := 0; dx < size; dx++ {
@@ -55,12 +53,10 @@ func maxPool(in *tensor.Tensor, size, stride, pad int) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }
 
-// globalAvgPool averages each channel to one value (truncating).
-func globalAvgPool(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.C, 1, 1)
+// globalAvgPool writes each channel's average (truncating) to out.
+func globalAvgPool(out, in *tensor.Tensor) {
 	area := in.H * in.W
 	for c := 0; c < in.C; c++ {
 		var sum int32
@@ -69,13 +65,11 @@ func globalAvgPool(in *tensor.Tensor) *tensor.Tensor {
 		}
 		out.Data[c] = fixed.ClampInt16(sum / int32(area))
 	}
-	return out
 }
 
-// addSat returns the element-wise saturating sum a+b (a Shortcut), with
-// a ReLU behind it when relu is set (a ResNet BlockEnd).
-func addSat(a, b *tensor.Tensor, relu bool) *tensor.Tensor {
-	out := &tensor.Tensor{C: a.C, H: a.H, W: a.W, Data: make([]int16, len(a.Data))}
+// addSat writes the element-wise saturating sum a+b (a Shortcut) to out,
+// with a ReLU behind it when relu is set (a ResNet BlockEnd).
+func addSat(out, a, b *tensor.Tensor, relu bool) {
 	for i, v := range a.Data {
 		s := fixed.SatAdd16(v, b.Data[i])
 		if relu && s < 0 {
@@ -83,26 +77,10 @@ func addSat(a, b *tensor.Tensor, relu bool) *tensor.Tensor {
 		}
 		out.Data[i] = s
 	}
-	return out
 }
 
-// concat concatenates tensors of equal H×W along channels.
-func concat(ts []*tensor.Tensor) *tensor.Tensor {
-	c := 0
-	for _, t := range ts {
-		c += t.C
-	}
-	out := tensor.New(c, ts[0].H, ts[0].W)
-	off := 0
-	for _, t := range ts {
-		off += copy(out.Data[off:], t.Data)
-	}
-	return out
-}
-
-// upsample nearest-neighbor upsamples by the integer factor.
-func upsample(in *tensor.Tensor, factor int) *tensor.Tensor {
-	out := tensor.New(in.C, in.H*factor, in.W*factor)
+// upsample writes in, nearest-neighbor upsampled by factor, to out.
+func upsample(out, in *tensor.Tensor, factor int) {
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < out.H; y++ {
 			for x := 0; x < out.W; x++ {
@@ -110,5 +88,4 @@ func upsample(in *tensor.Tensor, factor int) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }

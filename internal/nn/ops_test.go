@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pimdnn/internal/tensor"
@@ -13,15 +14,14 @@ func TestMaxPool(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = int16(i)
 	}
-	out := maxPool(in, 3, 2, 0) // (4-3)/2+1 = 1
-	if out.H != 1 || out.W != 1 {
-		t.Fatalf("pool out %dx%d", out.H, out.W)
-	}
+	out := tensor.New(1, 1, 1) // (4-3)/2+1 = 1
+	maxPool(out, in, 3, 2, 0)
 	if out.At(0, 0, 0) != 10 { // max of the 3x3 window = index 10
 		t.Errorf("pool max = %d, want 10", out.At(0, 0, 0))
 	}
 	// 2x2 stride 2 over the same input.
-	out = maxPool(in, 2, 2, 0)
+	out = tensor.New(1, 2, 2)
+	maxPool(out, in, 2, 2, 0)
 	if want := []int16{5, 7, 13, 15}; !slices.Equal(out.Data, want) {
 		t.Errorf("pool = %v, want %v", out.Data, want)
 	}
@@ -32,8 +32,9 @@ func TestMaxPoolPad(t *testing.T) {
 	in.Data = []int16{-5, -3, -8, -1}
 	// 3x3 pool, stride 2, pad 1 over 2x2: one output = max of all (pads
 	// never win, even with all-negative inputs).
-	out := maxPool(in, 3, 2, 1)
-	if out.H != 1 || out.W != 1 || out.At(0, 0, 0) != -1 {
+	out := tensor.New(1, 1, 1)
+	maxPool(out, in, 3, 2, 1)
+	if out.At(0, 0, 0) != -1 {
 		t.Errorf("pool = %+v", out)
 	}
 }
@@ -41,7 +42,8 @@ func TestMaxPoolPad(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	in := tensor.New(2, 2, 2)
 	in.Data = []int16{1, 2, 3, 4, -8, -8, -8, -8}
-	out := globalAvgPool(in)
+	out := tensor.New(2, 1, 1)
+	globalAvgPool(out, in)
 	if out.At(0, 0, 0) != 2 { // (1+2+3+4)/4 = 2 (trunc)
 		t.Errorf("avg ch0 = %d", out.At(0, 0, 0))
 	}
@@ -53,25 +55,34 @@ func TestGlobalAvgPool(t *testing.T) {
 func TestUpsample(t *testing.T) {
 	in := tensor.New(1, 2, 2)
 	in.Data = []int16{1, 2, 3, 4}
-	out := upsample(in, 2)
+	out := tensor.New(1, 4, 4)
+	upsample(out, in, 2)
 	want := []int16{1, 1, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3, 3, 4, 4}
 	if !slices.Equal(out.Data, want) {
 		t.Fatalf("upsample = %v, want %v", out.Data, want)
 	}
 }
 
+// TestRouteConcat: a Route concatenates its sources along channels, in
+// its list's order (relative and absolute references alike) — here the
+// input doubled by a Shortcut, then the input as an Upsample copied it.
 func TestRouteConcat(t *testing.T) {
-	a := tensor.New(1, 2, 2)
-	b := tensor.New(2, 2, 2)
-	for i := range a.Data {
-		a.Data[i] = 1
+	n, err := New(1, 2, 2, []Layer{
+		{Kind: Upsample, Stride: 1},
+		{Kind: Shortcut, From: -1},
+		{Kind: Route, Layers: []int{-1, 0}},
+	}, 1, "l%d")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range b.Data {
-		b.Data[i] = 2
+	in := tensor.New(1, 2, 2)
+	in.Data = []int16{1, 2, 3, 4}
+	out, _, err := n.Forward(in, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := concat([]*tensor.Tensor{a, b})
-	if out.C != 3 || out.At(0, 0, 0) != 1 || out.At(1, 0, 0) != 2 || out.At(2, 1, 1) != 2 {
-		t.Errorf("route concat wrong: %+v", out)
+	if want := []int16{2, 4, 6, 8, 1, 2, 3, 4}; out.Out.C != 2 || !slices.Equal(out.Out.Data, want) {
+		t.Errorf("route = %dx%dx%d %v, want 2x2x2 %v", out.Out.C, out.Out.H, out.Out.W, out.Out.Data, want)
 	}
 }
 
@@ -80,7 +91,8 @@ func TestShortcutSaturates(t *testing.T) {
 	b := tensor.New(1, 1, 2)
 	a.Data = []int16{32000, -32000}
 	b.Data = []int16{32000, -32000}
-	out := addSat(a, b, false)
+	out := tensor.New(1, 1, 2)
+	addSat(out, a, b, false)
 	if out.Data[0] != 32767 || out.Data[1] != -32768 {
 		t.Errorf("shortcut = %v, want saturated", out.Data)
 	}
@@ -96,7 +108,8 @@ func TestResidualAdd(t *testing.T) {
 	b := tensor.New(1, 1, 3)
 	a.Data = []int16{32000, -5, 7}
 	b.Data = []int16{32000, 2, -3}
-	if out := addSat(a, b, true); !slices.Equal(out.Data, []int16{32767, 0, 4}) {
+	out := tensor.New(1, 1, 3)
+	if addSat(out, a, b, true); !slices.Equal(out.Data, []int16{32767, 0, 4}) {
 		t.Errorf("residual add = %v, want [32767 0 4]", out.Data)
 	}
 }
@@ -172,5 +185,30 @@ func TestGraphValidation(t *testing.T) {
 	}
 	if _, err := New(0, 8, 8, []Layer{conv}, 1, "l%d"); err == nil {
 		t.Error("zero-channel input accepted")
+	}
+}
+
+// TestNewRejectsOversizedActivations: a graph whose layer output or
+// per-image activation slab exceeds maxElems fails in New, naming the
+// layer, instead of running out of memory or overflowing the element
+// count in Forward.
+func TestNewRejectsOversizedActivations(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		c, h, w int
+		layers  []Layer
+		layer   string
+	}{
+		// 1×65,536×65,536: 2³² elements.
+		{"upsample output", 1, 1, 1, []Layer{{Kind: Upsample, Stride: 1 << 16}}, "layer 0:"},
+		// Each factor alone overflows the element count.
+		{"upsample overflow", 1, 1, 1, []Layer{{Kind: Upsample, Stride: 1 << 30}, {Kind: Upsample, Stride: 1 << 30}}, "layer 0:"},
+		// Three live 2²⁸-element outputs: each fits, the slab does not.
+		{"slab", 1, 1 << 14, 1 << 14, []Layer{{Kind: Upsample, Stride: 1}, {Kind: Upsample, Stride: 1}, {Kind: Shortcut, From: -2}}, "layer 2:"},
+	} {
+		_, err := New(tc.c, tc.h, tc.w, tc.layers, 1, "l%d")
+		if err == nil || !strings.Contains(err.Error(), tc.layer) {
+			t.Errorf("%s: New returned %v, want an error naming %q", tc.name, err, tc.layer)
+		}
 	}
 }
