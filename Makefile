@@ -10,7 +10,8 @@
 # upmem-top renderer, the upmem-serve batching/backpressure server and
 # upmem-profile; and internal/tensor, whose little-endian views
 # -race's checkptr instrumentation checks), one iteration of each benchmark a `make profile*`
-# target names (`make bench-smoke`), the simulated-clock core-count
+# target names (`make bench-smoke`), ~10 s of each fuzz target (`make
+# fuzz`), the simulated-clock core-count
 # check (`make sim-invariant`), the report byte-identity check (`make report-check`),
 # the portable build (`make portable`: the packages under the gemm
 # kernel and ebnn tested as GOARCH=386, where gemm's MAC and ebnn's
@@ -25,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race portable bench-smoke sim-invariant report-check report-update bench lines reach profile profile-array profile-ebnn profile-rows ci
+.PHONY: all build vet test race portable bench-smoke fuzz sim-invariant report-check report-update bench lines reach profile profile-array profile-ebnn profile-rows profile-serve ci
 
 all: ci
 
@@ -64,13 +65,21 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/gemm ./internal/ebnn
 	GOARCH=s390x $(GO) vet ./internal/tensor ./internal/gemm
 
-# The four benchmarks the profile, profile-array, profile-rows and
-# profile-ebnn targets name, one iteration each: nothing else in ci
-# executes them, so a benchmark that no longer builds or runs shows here
-# (~4 s).
+# The five benchmarks the profile, profile-array, profile-rows,
+# profile-ebnn and profile-serve targets name, one iteration each:
+# nothing else in ci executes them, so a benchmark that no longer builds
+# or runs shows here (~5 s).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorWallClock$$|BenchmarkFullArrayYOLOForward$$|BenchmarkRowsZoo$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkEBNNStream$$' -benchtime 1x ./internal/ebnn
+	$(GO) test -run '^$$' -bench 'BenchmarkServeInfer$$' -benchtime 1x ./cmd/upmem-serve
+
+# The fuzz targets, ~10 s each beyond their checked-in corpora (which
+# `make test` runs): the /v1/infer body decode against encoding/json,
+# and gemm's block MAC against its Go loops.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzInferBody$$' -fuzztime 10s ./cmd/upmem-serve
+	$(GO) test -run '^$$' -fuzz '^FuzzMACBlock$$' -fuzztime 10s ./internal/gemm
 
 # The simulated clock must not depend on the host's core count: rows_zoo
 # and ebnn_stream at GOMAXPROCS=1 and at the host's width report
@@ -180,4 +189,16 @@ profile-rows:
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 } \
 			END { printf "marshal-share gemm.packRows+host.CopyToSymbolRef cum %.2f%%\n", pk + bc }'
 
-ci: vet build test race portable bench-smoke sim-invariant report-check reach lines
+# And for the serve_closed workload's shape (BenchmarkServeInfer: the
+# tiny=64x32 model on 8 DPUs, -max-batch 2, two clients posting explicit
+# inputs; the clients run in the profiled process too). The last two
+# lines are the cumulative shares of the /v1/infer body decode and of
+# the batched forward passes: `make profile-serve | grep -e '-share '`.
+profile-serve:
+	$(GO) test -run xxx -bench 'BenchmarkServeInfer$$' -benchtime 2000x -cpuprofile cpu.prof -o upmem-serve.test ./cmd/upmem-serve
+	$(GO) tool pprof -top -cum -nodecount=25 upmem-serve.test cpu.prof
+	@$(GO) tool pprof -top -cum upmem-serve.test cpu.prof 2>/dev/null \
+		| awk '/upmem-serve\.decodeInferBody( |$$)/ { print "decode-share upmem-serve.decodeInferBody cum " $$5 } \
+			/yolo\.\(\*Network\)\.ForwardBatch$$/ { print "forward-share yolo.(*Network).ForwardBatch cum " $$5 }'
+
+ci: vet build test race portable bench-smoke fuzz sim-invariant report-check reach lines

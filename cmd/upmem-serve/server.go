@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -293,9 +295,7 @@ collect:
 		}
 	}
 	timer.Stop()
-	if m.depth != nil {
-		m.depth.Set(int64(len(m.queue)))
-	}
+	m.depth.Set(int64(len(m.queue)))
 	s.runBatch(m, batch)
 }
 
@@ -360,14 +360,10 @@ func (s *server) runBatch(m *model, batch []*request) {
 		}
 		s.tracer.Recorder().Dump(reason)
 	}
-	if m.batchSz != nil {
-		m.batchSz.Observe(uint64(len(batch)))
-	}
+	m.batchSz.Observe(uint64(len(batch)))
 	for i, r := range batch {
 		queueUS := uint64(start.Sub(r.enq) / time.Microsecond)
-		if m.queueLat != nil {
-			m.queueLat.Observe(queueUS)
-		}
+		m.queueLat.Observe(queueUS)
 		resp := response{batch: len(batch), queueUS: queueUS, err: err}
 		if err == nil {
 			resp.result = results[i]
@@ -381,9 +377,81 @@ func (s *server) runBatch(m *model, batch []*request) {
 // flat channel-major Q10.5 tensor (3*size*size values); otherwise a
 // deterministic synthetic scene is generated from Seed.
 type inferRequest struct {
-	Model string  `json:"model"`
-	Seed  int64   `json:"seed"`
-	Input []int16 `json:"input,omitempty"`
+	Model string     `json:"model"`
+	Seed  int64      `json:"seed"`
+	Input inputArray `json:"input,omitempty"`
+}
+
+// decodeInferBody decodes one /v1/infer body: encoding/json reads the
+// first JSON value and matches its keys, and inputArray decodes "input".
+func decodeInferBody(r io.Reader) (inferRequest, error) {
+	var in inferRequest
+	err := json.NewDecoder(r).Decode(&in)
+	return in, err
+}
+
+// inputArray is an input tensor's values, decoded by its own
+// UnmarshalJSON: encoding/json's reflective []int16 decode, one element
+// at a time, costs the server more CPU than its forward passes.
+type inputArray []int16
+
+var errInput = errors.New("input: want null or an array of integers in [-32768, 32767]")
+
+// UnmarshalJSON decodes data, which the Decoder has checked is one JSON
+// value, under encoding/json's rules for []int16: null is a nil slice
+// and [] an empty one; an element is an integer in range, or null, which
+// leaves the element as it was; anything else is an error. As in
+// encoding/json, a repeated "input" key decodes into the previous
+// value's storage. The slice is sized from the commas, then data is read
+// once, byte by byte.
+func (p *inputArray) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*p = nil
+		return nil
+	}
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return errInput
+	}
+	if len(bytes.TrimSpace(data[1:len(data)-1])) == 0 {
+		*p = inputArray{}
+		return nil
+	}
+	// A string, array or object element is rejected at its first byte,
+	// so the commas count the elements, and only valid JSON's number and
+	// null bytes reach an element's end.
+	n, old := bytes.Count(data, []byte{','})+1, *p
+	out := old[:min(n, cap(old))]
+	if n > cap(old) {
+		out = make(inputArray, n)
+		copy(out, old[:cap(old)])
+	}
+	k, v, neg, null := 0, 0, false, false
+	for i := 1; i < len(data); i++ {
+		switch c := data[i]; c {
+		case ' ', '\t', '\n', '\r':
+		case '-':
+			neg = true
+		case 'n', 'u', 'l':
+			null = true
+		case ',', ']':
+			if neg {
+				v = -v
+			}
+			if c == ']' && i != len(data)-1 || !null && v > 32767 {
+				return errInput
+			}
+			if !null {
+				out[k] = int16(v)
+			}
+			k, v, neg, null = k+1, 0, false, false
+		default:
+			if v = v*10 + int(c-'0'); c < '0' || c > '9' || v > 32768 {
+				return errInput
+			}
+		}
+	}
+	*p = out
+	return nil
 }
 
 type detectionJSON struct {
@@ -432,8 +500,8 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var in inferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&in); err != nil {
+	in, err := decodeInferBody(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -456,19 +524,14 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 				len(in.Input), want, size, size)
 			return
 		}
-		input = yolo.NewTensor(3, size, size)
-		copy(input.Data, in.Input)
+		input = &yolo.Tensor{C: 3, H: size, W: size, Data: in.Input}
 	} else {
 		input = yolo.SyntheticScene(size, in.Seed)
 	}
 
-	if m.requests != nil {
-		m.requests.Inc()
-	}
-	if s.inflight != nil {
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-	}
+	m.requests.Inc()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	// Root span: one per sampled request, covering admission through
 	// response. The span rides the request into the batcher; the trace
@@ -484,9 +547,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	case m.queue <- req:
 		adm.End()
 	default:
-		if m.rejected != nil {
-			m.rejected.Inc()
-		}
+		m.rejected.Inc()
 		adm.SetAttr("rejected", 1)
 		adm.End()
 		root.SetAttr("rejected", 1)
@@ -497,9 +558,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			in.Model, s.cfg.queueCap)
 		return
 	}
-	if m.depth != nil {
-		m.depth.Set(int64(len(m.queue)))
-	}
+	m.depth.Set(int64(len(m.queue)))
 
 	resp := <-req.done
 	if resp.err != nil {
@@ -513,9 +572,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("queue_us", int64(resp.queueUS))
 	root.SetAttr("latency_us", int64(latUS))
 	root.End()
-	if m.latency != nil {
-		m.latency.ObserveExemplar(latUS, uint64(root.TraceID()))
-	}
+	m.latency.ObserveExemplar(latUS, uint64(root.TraceID()))
 	// SLO enforcement is diagnostic, not admission: a breach freezes the
 	// flight recorder (after the breaching trace has landed in it) so
 	// the traces around the slow request can be pulled later.

@@ -111,6 +111,9 @@ func (n *Network) exec(inputs []*tensor.Tensor, r *gemm.Runner, batch bool) ([]O
 	ar := n.takeArena(len(inputs))
 	defer n.putArena(ar)
 	stats := &ForwardStats{}
+	if r != nil {
+		stats.Layers = make([]LayerStat, 0, n.ngemm)
+	}
 	// One im2col patch matrix reused across the host-reference GEMM
 	// layers; Reference consumes it before returning.
 	var im2colBuf []int16

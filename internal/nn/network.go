@@ -30,6 +30,7 @@ type Network struct {
 	in      shape
 	shapes  []shape
 	gemms   []lowering // indexed by layer; zero for layers without a GEMM
+	ngemm   int        // layers with a GEMM: a DPU pass's len(ForwardStats.Layers)
 	scope   string
 
 	// The activation plan (plan.go): per layer the producers it reads (-1:
@@ -75,7 +76,7 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 			if err != nil {
 				return nil, fmt.Errorf("nn: layer %d: %w", i, err)
 			}
-			n.gemms[i] = g
+			n.gemms[i], n.ngemm = g, n.ngemm+1
 			n.Weights[i] = synthWeights(rng, g.m, g.k)
 			if l.Kind == BlockStart {
 				residual = g.out
