@@ -75,29 +75,7 @@ func scaleOperands(m int) (a, b []int16) {
 // pass also fills the MRAM pages and builds the network's arena.
 func BenchmarkFullArrayYOLOForward(b *testing.B) {
 	b.ReportAllocs()
-	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := host.NewSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	maxK, maxN := net.GEMMBounds()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := r.EnableBatch(net.MaxFilters()); err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([]*yolo.Tensor, dpu.SystemDPUs)
-	for i := range inputs {
-		inputs[i] = yolo.SyntheticScene(32, int64(i+1))
-	}
+	net, r, inputs := newArrayYOLO(b, dpu.SystemDPUs)
 	if _, _, err := net.ForwardBatch(inputs, r); err != nil {
 		b.Fatal(err)
 	}
@@ -110,8 +88,39 @@ func BenchmarkFullArrayYOLOForward(b *testing.B) {
 		}
 		cycles = st.Cycles
 	}
-	b.ReportMetric(float64(sys.Ranks()), "ranks")
+	b.ReportMetric(float64(r.System().Ranks()), "ranks")
 	b.ReportMetric(float64(cycles), "sim-cycles")
+}
+
+// newArrayYOLO builds the array_yolo workload's shape on nDPU DPUs: the
+// 32 px, WidthDiv 64 YOLO, a batch-mode runner at 8 tasklets and 64 tile
+// columns, and one synthetic scene per DPU.
+func newArrayYOLO(tb testing.TB, nDPU int) (*yolo.Network, *gemm.Runner, []*yolo.Tensor) {
+	tb.Helper()
+	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := host.NewSystem(nDPU, host.DefaultConfig(dpu.O3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(sys.Close)
+	maxK, maxN := net.GEMMBounds()
+	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
+		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.EnableBatch(net.MaxFilters()); err != nil {
+		tb.Fatal(err)
+	}
+	inputs := make([]*yolo.Tensor, nDPU)
+	for i := range inputs {
+		inputs[i] = yolo.SyntheticScene(32, int64(i+1))
+	}
+	return net, r, inputs
 }
 
 // BenchmarkRowsZoo is the rows_zoo workload's operation as bench/wl_rows.go
@@ -251,7 +260,9 @@ func TestFullArrayPlannerNeverSlower(t *testing.T) {
 // TestScalingShape pins the simulated strong/weak-scaling quantities,
 // which are exact: every row of the sweep GEMM costs the same cycles,
 // every configuration is whole-rank, so wave counts, cycle totals, and
-// rank-parallel transfer times follow in closed form.
+// rank-parallel transfer times follow in closed form. Its last cell is
+// the weak-scaling batch forward: one scene per DPU at 64 and 2,560
+// DPUs, whose per-pass transfer count and time must be equal.
 func TestScalingShape(t *testing.T) {
 	type point struct {
 		waves    int
@@ -332,6 +343,26 @@ func TestScalingShape(t *testing.T) {
 	}
 	t.Logf("strong: 64 DPUs %d waves %.3gs xfer; 2560 DPUs %d waves %.3gs xfer",
 		strong[64].waves, strong[64].xferTime, strong[2560].waves, strong[2560].xferTime)
+
+	// The image-per-DPU batch path is weak scaling too: one scene per
+	// DPU, every layer one wave, whose gather is one call like every
+	// other multi-DPU transfer. One pass therefore makes as many
+	// transfers, charged as much time, at 2,560 DPUs as at 64.
+	batch := map[int]host.XferStats{}
+	for _, nd := range []int{64, dpu.SystemDPUs} {
+		net, r, inputs := newArrayYOLO(t, nd)
+		before := r.System().TransferStats()
+		if _, _, err := net.ForwardBatch(inputs, r); err != nil {
+			t.Fatal(err)
+		}
+		after := r.System().TransferStats()
+		batch[nd] = host.XferStats{Transfers: after.Transfers - before.Transfers, Time: after.Time - before.Time}
+	}
+	if b64, bFull := batch[64], batch[dpu.SystemDPUs]; bFull != b64 || bFull.Transfers > 400 {
+		t.Errorf("batch forward per pass: 64 DPUs %d transfers %v, 2560 DPUs %d transfers %v; want equal, at most 400",
+			b64.Transfers, b64.Time, bFull.Transfers, bFull.Time)
+	}
+	t.Logf("batch forward per pass: %d transfers, %v at 64 and 2560 DPUs", batch[64].Transfers, batch[64].Time)
 }
 
 // TestFullArrayAllocBounded pins the host runtime's allocation behavior
@@ -363,30 +394,8 @@ func TestFullArrayAllocBounded(t *testing.T) {
 // conv layer per image already exceeds the whole budget (it used to be
 // more than half of a pass's bytes).
 func TestForwardBatchAllocBounded(t *testing.T) {
-	net, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const nImg = dpu.DPUsPerRank
-	sys, err := host.NewSystem(nImg, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	maxK, maxN := net.GEMMBounds()
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnableBatch(net.MaxFilters()); err != nil {
-		t.Fatal(err)
-	}
-	inputs := make([]*yolo.Tensor, nImg)
-	for i := range inputs {
-		inputs[i] = yolo.SyntheticScene(32, int64(i+1))
-	}
+	net, r, inputs := newArrayYOLO(t, nImg)
 	pass := func() {
 		if _, _, err := net.ForwardBatch(inputs, r); err != nil {
 			t.Fatal(err)

@@ -48,6 +48,18 @@ func (d *DPU) CopyToMRAMRaw(off int64, data []byte) error {
 	return nil
 }
 
+// ReadMRAMRows is a host read through ForEachMRAMRowRuns of rows rows
+// back to back at off, counted in the DPU's telemetry as one
+// CopyFromMRAMInto of all of them would be.
+func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
+	err := d.ForEachMRAMRowRuns(off, int64(rowBytes), rowBytes, rows, fn)
+	if err == nil && d.met != nil {
+		d.met.MRAMBytes.Add(uint64(rows * rowBytes))
+		d.met.MRAMAccesses.Inc()
+	}
+	return err
+}
+
 // ForEachMRAMRowRuns walks rows rows of rowBytes bytes spaced stride
 // bytes apart starting at off, in place and under one lock, invoking fn
 // once per run of rows that lie in one MRAM page: fn receives the index

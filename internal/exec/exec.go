@@ -20,7 +20,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"pimdnn/internal/dpu"
@@ -189,13 +188,8 @@ type Engine struct {
 	waveSeq int
 	waveLS  host.LaunchStats
 
-	// Reused scratch: re-dispatch input descriptors, and RunStream's
-	// per-shard gather errors and free list of gather buffers (the one
-	// piece of engine state its parallel ranges share, hence the lock).
-	insBuf     []Xfer
-	gatherErrs []error
-	rawMu      sync.Mutex
-	rawFree    [][]byte
+	// Reused scratch: the re-dispatch input descriptors.
+	insBuf []Xfer
 }
 
 // New builds an engine over sys, with telemetry when sys has a metrics

@@ -1,11 +1,11 @@
 package exec_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,19 +16,34 @@ import (
 
 // toyStream is a minimal StreamSet: shard i carries one uint32 v, a Pre
 // broadcast carries a multiplier and a Post broadcast an addend, and
-// the kernel writes a 16-byte record (v*mul+add, v, ^v, mul) that
-// Deliver copies out. delivered counts Deliver calls per shard.
+// the kernel writes a 16-byte record (v*mul+add, v, ^v, mul) into rows
+// 0, crossRow and toyRows-1 of its toyRows-row output, which Deliver
+// copies out run by run. The output region crosses a 64 KiB MRAM page
+// inside row crossRow, so every shard arrives as several runs, one of
+// them that staged row, unless it is re-dispatched and delivered whole.
+// Per shard: next is the row its next run must start at (0 between
+// dispatches), delivered counts the dispatches that delivered it, whole
+// those that did in one run, staged its staged crossRow runs, and bad
+// records a run out of order.
 type toyStream struct {
 	sys       *host.System
 	ss        exec.StreamSet
+	crossRow  int
 	out       [][]byte
-	delivered []atomic.Int32
+	next      []int
+	delivered []int
+	whole     []int
+	staged    []int
+	bad       []string
 }
 
 const (
 	toyMul      = 3
 	toyAdd      = 7
-	toyOutBytes = 256 // the kernel fills the first 16; the rest reads zero
+	toyRows     = 3000
+	toyRowBytes = 24
+	toyOutBytes = toyRows * toyRowBytes
+	toyPage     = 64 << 10 // the simulator's MRAM page
 )
 
 func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
@@ -61,6 +76,12 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		s, _ := sys.DPU(0).Symbol(sym.name)
 		offs[sym.name] = s.Offset
 	}
+	outOff := offs["ts_out"]
+	pageEnd := (outOff/toyPage + 1) * toyPage
+	crossRow := int((pageEnd - outOff) / toyRowBytes)
+	if (pageEnd-outOff)%toyRowBytes == 0 || crossRow < 1 || crossRow >= toyRows-1 {
+		t.Fatalf("ts_out at %d: no row strictly inside the region crosses the page end at %d", outOff, pageEnd)
+	}
 	w := offs["ts_wram"]
 	kern := func(tk *dpu.Tasklet) error {
 		if tk.ID() != 0 {
@@ -74,10 +95,15 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		tk.Store32(w+4, v)
 		tk.Store32(w+8, ^v)
 		tk.Store32(w+12, mul)
-		tk.WRAMToMRAM(offs["ts_out"], w, 16)
+		for _, row := range []int{0, crossRow, toyRows - 1} {
+			tk.WRAMToMRAM(outOff+int64(row*toyRowBytes), w, 16)
+		}
 		return nil
 	}
-	ts := &toyStream{sys: sys, out: make([][]byte, nd), delivered: make([]atomic.Int32, nd)}
+	ts := &toyStream{
+		sys: sys, crossRow: crossRow, out: make([][]byte, nd),
+		next: make([]int, nd), delivered: make([]int, nd), whole: make([]int, nd), staged: make([]int, nd), bad: make([]string, nd),
+	}
 	in := make([][]byte, nd)
 	for i := range in {
 		in[i] = make([]byte, 8)
@@ -90,23 +116,62 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		return b
 	}
 	ts.ss = exec.StreamSet{
-		Shards:   nd,
-		Tasklets: 2,
-		Kernel:   kern,
-		Pre:      []exec.Broadcast{{Ref: refs["ts_mul"], Data: word(toyMul)}},
-		Scatter:  []exec.Stream{{Ref: refs["ts_in"], Bufs: in}},
-		Post:     []exec.Broadcast{{Ref: refs["ts_add"], Data: word(toyAdd)}},
-		OutRef:   refs["ts_out"],
-		OutBytes: toyOutBytes,
+		Shards:      nd,
+		Tasklets:    2,
+		Kernel:      kern,
+		Pre:         []exec.Broadcast{{Ref: refs["ts_mul"], Data: word(toyMul)}},
+		Scatter:     []exec.Stream{{Ref: refs["ts_in"], Bufs: in}},
+		Post:        []exec.Broadcast{{Ref: refs["ts_add"], Data: word(toyAdd)}},
+		OutRef:      refs["ts_out"],
+		OutRows:     toyRows,
+		OutRowBytes: toyRowBytes,
 		Ins: func(i int) []exec.Xfer {
 			return []exec.Xfer{{Ref: refs["ts_in"], Data: in[i]}}
 		},
-		Deliver: func(i int, raw []byte) {
-			ts.delivered[i].Add(1)
-			copy(ts.out[i], raw)
+		Deliver: func(i, first, count int, block []byte, blockStride int) {
+			if first != ts.next[i] || count < 1 || first+count > toyRows {
+				ts.bad[i] = fmt.Sprintf("run [%d, %d) after row %d", first, first+count, ts.next[i])
+			}
+			if first == 0 {
+				ts.delivered[i]++
+			}
+			switch {
+			case count == toyRows:
+				ts.whole[i]++
+			case first == crossRow && count == 1 && blockStride == 0:
+				ts.staged[i]++
+			}
+			for r := 0; r < count; r++ {
+				copy(ts.out[i][(first+r)*toyRowBytes:(first+r+1)*toyRowBytes], block[r*blockStride:])
+			}
+			ts.next[i] = (first + count) % toyRows
 		},
 	}
 	return ts
+}
+
+// check asserts shard i's state after its run-th dispatch: delivered
+// once per dispatch in runs covering [0, toyRows) in order, through the
+// staged crossing row whenever it was not delivered whole, with the
+// kernel's three records and zeros elsewhere.
+func (ts *toyStream) check(t *testing.T, i, run int) {
+	t.Helper()
+	if ts.bad[i] != "" || ts.next[i] != 0 || ts.delivered[i] != run {
+		t.Fatalf("run %d: shard %d delivered %d times, next row %d, %q", run, i, ts.delivered[i], ts.next[i], ts.bad[i])
+	}
+	if ts.staged[i] != run-ts.whole[i] {
+		t.Fatalf("run %d: shard %d delivered whole %d times and through a staged row %d times", run, i, ts.whole[i], ts.staged[i])
+	}
+	v := uint32(1000 + 17*i)
+	want := make([]byte, toyOutBytes)
+	for _, row := range []int{0, ts.crossRow, toyRows - 1} {
+		for f, w := range []uint32{v*toyMul + toyAdd, v, ^v, toyMul} {
+			binary.LittleEndian.PutUint32(want[row*toyRowBytes+4*f:], w)
+		}
+	}
+	if !bytes.Equal(ts.out[i], want) {
+		t.Fatalf("run %d: shard %d output differs from the kernel's records", run, i)
+	}
 }
 
 // streamOutcome is everything a stream run may be observed by.
@@ -125,8 +190,9 @@ type streamOutcome struct {
 // setting (the sync and pipelined cells), under each fault class and an
 // armed zero plan, with each telemetry, at GOMAXPROCS 1, 2
 // and 4. Every shard must be delivered exactly once per run with the
-// right bytes, shards are re-dispatched exactly when the plan injects
-// something, and everything observable (delivered bytes, exec.Stats,
+// right bytes, in runs covering its rows in order (toyStream.check),
+// whole exactly when it was re-dispatched, shards are re-dispatched
+// exactly when the plan injects something, and everything observable (delivered bytes, exec.Stats,
 // per-DPU cycles, all of TransferStats, the DPU clock, the down count)
 // must equal the telemetry-off GOMAXPROCS=1 row: there the gather runs
 // inline on the caller in index order, so equality is the statement
@@ -220,16 +286,14 @@ func runToyStream(t *testing.T, procs, nd int, topo host.Topology, plan *dpu.Fau
 		if err := eng.RunStream(&ts.ss, &st); err != nil {
 			t.Fatalf("GOMAXPROCS=%d run %d: %v", procs, run, err)
 		}
+		whole := 0
 		for i := range ts.out {
-			if got := ts.delivered[i].Load(); got != int32(run) {
-				t.Fatalf("GOMAXPROCS=%d run %d: shard %d delivered %d times", procs, run, i, got)
-			}
-			v := uint32(1000 + 17*i)
-			for f, want := range []uint32{v*toyMul + toyAdd, v, ^v, toyMul} {
-				if got := binary.LittleEndian.Uint32(ts.out[i][4*f:]); got != want {
-					t.Fatalf("GOMAXPROCS=%d run %d: shard %d field %d = %d, want %d", procs, run, i, f, got, want)
-				}
-			}
+			ts.check(t, i, run)
+			whole += ts.whole[i]
+		}
+		// A shard is delivered whole exactly when it was re-dispatched.
+		if whole != st.Retries {
+			t.Fatalf("GOMAXPROCS=%d run %d: %d whole deliveries, %d re-dispatches", procs, run, whole, st.Retries)
 		}
 	}
 	o := streamOutcome{
@@ -243,8 +307,8 @@ func runToyStream(t *testing.T, procs, nd int, topo host.Topology, plan *dpu.Fau
 }
 
 // TestStreamFaultAllocBounded: a faulted stream re-runs its failed
-// shards through one OutBytes buffer; it used to buffer every shard
-// from the first fault on ((Shards−from)×OutBytes per stream).
+// shards through one output-sized buffer; it used to buffer every shard
+// from the first fault on ((Shards−from) outputs per stream).
 func TestStreamFaultAllocBounded(t *testing.T) {
 	const nd = 64
 	ts := newToyStream(t, nd, host.Topology{})

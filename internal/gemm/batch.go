@@ -142,8 +142,11 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 // the runner zeroes the padding columns). A producer that computes B —
 // the YOLO batch path's im2col — thereby skips the intermediate K×N
 // int16 matrix per image. Image i's product is decoded into c(i) (m·n
-// elements) and handed to each; fill, c and each run once per image,
-// concurrently for distinct images, in no order.
+// elements) row run by row run as the gather reads it, and handed to
+// each after its last row; fill, c and each run once per image,
+// concurrently for distinct images, in no order. c and each run under
+// the DPU's lock (exec.StreamSet.Deliver), so they must not call a DPU
+// or System method.
 func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i int, dst []byte, stride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
 	var st Stats
 	if r.maxM == 0 {
@@ -248,35 +251,39 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	}
 
 	// Dispatch through the execution engine's streamed single-wave path:
-	// A broadcast → image scatter → params broadcast → launch → per-DPU
-	// gather and decode fanned out over the worker pool, with
-	// retry-and-remap owned by the engine (internal/exec).
+	// A broadcast → image scatter → params broadcast → launch → one
+	// gather whose runs of C rows are decoded in place on the worker
+	// pool, with retry-and-remap owned by the engine (internal/exec).
+	if cap(r.batchC) < images {
+		r.batchC = make([][]int16, images)
+	}
+	cs := r.batchC[:images]
 	ss := exec.StreamSet{
-		Shards:   images,
-		Tasklets: tasklets,
-		Kernel:   r.batchKernel,
-		Pre:      []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},
-		Scatter:  []exec.Stream{{Ref: r.refB, Bufs: bufs}},
-		Post:     []exec.Broadcast{{Ref: r.refParams, Data: r.paramsBuf[:]}},
-		OutRef:   r.refCFull,
-		OutBytes: m * stride * 2,
+		Shards:      images,
+		Tasklets:    tasklets,
+		Kernel:      r.batchKernel,
+		Pre:         []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},
+		Scatter:     []exec.Stream{{Ref: r.refB, Bufs: bufs}},
+		Post:        []exec.Broadcast{{Ref: r.refParams, Data: r.paramsBuf[:]}},
+		OutRef:      r.refCFull,
+		OutRows:     m,
+		OutRowBytes: stride * 2,
 		Ins: func(i int) []exec.Xfer {
 			return []exec.Xfer{{Ref: r.refB, Data: bufs[i]}}
 		},
-		Deliver: func(i int, raw []byte) {
-			each(i, decodeBatchC(c(i), raw, m, n, stride))
+		Deliver: func(i, first, count int, block []byte, blockStride int) {
+			if first == 0 {
+				cs[i] = c(i)
+			}
+			for row := first; row < first+count; row++ {
+				tensor.UnpackLE(cs[i][row*n:(row+1)*n], block[(row-first)*blockStride:])
+			}
+			if first+count == m {
+				each(i, cs[i])
+			}
 		},
 	}
-	if err := r.eng.RunStream(&ss, &st); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// decodeBatchC unpacks one DPU's full stride-padded C matrix into c.
-func decodeBatchC(c []int16, raw []byte, m, n, stride int) []int16 {
-	for row := 0; row < m; row++ {
-		tensor.UnpackLE(c[row*n:(row+1)*n], raw[row*stride*2:])
-	}
-	return c
+	err := r.eng.RunStream(&ss, &st)
+	clear(cs) // the runner keeps no caller's product past the call
+	return st, err
 }

@@ -171,6 +171,7 @@ type Runner struct {
 	batchStage                    []byte   // flat backing for batchBufs
 	batchBufs                     [][]byte // per-DPU B scatter views
 	emptyB                        []byte
+	batchC                        [][]int16 // per-image C, held across its runs
 
 	// Weight residency (EnableResidency): wmodel is this runner's
 	// resident set in the shared cache; residKey/residArmed are the

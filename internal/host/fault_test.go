@@ -37,12 +37,13 @@ var matrixModes = []struct {
 }
 
 // TestTransferFaultMatrix: each transfer op (copy_to broadcast,
-// push_xfer scatter, gather, single-DPU copy) under an injected transfer
-// fault, under a dead DPU and with the zero plan armed on every DPU, in
-// both serial and sharded modes. Every surviving DPU completes, the
-// FaultReport names exactly the armed DPU (the zero plan fails none),
-// and the transfer clock is charged for exactly the DPUs that moved
-// bytes.
+// push_xfer scatter, gather, gather_rows, single-DPU copy) under an
+// injected transfer fault, under a dead DPU and with the zero plan armed
+// on every DPU, in both serial and sharded modes. Every surviving DPU
+// completes, the FaultReport names exactly the armed DPU (the zero plan
+// fails none), and the transfer clock is charged for exactly the DPUs
+// that moved bytes. gather_rows also runs with one healthy DPU skipped,
+// which is neither visited, charged nor reported.
 func TestTransferFaultMatrix(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -138,6 +139,45 @@ func TestTransferFaultMatrix(t *testing.T) {
 					}
 					if !bytes.Equal(dst[i], want) {
 						t.Errorf("gather DPU %d: got % x..., want % x...", i, dst[i][:4], want[:4])
+					}
+				}
+
+				// The rows gather visits each DPU's runs in order; they
+				// must reassemble its scatter payload.
+				const rowBytes = 8
+				gatherRows := func(skip []bool) ([][]byte, error) {
+					got := make([][]byte, mode.n)
+					next := make([]int, mode.n)
+					err := s.GatherRows(ref, perDPU/rowBytes, rowBytes, skip, func(i, first, count int, block []byte, blockStride int) {
+						if first != next[i] {
+							t.Errorf("gather_rows DPU %d: run at row %d, want %d", i, first, next[i])
+						}
+						for r := 0; r < count; r++ {
+							got[i] = append(got[i], block[r*blockStride:r*blockStride+rowBytes]...)
+						}
+						next[i] = first + count
+					})
+					return got, err
+				}
+				for _, skipped := range []int{-1, 0} {
+					skip := make([]bool, mode.n)
+					nRead := nOK
+					if skipped >= 0 {
+						skip[skipped] = true
+						nRead--
+					}
+					before = s.TransferStats()
+					got, err := gatherRows(skip)
+					checkReport(err, "gather_rows")
+					checkCharge("gather_rows", before, nRead)
+					for i := range got {
+						want := bufs[i]
+						if skip[i] || (i == bad && !kind.zero) {
+							want = nil
+						}
+						if !bytes.Equal(got[i], want) {
+							t.Errorf("gather_rows skipping %d, DPU %d: got % x, want % x", skipped, i, got[i], want)
+						}
 					}
 				}
 

@@ -292,7 +292,7 @@ func (s *System) copyFromOneInto(i int, ref SymbolRef, offset int64, dst []byte)
 // the system's worker pool and returns when every range has finished —
 // the fan-out the sharded transfers and launches use, for host-side
 // per-DPU work that sits between them (staging a shard's input,
-// gathering and decoding its output). Below the sharding threshold, and
+// decoding its output). Below the sharding threshold, and
 // on a single worker, it is the plain call fn(0, n) on the caller's
 // goroutine. fn must be safe for concurrent invocation on disjoint
 // ranges. It may use the pool itself — a nested ParallelFor, single-DPU
@@ -363,6 +363,21 @@ func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]b
 		return fmt.Errorf("host: gather buffer 0 has length %d, want %d", len(dst[0]), n)
 	}
 	_, err := s.calls.do("gather", Wave{DPUs: len(dst), Gather: ref, Out: dst, off: offset}, phGathered)
+	return err
+}
+
+// GatherRows reads rows rows of rowBytes bytes at the base of the MRAM
+// symbol ref on each of the first len(skip) DPUs not skipped, in place:
+// visit gets DPU i's page runs of rows as dpu.ForEachMRAMRowRuns passes
+// them, in row order, one at a time per DPU (distinct DPUs concurrently
+// on the worker pool), under the DPU's lock: it must not retain or write
+// block, nor call a DPU or System method. It is one transfer call over
+// the DPUs read, charged like GatherXferRefInto, with one *FaultReport;
+// a skipped DPU is not read, charged or reported. A WRAM symbol, a
+// region past the symbol's end, an unaligned rowBytes or a width outside
+// 1..NumDPUs is an ordinary error: nothing is read or charged.
+func (s *System) GatherRows(ref SymbolRef, rows, rowBytes int, skip []bool, visit func(i, first, count int, block []byte, blockStride int)) error {
+	_, err := s.calls.do("gather_rows", Wave{DPUs: len(skip), Gather: ref, rows: rows, rowBytes: rowBytes, skip: skip, visit: visit}, phGathered)
 	return err
 }
 

@@ -43,6 +43,12 @@ type Wave struct {
 	// DPU in place of In (CopyToSymbolRef).
 	off   int64
 	bcast []byte
+
+	// visit, when set, makes the gather GatherRows' in-place walk of
+	// rows rows of rowBytes on each DPU skip leaves in, instead of Out.
+	visit          func(i, first, count int, block []byte, blockStride int)
+	rows, rowBytes int
+	skip           []bool
 }
 
 // RunWave runs one fused wave. It is best-effort per DPU: a DPU that
@@ -127,7 +133,11 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
 	}
 	if r.gather && err == nil {
-		outLen, err = phaseLen(op, w.Gather, w.off, w.Out, n)
+		if w.visit != nil {
+			outLen, err = rowsLen(op, w)
+		} else {
+			outLen, err = phaseLen(op, w.Gather, w.off, w.Out, n)
+		}
 	}
 	if err != nil {
 		return LaunchStats{}, err
@@ -202,6 +212,15 @@ func phaseLen(op string, ref SymbolRef, off int64, bufs [][]byte, n int) (int, e
 	return l, checkRef(ref, off, l)
 }
 
+// rowsLen validates a GatherRows request and returns its per-DPU length.
+func rowsLen(op string, w Wave) (int, error) {
+	if w.Gather.kind == dpu.SymbolWRAM || w.rows < 1 || w.rowBytes < 1 || w.rowBytes%dpu.DMAAlignment != 0 {
+		return 0, fmt.Errorf("host: %s of %d rows of %d bytes from %q, want an MRAM symbol and positive, %d-byte aligned rows",
+			op, w.rows, w.rowBytes, w.Gather.name, dpu.DMAAlignment)
+	}
+	return w.rows * w.rowBytes, checkRef(w.Gather, 0, w.rows*w.rowBytes)
+}
+
 // reset sizes the per-DPU scratch to n entries and clears it.
 func (r *phaseRunner) reset(n int) {
 	if cap(r.errs) < n {
@@ -217,6 +236,9 @@ func (r *phaseRunner) loop(lo, hi int) {
 	s, w := r.s, &r.w
 	scatter, launch, gather := r.scatter, r.launch, r.gather
 	for i := lo; i < hi; i++ {
+		if w.skip != nil && w.skip[i] {
+			continue
+		}
 		var p uint8
 		var err error
 		if scatter {
@@ -234,7 +256,14 @@ func (r *phaseRunner) loop(lo, hi int) {
 			}
 		}
 		if gather && err == nil {
-			if err = s.copyFromOneInto(i, w.Gather, w.off, w.Out[i]); err == nil {
+			if w.visit == nil {
+				err = s.copyFromOneInto(i, w.Gather, w.off, w.Out[i])
+			} else if err = s.dpus[i].TransferFault(); err == nil {
+				err = s.dpus[i].ReadMRAMRows(w.Gather.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
+					w.visit(i, first, count, block, blockStride)
+				})
+			}
+			if err == nil {
 				p |= phGathered
 			}
 		}

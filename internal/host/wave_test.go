@@ -175,6 +175,41 @@ func TestWaveValidation(t *testing.T) {
 	}
 }
 
+// TestGatherRowsValidation: a rows gather from a WRAM symbol, past the
+// symbol's end, of unaligned rows or over a width outside 1..NumDPUs
+// is an ordinary error; nothing is visited or charged.
+func TestGatherRowsValidation(t *testing.T) {
+	s, ref := waveSystem(t, 2)
+	if err := s.AllocWRAM("wvar", 64); err != nil {
+		t.Fatal(err)
+	}
+	wram := resolve(t, s, "wvar")
+	visited := false
+	visit := func(int, int, int, []byte, int) { visited = true }
+	two := make([]bool, 2)
+	cases := []struct {
+		name           string
+		ref            SymbolRef
+		rows, rowBytes int
+		skip           []bool
+	}{
+		{"wram", wram, 1, 8, two},
+		{"past end", ref, 33, 8, two},
+		{"unaligned", ref, 4, 12, two},
+		{"width 0", ref, 1, 8, nil},
+		{"too wide", ref, 1, 8, make([]bool, 3)},
+	}
+	for _, c := range cases {
+		err := s.GatherRows(c.ref, c.rows, c.rowBytes, c.skip, visit)
+		if _, ok := AsFaultReport(err); err == nil || ok {
+			t.Errorf("%s: got %v, want a validation error", c.name, err)
+		}
+	}
+	if visited || s.TransferStats() != (XferStats{}) {
+		t.Errorf("malformed rows gathers visited %t, charged %+v", visited, s.TransferStats())
+	}
+}
+
 // TestMalformedLaunchRunsNothing: a launch every DPU would reject — a
 // nil kernel, a tasklet count outside 1..MaxTasklets — is a validation
 // error through RunWave and LaunchOn alike: not a *FaultReport, nothing
