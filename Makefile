@@ -156,20 +156,23 @@ profile-array:
 	@awk '/^BenchmarkFullArrayYOLOForward/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print "alloc-per-pass " $$i " B/op" }' bench-array.out
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs
-# x 16 images x 4 waves). The last three lines are the cumulative shares
-# of the DPU kernel (its EBNNCost charging plus the functional pass), of
-# the functional pass alone (flatPass: one cell-table load per pooled
-# cell) and of the host classifier (Runner.classify, the worker-pool
-# body, and everything under it); on a 2-core Xeon, go1.24.0, classify
-# (the AVX2 class lanes) reads about 34 % and flatPass about 37 %:
-# `make profile-ebnn | grep -e '-share '`.
+# x 16 images x 4 waves). The last four lines are the cumulative shares
+# of the DPU kernel (the functional pass plus the launch's one charge),
+# of the functional pass alone (flatPass: one cell-table load per pooled
+# cell), of the host classifier (Runner.classify, the worker-pool body,
+# and everything under it) and of the launch charge (ChargeLaunch, fed by
+# the runner's cost cache; 0 % when the profile holds no sample of it);
+# on a 2-core Xeon, go1.24.0, classify (the AVX2 class lanes) reads about
+# 34 % and flatPass about 37 %: `make profile-ebnn | grep -e '-share '`.
 profile-ebnn:
 	$(GO) test -run xxx -bench 'BenchmarkEBNNStream$$' -benchtime 200x -cpuprofile cpu.prof -o ebnn.test ./internal/ebnn
 	$(GO) tool pprof -top -cum -nodecount=25 ebnn.test cpu.prof
 	@$(GO) tool pprof -top -cum ebnn.test cpu.prof 2>/dev/null \
 		| awk '/\(\*Runner\)\.kernel\.func[0-9]+$$/ { print "kernel-share ebnn.kernel cum " $$5 } \
 			/ebnn\.\(\*kernelLayout\)\.flatPass$$/ { print "cell-share ebnn.flatPass cum " $$5 } \
-			/ebnn\.\(\*Runner\)\.classify$$/ { print "classify-share ebnn.classify cum " $$5 }'
+			/ebnn\.\(\*Runner\)\.classify$$/ { print "classify-share ebnn.classify cum " $$5 } \
+			/dpu\.\(\*Tasklet\)\.ChargeLaunch$$/ { ch = $$5 } \
+			END { print "charge-share dpu.ChargeLaunch cum " (ch == "" ? "0%" : ch) }'
 
 # And for the rows_zoo workload's shape (the three lite networks,
 # planner-mapped row-per-DPU Multiply on 64 DPUs). The last five lines

@@ -1,6 +1,9 @@
 package dpu
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Block-level cycle accounting. A kernel whose inner loop is a
 // straight-line sequence of operations does not need to charge them one
@@ -152,34 +155,74 @@ func (t *Tasklet) chargeMix(b *CostBlock) {
 	}
 }
 
-// SumBlocks returns one block holding the operations, subroutine records
-// and DMA traffic of all of blocks together.
-func SumBlocks(blocks []CostBlock) *CostBlock {
-	sum := &CostBlock{}
-	for i := range blocks {
-		b := &blocks[i]
-		for _, o := range b.ops {
-			sum.AddOp(o.op, o.n)
-		}
-		sum.dmaOps += b.dmaOps
-		sum.dmaBytes += b.dmaBytes
-		sum.dmaCyc += b.dmaCyc
+// LaunchCost is what one launch of a block kernel charges: a block per
+// tasklet, for its cycle meters, and their sum, for the launch's
+// operation counts and subroutine records.
+type LaunchCost struct {
+	blocks []CostBlock
+	sum    CostBlock
+}
+
+// CostCache holds the LaunchCost of every launch shape (K, and the
+// tasklet count) a kernel has charged, built on the shape's first launch
+// by running the kernel's cost function (internal/model: the same
+// function the planner evaluates) once per tasklet into a fresh block. A
+// network has one shape per layer and a forward alternates them layer by
+// layer, so a single-shape cache would miss on every call. The entries
+// are a copy-on-write slice with inline keys, so kernels on different
+// DPUs only read the published pointer (an entry's address stays valid
+// after later publishes). A racing rebuild produces identical blocks, and
+// losing the publish race just rebuilds once more on the next miss.
+type CostCache[K comparable] struct {
+	cost    func(b *CostBlock, key K, t, tasklets int)
+	entries atomic.Pointer[[]launchEntry[K]]
+}
+
+type launchEntry[K comparable] struct {
+	key K
+	LaunchCost
+}
+
+// NewCostCache returns an empty cache over a cost function that emits
+// into b what tasklet t of tasklets charges in one launch of shape key.
+func NewCostCache[K comparable](cost func(b *CostBlock, key K, t, tasklets int)) *CostCache[K] {
+	return &CostCache[K]{cost: cost}
+}
+
+// Launch returns the cost of a launch of shape key on tasklets tasklets.
+// A hit allocates nothing.
+func (c *CostCache[K]) Launch(key K, tasklets int) *LaunchCost {
+	var seen []launchEntry[K]
+	if p := c.entries.Load(); p != nil {
+		seen = *p
 	}
-	return sum
+	for i := range seen {
+		if e := &seen[i]; e.key == key && len(e.blocks) == tasklets {
+			return &e.LaunchCost
+		}
+	}
+	e := launchEntry[K]{key, LaunchCost{blocks: make([]CostBlock, tasklets)}}
+	for t := range e.blocks {
+		c.cost(&e.blocks[t], key, t, tasklets)
+		c.cost(&e.sum, key, t, tasklets) // every tasklet's charge in one block
+	}
+	next := append(seen[:len(seen):len(seen)], e) // full slice: always copies
+	c.entries.Store(&next)
+	return &next[len(next)-1].LaunchCost
 }
 
 // ChargeLaunch charges a whole launch from one tasklet: tasklet i's cycle
-// meters get blocks[i] (one block per tasklet of the launch), and the
-// operation counts and subroutine records of all of them — sum, from
-// SumBlocks — land once, on the caller. The statistics are those of
-// every tasklet calling ChargeBlock on its own block, for one walk of
-// the op list instead of one per tasklet. The launch ends with the
-// caller: with every tasklet's part charged, the tasklets after it are
-// not run (a block kernel's other tasklets have nothing to do).
-func (t *Tasklet) ChargeLaunch(blocks []CostBlock, sum *CostBlock) {
+// meters get the launch's block i, and the operation counts and
+// subroutine records of all of them land once, on the caller. The
+// statistics are those of every tasklet calling ChargeBlock on its own
+// block, for one walk of the op list instead of one per tasklet. The
+// launch ends with the caller: with every tasklet's part charged, the
+// tasklets after it are not run (a block kernel's other tasklets have
+// nothing to do).
+func (t *Tasklet) ChargeLaunch(lc *LaunchCost) {
 	for i, u := range t.dpu.scratch.ptrs[:t.count] {
-		u.chargeCycles(&blocks[i])
+		u.chargeCycles(&lc.blocks[i])
 	}
-	t.chargeMix(sum)
+	t.chargeMix(&lc.sum)
 	t.dpu.scratch.charged = true
 }

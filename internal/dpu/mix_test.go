@@ -2,6 +2,8 @@ package dpu
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -104,20 +106,25 @@ func TestCyclesMonotoneInWork(t *testing.T) {
 	}
 }
 
+// unevenCost is a launch cost function with uneven shares, an idle
+// tasklet, float and integer subroutines, scaled by the shape key.
+func unevenCost(b *CostBlock, key, i, tasklets int) {
+	n := uint64(i % 4 * 7 * key)
+	b.AddOp(OpLoad, 3+n).AddOp(OpMul16, n).AddOp(OpFAdd, n/2).AddOp(OpDivInt, uint64(i%2))
+	b.AddDMA(n, 64).AddDMA(1, 2048)
+}
+
 // TestChargeLaunchEquivalence: tasklet 0 charging the whole launch is
 // indistinguishable, in every launch statistic and in the subroutine
 // profile, from each tasklet charging its own block — the invariant the
-// gemm block kernels' one-charge-per-launch accounting rests on.
+// block kernels' one-charge-per-launch accounting rests on.
 func TestChargeLaunchEquivalence(t *testing.T) {
 	const tasklets = 11
 	blocks := make([]CostBlock, tasklets)
 	for i := range blocks {
-		// Uneven shares, an idle tasklet, float and integer subroutines.
-		n := uint64(i % 4 * 7)
-		blocks[i].AddOp(OpLoad, 3+n).AddOp(OpMul16, n).AddOp(OpFAdd, n/2).AddOp(OpDivInt, uint64(i%2))
-		blocks[i].AddDMA(n, 64).AddDMA(1, 2048)
+		unevenCost(&blocks[i], 1, i, tasklets)
 	}
-	sum := SumBlocks(blocks)
+	lc := NewCostCache(unevenCost).Launch(1, tasklets)
 	for _, opt := range []OptLevel{O0, O1, O2, O3} {
 		each := MustNew(DefaultConfig(opt))
 		want, err := each.Launch(tasklets, func(tk *Tasklet) error {
@@ -129,9 +136,7 @@ func TestChargeLaunchEquivalence(t *testing.T) {
 		}
 		once := MustNew(DefaultConfig(opt))
 		got, err := once.Launch(tasklets, func(tk *Tasklet) error {
-			if tk.ID() == 0 {
-				tk.ChargeLaunch(blocks, sum)
-			}
+			tk.ChargeLaunch(lc)
 			return nil
 		})
 		if err != nil {
@@ -148,5 +153,64 @@ func TestChargeLaunchEquivalence(t *testing.T) {
 				t.Errorf("%v: %s: %d profile cycles, want %d", opt, name, g, w)
 			}
 		}
+	}
+}
+
+// TestCostCache: concurrent lookups of one shape all get its launch cost
+// as a fresh cache builds it, distinct shapes and tasklet counts keep
+// distinct entries, and a repeated lookup neither reruns the cost
+// function nor allocates.
+func TestCostCache(t *testing.T) {
+	var calls atomic.Int64
+	c := NewCostCache(func(b *CostBlock, key, i, tasklets int) {
+		calls.Add(1)
+		unevenCost(b, key, i, tasklets)
+	})
+	want := NewCostCache(unevenCost).Launch(2, 11)
+	got := make([]*LaunchCost, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = c.Launch(2, 11)
+		}()
+	}
+	wg.Wait()
+	for g, lc := range got {
+		if !reflect.DeepEqual(lc, want) {
+			t.Errorf("lookup %d: %+v, fresh build %+v", g, lc, want)
+		}
+	}
+
+	first := map[[2]int]*LaunchCost{}
+	for _, k := range [][2]int{{1, 11}, {3, 11}, {3, 5}, {2, 11}} {
+		first[k] = c.Launch(k[0], k[1])
+	}
+	for k, lc := range first {
+		if len(lc.blocks) != k[1] {
+			t.Errorf("%v: %d blocks", k, len(lc.blocks))
+		}
+		if fresh := NewCostCache(unevenCost).Launch(k[0], k[1]); !reflect.DeepEqual(lc, fresh) {
+			t.Errorf("%v: %+v, fresh build %+v", k, lc, fresh)
+		}
+		for k2, lc2 := range first {
+			if k2 != k && reflect.DeepEqual(lc, lc2) {
+				t.Errorf("%v and %v share an entry", k, k2)
+			}
+		}
+	}
+
+	n := calls.Load()
+	for k, lc := range first {
+		if again := c.Launch(k[0], k[1]); !reflect.DeepEqual(again, lc) {
+			t.Errorf("%v: second lookup %+v, first %+v", k, again, lc)
+		}
+	}
+	if got := calls.Load(); got != n {
+		t.Errorf("second lookups ran the cost function %d more times", got-n)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Launch(3, 5) }); a != 0 {
+		t.Errorf("a hit allocates %v times", a)
 	}
 }

@@ -3,6 +3,7 @@ package ebnn
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pimdnn/internal/dpu"
@@ -22,12 +23,36 @@ func launchCount(r *Runner, tasklets, images int) (dpu.Stats, error) {
 	return d.Launch(tasklets, r.kernelFn)
 }
 
+// launchRecord is one launch's statistics and subroutine-profile delta.
+type launchRecord struct {
+	st          dpu.Stats
+	occ, cycles map[string]uint64
+}
+
+// launchProfiled launches the block (or legacy) kernel on DPU 0 with a
+// cleared profile and records the launch.
+func launchProfiled(r *Runner, legacy bool, tasklets, images int) (launchRecord, error) {
+	r.setLegacyCharging(legacy)
+	prof := r.sys.DPU(0).Profile()
+	prof.Reset()
+	st, err := launchCount(r, tasklets, images)
+	rec := launchRecord{st: st, occ: prof.Snapshot(), cycles: map[string]uint64{}}
+	rec.st.PerTasklet = append([]dpu.TaskletBreakdown(nil), st.PerTasklet...)
+	for _, name := range prof.Subroutines() {
+		rec.cycles[name] = prof.Cycles(name)
+	}
+	return rec, err
+}
+
 // TestKernelChargesTheCostFunction holds every tasklet of the eBNN
 // kernel — LUT and float, O0–O3, tasklet counts on both sides of the
 // batch size, an empty, a one-image, a partial and a full batch — to
-// model.EBNNCost and to the legacy per-operation kernel. The calibration
-// report compares only the slowest DPU's cycles per wave, so a charge on
-// the wrong tasklet could hide there.
+// model.EBNNCost and to the legacy per-operation kernel, and each
+// launch's instruction mix and subroutine profile to the legacy kernel's.
+// The calibration report compares only the slowest DPU's cycles per
+// wave, so a charge on the wrong tasklet could hide there. The first
+// shape launched again after the sweep, a cost-cache hit, charges the
+// same.
 func TestKernelChargesTheCostFunction(t *testing.T) {
 	m, _ := trainForKernel(t)
 	for _, useLUT := range []bool{true, false} {
@@ -42,38 +67,52 @@ func TestKernelChargesTheCostFunction(t *testing.T) {
 					t.Fatal(err)
 				}
 				sh := CostShape(m.F, useLUT)
+				var first *launchRecord
 				for _, T := range []int{1, 2, 8, 11, 16, 24} {
-					for _, images := range []int{0, 1, 5, BatchSize} {
+					for _, images := range []int{5, 0, 1, BatchSize} {
 						id := fmt.Sprintf("T=%d images=%d", T, images)
 						want := model.Tally(opt, T, func(mt model.Meter, tk int) {
 							model.EBNNCost(mt, tk, T, images, sh)
 						})
-						r.setLegacyCharging(false)
-						got, err := launchCount(r, T, images)
+						got, err := launchProfiled(r, false, T, images)
 						if err != nil {
 							t.Fatalf("%s: %v", id, err)
 						}
-						got.PerTasklet = append([]dpu.TaskletBreakdown(nil), got.PerTasklet...)
-						r.setLegacyCharging(true)
-						ref, err := launchCount(r, T, images)
+						if first == nil {
+							first = &got
+						}
+						ref, err := launchProfiled(r, true, T, images)
 						if err != nil {
 							t.Fatalf("%s: legacy: %v", id, err)
 						}
 						for tk := 0; tk < T; tk++ {
-							if got.PerTasklet[tk] != want[tk] {
-								t.Errorf("%s: tasklet %d charged %+v, cost function says %+v", id, tk, got.PerTasklet[tk], want[tk])
+							if got.st.PerTasklet[tk] != want[tk] {
+								t.Errorf("%s: tasklet %d charged %+v, cost function says %+v", id, tk, got.st.PerTasklet[tk], want[tk])
 							}
-							if ref.PerTasklet[tk] != want[tk] {
-								t.Errorf("%s: tasklet %d: legacy kernel charged %+v, cost function says %+v", id, tk, ref.PerTasklet[tk], want[tk])
+							if ref.st.PerTasklet[tk] != want[tk] {
+								t.Errorf("%s: tasklet %d: legacy kernel charged %+v, cost function says %+v", id, tk, ref.st.PerTasklet[tk], want[tk])
 							}
 						}
-						if c := model.EBNNWaveCycles(sh, images, T, opt); got.Cycles != c || ref.Cycles != c {
-							t.Errorf("%s: %d cycles (legacy %d), evaluation says %d", id, got.Cycles, ref.Cycles, c)
+						if c := model.EBNNWaveCycles(sh, images, T, opt); got.st.Cycles != c || ref.st.Cycles != c {
+							t.Errorf("%s: %d cycles (legacy %d), evaluation says %d", id, got.st.Cycles, ref.st.Cycles, c)
 						}
-						if got.OpCounts != ref.OpCounts {
-							t.Errorf("%s: instruction mix diverges from legacy:\nblock:  %v\nlegacy: %v", id, got.OpCounts, ref.OpCounts)
+						if got.st.OpCounts != ref.st.OpCounts {
+							t.Errorf("%s: instruction mix diverges from legacy:\nblock:  %v\nlegacy: %v", id, got.st.OpCounts, ref.st.OpCounts)
+						}
+						if !reflect.DeepEqual(got.occ, ref.occ) || !reflect.DeepEqual(got.cycles, ref.cycles) {
+							t.Errorf("%s: profile diverges from legacy:\nblock:  %v %v\nlegacy: %v %v", id, got.occ, got.cycles, ref.occ, ref.cycles)
+						}
+						if !useLUT && images > 0 && len(ref.occ) == 0 {
+							t.Errorf("%s: the float kernel recorded no subroutine", id)
 						}
 					}
+				}
+				again, err := launchProfiled(r, false, 1, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(again, *first) {
+					t.Errorf("T=1 images=5 again: %+v, first launch %+v", again, *first)
 				}
 			})
 		}

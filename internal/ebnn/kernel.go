@@ -67,9 +67,11 @@ type Runner struct {
 	layout   kernelLayout
 
 	// kernelFn is the kernel closure, built once at NewRunner and reused
-	// for every launch, and cells the cell table it last built (flatPass).
+	// for every launch, cells the cell table it last built (flatPass), and
+	// costs the charge of every (images, tasklets) launch it has run.
 	kernelFn dpu.KernelFunc
 	cells    atomic.Pointer[cellTable]
+	costs    *dpu.CostCache[int]
 
 	// Resolved symbol handles for the per-wave transfer loops.
 	refImages, refNImages, refResults host.SymbolRef
@@ -205,6 +207,9 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	}
 
 	r.stage.init(sys.NumDPUs())
+	r.costs = dpu.NewCostCache(func(b *dpu.CostBlock, images, t, tasklets int) {
+		model.EBNNCost(b, t, tasklets, images, CostShape(m.F, useLUT))
+	})
 	r.kernelFn = r.kernel()
 	r.classifyFn = r.classify
 	r.byFeature = m.softmaxByFeature()
@@ -237,29 +242,28 @@ func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
 func (r *Runner) Tasklets() int { return r.tasklets }
 
 // kernel builds the block-charged DPU program: cost function × one
-// functional pass per DPU. Every tasklet reads and bounds the image count
-// and charges exactly what model.EBNNCost states for it — the function
-// the planner evaluates, and the only part that touches the simulated
-// clock. The data is then moved once, by tasklet 0, in one flat pass over
-// the launch (tasklets run in ID order, and nothing a later tasklet does
-// depends on it): the tasklet partition, like the per-tasklet WRAM image
-// and result slots, is modelled in EBNNCost and in NewRunner's WRAM
-// allocation, not re-enacted on the host. The result bytes, cycles,
-// instruction mix and subroutine profile are those of the per-op kernel
-// the tests keep (legacy_test.go; TestFunctionIndependentOfPartition).
+// functional pass per DPU, both run by tasklet 0. It reads and bounds the
+// image count, moves the data in one flat pass over the launch, and
+// charges every tasklet, in one ChargeLaunch that ends the launch, what
+// model.EBNNCost states for it — the function the planner evaluates, run
+// once per launch shape into the runner's cost cache. The tasklet
+// partition, like the per-tasklet WRAM image and result slots, is
+// modelled in EBNNCost and in NewRunner's WRAM allocation, not re-enacted
+// on the host. The result bytes, cycles, instruction mix and subroutine
+// profile are those of the per-op kernel the tests keep (legacy_test.go;
+// TestFunctionIndependentOfPartition).
 func (r *Runner) kernel() dpu.KernelFunc {
 	l := r.layout
-	shape := CostShape(l.f, l.useLUT)
 	return func(t *dpu.Tasklet) error {
 		n := int(int32(binary.LittleEndian.Uint32(t.WRAMWindow(l.nimages, 4))))
 		if n < 0 || n > BatchSize {
 			return fmt.Errorf("ebnn kernel: bad image count %d", n)
 		}
-		model.EBNNCost(t, t.ID(), t.Count(), n, shape)
-		if t.ID() != 0 {
-			return nil
+		if err := l.flatPass(t, n, &r.cells); err != nil {
+			return err
 		}
-		return l.flatPass(t, n, &r.cells)
+		t.ChargeLaunch(r.costs.Launch(n, t.Count()))
+		return nil
 	}
 }
 

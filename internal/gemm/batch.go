@@ -3,7 +3,6 @@ package gemm
 import (
 	"fmt"
 
-	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
 	"pimdnn/internal/host"
 	"pimdnn/internal/tensor"
@@ -87,12 +86,6 @@ func (r *Runner) EnableBatch(maxM int) error {
 	}
 	return nil
 }
-
-// kernelBatch is the block-accounted kernel of the image-per-DPU mapping:
-// the full M×N product for the B matrix resident in this DPU's MRAM, in
-// one functional pass (see blockKernel), with each tasklet charging its
-// block of model.GEMMBatchCost.
-func (r *Runner) kernelBatch() dpu.KernelFunc { return r.blockKernel(true) }
 
 // growBytes returns buf resliced to n bytes, reallocating only when the
 // capacity is insufficient. Contents are unspecified; callers overwrite.
@@ -230,9 +223,6 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 		aRef, aOff, aBase = ent.Ref(), ent.Off(), ent.Abs()
 	}
 	r.encodeParams(n, k, m, alpha, aBase)
-	if r.batchKernel == nil {
-		r.batchKernel = r.kernelBatch()
-	}
 
 	// An auto-mapping runner re-plans the image-per-DPU dispatch for
 	// this problem shape; the hand-tuned tasklet count applies otherwise.

@@ -88,7 +88,7 @@ func TestKernelsChargeTheCostFunction(t *testing.T) {
 						if legacy {
 							return r.kernelBatchLegacy(), r.aFullOff
 						}
-						return r.kernelBatch(), r.aFullOff
+						return r.blockKernel(true), r.aFullOff
 					}
 					return r.Kernel(), r.aOff
 				}
@@ -162,8 +162,8 @@ func TestKernelsRejectHostileParams(t *testing.T) {
 			tight := costRunnerFor(t, dpu.O3, kind == "naive", false, 4)
 			tightKernel := tight.Kernel()
 			if kind == "batch" {
-				kernel, aoff, rows = r.kernelBatch(), r.aFullOff, m
-				tightKernel = tight.kernelBatch()
+				kernel, aoff, rows = r.blockKernel(true), r.aFullOff, m
+				tightKernel = tight.blockKernel(true)
 			}
 			if _, err := launchRaw(r, kernel, 8, n, k, rows, aoff); err != nil {
 				t.Fatalf("well-formed block rejected: %v", err)

@@ -400,7 +400,7 @@ func TestGEMMIsMRAMBound(t *testing.T) {
 	}
 	var slots, dma uint64
 	// Re-run on the bare DPU to read per-launch stats.
-	st, err := sys.DPU(0).Launch(11, r.kernel())
+	st, err := sys.DPU(0).Launch(11, r.blockKernel(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 // differential_test.go and network_differential_test.go.
 
 // installLegacy makes the runner launch the legacy kernels, in row mode
-// (Kernel, Multiply) and in batch mode (MultiplyBatch*), by filling the
-// cached kernel fields the lazy constructors would.
+// (Kernel, Multiply) and in batch mode (MultiplyBatch*), by replacing
+// the kernel fields NewRunner filled with the block kernels.
 func (r *Runner) installLegacy() {
 	r.rowKernel = r.kernelLegacy()
 	if r.cfg.Naive {

@@ -197,7 +197,7 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 					if err := r.EnableBatch(m); err != nil {
 						t.Fatal(err)
 					}
-					kernel, aAt, cAt, rows, launches = r.kernelBatch(), r.aFullOff, r.cFullOff, m, 1
+					kernel, aAt, cAt, rows, launches = r.blockKernel(true), r.aFullOff, r.cFullOff, m, 1
 				}
 				if tc.arena {
 					if _, err := exec.NewWeightCache(sys, 4096); err != nil {

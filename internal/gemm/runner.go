@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
@@ -73,53 +72,13 @@ type kernelScratch struct {
 	rowBuf []byte  // packed C row (pad4(MaxN)*2); the batch pass grows it to m rows
 }
 
-// launchShape keys the cost cache: the parameters a kernel's per-tasklet
-// charge is a function of. m is 0 for the row kernels (one output row
-// per launch), the row count for the batch kernel.
-type launchShape struct{ m, n, k, tasklets int }
-
-// shapeCost is one launch shape's cached charge: one block per tasklet,
-// and their sum (what dpu.Tasklet.ChargeLaunch takes).
-type shapeCost struct {
-	launchShape
-	blocks []dpu.CostBlock
-	sum    *dpu.CostBlock
-}
-
-// launchCost returns what each tasklet of a launch of the given shape
-// charges, one dpu.CostBlock per tasklet, filled by running the kernel's
-// cost function (internal/model — the same function the planner
-// evaluates) into it. The cache holds every shape seen (a network has
-// one per layer and a forward alternates them layer by layer, so a
-// single-shape cache would miss on every call); it is a copy-on-write
-// slice with inline keys so kernels on different DPUs only read the
-// published pointer (an entry's address stays valid after later
-// publishes). A racing rebuild produces identical blocks, and losing the
-// publish race just rebuilds once more on the next miss.
-func (r *Runner) launchCost(sh launchShape) *shapeCost {
-	var seen []shapeCost
-	if p := r.costs.Load(); p != nil {
-		seen = *p
-	}
-	for i := range seen {
-		if e := &seen[i]; e.launchShape == sh {
-			return e
-		}
-	}
-	blocks := make([]dpu.CostBlock, sh.tasklets)
-	for t := range blocks {
-		switch {
-		case sh.m > 0:
-			model.GEMMBatchCost(&blocks[t], t, sh.tasklets, sh.m, sh.n, sh.k, r.tileCols)
-		case r.cfg.Naive:
-			model.GEMMNaiveCost(&blocks[t], t, sh.tasklets, sh.n, sh.k)
-		default:
-			model.GEMMRowCost(&blocks[t], t, sh.tasklets, sh.n, sh.k, r.tileCols)
-		}
-	}
-	next := append(seen[:len(seen):len(seen)], shapeCost{sh, blocks, dpu.SumBlocks(blocks)}) // full slice: always copies
-	r.costs.Store(&next)
-	return &next[len(next)-1]
+// launchShape keys the cost cache (beside the tasklet count): the
+// parameters a kernel's per-tasklet charge is a function of. batch
+// selects the batch kernel's cost function, whose row count is m (1 for
+// the row kernels, one output row per launch).
+type launchShape struct {
+	batch   bool
+	m, n, k int
 }
 
 // Runner distributes Algorithm 2 GEMMs across a DPU system with the
@@ -136,14 +95,20 @@ type Runner struct {
 	// per-call name lookup.
 	refA, refB, refC, refParams host.SymbolRef
 
-	// Cached kernel closures (built once; kernels are stateless between
-	// launches apart from the pooled scratch).
+	// The block kernels (blockKernel), built once in NewRunner; kernels
+	// are stateless between launches apart from the pooled scratch. The
+	// row kernel serves the tiled and the naive mapping of Fig 4.6: both
+	// compute the same C row, so they share the functional pass and
+	// differ only in the cost function the cost cache runs for them
+	// (model.GEMMRowCost or model.GEMMNaiveCost). The batch kernel is the
+	// image-per-DPU mapping's: the full M×N product for the B matrix
+	// resident in this DPU's MRAM, charged from model.GEMMBatchCost.
 	rowKernel   dpu.KernelFunc
 	batchKernel dpu.KernelFunc
 
 	// costs caches the per-tasklet charge of every launch shape seen
-	// (see launchCost).
-	costs atomic.Pointer[[]shapeCost]
+	// (see NewRunner).
+	costs *dpu.CostCache[launchShape]
 
 	// scratch pools per-tasklet kernel buffers. A sync.Pool (rather than
 	// an array indexed by tasklet ID) because the same tasklet ID runs
@@ -279,6 +244,20 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 			rowBuf: make([]byte, int(maxStride)*2),
 		}
 	}
+	// A launch charges what the configured kernel variant's cost function
+	// (internal/model — the same function the planner evaluates) states
+	// for its shape.
+	r.costs = dpu.NewCostCache(func(b *dpu.CostBlock, sh launchShape, t, tasklets int) {
+		switch {
+		case sh.batch:
+			model.GEMMBatchCost(b, t, tasklets, sh.m, sh.n, sh.k, r.tileCols)
+		case r.cfg.Naive:
+			model.GEMMNaiveCost(b, t, tasklets, sh.n, sh.k)
+		default:
+			model.GEMMRowCost(b, t, tasklets, sh.n, sh.k, r.tileCols)
+		}
+	})
+	r.rowKernel, r.batchKernel = r.blockKernel(false), r.blockKernel(true)
 	r.eng = exec.New(sys, exec.Config{})
 	r.mws.r = r
 	return r, nil
@@ -442,14 +421,11 @@ func decodeAPart(apart []int32, aw []byte, alpha int32) {
 // the tasklet count a caller or the planner picks.
 func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		if t.ID() != 0 {
-			return nil
-		}
 		lc, err := r.flatPass(t, batch)
 		if err != nil {
 			return err
 		}
-		t.ChargeLaunch(lc.blocks, lc.sum)
+		t.ChargeLaunch(lc)
 		return nil
 	}
 }
@@ -463,7 +439,7 @@ func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 // multiply-accumulated over whole B rows in place in the MRAM pages, and
 // the packed C rows leave in one MRAM write. It returns the launch's
 // per-tasklet charge.
-func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
+func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 	p := r.readParams(t)
 	n, k := p.n, p.k
 	// Row mode models a B/ctmp/C tile slot per tasklet, batch mode an
@@ -509,28 +485,13 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*shapeCost, error) {
 	if err := d.CopyToMRAMRaw(cOff, sc.rowBuf); err != nil {
 		return nil, err
 	}
-	shape := launchShape{n: n, k: k, tasklets: t.Count()}
-	if batch {
-		shape.m = m
-	}
-	return r.launchCost(shape), nil
+	return r.costs.Launch(launchShape{batch, m, n, k}, t.Count()), nil
 }
 
-// kernel is the block-accounted kernel of the Fig 4.6 row-per-DPU
-// mapping, tiled or naive: both compute the same C row, so they share
-// the functional pass and differ only in the cost function launchCost
-// runs for them (model.GEMMRowCost or model.GEMMNaiveCost).
-func (r *Runner) kernel() dpu.KernelFunc { return r.blockKernel(false) }
-
-// Kernel returns the configured kernel variant, exposed so callers can
-// launch it directly on a bare DPU for profiling. The closure is built
-// once and reused across launches.
-func (r *Runner) Kernel() dpu.KernelFunc {
-	if r.rowKernel == nil {
-		r.rowKernel = r.kernel()
-	}
-	return r.rowKernel
-}
+// Kernel returns the configured row kernel variant, exposed so callers
+// can launch it directly on a bare DPU for profiling. The closure is
+// built once and reused across launches.
+func (r *Runner) Kernel() dpu.KernelFunc { return r.rowKernel }
 
 // Stats describes one distributed GEMM. It is the execution engine's
 // unified per-dispatch accounting struct (see internal/exec): Waves,

@@ -4,12 +4,13 @@
 // this simulator's own kernels' per-tasklet charges — Algorithm 2's
 // per-k load/multiply/accumulate (§4.3.3), Eq 3.4's DMA transfers — as
 // functions of the launch shape that emit into a Meter. The gemm and
-// ebnn kernels charge exactly what these functions emit (into a tasklet,
-// or into a dpu.CostBlock cached per launch shape) and otherwise only
-// move data; the *Cycles functions evaluate the same functions with a
-// tally and the pipeline law (dpu.PipelineCycles), so a planner can rank
-// candidate mappings without running the simulator (internal/plan) and
-// the prediction equals the simulated per-wave cycles by construction.
+// ebnn kernels charge exactly what these functions emit (into one
+// dpu.CostBlock per tasklet, cached per launch shape in a dpu.CostCache)
+// and otherwise only move data; the *Cycles functions evaluate the same
+// functions with a tally and the pipeline law (dpu.PipelineCycles), so a
+// planner can rank candidate mappings without running the simulator
+// (internal/plan) and the prediction equals the simulated per-wave cycles
+// by construction.
 // The per-operation legacy kernels are the independent derivation these
 // statements are held to; they are test code (legacy_test.go in
 // internal/gemm and internal/ebnn), installed by the cost and
@@ -19,8 +20,8 @@ package model
 import "pimdnn/internal/dpu"
 
 // Meter is the sink a kernel cost function emits into: n operations of
-// one class, or n MRAM<->WRAM transfers of size bytes each. *dpu.Tasklet
-// and *dpu.CostBlock implement it, as does the planner's tally.
+// one class, or n MRAM<->WRAM transfers of size bytes each. The kernels'
+// cost caches emit into a *dpu.CostBlock and the planner into its tally.
 type Meter interface {
 	ChargeBulk(op dpu.Op, n uint64)
 	ChargeDMA(n uint64, size int)
@@ -120,7 +121,7 @@ func GEMMNaiveCost(m Meter, t, tasklets, n, k int) {
 }
 
 // GEMMBatchCost emits what tasklet t charges in one launch of the
-// image-per-DPU kernel (gemm.Runner.kernelBatch): one DPU computing the
+// image-per-DPU kernel (gemm.Runner.batchKernel): one DPU computing the
 // whole rows×n product for its resident B matrix. Work units are
 // (row, tile) pairs claimed round-robin; a tasklet re-stages the A row
 // (DMA, k loads, k APART multiplies) whenever its next unit lands on a

@@ -35,10 +35,18 @@ mkdir "$tmp/probe"
 for pkg in $("$GO" list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) "./${tmp#"$PWD"/}/probe"; do
 	"$GO" build -gcflags=all=-l -o "$tmp/bin" "$pkg"
 	"$GO" tool nm "$tmp/bin"
-done | awk '$3 ~ /^pimdnn\/internal\// { sub(/\.abi0$/, "", $3); print $3 }' | sort -u >"$tmp/reached"
+done | awk '$3 ~ /^pimdnn\/internal\// {
+	# A generic func links once per instantiation shape, e.g.
+	# dpu.(*CostCache[go.shape.int]).Launch (a shape may hold spaces):
+	# dropping the bracketed lists leaves its declared name.
+	sym = $0; sub(/^ *[^ ]+ [^ ]+ /, "", sym); sub(/\.abi0$/, "", sym)
+	while (gsub(/\[[^][]*\]/, "", sym)) {}
+	print sym
+}' | sort -u >"$tmp/reached"
 
 # gofmt'd declarations: `func Name(`, `func (r T) Name(`, `func (r *T) Name(`
-# in package pimdnn/<dir> link as <dir>.Name, <dir>.T.Name, <dir>.(*T).Name.
+# in package pimdnn/<dir> link as <dir>.Name, <dir>.T.Name, <dir>.(*T).Name,
+# type parameter lists (`Name[K comparable]`, `*T[K]`) dropped.
 find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 grep -n '^func ' |
 	awk -v reached="$tmp/reached" -v allow=scripts/reach.allow '
 		BEGIN {
@@ -53,10 +61,12 @@ find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 grep
 			recv = ""
 			if (decl ~ /^\(/) {
 				recv = decl; sub(/\).*/, "", recv); sub(/^\([^ ]* /, "", recv)
+				sub(/\[.*/, "", recv) # type parameters
 				recv = (recv ~ /^\*/) ? "(" recv ")." : recv "."
 				sub(/^\([^)]*\) /, "", decl)
 			}
 			sub(/\(.*/, "", decl)
+			sub(/\[.*/, "", decl)
 			sym = "pimdnn/" pkg "." recv decl
 			if (sym in live) next
 			dead++

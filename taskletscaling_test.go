@@ -12,9 +12,11 @@
 // 1.11×, 1.21×, 1.31× and 1.12×, 1.21×, 1.31×. The bounds sit between
 // the two: headroom for timer noise, none for an O(tasklets) functional
 // cost per launch. The eBNN row holds its block kernel to the same
-// reading: its activation tables are resolved once per launch by tasklet
-// 0 (the float model's, ten softfloat compares per filter, is the
-// costliest), never once per tasklet.
+// reading: tasklet 0 resolves its activation tables (the float model's,
+// ten softfloat compares per filter, is the costliest) and charges the
+// launch from the runner's shape-keyed cost cache, once per launch, never
+// once per tasklet — 8 → 1.01×, 16 → 1.01×, 24 → 1.01× against 1.08×,
+// 1.20×, 1.21× when every tasklet ran model.EBNNCost into itself.
 package pimdnn_test
 
 import (
