@@ -194,14 +194,22 @@ profile-rows:
 
 # And for the serve_closed workload's shape (BenchmarkServeInfer: the
 # tiny=64x32 model on 8 DPUs, -max-batch 2, two clients posting explicit
-# inputs; the clients run in the profiled process too). The last two
-# lines are the cumulative shares of the /v1/infer body decode and of
-# the batched forward passes: `make profile-serve | grep -e '-share '`.
+# inputs; the clients run in the profiled process too). The last four
+# lines are the cumulative shares of the /v1/infer body decode, of the
+# batched forward passes and of request tracing (every sample with a
+# pimdnn/internal/trace function on its stack), then the bytes one
+# request allocates (the benchmark's B/op, clients included; the run's
+# output is kept in bench-serve.out):
+# `make profile-serve | grep -e '-share ' -e '^alloc-per-request'`.
 profile-serve:
-	$(GO) test -run xxx -bench 'BenchmarkServeInfer$$' -benchtime 2000x -cpuprofile cpu.prof -o upmem-serve.test ./cmd/upmem-serve
+	$(GO) test -run xxx -bench 'BenchmarkServeInfer$$' -benchtime 2000x -cpuprofile cpu.prof -o upmem-serve.test ./cmd/upmem-serve > bench-serve.out; \
+		status=$$?; cat bench-serve.out; exit $$status
 	$(GO) tool pprof -top -cum -nodecount=25 upmem-serve.test cpu.prof
 	@$(GO) tool pprof -top -cum upmem-serve.test cpu.prof 2>/dev/null \
 		| awk '/upmem-serve\.decodeInferBody( |$$)/ { print "decode-share upmem-serve.decodeInferBody cum " $$5 } \
 			/yolo\.\(\*Network\)\.ForwardBatch$$/ { print "forward-share yolo.(*Network).ForwardBatch cum " $$5 }'
+	@$(GO) tool pprof -top -focus='^pimdnn/internal/trace\.' -nodefraction=0 -nodecount=0 upmem-serve.test cpu.prof 2>/dev/null \
+		| awk '/^Showing nodes accounting for/ { sub(/,$$/, "", $$6); print "trace-share pimdnn/internal/trace cum " $$6 }'
+	@awk '/^BenchmarkServeInfer/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print "alloc-per-request " $$i " B/op" }' bench-serve.out
 
 ci: vet build test race portable bench-smoke fuzz sim-invariant report-check reach lines

@@ -23,7 +23,7 @@ import (
 // same bytes into the same fields with Input a plain []int16: both
 // accept or both reject, and an accepted body decodes to equal values,
 // a nil input told apart from an empty one. The checked-in corpus
-// (testdata/fuzz/FuzzInferBody) covers the rules inputArray keeps.
+// (testdata/fuzz/FuzzInferBody) covers the rules the input parser keeps.
 func FuzzInferBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, gotErr := decodeInferBody(bytes.NewReader(body))

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,14 +138,6 @@ var latencyBoundsUS = []uint64{
 	100000, 200000, 500000, 1000000, 2000000, 5000000, 10000000,
 }
 
-func batchBounds(maxBatch int) []uint64 {
-	b := make([]uint64, maxBatch)
-	for i := range b {
-		b[i] = uint64(i + 1)
-	}
-	return b
-}
-
 // newServer builds the system, the shared weight cache, one batch-mode
 // runner sized for every model, and a batcher goroutine per model.
 func newServer(cfg serveConfig) (*server, error) {
@@ -216,7 +209,7 @@ func newServer(cfg serveConfig) (*server, error) {
 			m.rejected = cfg.reg.LabeledCounter("pim_serve_rejected_total", "model", spec.name)
 			m.latency = cfg.reg.LabeledHistogram("pim_serve_latency_us", "model", spec.name, latencyBoundsUS)
 			m.queueLat = cfg.reg.LabeledHistogram("pim_serve_queue_wait_us", "model", spec.name, latencyBoundsUS)
-			m.batchSz = cfg.reg.LabeledHistogram("pim_serve_batch_size", "model", spec.name, batchBounds(cfg.maxBatch))
+			m.batchSz = cfg.reg.LabeledHistogram("pim_serve_batch_size", "model", spec.name, metrics.LinearBuckets(1, 1, cfg.maxBatch))
 			m.depth = cfg.reg.LabeledGauge("pim_serve_queue_depth", "model", spec.name)
 		}
 		s.models[spec.name] = m
@@ -310,7 +303,7 @@ func (s *server) runBatch(m *model, batch []*request) {
 	// Stamp each traced request's queue wait retroactively (enqueue to
 	// wave start), then hang the shared execution subtree off the batch
 	// leader: the first traced request's span owns the live exec spans,
-	// and every other traced co-batched request adopts a copy afterwards
+	// and every other traced co-batched request links to them afterwards
 	// so each trace shows the full path to the DPU launches it shared.
 	var leader *trace.Span
 	for _, r := range batch {
@@ -345,7 +338,7 @@ func (s *server) runBatch(m *model, batch []*request) {
 		bsp.End()
 		for _, r := range batch {
 			if r.sp != nil && r.sp != leader {
-				r.sp.AdoptSubtree(bsp)
+				r.sp.Link(bsp)
 			}
 		}
 	}
@@ -377,81 +370,110 @@ func (s *server) runBatch(m *model, batch []*request) {
 // flat channel-major Q10.5 tensor (3*size*size values); otherwise a
 // deterministic synthetic scene is generated from Seed.
 type inferRequest struct {
-	Model string     `json:"model"`
-	Seed  int64      `json:"seed"`
-	Input inputArray `json:"input,omitempty"`
+	Model string  `json:"model"`
+	Seed  int64   `json:"seed"`
+	Input []int16 `json:"input,omitempty"`
 }
 
-// decodeInferBody decodes one /v1/infer body: encoding/json reads the
-// first JSON value and matches its keys, and inputArray decodes "input".
+var inferBufs = sync.Pool{New: func() any { return new(inferBuf) }}
+
+// inferBuf is one decode's pooled storage: the body, and the scratch
+// its input array is parsed into.
+type inferBuf struct {
+	body bytes.Buffer
+	vals []int16
+}
+
+// decodeInferBody decodes a /v1/infer body as encoding/json decodes its
+// first value into an inferRequest. The plain shape clients send, one
+// object of exactly named "model", "seed" and "input" keys, each
+// followed by its colon, with an input of integers, is walked once in
+// place. Any other body (a folded, escaped or unknown key, a null
+// element, an empty object or array, an error) goes whole to
+// encoding/json, so its result and its error are encoding/json's.
 func decodeInferBody(r io.Reader) (inferRequest, error) {
+	p := inferBufs.Get().(*inferBuf)
+	defer inferBufs.Put(p)
+	p.body.Reset()
 	var in inferRequest
-	err := json.NewDecoder(r).Decode(&in)
-	return in, err
+	if _, err := p.body.ReadFrom(r); err != nil {
+		return in, err
+	}
+	if b := p.body.Bytes(); !p.walk(b, &in) {
+		in = inferRequest{}
+		return in, json.NewDecoder(bytes.NewReader(b)).Decode(&in)
+	}
+	return in, nil
 }
 
-// inputArray is an input tensor's values, decoded by its own
-// UnmarshalJSON: encoding/json's reflective []int16 decode, one element
-// at a time, costs the server more CPU than its forward passes.
-type inputArray []int16
-
-var errInput = errors.New("input: want null or an array of integers in [-32768, 32767]")
-
-// UnmarshalJSON decodes data, which the Decoder has checked is one JSON
-// value, under encoding/json's rules for []int16: null is a nil slice
-// and [] an empty one; an element is an integer in range, or null, which
-// leaves the element as it was; anything else is an error. As in
-// encoding/json, a repeated "input" key decodes into the previous
-// value's storage. The slice is sized from the commas, then data is read
-// once, byte by byte.
-func (p *inputArray) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*p = nil
-		return nil
-	}
-	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
-		return errInput
-	}
-	if len(bytes.TrimSpace(data[1:len(data)-1])) == 0 {
-		*p = inputArray{}
-		return nil
-	}
-	// A string, array or object element is rejected at its first byte,
-	// so the commas count the elements, and only valid JSON's number and
-	// null bytes reach an element's end.
-	n, old := bytes.Count(data, []byte{','})+1, *p
-	out := old[:min(n, cap(old))]
-	if n > cap(old) {
-		out = make(inputArray, n)
-		copy(out, old[:cap(old)])
-	}
-	k, v, neg, null := 0, 0, false, false
-	for i := 1; i < len(data); i++ {
-		switch c := data[i]; c {
-		case ' ', '\t', '\n', '\r':
-		case '-':
-			neg = true
-		case 'n', 'u', 'l':
-			null = true
-		case ',', ']':
-			if neg {
-				v = -v
-			}
-			if c == ']' && i != len(data)-1 || !null && v > 32767 {
-				return errInput
-			}
-			if !null {
-				out[k] = int16(v)
-			}
-			k, v, neg, null = k+1, 0, false, false
-		default:
-			if v = v*10 + int(c-'0'); c < '0' || c > '9' || v > 32768 {
-				return errInput
-			}
+// walk decodes b into in and reports whether b has the plain shape.
+func (p *inferBuf) walk(b []byte, in *inferRequest) bool {
+	for i, c := skipSpace(b, 0), byte('{'); i < len(b) && b[i] == c; c = ',' {
+		i = skipSpace(b, i+1)
+		key, _, found := bytes.Cut(b[i:], []byte(`":`)) // a key with an escape matches none
+		if i = skipSpace(b, i+len(key)+2); !found {
+			return false
+		}
+		ok := false
+		switch string(key) {
+		case `"input`:
+			in.Input, i, ok = p.input(b, i)
+		case `"model`:
+			i, ok = value(b, i, &in.Model)
+		case `"seed`:
+			i, ok = value(b, i, &in.Seed)
+		}
+		if i = skipSpace(b, i); !ok || i < len(b) && b[i] == '}' {
+			return ok
 		}
 	}
-	*p = out
-	return nil
+	return false
+}
+
+// value decodes the JSON value at b[i] into v and returns the index
+// after it.
+func value(b []byte, i int, v any) (int, bool) {
+	dec := json.NewDecoder(bytes.NewReader(b[i:]))
+	err := dec.Decode(v)
+	return i + int(dec.InputOffset()), err == nil
+}
+
+// input parses the non-empty array of in-range integers at b[i], as
+// encoding/json decodes it into a []int16, into a slice of its own, and
+// returns the index after it.
+func (p *inferBuf) input(b []byte, i int) ([]int16, int, bool) {
+	vals := p.vals[:0]
+	for c := byte('['); i < len(b) && b[i] == c; c = ',' {
+		i = skipSpace(b, i+1)
+		d, n, neg := i, 0, i < len(b) && b[i] == '-'
+		if neg {
+			d++
+		}
+		for i = d; i < len(b) && b[i]-'0' <= 9 && n <= 32768; i++ {
+			n = n*10 + int(b[i]-'0')
+		}
+		if neg {
+			n = -n
+		}
+		if i == d || b[d] == '0' && i > d+1 || n != int(int16(n)) {
+			return nil, i, false
+		}
+		vals = append(vals, int16(n))
+		if i = skipSpace(b, i); i < len(b) && b[i] == ']' {
+			p.vals = vals
+			return slices.Clone(vals), i + 1, true
+		}
+	}
+	return nil, i, false
+}
+
+// skipSpace returns the index of the first byte from b[i] that is not
+// JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 type detectionJSON struct {
@@ -731,9 +753,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Dumps             []*trace.DumpRecord  `json:"dumps,omitempty"`
 	}{Stats: out}
 	if rec := s.tracer.Recorder(); rec != nil {
-		body.Slowest = rec.Slowest(8)
-		for _, tr := range rec.Traces() {
-			body.SpansDropped += tr.Dropped()
+		all := rec.Slowest(math.MaxInt)
+		body.Slowest = all[:min(8, len(all))]
+		for _, sum := range all {
+			body.SpansDropped += sum.Dropped
 		}
 		body.TracesOverwritten = rec.Overwritten()
 		body.Dumps = rec.Dumps()

@@ -382,7 +382,9 @@ func paddedInfer(n int64) []byte {
 
 // TestInferBodyBounded: the request body is read through a bound sized
 // from the largest configured model's input, so an oversized upload is
-// answered 413 instead of being buffered whole.
+// answered 413 instead of being buffered whole (even when its value ends
+// before the bound), and hostile bodies get the statuses encoding/json's
+// decode gave them.
 func TestInferBodyBounded(t *testing.T) {
 	big := tinySpec("big")
 	big.size = 64
@@ -398,6 +400,23 @@ func TestInferBodyBounded(t *testing.T) {
 		{"well under", paddedInfer(64), http.StatusOK},
 		{"at the bound", paddedInfer(s.maxBody), http.StatusOK},
 		{"one byte over", paddedInfer(s.maxBody + 1), http.StatusRequestEntityTooLarge},
+		{"over, value ends early", []byte(`{"model":"tiny"}` + strings.Repeat(" ", int(s.maxBody))), http.StatusRequestEntityTooLarge},
+		{"truncated object", []byte(`{"model":"tiny","seed":1`), http.StatusBadRequest},
+		{"top-level array", []byte(`[{"model":"tiny"}]`), http.StatusBadRequest},
+		{"top-level string", []byte(`"tiny"`), http.StatusBadRequest},
+		{"top-level null", []byte(`null`), http.StatusNotFound},
+		{"top-level nul", []byte(`nul`), http.StatusBadRequest},
+		{"nested junk", []byte(`{"x":[{"y":[1,-2.5e3,null,"\u00e9"]},{}],"model":"tiny"}`), http.StatusOK},
+		{"broken junk", []byte(`{"x":[{"y":01}],"model":"tiny"}`), http.StatusBadRequest},
+		{"MODEL key", []byte(`{"MODEL":"tiny","seed":1}`), http.StatusOK},
+		{"Input key", []byte(`{"model":"tiny","Input":[1,2,3]}`), http.StatusBadRequest},
+		{"fractional seed", []byte(`{"model":"tiny","seed":1.5}`), http.StatusBadRequest},
+		{"leading zero", []byte(`{"model":"tiny","input":[` + strings.Repeat("0,", 3*32*32-1) + `01]}`), http.StatusBadRequest},
+		{"lone minus", []byte(`{"model":"tiny","input":[` + strings.Repeat("0,", 3*32*32-1) + `-]}`), http.StatusBadRequest},
+		{"trailing comma", []byte(`{"model":"tiny","input":[` + strings.Repeat("0,", 3*32*32-1) + `]}`), http.StatusBadRequest},
+		{"truncated key", []byte(`{"model`), http.StatusBadRequest},
+		{"nesting 10000", []byte(`{"model":"tiny","x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`), http.StatusOK},
+		{"nesting 10001", []byte(`{"model":"tiny","x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`), http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(c.body))
 		if err != nil {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/trace"
+	"pimdnn/internal/yolo"
 )
 
 // TestServeTracingEndToEnd fires concurrent requests at a tracing
@@ -107,6 +110,63 @@ func TestServeTracingEndToEnd(t *testing.T) {
 	if stats.Slowest[0].Model != "tiny" || stats.Slowest[0].Spans < 5 {
 		t.Errorf("slowest summary %+v, want model tiny with a full span tree", stats.Slowest[0])
 	}
+}
+
+// TestServeFollowerTraceOutlivesLeader: a co-batched follower's trace
+// links to the leader's batch_exec subtree, so /v1/trace renders that
+// subtree whole after the leader's trace has left a ring of one, and a
+// dump taken then renders the follower the same after it has left too.
+func TestServeFollowerTraceOutlivesLeader(t *testing.T) {
+	s, ts := newTestServer(t, serveConfig{traceSample: 1, traceRing: 1})
+	m, reqs := s.models["tiny"], make([]*request, 2)
+	for i := range reqs {
+		reqs[i] = &request{input: yolo.SyntheticScene(m.spec.size, int64(i)), enq: time.Now(),
+			done: make(chan response, 1), sp: s.tracer.StartTrace("infer")}
+	}
+	s.runBatch(m, reqs)
+	leader, follower := reqs[0].sp, reqs[1].sp
+	leader.End()
+	follower.End() // evicts the leader
+	want := batchShape(leader.Trace())
+	if got := batchShape(follower.Trace()); s.tracer.Recorder().Find(leader.TraceID()) != nil ||
+		got != want || !strings.Contains(want, ">dpu_kernel") {
+		t.Fatalf("follower's batch_exec subtree, leader evicted\n%s\nleader's\n%s", got, want)
+	}
+	// root + queue_wait + the linked subtree
+	if n := 2 + len(strings.Split(want, "\n")); trace.Summarize(follower.Trace(), time.Now()).Spans != n {
+		t.Errorf("Summarize does not count the %d spans", n)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/trace/%d", ts.URL, follower.TraceID()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	dump := s.tracer.Recorder().Dump("before eviction")
+	if resp, _ := postInfer(t, ts.URL, inferRequest{Model: "tiny", Seed: 9}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var buf bytes.Buffer
+	if err := trace.WritePerfetto(&buf, dump.Traces[0]); err != nil || buf.String() != string(body) ||
+		s.tracer.Recorder().Find(follower.TraceID()) != nil || !strings.Contains(buf.String(), "dpu_kernel") {
+		t.Errorf("the dump renders the evicted follower as\n%s\n/v1/trace rendered\n%s", buf.String(), body)
+	}
+}
+
+// batchShape lists tr's spans under batch_exec (all but the root and
+// queue_wait) as "parent>name[attrs]", sorted, without IDs or times.
+func batchShape(tr *trace.Trace) string {
+	spans, names, out := tr.Spans(), map[trace.SpanID]string{}, []string{}
+	for _, n := range spans {
+		names[n.ID] = n.Name
+	}
+	for _, n := range spans {
+		if n.Name != "infer" && n.Name != "queue_wait" {
+			out = append(out, fmt.Sprint(names[n.Parent], ">", n.Name, n.Attrs))
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
 }
 
 // TestServeStatsRecorderLoss: /v1/stats counts what the flight recorder

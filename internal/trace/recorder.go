@@ -151,12 +151,12 @@ type TraceSummary struct {
 
 // Summarize renders one completed trace's summary. Model, batch size
 // and queue wait are pulled from well-known span names/attrs when
-// present ("model"/"batch_size" on the root, a "queue_wait" span).
+// present ("model"/"batch_size" on the root, a "queue_wait" span) among
+// the trace's own spans; Spans and Dropped count its linked spans too.
 func Summarize(tr *Trace, now time.Time) TraceSummary {
 	s := TraceSummary{ID: tr.ID(), Name: tr.Name(), StartedAgo: now.Sub(tr.Epoch())}
+	_, s.Spans, s.Dropped = tr.resolve(false)
 	tr.mu.Lock()
-	s.Spans = len(tr.nodes)
-	s.Dropped = tr.dropped
 	for i := range tr.nodes {
 		n := &tr.nodes[i]
 		if n.ID == 1 {

@@ -29,8 +29,8 @@ type SpanID uint64
 
 // Attr is one span attribute. Val carries numeric attributes; Str, when
 // non-empty, carries string attributes. A two-field value (no
-// interface{}) keeps SetAttr allocation-free aside from the slice
-// append.
+// interface{}) keeps SetAttr allocation-free up to a span's inline
+// room.
 type Attr struct {
 	Key string `json:"key"`
 	Val int64  `json:"val"`
@@ -59,11 +59,21 @@ type Trace struct {
 	mu       sync.Mutex
 	seq      SpanID
 	nodes    []SpanNode
+	links    []link
 	maxSpans int
 	dropped  int
 	done     bool
 
 	onDone func(*Trace) // tracer -> recorder delivery, set at mint time
+}
+
+// link is another trace's span subtree hung under one of this trace's
+// spans (Span.Link). Holding src keeps it readable for as long as this
+// trace is.
+type link struct {
+	under SpanID
+	src   *Trace
+	root  SpanID
 }
 
 // ID returns the trace's identifier.
@@ -82,22 +92,69 @@ func (tr *Trace) Complete() bool {
 	return tr.done
 }
 
-// Dropped returns how many spans were discarded because the trace hit
-// its per-trace span cap.
-func (tr *Trace) Dropped() int {
+// resolve counts the trace's spans and dropped spans with its links
+// resolved and, when copied is set, returns a copy of them: the finished
+// spans in record order, then each link's subtree in its source's record
+// order, IDs re-minted after the trace's own, the root hung under the
+// linking span, offsets rebased onto this epoch, cut at the span cap the
+// trace's own non-root spans leave (the rest counted as dropped). A
+// link's own links are not followed.
+func (tr *Trace) resolve(copied bool) (out []SpanNode, spans, dropped int) {
 	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.dropped
+	if copied {
+		out = append(out, tr.nodes...)
+	}
+	links, seq, spans, dropped := tr.links, tr.seq, len(tr.nodes), tr.dropped
+	room := tr.maxSpans - spans
+	if tr.done {
+		room++
+	}
+	tr.mu.Unlock()
+	for _, l := range links {
+		l.src.mu.Lock()
+		src := l.src.nodes[:len(l.src.nodes):len(l.src.nodes)] // recorded nodes never change
+		l.src.mu.Unlock()
+		kids := make(map[SpanID][]SpanID, len(src))
+		for _, n := range src {
+			kids[n.Parent] = append(kids[n.Parent], n.ID)
+		}
+		ids := map[SpanID]SpanID{l.root: 0} // the subtree, then its new IDs
+		for q := []SpanID{l.root}; len(q) > 0; q = q[1:] {
+			for _, k := range kids[q[0]] {
+				ids[k], q = 0, append(q, k)
+			}
+		}
+		for _, n := range src {
+			if _, in := ids[n.ID]; in {
+				seq++
+				ids[n.ID] = seq
+			}
+		}
+		shift := l.src.epoch.Sub(tr.epoch)
+		for _, n := range src {
+			switch id, parent := ids[n.ID], ids[n.Parent]; {
+			case id == 0: // outside the subtree
+			case tr.maxSpans > 0 && room <= 0:
+				dropped++
+			default:
+				if room, spans = room-1, spans+1; parent == 0 {
+					parent = l.under
+				}
+				if copied {
+					out = append(out, SpanNode{ID: id, Parent: parent, Name: n.Name,
+						Start: n.Start + shift, End: n.End + shift, Attrs: n.Attrs})
+				}
+			}
+		}
+	}
+	return out, spans, dropped
 }
 
-// Spans returns a copy of the finished spans in stable (Start, ID)
-// order. Span end order is scheduling-dependent when engine goroutines
-// share the trace, so callers get a reproducible sequence.
+// Spans returns a copy of the finished spans, links resolved, in stable
+// (Start, ID) order. Span end order is scheduling-dependent when engine
+// goroutines share the trace, so callers get a reproducible sequence.
 func (tr *Trace) Spans() []SpanNode {
-	tr.mu.Lock()
-	out := make([]SpanNode, len(tr.nodes))
-	copy(out, tr.nodes)
-	tr.mu.Unlock()
+	out, _, _ := tr.resolve(true)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -162,6 +219,7 @@ type Span struct {
 	name   string
 	start  time.Duration
 	attrs  []Attr
+	inline [7]Attr // attrs' first backing: as many as a dpu_kernel span sets
 }
 
 // StartTrace begins a new trace rooted at a span called name. It
@@ -229,19 +287,19 @@ func (sp *Span) StartChildAt(name string, start time.Time) *Span {
 }
 
 // SetAttr attaches a numeric attribute.
-func (sp *Span) SetAttr(key string, val int64) {
-	if sp == nil {
-		return
-	}
-	sp.attrs = append(sp.attrs, Attr{Key: key, Val: val})
-}
+func (sp *Span) SetAttr(key string, val int64) { sp.setAttr(Attr{Key: key, Val: val}) }
 
 // SetAttrStr attaches a string attribute.
-func (sp *Span) SetAttrStr(key, val string) {
+func (sp *Span) SetAttrStr(key, val string) { sp.setAttr(Attr{Key: key, Str: val}) }
+
+func (sp *Span) setAttr(a Attr) {
 	if sp == nil {
 		return
 	}
-	sp.attrs = append(sp.attrs, Attr{Key: key, Str: val})
+	if sp.attrs == nil {
+		sp.attrs = sp.inline[:0]
+	}
+	sp.attrs = append(sp.attrs, a)
 }
 
 // End finishes the span now. Ending the root span completes the trace
@@ -268,74 +326,21 @@ func (sp *Span) EndAt(end time.Time) {
 	})
 }
 
-// AdoptSubtree copies the finished descendants of src (including src's
-// own node, if finished) into sp's trace as children of sp. Co-batched
-// requests use it: the batch leader's trace carries the real exec
-// subtree, and each follower adopts a copy so every request's trace
-// shows the full path to the DPU launches it shared. Offsets are
-// rebased between the two traces' epochs; IDs are re-minted in the
-// destination. Adopting from a nil src or into a nil sp is a no-op.
-func (sp *Span) AdoptSubtree(src *Span) {
+// Link hangs the subtree under src (src's own node included, once
+// finished) beneath sp, without copying it: sp's trace keeps a
+// reference to src's trace, and readers (Spans, WaveSpans, Summarize,
+// the Perfetto export) resolve it. Co-batched requests use it:
+// the batch leader's trace carries the real exec subtree, and each
+// follower links to it, so every request's trace shows the full path to
+// the DPU launches it shared. Linking from a nil src, into a nil sp or
+// within one trace is a no-op.
+func (sp *Span) Link(src *Span) {
 	if sp == nil || src == nil || src.tr == sp.tr {
 		return
 	}
-	// Phase 1: snapshot the source subtree (source lock only).
-	src.tr.mu.Lock()
-	sub := subtreeNodes(src.tr.nodes, src.id)
-	src.tr.mu.Unlock()
-	if len(sub) == 0 {
-		return
-	}
-	shift := src.tr.epoch.Sub(sp.tr.epoch)
-	// Phase 2: remint IDs and append (destination lock only, via the
-	// public record path so the span cap still applies).
-	idMap := make(map[SpanID]SpanID, len(sub))
-	for _, n := range sub {
-		idMap[n.ID] = sp.tr.nextID()
-	}
-	for _, n := range sub {
-		parent, ok := idMap[n.Parent]
-		if !ok {
-			parent = sp.id // subtree root re-parents under sp
-		}
-		attrs := make([]Attr, len(n.Attrs))
-		copy(attrs, n.Attrs)
-		sp.tr.record(SpanNode{
-			ID:     idMap[n.ID],
-			Parent: parent,
-			Name:   n.Name,
-			Start:  n.Start + shift,
-			End:    n.End + shift,
-			Attrs:  attrs,
-		})
-	}
-}
-
-// subtreeNodes returns the nodes reachable from root (inclusive) in
-// nodes, walking parent links. Caller holds the trace mutex.
-func subtreeNodes(nodes []SpanNode, root SpanID) []SpanNode {
-	in := map[SpanID]bool{root: true}
-	// Nodes are appended as spans end (children before parents, mostly),
-	// so iterate until the reachable set stops growing.
-	var out []SpanNode
-	for {
-		grew := false
-		for _, n := range nodes {
-			if !in[n.ID] && in[n.Parent] {
-				in[n.ID] = true
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-	}
-	for _, n := range nodes {
-		if in[n.ID] {
-			out = append(out, n)
-		}
-	}
-	return out
+	sp.tr.mu.Lock()
+	sp.tr.links = append(sp.tr.links, link{under: sp.id, src: src.tr, root: src.id})
+	sp.tr.mu.Unlock()
 }
 
 // TracerConfig configures a Tracer.

@@ -85,7 +85,7 @@ func TestNilSpanSafe(t *testing.T) {
 	sp.StartChildAt("c", time.Now())
 	sp.End()
 	sp.EndAt(time.Now())
-	sp.AdoptSubtree(nil)
+	sp.Link(nil)
 	if sp.TraceID() != 0 || sp.Trace() != nil {
 		t.Error("nil span leaked identity")
 	}
@@ -125,8 +125,8 @@ func TestMaxSpansCap(t *testing.T) {
 	if len(spans) != 9 {
 		t.Errorf("retained %d spans, want 9 (cap 8 + root)", len(spans))
 	}
-	if trc.Dropped() != 12 {
-		t.Errorf("dropped = %d, want 12", trc.Dropped())
+	if d := Summarize(trc, time.Now()).Dropped; d != 12 {
+		t.Errorf("dropped = %d, want 12", d)
 	}
 	if root, ok := trc.Root(); !ok || root.Name != "r" {
 		t.Error("root span evicted by the cap")
@@ -154,60 +154,60 @@ func TestRetroactiveSpans(t *testing.T) {
 	t.Fatal("q.launch span not recorded")
 }
 
-// TestAdoptSubtree: a co-batched follower's trace receives a copy of
-// the leader's exec subtree, re-minted and re-parented, with offsets
-// rebased onto the follower's epoch.
-func TestAdoptSubtree(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+// TestLink: a follower's trace resolves a link to the leader's exec
+// subtree as a copy re-minted after its own IDs, re-parented under the
+// linking span, rebased onto its epoch and held to its span cap.
+func TestLink(t *testing.T) {
+	tr := NewTracer(TracerConfig{MaxSpans: 5})
 	leader := tr.StartTrace("leader")
 	follower := tr.StartTrace("follower")
-
+	follower.StartChild("admission").End()
 	batch := leader.StartChild("batch_exec")
-	launch := batch.StartChild("launch")
-	launch.SetAttr("wave", 1)
-	launch.End()
+	for w := int64(0); w < 3; w++ {
+		launch := batch.StartChild("launch")
+		launch.SetAttr("wave", w)
+		launch.End()
+	}
 	batch.End()
-
-	follower.AdoptSubtree(batch)
+	follower.Link(batch)
+	leader.Link(batch) // within one trace: a no-op
 	follower.End()
 	leader.End()
 
 	spans := follower.Trace().Spans()
-	if len(spans) != 3 { // root + adopted batch_exec + adopted launch
-		t.Fatalf("follower has %d spans, want 3: %+v", len(spans), spans)
+	if s := Summarize(follower.Trace(), time.Now()); len(spans) != 6 || s.Spans != 6 || s.Dropped != 0 {
+		t.Fatalf("follower has %d spans (summary %+v), want 6: %+v", len(spans), s, spans)
 	}
-	byName := map[string]SpanNode{}
+	be, _ := findSpan(follower.Trace(), "batch_exec")
+	if be.Parent != 1 || be.ID <= 2 {
+		t.Errorf("linked batch_exec %+v, want parent 1 and an ID after the follower's own 2", be)
+	}
+	w := int64(0)
 	for _, n := range spans {
-		byName[n.Name] = n
-	}
-	if byName["batch_exec"].Parent != 1 {
-		t.Errorf("adopted batch_exec parent %d, want follower root 1", byName["batch_exec"].Parent)
-	}
-	if byName["launch"].Parent != byName["batch_exec"].ID {
-		t.Errorf("adopted launch parent %d, want %d", byName["launch"].Parent, byName["batch_exec"].ID)
-	}
-	var wave int64
-	for _, a := range byName["launch"].Attrs {
-		if a.Key == "wave" {
-			wave = a.Val
+		if n.Name == "launch" {
+			if n.Parent != be.ID || n.Attrs[0] != (Attr{Key: "wave", Val: w}) {
+				t.Errorf("linked span %+v, want a launch under %d with wave %d", n, be.ID, w)
+			}
+			w++
 		}
 	}
-	if wave != 1 {
-		t.Error("adopted span lost its attributes")
+	// The linked window lands at the same wall-clock instant in both.
+	lbe, _ := findSpan(leader.Trace(), "batch_exec")
+	if d := follower.Trace().Epoch().Add(be.Start).Sub(leader.Trace().Epoch().Add(lbe.Start)); d != 0 {
+		t.Errorf("linked span start shifted by %v across epochs", d)
 	}
-	// Epoch rebasing: the adopted window must land at the same absolute
-	// wall-clock instant in both traces.
-	leaderNode, _ := findSpan(leader.Trace(), "launch")
-	wantAbs := leader.Trace().Epoch().Add(leaderNode.Start)
-	gotAbs := follower.Trace().Epoch().Add(byName["launch"].Start)
-	if d := gotAbs.Sub(wantAbs); d < -time.Microsecond || d > time.Microsecond {
-		t.Errorf("adopted span start shifted by %v across epochs", d)
+	if got := len(leader.Trace().Spans()); got != 5 {
+		t.Errorf("same-trace link changed the leader: %d spans, want 5", got)
 	}
-	// Adoption into the same trace is a no-op (no duplicate subtree).
-	before := len(leader.Trace().Spans())
-	leader.AdoptSubtree(batch)
-	if got := len(leader.Trace().Spans()); got != before {
-		t.Errorf("same-trace adopt duplicated spans: %d -> %d", before, got)
+	// Two spans of its own leave room for three linked ones under the
+	// cap; the fourth counts as dropped.
+	f2 := tr.StartTrace("f2")
+	f2.StartChild("a").End()
+	f2.StartChild("b").End()
+	f2.Link(batch)
+	f2.End()
+	if s := Summarize(f2.Trace(), time.Now()); s.Spans != 6 || s.Dropped != 1 {
+		t.Errorf("capped follower summary %+v, want 6 spans and 1 dropped", s)
 	}
 }
 
@@ -222,7 +222,7 @@ func findSpan(tr *Trace, name string) (SpanNode, bool) {
 
 // TestConcurrentSpanHammer exercises the documented concurrency
 // contract under -race: many goroutines create children of a shared
-// parent, attach attrs to their own spans, end them, and adopt
+// parent, attach attrs to their own spans, end them, and link
 // subtrees across traces, while readers export and summarize.
 func TestConcurrentSpanHammer(t *testing.T) {
 	tr := NewTracer(TracerConfig{Ring: 8})
@@ -270,7 +270,7 @@ func TestConcurrentSpanHammer(t *testing.T) {
 				}
 				inner.Wait()
 				if prev != nil {
-					root.AdoptSubtree(prev)
+					root.Link(prev)
 				}
 				prev = root.StartChild("batch")
 				prev.End()

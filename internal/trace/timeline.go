@@ -32,18 +32,18 @@ type WaveSpan struct {
 	End   time.Duration `json:"end_ns"`
 }
 
-// WaveSpans returns the trace's wave timeline: the finished spans that
-// carry the engine's "wave" attribute — its phase spans, not the
-// per-DPU kernels ("dpu_kernel") — in
-// stable (Start, Wave, Name) order. Span end order is scheduling-
-// dependent when several engines share the trace, so callers comparing
-// or rendering timelines get a reproducible sequence. Retention is the
-// trace's: spans past its MaxSpans cap are counted by Dropped.
+// WaveSpans returns the trace's wave timeline: the finished spans, links
+// resolved, that carry the engine's "wave" attribute — its phase spans,
+// not the per-DPU kernels ("dpu_kernel") — in stable (Start, Wave, Name)
+// order. Span end order is scheduling-dependent when several engines
+// share the trace, so callers comparing or rendering timelines get a
+// reproducible sequence. Retention is the trace's: spans past its
+// MaxSpans cap are counted in Summarize's Dropped.
 func (tr *Trace) WaveSpans() []WaveSpan {
 	var out []WaveSpan
-	tr.mu.Lock()
-	for i := range tr.nodes {
-		n := &tr.nodes[i]
+	nodes, _, _ := tr.resolve(true)
+	for i := range nodes {
+		n := &nodes[i]
 		s := WaveSpan{Name: n.Name, Start: n.Start, End: n.End}
 		isWave := false
 		for _, a := range n.Attrs {
@@ -58,7 +58,6 @@ func (tr *Trace) WaveSpans() []WaveSpan {
 			out = append(out, s)
 		}
 	}
-	tr.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
