@@ -52,12 +52,19 @@ func (d *DPU) CopyToMRAMRaw(off int64, data []byte) error {
 // back to back at off, counted in the DPU's telemetry as one
 // CopyFromMRAMInto of all of them would be.
 func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	err := d.ForEachMRAMRowRuns(off, int64(rowBytes), rowBytes, rows, fn)
-	if err == nil && d.met != nil {
-		d.met.MRAMBytes.Add(uint64(rows * rowBytes))
-		d.met.MRAMAccesses.Inc()
-	}
-	return err
+	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, false, fn))
+}
+
+// WriteMRAMRows is ReadMRAMRows' mirror, a host write of the rows
+// produced in place: fn fills each run of them that lies in one page,
+// row first+r at block[r*blockStride] (blockStride is rowBytes), block
+// aliasing the page after ownPage made it this DPU's own; a row that
+// crosses a page boundary is filled in a small internal buffer, then
+// written. fn must write every byte of its rows, must not retain block
+// and must not call a DPU method (the lock is held). It is counted in
+// the DPU's telemetry as one CopyToMRAM of all the rows.
+func (d *DPU) WriteMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
+	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, true, fn))
 }
 
 // ForEachMRAMRowRuns walks rows rows of rowBytes bytes spaced stride
@@ -72,6 +79,12 @@ func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count i
 // not write block or retain it, and must not call other DPU methods (the
 // lock is held).
 func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
+	return d.rowRuns(off, stride, rowBytes, rows, false, fn)
+}
+
+// rowRuns is the walk behind ForEachMRAMRowRuns and WriteMRAMRows, the
+// latter when write is set.
+func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func(first, count int, block []byte, blockStride int)) error {
 	if rowBytes <= 0 || rows < 0 {
 		return fmt.Errorf("dpu: strided MRAM walk: bad row size %d / count %d", rowBytes, rows)
 	}
@@ -90,34 +103,39 @@ func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(
 	if cap(d.rowScratch) < rowBytes {
 		d.rowScratch = make([]byte, rowBytes)
 	}
+	buf := d.rowScratch[:rowBytes]
 	for i := 0; i < rows; {
 		ro := off + int64(i)*stride
-		page := ro / mramPageSize
-		po := ro % mramPageSize
-		if po+int64(rowBytes) <= mramPageSize {
-			// How many consecutive rows stay fully inside this page?
-			count := rows - i
-			if stride > 0 {
-				if fit := int((mramPageSize-po-int64(rowBytes))/stride) + 1; fit < count {
-					count = fit
-				}
-			}
-			if p := d.mramPages[page]; p != nil {
-				fn(i, count, p.data[po:], int(stride))
+		page, po := ro/mramPageSize, int(ro%mramPageSize)
+		if po+rowBytes > mramPageSize {
+			// Page-boundary-crossing row: stage it alone.
+			if write {
+				fn(i, 1, buf, rowBytes)
+				d.mramWrite(ro, buf)
 			} else {
-				// Untouched page: every row reads as zero.
-				zero := d.rowScratch[:rowBytes]
-				clear(zero)
-				fn(i, count, zero, 0)
+				d.mramRead(ro, buf)
+				fn(i, 1, buf, 0)
 			}
-			i += count
+			i++
 			continue
 		}
-		// Page-boundary-crossing row: stage it alone.
-		buf := d.rowScratch[:rowBytes]
-		d.mramRead(ro, buf)
-		fn(i, 1, buf, 0)
-		i++
+		// How many consecutive rows stay fully inside this page?
+		count := rows - i
+		if stride > 0 {
+			count = min(count, (mramPageSize-po-rowBytes)/int(stride)+1)
+		}
+		switch p := d.mramPages[page]; {
+		case write:
+			n := (count-1)*int(stride) + rowBytes
+			fn(i, count, d.ownPage(page, po, n).data[po:po+n], int(stride))
+		case p == nil:
+			// Untouched page: every row reads as zero.
+			clear(buf)
+			fn(i, count, buf, 0)
+		default:
+			fn(i, count, p.data[po:], int(stride))
+		}
+		i += count
 	}
 	d.mu.Unlock()
 	return nil

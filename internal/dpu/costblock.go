@@ -127,17 +127,11 @@ func (b *CostBlock) ChargeDMA(n uint64, size int) { b.AddDMA(n, size) }
 // time: cycle totals, operation counts, subroutine occurrences and DMA
 // accounting are identical to charging every operation individually.
 func (t *Tasklet) ChargeBlock(b *CostBlock) {
-	t.chargeCycles(b)
-	t.chargeMix(b)
-}
-
-// chargeCycles adds the block's issue slots and DMA traffic to the
-// tasklet's meters — what a launch reports per tasklet.
-func (t *Tasklet) chargeCycles(b *CostBlock) {
 	t.slots += b.lv[t.dpu.cfg.Opt].slots
 	t.dma += b.dmaCyc
 	t.dmaBytes += b.dmaBytes
 	t.dmaOps += b.dmaOps
+	t.chargeMix(b)
 }
 
 // chargeMix adds the block's operation counts and subroutine records —
@@ -211,18 +205,15 @@ func (c *CostCache[K]) Launch(key K, tasklets int) *LaunchCost {
 	return &next[len(next)-1].LaunchCost
 }
 
-// ChargeLaunch charges a whole launch from one tasklet: tasklet i's cycle
-// meters get the launch's block i, and the operation counts and
-// subroutine records of all of them land once, on the caller. The
-// statistics are those of every tasklet calling ChargeBlock on its own
-// block, for one walk of the op list instead of one per tasklet. The
-// launch ends with the caller: with every tasklet's part charged, the
-// tasklets after it are not run (a block kernel's other tasklets have
-// nothing to do).
+// ChargeLaunch charges a whole launch from one tasklet, with the
+// statistics of every tasklet i calling ChargeBlock on block i: the
+// operation counts and subroutine records of all of them land once, on
+// the caller, and lc is recorded for the launch's merge, which adds
+// block i to tasklet i's cycles from the shared blocks without touching
+// the tasklets. It must be the launch's last charge: the launch ends
+// with the caller (a block kernel's other tasklets have nothing to do,
+// so they are not run), and the caller's own meters never show lc.
 func (t *Tasklet) ChargeLaunch(lc *LaunchCost) {
-	for i, u := range t.dpu.scratch.ptrs[:t.count] {
-		u.chargeCycles(&lc.blocks[i])
-	}
 	t.chargeMix(&lc.sum)
-	t.dpu.scratch.charged = true
+	t.dpu.scratch.launch = lc
 }

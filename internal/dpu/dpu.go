@@ -168,9 +168,8 @@ type DPU struct {
 // launchScratch is the reusable tasklet storage of one DPU. breakdown
 // backs Stats.PerTasklet (see its aliasing note).
 type launchScratch struct {
-	charged   bool // set by Tasklet.ChargeLaunch: the rest of the launch is not run
+	launch    *LaunchCost // set by Tasklet.ChargeLaunch: the rest of the launch is not run
 	tasklets  [MaxTasklets]Tasklet
-	ptrs      [MaxTasklets]*Tasklet
 	breakdown [MaxTasklets]TaskletBreakdown
 }
 
@@ -186,8 +185,8 @@ func New(cfg Config) (*DPU, error) {
 		symbols:   make(map[string]Symbol),
 		prof:      trace.NewProfile(),
 	}
-	for i := range d.scratch.ptrs {
-		d.scratch.ptrs[i] = &d.scratch.tasklets[i]
+	for i := range d.scratch.tasklets {
+		d.scratch.tasklets[i].dpu, d.scratch.tasklets[i].id = d, i
 	}
 	return d, nil
 }
@@ -387,50 +386,47 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 	}
 	d.mu.Unlock()
 
-	// Tasklet structs are not reset by struct literal: their meters and
-	// the opCounts array (the bulk of the struct) are kept zero between
-	// launches — cleared in the merge below on success, and explicitly on
-	// the error path — so a launch neither memclrs ~n×250 bytes nor walks
-	// its tasklets an extra time.
-	tasklets := d.scratch.ptrs[:n]
-	for i, t := range tasklets {
-		t.dpu, t.id, t.count = d, i, n
-	}
-	if err := d.runTasklets(tasklets, kernel); err != nil {
-		for _, t2 := range tasklets {
-			clear(t2.opCounts[:])
-			t2.nTouched = 0
-			t2.slots, t2.dma, t2.dmaBytes, t2.dmaOps, t2.pcSlots, t2.pcDMA = 0, 0, 0, 0, 0, 0
+	// A tasklet's meters and the opCounts array (the bulk of the struct)
+	// are kept zero between launches: cleared in the merge below on
+	// success, and on the error path, for the tasklets that ran only —
+	// a block kernel runs one of them, and the others stay cold.
+	ran, err := d.runTasklets(n, kernel)
+	tasklets := d.scratch.tasklets[:ran]
+	if err != nil {
+		for i := range tasklets {
+			tasklets[i].reset()
 		}
 		*out = Stats{}
 		return err
 	}
 
-	var (
-		sumSlots uint64
-		sumDMA   uint64
-		mix      OpMix
-		dmaBytes uint64
-		dmaOps   uint64
-	)
-	breakdown := d.scratch.breakdown[:len(tasklets)]
-	for i, t := range tasklets {
+	var mix OpMix
+	var sumSlots, sumDMA, dmaBytes, dmaOps uint64
+	breakdown := d.scratch.breakdown[:n]
+	for i := range tasklets {
+		t := &tasklets[i]
+		// Only the op classes this tasklet charged, not all of opCounts.
+		for _, op := range t.touched[:t.nTouched] {
+			mix[op] += t.opCounts[op]
+		}
 		sumSlots += t.slots
 		sumDMA += t.dma
-		// Merge only the op classes this tasklet actually charged
-		// (tracked first-touch in t.touched) instead of scanning the
-		// full opCounts array — at high tasklet counts the full scan
-		// dominated per-launch host overhead.
-		for j := 0; j < int(t.nTouched); j++ {
-			op := t.touched[j]
-			mix[op] += t.opCounts[op]
-			t.opCounts[op] = 0
-		}
-		t.nTouched = 0
 		dmaBytes += t.dmaBytes
 		dmaOps += t.dmaOps
 		breakdown[i] = TaskletBreakdown{IssueSlots: t.slots, DMACycles: t.dma}
-		t.slots, t.dma, t.dmaBytes, t.dmaOps, t.pcSlots, t.pcDMA = 0, 0, 0, 0, 0, 0
+		t.reset()
+	}
+	clear(breakdown[ran:])
+	// A ChargeLaunch adds block i to tasklet i, and their sum to the totals.
+	if lc := d.scratch.launch; lc != nil {
+		for i := range breakdown {
+			breakdown[i].IssueSlots += lc.blocks[i].lv[d.cfg.Opt].slots
+			breakdown[i].DMACycles += lc.blocks[i].dmaCyc
+		}
+		sumSlots += lc.sum.lv[d.cfg.Opt].slots
+		sumDMA += lc.sum.dmaCyc
+		dmaBytes += lc.sum.dmaBytes
+		dmaOps += lc.sum.dmaOps
 	}
 	cycles := PipelineCycles(breakdown)
 
@@ -465,31 +461,32 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 }
 
 // runTasklets executes the launch's tasklets in ID order, up to the
-// one that charges the whole launch (Tasklet.ChargeLaunch), converting
-// memory traps (panics of type trapError raised by out-of-bounds or
-// misaligned accesses) into errors, the way a hardware fault would abort
-// the DPU program. One recover scope covers the whole launch — a trap
-// aborts the remaining tasklets anyway, so the per-tasklet defer the
-// previous shape paid on every iteration bought nothing.
-func (d *DPU) runTasklets(tasklets []*Tasklet, kernel KernelFunc) (err error) {
-	cur := 0
+// one that charges the whole launch (Tasklet.ChargeLaunch), and returns
+// how many ran (the one that failed included), converting memory traps
+// (panics of type trapError raised by out-of-bounds or misaligned
+// accesses) into errors, the way a hardware fault would abort the DPU
+// program. One recover scope covers the whole launch: a trap aborts the
+// remaining tasklets anyway.
+func (d *DPU) runTasklets(n int, kernel KernelFunc) (ran int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if te, ok := r.(trapError); ok {
-				err = fmt.Errorf("dpu: tasklet %d: memory fault: %s", cur, string(te))
+				err = fmt.Errorf("dpu: tasklet %d: memory fault: %s", ran-1, string(te))
 				return
 			}
 			panic(r)
 		}
 	}()
-	d.scratch.charged = false
-	for i := 0; i < len(tasklets) && !d.scratch.charged; i++ {
-		cur = i
-		if e := kernel(tasklets[i]); e != nil {
-			return fmt.Errorf("dpu: tasklet %d: %w", i, e)
+	d.scratch.launch = nil
+	for ran < n && d.scratch.launch == nil {
+		t := &d.scratch.tasklets[ran]
+		t.count = n
+		ran++
+		if e := kernel(t); e != nil {
+			return ran, fmt.Errorf("dpu: tasklet %d: %w", ran-1, e)
 		}
 	}
-	return nil
+	return ran, nil
 }
 
 // --- host-side memory access (no DPU cycles charged) ---
@@ -498,17 +495,7 @@ func (d *DPU) runTasklets(tasklets []*Tasklet, kernel KernelFunc) (err error) {
 // the 8-byte alignment and size granularity (§3.2); violations are
 // errors, matching the SDK behaviour that forces callers to pad.
 func (d *DPU) CopyToMRAM(off int64, data []byte) error {
-	if err := d.checkDMAArgs(off, len(data)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.mramWrite(off, data)
-	if d.met != nil {
-		d.met.MRAMBytes.Add(uint64(len(data)))
-		d.met.MRAMAccesses.Inc()
-	}
-	return nil
+	return d.meterHost(len(data), d.CopyToMRAMRaw(off, data))
 }
 
 // CopyFromMRAM reads n bytes from MRAM at off.
@@ -524,17 +511,17 @@ func (d *DPU) CopyFromMRAM(off int64, n int) ([]byte, error) {
 // letting callers reuse a buffer across transfers instead of allocating
 // per read.
 func (d *DPU) CopyFromMRAMInto(off int64, dst []byte) error {
-	if err := d.checkDMAArgs(off, len(dst)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.mramRead(off, dst)
-	if d.met != nil {
-		d.met.MRAMBytes.Add(uint64(len(dst)))
+	return d.meterHost(len(dst), d.CopyFromMRAMRawInto(off, dst))
+}
+
+// meterHost counts a host MRAM transfer of n bytes in the DPU's
+// telemetry, unless err failed it, and returns err.
+func (d *DPU) meterHost(n int, err error) error {
+	if err == nil && d.met != nil {
+		d.met.MRAMBytes.Add(uint64(n))
 		d.met.MRAMAccesses.Inc()
 	}
-	return nil
+	return err
 }
 
 // CopyToWRAM writes a host-visible WRAM variable.

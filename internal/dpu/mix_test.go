@@ -114,10 +114,14 @@ func unevenCost(b *CostBlock, key, i, tasklets int) {
 	b.AddDMA(n, 64).AddDMA(1, 2048)
 }
 
-// TestChargeLaunchEquivalence: tasklet 0 charging the whole launch is
+// TestChargeLaunchEquivalence: a launch charged once by ChargeLaunch is
 // indistinguishable, in every launch statistic and in the subroutine
 // profile, from each tasklet charging its own block — the invariant the
-// block kernels' one-charge-per-launch accounting rests on.
+// block kernels' one-charge-per-launch accounting rests on. The charge
+// comes from tasklet 0; from tasklet 2, after tasklets 0 and 1 charged
+// ops of their own; and from tasklet 0 after a launch that ran every
+// tasklet and one that trapped in tasklet 1 after tasklet 0 charged
+// (both DPUs run the two first).
 func TestChargeLaunchEquivalence(t *testing.T) {
 	const tasklets = 11
 	blocks := make([]CostBlock, tasklets)
@@ -125,32 +129,61 @@ func TestChargeLaunchEquivalence(t *testing.T) {
 		unevenCost(&blocks[i], 1, i, tasklets)
 	}
 	lc := NewCostCache(unevenCost).Launch(1, tasklets)
-	for _, opt := range []OptLevel{O0, O1, O2, O3} {
-		each := MustNew(DefaultConfig(opt))
-		want, err := each.Launch(tasklets, func(tk *Tasklet) error {
-			tk.ChargeBlock(&blocks[tk.ID()])
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	each := func(tk *Tasklet) error { tk.ChargeBlock(&blocks[tk.ID()]); return nil }
+	once := func(tk *Tasklet) error { tk.ChargeLaunch(lc); return nil }
+	// own charges ops of tasklets 0 and 1's own, then runs k on tasklet
+	// 2 and up, or on all of them.
+	own := func(k KernelFunc, all bool) KernelFunc {
+		return func(tk *Tasklet) error {
+			if tk.ID() < 2 {
+				tk.ChargeBulk(OpFMul, uint64(3+tk.ID()))
+				tk.ChargeDMA(2, 64)
+				if !all {
+					return nil
+				}
+			}
+			return k(tk)
 		}
-		once := MustNew(DefaultConfig(opt))
-		got, err := once.Launch(tasklets, func(tk *Tasklet) error {
-			tk.ChargeLaunch(lc)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	}
+	trap := func(tk *Tasklet) error {
+		if tk.ID() == 1 {
+			tk.Load8(-1)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: launch statistics differ:\nChargeLaunch: %+v\nChargeBlock:  %+v", opt, got, want)
-		}
-		if g, w := once.Profile().Snapshot(), each.Profile().Snapshot(); !reflect.DeepEqual(g, w) {
-			t.Errorf("%v: profiles differ:\nChargeLaunch: %v\nChargeBlock:  %v", opt, g, w)
-		}
-		for _, name := range each.Profile().Subroutines() {
-			if g, w := once.Profile().Cycles(name), each.Profile().Cycles(name); g != w {
-				t.Errorf("%v: %s: %d profile cycles, want %d", opt, name, g, w)
+		return nil
+	}
+	for _, c := range []struct {
+		name      string
+		pre       []KernelFunc
+		want, got KernelFunc
+	}{
+		{"tasklet 0", nil, each, once},
+		{"tasklet 2 after own ops", nil, own(each, true), own(once, false)},
+		{"after a trapped launch", []KernelFunc{each, own(trap, true)}, each, once},
+	} {
+		for _, opt := range []OptLevel{O0, O1, O2, O3} {
+			launch := func(k KernelFunc) (*DPU, Stats) {
+				d := MustNew(DefaultConfig(opt))
+				for _, p := range c.pre {
+					d.Launch(tasklets, p) // the trapping one fails
+				}
+				st, err := d.Launch(tasklets, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, st
+			}
+			dw, want := launch(c.want)
+			dg, got := launch(c.got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %v: launch statistics differ:\nChargeLaunch: %+v\nChargeBlock:  %+v", c.name, opt, got, want)
+			}
+			if g, w := dg.Profile().Snapshot(), dw.Profile().Snapshot(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s, %v: profiles differ:\nChargeLaunch: %v\nChargeBlock:  %v", c.name, opt, g, w)
+			}
+			for _, name := range dw.Profile().Subroutines() {
+				if g, w := dg.Profile().Cycles(name), dw.Profile().Cycles(name); g != w {
+					t.Errorf("%s, %v: %s: %d profile cycles, want %d", c.name, opt, name, g, w)
+				}
 			}
 		}
 	}

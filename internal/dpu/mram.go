@@ -56,27 +56,33 @@ func pageSpan(off int64, n int) (page int64, po, count int) {
 
 // mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu.
 
-// mramWrite is the per-DPU write: an untouched page materializes, a page
-// shared with other DPUs goes private (the bytes the write does not cover
-// copied over) before it is written.
+// mramWrite is the per-DPU write, one ownPage per page it touches.
 func (d *DPU) mramWrite(off int64, data []byte) {
 	for len(data) > 0 {
 		page, po, n := pageSpan(off, len(data))
-		p := d.mramPages[page]
-		if p == nil || p.refs.Load() > 1 {
-			q := newPage(p == nil && n < mramPageSize)
-			if p != nil {
-				copy(q.data[:po], p.data)
-				copy(q.data[po+n:], p.data[po+n:])
-				p.release()
-			}
-			d.mramPages[page] = q
-			p = q
-		}
-		copy(p.data[po:], data[:n])
+		copy(d.ownPage(page, po, n).data[po:], data[:n])
 		data = data[n:]
 		off += int64(n)
 	}
+}
+
+// ownPage returns page, about to have its bytes [po, po+n) overwritten,
+// as this DPU's own: an untouched page materializes, a page shared with
+// other DPUs goes private (the bytes the write does not cover copied
+// over). The bytes [po, po+n) are unspecified.
+func (d *DPU) ownPage(page int64, po, n int) *mramPage {
+	p := d.mramPages[page]
+	if p == nil || p.refs.Load() > 1 {
+		q := newPage(p == nil && n < mramPageSize)
+		if p != nil {
+			copy(q.data[:po], p.data)
+			copy(q.data[po+n:], p.data[po+n:])
+			p.release()
+		}
+		d.mramPages[page] = q
+		p = q
+	}
+	return p
 }
 
 func (d *DPU) mramRead(off int64, dst []byte) {

@@ -146,14 +146,7 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				copy(m.bytes[i][off:], data)
-			case op < 8:
-				what = "CopyToMRAMRaw"
-				i := rng.Intn(diffDPUs)
-				if err := m.dpus[i].CopyToMRAMRaw(off, data); err != nil {
-					t.Fatal(err)
-				}
-				copy(m.bytes[i][off:], data)
-			case op < 9:
+			case op < 7:
 				what = "CopyFromMRAMInto"
 				i := rng.Intn(diffDPUs)
 				if err := m.dpus[i].CopyFromMRAMInto(off, data); err != nil {
@@ -163,20 +156,32 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 					t.Fatalf("seed %d step %d: DPU %d read [%d, %d) differs from the model", seed, step, i, off, off+int64(n))
 				}
 			default:
+				// A row walk: a read at a random stride, or a write of the
+				// payload's rows back to back.
 				what = "ForEachMRAMRowRuns"
 				i := rng.Intn(diffDPUs)
 				rowBytes := 8 * (1 + rng.Intn(96))
 				stride := int64(rowBytes + 8*rng.Intn(64))
 				rows := 1 + rng.Intn(int((diffMRAM-off-int64(rowBytes))/stride)+1)
+				walk, write := m.dpus[i].ForEachMRAMRowRuns, op > 7
+				if write {
+					what, rowBytes = "WriteMRAMRows", min(n, rowBytes)
+					stride, rows = int64(rowBytes), n/rowBytes
+					walk = func(off, _ int64, rowBytes, rows int, fn func(int, int, []byte, int)) error {
+						return m.dpus[i].WriteMRAMRows(off, rowBytes, rows, fn)
+					}
+				}
 				next := 0
-				err := m.dpus[i].ForEachMRAMRowRuns(off, stride, rowBytes, rows, func(first, count int, block []byte, blockStride int) {
+				err := walk(off, stride, rowBytes, rows, func(first, count int, block []byte, blockStride int) {
 					if first != next {
 						t.Fatalf("seed %d step %d: run starts at row %d, want %d", seed, step, first, next)
 					}
 					next += count
 					for r := 0; r < count; r++ {
-						at := off + int64(first+r)*stride
-						if !bytes.Equal(block[r*blockStride:r*blockStride+rowBytes], m.bytes[i][at:at+int64(rowBytes)]) {
+						at, row := off+int64(first+r)*stride, block[r*blockStride:r*blockStride+rowBytes]
+						if write {
+							copy(row, data[(first+r)*rowBytes:])
+						} else if !bytes.Equal(row, m.bytes[i][at:at+int64(rowBytes)]) {
 							t.Fatalf("seed %d step %d: DPU %d row %d (at %d, page offset %d) differs from the model",
 								seed, step, i, first+r, at, at%mramPageSize)
 						}
@@ -187,6 +192,9 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 				}
 				if next != rows {
 					t.Fatalf("seed %d step %d: runs covered %d of %d rows", seed, step, next, rows)
+				}
+				if write {
+					copy(m.bytes[i][off:], data[:rows*rowBytes])
 				}
 			}
 			m.check(step, what)

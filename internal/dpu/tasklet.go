@@ -44,6 +44,16 @@ type Tasklet struct {
 	pcDMA   uint64
 }
 
+// reset zeroes the tasklet's meters, which are kept zero between
+// launches.
+func (t *Tasklet) reset() {
+	for _, op := range t.touched[:t.nTouched] {
+		t.opCounts[op] = 0
+	}
+	t.nTouched = 0
+	t.slots, t.dma, t.dmaBytes, t.dmaOps, t.pcSlots, t.pcDMA = 0, 0, 0, 0, 0, 0
+}
+
 // ID returns the tasklet index within the launch (0-based).
 func (t *Tasklet) ID() int { return t.id }
 

@@ -58,8 +58,8 @@ type Stats struct {
 // Stream names one per-shard transfer stream: Bufs[i] is DPU i's buffer.
 // A wave's primary scatter stream and its gather stream move Bufs[:n],
 // one equal-length buffer per wave shard, inside the fused wave; a
-// workset's later scatter streams (and a StreamSet's) are pushed on
-// their own and cover every DPU of the system (matching dpu_push_xfer).
+// workset's later scatter streams are pushed on their own and cover
+// every DPU of the system (matching dpu_push_xfer).
 // A stream starts at its symbol's base, and a re-dispatch pushes the
 // shard's own buffer of every input stream to the retry target. No
 // stream is weight-resident: the only resident payload is a Broadcast.

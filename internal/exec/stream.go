@@ -5,10 +5,12 @@ import (
 	"pimdnn/internal/host"
 )
 
-// StreamSet describes a single-wave dispatch whose per-shard outputs
-// are too large to stage all at once (the gemm image-per-DPU batch: each
-// DPU computes a full M×N product). The engine broadcasts Pre, scatters
-// the per-shard inputs, broadcasts Post, launches one wave over all
+// StreamSet describes a single-wave dispatch whose per-shard inputs and
+// outputs are too large to stage all at once (the gemm image-per-DPU
+// batch: each DPU holds one image's B and computes a full M×N product).
+// The engine broadcasts Pre, has Fill write every shard's input in place
+// into its DPU's MRAM in one rank-charged scatter
+// (host.System.ScatterRows), broadcasts Post, launches one wave over all
 // shards, then delivers every intact shard's output in place from its
 // DPU's MRAM in one rank-charged gather (host.System.GatherRows). Only
 // then are the failed shards re-run on survivors, one at a time, so a
@@ -22,25 +24,26 @@ type StreamSet struct {
 	// Pre payloads are broadcast before the scatter (the weight
 	// matrix); Post payloads after it (the parameter block).
 	Pre, Post []Broadcast
-	// Scatter is the per-shard input streams, full-system width (DPUs
-	// beyond Shards receive padding, matching dpu_push_xfer).
-	Scatter []Stream
-	// OutRef names each shard's output at the MRAM symbol's base:
-	// OutRows rows of OutRowBytes bytes (a multiple of 8), back to back.
-	OutRef      host.SymbolRef
-	OutRows     int
-	OutRowBytes int
-	// Ins returns shard i's input transfers for a re-dispatch onto
-	// another DPU. The returned slice is read immediately.
-	Ins func(i int) []Xfer
-	// Deliver consumes shard i's rows [first, first+count), row first+r
-	// at block[r*blockStride] (every row at block[0:] when blockStride is
-	// 0). A shard's runs cover rows [0, OutRows) in order, once per
-	// dispatch, never overlapping in time; distinct shards' runs may be
-	// concurrent, so Deliver may touch only per-shard state. It must not
-	// write or retain block, and it runs under the DPU's lock, so it
-	// must not call a DPU or System method.
-	Deliver func(i, first, count int, block []byte, blockStride int)
+	// InRef and OutRef name each shard's input and output at their MRAM
+	// symbols' bases: InRows rows of InRowBytes bytes and OutRows rows of
+	// OutRowBytes (multiples of 8), back to back. The scatter covers every
+	// DPU of the system; DPUs beyond Shards get zero rows, as
+	// dpu_push_xfer pads them.
+	InRef, OutRef        host.SymbolRef
+	InRows, InRowBytes   int
+	OutRows, OutRowBytes int
+	// Fill writes every byte of shard i's input rows [first,
+	// first+count) and Deliver consumes its output rows: row first+r at
+	// block[r*blockStride] (every row at block[0:] when a Deliver's
+	// blockStride is 0). A shard's runs cover its rows in order, never
+	// overlapping in time: Fill's once in the scatter (not at all on a
+	// DPU whose transfer failed) and again, as one run into a buffer
+	// made on the first failure, per re-dispatch; Deliver's once per
+	// dispatch. Distinct shards' runs may be concurrent, so both may
+	// touch only per-shard state, and both run under the DPU's lock, so
+	// neither may call a DPU or System method. Neither may retain block,
+	// nor Deliver write it.
+	Fill, Deliver func(i, first, count int, block []byte, blockStride int)
 }
 
 // RunStream dispatches ss as one wave whose gather delivers each
@@ -67,10 +70,8 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 	// Down DPUs hold stale Pre payloads: their shards are re-dispatched
 	// even when no operation reports an error for them.
 	failed := e.seedFailed(ss.Shards)
-	for _, s := range ss.Scatter {
-		if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, 0, s.Bufs)); err != nil {
-			return err
-		}
+	if err := e.mergeFailed(failed, e.sys.ScatterRows(ss.InRef, ss.InRows, ss.InRowBytes, ss.Shards, ss.Fill)); err != nil {
+		return err
 	}
 	for _, b := range ss.Post {
 		if err := e.Broadcast(b); err != nil {
@@ -100,21 +101,23 @@ func (e *Engine) runStream(ss *StreamSet, st *Stats) error {
 
 // gatherStream delivers every shard not yet failed in one GatherRows
 // call, folds its faults into failed, then re-runs the failed shards one
-// at a time, delivering each as one run from one retry buffer.
+// at a time, each filled as one run into one input buffer and delivered
+// as one run from one output buffer, both made on the first failure.
 func (e *Engine) gatherStream(ss *StreamSet, failed []bool, st *Stats) error {
 	gerr := e.sys.GatherRows(ss.OutRef, ss.OutRows, ss.OutRowBytes, failed, ss.Deliver)
 	if err := e.mergeFailed(failed, gerr); err != nil {
 		return err
 	}
-	var raw []byte
+	var in, raw []byte
 	for i, f := range failed {
 		if !f {
 			continue
 		}
 		if raw == nil {
-			raw = make([]byte, ss.OutRows*ss.OutRowBytes)
+			in, raw = make([]byte, ss.InRows*ss.InRowBytes), make([]byte, ss.OutRows*ss.OutRowBytes)
 		}
-		if err := e.redispatch(i, ss.Ins(i), Xfer{Ref: ss.OutRef, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
+		ss.Fill(i, 0, ss.InRows, in, ss.InRowBytes)
+		if err := e.redispatch(i, []Xfer{{Ref: ss.InRef, Data: in}}, Xfer{Ref: ss.OutRef, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
 			return err
 		}
 		ss.Deliver(i, 0, ss.OutRows, raw, ss.OutRowBytes)

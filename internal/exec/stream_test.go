@@ -104,10 +104,7 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		sys: sys, crossRow: crossRow, out: make([][]byte, nd),
 		next: make([]int, nd), delivered: make([]int, nd), whole: make([]int, nd), staged: make([]int, nd), bad: make([]string, nd),
 	}
-	in := make([][]byte, nd)
-	for i := range in {
-		in[i] = make([]byte, 8)
-		binary.LittleEndian.PutUint32(in[i], uint32(1000+17*i))
+	for i := range ts.out {
 		ts.out[i] = make([]byte, toyOutBytes)
 	}
 	word := func(v uint32) []byte {
@@ -116,18 +113,20 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		return b
 	}
 	ts.ss = exec.StreamSet{
-		Shards:      nd,
-		Tasklets:    2,
-		Kernel:      kern,
-		Pre:         []exec.Broadcast{{Ref: refs["ts_mul"], Data: word(toyMul)}},
-		Scatter:     []exec.Stream{{Ref: refs["ts_in"], Bufs: in}},
-		Post:        []exec.Broadcast{{Ref: refs["ts_add"], Data: word(toyAdd)}},
+		Shards:     nd,
+		Tasklets:   2,
+		Kernel:     kern,
+		Pre:        []exec.Broadcast{{Ref: refs["ts_mul"], Data: word(toyMul)}},
+		Post:       []exec.Broadcast{{Ref: refs["ts_add"], Data: word(toyAdd)}},
+		InRef:      refs["ts_in"],
+		InRows:     1,
+		InRowBytes: 8,
+		Fill: func(i, _, _ int, block []byte, _ int) {
+			binary.LittleEndian.PutUint64(block, uint64(1000+17*i))
+		},
 		OutRef:      refs["ts_out"],
 		OutRows:     toyRows,
 		OutRowBytes: toyRowBytes,
-		Ins: func(i int) []exec.Xfer {
-			return []exec.Xfer{{Ref: refs["ts_in"], Data: in[i]}}
-		},
 		Deliver: func(i, first, count int, block []byte, blockStride int) {
 			if first != ts.next[i] || count < 1 || first+count > toyRows {
 				ts.bad[i] = fmt.Sprintf("run [%d, %d) after row %d", first, first+count, ts.next[i])

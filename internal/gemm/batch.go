@@ -123,24 +123,25 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 			return Stats{}, fmt.Errorf("gemm: B[%d] has %d elements, want %d", i, len(b), k*n)
 		}
 	}
-	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i int, dst []byte, stride int) {
-		packRows(dst, stride*2, bs[i], k, n)
+	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i, first, count int, block []byte, blockStride int) {
+		packRows(block, blockStride, bs[i][first*n:], count, n)
 	}, func(int) []int16 { return make([]int16, m*n) }, each)
 }
 
 // MultiplyBatchFill is MultiplyBatchEach with the B operands produced in
-// place instead of passed in: fill(i, dst, stride) writes image i's K×N
-// matrix straight into the scatter staging buffer, as little-endian
-// int16 with row kk starting at byte kk*stride*2 (stride >= n elements;
-// the runner zeroes the padding columns). A producer that computes B —
-// the YOLO batch path's im2col — thereby skips the intermediate K×N
-// int16 matrix per image. Image i's product is decoded into c(i) (m·n
-// elements) row run by row run as the gather reads it, and handed to
-// each after its last row; fill, c and each run once per image,
-// concurrently for distinct images, in no order. c and each run under
-// the DPU's lock (exec.StreamSet.Deliver), so they must not call a DPU
-// or System method.
-func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i int, dst []byte, stride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
+// place instead of passed in: fill(i, first, count, block, blockStride)
+// writes rows [first, first+count) of image i's K×N matrix straight into
+// its DPU's MRAM, as little-endian int16, row first+r at byte
+// r*blockStride (>= 2n; the runner then zeroes the padding columns), so
+// a producer such as the YOLO batch path's im2col writes B once. fill
+// covers an image's rows in order, page run by page run, and again in
+// one run if the image is re-dispatched. Image i's product is decoded
+// into c(i) (m·n elements) run by run as the gather reads it, and handed
+// to each after its last row. fill, c and each run concurrently for
+// distinct images, in no order, under the DPU's lock
+// (exec.StreamSet.Fill and Deliver), so they must not call a DPU or
+// System method.
+func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i, first, count int, block []byte, blockStride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
 	var st Stats
 	if r.maxM == 0 {
 		return st, fmt.Errorf("gemm: batch mode not enabled (call EnableBatch)")
@@ -179,33 +180,6 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	aBytes := r.aFullStage
 	packRows(aBytes, aRowBytes, a, m, k)
 
-	// Scatter each image's B matrix, row-stride padded. The staging
-	// buffers persist on the runner across calls.
-	stride := pad4(n)
-	imgBytes := k * stride * 2
-	nd := r.sys.NumDPUs()
-	if len(r.batchBufs) != nd {
-		r.batchBufs = make([][]byte, nd)
-	}
-	r.batchStage = growBytes(r.batchStage, images*imgBytes)
-	r.emptyB = growBytes(r.emptyB, imgBytes)
-	for bb := range r.emptyB {
-		r.emptyB[bb] = 0
-	}
-	bufs := r.batchBufs
-	for i := range bufs {
-		if i < images {
-			bufs[i] = r.batchStage[i*imgBytes : (i+1)*imgBytes]
-		} else {
-			bufs[i] = r.emptyB
-		}
-	}
-	r.sys.ParallelFor(images, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fill(i, bufs[i], stride)
-			clearPadding(bufs[i], k, n, stride)
-		}
-	})
 	// An armed SetWeightLayer makes the whole weight matrix resident:
 	// the broadcast below is skipped for every DPU whose arena copy is
 	// current, and the kernel stages A rows from the arena slot.
@@ -241,26 +215,31 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	}
 
 	// Dispatch through the execution engine's streamed single-wave path:
-	// A broadcast → image scatter → params broadcast → launch → one
-	// gather whose runs of C rows are decoded in place on the worker
-	// pool, with retry-and-remap owned by the engine (internal/exec).
+	// A broadcast → image scatter, each B filled row-stride padded in
+	// place in MRAM → params broadcast → launch → one gather whose runs
+	// of C rows are decoded in place, both on the worker pool, with
+	// retry-and-remap owned by the engine (internal/exec).
+	stride := pad4(n)
 	if cap(r.batchC) < images {
 		r.batchC = make([][]int16, images)
 	}
 	cs := r.batchC[:images]
 	ss := exec.StreamSet{
-		Shards:      images,
-		Tasklets:    tasklets,
-		Kernel:      r.batchKernel,
-		Pre:         []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},
-		Scatter:     []exec.Stream{{Ref: r.refB, Bufs: bufs}},
-		Post:        []exec.Broadcast{{Ref: r.refParams, Data: r.paramsBuf[:]}},
+		Shards:     images,
+		Tasklets:   tasklets,
+		Kernel:     r.batchKernel,
+		Pre:        []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},
+		Post:       []exec.Broadcast{{Ref: r.refParams, Data: r.paramsBuf[:]}},
+		InRef:      r.refB,
+		InRows:     k,
+		InRowBytes: stride * 2,
+		Fill: func(i, first, count int, block []byte, blockStride int) {
+			fill(i, first, count, block, blockStride)
+			clearPadding(block, count, n, stride)
+		},
 		OutRef:      r.refCFull,
 		OutRows:     m,
 		OutRowBytes: stride * 2,
-		Ins: func(i int) []exec.Xfer {
-			return []exec.Xfer{{Ref: r.refB, Data: bufs[i]}}
-		},
 		Deliver: func(i, first, count int, block []byte, blockStride int) {
 			if first == 0 {
 				cs[i] = c(i)

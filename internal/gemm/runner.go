@@ -133,9 +133,6 @@ type Runner struct {
 	aFullOff, cFullOff, aCacheOff int64
 	refAFull, refCFull            host.SymbolRef
 	aFullStage                    []byte
-	batchStage                    []byte   // flat backing for batchBufs
-	batchBufs                     [][]byte // per-DPU B scatter views
-	emptyB                        []byte
 	batchC                        [][]int16 // per-image C, held across its runs
 
 	// Weight residency (EnableResidency): wmodel is this runner's

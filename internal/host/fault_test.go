@@ -37,13 +37,13 @@ var matrixModes = []struct {
 }
 
 // TestTransferFaultMatrix: each transfer op (copy_to broadcast,
-// push_xfer scatter, gather, gather_rows, single-DPU copy) under an
-// injected transfer fault, under a dead DPU and with the zero plan armed
-// on every DPU, in both serial and sharded modes. Every surviving DPU
-// completes, the FaultReport names exactly the armed DPU (the zero plan
-// fails none), and the transfer clock is charged for exactly the DPUs
-// that moved bytes. gather_rows also runs with one healthy DPU skipped,
-// which is neither visited, charged nor reported.
+// push_xfer scatter, gather, gather_rows, scatter_rows, single-DPU copy)
+// under an injected transfer fault, under a dead DPU and with the zero
+// plan armed on every DPU, in both serial and sharded modes. Every
+// surviving DPU completes, the FaultReport names exactly the armed DPU
+// (the zero plan fails none), and the transfer clock is charged for
+// exactly the DPUs that moved bytes. gather_rows also runs with one
+// healthy DPU skipped, which is neither visited, charged nor reported.
 func TestTransferFaultMatrix(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -142,9 +142,42 @@ func TestTransferFaultMatrix(t *testing.T) {
 					}
 				}
 
-				// The rows gather visits each DPU's runs in order; they
-				// must reassemble its scatter payload.
+				// The rows scatter fills each DPU's rows in place, and
+				// zeroes them on the last DPU, beyond its width; the rows
+				// gather reads them back. A DPU whose transfer fails keeps
+				// its MRAM byte for byte and never sees fill; its shard,
+				// filled again into one buffer and pushed to a survivor,
+				// lands the fault-free bytes.
 				const rowBytes = 8
+				shard := func(i int) []byte { return bytes.Repeat([]byte{byte(0x80 + i)}, perDPU) }
+				fill := func(i, first, count int, block []byte, blockStride int) {
+					for r := range count {
+						copy(block[r*blockStride:r*blockStride+rowBytes], shard(i)[(first+r)*rowBytes:])
+					}
+				}
+				mram := func(i int) []byte { b, _ := s.DPU(i).CopyFromMRAM(ref.off, perDPU); return b }
+				kept, filled := mram(bad), make([]int, mode.n)
+				before = s.TransferStats()
+				checkReport(s.ScatterRows(ref, perDPU/rowBytes, rowBytes, mode.n-1, func(i, first, count int, block []byte, blockStride int) {
+					filled[i] += count
+					fill(i, first, count, block, blockStride)
+				}), "scatter_rows")
+				checkCharge("scatter_rows", before, nOK)
+				for i, rows := range filled {
+					want := perDPU / rowBytes
+					if i == mode.n-1 || i == bad && !kind.zero {
+						want = 0
+					}
+					if rows != want {
+						t.Errorf("scatter_rows DPU %d: %d rows filled, want %d", i, rows, want)
+					}
+				}
+				if got := mram(bad); !kind.zero && !bytes.Equal(got, kept) {
+					t.Errorf("scatter_rows wrote failed DPU %d: % x, was % x", bad, got, kept)
+				}
+
+				// The rows gather visits each DPU's runs in order; they
+				// must reassemble what the rows scatter wrote.
 				gatherRows := func(skip []bool) ([][]byte, error) {
 					got := make([][]byte, mode.n)
 					next := make([]int, mode.n)
@@ -171,14 +204,22 @@ func TestTransferFaultMatrix(t *testing.T) {
 					checkReport(err, "gather_rows")
 					checkCharge("gather_rows", before, nRead)
 					for i := range got {
-						want := bufs[i]
-						if skip[i] || (i == bad && !kind.zero) {
+						want := shard(i)
+						switch {
+						case skip[i] || (i == bad && !kind.zero):
 							want = nil
+						case i == mode.n-1:
+							want = make([]byte, perDPU)
 						}
 						if !bytes.Equal(got[i], want) {
 							t.Errorf("gather_rows skipping %d, DPU %d: got % x, want % x", skipped, i, got[i], want)
 						}
 					}
+				}
+				retry := make([]byte, perDPU)
+				fill(bad, 0, perDPU/rowBytes, retry, rowBytes)
+				if err := s.CopyToDPURef(0, ref, 0, retry); err != nil || !bytes.Equal(mram(0), shard(bad)) {
+					t.Errorf("scatter_rows re-dispatch of shard %d: %v, % x", bad, err, mram(0))
 				}
 
 				// Single-DPU copy: charged only on success.

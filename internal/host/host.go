@@ -291,8 +291,8 @@ func (s *System) copyFromOneInto(i int, ref SymbolRef, offset int64, dst []byte)
 // ParallelFor runs fn over [0, n) in contiguous, rank-aligned ranges on
 // the system's worker pool and returns when every range has finished —
 // the fan-out the sharded transfers and launches use, for host-side
-// per-DPU work that sits between them (staging a shard's input,
-// decoding its output). Below the sharding threshold, and
+// per-image work that sits between them (the host layers of a batch
+// forward). Below the sharding threshold, and
 // on a single worker, it is the plain call fn(0, n) on the caller's
 // goroutine. fn must be safe for concurrent invocation on disjoint
 // ranges. It may use the pool itself — a nested ParallelFor, single-DPU
@@ -351,6 +351,19 @@ func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []by
 // prescribes.
 func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) error {
 	_, err := s.calls.do("push_xfer", Wave{DPUs: len(s.dpus), Scatter: ref, In: buffers, off: offset}, phScattered)
+	return err
+}
+
+// ScatterRows is GatherRows' mirror, a PushXferRef whose buffers are
+// produced in place: on each of the first n DPUs, fill gets the page
+// runs of rows rows of rowBytes bytes at the base of the MRAM symbol ref
+// as dpu.WriteMRAMRows passes them, like visit in GatherRows, and must
+// write every byte of them; the other DPUs get zero rows, as
+// dpu_push_xfer pads them. A DPU whose transfer fails keeps its MRAM and
+// never sees fill. It is charged and reported like PushXferRef, and
+// validated like GatherRows.
+func (s *System) ScatterRows(ref SymbolRef, rows, rowBytes, n int, fill func(i, first, count int, block []byte, blockStride int)) error {
+	_, err := s.calls.do("scatter_rows", Wave{DPUs: len(s.dpus), Scatter: ref, rows: rows, rowBytes: rowBytes, filled: n, fill: fill}, phScattered)
 	return err
 }
 

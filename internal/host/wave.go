@@ -45,10 +45,13 @@ type Wave struct {
 	bcast []byte
 
 	// visit, when set, makes the gather GatherRows' in-place walk of
-	// rows rows of rowBytes on each DPU skip leaves in, instead of Out.
-	visit          func(i, first, count int, block []byte, blockStride int)
+	// rows rows of rowBytes on each DPU skip leaves in, instead of Out;
+	// fill makes the scatter ScatterRows' in-place write of them on the
+	// first filled DPUs (zero rows on the rest), instead of In.
+	visit, fill    func(i, first, count int, block []byte, blockStride int)
 	rows, rowBytes int
 	skip           []bool
+	filled         int
 }
 
 // RunWave runs one fused wave. It is best-effort per DPU: a DPU that
@@ -129,12 +132,14 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 	switch {
 	case w.bcast != nil:
 		inLen, err = len(w.bcast), checkRef(w.Scatter, w.off, len(w.bcast))
+	case w.fill != nil:
+		inLen, err = rowsLen(op, w.Scatter, w.rows, w.rowBytes)
 	case r.scatter:
 		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
 	}
 	if r.gather && err == nil {
 		if w.visit != nil {
-			outLen, err = rowsLen(op, w)
+			outLen, err = rowsLen(op, w.Gather, w.rows, w.rowBytes)
 		} else {
 			outLen, err = phaseLen(op, w.Gather, w.off, w.Out, n)
 		}
@@ -212,13 +217,14 @@ func phaseLen(op string, ref SymbolRef, off int64, bufs [][]byte, n int) (int, e
 	return l, checkRef(ref, off, l)
 }
 
-// rowsLen validates a GatherRows request and returns its per-DPU length.
-func rowsLen(op string, w Wave) (int, error) {
-	if w.Gather.kind == dpu.SymbolWRAM || w.rows < 1 || w.rowBytes < 1 || w.rowBytes%dpu.DMAAlignment != 0 {
-		return 0, fmt.Errorf("host: %s of %d rows of %d bytes from %q, want an MRAM symbol and positive, %d-byte aligned rows",
-			op, w.rows, w.rowBytes, w.Gather.name, dpu.DMAAlignment)
+// rowsLen validates a GatherRows or ScatterRows request and returns its
+// per-DPU length.
+func rowsLen(op string, ref SymbolRef, rows, rowBytes int) (int, error) {
+	if ref.kind == dpu.SymbolWRAM || rows < 1 || rowBytes < 1 || rowBytes%dpu.DMAAlignment != 0 {
+		return 0, fmt.Errorf("host: %s of %d rows of %d bytes at %q, want an MRAM symbol and positive, %d-byte aligned rows",
+			op, rows, rowBytes, ref.name, dpu.DMAAlignment)
 	}
-	return w.rows * w.rowBytes, checkRef(w.Gather, 0, w.rows*w.rowBytes)
+	return rows * rowBytes, checkRef(ref, 0, rows*rowBytes)
 }
 
 // reset sizes the per-DPU scratch to n entries and clears it.
@@ -242,11 +248,22 @@ func (r *phaseRunner) loop(lo, hi int) {
 		var p uint8
 		var err error
 		if scatter {
-			src := w.bcast
-			if src == nil {
-				src = w.In[i]
+			if w.fill == nil {
+				src := w.bcast
+				if src == nil {
+					src = w.In[i]
+				}
+				err = s.copyToOne(i, w.Scatter, w.off, src)
+			} else if err = s.dpus[i].TransferFault(); err == nil {
+				err = s.dpus[i].WriteMRAMRows(w.Scatter.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
+					if i < w.filled {
+						w.fill(i, first, count, block, blockStride)
+					} else {
+						clear(block)
+					}
+				})
 			}
-			if err = s.copyToOne(i, w.Scatter, w.off, src); err == nil {
+			if err == nil {
 				p |= phScattered
 			}
 		}

@@ -226,9 +226,9 @@ func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm
 	if batch {
 		return n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
 			return r.MultiplyBatchFill(g.m, g.cols, g.k, 1, a, len(inputs),
-				func(i int, dst []byte, stride int) {
+				func(i, first, count int, block []byte, blockStride int) {
 					in := n.act(ar, inputs, i, src)
-					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad)
+					tensor.Im2ColBytes(block, blockStride/2, &in, g.size, g.stride, g.pad, first, count)
 				},
 				func(i int) []int16 { return n.act(ar, inputs, i, li).Data },
 				func(_ int, c []int16) { biasAct(c, g.m, g.cols, n.Weights[li].Bias, n.Defs[li].Act) })
@@ -246,7 +246,7 @@ func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm
 		} else {
 			err = n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
 				return r.MultiplyFill(g.m, g.cols, g.k, 1, a, c, func(dst []byte, stride int) {
-					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad)
+					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad, 0, g.k)
 				})
 			})
 		}

@@ -88,7 +88,7 @@ func Im2ColInto(buf []int16, in *Tensor, size, stride, pad int) (b []int16, k, n
 	} else {
 		b = buf[:k*n]
 	}
-	im2col(b, n, in, size, stride, pad)
+	im2col(b, n, in, size, stride, pad, 0, k)
 	return b, k, n
 }
 
@@ -124,17 +124,18 @@ func UnpackLE(dst []int16, s []byte) {
 	copy(bytesOf(dst), s[:2*len(dst)])
 }
 
-// Im2ColBytes writes the im2col matrix into dst as little-endian int16
-// with row r starting at element r*rowStride (rowStride >= N), leaving
-// columns N..rowStride alone: a caller that transfers the matrix lowers
-// straight into its staging buffer.
-func Im2ColBytes(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
+// Im2ColBytes writes rows [first, first+count) of the im2col matrix
+// into dst as little-endian int16, row first+r starting at element
+// r*rowStride (rowStride >= N), leaving columns N..rowStride alone: a
+// caller that transfers the matrix lowers straight into its staging
+// buffer, or a run of rows straight into MRAM.
+func Im2ColBytes(dst []byte, rowStride int, in *Tensor, size, stride, pad, first, count int) {
 	p := unsafe.SliceData(dst)
 	if !littleEndian || uintptr(unsafe.Pointer(p))%2 != 0 { // an odd address holds no int16
-		im2colBytesLoop(dst, rowStride, in, size, stride, pad)
+		im2colBytesLoop(dst, rowStride, in, size, stride, pad, first, count)
 		return
 	}
-	im2col(unsafe.Slice((*int16)(unsafe.Pointer(p)), len(dst)/2), rowStride, in, size, stride, pad)
+	im2col(unsafe.Slice((*int16)(unsafe.Pointer(p)), len(dst)/2), rowStride, in, size, stride, pad, first, count)
 }
 
 // bytesOf views v's memory as bytes.
@@ -168,59 +169,60 @@ func unpackLE(dst []int16, s []byte) {
 }
 
 // im2colBytesLoop is Im2ColBytes through the int16 matrix and packLE.
-func im2colBytesLoop(dst []byte, rowStride int, in *Tensor, size, stride, pad int) {
-	b, k, n := Im2ColInto(nil, in, size, stride, pad)
-	for r := 0; r < k; r++ {
-		packLE(dst[2*r*rowStride:], b[r*n:(r+1)*n])
+func im2colBytesLoop(dst []byte, rowStride int, in *Tensor, size, stride, pad, first, count int) {
+	b, _, n := Im2ColInto(nil, in, size, stride, pad)
+	for r := 0; r < count; r++ {
+		packLE(dst[2*r*rowStride:], b[(first+r)*n:(first+r+1)*n])
 	}
 }
 
 // im2col is the one lowering loop behind Im2ColInto and Im2ColBytes,
-// writing row r of the matrix at dst[r*rowStride:] and leaving columns
-// N..rowStride alone. Each kernel tap (c, dy, dx) is one matrix row,
-// written an output row (outW columns) at a time: the taps that fall
-// inside the image are the columns [lo, hi), a strided run of one source
-// row, and the rest are zeros.
-func im2col(dst []int16, rowStride int, in *Tensor, size, stride, pad int) {
+// writing rows [first, first+count) of the matrix, row first+r at
+// dst[r*rowStride:], and leaving columns N..rowStride alone. Each kernel
+// tap (c, dy, dx) is one matrix row, written an output row (outW
+// columns) at a time: the taps that fall inside the image are the
+// columns [lo, hi), a strided run of one source row, and the rest are
+// zeros.
+func im2col(dst []int16, rowStride int, in *Tensor, size, stride, pad, first, count int) {
 	outH := ConvOut(in.H, size, stride, pad)
 	outW := ConvOut(in.W, size, stride, pad)
-	row := 0
-	for c := 0; c < in.C; c++ {
-		for dy := 0; dy < size; dy++ {
-			for dx := 0; dx < size; dx++ {
-				// Column ox reads source pixel ox*stride+base.
-				base := dx - pad
-				lo := 0
-				if base < 0 {
-					lo = (-base + stride - 1) / stride
+	c, dy, dx := first/(size*size), first/size%size, first%size
+	for r := 0; r < count; r++ {
+		// Column ox reads source pixel ox*stride+base.
+		base := dx - pad
+		lo := 0
+		if base < 0 {
+			lo = (-base + stride - 1) / stride
+		}
+		hi := max(lo, min((in.W-base+stride-1)/stride, outW))
+		for oy := 0; oy < outH; oy++ {
+			iy := oy*stride + dy - pad
+			off := r*rowStride + oy*outW
+			d := dst[off : off+outW]
+			if iy < 0 || iy >= in.H {
+				clear(d)
+				continue
+			}
+			src := in.Data[(c*in.H+iy)*in.W : (c*in.H+iy+1)*in.W]
+			// The edges are a tap or two wide: plain loops beat a clear
+			// call here.
+			for i := 0; i < lo; i++ {
+				d[i] = 0
+			}
+			if stride == 1 {
+				copy(d[lo:hi], src[lo+base:])
+			} else {
+				for ox := lo; ox < hi; ox++ {
+					d[ox] = src[ox*stride+base]
 				}
-				hi := max(lo, min((in.W-base+stride-1)/stride, outW))
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride + dy - pad
-					off := row*rowStride + oy*outW
-					d := dst[off : off+outW]
-					if iy < 0 || iy >= in.H {
-						clear(d)
-						continue
-					}
-					src := in.Data[(c*in.H+iy)*in.W : (c*in.H+iy+1)*in.W]
-					// The edges are a tap or two wide: plain loops beat a
-					// clear call here.
-					for i := 0; i < lo; i++ {
-						d[i] = 0
-					}
-					if stride == 1 {
-						copy(d[lo:hi], src[lo+base:])
-					} else {
-						for ox := lo; ox < hi; ox++ {
-							d[ox] = src[ox*stride+base]
-						}
-					}
-					for i := hi; i < outW; i++ {
-						d[i] = 0
-					}
-				}
-				row++
+			}
+			for i := hi; i < outW; i++ {
+				d[i] = 0
+			}
+		}
+		if dx++; dx == size {
+			if dx, dy = 0, dy+1; dy == size {
+				dy, c = 0, c+1
 			}
 		}
 	}

@@ -113,7 +113,7 @@ func TestIm2ColForms(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = int16(i*37%1001 - 500)
 	}
-	staged := map[string]func([]byte, int, *Tensor, int, int, int){
+	staged := map[string]func([]byte, int, *Tensor, int, int, int, int, int){
 		"native": Im2ColBytes, "loops": im2colBytesLoop,
 	}
 	for _, c := range []struct{ size, stride, pad int }{
@@ -152,22 +152,26 @@ func TestIm2ColForms(t *testing.T) {
 		rowStride := n + 3
 		for name, fn := range staged {
 			for _, skew := range []int{0, 1} {
-				dst := make([]byte, k*rowStride*2+skew)
-				for i := range dst {
-					dst[i] = 0xEE
-				}
-				dst = dst[skew:]
-				fn(dst, rowStride, in, c.size, c.stride, c.pad)
-				for r := 0; r < k; r++ {
-					for j := 0; j < rowStride; j++ {
-						at := (r*rowStride + j) * 2
-						got := int16(uint16(dst[at]) | uint16(dst[at+1])<<8)
-						if j >= n {
-							if dst[at] != 0xEE || dst[at+1] != 0xEE {
-								t.Fatalf("%+v %s skew %d: padding column (%d,%d) overwritten", c, name, skew, r, j)
+				// The whole matrix, and row ranges at either end.
+				for _, rg := range [][2]int{{0, k}, {k / 2, k - k/2}, {0, 1}} {
+					first, count := rg[0], rg[1]
+					dst := make([]byte, count*rowStride*2+skew)
+					for i := range dst {
+						dst[i] = 0xEE
+					}
+					dst = dst[skew:]
+					fn(dst, rowStride, in, c.size, c.stride, c.pad, first, count)
+					for r := first; r < first+count; r++ {
+						for j := 0; j < rowStride; j++ {
+							at := ((r-first)*rowStride + j) * 2
+							got := int16(uint16(dst[at]) | uint16(dst[at+1])<<8)
+							if j >= n {
+								if dst[at] != 0xEE || dst[at+1] != 0xEE {
+									t.Fatalf("%+v %s skew %d: padding column (%d,%d) overwritten", c, name, skew, r, j)
+								}
+							} else if got != want[r*n+j] {
+								t.Fatalf("%+v %s skew %d: staged element (%d,%d) = %d, want %d", c, name, skew, r, j, got, want[r*n+j])
 							}
-						} else if got != want[r*n+j] {
-							t.Fatalf("%+v %s skew %d: staged element (%d,%d) = %d, want %d", c, name, skew, r, j, got, want[r*n+j])
 						}
 					}
 				}
