@@ -109,18 +109,20 @@ bench:
 # Non-test Go lines (and assembly: *.s is code) per package and in total,
 # bench/ excluded, then the test lines (*_test.go, bench/ excluded; the
 # ROADMAP gate is test lines <= non-test lines), the number of func
-# Test*/Fuzz* in those files and the number of tracked files: run it at
-# the parent commit and at the change to report a PR's net deltas.
-# Report-only.
+# Test*/Fuzz* in those files, the test budget margin (non-test lines -
+# test lines: the gate holds while it is >= 0) and the number of tracked
+# files: run it at the parent commit and at the change to report a PR's
+# net deltas. Report-only.
+CODE_FILES = find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0
 lines:
-	@find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 wc -l \
+	@$(CODE_FILES) | xargs -0 wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
 		| sort -k2
-	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
-		| xargs -0 cat | awk '/^func (Test|Fuzz)/ { f++ } \
-			END { printf "%7d test lines\n%7d test functions\n", NR, f }'
+	@code=$$($(CODE_FILES) | xargs -0 cat | wc -l); \
+	find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | awk -v code=$$code '/^func (Test|Fuzz)/ { f++ } \
+			END { printf "%7d test lines\n%7d test functions\n%7d test budget margin\n", NR, f, code - NR }'
 	@git ls-files 2>/dev/null | wc -l | awk '{ printf "%7d tracked files\n", $$1 }'
 
 # Every top-level func in a non-test file under internal/ that no main

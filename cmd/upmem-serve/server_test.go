@@ -270,16 +270,17 @@ func TestServeMultiModel(t *testing.T) {
 }
 
 // TestServePlannedMultiTenant is the auto-mapper's serving smoke test:
-// two models co-resident on one planned (-plan) server answer
+// three models co-resident on one planned (-plan) server answer
 // interleaved requests, and every detection matches what the
 // fixed-tasklets server produces for the same seed — the planner moves
-// latency, never results.
+// latency, never results. The 96x16 model's planned runner fills WRAM
+// up to what its launches' stacks leave.
 func TestServePlannedMultiTenant(t *testing.T) {
-	specs := []modelSpec{tinySpec("a"), tinySpec("b")}
+	specs := []modelSpec{tinySpec("a"), tinySpec("b"), {name: "lite", size: 96, widthDiv: 16, classes: 4, seed: 1}}
 	_, fixedTS := newTestServer(t, serveConfig{specs: specs})
 	_, plannedTS := newTestServer(t, serveConfig{specs: specs, autoMap: true})
 	for i := 0; i < 2; i++ {
-		for _, name := range []string{"a", "b"} {
+		for _, name := range []string{"a", "b", "lite"} {
 			req := inferRequest{Model: name, Seed: int64(20 + i)}
 			fResp, fOut := postInfer(t, fixedTS.URL, req)
 			pResp, pOut := postInfer(t, plannedTS.URL, req)

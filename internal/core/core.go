@@ -276,24 +276,6 @@ func (app *ResNetApp) Classify(img *tensor.Tensor) (int, []int16, *resnet.Forwar
 	return resnet.Predict(logits), logits, stats, nil
 }
 
-// WorkingSetEBNN estimates one eBNN inference's per-tasklet working set:
-// a packed image plus its result buffer.
-func WorkingSetEBNN() int64 {
-	return mnist.PackedSize + ebnn.ResultSize
-}
-
-// WorkingSetYOLO estimates one YOLOv3 inference's minimum buffer need:
-// the largest layer's im2col matrix row plus its ctmp accumulator — the
-// "large internal buffer [that] can reach up to 160 KB" of §4.3.4.
-func WorkingSetYOLO(cfg yolo.Config) (int64, error) {
-	net, err := yolo.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	_, maxN := net.GEMMBounds()
-	return int64(maxN) * 4, nil // int32 ctmp per output column
-}
-
 // Validate sanity-checks a deployment option set early.
 func (o Options) Validate() error {
 	if o.DPUs < 0 || o.DPUs > dpu.SystemDPUs {

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"pimdnn/internal/alexnet"
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/ebnn"
+	"pimdnn/internal/exec"
+	"pimdnn/internal/gemm"
 	"pimdnn/internal/mnist"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
@@ -14,26 +18,11 @@ import (
 	"pimdnn/internal/yolo"
 )
 
+// TestChooseScheme: with no tasklets there is no WRAM share (and no
+// division by zero). ExampleChooseScheme pins the eBNN and YOLOv3 picks.
 func TestChooseScheme(t *testing.T) {
-	cfg := dpu.DefaultConfig(dpu.O3)
-	// eBNN working set (304 bytes) fits a 16-tasklet WRAM share.
-	if got := ChooseScheme(WorkingSetEBNN(), 16, cfg); got != MultiImagePerDPU {
-		t.Errorf("eBNN scheme = %v, want multi-image-per-DPU", got)
-	}
-	// YOLOv3's ctmp does not fit (the §4.3.4 160 KB observation).
-	ws, err := WorkingSetYOLO(yolo.FullConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws < 160<<10 {
-		t.Errorf("full YOLOv3 working set = %d bytes, thesis cites up to 160 KB", ws)
-	}
-	if got := ChooseScheme(ws, 11, cfg); got != MultiDPUPerImage {
-		t.Errorf("YOLO scheme = %v, want multi-DPU-per-image", got)
-	}
-	// No tasklets, no WRAM share (and no division by zero).
 	for _, tasklets := range []int{0, -3} {
-		if got := ChooseScheme(300, tasklets, cfg); got != MultiDPUPerImage {
+		if got := ChooseScheme(300, tasklets, dpu.DefaultConfig(dpu.O3)); got != MultiDPUPerImage {
 			t.Errorf("scheme at %d tasklets = %v, want multi-DPU-per-image", tasklets, got)
 		}
 	}
@@ -312,5 +301,69 @@ func TestAdvisorOnRealRuns(t *testing.T) {
 	}
 	if recs := run(true); Has(recs, RuleRemoveFloat) {
 		t.Errorf("LUT model: float rule triggered: %+v", recs)
+	}
+}
+
+// TestLayoutsUnchanged: the symbol tables, on the first and last DPU, of
+// the array_yolo, serve_closed and ebnn_stream benchmark runners and of
+// the lite deploys, fixed and auto-mapped (the latter are rows_zoo's
+// runners), equal testdata/layouts.golden.
+func TestLayoutsUnchanged(t *testing.T) {
+	var b strings.Builder
+	deploy := func(name string, dpus int, cache int64, fn func(*Accelerator) error) {
+		a, err := NewAccelerator(Options{DPUs: dpus, Opt: dpu.O3})
+		if err == nil && cache > 0 {
+			_, err = exec.NewWeightCache(a.System(), cache)
+		}
+		if err == nil {
+			err = fn(a)
+		}
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		defer a.System().Close()
+		for _, i := range []int{0, dpus - 1} {
+			d := a.System().DPU(i)
+			fmt.Fprintf(&b, "%s, DPU %d: %d B WRAM free\n", name, i, d.WRAMFree())
+			for _, sym := range strings.Fields(exec.ArenaSymbol + " gemm_a_row gemm_b gemm_c_row gemm_ctmp gemm_params gemm_a_wram gemm_tiles gemm_a_full" +
+				" gemm_c_full gemm_a_cache ebnn_images ebnn_results ebnn_lut_mram ebnn_nimages ebnn_filters ebnn_bn ebnn_scratch") {
+				if s, ok := d.Symbol(sym); ok {
+					fmt.Fprintf(&b, "\t%s %d %d %d\n", s.Name, s.Kind, s.Offset, s.Size)
+				}
+			}
+		}
+	}
+	batch := func(cfg yolo.Config, tasklets, tileCols int) func(*Accelerator) error {
+		return func(a *Accelerator) error {
+			net, err := yolo.New(cfg)
+			if err != nil {
+				return err
+			}
+			k, n := net.GEMMBounds()
+			r, err := gemm.NewRunner(a.System(), gemm.RunnerConfig{MaxK: k, MaxN: n, Tasklets: tasklets, TileCols: tileCols})
+			if err == nil {
+				err = r.EnableBatch(net.MaxFilters())
+			}
+			return err
+		}
+	}
+	deploy("array_yolo", dpu.SystemDPUs, 0, batch(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}, 8, 64))
+	deploy("serve_closed", 8, 4<<20, batch(yolo.Config{InputSize: 64, Classes: 4, WidthDiv: 32, Seed: 1}, 11, 0))
+	for _, o := range []YOLOOptions{{}, {AutoMap: true}} {
+		deploy(fmt.Sprint("yolo lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployYOLO(yolo.LiteConfig(), o); return err })
+		deploy(fmt.Sprint("alexnet lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployAlexNet(alexnet.LiteConfig(), o); return err })
+		deploy(fmt.Sprint("resnet lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployResNet(resnet.LiteConfig(), o); return err })
+	}
+	m, err := ebnn.Train(mnist.Load(40, 8, 1), ebnn.DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tasklets := range []int{16, 0} {
+		for _, lut := range []bool{true, false} {
+			deploy(fmt.Sprintf("ebnn lut=%v tasklets=%d", lut, tasklets), 32, 0, func(a *Accelerator) error { _, err := a.DeployEBNN(m, lut, tasklets); return err })
+		}
+	}
+	if want, err := os.ReadFile("testdata/layouts.golden"); err != nil || b.String() != string(want) {
+		t.Errorf("layouts differ from testdata/layouts.golden (%v):\n%s", err, b.String())
 	}
 }

@@ -264,59 +264,69 @@ func (d *DPU) ResetClock() {
 	d.mu.Unlock()
 }
 
-// AllocMRAM reserves size bytes of MRAM under the given symbol name.
-// Sizes are rounded up to the 8-byte DMA granularity, mirroring the
-// padding requirement of §3.2. A symbol of a page or more starts on a
-// page boundary and the rest of its last page stays unused, so that the
-// pages a broadcast to it shares (mram.go) hold no other symbol's bytes;
-// when MRAM has no room for that padding it packs like a small one.
-func (d *DPU) AllocMRAM(name string, size int64) (Symbol, error) {
-	if size <= 0 {
-		return Symbol{}, fmt.Errorf("dpu: AllocMRAM(%q): non-positive size %d", name, size)
-	}
-	size = roundUp8(size)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.symbols[name]; ok {
-		return Symbol{}, fmt.Errorf("dpu: symbol %q already defined", name)
-	}
-	off, end := d.mramUsed, d.mramUsed+size
-	if size >= mramPageSize {
-		if o, e := roundUpPage(off), roundUpPage(off)+roundUpPage(size); e <= d.cfg.MRAMSize {
-			off, end = o, e
+// Layout is a kernel's DPU memory: its symbols in allocation order (a
+// row's Offset is ignored; Alloc assigns it). The internal/model layout
+// functions state each kernel's.
+type Layout []Symbol
+
+// WRAM returns the layout's WRAM data segment: its WRAM rows, each
+// rounded up to the 8-byte granularity as Alloc rounds it.
+func (l Layout) WRAM() int64 {
+	var n int64
+	for _, s := range l {
+		if s.Kind == SymbolWRAM {
+			n += roundUp8(s.Size)
 		}
 	}
-	if end > d.cfg.MRAMSize {
-		return Symbol{}, fmt.Errorf("dpu: MRAM exhausted: %d used + %d requested > %d",
-			d.mramUsed, size, d.cfg.MRAMSize)
-	}
-	s := Symbol{Name: name, Kind: SymbolMRAM, Offset: off, Size: size}
-	d.symbols[name] = s
-	d.mramUsed = end
-	return s, nil
+	return n
 }
 
-// AllocWRAM reserves size bytes of WRAM under the given symbol name
-// (8-byte aligned). WRAM left unreserved is divided among tasklet stacks
-// at launch.
-func (d *DPU) AllocWRAM(name string, size int64) (Symbol, error) {
-	if size <= 0 {
-		return Symbol{}, fmt.Errorf("dpu: AllocWRAM(%q): non-positive size %d", name, size)
+// Fits reports whether a WRAM data segment of data bytes leaves each of
+// n tasklets MinStackBytes of stack: the rule LaunchInto enforces, and
+// the one a kernel's layout is sized by.
+func (c Config) Fits(data int64, n int) bool {
+	return data+int64(n)*MinStackBytes <= int64(c.WRAMSize)
+}
+
+// Alloc defines symbol s (its Name, Kind and Size) and returns it with
+// its Offset. Sizes are rounded up to the 8-byte DMA granularity,
+// mirroring the padding requirement of §3.2. WRAM left unreserved is
+// divided among tasklet stacks at launch. An MRAM symbol of a page or
+// more starts on a page boundary and the rest of its last page stays
+// unused, so that the pages a broadcast to it shares (mram.go) hold no
+// other symbol's bytes; when MRAM has no room for that padding it packs
+// like a small one.
+func (d *DPU) Alloc(s Symbol) (Symbol, error) {
+	if s.Size <= 0 {
+		return Symbol{}, fmt.Errorf("dpu: Alloc(%q): non-positive size %d", s.Name, s.Size)
 	}
-	size = roundUp8(size)
+	s.Size = roundUp8(s.Size)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.symbols[name]; ok {
-		return Symbol{}, fmt.Errorf("dpu: symbol %q already defined", name)
+	if _, ok := d.symbols[s.Name]; ok {
+		return Symbol{}, fmt.Errorf("dpu: symbol %q already defined", s.Name)
 	}
-	used := d.wramUsed.Load()
-	if used+size > int64(d.cfg.WRAMSize) {
-		return Symbol{}, fmt.Errorf("dpu: WRAM exhausted: %d used + %d requested > %d",
-			used, size, d.cfg.WRAMSize)
+	if s.Kind == SymbolWRAM {
+		s.Offset = d.wramUsed.Load()
+		if s.Offset+s.Size > int64(d.cfg.WRAMSize) {
+			return Symbol{}, fmt.Errorf("dpu: WRAM exhausted: %d used + %d requested > %d",
+				s.Offset, s.Size, d.cfg.WRAMSize)
+		}
+		d.wramUsed.Store(s.Offset + s.Size)
+	} else {
+		off, end := d.mramUsed, d.mramUsed+s.Size
+		if s.Size >= mramPageSize {
+			if o, e := roundUpPage(off), roundUpPage(off)+roundUpPage(s.Size); e <= d.cfg.MRAMSize {
+				off, end = o, e
+			}
+		}
+		if end > d.cfg.MRAMSize {
+			return Symbol{}, fmt.Errorf("dpu: MRAM exhausted: %d used + %d requested > %d",
+				d.mramUsed, s.Size, d.cfg.MRAMSize)
+		}
+		s.Offset, d.mramUsed = off, end
 	}
-	s := Symbol{Name: name, Kind: SymbolWRAM, Offset: used, Size: size}
-	d.symbols[name] = s
-	d.wramUsed.Store(used + size)
+	d.symbols[s.Name] = s
 	return s, nil
 }
 
@@ -328,14 +338,15 @@ func (d *DPU) Symbol(name string) (Symbol, bool) {
 	return s, ok
 }
 
-// WRAMFree returns the WRAM bytes not reserved by AllocWRAM.
+// WRAMFree returns the WRAM bytes no symbol reserves.
 func (d *DPU) WRAMFree() int64 {
 	return int64(d.cfg.WRAMSize) - d.wramUsed.Load()
 }
 
 // StackPerTasklet returns the per-tasklet stack size available when
 // launching n tasklets, (WRAM - data segment)/n — the quantity behind the
-// thesis's 5.8 KB figure (§4.3.4).
+// thesis's 5.8 KB figure (§4.3.4). A launch needs MinStackBytes of it
+// (Config.Fits).
 func (d *DPU) StackPerTasklet(n int) int64 {
 	if n <= 0 {
 		return 0
@@ -366,10 +377,10 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		*out = Stats{}
 		return fmt.Errorf("dpu: nil kernel")
 	}
-	if stack := d.StackPerTasklet(n); stack < MinStackBytes {
+	if !d.cfg.Fits(d.wramUsed.Load(), n) {
 		*out = Stats{}
 		return fmt.Errorf("dpu: %d tasklets leave %d bytes of stack each (< %d): WRAM data segment too large",
-			n, stack, MinStackBytes)
+			n, d.StackPerTasklet(n), MinStackBytes)
 	}
 	// Injected launch faults abort before any tasklet retires and charge
 	// no cycles, matching how genuine memory traps are accounted.

@@ -412,24 +412,24 @@ func TestHostTransferAlignment(t *testing.T) {
 
 func TestAllocators(t *testing.T) {
 	d := newTestDPU(t, O0)
-	s1, err := d.AllocMRAM("input", 100)
+	s1, err := d.Alloc(Symbol{Name: "input", Kind: SymbolMRAM, Size: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.Size != 104 {
 		t.Errorf("MRAM alloc size = %d, want 104 (rounded to 8)", s1.Size)
 	}
-	s2, err := d.AllocMRAM("output", 64)
+	s2, err := d.Alloc(Symbol{Name: "output", Kind: SymbolMRAM, Size: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Offset != 104 {
 		t.Errorf("second alloc offset = %d, want 104", s2.Offset)
 	}
-	if _, err := d.AllocMRAM("input", 8); err == nil {
+	if _, err := d.Alloc(Symbol{Name: "input", Kind: SymbolMRAM, Size: 8}); err == nil {
 		t.Error("duplicate symbol accepted")
 	}
-	w, err := d.AllocWRAM("lut", 1000)
+	w, err := d.Alloc(Symbol{Name: "lut", Kind: SymbolWRAM, Size: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,13 +448,13 @@ func TestAllocExhaustion(t *testing.T) {
 	cfg := DefaultConfig(O0)
 	cfg.MRAMSize = 1 << 10
 	d := MustNew(cfg)
-	if _, err := d.AllocMRAM("big", 2<<10); err == nil {
+	if _, err := d.Alloc(Symbol{Name: "big", Kind: SymbolMRAM, Size: 2 << 10}); err == nil {
 		t.Error("MRAM over-allocation accepted")
 	}
-	if _, err := d.AllocWRAM("huge", int64(cfg.WRAMSize)+8); err == nil {
+	if _, err := d.Alloc(Symbol{Name: "huge", Kind: SymbolWRAM, Size: int64(cfg.WRAMSize) + 8}); err == nil {
 		t.Error("WRAM over-allocation accepted")
 	}
-	if _, err := d.AllocMRAM("bad", 0); err == nil {
+	if _, err := d.Alloc(Symbol{Name: "bad", Kind: SymbolMRAM, Size: 0}); err == nil {
 		t.Error("zero-size alloc accepted")
 	}
 }
@@ -464,15 +464,15 @@ func TestAllocExhaustion(t *testing.T) {
 func TestStackCheck(t *testing.T) {
 	d := newTestDPU(t, O0)
 	// Consume almost all WRAM.
-	if _, err := d.AllocWRAM("buffer", int64(DefaultWRAMSize)-1024); err != nil {
+	if _, err := d.Alloc(Symbol{Name: "buffer", Kind: SymbolWRAM, Size: int64(DefaultWRAMSize) - 1024}); err != nil {
 		t.Fatal(err)
 	}
-	// 1024 free / 11 tasklets = 93 bytes < MinStackBytes.
-	if _, err := d.Launch(11, func(tk *Tasklet) error { return nil }); err == nil {
+	// 1024 free / 5 tasklets = 204 bytes < MinStackBytes.
+	if _, err := d.Launch(5, func(tk *Tasklet) error { return nil }); err == nil {
 		t.Error("launch with starved stacks accepted")
 	}
-	// 2 tasklets get 512 bytes each: fine.
-	if _, err := d.Launch(2, func(tk *Tasklet) error { return nil }); err != nil {
+	// 4 tasklets get exactly MinStackBytes each: fine.
+	if _, err := d.Launch(4, func(tk *Tasklet) error { return nil }); err != nil {
 		t.Errorf("launch with adequate stacks rejected: %v", err)
 	}
 }

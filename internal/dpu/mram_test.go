@@ -319,7 +319,7 @@ func TestAllocMRAMPageAlignment(t *testing.T) {
 	d := newTestDPU(t, O0)
 	alloc := func(name string, size int64) Symbol {
 		t.Helper()
-		s, err := d.AllocMRAM(name, size)
+		s, err := d.Alloc(Symbol{Name: name, Kind: SymbolMRAM, Size: size})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,17 +350,17 @@ func TestAllocMRAMPageAlignment(t *testing.T) {
 // padding does not fit, a large symbol packs like a small one.
 func TestAllocMRAMExactFill(t *testing.T) {
 	d := newTestDPU(t, O0)
-	if _, err := d.AllocMRAM("head", 24); err != nil {
+	if _, err := d.Alloc(Symbol{Name: "head", Kind: SymbolMRAM, Size: 24}); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := d.AllocMRAM("rest", DefaultMRAMSize-24)
+	rest, err := d.Alloc(Symbol{Name: "rest", Kind: SymbolMRAM, Size: DefaultMRAMSize - 24})
 	if err != nil {
 		t.Fatalf("a sequence that exactly fills MRAM failed: %v", err)
 	}
 	if rest.Offset != 24 {
 		t.Errorf("packed fallback at %d, want 24", rest.Offset)
 	}
-	if _, err := d.AllocMRAM("over", 8); err == nil {
+	if _, err := d.Alloc(Symbol{Name: "over", Kind: SymbolMRAM, Size: 8}); err == nil {
 		t.Error("allocation past a full MRAM accepted")
 	}
 	src := bytes.Repeat([]byte{0xa5}, 16)

@@ -27,17 +27,6 @@ const (
 	ResultSize = (PoolCells + 7) / 8 * 8 // 176
 )
 
-// Symbol names used by the eBNN DPU program.
-const (
-	symImages  = "ebnn_images"
-	symResults = "ebnn_results"
-	symNImages = "ebnn_nimages"
-	symFilters = "ebnn_filters"
-	symBN      = "ebnn_bn"
-	symLUT     = "ebnn_lut_mram"
-	symScratch = "ebnn_scratch"
-)
-
 // kernelLayout carries the resolved symbol offsets into the kernel.
 type kernelLayout struct {
 	f       int
@@ -116,44 +105,22 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	}
 	r := &Runner{sys: sys, model: m, useLUT: useLUT, tasklets: tasklets}
 
-	alloc := []struct {
-		name string
-		size int64
-		wram bool
-	}{
-		{symImages, BatchSize * mnist.PackedSize, false},
-		{symResults, BatchSize * ResultSize, false},
-		{symLUT, lutWRAMSize, false},
-		{symNImages, 8, true},
-		{symFilters, 16, true},
-		{symBN, int64(m.F) * 5 * 4, true},
-		{symScratch, dpu.MaxTasklets*perTaskletScratch + lutWRAMSize, true},
+	refs, err := sys.Alloc(model.EBNNLayout(CostShape(m.F, useLUT), BatchSize))
+	if err != nil {
+		return nil, fmt.Errorf("ebnn: %w", err)
 	}
-	for _, a := range alloc {
-		var err error
-		if a.wram {
-			err = sys.AllocWRAM(a.name, a.size)
-		} else {
-			err = sys.AllocMRAM(a.name, a.size)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ebnn: %w", err)
-		}
-	}
-	look := func(name string) int64 {
-		s, _ := sys.DPU(0).Symbol(name)
-		return s.Offset
-	}
+	// EBNNLayout's rows: images, results, LUT; image count, filters, BN, scratch.
+	r.refImages, r.refResults, r.refNImages = refs[0], refs[1], refs[3]
 	r.layout = kernelLayout{
 		f:       m.F,
 		useLUT:  useLUT,
-		images:  look(symImages),
-		results: look(symResults),
-		lutMRAM: look(symLUT),
-		nimages: look(symNImages),
-		filters: look(symFilters),
-		bn:      look(symBN),
-		scratch: look(symScratch),
+		images:  refs[0].Offset(),
+		results: refs[1].Offset(),
+		lutMRAM: refs[2].Offset(),
+		nimages: refs[3].Offset(),
+		filters: refs[4].Offset(),
+		bn:      refs[5].Offset(),
+		scratch: refs[6].Offset(),
 	}
 
 	// Broadcast the model parameters through the execution engine: a DPU
@@ -162,23 +129,16 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 	// predictions (internal/exec).
 	r.eng = exec.New(sys, exec.Config{})
 	r.iws.r = r
-	broadcast := func(sym string, data []byte) error {
-		ref, err := sys.Resolve(sym)
-		if err != nil {
-			return err
-		}
-		return r.eng.Broadcast(exec.Broadcast{Ref: ref, Data: data})
-	}
 	filt := make([]byte, 16)
 	for i, f := range m.Filters {
 		binary.LittleEndian.PutUint16(filt[i*2:], f)
 	}
-	if err := broadcast(symFilters, filt); err != nil {
+	if err := r.eng.Broadcast(exec.Broadcast{Ref: refs[4], Data: filt}); err != nil {
 		return nil, err
 	}
 	if useLUT {
 		lut, _ := host.Pad8(m.BuildLUT())
-		if err := broadcast(symLUT, lut); err != nil {
+		if err := r.eng.Broadcast(exec.Broadcast{Ref: refs[2], Data: lut}); err != nil {
 			return nil, err
 		}
 	} else {
@@ -188,22 +148,9 @@ func NewRunner(sys *host.System, m *Model, useLUT bool, tasklets int) (*Runner, 
 				binary.LittleEndian.PutUint32(bn[(i*5+j)*4:], math.Float32bits(w))
 			}
 		}
-		if err := broadcast(symBN, bn); err != nil {
+		if err := r.eng.Broadcast(exec.Broadcast{Ref: refs[5], Data: bn}); err != nil {
 			return nil, err
 		}
-	}
-
-	for _, ref := range []struct {
-		name string
-		dst  *host.SymbolRef
-	}{
-		{symImages, &r.refImages}, {symNImages, &r.refNImages}, {symResults, &r.refResults},
-	} {
-		res, err := sys.Resolve(ref.name)
-		if err != nil {
-			return nil, fmt.Errorf("ebnn: %w", err)
-		}
-		*ref.dst = res
 	}
 
 	r.stage.init(sys.NumDPUs())

@@ -8,22 +8,20 @@ import (
 )
 
 // CostShape returns the workload geometry the kernel-granularity cost
-// model (model.EBNNWaveCycles) scores eBNN waves with — this package's
-// layout constants, exported as plain numbers so neither model nor plan
-// needs to import ebnn.
+// model (model.EBNNWaveCycles) scores eBNN waves with and
+// model.EBNNLayout lays the DPU memory out by — this package's layout
+// constants, exported as plain numbers so neither model nor plan needs
+// to import ebnn.
 func CostShape(f int, useLUT bool) model.EBNNShape {
-	sh := model.EBNNShape{
+	return model.EBNNShape{
 		Filters:     f,
 		Cells:       PoolCells,
 		Side:        mnist.Side,
 		PackedBytes: mnist.PackedSize,
 		ResultBytes: ResultSize,
+		LUTBytes:    lutWRAMSize,
 		UseLUT:      useLUT,
 	}
-	if useLUT {
-		sh.LUTBytes = lutWRAMSize
-	}
-	return sh
 }
 
 // PlanMapping asks the auto-mapper for this model's

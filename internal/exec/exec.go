@@ -426,6 +426,7 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 // every live DPU before the launch.
 func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
 	near := from
+	var err error
 	for a := 0; a < maxRedispatch; a++ {
 		t := e.nextTarget(near)
 		if t < 0 {
@@ -435,7 +436,7 @@ func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel
 		// round-robin cursor always did.
 		near = t
 		var ls host.LaunchStats
-		var err error
+		err = nil
 		for _, in := range ins {
 			if err = e.sys.CopyToDPURef(t, in.Ref, 0, in.Data); err != nil {
 				break
@@ -462,7 +463,7 @@ func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel
 		}
 		// Transient fault: try again, possibly on another target.
 	}
-	return fmt.Errorf("exec: shard re-dispatch failed %d times", maxRedispatch)
+	return fmt.Errorf("exec: shard re-dispatch failed %d times: %w", maxRedispatch, err)
 }
 
 // shardIns builds the re-dispatch input list for wave position i from

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,34 +64,13 @@ func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	for _, sym := range []struct {
-		name string
-		wram bool
-	}{{"toy_in", false}, {"toy_add", false}, {"toy_out", false}, {"toy_wram", true}} {
-		if sym.wram {
-			err = sys.AllocWRAM(sym.name, 16)
-		} else {
-			err = sys.AllocMRAM(sym.name, 8)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), opts: opts}
-	if w.refIn, err = sys.Resolve("toy_in"); err != nil {
+	refs, err := sys.Alloc(dpu.Layout{{Name: "toy_in", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "toy_add", Kind: dpu.SymbolMRAM, Size: 8},
+		{Name: "toy_out", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "toy_wram", Kind: dpu.SymbolWRAM, Size: 16}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.refAdd, err = sys.Resolve("toy_add"); err != nil {
-		t.Fatal(err)
-	}
-	if w.refOut, err = sys.Resolve("toy_out"); err != nil {
-		t.Fatal(err)
-	}
-	look := func(name string) int64 {
-		s, _ := sys.DPU(0).Symbol(name)
-		return s.Offset
-	}
-	inOff, addOff, outOff, wramOff := look("toy_in"), look("toy_add"), look("toy_out"), look("toy_wram")
+	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), opts: opts, refIn: refs[0], refAdd: refs[1], refOut: refs[2]}
+	inOff, addOff, outOff, wramOff := refs[0].Offset(), refs[1].Offset(), refs[2].Offset(), refs[3].Offset()
 	w.kern = func(tk *dpu.Tasklet) error {
 		if tk.ID() != 0 {
 			return nil
@@ -327,6 +307,20 @@ func TestWholeRankKill(t *testing.T) {
 				t.Errorf("dead DPUs = %v, want all of rank 1", dead)
 			}
 		})
+	}
+}
+
+// TestRedispatchKeepsCause: a launch that can never run (a WRAM data
+// segment that leaves its tasklets under dpu.MinStackBytes of stack each)
+// exhausts the re-dispatch attempts, and the error says why.
+func TestRedispatchKeepsCause(t *testing.T) {
+	w := newToySet(t, 2, []uint32{1, 2})
+	if _, err := w.sys.Alloc(dpu.Layout{{Name: "hog", Kind: dpu.SymbolWRAM, Size: w.sys.DPU(0).WRAMFree() - dpu.MinStackBytes}}); err != nil {
+		t.Fatal(err)
+	}
+	err := exec.New(w.sys, exec.Config{}).Run(w, &exec.Stats{})
+	if _, wrapped := host.AsFaultReport(err); !wrapped || !strings.Contains(err.Error(), "bytes of stack each") {
+		t.Errorf("Run = %v, want the re-dispatch failure wrapping the launch's stack error", err)
 	}
 }
 

@@ -55,26 +55,14 @@ func newToyStream(t *testing.T, nd int, topo host.Topology) *toyStream {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	refs := map[string]host.SymbolRef{}
-	offs := map[string]int64{}
-	for _, sym := range []struct {
-		name string
-		size int64
-		wram bool
-	}{{"ts_in", 8, false}, {"ts_mul", 8, false}, {"ts_add", 8, false}, {"ts_out", toyOutBytes, false}, {"ts_wram", 32, true}} {
-		if sym.wram {
-			err = sys.AllocWRAM(sym.name, sym.size)
-		} else {
-			err = sys.AllocMRAM(sym.name, sym.size)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refs[sym.name], err = sys.Resolve(sym.name); err != nil {
-			t.Fatal(err)
-		}
-		s, _ := sys.DPU(0).Symbol(sym.name)
-		offs[sym.name] = s.Offset
+	syms, err := sys.Alloc(dpu.Layout{{Name: "ts_in", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "ts_mul", Kind: dpu.SymbolMRAM, Size: 8},
+		{Name: "ts_add", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "ts_out", Kind: dpu.SymbolMRAM, Size: toyOutBytes}, {Name: "ts_wram", Kind: dpu.SymbolWRAM, Size: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, offs := map[string]host.SymbolRef{}, map[string]int64{}
+	for _, ref := range syms {
+		refs[ref.Name()], offs[ref.Name()] = ref, ref.Offset()
 	}
 	outOff := offs["ts_out"]
 	pageEnd := (outOff/toyPage + 1) * toyPage

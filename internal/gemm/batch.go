@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pimdnn/internal/exec"
-	"pimdnn/internal/host"
 	"pimdnn/internal/tensor"
 )
 
@@ -17,14 +16,14 @@ import (
 // different images concurrently. MultiplyBatch implements it; Multiply
 // remains the Fig 4.6 row-per-DPU mapping.
 
-// Batch-mode symbol names.
-const (
-	symAFull = "gemm_a_full"
-	symCFull = "gemm_c_full"
-)
-
-// EnableBatch sizes the whole-matrix buffers for problems up to maxM
-// rows. It must be called once, before the first MultiplyBatch.
+// EnableBatch adds the image-per-DPU mapping's buffers, sized for
+// problems up to maxM rows: model.GEMMLayout's batch rows. The A-row
+// cache gets a slot for each of the runner's tasklets, or as many as
+// keep the whole layout fitting WRAM with every tasklet's stack at that
+// width (dpu.Config.Fits); batch launches are then bounded by the slot
+// count. A MaxK so large that not even one slot fits is an error — pass
+// a smaller RunnerConfig.Tasklets to shrink the tile area instead. It
+// must be called once, before the first MultiplyBatch.
 func (r *Runner) EnableBatch(maxM int) error {
 	if maxM < 1 {
 		return fmt.Errorf("gemm: EnableBatch(%d): need at least one row", maxM)
@@ -32,58 +31,22 @@ func (r *Runner) EnableBatch(maxM int) error {
 	if r.maxM != 0 {
 		return fmt.Errorf("gemm: batch mode already enabled (maxM=%d)", r.maxM)
 	}
-	stride := int64(pad4(r.cfg.MaxN))
-	// A rows live at an 8-byte-aligned stride so per-row DMA staging
-	// stays aligned for any K.
-	aRowStride := int64((r.cfg.MaxK*2 + 7) &^ 7)
-	if err := r.sys.AllocMRAM(symAFull, int64(maxM)*aRowStride); err != nil {
+	slots := r.cfg.Tasklets
+	for slots > 0 && !r.sys.Config().DPU.Fits(r.layout(maxM, slots).WRAM(), r.cfg.Tasklets) {
+		slots--
+	}
+	if slots < 1 {
+		return fmt.Errorf("gemm: no WRAM left for a batch A-row cache slot (MaxK=%d, %d tasklets allocated)",
+			r.cfg.MaxK, r.cfg.Tasklets)
+	}
+	l := r.layout(maxM, slots)
+	refs, err := r.sys.Alloc(l[len(l)-3:]) // A, C (MRAM), the A-row cache (WRAM)
+	if err != nil {
 		return fmt.Errorf("gemm: %w", err)
 	}
-	if err := r.sys.AllocMRAM(symCFull, int64(maxM)*stride*2); err != nil {
-		return fmt.Errorf("gemm: %w", err)
-	}
-	// Per-tasklet A-row cache slots in WRAM. With a planner wired, the
-	// runner already holds tile area for the row-mode tasklet cap, so
-	// the cache gets however many slots still fit in the remaining WRAM
-	// (the per-tasklet row cache makes batch mode's footprint much
-	// larger than row mode's); batch plans are then bounded by that
-	// count. A MaxK so large that not even one slot fits is an error —
-	// pass an explicit smaller RunnerConfig.Tasklets to shrink the tile
-	// area instead.
-	r.batchAllocT = r.cfg.Tasklets
-	if r.planner != nil {
-		if fit := int(r.sys.DPU(0).WRAMFree() / aRowStride); fit < r.batchAllocT {
-			r.batchAllocT = fit
-		}
-		if r.batchAllocT < 1 {
-			return fmt.Errorf("gemm: no WRAM left for a batch A-row cache slot (MaxK=%d, %d tasklets allocated)",
-				r.cfg.MaxK, r.cfg.Tasklets)
-		}
-	}
-	aCache := int64(r.batchAllocT) * aRowStride
-	if err := r.sys.AllocWRAM("gemm_a_cache", aCache); err != nil {
-		return fmt.Errorf("gemm: %w", err)
-	}
-	look := func(name string) int64 {
-		s, _ := r.sys.DPU(0).Symbol(name)
-		return s.Offset
-	}
-	r.maxM = maxM
-	r.aFullOff = look(symAFull)
-	r.cFullOff = look(symCFull)
-	r.aCacheOff = look("gemm_a_cache")
-	for _, ref := range []struct {
-		name string
-		dst  *host.SymbolRef
-	}{
-		{symAFull, &r.refAFull}, {symCFull, &r.refCFull},
-	} {
-		res, err := r.sys.Resolve(ref.name)
-		if err != nil {
-			return fmt.Errorf("gemm: %w", err)
-		}
-		*ref.dst = res
-	}
+	r.maxM, r.batchAllocT = maxM, slots
+	r.refAFull, r.refCFull = refs[0], refs[1]
+	r.aFullOff, r.cFullOff, r.aCacheOff = refs[0].Offset(), refs[1].Offset(), refs[2].Offset()
 	return nil
 }
 
@@ -199,11 +162,9 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	r.encodeParams(n, k, m, alpha, aBase)
 
 	// An auto-mapping runner re-plans the image-per-DPU dispatch for
-	// this problem shape; the hand-tuned tasklet count applies otherwise.
-	tasklets := r.cfg.Tasklets
-	if r.batchAllocT > 0 && r.batchAllocT < tasklets {
-		tasklets = r.batchAllocT
-	}
+	// this problem shape; otherwise it launches a tasklet per A-row cache
+	// slot (the hand-tuned tasklet count wherever that fits).
+	tasklets := r.batchAllocT
 	if r.planner != nil {
 		psp := r.eng.TraceSpan().StartChild("plan")
 		mp := r.planner.GEMMBatch(m, n, k, images, r.planOpts(true))

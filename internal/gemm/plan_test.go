@@ -105,51 +105,49 @@ func TestPlannerPredictionExact(t *testing.T) {
 	}
 }
 
-// TestPlannerWRAMCap: with no explicit tasklet count the planner-backed
-// runner sizes its WRAM allocation from the feasibility cap, and the
-// batch path lowers the cap for its per-tasklet A-row cache.
+// TestPlannerWRAMCap: at each (MaxK, tile width, batch) point the
+// planner's tasklet cap is the largest count at which NewRunner (plus
+// EnableBatch) succeeds on a fresh System and a launch at that width
+// runs, and the row-cap allocation at MaxK 9216 leaves no WRAM for an
+// A-row cache slot. The cap's planner-only properties (floor 1, bound on
+// the planned count) are plan.TestTaskletCapWRAM's.
 func TestPlannerWRAMCap(t *testing.T) {
-	sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
+	p := plan.NewFromConfig(1, dpu.DefaultConfig(dpu.O3))
+	newRunner := func(maxK, tasklets int) *Runner {
+		sys, err := host.NewSystem(1, host.DefaultConfig(dpu.O3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		r, _ := NewRunner(sys, RunnerConfig{MaxK: maxK, MaxN: 8, Tasklets: tasklets, Planner: plan.New(sys)})
+		return r
 	}
-	defer sys.Close()
-	p := plan.New(sys)
-	// AlexNet-scale K: the row cap stays high, the batch cap collapses.
-	maxK := 9216
-	rowCap := p.GEMMTaskletCap(maxK, DefaultTileCols, false)
-	batchCap := p.GEMMTaskletCap(maxK, DefaultTileCols, true)
-	if rowCap < 1 || rowCap > dpu.MaxTasklets {
-		t.Fatalf("row cap %d outside 1..%d", rowCap, dpu.MaxTasklets)
+	for _, c := range []struct {
+		maxK  int
+		batch bool
+	}{{288, false}, {9216, false}, {288, true}, {1152, true}} {
+		runs := func(tasklets int) bool {
+			r := newRunner(c.maxK, tasklets)
+			if r == nil || c.batch && r.EnableBatch(1) != nil {
+				return false
+			}
+			kernel, m, aoff := r.Kernel(), 0, r.aOff
+			if c.batch {
+				kernel, m, aoff = r.batchKernel, 1, r.aFullOff
+			}
+			_, err := launchRaw(r, kernel, tasklets, 8, c.maxK, m, aoff)
+			return err == nil
+		}
+		want := dpu.MaxTasklets
+		for want > 1 && !runs(want) {
+			want--
+		}
+		if got := p.GEMMTaskletCap(c.maxK, DefaultTileCols, c.batch); got != want {
+			t.Errorf("MaxK %d batch %v: cap %d, widest launch that runs %d", c.maxK, c.batch, got, want)
+		}
 	}
-	if batchCap >= rowCap {
-		t.Errorf("batch cap %d should fall below row cap %d (per-tasklet A cache)", batchCap, rowCap)
-	}
-	r, err := NewRunner(sys, RunnerConfig{MaxK: maxK, MaxN: 512, Planner: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Tasklets() != rowCap {
-		t.Errorf("planner runner allocated %d tasklets, want WRAM cap %d", r.Tasklets(), rowCap)
-	}
-	// At this K the row-cap tile area leaves no WRAM for even one batch
-	// A-row cache slot; EnableBatch must refuse rather than overcommit.
-	if err := r.EnableBatch(4); err == nil {
-		t.Errorf("EnableBatch(MaxK=%d) after row-cap allocation should exhaust WRAM", maxK)
-	}
-
-	// A moderate K fits both: tile area at the row cap plus a reduced
-	// set of cache slots in the remainder.
-	sys2, err := host.NewSystem(4, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Close()
-	r2, err := NewRunner(sys2, RunnerConfig{MaxK: 1152, MaxN: 512, Planner: plan.New(sys2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.EnableBatch(4); err != nil {
-		t.Fatalf("EnableBatch(MaxK=1152) with planner: %v", err)
+	rowCap := p.GEMMTaskletCap(9216, DefaultTileCols, false)
+	if r := newRunner(9216, 0); r.Tasklets() != rowCap || r.EnableBatch(4) == nil {
+		t.Errorf("planner runner at MaxK 9216: %d tasklets (cap %d), EnableBatch must exhaust WRAM", r.Tasklets(), rowCap)
 	}
 }

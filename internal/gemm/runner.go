@@ -15,17 +15,6 @@ import (
 	"pimdnn/internal/trace"
 )
 
-// Symbol names used by the GEMM DPU program.
-const (
-	symA      = "gemm_a_row"
-	symB      = "gemm_b"
-	symC      = "gemm_c_row"
-	symCtmp   = "gemm_ctmp"
-	symParams = "gemm_params"
-	symAWRAM  = "gemm_a_wram"
-	symTiles  = "gemm_tiles"
-)
-
 // DefaultTileCols is the number of output columns a tasklet processes per
 // WRAM tile. 256 columns keep the per-k B-row DMA at 512 bytes while
 // amortizing the 25-cycle DMA setup.
@@ -88,7 +77,7 @@ type Runner struct {
 	cfg      RunnerConfig
 	tileCols int
 
-	aOff, bOff, cOff, ctmpOff int64 // MRAM
+	aOff, bOff, cOff          int64 // MRAM
 	paramsOff, aWRAM, tileOff int64 // WRAM
 
 	// Resolved symbol handles: transfers in the per-layer loops skip the
@@ -182,55 +171,14 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	r := &Runner{sys: sys, cfg: cfg, tileCols: tileCols,
 		planner: cfg.Planner, curTasklets: cfg.Tasklets}
 
-	// Per-tasklet tile area: B chunk (2 bytes/col) + ctmp (4 bytes/col)
-	// + C out (2 bytes/col).
-	tileBytes := int64(tileCols) * 8
-	// B rows are stored at a stride padded to 4 columns so every row
-	// base stays 8-byte aligned for DMA (§3.2's padding rule applied to
-	// the matrix layout).
-	maxStride := int64(pad4(cfg.MaxN))
-	allocs := []struct {
-		name string
-		size int64
-		wram bool
-	}{
-		{symA, int64(cfg.MaxK) * 2, false},
-		{symB, int64(cfg.MaxK) * maxStride * 2, false},
-		{symC, maxStride * 2, false},
-		{symCtmp, maxStride * 4, false},
-		{symParams, 24, true},
-		{symAWRAM, int64(cfg.MaxK) * 2, true},
-		{symTiles, int64(cfg.Tasklets) * tileBytes, true},
+	refs, err := sys.Alloc(r.layout(0, 0))
+	if err != nil {
+		return nil, fmt.Errorf("gemm: %w", err)
 	}
-	for _, a := range allocs {
-		var err error
-		if a.wram {
-			err = r.sys.AllocWRAM(a.name, a.size)
-		} else {
-			err = r.sys.AllocMRAM(a.name, a.size)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("gemm: %w", err)
-		}
-	}
-	look := func(name string) int64 {
-		s, _ := sys.DPU(0).Symbol(name)
-		return s.Offset
-	}
-	r.aOff, r.bOff, r.cOff, r.ctmpOff = look(symA), look(symB), look(symC), look(symCtmp)
-	r.paramsOff, r.aWRAM, r.tileOff = look(symParams), look(symAWRAM), look(symTiles)
-	for _, ref := range []struct {
-		name string
-		dst  *host.SymbolRef
-	}{
-		{symA, &r.refA}, {symB, &r.refB}, {symC, &r.refC}, {symParams, &r.refParams},
-	} {
-		res, err := sys.Resolve(ref.name)
-		if err != nil {
-			return nil, fmt.Errorf("gemm: %w", err)
-		}
-		*ref.dst = res
-	}
+	// GEMMLayout's rows: A row, B, C row, ctmp; params, staged A row, tiles.
+	r.refA, r.refB, r.refC, r.refParams = refs[0], refs[1], refs[2], refs[4]
+	r.aOff, r.bOff, r.cOff = refs[0].Offset(), refs[1].Offset(), refs[2].Offset()
+	r.paramsOff, r.aWRAM, r.tileOff = refs[4].Offset(), refs[5].Offset(), refs[6].Offset()
 
 	aRowBytes := (cfg.MaxK*2 + 7) &^ 7
 	r.scratch.New = func() interface{} {
@@ -238,7 +186,7 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 			aRow:   make([]byte, aRowBytes),
 			apart:  make([]int32, cfg.MaxK),
 			acc:    make([]int32, pad4(cfg.MaxN)),
-			rowBuf: make([]byte, int(maxStride)*2),
+			rowBuf: make([]byte, pad4(cfg.MaxN)*2),
 		}
 	}
 	// A launch charges what the configured kernel variant's cost function
@@ -342,10 +290,16 @@ func (r *Runner) planOpts(batch bool) plan.GEMMOptions {
 		MaxTasklets: r.cfg.Tasklets,
 		Batch:       batch,
 	}
-	if batch && r.batchAllocT > 0 {
+	if batch {
 		o.MaxTasklets = r.batchAllocT
 	}
 	return o
+}
+
+// layout is the runner's DPU memory with the batch rows for maxM rows
+// and an A-row cache of `slots` (none when maxM is 0).
+func (r *Runner) layout(maxM, slots int) dpu.Layout {
+	return model.GEMMLayout(r.cfg.MaxK, r.cfg.MaxN, r.tileCols, r.cfg.Tasklets, maxM, slots)
 }
 
 // System returns the underlying DPU system.

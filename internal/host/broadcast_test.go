@@ -200,7 +200,7 @@ func TestAllocMRAMUniformAcrossDPUs(t *testing.T) {
 	}
 	// Allocated DPU by DPU, behind the system's back.
 	for i := 0; i < s.NumDPUs(); i++ {
-		if _, err := s.DPU(i).AllocMRAM("direct", 2*bcastPage); err != nil {
+		if _, err := s.DPU(i).Alloc(dpu.Symbol{Name: "direct", Kind: dpu.SymbolMRAM, Size: 2 * bcastPage}); err != nil {
 			t.Fatal(err)
 		}
 	}

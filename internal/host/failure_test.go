@@ -66,7 +66,7 @@ func TestGatherUnknownSymbol(t *testing.T) {
 
 func TestPushXferOverflowsSymbol(t *testing.T) {
 	s := newTestSystem(t, 2)
-	if err := s.AllocWRAM("small", 8); err != nil {
+	if _, err := s.Alloc(dpu.Layout{{Name: "small", Kind: dpu.SymbolWRAM, Size: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	bufs := [][]byte{make([]byte, 16), make([]byte, 16)}
@@ -79,10 +79,10 @@ func TestPushXferOverflowsSymbol(t *testing.T) {
 // which DPU refused.
 func TestAllocFailurePropagatesPerDPU(t *testing.T) {
 	s := newTestSystem(t, 2)
-	if err := s.AllocWRAM("big", dpu.DefaultWRAMSize-512); err != nil {
+	if _, err := s.Alloc(dpu.Layout{{Name: "big", Kind: dpu.SymbolWRAM, Size: dpu.DefaultWRAMSize - 512}}); err != nil {
 		t.Fatal(err)
 	}
-	err := s.AllocWRAM("more", 4096)
+	_, err := s.Alloc(dpu.Layout{{Name: "more", Kind: dpu.SymbolWRAM, Size: 4096}})
 	if err == nil {
 		t.Fatal("over-allocation accepted")
 	}

@@ -171,40 +171,33 @@ func (s *System) Profile() *trace.Profile { return s.prof }
 // Config returns the host configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// AllocMRAM defines an MRAM symbol of the given size on every DPU.
-func (s *System) AllocMRAM(name string, size int64) error {
-	var sym dpu.Symbol
-	for i, d := range s.dpus {
-		sm, err := d.AllocMRAM(name, size)
-		if err != nil {
-			return fmt.Errorf("host: DPU %d: %w", i, err)
+// Alloc defines a layout's symbols on every DPU, in order, and returns
+// each row's resolved ref.
+func (s *System) Alloc(l dpu.Layout) ([]SymbolRef, error) {
+	refs := make([]SymbolRef, len(l))
+	for j, row := range l {
+		var sym dpu.Symbol
+		for i, d := range s.dpus {
+			sm, err := d.Alloc(row)
+			if err != nil {
+				return nil, fmt.Errorf("host: DPU %d: %w", i, err)
+			}
+			if i == 0 {
+				sym = sm
+			}
 		}
-		if i == 0 {
-			sym = sm
-		}
+		s.symMu.Lock()
+		s.symbols[sym.Name] = sym
+		s.symMu.Unlock()
+		refs[j] = SymbolRef{name: sym.Name, kind: sym.Kind, off: sym.Offset, size: sym.Size}
 	}
-	s.symMu.Lock()
-	s.symbols[name] = sym
-	s.symMu.Unlock()
-	return nil
+	return refs, nil
 }
 
-// AllocWRAM defines a host-visible WRAM symbol on every DPU.
-func (s *System) AllocWRAM(name string, size int64) error {
-	var sym dpu.Symbol
-	for i, d := range s.dpus {
-		sm, err := d.AllocWRAM(name, size)
-		if err != nil {
-			return fmt.Errorf("host: DPU %d: %w", i, err)
-		}
-		if i == 0 {
-			sym = sm
-		}
-	}
-	s.symMu.Lock()
-	s.symbols[name] = sym
-	s.symMu.Unlock()
-	return nil
+// AllocMRAM defines an MRAM symbol of the given size on every DPU.
+func (s *System) AllocMRAM(name string, size int64) error {
+	_, err := s.Alloc(dpu.Layout{{Name: name, Kind: dpu.SymbolMRAM, Size: size}})
+	return err
 }
 
 // SymbolRef is a resolved symbol handle valid on every DPU of the
@@ -224,10 +217,13 @@ func (r SymbolRef) Name() string { return r.name }
 // Size returns the symbol's (padded) size in bytes.
 func (r SymbolRef) Size() int64 { return r.size }
 
+// Offset returns the symbol's offset in its memory.
+func (r SymbolRef) Offset() int64 { return r.off }
+
 func (r SymbolRef) valid() bool { return r.kind != 0 }
 
 // Resolve looks up a symbol defined on every DPU and returns a reusable
-// handle. Symbols created through System.AllocMRAM/AllocWRAM are uniform
+// handle. Symbols created through System.Alloc are uniform
 // by construction; symbols allocated directly on individual DPUs are
 // honored only when every DPU agrees on their location.
 func (s *System) Resolve(symbol string) (SymbolRef, error) {

@@ -131,7 +131,7 @@ func TestSymbolBounds(t *testing.T) {
 
 func TestWRAMSymbolTransfer(t *testing.T) {
 	s := newTestSystem(t, 2)
-	if err := s.AllocWRAM("nimages", 8); err != nil {
+	if _, err := s.Alloc(dpu.Layout{{Name: "nimages", Kind: dpu.SymbolWRAM, Size: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	// WRAM host variables do not need 8-byte granularity.

@@ -180,7 +180,7 @@ func TestWaveValidation(t *testing.T) {
 // is an ordinary error; nothing is visited or charged.
 func TestGatherRowsValidation(t *testing.T) {
 	s, ref := waveSystem(t, 2)
-	if err := s.AllocWRAM("wvar", 64); err != nil {
+	if _, err := s.Alloc(dpu.Layout{{Name: "wvar", Kind: dpu.SymbolWRAM, Size: 64}}); err != nil {
 		t.Fatal(err)
 	}
 	wram := resolve(t, s, "wvar")

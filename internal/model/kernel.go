@@ -14,7 +14,9 @@
 // The per-operation legacy kernels are the independent derivation these
 // statements are held to; they are test code (legacy_test.go in
 // internal/gemm and internal/ebnn), installed by the cost and
-// differential tests there, and no shipped option selects them.
+// differential tests there, and no shipped option selects them. Beside
+// each cost function, a *Layout function states the kernel's DPU memory:
+// what the runner allocates, and what the planner's tasklet cap fits.
 package model
 
 import "pimdnn/internal/dpu"
@@ -150,6 +152,36 @@ func GEMMBatchCost(m Meter, t, tasklets, rows, n, k, tileCols int) {
 	tileCost(m, narrow, tail, k)
 }
 
+// GEMMLayout is the gemm kernels' DPU memory for a runner bounded by
+// maxK×maxN, with a tileCols-wide B/ctmp/C tile area (8 bytes a column)
+// for each of `tasklets` tasklets. B and C rows sit at a stride padded
+// to 4 columns, so every row base stays 8-byte aligned for DMA (§3.2's
+// padding rule applied to the matrix layout). Rows, in order: the A row,
+// B, the C row and ctmp in MRAM; the parameter block, the staged A row
+// and the tiles in WRAM. When maxM > 0, the image-per-DPU mapping's rows
+// follow: maxM A rows and C rows in MRAM, A rows at an 8-byte stride so
+// per-row staging stays aligned for any K, then `slots` A-row cache
+// slots in WRAM.
+func GEMMLayout(maxK, maxN, tileCols, tasklets, maxM, slots int) dpu.Layout {
+	stride, aRow := int64((maxN+3)&^3), int64(pad8(maxK*2))
+	l := dpu.Layout{
+		{Name: "gemm_a_row", Kind: dpu.SymbolMRAM, Size: int64(maxK) * 2},
+		{Name: "gemm_b", Kind: dpu.SymbolMRAM, Size: int64(maxK) * stride * 2},
+		{Name: "gemm_c_row", Kind: dpu.SymbolMRAM, Size: stride * 2},
+		{Name: "gemm_ctmp", Kind: dpu.SymbolMRAM, Size: stride * 4},
+		{Name: "gemm_params", Kind: dpu.SymbolWRAM, Size: 24},
+		{Name: "gemm_a_wram", Kind: dpu.SymbolWRAM, Size: int64(maxK) * 2},
+		{Name: "gemm_tiles", Kind: dpu.SymbolWRAM, Size: int64(tasklets * tileCols * 8)},
+	}
+	if maxM > 0 {
+		l = append(l,
+			dpu.Symbol{Name: "gemm_a_full", Kind: dpu.SymbolMRAM, Size: int64(maxM) * aRow},
+			dpu.Symbol{Name: "gemm_c_full", Kind: dpu.SymbolMRAM, Size: int64(maxM) * stride * 2},
+			dpu.Symbol{Name: "gemm_a_cache", Kind: dpu.SymbolWRAM, Size: int64(slots) * aRow})
+	}
+	return l
+}
+
 // EBNNShape carries the eBNN workload's cost-relevant geometry so this
 // package needs no dependency on internal/ebnn (which imports plan's
 // consumers). ebnn.CostShape builds it from the model constants.
@@ -162,7 +194,7 @@ type EBNNShape struct {
 	Side int
 	// PackedBytes and ResultBytes are the per-image DMA payloads.
 	PackedBytes, ResultBytes int
-	// LUTBytes is tasklet 0's LUT staging DMA (0 when UseLUT is false).
+	// LUTBytes is the LUT's size, tasklet 0's staging DMA under UseLUT.
 	LUTBytes int
 	// UseLUT selects the §4.1.4 LUT activation over software float.
 	UseLUT bool
@@ -212,6 +244,24 @@ func EBNNCost(m Meter, t, tasklets, images int, sh EBNNShape) {
 	}
 	m.ChargeBulk(dpu.OpStore, imgs*uint64(sh.Cells)) // result bytes
 	m.ChargeDMA(imgs, sh.ResultBytes)
+}
+
+// EBNNLayout is the eBNN kernel's DPU memory (§4.1.3) for sh's geometry
+// and `batch` images per DPU. Rows, in order: the packed images, their
+// results and the LUT in MRAM; the image count, the filter words (up to
+// 8 of 16 bits), the BN parameters (5 floats a filter) and the scratch
+// in WRAM: an image and a result slot for every tasklet the hardware
+// has, then the LUT's staging area.
+func EBNNLayout(sh EBNNShape, batch int) dpu.Layout {
+	return dpu.Layout{
+		{Name: "ebnn_images", Kind: dpu.SymbolMRAM, Size: int64(batch * sh.PackedBytes)},
+		{Name: "ebnn_results", Kind: dpu.SymbolMRAM, Size: int64(batch * sh.ResultBytes)},
+		{Name: "ebnn_lut_mram", Kind: dpu.SymbolMRAM, Size: int64(sh.LUTBytes)},
+		{Name: "ebnn_nimages", Kind: dpu.SymbolWRAM, Size: 8},
+		{Name: "ebnn_filters", Kind: dpu.SymbolWRAM, Size: 16},
+		{Name: "ebnn_bn", Kind: dpu.SymbolWRAM, Size: int64(sh.Filters * 5 * 4)},
+		{Name: "ebnn_scratch", Kind: dpu.SymbolWRAM, Size: int64(dpu.MaxTasklets*(sh.PackedBytes+sh.ResultBytes) + sh.LUTBytes)},
+	}
 }
 
 // tally is the planner-side Meter: it prices what a cost function emits

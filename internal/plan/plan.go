@@ -97,8 +97,9 @@ type GEMMOptions struct {
 	// MaxK is the runner's allocation bound, which sizes the WRAM
 	// working set; 0 means the planned shape's own K.
 	MaxK int
-	// MaxTasklets caps the sweep; 0 derives the WRAM-feasible cap from
-	// MaxK/TileCols (see GEMMTaskletCap).
+	// MaxTasklets caps the sweep; 0 derives it from the kernel's layout:
+	// the largest count at which it fits WRAM with every tasklet's stack
+	// (GEMMTaskletCap at MaxK, TileCols and Batch).
 	MaxTasklets int
 	// Batch plans the image-per-DPU mapping's WRAM footprint (the
 	// per-tasklet A-row cache) into the tasklet cap.
@@ -120,9 +121,7 @@ type Planner struct {
 type cacheEntry struct {
 	mode     Mode
 	m, n, k  int // m is 0 for RowsPerDPU (row cost is m-independent)
-	tileCols int
-	naive    bool
-	maxT     int
+	opts     GEMMOptions
 	tasklets int
 	cycles   uint64
 }
@@ -144,35 +143,30 @@ func NewFromConfig(dpus int, cfg dpu.Config) *Planner {
 // Frequency returns the DPU clock the planner converts cycles with.
 func (p *Planner) Frequency() float64 { return p.cfg.FrequencyHz }
 
-func pad8(n int) int { return (n + 7) &^ 7 }
-
-// GEMMTaskletCap returns the largest tasklet count whose GEMM WRAM
-// working set fits the configured WRAM: the parameter block and staged
-// A row are shared, each tasklet owns a tile area (B chunk + ctmp + C
-// out, 8 bytes/column), and batch mode adds a per-tasklet A-row cache.
+// GEMMTaskletCap returns the largest tasklet count at which the gemm
+// kernels' layout (model.GEMMLayout at maxK and tileCols, in batch mode
+// with an A-row cache slot per tasklet) leaves every tasklet its stack
+// in the configured WRAM (dpu.Config.Fits, the rule a launch enforces).
 // Returns at least 1 (an infeasible-even-at-1 config fails at runner
 // allocation, not here).
 func (p *Planner) GEMMTaskletCap(maxK, tileCols int, batch bool) int {
 	if tileCols <= 0 {
 		tileCols = FixedTileCols
 	}
-	shared := int64(24) + int64(pad8(maxK*2))
-	per := int64(tileCols) * 8
-	if batch {
-		per += int64(pad8(maxK * 2))
+	t := dpu.MaxTasklets
+	for ; t > 1; t-- {
+		maxM, slots := 0, 0
+		if batch {
+			maxM, slots = 1, t
+		}
+		if p.cfg.Fits(model.GEMMLayout(maxK, 0, tileCols, t, maxM, slots).WRAM(), t) {
+			break
+		}
 	}
-	free := int64(p.cfg.WRAMSize) - shared
-	cap := int(free / per)
-	if cap < 1 {
-		cap = 1
-	}
-	if cap > dpu.MaxTasklets {
-		cap = dpu.MaxTasklets
-	}
-	return cap
+	return t
 }
 
-func (o *GEMMOptions) normalize(p *Planner, k int, batch bool) {
+func (o *GEMMOptions) normalize(k int, batch bool) {
 	if o.TileCols <= 0 {
 		o.TileCols = FixedTileCols
 	}
@@ -180,9 +174,6 @@ func (o *GEMMOptions) normalize(p *Planner, k int, batch bool) {
 		o.MaxK = k
 	}
 	o.Batch = o.Batch || batch
-	if o.MaxTasklets <= 0 {
-		o.MaxTasklets = p.GEMMTaskletCap(o.MaxK, o.TileCols, o.Batch)
-	}
 	if o.MaxTasklets > dpu.MaxTasklets {
 		o.MaxTasklets = dpu.MaxTasklets
 	}
@@ -194,7 +185,7 @@ func (o *GEMMOptions) normalize(p *Planner, k int, batch bool) {
 // always returns the same Mapping (the search is deterministic and
 // memoized).
 func (p *Planner) GEMM(m, n, k int, o GEMMOptions) Mapping {
-	o.normalize(p, k, false)
+	o.normalize(k, false)
 	kc := model.KernelConfig{Opt: p.cfg.Opt, TileCols: o.TileCols, Naive: o.Naive}
 	tasklets, cycles := p.searched(RowsPerDPU, 0, n, k, o, func(t int) uint64 {
 		kc.Tasklets = t
@@ -216,7 +207,7 @@ func (p *Planner) GEMM(m, n, k int, o GEMMOptions) Mapping {
 // cost is image-count independent, so the memoized search keys on the
 // problem shape alone and the wave geometry follows the image count.
 func (p *Planner) GEMMBatch(m, n, k, images int, o GEMMOptions) Mapping {
-	o.normalize(p, k, true)
+	o.normalize(k, true)
 	kc := model.KernelConfig{Opt: p.cfg.Opt, TileCols: o.TileCols, Naive: false}
 	tasklets, cycles := p.searched(ImagePerDPU, m, n, k, o, func(t int) uint64 {
 		kc.Tasklets = t
@@ -299,7 +290,8 @@ func (p *Planner) finish(mp *Mapping, shards int) {
 	mp.PredictedSeconds = float64(mp.PredictedWaveCycles) * float64(mp.Waves) / p.cfg.FrequencyHz
 }
 
-// searched memoizes searchTasklets per shape. The hot path (repeated
+// searched memoizes searchTasklets per shape and options, deriving an
+// unset tasklet cap (GEMMTaskletCap) on a miss. The hot path (repeated
 // forwards over the same network) hits the copy-on-write cache and
 // allocates nothing.
 func (p *Planner) searched(mode Mode, m, n, k int, o GEMMOptions, cost func(int) uint64) (int, uint64) {
@@ -307,20 +299,22 @@ func (p *Planner) searched(mode Mode, m, n, k int, o GEMMOptions, cost func(int)
 	if cached != nil {
 		for i := range *cached {
 			e := &(*cached)[i]
-			if e.mode == mode && e.m == m && e.n == n && e.k == k &&
-				e.tileCols == o.TileCols && e.naive == o.Naive && e.maxT == o.MaxTasklets {
+			if e.mode == mode && e.m == m && e.n == n && e.k == k && e.opts == o {
 				return e.tasklets, e.cycles
 			}
 		}
 	}
-	tasklets, cycles := searchTasklets(o.MaxTasklets, cost)
+	maxT := o.MaxTasklets
+	if maxT <= 0 {
+		maxT = p.GEMMTaskletCap(o.MaxK, o.TileCols, o.Batch)
+	}
+	tasklets, cycles := searchTasklets(maxT, cost)
 	next := make([]cacheEntry, 0, 8)
 	if cached != nil {
 		next = append(next, *cached...)
 	}
 	next = append(next, cacheEntry{
-		mode: mode, m: m, n: n, k: k,
-		tileCols: o.TileCols, naive: o.Naive, maxT: o.MaxTasklets,
+		mode: mode, m: m, n: n, k: k, opts: o,
 		tasklets: tasklets, cycles: cycles,
 	})
 	p.cache.Store(&next)
