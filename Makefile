@@ -19,8 +19,8 @@
 # tensor and gemm vetted big-endian),
 # the funcs under internal/ that no shipped program links and
 # scripts/reach.allow does not list (`make reach`), and the non-test line
-# count per package (`make lines`, report-only), the number ROADMAP asks
-# every PR to report. Each paper number has one reproduction,
+# count per package (`make lines`), the number ROADMAP asks every PR to
+# report, which fails when test lines outgrow non-test lines. Each paper number has one reproduction,
 # cmd/experiments (pinned by report-check); each wall-clock number has
 # one harness, `go run ./bench` (`make bench`).
 
@@ -112,7 +112,7 @@ bench:
 # Test*/Fuzz* in those files, the test budget margin (non-test lines -
 # test lines: the gate holds while it is >= 0) and the number of tracked
 # files: run it at the parent commit and at the change to report a PR's
-# net deltas. Report-only.
+# net deltas. It fails when the margin is negative.
 CODE_FILES = find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0
 lines:
 	@$(CODE_FILES) | xargs -0 wc -l \
@@ -122,7 +122,8 @@ lines:
 	@code=$$($(CODE_FILES) | xargs -0 cat | wc -l); \
 	find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | awk -v code=$$code '/^func (Test|Fuzz)/ { f++ } \
-			END { printf "%7d test lines\n%7d test functions\n%7d test budget margin\n", NR, f, code - NR }'
+			END { printf "%7d test lines\n%7d test functions\n%7d test budget margin\n", NR, f, code - NR; \
+				if (code < NR) { print "test budget margin is negative: test lines outgrow non-test lines"; exit 1 } }'
 	@git ls-files 2>/dev/null | wc -l | awk '{ printf "%7d tracked files\n", $$1 }'
 
 # Every top-level func in a non-test file under internal/ that no main

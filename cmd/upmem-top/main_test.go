@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"pimdnn/internal/dpu"
+	"pimdnn/internal/host"
 	"pimdnn/internal/metrics"
 	"pimdnn/internal/trace"
 )
@@ -58,6 +60,27 @@ func TestRenderDeltasAndBars(t *testing.T) {
 	}
 	if !strings.Contains(out, "yolo_conv000") {
 		t.Errorf("layer rows missing:\n%s", out)
+	}
+
+	// The fault counter under the name a real System registers it: seed 1
+	// dooms DPU 1 of 4, whose row and rank then read faults=.
+	reg := metrics.NewRegistry()
+	sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.EnableMetrics(reg)
+	sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3})
+	if _, err := sys.LaunchOn(4, 1, func(*dpu.Tasklet) error { return nil }); err == nil {
+		t.Fatal("no DPU died")
+	}
+	live := reg.Snapshot()
+	for _, rankSize := range []int{0, 2} {
+		out := Render(metrics.Snapshot{}, live, time.Second, 10, rankSize)
+		if !strings.Contains(out, "faults=") {
+			t.Errorf("rank size %d: no faults= for the dead DPU:\n%s", rankSize, out)
+		}
 	}
 }
 

@@ -330,6 +330,32 @@ func (d *DPU) Alloc(s Symbol) (Symbol, error) {
 	return s, nil
 }
 
+// AllocMark is a DPU's allocator state: where its next WRAM and MRAM
+// symbols start.
+type AllocMark struct{ wram, mram int64 }
+
+// Mark returns the allocator's state, for Rollback.
+func (d *DPU) Mark() AllocMark {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return AllocMark{d.wramUsed.Load(), d.mramUsed}
+}
+
+// Rollback undefines every symbol allocated since m was marked and
+// returns the allocator to m. Both allocators only grow, so those are
+// the symbols at or past m's offset in their memory.
+func (d *DPU) Rollback(m AllocMark) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, s := range d.symbols {
+		if s.Kind == SymbolWRAM && s.Offset >= m.wram || s.Kind != SymbolWRAM && s.Offset >= m.mram {
+			delete(d.symbols, name)
+		}
+	}
+	d.wramUsed.Store(m.wram)
+	d.mramUsed = m.mram
+}
+
 // Symbol looks up a defined symbol by name.
 func (d *DPU) Symbol(name string) (Symbol, bool) {
 	d.mu.Lock()

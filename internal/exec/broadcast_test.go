@@ -74,7 +74,7 @@ func TestBroadcastRedeliveryOverSharedPages(t *testing.T) {
 
 			if dead {
 				sys.DPU(bad).InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 1}.NewInjector(bad))
-				if _, err := sys.LaunchDPU(bad, 1, func(*dpu.Tasklet) error { return nil }); err == nil {
+				if err := sys.RunWave(host.Wave{Start: bad, DPUs: 1, Tasklets: 1, Kernel: func(*dpu.Tasklet) error { return nil }}); err == nil {
 					t.Fatal("doomed DPU launched")
 				}
 			} else {

@@ -60,20 +60,12 @@ type Stats struct {
 // one equal-length buffer per wave shard, inside the fused wave; a
 // workset's later scatter streams are pushed on their own and cover
 // every DPU of the system (matching dpu_push_xfer).
-// A stream starts at its symbol's base, and a re-dispatch pushes the
-// shard's own buffer of every input stream to the retry target. No
+// A stream starts at its symbol's base, and a re-dispatch moves the
+// shard's own buffers, Bufs[i], the same way on its retry target. No
 // stream is weight-resident: the only resident payload is a Broadcast.
 type Stream struct {
 	Ref  host.SymbolRef
 	Bufs [][]byte
-}
-
-// Xfer names one single-DPU transfer (a shard's input or output buffer,
-// at its symbol's base) used when re-dispatching that shard onto
-// another DPU.
-type Xfer struct {
-	Ref  host.SymbolRef
-	Data []byte
 }
 
 // Broadcast is a wave-invariant payload delivered to every DPU before
@@ -128,26 +120,6 @@ type WorkSet interface {
 	Decode(slot, shard, i int)
 }
 
-// WidthLimiter is implemented by worksets whose mapping caps the wave
-// width below the system's DPU count (a planner-produced mapping that
-// pins an explicit DPU budget). MaxWaveDPUs <= 0 means no cap. Capping
-// never changes results — later shards just queue into further waves.
-type WidthLimiter interface {
-	MaxWaveDPUs() int
-}
-
-// waveWidth resolves the engine's wave width for ws: the system size,
-// capped by the workset's WidthLimiter when it declares one.
-func (e *Engine) waveWidth(ws WorkSet) int {
-	nd := e.sys.NumDPUs()
-	if wl, ok := ws.(WidthLimiter); ok {
-		if max := wl.MaxWaveDPUs(); max > 0 && max < nd {
-			nd = max
-		}
-	}
-	return nd
-}
-
 // maxRedispatch bounds how many targets one shard (or one broadcast
 // redelivery) tries before the fault is reported as fatal.
 const maxRedispatch = 8
@@ -182,14 +154,12 @@ type Engine struct {
 	failSet  []bool
 
 	// The engine-global wave number (trace spans) and the launch
-	// statistics of the current wave, Run's or RunStream's: both read
-	// only the scalar aggregates before the next wave reuses its PerDPU
-	// backing.
+	// statistics of the current wave, Run's or RunStream's, and of the
+	// current re-dispatch: each is read for its scalar aggregates before
+	// the next reuses its PerDPU backing.
 	waveSeq int
 	waveLS  host.LaunchStats
-
-	// Reused scratch: the re-dispatch input descriptors.
-	insBuf []Xfer
+	retryLS host.LaunchStats
 }
 
 // New builds an engine over sys, with telemetry when sys has a metrics
@@ -415,17 +385,19 @@ func (e *Engine) broadcastResident(b Broadcast) error {
 	return nil
 }
 
-// redispatch re-runs one failed shard on a surviving DPU: push its
-// input buffers, launch the kernel on that DPU alone, and gather its
-// output. from is the DPU the shard failed on — targets in its rank are
-// preferred (nextTarget). The retry's cycles are added to st, so the
-// stats reflect the degraded run's real cost. An attempt stops at its
-// first failed step. A retry writes only the shard's own input and
-// output symbols, never the weight arena, so no resident stamp goes
-// stale through it: a resident payload is a Broadcast, delivered to
-// every live DPU before the launch.
-func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel dpu.KernelFunc, st *Stats) error {
-	near := from
+// redispatch re-runs the failed shard of wave position i, which ran on
+// DPU i, on a surviving DPU — one in DPU i's rank if any (nextTarget):
+// its buffers of the later input streams (Bufs[i] of each) are pushed
+// to that DPU, then w — its primary input, the kernel and its output
+// gather — runs there as a one-DPU wave, as the wave loop issues them.
+// The retry's cycles are added to st, so the stats reflect the degraded
+// run's real cost. An attempt stops at its first failed step. A retry
+// writes only the shard's own input and output symbols, never the
+// weight arena, so no resident stamp goes stale through it: a resident
+// payload is a Broadcast, delivered to every live DPU before the launch.
+func (e *Engine) redispatch(i int, later []Stream, w host.Wave, st *Stats) error {
+	near := i
+	w.DPUs, w.Stats = 1, &e.retryLS
 	var err error
 	for a := 0; a < maxRedispatch; a++ {
 		t := e.nextTarget(near)
@@ -435,23 +407,20 @@ func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel
 		// A failed attempt moves the scan past its target, like the
 		// round-robin cursor always did.
 		near = t
-		var ls host.LaunchStats
 		err = nil
-		for _, in := range ins {
-			if err = e.sys.CopyToDPURef(t, in.Ref, 0, in.Data); err != nil {
+		for _, s := range later {
+			if err = e.sys.CopyToDPURef(t, s.Ref, 0, s.Bufs[i]); err != nil {
 				break
 			}
 		}
 		if err == nil {
-			ls, err = e.sys.LaunchDPU(t, tasklets, kernel)
-		}
-		if err == nil {
-			err = e.sys.CopyFromDPURefInto(t, out.Ref, 0, out.Data)
+			w.Start = t
+			err = e.sys.RunWave(w)
 		}
 		if err == nil {
 			st.Retries++
-			st.Cycles += ls.Cycles
-			st.Seconds += ls.Seconds
+			st.Cycles += e.retryLS.Cycles
+			st.Seconds += e.retryLS.Seconds
 			return nil
 		}
 		if errors.Is(err, dpu.ErrDPUDead) {
@@ -466,17 +435,6 @@ func (e *Engine) redispatch(from int, ins []Xfer, out Xfer, tasklets int, kernel
 	return fmt.Errorf("exec: shard re-dispatch failed %d times: %w", maxRedispatch, err)
 }
 
-// shardIns builds the re-dispatch input list for wave position i from
-// the workset's scatter streams, reusing the engine's scratch slice.
-func (e *Engine) shardIns(streams []Stream, i int) []Xfer {
-	ins := e.insBuf[:0]
-	for _, s := range streams {
-		ins = append(ins, Xfer{Ref: s.Ref, Data: s.Bufs[i]})
-	}
-	e.insBuf = ins
-	return ins
-}
-
 // Run dispatches every shard of ws. st accumulates: callers zero it (or
 // carry it across layers) themselves.
 func (e *Engine) Run(ws WorkSet, st *Stats) error {
@@ -488,8 +446,8 @@ func (e *Engine) Run(ws WorkSet, st *Stats) error {
 	return err
 }
 
-// run is the wave loop, the only one. Per wave of up to waveWidth
-// shards: encode it, push the extra scatter streams, run the fused wave,
+// run is the wave loop, the only one. Per wave of up to one shard per
+// DPU: encode it, push the extra scatter streams, run the fused wave,
 // fold every partial failure into the failed-shard set, account the
 // launch, re-dispatch the failed shards onto survivors, then decode the
 // wave in input order.
@@ -502,7 +460,7 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 			return err
 		}
 	}
-	nd := e.waveWidth(ws)
+	nd := e.sys.NumDPUs()
 	total := ws.Shards()
 	tasklets := ws.Tasklets()
 	st.Tasklets = tasklets
@@ -549,7 +507,11 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		for i := 0; i < n; i++ {
 			if failed[i] {
 				retried = true
-				if err := e.redispatch(i, e.shardIns(streams, i), Xfer{Ref: g.Ref, Data: g.Bufs[i]}, tasklets, kernel, st); err != nil {
+				if err := e.redispatch(i, streams[1:], host.Wave{
+					Tasklets: tasklets, Kernel: kernel,
+					Scatter: streams[0].Ref, In: streams[0].Bufs[i : i+1],
+					Gather: g.Ref, Out: g.Bufs[i : i+1],
+				}, st); err != nil {
 					return err
 				}
 			}

@@ -17,9 +17,9 @@ import (
 
 // toySet is a minimal WorkSet: shard i carries one uint32, the kernel
 // computes v*3+7, and Decode collects the transformed values. Buffers
-// are 8 bytes per DPU (the MRAM DMA granularity). With toyOpts it also
-// caps its wave width (exec.WidthLimiter) and carries a second scatter
-// stream, a per-shard addend the kernel adds to the result.
+// are 8 bytes per DPU (the MRAM DMA granularity). With twoStream it
+// also carries a second scatter stream, a per-shard addend the kernel
+// adds to the result.
 type toySet struct {
 	sys    *host.System
 	refIn  host.SymbolRef
@@ -27,19 +27,14 @@ type toySet struct {
 	refOut host.SymbolRef
 	kern   dpu.KernelFunc
 
-	vals []uint32
-	got  []uint32
-	opts toyOpts
+	vals      []uint32
+	got       []uint32
+	twoStream bool
 
 	inBufs  [][]byte
 	addBufs [][]byte
 	outBufs [][]byte
 	streams []exec.Stream
-}
-
-type toyOpts struct {
-	maxWave   int  // wave-width cap, 0 for none
-	twoStream bool // scatter the addend stream too
 }
 
 // toyAddend is shard i's addend on the second stream.
@@ -52,10 +47,10 @@ func newToySet(t *testing.T, nd int, vals []uint32) *toySet {
 
 func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toySet {
 	t.Helper()
-	return newToySetOpts(t, nd, vals, topo, toyOpts{})
+	return newToySetOpts(t, nd, vals, topo, false)
 }
 
-func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts toyOpts) *toySet {
+func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, twoStream bool) *toySet {
 	t.Helper()
 	cfg := host.DefaultConfig(dpu.O3)
 	cfg.Topology = topo
@@ -69,7 +64,7 @@ func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), opts: opts, refIn: refs[0], refAdd: refs[1], refOut: refs[2]}
+	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), twoStream: twoStream, refIn: refs[0], refAdd: refs[1], refOut: refs[2]}
 	inOff, addOff, outOff, wramOff := refs[0].Offset(), refs[1].Offset(), refs[2].Offset(), refs[3].Offset()
 	w.kern = func(tk *dpu.Tasklet) error {
 		if tk.ID() != 0 {
@@ -77,7 +72,7 @@ func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts
 		}
 		tk.MRAMToWRAM(wramOff, inOff, 8)
 		out := tk.Load32(wramOff)*3 + 7
-		if opts.twoStream {
+		if twoStream {
 			tk.MRAMToWRAM(wramOff+8, addOff, 8)
 			out += tk.Load32(wramOff + 8)
 		}
@@ -95,7 +90,7 @@ func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, opts
 // want is the expected Decode output.
 func (w *toySet) want() []uint32 {
 	want := toyWant(w.vals)
-	if w.opts.twoStream {
+	if w.twoStream {
 		for i := range want {
 			want[i] += toyAddend(i)
 		}
@@ -116,9 +111,6 @@ func (w *toySet) Tasklets() int                { return 2 }
 func (w *toySet) Kernel() dpu.KernelFunc       { return w.kern }
 func (w *toySet) Broadcasts() []exec.Broadcast { return nil }
 
-// MaxWaveDPUs implements exec.WidthLimiter.
-func (w *toySet) MaxWaveDPUs() int { return w.opts.maxWave }
-
 func (w *toySet) Encode(_, start, n int) {
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(w.inBufs[i], w.vals[start+i])
@@ -128,7 +120,7 @@ func (w *toySet) Encode(_, start, n int) {
 
 func (w *toySet) Scatter(_, n int) []exec.Stream {
 	w.streams = append(w.streams[:0], exec.Stream{Ref: w.refIn, Bufs: w.inBufs})
-	if w.opts.twoStream {
+	if w.twoStream {
 		w.streams = append(w.streams, exec.Stream{Ref: w.refAdd, Bufs: w.addBufs})
 	}
 	return w.streams
@@ -446,7 +438,7 @@ type runOutcome struct {
 // toy WorkSet — twice per engine, so the second run starts from the
 // first's down set — over the shapes where the two dispatch paths used
 // to account differently (a partial single wave on a sharded system, a
-// partial last wave, a WidthLimiter cap, a second scatter stream), under
+// partial last wave, a second scatter stream), under
 // each fault class and an armed zero plan, with each telemetry, at
 // GOMAXPROCS 1, 2 and 4. Outputs, exec.Stats, per-DPU cycles, all of
 // TransferStats, the DPU clock and the down count must equal the
@@ -457,12 +449,11 @@ func TestRunInvariance(t *testing.T) {
 	shapes := []struct {
 		name       string
 		nd, shards int
-		opts       toyOpts
+		twoStream  bool
 	}{
-		{"24on40", 40, 24, toyOpts{}},
-		{"20on8", 8, 20, toyOpts{}},
-		{"20on8-cap5", 8, 20, toyOpts{maxWave: 5}},
-		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true}},
+		{"24on40", 40, 24, false},
+		{"20on8", 8, 20, false},
+		{"20on8-two-stream", 8, 20, true},
 	}
 	faults := []struct {
 		name string
@@ -481,7 +472,7 @@ func TestRunInvariance(t *testing.T) {
 				var base runOutcome
 				for _, tel := range telemetries {
 					for _, procs := range []int{1, 2, 4} {
-						got := runToySet(t, procs, sh.nd, sh.shards, sh.opts, fc.plan, tel)
+						got := runToySet(t, procs, sh.nd, sh.shards, sh.twoStream, fc.plan, tel)
 						if tel == "off" && procs == 1 {
 							base = got
 							if injects(fc.plan) != (got.Stats.Retries > 0) {
@@ -533,14 +524,14 @@ func (o runOutcome) summary() string {
 	return summarize(streamOutcome{Stats: o.Stats, DPUCycles: o.DPUCycles, Xfer: o.Xfer, DPUTime: o.DPUTime, Down: o.Down})
 }
 
-func runToySet(t *testing.T, procs, nd, shards int, opts toyOpts, plan *dpu.FaultPlan, tel string) runOutcome {
+func runToySet(t *testing.T, procs, nd, shards int, twoStream bool, plan *dpu.FaultPlan, tel string) runOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	vals := make([]uint32, shards)
 	for i := range vals {
 		vals[i] = uint32(1000 + 17*i)
 	}
-	w := newToySetOpts(t, nd, vals, host.Topology{}, opts)
+	w := newToySetOpts(t, nd, vals, host.Topology{}, twoStream)
 	if plan != nil {
 		w.sys.InjectFaults(*plan)
 	}

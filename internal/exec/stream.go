@@ -117,7 +117,10 @@ func (e *Engine) gatherStream(ss *StreamSet, failed []bool, st *Stats) error {
 			in, raw = make([]byte, ss.InRows*ss.InRowBytes), make([]byte, ss.OutRows*ss.OutRowBytes)
 		}
 		ss.Fill(i, 0, ss.InRows, in, ss.InRowBytes)
-		if err := e.redispatch(i, []Xfer{{Ref: ss.InRef, Data: in}}, Xfer{Ref: ss.OutRef, Data: raw}, ss.Tasklets, ss.Kernel, st); err != nil {
+		if err := e.redispatch(i, nil, host.Wave{
+			Tasklets: ss.Tasklets, Kernel: ss.Kernel,
+			Scatter: ss.InRef, In: [][]byte{in}, Gather: ss.OutRef, Out: [][]byte{raw},
+		}, st); err != nil {
 			return err
 		}
 		ss.Deliver(i, 0, ss.OutRows, raw, ss.OutRowBytes)

@@ -132,14 +132,13 @@ type Runner struct {
 	residKey   int
 	residArmed bool
 
-	// Auto-mapping (RunnerConfig.Planner): curTasklets/curWidth are the
-	// live dispatch's planned tasklet count and wave-width cap (cfg
-	// defaults when no planner), batchAllocT is the tasklet count the
-	// batch-mode WRAM cache was allocated for, and lastPlan is the most
-	// recent planner decision (for calibration reporting).
+	// Auto-mapping (RunnerConfig.Planner): curTasklets is the live
+	// dispatch's planned tasklet count (cfg's when no planner),
+	// batchAllocT is the tasklet count the batch-mode WRAM cache was
+	// allocated for, and lastPlan is the most recent planner decision
+	// (for calibration reporting).
 	planner     *plan.Planner
 	curTasklets int
-	curWidth    int
 	batchAllocT int
 	lastPlan    plan.Mapping
 	hasPlan     bool
@@ -524,10 +523,6 @@ func (w *mulWorkSet) Tasklets() int                { return w.r.curTasklets }
 func (w *mulWorkSet) Kernel() dpu.KernelFunc       { return w.r.Kernel() }
 func (w *mulWorkSet) Broadcasts() []exec.Broadcast { return w.bcasts }
 
-// MaxWaveDPUs caps the wave width at the planned mapping's DPU budget
-// (exec.WidthLimiter); 0 — no cap — without a planner.
-func (w *mulWorkSet) MaxWaveDPUs() int { return w.r.curWidth }
-
 func (w *mulWorkSet) Encode(_, start, n int) {
 	packRows(w.r.mul.aStage, w.rowBytes, w.a[start*w.k:], n, w.k)
 }
@@ -598,7 +593,6 @@ func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a, c []int16, fill func(
 		psp := r.eng.TraceSpan().StartChild("plan")
 		mp := r.planner.GEMM(m, n, k, r.planOpts(false))
 		r.curTasklets = mp.Tasklets
-		r.curWidth = mp.DPUs
 		r.lastPlan, r.hasPlan = mp, true
 		psp.SetAttr("tasklets", int64(mp.Tasklets))
 		psp.SetAttr("dpus", int64(mp.DPUs))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/model"
 )
 
 // TestLaunchSingleDPUFailure: a fault on one DPU of a parallel launch
@@ -88,6 +89,22 @@ func TestAllocFailurePropagatesPerDPU(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "DPU 0") {
 		t.Errorf("error does not name the DPU: %v", err)
+	}
+
+	// A failed Alloc defines nothing: a GEMM runner's layout at 24
+	// tasklets overflows WRAM in its last row, and the same layout at 20
+	// then fits on the same System (256 is gemm.DefaultTileCols).
+	s = newTestSystem(t, 3)
+	if _, err := s.Alloc(model.GEMMLayout(9216, 8, 256, 24, 0, 0)); err == nil {
+		t.Fatal("GEMM layout at 24 tasklets fit WRAM")
+	}
+	for i := 0; i < s.NumDPUs(); i++ {
+		if _, ok := s.DPU(i).Symbol("gemm_a_row"); ok || s.DPU(i).WRAMFree() != dpu.DefaultWRAMSize {
+			t.Errorf("DPU %d keeps a failed Alloc's rows", i)
+		}
+	}
+	if _, err := s.Alloc(model.GEMMLayout(9216, 8, 256, 20, 0, 0)); err != nil {
+		t.Errorf("GEMM layout at 20 tasklets after a failed one: %v", err)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Structured partial-failure reporting for the host runtime.
 //
-// Every multi-DPU operation (broadcast, scatter, gather, launch, fused
-// wave) follows one best-effort contract: it attempts all participating
-// DPUs, charges simulated time for exactly what ran, and — when at
-// least one DPU failed — returns a *FaultReport naming each failed DPU
-// and its error. Single-DPU operations return a one-entry report for
-// device-level failures so callers can treat every fault uniformly.
+// Every operation (broadcast, scatter, gather, launch, fused wave, and
+// the same on one DPU) follows one best-effort contract: it attempts all
+// participating DPUs, charges simulated time for exactly what ran, and —
+// when at least one DPU failed — returns a *FaultReport naming each
+// failed DPU and its error; a one-DPU request's report has one entry.
 // Argument-validation errors (bad index, out-of-bounds access,
 // mismatched buffer counts) are ordinary errors, never FaultReports:
 // nothing ran, nothing is charged.
@@ -33,8 +32,8 @@ type DPUFault struct {
 // errors.As, and Unwrap exposes the per-DPU errors so
 // errors.Is(err, dpu.ErrDPUDead) and friends see through it.
 type FaultReport struct {
-	// Op names the failed operation (copy_to, push_xfer, gather, launch,
-	// wave, or their single-DPU variants).
+	// Op names the failed operation (copy_to, copy_to_dpu, push_xfer,
+	// scatter_rows, gather, gather_rows, launch, wave).
 	Op string
 	// Attempted is the number of DPUs the operation attempted.
 	Attempted int
@@ -99,10 +98,11 @@ func AsFaultReport(err error) (*FaultReport, bool) {
 	return nil, false
 }
 
-// faultsFrom converts a per-DPU error slice into a *FaultReport, or nil
-// when every entry is nil. The error values are copied out of errs, so
-// callers may reuse the slice immediately.
-func faultsFrom(op string, errs []error) error {
+// faultsFrom converts the per-DPU errors of a request whose first DPU is
+// start into a *FaultReport, or nil when every entry is nil. The error
+// values are copied out of errs, so callers may reuse the slice
+// immediately.
+func faultsFrom(op string, start int, errs []error) error {
 	nFail := 0
 	for _, e := range errs {
 		if e != nil {
@@ -115,16 +115,10 @@ func faultsFrom(op string, errs []error) error {
 	r := &FaultReport{Op: op, Attempted: len(errs), Faults: make([]DPUFault, 0, nFail)}
 	for i, e := range errs {
 		if e != nil {
-			r.Faults = append(r.Faults, DPUFault{DPU: i, Err: e})
+			r.Faults = append(r.Faults, DPUFault{DPU: start + i, Err: e})
 		}
 	}
 	return r
-}
-
-// singleFault wraps one DPU's device-level failure in a one-entry
-// report, the single-DPU operations' counterpart of faultsFrom.
-func singleFault(op string, dpuIdx int, err error) error {
-	return &FaultReport{Op: op, Attempted: 1, Faults: []DPUFault{{DPU: dpuIdx, Err: err}}}
 }
 
 // InjectFaults arms every DPU with a deterministic injector derived

@@ -20,7 +20,7 @@ func armOne(s *System, idx int, plan dpu.FaultPlan) {
 func killDPU(t *testing.T, s *System, idx int) {
 	t.Helper()
 	armOne(s, idx, dpu.FaultPlan{Seed: 1, DeadFrac: 1, DeadAfterLaunches: 0})
-	_, err := s.LaunchDPU(idx, 1, func(tk *dpu.Tasklet) error { return nil })
+	err := s.RunWave(Wave{Start: idx, DPUs: 1, Tasklets: 1, Kernel: func(tk *dpu.Tasklet) error { return nil }})
 	if !errors.Is(err, dpu.ErrDPUDead) {
 		t.Fatalf("killDPU: launch on doomed DPU: %v", err)
 	}
@@ -350,12 +350,15 @@ func TestLaunchFaultMatrix(t *testing.T) {
 					t.Errorf("launch fault changed transfer stats")
 				}
 
-				// Single-DPU launch against the armed DPU reports, charges
-				// nothing.
-				if _, err := s.LaunchDPU(bad, 1, kernel); zero != (err == nil) {
-					t.Errorf("LaunchDPU on armed DPU: %v", err)
-				} else if rep, ok := AsFaultReport(err); !zero && (!ok || rep.Op != "launch_dpu") {
-					t.Errorf("LaunchDPU report: %v", err)
+				// A one-DPU wave launching on the armed DPU reports it and
+				// charges nothing.
+				timeBefore = s.DPUTime()
+				if err := s.RunWave(Wave{Start: bad, DPUs: 1, Tasklets: 1, Kernel: kernel}); zero != (err == nil) {
+					t.Errorf("one-DPU wave on armed DPU: %v", err)
+				} else if rep, ok := AsFaultReport(err); !zero && (!ok || rep.Op != "wave" || rep.Attempted != 1 || rep.ErrFor(bad) == nil) {
+					t.Errorf("one-DPU wave report: %v", err)
+				} else if !zero && s.DPUTime() != timeBefore {
+					t.Errorf("failed one-DPU wave advanced DPUTime by %v", s.DPUTime()-timeBefore)
 				}
 
 				if kind.dead {

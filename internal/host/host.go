@@ -66,9 +66,9 @@ type System struct {
 	perRank int
 	ranks   int
 
-	// symbols caches the uniform symbol table built by AllocMRAM /
-	// AllocWRAM so transfers resolve names with one map lookup per call
-	// instead of one per DPU.
+	// symbols caches the uniform symbol table built by Alloc so
+	// transfers resolve names with one map lookup per call instead of
+	// one per DPU.
 	symMu   sync.RWMutex
 	symbols map[string]dpu.Symbol
 
@@ -172,25 +172,34 @@ func (s *System) Profile() *trace.Profile { return s.prof }
 func (s *System) Config() Config { return s.cfg }
 
 // Alloc defines a layout's symbols on every DPU, in order, and returns
-// each row's resolved ref.
+// each row's resolved ref. It is all or nothing: when a row fails on
+// some DPU, every DPU is rolled back to where it stood, and no symbol of
+// the layout is defined.
 func (s *System) Alloc(l dpu.Layout) ([]SymbolRef, error) {
+	marks := make([]dpu.AllocMark, len(s.dpus))
+	for i, d := range s.dpus {
+		marks[i] = d.Mark()
+	}
 	refs := make([]SymbolRef, len(l))
 	for j, row := range l {
-		var sym dpu.Symbol
 		for i, d := range s.dpus {
-			sm, err := d.Alloc(row)
+			sym, err := d.Alloc(row)
 			if err != nil {
+				for k, dk := range s.dpus {
+					dk.Rollback(marks[k])
+				}
 				return nil, fmt.Errorf("host: DPU %d: %w", i, err)
 			}
 			if i == 0 {
-				sym = sm
+				refs[j] = SymbolRef{name: sym.Name, kind: sym.Kind, off: sym.Offset, size: sym.Size}
 			}
 		}
-		s.symMu.Lock()
-		s.symbols[sym.Name] = sym
-		s.symMu.Unlock()
-		refs[j] = SymbolRef{name: sym.Name, kind: sym.Kind, off: sym.Offset, size: sym.Size}
 	}
+	s.symMu.Lock()
+	for _, r := range refs {
+		s.symbols[r.name] = dpu.Symbol{Name: r.name, Kind: r.kind, Offset: r.off, Size: r.size}
+	}
+	s.symMu.Unlock()
 	return refs, nil
 }
 
@@ -262,28 +271,6 @@ func checkRef(ref SymbolRef, offset int64, n int) error {
 	return nil
 }
 
-func (s *System) copyToOne(i int, ref SymbolRef, offset int64, data []byte) error {
-	d := s.dpus[i]
-	if err := d.TransferFault(); err != nil {
-		return err
-	}
-	if ref.kind == dpu.SymbolWRAM {
-		return d.CopyToWRAM(ref.off+offset, data)
-	}
-	return d.CopyToMRAM(ref.off+offset, data)
-}
-
-func (s *System) copyFromOneInto(i int, ref SymbolRef, offset int64, dst []byte) error {
-	d := s.dpus[i]
-	if err := d.TransferFault(); err != nil {
-		return err
-	}
-	if ref.kind == dpu.SymbolWRAM {
-		return d.CopyFromWRAMInto(ref.off+offset, dst)
-	}
-	return d.CopyFromMRAMInto(ref.off+offset, dst)
-}
-
 // ParallelFor runs fn over [0, n) in contiguous, rank-aligned ranges on
 // the system's worker pool and returns when every range has finished —
 // the fan-out the sharded transfers and launches use, for host-side
@@ -291,9 +278,10 @@ func (s *System) copyFromOneInto(i int, ref SymbolRef, offset int64, dst []byte)
 // forward). Below the sharding threshold, and
 // on a single worker, it is the plain call fn(0, n) on the caller's
 // goroutine. fn must be safe for concurrent invocation on disjoint
-// ranges. It may use the pool itself — a nested ParallelFor, single-DPU
-// transfers from any range, multi-DPU transfers from one range at a
-// time (those share the System's synchronous runner).
+// ranges. It may use the pool itself — a nested ParallelFor, one-DPU
+// requests (CopyToDPURef, a one-DPU RunWave) from any range, wider
+// transfers and waves from one range at a time (those share a runner's
+// scratch).
 func (s *System) ParallelFor(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -322,22 +310,14 @@ func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error
 	return err
 }
 
-// CopyToDPURef writes data to the symbol on a single DPU. Device-level
-// failures come back as a one-entry *FaultReport; nothing is charged
-// for a failed transfer.
+// CopyToDPURef writes data to the symbol on DPU dpuIdx alone: a one-DPU
+// CopyToSymbolRef, reported and charged the same way.
 func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []byte) error {
-	if err := s.checkIdx(dpuIdx); err != nil {
-		return err
+	if data == nil {
+		data = []byte{} // an empty write, not a missing one
 	}
-	if err := checkRef(ref, offset, len(data)); err != nil {
-		return err
-	}
-	if err := s.copyToOne(dpuIdx, ref, offset, data); err != nil {
-		return s.noteFaults(singleFault("copy_to_dpu", dpuIdx, err))
-	}
-	s.chargeTransfer(len(data))
-	s.meterXfer(true, len(data))
-	return nil
+	_, err := s.calls.do("copy_to_dpu", Wave{Start: dpuIdx, DPUs: 1, Scatter: ref, off: offset, bcast: data}, phScattered)
+	return err
 }
 
 // PushXferRef scatters per-DPU buffers to the symbol: buffers[i] goes to
@@ -390,31 +370,6 @@ func (s *System) GatherRows(ref SymbolRef, rows, rowBytes int, skip []bool, visi
 	return err
 }
 
-// CopyFromDPURefInto reads len(dst) bytes from the symbol on one DPU
-// into dst, without allocating. Device-level failures come back as a one-entry *FaultReport; nothing
-// is charged for a failed transfer.
-func (s *System) CopyFromDPURefInto(dpuIdx int, ref SymbolRef, offset int64, dst []byte) error {
-	if err := s.checkIdx(dpuIdx); err != nil {
-		return err
-	}
-	if err := checkRef(ref, offset, len(dst)); err != nil {
-		return err
-	}
-	if err := s.copyFromOneInto(dpuIdx, ref, offset, dst); err != nil {
-		return s.noteFaults(singleFault("copy_from_dpu", dpuIdx, err))
-	}
-	s.chargeTransfer(len(dst))
-	s.meterXfer(false, len(dst))
-	return nil
-}
-
-func (s *System) checkIdx(i int) error {
-	if i < 0 || i >= len(s.dpus) {
-		return fmt.Errorf("host: DPU index %d outside 0..%d", i, len(s.dpus)-1)
-	}
-	return nil
-}
-
 // LaunchStats aggregates one parallel launch across the system.
 type LaunchStats struct {
 	// PerDPU holds each DPU's launch statistics.
@@ -449,50 +404,13 @@ func (s *System) LaunchOn(n, tasklets int, kernel dpu.KernelFunc) (LaunchStats, 
 	return s.calls.do("launch", Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel}, phLaunched)
 }
 
-// LaunchDPU runs the kernel on the single DPU at dpuIdx, charging its
-// completion time to the system DPU clock. Runners use it to
-// re-dispatch a failed DPU's shard onto a surviving DPU; device-level
-// failures come back as a one-entry *FaultReport and charge nothing.
-func (s *System) LaunchDPU(dpuIdx, tasklets int, kernel dpu.KernelFunc) (LaunchStats, error) {
-	if err := s.checkIdx(dpuIdx); err != nil {
-		return LaunchStats{}, err
-	}
-	st, err := s.dpus[dpuIdx].Launch(tasklets, kernel)
-	if err != nil {
-		return LaunchStats{}, s.noteFaults(singleFault("launch_dpu", dpuIdx, err))
-	}
-	ls := LaunchStats{
-		PerDPU:  []dpu.Stats{st},
-		Cycles:  st.Cycles,
-		Seconds: st.Seconds,
-		Time:    st.Time,
-		EnergyJ: st.EnergyJ,
-	}
-	s.mu.Lock()
-	s.dpuTime += ls.Time
-	s.mu.Unlock()
-	return ls, nil
-}
-
-// chargeTransfer advances the host clock for a host<->PIM transfer of n
-// payload bytes moving through one rank channel.
-func (s *System) chargeTransfer(n int) {
-	d := s.cfg.TransferLatency +
-		time.Duration(float64(n)/s.cfg.TransferBandwidth*float64(time.Second))
-	s.mu.Lock()
-	s.hostXferTime += d
-	s.xferCount++
-	s.xferBytes += uint64(n)
-	s.mu.Unlock()
-}
-
 // chargeTransferRanks advances the host clock for one multi-DPU
 // transfer API call that moved perDPU bytes to each of nOK DPUs, of
 // which busiest share a rank: the ranks stream concurrently on their
 // own channels, so the modeled duration is the busiest rank's serial
 // share (plus one per-call latency), while the byte counters record the
-// full payload. With one rank busiest == nOK and the charge is
-// identical — bit for bit — to the flat chargeTransfer(perDPU*nOK).
+// full payload. With one rank busiest == nOK and the charge is the flat
+// model's, bit for bit.
 func (s *System) chargeTransferRanks(perDPU, nOK, busiest int) {
 	d := s.cfg.TransferLatency +
 		time.Duration(float64(perDPU*busiest)/s.cfg.TransferBandwidth*float64(time.Second))

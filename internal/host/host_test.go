@@ -35,12 +35,6 @@ func gatherAll(s *System, ref SymbolRef, offset int64, n int) ([][]byte, error) 
 	return out, s.GatherXferRefInto(ref, offset, n, out)
 }
 
-// copyFrom reads n bytes of ref from one DPU.
-func copyFrom(s *System, dpuIdx int, ref SymbolRef, offset int64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	return out, s.CopyFromDPURefInto(dpuIdx, ref, offset, out)
-}
-
 func TestNewSystemValidation(t *testing.T) {
 	cfg := DefaultConfig(dpu.O0)
 	if _, err := NewSystem(0, cfg); err == nil {
@@ -90,11 +84,7 @@ func TestPushXferScatters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		b, err := copyFrom(s, i, resolve(t, s, "input"), 0, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b[0] != byte(i+1) {
+		if b := mramOf(t, s, i, resolve(t, s, "input")); b[0] != byte(i+1) {
 			t.Errorf("DPU %d got %d, want %d", i, b[0], i+1)
 		}
 	}
@@ -138,8 +128,8 @@ func TestWRAMSymbolTransfer(t *testing.T) {
 	if err := s.CopyToSymbolRef(resolve(t, s, "nimages"), 0, []byte{16, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := copyFrom(s, 1, resolve(t, s, "nimages"), 0, 4)
-	if err != nil {
+	b := make([]byte, 4)
+	if err := s.DPU(1).CopyFromWRAMInto(resolve(t, s, "nimages").off, b); err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != 16 {
@@ -314,7 +304,7 @@ func TestCopyToDPUIndexValidation(t *testing.T) {
 	if err := s.CopyToDPURef(5, resolve(t, s, "x"), 0, make([]byte, 8)); err == nil {
 		t.Error("out-of-range DPU index accepted")
 	}
-	if _, err := copyFrom(s, -1, resolve(t, s, "x"), 0, 8); err == nil {
+	if err := s.CopyToDPURef(-1, resolve(t, s, "x"), 0, make([]byte, 8)); err == nil {
 		t.Error("negative DPU index accepted")
 	}
 }

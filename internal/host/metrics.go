@@ -52,7 +52,7 @@ func (s *System) EnableMetrics(reg *metrics.Registry) {
 	mramAcc := reg.CounterVec("pim_dpu_mram_accesses_total", "dpu", n)
 	wramBytes := reg.CounterVec("pim_dpu_wram_bytes_total", "dpu", n)
 	wramAcc := reg.CounterVec("pim_dpu_wram_accesses_total", "dpu", n)
-	faults := reg.CounterVec("pim_dpu_faults_injected_total", "dpu", n)
+	faults := reg.CounterVec("pim_dpu_faults_total", "dpu", n)
 	occ := reg.Histogram("pim_dpu_tasklets_per_launch",
 		metrics.LinearBuckets(1, 1, dpu.MaxTasklets))
 	for i, d := range s.dpus {

@@ -14,8 +14,8 @@ import (
 
 // TestParallelForReentrant runs range functions that call back into the
 // pool — a nested ParallelFor whose own range function issues a sharded
-// PushXferRef — the shape the exec engine produces once Deliver/each
-// (user code) run on pool workers. A pool whose callers block until a
+// PushXferRef and one-DPU copies — the shape the exec engine produces
+// once Deliver/each (user code) run on pool workers. A pool whose callers block until a
 // worker pulls their queued shards parks every worker behind work
 // nobody will start; here every caller claims its own shards, so the
 // run must finish (and cover every index exactly once) at any width.
@@ -57,6 +57,11 @@ func TestParallelForReentrant(t *testing.T) {
 					sys.ParallelFor(nd, func(lo2, hi2 int) {
 						for j := lo2; j < hi2; j++ {
 							inner[j].Add(1)
+							// A one-DPU request takes no turn: its scratch is its own.
+							if err := sys.CopyToDPURef(j, ref, 0, bufs[j]); err != nil {
+								t.Errorf("one-DPU copy: %v", err)
+							}
+							pushes.Add(1)
 						}
 						xferMu.Lock()
 						err := sys.PushXferRef(ref, 0, bufs)
@@ -89,7 +94,7 @@ func TestParallelForReentrant(t *testing.T) {
 				}
 			}
 			if got := sys.TransferStats().Transfers; got != uint64(pushes.Load()) {
-				t.Errorf("transfers charged = %d, pushes issued = %d", got, pushes.Load())
+				t.Errorf("transfers charged = %d, issued = %d", got, pushes.Load())
 			}
 		})
 	}

@@ -67,18 +67,19 @@ func (s *System) RankSpan(r int) (lo, hi int) {
 	return lo, hi
 }
 
-// tallyRanks counts the DPUs of the runner's last run whose phase has
-// bit set, and the busiest rank's share of them: the DPUs a transfer
+// tallyRanks counts the DPUs of a request from DPU start whose phase
+// has bit set, and the busiest rank's share of them: the DPUs a transfer
 // charge covers and the count its duration is timed by. On a
-// single-rank system busiest == nOK without touching the tally scratch.
-func (r *phaseRunner) tallyRanks(bit uint8) (nOK, busiest int) {
-	for _, p := range r.phase {
+// single-rank system, or for at most one DPU, busiest == nOK without
+// touching the tally scratch.
+func (r *phaseRunner) tallyRanks(phase []uint8, start int, bit uint8) (nOK, busiest int) {
+	for _, p := range phase {
 		if p&bit != 0 {
 			nOK++
 		}
 	}
 	s := r.s
-	if s.ranks == 1 || nOK == 0 {
+	if s.ranks == 1 || nOK <= 1 {
 		return nOK, nOK
 	}
 	if cap(r.tally) < s.ranks {
@@ -86,9 +87,9 @@ func (r *phaseRunner) tallyRanks(bit uint8) (nOK, busiest int) {
 	}
 	tally := r.tally[:s.ranks]
 	clear(tally)
-	for i, p := range r.phase {
+	for i, p := range phase {
 		if p&bit != 0 {
-			rk := i / s.perRank
+			rk := (start + i) / s.perRank
 			tally[rk]++
 			busiest = max(busiest, tally[rk])
 		}

@@ -79,14 +79,13 @@ func TestTopologyAccessors(t *testing.T) {
 // errors, recorded as the runner records them: a DPU that moved its
 // bytes has its phase bit set.
 func tallyErrs(s *System, errs []error) (nOK, busiest int) {
-	r := &s.calls
-	r.reset(len(errs))
+	phase := make([]uint8, len(errs))
 	for i, e := range errs {
 		if e == nil {
-			r.phase[i] = phScattered
+			phase[i] = phScattered
 		}
 	}
-	return r.tallyRanks(phScattered)
+	return s.calls.tallyRanks(phase, 0, phScattered)
 }
 
 func TestRankOKErrs(t *testing.T) {
@@ -124,13 +123,11 @@ func TestRankOKErrs(t *testing.T) {
 func TestRankOKPhase(t *testing.T) {
 	s := topoSystem(t, 6, Topology{DPUsPerRank: 2})
 	r := &s.waves
-	r.reset(6)
-	copy(r.phase, []uint8{phGathered, 0, phGathered, phScattered | phGathered, phScattered, 0})
-	if nOK, busiest := r.tallyRanks(phGathered); nOK != 3 || busiest != 2 {
+	phase := []uint8{phGathered, 0, phGathered, phScattered | phGathered, phScattered, 0}
+	if nOK, busiest := r.tallyRanks(phase, 0, phGathered); nOK != 3 || busiest != 2 {
 		t.Errorf("got nOK=%d busiest=%d, want 3/2", nOK, busiest)
 	}
-	r.reset(6)
-	if nOK, busiest := r.tallyRanks(phGathered); nOK != 0 || busiest != 0 {
+	if nOK, busiest := r.tallyRanks(make([]uint8, 6), 0, phGathered); nOK != 0 || busiest != 0 {
 		t.Errorf("empty: got nOK=%d busiest=%d, want 0/0", nOK, busiest)
 	}
 }

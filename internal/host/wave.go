@@ -15,20 +15,21 @@ import (
 // pool no barrier separates the phases. The simulated accounting is
 // phase-granular exactly like the discrete calls: one transfer charge
 // for the scatter, one launch (max-over-DPUs cycles into Stats), one
-// transfer charge for the gather. The synchronous multi-DPU calls are
-// the same command with phases left out (phaseRunner).
+// transfer charge for the gather. The synchronous calls are the same
+// command with phases left out (phaseRunner).
 type Wave struct {
-	// DPUs is the launch width: the wave runs on the first DPUs DPUs.
-	DPUs     int
-	Tasklets int
-	Kernel   dpu.KernelFunc
+	// Start and DPUs address the wave's DPUs, [Start, Start+DPUs): the
+	// engine's waves start at DPU 0, a re-dispatch is one DPU alone.
+	Start, DPUs int
+	Tasklets    int
+	Kernel      dpu.KernelFunc
 	// Stats, if non-nil, receives the launch statistics. Its PerDPU
 	// backing array is reused across waves when capacity allows.
 	Stats *LaunchStats
 
 	// Scatter names the input symbol; In holds one equal-length buffer
-	// per participating DPU, written at the symbol's base. A zero
-	// Scatter ref with no In skips the phase.
+	// per participating DPU, In[i] for DPU Start+i, written at the
+	// symbol's base. A zero Scatter ref with no In skips the phase.
 	Scatter SymbolRef
 	In      [][]byte
 
@@ -40,7 +41,7 @@ type Wave struct {
 
 	// off is the transfer offset within Scatter and Gather (a push's or
 	// a gather's; a wave's is 0). bcast, when set, is scattered to every
-	// DPU in place of In (CopyToSymbolRef).
+	// DPU of the request in place of In (CopyToSymbolRef, CopyToDPURef).
 	off   int64
 	bcast []byte
 
@@ -61,8 +62,8 @@ type Wave struct {
 // width, buffer set, tasklet count or nil kernel the launch would
 // reject — is a total failure: nothing runs, nothing is charged. Like
 // the other synchronous System methods it is not safe for concurrent
-// use with itself; it may run beside synchronous transfers on other
-// symbols (its runner is its own).
+// use with itself, unless on one DPU (ParallelFor); it may run beside
+// synchronous transfers on other symbols (its runner is its own).
 func (s *System) RunWave(w Wave) error {
 	phases := phLaunched
 	if w.Scatter.valid() || w.In != nil {
@@ -82,42 +83,43 @@ const (
 	phGathered
 )
 
-// phaseRunner is the host's one best-effort multi-DPU loop. On each of
-// the request's DPUs it runs the phases the request asks for — scatter,
+// phaseRunner is the host's one best-effort loop. On each of the
+// request's DPUs it runs the phases the request asks for — scatter,
 // launch, gather, in that order — stopping that DPU at its first
-// failure. phase records how far each DPU got, so the run charges exactly what
-// ran: the busiest rank's share of each transfer over the DPUs that
-// moved bytes (tallyRanks), the slowest DPU that completed for the
-// launch. Fan-out: the worker pool from 2 DPUs when the request
+// failure (step). phase records how far each DPU got, so the run
+// charges exactly what ran: the busiest rank's share of each transfer
+// over the DPUs that moved bytes (tallyRanks), the slowest DPU that
+// completed for the launch. Fan-out: the worker pool from 2 DPUs when the request
 // launches, from parallelThreshold when it only moves per-DPU buffers;
 // the caller otherwise, and for a broadcast, whose payload is a
 // parameter block a pool dispatch would cost more than. A System holds
 // two: waves serves RunWave, calls the synchronous transfers and
-// launches, so a wave may run beside a transfer on another symbol.
+// launches, so a wave may run beside a transfer on another symbol. A
+// one-DPU request uses no runner scratch (do).
 type phaseRunner struct {
 	s *System
 	// The current request. It lives in the runner, and run is loop
 	// bound once at NewSystem, so the fan-out captures nothing per call:
 	// a per-call closure would be heap-allocated on every transfer.
-	w                       Wave
-	scatter, launch, gather bool
-	per                     []dpu.Stats
-	run                     func(lo, hi int)
+	w      Wave
+	phases uint8
+	per    []dpu.Stats
+	run    func(lo, hi int)
 
 	errs  []error
 	phase []uint8
 	tally []int
 }
 
-// do validates the request w, runs its phases on its first w.DPUs DPUs
-// and charges it in the order of the discrete calls: scatter, launch,
-// gather. A malformed request is an ordinary error: nothing runs,
-// nothing is charged. op names the call in a *FaultReport.
+// do validates the request w, runs its phases on its DPUs and charges
+// it in the order of the discrete calls: scatter, launch, gather. A
+// malformed request is an ordinary error: nothing runs, nothing is
+// charged. op names the call in a *FaultReport.
 func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 	s := r.s
 	n := w.DPUs
-	if n < 1 || n > len(s.dpus) {
-		return LaunchStats{}, fmt.Errorf("host: %s on %d DPUs, system has %d", op, n, len(s.dpus))
+	if n < 1 || w.Start < 0 || w.Start > len(s.dpus)-n {
+		return LaunchStats{}, fmt.Errorf("host: %s on %d DPUs from DPU %d, system has %d", op, n, w.Start, len(s.dpus))
 	}
 	launch := phases&phLaunched != 0
 	if launch && w.Kernel == nil {
@@ -128,16 +130,15 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 	}
 	var inLen, outLen int
 	var err error
-	r.scatter, r.gather = phases&phScattered != 0, phases&phGathered != 0
 	switch {
 	case w.bcast != nil:
 		inLen, err = len(w.bcast), checkRef(w.Scatter, w.off, len(w.bcast))
 	case w.fill != nil:
 		inLen, err = rowsLen(op, w.Scatter, w.rows, w.rowBytes)
-	case r.scatter:
+	case phases&phScattered != 0:
 		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
 	}
-	if r.gather && err == nil {
+	if phases&phGathered != 0 && err == nil {
 		if w.visit != nil {
 			outLen, err = rowsLen(op, w.Gather, w.rows, w.rowBytes)
 		} else {
@@ -148,44 +149,52 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		return LaunchStats{}, err
 	}
 
-	r.w, r.launch = w, launch
-	r.reset(n)
-	if launch {
-		// Per-DPU stats land in the caller's PerDPU backing when it is
-		// large enough; it survives partial failures, so stale entries
-		// are cleared first.
-		if w.Stats != nil && cap(w.Stats.PerDPU) >= n {
-			r.per = w.Stats.PerDPU[:n]
-			clear(r.per)
-		} else {
-			r.per = make([]dpu.Stats, n)
+	// Per-DPU stats land in the caller's PerDPU backing when it is large
+	// enough; it survives partial failures, so stale entries are cleared
+	// first.
+	var per []dpu.Stats
+	if launch && w.Stats != nil && cap(w.Stats.PerDPU) >= n {
+		per = w.Stats.PerDPU[:n]
+		clear(per)
+	} else if launch {
+		per = make([]dpu.Stats, n)
+	}
+	var errs []error
+	var phase []uint8
+	if n == 1 {
+		// A one-DPU request runs on the caller and keeps its outcome on
+		// the stack, so it may be issued from any ParallelFor range.
+		var err1 [1]error
+		var phase1 [1]uint8
+		phase1[0], err1[0] = s.step(&w, phases, 0, per)
+		errs, phase = err1[:], phase1[:]
+	} else {
+		r.w, r.phases, r.per = w, phases, per
+		r.reset(n)
+		switch {
+		case w.bcast != nil && w.Scatter.kind == dpu.SymbolMRAM:
+			r.broadcastMRAM(w.Scatter.off+w.off, w.bcast)
+		case w.bcast != nil || !launch && n < parallelThreshold:
+			r.loop(0, n)
+		default:
+			s.pool.runAligned(n, s.perRank, r.run)
 		}
-	}
-	par := parallelThreshold
-	if launch {
-		par = 2
-	}
-	switch {
-	case w.bcast != nil && w.Scatter.kind == dpu.SymbolMRAM:
-		r.broadcastMRAM(w.Scatter.off+w.off, w.bcast)
-	case w.bcast != nil || n < par:
-		r.loop(0, n)
-	default:
-		s.pool.runAligned(n, s.perRank, r.run)
+		r.w, r.per = Wave{}, nil // release buffer and kernel references
+		errs, phase = r.errs, r.phase
 	}
 
-	if r.scatter {
-		r.chargeXfer(phScattered, inLen, true)
+	if phases&phScattered != 0 {
+		r.chargeXfer(phase, w.Start, phScattered, inLen, true)
 	}
 	var ls LaunchStats
 	if launch {
-		for i := range r.per {
-			if r.phase[i]&phLaunched != 0 {
-				ls.Cycles = max(ls.Cycles, r.per[i].Cycles)
-				ls.EnergyJ += r.per[i].EnergyJ
+		for i := range per {
+			if phase[i]&phLaunched != 0 {
+				ls.Cycles = max(ls.Cycles, per[i].Cycles)
+				ls.EnergyJ += per[i].EnergyJ
 			}
 		}
-		ls.PerDPU = r.per
+		ls.PerDPU = per
 		ls.Seconds = float64(ls.Cycles) / s.cfg.DPU.FrequencyHz
 		ls.Time = time.Duration(ls.Seconds * float64(time.Second))
 		if w.Stats != nil {
@@ -195,11 +204,10 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		s.dpuTime += ls.Time
 		s.mu.Unlock()
 	}
-	if r.gather {
-		r.chargeXfer(phGathered, outLen, false)
+	if phases&phGathered != 0 {
+		r.chargeXfer(phase, w.Start, phGathered, outLen, false)
 	}
-	r.w, r.per = Wave{}, nil // release buffer and kernel references
-	return ls, s.noteFaults(faultsFrom(op, r.errs))
+	return ls, s.noteFaults(faultsFrom(op, w.Start, errs))
 }
 
 // phaseLen validates one transfer phase — n buffers of one length,
@@ -237,65 +245,85 @@ func (r *phaseRunner) reset(n int) {
 	clear(r.phase)
 }
 
-// loop runs the request's phases on DPUs [lo, hi).
+// loop runs the current request on its DPUs [lo, hi), counted from its
+// first.
 func (r *phaseRunner) loop(lo, hi int) {
-	s, w := r.s, &r.w
-	scatter, launch, gather := r.scatter, r.launch, r.gather
 	for i := lo; i < hi; i++ {
-		if w.skip != nil && w.skip[i] {
-			continue
+		r.phase[i], r.errs[i] = r.s.step(&r.w, r.phases, i, r.per)
+	}
+}
+
+// step runs the phases of request w on its DPU i, counted from its
+// first, stopping at the first failure, and returns the phases it
+// completed and that failure. per, for a launch, receives the stats.
+func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (p uint8, err error) {
+	if w.skip != nil && w.skip[i] {
+		return 0, nil
+	}
+	di := w.Start + i
+	d := s.dpus[di]
+	// Each transfer consults the fault injector before it moves a byte.
+	if phases&phScattered != 0 {
+		src, off := w.bcast, w.Scatter.off+w.off
+		if src == nil && w.fill == nil {
+			src = w.In[i]
 		}
-		var p uint8
-		var err error
-		if scatter {
-			if w.fill == nil {
-				src := w.bcast
-				if src == nil {
-					src = w.In[i]
-				}
-				err = s.copyToOne(i, w.Scatter, w.off, src)
-			} else if err = s.dpus[i].TransferFault(); err == nil {
-				err = s.dpus[i].WriteMRAMRows(w.Scatter.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
-					if i < w.filled {
-						w.fill(i, first, count, block, blockStride)
+		if err = d.TransferFault(); err == nil {
+			switch {
+			case w.fill != nil:
+				err = d.WriteMRAMRows(w.Scatter.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
+					if di < w.filled {
+						w.fill(di, first, count, block, blockStride)
 					} else {
 						clear(block)
 					}
 				})
-			}
-			if err == nil {
-				p |= phScattered
-			}
-		}
-		if launch && err == nil {
-			if err = s.dpus[i].LaunchInto(w.Tasklets, w.Kernel, &r.per[i]); err == nil {
-				p |= phLaunched
+			case w.Scatter.kind == dpu.SymbolWRAM:
+				err = d.CopyToWRAM(off, src)
+			default:
+				err = d.CopyToMRAM(off, src)
 			}
 		}
-		if gather && err == nil {
-			if w.visit == nil {
-				err = s.copyFromOneInto(i, w.Gather, w.off, w.Out[i])
-			} else if err = s.dpus[i].TransferFault(); err == nil {
-				err = s.dpus[i].ReadMRAMRows(w.Gather.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
-					w.visit(i, first, count, block, blockStride)
-				})
-			}
-			if err == nil {
-				p |= phGathered
-			}
+		if err != nil {
+			return p, err
 		}
-		r.errs[i], r.phase[i] = err, p
+		p |= phScattered
 	}
+	if phases&phLaunched != 0 {
+		if err = d.LaunchInto(w.Tasklets, w.Kernel, &per[i]); err != nil {
+			return p, err
+		}
+		p |= phLaunched
+	}
+	if phases&phGathered != 0 {
+		if err = d.TransferFault(); err == nil {
+			switch {
+			case w.visit != nil:
+				err = d.ReadMRAMRows(w.Gather.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
+					w.visit(di, first, count, block, blockStride)
+				})
+			case w.Gather.kind == dpu.SymbolWRAM:
+				err = d.CopyFromWRAMInto(w.Gather.off+w.off, w.Out[i])
+			default:
+				err = d.CopyFromMRAMInto(w.Gather.off+w.off, w.Out[i])
+			}
+		}
+		if err != nil {
+			return p, err
+		}
+		p |= phGathered
+	}
+	return p, nil
 }
 
 // broadcastMRAM is the scatter phase of an MRAM broadcast: every DPU's
-// injector is consulted once, as copyToOne would, and the DPUs that pass
+// injector is consulted once, as step would, and the DPUs that pass
 // take the write together, sharing its pages (dpu.MRAMBroadcast). An
 // argument the DMA rules reject fails on each of them.
 func (r *phaseRunner) broadcastMRAM(off int64, data []byte) {
 	s := r.s
 	targets := s.bcastTargets[:0]
-	for i, d := range s.dpus {
+	for i, d := range s.dpus[r.w.Start:][:len(r.errs)] {
 		if r.errs[i] = d.TransferFault(); r.errs[i] == nil {
 			targets = append(targets, d)
 			r.phase[i] = phScattered
@@ -312,10 +340,11 @@ func (r *phaseRunner) broadcastMRAM(off int64, data []byte) {
 }
 
 // chargeXfer charges one transfer API call of perDPU bytes to each DPU
-// whose phase has bit set, timed as the busiest rank's serial share
-// (topology.go). A phase no DPU completed charges nothing.
-func (r *phaseRunner) chargeXfer(bit uint8, perDPU int, toDPU bool) {
-	if nOK, busiest := r.tallyRanks(bit); nOK > 0 {
+// of a request from DPU start whose phase has bit set, timed as the
+// busiest rank's serial share (topology.go). A phase no DPU completed
+// charges nothing.
+func (r *phaseRunner) chargeXfer(phase []uint8, start int, bit uint8, perDPU int, toDPU bool) {
+	if nOK, busiest := r.tallyRanks(phase, start, bit); nOK > 0 {
 		r.s.chargeTransferRanks(perDPU, nOK, busiest)
 		r.s.meterXfer(toDPU, perDPU*nOK)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pimdnn/internal/dpu"
 )
@@ -84,6 +85,33 @@ func TestWaveMatchesDiscreteCommands(t *testing.T) {
 	}
 	if len(ws.PerDPU) != 3 {
 		t.Errorf("wave PerDPU has %d entries, want 3", len(ws.PerDPU))
+	}
+
+	// A one-DPU wave on DPU 3, in rank 1 of two, charges what a copy to
+	// it, a launch on it and a copy from it charged: two flat transfers
+	// and the DPU's own launch time; a trap there reports DPU 3.
+	s2 := topoSystem(t, 4, Topology{DPUsPerRank: 2})
+	t.Cleanup(s2.Close)
+	if err := s2.AllocMRAM("wbuf", 256); err != nil || s2.AllocMRAM("wout", 64) != nil {
+		t.Fatal("allocating the wave's symbols")
+	}
+	flat := s2.cfg.TransferLatency + time.Duration(16/s2.cfg.TransferBandwidth*float64(time.Second))
+	one := Wave{Start: 3, DPUs: 1, Tasklets: 1, Kernel: kernel, Stats: &ws,
+		Scatter: ref, In: in[:1], Gather: oref, Out: [][]byte{make([]byte, 16)}}
+	if err := s2.RunWave(one); err != nil || !bytes.Equal(one.Out[0], out[0]) {
+		t.Fatalf("one-DPU wave: %v, output % x", err, one.Out[0])
+	}
+	cyc := s2.DPU(3).TotalCycles()
+	if got, want := s2.TransferStats(), (XferStats{Transfers: 2, Bytes: 32, Time: 2 * flat}); got != want {
+		t.Errorf("one-DPU wave charged %+v, the three calls %+v", got, want)
+	}
+	if want := time.Duration(float64(cyc) / s2.cfg.DPU.FrequencyHz * float64(time.Second)); s2.DPUTime() != want || ws.Cycles != cyc {
+		t.Errorf("one-DPU wave: DPUTime %v, %d cycles; DPU 3 ran %v, %d cycles", s2.DPUTime(), ws.Cycles, want, cyc)
+	}
+	armOne(s2, 3, dpu.FaultPlan{Seed: 1, TrapProb: 1})
+	err = s2.RunWave(one)
+	if rep, ok := AsFaultReport(err); !ok || rep.Attempted != 1 || len(rep.Faults) != 1 || rep.Faults[0].DPU != 3 {
+		t.Errorf("trapped one-DPU wave: %v", err)
 	}
 }
 
