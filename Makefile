@@ -12,7 +12,7 @@
 # -race's checkptr instrumentation checks), one iteration of each benchmark a `make profile*`
 # target names (`make bench-smoke`), ~10 s of each fuzz target (`make
 # fuzz`), the simulated-clock core-count
-# check (`make sim-invariant`), the report byte-identity check (`make report-check`),
+# check (`make sim-invariant`), the report and examples byte-identity check (`make report-check`),
 # the portable build (`make portable`: the packages under the gemm
 # kernel and ebnn tested as GOARCH=386, where gemm's MAC and ebnn's
 # classifier are the Go loops, the tree cross-built for arm64, and
@@ -90,16 +90,22 @@ sim-invariant:
 # cmd/experiments prints only simulated quantities, so its stdout is
 # byte-identical across runs, core counts and any change that leaves the
 # simulated clock alone: compare the full report and the -plan report
-# against the checked-in goldens (~15 s). A PR that means to move a
+# against the checked-in goldens (~15 s), and each examples/ program's
+# stdout (seeded data, deterministic too) against
+# testdata/examples/<name>.golden (~10 s). A PR that means to move a
 # simulated number regenerates them with `make report-update` and says
 # which rows moved.
+EXAMPLES = $(notdir $(wildcard examples/*))
+
 report-check:
 	$(GO) run ./cmd/experiments | cmp - testdata/experiments.golden
 	$(GO) run ./cmd/experiments -plan | cmp - testdata/experiments-plan.golden
+	@for e in $(EXAMPLES); do echo "examples/$$e"; $(GO) run ./examples/$$e | cmp - testdata/examples/$$e.golden || exit 1; done
 
 report-update:
 	$(GO) run ./cmd/experiments > testdata/experiments.golden
 	$(GO) run ./cmd/experiments -plan > testdata/experiments-plan.golden
+	@for e in $(EXAMPLES); do $(GO) run ./examples/$$e > testdata/examples/$$e.golden || exit 1; done
 
 # The repo benchmark (BENCHMARK.json's four workloads), three runs each,
 # medians on stdout; bench/README.md describes the metrics.

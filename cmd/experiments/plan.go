@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"pimdnn/internal/alexnet"
@@ -25,121 +24,48 @@ import (
 	"pimdnn/internal/yolo"
 )
 
-func planInput(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
-
 func planReport() error {
 	fmt.Println("\n## P1 — Auto-mapper vs hand-tuned mappings (bit-identical outputs enforced)")
 	fmt.Println("\n| network | hand-tuned s | auto-mapped s | speedup | tasklets (fixed → planned) |")
 	fmt.Println("|---|---|---|---|---|")
 
 	const dpus = 64
-
-	// YOLOv3-lite: the library comparison already verifies detections
-	// match before reporting latencies.
-	cmp, err := core.CompareYOLOMappings(
-		yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}, dpus, dpu.O3)
+	ynet, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("| YOLOv3-lite (75 conv) | %.4g | %.4g | %.2fx | %d → ≤%d |\n",
-		cmp.FixedSeconds, cmp.PlannedSeconds, cmp.Speedup(),
-		cmp.FixedTasklets, cmp.PlannedTasklets)
-
-	// The same network on the full 2,560-DPU array, where the tuned
+	anet, err := alexnet.New(alexnet.LiteConfig())
+	if err != nil {
+		return err
+	}
+	rnet, err := resnet.New(resnet.LiteConfig())
+	if err != nil {
+		return err
+	}
+	lite := func(g *nn.Network, in *tensor.Tensor) func() (core.MappingComparison, error) {
+		return func() (core.MappingComparison, error) { return core.CompareMappings(g, in, dpus, dpu.O3) }
+	}
+	// The lite rows deploy each network both ways through core; the
+	// full-array row runs YOLOv3-lite on all 2,560 DPUs, where the tuned
 	// constant is 8 tasklets (TileCols 64) and per-shape re-planning
 	// actually moves the total.
-	fullNet, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
-	if err != nil {
-		return err
-	}
-	fullInput := yolo.SyntheticScene(32, 99)
-	runFull := func(planned bool) (*yolo.Result, *yolo.ForwardStats, error) {
-		sys, root, err := newSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			return nil, nil, err
-		}
-		defer sys.Close()
-		maxK, maxN := fullNet.GEMMBounds()
-		cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64}
-		if planned {
-			cfg.Planner = plan.New(sys)
-		} else {
-			cfg.Tasklets = 8 // the hand-tuned full-array constant
-		}
-		r, err := gemm.NewRunner(sys, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.SetTraceSpan(root)
-		return fullNet.Forward(fullInput, r)
-	}
-	fullFixedRes, fullFixedSt, err := runFull(false)
-	if err != nil {
-		return err
-	}
-	fullPlanRes, fullPlanSt, err := runFull(true)
-	if err != nil {
-		return err
-	}
-	if len(fullFixedRes.Detections) != len(fullPlanRes.Detections) {
-		return fmt.Errorf("full-array auto-mapped forward diverged from fixed mapping")
-	}
-	for i := range fullFixedRes.Detections {
-		if fullFixedRes.Detections[i] != fullPlanRes.Detections[i] {
-			return fmt.Errorf("full-array auto-mapped detection %d diverged", i)
-		}
-	}
-	fmt.Printf("| YOLOv3-lite, full array (%d DPUs) | %.4g | %.4g | %.2fx | 8 → ≤%d |\n",
-		dpu.SystemDPUs, fullFixedSt.Seconds, fullPlanSt.Seconds,
-		fullFixedSt.Seconds/fullPlanSt.Seconds, fullPlanSt.MaxTasklets())
-
-	// AlexNet and ResNet-18: classify the same image under both
-	// deployments and require identical logits.
-	for _, c := range []struct {
-		label    string
-		classify func(*core.Accelerator, core.YOLOOptions) ([]int16, *nn.ForwardStats, error)
+	for _, row := range []struct {
+		label   string
+		compare func() (core.MappingComparison, error)
 	}{
-		{"AlexNet-lite", func(acc *core.Accelerator, opts core.YOLOOptions) ([]int16, *nn.ForwardStats, error) {
-			app, err := acc.DeployAlexNet(alexnet.LiteConfig(), opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 31))
-			return logits, st, err
+		{"YOLOv3-lite (75 conv)", lite(ynet.Network, tensor.Random(32, 7))},
+		{fmt.Sprintf("YOLOv3-lite, full array (%d DPUs)", dpu.SystemDPUs), func() (core.MappingComparison, error) {
+			return fullArrayComparison(ynet)
 		}},
-		{"ResNet-18-lite", func(acc *core.Accelerator, opts core.YOLOOptions) ([]int16, *nn.ForwardStats, error) {
-			app, err := acc.DeployResNet(resnet.LiteConfig(), opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			_, logits, st, err := app.Classify(planInput(app.Network().Cfg.InputSize, 32))
-			return logits, st, err
-		}},
+		{"AlexNet-lite", lite(anet.Network, tensor.Random(anet.Cfg.InputSize, 31))},
+		{"ResNet-18-lite", lite(rnet.Network, tensor.Random(rnet.Cfg.InputSize, 32))},
 	} {
-		var logits [2][]int16
-		var st [2]*nn.ForwardStats
-		for i, auto := range []bool{false, true} {
-			acc, err := core.NewAccelerator(core.Options{DPUs: dpus, Opt: dpu.O3})
-			if err != nil {
-				return err
-			}
-			if logits[i], st[i], err = c.classify(acc, core.YOLOOptions{AutoMap: auto}); err != nil {
-				return fmt.Errorf("%s: %w", c.label, err)
-			}
+		c, err := row.compare()
+		if err != nil {
+			return fmt.Errorf("%s: %w", row.label, err)
 		}
-		if !slices.Equal(logits[0], logits[1]) {
-			return fmt.Errorf("%s: auto-mapped logits diverged from fixed mapping", c.label)
-		}
-		fmt.Printf("| %s | %.4g | %.4g | %.2fx | %d → ≤%d |\n",
-			c.label, st[0].Seconds, st[1].Seconds, st[0].Seconds/st[1].Seconds,
-			st[0].MaxTasklets(), st[1].MaxTasklets())
+		fmt.Printf("| %s | %.4g | %.4g | %.2fx | %d → ≤%d |\n", row.label,
+			c.FixedSeconds, c.PlannedSeconds, c.Speedup(), c.FixedTasklets, c.PlannedTasklets)
 	}
 
 	// eBNN: the multi-image-per-DPU mapping. tasklets=0 deploys through
@@ -153,15 +79,15 @@ func planReport() error {
 	}
 	images := ds.Train[:96]
 	runEBNN := func(tasklets int) ([]int, ebnn.BatchStats, error) {
-		acc, err := core.NewAccelerator(core.Options{DPUs: 8})
+		acc, err := core.NewAccelerator(core.Options{DPUs: 8, Opt: dpu.O0})
 		if err != nil {
 			return nil, ebnn.BatchStats{}, err
 		}
-		app, err := acc.DeployEBNN(m, true, tasklets)
+		r, err := acc.DeployEBNN(m, true, tasklets)
 		if err != nil {
 			return nil, ebnn.BatchStats{}, err
 		}
-		return app.Classify(images)
+		return r.Infer(images)
 	}
 	fixedPreds, fixedSt, err := runEBNN(plan.FixedEBNNTasklets)
 	if err != nil {
@@ -195,4 +121,46 @@ func planReport() error {
 	fmt.Printf("\nCalibration across all four networks (`upmem-profile -calibrate`): %d layers, planner prediction max |error| %.4f%%.\n",
 		len(rep.Rows), rep.MaxAbsError*100)
 	return nil
+}
+
+// fullArrayComparison runs net on the full array with the runner this
+// row has always used (its own config, traced under the report's root
+// span): 8 tasklets fixed against the planner, both at TileCols 64.
+func fullArrayComparison(net *yolo.Network) (core.MappingComparison, error) {
+	input := yolo.SyntheticScene(32, 99)
+	run := func(planned bool) (*yolo.Result, *yolo.ForwardStats, error) {
+		sys, root, err := newSystem(dpu.SystemDPUs, host.DefaultConfig(dpu.O3))
+		if err != nil {
+			return nil, nil, err
+		}
+		defer sys.Close()
+		maxK, maxN := net.GEMMBounds()
+		cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64}
+		if planned {
+			cfg.Planner = plan.New(sys)
+		} else {
+			cfg.Tasklets = 8 // the hand-tuned full-array constant
+		}
+		r, err := gemm.NewRunner(sys, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		r.SetTraceSpan(root)
+		return net.Forward(input, r)
+	}
+	fixedRes, fixedSt, err := run(false)
+	if err != nil {
+		return core.MappingComparison{}, err
+	}
+	planRes, planSt, err := run(true)
+	if err != nil {
+		return core.MappingComparison{}, err
+	}
+	if !slices.Equal(fixedRes.Detections, planRes.Detections) {
+		return core.MappingComparison{}, fmt.Errorf("auto-mapped detections diverged from fixed mapping")
+	}
+	return core.MappingComparison{
+		FixedSeconds: fixedSt.Seconds, PlannedSeconds: planSt.Seconds,
+		FixedTasklets: fixedSt.MaxTasklets(), PlannedTasklets: planSt.MaxTasklets(),
+	}, nil
 }

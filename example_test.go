@@ -23,12 +23,12 @@ func ExampleNewAccelerator() {
 		fmt.Println("alloc:", err)
 		return
 	}
-	app, err := acc.DeployEBNN(model, true, 16)
+	runner, err := acc.DeployEBNN(model, true, 16)
 	if err != nil {
 		fmt.Println("deploy:", err)
 		return
 	}
-	preds, _, err := app.Classify(ds.Test)
+	preds, _, err := runner.Infer(ds.Test)
 	if err != nil {
 		fmt.Println("classify:", err)
 		return

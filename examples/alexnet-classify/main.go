@@ -7,10 +7,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"pimdnn"
+	"pimdnn/internal/alexnet"
 	"pimdnn/internal/model"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/tensor"
 )
 
@@ -26,26 +27,24 @@ func run() error {
 		return err
 	}
 	cfg := pimdnn.AlexNetLite()
-	app, err := acc.DeployAlexNet(cfg, pimdnn.YOLOOptions{Tasklets: 11})
+	net, err := alexnet.New(cfg)
 	if err != nil {
 		return err
 	}
-	net := app.Network()
+	runner, err := acc.Deploy(net.Network, false)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("AlexNet (input %d, width÷%d): %.3g MACs (full 227x227: %.3g)\n",
 		cfg.InputSize, cfg.WidthDiv, float64(net.MACs()), 1.135e9)
 
 	// A random image through the DPU pipeline.
-	rng := rand.New(rand.NewSource(7))
-	img := tensor.New(3, cfg.InputSize, cfg.InputSize)
-	for i := range img.Data {
-		img.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	class, logits, stats, err := app.Classify(img)
+	logits, stats, err := net.Forward(tensor.Random(cfg.InputSize, 7), runner)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("classified as %d (of %d classes) in %.4g s of DPU time over %d GEMM layers\n",
-		class, len(logits), stats.Seconds, len(stats.Layers))
+		nn.Argmax(logits), len(logits), stats.Seconds, len(stats.Layers))
 
 	// The chapter 5 model prices the same workload analytically.
 	fmt.Println("\nchapter 5 model on full AlexNet (8-bit, Table 5.1 + 5.3):")

@@ -3,16 +3,18 @@
 // simulated UPMEM systems and compare their DPU time, energy and the
 // chapter 5 model's pricing of their full-size counterparts. Every
 // deployment lets the cost-model auto-mapper choose its mapping
-// (tasklets 0 / AutoMap) instead of pinning hand-tuned constants.
+// (tasklets 0 / Deploy's autoMap) instead of pinning hand-tuned constants.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"pimdnn"
+	"pimdnn/internal/alexnet"
 	"pimdnn/internal/model"
+	"pimdnn/internal/nn"
+	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
 )
 
@@ -20,15 +22,6 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func randImage(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
 }
 
 func run() error {
@@ -44,50 +37,48 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ebnnApp, err := acc1.DeployEBNN(ebnnModel, true, 0) // 0 = auto-map
+	ebnnRunner, err := acc1.DeployEBNN(ebnnModel, true, 0) // 0 = auto-map
 	if err != nil {
 		return err
 	}
-	_, ebnnStats, err := ebnnApp.Classify(ds.Test)
+	_, ebnnStats, err := ebnnRunner.Infer(ds.Test)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-16s %6d   %11s   %8.3gs   16 images, 1 DPU\n",
 		"eBNN", 28, "~4.9e5", ebnnStats.Seconds)
 
-	// AlexNet lite.
-	acc2, err := pimdnn.NewAccelerator(pimdnn.Options{DPUs: 8, Opt: pimdnn.O3})
+	// AlexNet and ResNet-18 lite, row-per-DPU on 8 DPUs each.
+	alex, err := alexnet.New(alexnet.LiteConfig())
 	if err != nil {
 		return err
 	}
-	alexApp, err := acc2.DeployAlexNet(pimdnn.AlexNetLite(), pimdnn.YOLOOptions{AutoMap: true})
+	res, err := resnet.New(resnet.LiteConfig())
 	if err != nil {
 		return err
 	}
-	alexCfg := alexApp.Network().Cfg
-	_, _, alexStats, err := alexApp.Classify(randImage(alexCfg.InputSize, 2))
-	if err != nil {
-		return err
+	for i, w := range []struct {
+		name, notes string
+		g           *nn.Network
+		size        int
+	}{
+		{"AlexNet", "8 DPUs, row-per-DPU", alex.Network, alex.Cfg.InputSize},
+		{"ResNet-18", "8 DPUs, 21 GEMMs incl. 3 projections", res.Network, res.Cfg.InputSize},
+	} {
+		acc, err := pimdnn.NewAccelerator(pimdnn.Options{DPUs: 8, Opt: pimdnn.O3})
+		if err != nil {
+			return err
+		}
+		runner, err := acc.Deploy(w.g, true)
+		if err != nil {
+			return err
+		}
+		_, stats, err := w.g.Forward(tensor.Random(w.size, int64(i+2)), runner)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-16s %6d   %11.3g   %8.3gs   %s\n", w.name, w.size, float64(w.g.MACs()), stats.Seconds, w.notes)
 	}
-	fmt.Printf("%-16s %6d   %11.3g   %8.3gs   8 DPUs, row-per-DPU\n",
-		"AlexNet", alexCfg.InputSize, float64(alexApp.Network().MACs()), alexStats.Seconds)
-
-	// ResNet-18 lite.
-	acc3, err := pimdnn.NewAccelerator(pimdnn.Options{DPUs: 8, Opt: pimdnn.O3})
-	if err != nil {
-		return err
-	}
-	resApp, err := acc3.DeployResNet(pimdnn.ResNetLite(), pimdnn.YOLOOptions{AutoMap: true})
-	if err != nil {
-		return err
-	}
-	resCfg := resApp.Network().Cfg
-	_, _, resStats, err := resApp.Classify(randImage(resCfg.InputSize, 3))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-16s %6d   %11.3g   %8.3gs   8 DPUs, 21 GEMMs incl. 3 projections\n",
-		"ResNet-18", resCfg.InputSize, float64(resApp.Network().MACs()), resStats.Seconds)
 
 	// Full-size pricing through the chapter 5 model.
 	fmt.Println("\nchapter 5 model, full-size networks at 8-bit (Ttot = Tcomp + Tmem):")

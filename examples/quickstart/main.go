@@ -33,12 +33,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	app, err := acc.DeployEBNN(model, true /* useLUT */, 16)
+	runner, err := acc.DeployEBNN(model, true /* useLUT */, 16)
 	if err != nil {
 		return err
 	}
 
-	preds, stats, err := app.Classify(ds.Test)
+	preds, stats, err := runner.Infer(ds.Test)
 	if err != nil {
 		return err
 	}

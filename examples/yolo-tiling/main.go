@@ -7,8 +7,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"pimdnn"
+	"pimdnn/internal/yolo"
 )
 
 func main() {
@@ -19,22 +21,24 @@ func main() {
 
 func run() error {
 	cfg := pimdnn.YOLOConfig{InputSize: 64, Classes: 4, WidthDiv: 32, Seed: 1}
+	net, err := yolo.New(cfg)
+	if err != nil {
+		return err
+	}
 	acc, err := pimdnn.NewAccelerator(pimdnn.Options{DPUs: 16, Opt: pimdnn.O3})
 	if err != nil {
 		return err
 	}
-	// The tiled (improved, §4.3.4) kernel; pass Naive: true for the
-	// thesis-faithful MRAM-bound version.
-	app, err := acc.DeployYOLO(cfg, pimdnn.YOLOOptions{Tasklets: 11})
+	// The WRAM-tiled (improved, §4.3.4) kernel at 11 tasklets.
+	runner, err := acc.Deploy(net.Network, false)
 	if err != nil {
 		return err
 	}
-	net := app.Network()
 	fmt.Printf("network: %d layers, %.3g MACs, input %dx%d\n",
 		len(net.Defs), float64(net.MACs()), cfg.InputSize, cfg.InputSize)
 
 	img := pimdnn.SyntheticScene(cfg.InputSize, 42)
-	res, stats, err := app.Detect(img)
+	res, stats, err := net.Forward(img, runner)
 	if err != nil {
 		return err
 	}
@@ -51,16 +55,13 @@ func run() error {
 	}
 
 	// Verify against the host reference.
-	hostRes, err := app.DetectHost(img)
+	hostRes, _, err := net.Forward(img, nil)
 	if err != nil {
 		return err
 	}
-	for s := range hostRes.YoloOutputs {
-		h, d := hostRes.YoloOutputs[s], res.YoloOutputs[s]
-		for i := range h.Data {
-			if h.Data[i] != d.Data[i] {
-				return fmt.Errorf("scale %d element %d: host %d vs DPU %d", s, i, h.Data[i], d.Data[i])
-			}
+	for s, h := range hostRes.YoloOutputs {
+		if !slices.Equal(h.Data, res.YoloOutputs[s].Data) {
+			return fmt.Errorf("scale %d: DPU output differs from the host reference", s)
 		}
 	}
 	fmt.Println("DPU output verified bit-exact against the host reference")

@@ -144,21 +144,23 @@ func TestIntegrationThreeWorkloadsOneSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ebnnApp, err := acc.DeployEBNN(m, true, 8)
+	ebnnRunner, err := acc.DeployEBNN(m, true, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ebnnApp.Classify(ds.Test); err != nil {
+	if _, _, err := ebnnRunner.Infer(ds.Test); err != nil {
 		t.Fatal(err)
 	}
 
-	yoloApp, err := acc.DeployYOLO(
-		pimdnn.YOLOConfig{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 2},
-		pimdnn.YOLOOptions{Tasklets: 8, TileCols: 64})
+	ynet, err := yolo.New(pimdnn.YOLOConfig{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := yoloApp.Detect(yolo.SyntheticScene(32, 3)); err != nil {
+	yoloRunner, err := acc.Deploy(ynet.Network, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ynet.Forward(yolo.SyntheticScene(32, 3), yoloRunner); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,15 +171,15 @@ func TestIntegrationThreeWorkloadsOneSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alexApp, err := acc2.DeployAlexNet(alexnet.LiteConfig(), pimdnn.YOLOOptions{Tasklets: 8, TileCols: 64})
+	anet, err := alexnet.New(alexnet.LiteConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := tensor.New(3, 67, 67)
-	for i := range in.Data {
-		in.Data[i] = int16(i % 32)
+	alexRunner, err := acc2.Deploy(anet.Network, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, err := alexApp.Classify(in); err != nil {
+	if _, _, err := anet.Forward(tensor.Random(67, 1), alexRunner); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -196,11 +198,11 @@ func TestIntegrationProfileFlowsToAdvisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := acc.DeployEBNN(m, false /* float model */, 4)
+	r, err := acc.DeployEBNN(m, false /* float model */, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := app.Classify(ds.Test); err != nil {
+	if _, _, err := r.Infer(ds.Test); err != nil {
 		t.Fatal(err)
 	}
 	recs := pimdnn.NewAdvisor().Analyze(pimdnn.RunInfo{

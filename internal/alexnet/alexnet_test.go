@@ -1,24 +1,15 @@
 package alexnet
 
 import (
-	"math/rand"
 	"testing"
 
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
 	"pimdnn/internal/model"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/tensor"
 )
-
-func randInput(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
 
 // TestFullShapes checks the canonical 227×227 pyramid.
 func TestFullShapes(t *testing.T) {
@@ -86,7 +77,7 @@ func TestForwardHostRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := randInput(n.Cfg.InputSize, 1)
+	in := tensor.Random(n.Cfg.InputSize, 1)
 	logits, _, err := n.Forward(in, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +85,7 @@ func TestForwardHostRuns(t *testing.T) {
 	if len(logits) != n.Cfg.Classes {
 		t.Fatalf("logits = %d, want %d", len(logits), n.Cfg.Classes)
 	}
-	if p := Predict(logits); p < 0 || p >= n.Cfg.Classes {
+	if p := nn.Argmax(logits); p < 0 || p >= n.Cfg.Classes {
 		t.Errorf("predict = %d", p)
 	}
 }
@@ -109,97 +100,6 @@ func TestForwardInputValidation(t *testing.T) {
 	}
 }
 
-// TestForwardDPUMatchesHost: the DPU-delegated AlexNet must agree with
-// the host reference bit-for-bit, including the FC layers' N=1 GEMMs.
-func TestForwardDPUMatchesHost(t *testing.T) {
-	n, err := New(LiteConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randInput(n.Cfg.InputSize, 2)
-	want, _, err := n.Forward(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	maxK, maxN, _ := n.GEMMBounds()
-	sys, _ := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := n.Forward(in, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("logit %d: DPU %d, host %d", i, got[i], want[i])
-		}
-	}
-	// 5 conv + 3 FC delegated layers.
-	if len(stats.Layers) != 8 {
-		t.Errorf("delegated layers = %d, want 8", len(stats.Layers))
-	}
-	if stats.Seconds <= 0 {
-		t.Error("no DPU time")
-	}
-}
-
-// TestForwardFaultRecovery: a forward pass with a quarter of the DPUs
-// killed after their first launch must still produce bit-identical
-// logits — the execution engine re-dispatches every dead DPU's row
-// shard onto a survivor — and the recovery must be visible in the
-// ForwardStats retry counters.
-func TestForwardFaultRecovery(t *testing.T) {
-	n, err := New(LiteConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randInput(n.Cfg.InputSize, 4)
-	want, _, err := n.Forward(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxK, maxN, _ := n.GEMMBounds()
-	// One dispatch depth: the sync and pipelined cells run alike.
-	for _, mode := range []string{"sync", "pipelined"} {
-		t.Run(mode, func(t *testing.T) {
-			sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1})
-			got, stats, err := n.Forward(in, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("logit %d: degraded %d, host %d (must be bit-identical)", i, got[i], want[i])
-				}
-			}
-			if stats.Retries == 0 {
-				t.Error("no re-dispatches recorded; the fault plan should have killed DPUs")
-			}
-			var layerRetries int
-			for _, ls := range stats.Layers {
-				layerRetries += ls.Retries
-			}
-			if layerRetries != stats.Retries {
-				t.Errorf("layer retries sum %d != total %d", layerRetries, stats.Retries)
-			}
-		})
-	}
-}
-
 // TestFCWavesOnSmallSystem: an FC layer has M rows but N=1 columns, so
 // the row-per-DPU mapping needs ceil(M/DPUs) waves — the mapping's worst
 // case, which the thesis's dynamic DPU assignment exists to mitigate.
@@ -208,7 +108,7 @@ func TestFCWavesOnSmallSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := randInput(n.Cfg.InputSize, 3)
+	in := tensor.Random(n.Cfg.InputSize, 3)
 	maxK, maxN, _ := n.GEMMBounds()
 	sys, _ := host.NewSystem(4, host.DefaultConfig(dpu.O3))
 	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{

@@ -11,7 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"reflect"
 
 	"pimdnn/internal/alexnet"
 	"pimdnn/internal/dpu"
@@ -56,15 +56,6 @@ type CalibrateOptions struct {
 	Opt dpu.OptLevel
 }
 
-func randTensor(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
-
 func (r *CalibrationReport) add(network string, ls nn.LayerStat) {
 	r.addRow(CalibrationRow{
 		Network: network, Layer: ls.Layer,
@@ -101,42 +92,36 @@ func Calibrate(opts CalibrateOptions) (*CalibrationReport, error) {
 	// The three GEMM-backed networks, all through the same row-per-DPU
 	// runner: YOLOv3's 75-conv graph at bench scale, AlexNet (conv + FC
 	// layers) and ResNet-18 (residual blocks, projections included).
-	auto := YOLOOptions{AutoMap: true}
-	for _, w := range []struct {
-		name    string
-		forward func(*Accelerator) (*nn.ForwardStats, error)
+	ynet, err := yolo.New(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3})
+	if err != nil {
+		return nil, err
+	}
+	anet, err := alexnet.New(alexnet.LiteConfig())
+	if err != nil {
+		return nil, err
+	}
+	rnet, err := resnet.New(resnet.LiteConfig())
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range []struct {
+		name string
+		g    *nn.Network
+		size int
 	}{
-		{"yolov3", func(acc *Accelerator) (*nn.ForwardStats, error) {
-			cfg := yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}
-			app, err := acc.DeployYOLO(cfg, auto)
-			if err != nil {
-				return nil, err
-			}
-			_, st, err := app.Detect(randTensor(cfg.InputSize, 1))
-			return st, err
-		}},
-		{"alexnet", func(acc *Accelerator) (*nn.ForwardStats, error) {
-			app, err := acc.DeployAlexNet(alexnet.LiteConfig(), auto)
-			if err != nil {
-				return nil, err
-			}
-			_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 2))
-			return st, err
-		}},
-		{"resnet18", func(acc *Accelerator) (*nn.ForwardStats, error) {
-			app, err := acc.DeployResNet(resnet.LiteConfig(), auto)
-			if err != nil {
-				return nil, err
-			}
-			_, _, st, err := app.Classify(randTensor(app.Network().Cfg.InputSize, 3))
-			return st, err
-		}},
+		{"yolov3", ynet.Network, ynet.Cfg.InputSize},
+		{"alexnet", anet.Network, anet.Cfg.InputSize},
+		{"resnet18", rnet.Network, rnet.Cfg.InputSize},
 	} {
 		acc, err := newAcc()
 		if err != nil {
 			return nil, err
 		}
-		st, err := w.forward(acc)
+		r, err := acc.Deploy(w.g, true)
+		if err != nil {
+			return nil, err
+		}
+		_, st, err := w.g.Forward(tensor.Random(w.size, int64(i+1)), r)
 		if err != nil {
 			return nil, fmt.Errorf("core: calibrate %s: %w", w.name, err)
 		}
@@ -185,7 +170,6 @@ func Calibrate(opts CalibrateOptions) (*CalibrationReport, error) {
 // identical systems and input. Outputs are verified bit-identical
 // before the stats are reported.
 type MappingComparison struct {
-	Network string `json:"network"`
 	// FixedSeconds and PlannedSeconds are simulated DPU latencies.
 	FixedSeconds   float64 `json:"fixed_s"`
 	PlannedSeconds float64 `json:"planned_s"`
@@ -203,42 +187,33 @@ func (c MappingComparison) Speedup() float64 {
 	return c.FixedSeconds / c.PlannedSeconds
 }
 
-// CompareYOLOMappings runs the same YOLO forward twice — fixed
-// constants vs auto-mapper — on equal-sized fresh systems, checks the
-// detections match bit-for-bit, and returns both latencies.
-func CompareYOLOMappings(cfg yolo.Config, dpus int, opt dpu.OptLevel) (MappingComparison, error) {
-	run := func(auto bool) (*yolo.Result, *yolo.ForwardStats, error) {
+// CompareMappings runs g's forward pass on in twice — Deploy's fixed
+// constants, then its auto-mapper — on equal-sized fresh systems of dpus
+// DPUs at opt, requires the output and every head to match bit for bit,
+// and returns both latencies.
+func CompareMappings(g *nn.Network, in *tensor.Tensor, dpus int, opt dpu.OptLevel) (MappingComparison, error) {
+	var out [2]nn.Output
+	var st [2]*nn.ForwardStats
+	for i, auto := range []bool{false, true} {
 		acc, err := NewAccelerator(Options{DPUs: dpus, Opt: opt})
 		if err != nil {
-			return nil, nil, err
+			return MappingComparison{}, err
 		}
-		app, err := acc.DeployYOLO(cfg, YOLOOptions{AutoMap: auto})
+		r, err := acc.Deploy(g, auto)
 		if err != nil {
-			return nil, nil, err
+			return MappingComparison{}, err
 		}
-		return app.Detect(randTensor(cfg.InputSize, 7))
-	}
-	fixedRes, fixedSt, err := run(false)
-	if err != nil {
-		return MappingComparison{}, err
-	}
-	planRes, planSt, err := run(true)
-	if err != nil {
-		return MappingComparison{}, err
-	}
-	if len(fixedRes.Detections) != len(planRes.Detections) {
-		return MappingComparison{}, fmt.Errorf("core: auto-mapped YOLO forward diverged from fixed mapping")
-	}
-	for i := range fixedRes.Detections {
-		if fixedRes.Detections[i] != planRes.Detections[i] {
-			return MappingComparison{}, fmt.Errorf("core: auto-mapped YOLO detection %d diverged", i)
+		if out[i], st[i], err = g.Forward(in, r); err != nil {
+			return MappingComparison{}, err
 		}
+	}
+	if !reflect.DeepEqual(out[0], out[1]) {
+		return MappingComparison{}, fmt.Errorf("core: auto-mapped forward diverged from the fixed mapping")
 	}
 	return MappingComparison{
-		Network:         "yolov3",
-		FixedSeconds:    fixedSt.Seconds,
-		PlannedSeconds:  planSt.Seconds,
-		FixedTasklets:   fixedSt.MaxTasklets(),
-		PlannedTasklets: planSt.MaxTasklets(),
+		FixedSeconds:    st[0].Seconds,
+		PlannedSeconds:  st[1].Seconds,
+		FixedTasklets:   st[0].MaxTasklets(),
+		PlannedTasklets: st[1].MaxTasklets(),
 	}, nil
 }

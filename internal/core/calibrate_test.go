@@ -3,12 +3,8 @@ package core
 import (
 	"testing"
 
-	"pimdnn/internal/alexnet"
-	"pimdnn/internal/ebnn"
-	"pimdnn/internal/mnist"
-	"pimdnn/internal/plan"
-	"pimdnn/internal/resnet"
-	"pimdnn/internal/yolo"
+	"pimdnn/internal/dpu"
+	"pimdnn/internal/tensor"
 )
 
 // calTolerance is the stated calibration tolerance: the analytic model
@@ -48,112 +44,22 @@ func TestCalibrationReport(t *testing.T) {
 	}
 }
 
-// TestYOLOMappingNeverSlower is the planner's accept bar: the
-// auto-mapped forward must be bit-identical to the fixed-constant
-// mapping and never slower in simulated time.
-func TestYOLOMappingNeverSlower(t *testing.T) {
-	cmp, err := CompareYOLOMappings(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.PlannedSeconds > cmp.FixedSeconds {
-		t.Errorf("auto-mapped forward slower than hand-tuned: %.6gs vs %.6gs",
-			cmp.PlannedSeconds, cmp.FixedSeconds)
-	}
-	t.Logf("fixed %.6gs (T=%d) -> planned %.6gs (T<=%d), speedup %.2fx",
-		cmp.FixedSeconds, cmp.FixedTasklets, cmp.PlannedSeconds, cmp.PlannedTasklets, cmp.Speedup())
-}
-
-// TestAutoVsFixedBitIdentity runs AlexNet, ResNet and eBNN forwards
-// under both deployments and requires identical outputs (YOLO is
-// covered by CompareYOLOMappings above).
+// TestAutoVsFixedBitIdentity is the planner's accept bar: on 64 DPUs,
+// each graph's auto-mapped forward is bit-identical to the fixed one
+// (CompareMappings refuses otherwise) and never slower in simulated
+// time. eBNN's is the planned axis of ebnn.TestInferInvariance.
 func TestAutoVsFixedBitIdentity(t *testing.T) {
-	classify := func(deploy func(acc *Accelerator, auto bool) (func() ([]int16, error), error)) ([]int16, []int16) {
-		t.Helper()
-		var out [2][]int16
-		for i, auto := range []bool{false, true} {
-			acc, err := NewAccelerator(Options{DPUs: 16})
+	for i, nc := range liteNets(t, tinyYOLO) {
+		t.Run(nc.name, func(t *testing.T) {
+			c, err := CompareMappings(nc.g, tensor.Random(nc.size, int64(7+i)), 64, dpu.O0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := deploy(acc, auto)
-			if err != nil {
-				t.Fatal(err)
+			if c.PlannedSeconds > c.FixedSeconds {
+				t.Errorf("auto-mapped forward slower than hand-tuned: %.6gs vs %.6gs", c.PlannedSeconds, c.FixedSeconds)
 			}
-			out[i], err = run()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out[0], out[1]
+			t.Logf("fixed %.6gs (T=%d) -> planned %.6gs (T<=%d), speedup %.2fx",
+				c.FixedSeconds, c.FixedTasklets, c.PlannedSeconds, c.PlannedTasklets, c.Speedup())
+		})
 	}
-
-	t.Run("alexnet", func(t *testing.T) {
-		in := randTensor(67, 11)
-		fixed, auto := classify(func(acc *Accelerator, auto bool) (func() ([]int16, error), error) {
-			app, err := acc.DeployAlexNet(alexnet.LiteConfig(), YOLOOptions{AutoMap: auto})
-			if err != nil {
-				return nil, err
-			}
-			return func() ([]int16, error) {
-				_, logits, _, err := app.Classify(in)
-				return logits, err
-			}, nil
-		})
-		for i := range fixed {
-			if fixed[i] != auto[i] {
-				t.Fatalf("logit %d diverged: %d vs %d", i, fixed[i], auto[i])
-			}
-		}
-	})
-
-	t.Run("resnet", func(t *testing.T) {
-		in := randTensor(64, 12)
-		fixed, auto := classify(func(acc *Accelerator, auto bool) (func() ([]int16, error), error) {
-			app, err := acc.DeployResNet(resnet.LiteConfig(), YOLOOptions{AutoMap: auto})
-			if err != nil {
-				return nil, err
-			}
-			return func() ([]int16, error) {
-				_, logits, _, err := app.Classify(in)
-				return logits, err
-			}, nil
-		})
-		for i := range fixed {
-			if fixed[i] != auto[i] {
-				t.Fatalf("logit %d diverged: %d vs %d", i, fixed[i], auto[i])
-			}
-		}
-	})
-
-	t.Run("ebnn", func(t *testing.T) {
-		ds := mnist.Load(160, 16, 43)
-		tc := ebnn.DefaultTrainConfig()
-		tc.Epochs = 2
-		m, err := ebnn.Train(ds, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images := ds.Train[:64]
-		var preds [2][]int
-		for i, tasklets := range []int{plan.FixedEBNNTasklets, 0} { // 0 = auto-map
-			acc, err := NewAccelerator(Options{DPUs: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			app, err := acc.DeployEBNN(m, true, tasklets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			preds[i], _, err = app.Classify(images)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range preds[0] {
-			if preds[0][i] != preds[1][i] {
-				t.Fatalf("prediction %d diverged: %d vs %d", i, preds[0][i], preds[1][i])
-			}
-		}
-	})
 }

@@ -15,19 +15,12 @@
 package core
 
 import (
-	"fmt"
-
-	"pimdnn/internal/alexnet"
 	"pimdnn/internal/dpu"
 	"pimdnn/internal/ebnn"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
-	"pimdnn/internal/mnist"
 	"pimdnn/internal/nn"
 	"pimdnn/internal/plan"
-	"pimdnn/internal/resnet"
-	"pimdnn/internal/tensor"
-	"pimdnn/internal/yolo"
 )
 
 // Scheme is an operation-mapping strategy for CNNs on the DPU system.
@@ -82,11 +75,13 @@ type Accelerator struct {
 type Options struct {
 	// DPUs is the system size (default 64; the full system is 2,560).
 	DPUs int
-	// Opt is the dpu-clang optimization level (default O3 per §4.3.3).
+	// Opt is the dpu-clang optimization level. The zero value is O0;
+	// §4.3.3 recommends O3.
 	Opt dpu.OptLevel
 }
 
-// NewAccelerator allocates the DPU system.
+// NewAccelerator allocates the DPU system. host.NewSystem refuses a DPU
+// count outside 1..dpu.SystemDPUs before it allocates anything.
 func NewAccelerator(opts Options) (*Accelerator, error) {
 	if opts.DPUs == 0 {
 		opts.DPUs = 64
@@ -101,185 +96,33 @@ func NewAccelerator(opts Options) (*Accelerator, error) {
 // System exposes the underlying host runtime.
 func (a *Accelerator) System() *host.System { return a.sys }
 
-// EBNNApp is a deployed eBNN classifier.
-type EBNNApp struct {
-	runner *ebnn.Runner
-	model  *ebnn.Model
-}
-
 // DeployEBNN trains nothing — it deploys an already-trained model with
 // the multi-image-per-DPU scheme. useLUT selects the Fig 4.2(b)
 // architecture with the host-built BN-BinAct lookup table. tasklets 0
 // asks the auto-mapper to choose the thread count from the cost model
 // (plan.FixedEBNNTasklets is the hand-tuned constant it replaces).
-func (a *Accelerator) DeployEBNN(m *ebnn.Model, useLUT bool, tasklets int) (*EBNNApp, error) {
+func (a *Accelerator) DeployEBNN(m *ebnn.Model, useLUT bool, tasklets int) (*ebnn.Runner, error) {
 	if tasklets == 0 {
 		r, _, err := ebnn.NewPlannedRunner(a.sys, m, useLUT, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &EBNNApp{runner: r, model: m}, nil
+		return r, err
 	}
-	r, err := ebnn.NewRunner(a.sys, m, useLUT, tasklets)
-	if err != nil {
-		return nil, err
-	}
-	return &EBNNApp{runner: r, model: m}, nil
+	return ebnn.NewRunner(a.sys, m, useLUT, tasklets)
 }
 
-// Classify runs inference on the DPU system and returns predicted labels.
-func (app *EBNNApp) Classify(images []mnist.Image) ([]int, ebnn.BatchStats, error) {
-	return app.runner.Infer(images)
-}
-
-// Model returns the deployed model.
-func (app *EBNNApp) Model() *ebnn.Model { return app.model }
-
-// YOLOApp is a deployed YOLOv3 detector.
-type YOLOApp struct {
-	net    *yolo.Network
-	runner *gemm.Runner
-}
-
-// YOLOOptions tunes the detector deployment (shared by the AlexNet and
-// ResNet deploys, which map the same way).
-type YOLOOptions struct {
-	// Tasklets per DPU (default plan.FixedTasklets = the pipeline
-	// depth). Under AutoMap a nonzero value bounds the planner's sweep
-	// instead of pinning the count.
-	Tasklets int
-	// Naive selects the thesis-faithful MRAM-bound kernel; the default
-	// is the WRAM-tiled improvement (§4.3.4).
-	Naive bool
-	// TileCols for the tiled kernel (default gemm.DefaultTileCols).
-	TileCols int
-	// AutoMap wires the cost-model planner into the runner: every
-	// layer's tasklet count and wave width come from
-	// plan.Planner instead of the fixed constants above. Results stay
-	// bit-identical — the planner only picks among mapping axes.
-	AutoMap bool
-}
-
-// gemmRunner sizes a GEMM runner for a built network's largest layer,
-// applying the fixed-constant fallback or the auto-mapper per opts —
-// the multi-DPU-per-image deployment all three GEMM-backed networks
-// share.
-func (a *Accelerator) gemmRunner(net *nn.Network, opts YOLOOptions) (*gemm.Runner, error) {
-	maxK, maxN, _ := net.GEMMBounds()
-	cfg := gemm.RunnerConfig{
-		MaxK:     maxK,
-		MaxN:     maxN,
-		Tasklets: opts.Tasklets,
-		TileCols: opts.TileCols,
-		Naive:    opts.Naive,
-	}
-	if opts.AutoMap {
+// Deploy sizes a GEMM runner for any built network's largest layer with
+// the multi-DPU-per-image scheme (YOLOv3's row-per-DPU mapping, §4.2.3,
+// which AlexNet and ResNet-18 share): the WRAM-tiled kernel (§4.3.4) at
+// plan.FixedTasklets, or, with autoMap, the cost-model planner choosing
+// every layer's tasklet count and wave width. Results are bit-identical
+// either way. Run the network's own Forward with the returned runner
+// (ForwardBatch after Runner.EnableBatch).
+func (a *Accelerator) Deploy(g *nn.Network, autoMap bool) (*gemm.Runner, error) {
+	maxK, maxN, _ := g.GEMMBounds()
+	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN}
+	if autoMap {
 		cfg.Planner = plan.New(a.sys)
-	} else if cfg.Tasklets == 0 {
+	} else {
 		cfg.Tasklets = plan.FixedTasklets
 	}
 	return gemm.NewRunner(a.sys, cfg)
-}
-
-// DeployYOLO builds the network and deploys it with the
-// multi-DPU-per-image scheme.
-func (a *Accelerator) DeployYOLO(cfg yolo.Config, opts YOLOOptions) (*YOLOApp, error) {
-	net, err := yolo.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := a.gemmRunner(net.Network, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &YOLOApp{net: net, runner: runner}, nil
-}
-
-// Network returns the deployed network.
-func (app *YOLOApp) Network() *yolo.Network { return app.net }
-
-// Detect runs one image through the network, convolutions on the DPUs.
-func (app *YOLOApp) Detect(img *yolo.Tensor) (*yolo.Result, *yolo.ForwardStats, error) {
-	return app.net.Forward(img, app.runner)
-}
-
-// DetectHost runs the bit-exact host reference (no DPUs), for
-// verification.
-func (app *YOLOApp) DetectHost(img *yolo.Tensor) (*yolo.Result, error) {
-	res, _, err := app.net.Forward(img, nil)
-	return res, err
-}
-
-// AlexNetApp is a deployed AlexNet classifier.
-type AlexNetApp struct {
-	net    *alexnet.Network
-	runner *gemm.Runner
-}
-
-// DeployAlexNet builds the §6.1 extension workload — the network the
-// chapter 5 model prices — with the multi-DPU-per-image scheme for both
-// conv and FC layers.
-func (a *Accelerator) DeployAlexNet(cfg alexnet.Config, opts YOLOOptions) (*AlexNetApp, error) {
-	net, err := alexnet.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := a.gemmRunner(net.Network, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &AlexNetApp{net: net, runner: runner}, nil
-}
-
-// Network returns the deployed network.
-func (app *AlexNetApp) Network() *alexnet.Network { return app.net }
-
-// Classify runs one image on the DPUs, returning the argmax class, the
-// raw logits and the forward statistics.
-func (app *AlexNetApp) Classify(img *tensor.Tensor) (int, []int16, *alexnet.ForwardStats, error) {
-	logits, stats, err := app.net.Forward(img, app.runner)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return alexnet.Predict(logits), logits, stats, nil
-}
-
-// ResNetApp is a deployed ResNet-18 classifier.
-type ResNetApp struct {
-	net    *resnet.Network
-	runner *gemm.Runner
-}
-
-// DeployResNet builds the residual network that completes the §6.1
-// "AlexNet to ResNet" span, deployed like the other GEMM-backed workloads.
-func (a *Accelerator) DeployResNet(cfg resnet.Config, opts YOLOOptions) (*ResNetApp, error) {
-	net, err := resnet.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := a.gemmRunner(net.Network, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ResNetApp{net: net, runner: runner}, nil
-}
-
-// Network returns the deployed network.
-func (app *ResNetApp) Network() *resnet.Network { return app.net }
-
-// Classify runs one image on the DPUs.
-func (app *ResNetApp) Classify(img *tensor.Tensor) (int, []int16, *resnet.ForwardStats, error) {
-	logits, stats, err := app.net.Forward(img, app.runner)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return resnet.Predict(logits), logits, stats, nil
-}
-
-// Validate sanity-checks a deployment option set early.
-func (o Options) Validate() error {
-	if o.DPUs < 0 || o.DPUs > dpu.SystemDPUs {
-		return fmt.Errorf("core: DPUs %d outside 0..%d", o.DPUs, dpu.SystemDPUs)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"pimdnn/internal/exec"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/mnist"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/resnet"
 	"pimdnn/internal/tensor"
 	"pimdnn/internal/trace"
@@ -49,11 +51,11 @@ func TestAcceleratorEBNNEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := acc.DeployEBNN(m, true, 8)
+	r, err := acc.DeployEBNN(m, true, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, stats, err := app.Classify(ds.Test)
+	preds, stats, err := r.Infer(ds.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,119 +65,77 @@ func TestAcceleratorEBNNEndToEnd(t *testing.T) {
 	if stats.Seconds <= 0 || stats.Throughput() <= 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if app.Model() != m {
-		t.Error("Model accessor")
+}
+
+// liteNet is one GEMM-backed graph at simulation scale.
+type liteNet struct {
+	name   string
+	g      *nn.Network
+	size   int // input side
+	layers int // GEMM layers
+}
+
+// liteNets builds YOLOv3 at ycfg, AlexNet-lite and ResNet-18-lite.
+func liteNets(t *testing.T, ycfg yolo.Config) []liteNet {
+	ynet, err := yolo.New(ycfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anet, err := alexnet.New(alexnet.LiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnet, err := resnet.New(resnet.LiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []liteNet{
+		{"yolo", ynet.Network, ycfg.InputSize, 75},
+		{"alexnet", anet.Network, anet.Cfg.InputSize, 8},
+		{"resnet", rnet.Network, rnet.Cfg.InputSize, 21},
 	}
 }
 
-func TestAcceleratorYOLOEndToEnd(t *testing.T) {
-	acc, err := NewAccelerator(Options{DPUs: 4, Opt: dpu.O3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}
-	app, err := acc.DeployYOLO(cfg, YOLOOptions{Tasklets: 8, TileCols: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := yolo.SyntheticScene(32, 4)
-	res, stats, err := app.Detect(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.YoloOutputs) != 3 {
-		t.Errorf("yolo outputs = %d", len(res.YoloOutputs))
-	}
-	if stats.Seconds <= 0 || len(stats.Layers) != 75 {
-		t.Errorf("stats: %.4g s over %d layers", stats.Seconds, len(stats.Layers))
-	}
-	hostRes, err := app.DetectHost(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range hostRes.YoloOutputs {
-		for i := range hostRes.YoloOutputs[s].Data {
-			if hostRes.YoloOutputs[s].Data[i] != res.YoloOutputs[s].Data[i] {
-				t.Fatalf("scale %d differs between host and DPU", s)
-			}
+// tinyYOLO is YOLOv3's 75-conv graph at bench scale.
+var tinyYOLO = yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}
+
+// TestDeploy: each graph deployed fixed and auto-mapped on 4 DPUs (more
+// waves than nn.TestExecutor's 8) computes the host reference's output
+// and heads bit for bit over every GEMM layer.
+func TestDeploy(t *testing.T) {
+	for _, nc := range liteNets(t, tinyYOLO) {
+		in := tensor.Random(nc.size, 5)
+		want, _, err := nc.g.Forward(in, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if app.Network() == nil {
-		t.Error("Network accessor")
-	}
-}
-
-func TestAcceleratorAlexNetEndToEnd(t *testing.T) {
-	acc, err := NewAccelerator(Options{DPUs: 4, Opt: dpu.O3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := acc.DeployAlexNet(alexnet.LiteConfig(), YOLOOptions{Tasklets: 8, TileCols: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := app.Network().Cfg
-	img := tensor.New(3, cfg.InputSize, cfg.InputSize)
-	for i := range img.Data {
-		img.Data[i] = int16(i % 64)
-	}
-	class, logits, stats, err := app.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if class < 0 || class >= cfg.Classes || len(logits) != cfg.Classes {
-		t.Errorf("class=%d logits=%d", class, len(logits))
-	}
-	if stats.Seconds <= 0 || len(stats.Layers) != 8 {
-		t.Errorf("stats: %.4g s, %d layers", stats.Seconds, len(stats.Layers))
-	}
-	// The DPU result matches the host reference.
-	want, _, err := app.Network().Forward(img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if logits[i] != want[i] {
-			t.Fatalf("logit %d: DPU %d, host %d", i, logits[i], want[i])
+		for _, auto := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/auto=%v", nc.name, auto), func(t *testing.T) {
+				acc, err := NewAccelerator(Options{DPUs: 4, Opt: dpu.O3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := acc.Deploy(nc.g, auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, stats, err := nc.g.Forward(in, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("DPU output or heads differ from the host reference")
+				}
+				if len(stats.Layers) != nc.layers || stats.Seconds <= 0 {
+					t.Errorf("stats: %.4g s over %d layers, want %d", stats.Seconds, len(stats.Layers), nc.layers)
+				}
+			})
 		}
 	}
 }
 
-func TestAcceleratorResNetEndToEnd(t *testing.T) {
-	acc, err := NewAccelerator(Options{DPUs: 4, Opt: dpu.O3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := acc.DeployResNet(resnet.LiteConfig(), YOLOOptions{Tasklets: 8, TileCols: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := app.Network().Cfg
-	img := tensor.New(3, cfg.InputSize, cfg.InputSize)
-	for i := range img.Data {
-		img.Data[i] = int16(i%48 - 24)
-	}
-	class, logits, stats, err := app.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if class < 0 || class >= cfg.Classes || len(logits) != cfg.Classes {
-		t.Errorf("class=%d logits=%d", class, len(logits))
-	}
-	if stats.Seconds <= 0 || len(stats.Layers) != 21 {
-		t.Errorf("stats: %.4g s, %d GEMMs", stats.Seconds, len(stats.Layers))
-	}
-	want, _, err := app.Network().Forward(img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if logits[i] != want[i] {
-			t.Fatalf("logit %d: DPU %d, host %d", i, logits[i], want[i])
-		}
-	}
-}
-
+// TestNewAcceleratorDefaults: 0 DPUs means 64; a count outside
+// 1..dpu.SystemDPUs is refused.
 func TestNewAcceleratorDefaults(t *testing.T) {
 	acc, err := NewAccelerator(Options{})
 	if err != nil {
@@ -184,11 +144,10 @@ func TestNewAcceleratorDefaults(t *testing.T) {
 	if acc.System().NumDPUs() != 64 {
 		t.Errorf("default DPUs = %d, want 64", acc.System().NumDPUs())
 	}
-	if err := (Options{DPUs: -1}).Validate(); err == nil {
-		t.Error("negative DPUs validated")
-	}
-	if err := (Options{DPUs: 99999}).Validate(); err == nil {
-		t.Error("oversized system validated")
+	for _, n := range []int{-1, dpu.SystemDPUs + 1} {
+		if _, err := NewAccelerator(Options{DPUs: n}); err == nil {
+			t.Errorf("%d DPUs accepted", n)
+		}
 	}
 }
 
@@ -283,11 +242,11 @@ func TestAdvisorOnRealRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app, err := acc.DeployEBNN(m, useLUT, 16)
+		r, err := acc.DeployEBNN(m, useLUT, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := app.Classify(ds.Test); err != nil {
+		if _, _, err := r.Infer(ds.Test); err != nil {
 			t.Fatal(err)
 		}
 		return NewAdvisor().Analyze(RunInfo{
@@ -349,10 +308,11 @@ func TestLayoutsUnchanged(t *testing.T) {
 	}
 	deploy("array_yolo", dpu.SystemDPUs, 0, batch(yolo.Config{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 3}, 8, 64))
 	deploy("serve_closed", 8, 4<<20, batch(yolo.Config{InputSize: 64, Classes: 4, WidthDiv: 32, Seed: 1}, 11, 0))
-	for _, o := range []YOLOOptions{{}, {AutoMap: true}} {
-		deploy(fmt.Sprint("yolo lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployYOLO(yolo.LiteConfig(), o); return err })
-		deploy(fmt.Sprint("alexnet lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployAlexNet(alexnet.LiteConfig(), o); return err })
-		deploy(fmt.Sprint("resnet lite automap=", o.AutoMap), 64, 0, func(a *Accelerator) error { _, err := a.DeployResNet(resnet.LiteConfig(), o); return err })
+	lite := liteNets(t, yolo.LiteConfig())
+	for _, auto := range []bool{false, true} {
+		for _, nc := range lite {
+			deploy(fmt.Sprintf("%s lite automap=%v", nc.name, auto), 64, 0, func(a *Accelerator) error { _, err := a.Deploy(nc.g, auto); return err })
+		}
 	}
 	m, err := ebnn.Train(mnist.Load(40, 8, 1), ebnn.DefaultTrainConfig())
 	if err != nil {

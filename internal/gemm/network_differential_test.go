@@ -1,7 +1,6 @@
 package gemm_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -14,15 +13,6 @@ import (
 	"pimdnn/internal/tensor"
 	"pimdnn/internal/yolo"
 )
-
-func randInput(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
 
 // netRow is one network of TestForwardBlockChargingParity: the runner
 // bounds and system size it runs on, and a forward pass returning its
@@ -50,7 +40,7 @@ func netRows(t *testing.T) []netRow {
 		t.Fatal(err)
 	}
 	scene := yolo.SyntheticScene(32, 9)
-	aIn, rIn := randInput(an.Cfg.InputSize, 2), randInput(64, 2)
+	aIn, rIn := tensor.Random(an.Cfg.InputSize, 2), tensor.Random(64, 2)
 	logits := func(out []int16, st *nn.ForwardStats, err error) ([][]int16, []yolo.Detection, *nn.ForwardStats, error) {
 		return [][]int16{out}, nil, st, err
 	}

@@ -2,7 +2,6 @@ package nn_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -61,15 +60,6 @@ var (
 	// workers. Under -race this is the race gate for those callbacks.
 	batchSharded = mapping{name: "batch-sharded", images: 36, dpus: 40}
 )
-
-func randomImage(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
 
 // observed is what a run is compared by across core counts and
 // telemetry: the executor's stats, the system's simulated transfer
@@ -176,7 +166,7 @@ func TestExecutor(t *testing.T) {
 		inputs := make([]*tensor.Tensor, batchSharded.images)
 		want := make([]nn.Output, len(inputs))
 		for i := range inputs {
-			inputs[i] = randomImage(nc.size, int64(i+1))
+			inputs[i] = tensor.Random(nc.size, int64(i+1))
 			if want[i], _, err = nc.net.Forward(inputs[i], nil); err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +258,7 @@ func TestForwardBatchOutputsCallerOwned(t *testing.T) {
 	}
 	first, second := make([]*tensor.Tensor, batchInline.images), make([]*tensor.Tensor, batchInline.images)
 	for i := range first {
-		first[i], second[i] = randomImage(32, int64(i+1)), randomImage(32, int64(i+100))
+		first[i], second[i] = tensor.Random(32, int64(i+1)), tensor.Random(32, int64(i+100))
 	}
 	outs, _, err := net.ForwardBatch(first, r)
 	if err != nil {
@@ -302,7 +292,7 @@ func TestConcurrentHostForward(t *testing.T) {
 		net := pn.net
 		imgs, want := make([]*tensor.Tensor, 4), make([]nn.Output, 4)
 		for i := range imgs {
-			imgs[i] = randomImage(pn.size, int64(i+1))
+			imgs[i] = tensor.Random(pn.size, int64(i+1))
 			var err error
 			if want[i], _, err = net.Forward(imgs[i], nil); err != nil {
 				t.Fatal(err)

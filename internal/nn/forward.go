@@ -67,6 +67,18 @@ type Output struct {
 	Heads []*tensor.Tensor
 }
 
+// Argmax is the index of the largest value, the first on a tie: a
+// classifier's predicted class from its logits.
+func Argmax(logits []int16) int {
+	best := 0
+	for i := 1; i < len(logits); i++ {
+		if logits[i] > logits[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 // Forward runs one image. If r is nil every GEMM uses the host reference
 // and no runner is touched; otherwise GEMM layers are delegated to the
 // DPU system with the Fig 4.6 row-per-DPU mapping. Both paths are

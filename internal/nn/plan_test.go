@@ -137,7 +137,7 @@ func TestPlanNoLiveOverlap(t *testing.T) {
 func TestReferenceOutputsPinned(t *testing.T) {
 	want := map[string]uint64{"yolo": 0x78e1b3d374008ba1, "alexnet": 0x78ef7b275c2fd4fe, "resnet": 0xf02a07f6aa59c20c}
 	for name, pn := range planNets(t) {
-		out, _, err := pn.net.Forward(randomImage(pn.size, 1), nil)
+		out, _, err := pn.net.Forward(tensor.Random(pn.size, 1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,14 +140,3 @@ func (n *Network) Forward(input *tensor.Tensor, runner *gemm.Runner) ([]int16, *
 	}
 	return out.Out.Data, stats, nil
 }
-
-// Predict returns the argmax class.
-func Predict(logits []int16) int {
-	best := 0
-	for i := 1; i < len(logits); i++ {
-		if logits[i] > logits[best] {
-			best = i
-		}
-	}
-	return best
-}

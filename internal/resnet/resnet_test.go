@@ -1,23 +1,11 @@
 package resnet
 
 import (
-	"math/rand"
 	"testing"
 
-	"pimdnn/internal/dpu"
-	"pimdnn/internal/gemm"
-	"pimdnn/internal/host"
+	"pimdnn/internal/nn"
 	"pimdnn/internal/tensor"
 )
-
-func randInput(size int, seed int64) *tensor.Tensor {
-	rng := rand.New(rand.NewSource(seed))
-	t := tensor.New(3, size, size)
-	for i := range t.Data {
-		t.Data[i] = tensor.Quantize(rng.Float64())
-	}
-	return t
-}
 
 func TestFullShapes(t *testing.T) {
 	n, err := New(FullConfig())
@@ -91,14 +79,14 @@ func TestForwardHostRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logits, _, err := n.Forward(randInput(64, 1), nil)
+	logits, _, err := n.Forward(tensor.Random(64, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(logits) != 10 {
 		t.Fatalf("logits = %d", len(logits))
 	}
-	if p := Predict(logits); p < 0 || p >= 10 {
+	if p := nn.Argmax(logits); p < 0 || p >= 10 {
 		t.Errorf("predict = %d", p)
 	}
 }
@@ -110,93 +98,6 @@ func TestForwardInputValidation(t *testing.T) {
 	}
 }
 
-// TestForwardDPUMatchesHost: the DPU-delegated ResNet — including the
-// three projected shortcuts — must be bit-exact against the host.
-func TestForwardDPUMatchesHost(t *testing.T) {
-	n, err := New(LiteConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randInput(64, 2)
-	want, _, err := n.Forward(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxK, maxN := n.GEMMBounds()
-	sys, _ := host.NewSystem(4, host.DefaultConfig(dpu.O3))
-	r, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := n.Forward(in, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("logit %d: DPU %d, host %d", i, got[i], want[i])
-		}
-	}
-	// 17 convs + 3 projections + 1 FC = 21 delegated GEMMs.
-	if len(stats.Layers) != 21 {
-		t.Errorf("delegated GEMMs = %d, want 21", len(stats.Layers))
-	}
-}
-
-// TestForwardFaultRecovery: a forward pass with a quarter of the DPUs
-// killed after their first launch must still produce bit-identical
-// logits — the execution engine re-dispatches every dead DPU's row
-// shard onto a survivor — and the recovery must be visible in the
-// ForwardStats retry counters.
-func TestForwardFaultRecovery(t *testing.T) {
-	n, err := New(LiteConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := randInput(64, 4)
-	want, _, err := n.Forward(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxK, maxN := n.GEMMBounds()
-	// One dispatch depth: the sync and pipelined cells run alike.
-	for _, mode := range []string{"sync", "pipelined"} {
-		t.Run(mode, func(t *testing.T) {
-			sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Close()
-			r, err := gemm.NewRunner(sys, gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.25, DeadAfterLaunches: 1})
-			got, stats, err := n.Forward(in, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("logit %d: degraded %d, host %d (must be bit-identical)", i, got[i], want[i])
-				}
-			}
-			if stats.Retries == 0 {
-				t.Error("no re-dispatches recorded; the fault plan should have killed DPUs")
-			}
-			var layerRetries int
-			for _, ls := range stats.Layers {
-				layerRetries += ls.Retries
-			}
-			if layerRetries != stats.Retries {
-				t.Errorf("layer retries sum %d != total %d", layerRetries, stats.Retries)
-			}
-		})
-	}
-}
-
 // TestResidualMatters: zeroing the residual path must change the output
 // (the shortcuts are live, not dead code).
 func TestResidualMatters(t *testing.T) {
@@ -204,7 +105,7 @@ func TestResidualMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := randInput(64, 3)
+	in := tensor.Random(64, 3)
 	want, _, err := n.Forward(in, nil)
 	if err != nil {
 		t.Fatal(err)

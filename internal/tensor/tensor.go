@@ -8,6 +8,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"unsafe"
 )
 
@@ -26,6 +27,17 @@ type Tensor struct {
 // New allocates a zero tensor.
 func New(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]int16, c*h*w)}
+}
+
+// Random returns a 3×size×size image of quantized uniform [0, 1)
+// values drawn from seed: the synthetic classifier input.
+func Random(size int, seed int64) *Tensor {
+	rng := rand.New(rand.NewSource(seed))
+	t := New(3, size, size)
+	for i := range t.Data {
+		t.Data[i] = Quantize(rng.Float64())
+	}
+	return t
 }
 
 // At returns the element at (c, y, x).

@@ -247,54 +247,6 @@ func TestForwardInputValidation(t *testing.T) {
 	}
 }
 
-// TestForwardDPUMatchesHost: the DPU-delegated forward pass must be
-// bit-exact against the host reference across all 75 convolutions.
-func TestForwardDPUMatchesHost(t *testing.T) {
-	n, err := New(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := SyntheticScene(32, 9)
-	hostRes, _, err := n.Forward(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	maxK, maxN := n.GEMMBounds()
-	sys, err := host.NewSystem(4, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := gemm.NewRunner(sys, gemm.RunnerConfig{
-		MaxK: maxK, MaxN: maxN, Tasklets: 8, TileCols: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dpuRes, stats, err := n.Forward(in, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Layers) != 75 {
-		t.Errorf("conv layer stats = %d, want 75", len(stats.Layers))
-	}
-	if stats.Seconds <= 0 {
-		t.Error("no DPU time accumulated")
-	}
-	for s := range hostRes.YoloOutputs {
-		h := hostRes.YoloOutputs[s]
-		d := dpuRes.YoloOutputs[s]
-		for i := range h.Data {
-			if h.Data[i] != d.Data[i] {
-				t.Fatalf("scale %d element %d: host %d, DPU %d", s, i, h.Data[i], d.Data[i])
-			}
-		}
-	}
-	if len(hostRes.Detections) != len(dpuRes.Detections) {
-		t.Errorf("detections differ: host %d, DPU %d", len(hostRes.Detections), len(dpuRes.Detections))
-	}
-}
-
 // TestEstimateAgreesWithSimulation: the analytic estimator must track the
 // simulated DPU time on a network small enough to run both ways.
 func TestEstimateAgreesWithSimulation(t *testing.T) {

@@ -43,18 +43,8 @@ type (
 	Advisor = core.Advisor
 	// RunInfo describes one execution for the Advisor.
 	RunInfo = core.RunInfo
-	// EBNNApp is a deployed eBNN classifier.
-	EBNNApp = core.EBNNApp
-	// YOLOApp is a deployed YOLOv3 detector.
-	YOLOApp = core.YOLOApp
-	// YOLOOptions tunes a YOLO deployment.
-	YOLOOptions = core.YOLOOptions
-	// AlexNetApp is a deployed AlexNet classifier.
-	AlexNetApp = core.AlexNetApp
 	// AlexNetConfig parameterizes the AlexNet build.
 	AlexNetConfig = alexnet.Config
-	// ResNetApp is a deployed ResNet-18 classifier.
-	ResNetApp = core.ResNetApp
 	// ResNetConfig parameterizes the ResNet-18 build.
 	ResNetConfig = resnet.Config
 )

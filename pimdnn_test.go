@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pimdnn"
+	"pimdnn/internal/yolo"
 )
 
 func TestFacadeEBNNPipeline(t *testing.T) {
@@ -22,11 +23,11 @@ func TestFacadeEBNNPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := acc.DeployEBNN(model, true, 16)
+	r, err := acc.DeployEBNN(model, true, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, stats, err := app.Classify(ds.Test)
+	preds, stats, err := r.Infer(ds.Test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,15 @@ func TestFacadeYOLOPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pimdnn.YOLOConfig{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 1}
-	app, err := acc.DeployYOLO(cfg, pimdnn.YOLOOptions{Tasklets: 8, TileCols: 64})
+	net, err := yolo.New(pimdnn.YOLOConfig{InputSize: 32, Classes: 1, WidthDiv: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := pimdnn.SyntheticScene(32, 1)
-	res, stats, err := app.Detect(img)
+	r, err := acc.Deploy(net.Network, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := net.Forward(pimdnn.SyntheticScene(32, 1), r)
 	if err != nil {
 		t.Fatal(err)
 	}
