@@ -20,7 +20,7 @@
 //
 // Every request (subject to -trace-sample) carries a span tree from
 // HTTP admission through queue wait, batch join, per-layer GEMMs, and
-// the exec engine's scatter/launch/gather waves down to per-DPU kernel
+// the exec engine's waves and retries down to per-DPU kernel
 // spans; completed traces land in a flight-recorder ring that freezes
 // itself (a "dump") when a request breaches -slo or a DPU fault report
 // surfaces.

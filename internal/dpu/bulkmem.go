@@ -106,8 +106,8 @@ func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func
 	buf := d.rowScratch[:rowBytes]
 	for i := 0; i < rows; {
 		ro := off + int64(i)*stride
-		page, po := ro/mramPageSize, int(ro%mramPageSize)
-		if po+rowBytes > mramPageSize {
+		page, po := ro/MRAMPageSize, int(ro%MRAMPageSize)
+		if po+rowBytes > MRAMPageSize {
 			// Page-boundary-crossing row: stage it alone.
 			if write {
 				fn(i, 1, buf, rowBytes)
@@ -122,7 +122,7 @@ func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func
 		// How many consecutive rows stay fully inside this page?
 		count := rows - i
 		if stride > 0 {
-			count = min(count, (mramPageSize-po-rowBytes)/int(stride)+1)
+			count = min(count, (MRAMPageSize-po-rowBytes)/int(stride)+1)
 		}
 		switch p := d.mramPages[page]; {
 		case write:

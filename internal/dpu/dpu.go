@@ -181,7 +181,7 @@ func New(cfg Config) (*DPU, error) {
 	d := &DPU{
 		cfg:       cfg,
 		wram:      make([]byte, cfg.WRAMSize),
-		mramPages: make([]*mramPage, (cfg.MRAMSize+mramPageSize-1)/mramPageSize),
+		mramPages: make([]*mramPage, (cfg.MRAMSize+MRAMPageSize-1)/MRAMPageSize),
 		symbols:   make(map[string]Symbol),
 		prof:      trace.NewProfile(),
 	}
@@ -315,7 +315,7 @@ func (d *DPU) Alloc(s Symbol) (Symbol, error) {
 		d.wramUsed.Store(s.Offset + s.Size)
 	} else {
 		off, end := d.mramUsed, d.mramUsed+s.Size
-		if s.Size >= mramPageSize {
+		if s.Size >= MRAMPageSize {
 			if o, e := roundUpPage(off), roundUpPage(off)+roundUpPage(s.Size); e <= d.cfg.MRAMSize {
 				off, end = o, e
 			}
@@ -620,5 +620,5 @@ func roundUp8(n int64) int64 {
 }
 
 func roundUpPage(n int64) int64 {
-	return (n + mramPageSize - 1) &^ (mramPageSize - 1)
+	return (n + MRAMPageSize - 1) &^ (MRAMPageSize - 1)
 }

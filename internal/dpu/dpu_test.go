@@ -276,7 +276,7 @@ func TestWRAMLoadStore(t *testing.T) {
 		tk.Store32(4, 0xDEADBEEF)
 		tk.Store32(8, 0xFFFFFF9D) // int32(-99)
 		if tk.Load8(0) != -5 || tk.Load16(2) != -1234 ||
-			tk.Load32(4) != 0xDEADBEEF || tk.LoadI32(8) != -99 {
+			tk.Load32(4) != 0xDEADBEEF || int32(tk.Load32(8)) != -99 {
 			t.Error("WRAM round trip mismatch")
 		}
 		return nil
@@ -382,7 +382,7 @@ func TestMRAMPageStraddle(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 7)
 	}
-	off := int64(mramPageSize - 2048) // straddles a page boundary
+	off := int64(MRAMPageSize - 2048) // straddles a page boundary
 	if err := d.CopyToMRAM(off, src); err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// mramPageSize is the granularity of lazy MRAM allocation. 64 MB per DPU
+// MRAMPageSize is the granularity of lazy MRAM allocation. 64 MB per DPU
 // across thousands of simulated DPUs cannot be allocated eagerly; pages
-// materialize on first touch.
-const mramPageSize = 64 << 10
+// materialize on first touch. A broadcast shares whole pages, so a
+// payload broadcast while its neighbours are written per DPU wants a
+// symbol of its own pages (Alloc).
+const MRAMPageSize = 64 << 10
 
 // mramPage is one page of simulated MRAM, held by refs page tables: one
 // for a page private to its DPU, more for a page a broadcast stored once
@@ -31,7 +33,7 @@ var pagePool sync.Pool
 func newPage(zeroed bool) *mramPage {
 	p, _ := pagePool.Get().(*mramPage)
 	if p == nil {
-		p = &mramPage{data: make([]byte, mramPageSize)}
+		p = &mramPage{data: make([]byte, MRAMPageSize)}
 	} else if zeroed {
 		clear(p.data)
 	}
@@ -50,8 +52,8 @@ func (p *mramPage) release() {
 // the page it starts in, the offset in that page, and how many of the n
 // bytes lie in it.
 func pageSpan(off int64, n int) (page int64, po, count int) {
-	page, po = off/mramPageSize, int(off%mramPageSize)
-	return page, po, min(n, mramPageSize-po)
+	page, po = off/MRAMPageSize, int(off%MRAMPageSize)
+	return page, po, min(n, MRAMPageSize-po)
 }
 
 // mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu.
@@ -73,7 +75,7 @@ func (d *DPU) mramWrite(off int64, data []byte) {
 func (d *DPU) ownPage(page int64, po, n int) *mramPage {
 	p := d.mramPages[page]
 	if p == nil || p.refs.Load() > 1 {
-		q := newPage(p == nil && n < mramPageSize)
+		q := newPage(p == nil && n < MRAMPageSize)
 		if p != nil {
 			copy(q.data[:po], p.data)
 			copy(q.data[po+n:], p.data[po+n:])
@@ -149,8 +151,8 @@ func (b *MRAMBroadcast) Write(targets []*DPU, off int64, data []byte, parallel f
 		switch {
 		case same && cur != nil && int(cur.refs.Load()) == len(targets):
 			copy(cur.data[po:], rest[:n])
-		case same || n == mramPageSize:
-			q := newPage(cur == nil && n < mramPageSize)
+		case same || n == MRAMPageSize:
+			q := newPage(cur == nil && n < MRAMPageSize)
 			if same && cur != nil {
 				copy(q.data[:po], cur.data)
 				copy(q.data[po+n:], cur.data[po+n:])

@@ -16,7 +16,7 @@ const (
 	diffDPUs = 5
 	// Four whole pages and a partial fifth, so the last page table entry
 	// is shorter than a page.
-	diffMRAM = 4*mramPageSize + 8<<10
+	diffMRAM = 4*MRAMPageSize + 8<<10
 )
 
 func serialFor(n int, fn func(lo, hi int)) { fn(0, n) }
@@ -68,7 +68,7 @@ func (m *mramModel) check(step int, what string) {
 			for m.buf[at] == m.bytes[i][at] {
 				at++
 			}
-			m.t.Fatalf("step %d (%s): DPU %d differs from the model at byte %d (page %d)", step, what, i, at, at/mramPageSize)
+			m.t.Fatalf("step %d (%s): DPU %d differs from the model at byte %d (page %d)", step, what, i, at, at/MRAMPageSize)
 		}
 		for _, p := range d.mramPages {
 			if p != nil {
@@ -86,21 +86,21 @@ func (m *mramModel) check(step int, what string) {
 // span draws an 8-byte-aligned range of one of the shapes the broadcast
 // rules tell apart.
 func span(rng *rand.Rand) (off int64, n int) {
-	pages := diffMRAM / mramPageSize
+	pages := diffMRAM / MRAMPageSize
 	switch rng.Intn(5) {
 	case 0: // inside one page
 		n = 8 * (1 + rng.Intn(512))
-		off = int64(rng.Intn(pages))*mramPageSize + int64(8*rng.Intn((mramPageSize-n)/8+1))
+		off = int64(rng.Intn(pages))*MRAMPageSize + int64(8*rng.Intn((MRAMPageSize-n)/8+1))
 	case 1: // across a page boundary
 		n = 16 * (1 + rng.Intn(256))
-		off = int64(1+rng.Intn(pages-1))*mramPageSize - int64(n/2)
+		off = int64(1+rng.Intn(pages-1))*MRAMPageSize - int64(n/2)
 	case 2: // whole pages
 		first := rng.Intn(pages)
-		off, n = int64(first)*mramPageSize, (1+rng.Intn(pages-first))*mramPageSize
+		off, n = int64(first)*MRAMPageSize, (1+rng.Intn(pages-first))*MRAMPageSize
 	case 3: // whole pages with a ragged head and tail
 		first := rng.Intn(pages - 2)
-		off = int64(first)*mramPageSize + int64(8*(1+rng.Intn(1024)))
-		n = mramPageSize + 8*rng.Intn(2048)
+		off = int64(first)*MRAMPageSize + int64(8*(1+rng.Intn(1024)))
+		n = MRAMPageSize + 8*rng.Intn(2048)
 	default: // anything
 		off = int64(8 * rng.Intn(diffMRAM/8))
 		n = 8 * (1 + rng.Intn(int(diffMRAM-off)/8))
@@ -183,7 +183,7 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 							copy(row, data[(first+r)*rowBytes:])
 						} else if !bytes.Equal(row, m.bytes[i][at:at+int64(rowBytes)]) {
 							t.Fatalf("seed %d step %d: DPU %d row %d (at %d, page offset %d) differs from the model",
-								seed, step, i, first+r, at, at%mramPageSize)
+								seed, step, i, first+r, at, at%MRAMPageSize)
 						}
 					}
 				})
@@ -239,18 +239,18 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 	}
 
 	// Untouched everywhere, part of a page: one fresh page for all.
-	write(m.dpus, mramPageSize+64, 128, noFallback)
+	write(m.dpus, MRAMPageSize+64, 128, noFallback)
 	first := shared(0, 1, 2, 3, 4)
 	// Every holder is a target: written where it is.
-	write(m.dpus, mramPageSize+512, 1024, noFallback)
+	write(m.dpus, MRAMPageSize+512, 1024, noFallback)
 	if shared(0, 1, 2, 3, 4) != first {
 		t.Error("a broadcast to all holders of a shared page replaced it")
 	}
 	// A private write takes one DPU off the page and leaves the rest on it.
-	if err := m.dpus[2].CopyToMRAMRaw(mramPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	if err := m.dpus[2].CopyToMRAMRaw(MRAMPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
-	copy(m.bytes[2][mramPageSize+8:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	copy(m.bytes[2][MRAMPageSize+8:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	m.check(0, "private write")
 	if shared(0, 1, 3, 4) != first || page(2) == first || page(2).refs.Load() != 1 {
 		t.Error("a private write did not take exactly its own DPU off the shared page")
@@ -258,22 +258,22 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 	// Part of a page, targets on different pages: the per-DPU path, which
 	// still leaves the private DPU's other bytes alone.
 	fellBack := false
-	write(m.dpus, mramPageSize+2048, 64, func(n int, fn func(lo, hi int)) { fellBack = true; fn(0, n) })
+	write(m.dpus, MRAMPageSize+2048, 64, func(n int, fn func(lo, hi int)) { fellBack = true; fn(0, n) })
 	if !fellBack {
 		t.Error("a sub-page broadcast over differing pages did not take the per-DPU path")
 	}
 	// A subset of a page's holders, part of the page: the subset moves to
 	// one new page that carries the old bytes, the others keep the old one.
-	write(m.dpus, 2*mramPageSize, mramPageSize, noFallback)
+	write(m.dpus, 2*MRAMPageSize, MRAMPageSize, noFallback)
 	page = func(i int) *mramPage { return m.dpus[i].mramPages[2] }
 	old := shared(0, 1, 2, 3, 4)
-	write(m.dpus[1:4], 2*mramPageSize+8, 8, noFallback)
+	write(m.dpus[1:4], 2*MRAMPageSize+8, 8, noFallback)
 	if shared(1, 2, 3) == old || shared(0, 4) != old {
 		t.Error("a sub-page broadcast to some holders of a shared page did not split it in two")
 	}
 	// The whole page, whatever the targets held: one fresh page for all,
 	// and the pages let go are reused.
-	write(m.dpus, 2*mramPageSize, mramPageSize, noFallback)
+	write(m.dpus, 2*MRAMPageSize, MRAMPageSize, noFallback)
 	shared(0, 1, 2, 3, 4)
 }
 
@@ -281,7 +281,7 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 // another reads it: the race detector's view of the reference count.
 func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 	m := newMRAMModel(t)
-	data := make([]byte, 2*mramPageSize)
+	data := make([]byte, 2*MRAMPageSize)
 	rand.New(rand.NewSource(7)).Read(data)
 	for round := 0; round < 20; round++ {
 		if err := m.bc.Write(m.dpus, 0, data, serialFor); err != nil {
@@ -303,7 +303,7 @@ func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 					return
 				}
 				own := bytes.Repeat([]byte{byte(i)}, 64)
-				off := int64(mramPageSize - 32) // both pages
+				off := int64(MRAMPageSize - 32) // both pages
 				if err := d.CopyToMRAMRaw(off, own); err != nil {
 					t.Error(err)
 				}
@@ -331,18 +331,18 @@ func TestAllocMRAMPageAlignment(t *testing.T) {
 		t.Errorf("small symbols at %d and %d, want 0 and 104", a.Offset, b.Offset)
 	}
 	// A symbol of a page or more starts on a page and owns its last one.
-	big := alloc("big", mramPageSize+8)
-	if big.Offset != mramPageSize || big.Size != mramPageSize+8 {
-		t.Errorf("page-sized symbol = %+v, want offset %d and its own size", big, mramPageSize)
+	big := alloc("big", MRAMPageSize+8)
+	if big.Offset != MRAMPageSize || big.Size != MRAMPageSize+8 {
+		t.Errorf("page-sized symbol = %+v, want offset %d and its own size", big, MRAMPageSize)
 	}
-	if c := alloc("c", 8); c.Offset != 3*mramPageSize {
-		t.Errorf("symbol after a padded one at %d, want %d", c.Offset, 3*mramPageSize)
+	if c := alloc("c", 8); c.Offset != 3*MRAMPageSize {
+		t.Errorf("symbol after a padded one at %d, want %d", c.Offset, 3*MRAMPageSize)
 	}
-	if exact := alloc("exact", mramPageSize); exact.Offset != 4*mramPageSize {
-		t.Errorf("one-page symbol at %d, want %d", exact.Offset, 4*mramPageSize)
+	if exact := alloc("exact", MRAMPageSize); exact.Offset != 4*MRAMPageSize {
+		t.Errorf("one-page symbol at %d, want %d", exact.Offset, 4*MRAMPageSize)
 	}
-	if e := alloc("e", 8); e.Offset != 5*mramPageSize {
-		t.Errorf("symbol after a one-page one at %d, want %d", e.Offset, 5*mramPageSize)
+	if e := alloc("e", 8); e.Offset != 5*MRAMPageSize {
+		t.Errorf("symbol after a one-page one at %d, want %d", e.Offset, 5*MRAMPageSize)
 	}
 }
 

@@ -298,9 +298,6 @@ func (t *Tasklet) Store32(off int64, v uint32) {
 	binary.LittleEndian.PutUint32(t.dpu.wram[off:], v)
 }
 
-// LoadI32 reads a little-endian int32 from WRAM.
-func (t *Tasklet) LoadI32(off int64) int32 { return int32(t.Load32(off)) }
-
 // --- MRAM DMA (Eq 3.4) ---
 
 func (t *Tasklet) dmaCheck(wramOff, mramOff int64, n int) {

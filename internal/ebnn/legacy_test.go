@@ -46,7 +46,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 			t.MRAMToWRAM(lutWRAM, l.lutMRAM, lutWRAMSize)
 		}
 
-		n := int(t.LoadI32(l.nimages))
+		n := int(int32(t.Load32(l.nimages)))
 		if n < 0 || n > BatchSize {
 			return fmt.Errorf("ebnn kernel: bad image count %d", n)
 		}

@@ -4,14 +4,14 @@
 // kernel, gather results — plus retry-and-remap of failed shards onto
 // surviving DPUs under fault injection.
 //
-// Workloads adapt to the engine through the WorkSet interface (wave
-// dispatch: gemm row-per-DPU, ebnn images-per-DPU) or a StreamSet value
-// (single-wave streaming dispatch: gemm image-per-DPU batch). A WorkSet
-// runs through one wave loop (Engine.run) over one wave primitive, the
-// host's fused scatter→launch→gather wave (host.System.RunWave), one
-// wave at a time on the caller: each wave is encoded, run, re-dispatched
-// where it failed and decoded before the next is encoded. A System
-// serves one dispatching engine at a time.
+// Workloads adapt to the engine through the WorkSet interface: gemm
+// row-per-DPU, ebnn images-per-DPU, and the gemm image-per-DPU batch,
+// whose streams are produced and consumed in place in MRAM (Stream's
+// in-place form). Every WorkSet runs through one wave loop (Engine.run)
+// over one wave primitive, the host's fused scatter→launch→gather wave
+// (host.System.RunWave), one wave at a time on the caller: each wave is
+// encoded, run, re-dispatched where it failed and decoded before the
+// next is encoded. A System serves one dispatching engine at a time.
 //
 // See DESIGN.md, "Execution engine", for the interface contract,
 // accounting, and retry semantics.
@@ -55,17 +55,39 @@ type Stats struct {
 	Tasklets int
 }
 
-// Stream names one per-shard transfer stream: Bufs[i] is DPU i's buffer.
-// A wave's primary scatter stream and its gather stream move Bufs[:n],
-// one equal-length buffer per wave shard, inside the fused wave; a
-// workset's later scatter streams are pushed on their own and cover
-// every DPU of the system (matching dpu_push_xfer).
-// A stream starts at its symbol's base, and a re-dispatch moves the
-// shard's own buffers, Bufs[i], the same way on its retry target. No
-// stream is weight-resident: the only resident payload is a Broadcast.
+// Stream names one per-shard transfer stream, in one of two forms.
+// Bufs[i] is DPU i's buffer: a wave's primary scatter stream and its
+// gather stream move Bufs[:n], one equal-length buffer per wave shard,
+// inside the fused wave; a workset's later scatter streams are pushed
+// on their own and cover every DPU of the system (matching
+// dpu_push_xfer). A stream starts at its symbol's base, and a
+// re-dispatch moves the shard's own buffers, Bufs[i], the same way on
+// its retry target. No stream is weight-resident: the only resident
+// payload is a Broadcast.
+//
+// In place (Run set, Bufs nil), the primary scatter stream or the
+// gather stream is Rows rows of RowBytes bytes (a multiple of 8) at the
+// MRAM symbol's base, which Run writes (scatter) or reads (gather) in
+// DPU i's memory: run(i, first, count, block, blockStride) covers rows
+// [first, first+count), row first+r at block[r*blockStride] (every row
+// at block[0:] when a gather's blockStride is 0). An in-place scatter
+// is pushed ahead of the wave to every DPU (host.System.ScatterRows:
+// zero rows beyond the wave); an in-place gather rides in the wave
+// (host.Wave's Visit). A shard's runs cover its rows in order, never
+// overlapping in time: a scatter's once per wave (not at all on a DPU
+// whose transfer failed) and again, as one run into a buffer made on
+// the first failure, per re-dispatch; a gather's once per dispatch, as
+// one run from such a buffer when re-dispatched, never from a DPU whose
+// shard was already failed when the wave launched. Distinct shards'
+// runs may be concurrent, so Run may touch only per-shard state, and
+// it runs under the DPU's lock, so it may not call a DPU or System
+// method. It may not retain block, nor a gather's Run write it.
 type Stream struct {
 	Ref  host.SymbolRef
 	Bufs [][]byte
+
+	Rows, RowBytes int
+	Run            func(i, first, count int, block []byte, blockStride int)
 }
 
 // Broadcast is a wave-invariant payload delivered to every DPU before
@@ -107,9 +129,10 @@ type WorkSet interface {
 	// Encode stages shards [start, start+n) into the slot's buffers.
 	Encode(slot, start, n int)
 	// Scatter returns the slot's input streams for an n-shard wave.
-	// Stream 0 is the primary stream (fused into the wave command);
-	// later streams are pushed separately, ahead of it. Returned slices
-	// are read immediately and may be reused by the next call.
+	// Stream 0 is the primary stream (fused into the wave command
+	// unless it is in place); later streams are pushed separately,
+	// ahead of it. Returned slices are read immediately and may be
+	// reused by the next call.
 	Scatter(slot, n int) []Stream
 	// Gather returns the slot's output stream for an n-shard wave; its
 	// first n buffers share one length.
@@ -154,9 +177,9 @@ type Engine struct {
 	failSet  []bool
 
 	// The engine-global wave number (trace spans) and the launch
-	// statistics of the current wave, Run's or RunStream's, and of the
-	// current re-dispatch: each is read for its scalar aggregates before
-	// the next reuses its PerDPU backing.
+	// statistics of the current wave and of the current re-dispatch:
+	// each is read for its scalar aggregates before the next reuses its
+	// PerDPU backing.
 	waveSeq int
 	waveLS  host.LaunchStats
 	retryLS host.LaunchStats
@@ -245,16 +268,6 @@ func (e *Engine) seedFailed(n int) []bool {
 	return failed
 }
 
-// reseedDown re-marks shards whose DPU went down since seedFailed —
-// used when a broadcast lands between the scatter and the launch.
-func (e *Engine) reseedDown(failed []bool) {
-	for i := range failed {
-		if e.down[i] {
-			failed[i] = true
-		}
-	}
-}
-
 // mergeFailed folds a best-effort operation's *FaultReport into the
 // wave's failed-shard set (indices beyond the wave width are ignored: a
 // scatter fault on a DPU not launched this wave is harmless). DPUs that
@@ -281,9 +294,9 @@ func (e *Engine) mergeFailed(failed []bool, err error) error {
 
 // Broadcast delivers b to every DPU immediately, with redelivery and
 // down-marking on partial failure. Used for setup-time payloads (the
-// eBNN model deploy) and for the wave loop's and RunStream's
-// dispatch-time broadcasts. A resident broadcast goes through the
-// weight cache's generation stamps and is skipped for current DPUs.
+// eBNN model deploy) and for the wave loop's dispatch-time broadcasts.
+// A resident broadcast goes through the weight cache's generation
+// stamps and is skipped for current DPUs.
 func (e *Engine) Broadcast(b Broadcast) error {
 	if b.Resident != nil {
 		return e.broadcastResident(b)
@@ -466,33 +479,47 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 	st.Tasklets = tasklets
 	kernel := ws.Kernel()
 
+	// A re-dispatched shard of an in-place stream is filled into, or
+	// delivered from, one buffer made on the first failure.
+	var in, out [][]byte
 	for start := 0; start < total; start += nd {
 		n := min(total-start, nd)
 		e.waveSeq++
 		ws.Encode(0, start, n)
 		streams := ws.Scatter(0, n)
-		g := ws.Gather(0, n)
+		s0, g := streams[0], ws.Gather(0, n)
 		t0 := e.now()
 		// Down DPUs hold stale broadcasts: their shards are re-dispatched
 		// even when no operation reports an error for them. The later
-		// streams are pushed ahead of the wave; stream 0 rides in it.
+		// streams, and an in-place primary, are pushed ahead of the wave;
+		// a buffered primary rides in it.
 		failed := e.seedFailed(n)
-		for _, s := range streams[1:] {
-			if err := e.mergeFailed(failed, e.sys.PushXferRef(s.Ref, 0, s.Bufs)); err != nil {
+		w := host.Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel, Stats: &e.waveLS, Gather: g.Ref}
+		for si, s := range streams {
+			var err error
+			switch {
+			case si > 0:
+				err = e.sys.PushXferRef(s.Ref, 0, s.Bufs)
+			case s.Run != nil:
+				err = e.sys.ScatterRows(s.Ref, s.Rows, s.RowBytes, n, s.Run)
+			default:
+				w.Scatter, w.In = s.Ref, s.Bufs[:n]
+			}
+			if err := e.mergeFailed(failed, err); err != nil {
 				return err
 			}
 		}
-		werr := e.sys.RunWave(host.Wave{
-			DPUs:     n,
-			Tasklets: tasklets,
-			Kernel:   kernel,
-			Stats:    &e.waveLS,
-			Scatter:  streams[0].Ref,
-			In:       streams[0].Bufs[:n],
-			Gather:   g.Ref,
-			Out:      g.Bufs[:n],
-		})
-		if err := e.mergeFailed(failed, werr); err != nil {
+		if run := g.Run; run != nil {
+			// A shard failed before the launch ran on stale inputs.
+			w.Visit, w.Rows, w.RowBytes = func(i, first, count int, block []byte, blockStride int) {
+				if !failed[i] {
+					run(i, first, count, block, blockStride)
+				}
+			}, g.Rows, g.RowBytes
+		} else {
+			w.Out = g.Bufs[:n]
+		}
+		if err := e.mergeFailed(failed, e.sys.RunWave(w)); err != nil {
 			return err
 		}
 		st.Waves++
@@ -505,15 +532,33 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		t1 := e.span("wave", e.waveSeq, n, t0)
 		retried := false
 		for i := 0; i < n; i++ {
-			if failed[i] {
-				retried = true
-				if err := e.redispatch(i, streams[1:], host.Wave{
-					Tasklets: tasklets, Kernel: kernel,
-					Scatter: streams[0].Ref, In: streams[0].Bufs[i : i+1],
-					Gather: g.Ref, Out: g.Bufs[i : i+1],
-				}, st); err != nil {
-					return err
+			if !failed[i] {
+				continue
+			}
+			retried = true
+			rw := host.Wave{Tasklets: tasklets, Kernel: kernel, Scatter: s0.Ref, Gather: g.Ref}
+			if s0.Run != nil {
+				if in == nil {
+					in = [][]byte{make([]byte, s0.Rows*s0.RowBytes)}
 				}
+				s0.Run(i, 0, s0.Rows, in[0], s0.RowBytes)
+				rw.In = in
+			} else {
+				rw.In = s0.Bufs[i : i+1]
+			}
+			if g.Run != nil {
+				if out == nil {
+					out = [][]byte{make([]byte, g.Rows*g.RowBytes)}
+				}
+				rw.Out = out
+			} else {
+				rw.Out = g.Bufs[i : i+1]
+			}
+			if err := e.redispatch(i, streams[1:], rw, st); err != nil {
+				return err
+			}
+			if g.Run != nil {
+				g.Run(i, 0, g.Rows, out[0], g.RowBytes)
 			}
 		}
 		if retried {

@@ -1,7 +1,9 @@
 package exec_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,95 +17,136 @@ import (
 	"pimdnn/internal/trace"
 )
 
-// toySet is a minimal WorkSet: shard i carries one uint32, the kernel
+// toySet is a minimal WorkSet: shard i carries one uint32 v, the kernel
 // computes v*3+7, and Decode collects the transformed values. Buffers
 // are 8 bytes per DPU (the MRAM DMA granularity). With twoStream it
 // also carries a second scatter stream, a per-shard addend the kernel
 // adds to the result.
+//
+// With inPlace (one wave: shards <= DPUs) its input and gather streams
+// are in place: shard i's v is filled into its DPU's MRAM, and the kernel
+// writes a 16-byte record (result, v, ^v, toyTag) into rows 0, crossRow
+// and toyRows-1 of a toyRows-row output, which the gather copies out
+// run by run into rows[i]. The output crosses a 64 KiB MRAM page inside
+// row crossRow, so every shard arrives as several runs, one of them
+// that staged row, unless it is re-dispatched and delivered whole. Per
+// shard: next is the row its next run must start at (0 between
+// dispatches), delivered counts the dispatches that delivered it, whole
+// those that did in one run, staged its staged crossRow runs, and bad
+// records a run out of order.
 type toySet struct {
-	sys    *host.System
-	refIn  host.SymbolRef
-	refAdd host.SymbolRef
-	refOut host.SymbolRef
-	kern   dpu.KernelFunc
-
-	vals      []uint32
-	got       []uint32
-	twoStream bool
-
-	inBufs  [][]byte
-	addBufs [][]byte
-	outBufs [][]byte
-	streams []exec.Stream
+	sys                *host.System
+	refIn, refAdd      host.SymbolRef
+	refOut, refRows    host.SymbolRef
+	kern               dpu.KernelFunc
+	vals, got          []uint32
+	start              int
+	twoStream, inPlace bool
+	inBufs, addBufs    [][]byte
+	outBufs, rows      [][]byte
+	wantRows           []byte
+	streams            []exec.Stream
+	crossRow           int
+	next, delivered    []int
+	whole, staged      []int
+	bad                []string
 }
+
+// toyOpts shapes a toySet beyond its DPU count and shards.
+type toyOpts struct {
+	topo               host.Topology
+	twoStream, inPlace bool
+}
+
+const (
+	toyTag      = 0x5A5A
+	toyRows     = 3000
+	toyRowBytes = 24
+	toyOutBytes = toyRows * toyRowBytes
+)
 
 // toyAddend is shard i's addend on the second stream.
 func toyAddend(shard int) uint32 { return uint32(5*shard + 1) }
 
-func newToySet(t *testing.T, nd int, vals []uint32) *toySet {
-	t.Helper()
-	return newToySetTopo(t, nd, vals, host.Topology{})
-}
-
-func newToySetTopo(t *testing.T, nd int, vals []uint32, topo host.Topology) *toySet {
-	t.Helper()
-	return newToySetOpts(t, nd, vals, topo, false)
-}
-
-func newToySetOpts(t *testing.T, nd int, vals []uint32, topo host.Topology, twoStream bool) *toySet {
+func newToySet(t *testing.T, nd int, vals []uint32, o toyOpts) *toySet {
 	t.Helper()
 	cfg := host.DefaultConfig(dpu.O3)
-	cfg.Topology = topo
+	cfg.Topology = o.topo
 	sys, err := host.NewSystem(nd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
 	refs, err := sys.Alloc(dpu.Layout{{Name: "toy_in", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "toy_add", Kind: dpu.SymbolMRAM, Size: 8},
-		{Name: "toy_out", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "toy_wram", Kind: dpu.SymbolWRAM, Size: 16}})
+		{Name: "toy_out", Kind: dpu.SymbolMRAM, Size: 8}, {Name: "toy_rows", Kind: dpu.SymbolMRAM, Size: toyOutBytes},
+		{Name: "toy_wram", Kind: dpu.SymbolWRAM, Size: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &toySet{sys: sys, vals: vals, got: make([]uint32, len(vals)), twoStream: twoStream, refIn: refs[0], refAdd: refs[1], refOut: refs[2]}
-	inOff, addOff, outOff, wramOff := refs[0].Offset(), refs[1].Offset(), refs[2].Offset(), refs[3].Offset()
+	n := len(vals)
+	w := &toySet{sys: sys, vals: vals, got: make([]uint32, n), twoStream: o.twoStream, inPlace: o.inPlace,
+		refIn: refs[0], refAdd: refs[1], refOut: refs[2], refRows: refs[3],
+		rows: make([][]byte, n), next: make([]int, n), delivered: make([]int, n), whole: make([]int, n), staged: make([]int, n), bad: make([]string, n)}
+	inOff, addOff, outOff, rowsOff, wramOff := refs[0].Offset(), refs[1].Offset(), refs[2].Offset(), refs[3].Offset(), refs[4].Offset()
+	pageEnd := (rowsOff/dpu.MRAMPageSize + 1) * dpu.MRAMPageSize
+	w.crossRow = int((pageEnd - rowsOff) / toyRowBytes)
+	if (pageEnd-rowsOff)%toyRowBytes == 0 || w.crossRow < 1 || w.crossRow >= toyRows-1 {
+		t.Fatalf("toy_rows at %d: no row strictly inside the region crosses the page end at %d", rowsOff, pageEnd)
+	}
 	w.kern = func(tk *dpu.Tasklet) error {
 		if tk.ID() != 0 {
 			return nil
 		}
 		tk.MRAMToWRAM(wramOff, inOff, 8)
-		out := tk.Load32(wramOff)*3 + 7
-		if twoStream {
+		v := tk.Load32(wramOff)
+		out := v*3 + 7
+		if o.twoStream {
 			tk.MRAMToWRAM(wramOff+8, addOff, 8)
 			out += tk.Load32(wramOff + 8)
 		}
 		tk.Store32(wramOff, out)
-		tk.WRAMToMRAM(outOff, wramOff, 8)
+		if !o.inPlace {
+			tk.WRAMToMRAM(outOff, wramOff, 8)
+			return nil
+		}
+		tk.Store32(wramOff+4, v)
+		tk.Store32(wramOff+8, ^v)
+		tk.Store32(wramOff+12, toyTag)
+		for _, row := range []int{0, w.crossRow, toyRows - 1} {
+			tk.WRAMToMRAM(rowsOff+int64(row*toyRowBytes), wramOff, 16)
+		}
 		return nil
 	}
 	w.inBufs, w.addBufs, w.outBufs = make([][]byte, nd), make([][]byte, nd), make([][]byte, nd)
 	for d := 0; d < nd; d++ {
 		w.inBufs[d], w.addBufs[d], w.outBufs[d] = make([]byte, 8), make([]byte, 8), make([]byte, 8)
 	}
+	for i := range w.rows {
+		w.rows[i] = make([]byte, toyOutBytes)
+	}
 	return w
 }
 
 // want is the expected Decode output.
 func (w *toySet) want() []uint32 {
-	want := toyWant(w.vals)
-	if w.twoStream {
-		for i := range want {
+	want := make([]uint32, len(w.vals))
+	for i, v := range w.vals {
+		want[i] = v*3 + 7
+		if w.twoStream {
 			want[i] += toyAddend(i)
 		}
 	}
 	return want
 }
 
-func toyWant(vals []uint32) []uint32 {
-	want := make([]uint32, len(vals))
-	for i, v := range vals {
-		want[i] = v*3 + 7
+// verify fails t unless the last dispatch decoded every shard's
+// result, and clears the results for the next dispatch.
+func (w *toySet) verify(t *testing.T, what string) {
+	t.Helper()
+	if want := w.want(); !reflect.DeepEqual(w.got, want) {
+		t.Fatalf("%s: got %v, want %v", what, w.got, want)
 	}
-	return want
+	clear(w.got)
 }
 
 func (w *toySet) Shards() int                  { return len(w.vals) }
@@ -112,6 +155,7 @@ func (w *toySet) Kernel() dpu.KernelFunc       { return w.kern }
 func (w *toySet) Broadcasts() []exec.Broadcast { return nil }
 
 func (w *toySet) Encode(_, start, n int) {
+	w.start = start
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(w.inBufs[i], w.vals[start+i])
 		binary.LittleEndian.PutUint32(w.addBufs[i], toyAddend(start+i))
@@ -119,7 +163,11 @@ func (w *toySet) Encode(_, start, n int) {
 }
 
 func (w *toySet) Scatter(_, n int) []exec.Stream {
-	w.streams = append(w.streams[:0], exec.Stream{Ref: w.refIn, Bufs: w.inBufs})
+	in := exec.Stream{Ref: w.refIn, Bufs: w.inBufs}
+	if w.inPlace {
+		in = exec.Stream{Ref: w.refIn, Rows: 1, RowBytes: 8, Run: w.fill}
+	}
+	w.streams = append(w.streams[:0], in)
 	if w.twoStream {
 		w.streams = append(w.streams, exec.Stream{Ref: w.refAdd, Bufs: w.addBufs})
 	}
@@ -127,11 +175,67 @@ func (w *toySet) Scatter(_, n int) []exec.Stream {
 }
 
 func (w *toySet) Gather(_, n int) exec.Stream {
+	if w.inPlace {
+		return exec.Stream{Ref: w.refRows, Rows: toyRows, RowBytes: toyRowBytes, Run: w.deliver}
+	}
 	return exec.Stream{Ref: w.refOut, Bufs: w.outBufs}
 }
 
 func (w *toySet) Decode(_, shard, i int) {
-	w.got[shard] = binary.LittleEndian.Uint32(w.outBufs[i])
+	out := w.outBufs[i]
+	if w.inPlace {
+		out = w.rows[shard]
+	}
+	w.got[shard] = binary.LittleEndian.Uint32(out)
+}
+
+// fill is the in-place input stream's Run: shard i's v in its one row.
+func (w *toySet) fill(i, _, _ int, block []byte, _ int) {
+	binary.LittleEndian.PutUint64(block, uint64(w.vals[w.start+i]))
+}
+
+// deliver is the in-place gather stream's Run.
+func (w *toySet) deliver(i, first, count int, block []byte, blockStride int) {
+	if first != w.next[i] || count < 1 || first+count > toyRows {
+		w.bad[i] = fmt.Sprintf("run [%d, %d) after row %d", first, first+count, w.next[i])
+	}
+	if first == 0 {
+		w.delivered[i]++
+	}
+	switch {
+	case count == toyRows:
+		w.whole[i]++
+	case first == w.crossRow && count == 1 && blockStride == 0:
+		w.staged[i]++
+	}
+	for r := 0; r < count; r++ {
+		copy(w.rows[i][(first+r)*toyRowBytes:(first+r+1)*toyRowBytes], block[r*blockStride:])
+	}
+	w.next[i] = (first + count) % toyRows
+}
+
+// check asserts in-place shard i's state after its run-th dispatch:
+// delivered once per dispatch in runs covering [0, toyRows) in order,
+// through the staged crossing row whenever it was not delivered whole,
+// with the kernel's three records and zeros elsewhere.
+func (w *toySet) check(t *testing.T, i, run int) {
+	t.Helper()
+	if w.bad[i] != "" || w.next[i] != 0 || w.delivered[i] != run {
+		t.Fatalf("run %d: shard %d delivered %d times, next row %d, %q", run, i, w.delivered[i], w.next[i], w.bad[i])
+	}
+	if w.staged[i] != run-w.whole[i] {
+		t.Fatalf("run %d: shard %d delivered whole %d times and through a staged row %d times", run, i, w.whole[i], w.staged[i])
+	}
+	v := w.vals[i]
+	w.wantRows = append(w.wantRows[:0], make([]byte, toyOutBytes)...)
+	for _, row := range []int{0, w.crossRow, toyRows - 1} {
+		for f, x := range []uint32{w.want()[i], v, ^v, toyTag} {
+			binary.LittleEndian.PutUint32(w.wantRows[row*toyRowBytes+4*f:], x)
+		}
+	}
+	if !bytes.Equal(w.rows[i], w.wantRows) {
+		t.Fatalf("run %d: shard %d output differs from the kernel's records", run, i)
+	}
 }
 
 // TestEngineModes runs the same toy WorkSet at every dispatch shape — a
@@ -150,7 +254,6 @@ func TestEngineModes(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(1000 + 17*i)
 	}
-	want := toyWant(vals)
 	deadPlan := &dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1}
 
 	cases := []struct {
@@ -178,7 +281,7 @@ func TestEngineModes(t *testing.T) {
 	xfers := make(map[string]host.XferStats)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newToySetTopo(t, tc.dpus, vals, tc.topo)
+			w := newToySet(t, tc.dpus, vals, toyOpts{topo: tc.topo})
 			eng := exec.New(w.sys, exec.Config{Pipeline: tc.mode})
 			if tc.plan != nil {
 				w.sys.InjectFaults(*tc.plan)
@@ -187,11 +290,7 @@ func TestEngineModes(t *testing.T) {
 			if err := eng.Run(w, &st); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			for i := range want {
-				if w.got[i] != want[i] {
-					t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
-				}
-			}
+			w.verify(t, "run")
 			if tc.plan != nil && st.Retries == 0 {
 				t.Error("fault plan injected but no re-dispatches recorded")
 			}
@@ -267,13 +366,12 @@ func TestWholeRankKill(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(500 + 31*i)
 	}
-	want := toyWant(vals)
 	for _, mode := range []struct {
 		name string
 		mode host.PipelineMode
 	}{{"sync", host.PipelineOff}, {"pipelined", host.PipelineOn}} {
 		t.Run(mode.name, func(t *testing.T) {
-			w := newToySetTopo(t, nd, vals, host.Topology{DPUsPerRank: perRank})
+			w := newToySet(t, nd, vals, toyOpts{topo: host.Topology{DPUsPerRank: perRank}})
 			// Doom rank 1 (DPUs 4..7): each dies on its first launch.
 			for i := perRank; i < nd; i++ {
 				w.sys.DPU(i).InjectFaults(dpu.FaultPlan{Seed: 7, DeadFrac: 1}.NewInjector(i))
@@ -283,11 +381,7 @@ func TestWholeRankKill(t *testing.T) {
 			if err := eng.Run(w, &st); err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			for i := range want {
-				if w.got[i] != want[i] {
-					t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
-				}
-			}
+			w.verify(t, "run")
 			if eng.NumDown() != perRank {
 				t.Errorf("down DPUs = %d, want the whole %d-DPU rank", eng.NumDown(), perRank)
 			}
@@ -306,7 +400,7 @@ func TestWholeRankKill(t *testing.T) {
 // segment that leaves its tasklets under dpu.MinStackBytes of stack each)
 // exhausts the re-dispatch attempts, and the error says why.
 func TestRedispatchKeepsCause(t *testing.T) {
-	w := newToySet(t, 2, []uint32{1, 2})
+	w := newToySet(t, 2, []uint32{1, 2}, toyOpts{})
 	if _, err := w.sys.Alloc(dpu.Layout{{Name: "hog", Kind: dpu.SymbolWRAM, Size: w.sys.DPU(0).WRAMFree() - dpu.MinStackBytes}}); err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +417,7 @@ func TestEngineDownDPUSticky(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(3 + i)
 	}
-	want := toyWant(vals)
-	w := newToySet(t, 8, vals)
+	w := newToySet(t, 8, vals, toyOpts{})
 	eng := exec.New(w.sys, exec.Config{})
 	w.sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 1})
 	var st exec.Stats
@@ -337,17 +430,11 @@ func TestEngineDownDPUSticky(t *testing.T) {
 	down := eng.NumDown()
 	// Second dispatch: the down DPUs' shards are re-dispatched purely
 	// from the sticky down set (no new faults needed for those shards).
-	for i := range w.got {
-		w.got[i] = 0
-	}
+	w.verify(t, "first run")
 	if err := eng.Run(w, &st); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if w.got[i] != want[i] {
-			t.Fatalf("second run shard %d: got %d, want %d", i, w.got[i], want[i])
-		}
-	}
+	w.verify(t, "second run")
 	if eng.NumDown() < down {
 		t.Errorf("down count shrank: %d -> %d", down, eng.NumDown())
 	}
@@ -374,8 +461,7 @@ func TestWaveSpans(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			vals := make([]uint32, 24) // 3 waves on 8 DPUs
-			want := toyWant(vals)
-			w := newToySet(t, 8, vals)
+			w := newToySet(t, 8, vals, toyOpts{})
 			if tc.plan != nil {
 				w.sys.InjectFaults(*tc.plan)
 			}
@@ -388,11 +474,7 @@ func TestWaveSpans(t *testing.T) {
 			}
 			eng.SetTraceSpan(nil)
 			root.End()
-			for i := range want {
-				if w.got[i] != want[i] {
-					t.Fatalf("shard %d: got %d, want %d", i, w.got[i], want[i])
-				}
-			}
+			w.verify(t, "run")
 			spans := root.Trace().WaveSpans()
 			count := map[string]int{}
 			for _, s := range spans {
@@ -424,9 +506,9 @@ func TestWaveSpans(t *testing.T) {
 	}
 }
 
-// runOutcome is everything an Engine.Run may be observed by.
+// runOutcome is everything an Engine.Run may be observed by beyond its
+// outputs, which every run checks (toySet.verify).
 type runOutcome struct {
-	Got       []uint32
 	Stats     exec.Stats
 	DPUCycles []uint64
 	Xfer      host.XferStats
@@ -434,67 +516,113 @@ type runOutcome struct {
 	Down      int
 }
 
-// TestRunInvariance is the Engine.Run twin of TestStreamInvariance: one
-// toy WorkSet — twice per engine, so the second run starts from the
-// first's down set — over the shapes where the two dispatch paths used
-// to account differently (a partial single wave on a sharded system, a
-// partial last wave, a second scatter stream), under
-// each fault class and an armed zero plan, with each telemetry, at
-// GOMAXPROCS 1, 2 and 4. Outputs, exec.Stats, per-DPU cycles, all of
-// TransferStats, the DPU clock and the down count must equal the
-// telemetry-off/GOMAXPROCS=1 row; shards are re-dispatched exactly when
-// the plan injects something; and the zero plan's row must equal the
-// clean one.
+// toyShape is one row shape of an invariance table.
+type toyShape struct {
+	name       string
+	nd, shards int
+	opts       toyOpts
+}
+
+// TestRunInvariance runs one toy WorkSet — twice per engine, so the
+// second run starts from the first's down set — over the shapes where
+// the wave loop's accounting is easiest to get wrong (a partial single
+// wave on a sharded system, a partial last wave, a second scatter
+// stream), under each fault class and an armed zero plan, with each
+// telemetry, at GOMAXPROCS 1, 2 and 4 (invarianceTable).
 func TestRunInvariance(t *testing.T) {
-	shapes := []struct {
-		name       string
-		nd, shards int
-		twoStream  bool
-	}{
-		{"24on40", 40, 24, false},
-		{"20on8", 8, 20, false},
-		{"20on8-two-stream", 8, 20, true},
-	}
+	invarianceTable(t, []toyShape{
+		{"24on40", 40, 24, toyOpts{}},
+		{"20on8", 8, 20, toyOpts{}},
+		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true}},
+	}, nil)
+}
+
+// TestStreamInvariance is TestRunInvariance over the in-place streams
+// (toySet's inPlace): a one-rank width with fewer shards than DPUs and
+// a two-rank sharded one. Every shard must also be delivered exactly
+// once per run with the right bytes, in runs covering its rows in order
+// (toySet.check), whole exactly when it was re-dispatched; at
+// GOMAXPROCS=1 the gather runs inline on the caller in index order, so
+// equality is the statement that fanning it out, or observing it,
+// changes nothing simulated. Run under -race (make race does) it is
+// also the race gate for the gather's Run on pool workers. Each
+// pipelined cell runs once, with the ignored Pipeline setting bench/
+// passes, against its sync twin.
+func TestStreamInvariance(t *testing.T) {
+	invarianceTable(t, []toyShape{
+		{"1x64", 64, 48, toyOpts{inPlace: true}},
+		{"2x64", 128, 128, toyOpts{inPlace: true, topo: host.Topology{DPUsPerRank: 64}}},
+	}, []string{"sync", "pipelined"})
+}
+
+// invarianceTable runs each shape under each fault class. Outputs,
+// exec.Stats, per-DPU cycles, all of TransferStats, the DPU clock and
+// the down count must equal the telemetry-off/GOMAXPROCS=1 row; shards
+// are re-dispatched exactly when the plan injects something; and the
+// zero plan's row must equal the clean one. Given modes, each cell is
+// named for its mode too, and every mode after the first runs once,
+// with exec.Config{Pipeline: host.PipelineOn}, against the first's row.
+func invarianceTable(t *testing.T, shapes []toyShape, modes []string) {
 	faults := []struct {
 		name string
 		plan *dpu.FaultPlan
 	}{
 		{"clean", nil},
 		{"zero", &dpu.FaultPlan{}},
+		// A quarter of the DPUs die at the first launch.
 		{"dead", &dpu.FaultPlan{Seed: 1, DeadFrac: 0.25}},
-		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1}},
+		// Doomed DPUs outlive the first launch: gathers fault
+		// (transiently) too, and they die as re-dispatch targets or at
+		// the second run's launch.
+		{"dead-after-launch", &dpu.FaultPlan{Seed: 2, DeadFrac: 0.25, DeadAfterLaunches: 1, TransferProb: 0.05}},
 		{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.2}},
 	}
-	clean := map[string]runOutcome{}
+	if modes == nil {
+		modes = []string{""}
+	}
+	clean, base := map[string]runOutcome{}, map[string]runOutcome{}
 	for _, sh := range shapes {
 		for _, fc := range faults {
-			t.Run(sh.name+"/"+fc.name, func(t *testing.T) {
-				var base runOutcome
-				for _, tel := range telemetries {
-					for _, procs := range []int{1, 2, 4} {
-						got := runToySet(t, procs, sh.nd, sh.shards, sh.twoStream, fc.plan, tel)
-						if tel == "off" && procs == 1 {
-							base = got
-							if injects(fc.plan) != (got.Stats.Retries > 0) {
-								t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
+			for m, mode := range modes {
+				name := sh.name + "/" + fc.name
+				if mode != "" {
+					name += "/" + mode
+				}
+				t.Run(name, func(t *testing.T) {
+					key := sh.name + "/" + fc.name
+					if m > 0 {
+						got := runToySet(t, 1, sh, fc.plan, exec.Config{Pipeline: host.PipelineOn}, "off")
+						if !reflect.DeepEqual(got, base[key]) {
+							t.Errorf("Pipeline setting diverges:\n got %s\nwant %s", got.summary(), base[key].summary())
+						}
+						return
+					}
+					for _, tel := range telemetries {
+						for _, procs := range []int{1, 2, 4} {
+							got := runToySet(t, procs, sh, fc.plan, exec.Config{}, tel)
+							if tel == "off" && procs == 1 {
+								base[key] = got
+								if injects(fc.plan) != (got.Stats.Retries > 0) {
+									t.Errorf("fault plan %+v but %d re-dispatches", fc.plan, got.Stats.Retries)
+								}
+								continue
 							}
-							continue
-						}
-						if !reflect.DeepEqual(got, base) {
-							t.Errorf("telemetry %s GOMAXPROCS=%d diverges:\n got %s\nwant %s",
-								tel, procs, got.summary(), base.summary())
+							if !reflect.DeepEqual(got, base[key]) {
+								t.Errorf("telemetry %s GOMAXPROCS=%d diverges:\n got %s\nwant %s",
+									tel, procs, got.summary(), base[key].summary())
+							}
 						}
 					}
-				}
-				switch fc.name {
-				case "clean":
-					clean[sh.name] = base
-				case "zero":
-					if !reflect.DeepEqual(base, clean[sh.name]) {
-						t.Errorf("armed zero plan diverges from clean:\n got %s\nwant %s", base.summary(), clean[sh.name].summary())
+					switch fc.name {
+					case "clean":
+						clean[sh.name] = base[key]
+					case "zero":
+						if !reflect.DeepEqual(base[key], clean[sh.name]) {
+							t.Errorf("armed zero plan diverges from clean:\n got %s\nwant %s", base[key].summary(), clean[sh.name].summary())
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -520,41 +648,86 @@ func newEngine(sys *host.System, cfg exec.Config, tel string) *exec.Engine {
 // injects reports whether plan is armed and not the zero plan.
 func injects(plan *dpu.FaultPlan) bool { return plan != nil && !plan.Zero() }
 
+// summary drops the bulky per-shard fields for failure messages.
 func (o runOutcome) summary() string {
-	return summarize(streamOutcome{Stats: o.Stats, DPUCycles: o.DPUCycles, Xfer: o.Xfer, DPUTime: o.DPUTime, Down: o.Down})
+	var cyc uint64
+	for _, c := range o.DPUCycles {
+		cyc += c
+	}
+	return fmt.Sprintf("stats=%+v xfer=%+v dpuTime=%v down=%d sumDPUCycles=%d", o.Stats, o.Xfer, o.DPUTime, o.Down, cyc)
 }
 
-func runToySet(t *testing.T, procs, nd, shards int, twoStream bool, plan *dpu.FaultPlan, tel string) runOutcome {
+func runToySet(t *testing.T, procs int, sh toyShape, plan *dpu.FaultPlan, cfg exec.Config, tel string) runOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	vals := make([]uint32, shards)
+	vals := make([]uint32, sh.shards)
 	for i := range vals {
 		vals[i] = uint32(1000 + 17*i)
 	}
-	w := newToySetOpts(t, nd, vals, host.Topology{}, twoStream)
+	w := newToySet(t, sh.nd, vals, sh.opts)
 	if plan != nil {
 		w.sys.InjectFaults(*plan)
 	}
-	eng := newEngine(w.sys, exec.Config{}, tel)
-	want := w.want()
+	eng := newEngine(w.sys, cfg, tel)
 	var st exec.Stats
 	for run := 1; run <= 2; run++ {
-		for i := range w.got {
-			w.got[i] = 0
-		}
 		if err := eng.Run(w, &st); err != nil {
 			t.Fatalf("GOMAXPROCS=%d run %d: %v", procs, run, err)
 		}
-		if !reflect.DeepEqual(w.got, want) {
-			t.Fatalf("GOMAXPROCS=%d run %d: got %v, want %v", procs, run, w.got, want)
+		w.verify(t, fmt.Sprintf("GOMAXPROCS=%d run %d", procs, run))
+		if !w.inPlace {
+			continue
+		}
+		whole := 0
+		for i := range w.vals {
+			w.check(t, i, run)
+			whole += w.whole[i]
+		}
+		// A shard is delivered whole exactly when it was re-dispatched.
+		if whole != st.Retries {
+			t.Fatalf("GOMAXPROCS=%d run %d: %d whole deliveries, %d re-dispatches", procs, run, whole, st.Retries)
 		}
 	}
 	o := runOutcome{
-		Got: w.got, Stats: st, DPUCycles: make([]uint64, nd),
+		Stats: st, DPUCycles: make([]uint64, sh.nd),
 		Xfer: w.sys.TransferStats(), DPUTime: w.sys.DPUTime(), Down: eng.NumDown(),
 	}
 	for i := range o.DPUCycles {
 		o.DPUCycles[i] = w.sys.DPU(i).TotalCycles()
 	}
 	return o
+}
+
+// TestStreamFaultAllocBounded: a faulted in-place dispatch re-runs its
+// failed shards through one input and one output buffer; buffering
+// every shard from the first fault on would cost (shards−from) outputs
+// per dispatch.
+func TestStreamFaultAllocBounded(t *testing.T) {
+	const nd = 64
+	w := newToySet(t, nd, make([]uint32, nd), toyOpts{inPlace: true})
+	// Shard 0's DPU dies at the first launch and is re-dispatched on
+	// every later run.
+	w.sys.DPU(0).InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 1}.NewInjector(0))
+	eng := exec.New(w.sys, exec.Config{})
+	var st exec.Stats
+	run := func() {
+		if err := eng.Run(w, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // marks DPU 0 down
+	var before, after runtime.MemStats
+	const rounds = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if st.Retries != rounds+1 {
+		t.Fatalf("retries = %d, want one per dispatch (%d)", st.Retries, rounds+1)
+	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	if limit := float64(nd*toyOutBytes) / 4; perRun >= limit {
+		t.Errorf("faulted dispatch allocates %.0f B, want < %.0f (no per-shard output buffering)", perRun, limit)
+	}
 }

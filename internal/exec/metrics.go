@@ -7,13 +7,10 @@ import "pimdnn/internal/metrics"
 // nil-safe; the engine gates the whole block on one e.met nil check, so
 // an unwired engine's dispatch loop is telemetry-free.
 type engineMetrics struct {
-	// Wall-clock phase histograms (nanoseconds): wave and retry for a
-	// Run, scatter/launch/gather for a RunStream.
-	scatter *metrics.Histogram
-	launch  *metrics.Histogram
-	gather  *metrics.Histogram
-	retry   *metrics.Histogram
-	wave    *metrics.Histogram
+	// Wall-clock phase histograms (nanoseconds): a wave, and the
+	// re-dispatches after it.
+	retry *metrics.Histogram
+	wave  *metrics.Histogram
 
 	waves   *metrics.Counter
 	retries *metrics.Counter
@@ -28,9 +25,6 @@ type engineMetrics struct {
 func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 	ns := metrics.ExpBuckets(1000, 4, 12) // 1µs .. ~4.2s
 	return &engineMetrics{
-		scatter: reg.LabeledHistogram("pim_exec_phase_ns", "phase", "scatter", ns),
-		launch:  reg.LabeledHistogram("pim_exec_phase_ns", "phase", "launch", ns),
-		gather:  reg.LabeledHistogram("pim_exec_phase_ns", "phase", "gather", ns),
 		retry:   reg.LabeledHistogram("pim_exec_phase_ns", "phase", "retry", ns),
 		wave:    reg.LabeledHistogram("pim_exec_phase_ns", "phase", "wave", ns),
 		waves:   reg.Counter("pim_exec_waves_total"),
@@ -43,19 +37,10 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 
 // phase maps a span name to its histogram (allocation-free).
 func (m *engineMetrics) phase(name string) *metrics.Histogram {
-	switch name {
-	case "scatter":
-		return m.scatter
-	case "launch":
-		return m.launch
-	case "gather":
-		return m.gather
-	case "retry":
+	if name == "retry" {
 		return m.retry
-	case "wave":
-		return m.wave
 	}
-	return nil
+	return m.wave
 }
 
 // SetScope names the layer (or other workload phase) the next runs
@@ -70,7 +55,7 @@ func (e *Engine) SetScope(name string) { e.scope = name }
 // letting callers skip scope-name formatting when telemetry is off.
 func (e *Engine) MetricsOn() bool { return e.met != nil }
 
-// account folds one Run/RunStream's Stats delta into the engine's
+// account folds one Run's Stats delta into the engine's
 // counters and the current layer scope.
 func (e *Engine) account(pre Stats, st *Stats) {
 	m := e.met

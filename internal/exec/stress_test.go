@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -25,8 +26,7 @@ func TestMultiRankPipelinedStress(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(2000 + 13*i)
 	}
-	want := toyWant(vals)
-	w := newToySetTopo(t, nd, vals, host.Topology{DPUsPerRank: 4})
+	w := newToySet(t, nd, vals, toyOpts{topo: host.Topology{DPUsPerRank: 4}})
 	if err := w.sys.AllocMRAM("stress_buf", 64); err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,7 @@ func TestMultiRankPipelinedStress(t *testing.T) {
 		if err := eng.Run(w, &st); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		for i := range want {
-			if w.got[i] != want[i] {
-				t.Fatalf("round %d shard %d: got %d, want %d", round, i, w.got[i], want[i])
-			}
-			w.got[i] = 0
-		}
+		w.verify(t, fmt.Sprintf("round %d", round))
 	}
 	close(stop)
 	wg.Wait()

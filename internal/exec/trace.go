@@ -8,10 +8,9 @@ import (
 
 // Request-tracing integration. A runner that dispatches on behalf of a
 // traced request installs the request's span on its engine; the
-// engine's phase spans (wave/retry for a Run, scatter/launch/gather
-// for a RunStream, each with its wave number and
+// engine's phase spans (wave and retry, each with its wave number and
 // shard count: what trace.WaveSpans reads back) become child spans of
-// that request, launch and wave spans carry the launch's simulated
+// that request, wave spans carry the launch's simulated
 // cycle/energy attributes, and each launch fans out per-DPU
 // "dpu_kernel" child spans whose extents are the *simulated* kernel
 // windows — so a Perfetto view shows wall-clock dispatch machinery and
@@ -32,7 +31,7 @@ func (e *Engine) SetTraceSpan(sp *trace.Span) { e.tsp = sp }
 func (e *Engine) TraceSpan() *trace.Span { return e.tsp }
 
 // traceSpan records one wave phase as a child of the request span.
-// Launch/wave phases additionally carry the launch's aggregate
+// A wave additionally carries the launch's aggregate
 // simulated cost and per-DPU kernel spans, staged in e.tspLS by the
 // call site.
 func (e *Engine) traceSpan(name string, wave, shards int, t0, t1 time.Time) {

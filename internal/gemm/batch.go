@@ -3,6 +3,7 @@ package gemm
 import (
 	"fmt"
 
+	"pimdnn/internal/dpu"
 	"pimdnn/internal/exec"
 	"pimdnn/internal/tensor"
 )
@@ -101,9 +102,8 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 // one run if the image is re-dispatched. Image i's product is decoded
 // into c(i) (m·n elements) run by run as the gather reads it, and handed
 // to each after its last row. fill, c and each run concurrently for
-// distinct images, in no order, under the DPU's lock
-// (exec.StreamSet.Fill and Deliver), so they must not call a DPU or
-// System method.
+// distinct images, in no order, under the DPU's lock (an in-place
+// exec.Stream's Run), so they must not call a DPU or System method.
 func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i, first, count int, block []byte, blockStride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
 	var st Stats
 	if r.maxM == 0 {
@@ -137,7 +137,7 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	}
 
 	// Encode the weight matrix A at the padded row stride the kernel
-	// stages from. The engine broadcasts it ahead of the image scatter.
+	// stages from. The engine broadcasts it ahead of the wave.
 	aRowBytes := (k*2 + 7) &^ 7
 	r.aFullStage = growBytes(r.aFullStage, m*aRowBytes)
 	aBytes := r.aFullStage
@@ -175,45 +175,58 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 		psp.End()
 	}
 
-	// Dispatch through the execution engine's streamed single-wave path:
-	// A broadcast → image scatter, each B filled row-stride padded in
-	// place in MRAM → params broadcast → launch → one gather whose runs
-	// of C rows are decoded in place, both on the worker pool, with
-	// retry-and-remap owned by the engine (internal/exec).
+	// Dispatch through the execution engine as one wave: A and the
+	// params are broadcast, each B is filled row-stride padded in place
+	// in MRAM ahead of the launch, and the wave's gather decodes runs of
+	// C rows in place, both on the worker pool, with retry-and-remap
+	// owned by the engine (internal/exec).
 	stride := pad4(n)
 	if cap(r.batchC) < images {
 		r.batchC = make([][]int16, images)
 	}
 	cs := r.batchC[:images]
-	ss := exec.StreamSet{
-		Shards:     images,
-		Tasklets:   tasklets,
-		Kernel:     r.batchKernel,
-		Pre:        []exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}},
-		Post:       []exec.Broadcast{{Ref: r.refParams, Data: r.paramsBuf[:]}},
-		InRef:      r.refB,
-		InRows:     k,
-		InRowBytes: stride * 2,
-		Fill: func(i, first, count int, block []byte, blockStride int) {
-			fill(i, first, count, block, blockStride)
-			clearPadding(block, count, n, stride)
-		},
-		OutRef:      r.refCFull,
-		OutRows:     m,
-		OutRowBytes: stride * 2,
-		Deliver: func(i, first, count int, block []byte, blockStride int) {
-			if first == 0 {
-				cs[i] = c(i)
-			}
-			for row := first; row < first+count; row++ {
-				tensor.UnpackLE(cs[i][row*n:(row+1)*n], block[(row-first)*blockStride:])
-			}
-			if first+count == m {
-				each(i, cs[i])
-			}
-		},
-	}
-	err := r.eng.RunStream(&ss, &st)
-	clear(cs) // the runner keeps no caller's product past the call
+	w := &r.bws
+	*w = batchWorkSet{images: images, tasklets: tasklets, kernel: r.batchKernel}
+	w.bcasts = [2]exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}, {Ref: r.refParams, Data: r.paramsBuf[:]}}
+	w.in = [1]exec.Stream{{Ref: r.refB, Rows: k, RowBytes: stride * 2, Run: func(i, first, count int, block []byte, blockStride int) {
+		fill(i, first, count, block, blockStride)
+		clearPadding(block, count, n, stride)
+	}}}
+	w.out = exec.Stream{Ref: r.refCFull, Rows: m, RowBytes: stride * 2, Run: func(i, first, count int, block []byte, blockStride int) {
+		if first == 0 {
+			cs[i] = c(i)
+		}
+		for row := first; row < first+count; row++ {
+			tensor.UnpackLE(cs[i][row*n:(row+1)*n], block[(row-first)*blockStride:])
+		}
+		if first+count == m {
+			each(i, cs[i])
+		}
+	}}
+	err := r.eng.Run(w, &st)
+	// The runner keeps no caller's product or callback past the call.
+	clear(cs)
+	*w = batchWorkSet{}
 	return st, err
 }
+
+// batchWorkSet adapts the image-per-DPU mapping to the execution
+// engine: one shard per image in a single wave, A and the parameter
+// block as broadcasts, and B and C as in-place streams, so it stages
+// nothing of its own.
+type batchWorkSet struct {
+	images, tasklets int
+	kernel           dpu.KernelFunc
+	bcasts           [2]exec.Broadcast
+	in               [1]exec.Stream
+	out              exec.Stream
+}
+
+func (w *batchWorkSet) Shards() int                    { return w.images }
+func (w *batchWorkSet) Tasklets() int                  { return w.tasklets }
+func (w *batchWorkSet) Kernel() dpu.KernelFunc         { return w.kernel }
+func (w *batchWorkSet) Broadcasts() []exec.Broadcast   { return w.bcasts[:] }
+func (w *batchWorkSet) Encode(_, _, _ int)             {}
+func (w *batchWorkSet) Scatter(_, _ int) []exec.Stream { return w.in[:] }
+func (w *batchWorkSet) Gather(_, _ int) exec.Stream    { return w.out }
+func (w *batchWorkSet) Decode(_, _, _ int)             {}

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"reflect"
 	"testing"
 
 	"pimdnn/internal/dpu"
@@ -111,26 +112,7 @@ func TestMultiplyFaultSecondCall(t *testing.T) {
 // reference, including on repeated calls against the degraded array.
 func TestMultiplyBatchFaultRecovery(t *testing.T) {
 	const m, n, k = 6, 70, 18
-	const nImg = 4
-	a := make([]int16, m*k)
-	for i := range a {
-		a[i] = int16(i%11 - 5)
-	}
-	bs := make([][]int16, nImg)
-	for img := range bs {
-		bs[img] = make([]int16, k*n)
-		for i := range bs[img] {
-			bs[img][i] = int16((i+img*7)%9 - 4)
-		}
-	}
-	want := make([][]int16, nImg)
-	for img := range bs {
-		var err error
-		want[img], err = Reference(m, n, k, 1, a, bs[img])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	a, bs, want := batchProblem(t, m, n, k, 4, 1)
 	// One dispatch depth: the sync and pipelined cells run alike.
 	for _, mode := range []string{"sync", "pipelined"} {
 		t.Run(mode, func(t *testing.T) {
@@ -142,13 +124,8 @@ func TestMultiplyBatchFaultRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("call %d: MultiplyBatch under faults: %v", call, err)
 				}
-				for img := range want {
-					for i := range want[img] {
-						if got[img][i] != want[img][i] {
-							t.Fatalf("call %d image %d element %d: got %d, want %d",
-								call, img, i, got[img][i], want[img][i])
-						}
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("call %d: products differ from the host reference", call)
 				}
 				if st.Retries == 0 {
 					t.Errorf("call %d: no re-dispatches recorded; DPU 1 should have died", call)

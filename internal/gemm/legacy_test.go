@@ -51,10 +51,10 @@ func newLegacyTile(tileCols int) legacyTile {
 func (r *Runner) kernelLegacy() dpu.KernelFunc {
 	tileCols := r.tileCols
 	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		aoff := int64(t.LoadI32(r.paramsOff + 16))
+		n := int(int32(t.Load32(r.paramsOff)))
+		k := int(int32(t.Load32(r.paramsOff + 4)))
+		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
+		aoff := int64(int32(t.Load32(r.paramsOff + 16)))
 		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
 			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
 		}
@@ -155,10 +155,10 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 // re-reads the staged A row and the B rows.
 func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		aoff := int64(t.LoadI32(r.paramsOff + 16))
+		n := int(int32(t.Load32(r.paramsOff)))
+		k := int(int32(t.Load32(r.paramsOff + 4)))
+		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
+		aoff := int64(int32(t.Load32(r.paramsOff + 16)))
 		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
 			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
 		}
@@ -245,11 +245,11 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 	tileCols := r.tileCols
 	return func(t *dpu.Tasklet) error {
-		n := int(t.LoadI32(r.paramsOff))
-		k := int(t.LoadI32(r.paramsOff + 4))
-		alpha := int16(t.LoadI32(r.paramsOff + 8))
-		m := int(t.LoadI32(r.paramsOff + 12))
-		aBase := int64(t.LoadI32(r.paramsOff + 16))
+		n := int(int32(t.Load32(r.paramsOff)))
+		k := int(int32(t.Load32(r.paramsOff + 4)))
+		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
+		m := int(int32(t.Load32(r.paramsOff + 12)))
+		aBase := int64(int32(t.Load32(r.paramsOff + 16)))
 		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
 			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
 		}

@@ -112,10 +112,11 @@ type Runner struct {
 
 	// eng is the shared execution engine: it owns wave construction and
 	// retry-and-remap (internal/exec). mws and mul are the row-mode
-	// WorkSet adapter and its staging.
+	// WorkSet adapter and its staging, bws the batch mode's adapter.
 	eng *exec.Engine
 	mws mulWorkSet
 	mul mulStage
+	bws batchWorkSet
 
 	// Batch (image-per-DPU) mode, set up by EnableBatch.
 	maxM                          int

@@ -16,6 +16,28 @@ type batchOutcome struct {
 	Xfer      host.XferStats
 }
 
+// batchProblem returns an m×k weight matrix, nImg k×n images and their
+// host reference products at alpha.
+func batchProblem(t *testing.T, m, n, k, nImg int, alpha int16) (a []int16, bs, want [][]int16) {
+	t.Helper()
+	a = make([]int16, m*k)
+	for i := range a {
+		a[i] = int16(i%11 - 5)
+	}
+	bs, want = make([][]int16, nImg), make([][]int16, nImg)
+	for img := range bs {
+		bs[img] = make([]int16, k*n)
+		for i := range bs[img] {
+			bs[img][i] = int16((i+img*7)%9 - 4)
+		}
+		var err error
+		if want[img], err = Reference(m, n, k, alpha, a, bs[img]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a, bs, want
+}
+
 // TestBatchInvariance is internal/exec's TestStreamInvariance at the
 // gemm level: MultiplyBatch with one image per DPU of a sharded-width
 // (64-DPU) system, twice per runner so the second call is the warm one,
@@ -29,22 +51,7 @@ type batchOutcome struct {
 func TestBatchInvariance(t *testing.T) {
 	const m, n, k = 4, 22, 10 // n is not a multiple of 4: padded row stride
 	const nImg = 64
-	a := make([]int16, m*k)
-	for i := range a {
-		a[i] = int16(i%11 - 5)
-	}
-	bs := make([][]int16, nImg)
-	want := make([][]int16, nImg)
-	for img := range bs {
-		bs[img] = make([]int16, k*n)
-		for i := range bs[img] {
-			bs[img][i] = int16((i+img*7)%9 - 4)
-		}
-		var err error
-		if want[img], err = Reference(m, n, k, 2, a, bs[img]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	a, bs, want := batchProblem(t, m, n, k, nImg, 2)
 	run := func(t *testing.T, procs int, resident bool, plan *dpu.FaultPlan) batchOutcome {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -8,10 +8,11 @@ import (
 	"pimdnn/internal/trace"
 )
 
-// runWithTracing runs one multi-wave Multiply on a fresh system with a
-// request span installed on the runner, and returns the product, stats,
-// and the completed trace.
-func runWithTracing(t testing.TB) ([]int16, Stats, *trace.Trace) {
+// runWithTracing runs one multi-wave Multiply, or with batch one
+// four-image MultiplyBatch, on a fresh 8-DPU system with a request span
+// installed on the runner, and returns the stats and the completed
+// trace.
+func runWithTracing(t testing.TB, batch bool) (Stats, *trace.Trace) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
 	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
@@ -19,30 +20,38 @@ func runWithTracing(t testing.TB) ([]int16, Stats, *trace.Trace) {
 		t.Fatal(err)
 	}
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
+	if err == nil && batch {
+		err = r.EnableBatch(m)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := trace.NewTracer(trace.TracerConfig{}).StartTrace("test")
 	r.SetTraceSpan(root)
-	c, st, err := r.Multiply(m, n, k, 3, a, b)
+	var st Stats
+	if batch {
+		_, st, err = r.MultiplyBatch(m, n, k, 3, a, [][]int16{b, b, b, b})
+	} else {
+		_, st, err = r.Multiply(m, n, k, 3, a, b)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.SetTraceSpan(nil)
 	root.End()
-	return c, st, root.Trace()
+	return st, root.Trace()
 }
 
-// TestTracingSpanTree checks the shape a traced Multiply records: a
-// gemm.multiply child under the request root, one engine wave span per
-// wave under it (never the discrete scatter/launch/gather phases, which
-// only a RunStream records), and per-DPU kernel spans with cycle
-// attributes. The sync and pipelined cells run the same dispatch: there
-// is one wave at a time.
+// TestTracingSpanTree checks the shape a traced Multiply and a traced
+// MultiplyBatch record: a gemm.multiply (gemm.batch) child under the
+// request root, one engine wave span per wave under it and no other
+// dispatch phase, and per-DPU kernel spans with cycle attributes. The
+// sync and pipelined cells run the same Multiply: there is one wave at
+// a time.
 func TestTracingSpanTree(t *testing.T) {
-	for _, name := range []string{"sync", "pipelined"} {
+	for _, name := range []string{"sync", "pipelined", "batch"} {
 		t.Run(name, func(t *testing.T) {
-			_, st, tr := runWithTracing(t)
+			st, tr := runWithTracing(t, name == "batch")
 			spans := tr.Spans()
 			count := map[string]int{}
 			var kernelCycles int64
@@ -56,15 +65,19 @@ func TestTracingSpanTree(t *testing.T) {
 					}
 				}
 			}
-			if count["gemm.multiply"] != 1 {
-				t.Errorf("gemm.multiply spans = %d, want 1 (have %v)", count["gemm.multiply"], count)
+			call := "gemm.multiply"
+			if name == "batch" {
+				call = "gemm.batch"
+			}
+			if count[call] != 1 {
+				t.Errorf("%s spans = %d, want 1 (have %v)", call, count[call], count)
 			}
 			if count["wave"] != st.Waves {
 				t.Errorf("wave spans = %d, want one per wave (%d): %v", count["wave"], st.Waves, count)
 			}
 			for _, name := range []string{"scatter", "launch", "gather", "retry"} {
 				if count[name] != 0 {
-					t.Errorf("%d %s spans recorded by a fault-free Multiply: %v", count[name], name, count)
+					t.Errorf("%d %s spans recorded by a fault-free dispatch: %v", count[name], name, count)
 				}
 			}
 			if count["dpu_kernel"] == 0 {

@@ -37,13 +37,12 @@ var matrixModes = []struct {
 }
 
 // TestTransferFaultMatrix: each transfer op (copy_to broadcast,
-// push_xfer scatter, gather, gather_rows, scatter_rows, single-DPU copy)
-// under an injected transfer fault, under a dead DPU and with the zero
-// plan armed on every DPU, in both serial and sharded modes. Every
-// surviving DPU completes, the FaultReport names exactly the armed DPU
-// (the zero plan fails none), and the transfer clock is charged for
-// exactly the DPUs that moved bytes. gather_rows also runs with one
-// healthy DPU skipped, which is neither visited, charged nor reported.
+// push_xfer scatter, gather, scatter_rows, a wave's in-place gather,
+// single-DPU copy) under an injected transfer fault, under a dead DPU
+// and with the zero plan armed on every DPU, in both serial and sharded
+// modes. Every surviving DPU completes, the FaultReport names exactly
+// the armed DPU (the zero plan fails none), and the transfer clock is
+// charged for exactly the DPUs that moved bytes.
 func TestTransferFaultMatrix(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -176,44 +175,31 @@ func TestTransferFaultMatrix(t *testing.T) {
 					t.Errorf("scatter_rows wrote failed DPU %d: % x, was % x", bad, got, kept)
 				}
 
-				// The rows gather visits each DPU's runs in order; they
-				// must reassemble what the rows scatter wrote.
-				gatherRows := func(skip []bool) ([][]byte, error) {
-					got := make([][]byte, mode.n)
-					next := make([]int, mode.n)
-					err := s.GatherRows(ref, perDPU/rowBytes, rowBytes, skip, func(i, first, count int, block []byte, blockStride int) {
+				// An in-place wave gather visits each DPU's runs in order;
+				// they must reassemble what the rows scatter wrote.
+				got, next := make([][]byte, mode.n), make([]int, mode.n)
+				before = s.TransferStats()
+				checkReport(s.RunWave(Wave{DPUs: mode.n, Tasklets: 1, Kernel: func(*dpu.Tasklet) error { return nil },
+					Gather: ref, Rows: perDPU / rowBytes, RowBytes: rowBytes, Visit: func(i, first, count int, block []byte, blockStride int) {
 						if first != next[i] {
-							t.Errorf("gather_rows DPU %d: run at row %d, want %d", i, first, next[i])
+							t.Errorf("wave gather DPU %d: run at row %d, want %d", i, first, next[i])
 						}
-						for r := 0; r < count; r++ {
+						for r := range count {
 							got[i] = append(got[i], block[r*blockStride:r*blockStride+rowBytes]...)
 						}
 						next[i] = first + count
-					})
-					return got, err
-				}
-				for _, skipped := range []int{-1, 0} {
-					skip := make([]bool, mode.n)
-					nRead := nOK
-					if skipped >= 0 {
-						skip[skipped] = true
-						nRead--
+					}}), "wave")
+				checkCharge("wave", before, nOK)
+				for i := range got {
+					want := shard(i)
+					switch {
+					case i == bad && !kind.zero:
+						want = nil
+					case i == mode.n-1:
+						want = make([]byte, perDPU)
 					}
-					before = s.TransferStats()
-					got, err := gatherRows(skip)
-					checkReport(err, "gather_rows")
-					checkCharge("gather_rows", before, nRead)
-					for i := range got {
-						want := shard(i)
-						switch {
-						case skip[i] || (i == bad && !kind.zero):
-							want = nil
-						case i == mode.n-1:
-							want = make([]byte, perDPU)
-						}
-						if !bytes.Equal(got[i], want) {
-							t.Errorf("gather_rows skipping %d, DPU %d: got % x, want % x", skipped, i, got[i], want)
-						}
+					if !bytes.Equal(got[i], want) {
+						t.Errorf("wave gather DPU %d: got % x, want % x", i, got[i], want)
 					}
 				}
 				retry := make([]byte, perDPU)

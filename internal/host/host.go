@@ -330,16 +330,16 @@ func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) erro
 	return err
 }
 
-// ScatterRows is GatherRows' mirror, a PushXferRef whose buffers are
-// produced in place: on each of the first n DPUs, fill gets the page
-// runs of rows rows of rowBytes bytes at the base of the MRAM symbol ref
-// as dpu.WriteMRAMRows passes them, like visit in GatherRows, and must
-// write every byte of them; the other DPUs get zero rows, as
-// dpu_push_xfer pads them. A DPU whose transfer fails keeps its MRAM and
-// never sees fill. It is charged and reported like PushXferRef, and
-// validated like GatherRows.
+// ScatterRows is a PushXferRef whose buffers are produced in place: on
+// each of the first n DPUs, fill gets the page runs of rows rows of
+// rowBytes bytes at the base of the MRAM symbol ref as
+// dpu.WriteMRAMRows passes them, like a wave's in-place gather (Wave's
+// Visit), and must write every byte of them; the other DPUs get zero
+// rows, as dpu_push_xfer pads them. A DPU whose transfer fails keeps its
+// MRAM and never sees fill. It is charged and reported like
+// PushXferRef, and validated like an in-place gather.
 func (s *System) ScatterRows(ref SymbolRef, rows, rowBytes, n int, fill func(i, first, count int, block []byte, blockStride int)) error {
-	_, err := s.calls.do("scatter_rows", Wave{DPUs: len(s.dpus), Scatter: ref, rows: rows, rowBytes: rowBytes, filled: n, fill: fill}, phScattered)
+	_, err := s.calls.do("scatter_rows", Wave{DPUs: len(s.dpus), Scatter: ref, Rows: rows, RowBytes: rowBytes, filled: n, fill: fill}, phScattered)
 	return err
 }
 
@@ -352,21 +352,6 @@ func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]b
 		return fmt.Errorf("host: gather buffer 0 has length %d, want %d", len(dst[0]), n)
 	}
 	_, err := s.calls.do("gather", Wave{DPUs: len(dst), Gather: ref, Out: dst, off: offset}, phGathered)
-	return err
-}
-
-// GatherRows reads rows rows of rowBytes bytes at the base of the MRAM
-// symbol ref on each of the first len(skip) DPUs not skipped, in place:
-// visit gets DPU i's page runs of rows as dpu.ForEachMRAMRowRuns passes
-// them, in row order, one at a time per DPU (distinct DPUs concurrently
-// on the worker pool), under the DPU's lock: it must not retain or write
-// block, nor call a DPU or System method. It is one transfer call over
-// the DPUs read, charged like GatherXferRefInto, with one *FaultReport;
-// a skipped DPU is not read, charged or reported. A WRAM symbol, a
-// region past the symbol's end, an unaligned rowBytes or a width outside
-// 1..NumDPUs is an ordinary error: nothing is read or charged.
-func (s *System) GatherRows(ref SymbolRef, rows, rowBytes int, skip []bool, visit func(i, first, count int, block []byte, blockStride int)) error {
-	_, err := s.calls.do("gather_rows", Wave{DPUs: len(skip), Gather: ref, rows: rows, rowBytes: rowBytes, skip: skip, visit: visit}, phGathered)
 	return err
 }
 

@@ -39,20 +39,26 @@ type Wave struct {
 	Gather SymbolRef
 	Out    [][]byte
 
+	// Visit, when set, makes the gather an in-place walk instead of Out:
+	// on DPU Start+i it gets the page runs of Rows rows of RowBytes bytes
+	// (a multiple of 8) at the base of the MRAM symbol Gather as
+	// dpu.ReadMRAMRows passes them, row first+r at block[r*blockStride],
+	// in row order, one run at a time per DPU (distinct DPUs concurrently
+	// on the worker pool), under the DPU's lock: it must not retain or
+	// write block, nor call a DPU or System method. A DPU that failed
+	// an earlier phase, or whose gather faults, is not visited.
+	Visit          func(i, first, count int, block []byte, blockStride int)
+	Rows, RowBytes int
+
 	// off is the transfer offset within Scatter and Gather (a push's or
 	// a gather's; a wave's is 0). bcast, when set, is scattered to every
 	// DPU of the request in place of In (CopyToSymbolRef, CopyToDPURef).
-	off   int64
-	bcast []byte
-
-	// visit, when set, makes the gather GatherRows' in-place walk of
-	// rows rows of rowBytes on each DPU skip leaves in, instead of Out;
-	// fill makes the scatter ScatterRows' in-place write of them on the
-	// first filled DPUs (zero rows on the rest), instead of In.
-	visit, fill    func(i, first, count int, block []byte, blockStride int)
-	rows, rowBytes int
-	skip           []bool
-	filled         int
+	// fill makes the scatter ScatterRows' in-place write of Rows rows on
+	// the first filled DPUs (zero rows on the rest), instead of In.
+	off    int64
+	bcast  []byte
+	fill   func(i, first, count int, block []byte, blockStride int)
+	filled int
 }
 
 // RunWave runs one fused wave. It is best-effort per DPU: a DPU that
@@ -134,13 +140,13 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 	case w.bcast != nil:
 		inLen, err = len(w.bcast), checkRef(w.Scatter, w.off, len(w.bcast))
 	case w.fill != nil:
-		inLen, err = rowsLen(op, w.Scatter, w.rows, w.rowBytes)
+		inLen, err = rowsLen(op, w.Scatter, w.Rows, w.RowBytes)
 	case phases&phScattered != 0:
 		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
 	}
 	if phases&phGathered != 0 && err == nil {
-		if w.visit != nil {
-			outLen, err = rowsLen(op, w.Gather, w.rows, w.rowBytes)
+		if w.Visit != nil {
+			outLen, err = rowsLen(op, w.Gather, w.Rows, w.RowBytes)
 		} else {
 			outLen, err = phaseLen(op, w.Gather, w.off, w.Out, n)
 		}
@@ -225,8 +231,8 @@ func phaseLen(op string, ref SymbolRef, off int64, bufs [][]byte, n int) (int, e
 	return l, checkRef(ref, off, l)
 }
 
-// rowsLen validates a GatherRows or ScatterRows request and returns its
-// per-DPU length.
+// rowsLen validates an in-place gather or a ScatterRows request and
+// returns its per-DPU length.
 func rowsLen(op string, ref SymbolRef, rows, rowBytes int) (int, error) {
 	if ref.kind == dpu.SymbolWRAM || rows < 1 || rowBytes < 1 || rowBytes%dpu.DMAAlignment != 0 {
 		return 0, fmt.Errorf("host: %s of %d rows of %d bytes at %q, want an MRAM symbol and positive, %d-byte aligned rows",
@@ -257,11 +263,7 @@ func (r *phaseRunner) loop(lo, hi int) {
 // first, stopping at the first failure, and returns the phases it
 // completed and that failure. per, for a launch, receives the stats.
 func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (p uint8, err error) {
-	if w.skip != nil && w.skip[i] {
-		return 0, nil
-	}
-	di := w.Start + i
-	d := s.dpus[di]
+	d := s.dpus[w.Start+i]
 	// Each transfer consults the fault injector before it moves a byte.
 	if phases&phScattered != 0 {
 		src, off := w.bcast, w.Scatter.off+w.off
@@ -271,9 +273,9 @@ func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (p uint8, e
 		if err = d.TransferFault(); err == nil {
 			switch {
 			case w.fill != nil:
-				err = d.WriteMRAMRows(w.Scatter.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
-					if di < w.filled {
-						w.fill(di, first, count, block, blockStride)
+				err = d.WriteMRAMRows(w.Scatter.off, w.RowBytes, w.Rows, func(first, count int, block []byte, blockStride int) {
+					if i < w.filled {
+						w.fill(i, first, count, block, blockStride)
 					} else {
 						clear(block)
 					}
@@ -298,9 +300,9 @@ func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (p uint8, e
 	if phases&phGathered != 0 {
 		if err = d.TransferFault(); err == nil {
 			switch {
-			case w.visit != nil:
-				err = d.ReadMRAMRows(w.Gather.off, w.rowBytes, w.rows, func(first, count int, block []byte, blockStride int) {
-					w.visit(di, first, count, block, blockStride)
+			case w.Visit != nil:
+				err = d.ReadMRAMRows(w.Gather.off, w.RowBytes, w.Rows, func(first, count int, block []byte, blockStride int) {
+					w.Visit(i, first, count, block, blockStride)
 				})
 			case w.Gather.kind == dpu.SymbolWRAM:
 				err = d.CopyFromWRAMInto(w.Gather.off+w.off, w.Out[i])

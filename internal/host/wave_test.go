@@ -203,9 +203,10 @@ func TestWaveValidation(t *testing.T) {
 	}
 }
 
-// TestGatherRowsValidation: a rows gather from a WRAM symbol, past the
-// symbol's end, of unaligned rows or over a width outside 1..NumDPUs
-// is an ordinary error; nothing is visited or charged.
+// TestGatherRowsValidation: a wave whose in-place gather reads a WRAM
+// symbol, runs past the symbol's end, has unaligned rows or spans a
+// width outside 1..NumDPUs is an ordinary error; nothing is launched,
+// visited or charged.
 func TestGatherRowsValidation(t *testing.T) {
 	s, ref := waveSystem(t, 2)
 	if _, err := s.Alloc(dpu.Layout{{Name: "wvar", Kind: dpu.SymbolWRAM, Size: 64}}); err != nil {
@@ -214,27 +215,26 @@ func TestGatherRowsValidation(t *testing.T) {
 	wram := resolve(t, s, "wvar")
 	visited := false
 	visit := func(int, int, int, []byte, int) { visited = true }
-	two := make([]bool, 2)
+	nop := func(*dpu.Tasklet) error { return nil }
 	cases := []struct {
-		name           string
-		ref            SymbolRef
-		rows, rowBytes int
-		skip           []bool
+		name                 string
+		ref                  SymbolRef
+		dpus, rows, rowBytes int
 	}{
-		{"wram", wram, 1, 8, two},
-		{"past end", ref, 33, 8, two},
-		{"unaligned", ref, 4, 12, two},
-		{"width 0", ref, 1, 8, nil},
-		{"too wide", ref, 1, 8, make([]bool, 3)},
+		{"wram", wram, 2, 1, 8},
+		{"past end", ref, 2, 33, 8},
+		{"unaligned", ref, 2, 4, 12},
+		{"width 0", ref, 0, 1, 8},
+		{"too wide", ref, 3, 1, 8},
 	}
 	for _, c := range cases {
-		err := s.GatherRows(c.ref, c.rows, c.rowBytes, c.skip, visit)
+		err := s.RunWave(Wave{DPUs: c.dpus, Tasklets: 1, Kernel: nop, Gather: c.ref, Rows: c.rows, RowBytes: c.rowBytes, Visit: visit})
 		if _, ok := AsFaultReport(err); err == nil || ok {
 			t.Errorf("%s: got %v, want a validation error", c.name, err)
 		}
 	}
-	if visited || s.TransferStats() != (XferStats{}) {
-		t.Errorf("malformed rows gathers visited %t, charged %+v", visited, s.TransferStats())
+	if visited || s.TransferStats() != (XferStats{}) || s.DPUTime() != 0 {
+		t.Errorf("malformed in-place gathers visited %t, charged %+v, DPU time %v", visited, s.TransferStats(), s.DPUTime())
 	}
 }
 

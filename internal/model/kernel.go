@@ -161,7 +161,9 @@ func GEMMBatchCost(m Meter, t, tasklets, rows, n, k, tileCols int) {
 // and the tiles in WRAM. When maxM > 0, the image-per-DPU mapping's rows
 // follow: maxM A rows and C rows in MRAM, A rows at an 8-byte stride so
 // per-row staging stays aligned for any K, then `slots` A-row cache
-// slots in WRAM.
+// slots in WRAM. The A rows are padded to at least a page, so they get
+// pages of their own: A is broadcast every batch layer, and on a page
+// the kernels write C into, each DPU would take a private copy of it.
 func GEMMLayout(maxK, maxN, tileCols, tasklets, maxM, slots int) dpu.Layout {
 	stride, aRow := int64((maxN+3)&^3), int64(pad8(maxK*2))
 	l := dpu.Layout{
@@ -175,7 +177,7 @@ func GEMMLayout(maxK, maxN, tileCols, tasklets, maxM, slots int) dpu.Layout {
 	}
 	if maxM > 0 {
 		l = append(l,
-			dpu.Symbol{Name: "gemm_a_full", Kind: dpu.SymbolMRAM, Size: int64(maxM) * aRow},
+			dpu.Symbol{Name: "gemm_a_full", Kind: dpu.SymbolMRAM, Size: max(int64(maxM)*aRow, dpu.MRAMPageSize)},
 			dpu.Symbol{Name: "gemm_c_full", Kind: dpu.SymbolMRAM, Size: int64(maxM) * stride * 2},
 			dpu.Symbol{Name: "gemm_a_cache", Kind: dpu.SymbolWRAM, Size: int64(slots) * aRow})
 	}

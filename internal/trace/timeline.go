@@ -18,9 +18,9 @@ import (
 // nanoseconds (time.Duration's underlying int64).
 type WaveSpan struct {
 	// Name is the phase: "wave" for one fused scatter→launch→gather
-	// wave of an Engine.Run (one command, not separately timeable),
-	// "scatter", "launch" and "gather" for a RunStream's discrete
-	// phases, "retry" for re-dispatches.
+	// wave of an Engine.Run (one command, not separately timeable), its
+	// pushes ahead of the fused command included; "retry" for the
+	// re-dispatches after it.
 	Name string `json:"name"`
 	// Wave is the engine-global wave sequence number the span belongs
 	// to (retry spans carry the wave they repair).
