@@ -197,11 +197,12 @@ profile-ebnn:
 			END { print "charge-share dpu.ChargeLaunch cum " (ch == "" ? "0%" : ch) }'
 
 # And for the rows_zoo workload's shape (the three lite networks,
-# planner-mapped row-per-DPU Multiply on 64 DPUs). The last five lines
+# planner-mapped row-per-DPU Multiply on 64 DPUs). The last six lines
 # are the cumulative shares of the host's broadcast of each GEMM's B
 # matrix, of host marshalling (that broadcast plus gemm.packRows, the
 # A-row encode), of the im2col lowering, of the gemm kernel's functional
-# pass and of its multiply-accumulate:
+# pass and of its multiply-accumulate, then the flat share of every
+# sync.Mutex Lock and Unlock (go1.24 inlines them into internal/sync's):
 # `make profile-rows | grep -e '-share '`.
 profile-rows:
 	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 300x -cpuprofile cpu.prof .
@@ -212,7 +213,9 @@ profile-rows:
 			/tensor\.im2col$$/ { print "im2col-share tensor.im2col cum " $$5 } \
 			/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 } \
-			END { printf "marshal-share gemm.packRows+host.CopyToSymbolRef cum %.2f%%\n", pk + bc }'
+			/sync\.\(\*Mutex\)\.(Lock|Unlock)( |$$)/ { lk += $$2 + 0 } \
+			END { printf "marshal-share gemm.packRows+host.CopyToSymbolRef cum %.2f%%\n", pk + bc; \
+				printf "lock-share sync.(*Mutex).Lock+Unlock flat %.2f%%\n", lk }'
 
 # And for the serve_closed workload's shape (BenchmarkServeInfer: the
 # tiny=64x32 model on 8 DPUs, -max-batch 2, two clients posting explicit

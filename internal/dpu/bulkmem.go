@@ -4,13 +4,14 @@ import "fmt"
 
 // Kernel-emulation memory access. Kernels that account for their work
 // with CostBlock/ChargeDMA compute natively on host memory and move
-// data in bulk; these helpers give them the data movement with one lock
-// acquisition per call instead of one per simulated transfer. None of
+// data in bulk through these tasklet accessors. A launch holds its DPU's
+// lock while the kernel runs (LaunchInto), so they take none. None of
 // them charge cycles or meter telemetry: the modeled DMA traffic is
 // charged separately (and the launch-end aggregation meters it), so a
 // kernel that used these for its data and ChargeBlock for its cycles
 // reports exactly the same counters as one that moved every chunk
-// through MRAMToWRAM.
+// through MRAMToWRAM. A bad access traps like any other tasklet access:
+// the launch returns the memory fault.
 
 // WRAMWindow returns a direct view of WRAM [off, off+n) for kernel
 // emulation. No cycles are charged; the caller accounts for its loads
@@ -23,36 +24,40 @@ func (t *Tasklet) WRAMWindow(off, n int64) []byte {
 	return t.dpu.wram[off : off+n]
 }
 
-// CopyFromMRAMRawInto reads len(dst) bytes of MRAM at off into dst
-// under one lock, without metering host-transfer telemetry. The
-// alignment rules match the DMA engine's, catching kernel layout bugs.
-func (d *DPU) CopyFromMRAMRawInto(off int64, dst []byte) error {
-	if err := d.checkDMAArgs(off, len(dst)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.mramRead(off, dst)
-	d.mu.Unlock()
-	return nil
+// ReadMRAM reads len(dst) bytes of MRAM at off into dst. The DMA
+// engine's bounds and alignment rules apply, catching kernel layout
+// bugs; its per-transfer size limit does not.
+func (t *Tasklet) ReadMRAM(off int64, dst []byte) {
+	t.trapOn(t.dpu.checkDMAArgs(off, len(dst)))
+	t.dpu.mramRead(off, dst)
 }
 
-// CopyToMRAMRaw writes data to MRAM at off under one lock, without
-// metering host-transfer telemetry.
-func (d *DPU) CopyToMRAMRaw(off int64, data []byte) error {
-	if err := d.checkDMAArgs(off, len(data)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.mramWrite(off, data)
-	d.mu.Unlock()
-	return nil
+// WriteMRAM writes src to MRAM at off, under ReadMRAM's rules.
+func (t *Tasklet) WriteMRAM(off int64, src []byte) {
+	t.trapOn(t.dpu.checkDMAArgs(off, len(src)))
+	t.dpu.mramWrite(off, src)
 }
 
-// ReadMRAMRows is a host read through ForEachMRAMRowRuns of rows rows
-// back to back at off, counted in the DPU's telemetry as one
-// CopyFromMRAMInto of all of them would be.
+// MRAMRowRuns walks rows rows of rowBytes bytes spaced stride bytes
+// apart starting at off, in place, invoking fn once per run of rows that
+// lie in one MRAM page: fn receives the index of the run's first row,
+// the row count, a block aliasing the page where row first+r starts at
+// block[r*blockStride], and that stride. Runs cover all rows in order. A
+// row that crosses a page boundary (at most one per 64 KB) is staged
+// through a small internal buffer and passed as a run of one; the rows
+// of an untouched page are passed as one run with a blockStride of 0,
+// every row aliasing the same zero bytes. fn must not write block or
+// retain it.
+func (t *Tasklet) MRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) {
+	t.trapOn(t.dpu.rowRuns(off, stride, rowBytes, rows, false, fn))
+}
+
+// ReadMRAMRows is a host read through rowRuns of rows rows back to back
+// at off (MRAMRowRuns' walk at a stride of rowBytes), counted in the
+// DPU's telemetry as one CopyFromMRAMInto of all of them would be. fn
+// must not call a DPU method (the lock is held).
 func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, false, fn))
+	return d.hostRows(off, rowBytes, rows, false, fn)
 }
 
 // WriteMRAMRows is ReadMRAMRows' mirror, a host write of the rows
@@ -64,26 +69,18 @@ func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count i
 // and must not call a DPU method (the lock is held). It is counted in
 // the DPU's telemetry as one CopyToMRAM of all the rows.
 func (d *DPU) WriteMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, true, fn))
+	return d.hostRows(off, rowBytes, rows, true, fn)
 }
 
-// ForEachMRAMRowRuns walks rows rows of rowBytes bytes spaced stride
-// bytes apart starting at off, in place and under one lock, invoking fn
-// once per run of rows that lie in one MRAM page: fn receives the index
-// of the run's first row, the row count, a block aliasing the page where
-// row first+r starts at block[r*blockStride], and that stride. Runs
-// cover all rows in order. A row that crosses a page boundary (at most
-// one per 64 KB) is staged through a small internal buffer and passed as
-// a run of one; the rows of an untouched page are passed as one run with
-// a blockStride of 0, every row aliasing the same zero bytes. fn must
-// not write block or retain it, and must not call other DPU methods (the
-// lock is held).
-func (d *DPU) ForEachMRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	return d.rowRuns(off, stride, rowBytes, rows, false, fn)
+// hostRows is the host's row walk: rowRuns under the DPU's lock, metered.
+func (d *DPU) hostRows(off int64, rowBytes, rows int, write bool, fn func(first, count int, block []byte, blockStride int)) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, write, fn))
 }
 
-// rowRuns is the walk behind ForEachMRAMRowRuns and WriteMRAMRows, the
-// latter when write is set.
+// rowRuns is the walk behind MRAMRowRuns and the host's row transfers,
+// a write when write is set. Callers hold d.mu.
 func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func(first, count int, block []byte, blockStride int)) error {
 	if rowBytes <= 0 || rows < 0 {
 		return fmt.Errorf("dpu: strided MRAM walk: bad row size %d / count %d", rowBytes, rows)
@@ -99,7 +96,6 @@ func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func
 	if off < 0 || stride < 0 || last+int64(rowBytes) > d.cfg.MRAMSize {
 		return fmt.Errorf("dpu: strided MRAM walk [%d, %d) outside [0, %d)", off, last+int64(rowBytes), d.cfg.MRAMSize)
 	}
-	d.mu.Lock()
 	if cap(d.rowScratch) < rowBytes {
 		d.rowScratch = make([]byte, rowBytes)
 	}
@@ -137,6 +133,5 @@ func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func
 		}
 		i += count
 	}
-	d.mu.Unlock()
 	return nil
 }

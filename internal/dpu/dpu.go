@@ -155,13 +155,12 @@ type DPU struct {
 	launches    int
 
 	// rowScratch stages page-boundary-crossing rows (and the zero row of
-	// untouched pages) for ForEachMRAMRowRuns. Guarded by mu.
+	// untouched pages) for the row walks (rowRuns). Guarded by mu.
 	rowScratch []byte
 
 	// scratch holds the per-launch tasklet state, reused so Launch does
-	// not heap-allocate tasklet structs on every call. Launch was never
-	// safe for concurrent use on one DPU (tasklets share WRAM state);
-	// the scratch reuse relies on the same sequencing.
+	// not heap-allocate tasklet structs on every call. Guarded by mu,
+	// which a launch holds throughout.
 	scratch launchScratch
 }
 
@@ -200,9 +199,6 @@ func MustNew(cfg Config) *DPU {
 	}
 	return d
 }
-
-// Config returns the DPU's configuration.
-func (d *DPU) Config() Config { return d.cfg }
 
 // Profile returns the DPU's subroutine profile.
 func (d *DPU) Profile() *trace.Profile { return d.prof }
@@ -408,12 +404,15 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		return fmt.Errorf("dpu: %d tasklets leave %d bytes of stack each (< %d): WRAM data segment too large",
 			n, d.StackPerTasklet(n), MinStackBytes)
 	}
+	// The launch owns the DPU from its fault draw to its cycle tally: a
+	// host transfer to it waits for the kernel, and the kernel reaches
+	// memory only through its tasklets, whose accessors take no lock.
 	// Injected launch faults abort before any tasklet retires and charge
 	// no cycles, matching how genuine memory traps are accounted.
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.inj != nil {
 		if err := d.inj.launch(); err != nil {
-			d.mu.Unlock()
 			if d.met != nil {
 				d.met.Faults.Inc()
 			}
@@ -421,7 +420,6 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 			return err
 		}
 	}
-	d.mu.Unlock()
 
 	// A tasklet's meters and the opCounts array (the bulk of the struct)
 	// are kept zero between launches: cleared in the merge below on
@@ -466,11 +464,8 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		dmaOps += lc.sum.dmaOps
 	}
 	cycles := PipelineCycles(breakdown)
-
-	d.mu.Lock()
 	d.totalCycles += cycles
 	d.launches++
-	d.mu.Unlock()
 
 	if m := d.met; m != nil {
 		m.Launches.Inc()
@@ -532,23 +527,26 @@ func (d *DPU) runTasklets(n int, kernel KernelFunc) (ran int, err error) {
 // the 8-byte alignment and size granularity (§3.2); violations are
 // errors, matching the SDK behaviour that forces callers to pad.
 func (d *DPU) CopyToMRAM(off int64, data []byte) error {
-	return d.meterHost(len(data), d.CopyToMRAMRaw(off, data))
-}
-
-// CopyFromMRAM reads n bytes from MRAM at off.
-func (d *DPU) CopyFromMRAM(off int64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := d.CopyFromMRAMInto(off, out); err != nil {
-		return nil, err
+	if err := d.checkDMAArgs(off, len(data)); err != nil {
+		return err
 	}
-	return out, nil
+	d.mu.Lock()
+	d.mramWrite(off, data)
+	d.mu.Unlock()
+	return d.meterHost(len(data), nil)
 }
 
 // CopyFromMRAMInto reads len(dst) bytes from MRAM at off into dst,
 // letting callers reuse a buffer across transfers instead of allocating
 // per read.
 func (d *DPU) CopyFromMRAMInto(off int64, dst []byte) error {
-	return d.meterHost(len(dst), d.CopyFromMRAMRawInto(off, dst))
+	if err := d.checkDMAArgs(off, len(dst)); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.mramRead(off, dst)
+	d.mu.Unlock()
+	return d.meterHost(len(dst), nil)
 }
 
 // meterHost counts a host MRAM transfer of n bytes in the DPU's
@@ -576,17 +574,8 @@ func (d *DPU) CopyToWRAM(off int64, data []byte) error {
 	return nil
 }
 
-// CopyFromWRAM reads a host-visible WRAM variable.
-func (d *DPU) CopyFromWRAM(off int64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := d.CopyFromWRAMInto(off, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CopyFromWRAMInto reads len(dst) bytes of WRAM at off into dst, the
-// allocation-free variant kernels use for per-tasklet scratch buffers.
+// CopyFromWRAMInto reads a host-visible WRAM variable: len(dst) bytes
+// at off into dst.
 func (d *DPU) CopyFromWRAMInto(off int64, dst []byte) error {
 	n := len(dst)
 	if off < 0 || off+int64(n) > int64(d.cfg.WRAMSize) {

@@ -318,12 +318,23 @@ func TestDMAFaults(t *testing.T) {
 		{"misaligned mram", func(tk *Tasklet) error { tk.MRAMToWRAM(0, 4, 8); return nil }},
 		{"wram oob", func(tk *Tasklet) error { tk.MRAMToWRAM(int64(DefaultWRAMSize)-4, 0, 8); return nil }},
 		{"zero size", func(tk *Tasklet) error { tk.WRAMToMRAM(0, 0, 0); return nil }},
+		{"read misaligned", func(tk *Tasklet) error { tk.ReadMRAM(4, make([]byte, 8)); return nil }},
+		{"read past MRAM", func(tk *Tasklet) error { tk.ReadMRAM(DefaultMRAMSize-8, make([]byte, 16)); return nil }},
+		{"write size not multiple of 8", func(tk *Tasklet) error { tk.WriteMRAM(0, make([]byte, 12)); return nil }},
+		{"row walk misaligned stride", func(tk *Tasklet) error { tk.MRAMRowRuns(0, 12, 8, 2, nil); return nil }},
+		{"row walk past MRAM", func(tk *Tasklet) error { tk.MRAMRowRuns(DefaultMRAMSize-8, 8, 8, 2, nil); return nil }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			d := newTestDPU(t, O0)
-			if _, err := d.Launch(1, tt.kernel); err == nil {
-				t.Errorf("%s: expected fault error", tt.name)
+			_, err := d.Launch(2, func(tk *Tasklet) error {
+				if tk.ID() == 0 {
+					return nil
+				}
+				return tt.kernel(tk)
+			})
+			if err == nil || !strings.Contains(err.Error(), "tasklet 1: memory fault") {
+				t.Errorf("%s: launch returned %v, want tasklet 1's memory fault", tt.name, err)
 			}
 		})
 	}
@@ -353,8 +364,8 @@ func TestDMADataIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := d.CopyFromMRAM(4096, 256)
-	if err != nil {
+	back := make([]byte, 256)
+	if err := d.CopyFromMRAMInto(4096, back); err != nil {
 		t.Fatal(err)
 	}
 	if back[0] != 77 || back[1] != 1 || back[255] != 255 {
@@ -365,8 +376,8 @@ func TestDMADataIntegrity(t *testing.T) {
 func TestMRAMZeroFill(t *testing.T) {
 	d := newTestDPU(t, O0)
 	// Reading never-written MRAM returns zeros (lazy paging).
-	data, err := d.CopyFromMRAM(32<<20, 64)
-	if err != nil {
+	data := make([]byte, 64)
+	if err := d.CopyFromMRAMInto(32<<20, data); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range data {
@@ -386,8 +397,8 @@ func TestMRAMPageStraddle(t *testing.T) {
 	if err := d.CopyToMRAM(off, src); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.CopyFromMRAM(off, 4096)
-	if err != nil {
+	got := make([]byte, 4096)
+	if err := d.CopyFromMRAMInto(off, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -405,7 +416,7 @@ func TestHostTransferAlignment(t *testing.T) {
 	if err := d.CopyToMRAM(0, make([]byte, 12)); err == nil {
 		t.Error("unpadded host MRAM write accepted (must be divisible by 8)")
 	}
-	if _, err := d.CopyFromMRAM(0, 12); err == nil {
+	if err := d.CopyFromMRAMInto(0, make([]byte, 12)); err == nil {
 		t.Error("unpadded host MRAM read accepted")
 	}
 }

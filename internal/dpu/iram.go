@@ -7,13 +7,6 @@ import "fmt"
 // in internal/isa fetches from it. Instruction fetch is overlapped by the
 // pipeline, so reads charge no cycles.
 
-// ensureIRAM lazily materializes the IRAM backing store.
-func (d *DPU) ensureIRAM() {
-	if d.iram == nil {
-		d.iram = make([]byte, d.cfg.IRAMSize)
-	}
-}
-
 // LoadIRAM writes a program image into IRAM at offset 0, replacing any
 // previous program. It fails if the image exceeds the IRAM capacity —
 // the program-size limit real DPU programs must fit.
@@ -23,23 +16,16 @@ func (d *DPU) LoadIRAM(image []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ensureIRAM()
-	for i := range d.iram {
-		d.iram[i] = 0
+	if d.iram == nil {
+		d.iram = make([]byte, d.cfg.IRAMSize)
 	}
+	clear(d.iram)
 	copy(d.iram, image)
 	return nil
 }
 
-// ReadIRAM returns n bytes of IRAM starting at off.
-func (d *DPU) ReadIRAM(off, n int) ([]byte, error) {
-	if off < 0 || off+n > d.cfg.IRAMSize {
-		return nil, fmt.Errorf("dpu: IRAM read [%d, %d) outside [0, %d)", off, off+n, d.cfg.IRAMSize)
-	}
-	out := make([]byte, n)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ensureIRAM()
-	copy(out, d.iram[off:])
-	return out, nil
-}
+// IRAM returns the DPU's instruction RAM, nil before the first LoadIRAM
+// (which reads as an empty program). The view aliases live IRAM: the
+// kernel must not write it, and it is valid only inside the current
+// launch, during which no LoadIRAM can run.
+func (t *Tasklet) IRAM() []byte { return t.dpu.iram }

@@ -17,8 +17,9 @@ const MRAMPageSize = 64 << 10
 // for all of its targets. A page with more than one holder is never
 // written; a holder about to write it takes a private copy first
 // (mramWrite). refs is set when the page is installed and only falls
-// afterwards — a holder lets go under its own lock — so a holder that
-// reads 1 is, and stays, the only one.
+// afterwards — a holder lets go under its own lock (a kernel's writes
+// run under its launch's hold of it) — so a holder that reads 1 is, and
+// stays, the only one.
 type mramPage struct {
 	refs atomic.Int32
 	data []byte
@@ -56,7 +57,8 @@ func pageSpan(off int64, n int) (page int64, po, count int) {
 	return page, po, min(n, MRAMPageSize-po)
 }
 
-// mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu.
+// mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu:
+// a host transfer takes it, a kernel's launch holds it.
 
 // mramWrite is the per-DPU write, one ownPage per page it touches.
 func (d *DPU) mramWrite(off int64, data []byte) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The copy-on-write MRAM against the plainest model there is: one []byte
@@ -158,12 +159,16 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 			default:
 				// A row walk: a read at a random stride, or a write of the
 				// payload's rows back to back.
-				what = "ForEachMRAMRowRuns"
+				what = "MRAMRowRuns"
 				i := rng.Intn(diffDPUs)
 				rowBytes := 8 * (1 + rng.Intn(96))
 				stride := int64(rowBytes + 8*rng.Intn(64))
 				rows := 1 + rng.Intn(int((diffMRAM-off-int64(rowBytes))/stride)+1)
-				walk, write := m.dpus[i].ForEachMRAMRowRuns, op > 7
+				write := op > 7
+				walk := func(off, stride int64, rowBytes, rows int, fn func(int, int, []byte, int)) error {
+					_, err := m.dpus[i].Launch(1, func(tk *Tasklet) error { tk.MRAMRowRuns(off, stride, rowBytes, rows, fn); return nil })
+					return err
+				}
 				if write {
 					what, rowBytes = "WriteMRAMRows", min(n, rowBytes)
 					stride, rows = int64(rowBytes), n/rowBytes
@@ -247,7 +252,7 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 		t.Error("a broadcast to all holders of a shared page replaced it")
 	}
 	// A private write takes one DPU off the page and leaves the rest on it.
-	if err := m.dpus[2].CopyToMRAMRaw(MRAMPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	if err := m.dpus[2].CopyToMRAM(MRAMPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatal(err)
 	}
 	copy(m.bytes[2][MRAMPageSize+8:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -297,14 +302,14 @@ func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 				defer wg.Done()
 				if i == 0 {
 					got := make([]byte, len(data))
-					if err := d.CopyFromMRAMRawInto(0, got); err != nil || !bytes.Equal(got, data) {
+					if err := d.CopyFromMRAMInto(0, got); err != nil || !bytes.Equal(got, data) {
 						t.Errorf("reader saw another DPU's private write (err %v)", err)
 					}
 					return
 				}
 				own := bytes.Repeat([]byte{byte(i)}, 64)
 				off := int64(MRAMPageSize - 32) // both pages
-				if err := d.CopyToMRAMRaw(off, own); err != nil {
+				if err := d.CopyToMRAM(off, own); err != nil {
 					t.Error(err)
 				}
 				copy(m.bytes[i][off:], own)
@@ -312,6 +317,37 @@ func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 		}
 		wg.Wait()
 		m.check(round, "concurrent private writes")
+	}
+}
+
+// A launch is atomic to the host: a kernel writes two MRAM ranges and
+// hands off between them, and a host read issued from another goroutine
+// meanwhile sees both writes or neither, never the first alone.
+func TestLaunchAtomicToHost(t *testing.T) {
+	d := newTestDPU(t, O0)
+	started, read := make(chan struct{}), make(chan []byte)
+	go func() {
+		<-started
+		got := make([]byte, 16)
+		if err := d.CopyFromMRAMInto(0, got); err != nil {
+			t.Error(err)
+		}
+		read <- got
+	}()
+	ones := bytes.Repeat([]byte{1}, 16)
+	if _, err := d.Launch(1, func(tk *Tasklet) error {
+		tk.WriteMRAM(0, ones[:8])
+		close(started)
+		// No event shows the read blocked: the pause only gives a read the
+		// launch does not hold off time to slip in, never a false failure.
+		time.Sleep(20 * time.Millisecond)
+		tk.WriteMRAM(8, ones[8:])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-read; !bytes.Equal(got, ones) && !bytes.Equal(got, make([]byte, 16)) {
+		t.Errorf("a host read during the launch saw % x: half of the launch's writes", got)
 	}
 }
 
@@ -367,8 +403,8 @@ func TestAllocMRAMExactFill(t *testing.T) {
 	if err := d.CopyToMRAM(DefaultMRAMSize-16, src); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.CopyFromMRAM(DefaultMRAMSize-16, 16)
-	if err != nil || !bytes.Equal(got, src) {
+	got := make([]byte, 16)
+	if err := d.CopyFromMRAMInto(DefaultMRAMSize-16, got); err != nil || !bytes.Equal(got, src) {
 		t.Errorf("last bytes of a full MRAM read %v (err %v)", got, err)
 	}
 }

@@ -13,9 +13,12 @@ import (
 type trapError string
 
 // Tasklet is one DPU hardware thread executing a kernel. All arithmetic
-// and memory helpers charge the cost model; kernels that bypass them do
-// work the simulator cannot see, so kernels must route every DPU-side
-// operation through the tasklet.
+// and memory helpers charge the cost model (or, for the bulk accessors
+// of bulkmem.go, leave the charge to ChargeBlock); kernels that bypass
+// them do work the simulator cannot see, so kernels must route every
+// DPU-side operation through the tasklet. It is a kernel's only way into
+// its DPU: the launch holds the DPU's lock, so a kernel that reached a
+// DPU method would wait on itself.
 type Tasklet struct {
 	dpu   *DPU
 	id    int
@@ -60,11 +63,15 @@ func (t *Tasklet) ID() int { return t.id }
 // Count returns the number of tasklets in the launch (NR_TASKLETS).
 func (t *Tasklet) Count() int { return t.count }
 
-// DPU returns the owning DPU.
-func (t *Tasklet) DPU() *DPU { return t.dpu }
-
 func (t *Tasklet) trapf(format string, args ...interface{}) {
 	panic(trapError(fmt.Sprintf(format, args...)))
+}
+
+// trapOn traps with err's message unless err is nil.
+func (t *Tasklet) trapOn(err error) {
+	if err != nil {
+		panic(trapError(err.Error()))
+	}
 }
 
 // charge consumes issue slots for one operation of class op and records
@@ -327,10 +334,7 @@ func (t *Tasklet) MRAMToWRAM(wramOff, mramOff int64, n int) {
 	t.dma += dmaCycles(n)
 	t.dmaBytes += uint64(n)
 	t.dmaOps++
-	d := t.dpu
-	d.mu.Lock()
-	d.mramRead(mramOff, d.wram[wramOff:wramOff+int64(n)])
-	d.mu.Unlock()
+	t.dpu.mramRead(mramOff, t.dpu.wram[wramOff:wramOff+int64(n)])
 }
 
 // WRAMToMRAM copies n bytes from WRAM to MRAM through the DMA engine,
@@ -340,10 +344,7 @@ func (t *Tasklet) WRAMToMRAM(mramOff, wramOff int64, n int) {
 	t.dma += dmaCycles(n)
 	t.dmaBytes += uint64(n)
 	t.dmaOps++
-	d := t.dpu
-	d.mu.Lock()
-	d.mramWrite(mramOff, d.wram[wramOff:wramOff+int64(n)])
-	d.mu.Unlock()
+	t.dpu.mramWrite(mramOff, t.dpu.wram[wramOff:wramOff+int64(n)])
 }
 
 // IssueSlots returns the pipeline issue slots this tasklet has consumed.

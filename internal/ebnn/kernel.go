@@ -206,9 +206,7 @@ func (r *Runner) kernel() dpu.KernelFunc {
 		if n < 0 || n > BatchSize {
 			return fmt.Errorf("ebnn kernel: bad image count %d", n)
 		}
-		if err := l.flatPass(t, n, &r.cells); err != nil {
-			return err
-		}
+		l.flatPass(t, n, &r.cells)
 		t.ChargeLaunch(r.costs.Launch(n, t.Count()))
 		return nil
 	}
@@ -225,9 +223,10 @@ func (r *Runner) kernel() dpu.KernelFunc {
 // does not hold gets its table built (newCellTable) and published.
 //
 // Per image the packed pixels come in and the activation bytes go out by
-// MRAM copies checked against the DMA engine's bounds and alignment rules.
-func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cellTable]) error {
-	d, nf := t.DPU(), l.f
+// the tasklet's MRAM copies, which trap on the DMA engine's bounds and
+// alignment rules.
+func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cellTable]) {
+	nf := l.f
 	k := cellKey{nf: nf}
 	fw := t.WRAMWindow(l.filters, int64(nf)*2)
 	for f := 0; f < nf; f++ {
@@ -236,9 +235,7 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cel
 
 	if l.useLUT {
 		lut := t.WRAMWindow(l.scratch+dpu.MaxTasklets*perTaskletScratch, lutWRAMSize)
-		if err := d.CopyFromMRAMRawInto(l.lutMRAM, lut); err != nil {
-			return err
-		}
+		t.ReadMRAM(l.lutMRAM, lut)
 		for f := 0; f < nf; f++ {
 			for pop := 0; pop <= FilterSize*FilterSize; pop++ {
 				best := ConvMax - 2*pop
@@ -281,9 +278,7 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cel
 		rows   [mnist.Side]uint32
 	)
 	for img := 0; img < n; img++ {
-		if err := d.CopyFromMRAMRawInto(l.images+int64(img)*mnist.PackedSize, packed[:]); err != nil {
-			return err
-		}
+		t.ReadMRAM(l.images+int64(img)*mnist.PackedSize, packed[:])
 		for row := range rows {
 			rows[row] = binary.LittleEndian.Uint32(packed[row*4:])
 		}
@@ -294,11 +289,8 @@ func (l *kernelLayout) flatPass(t *dpu.Tasklet, n int, cache *atomic.Pointer[cel
 				out[pr*PoolSize+pc] = tab.cells[uint16(r0>>c&15|(r1>>c&15)<<4|(r2>>c&15)<<8|(r3>>c&15)<<12)]
 			}
 		}
-		if err := d.CopyToMRAMRaw(l.results+int64(img)*ResultSize, out[:]); err != nil {
-			return err
-		}
+		t.WriteMRAM(l.results+int64(img)*ResultSize, out[:])
 	}
-	return nil
 }
 
 // cellKey is the model state a pooled cell's activation byte depends on:

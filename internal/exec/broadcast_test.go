@@ -58,8 +58,8 @@ func TestBroadcastRedeliveryOverSharedPages(t *testing.T) {
 			check := func(what string) {
 				t.Helper()
 				for i := 0; i < nd; i++ {
-					got, err := sys.DPU(i).CopyFromMRAM(sym.Offset, len(want))
-					if err != nil {
+					got := make([]byte, len(want))
+					if err := sys.DPU(i).CopyFromMRAMInto(sym.Offset, got); err != nil {
 						t.Fatal(err)
 					}
 					exp := want

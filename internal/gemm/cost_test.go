@@ -171,7 +171,7 @@ func TestKernelsRejectHostileParams(t *testing.T) {
 			if _, err := launchRaw(tight, tightKernel, 4, n, k, rows, aoff); err != nil {
 				t.Fatalf("well-formed launch at the allocated width rejected: %v", err)
 			}
-			mram := r.sys.DPU(0).Config().MRAMSize
+			mram := r.sys.Config().DPU.MRAMSize
 			type block struct {
 				name    string
 				n, k, m int

@@ -278,10 +278,10 @@ func TestMultiplyFillMatchesMultiply(t *testing.T) {
 				if g, w := filled.sys.DPU(i).TotalCycles(), plain.sys.DPU(i).TotalCycles(); g != w {
 					t.Fatalf("%s: DPU %d cycles %d, want %d", name, i, g, w)
 				}
-				if err := filled.sys.DPU(i).CopyFromMRAMRawInto(filled.bOff, gb); err != nil {
+				if err := filled.sys.DPU(i).CopyFromMRAMInto(filled.bOff, gb); err != nil {
 					t.Fatal(err)
 				}
-				if err := plain.sys.DPU(i).CopyFromMRAMRawInto(plain.bOff, wb); err != nil {
+				if err := plain.sys.DPU(i).CopyFromMRAMInto(plain.bOff, wb); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(gb, wb) {

@@ -63,7 +63,6 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 		defer r.scratch.Put(sc)
 		lt := newLegacyTile(tileCols)
 
-		d := t.DPU()
 		// Tasklet 0 stages the A row into WRAM in DMA-sized chunks;
 		// later tasklets (run in ID order) read it shared.
 		if t.ID() == 0 {
@@ -77,9 +76,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 			}
 		}
 		aRow := sc.aRow[:k*2]
-		if err := d.CopyFromWRAMInto(r.aWRAM, aRow); err != nil {
-			return err
-		}
+		copy(aRow, t.WRAMWindow(r.aWRAM, int64(len(aRow))))
 		// Loading A[kk] each outer iteration: one WRAM load per k, plus
 		// the APART multiply (Algorithm 2 line 5).
 		t.ChargeBulk(dpu.OpLoad, uint64(k))
@@ -111,9 +108,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 				// Stream B[kk, j0:j0+cols] from MRAM.
 				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
 				bChunk := lt.chunk[:cols*2]
-				if err := d.CopyFromWRAMInto(tileBase, bChunk); err != nil {
-					return err
-				}
+				copy(bChunk, t.WRAMWindow(tileBase, int64(len(bChunk))))
 				ap := apart[kk]
 				for j := 0; j < cols; j++ {
 					bv := int16(binary.LittleEndian.Uint16(bChunk[j*2:]))
@@ -139,9 +134,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 			t.ChargeBulk(dpu.OpShift, uint64(cols))  // /32
 			t.ChargeBulk(dpu.OpBranch, uint64(cols)) // clamp compare
 			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			if err := d.CopyToWRAM(tileBase, out); err != nil {
-				return err
-			}
+			copy(t.WRAMWindow(tileBase, int64(len(out))), out)
 			t.WRAMToMRAM(r.cOff+int64(j0*2), tileBase, chunkBytes)
 		}
 		return nil
@@ -165,7 +158,6 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
 
-		d := t.DPU()
 		if t.ID() == 0 {
 			bytes := (k*2 + 7) &^ 7
 			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
@@ -177,9 +169,7 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 			}
 		}
 		aRow := sc.aRow[:k*2]
-		if err := d.CopyFromWRAMInto(r.aWRAM, aRow); err != nil {
-			return err
-		}
+		copy(aRow, t.WRAMWindow(r.aWRAM, int64(len(aRow))))
 
 		// The tasklet's strided column set.
 		nCols := (n - t.ID() + t.Count() - 1) / t.Count()
@@ -201,9 +191,7 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 			t.Charge(dpu.OpMul16, 1)
 
 			bRow := sc.rowBuf[:stride*2]
-			if err := d.CopyFromMRAMInto(r.bOff+int64(kk*stride)*2, bRow); err != nil {
-				return err
-			}
+			t.ReadMRAM(r.bOff+int64(kk*stride)*2, bRow)
 			ci := 0
 			for j := t.ID(); j < n; j += t.Count() {
 				bv := int16(binary.LittleEndian.Uint16(bRow[j*2:]))
@@ -221,17 +209,13 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 		// Output pass (Algorithm 2 lines 8-10): read ctmp, rescale,
 		// clamp, write C — one more element-wise MRAM round trip.
 		cRow := sc.rowBuf[:stride*2]
-		if err := d.CopyFromMRAMInto(r.cOff, cRow); err != nil {
-			return err
-		}
+		t.ReadMRAM(r.cOff, cRow)
 		ci := 0
 		for j := t.ID(); j < n; j += t.Count() {
 			binary.LittleEndian.PutUint16(cRow[j*2:], uint16(fixed.GEMMOutputClamp(acc[ci])))
 			ci++
 		}
-		if err := d.CopyToMRAM(r.cOff, cRow); err != nil {
-			return err
-		}
+		t.WriteMRAM(r.cOff, cRow)
 		t.ChargeDMA(uint64(2*nCols), 8) // ctmp read + C write
 		t.ChargeBulk(dpu.OpShift, uint64(nCols))
 		t.ChargeBulk(dpu.OpBranch, uint64(nCols))
@@ -253,7 +237,6 @@ func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
 			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
 		}
-		d := t.DPU()
 
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
@@ -286,9 +269,7 @@ func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 					t.MRAMToWRAM(aSlot+int64(off), aBase+int64(row)*int64(aBytes)+int64(off), chunk)
 				}
 				aRow := sc.aRow[:k*2]
-				if err := d.CopyFromWRAMInto(aSlot, aRow); err != nil {
-					return err
-				}
+				copy(aRow, t.WRAMWindow(aSlot, int64(len(aRow))))
 				t.ChargeBulk(dpu.OpLoad, uint64(k))
 				t.ChargeBulk(dpu.OpMul16, uint64(k))
 				for i := 0; i < k; i++ {
@@ -312,9 +293,7 @@ func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 			for kk := 0; kk < k; kk++ {
 				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
 				bChunk := lt.chunk[:cols*2]
-				if err := d.CopyFromWRAMInto(tileBase, bChunk); err != nil {
-					return err
-				}
+				copy(bChunk, t.WRAMWindow(tileBase, int64(len(bChunk))))
 				ap := apart[kk]
 				for j := 0; j < cols; j++ {
 					ctmp[j] += ap * int32(int16(binary.LittleEndian.Uint16(bChunk[j*2:])))
@@ -335,9 +314,7 @@ func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 			t.ChargeBulk(dpu.OpShift, uint64(cols))
 			t.ChargeBulk(dpu.OpBranch, uint64(cols))
 			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			if err := d.CopyToWRAM(tileBase, out); err != nil {
-				return err
-			}
+			copy(t.WRAMWindow(tileBase, int64(len(out))), out)
 			t.WRAMToMRAM(r.cFullOff+int64(row*stride+j0)*2, tileBase, chunkBytes)
 		}
 		return nil

@@ -14,7 +14,7 @@ func macBlockAVX2(acc *int32, lanes int, apart *int32, rows int, block *byte, bs
 // panics (slice bounds: a programmer error). The quotient keeps the proof
 // free of a product that could overflow. One row fits at any stride,
 // which is how the zero row and a page-straddling row arrive: block is
-// what ForEachMRAMRowRuns passes, count rows of rowBytes at blockStride
+// what MRAMRowRuns passes, count rows of rowBytes at blockStride
 // inside one page, or one rowBytes-long buffer at stride 0. acc and apart
 // are kernelScratch's, cut to the launch's validated n and k; macBlock's
 // &acc[0], &apart[0] and lanes <= len(acc) cover them.

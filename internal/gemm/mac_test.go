@@ -86,7 +86,7 @@ func checkMACBlock(t *testing.T, n, rows, bstride, off int, next func() uint32) 
 
 // The assembly equals the Go loops on every width from one lane to past
 // four 32-lane strips, every row count a page run of wide rows has, the
-// four strides ForEachMRAMRowRuns produces (0: the zero or staged row;
+// four strides MRAMRowRuns produces (0: the zero or staged row;
 // rowBytes: packed; wider: a strided symbol; 2,048: the DMA maximum), and
 // every 8-byte placement of block in a cache line.
 func TestMACBlockMatchesGoLoops(t *testing.T) {

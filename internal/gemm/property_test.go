@@ -229,8 +229,8 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 						if _, err := launchRaw(r, kernel, T, n, k, rows, aAt); err != nil {
 							t.Fatalf("T=%d: %v", T, err)
 						}
-						c, err := d.CopyFromMRAM(cAt, per)
-						if err != nil {
+						c := make([]byte, per)
+						if err := d.CopyFromMRAMInto(cAt, c); err != nil {
 							t.Fatal(err)
 						}
 						got = append(got, c...)

@@ -384,12 +384,12 @@ func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 // flatPass validates the launch and computes its whole product once: the
 // C row of the A row at the parameter block's address in row mode, all
 // p.m rows of the weight matrix there in batch mode. A arrives in one
-// bounds- and alignment-checked MRAM read (from the runner's A symbol,
-// or in batch mode an arena slot when the weights are resident), each
-// row is decoded to APART once (Algorithm 2 line 5) and
-// multiply-accumulated over whole B rows in place in the MRAM pages, and
-// the packed C rows leave in one MRAM write. It returns the launch's
-// per-tasklet charge.
+// MRAM read (from the runner's A symbol, or in batch mode an arena slot
+// when the weights are resident), each row is decoded to APART once
+// (Algorithm 2 line 5) and multiply-accumulated over whole B rows in
+// place in the MRAM pages, and the packed C rows leave in one MRAM
+// write; each of these tasklet accesses traps out of bounds or
+// misaligned. It returns the launch's per-tasklet charge.
 func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 	p := r.readParams(t)
 	n, k := p.n, p.k
@@ -408,15 +408,12 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 		return nil, fmt.Errorf("gemm kernel: %d tasklets launched, WRAM slots allocated for %d", t.Count(), allocT)
 	}
 	t.WRAMWindow(slots, int64(t.Count())*slotBytes)
-	d := t.DPU()
 	sc := r.getScratch()
 	defer r.scratch.Put(sc)
 
 	aBytes := (k*2 + 7) &^ 7
 	sc.aRow = growBytes(sc.aRow, m*aBytes)
-	if err := d.CopyFromMRAMRawInto(p.aoff, sc.aRow); err != nil {
-		return nil, err
-	}
+	t.ReadMRAM(p.aoff, sc.aRow)
 	rowBytes := pad4(n) * 2
 	sc.rowBuf = growBytes(sc.rowBuf, m*rowBytes)
 	// acc spans B's whole padded row, so the MAC runs in whole groups of
@@ -428,14 +425,10 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 	for row := 0; row < m; row++ {
 		decodeAPart(apart, sc.aRow[row*aBytes:], p.alpha)
 		clear(acc)
-		if err := d.ForEachMRAMRowRuns(r.bOff, int64(rowBytes), rowBytes, k, mac); err != nil {
-			return nil, err
-		}
+		t.MRAMRowRuns(r.bOff, int64(rowBytes), rowBytes, k, mac)
 		packClamped(sc.rowBuf[row*rowBytes:], acc, n, rowBytes)
 	}
-	if err := d.CopyToMRAMRaw(cOff, sc.rowBuf); err != nil {
-		return nil, err
-	}
+	t.WriteMRAM(cOff, sc.rowBuf)
 	return r.costs.Launch(launchShape{batch, m, n, k}, t.Count()), nil
 }
 

@@ -39,8 +39,8 @@ func failsOnce(t *testing.T, idx int) dpu.FaultPlan {
 // mramOf reads a symbol straight out of a DPU's memory, past any injector.
 func mramOf(t *testing.T, s *System, i int, ref SymbolRef) []byte {
 	t.Helper()
-	got, err := s.DPU(i).CopyFromMRAM(ref.off, int(ref.size))
-	if err != nil {
+	got := make([]byte, int(ref.size))
+	if err := s.DPU(i).CopyFromMRAMInto(ref.off, got); err != nil {
 		t.Fatal(err)
 	}
 	return got

@@ -9,14 +9,23 @@ import (
 	"pimdnn/internal/model"
 )
 
+// markBad leaves a byte in DPU i's WRAM at 0 by which a kernel tells that
+// DPU from the others: a kernel has no handle on its DPU.
+func markBad(t *testing.T, s *System, i int) {
+	t.Helper()
+	if err := s.DPU(i).CopyToWRAM(0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLaunchSingleDPUFailure: a fault on one DPU of a parallel launch
 // must surface as an error naming that DPU, and the system must remain
 // usable afterwards.
 func TestLaunchSingleDPUFailure(t *testing.T) {
 	s := newTestSystem(t, 4)
-	bad := s.DPU(2)
+	markBad(t, s, 2)
 	_, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
-		if tk.DPU() == bad {
+		if tk.Load8(0) != 0 {
 			return fmt.Errorf("injected failure")
 		}
 		tk.Charge(dpu.OpAddInt, 10)
@@ -38,9 +47,9 @@ func TestLaunchSingleDPUFailure(t *testing.T) {
 // propagates the same way.
 func TestLaunchTrapOnOneDPU(t *testing.T) {
 	s := newTestSystem(t, 3)
-	bad := s.DPU(0)
+	markBad(t, s, 0)
 	_, err := s.LaunchOn(s.NumDPUs(), 1, func(tk *dpu.Tasklet) error {
-		if tk.DPU() == bad {
+		if tk.Load8(0) != 0 {
 			tk.Load8(-1) // trap
 		}
 		return nil

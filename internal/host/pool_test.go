@@ -12,13 +12,13 @@ import (
 	"pimdnn/internal/host"
 )
 
-// TestParallelForReentrant runs range functions that call back into the
-// pool — a nested ParallelFor whose own range function issues a sharded
-// PushXferRef and one-DPU copies — the shape the exec engine produces
-// once Deliver/each (user code) run on pool workers. A pool whose callers block until a
-// worker pulls their queued shards parks every worker behind work
-// nobody will start; here every caller claims its own shards, so the
-// run must finish (and cover every index exactly once) at any width.
+// TestParallelForReentrant holds ParallelFor to its doc: a range function
+// may call back into the pool — here a nested ParallelFor whose own range
+// function issues a sharded PushXferRef and one-DPU copies. A pool whose
+// callers block until a worker pulls their queued shards parks every
+// worker behind work nobody will start; here every caller claims its own
+// shards, so the run must finish (and cover every index exactly once) at
+// any width.
 func TestParallelForReentrant(t *testing.T) {
 	const nd = 64 // above the sharding threshold: transfers fan out
 	for _, procs := range []int{1, 2, 4} {

@@ -39,16 +39,14 @@ func TestWaveMatchesDiscreteCommands(t *testing.T) {
 	}
 	// Kernel: copy the first 16 bytes of qbuf into qout, negated.
 	kernel := func(tk *dpu.Tasklet) error {
-		d := tk.DPU()
 		buf := make([]byte, 16)
-		if err := d.CopyFromMRAMInto(ref.off, buf); err != nil {
-			return err
-		}
+		tk.ReadMRAM(ref.off, buf)
 		for i := range buf {
 			buf[i] = ^buf[i]
 		}
 		tk.ChargeBulk(dpu.OpAddInt, 16)
-		return d.CopyToMRAM(oref.off, buf)
+		tk.WriteMRAM(oref.off, buf)
+		return nil
 	}
 	in := make([][]byte, 3)
 	out := make([][]byte, 3)
@@ -120,7 +118,7 @@ func TestWaveMatchesDiscreteCommands(t *testing.T) {
 // their full scatter→launch→gather.
 func TestWaveFaultSurfacesDPU(t *testing.T) {
 	s, ref := waveSystem(t, 3)
-	bad := s.DPU(2)
+	markBad(t, s, 2)
 	in := make([][]byte, 3)
 	out := make([][]byte, 3)
 	for i := range in {
@@ -130,7 +128,7 @@ func TestWaveFaultSurfacesDPU(t *testing.T) {
 	err := s.RunWave(Wave{
 		DPUs: 3, Tasklets: 1,
 		Kernel: func(tk *dpu.Tasklet) error {
-			if tk.DPU() == bad {
+			if tk.Load8(0) != 0 {
 				tk.Load8(-1) // memory trap
 			}
 			return nil

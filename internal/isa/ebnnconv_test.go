@@ -37,8 +37,8 @@ func TestEBNNConvProgramMatchesHost(t *testing.T) {
 			if _, err := d.Launch(tasklets, Kernel(nil, nil)); err != nil {
 				t.Fatal(err)
 			}
-			out, err := d.CopyFromWRAM(outOff, ebnn.PoolCells)
-			if err != nil {
+			out := make([]byte, ebnn.PoolCells)
+			if err := d.CopyFromWRAMInto(outOff, out); err != nil {
 				t.Fatal(err)
 			}
 			bits := imgs[ii].Binarize()

@@ -40,11 +40,7 @@ func (p Program) validate() error {
 // after HALT.
 func Kernel(init func(tid int, r *Regs), final func(tid int, r Regs)) dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		img, err := t.DPU().ReadIRAM(0, t.DPU().Config().IRAMSize)
-		if err != nil {
-			return err
-		}
-		prog, err := FromImage(img)
+		prog, err := FromImage(t.IRAM())
 		if err != nil {
 			return err
 		}

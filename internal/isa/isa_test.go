@@ -183,8 +183,8 @@ func TestDMAInstructions(t *testing.T) {
 	if final[3] != 1 || final[4] != 64 {
 		t.Errorf("DMA readback r3=%d r4=%d, want 1, 64", final[3], final[4])
 	}
-	back, err := d.CopyFromMRAM(1024, 64)
-	if err != nil {
+	back := make([]byte, 64)
+	if err := d.CopyFromMRAMInto(1024, back); err != nil {
 		t.Fatal(err)
 	}
 	for i := range back {
@@ -395,8 +395,8 @@ func TestReloadedProgramRuns(t *testing.T) {
 		}
 	}
 	readWord := func(off int) int32 {
-		raw, err := d.CopyFromWRAM(int64(off), 4)
-		if err != nil {
+		raw := make([]byte, 4)
+		if err := d.CopyFromWRAMInto(int64(off), raw); err != nil {
 			t.Fatal(err)
 		}
 		return int32(binary.LittleEndian.Uint32(raw))

@@ -22,8 +22,8 @@ func writeWords(t *testing.T, d *dpu.DPU, off int, vals []int32) {
 
 func readWords(t *testing.T, d *dpu.DPU, off, n int) []int32 {
 	t.Helper()
-	raw, err := d.CopyFromWRAM(int64(off), n*4)
-	if err != nil {
+	raw := make([]byte, n*4)
+	if err := d.CopyFromWRAMInto(int64(off), raw); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]int32, n)
@@ -146,8 +146,8 @@ func TestMemcpyProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.CopyFromMRAM(1<<20, bytes)
-	if err != nil {
+	got := make([]byte, bytes)
+	if err := d.CopyFromMRAMInto(1<<20, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
