@@ -156,16 +156,17 @@ profile:
 # (flatPass, under the batch blockKernel closure), the "kernel share" a
 # PR cites, then the share of its multiply-accumulate (gemm.macBlock
 # and everything under it: the assembly, or the Go loops where that is
-# what runs), the scatter's (dpu.WriteMRAMRows: im2col lowering each
+# what runs), the scatter's (dpu.writeRows: im2col lowering each
 # image's B in place into MRAM, and everything under it), the launch's
-# own host work (dpu.LaunchInto flat: running and merging the tasklets
+# own host work (dpu.launch flat: running and merging the tasklets
 # that ran; about 2 % on a 2-core Xeon, go1.24.0, where 3 % is the
 # gate), then the bytes one steady-state pass allocates (the benchmark's
 # B/op, which leaves out its warm-up pass; the run's output is kept in
 # bench-array.out):
 # `make profile-array | grep -e '-share ' -e '^alloc-per-pass'`.
-# `dpu.(*DPU).CopyToMRAM` must not appear in `go tool pprof -top
-# pimdnn.test cpu.prof`: the batch pass makes no staged copy into MRAM.
+# `go tool pprof -peek 'DPU\)\.mramWrite$' pimdnn.test cpu.prof` must
+# name dpu.(*Tasklet).WriteMRAM its only caller: the batch pass makes no
+# staged host copy into MRAM (its scatter is dpu.writeRows).
 profile-array:
 	$(GO) test -run xxx -bench 'BenchmarkFullArrayYOLOForward$$' -benchtime 4x -cpuprofile cpu.prof . > bench-array.out; \
 		status=$$?; cat bench-array.out; exit $$status
@@ -173,8 +174,8 @@ profile-array:
 	@$(GO) tool pprof -top -cum pimdnn.test cpu.prof 2>/dev/null \
 		| awk '/gemm\.\(\*Runner\)\.flatPass$$/ { print "kernel-share gemm.flatPass cum " $$5 } \
 			/gemm\.macBlock( |$$)/ { print "mac-share gemm.macBlock cum " $$5 } \
-			/dpu\.\(\*DPU\)\.WriteMRAMRows$$/ { print "scatter-share dpu.WriteMRAMRows cum " $$5 } \
-			/dpu\.\(\*DPU\)\.LaunchInto$$/ { print "launch-share dpu.LaunchInto flat " $$2 }'
+			/dpu\.\(\*DPU\)\.writeRows( |$$)/ { print "scatter-share dpu.writeRows cum " $$5 } \
+			/dpu\.\(\*DPU\)\.launch$$/ { print "launch-share dpu.launch flat " $$2 }'
 	@awk '/^BenchmarkFullArrayYOLOForward/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print "alloc-per-pass " $$i " B/op" }' bench-array.out
 
 # And for the ebnn_stream workload's shape (LUT + float runners, 32 DPUs

@@ -5,7 +5,7 @@ import "fmt"
 // Kernel-emulation memory access. Kernels that account for their work
 // with CostBlock/ChargeDMA compute natively on host memory and move
 // data in bulk through these tasklet accessors. A launch holds its DPU's
-// lock while the kernel runs (LaunchInto), so they take none. None of
+// lock while the kernel runs (Do), so they take none. None of
 // them charge cycles or meter telemetry: the modeled DMA traffic is
 // charged separately (and the launch-end aggregation meters it), so a
 // kernel that used these for its data and ChargeBlock for its cycles
@@ -52,34 +52,13 @@ func (t *Tasklet) MRAMRowRuns(off, stride int64, rowBytes, rows int, fn func(fir
 	t.trapOn(t.dpu.rowRuns(off, stride, rowBytes, rows, false, fn))
 }
 
-// ReadMRAMRows is a host read through rowRuns of rows rows back to back
-// at off (MRAMRowRuns' walk at a stride of rowBytes), counted in the
-// DPU's telemetry as one CopyFromMRAMInto of all of them would be. fn
-// must not call a DPU method (the lock is held).
-func (d *DPU) ReadMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	return d.hostRows(off, rowBytes, rows, false, fn)
+// writeRows is a request's in-place row scatter (Xfer): rowRuns
+// writing x's rows, filled by x.Visit. Callers hold d.mu.
+func (d *DPU) writeRows(x *Xfer) error {
+	return d.rowRuns(x.Off, int64(x.RowBytes), x.RowBytes, x.Rows, true, x.Visit)
 }
 
-// WriteMRAMRows is ReadMRAMRows' mirror, a host write of the rows
-// produced in place: fn fills each run of them that lies in one page,
-// row first+r at block[r*blockStride] (blockStride is rowBytes), block
-// aliasing the page after ownPage made it this DPU's own; a row that
-// crosses a page boundary is filled in a small internal buffer, then
-// written. fn must write every byte of its rows, must not retain block
-// and must not call a DPU method (the lock is held). It is counted in
-// the DPU's telemetry as one CopyToMRAM of all the rows.
-func (d *DPU) WriteMRAMRows(off int64, rowBytes, rows int, fn func(first, count int, block []byte, blockStride int)) error {
-	return d.hostRows(off, rowBytes, rows, true, fn)
-}
-
-// hostRows is the host's row walk: rowRuns under the DPU's lock, metered.
-func (d *DPU) hostRows(off int64, rowBytes, rows int, write bool, fn func(first, count int, block []byte, blockStride int)) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.meterHost(rows*rowBytes, d.rowRuns(off, int64(rowBytes), rowBytes, rows, write, fn))
-}
-
-// rowRuns is the walk behind MRAMRowRuns and the host's row transfers,
+// rowRuns is the walk behind MRAMRowRuns and a request's row transfers,
 // a write when write is set. Callers hold d.mu.
 func (d *DPU) rowRuns(off, stride int64, rowBytes, rows int, write bool, fn func(first, count int, block []byte, blockStride int)) error {
 	if rowBytes <= 0 || rows < 0 {

@@ -133,8 +133,8 @@ type DPU struct {
 	mramPages []*mramPage
 	symbols   map[string]Symbol
 	// wramUsed is the WRAM data-segment size. Written under mu (symbol
-	// definition); read via atomic load so the per-launch stack check
-	// does not take the lock.
+	// definition); read via atomic load so WRAMFree and StackPerTasklet
+	// take no lock.
 	wramUsed atomic.Int64
 	mramUsed int64
 
@@ -148,8 +148,7 @@ type DPU struct {
 	// inj, when non-nil, injects deterministic faults into host-side
 	// transfers and launches (see fault.go). Guarded by mu like the
 	// counters below.
-	inj   *FaultInjector
-	armed atomic.Bool // inj != nil, for TransferFault to read without mu
+	inj *FaultInjector
 
 	totalCycles uint64
 	launches    int
@@ -207,29 +206,25 @@ func (d *DPU) Profile() *trace.Profile { return d.prof }
 // aggregate profile.
 func (d *DPU) SetProfile(p *trace.Profile) { d.prof = p }
 
-// InjectFaults arms (or, with nil, disarms) the DPU's fault injector.
-// Arming replaces any previous injector and its accumulated state.
-func (d *DPU) InjectFaults(in *FaultInjector) {
-	d.mu.Lock()
-	d.inj = in
-	d.armed.Store(in != nil)
-	d.mu.Unlock()
-}
-
-// TransferFault consults the fault injector about one host<->DPU
-// transfer. The host runtime calls it once per per-DPU transfer, before
-// touching memory; a non-nil return means the transfer must be dropped.
-// Kernel-internal MRAM/WRAM traffic is not gated — only host DMA is.
-func (d *DPU) TransferFault() error {
-	if !d.armed.Load() {
-		return nil
-	}
+// InjectFaults arms (or, with nil, disarms) the DPU's fault injector and
+// returns the one it replaces, with its accumulated state: arming that
+// one again resumes its draws where they stopped.
+func (d *DPU) InjectFaults(in *FaultInjector) *FaultInjector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	prev := d.inj
+	d.inj = in
+	return prev
+}
+
+// fault makes one draw of the fault injector, if armed — a transfer's or
+// a launch's — and counts a fault that fires in the DPU's telemetry.
+// Callers hold d.mu. Kernel-internal memory traffic is not gated.
+func (d *DPU) fault(draw func(*FaultInjector) error) error {
 	if d.inj == nil {
 		return nil
 	}
-	err := d.inj.transfer()
+	err := draw(d.inj)
 	if err != nil && d.met != nil {
 		d.met.Faults.Inc()
 	}
@@ -278,7 +273,7 @@ func (l Layout) WRAM() int64 {
 }
 
 // Fits reports whether a WRAM data segment of data bytes leaves each of
-// n tasklets MinStackBytes of stack: the rule LaunchInto enforces, and
+// n tasklets MinStackBytes of stack: the rule a launch enforces, and
 // the one a kernel's layout is sized by.
 func (c Config) Fits(data int64, n int) bool {
 	return data+int64(n)*MinStackBytes <= int64(c.WRAMSize)
@@ -376,21 +371,119 @@ func (d *DPU) StackPerTasklet(n int) int64 {
 	return d.WRAMFree() / int64(n)
 }
 
-// Launch runs the kernel on n tasklets and returns the launch statistics.
-// Tasklets execute deterministically (in ID order); cycle accounting
+// Launch is a request that only launches (Do) the kernel on n tasklets,
+// returning its statistics. Tasklets run in ID order; cycle accounting
 // models their concurrent execution on the pipeline.
 func (d *DPU) Launch(n int, kernel KernelFunc) (Stats, error) {
 	var st Stats
-	err := d.LaunchInto(n, kernel, &st)
+	_, err := d.Do(&Request{Tasklets: n, Kernel: kernel, Stats: &st})
 	return st, err
 }
 
-// LaunchInto is Launch writing the statistics into *out instead of
-// returning them by value, sparing wave loops a ~250-byte struct copy
-// per launch. On success every field of *out is overwritten; on error
-// *out is zeroed. The zeroing happens only on the (cold) error paths so
-// the hot path never memclrs the struct.
-func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
+// Request is one host request to a DPU: a scatter, a launch of Tasklets
+// tasklets running Kernel, its statistics into *Stats, and a gather, in
+// that order. A zero Kind or a nil Stats leaves its part out.
+type Request struct {
+	Scatter  Xfer
+	Tasklets int
+	Kernel   KernelFunc
+	Stats    *Stats
+	Gather   Xfer
+}
+
+// Xfer is one host transfer: Buf's bytes to or from Kind's memory at
+// Off, or, with Visit set on MRAM, Rows rows of RowBytes bytes back to
+// back at Off, walked in place. A gather's Visit gets the rows as
+// Tasklet.MRAMRowRuns passes them; a scatter's fills them, row first+r
+// at block[r*blockStride] (a row across a page boundary is filled in a
+// small buffer, then written), and must write every byte. Visit must
+// not retain block nor call a DPU method (the lock is held). An MRAM
+// transfer off the 8-byte alignment or size granularity (§3.2) fails.
+type Xfer struct {
+	Kind           SymbolKind
+	Off            int64
+	Buf            []byte
+	Rows, RowBytes int
+	Visit          func(first, count int, block []byte, blockStride int)
+}
+
+// The parts of a Request, as bits of how far Do got.
+const (
+	Scattered uint8 = 1 << iota
+	Launched
+	Gathered
+)
+
+// Do runs r on the DPU under one hold of its lock, so no other host
+// request reaches the DPU between its parts, and stops at the first
+// failure. done has the bit of every part r got past, a part it leaves
+// out included. Each part consults the fault injector before it touches
+// memory; a failed launch zeroes *r.Stats.
+func (d *DPU) Do(r *Request) (done uint8, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err = d.xfer(&r.Scatter, true); err != nil {
+		return 0, err
+	}
+	if r.Stats != nil {
+		if err = d.launch(r.Tasklets, r.Kernel, r.Stats); err != nil {
+			return Scattered, err
+		}
+	}
+	if err = d.xfer(&r.Gather, false); err != nil {
+		return Scattered | Launched, err
+	}
+	return Scattered | Launched | Gathered, nil
+}
+
+// xfer runs one transfer of a request, into the DPU when in, and meters
+// it in the DPU's telemetry (no DPU cycles charged). Callers hold d.mu.
+func (d *DPU) xfer(x *Xfer, in bool) error {
+	if x.Kind == 0 {
+		return nil
+	}
+	if err := d.fault((*FaultInjector).transfer); err != nil {
+		return err
+	}
+	n, err := len(x.Buf), error(nil)
+	switch {
+	case x.Kind == SymbolWRAM:
+		if x.Off < 0 || x.Off+int64(n) > int64(d.cfg.WRAMSize) {
+			return fmt.Errorf("dpu: WRAM transfer [%d, %d) outside [0, %d)", x.Off, x.Off+int64(n), d.cfg.WRAMSize)
+		}
+		dst, src := d.wram[x.Off:], x.Buf
+		if !in {
+			dst, src = src, dst
+		}
+		copy(dst, src)
+	case x.Visit != nil && in:
+		n, err = x.Rows*x.RowBytes, d.writeRows(x)
+	case x.Visit != nil:
+		n, err = x.Rows*x.RowBytes, d.rowRuns(x.Off, int64(x.RowBytes), x.RowBytes, x.Rows, false, x.Visit)
+	default:
+		if err = d.checkDMAArgs(x.Off, n); err == nil && in {
+			d.mramWrite(x.Off, x.Buf)
+		} else if err == nil {
+			d.mramRead(x.Off, x.Buf)
+		}
+	}
+	if m := d.met; err == nil && m != nil {
+		b, acc := m.MRAMBytes, m.MRAMAccesses
+		if x.Kind == SymbolWRAM {
+			b, acc = m.WRAMBytes, m.WRAMAccesses
+		}
+		b.Add(uint64(n))
+		acc.Inc()
+	}
+	return err
+}
+
+// launch is a request's launch, its statistics into *out: overwritten on
+// success, zeroed on the (cold) error paths. Callers hold d.mu, so the
+// launch owns the DPU from its fault draw to its cycle tally; its kernel
+// takes no lock. An injected fault aborts it before any tasklet retires
+// and charges no cycles, as a genuine memory trap does.
+func (d *DPU) launch(n int, kernel KernelFunc, out *Stats) error {
 	if n < 1 || n > MaxTasklets {
 		*out = Stats{}
 		return fmt.Errorf("dpu: tasklet count %d outside 1..%d", n, MaxTasklets)
@@ -404,21 +497,9 @@ func (d *DPU) LaunchInto(n int, kernel KernelFunc, out *Stats) error {
 		return fmt.Errorf("dpu: %d tasklets leave %d bytes of stack each (< %d): WRAM data segment too large",
 			n, d.StackPerTasklet(n), MinStackBytes)
 	}
-	// The launch owns the DPU from its fault draw to its cycle tally: a
-	// host transfer to it waits for the kernel, and the kernel reaches
-	// memory only through its tasklets, whose accessors take no lock.
-	// Injected launch faults abort before any tasklet retires and charge
-	// no cycles, matching how genuine memory traps are accounted.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.inj != nil {
-		if err := d.inj.launch(); err != nil {
-			if d.met != nil {
-				d.met.Faults.Inc()
-			}
-			*out = Stats{}
-			return err
-		}
+	if err := d.fault((*FaultInjector).launch); err != nil {
+		*out = Stats{}
+		return err
 	}
 
 	// A tasklet's meters and the opCounts array (the bulk of the struct)
@@ -519,76 +600,6 @@ func (d *DPU) runTasklets(n int, kernel KernelFunc) (ran int, err error) {
 		}
 	}
 	return ran, nil
-}
-
-// --- host-side memory access (no DPU cycles charged) ---
-
-// CopyToMRAM writes data into MRAM at off. Host transfers must respect
-// the 8-byte alignment and size granularity (§3.2); violations are
-// errors, matching the SDK behaviour that forces callers to pad.
-func (d *DPU) CopyToMRAM(off int64, data []byte) error {
-	if err := d.checkDMAArgs(off, len(data)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.mramWrite(off, data)
-	d.mu.Unlock()
-	return d.meterHost(len(data), nil)
-}
-
-// CopyFromMRAMInto reads len(dst) bytes from MRAM at off into dst,
-// letting callers reuse a buffer across transfers instead of allocating
-// per read.
-func (d *DPU) CopyFromMRAMInto(off int64, dst []byte) error {
-	if err := d.checkDMAArgs(off, len(dst)); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.mramRead(off, dst)
-	d.mu.Unlock()
-	return d.meterHost(len(dst), nil)
-}
-
-// meterHost counts a host MRAM transfer of n bytes in the DPU's
-// telemetry, unless err failed it, and returns err.
-func (d *DPU) meterHost(n int, err error) error {
-	if err == nil && d.met != nil {
-		d.met.MRAMBytes.Add(uint64(n))
-		d.met.MRAMAccesses.Inc()
-	}
-	return err
-}
-
-// CopyToWRAM writes a host-visible WRAM variable.
-func (d *DPU) CopyToWRAM(off int64, data []byte) error {
-	if off < 0 || off+int64(len(data)) > int64(d.cfg.WRAMSize) {
-		return fmt.Errorf("dpu: WRAM write [%d, %d) outside [0, %d)", off, off+int64(len(data)), d.cfg.WRAMSize)
-	}
-	d.mu.Lock()
-	copy(d.wram[off:], data)
-	d.mu.Unlock()
-	if d.met != nil {
-		d.met.WRAMBytes.Add(uint64(len(data)))
-		d.met.WRAMAccesses.Inc()
-	}
-	return nil
-}
-
-// CopyFromWRAMInto reads a host-visible WRAM variable: len(dst) bytes
-// at off into dst.
-func (d *DPU) CopyFromWRAMInto(off int64, dst []byte) error {
-	n := len(dst)
-	if off < 0 || off+int64(n) > int64(d.cfg.WRAMSize) {
-		return fmt.Errorf("dpu: WRAM read [%d, %d) outside [0, %d)", off, off+int64(n), d.cfg.WRAMSize)
-	}
-	d.mu.Lock()
-	copy(dst, d.wram[off:])
-	d.mu.Unlock()
-	if d.met != nil {
-		d.met.WRAMBytes.Add(uint64(len(dst)))
-		d.met.WRAMAccesses.Inc()
-	}
-	return nil
 }
 
 func (d *DPU) checkDMAArgs(off int64, n int) error {

@@ -346,10 +346,8 @@ func TestDMADataIntegrity(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	if err := d.CopyToMRAM(1024, src); err != nil {
-		t.Fatal(err)
-	}
-	_, err := d.Launch(1, func(tk *Tasklet) error {
+	back := make([]byte, 256)
+	kernel := func(tk *Tasklet) error {
 		tk.MRAMToWRAM(0, 1024, 256)
 		for i := 0; i < 256; i++ {
 			if byte(tk.Load8(int64(i))) != byte(i) {
@@ -360,12 +358,9 @@ func TestDMADataIntegrity(t *testing.T) {
 		tk.Store8(0, 77)
 		tk.WRAMToMRAM(4096, 0, 256)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	back := make([]byte, 256)
-	if err := d.CopyFromMRAMInto(4096, back); err != nil {
+	if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: 1024, Buf: src}, Tasklets: 1, Kernel: kernel,
+		Stats: new(Stats), Gather: Xfer{Kind: SymbolMRAM, Off: 4096, Buf: back}}); err != nil {
 		t.Fatal(err)
 	}
 	if back[0] != 77 || back[1] != 1 || back[255] != 255 {
@@ -377,7 +372,7 @@ func TestMRAMZeroFill(t *testing.T) {
 	d := newTestDPU(t, O0)
 	// Reading never-written MRAM returns zeros (lazy paging).
 	data := make([]byte, 64)
-	if err := d.CopyFromMRAMInto(32<<20, data); err != nil {
+	if _, err := d.Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: 32 << 20, Buf: data}}); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range data {
@@ -394,11 +389,8 @@ func TestMRAMPageStraddle(t *testing.T) {
 		src[i] = byte(i * 7)
 	}
 	off := int64(MRAMPageSize - 2048) // straddles a page boundary
-	if err := d.CopyToMRAM(off, src); err != nil {
-		t.Fatal(err)
-	}
 	got := make([]byte, 4096)
-	if err := d.CopyFromMRAMInto(off, got); err != nil {
+	if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: off, Buf: src}, Gather: Xfer{Kind: SymbolMRAM, Off: off, Buf: got}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -410,13 +402,13 @@ func TestMRAMPageStraddle(t *testing.T) {
 
 func TestHostTransferAlignment(t *testing.T) {
 	d := newTestDPU(t, O0)
-	if err := d.CopyToMRAM(4, make([]byte, 8)); err == nil {
+	if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: 4, Buf: make([]byte, 8)}}); err == nil {
 		t.Error("unaligned host MRAM write accepted")
 	}
-	if err := d.CopyToMRAM(0, make([]byte, 12)); err == nil {
+	if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: 0, Buf: make([]byte, 12)}}); err == nil {
 		t.Error("unpadded host MRAM write accepted (must be divisible by 8)")
 	}
-	if err := d.CopyFromMRAMInto(0, make([]byte, 12)); err == nil {
+	if _, err := d.Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: 0, Buf: make([]byte, 12)}}); err == nil {
 		t.Error("unpadded host MRAM read accepted")
 	}
 }

@@ -58,7 +58,7 @@ func pageSpan(off int64, n int) (page int64, po, count int) {
 }
 
 // mramWrite/mramRead operate on the lazily-paged MRAM. Callers hold d.mu:
-// a host transfer takes it, a kernel's launch holds it.
+// a host request takes it, a kernel runs under its request's hold.
 
 // mramWrite is the per-DPU write, one ownPage per page it touches.
 func (d *DPU) mramWrite(off int64, data []byte) {
@@ -114,11 +114,13 @@ type MRAMBroadcast struct {
 	perDPU  func(lo, hi int)
 }
 
-// Write stores data at off in the MRAM of every DPU of targets — what a
-// CopyToMRAM on each would leave, telemetry included, consulting no fault
-// injector. targets must be distinct and in an order every concurrent
-// caller shares (the host passes index order): Write holds all their
-// locks. Per page it
+// Write stores data at off in the MRAM of every DPU of targets that
+// passes its transfer fault draw and the DMA checks — what a one-DPU
+// scatter request (Do) on each would leave, telemetry included — and
+// sets errs[i] to target i's failure or nil. targets must be distinct
+// and in an order every concurrent caller shares (the host passes index
+// order): Write holds all their locks. Per page, over the targets that
+// passed, it
 //
 //   - overwrites in place when every target already holds one shared page
 //     and nobody else does (all of its holders are locked here);
@@ -128,30 +130,31 @@ type MRAMBroadcast struct {
 //   - otherwise writes each DPU's own page (mramWrite) through parallel,
 //     which runs fn over disjoint ranges covering [0, n) and returns when
 //     all have finished (host.System.ParallelFor).
-func (b *MRAMBroadcast) Write(targets []*DPU, off int64, data []byte, parallel func(n int, fn func(lo, hi int))) error {
-	if len(targets) == 0 {
-		return nil
-	}
-	for _, d := range targets {
-		if err := d.checkDMAArgs(off, len(data)); err != nil {
-			return err
-		}
-	}
+func (b *MRAMBroadcast) Write(targets []*DPU, off int64, data []byte, parallel func(n int, fn func(lo, hi int)), errs []error) {
 	for _, d := range targets {
 		d.mu.Lock()
 	}
-	for rest := data; len(rest) > 0; {
+	live := b.targets[:0]
+	for i, d := range targets {
+		if errs[i] = d.fault((*FaultInjector).transfer); errs[i] == nil {
+			errs[i] = d.checkDMAArgs(off, len(data))
+		}
+		if errs[i] == nil {
+			live = append(live, d)
+		}
+	}
+	for rest := data; len(rest) > 0 && len(live) > 0; {
 		page, po, n := pageSpan(off, len(rest))
-		cur := targets[0].mramPages[page]
+		cur := live[0].mramPages[page]
 		same := true
-		for _, d := range targets[1:] {
+		for _, d := range live[1:] {
 			if d.mramPages[page] != cur {
 				same = false
 				break
 			}
 		}
 		switch {
-		case same && cur != nil && int(cur.refs.Load()) == len(targets):
+		case same && cur != nil && int(cur.refs.Load()) == len(live):
 			copy(cur.data[po:], rest[:n])
 		case same || n == MRAMPageSize:
 			q := newPage(cur == nil && n < MRAMPageSize)
@@ -160,8 +163,8 @@ func (b *MRAMBroadcast) Write(targets []*DPU, off int64, data []byte, parallel f
 				copy(q.data[po+n:], cur.data[po+n:])
 			}
 			copy(q.data[po:], rest[:n])
-			q.refs.Store(int32(len(targets)))
-			for _, d := range targets {
+			q.refs.Store(int32(len(live)))
+			for _, d := range live {
 				d.mramPages[page].release()
 				d.mramPages[page] = q
 			}
@@ -169,21 +172,23 @@ func (b *MRAMBroadcast) Write(targets []*DPU, off int64, data []byte, parallel f
 			if b.perDPU == nil {
 				b.perDPU = b.writeRange
 			}
-			b.targets, b.off, b.data = targets, off, rest[:n]
-			parallel(len(targets), b.perDPU)
-			b.targets, b.data = nil, nil
+			b.targets, b.off, b.data = live, off, rest[:n]
+			parallel(len(live), b.perDPU)
+			b.data = nil
 		}
 		rest = rest[n:]
 		off += int64(n)
 	}
-	for _, d := range targets {
+	for _, d := range live {
 		if d.met != nil {
 			d.met.MRAMBytes.Add(uint64(len(data)))
 			d.met.MRAMAccesses.Inc()
 		}
+	}
+	for _, d := range targets {
 		d.mu.Unlock()
 	}
-	return nil
+	b.targets = live[:0] // the next call reuses the backing
 }
 
 // writeRange is the fallback's range function. The targets are locked by

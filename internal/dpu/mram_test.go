@@ -3,7 +3,9 @@ package dpu
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,6 +42,7 @@ type mramModel struct {
 	dpus  []*DPU
 	bytes [][]byte
 	bc    MRAMBroadcast
+	errs  []error // a broadcast's; check shows a failed target as stale
 	buf   []byte
 }
 
@@ -47,7 +50,7 @@ func newMRAMModel(t *testing.T) *mramModel {
 	t.Helper()
 	cfg := DefaultConfig(O0)
 	cfg.MRAMSize = diffMRAM
-	m := &mramModel{t: t, buf: make([]byte, diffMRAM)}
+	m := &mramModel{t: t, buf: make([]byte, diffMRAM), errs: make([]error, diffDPUs)}
 	for i := 0; i < diffDPUs; i++ {
 		m.dpus = append(m.dpus, MustNew(cfg))
 		m.bytes = append(m.bytes, make([]byte, diffMRAM))
@@ -61,7 +64,7 @@ func (m *mramModel) check(step int, what string) {
 	m.t.Helper()
 	holders := map[*mramPage]int32{}
 	for i, d := range m.dpus {
-		if err := d.CopyFromMRAMInto(0, m.buf); err != nil {
+		if _, err := d.Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: 0, Buf: m.buf}}); err != nil {
 			m.t.Fatal(err)
 		}
 		if !bytes.Equal(m.buf, m.bytes[i]) {
@@ -134,23 +137,21 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					par = splitFor
 				}
-				if err := m.bc.Write(targets, off, data, par); err != nil {
-					t.Fatal(err)
-				}
+				m.bc.Write(targets, off, data, par, m.errs)
 				for _, b := range into {
 					copy(b[off:], data)
 				}
 			case op < 6:
-				what = "CopyToMRAM"
+				what = "scatter"
 				i := rng.Intn(diffDPUs)
-				if err := m.dpus[i].CopyToMRAM(off, data); err != nil {
+				if _, err := m.dpus[i].Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: off, Buf: data}}); err != nil {
 					t.Fatal(err)
 				}
 				copy(m.bytes[i][off:], data)
 			case op < 7:
-				what = "CopyFromMRAMInto"
+				what = "gather"
 				i := rng.Intn(diffDPUs)
-				if err := m.dpus[i].CopyFromMRAMInto(off, data); err != nil {
+				if _, err := m.dpus[i].Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: off, Buf: data}}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(data, m.bytes[i][off:off+int64(n)]) {
@@ -170,10 +171,11 @@ func TestMRAMCopyOnWriteDifferential(t *testing.T) {
 					return err
 				}
 				if write {
-					what, rowBytes = "WriteMRAMRows", min(n, rowBytes)
+					what, rowBytes = "row scatter", min(n, rowBytes)
 					stride, rows = int64(rowBytes), n/rowBytes
 					walk = func(off, _ int64, rowBytes, rows int, fn func(int, int, []byte, int)) error {
-						return m.dpus[i].WriteMRAMRows(off, rowBytes, rows, fn)
+						_, err := m.dpus[i].Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: off, Rows: rows, RowBytes: rowBytes, Visit: fn}})
+						return err
 					}
 				}
 				next := 0
@@ -230,9 +232,7 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 		t.Helper()
 		data := make([]byte, n)
 		rand.New(rand.NewSource(off + int64(n))).Read(data)
-		if err := m.bc.Write(targets, off, data, par); err != nil {
-			t.Fatal(err)
-		}
+		m.bc.Write(targets, off, data, par, m.errs)
 		for i, d := range m.dpus {
 			for _, x := range targets {
 				if x == d {
@@ -252,7 +252,7 @@ func TestMRAMBroadcastPageSharing(t *testing.T) {
 		t.Error("a broadcast to all holders of a shared page replaced it")
 	}
 	// A private write takes one DPU off the page and leaves the rest on it.
-	if err := m.dpus[2].CopyToMRAM(MRAMPageSize+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+	if _, err := m.dpus[2].Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: MRAMPageSize + 8, Buf: []byte{1, 2, 3, 4, 5, 6, 7, 8}}}); err != nil {
 		t.Fatal(err)
 	}
 	copy(m.bytes[2][MRAMPageSize+8:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -289,9 +289,7 @@ func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 	data := make([]byte, 2*MRAMPageSize)
 	rand.New(rand.NewSource(7)).Read(data)
 	for round := 0; round < 20; round++ {
-		if err := m.bc.Write(m.dpus, 0, data, serialFor); err != nil {
-			t.Fatal(err)
-		}
+		m.bc.Write(m.dpus, 0, data, serialFor, m.errs)
 		for _, b := range m.bytes {
 			copy(b, data)
 		}
@@ -302,14 +300,14 @@ func TestMRAMSharedPageConcurrentPrivateWrites(t *testing.T) {
 				defer wg.Done()
 				if i == 0 {
 					got := make([]byte, len(data))
-					if err := d.CopyFromMRAMInto(0, got); err != nil || !bytes.Equal(got, data) {
+					if _, err := d.Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: 0, Buf: got}}); err != nil || !bytes.Equal(got, data) {
 						t.Errorf("reader saw another DPU's private write (err %v)", err)
 					}
 					return
 				}
 				own := bytes.Repeat([]byte{byte(i)}, 64)
 				off := int64(MRAMPageSize - 32) // both pages
-				if err := d.CopyToMRAM(off, own); err != nil {
+				if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: off, Buf: own}}); err != nil {
 					t.Error(err)
 				}
 				copy(m.bytes[i][off:], own)
@@ -329,7 +327,7 @@ func TestLaunchAtomicToHost(t *testing.T) {
 	go func() {
 		<-started
 		got := make([]byte, 16)
-		if err := d.CopyFromMRAMInto(0, got); err != nil {
+		if _, err := d.Do(&Request{Gather: Xfer{Kind: SymbolMRAM, Off: 0, Buf: got}}); err != nil {
 			t.Error(err)
 		}
 		read <- got
@@ -348,6 +346,35 @@ func TestLaunchAtomicToHost(t *testing.T) {
 	}
 	if got := <-read; !bytes.Equal(got, ones) && !bytes.Equal(got, make([]byte, 16)) {
 		t.Errorf("a host read during the launch saw % x: half of the launch's writes", got)
+	}
+
+	// A request's gather follows its launch under the same hold: a host
+	// write the kernel lets loose, waiting at the lock before the launch
+	// ends, lands after the gather. Under -race a window between the two
+	// shows within the loop.
+	y, z := bytes.Repeat([]byte{0x4b}, 8), bytes.Repeat([]byte{0x5a}, 8)
+	for iter := 0; iter < 1000; iter++ {
+		signal, wrote, got := make(chan struct{}, 1), make(chan error), make([]byte, 8)
+		var ready atomic.Bool
+		go func() {
+			<-signal
+			ready.Store(true)
+			_, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: 16, Buf: z}})
+			wrote <- err
+		}()
+		if _, err := d.Do(&Request{Tasklets: 1, Stats: new(Stats), Kernel: func(tk *Tasklet) error {
+			tk.WriteMRAM(16, y)
+			signal <- struct{}{}
+			for !ready.Load() {
+				runtime.Gosched()
+			}
+			return nil
+		}, Gather: Xfer{Kind: SymbolMRAM, Off: 16, Buf: got}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-wrote; err != nil || !bytes.Equal(got, y) {
+			t.Fatalf("iteration %d: the gather read % x, not the kernel's % x (writer: %v)", iter, got, y, err)
+		}
 	}
 }
 
@@ -400,11 +427,9 @@ func TestAllocMRAMExactFill(t *testing.T) {
 		t.Error("allocation past a full MRAM accepted")
 	}
 	src := bytes.Repeat([]byte{0xa5}, 16)
-	if err := d.CopyToMRAM(DefaultMRAMSize-16, src); err != nil {
-		t.Fatal(err)
-	}
 	got := make([]byte, 16)
-	if err := d.CopyFromMRAMInto(DefaultMRAMSize-16, got); err != nil || !bytes.Equal(got, src) {
+	if _, err := d.Do(&Request{Scatter: Xfer{Kind: SymbolMRAM, Off: DefaultMRAMSize - 16, Buf: src},
+		Gather: Xfer{Kind: SymbolMRAM, Off: DefaultMRAMSize - 16, Buf: got}}); err != nil || !bytes.Equal(got, src) {
 		t.Errorf("last bytes of a full MRAM read %v (err %v)", got, err)
 	}
 }

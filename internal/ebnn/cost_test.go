@@ -17,7 +17,7 @@ func launchCount(r *Runner, tasklets, images int) (dpu.Stats, error) {
 	var cnt [8]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(int32(images)))
 	d := r.sys.DPU(0)
-	if err := d.CopyToWRAM(r.layout.nimages, cnt[:]); err != nil {
+	if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: r.layout.nimages, Buf: cnt[:]}}); err != nil {
 		return dpu.Stats{}, err
 	}
 	return d.Launch(tasklets, r.kernelFn)

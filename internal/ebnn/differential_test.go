@@ -146,7 +146,7 @@ func TestFunctionIndependentOfPartition(t *testing.T) {
 				for i := range arms {
 					arms[i] = newRunner(t, 1, m, useLUT, 16)
 					arms[i].setLegacyCharging(i == 1)
-					if err := arms[i].sys.DPU(0).CopyToMRAM(arms[i].layout.lutMRAM, lut); err != nil {
+					if _, err := arms[i].sys.DPU(0).Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: arms[i].layout.lutMRAM, Buf: lut}}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -174,13 +174,13 @@ func TestFunctionIndependentOfPartition(t *testing.T) {
 						var res [2][]byte
 						for i, r := range arms {
 							d := r.sys.DPU(0)
-							if err := d.CopyToWRAM(r.layout.filters, filt); err != nil {
+							if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: r.layout.filters, Buf: filt}}); err != nil {
 								t.Fatal(err)
 							}
-							if err := d.CopyToMRAM(r.layout.images, imgs); err != nil {
+							if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: r.layout.images, Buf: imgs}}); err != nil {
 								t.Fatal(err)
 							}
-							if err := d.CopyToMRAM(r.layout.results, stale); err != nil {
+							if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: r.layout.results, Buf: stale}}); err != nil {
 								t.Fatal(err)
 							}
 							var err error

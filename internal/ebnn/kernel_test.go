@@ -28,7 +28,7 @@ func newRunner(t *testing.T, nDPU int, m *Model, useLUT bool, tasklets int) *Run
 func readResults(t *testing.T, r *Runner, d, n int) []byte {
 	t.Helper()
 	raw := make([]byte, n)
-	if err := r.sys.DPU(d).CopyFromMRAMInto(r.refResults.Offset(), raw); err != nil {
+	if _, err := r.sys.DPU(d).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: r.refResults.Offset(), Buf: raw}}); err != nil {
 		t.Fatal(err)
 	}
 	return raw

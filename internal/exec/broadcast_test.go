@@ -28,7 +28,11 @@ func TestBroadcastRedeliveryOverSharedPages(t *testing.T) {
 		plan := dpu.FaultPlan{Seed: seed, TransferProb: 0.5}
 		d := dpu.MustNew(dpu.DefaultConfig(dpu.O0))
 		d.InjectFaults(plan.NewInjector(bad))
-		if d.TransferFault() != nil && d.TransferFault() == nil && d.TransferFault() == nil && d.TransferFault() == nil {
+		fails := func() bool {
+			_, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Buf: make([]byte, 8)}})
+			return err != nil
+		}
+		if fails() && !fails() && !fails() && !fails() {
 			once = plan
 		}
 	}
@@ -59,7 +63,9 @@ func TestBroadcastRedeliveryOverSharedPages(t *testing.T) {
 				t.Helper()
 				for i := 0; i < nd; i++ {
 					got := make([]byte, len(want))
-					if err := sys.DPU(i).CopyFromMRAMInto(sym.Offset, got); err != nil {
+					prev := sys.DPU(i).InjectFaults(nil) // read past the injector
+					_, err := sys.DPU(i).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: sym.Offset, Buf: got}})
+					if sys.DPU(i).InjectFaults(prev); err != nil {
 						t.Fatal(err)
 					}
 					exp := want

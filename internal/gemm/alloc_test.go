@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 )
 
 // The GEMM kernels used to allocate a fresh B chunk per k-iteration per
@@ -16,11 +15,7 @@ import (
 // fails loudly if per-iteration allocation ever returns (the pre-rework
 // kernel allocated hundreds per call on this problem size).
 func TestMultiplySteadyStateAllocBound(t *testing.T) {
-	sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := newSystem(t, 2, dpu.O3)
 	const m, n, k = 2, 96, 64
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 	if err != nil {
@@ -66,11 +61,7 @@ func TestMultiplySteadyStateAllocBound(t *testing.T) {
 
 // The naive (thesis-faithful) kernel shares the same scratch pool.
 func TestMultiplyNaiveSteadyStateAllocBound(t *testing.T) {
-	sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := newSystem(t, 2, dpu.O0)
 	const m, n, k = 2, 96, 64
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, Naive: true})
 	if err != nil {

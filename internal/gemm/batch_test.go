@@ -8,12 +8,20 @@ import (
 	"pimdnn/internal/host"
 )
 
-func newBatchRunner(t *testing.T, nDPU, maxM int, cfg RunnerConfig) *Runner {
+// newSystem is a fresh nDPU-DPU system at opt, closed with the test.
+func newSystem(t testing.TB, nDPU int, opt dpu.OptLevel) *host.System {
 	t.Helper()
-	sys, err := host.NewSystem(nDPU, host.DefaultConfig(dpu.O3))
+	sys, err := host.NewSystem(nDPU, host.DefaultConfig(opt))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sys.Close)
+	return sys
+}
+
+func newBatchRunner(t *testing.T, nDPU, maxM int, cfg RunnerConfig) *Runner {
+	t.Helper()
+	sys := newSystem(t, nDPU, dpu.O3)
 	r, err := NewRunner(sys, cfg)
 	if err != nil {
 		t.Fatal(err)

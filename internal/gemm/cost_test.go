@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 	"pimdnn/internal/model"
 )
 
@@ -45,10 +44,7 @@ func costRunner(t *testing.T, opt dpu.OptLevel, naive, legacy bool) *Runner {
 // count only.
 func costRunnerFor(t *testing.T, opt dpu.OptLevel, naive, legacy bool, tasklets int) *Runner {
 	t.Helper()
-	sys, err := host.NewSystem(1, host.DefaultConfig(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, 1, opt)
 	r, err := NewRunner(sys, RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: tasklets,
 		TileCols: costTileCols, Naive: naive})
 	if err != nil {
@@ -67,7 +63,7 @@ func costRunnerFor(t *testing.T, opt dpu.OptLevel, naive, legacy bool, tasklets 
 func launchRaw(r *Runner, kernel dpu.KernelFunc, tasklets, n, k, m int, aoff int64) (dpu.Stats, error) {
 	r.encodeParams(n, k, m, 3, aoff)
 	d := r.sys.DPU(0)
-	if err := d.CopyToWRAM(r.paramsOff, r.paramsBuf[:]); err != nil {
+	if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: r.paramsOff, Buf: r.paramsBuf[:]}}); err != nil {
 		return dpu.Stats{}, err
 	}
 	return d.Launch(tasklets, kernel)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 )
 
 // Differential harness for block-level cycle accounting: every GEMM
@@ -28,10 +27,7 @@ func runDifferential(t *testing.T, opt dpu.OptLevel, legacy bool,
 	workload func(t *testing.T, r *Runner) ([]int16, [][]int16, Stats), cfgMod func(*RunnerConfig)) diffRun {
 	t.Helper()
 	const m, n, k = 24, 40, 18
-	sys, err := host.NewSystem(8, host.DefaultConfig(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, 8, opt)
 	cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16}
 	if cfgMod != nil {
 		cfgMod(&cfg)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 )
 
 // Seeded so that FaultPlan{Seed: 1, DeadFrac: 0.3} dooms DPUs 1 and 6 of
@@ -37,39 +36,32 @@ func TestMultiplyFaultRecovery(t *testing.T) {
 		{"transient", transientPlan},
 	}
 	for _, p := range plans {
-		// One dispatch depth: the sync and pipelined cells run alike.
-		for _, mode := range []string{"sync", "pipelined"} {
-			t.Run(p.name+"/"+mode, func(t *testing.T) {
-				sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-				if err != nil {
-					t.Fatal(err)
+		t.Run(p.name+"/sync", func(t *testing.T) {
+			sys := newSystem(t, 8, dpu.O3)
+			r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.InjectFaults(p.plan)
+			got, st, err := r.Multiply(m, n, k, 3, a, b)
+			if err != nil {
+				t.Fatalf("Multiply under %s faults: %v", p.name, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("element %d: got %d, want %d (degraded run must be bit-identical)",
+						i, got[i], want[i])
 				}
-				defer sys.Close()
-				r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.InjectFaults(p.plan)
-				got, st, err := r.Multiply(m, n, k, 3, a, b)
-				if err != nil {
-					t.Fatalf("Multiply under %s faults: %v", p.name, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("element %d: got %d, want %d (degraded run must be bit-identical)",
-							i, got[i], want[i])
-					}
-				}
-				if st.Retries == 0 {
-					t.Errorf("no re-dispatches recorded; the %s plan should have faulted", p.name)
-				}
-				// The degraded run is not free: retried shards add their
-				// real cycles on top of the wave maxima.
-				if st.Cycles == 0 || st.Seconds == 0 {
-					t.Errorf("degraded run reported empty stats: %+v", st)
-				}
-			})
-		}
+			}
+			if st.Retries == 0 {
+				t.Errorf("no re-dispatches recorded; the %s plan should have faulted", p.name)
+			}
+			// The degraded run is not free: retried shards add their
+			// real cycles on top of the wave maxima.
+			if st.Cycles == 0 || st.Seconds == 0 {
+				t.Errorf("degraded run reported empty stats: %+v", st)
+			}
+		})
 	}
 }
 
@@ -83,11 +75,7 @@ func TestMultiplyFaultSecondCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := newSystem(t, 8, dpu.O3)
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -113,24 +101,21 @@ func TestMultiplyFaultSecondCall(t *testing.T) {
 func TestMultiplyBatchFaultRecovery(t *testing.T) {
 	const m, n, k = 6, 70, 18
 	a, bs, want := batchProblem(t, m, n, k, 4, 1)
-	// One dispatch depth: the sync and pipelined cells run alike.
-	for _, mode := range []string{"sync", "pipelined"} {
-		t.Run(mode, func(t *testing.T) {
-			r := newBatchRunner(t, 4, m, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
-			// Dooms DPU 1 of 4; it dies at its first batch launch.
-			r.sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
-			for call := 0; call < 2; call++ {
-				got, st, err := r.MultiplyBatch(m, n, k, 1, a, bs)
-				if err != nil {
-					t.Fatalf("call %d: MultiplyBatch under faults: %v", call, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("call %d: products differ from the host reference", call)
-				}
-				if st.Retries == 0 {
-					t.Errorf("call %d: no re-dispatches recorded; DPU 1 should have died", call)
-				}
+	t.Run("sync", func(t *testing.T) {
+		r := newBatchRunner(t, 4, m, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
+		// Dooms DPU 1 of 4; it dies at its first batch launch.
+		r.sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
+		for call := 0; call < 2; call++ {
+			got, st, err := r.MultiplyBatch(m, n, k, 1, a, bs)
+			if err != nil {
+				t.Fatalf("call %d: MultiplyBatch under faults: %v", call, err)
 			}
-		})
-	}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("call %d: products differ from the host reference", call)
+			}
+			if st.Retries == 0 {
+				t.Errorf("call %d: no re-dispatches recorded; DPU 1 should have died", call)
+			}
+		}
+	})
 }

@@ -163,10 +163,7 @@ func TestReferenceRowIndependence(t *testing.T) {
 
 func newGEMMRunner(t *testing.T, nDPU int, cfg RunnerConfig) *Runner {
 	t.Helper()
-	sys, err := host.NewSystem(nDPU, host.DefaultConfig(dpu.O0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, nDPU, dpu.O0)
 	r, err := NewRunner(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +275,10 @@ func TestMultiplyFillMatchesMultiply(t *testing.T) {
 				if g, w := filled.sys.DPU(i).TotalCycles(), plain.sys.DPU(i).TotalCycles(); g != w {
 					t.Fatalf("%s: DPU %d cycles %d, want %d", name, i, g, w)
 				}
-				if err := filled.sys.DPU(i).CopyFromMRAMInto(filled.bOff, gb); err != nil {
+				if _, err := filled.sys.DPU(i).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: filled.bOff, Buf: gb}}); err != nil {
 					t.Fatal(err)
 				}
-				if err := plain.sys.DPU(i).CopyFromMRAMInto(plain.bOff, wb); err != nil {
+				if _, err := plain.sys.DPU(i).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: plain.bOff, Buf: wb}}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(gb, wb) {
@@ -360,10 +357,7 @@ func TestGEMMOptimizationLevels(t *testing.T) {
 	b := randMat(rng, k*n, 100)
 
 	cyclesAt := func(opt dpu.OptLevel) uint64 {
-		sys, err := host.NewSystem(1, host.DefaultConfig(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := newSystem(t, 1, opt)
 		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 64})
 		if err != nil {
 			t.Fatal(err)

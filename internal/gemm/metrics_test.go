@@ -1,10 +1,10 @@
 package gemm
 
 import (
+	"reflect"
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 	"pimdnn/internal/metrics"
 )
 
@@ -13,10 +13,7 @@ import (
 func runWithTelemetry(t testing.TB, reg *metrics.Registry) ([]int16, Stats) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
-	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, 8, dpu.O3)
 	if reg != nil {
 		sys.EnableMetrics(reg)
 	}
@@ -61,6 +58,33 @@ func TestMetricsAccountingConsistency(t *testing.T) {
 	if get("pim_dpu_launches_total") == 0 {
 		t.Error("no launches metered")
 	}
+
+	// The per-DPU memory counters and fired faults of one row Multiply
+	// and one MultiplyBatch on 4 DPUs under the transient plan, pinned.
+	a, bs, _ := batchProblem(t, 6, 70, 18, 4, 1)
+	r := newBatchRunner(t, 4, 6, RunnerConfig{MaxK: 18, MaxN: 70, Tasklets: 8, TileCols: 16})
+	reg = metrics.NewRegistry()
+	r.sys.EnableMetrics(reg)
+	r.sys.InjectFaults(transientPlan)
+	_, _, err := r.Multiply(6, 70, 18, 1, a, bs[0])
+	if _, _, errB := r.MultiplyBatch(6, 70, 18, 1, a, bs); err != nil || errB != nil {
+		t.Fatal(err, errB)
+	}
+	perDPU := map[string][]uint64{}
+	for _, c := range reg.Snapshot().Counters {
+		perDPU[c.Name] = append(perDPU[c.Name], c.Value)
+	}
+	for name, want := range map[string][4]uint64{
+		"pim_dpu_mram_bytes_total":    {32640, 32640, 26864, 26904},
+		"pim_dpu_mram_accesses_total": {897, 897, 702, 703},
+		"pim_dpu_wram_bytes_total":    {25992, 25992, 20440, 20440},
+		"pim_dpu_wram_accesses_total": {36390, 36390, 28198, 28198},
+		"pim_dpu_faults_total":        {3, 4, 1, 1},
+	} {
+		if got := perDPU[name]; !reflect.DeepEqual(got, want[:]) {
+			t.Errorf("%s per DPU = %v, want %v", name, got, want)
+		}
+	}
 }
 
 // TestMetricsZeroExtraAllocs pins that telemetry adds no allocations to
@@ -74,10 +98,7 @@ func TestMetricsZeroExtraAllocs(t *testing.T) {
 	const m, n, k = 2, 96, 64
 	a, b := pipelineProblem(m, n, k)
 	mk := func(reg *metrics.Registry) *Runner {
-		sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := newSystem(t, 2, dpu.O3)
 		if reg != nil {
 			sys.EnableMetrics(reg)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 	"pimdnn/internal/plan"
 )
 
@@ -38,11 +37,7 @@ func randOperand(rng *rand.Rand, n int) []int16 {
 func TestPlannerPredictionExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, naive := range []bool{false, true} {
-		sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
+		sys := newSystem(t, 8, dpu.O3)
 		p := plan.New(sys)
 		r, err := NewRunner(sys, RunnerConfig{MaxK: 128, MaxN: 600, Naive: naive, Planner: p})
 		if err != nil {
@@ -71,11 +66,7 @@ func TestPlannerPredictionExact(t *testing.T) {
 	}
 
 	// Batch kernel (image-per-DPU, single wave over <= NumDPUs images).
-	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := newSystem(t, 8, dpu.O3)
 	p := plan.New(sys)
 	r, err := NewRunner(sys, RunnerConfig{MaxK: 64, MaxN: 200, Planner: p})
 	if err != nil {
@@ -114,11 +105,7 @@ func TestPlannerPredictionExact(t *testing.T) {
 func TestPlannerWRAMCap(t *testing.T) {
 	p := plan.NewFromConfig(1, dpu.DefaultConfig(dpu.O3))
 	newRunner := func(maxK, tasklets int) *Runner {
-		sys, err := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sys.Close)
+		sys := newSystem(t, 1, dpu.O3)
 		r, _ := NewRunner(sys, RunnerConfig{MaxK: maxK, MaxN: 8, Tasklets: tasklets, Planner: plan.New(sys)})
 		return r
 	}

@@ -181,11 +181,7 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
 				// A fresh DPU per case, so a page the case does not write
 				// was never written.
-				sys, err := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Close()
+				sys := newSystem(t, 1, dpu.O3)
 				r, err := NewRunner(sys, RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: dpu.MaxTasklets,
 					TileCols: tile, Naive: kind == "naive"})
 				if err != nil {
@@ -206,7 +202,7 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 					sym, _ := d.Symbol(exec.ArenaSymbol)
 					aAt = sym.Offset
 				}
-				if err := d.CopyToMRAM(r.bOff, bBuf); err != nil {
+				if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: r.bOff, Buf: bBuf}}); err != nil {
 					t.Fatal(err)
 				}
 				// Only the two k=251 cases reach past B's first page.
@@ -220,17 +216,17 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 				for _, T := range []int{1, 2, 8, 11, 16, 24} {
 					var got []byte
 					for l := 0; l < launches; l++ {
-						if err := d.CopyToMRAM(aAt, aBuf[l*len(aBuf)/launches:(l+1)*len(aBuf)/launches]); err != nil {
+						if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: aAt, Buf: aBuf[l*len(aBuf)/launches : (l+1)*len(aBuf)/launches]}}); err != nil {
 							t.Fatal(err)
 						}
-						if err := d.CopyToMRAM(cAt, poison); err != nil {
+						if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: cAt, Buf: poison}}); err != nil {
 							t.Fatal(err)
 						}
 						if _, err := launchRaw(r, kernel, T, n, k, rows, aAt); err != nil {
 							t.Fatalf("T=%d: %v", T, err)
 						}
 						c := make([]byte, per)
-						if err := d.CopyFromMRAMInto(cAt, c); err != nil {
+						if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: cAt, Buf: c}}); err != nil {
 							t.Fatal(err)
 						}
 						got = append(got, c...)

@@ -116,11 +116,7 @@ func TestMultiplyDropsWeightArm(t *testing.T) {
 	}
 	cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16}
 	r, _, reg := newResidentRunner(t, 8, host.Topology{}, cfg, 4096, "rows")
-	twinSys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twinSys.Close()
+	twinSys := newSystem(t, 8, dpu.O3)
 	twin, err := NewRunner(twinSys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,14 +236,9 @@ func TestBatchResidency(t *testing.T) {
 		topo host.Topology
 		arm  func(sys *host.System)
 	}{
-		// One dispatch depth: each pipelined cell runs as its sync twin.
 		{name: "sync"},
-		{name: "pipelined"},
 		// Dooms DPU 1 of 4 at its first batch launch.
 		{name: "sync-dead", arm: func(sys *host.System) {
-			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
-		}},
-		{name: "pipelined-dead", arm: func(sys *host.System) {
 			sys.InjectFaults(dpu.FaultPlan{Seed: 1, DeadFrac: 0.3, DeadAfterLaunches: 0})
 		}},
 		// Two ranks of two; rank 0 dies whole at its first launch, so both

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 	"pimdnn/internal/trace"
 )
 
@@ -15,10 +14,7 @@ import (
 func runWithTracing(t testing.TB, batch bool) (Stats, *trace.Trace) {
 	const m, n, k = 24, 40, 18
 	a, b := pipelineProblem(m, n, k)
-	sys, err := host.NewSystem(8, host.DefaultConfig(dpu.O3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, 8, dpu.O3)
 	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 	if err == nil && batch {
 		err = r.EnableBatch(m)
@@ -114,10 +110,7 @@ func TestTracingZeroExtraAllocs(t *testing.T) {
 	const m, n, k = 2, 96, 64
 	a, b := pipelineProblem(m, n, k)
 	mk := func() *Runner {
-		sys, err := host.NewSystem(2, host.DefaultConfig(dpu.O3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := newSystem(t, 2, dpu.O3)
 		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 		if err != nil {
 			t.Fatal(err)

@@ -24,11 +24,12 @@ func failsOnce(t *testing.T, idx int) dpu.FaultPlan {
 		plan := dpu.FaultPlan{Seed: seed, TransferProb: 0.5}
 		d := dpu.MustNew(dpu.DefaultConfig(dpu.O0))
 		d.InjectFaults(plan.NewInjector(idx))
-		ok := d.TransferFault() != nil
-		for i := 0; i < 3; i++ {
-			ok = ok && d.TransferFault() == nil
+		var fails [4]bool
+		for i := range fails {
+			_, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Buf: make([]byte, 8)}})
+			fails[i] = err != nil
 		}
-		if ok {
+		if fails == [4]bool{true} {
 			return plan
 		}
 	}
@@ -36,11 +37,14 @@ func failsOnce(t *testing.T, idx int) dpu.FaultPlan {
 	return dpu.FaultPlan{}
 }
 
-// mramOf reads a symbol straight out of a DPU's memory, past any injector.
+// mramOf reads a symbol straight out of a DPU's memory, its injector set
+// aside for the read.
 func mramOf(t *testing.T, s *System, i int, ref SymbolRef) []byte {
 	t.Helper()
+	d := s.DPU(i)
+	defer d.InjectFaults(d.InjectFaults(nil))
 	got := make([]byte, int(ref.size))
-	if err := s.DPU(i).CopyFromMRAMInto(ref.off, got); err != nil {
+	if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: ref.off, Buf: got}}); err != nil {
 		t.Fatal(err)
 	}
 	return got

@@ -13,7 +13,7 @@ import (
 // DPU from the others: a kernel has no handle on its DPU.
 func markBad(t *testing.T, s *System, i int) {
 	t.Helper()
-	if err := s.DPU(i).CopyToWRAM(0, []byte{1}); err != nil {
+	if _, err := s.DPU(i).Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: 0, Buf: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -154,7 +154,7 @@ func TestTransferFaultMatrix(t *testing.T) {
 						copy(block[r*blockStride:r*blockStride+rowBytes], shard(i)[(first+r)*rowBytes:])
 					}
 				}
-				mram := func(i int) []byte { b := make([]byte, perDPU); s.DPU(i).CopyFromMRAMInto(ref.off, b); return b }
+				mram := func(i int) []byte { return mramOf(t, s, i, ref)[:perDPU] }
 				kept, filled := mram(bad), make([]int, mode.n)
 				before = s.TransferStats()
 				checkReport(s.ScatterRows(ref, perDPU/rowBytes, rowBytes, mode.n-1, func(i, first, count int, block []byte, blockStride int) {

@@ -91,11 +91,9 @@ type System struct {
 	// between calls anyway).
 	calls, waves phaseRunner
 
-	// bcast and bcastTargets are the MRAM broadcast's reusable state: the
-	// page-sharing write and the DPUs that passed their fault check. Same
+	// bcast is the MRAM broadcast's reusable page-sharing write. Same
 	// sequencing as calls.
-	bcast        dpu.MRAMBroadcast
-	bcastTargets []*dpu.DPU
+	bcast dpu.MRAMBroadcast
 }
 
 // XferStats summarizes host<->PIM traffic since the last reset.
@@ -306,7 +304,7 @@ func (s *System) CopyToSymbolRef(ref SymbolRef, offset int64, data []byte) error
 	if data == nil {
 		data = []byte{} // an empty broadcast, not a missing one
 	}
-	_, err := s.calls.do("copy_to", Wave{DPUs: len(s.dpus), Scatter: ref, off: offset, bcast: data}, phScattered)
+	_, err := s.calls.do("copy_to", Wave{DPUs: len(s.dpus), Scatter: ref, off: offset, bcast: data}, dpu.Scattered)
 	return err
 }
 
@@ -316,7 +314,7 @@ func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []by
 	if data == nil {
 		data = []byte{} // an empty write, not a missing one
 	}
-	_, err := s.calls.do("copy_to_dpu", Wave{Start: dpuIdx, DPUs: 1, Scatter: ref, off: offset, bcast: data}, phScattered)
+	_, err := s.calls.do("copy_to_dpu", Wave{Start: dpuIdx, DPUs: 1, Scatter: ref, off: offset, bcast: data}, dpu.Scattered)
 	return err
 }
 
@@ -326,20 +324,20 @@ func (s *System) CopyToDPURef(dpuIdx int, ref SymbolRef, offset int64, data []by
 // payloads with Pad8 and communicate true sizes separately, as §3.2
 // prescribes.
 func (s *System) PushXferRef(ref SymbolRef, offset int64, buffers [][]byte) error {
-	_, err := s.calls.do("push_xfer", Wave{DPUs: len(s.dpus), Scatter: ref, In: buffers, off: offset}, phScattered)
+	_, err := s.calls.do("push_xfer", Wave{DPUs: len(s.dpus), Scatter: ref, In: buffers, off: offset}, dpu.Scattered)
 	return err
 }
 
 // ScatterRows is a PushXferRef whose buffers are produced in place: on
 // each of the first n DPUs, fill gets the page runs of rows rows of
 // rowBytes bytes at the base of the MRAM symbol ref as
-// dpu.WriteMRAMRows passes them, like a wave's in-place gather (Wave's
+// a scatter's dpu.Xfer passes them, like a wave's in-place gather (Wave's
 // Visit), and must write every byte of them; the other DPUs get zero
 // rows, as dpu_push_xfer pads them. A DPU whose transfer fails keeps its
 // MRAM and never sees fill. It is charged and reported like
 // PushXferRef, and validated like an in-place gather.
 func (s *System) ScatterRows(ref SymbolRef, rows, rowBytes, n int, fill func(i, first, count int, block []byte, blockStride int)) error {
-	_, err := s.calls.do("scatter_rows", Wave{DPUs: len(s.dpus), Scatter: ref, Rows: rows, RowBytes: rowBytes, filled: n, fill: fill}, phScattered)
+	_, err := s.calls.do("scatter_rows", Wave{DPUs: len(s.dpus), Scatter: ref, Rows: rows, RowBytes: rowBytes, filled: n, fill: fill}, dpu.Scattered)
 	return err
 }
 
@@ -351,7 +349,7 @@ func (s *System) GatherXferRefInto(ref SymbolRef, offset int64, n int, dst [][]b
 	if len(dst) > 0 && len(dst[0]) != n {
 		return fmt.Errorf("host: gather buffer 0 has length %d, want %d", len(dst[0]), n)
 	}
-	_, err := s.calls.do("gather", Wave{DPUs: len(dst), Gather: ref, Out: dst, off: offset}, phGathered)
+	_, err := s.calls.do("gather", Wave{DPUs: len(dst), Gather: ref, Out: dst, off: offset}, dpu.Gathered)
 	return err
 }
 
@@ -386,7 +384,7 @@ type LaunchStats struct {
 // per-DPU clocks, which only advance on success).
 func (s *System) LaunchOn(n, tasklets int, kernel dpu.KernelFunc) (LaunchStats, error) {
 	// No Stats backing: PerDPU escapes to the caller, so it is fresh.
-	return s.calls.do("launch", Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel}, phLaunched)
+	return s.calls.do("launch", Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel}, dpu.Launched)
 }
 
 // chargeTransferRanks advances the host clock for one multi-DPU

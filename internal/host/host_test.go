@@ -129,7 +129,7 @@ func TestWRAMSymbolTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := make([]byte, 4)
-	if err := s.DPU(1).CopyFromWRAMInto(resolve(t, s, "nimages").off, b); err != nil {
+	if _, err := s.DPU(1).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: resolve(t, s, "nimages").off, Buf: b}}); err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != 16 {

@@ -82,10 +82,10 @@ func tallyErrs(s *System, errs []error) (nOK, busiest int) {
 	phase := make([]uint8, len(errs))
 	for i, e := range errs {
 		if e == nil {
-			phase[i] = phScattered
+			phase[i] = dpu.Scattered
 		}
 	}
-	return s.calls.tallyRanks(phase, 0, phScattered)
+	return s.calls.tallyRanks(phase, 0, dpu.Scattered)
 }
 
 func TestRankOKErrs(t *testing.T) {
@@ -123,11 +123,11 @@ func TestRankOKErrs(t *testing.T) {
 func TestRankOKPhase(t *testing.T) {
 	s := topoSystem(t, 6, Topology{DPUsPerRank: 2})
 	r := &s.waves
-	phase := []uint8{phGathered, 0, phGathered, phScattered | phGathered, phScattered, 0}
-	if nOK, busiest := r.tallyRanks(phase, 0, phGathered); nOK != 3 || busiest != 2 {
+	phase := []uint8{dpu.Gathered, 0, dpu.Gathered, dpu.Scattered | dpu.Gathered, dpu.Scattered, 0}
+	if nOK, busiest := r.tallyRanks(phase, 0, dpu.Gathered); nOK != 3 || busiest != 2 {
 		t.Errorf("got nOK=%d busiest=%d, want 3/2", nOK, busiest)
 	}
-	if nOK, busiest := r.tallyRanks(make([]uint8, 6), 0, phGathered); nOK != 0 || busiest != 0 {
+	if nOK, busiest := r.tallyRanks(make([]uint8, 6), 0, dpu.Gathered); nOK != 0 || busiest != 0 {
 		t.Errorf("empty: got nOK=%d busiest=%d, want 0/0", nOK, busiest)
 	}
 }

@@ -42,7 +42,7 @@ type Wave struct {
 	// Visit, when set, makes the gather an in-place walk instead of Out:
 	// on DPU Start+i it gets the page runs of Rows rows of RowBytes bytes
 	// (a multiple of 8) at the base of the MRAM symbol Gather as
-	// dpu.ReadMRAMRows passes them, row first+r at block[r*blockStride],
+	// a gather's dpu.Xfer passes them, row first+r at block[r*blockStride],
 	// in row order, one run at a time per DPU (distinct DPUs concurrently
 	// on the worker pool), under the DPU's lock: it must not retain or
 	// write block, nor call a DPU or System method. A DPU that failed
@@ -71,23 +71,16 @@ type Wave struct {
 // use with itself, unless on one DPU (ParallelFor); it may run beside
 // synchronous transfers on other symbols (its runner is its own).
 func (s *System) RunWave(w Wave) error {
-	phases := phLaunched
+	phases := dpu.Launched
 	if w.Scatter.valid() || w.In != nil {
-		phases |= phScattered
+		phases |= dpu.Scattered
 	}
 	if w.Gather.valid() || w.Out != nil {
-		phases |= phGathered
+		phases |= dpu.Gathered
 	}
 	_, err := s.waves.do("wave", w, phases)
 	return err
 }
-
-// Phase bits: the phases a request asks for, and per DPU how far it got.
-const (
-	phScattered uint8 = 1 << iota
-	phLaunched
-	phGathered
-)
 
 // phaseRunner is the host's one best-effort loop. On each of the
 // request's DPUs it runs the phases the request asks for — scatter,
@@ -127,7 +120,7 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 	if n < 1 || w.Start < 0 || w.Start > len(s.dpus)-n {
 		return LaunchStats{}, fmt.Errorf("host: %s on %d DPUs from DPU %d, system has %d", op, n, w.Start, len(s.dpus))
 	}
-	launch := phases&phLaunched != 0
+	launch := phases&dpu.Launched != 0
 	if launch && w.Kernel == nil {
 		return LaunchStats{}, fmt.Errorf("host: %s with a nil kernel", op)
 	}
@@ -141,10 +134,10 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		inLen, err = len(w.bcast), checkRef(w.Scatter, w.off, len(w.bcast))
 	case w.fill != nil:
 		inLen, err = rowsLen(op, w.Scatter, w.Rows, w.RowBytes)
-	case phases&phScattered != 0:
+	case phases&dpu.Scattered != 0:
 		inLen, err = phaseLen(op, w.Scatter, w.off, w.In, n)
 	}
-	if phases&phGathered != 0 && err == nil {
+	if phases&dpu.Gathered != 0 && err == nil {
 		if w.Visit != nil {
 			outLen, err = rowsLen(op, w.Gather, w.Rows, w.RowBytes)
 		} else {
@@ -189,13 +182,13 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		errs, phase = r.errs, r.phase
 	}
 
-	if phases&phScattered != 0 {
-		r.chargeXfer(phase, w.Start, phScattered, inLen, true)
+	if phases&dpu.Scattered != 0 {
+		r.chargeXfer(phase, w.Start, dpu.Scattered, inLen, true)
 	}
 	var ls LaunchStats
 	if launch {
 		for i := range per {
-			if phase[i]&phLaunched != 0 {
+			if phase[i]&dpu.Launched != 0 {
 				ls.Cycles = max(ls.Cycles, per[i].Cycles)
 				ls.EnergyJ += per[i].EnergyJ
 			}
@@ -210,8 +203,8 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		s.dpuTime += ls.Time
 		s.mu.Unlock()
 	}
-	if phases&phGathered != 0 {
-		r.chargeXfer(phase, w.Start, phGathered, outLen, false)
+	if phases&dpu.Gathered != 0 {
+		r.chargeXfer(phase, w.Start, dpu.Gathered, outLen, false)
 	}
 	return ls, s.noteFaults(faultsFrom(op, w.Start, errs))
 }
@@ -260,83 +253,47 @@ func (r *phaseRunner) loop(lo, hi int) {
 }
 
 // step runs the phases of request w on its DPU i, counted from its
-// first, stopping at the first failure, and returns the phases it
-// completed and that failure. per, for a launch, receives the stats.
-func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (p uint8, err error) {
-	d := s.dpus[w.Start+i]
-	// Each transfer consults the fault injector before it moves a byte.
-	if phases&phScattered != 0 {
-		src, off := w.bcast, w.Scatter.off+w.off
-		if src == nil && w.fill == nil {
-			src = w.In[i]
-		}
-		if err = d.TransferFault(); err == nil {
-			switch {
-			case w.fill != nil:
-				err = d.WriteMRAMRows(w.Scatter.off, w.RowBytes, w.Rows, func(first, count int, block []byte, blockStride int) {
-					if i < w.filled {
-						w.fill(i, first, count, block, blockStride)
-					} else {
-						clear(block)
-					}
-				})
-			case w.Scatter.kind == dpu.SymbolWRAM:
-				err = d.CopyToWRAM(off, src)
-			default:
-				err = d.CopyToMRAM(off, src)
+// first, as one dpu.Request, and returns how far it got (Do's phase
+// bits) and its first failure. per, for a launch, receives the stats.
+func (s *System) step(w *Wave, phases uint8, i int, per []dpu.Stats) (uint8, error) {
+	var req dpu.Request
+	if phases&dpu.Scattered != 0 {
+		req.Scatter = dpu.Xfer{Kind: w.Scatter.kind, Off: w.Scatter.off + w.off, Buf: w.bcast, Rows: w.Rows, RowBytes: w.RowBytes}
+		switch {
+		case w.fill != nil:
+			req.Scatter.Visit = func(first, count int, block []byte, blockStride int) {
+				if i < w.filled {
+					w.fill(i, first, count, block, blockStride)
+				} else {
+					clear(block)
+				}
 			}
+		case w.bcast == nil:
+			req.Scatter.Buf = w.In[i]
 		}
-		if err != nil {
-			return p, err
-		}
-		p |= phScattered
 	}
-	if phases&phLaunched != 0 {
-		if err = d.LaunchInto(w.Tasklets, w.Kernel, &per[i]); err != nil {
-			return p, err
-		}
-		p |= phLaunched
+	if phases&dpu.Launched != 0 {
+		req.Tasklets, req.Kernel, req.Stats = w.Tasklets, w.Kernel, &per[i]
 	}
-	if phases&phGathered != 0 {
-		if err = d.TransferFault(); err == nil {
-			switch {
-			case w.Visit != nil:
-				err = d.ReadMRAMRows(w.Gather.off, w.RowBytes, w.Rows, func(first, count int, block []byte, blockStride int) {
-					w.Visit(i, first, count, block, blockStride)
-				})
-			case w.Gather.kind == dpu.SymbolWRAM:
-				err = d.CopyFromWRAMInto(w.Gather.off+w.off, w.Out[i])
-			default:
-				err = d.CopyFromMRAMInto(w.Gather.off+w.off, w.Out[i])
-			}
+	if phases&dpu.Gathered != 0 {
+		req.Gather = dpu.Xfer{Kind: w.Gather.kind, Off: w.Gather.off + w.off, Rows: w.Rows, RowBytes: w.RowBytes}
+		if w.Visit == nil {
+			req.Gather.Buf = w.Out[i]
+		} else {
+			req.Gather.Visit = func(first, count int, block []byte, blockStride int) { w.Visit(i, first, count, block, blockStride) }
 		}
-		if err != nil {
-			return p, err
-		}
-		p |= phGathered
 	}
-	return p, nil
+	return s.dpus[w.Start+i].Do(&req)
 }
 
-// broadcastMRAM is the scatter phase of an MRAM broadcast: every DPU's
-// injector is consulted once, as step would, and the DPUs that pass
-// take the write together, sharing its pages (dpu.MRAMBroadcast). An
-// argument the DMA rules reject fails on each of them.
+// broadcastMRAM is the scatter phase of an MRAM broadcast: one
+// dpu.MRAMBroadcast.Write, which draws each DPU's fault itself.
 func (r *phaseRunner) broadcastMRAM(off int64, data []byte) {
 	s := r.s
-	targets := s.bcastTargets[:0]
-	for i, d := range s.dpus[r.w.Start:][:len(r.errs)] {
-		if r.errs[i] = d.TransferFault(); r.errs[i] == nil {
-			targets = append(targets, d)
-			r.phase[i] = phScattered
-		}
-	}
-	s.bcastTargets = targets
-	if err := s.bcast.Write(targets, off, data, s.ParallelFor); err != nil {
-		for i := range r.errs {
-			if r.errs[i] == nil {
-				r.errs[i], r.phase[i] = err, 0
-			}
+	s.bcast.Write(s.dpus[r.w.Start:][:len(r.errs)], off, data, s.ParallelFor, r.errs)
+	for i, err := range r.errs {
+		if err == nil {
+			r.phase[i] = dpu.Scattered
 		}
 	}
 }

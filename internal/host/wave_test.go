@@ -265,7 +265,7 @@ func TestMalformedLaunchRunsNothing(t *testing.T) {
 	}
 	got := make([]byte, 64)
 	for d := 0; d < 4; d++ {
-		if err := s.DPU(d).CopyFromMRAMInto(ref.off, got); err != nil {
+		if _, err := s.DPU(d).Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: ref.off, Buf: got}}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, make([]byte, 64)) {

@@ -28,7 +28,7 @@ func TestEBNNConvProgramMatchesHost(t *testing.T) {
 		for ii := range imgs {
 			d := dpu.MustNew(dpu.DefaultConfig(dpu.O2))
 			packed := imgs[ii].Pack()
-			if err := d.CopyToWRAM(rowsOff, packed[:mnist.Side*4]); err != nil {
+			if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: rowsOff, Buf: packed[:mnist.Side*4]}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := Load(d, prog); err != nil {
@@ -38,7 +38,7 @@ func TestEBNNConvProgramMatchesHost(t *testing.T) {
 				t.Fatal(err)
 			}
 			out := make([]byte, ebnn.PoolCells)
-			if err := d.CopyFromWRAMInto(outOff, out); err != nil {
+			if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: outOff, Buf: out}}); err != nil {
 				t.Fatal(err)
 			}
 			bits := imgs[ii].Binarize()
@@ -61,7 +61,7 @@ func TestEBNNConvProgramScales(t *testing.T) {
 	packed := img.Pack()
 	run := func(tasklets int) uint64 {
 		d := dpu.MustNew(dpu.DefaultConfig(dpu.O2))
-		if err := d.CopyToWRAM(0, packed[:mnist.Side*4]); err != nil {
+		if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: 0, Buf: packed[:mnist.Side*4]}}); err != nil {
 			t.Fatal(err)
 		}
 		prog, err := EBNNConvProgram(0, 256, 0x0F3, tasklets)

@@ -160,9 +160,6 @@ func TestDMAInstructions(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i + 1)
 	}
-	if err := d.CopyToMRAM(512, src); err != nil {
-		t.Fatal(err)
-	}
 	prog := MustAssemble(`
 		movi r1, 0       ; WRAM dst
 		movi r2, 512     ; MRAM src
@@ -177,15 +174,13 @@ func TestDMAInstructions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var final Regs
-	if _, err := d.Launch(1, Kernel(nil, func(_ int, r Regs) { final = r })); err != nil {
+	back := make([]byte, 64)
+	if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: 512, Buf: src}, Tasklets: 1, Stats: new(dpu.Stats),
+		Kernel: Kernel(nil, func(_ int, r Regs) { final = r }), Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: 1024, Buf: back}}); err != nil {
 		t.Fatal(err)
 	}
 	if final[3] != 1 || final[4] != 64 {
 		t.Errorf("DMA readback r3=%d r4=%d, want 1, 64", final[3], final[4])
-	}
-	back := make([]byte, 64)
-	if err := d.CopyFromMRAMInto(1024, back); err != nil {
-		t.Fatal(err)
 	}
 	for i := range back {
 		if back[i] != src[i] {
@@ -396,7 +391,7 @@ func TestReloadedProgramRuns(t *testing.T) {
 	}
 	readWord := func(off int) int32 {
 		raw := make([]byte, 4)
-		if err := d.CopyFromWRAMInto(int64(off), raw); err != nil {
+		if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: int64(off), Buf: raw}}); err != nil {
 			t.Fatal(err)
 		}
 		return int32(binary.LittleEndian.Uint32(raw))

@@ -15,7 +15,7 @@ func writeWords(t *testing.T, d *dpu.DPU, off int, vals []int32) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
 	}
-	if err := d.CopyToWRAM(int64(off), buf); err != nil {
+	if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: int64(off), Buf: buf}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,7 +23,7 @@ func writeWords(t *testing.T, d *dpu.DPU, off int, vals []int32) {
 func readWords(t *testing.T, d *dpu.DPU, off, n int) []int32 {
 	t.Helper()
 	raw := make([]byte, n*4)
-	if err := d.CopyFromWRAMInto(int64(off), raw); err != nil {
+	if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: int64(off), Buf: raw}}); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]int32, n)
@@ -132,9 +132,6 @@ func TestMemcpyProgram(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i * 13)
 	}
-	if err := d.CopyToMRAM(0, src); err != nil {
-		t.Fatal(err)
-	}
 	prog, err := MemcpyProgram(0, 1<<20, 0, bytes)
 	if err != nil {
 		t.Fatal(err)
@@ -142,12 +139,10 @@ func TestMemcpyProgram(t *testing.T) {
 	if err := Load(d, prog); err != nil {
 		t.Fatal(err)
 	}
-	st, err := d.Launch(1, Kernel(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st dpu.Stats
 	got := make([]byte, bytes)
-	if err := d.CopyFromMRAMInto(1<<20, got); err != nil {
+	if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: 0, Buf: src}, Tasklets: 1, Kernel: Kernel(nil, nil),
+		Stats: &st, Gather: dpu.Xfer{Kind: dpu.SymbolMRAM, Off: 1 << 20, Buf: got}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
