@@ -77,7 +77,7 @@ func run() error {
 	if *layers {
 		fmt.Printf("\n%-6s %-6s %8s %12s %12s\n", "layer", "kind", "DPUs", "cycles", "seconds")
 		for _, l := range stats.Layers {
-			fmt.Printf("%-6d %-6v %8d %12d %12.4g\n", l.Layer, l.Kind, l.DPUsUsed, l.Cycles, l.Seconds)
+			fmt.Printf("%-6d %-6v %8d %12d %12.4g\n", l.Layer, net.Defs[l.Layer].Kind, l.DPUsUsed, l.Cycles, l.Seconds)
 		}
 	}
 

@@ -123,7 +123,7 @@ func TestFCWavesOnSmallSystem(t *testing.T) {
 	}
 	var fcStat *LayerStat
 	for i := range stats.Layers {
-		if stats.Layers[i].Kind == FC {
+		if n.Defs[stats.Layers[i].Layer].Kind == FC {
 			fcStat = &stats.Layers[i]
 			break
 		}

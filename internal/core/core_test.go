@@ -153,8 +153,8 @@ func TestNewAcceleratorDefaults(t *testing.T) {
 
 func TestAdvisorFloatRule(t *testing.T) {
 	p := trace.NewProfile()
-	p.Record("__addsf3", 57)
-	p.Record("__divsf3", 1072)
+	p.RecordN("__addsf3", 1, 57)
+	p.RecordN("__divsf3", 1, 1072)
 	recs := NewAdvisor().Analyze(RunInfo{Profile: p, Tasklets: 16, Opt: dpu.O3})
 	if !Has(recs, RuleRemoveFloat) {
 		t.Errorf("float rule not triggered: %+v", recs)
@@ -215,7 +215,7 @@ func TestAdvisorWRAMRule(t *testing.T) {
 
 func TestAdvisorSoftMulRule(t *testing.T) {
 	p := trace.NewProfile()
-	p.Record("__mulsi3", 48)
+	p.RecordN("__mulsi3", 1, 48)
 	recs := NewAdvisor().Analyze(RunInfo{Profile: p, Tasklets: 11, Opt: dpu.O3})
 	if !Has(recs, RuleReduceSoftMul) {
 		t.Errorf("soft-mul rule not triggered at O3: %+v", recs)

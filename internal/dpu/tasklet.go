@@ -74,38 +74,19 @@ func (t *Tasklet) trapOn(err error) {
 	}
 }
 
-// charge consumes issue slots for one operation of class op and records
-// any subroutine invocation in the DPU profile.
-func (t *Tasklet) charge(op Op) {
-	e := cost(op, t.dpu.cfg.Opt)
-	n := e.slots + stmtOverhead(op, t.dpu.cfg.Opt)
-	t.slots += n
-	if int(op) < len(t.opCounts) {
-		if t.opCounts[op] == 0 {
-			t.touched[t.nTouched] = op
-			t.nTouched++
-		}
-		t.opCounts[op]++
-	}
-	if e.subroutine != "" {
-		t.dpu.prof.Record(e.subroutine, e.slots)
-	}
-}
-
 // Charge consumes issue slots for n operations of class op without
 // computing anything. Kernels use it to account for control flow
 // (branches, address arithmetic) the Go host language performs natively.
 func (t *Tasklet) Charge(op Op, n int) {
-	for i := 0; i < n; i++ {
-		t.charge(op)
+	if n > 0 {
+		t.ChargeBulk(op, uint64(n))
 	}
 }
 
 // ChargeBulk consumes issue slots for n operations of class op in O(1)
-// simulator time. Kernels with very large inner loops (conv-as-GEMM over
-// millions of MACs) compute their results natively and account for the
-// DPU work in bulk; the cycle totals and subroutine occurrence counts are
-// identical to n individual charges.
+// simulator time, and records their subroutine invocations in the DPU
+// profile: the one per-op charge, which Charge and the arithmetic and
+// memory helpers make with their own counts.
 func (t *Tasklet) ChargeBulk(op Op, n uint64) {
 	if n == 0 {
 		return
@@ -160,29 +141,29 @@ func (t *Tasklet) PerfcounterGet() uint64 {
 // --- integer ALU ---
 
 // Add32 returns a+b, charging one add.
-func (t *Tasklet) Add32(a, b int32) int32 { t.charge(OpAddInt); return a + b }
+func (t *Tasklet) Add32(a, b int32) int32 { t.ChargeBulk(OpAddInt, 1); return a + b }
 
 // Sub32 returns a-b, charging one subtract.
-func (t *Tasklet) Sub32(a, b int32) int32 { t.charge(OpSubInt); return a - b }
+func (t *Tasklet) Sub32(a, b int32) int32 { t.ChargeBulk(OpSubInt, 1); return a - b }
 
 // Mul8 returns the product of two 8-bit operands.
-func (t *Tasklet) Mul8(a, b int8) int32 { t.charge(OpMul8); return int32(a) * int32(b) }
+func (t *Tasklet) Mul8(a, b int8) int32 { t.ChargeBulk(OpMul8, 1); return int32(a) * int32(b) }
 
 // Mul16 returns the product of two 16-bit operands. At O0/O1 this is the
 // __mulsi3 subroutine; at O2/O3 it lowers to inline instructions (§3.3).
-func (t *Tasklet) Mul16(a, b int16) int32 { t.charge(OpMul16); return int32(a) * int32(b) }
+func (t *Tasklet) Mul16(a, b int16) int32 { t.ChargeBulk(OpMul16, 1); return int32(a) * int32(b) }
 
 // Mul32 returns the low 32 bits of a 32-bit product (always the __mulsi3
 // subroutine; the DPU has no 32-bit multiply hardware).
 func (t *Tasklet) Mul32(a, b int32) int32 {
-	t.charge(OpMul32)
+	t.ChargeBulk(OpMul32, 1)
 	return int32(int64(a) * int64(b))
 }
 
 // Div32 returns a/b (truncated) via the division subroutine. Division by
 // zero traps.
 func (t *Tasklet) Div32(a, b int32) int32 {
-	t.charge(OpDivInt)
+	t.ChargeBulk(OpDivInt, 1)
 	if b == 0 {
 		t.trapf("integer division by zero")
 	}
@@ -191,7 +172,7 @@ func (t *Tasklet) Div32(a, b int32) int32 {
 
 // Mod32 returns a%b via the division subroutine.
 func (t *Tasklet) Mod32(a, b int32) int32 {
-	t.charge(OpDivInt)
+	t.ChargeBulk(OpDivInt, 1)
 	if b == 0 {
 		t.trapf("integer modulo by zero")
 	}
@@ -199,25 +180,25 @@ func (t *Tasklet) Mod32(a, b int32) int32 {
 }
 
 // Shl32 returns a<<s.
-func (t *Tasklet) Shl32(a int32, s uint) int32 { t.charge(OpShift); return a << s }
+func (t *Tasklet) Shl32(a int32, s uint) int32 { t.ChargeBulk(OpShift, 1); return a << s }
 
 // Shr32 returns a>>s (arithmetic).
-func (t *Tasklet) Shr32(a int32, s uint) int32 { t.charge(OpShift); return a >> s }
+func (t *Tasklet) Shr32(a int32, s uint) int32 { t.ChargeBulk(OpShift, 1); return a >> s }
 
 // And32, Or32 and Xor32 are single-slot logic operations.
-func (t *Tasklet) And32(a, b uint32) uint32 { t.charge(OpLogic); return a & b }
+func (t *Tasklet) And32(a, b uint32) uint32 { t.ChargeBulk(OpLogic, 1); return a & b }
 
 // Or32 returns a|b.
-func (t *Tasklet) Or32(a, b uint32) uint32 { t.charge(OpLogic); return a | b }
+func (t *Tasklet) Or32(a, b uint32) uint32 { t.ChargeBulk(OpLogic, 1); return a | b }
 
 // Xor32 returns a^b.
-func (t *Tasklet) Xor32(a, b uint32) uint32 { t.charge(OpLogic); return a ^ b }
+func (t *Tasklet) Xor32(a, b uint32) uint32 { t.ChargeBulk(OpLogic, 1); return a ^ b }
 
 // Popcount32 counts set bits; the DPU ISA has a single-cycle CAO
 // (count-all-ones) instruction, which is what makes XNOR-popcount binary
 // convolutions cheap (§4.1.1).
 func (t *Tasklet) Popcount32(a uint32) int32 {
-	t.charge(OpLogic)
+	t.ChargeBulk(OpLogic, 1)
 	n := int32(0)
 	for a != 0 {
 		a &= a - 1
@@ -229,28 +210,31 @@ func (t *Tasklet) Popcount32(a uint32) int32 {
 // --- software floating point (§3.3) ---
 
 // FAdd computes a+b on binary32 bit patterns via __addsf3.
-func (t *Tasklet) FAdd(a, b uint32) uint32 { t.charge(OpFAdd); return softfloat.Add(a, b) }
+func (t *Tasklet) FAdd(a, b uint32) uint32 { t.ChargeBulk(OpFAdd, 1); return softfloat.Add(a, b) }
 
 // FSub computes a-b via __subsf3.
-func (t *Tasklet) FSub(a, b uint32) uint32 { t.charge(OpFSub); return softfloat.Sub(a, b) }
+func (t *Tasklet) FSub(a, b uint32) uint32 { t.ChargeBulk(OpFSub, 1); return softfloat.Sub(a, b) }
 
 // FMul computes a*b via __mulsf3.
-func (t *Tasklet) FMul(a, b uint32) uint32 { t.charge(OpFMul); return softfloat.Mul(a, b) }
+func (t *Tasklet) FMul(a, b uint32) uint32 { t.ChargeBulk(OpFMul, 1); return softfloat.Mul(a, b) }
 
 // FDiv computes a/b via __divsf3.
-func (t *Tasklet) FDiv(a, b uint32) uint32 { t.charge(OpFDiv); return softfloat.Div(a, b) }
+func (t *Tasklet) FDiv(a, b uint32) uint32 { t.ChargeBulk(OpFDiv, 1); return softfloat.Div(a, b) }
 
 // FLt reports a<b via __ltsf2.
-func (t *Tasklet) FLt(a, b uint32) bool { t.charge(OpFCmp); return softfloat.Lt(a, b) }
+func (t *Tasklet) FLt(a, b uint32) bool { t.ChargeBulk(OpFCmp, 1); return softfloat.Lt(a, b) }
 
 // FGe reports a>=b via __gesf2.
-func (t *Tasklet) FGe(a, b uint32) bool { t.charge(OpFCmp); return softfloat.Ge(a, b) }
+func (t *Tasklet) FGe(a, b uint32) bool { t.ChargeBulk(OpFCmp, 1); return softfloat.Ge(a, b) }
 
 // FFromInt converts an int32 to binary32 via __floatsisf.
-func (t *Tasklet) FFromInt(v int32) uint32 { t.charge(OpFloatFromInt); return softfloat.FromInt32(v) }
+func (t *Tasklet) FFromInt(v int32) uint32 {
+	t.ChargeBulk(OpFloatFromInt, 1)
+	return softfloat.FromInt32(v)
+}
 
 // FToInt converts binary32 to int32 (truncating) via __fixsfsi.
-func (t *Tasklet) FToInt(a uint32) int32 { t.charge(OpFloatToInt); return softfloat.ToInt32(a) }
+func (t *Tasklet) FToInt(a uint32) int32 { t.ChargeBulk(OpFloatToInt, 1); return softfloat.ToInt32(a) }
 
 // --- WRAM access (1 cycle, §3.2.1) ---
 
@@ -265,42 +249,42 @@ func (t *Tasklet) wramCheck(off int64, size int64) {
 
 // Load8 reads a byte from WRAM.
 func (t *Tasklet) Load8(off int64) int8 {
-	t.charge(OpLoad)
+	t.ChargeBulk(OpLoad, 1)
 	t.wramCheck(off, 1)
 	return int8(t.dpu.wram[off])
 }
 
 // Store8 writes a byte to WRAM.
 func (t *Tasklet) Store8(off int64, v int8) {
-	t.charge(OpStore)
+	t.ChargeBulk(OpStore, 1)
 	t.wramCheck(off, 1)
 	t.dpu.wram[off] = byte(v)
 }
 
 // Load16 reads a little-endian int16 from WRAM.
 func (t *Tasklet) Load16(off int64) int16 {
-	t.charge(OpLoad)
+	t.ChargeBulk(OpLoad, 1)
 	t.wramCheck(off, 2)
 	return int16(binary.LittleEndian.Uint16(t.dpu.wram[off:]))
 }
 
 // Store16 writes a little-endian int16 to WRAM.
 func (t *Tasklet) Store16(off int64, v int16) {
-	t.charge(OpStore)
+	t.ChargeBulk(OpStore, 1)
 	t.wramCheck(off, 2)
 	binary.LittleEndian.PutUint16(t.dpu.wram[off:], uint16(v))
 }
 
 // Load32 reads a little-endian uint32 from WRAM.
 func (t *Tasklet) Load32(off int64) uint32 {
-	t.charge(OpLoad)
+	t.ChargeBulk(OpLoad, 1)
 	t.wramCheck(off, 4)
 	return binary.LittleEndian.Uint32(t.dpu.wram[off:])
 }
 
 // Store32 writes a little-endian uint32 to WRAM.
 func (t *Tasklet) Store32(off int64, v uint32) {
-	t.charge(OpStore)
+	t.ChargeBulk(OpStore, 1)
 	t.wramCheck(off, 4)
 	binary.LittleEndian.PutUint32(t.dpu.wram[off:], v)
 }

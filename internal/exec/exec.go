@@ -53,6 +53,10 @@ type Stats struct {
 	// recorded so mapping-aware callers (the auto-mapper's calibration
 	// loop) can report the executed choice next to the simulated time.
 	Tasklets int
+	// PredictedSeconds is the planner's analytic latency for the
+	// dispatch, set by a runner that planned it (zero otherwise);
+	// comparing it against Seconds is the calibration loop.
+	PredictedSeconds float64
 }
 
 // Stream names one per-shard transfer stream, in one of two forms.

@@ -43,17 +43,14 @@ func (m *engineMetrics) phase(name string) *metrics.Histogram {
 	return m.wave
 }
 
-// SetScope names the layer (or other workload phase) the next runs
-// belong to: run deltas are additionally accumulated into
+// SetScope names the layer the next runs belong to: run deltas are
+// additionally accumulated into
 // pim_layer_{cycles,waves,retries}_total{layer="name"}, so a network's
 // ForwardStats can be decomposed per layer from one registry snapshot.
-// An empty name clears the scope. Without telemetry wired this is a
+// An empty name clears the scope; a runner sets it on every call, so no
+// scope outlives the call it names. Without telemetry wired this is a
 // plain field store.
 func (e *Engine) SetScope(name string) { e.scope = name }
-
-// MetricsOn reports whether a registry is wired to the engine's System,
-// letting callers skip scope-name formatting when telemetry is off.
-func (e *Engine) MetricsOn() bool { return e.met != nil }
 
 // account folds one Run's Stats delta into the engine's
 // counters and the current layer scope.

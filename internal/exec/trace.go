@@ -27,9 +27,6 @@ const maxKernelSpans = 64
 // uninstalls it. Call between dispatches only.
 func (e *Engine) SetTraceSpan(sp *trace.Span) { e.tsp = sp }
 
-// TraceSpan returns the installed request span (nil when untraced).
-func (e *Engine) TraceSpan() *trace.Span { return e.tsp }
-
 // traceSpan records one wave phase as a child of the request span.
 // A wave additionally carries the launch's aggregate
 // simulated cost and per-DPU kernel spans, staged in e.tspLS by the

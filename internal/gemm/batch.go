@@ -76,7 +76,8 @@ func (r *Runner) MultiplyBatch(m, n, k int, alpha int16, a []int16, bs [][]int16
 }
 
 // MultiplyBatchEach is MultiplyBatch delivering each image's freshly
-// allocated product through each(i, c) as soon as it is decoded. each
+// allocated product through each(i, c) as soon as it is decoded. Like
+// MultiplyBatch it is an anonymous call (see Layer). each
 // is called exactly once per image, on the host's worker pool:
 // concurrently for distinct images and in no particular order, so
 // per-image post-processing (bias/activation in the YOLO batch path)
@@ -87,93 +88,45 @@ func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]i
 			return Stats{}, fmt.Errorf("gemm: B[%d] has %d elements, want %d", i, len(b), k*n)
 		}
 	}
-	return r.MultiplyBatchFill(m, n, k, alpha, a, len(bs), func(i, first, count int, block []byte, blockStride int) {
+	return r.MultiplyBatchFill(Layer{}, m, n, k, alpha, a, len(bs), func(i, first, count int, block []byte, blockStride int) {
 		packRows(block, blockStride, bs[i][first*n:], count, n)
 	}, func(int) []int16 { return make([]int16, m*n) }, each)
 }
 
-// MultiplyBatchFill is MultiplyBatchEach with the B operands produced in
-// place instead of passed in: fill(i, first, count, block, blockStride)
-// writes rows [first, first+count) of image i's K×N matrix straight into
-// its DPU's MRAM, as little-endian int16, row first+r at byte
-// r*blockStride (>= 2n; the runner then zeroes the padding columns), so
-// a producer such as the YOLO batch path's im2col writes B once. fill
-// covers an image's rows in order, page run by page run, and again in
-// one run if the image is re-dispatched. Image i's product is decoded
-// into c(i) (m·n elements) run by run as the gather reads it, and handed
-// to each after its last row. fill, c and each run concurrently for
-// distinct images, in no order, under the DPU's lock (an in-place
-// exec.Stream's Run), so they must not call a DPU or System method.
-func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images int, fill func(i, first, count int, block []byte, blockStride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
+// MultiplyBatchFill is MultiplyBatchEach for layer l with the B
+// operands produced in place instead of passed in: fill(i, first, count,
+// block, blockStride) writes rows [first, first+count) of image i's K×N
+// matrix straight into its DPU's MRAM, as little-endian int16, row
+// first+r at byte r*blockStride (>= 2n; the runner then zeroes the
+// padding columns), so a producer such as the YOLO batch path's im2col
+// writes B once. fill covers an image's rows in order, page run by page
+// run, and again in one run if the image is re-dispatched. Image i's
+// product is decoded into c(i) (m·n elements) run by run as the gather
+// reads it, and handed to each after its last row. fill, c and each run
+// concurrently for distinct images, in no order, under the DPU's lock
+// (an in-place exec.Stream's Run), so they must not call a DPU or System
+// method. On a runner joined to a weight cache, a named l keeps its
+// weight matrix resident under l.Key.
+func (r *Runner) MultiplyBatchFill(l Layer, m, n, k int, alpha int16, a []int16, images int, fill func(i, first, count int, block []byte, blockStride int), c func(i int) []int16, each func(i int, c []int16)) (Stats, error) {
 	var st Stats
-	if r.maxM == 0 {
-		return st, fmt.Errorf("gemm: batch mode not enabled (call EnableBatch)")
-	}
-	if m > r.maxM {
-		return st, fmt.Errorf("gemm: M=%d exceeds batch bound %d", m, r.maxM)
-	}
-	if images < 1 || images > r.sys.NumDPUs() {
-		return st, fmt.Errorf("gemm: batch of %d images for %d DPUs", images, r.sys.NumDPUs())
-	}
-	if err := checkA(m, n, k, a); err != nil {
+	cl, err := r.begin(l, true, m, n, k, images, a, &st)
+	if err != nil {
 		return st, err
-	}
-	if k > r.cfg.MaxK || n > r.cfg.MaxN {
-		return st, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
-			k, n, r.cfg.MaxK, r.cfg.MaxN)
-	}
-
-	if parent := r.eng.TraceSpan(); parent != nil {
-		bsp := parent.StartChild("gemm.batch")
-		bsp.SetAttr("m", int64(m))
-		bsp.SetAttr("n", int64(n))
-		bsp.SetAttr("k", int64(k))
-		bsp.SetAttr("images", int64(images))
-		r.eng.SetTraceSpan(bsp)
-		defer func() {
-			r.eng.SetTraceSpan(parent)
-			bsp.End()
-		}()
 	}
 
 	// Encode the weight matrix A at the padded row stride the kernel
-	// stages from. The engine broadcasts it ahead of the wave.
+	// stages from. The engine broadcasts it ahead of the wave, or skips
+	// it for every DPU whose arena copy of a resident layer is current;
+	// the kernel then stages A rows from the arena slot.
 	aRowBytes := (k*2 + 7) &^ 7
 	r.aFullStage = growBytes(r.aFullStage, m*aRowBytes)
 	aBytes := r.aFullStage
 	packRows(aBytes, aRowBytes, a, m, k)
-
-	// An armed SetWeightLayer makes the whole weight matrix resident:
-	// the broadcast below is skipped for every DPU whose arena copy is
-	// current, and the kernel stages A rows from the arena slot.
-	var ent *exec.ResidentEntry
-	if r.residArmed {
-		r.residArmed = false
-		if r.wmodel != nil {
-			if e, ok := r.wmodel.Entry(r.residKey, int64(m*aRowBytes), hashInt16s(a)); ok {
-				ent = e
-			}
-		}
-	}
 	aRef, aOff, aBase := r.refAFull, int64(0), r.aFullOff
-	if ent != nil {
+	if ent := cl.resident; ent != nil {
 		aRef, aOff, aBase = ent.Ref(), ent.Off(), ent.Abs()
 	}
 	r.encodeParams(n, k, m, alpha, aBase)
-
-	// An auto-mapping runner re-plans the image-per-DPU dispatch for
-	// this problem shape; otherwise it launches a tasklet per A-row cache
-	// slot (the hand-tuned tasklet count wherever that fits).
-	tasklets := r.batchAllocT
-	if r.planner != nil {
-		psp := r.eng.TraceSpan().StartChild("plan")
-		mp := r.planner.GEMMBatch(m, n, k, images, r.planOpts(true))
-		tasklets = mp.Tasklets
-		r.lastPlan, r.hasPlan = mp, true
-		psp.SetAttr("tasklets", int64(mp.Tasklets))
-		psp.SetAttr("dpus", int64(mp.DPUs))
-		psp.End()
-	}
 
 	// Dispatch through the execution engine as one wave: A and the
 	// params are broadcast, each B is filled row-stride padded in place
@@ -186,8 +139,8 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 	}
 	cs := r.batchC[:images]
 	w := &r.bws
-	*w = batchWorkSet{images: images, tasklets: tasklets, kernel: r.batchKernel}
-	w.bcasts = [2]exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: ent}, {Ref: r.refParams, Data: r.paramsBuf[:]}}
+	*w = batchWorkSet{images: images, tasklets: cl.tasklets, kernel: r.batchKernel}
+	w.bcasts = [2]exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: cl.resident}, {Ref: r.refParams, Data: r.paramsBuf[:]}}
 	w.in = [1]exec.Stream{{Ref: r.refB, Rows: k, RowBytes: stride * 2, Run: func(i, first, count int, block []byte, blockStride int) {
 		fill(i, first, count, block, blockStride)
 		clearPadding(block, count, n, stride)
@@ -203,7 +156,8 @@ func (r *Runner) MultiplyBatchFill(m, n, k int, alpha int16, a []int16, images i
 			each(i, cs[i])
 		}
 	}}
-	err := r.eng.Run(w, &st)
+	err = r.eng.Run(w, &st)
+	r.end(&cl)
 	// The runner keeps no caller's product or callback past the call.
 	clear(cs)
 	*w = batchWorkSet{}

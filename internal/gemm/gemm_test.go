@@ -248,10 +248,10 @@ func TestMultiplyFillMatchesMultiply(t *testing.T) {
 			for i := range got {
 				got[i] = 0x7777
 			}
-			if _, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, got[1:], nil); err == nil {
+			if _, err := filled.MultiplyFill(Layer{}, s.m, s.n, s.k, 2, a, got[1:], nil); err == nil {
 				t.Fatal("short C accepted")
 			}
-			gst, err := filled.MultiplyFill(s.m, s.n, s.k, 2, a, got, func(dst []byte, stride int) {
+			gst, err := filled.MultiplyFill(Layer{}, s.m, s.n, s.k, 2, a, got, func(dst []byte, stride int) {
 				packRows(dst, stride*2, b, s.k, s.n)
 				for kk := 0; kk < s.k; kk++ {
 					for j := 2 * s.n; j < 2*stride; j++ {

@@ -51,13 +51,10 @@ func TestPlannerPredictionExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mp, ok := r.LastMapping()
-			if !ok {
-				t.Fatal("planner runner reported no mapping")
-			}
-			if mp.PredictedSeconds != st.Seconds {
+			mp := p.GEMM(m, n, k, plan.GEMMOptions{TileCols: DefaultTileCols, Naive: naive, MaxK: 128, MaxTasklets: r.Tasklets()})
+			if st.PredictedSeconds != st.Seconds {
 				t.Errorf("naive=%v m=%d n=%d k=%d: predicted %.9gs != simulated %.9gs",
-					naive, m, n, k, mp.PredictedSeconds, st.Seconds)
+					naive, m, n, k, st.PredictedSeconds, st.Seconds)
 			}
 			if st.Tasklets != mp.Tasklets {
 				t.Errorf("naive=%v: launched %d tasklets, planned %d", naive, st.Tasklets, mp.Tasklets)
@@ -84,12 +81,9 @@ func TestPlannerPredictionExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, ok := r.LastMapping()
-	if !ok {
-		t.Fatal("batch planner runner reported no mapping")
-	}
-	if mp.PredictedSeconds != st.Seconds {
-		t.Errorf("batch: predicted %.9gs != simulated %.9gs", mp.PredictedSeconds, st.Seconds)
+	mp := p.GEMMBatch(5, 200, 64, len(bs), plan.GEMMOptions{TileCols: DefaultTileCols, MaxK: 64, MaxTasklets: r.batchAllocT})
+	if st.PredictedSeconds != st.Seconds {
+		t.Errorf("batch: predicted %.9gs != simulated %.9gs", st.PredictedSeconds, st.Seconds)
 	}
 	if st.Tasklets != mp.Tasklets {
 		t.Errorf("batch: launched %d tasklets, planned %d", st.Tasklets, mp.Tasklets)

@@ -11,10 +11,11 @@ import (
 )
 
 // Weight-residency tests. Residency serves the image-per-DPU batch
-// mapping: a runner joined to a WeightCache broadcasts an armed layer's
+// mapping: a runner joined to a WeightCache broadcasts a named layer's
 // weight matrix into the cache's arena once and skips it on warm calls,
 // with the same bits as the re-broadcast path — clean, with DPUs dying,
-// and with a whole rank killed. A row-mode Multiply drops the arm.
+// and with a whole rank killed. Row calls and anonymous calls are never
+// resident.
 
 // newResidentRunner builds an nDPU system with metrics wired, a weight
 // cache of capBytes, and a runner joined to it under model name.
@@ -88,25 +89,28 @@ func resImages(t *testing.T, as ...[]int16) (bs [][]int16, wants [][][]int16) {
 	return bs, wants
 }
 
-// batchCall runs one MultiplyBatchEach of the residency problem and
-// returns the products and the transfer bytes the call moved.
-func batchCall(t *testing.T, r *Runner, a []int16, bs [][]int16) ([][]int16, uint64) {
+// layer0 is the named layer the residency tests keep resident.
+var layer0 = Layer{Name: "layer0"}
+
+// batchCall runs one MultiplyBatchFill of layer l over the B matrices
+// bs and returns the products, the stats and the transfer bytes it
+// moved: the tests' one way to name a batch call.
+func batchCall(t *testing.T, r *Runner, l Layer, m, n, k int, alpha int16, a []int16, bs [][]int16) ([][]int16, Stats, uint64) {
 	t.Helper()
-	before := r.sys.TransferStats().Bytes
-	outs := make([][]int16, len(bs))
-	if _, err := r.MultiplyBatchEach(resM, resN, resK, 1, a, bs, func(i int, c []int16) {
-		outs[i] = c
-	}); err != nil {
+	before, out := r.sys.TransferStats().Bytes, make([][]int16, len(bs))
+	st, err := r.MultiplyBatchFill(l, m, n, k, alpha, a, len(bs), func(i, first, count int, block []byte, blockStride int) {
+		packRows(block, blockStride, bs[i][first*n:], count, n)
+	}, func(int) []int16 { return make([]int16, m*n) }, func(i int, c []int16) { out[i] = c })
+	if err != nil {
 		t.Fatal(err)
 	}
-	return outs, r.sys.TransferStats().Bytes - before
+	return out, st, r.sys.TransferStats().Bytes - before
 }
 
-// TestMultiplyDropsWeightArm: an armed row-mode Multiply on a runner
-// joined to a cache moves exactly the transfer bytes of a twin runner
-// with no cache, call after call, and leaves every cache counter at
-// zero. The arm it drops does not reach the next call either: an
-// unarmed batch call re-broadcasts like the twin's.
+// TestMultiplyDropsWeightArm: on a runner joined to a cache, anonymous
+// calls are never resident — a row Multiply and a batch call each move
+// exactly the transfer bytes of a twin runner with no cache, call after
+// call, and leave every cache counter at zero.
 func TestMultiplyDropsWeightArm(t *testing.T) {
 	const m, n, k = 8, 40, 18
 	a, b := pipelineProblem(m, n, k)
@@ -116,57 +120,41 @@ func TestMultiplyDropsWeightArm(t *testing.T) {
 	}
 	cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16}
 	r, _, reg := newResidentRunner(t, 8, host.Topology{}, cfg, 4096, "rows")
-	twinSys := newSystem(t, 8, dpu.O3)
-	twin, err := NewRunner(twinSys, cfg)
+	twin, err := NewRunner(newSystem(t, 8, dpu.O3), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bytes runs one call on x and returns the transfer bytes it moved.
-	bytes := func(x *Runner, call func(x *Runner)) uint64 {
+	// moved runs an anonymous row and batch call on x and returns the
+	// transfer bytes each moved.
+	moved := func(x *Runner) [2]uint64 {
 		before := x.sys.TransferStats().Bytes
-		call(x)
-		return x.sys.TransferStats().Bytes - before
-	}
-	multiply := func(x *Runner) {
 		got, _, err := x.Multiply(m, n, k, 1, a, b)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Multiply differs from the host reference (%v)", err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("Multiply differs from the host reference")
-		}
-	}
-	for call := 0; call < 3; call++ {
-		r.SetWeightLayer(0)
-		if got, tw := bytes(r, multiply), bytes(twin, multiply); got != tw {
-			t.Errorf("call %d moved %d bytes, the uncached twin %d", call, got, tw)
-		}
-	}
-	batch := func(x *Runner) {
-		outs := make([][]int16, 2)
-		if _, err := x.MultiplyBatchEach(m, n, k, 1, a, [][]int16{b, b}, func(i int, c []int16) {
-			outs[i] = c
-		}); err != nil {
-			t.Fatal(err)
-		}
+		row := x.sys.TransferStats().Bytes - before
+		outs, _, batch := batchCall(t, x, Layer{}, m, n, k, 1, a, [][]int16{b, b})
 		if !reflect.DeepEqual(outs, [][]int16{want, want}) {
-			t.Fatal("MultiplyBatchEach differs from the host reference")
+			t.Fatal("the batch call differs from the host reference")
 		}
+		return [2]uint64{row, batch}
 	}
 	for _, x := range []*Runner{r, twin} {
 		if err := x.EnableBatch(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, tw := bytes(r, batch), bytes(twin, batch); got != tw {
-		t.Errorf("unarmed batch call moved %d bytes, the uncached twin %d", got, tw)
+	for call := 0; call < 3; call++ {
+		if got, tw := moved(r), moved(twin); got != tw {
+			t.Errorf("call %d moved %v bytes (row, batch), the uncached twin %v", call, got, tw)
+		}
 	}
 	for _, name := range []string{
 		"pim_wcache_delivered_bytes_total", "pim_wcache_hits_total", "pim_wcache_misses_total",
 		"pim_wcache_redeliveries_total", "pim_wcache_evictions_total",
 	} {
 		if v := reg.Counter(name).Value(); v != 0 {
-			t.Errorf("%s = %d, want 0: the cache was used without a batch arm", name, v)
+			t.Errorf("%s = %d, want 0: an anonymous call used the cache", name, v)
 		}
 	}
 }
@@ -199,8 +187,7 @@ func TestResidencyLRUBetweenModels(t *testing.T) {
 			for call := 0; call < 3; call++ {
 				for i, md := range models {
 					r.EnableResidency(cache, md.name)
-					r.SetWeightLayer(0)
-					if got, _ := batchCall(t, r, md.a, bs); !reflect.DeepEqual(got, wants[i]) {
+					if got, _, _ := batchCall(t, r, layer0, resM, resN, resK, 1, md.a, bs); !reflect.DeepEqual(got, wants[i]) {
 						t.Fatalf("call %d model %s: products differ from the host reference", call, md.name)
 					}
 				}
@@ -259,8 +246,7 @@ func TestBatchResidency(t *testing.T) {
 			delivered := reg.Counter("pim_wcache_delivered_bytes_total")
 			check := func(call int, a []int16, want [][]int16) uint64 {
 				t.Helper()
-				r.SetWeightLayer(0)
-				got, moved := batchCall(t, r, a, bs)
+				got, _, moved := batchCall(t, r, layer0, resM, resN, resK, 1, a, bs)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("call %d: products differ from the host reference", call)
 				}

@@ -125,24 +125,18 @@ type Runner struct {
 	aFullStage                    []byte
 	batchC                        [][]int16 // per-image C, held across its runs
 
-	// Weight residency (EnableResidency): wmodel is this runner's
-	// resident set in the shared cache; residKey/residArmed are the
-	// one-shot layer selector armed by SetWeightLayer, consumed by the
-	// next batch call and dropped by the next Multiply.
-	wmodel     *exec.ResidentModel
-	residKey   int
-	residArmed bool
+	// Weight residency (EnableResidency): this runner's resident set in
+	// the shared cache, nil when it has none.
+	wmodel *exec.ResidentModel
 
-	// Auto-mapping (RunnerConfig.Planner): curTasklets is the live
-	// dispatch's planned tasklet count (cfg's when no planner),
-	// batchAllocT is the tasklet count the batch-mode WRAM cache was
-	// allocated for, and lastPlan is the most recent planner decision
-	// (for calibration reporting).
+	// req is the request span calls run under (SetTraceSpan), nil when
+	// untraced.
+	req *trace.Span
+
+	// Auto-mapping (RunnerConfig.Planner): batchAllocT is the tasklet
+	// count the batch-mode WRAM cache was allocated for.
 	planner     *plan.Planner
-	curTasklets int
 	batchAllocT int
-	lastPlan    plan.Mapping
-	hasPlan     bool
 }
 
 // NewRunner allocates the GEMM symbols on every DPU of the system.
@@ -168,8 +162,7 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	if 2*tileCols > dpu.MaxDMATransfer {
 		return nil, fmt.Errorf("gemm: TileCols %d exceeds the DMA transfer limit", tileCols)
 	}
-	r := &Runner{sys: sys, cfg: cfg, tileCols: tileCols,
-		planner: cfg.Planner, curTasklets: cfg.Tasklets}
+	r := &Runner{sys: sys, cfg: cfg, tileCols: tileCols, planner: cfg.Planner}
 
 	refs, err := sys.Alloc(r.layout(0, 0))
 	if err != nil {
@@ -208,43 +201,20 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	return r, nil
 }
 
-// SetScope names the layer the next Multiply calls belong to for
-// telemetry decomposition (see exec.Engine.SetScope). A plain field
-// store when no metrics registry is wired.
-func (r *Runner) SetScope(name string) { r.eng.SetScope(name) }
-
-// SetTraceSpan attaches the request span the next Multiply calls run
-// under (see exec.Engine.SetTraceSpan): each multiply opens a
-// "gemm.multiply"/"gemm.batch" child carrying the engine's wave and
-// per-DPU kernel spans. nil detaches. One pointer store when tracing
-// is off.
-func (r *Runner) SetTraceSpan(sp *trace.Span) { r.eng.SetTraceSpan(sp) }
-
-// TraceSpan returns the currently attached request span (nil when
-// untraced).
-func (r *Runner) TraceSpan() *trace.Span { return r.eng.TraceSpan() }
+// SetTraceSpan attaches the request span the next calls run under: each
+// opens its layer's span (a named Layer) and a "gemm.multiply" or
+// "gemm.batch" child under it carrying the engine's wave and per-DPU
+// kernel spans. nil detaches. One pointer store when tracing is off.
+func (r *Runner) SetTraceSpan(sp *trace.Span) { r.req = sp }
 
 // EnableResidency joins this runner to a weight cache under the given
-// model name: batch-mode layers armed with SetWeightLayer broadcast
-// their weight matrix into the cache's MRAM arena once and skip the
-// transfer on repeated forwards. Runners sharing one System may share
-// one cache; the LRU budget then arbitrates between their models.
+// model name: batch calls for a named Layer broadcast their weight
+// matrix into the cache's MRAM arena once, under the layer's Key, and
+// skip the transfer on repeated forwards. Runners sharing one System
+// may share one cache; the LRU budget then arbitrates between their
+// models.
 func (r *Runner) EnableResidency(cache *exec.WeightCache, model string) {
 	r.wmodel = cache.Model(model)
-}
-
-// ResidencyOn reports whether EnableResidency has been called, so
-// forward passes can skip arming layers when there is no cache.
-func (r *Runner) ResidencyOn() bool { return r.wmodel != nil }
-
-// SetWeightLayer arms weight residency for the next call, one-shot. A
-// MultiplyBatchEach (or MultiplyBatch/MultiplyBatchFill) consumes it
-// and caches its weight matrix under the given layer key; a row-mode
-// Multiply drops it and scatters its A rows as always. Keys are small
-// ints (layer indices) so the per-call lookup allocates nothing.
-func (r *Runner) SetWeightLayer(key int) {
-	r.residKey = key
-	r.residArmed = true
 }
 
 // hashInt16s is FNV-1a over the little-endian bytes of v — the content
@@ -265,36 +235,9 @@ func hashInt16s(v []int16) uint64 {
 	return h
 }
 
-// MetricsOn reports whether the underlying System has a metrics
-// registry wired, so callers can skip formatting scope names.
-func (r *Runner) MetricsOn() bool { return r.eng.MetricsOn() }
-
 // Tasklets returns the configured per-DPU tasklet count — the planner's
 // sweep bound (and WRAM allocation size) when auto-mapping is on.
 func (r *Runner) Tasklets() int { return r.cfg.Tasklets }
-
-// LastMapping returns the planner decision behind the most recent
-// Multiply/MultiplyBatchEach, for calibration reporting; ok is false
-// when no planner is wired or nothing has been dispatched yet.
-func (r *Runner) LastMapping() (plan.Mapping, bool) { return r.lastPlan, r.hasPlan }
-
-// planOpts builds the planner constraints for this runner's allocation:
-// the tile width and kernel family are fixed at construction, the
-// tasklet sweep is bounded by what was allocated (row mode) or what the
-// batch-mode WRAM cache can hold (batch mode, always the tiled kernel).
-func (r *Runner) planOpts(batch bool) plan.GEMMOptions {
-	o := plan.GEMMOptions{
-		TileCols:    r.tileCols,
-		Naive:       r.cfg.Naive && !batch,
-		MaxK:        r.cfg.MaxK,
-		MaxTasklets: r.cfg.Tasklets,
-		Batch:       batch,
-	}
-	if batch {
-		o.MaxTasklets = r.batchAllocT
-	}
-	return o
-}
 
 // layout is the runner's DPU memory with the batch rows for maxM rows
 // and an A-row cache of `slots` (none when maxM is 0).
@@ -504,16 +447,16 @@ func (r *Runner) ensureMulStage(width, rowBytes, cBytes int) {
 // wave-invariant broadcasts, A rows as the scatter stream, C rows as
 // the gather stream.
 type mulWorkSet struct {
-	r        *Runner
-	a, c     []int16
-	m, n, k  int
-	rowBytes int
-	bcasts   []exec.Broadcast
-	streams  []exec.Stream
+	r                 *Runner
+	a, c              []int16
+	m, n, k, tasklets int
+	rowBytes          int
+	bcasts            []exec.Broadcast
+	streams           []exec.Stream
 }
 
 func (w *mulWorkSet) Shards() int                  { return w.m }
-func (w *mulWorkSet) Tasklets() int                { return w.r.curTasklets }
+func (w *mulWorkSet) Tasklets() int                { return w.tasklets }
 func (w *mulWorkSet) Kernel() dpu.KernelFunc       { return w.r.Kernel() }
 func (w *mulWorkSet) Broadcasts() []exec.Broadcast { return w.bcasts }
 
@@ -534,65 +477,135 @@ func (w *mulWorkSet) Decode(_, shard, i int) {
 	tensor.UnpackLE(w.c[shard*w.n:(shard+1)*w.n], w.r.mul.cBufs[i])
 }
 
+// Layer names the network layer a GEMM call computes. The zero value is
+// an anonymous call: no pim_layer_* scope, no layer span, no residency.
+type Layer struct {
+	// Name is the layer's pim_layer_* scope and its trace span's name.
+	Name string
+	// Key is the layer's weight-residency key (its index: a small int,
+	// so the cache lookup allocates nothing).
+	Key int
+}
+
+// call is one GEMM call as its prologue (begin) set it up.
+type call struct {
+	layer, op *trace.Span         // nil when untraced; layer also when anonymous
+	tasklets  int                 // the dispatch's per-DPU tasklet count
+	resident  *exec.ResidentEntry // a named batch call's arena entry, if any
+}
+
+// begin is the prologue of every GEMM call, a batch call over images
+// when batch is set: it checks the problem against the runner's bounds,
+// scopes the engine's pim_layer_* counters to l for this call, opens l's
+// span and the call's "gemm.multiply" or "gemm.batch" child under the
+// request span, keys residency by l.Key and plans the dispatch, stating
+// the planner's prediction in st. end closes what it opened.
+func (r *Runner) begin(l Layer, batch bool, m, n, k, images int, a []int16, st *Stats) (call, error) {
+	c := call{tasklets: r.cfg.Tasklets}
+	if batch {
+		switch {
+		case r.maxM == 0:
+			return c, fmt.Errorf("gemm: batch mode not enabled (call EnableBatch)")
+		case m > r.maxM:
+			return c, fmt.Errorf("gemm: M=%d exceeds batch bound %d", m, r.maxM)
+		case images < 1 || images > r.sys.NumDPUs():
+			return c, fmt.Errorf("gemm: batch of %d images for %d DPUs", images, r.sys.NumDPUs())
+		}
+	}
+	if err := checkA(m, n, k, a); err != nil {
+		return c, err
+	}
+	if k > r.cfg.MaxK || n > r.cfg.MaxN {
+		return c, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
+			k, n, r.cfg.MaxK, r.cfg.MaxN)
+	}
+	r.eng.SetScope(l.Name)
+	if parent := r.req; parent != nil {
+		if l.Name != "" {
+			c.layer = parent.StartChild(l.Name)
+			c.layer.SetAttr("layer", int64(l.Key))
+			parent = c.layer
+		}
+		op := "gemm.multiply"
+		if batch {
+			op = "gemm.batch"
+		}
+		c.op = parent.StartChild(op)
+		c.op.SetAttr("m", int64(m))
+		c.op.SetAttr("n", int64(n))
+		c.op.SetAttr("k", int64(k))
+		if batch {
+			c.op.SetAttr("images", int64(images))
+		}
+	}
+	r.eng.SetTraceSpan(c.op)
+	if batch {
+		// A batch launches a tasklet per A-row cache slot (the hand-tuned
+		// tasklet count wherever that fits).
+		c.tasklets = r.batchAllocT
+		if l.Name != "" && r.wmodel != nil {
+			c.resident, _ = r.wmodel.Entry(l.Key, int64(m*((k*2+7)&^7)), hashInt16s(a))
+		}
+	}
+	if r.planner != nil {
+		// The tile width and kernel are fixed at construction, and the
+		// tasklet sweep is bounded by the WRAM allocated for this mode.
+		o := plan.GEMMOptions{TileCols: r.tileCols, Naive: r.cfg.Naive && !batch, MaxK: r.cfg.MaxK, MaxTasklets: c.tasklets}
+		psp := c.op.StartChild("plan")
+		var mp plan.Mapping
+		if batch {
+			mp = r.planner.GEMMBatch(m, n, k, images, o)
+		} else {
+			mp = r.planner.GEMM(m, n, k, o)
+		}
+		c.tasklets, st.PredictedSeconds = mp.Tasklets, mp.PredictedSeconds
+		psp.SetAttr("tasklets", int64(mp.Tasklets))
+		psp.SetAttr("dpus", int64(mp.DPUs))
+		psp.End()
+	}
+	return c, nil
+}
+
+// end closes the spans begin opened and detaches the engine from them.
+func (r *Runner) end(c *call) {
+	r.eng.SetTraceSpan(nil)
+	c.op.End()
+	c.layer.End()
+}
+
 // Multiply runs C = clamp((alpha·A·B)/32) with A of M×K, B of K×N,
 // distributing one row of A (and one row of C) per DPU as in Fig 4.6.
+// It is an anonymous call (see Layer).
 func (r *Runner) Multiply(m, n, k int, alpha int16, a, b []int16) ([]int16, Stats, error) {
 	if err := checkDims(m, n, k, a, b); err != nil {
 		return nil, Stats{}, err
 	}
 	c := make([]int16, m*n)
-	st, err := r.MultiplyFill(m, n, k, alpha, a, c, func(dst []byte, stride int) { packRows(dst, stride*2, b, k, n) })
+	st, err := r.MultiplyFill(Layer{}, m, n, k, alpha, a, c, func(dst []byte, stride int) { packRows(dst, stride*2, b, k, n) })
 	if err != nil {
 		return nil, st, err
 	}
 	return c, st, nil
 }
 
-// MultiplyFill is Multiply with B written in place by fill(dst, stride):
-// the K×N matrix as little-endian int16 in the broadcast staging buffer,
-// row kk at byte kk*stride*2 (stride >= n; the runner zeroes the padding
-// columns), so a producer such as im2col writes B once. fill runs once,
-// on the caller. The product goes to c, which must hold m·n elements.
-// Waves and fault recovery are the execution engine's (internal/exec);
-// this method stages and adapts the matrices.
-func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a, c []int16, fill func(dst []byte, stride int)) (Stats, error) {
-	// Residency is the batch path's: an arm set for this call must not
-	// reach a later batch call.
-	r.residArmed = false
+// MultiplyFill is Multiply for layer l with B written in place by
+// fill(dst, stride): the K×N matrix as little-endian int16 in the
+// broadcast staging buffer, row kk at byte kk*stride*2 (stride >= n; the
+// runner zeroes the padding columns), so a producer such as im2col
+// writes B once. fill runs once, on the caller. The product goes to c,
+// which must hold m·n elements. Waves and fault recovery are the
+// execution engine's (internal/exec); this method stages and adapts the
+// matrices. The row mapping scatters A every call: l's weights are never
+// resident.
+func (r *Runner) MultiplyFill(l Layer, m, n, k int, alpha int16, a, c []int16, fill func(dst []byte, stride int)) (Stats, error) {
 	var st Stats
-	if err := checkA(m, n, k, a); err != nil {
-		return st, err
-	}
 	if len(c) != m*n {
 		return st, fmt.Errorf("gemm: C has %d elements, want M*N=%d", len(c), m*n)
 	}
-	if k > r.cfg.MaxK || n > r.cfg.MaxN {
-		return st, fmt.Errorf("gemm: problem K=%d N=%d exceeds runner bounds K<=%d N<=%d",
-			k, n, r.cfg.MaxK, r.cfg.MaxN)
+	cl, err := r.begin(l, false, m, n, k, 0, a, &st)
+	if err != nil {
+		return st, err
 	}
-
-	if parent := r.eng.TraceSpan(); parent != nil {
-		msp := parent.StartChild("gemm.multiply")
-		msp.SetAttr("m", int64(m))
-		msp.SetAttr("n", int64(n))
-		msp.SetAttr("k", int64(k))
-		r.eng.SetTraceSpan(msp)
-		defer func() {
-			r.eng.SetTraceSpan(parent)
-			msp.End()
-		}()
-	}
-
-	if r.planner != nil {
-		psp := r.eng.TraceSpan().StartChild("plan")
-		mp := r.planner.GEMM(m, n, k, r.planOpts(false))
-		r.curTasklets = mp.Tasklets
-		r.lastPlan, r.hasPlan = mp, true
-		psp.SetAttr("tasklets", int64(mp.Tasklets))
-		psp.SetAttr("dpus", int64(mp.DPUs))
-		psp.End()
-	}
-
 	rowBytes := (k*2 + 7) &^ 7
 	stride := pad4(n)
 	r.bStage = growBytes(r.bStage, k*stride*2)
@@ -604,12 +617,13 @@ func (r *Runner) MultiplyFill(m, n, k int, alpha int16, a, c []int16, fill func(
 
 	w := &r.mws
 	w.a, w.c = a, c
-	w.m, w.n, w.k = m, n, k
+	w.m, w.n, w.k, w.tasklets = m, n, k, cl.tasklets
 	w.rowBytes = rowBytes
 	w.bcasts = append(w.bcasts[:0],
 		exec.Broadcast{Ref: r.refB, Data: r.bStage},
 		exec.Broadcast{Ref: r.refParams, Data: r.paramsBuf[:]})
-	err := r.eng.Run(w, &st)
+	err = r.eng.Run(w, &st)
+	r.end(&cl)
 	return st, err
 }
 

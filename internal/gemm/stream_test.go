@@ -71,13 +71,11 @@ func TestBatchInvariance(t *testing.T) {
 		}
 		var o batchOutcome
 		for call := range o.Stats {
+			l := Layer{}
 			if resident {
-				r.SetWeightLayer(0)
+				l = layer0
 			}
-			got, st, err := r.MultiplyBatch(m, n, k, 2, a, bs)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d call %d: %v", procs, call, err)
-			}
+			got, st, _ := batchCall(t, r, l, m, n, k, 2, a, bs)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("GOMAXPROCS=%d call %d: products differ from the host reference", procs, call)
 			}

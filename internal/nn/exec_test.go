@@ -71,16 +71,21 @@ type observed struct {
 }
 
 // run executes net under m on a fresh system (created after the caller
-// pinned GOMAXPROCS: the worker pool is sized at creation).
-func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs []*tensor.Tensor) ([]nn.Output, observed) {
+// pinned GOMAXPROCS: the worker pool is sized at creation). Each GEMM
+// layer, named by scope, has its LayerStat.Cycles as its
+// pim_layer_cycles_total under metrics, where a bare Multiply after the
+// pass moves no pim_layer_* counter, and under tracing one span under
+// the root, in order, with one gemm.multiply or gemm.batch child.
+func run(t *testing.T, net *nn.Network, scope string, m mapping, faults *dpu.FaultPlan, inputs []*tensor.Tensor) ([]nn.Output, observed) {
 	t.Helper()
 	sys, err := host.NewSystem(m.dpus, host.DefaultConfig(dpu.O3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	reg := metrics.NewRegistry()
 	if m.tel == "metrics" {
-		sys.EnableMetrics(metrics.NewRegistry())
+		sys.EnableMetrics(reg)
 	}
 	maxK, maxN, maxM := net.GEMMBounds()
 	cfg := gemm.RunnerConfig{MaxK: maxK, MaxN: maxN, TileCols: 64, Naive: m.naive}
@@ -93,8 +98,10 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 	if err != nil {
 		t.Fatal(err)
 	}
+	var root *trace.Span
 	if m.tel == "tracing" {
-		r.SetTraceSpan(trace.NewTracer(trace.TracerConfig{}).StartTrace("forward"))
+		root = trace.NewTracer(trace.TracerConfig{MaxSpans: 1 << 20}).StartTrace("forward")
+		r.SetTraceSpan(root)
 	}
 	if faults != nil {
 		sys.InjectFaults(*faults)
@@ -117,6 +124,49 @@ func run(t *testing.T, net *nn.Network, m mapping, faults *dpu.FaultPlan, inputs
 	obs := observed{stats, sys.TransferStats(), make([]uint64, m.dpus)}
 	for i := range obs.DPUCycles {
 		obs.DPUCycles[i] = sys.DPU(i).TotalCycles()
+	}
+	if m.tel == "metrics" {
+		layerCounters := func() map[string]uint64 {
+			got := map[string]uint64{}
+			for _, c := range reg.Snapshot().Counters {
+				if strings.HasPrefix(c.Name, "pim_layer_") {
+					got[c.Name+"{"+c.LabelVal+"}"] = c.Value
+				}
+			}
+			return got
+		}
+		pass := layerCounters()
+		for _, ls := range stats.Layers {
+			if got := pass["pim_layer_cycles_total{"+fmt.Sprintf(scope, ls.Layer)+"}"]; got != ls.Cycles || len(pass) != 3*len(stats.Layers) {
+				t.Errorf("layer %d: pim_layer_cycles_total %d, LayerStat.Cycles %d (%d layer counters)", ls.Layer, got, ls.Cycles, len(pass))
+			}
+		}
+		if _, _, err := r.Multiply(1, 1, 1, 1, []int16{1}, []int16{1}); err != nil {
+			t.Fatal(err)
+		} else if after := layerCounters(); !reflect.DeepEqual(after, pass) {
+			t.Errorf("a bare Multiply after the pass moved pim_layer_* counters:\n%v\n%v", pass, after)
+		}
+	}
+	if root != nil {
+		root.End()
+		names, kids := map[trace.SpanID]string{}, map[string][]string{}
+		spans := root.Trace().Spans()
+		for _, sp := range spans {
+			names[sp.ID] = sp.Name
+		}
+		for _, sp := range spans {
+			kids[names[sp.Parent]] = append(kids[names[sp.Parent]], sp.Name)
+		}
+		call := map[bool]string{false: "gemm.multiply", true: "gemm.batch"}[m.images > 0]
+		var want []string
+		for _, ls := range stats.Layers {
+			if want = append(want, fmt.Sprintf(scope, ls.Layer)); !slices.Equal(kids[want[len(want)-1]], []string{call}) {
+				t.Errorf("layer span %s has children %v, want one %s", want[len(want)-1], kids[want[len(want)-1]], call)
+			}
+		}
+		if !slices.Equal(kids["forward"], want) {
+			t.Errorf("forward spans %v, want one per GEMM layer %v", kids["forward"], want)
+		}
 	}
 	return outs, obs
 }
@@ -153,15 +203,15 @@ func TestExecutor(t *testing.T) {
 		rowsAuto.with("metrics"), rowsAuto.with("tracing"), batchInline.with("metrics"), batchInline.with("tracing")}
 
 	for _, nc := range []struct {
-		name     string
-		net      *nn.Network
-		size     int
-		layers   int // GEMM layers
-		mappings []mapping
+		name, scope string
+		net         *nn.Network
+		size        int
+		layers      int // GEMM layers
+		mappings    []mapping
 	}{
-		{"yolo-tiny", ynet.Network, 32, 75, append(common, batchSharded)},
-		{"alexnet-lite", anet.Network, anet.Cfg.InputSize, 8, common},
-		{"resnet-lite", rnet.Network, rnet.Cfg.InputSize, 21, common},
+		{"yolo-tiny", "yolo_conv%03d", ynet.Network, 32, 75, append(common, batchSharded)},
+		{"alexnet-lite", "alexnet_layer%02d", anet.Network, anet.Cfg.InputSize, 8, common},
+		{"resnet-lite", "resnet_layer%02d", rnet.Network, rnet.Cfg.InputSize, 21, common},
 	} {
 		inputs := make([]*tensor.Tensor, batchSharded.images)
 		want := make([]nn.Output, len(inputs))
@@ -181,7 +231,7 @@ func TestExecutor(t *testing.T) {
 					name := fmt.Sprintf("%s/%s/faults=%v/procs%d", nc.name, m.name, faults != nil, procs)
 					t.Run(name, func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-						outs, obs := run(t, nc.net, m, faults, inputs)
+						outs, obs := run(t, nc.net, nc.scope, m, faults, inputs)
 						stats := obs.Stats
 						for i, out := range outs {
 							if !sameTensor(out.Out, want[i].Out) {

@@ -7,23 +7,13 @@ import (
 	"pimdnn/internal/tensor"
 )
 
-// LayerStat records one GEMM layer's DPU execution.
+// LayerStat records one GEMM layer's DPU execution: the layer's index
+// in Network.Defs and its runner call's Stats (DPUs, cycles, seconds,
+// retries, tasklets and, when the runner plans, the prediction that
+// Seconds is calibrated against).
 type LayerStat struct {
-	Layer    int
-	Kind     Kind
-	DPUsUsed int
-	Cycles   uint64
-	Seconds  float64
-	// Retries counts shards re-dispatched after injected faults.
-	Retries int
-	// Tasklets is the per-DPU tasklet count the layer launched with —
-	// the auto-mapper's per-shape choice when the runner plans, the
-	// hand-tuned constant otherwise.
-	Tasklets int
-	// PredictedSeconds is the planner's analytic latency for the layer;
-	// zero when the runner runs a fixed mapping. Comparing it against
-	// Seconds is the calibration loop (cmd/upmem-profile -calibrate).
-	PredictedSeconds float64
+	Layer int
+	gemm.Stats
 }
 
 // ForwardStats aggregates a DPU forward pass.
@@ -231,20 +221,20 @@ func (n *Network) hostLayer(li int, ar []int16, inputs []*tensor.Tensor, i int) 
 // into the layer's slot, then bias/activation in place. The product is
 // the host reference's (r == nil) over an int16 im2col matrix, or one
 // Runner.MultiplyFill per image or Runner.MultiplyBatchFill for all,
-// whose fill lowers im2col straight into the runner's staging bytes; the
-// batch callbacks run per image on the worker pool.
+// named by the layer and with a fill that lowers im2col straight into
+// the runner's staging bytes; the batch callbacks run per image on the
+// worker pool.
 func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm.Runner, batch bool, stats *ForwardStats, im2colBuf *[]int16) error {
 	g, a, src := n.gemms[li], n.Weights[li].W, n.reads[li][0]
 	if batch {
-		return n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
-			return r.MultiplyBatchFill(g.m, g.cols, g.k, 1, a, len(inputs),
-				func(i, first, count int, block []byte, blockStride int) {
-					in := n.act(ar, inputs, i, src)
-					tensor.Im2ColBytes(block, blockStride/2, &in, g.size, g.stride, g.pad, first, count)
-				},
-				func(i int) []int16 { return n.act(ar, inputs, i, li).Data },
-				func(_ int, c []int16) { biasAct(c, g.m, g.cols, n.Weights[li].Bias, n.Defs[li].Act) })
-		})
+		st, err := r.MultiplyBatchFill(g.id, g.m, g.cols, g.k, 1, a, len(inputs),
+			func(i, first, count int, block []byte, blockStride int) {
+				in := n.act(ar, inputs, i, src)
+				tensor.Im2ColBytes(block, blockStride/2, &in, g.size, g.stride, g.pad, first, count)
+			},
+			func(i int) []int16 { return n.act(ar, inputs, i, li).Data },
+			func(_ int, c []int16) { biasAct(c, g.m, g.cols, n.Weights[li].Bias, n.Defs[li].Act) })
+		return stats.add(li, st, err)
 	}
 	for i := range inputs {
 		in, c := n.act(ar, inputs, i, src), n.act(ar, inputs, i, li).Data
@@ -256,11 +246,10 @@ func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm
 			p, err = gemm.Reference(g.m, g.cols, g.k, 1, a, b)
 			copy(c, p)
 		} else {
-			err = n.onDPUs(r, li, stats, func() (gemm.Stats, error) {
-				return r.MultiplyFill(g.m, g.cols, g.k, 1, a, c, func(dst []byte, stride int) {
-					tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad, 0, g.k)
-				})
+			st, e := r.MultiplyFill(g.id, g.m, g.cols, g.k, 1, a, c, func(dst []byte, stride int) {
+				tensor.Im2ColBytes(dst, stride, &in, g.size, g.stride, g.pad, 0, g.k)
 			})
+			err = stats.add(li, st, e)
 		}
 		if err != nil {
 			return err
@@ -270,46 +259,16 @@ func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm
 	return nil
 }
 
-// onDPUs is the one instrumented dispatch: it names the layer's
-// telemetry scope, arms its weight-residency key (the layer index),
-// opens its trace span under the request span, runs the runner call and
-// records the layer's stat. Every network and both DPU mappings account
-// here and nowhere else.
-func (n *Network) onDPUs(r *gemm.Runner, li int, stats *ForwardStats, multiply func() (gemm.Stats, error)) error {
-	reqSp := r.TraceSpan()
-	if r.MetricsOn() || reqSp != nil {
-		name := fmt.Sprintf(n.scope, li)
-		if r.MetricsOn() {
-			r.SetScope(name)
-		}
-		if reqSp != nil {
-			lsp := reqSp.StartChild(name)
-			lsp.SetAttr("layer", int64(li))
-			r.SetTraceSpan(lsp)
-		}
-	}
-	if r.ResidencyOn() {
-		r.SetWeightLayer(li)
-	}
-	st, err := multiply()
-	if reqSp != nil {
-		r.TraceSpan().End()
-		r.SetTraceSpan(reqSp)
-	}
+// add records a DPU call of layer li into the pass's stats unless it
+// failed. Every network and both DPU mappings account here and nowhere
+// else.
+func (s *ForwardStats) add(li int, st gemm.Stats, err error) error {
 	if err != nil {
 		return err
 	}
-	ls := LayerStat{
-		Layer: li, Kind: n.Defs[li].Kind, DPUsUsed: st.DPUsUsed,
-		Cycles: st.Cycles, Seconds: st.Seconds, Retries: st.Retries,
-		Tasklets: st.Tasklets,
-	}
-	if mp, ok := r.LastMapping(); ok {
-		ls.PredictedSeconds = mp.PredictedSeconds
-	}
-	stats.Layers = append(stats.Layers, ls)
-	stats.Cycles += st.Cycles
-	stats.Seconds += st.Seconds
-	stats.Retries += st.Retries
+	s.Layers = append(s.Layers, LayerStat{Layer: li, Stats: st})
+	s.Cycles += st.Cycles
+	s.Seconds += st.Seconds
+	s.Retries += st.Retries
 	return nil
 }

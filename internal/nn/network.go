@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"pimdnn/internal/gemm"
 	"pimdnn/internal/tensor"
 )
 
@@ -15,12 +16,14 @@ type Weights = tensor.LayerWeights
 
 type shape struct{ c, h, w int }
 
-// lowering is a GEMM layer's im2col geometry and problem shape:
-// C(m×cols) = W(m×k) · im2col(input; size, stride, pad)(k×cols).
+// lowering is a GEMM layer's im2col geometry and problem shape,
+// C(m×cols) = W(m×k) · im2col(input; size, stride, pad)(k×cols), and
+// the name its runner calls carry.
 type lowering struct {
 	m, k, cols        int
 	size, stride, pad int
 	out               shape
+	id                gemm.Layer
 }
 
 // Network is a validated layer list with inferred shapes and weights.
@@ -31,7 +34,6 @@ type Network struct {
 	shapes  []shape
 	gemms   []lowering // indexed by layer; zero for layers without a GEMM
 	ngemm   int        // layers with a GEMM: a DPU pass's len(ForwardStats.Layers)
-	scope   string
 
 	// The activation plan (plan.go): per layer the producers it reads (-1:
 	// the input) and its slot; fin produces the output; slab is per image.
@@ -46,8 +48,9 @@ type Network struct {
 // the graph (no layer's output and no image's activation slab may exceed
 // maxElems), plans its activations, and draws seeded synthetic weights
 // (W then bias, in layer order; std 1/sqrt(K), which keeps activations
-// in range through the /32 GEMM rescale). scope is the fmt format of a layer's telemetry scope
-// and trace span name, e.g. "yolo_conv%03d".
+// in range through the /32 GEMM rescale). scope is the fmt format of a
+// GEMM layer's name, its telemetry scope and trace span name, e.g.
+// "yolo_conv%03d"; an empty scope leaves the layers' calls anonymous.
 func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error) {
 	if c < 1 || h < 1 || w < 1 {
 		return nil, fmt.Errorf("nn: bad input shape %dx%dx%d", c, h, w)
@@ -58,7 +61,6 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 		in:      shape{c, h, w},
 		shapes:  make([]shape, len(layers)),
 		gemms:   make([]lowering, len(layers)),
-		scope:   scope,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cur := n.in
@@ -75,6 +77,9 @@ func New(c, h, w int, layers []Layer, seed int64, scope string) (*Network, error
 			g, err := lower(l, cur)
 			if err != nil {
 				return nil, fmt.Errorf("nn: layer %d: %w", i, err)
+			}
+			if g.id.Key = i; scope != "" {
+				g.id.Name = fmt.Sprintf(scope, i)
 			}
 			n.gemms[i], n.ngemm = g, n.ngemm+1
 			n.Weights[i] = synthWeights(rng, g.m, g.k)

@@ -32,21 +32,8 @@ func NewProfile() *Profile {
 	}
 }
 
-// Record notes one invocation of the named subroutine costing the given
-// number of cycles.
-func (p *Profile) Record(name string, cycles uint64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.occ[name]++
-	p.cycles[name] += cycles
-	p.mu.Unlock()
-}
-
 // RecordN notes n invocations of the named subroutine costing cycles
-// each. Bulk-charged kernels (large GEMMs) use it to keep profiling cost
-// independent of operation count.
+// each, so profiling cost is independent of the operation count.
 func (p *Profile) RecordN(name string, n, cycles uint64) {
 	if p == nil || n == 0 {
 		return

@@ -9,9 +9,9 @@ import (
 
 func TestRecordAndQuery(t *testing.T) {
 	p := NewProfile()
-	p.Record("__addsf3", 57)
-	p.Record("__addsf3", 57)
-	p.Record("__mulsi3", 31)
+	p.RecordN("__addsf3", 1, 57)
+	p.RecordN("__addsf3", 1, 57)
+	p.RecordN("__mulsi3", 1, 31)
 	if got := p.Occ("__addsf3"); got != 2 {
 		t.Errorf("Occ = %d, want 2", got)
 	}
@@ -25,9 +25,9 @@ func TestRecordAndQuery(t *testing.T) {
 
 func TestSubroutinesSorted(t *testing.T) {
 	p := NewProfile()
-	p.Record("__mulsi3", 1)
-	p.Record("__addsf3", 1)
-	p.Record("__divsf3", 1)
+	p.RecordN("__mulsi3", 1, 1)
+	p.RecordN("__addsf3", 1, 1)
+	p.RecordN("__divsf3", 1, 1)
 	got := p.Subroutines()
 	want := []string{"__addsf3", "__divsf3", "__mulsi3"}
 	if len(got) != len(want) {
@@ -42,10 +42,10 @@ func TestSubroutinesSorted(t *testing.T) {
 
 func TestFloatSubroutinesFilter(t *testing.T) {
 	p := NewProfile()
-	p.Record("__addsf3", 1)
-	p.Record("__mulsi3", 1) // integer: excluded
-	p.Record("__ltsf2", 1)
-	p.Record("__adddf3", 1) // double: included
+	p.RecordN("__addsf3", 1, 1)
+	p.RecordN("__mulsi3", 1, 1) // integer: excluded
+	p.RecordN("__ltsf2", 1, 1)
+	p.RecordN("__adddf3", 1, 1) // double: included
 	got := p.FloatSubroutines()
 	if len(got) != 3 {
 		t.Errorf("FloatSubroutines = %v, want 3 entries", got)
@@ -59,7 +59,7 @@ func TestFloatSubroutinesFilter(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	p := NewProfile()
-	p.Record("a", 1)
+	p.RecordN("a", 1, 1)
 	s := p.Snapshot()
 	s["a"] = 99
 	if p.Occ("a") != 1 {
@@ -69,7 +69,7 @@ func TestSnapshotIsCopy(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	p := NewProfile()
-	p.Record("a", 1)
+	p.RecordN("a", 1, 1)
 	p.Reset()
 	if p.Occ("a") != 0 || len(p.Subroutines()) != 0 {
 		t.Error("Reset did not clear")
@@ -78,8 +78,8 @@ func TestReset(t *testing.T) {
 
 func TestReportOrderingAndContent(t *testing.T) {
 	p := NewProfile()
-	p.Record("cheap", 1)
-	p.Record("expensive", 1000)
+	p.RecordN("cheap", 1, 1)
+	p.RecordN("expensive", 1, 1000)
 	rep := p.Report()
 	if !strings.Contains(rep, "#occ") {
 		t.Error("report missing #occ header")
@@ -118,7 +118,7 @@ func TestDiff(t *testing.T) {
 
 func TestNilProfileSafe(t *testing.T) {
 	var p *Profile
-	p.Record("x", 1) // must not panic
+	p.RecordN("x", 1, 1) // must not panic
 	if p.Occ("x") != 0 || p.Cycles("x") != 0 || p.Subroutines() != nil ||
 		p.Snapshot() != nil || p.Report() != "" {
 		t.Error("nil profile not inert")
@@ -134,7 +134,7 @@ func TestConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				p.Record("op", 2)
+				p.RecordN("op", 1, 2)
 			}
 		}()
 	}
