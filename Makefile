@@ -205,8 +205,9 @@ profile-ebnn:
 # pass and of its multiply-accumulate, then the flat share of every
 # sync.Mutex Lock and Unlock (go1.24 inlines them into internal/sync's):
 # `make profile-rows | grep -e '-share '`. 1000 iterations: at 300 the
-# lock share of one binary read anywhere from 1.4 to 5.7 % across runs,
-# at 1000 within 3.7-4.3 %.
+# lock share of one binary read anywhere from 1.4 to 5.7 % across runs;
+# at 1000, on a 2-core Xeon (go1.24.0) where every rows_zoo launch runs
+# on the caller, it read 2.25-2.39 % in three runs.
 profile-rows:
 	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 1000x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof

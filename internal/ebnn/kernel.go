@@ -407,6 +407,12 @@ func (w *inferWorkSet) Tasklets() int                { return w.r.tasklets }
 func (w *inferWorkSet) Kernel() dpu.KernelFunc       { return w.r.kernelFn }
 func (w *inferWorkSet) Broadcasts() []exec.Broadcast { return nil }
 
+// Work is a full batch's conv MACs: every filter over every output
+// pixel's taps, per image.
+func (w *inferWorkSet) Work() int64 {
+	return int64(min(len(w.images), BatchSize) * w.r.model.F * ConvSize * ConvSize * FilterSize * FilterSize)
+}
+
 func (w *inferWorkSet) Encode(_, start, n int) {
 	st := &w.r.stage
 	w.start = start

@@ -147,6 +147,14 @@ type WorkSet interface {
 	Decode(slot, shard, i int)
 }
 
+// Worker is an optional WorkSet method: Work predicts the host work of
+// one shard's launch in multiply-accumulates, which decides whether a
+// wave fans out over the host's worker pool (host.Wave's Work). A set
+// without it is predicted from its wave's DPU count alone.
+type Worker interface {
+	Work() int64
+}
+
 // maxRedispatch bounds how many targets one shard (or one broadcast
 // redelivery) tries before the fault is reported as fatal.
 const maxRedispatch = 8
@@ -482,6 +490,10 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 	tasklets := ws.Tasklets()
 	st.Tasklets = tasklets
 	kernel := ws.Kernel()
+	var work int64
+	if wk, ok := ws.(Worker); ok {
+		work = wk.Work()
+	}
 
 	// A re-dispatched shard of an in-place stream is filled into, or
 	// delivered from, one buffer made on the first failure.
@@ -498,7 +510,7 @@ func (e *Engine) run(ws WorkSet, st *Stats) error {
 		// streams, and an in-place primary, are pushed ahead of the wave;
 		// a buffered primary rides in it.
 		failed := e.seedFailed(n)
-		w := host.Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel, Stats: &e.waveLS, Gather: g.Ref}
+		w := host.Wave{DPUs: n, Tasklets: tasklets, Kernel: kernel, Work: work, Stats: &e.waveLS, Gather: g.Ref}
 		for si, s := range streams {
 			var err error
 			switch {

@@ -42,6 +42,7 @@ type toySet struct {
 	vals, got          []uint32
 	start              int
 	twoStream, inPlace bool
+	work               int64
 	inBufs, addBufs    [][]byte
 	outBufs, rows      [][]byte
 	wantRows           []byte
@@ -52,11 +53,17 @@ type toySet struct {
 	bad                []string
 }
 
-// toyOpts shapes a toySet beyond its DPU count and shards.
+// toyOpts shapes a toySet beyond its DPU count and shards. work is what
+// Work declares per shard: 0 or toyFansOut.
 type toyOpts struct {
 	topo               host.Topology
 	twoStream, inPlace bool
+	work               int64
 }
+
+// toyFansOut is a per-shard work far above the host's fan-out threshold:
+// a wave of 2 or more DPUs that declares it runs on the worker pool.
+const toyFansOut = 1 << 30
 
 const (
 	toyTag      = 0x5A5A
@@ -84,7 +91,7 @@ func newToySet(t *testing.T, nd int, vals []uint32, o toyOpts) *toySet {
 		t.Fatal(err)
 	}
 	n := len(vals)
-	w := &toySet{sys: sys, vals: vals, got: make([]uint32, n), twoStream: o.twoStream, inPlace: o.inPlace,
+	w := &toySet{sys: sys, vals: vals, got: make([]uint32, n), twoStream: o.twoStream, inPlace: o.inPlace, work: o.work,
 		refIn: refs[0], refAdd: refs[1], refOut: refs[2], refRows: refs[3],
 		rows: make([][]byte, n), next: make([]int, n), delivered: make([]int, n), whole: make([]int, n), staged: make([]int, n), bad: make([]string, n)}
 	inOff, addOff, outOff, rowsOff, wramOff := refs[0].Offset(), refs[1].Offset(), refs[2].Offset(), refs[3].Offset(), refs[4].Offset()
@@ -153,6 +160,7 @@ func (w *toySet) Shards() int                  { return len(w.vals) }
 func (w *toySet) Tasklets() int                { return 2 }
 func (w *toySet) Kernel() dpu.KernelFunc       { return w.kern }
 func (w *toySet) Broadcasts() []exec.Broadcast { return nil }
+func (w *toySet) Work() int64                  { return w.work }
 
 func (w *toySet) Encode(_, start, n int) {
 	w.start = start
@@ -528,30 +536,33 @@ type toyShape struct {
 // the wave loop's accounting is easiest to get wrong (a partial single
 // wave on a sharded system, a partial last wave, a second scatter
 // stream), under each fault class and an armed zero plan, with each
-// telemetry, at GOMAXPROCS 1, 2 and 4 (invarianceTable).
+// telemetry, at GOMAXPROCS 1, 2 and 4 (invarianceTable). Its waves
+// declare enough work to fan out.
 func TestRunInvariance(t *testing.T) {
 	invarianceTable(t, []toyShape{
-		{"24on40", 40, 24, toyOpts{}},
-		{"20on8", 8, 20, toyOpts{}},
-		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true}},
+		{"24on40", 40, 24, toyOpts{work: toyFansOut}},
+		{"20on8", 8, 20, toyOpts{work: toyFansOut}},
+		{"20on8-two-stream", 8, 20, toyOpts{twoStream: true, work: toyFansOut}},
 	}, nil)
 }
 
 // TestStreamInvariance is TestRunInvariance over the in-place streams
 // (toySet's inPlace): a one-rank width with fewer shards than DPUs and
-// a two-rank sharded one. Every shard must also be delivered exactly
-// once per run with the right bytes, in runs covering its rows in order
-// (toySet.check), whole exactly when it was re-dispatched; at
-// GOMAXPROCS=1 the gather runs inline on the caller in index order, so
-// equality is the statement that fanning it out, or observing it,
-// changes nothing simulated. Run under -race (make race does) it is
-// also the race gate for the gather's Run on pool workers. Each
-// pipelined cell runs once, with the ignored Pipeline setting bench/
-// passes, against its sync twin.
+// a two-rank sharded one, both fanned out, and the one-rank width again
+// with no work declared, on the caller at every core count. Every shard
+// must also be delivered exactly once per run with the right bytes, in
+// runs covering its rows in order (toySet.check), whole exactly when it
+// was re-dispatched; at GOMAXPROCS=1 the gather runs inline on the
+// caller in index order, so equality is the statement that fanning it
+// out, or observing it, changes nothing simulated. Run under -race
+// (make race does) it is also the race gate for the gather's Run on
+// pool workers. Each pipelined cell runs once, with the ignored
+// Pipeline setting bench/ passes, against its sync twin.
 func TestStreamInvariance(t *testing.T) {
 	invarianceTable(t, []toyShape{
-		{"1x64", 64, 48, toyOpts{inPlace: true}},
-		{"2x64", 128, 128, toyOpts{inPlace: true, topo: host.Topology{DPUsPerRank: 64}}},
+		{"1x64", 64, 48, toyOpts{inPlace: true, work: toyFansOut}},
+		{"2x64", 128, 128, toyOpts{inPlace: true, topo: host.Topology{DPUsPerRank: 64}, work: toyFansOut}},
+		{"1x64-inline", 64, 48, toyOpts{inPlace: true}},
 	}, []string{"sync", "pipelined"})
 }
 

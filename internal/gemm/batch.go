@@ -78,10 +78,11 @@ func (r *Runner) MultiplyBatch(m, n, k int, alpha int16, a []int16, bs [][]int16
 // MultiplyBatchEach is MultiplyBatch delivering each image's freshly
 // allocated product through each(i, c) as soon as it is decoded. Like
 // MultiplyBatch it is an anonymous call (see Layer). each
-// is called exactly once per image, on the host's worker pool:
-// concurrently for distinct images and in no particular order, so
-// per-image post-processing (bias/activation in the YOLO batch path)
-// runs on every host core. It may touch only image i's state.
+// is called exactly once per image, on the host's worker pool when the
+// wave fans out: concurrently for distinct images and in no particular
+// order, so per-image post-processing (bias/activation in the YOLO
+// batch path) runs on every host core. It may touch only image i's
+// state.
 func (r *Runner) MultiplyBatchEach(m, n, k int, alpha int16, a []int16, bs [][]int16, each func(i int, c []int16)) (Stats, error) {
 	for i, b := range bs {
 		if len(b) != k*n {
@@ -131,7 +132,8 @@ func (r *Runner) MultiplyBatchFill(l Layer, m, n, k int, alpha int16, a []int16,
 	// Dispatch through the execution engine as one wave: A and the
 	// params are broadcast, each B is filled row-stride padded in place
 	// in MRAM ahead of the launch, and the wave's gather decodes runs of
-	// C rows in place, both on the worker pool, with retry-and-remap
+	// C rows in place, both on the worker pool when their width or
+	// predicted work pays for it (host.Wave's Work), with retry-and-remap
 	// owned by the engine (internal/exec).
 	stride := pad4(n)
 	if cap(r.batchC) < images {
@@ -139,7 +141,7 @@ func (r *Runner) MultiplyBatchFill(l Layer, m, n, k int, alpha int16, a []int16,
 	}
 	cs := r.batchC[:images]
 	w := &r.bws
-	*w = batchWorkSet{images: images, tasklets: cl.tasklets, kernel: r.batchKernel}
+	*w = batchWorkSet{images: images, tasklets: cl.tasklets, kernel: r.batchKernel, work: int64(m) * int64(n) * int64(k)}
 	w.bcasts = [2]exec.Broadcast{{Ref: aRef, Off: aOff, Data: aBytes, Resident: cl.resident}, {Ref: r.refParams, Data: r.paramsBuf[:]}}
 	w.in = [1]exec.Stream{{Ref: r.refB, Rows: k, RowBytes: stride * 2, Run: func(i, first, count int, block []byte, blockStride int) {
 		fill(i, first, count, block, blockStride)
@@ -167,10 +169,11 @@ func (r *Runner) MultiplyBatchFill(l Layer, m, n, k int, alpha int16, a []int16,
 // batchWorkSet adapts the image-per-DPU mapping to the execution
 // engine: one shard per image in a single wave, A and the parameter
 // block as broadcasts, and B and C as in-place streams, so it stages
-// nothing of its own.
+// nothing of its own. An image's work is its m·n·k MACs.
 type batchWorkSet struct {
 	images, tasklets int
 	kernel           dpu.KernelFunc
+	work             int64
 	bcasts           [2]exec.Broadcast
 	in               [1]exec.Stream
 	out              exec.Stream
@@ -179,6 +182,7 @@ type batchWorkSet struct {
 func (w *batchWorkSet) Shards() int                    { return w.images }
 func (w *batchWorkSet) Tasklets() int                  { return w.tasklets }
 func (w *batchWorkSet) Kernel() dpu.KernelFunc         { return w.kernel }
+func (w *batchWorkSet) Work() int64                    { return w.work }
 func (w *batchWorkSet) Broadcasts() []exec.Broadcast   { return w.bcasts[:] }
 func (w *batchWorkSet) Encode(_, _, _ int)             {}
 func (w *batchWorkSet) Scatter(_, _ int) []exec.Stream { return w.in[:] }

@@ -445,7 +445,7 @@ func (r *Runner) ensureMulStage(width, rowBytes, cBytes int) {
 // mulWorkSet adapts the Fig 4.6 row-per-DPU mapping to the execution
 // engine: one shard per row of A, the B matrix and parameter block as
 // wave-invariant broadcasts, A rows as the scatter stream, C rows as
-// the gather stream.
+// the gather stream. A row's work is its n·k MACs.
 type mulWorkSet struct {
 	r                 *Runner
 	a, c              []int16
@@ -459,6 +459,7 @@ func (w *mulWorkSet) Shards() int                  { return w.m }
 func (w *mulWorkSet) Tasklets() int                { return w.tasklets }
 func (w *mulWorkSet) Kernel() dpu.KernelFunc       { return w.r.Kernel() }
 func (w *mulWorkSet) Broadcasts() []exec.Broadcast { return w.bcasts }
+func (w *mulWorkSet) Work() int64                  { return int64(w.n) * int64(w.k) }
 
 func (w *mulWorkSet) Encode(_, start, n int) {
 	packRows(w.r.mul.aStage, w.rowBytes, w.a[start*w.k:], n, w.k)

@@ -45,25 +45,36 @@ func batchProblem(t *testing.T, m, n, k, nImg int, alpha int16) (a []int16, bs, 
 // sync and pipelined names, which run alike: there is one dispatch
 // depth), clean, with a quarter of the DPUs dying at the first
 // launch, and with transient transfer faults — at GOMAXPROCS 1, 2 and
-// 4. Every product must equal the host reference, and Stats, per-DPU
-// cycles and all of TransferStats must equal the GOMAXPROCS=1 row,
-// where staging, gather and decode run inline on the caller.
+// 4. Each cell runs two problems: one whose waves run on the caller at
+// every core count, and one whose per-image work fans them out. Every
+// product must equal the host reference, and Stats, per-DPU cycles and
+// all of TransferStats must equal the GOMAXPROCS=1 row, where staging,
+// gather and decode run inline on the caller.
 func TestBatchInvariance(t *testing.T) {
-	const m, n, k = 4, 22, 10 // n is not a multiple of 4: padded row stride
 	const nImg = 64
-	a, bs, want := batchProblem(t, m, n, k, nImg, 2)
-	run := func(t *testing.T, procs int, resident bool, plan *dpu.FaultPlan) batchOutcome {
+	type problem struct {
+		m, n, k  int // n is not a multiple of 4: padded row stride
+		a        []int16
+		bs, want [][]int16
+	}
+	// 880 MACs an image keep a 64-image wave on the caller; 142,848 put
+	// it at 2.2× the host's fan-out threshold.
+	probs := []*problem{{m: 4, n: 22, k: 10}, {m: 16, n: 62, k: 144}}
+	for _, p := range probs {
+		p.a, p.bs, p.want = batchProblem(t, p.m, p.n, p.k, nImg, 2)
+	}
+	run := func(t *testing.T, p *problem, procs int, resident bool, plan *dpu.FaultPlan) batchOutcome {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		cfg := RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 8}
+		cfg := RunnerConfig{MaxK: p.k, MaxN: p.n, Tasklets: 4, TileCols: 8}
 		var r *Runner
 		if resident {
-			r, _, _ = newResidentRunner(t, nImg, host.Topology{}, cfg, 4096, "m")
-			if err := r.EnableBatch(m); err != nil {
+			r, _, _ = newResidentRunner(t, nImg, host.Topology{}, cfg, 8192, "m")
+			if err := r.EnableBatch(p.m); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			r = newBatchRunner(t, nImg, m, cfg)
+			r = newBatchRunner(t, nImg, p.m, cfg)
 			t.Cleanup(r.sys.Close)
 		}
 		if plan != nil {
@@ -75,9 +86,9 @@ func TestBatchInvariance(t *testing.T) {
 			if resident {
 				l = layer0
 			}
-			got, st, _ := batchCall(t, r, l, m, n, k, 2, a, bs)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("GOMAXPROCS=%d call %d: products differ from the host reference", procs, call)
+			got, st, _ := batchCall(t, r, l, p.m, p.n, p.k, 2, p.a, p.bs)
+			if !reflect.DeepEqual(got, p.want) {
+				t.Fatalf("%dx%dx%d GOMAXPROCS=%d call %d: products differ from the host reference", p.m, p.n, p.k, procs, call)
 			}
 			o.Stats[call] = st
 		}
@@ -102,14 +113,16 @@ func TestBatchInvariance(t *testing.T) {
 				{"transient", &dpu.FaultPlan{Seed: 3, TransferProb: 0.05}},
 			} {
 				t.Run(res.name+"/"+md+"/"+fc.name, func(t *testing.T) {
-					base := run(t, 1, res.resident, fc.plan)
-					if retried := base.Stats[0].Retries > 0; retried != (fc.plan != nil) {
-						t.Errorf("first call retries = %d under plan %v", base.Stats[0].Retries, fc.plan)
-					}
-					for _, procs := range []int{2, 4} {
-						if got := run(t, procs, res.resident, fc.plan); !reflect.DeepEqual(got, base) {
-							t.Errorf("GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n got %+v %+v\nwant %+v %+v",
-								procs, got.Stats, got.Xfer, base.Stats, base.Xfer)
+					for _, p := range probs {
+						base := run(t, p, 1, res.resident, fc.plan)
+						if retried := base.Stats[0].Retries > 0; retried != (fc.plan != nil) {
+							t.Errorf("%dx%dx%d: first call retries = %d under plan %v", p.m, p.n, p.k, base.Stats[0].Retries, fc.plan)
+						}
+						for _, procs := range []int{2, 4} {
+							if got := run(t, p, procs, res.resident, fc.plan); !reflect.DeepEqual(got, base) {
+								t.Errorf("%dx%dx%d GOMAXPROCS=%d diverges from GOMAXPROCS=1:\n got %+v %+v\nwant %+v %+v",
+									p.m, p.n, p.k, procs, got.Stats, got.Xfer, base.Stats, base.Xfer)
+							}
 						}
 					}
 				})

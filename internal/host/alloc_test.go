@@ -1,9 +1,11 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 
 	"pimdnn/internal/dpu"
+	"pimdnn/internal/metrics"
 )
 
 // The transfer hot paths must not allocate per call below the sharding
@@ -103,33 +105,60 @@ func TestBroadcastAndPerDPUCopyAllocFree(t *testing.T) {
 	}
 }
 
-// A steady-state fused wave allocates only the worker pool's run
-// descriptor (none on one core): the wave's stats reuse the caller's
-// PerDPU backing, and the runner's range function is bound once, so it
-// captures no per-call state.
+// waveOn is a scatter, one-op launch and gather wave over s's first n
+// DPUs and its "buf", declaring work MACs per DPU.
+func waveOn(t *testing.T, s *System, n int, work int64) Wave {
+	in, out := make([][]byte, n), make([][]byte, n)
+	for i := range in {
+		in[i], out[i] = make([]byte, 64), make([]byte, 64)
+	}
+	ref := resolve(t, s, "buf")
+	return Wave{DPUs: n, Tasklets: 1, Work: work, Stats: &LaunchStats{}, Scatter: ref, In: in, Gather: ref, Out: out,
+		Kernel: func(tk *dpu.Tasklet) error {
+			tk.Charge(dpu.OpAddInt, 1)
+			return nil
+		}}
+}
+
+// A steady-state fused wave that fans out allocates only the worker
+// pool's run descriptor (none on one core): the wave's stats reuse the
+// caller's PerDPU backing, and the runner's range function is bound
+// once, so it captures no per-call state.
 func TestWaveSteadyStateAllocBound(t *testing.T) {
 	s := allocSystem(t, 2)
-	ref, err := s.Resolve("buf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := [][]byte{make([]byte, 64), make([]byte, 64)}
-	out := [][]byte{make([]byte, 64), make([]byte, 64)}
-	kernel := func(tk *dpu.Tasklet) error {
-		tk.Charge(dpu.OpAddInt, 1)
-		return nil
-	}
-	var ws LaunchStats
-	wave := Wave{
-		DPUs: 2, Tasklets: 1, Kernel: kernel, Stats: &ws,
-		Scatter: ref, In: in, Gather: ref, Out: out,
-	}
+	wave := waveOn(t, s, 2, fanOutWork)
 	if avg := testing.AllocsPerRun(100, func() {
 		if err := s.RunWave(wave); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
 		t.Errorf("steady-state wave allocates %.1f per call, want <= 1", avg)
+	}
+}
+
+// TestLaunchFanOutRule holds the launch rule (fansOut) at two cores: a
+// 64-DPU wave whose predicted work falls short of fanOutWork runs on
+// the caller, observing no pool run (pim_host_pool_shards) and
+// allocating nothing, and the same wave at fanOutWork fans out.
+func TestLaunchFanOutRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 64
+	at := int64(fanOutWork/n - dpuHostWork)
+	for _, tc := range []struct {
+		work   int64
+		pooled bool
+	}{{0, false}, {at - 1, false}, {at, true}} {
+		s := allocSystem(t, n)
+		s.EnableMetrics(metrics.NewRegistry())
+		wave := waveOn(t, s, n, tc.work)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := s.RunWave(wave); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if runs := s.pool.shards.Count(); (runs > 0) != tc.pooled || !tc.pooled && allocs != 0 {
+			t.Errorf("work %d per DPU: %d pool runs, %.1f allocations per wave; want pooled %v", tc.work, runs, allocs, tc.pooled)
+		}
 	}
 }
 

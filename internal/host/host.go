@@ -13,8 +13,9 @@
 //
 // Simulated time (DPU cycles, host transfer time) is charged per API
 // call and is independent of how the simulator schedules the work on
-// the real machine: launches and large transfers are executed by a
-// persistent worker pool sized to GOMAXPROCS, and the cycle/transfer
+// the real machine: launches with enough predicted work and large
+// transfers are executed by a persistent worker pool sized to
+// GOMAXPROCS, the rest on the caller, and the cycle/transfer
 // accounting is bit-identical to the serial loops it replaced.
 package host
 
@@ -273,10 +274,11 @@ func checkRef(ref SymbolRef, offset int64, n int) error {
 // the system's worker pool and returns when every range has finished —
 // the fan-out the sharded transfers and launches use, for host-side
 // per-image work that sits between them (the host layers of a batch
-// forward). Below the sharding threshold, and
-// on a single worker, it is the plain call fn(0, n) on the caller's
-// goroutine. fn must be safe for concurrent invocation on disjoint
-// ranges. It may use the pool itself — a nested ParallelFor, one-DPU
+// forward). Below parallelThreshold (32) ranges, and on a single
+// worker, it is the plain call fn(0, n) on the caller's goroutine; from
+// 32 it fans out. No timing chose 32, and unlike a launch (fansOut) it
+// is told nothing of fn's work. fn must be safe for concurrent
+// invocation on disjoint ranges. It may use the pool itself — a nested ParallelFor, one-DPU
 // requests (CopyToDPURef, a one-DPU RunWave) from any range, wider
 // transfers and waves from one range at a time (those share a runner's
 // scratch).
@@ -372,9 +374,10 @@ type LaunchStats struct {
 // thesis's dynamic DPU assignment uses "an optimum number of DPUs for
 // processing each layer" (§4.2, Fig 4.6: one DPU per output row).
 //
-// The n simulated DPUs are executed by the persistent worker pool (one
-// shard per CPU) rather than one goroutine per DPU; the modeled launch
-// statistics do not depend on the scheduling.
+// It knows nothing of the kernel's work, so it fans the n simulated
+// DPUs out to the persistent worker pool (one shard per CPU) only when
+// n alone pays for it (fansOut); the modeled launch statistics do not
+// depend on the scheduling.
 //
 // LaunchOn is best-effort: every DPU is attempted, and per-DPU failures
 // come back as a *FaultReport alongside the stats of what ran. A failed

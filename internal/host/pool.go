@@ -7,13 +7,44 @@ import (
 	"pimdnn/internal/metrics"
 )
 
-// parallelThreshold is the DPU count below which a transfer (and
-// ParallelFor) stays on the caller: a pool dispatch costs a run
-// descriptor and channel sends per call, which only pays off once the
-// per-call work spans enough DPUs. Below the threshold the transfer
-// paths are allocation-free (see the AllocsPerRun regression tests). A
-// launch, which costs far more per DPU, fans out from 2 DPUs.
+// parallelThreshold is the DPU count below which a move with no launch
+// (a push, a gather, a ScatterRows) and ParallelFor stay on the caller:
+// a pool dispatch costs a run descriptor and channel sends per call,
+// which only pays off once the per-call work spans enough DPUs. Below
+// the threshold the transfer paths are allocation-free (see the
+// AllocsPerRun regression tests); from it they fan out. No timing has
+// chosen 32. A launch fans out by its predicted work instead (fansOut).
 const parallelThreshold = 32
+
+// A launch's predicted host work, in multiply-accumulates, is
+// DPUs × (dpuHostWork + Wave.Work): what its kernels compute plus a
+// fixed cost per DPU request (its lock, fault draws, tasklet merge and
+// transfers). It fans out to the worker pool from fanOutWork and runs
+// on the caller below it. Each launch shape of the repo benchmark's
+// workloads, timed on the caller and on the pool in alternation (2-core
+// Xeon, go1.24.0; predicted work in brackets):
+//
+//	rows_zoo, 12 DPUs × 81,675 MACs (1.03 M)   184 µs inline, 206 µs pooled
+//	rows_zoo, 64 × 512 (0.29 M)                123 µs,        127 µs
+//	rows_zoo, 10 × 32 (0.04 M)                 6.1 µs,        8.5 µs
+//	ebnn_stream, 32 × 778,752 (25 M)           568 µs,        417 µs
+//	array_yolo, 2,560 × 32 (10.6 M)            7.5 ms,        3.5 ms
+//
+// Every rows_zoo shape (up to 1.03 M) ran within 4 % of the pool or
+// faster inline; fanOutWork is 4× above that and 2.5× below
+// array_yolo's smallest wave, which dpuHostWork alone keeps pooled.
+// 10 × 32 took 0.6 µs a DPU, what 1–3 K MACs cost in the other rows_zoo
+// shapes: dpuHostWork rounds that up.
+const (
+	dpuHostWork = 4096
+	fanOutWork  = 4 << 20
+)
+
+// fansOut reports whether a launch on n DPUs of work MACs each pays for
+// the worker pool.
+func fansOut(n int, work int64) bool {
+	return int64(n)*(dpuHostWork+work) >= fanOutWork
+}
 
 // workerPool is a persistent set of worker goroutines sized to
 // GOMAXPROCS. It replaces the previous goroutine-per-DPU launch spawn

@@ -23,6 +23,10 @@ type Wave struct {
 	Start, DPUs int
 	Tasklets    int
 	Kernel      dpu.KernelFunc
+	// Work is the predicted host work of one DPU's launch in
+	// multiply-accumulates (0: unknown, predicted from the DPU count
+	// alone); it decides whether the wave fans out (fansOut).
+	Work int64
 	// Stats, if non-nil, receives the launch statistics. Its PerDPU
 	// backing array is reused across waves when capacity allows.
 	Stats *LaunchStats
@@ -88,13 +92,16 @@ func (s *System) RunWave(w Wave) error {
 // failure (step). phase records how far each DPU got, so the run
 // charges exactly what ran: the busiest rank's share of each transfer
 // over the DPUs that moved bytes (tallyRanks), the slowest DPU that
-// completed for the launch. Fan-out: the worker pool from 2 DPUs when the request
-// launches, from parallelThreshold when it only moves per-DPU buffers;
-// the caller otherwise, and for a broadcast, whose payload is a
-// parameter block a pool dispatch would cost more than. A System holds
-// two: waves serves RunWave, calls the synchronous transfers and
-// launches, so a wave may run beside a transfer on another symbol. A
-// one-DPU request uses no runner scratch (do).
+// completed for the launch. Fan-out: a launch goes to the worker pool
+// when its predicted host work, DPUs × (dpuHostWork + Work), reaches
+// fanOutWork, and runs on the caller below it (the launch timings on
+// the constants chose them); a move with no launch fans out from
+// parallelThreshold DPUs; a WRAM broadcast, a parameter block a pool
+// dispatch would cost more than, runs on the caller, and an MRAM one is
+// one dpu.MRAMBroadcast.Write. A System holds two: waves serves
+// RunWave, calls the synchronous transfers and launches, so a wave may
+// run beside a transfer on another symbol. A one-DPU request uses no
+// runner scratch (do).
 type phaseRunner struct {
 	s *System
 	// The current request. It lives in the runner, and run is loop
@@ -173,7 +180,7 @@ func (r *phaseRunner) do(op string, w Wave, phases uint8) (LaunchStats, error) {
 		switch {
 		case w.bcast != nil && w.Scatter.kind == dpu.SymbolMRAM:
 			r.broadcastMRAM(w.Scatter.off+w.off, w.bcast)
-		case w.bcast != nil || !launch && n < parallelThreshold:
+		case w.bcast != nil, launch && !fansOut(n, w.Work), !launch && n < parallelThreshold:
 			r.loop(0, n)
 		default:
 			s.pool.runAligned(n, s.perRank, r.run)

@@ -222,8 +222,8 @@ func (n *Network) hostLayer(li int, ar []int16, inputs []*tensor.Tensor, i int) 
 // the host reference's (r == nil) over an int16 im2col matrix, or one
 // Runner.MultiplyFill per image or Runner.MultiplyBatchFill for all,
 // named by the layer and with a fill that lowers im2col straight into
-// the runner's staging bytes; the batch callbacks run per image on the
-// worker pool.
+// the runner's staging bytes; the batch callbacks run per image, on the
+// worker pool when the wave fans out.
 func (n *Network) gemmLayer(li int, ar []int16, inputs []*tensor.Tensor, r *gemm.Runner, batch bool, stats *ForwardStats, im2colBuf *[]int16) error {
 	g, a, src := n.gemms[li], n.Weights[li].W, n.reads[li][0]
 	if batch {
