@@ -76,7 +76,7 @@ bench-smoke:
 
 # The fuzz targets, ~10 s each beyond their checked-in corpora (which
 # `make test` runs): the /v1/infer body decode against encoding/json,
-# and gemm's block MAC against its Go loops.
+# and gemm's block MAC and its Go loops against a per-element reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInferBody$$' -fuzztime 10s ./cmd/upmem-serve
 	$(GO) test -run '^$$' -fuzz '^FuzzMACBlock$$' -fuzztime 10s ./internal/gemm
@@ -160,7 +160,8 @@ profile:
 # image's B in place into MRAM, and everything under it), the launch's
 # own host work (dpu.launch flat: running and merging the tasklets
 # that ran; about 2 % on a 2-core Xeon, go1.24.0, where 3 % is the
-# gate), then the bytes one steady-state pass allocates (the benchmark's
+# gate; there kernel-share read 32 % and mac-share 11 %), then the bytes
+# one steady-state pass allocates (the benchmark's
 # B/op, which leaves out its warm-up pass; the run's output is kept in
 # bench-array.out):
 # `make profile-array | grep -e '-share ' -e '^alloc-per-pass'`.
@@ -207,7 +208,8 @@ profile-ebnn:
 # `make profile-rows | grep -e '-share '`. 1000 iterations: at 300 the
 # lock share of one binary read anywhere from 1.4 to 5.7 % across runs;
 # at 1000, on a 2-core Xeon (go1.24.0) where every rows_zoo launch runs
-# on the caller, it read 2.25-2.39 % in three runs.
+# on the caller, it read 2.2-2.4 %, beside a kernel-share of 32 % and a
+# mac-share of 15 %.
 profile-rows:
 	$(GO) test -run xxx -bench 'BenchmarkRowsZoo$$' -benchtime 1000x -cpuprofile cpu.prof .
 	$(GO) tool pprof -top -cum -nodecount=25 pimdnn.test cpu.prof

@@ -289,20 +289,31 @@ func TestMultiplyFillMatchesMultiply(t *testing.T) {
 	}
 }
 
+// Large magnitudes force both the int32 wrap path and the clamp, small
+// ones leave C unclamped; every alpha, at an odd K, holds the kernel's one
+// multiply of each C row's sums by alpha (not of each A element) to
+// Reference in the row and the batch mapping.
 func TestDPUMatchesReferenceWithAlphaAndWrap(t *testing.T) {
-	// Large magnitudes force both the int32 wrap path and the clamp.
 	rng := rand.New(rand.NewSource(9))
-	r := newGEMMRunner(t, 2, RunnerConfig{MaxK: 64, MaxN: 64, Tasklets: 4, TileCols: 16})
-	a := randMat(rng, 2*64, 32000)
-	b := randMat(rng, 64*64, 32000)
-	want, _ := Reference(2, 64, 64, 3, a, b)
-	got, _, err := r.Multiply(2, 64, 64, 3, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("C[%d] = %d, want %d", i, got[i], want[i])
+	const m, n, k = 2, 64, 63
+	r := newBatchRunner(t, 2, m, RunnerConfig{MaxK: 64, MaxN: 64, Tasklets: 4, TileCols: 16})
+	for _, mag := range []int{40, 32000} {
+		a, b := randMat(rng, m*k, mag), randMat(rng, k*n, mag)
+		for _, alpha := range []int16{-32768, -1, 3, 32767} {
+			want, _ := Reference(m, n, k, alpha, a, b)
+			got, _, err := r.Multiply(m, n, k, alpha, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, _, err := r.MultiplyBatch(m, n, k, alpha, a, [][]int16{b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] || batch[0][i] != want[i] {
+					t.Fatalf("|A|,|B| <= %d, alpha %d: C[%d] = %d row, %d batch, want %d", mag, alpha, i, got[i], batch[0][i], want[i])
+				}
+			}
 		}
 	}
 }

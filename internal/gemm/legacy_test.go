@@ -81,7 +81,7 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 		// the APART multiply (Algorithm 2 line 5).
 		t.ChargeBulk(dpu.OpLoad, uint64(k))
 		t.ChargeBulk(dpu.OpMul16, uint64(k))
-		apart := sc.apart[:k]
+		apart := make([]int32, k)
 		for i := range apart {
 			apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
 		}
@@ -250,7 +250,7 @@ func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
 		aBytes := (k*2 + 7) &^ 7
 
 		cachedRow := -1
-		apart := sc.apart[:k]
+		apart := make([]int32, k)
 		ctmp := lt.ctmp[:tileCols]
 
 		for u := t.ID(); u < units; u += t.Count() {

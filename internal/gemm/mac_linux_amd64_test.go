@@ -25,18 +25,19 @@ func guarded(t *testing.T, n int) []byte {
 	return mem[page : (n+1)*page]
 }
 
-// The assembly stays inside the extents the wrapper proved: acc, apart
-// and block each sit flush against a PROT_NONE page — first ending at
-// the page after them, then starting at the page before — on every
-// width through two 32-lane strips, and the result is still the Go
-// loops'. A fault surfaces as a panic (SetPanicOnFault) and fails the
+// The assembly stays inside the extents the wrapper proved: acc, a
+// (rows*2 bytes) and block each sit flush against a PROT_NONE page —
+// first ending at the page after them, then starting at the page before
+// — on every width through two 32-lane strips, and the result is still
+// the Go loops'. A fault surfaces as a panic (SetPanicOnFault) and fails the
 // shape that caused it.
 func TestMACBlockStaysInsideGuardPages(t *testing.T) {
 	needVectorMAC(t)
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	const maxRows, maxStride = 5, 2048
-	accMem, apartMem, blockMem := guarded(t, 1), guarded(t, 1), guarded(t, 3)
+	accMem, aMem, blockMem := guarded(t, 1), guarded(t, 1), guarded(t, 3)
 	rng := rand.New(rand.NewSource(5))
+	rng.Read(aMem)
 	rng.Read(blockMem)
 	// place cuts size bytes from the end or the start of mem.
 	place := func(mem []byte, size int, atEnd bool) []byte {
@@ -51,24 +52,21 @@ func TestMACBlockStaysInsideGuardPages(t *testing.T) {
 			for _, bstride := range []int{0, rowBytes, rowBytes + 8, maxStride} {
 				for _, atEnd := range []bool{true, false} {
 					acc := unsafe.Slice((*int32)(unsafe.Pointer(&place(accMem, n*4, atEnd)[0])), n)
-					apart := unsafe.Slice((*int32)(unsafe.Pointer(&place(apartMem, rows*4, atEnd)[0])), rows)
+					a := place(aMem, rows*2, atEnd)
 					block := place(blockMem, (rows-1)*bstride+rowBytes, atEnd)
 					want := make([]int32, n)
 					for j := range acc {
 						acc[j] = rng.Int31()
 						want[j] = acc[j]
 					}
-					for i := range apart {
-						apart[i] = int32(rng.Uint32())
-					}
-					macBlockGo(want, apart, block, bstride)
+					macBlockGo(want, a, block, bstride)
 					func() {
 						defer func() {
 							if p := recover(); p != nil {
 								t.Fatalf("n=%d rows=%d bstride=%d atEnd=%v: touched a guard page: %v", n, rows, bstride, atEnd, p)
 							}
 						}()
-						macBlock(acc, apart, block, bstride)
+						macBlock(acc, a, block, bstride)
 					}()
 					for j := range want {
 						if acc[j] != want[j] {

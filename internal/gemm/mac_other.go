@@ -2,6 +2,6 @@
 
 package gemm
 
-func macBlock(acc, apart []int32, block []byte, bstride int) {
-	macBlockGo(acc, apart, block, bstride)
+func macBlock(acc []int32, a, block []byte, bstride int) {
+	macBlockGo(acc, a, block, bstride)
 }

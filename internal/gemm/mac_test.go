@@ -2,8 +2,10 @@ package gemm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -18,15 +20,38 @@ func needVectorMAC(t testing.TB) {
 	}
 }
 
+// macRef is the block MAC as gemm.Reference states it, one product per
+// element in row order: the oracle both kernels are held to.
+func macRef(acc []int32, a, block []byte, bstride int) {
+	for r := 0; r < len(a)/2; r++ {
+		ar := int32(int16(binary.LittleEndian.Uint16(a[2*r:])))
+		for j := range acc {
+			acc[j] += ar * int32(int16(binary.LittleEndian.Uint16(block[r*bstride+2*j:])))
+		}
+	}
+}
+
 // checkMACBlock runs one block MAC — n lanes, rows rows bstride bytes
 // apart, block starting off bytes into a 64-byte line — through macBlock
-// (the selected kernel) and macBlockGo (the Go loops) from the same
-// nonzero accumulators, and wants them equal lane for lane, the lanes
-// past acc[:n] untouched, and every byte in and around block unchanged.
-// Operands come from next, an eighth to a quarter of them pinned to the
-// extremes: apart MinInt32 / MaxInt32 / 0, B lanes -32768 / 32767.
+// (the selected kernel), macBlockGo (the Go loops) and macRef from the
+// same nonzero accumulators, and wants them equal lane for lane, the
+// lanes past acc[:n] untouched, and every byte in and around block
+// unchanged. Operands come from next, a quarter to three eighths of the
+// A and B lanes pinned to the int16 extremes -32768 / 32767 / 0.
 func checkMACBlock(t *testing.T, n, rows, bstride, off int, next func() uint32) {
 	t.Helper()
+	word := func() uint32 {
+		switch v := next(); v >> 16 % 8 {
+		case 0, 1:
+			return 0x8000
+		case 2:
+			return 0x7FFF
+		case 3:
+			return 0
+		default:
+			return v
+		}
+	}
 	rowBytes := pad4(n) * 2
 	size := (rows-1)*bstride + rowBytes
 	buf := bytes.Repeat([]byte{0xA5}, size+128)
@@ -34,49 +59,36 @@ func checkMACBlock(t *testing.T, n, rows, bstride, off int, next func() uint32) 
 	for r := 0; r < rows; r++ {
 		row := buf[start+r*bstride:][:rowBytes]
 		for i := 0; i < rowBytes; i += 2 {
-			v := next()
-			switch v >> 16 % 8 {
-			case 0, 1:
-				v = 0x8000
-			case 2:
-				v = 0x7FFF
-			}
-			row[i], row[i+1] = byte(v), byte(v>>8)
+			binary.LittleEndian.PutUint16(row[i:], uint16(word()))
 		}
 	}
 	orig := bytes.Clone(buf)
 	block := buf[start : start+size : start+size]
 
-	apart := make([]int32, rows)
-	for i := range apart {
-		switch apart[i] = int32(next()); apart[i] >> 8 % 8 {
-		case 0:
-			apart[i] = math.MinInt32
-		case 1:
-			apart[i] = math.MaxInt32
-		case 2:
-			apart[i] = 0
-		}
+	a := make([]byte, rows*2)
+	for i := 0; i < len(a); i += 2 {
+		binary.LittleEndian.PutUint16(a[i:], uint16(word()))
 	}
 	const canary = 0x5A5A5A5A
-	got, want := make([]int32, n+8), make([]int32, n+8)
+	got := make([]int32, n+8)
 	for j := range got {
 		got[j] = canary
 		if j < n {
 			got[j] = int32(next())
 		}
 	}
-	copy(want, got)
+	goLoops, ref := slices.Clone(got), slices.Clone(got)
 
-	macBlock(got[:n:n], apart, block, bstride)
-	macBlockGo(want[:n:n], apart, block, bstride)
-	for j := range got {
-		if got[j] != want[j] {
+	macBlock(got[:n:n], a, block, bstride)
+	macBlockGo(goLoops[:n:n], a, block, bstride)
+	macRef(ref[:n], a, block, bstride)
+	for j := range ref {
+		if got[j] != ref[j] || goLoops[j] != ref[j] {
 			what := "lane"
 			if j >= n {
 				what = "canary lane"
 			}
-			t.Fatalf("n=%d rows=%d bstride=%d off=%d: %s %d = %#x, Go loops %#x", n, rows, bstride, off, what, j, got[j], want[j])
+			t.Fatalf("n=%d rows=%d bstride=%d off=%d: %s %d = %#x, Go loops %#x, reference %#x", n, rows, bstride, off, what, j, got[j], goLoops[j], ref[j])
 		}
 	}
 	if !bytes.Equal(buf, orig) {
@@ -84,8 +96,28 @@ func checkMACBlock(t *testing.T, n, rows, bstride, off int, next func() uint32) 
 	}
 }
 
-// The assembly equals the Go loops on every width from one lane to past
-// four 32-lane strips, every row count a page run of wide rows has, the
+// VPMADDWD's one wrap: a pair of rows whose A and B words are all
+// -32768 sums 2·2³⁰ = 2³¹, which is 0x80000000 mod 2³², on every strip
+// width and the Go tail.
+func TestMACBlockPairWrap(t *testing.T) {
+	a := []byte{0x00, 0x80, 0x00, 0x80}
+	block := bytes.Repeat([]byte{0x00, 0x80}, 64)
+	for _, n := range []int{4, 8, 16, 32, 63} {
+		for _, mac := range []func([]int32, []byte, []byte, int){macBlock, macBlockGo, macRef} {
+			acc := make([]int32, n)
+			mac(acc, a, block, 0)
+			for j, v := range acc {
+				if v != math.MinInt32 {
+					t.Fatalf("n=%d: lane %d = %#x, want 0x80000000", n, j, v)
+				}
+			}
+		}
+	}
+}
+
+// The assembly and the Go loops equal macRef on every width from one lane
+// to past four 32-lane strips (each strip with odd and even row counts),
+// every row count a page run of wide rows has, the
 // four strides MRAMRowRuns produces (0: the zero or staged row;
 // rowBytes: packed; wider: a strided symbol; 2,048: the DMA maximum), and
 // every 8-byte placement of block in a cache line.
@@ -111,7 +143,9 @@ func TestMACBlockMatchesGoLoops(t *testing.T) {
 // taken from fuzzer input: lanes, rows, stride and off pick the geometry
 // (always a legal one: the wrapper's extent proof is TestMACExtent's),
 // data is read cyclically as the operand stream. The seed corpus is
-// testdata/fuzz/FuzzMACBlock, one hand-built file per kernel path.
+// testdata/fuzz/FuzzMACBlock, hand-built files that reach each kernel
+// path: every strip with an odd row count, the 16-lane strip alone, and
+// rows whose A and B words are all -32768.
 func FuzzMACBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lanes, rows, stride uint16, off uint8, data []byte) {
 		needVectorMAC(t)

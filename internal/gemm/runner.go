@@ -56,7 +56,6 @@ type RunnerConfig struct {
 // function.
 type kernelScratch struct {
 	aRow   []byte  // A bytes at the padded row stride; the batch pass grows it to m rows
-	apart  []int32 // alpha*A[k] (MaxK)
 	acc    []int32 // full-row accumulator (pad4(MaxN): B's padding lanes accumulate too, unread)
 	rowBuf []byte  // packed C row (pad4(MaxN)*2); the batch pass grows it to m rows
 }
@@ -177,7 +176,6 @@ func NewRunner(sys *host.System, cfg RunnerConfig) (*Runner, error) {
 	r.scratch.New = func() interface{} {
 		return &kernelScratch{
 			aRow:   make([]byte, aRowBytes),
-			apart:  make([]int32, cfg.MaxK),
 			acc:    make([]int32, pad4(cfg.MaxN)),
 			rowBuf: make([]byte, pad4(cfg.MaxN)*2),
 		}
@@ -288,23 +286,6 @@ func (r *Runner) readParams(t *dpu.Tasklet) kernelParams {
 		m: int(word(3)), aoff: int64(word(4))}
 }
 
-// decodeAPart fills apart[i] = alpha·A[i] (Algorithm 2 line 5) from the
-// staged little-endian A row, four lanes per 8-byte load.
-func decodeAPart(apart []int32, aw []byte, alpha int32) {
-	k := len(apart)
-	i := 0
-	for ; i+4 <= k; i += 4 {
-		v := binary.LittleEndian.Uint64(aw[i*2:])
-		apart[i] = alpha * int32(int16(v))
-		apart[i+1] = alpha * int32(int16(v>>16))
-		apart[i+2] = alpha * int32(int16(v>>32))
-		apart[i+3] = alpha * int32(int16(v>>48))
-	}
-	for ; i < k; i++ {
-		apart[i] = alpha * int32(int16(binary.LittleEndian.Uint16(aw[i*2:])))
-	}
-}
-
 // A block kernel is its cost function times one functional pass per DPU:
 // tasklet 0 validates the launch, computes the whole product (flatPass)
 // and charges every tasklet its block of the launch shape's cost, which
@@ -328,11 +309,13 @@ func (r *Runner) blockKernel(batch bool) dpu.KernelFunc {
 // C row of the A row at the parameter block's address in row mode, all
 // p.m rows of the weight matrix there in batch mode. A arrives in one
 // MRAM read (from the runner's A symbol, or in batch mode an arena slot
-// when the weights are resident), each row is decoded to APART once
-// (Algorithm 2 line 5) and multiply-accumulated over whole B rows in
-// place in the MRAM pages, and the packed C rows leave in one MRAM
-// write; each of these tasklet accesses traps out of bounds or
-// misaligned. It returns the launch's per-tasklet charge.
+// when the weights are resident), each staged row's int16 lanes are
+// multiply-accumulated over whole B rows in place in the MRAM pages, the
+// sums are scaled by alpha once per C row, and the packed C rows leave in
+// one MRAM write; each of these tasklet accesses traps out of bounds or
+// misaligned. Scaling the sum instead of each A element (Algorithm 2
+// line 5's APART) is the same number: mod 2³², Σ(α·A)·B ≡ α·Σ A·B. It
+// returns the launch's per-tasklet charge.
 func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 	p := r.readParams(t)
 	n, k := p.n, p.k
@@ -361,14 +344,20 @@ func (r *Runner) flatPass(t *dpu.Tasklet, batch bool) (*dpu.LaunchCost, error) {
 	sc.rowBuf = growBytes(sc.rowBuf, m*rowBytes)
 	// acc spans B's whole padded row, so the MAC runs in whole groups of
 	// four lanes; packClamped reads the first n.
-	apart, acc := sc.apart[:k], sc.acc[:pad4(n)]
+	acc := sc.acc[:pad4(n)]
+	var a []byte // the A row being multiplied
 	mac := func(first, count int, block []byte, bstride int) {
-		macBlock(acc, apart[first:first+count], block, bstride)
+		macBlock(acc, a[first*2:(first+count)*2], block, bstride)
 	}
 	for row := 0; row < m; row++ {
-		decodeAPart(apart, sc.aRow[row*aBytes:], p.alpha)
+		a = sc.aRow[row*aBytes:]
 		clear(acc)
 		t.MRAMRowRuns(r.bOff, int64(rowBytes), rowBytes, k, mac)
+		if p.alpha != 1 {
+			for j := range acc[:n] {
+				acc[j] *= p.alpha
+			}
+		}
 		packClamped(sc.rowBuf[row*rowBytes:], acc, n, rowBytes)
 	}
 	t.WriteMRAM(cOff, sc.rowBuf)
