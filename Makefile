@@ -89,9 +89,10 @@ sim-invariant:
 
 # cmd/experiments prints only simulated quantities, so its stdout is
 # byte-identical across runs, core counts and any change that leaves the
-# simulated clock alone: compare the full report, the -plan report and
+# simulated clock alone: compare the full report, the quick report with
+# the P1 planner rows (-quick -plan: the full report is pinned once) and
 # the quick report under an armed fault plan (the F1 recovery rows)
-# against the checked-in goldens (~15 s), and each examples/ program's
+# against the checked-in goldens, and each examples/ program's
 # stdout (seeded data, deterministic too) against
 # testdata/examples/<name>.golden (~10 s). A PR that means to move a
 # simulated number regenerates them with `make report-update` and says
@@ -102,13 +103,13 @@ FAULTS = dead=0.3,after=1,seed=1,transfer=0.01,trap=0.01
 
 report-check:
 	$(GO) run ./cmd/experiments | cmp - testdata/experiments.golden
-	$(GO) run ./cmd/experiments -plan | cmp - testdata/experiments-plan.golden
+	$(GO) run ./cmd/experiments -quick -plan | cmp - testdata/experiments-plan.golden
 	$(GO) run ./cmd/experiments -quick -faults "$(FAULTS)" | cmp - testdata/experiments-faults.golden
 	@for e in $(EXAMPLES); do echo "examples/$$e"; $(GO) run ./examples/$$e | cmp - testdata/examples/$$e.golden || exit 1; done
 
 report-update:
 	$(GO) run ./cmd/experiments > testdata/experiments.golden
-	$(GO) run ./cmd/experiments -plan > testdata/experiments-plan.golden
+	$(GO) run ./cmd/experiments -quick -plan > testdata/experiments-plan.golden
 	$(GO) run ./cmd/experiments -quick -faults "$(FAULTS)" > testdata/experiments-faults.golden
 	@for e in $(EXAMPLES); do $(GO) run ./examples/$$e > testdata/examples/$$e.golden || exit 1; done
 

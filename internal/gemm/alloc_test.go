@@ -21,14 +21,7 @@ func TestMultiplySteadyStateAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := make([]int16, m*k)
-	b := make([]int16, k*n)
-	for i := range a {
-		a[i] = int16(i%7 - 3)
-	}
-	for i := range b {
-		b[i] = int16(i%5 - 2)
-	}
+	a, b := pipelineProblem(m, n, k)
 	// 6 tiles x 64 k-iterations: any per-inner-iteration allocation
 	// shows up as hundreds of allocs per run.
 	avg := testing.AllocsPerRun(50, func() {
@@ -67,14 +60,7 @@ func TestMultiplyNaiveSteadyStateAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := make([]int16, m*k)
-	b := make([]int16, k*n)
-	for i := range a {
-		a[i] = int16(i%7 - 3)
-	}
-	for i := range b {
-		b[i] = int16(i%5 - 2)
-	}
+	a, b := pipelineProblem(m, n, k)
 	avg := testing.AllocsPerRun(50, func() {
 		if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
 			t.Fatal(err)

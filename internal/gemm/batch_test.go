@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -32,36 +33,6 @@ func newBatchRunner(t *testing.T, nDPU, maxM int, cfg RunnerConfig) *Runner {
 	return r
 }
 
-func TestEnableBatchValidation(t *testing.T) {
-	sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: 8, MaxN: 8, Tasklets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnableBatch(0); err == nil {
-		t.Error("EnableBatch(0) accepted")
-	}
-	if err := r.EnableBatch(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnableBatch(4); err == nil {
-		t.Error("double EnableBatch accepted")
-	}
-}
-
-func TestMultiplyBatchRequiresEnable(t *testing.T) {
-	sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: 8, MaxN: 8, Tasklets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]int16, 2*8)
-	b := make([]int16, 8*8)
-	if _, _, err := r.MultiplyBatch(2, 8, 8, 1, a, [][]int16{b}); err == nil {
-		t.Error("MultiplyBatch without EnableBatch accepted")
-	}
-}
-
 // TestBatchMatchesReference: the image-per-DPU mapping must produce the
 // same bits as the host Algorithm 2 for every image in the batch.
 func TestBatchMatchesReference(t *testing.T) {
@@ -85,29 +56,7 @@ func TestBatchMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("image %d: C[%d] = %d, want %d", i, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	r := newBatchRunner(t, 2, 4, RunnerConfig{MaxK: 8, MaxN: 8, Tasklets: 2})
-	a := make([]int16, 4*8)
-	b := make([]int16, 8*8)
-	if _, _, err := r.MultiplyBatch(5, 8, 8, 1, make([]int16, 5*8), [][]int16{b}); err == nil {
-		t.Error("M over batch bound accepted")
-	}
-	if _, _, err := r.MultiplyBatch(4, 8, 8, 1, a, [][]int16{b, b, b}); err == nil {
-		t.Error("more images than DPUs accepted")
-	}
-	if _, _, err := r.MultiplyBatch(4, 8, 8, 1, a, [][]int16{b, b[:10]}); err == nil {
-		t.Error("short B accepted")
-	}
-	if _, _, err := r.MultiplyBatch(4, 8, 8, 1, a, nil); err == nil {
-		t.Error("empty batch accepted")
+		checkC(t, fmt.Sprintf("image %d", i), got[i], want)
 	}
 }
 

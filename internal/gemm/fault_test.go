@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -47,12 +48,7 @@ func TestMultiplyFaultRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Multiply under %s faults: %v", p.name, err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("element %d: got %d, want %d (degraded run must be bit-identical)",
-						i, got[i], want[i])
-				}
-			}
+			checkC(t, "degraded run", got, want)
 			if st.Retries == 0 {
 				t.Errorf("no re-dispatches recorded; the %s plan should have faulted", p.name)
 			}
@@ -86,11 +82,7 @@ func TestMultiplyFaultSecondCall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: %v", call, err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("call %d element %d: got %d, want %d", call, i, got[i], want[i])
-			}
-		}
+		checkC(t, fmt.Sprintf("call %d", call), got, want)
 	}
 }
 

@@ -8,38 +8,6 @@ import (
 	"pimdnn/internal/host"
 )
 
-// TestNaiveMatchesReference: the thesis-faithful kernel must produce the
-// same bits as the host Algorithm 2 and the tiled kernel.
-func TestNaiveMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sys, _ := host.NewSystem(3, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: 64, MaxN: 300, Tasklets: 8, Naive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []struct{ m, n, k int }{
-		{1, 7, 5},    // fewer columns than tasklets for some tasklets
-		{3, 300, 33}, // odd shapes
-		{5, 64, 64},  // multiple waves
-	} {
-		a := randMat(rng, s.m*s.k, 100)
-		b := randMat(rng, s.k*s.n, 100)
-		want, err := Reference(s.m, s.n, s.k, 1, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := r.Multiply(s.m, s.n, s.k, 1, a, b)
-		if err != nil {
-			t.Fatalf("%dx%dx%d: %v", s.m, s.n, s.k, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: C[%d] = %d, want %d", s.m, s.n, s.k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestNaiveSlowerThanTiled: the MRAM-resident ctmp makes the thesis's
 // kernel substantially slower than the WRAM-tiled one — the §4.3.3
 // takeaway ("increase the number of WRAM accesses vs. MRAM ones").
