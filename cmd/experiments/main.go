@@ -16,6 +16,7 @@ import (
 	"pimdnn/internal/ebnn"
 	"pimdnn/internal/gemm"
 	"pimdnn/internal/host"
+	"pimdnn/internal/isa"
 	"pimdnn/internal/metrics"
 	"pimdnn/internal/mnist"
 	"pimdnn/internal/model"
@@ -445,27 +446,42 @@ func e1Table21() error {
 }
 
 func e2Eq34() error {
-	fmt.Println("\n## E2 — Eq 3.4: MRAM access cycles")
-	d, err := dpu.New(dpu.DefaultConfig(dpu.O0))
-	if err != nil {
-		return err
+	fmt.Println("\n## E2 — Eq 3.4: MRAM access cycles (25 + bytes/2)")
+	fmt.Println("\nOne MRAM→WRAM transfer per launch, measured by the tasklet's DMA counter.")
+	fmt.Println("\n| bytes | paper | measured |")
+	fmt.Println("|---|---|---|")
+	d := dpu.MustNew(dpu.DefaultConfig(dpu.O0))
+	for _, n := range []int{8, 64, 512, 1024, 2048} {
+		var cycles uint64
+		if _, err := d.Launch(1, func(t *dpu.Tasklet) error {
+			t.MRAMToWRAM(0, 0, n)
+			cycles = t.DMACycles()
+			return nil
+		}); err != nil {
+			return err
+		}
+		fmt.Printf("| %d | %d | %d |\n", n, 25+n/2, cycles)
 	}
-	var cycles uint64
-	if _, err := d.Launch(1, func(t *dpu.Tasklet) error {
-		t.MRAMToWRAM(0, 0, 2048)
-		cycles = t.DMACycles()
-		return nil
-	}); err != nil {
-		return err
-	}
-	fmt.Printf("\n2048-byte MRAM→WRAM transfer: measured %d cycles, paper 1049 (25 + 2048/2).\n", cycles)
 	return nil
 }
 
+// fig31 is Fig 3.1's microbenchmark as a DPU program: one float multiply
+// between perfcounter_config() and perfcounter_get().
+const fig31 = `
+	movi r1, 3
+	movi r2, 4
+	fsi  r3, r1      ; float a = 3
+	fsi  r4, r2      ; float b = 4
+	pcfg             ; perfcounter_config()
+	fmul r5, r3, r4  ; a * b
+	pget r6          ; perfcounter_get()
+	halt
+`
+
 func e3Table31() error {
-	fmt.Println("\n## E3 — Table 3.1: cycles per operation (O0, 1 tasklet)")
-	fmt.Println("\n| operation | paper | measured |")
-	fmt.Println("|---|---|---|")
+	fmt.Println("\n## E3 — Table 3.1: cycles per operation (O0, 1 tasklet; O3 beside it)")
+	fmt.Println("\n| operation | paper | measured | measured at O3 |")
+	fmt.Println("|---|---|---|---|")
 	cases := []struct {
 		name  string
 		body  func(t *dpu.Tasklet)
@@ -482,23 +498,44 @@ func e3Table31() error {
 		{"float multiply", func(t *dpu.Tasklet) { t.FMul(0x40400000, 0x40800000) }, 2528},
 		{"float divide", func(t *dpu.Tasklet) { t.FDiv(0x40400000, 0x40800000) }, 12064},
 	}
+	levels := []dpu.OptLevel{dpu.O0, dpu.O3}
+	var fmul uint64 // the float multiply row at O0
 	for _, c := range cases {
-		d, err := dpu.New(dpu.DefaultConfig(dpu.O0))
-		if err != nil {
-			return err
+		var cycles [2]uint64
+		for i, opt := range levels {
+			if _, err := dpu.MustNew(dpu.DefaultConfig(opt)).Launch(1, func(t *dpu.Tasklet) error {
+				t.PerfcounterConfig()
+				t.Charge(dpu.OpNop, 21) // the measurement harness's instructions
+				c.body(t)
+				cycles[i] = t.PerfcounterGet()
+				return nil
+			}); err != nil {
+				return err
+			}
 		}
-		var cycles uint64
-		if _, err := d.Launch(1, func(t *dpu.Tasklet) error {
-			t.PerfcounterConfig()
-			t.Charge(dpu.OpNop, 21)
-			c.body(t)
-			cycles = t.PerfcounterGet()
-			return nil
-		}); err != nil {
-			return err
+		if c.name == "float multiply" {
+			fmul = cycles[0]
 		}
-		fmt.Printf("| %s | %d | %d |\n", c.name, c.paper, cycles)
+		fmt.Printf("| %s | %d | %d | %d |\n", c.name, c.paper, cycles[0], cycles[1])
 	}
+
+	// Fig 3.1 as an assembled program: the same multiply without the
+	// harness's 21 nop slots, but pget's own move slot is counted.
+	var isaCycles [2]uint64
+	for i, opt := range levels {
+		d := dpu.MustNew(dpu.DefaultConfig(opt))
+		if err := isa.Load(d, isa.MustAssemble(fig31)); err != nil {
+			return err
+		}
+		if _, err := d.Launch(1, isa.Kernel(nil, func(_ int, r isa.Regs) {
+			isaCycles[i] = uint64(r[6])
+		})); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("\nFig 3.1's program (`pcfg; fmul; pget`) assembled and run through isa.Kernel: %d cycles at O0, %d at O3. "+
+		"The float multiply row reads %d more (at O3 too): the table harness's 21 nop slots, less the one slot `pget` issues, at %d cycles a slot.\n",
+		isaCycles[0], isaCycles[1], fmul-isaCycles[0], dpu.PipelineDepth)
 	return nil
 }
 

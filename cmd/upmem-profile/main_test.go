@@ -23,12 +23,13 @@ func runOut(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// TestTimelineText: the demo GEMM's Gantt chart is three waves, one at a
-// time.
+// TestTimelineText: the default output is the demo GEMM's Gantt chart,
+// three waves, one at a time, and nothing of chapter 3 (cmd/experiments
+// prints that).
 func TestTimelineText(t *testing.T) {
-	out := runOut(t, "-timeline")
-	if !strings.Contains(out, "== Table 3.1") || !strings.Contains(out, demoGEMM) {
-		t.Errorf("missing Table 3.1 or the workload line:\n%s", out)
+	out := runOut(t)
+	if !strings.Contains(out, demoGEMM) || strings.Contains(out, "Table 3.1") {
+		t.Errorf("missing the workload line, or a Table 3.1:\n%s", out)
 	}
 	if rows := regexp.MustCompile(`(?m)^w\d{3} wave `).FindAllString(out, -1); len(rows) != 3 {
 		t.Errorf("%d wave rows, want 3:\n%s", len(rows), out)
@@ -47,7 +48,8 @@ func TestTimelineJSON(t *testing.T) {
 		Workload string                       `json:"timeline_workload"`
 		Timeline []map[string]json.RawMessage `json:"timeline"`
 	}
-	if err := json.Unmarshal([]byte(runOut(t, "-json", "-timeline")), &doc); err != nil {
+	out := runOut(t, "-json")
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Workload != demoGEMM || len(doc.Timeline) != 3 {
@@ -66,16 +68,15 @@ func TestTimelineJSON(t *testing.T) {
 			t.Errorf("span %d = %s of %s shards, want a wave of 8", i, span["name"], span["shards"])
 		}
 	}
-	// Without -timeline the demo GEMM is not run and the keys are absent.
-	if out := runOut(t, "-json"); strings.Contains(out, "timeline") {
-		t.Errorf("-json alone mentions a timeline:\n%s", out)
+	if strings.Contains(out, `"metrics"`) {
+		t.Errorf("-json carries a metrics field:\n%s", out)
 	}
 }
 
 func TestPerfetto(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gemm.json")
-	// The span tree is what is written, with or without -timeline.
-	out := runOut(t, "-perfetto", path, "-timeline")
+	// The span tree is what is written, in place of the chart.
+	out := runOut(t, "-perfetto", path)
 	if !strings.HasPrefix(out, "wrote span tree") || strings.Count(out, "\n") != 1 {
 		t.Errorf("-perfetto output:\n%s", out)
 	}
@@ -117,7 +118,7 @@ func TestFailedRunLeavesNoFile(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
 		t.Errorf("failed runs left %v behind", left)
 	}
-	// A bad -O fails before the Table 3.1 header, not after it.
+	// A bad -O fails before the timeline header, not after it.
 	var out bytes.Buffer
 	if err := run([]string{"-O", "-1"}, &out); err == nil || out.Len() != 0 {
 		t.Errorf("-O -1: err %v, output %q", err, out.String())

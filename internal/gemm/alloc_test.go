@@ -15,12 +15,8 @@ import (
 // fails loudly if per-iteration allocation ever returns (the pre-rework
 // kernel allocated hundreds per call on this problem size).
 func TestMultiplySteadyStateAllocBound(t *testing.T) {
-	sys := newSystem(t, 2, dpu.O3)
 	const m, n, k = 2, 96, 64
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, newSystem(t, 2, dpu.O3), RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 	a, b := pipelineProblem(m, n, k)
 	// 6 tiles x 64 k-iterations: any per-inner-iteration allocation
 	// shows up as hundreds of allocs per run.
@@ -54,12 +50,8 @@ func TestMultiplySteadyStateAllocBound(t *testing.T) {
 
 // The naive (thesis-faithful) kernel shares the same scratch pool.
 func TestMultiplyNaiveSteadyStateAllocBound(t *testing.T) {
-	sys := newSystem(t, 2, dpu.O0)
 	const m, n, k = 2, 96, 64
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, Naive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, newSystem(t, 2, dpu.O0), RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, Naive: true})
 	a, b := pipelineProblem(m, n, k)
 	avg := testing.AllocsPerRun(50, func() {
 		if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {

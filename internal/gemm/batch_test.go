@@ -20,13 +20,19 @@ func newSystem(t testing.TB, nDPU int, opt dpu.OptLevel) *host.System {
 	return sys
 }
 
-func newBatchRunner(t *testing.T, nDPU, maxM int, cfg RunnerConfig) *Runner {
+// mustRunner is NewRunner on sys, failing the test on error.
+func mustRunner(t testing.TB, sys *host.System, cfg RunnerConfig) *Runner {
 	t.Helper()
-	sys := newSystem(t, nDPU, dpu.O3)
 	r, err := NewRunner(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func newBatchRunner(t *testing.T, nDPU, maxM int, cfg RunnerConfig) *Runner {
+	t.Helper()
+	r := mustRunner(t, newSystem(t, nDPU, dpu.O3), cfg)
 	if err := r.EnableBatch(maxM); err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +84,7 @@ func TestBatchVersusRowMappingTradeoff(t *testing.T) {
 	}
 
 	// Row-per-DPU: images processed one after another.
-	sysRow, _ := host.NewSystem(nDPU, host.DefaultConfig(dpu.O3))
-	rowRunner, err := NewRunner(sysRow, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rowRunner := mustRunner(t, newSystem(t, nDPU, dpu.O3), RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 32})
 	var rowCycles uint64
 	var rowSingle uint64
 	for i := range bs {

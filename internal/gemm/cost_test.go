@@ -44,12 +44,8 @@ func costRunner(t *testing.T, opt dpu.OptLevel, naive, legacy bool) *Runner {
 // count only.
 func costRunnerFor(t *testing.T, opt dpu.OptLevel, naive, legacy bool, tasklets int) *Runner {
 	t.Helper()
-	sys := newSystem(t, 1, opt)
-	r, err := NewRunner(sys, RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: tasklets,
+	r := mustRunner(t, newSystem(t, 1, opt), RunnerConfig{MaxK: costMaxK, MaxN: costMaxN, Tasklets: tasklets,
 		TileCols: costTileCols, Naive: naive})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if legacy {
 		r.installLegacy()
 	}

@@ -32,10 +32,7 @@ func runDifferential(t *testing.T, opt dpu.OptLevel, legacy bool,
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
-	r, err := NewRunner(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, sys, cfg)
 	if legacy {
 		r.installLegacy()
 	}

@@ -39,10 +39,7 @@ func TestMultiplyFaultRecovery(t *testing.T) {
 	for _, p := range plans {
 		t.Run(p.name+"/sync", func(t *testing.T) {
 			sys := newSystem(t, 8, dpu.O3)
-			r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := mustRunner(t, sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 			sys.InjectFaults(p.plan)
 			got, st, err := r.Multiply(m, n, k, 3, a, b)
 			if err != nil {
@@ -72,10 +69,7 @@ func TestMultiplyFaultSecondCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := newSystem(t, 8, dpu.O3)
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 	sys.InjectFaults(deadPlan)
 	for call := 0; call < 3; call++ {
 		got, _, err := r.Multiply(m, n, k, 1, a, b)

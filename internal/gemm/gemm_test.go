@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 )
 
 func randMat(rng *rand.Rand, n int, lim int) []int16 {
@@ -159,12 +158,7 @@ func TestReferenceRowIndependence(t *testing.T) {
 
 func newGEMMRunner(t *testing.T, nDPU int, cfg RunnerConfig) *Runner {
 	t.Helper()
-	sys := newSystem(t, nDPU, dpu.O0)
-	r, err := NewRunner(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return mustRunner(t, newSystem(t, nDPU, dpu.O0), cfg)
 }
 
 // expectRejected fails t for each call of group that is not an error:
@@ -380,11 +374,7 @@ func TestGEMMOptimizationLevels(t *testing.T) {
 	b := randMat(rng, k*n, 100)
 
 	cyclesAt := func(opt dpu.OptLevel) uint64 {
-		sys := newSystem(t, 1, opt)
-		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, newSystem(t, 1, opt), RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 64})
 		_, st, err := r.Multiply(m, n, k, 1, a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -407,11 +397,8 @@ func TestGEMMIsMRAMBound(t *testing.T) {
 	const m, n, k = 1, 1024, 64
 	a := randMat(rng, m*k, 100)
 	b := randMat(rng, k*n, 100)
-	sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := newSystem(t, 1, dpu.O3)
+	r := mustRunner(t, sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256})
 	if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
 		t.Fatal(err)
 	}

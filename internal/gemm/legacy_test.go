@@ -42,100 +42,114 @@ func newLegacyTile(tileCols int) legacyTile {
 	}
 }
 
-// kernelLegacy is the per-operation-charging tiled kernel the block
-// kernel above replaced. It is kept (in the test package)
-// as the reference side of the differential tests: per tile it streams
-// each B row chunk from MRAM (Eq 3.4 cost per transfer) into a private
-// WRAM buffer, multiply-accumulates into a WRAM ctmp buffer with bulk
-// charges per k-iteration, and writes the clamped outputs back to MRAM.
-func (r *Runner) kernelLegacy() dpu.KernelFunc {
-	tileCols := r.tileCols
-	return func(t *dpu.Tasklet) error {
-		n := int(int32(t.Load32(r.paramsOff)))
-		k := int(int32(t.Load32(r.paramsOff + 4)))
-		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
-		aoff := int64(int32(t.Load32(r.paramsOff + 16)))
-		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
-		}
+// legacyParams loads the launch parameters the host wrote: N, K, alpha,
+// the A offset and, in batch mode only (the row kernels do not load
+// it), M; m is 1 in row mode.
+func (r *Runner) legacyParams(t *dpu.Tasklet, batch bool) (n, k, m int, alpha int16, aoff int64, err error) {
+	n = int(int32(t.Load32(r.paramsOff)))
+	k = int(int32(t.Load32(r.paramsOff + 4)))
+	alpha = int16(int32(t.Load32(r.paramsOff + 8)))
+	m = 1
+	if batch {
+		m = int(int32(t.Load32(r.paramsOff + 12)))
+	}
+	aoff = int64(int32(t.Load32(r.paramsOff + 16)))
+	if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || batch && m > r.maxM {
+		err = fmt.Errorf("gemm legacy kernel: bad params M=%d N=%d K=%d", m, n, k)
+	}
+	return
+}
 
+// legacyStageA copies k int16 A values from MRAM to WRAM in DMA-sized
+// chunks (the row padded to 8 bytes).
+func legacyStageA(t *dpu.Tasklet, wram, mram int64, k int) {
+	bytes := (k*2 + 7) &^ 7
+	for off := 0; off < bytes; off += dpu.MaxDMATransfer {
+		t.MRAMToWRAM(wram+int64(off), mram+int64(off), min(bytes-off, dpu.MaxDMATransfer))
+	}
+}
+
+// legacyApart fills apart with alpha times each staged A value: one WRAM
+// load and one 16-bit multiply per k (Algorithm 2 line 5).
+func legacyApart(t *dpu.Tasklet, aRow []byte, alpha int16, apart []int32) {
+	t.ChargeBulk(dpu.OpLoad, uint64(len(apart)))
+	t.ChargeBulk(dpu.OpMul16, uint64(len(apart)))
+	for i := range apart {
+		apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
+	}
+}
+
+// legacyTilePass computes one C row tile, columns j0 onward of N = n,
+// from the precomputed apart: it streams each B row chunk from MRAM
+// (Eq 3.4 cost per transfer) into the tasklet's WRAM tile at tileBase,
+// multiply-accumulates into ctmp with bulk charges per k-iteration, and
+// writes the clamped outputs to MRAM at cOff.
+func (r *Runner) legacyTilePass(t *dpu.Tasklet, lt legacyTile, apart []int32, n, j0 int, tileBase, cOff int64) {
+	cols := min(n-j0, r.tileCols)
+	chunkBytes := (cols*2 + 7) &^ 7
+	ctmp := lt.ctmp[:cols]
+	for i := range ctmp {
+		ctmp[i] = 0
+	}
+	t.ChargeBulk(dpu.OpStore, uint64(cols)) // zeroing ctmp
+
+	stride := pad4(n)
+	for kk, ap := range apart {
+		t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
+		bChunk := lt.chunk[:cols*2]
+		copy(bChunk, t.WRAMWindow(tileBase, int64(len(bChunk))))
+		for j := range ctmp {
+			ctmp[j] += ap * int32(int16(binary.LittleEndian.Uint16(bChunk[j*2:])))
+		}
+		// Per element: load B, load ctmp, 16-bit multiply, accumulate,
+		// store ctmp (Algorithm 2 line 7).
+		t.ChargeBulk(dpu.OpLoad, uint64(2*cols))
+		t.ChargeBulk(dpu.OpMul16, uint64(cols))
+		t.ChargeBulk(dpu.OpAddInt, uint64(cols))
+		t.ChargeBulk(dpu.OpStore, uint64(cols))
+	}
+
+	// Output rescale and clamp (Algorithm 2 lines 8-10), then write the
+	// C chunk back to MRAM.
+	out := lt.out[:chunkBytes]
+	for j, v := range ctmp {
+		binary.LittleEndian.PutUint16(out[j*2:], uint16(fixed.GEMMOutputClamp(v)))
+	}
+	clear(out[cols*2:])                      // the padding tail stays deterministic
+	t.ChargeBulk(dpu.OpShift, uint64(cols))  // /32
+	t.ChargeBulk(dpu.OpBranch, uint64(cols)) // clamp compare
+	t.ChargeBulk(dpu.OpStore, uint64(cols))
+	copy(t.WRAMWindow(tileBase, int64(len(out))), out)
+	t.WRAMToMRAM(cOff, tileBase, chunkBytes)
+}
+
+// kernelLegacy is the per-operation-charging tiled kernel the block
+// kernel replaced: tasklet 0 stages the A row, and each tasklet runs
+// legacyTilePass over its strided tiles.
+func (r *Runner) kernelLegacy() dpu.KernelFunc {
+	return func(t *dpu.Tasklet) error {
+		n, k, _, alpha, aoff, err := r.legacyParams(t, false)
+		if err != nil {
+			return err
+		}
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
-		lt := newLegacyTile(tileCols)
+		lt := newLegacyTile(r.tileCols)
 
-		// Tasklet 0 stages the A row into WRAM in DMA-sized chunks;
-		// later tasklets (run in ID order) read it shared.
+		// Tasklet 0 stages the A row into WRAM; later tasklets (run in
+		// ID order) read it shared.
 		if t.ID() == 0 {
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
-			}
+			legacyStageA(t, r.aWRAM, aoff, k)
 		}
 		aRow := sc.aRow[:k*2]
 		copy(aRow, t.WRAMWindow(r.aWRAM, int64(len(aRow))))
-		// Loading A[kk] each outer iteration: one WRAM load per k, plus
-		// the APART multiply (Algorithm 2 line 5).
-		t.ChargeBulk(dpu.OpLoad, uint64(k))
-		t.ChargeBulk(dpu.OpMul16, uint64(k))
 		apart := make([]int32, k)
-		for i := range apart {
-			apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
-		}
+		legacyApart(t, aRow, alpha, apart)
 
-		tiles := (n + tileCols - 1) / tileCols
-		tileBase := r.tileOff + int64(t.ID())*int64(tileCols)*8
-		ctmp := lt.ctmp[:tileCols]
-
-		for tile := t.ID(); tile < tiles; tile += t.Count() {
-			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
-			t.ChargeBulk(dpu.OpStore, uint64(cols)) // zeroing ctmp
-
-			stride := pad4(n)
-			for kk := 0; kk < k; kk++ {
-				// Stream B[kk, j0:j0+cols] from MRAM.
-				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
-				bChunk := lt.chunk[:cols*2]
-				copy(bChunk, t.WRAMWindow(tileBase, int64(len(bChunk))))
-				ap := apart[kk]
-				for j := 0; j < cols; j++ {
-					bv := int16(binary.LittleEndian.Uint16(bChunk[j*2:]))
-					ctmp[j] += ap * int32(bv)
-				}
-				// Per element: load B, load ctmp, 16-bit multiply,
-				// accumulate, store ctmp (Algorithm 2 line 7).
-				t.ChargeBulk(dpu.OpLoad, uint64(2*cols))
-				t.ChargeBulk(dpu.OpMul16, uint64(cols))
-				t.ChargeBulk(dpu.OpAddInt, uint64(cols))
-				t.ChargeBulk(dpu.OpStore, uint64(cols))
-			}
-
-			// Output rescale and clamp (Algorithm 2 lines 8-10), then
-			// write the C chunk back to MRAM.
-			out := lt.out[:chunkBytes]
-			for j := 0; j < cols; j++ {
-				binary.LittleEndian.PutUint16(out[j*2:], uint16(fixed.GEMMOutputClamp(ctmp[j])))
-			}
-			for b := cols * 2; b < chunkBytes; b++ {
-				out[b] = 0 // keep the padding tail deterministic
-			}
-			t.ChargeBulk(dpu.OpShift, uint64(cols))  // /32
-			t.ChargeBulk(dpu.OpBranch, uint64(cols)) // clamp compare
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			copy(t.WRAMWindow(tileBase, int64(len(out))), out)
-			t.WRAMToMRAM(r.cOff+int64(j0*2), tileBase, chunkBytes)
+		tileBase := r.tileOff + int64(t.ID())*int64(r.tileCols)*8
+		for tile := t.ID(); tile*r.tileCols < n; tile += t.Count() {
+			j0 := tile * r.tileCols
+			r.legacyTilePass(t, lt, apart, n, j0, tileBase, r.cOff+int64(j0*2))
 		}
 		return nil
 	}
@@ -148,25 +162,15 @@ func (r *Runner) kernelLegacy() dpu.KernelFunc {
 // re-reads the staged A row and the B rows.
 func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 	return func(t *dpu.Tasklet) error {
-		n := int(int32(t.Load32(r.paramsOff)))
-		k := int(int32(t.Load32(r.paramsOff + 4)))
-		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
-		aoff := int64(int32(t.Load32(r.paramsOff + 16)))
-		if n < 1 || k < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK {
-			return fmt.Errorf("gemm kernel: bad params N=%d K=%d", n, k)
+		n, k, _, alpha, aoff, err := r.legacyParams(t, false)
+		if err != nil {
+			return err
 		}
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
 
 		if t.ID() == 0 {
-			bytes := (k*2 + 7) &^ 7
-			for off := 0; off < bytes; off += dpu.MaxDMATransfer {
-				chunk := bytes - off
-				if chunk > dpu.MaxDMATransfer {
-					chunk = dpu.MaxDMATransfer
-				}
-				t.MRAMToWRAM(r.aWRAM+int64(off), aoff+int64(off), chunk)
-			}
+			legacyStageA(t, r.aWRAM, aoff, k)
 		}
 		aRow := sc.aRow[:k*2]
 		copy(aRow, t.WRAMWindow(r.aWRAM, int64(len(aRow))))
@@ -225,97 +229,38 @@ func (r *Runner) kernelNaiveLegacy() dpu.KernelFunc {
 
 // kernelBatchLegacy is the per-operation-charging batch kernel, kept
 // in the test package as the reference side of the
-// differential tests.
+// differential tests: each tasklet runs legacyTilePass over its strided
+// (row, tile) units, staging a row's A into its own WRAM cache slot when
+// the row changes.
 func (r *Runner) kernelBatchLegacy() dpu.KernelFunc {
-	tileCols := r.tileCols
 	return func(t *dpu.Tasklet) error {
-		n := int(int32(t.Load32(r.paramsOff)))
-		k := int(int32(t.Load32(r.paramsOff + 4)))
-		alpha := int16(int32(t.Load32(r.paramsOff + 8)))
-		m := int(int32(t.Load32(r.paramsOff + 12)))
-		aBase := int64(int32(t.Load32(r.paramsOff + 16)))
-		if n < 1 || k < 1 || m < 1 || n > r.cfg.MaxN || k > r.cfg.MaxK || m > r.maxM {
-			return fmt.Errorf("gemm batch kernel: bad params M=%d N=%d K=%d", m, n, k)
+		n, k, m, alpha, aBase, err := r.legacyParams(t, true)
+		if err != nil {
+			return err
 		}
-
 		sc := r.getScratch()
 		defer r.scratch.Put(sc)
-		lt := newLegacyTile(tileCols)
+		lt := newLegacyTile(r.tileCols)
 
 		stride := pad4(n)
-		tiles := (n + tileCols - 1) / tileCols
-		units := m * tiles
-		tileBase := r.tileOff + int64(t.ID())*int64(tileCols)*8
+		tiles := (n + r.tileCols - 1) / r.tileCols
+		tileBase := r.tileOff + int64(t.ID())*int64(r.tileCols)*8
 		aSlot := r.aCacheOff + int64(t.ID())*int64((r.cfg.MaxK*2+7)&^7)
 		aBytes := (k*2 + 7) &^ 7
-
 		cachedRow := -1
 		apart := make([]int32, k)
-		ctmp := lt.ctmp[:tileCols]
-
-		for u := t.ID(); u < units; u += t.Count() {
-			row := u / tiles
-			tile := u % tiles
-
+		for u := t.ID(); u < m*tiles; u += t.Count() {
+			row, j0 := u/tiles, u%tiles*r.tileCols
 			if row != cachedRow {
-				// Stage this A row into the tasklet's WRAM cache and
-				// precompute APART (Algorithm 2 line 5). Rows sit at
-				// the padded stride so every transfer stays aligned.
-				for off := 0; off < aBytes; off += dpu.MaxDMATransfer {
-					chunk := aBytes - off
-					if chunk > dpu.MaxDMATransfer {
-						chunk = dpu.MaxDMATransfer
-					}
-					t.MRAMToWRAM(aSlot+int64(off), aBase+int64(row)*int64(aBytes)+int64(off), chunk)
-				}
+				// Rows sit at the padded stride so every transfer
+				// stays aligned.
+				legacyStageA(t, aSlot, aBase+int64(row*aBytes), k)
 				aRow := sc.aRow[:k*2]
 				copy(aRow, t.WRAMWindow(aSlot, int64(len(aRow))))
-				t.ChargeBulk(dpu.OpLoad, uint64(k))
-				t.ChargeBulk(dpu.OpMul16, uint64(k))
-				for i := 0; i < k; i++ {
-					apart[i] = int32(alpha) * int32(int16(binary.LittleEndian.Uint16(aRow[i*2:])))
-				}
+				legacyApart(t, aRow, alpha, apart)
 				cachedRow = row
 			}
-
-			j0 := tile * tileCols
-			cols := n - j0
-			if cols > tileCols {
-				cols = tileCols
-			}
-			chunkBytes := (cols*2 + 7) &^ 7
-
-			for i := range ctmp[:cols] {
-				ctmp[i] = 0
-			}
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-
-			for kk := 0; kk < k; kk++ {
-				t.MRAMToWRAM(tileBase, r.bOff+int64(kk*stride+j0)*2, chunkBytes)
-				bChunk := lt.chunk[:cols*2]
-				copy(bChunk, t.WRAMWindow(tileBase, int64(len(bChunk))))
-				ap := apart[kk]
-				for j := 0; j < cols; j++ {
-					ctmp[j] += ap * int32(int16(binary.LittleEndian.Uint16(bChunk[j*2:])))
-				}
-				t.ChargeBulk(dpu.OpLoad, uint64(2*cols))
-				t.ChargeBulk(dpu.OpMul16, uint64(cols))
-				t.ChargeBulk(dpu.OpAddInt, uint64(cols))
-				t.ChargeBulk(dpu.OpStore, uint64(cols))
-			}
-
-			out := lt.out[:chunkBytes]
-			for j := 0; j < cols; j++ {
-				binary.LittleEndian.PutUint16(out[j*2:], uint16(fixed.GEMMOutputClamp(ctmp[j])))
-			}
-			for b := cols * 2; b < chunkBytes; b++ {
-				out[b] = 0
-			}
-			t.ChargeBulk(dpu.OpShift, uint64(cols))
-			t.ChargeBulk(dpu.OpBranch, uint64(cols))
-			t.ChargeBulk(dpu.OpStore, uint64(cols))
-			copy(t.WRAMWindow(tileBase, int64(len(out))), out)
-			t.WRAMToMRAM(r.cFullOff+int64(row*stride+j0)*2, tileBase, chunkBytes)
+			r.legacyTilePass(t, lt, apart, n, j0, tileBase, r.cFullOff+int64(row*stride+j0)*2)
 		}
 		return nil
 	}

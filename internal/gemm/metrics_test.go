@@ -17,10 +17,7 @@ func runWithTelemetry(t testing.TB, reg *metrics.Registry) ([]int16, Stats) {
 	if reg != nil {
 		sys.EnableMetrics(reg)
 	}
-	r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 8, TileCols: 16})
 	c, st, err := r.Multiply(m, n, k, 3, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +99,7 @@ func TestMetricsZeroExtraAllocs(t *testing.T) {
 		if reg != nil {
 			sys.EnableMetrics(reg)
 		}
-		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 		// Warm reusable buffers so both measurements are steady-state.
 		if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
 			t.Fatal(err)

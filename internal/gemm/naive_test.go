@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimdnn/internal/dpu"
-	"pimdnn/internal/host"
 )
 
 // TestNaiveSlowerThanTiled: the MRAM-resident ctmp makes the thesis's
@@ -18,13 +17,8 @@ func TestNaiveSlowerThanTiled(t *testing.T) {
 	b := randMat(rng, k*n, 100)
 
 	run := func(naive bool) uint64 {
-		sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-		r, err := NewRunner(sys, RunnerConfig{
-			MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256, Naive: naive,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, newSystem(t, 1, dpu.O3),
+			RunnerConfig{MaxK: k, MaxN: n, Tasklets: 11, TileCols: 256, Naive: naive})
 		_, st, err := r.Multiply(m, n, k, 1, a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -49,11 +43,7 @@ func TestNaiveThreadingSaturatesEarly(t *testing.T) {
 	a := randMat(rng, m*k, 100)
 	b := randMat(rng, k*n, 100)
 	cycles := func(tasklets int) uint64 {
-		sys, _ := host.NewSystem(1, host.DefaultConfig(dpu.O3))
-		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: tasklets, Naive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, newSystem(t, 1, dpu.O3), RunnerConfig{MaxK: k, MaxN: n, Tasklets: tasklets, Naive: true})
 		_, st, err := r.Multiply(m, n, k, 1, a, b)
 		if err != nil {
 			t.Fatal(err)

@@ -39,10 +39,7 @@ func TestPlannerPredictionExact(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		sys := newSystem(t, 8, dpu.O3)
 		p := plan.New(sys)
-		r, err := NewRunner(sys, RunnerConfig{MaxK: 128, MaxN: 600, Naive: naive, Planner: p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, sys, RunnerConfig{MaxK: 128, MaxN: 600, Naive: naive, Planner: p})
 		// Shapes spanning one tile, a partial tail tile, and more rows
 		// than DPUs (multi-wave).
 		for _, sh := range [][3]int{{3, 300, 128}, {3, 65, 37}, {20, 600, 64}} {
@@ -65,10 +62,7 @@ func TestPlannerPredictionExact(t *testing.T) {
 	// Batch kernel (image-per-DPU, single wave over <= NumDPUs images).
 	sys := newSystem(t, 8, dpu.O3)
 	p := plan.New(sys)
-	r, err := NewRunner(sys, RunnerConfig{MaxK: 64, MaxN: 200, Planner: p})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, sys, RunnerConfig{MaxK: 64, MaxN: 200, Planner: p})
 	if err := r.EnableBatch(5); err != nil {
 		t.Fatal(err)
 	}

@@ -120,11 +120,8 @@ func TestPropertyFunctionIndependentOfPartition(t *testing.T) {
 				// A fresh DPU per case, so a page the case does not write
 				// was never written.
 				sys := newSystem(t, 1, dpu.O3)
-				r, err := NewRunner(sys, RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: dpu.MaxTasklets,
+				r := mustRunner(t, sys, RunnerConfig{MaxK: maxK, MaxN: maxN, Tasklets: dpu.MaxTasklets,
 					TileCols: tile, Naive: kind == "naive"})
-				if err != nil {
-					t.Fatal(err)
-				}
 				d := sys.DPU(0)
 				kernel, aAt, cAt, rows, launches := r.Kernel(), r.aOff, r.cOff, 0, m
 				if kind == "batch" {

@@ -34,10 +34,7 @@ func newResidentRunner(t *testing.T, nDPU int, topo host.Topology, cfg RunnerCon
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRunner(t, sys, cfg)
 	r.EnableResidency(cache, model)
 	return r, cache, reg
 }

@@ -110,11 +110,7 @@ func TestTracingZeroExtraAllocs(t *testing.T) {
 	const m, n, k = 2, 96, 64
 	a, b := pipelineProblem(m, n, k)
 	mk := func() *Runner {
-		sys := newSystem(t, 2, dpu.O3)
-		r, err := NewRunner(sys, RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRunner(t, newSystem(t, 2, dpu.O3), RunnerConfig{MaxK: k, MaxN: n, Tasklets: 4, TileCols: 16})
 		if _, _, err := r.Multiply(m, n, k, 1, a, b); err != nil {
 			t.Fatal(err)
 		}

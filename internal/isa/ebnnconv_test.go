@@ -22,21 +22,13 @@ func TestEBNNConvProgramMatchesHost(t *testing.T) {
 
 	for _, tasklets := range []int{1, 4} {
 		prog, err := EBNNConvProgram(rowsOff, outOff, filter, tasklets)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for ii := range imgs {
 			d := dpu.MustNew(dpu.DefaultConfig(dpu.O2))
 			packed := imgs[ii].Pack()
 			if _, err := d.Do(&dpu.Request{Scatter: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: rowsOff, Buf: packed[:mnist.Side*4]}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := Load(d, prog); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.Launch(tasklets, Kernel(nil, nil)); err != nil {
-				t.Fatal(err)
-			}
+			launch(t, d, tasklets, prog, err)
 			out := make([]byte, ebnn.PoolCells)
 			if _, err := d.Do(&dpu.Request{Gather: dpu.Xfer{Kind: dpu.SymbolWRAM, Off: outOff, Buf: out}}); err != nil {
 				t.Fatal(err)
@@ -65,17 +57,7 @@ func TestEBNNConvProgramScales(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog, err := EBNNConvProgram(0, 256, 0x0F3, tasklets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Load(d, prog); err != nil {
-			t.Fatal(err)
-		}
-		st, err := d.Launch(tasklets, Kernel(nil, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Cycles
+		return launch(t, d, tasklets, prog, err).Cycles
 	}
 	c1, c8 := run(1), run(8)
 	// 13 pooled rows over 8 tasklets: ceil(13/8)=2 rows for one tasklet

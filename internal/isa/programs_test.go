@@ -33,6 +33,23 @@ func readWords(t *testing.T, d *dpu.DPU, off, n int) []int32 {
 	return out
 }
 
+// launch loads prog, a program builder's result (whose error fails the
+// test), into d and runs it on the given number of tasklets.
+func launch(t *testing.T, d *dpu.DPU, tasklets int, prog Program, err error) dpu.Stats {
+	t.Helper()
+	if err == nil {
+		err = Load(d, prog)
+	}
+	var st dpu.Stats
+	if err == nil {
+		st, err = d.Launch(tasklets, Kernel(nil, nil))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestVecAddProgram(t *testing.T) {
 	const n, tasklets = 100, 8
 	const aOff, bOff, dstOff = 0, 1024, 2048
@@ -48,15 +65,7 @@ func TestVecAddProgram(t *testing.T) {
 	writeWords(t, d, bOff, b)
 
 	prog, err := VecAddProgram(aOff, bOff, dstOff, n, tasklets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Load(d, prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Launch(tasklets, Kernel(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
+	launch(t, d, tasklets, prog, err)
 	got := readWords(t, d, dstOff, n)
 	for i := range a {
 		if got[i] != a[i]+b[i] {
@@ -74,17 +83,7 @@ func TestVecAddTaskletScaling(t *testing.T) {
 		writeWords(t, d, 0, make([]int32, n))
 		writeWords(t, d, 4096, make([]int32, n))
 		prog, err := VecAddProgram(0, 4096, 8192, n, tasklets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Load(d, prog); err != nil {
-			t.Fatal(err)
-		}
-		st, err := d.Launch(tasklets, Kernel(nil, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Cycles
+		return launch(t, d, tasklets, prog, err).Cycles
 	}
 	c1, c8 := run(1), run(8)
 	if speedup := float64(c1) / float64(c8); speedup < 6 {
@@ -107,15 +106,7 @@ func TestDotProductProgram(t *testing.T) {
 	writeWords(t, d, 0, a)
 	writeWords(t, d, 512, b)
 	prog, err := DotProductProgram(0, 512, 1024, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Load(d, prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Launch(1, Kernel(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
+	launch(t, d, 1, prog, err)
 	if got := readWords(t, d, 1024, 1)[0]; got != want {
 		t.Errorf("dot = %d, want %d", got, want)
 	}
@@ -180,15 +171,7 @@ func TestPopcountProgram(t *testing.T) {
 	}
 	writeWords(t, d, 0, vals)
 	prog, err := PopcountProgram(0, 512, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Load(d, prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Launch(1, Kernel(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
+	launch(t, d, 1, prog, err)
 	if got := readWords(t, d, 512, 1)[0]; got != want {
 		t.Errorf("popcount = %d, want %d", got, want)
 	}
@@ -208,15 +191,7 @@ func TestReduceMaxProgram(t *testing.T) {
 	}
 	writeWords(t, d, 0, vals)
 	prog, err := ReduceMaxProgram(0, 2048, n, tasklets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Load(d, prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Launch(tasklets, Kernel(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
+	launch(t, d, tasklets, prog, err)
 	partials := readWords(t, d, 2048, tasklets)
 	got := partials[0]
 	for _, p := range partials[1:] {
